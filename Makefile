@@ -1,4 +1,4 @@
-.PHONY: verify test race vet fmt bench bench-ingest bench-serve bench-shed bench-guard bench-synth bench-scenarios bench-gateway bench-memory bench-all chaos fuzz
+.PHONY: verify test race vet fmt bench bench-scenarios bench-all chaos fuzz
 
 # Full PR verify path: build, formatting, vet, tests, and race-checking of
 # the concurrent engine + observability packages. See scripts/verify.sh.
@@ -27,32 +27,11 @@ vet:
 fmt:
 	gofmt -l -w .
 
-# Ingest benchmarks + BENCH_ingest.json (perf trajectory across PRs:
-# ns/op, reports/sec, allocs/op, and the OAKRPT1 binary-vs-JSON wire bytes).
-bench-ingest:
-	sh scripts/bench_ingest.sh
-
-bench: bench-ingest
-
-# Serve-path benchmarks + BENCH_serve.json (cold vs warm rewrite, cache
-# speedup, zero-alloc no-op path).
-bench-serve:
-	sh scripts/bench_serve.sh
-
-# Overload-protection benchmarks + BENCH_sheds.json (shedding on vs off,
-# and the cost of refusing work when saturated).
-bench-shed:
-	sh scripts/bench_shed.sh
-
-# Guardrail benchmarks + BENCH_guard.json (breaker-check overhead on the
-# activation path, bulk-rollback latency vs population size).
-bench-guard:
-	sh scripts/bench_guard.sh
-
-# Population-detection benchmarks + BENCH_synth.json (ingest overhead of
-# the per-report sketch feed, serial and contended; acceptance bar 1.05).
-bench-synth:
-	sh scripts/bench_synth.sh
+# The serving benchmark (BENCHMARK.json): four loopback workloads against
+# real oakd/oakgw built from this tree, end-to-end metrics plus a per-layer
+# trace. This is the perf trajectory of record; see bench/README.md.
+bench:
+	bash bench/run.sh
 
 # Scenario matrix + BENCH_scenarios.json (decision quality per scenario:
 # violator precision/recall, time-to-mitigation, degraded pages, sheds,
@@ -61,18 +40,6 @@ bench-synth:
 bench-scenarios:
 	sh scripts/bench_scenarios.sh
 
-# Cluster-gateway benchmarks + BENCH_gateway.json (forwarding overhead vs
-# direct on the batch warm path, gated <= 1.25x; per-request report/page
-# hop cost; failover reroute throughput and chaos-measured time-to-reroute).
-bench-gateway:
-	sh scripts/bench_gateway.sh
-
-# Spill-tier memory benchmarks + BENCH_memory.json (resident bytes per
-# user under the residency cap, rehydration latency percentiles, and serve
-# p99 over a 95%-cold population vs the 500ms rewrite budget).
-bench-memory:
-	sh scripts/bench_memory.sh
-
-# Every benchmark in the repo, raw output only.
+# Every go-test micro-benchmark in the repo, raw output only.
 bench-all:
 	go test -bench=. -benchmem ./...

@@ -5,7 +5,7 @@
 //
 //	oakd -root ./site -rules ./rules.oak [-addr :8080] [-v]
 //	     [-state oak-state.json] [-save-interval 5m] [-pprof 127.0.0.1:6060]
-//	     [-shards N] [-ingest-queue N] [-ingest-workers N]
+//	     [-shards N] [-ingest-queue N]
 //	     [-max-body-bytes 4194304]
 //	     [-shed-wait 50ms] [-shed-retry-after 1s] [-rewrite-budget 500ms]
 //	     [-rewrite-cache 1024]
@@ -26,30 +26,28 @@
 // frames (application/x-oak-report-batch). All four formats are always on —
 // there is nothing to enable; clients opt in per request. -max-body-bytes
 // bounds a single report body (batches may total 16× the bound); see
-// docs/OPERATIONS.md, "Report wire formats". The unversioned /oak/report
-// path remains a byte-identical alias for existing clients. The rule file
-// format is auto-detected: JSON (array or {"rules": [...]} document) or the
+// docs/OPERATIONS.md, "Report wire formats". The rule file format is
+// auto-detected: JSON (array or {"rules": [...]} document) or the
 // DSL of internal/rules.ParseDSL (heredoc blocks; see the repository
 // README).
 //
 // Scaling: per-user state is sharded across -shards lock stripes (0 = four
-// per CPU) so reports for different users ingest in parallel. -ingest-queue
-// enables the batched-ingest pipeline: reports are queued (bounded,
-// backpressure when full) and drained by -ingest-workers workers. On the
-// serve side, -rewrite-cache bounds a cache of whole rewritten pages keyed
-// by page content + activation fingerprint, so repeat requests from users
-// with stable activations skip the rewrite entirely (0 disables). See
-// docs/OPERATIONS.md for sizing guidance.
+// per CPU) so reports for different users ingest in parallel, each on the
+// goroutine of the request that carried it. -ingest-queue N bounds ingest to
+// N reports in flight at once (0 = unbounded); a report that finds no room
+// waits for one to finish. On the serve side, -rewrite-cache bounds a cache
+// of whole rewritten pages keyed by page content + activation fingerprint,
+// so repeat requests from users with stable activations skip the rewrite
+// entirely (0 disables). See docs/OPERATIONS.md for sizing guidance.
 //
-// Resilience: -shed-wait switches the pipeline from blocking backpressure
-// to load shedding — a report that cannot enqueue within the wait is
-// refused with 503 + Retry-After (-shed-retry-after) instead of holding
-// the connection. -rewrite-budget bounds how long page delivery waits for
-// the per-user rewrite before serving the page unmodified. State saved via
-// -state is written crash-safely (checksummed, fsync + atomic rename, with
-// a rotating .bak); a corrupt or torn snapshot at boot falls back to the
-// backup instead of aborting. See docs/OPERATIONS.md, "Failure modes and
-// recovery".
+// Resilience: -shed-wait (with -ingest-queue) switches that wait to load
+// shedding — a report that gets no room within the wait is refused with
+// 503 + Retry-After (-shed-retry-after) instead of holding the connection.
+// -rewrite-budget bounds how long page delivery waits for the per-user
+// rewrite before serving the page unmodified. State saved via -state is
+// written crash-safely (checksummed, fsync + atomic rename, with a rotating
+// .bak); a corrupt or torn snapshot at boot falls back to the backup instead
+// of aborting. See docs/OPERATIONS.md, "Failure modes and recovery".
 //
 // Memory: -profile-cache (profiles) and/or -profile-cache-bytes (estimated
 // heap bytes) cap how much per-user state stays resident; profiles beyond
@@ -67,8 +65,8 @@
 // itself through a bounded number of canary activations
 // (-guard-halfopen-canaries). -probe-interval additionally probes each
 // alternate actively so a dead provider is caught even between user
-// reports. Breaker states appear under "guard" in /oak/metrics and open
-// breakers in /oak/healthz. See docs/OPERATIONS.md, "Guardrails".
+// reports. Breaker states appear under "guard" in /oak/v1/metrics and open
+// breakers in /oak/v1/healthz. See docs/OPERATIONS.md, "Guardrails".
 //
 // Population detection: -synth-window (0 disables) turns on cross-user
 // detection and rule synthesis — every report feeds per-provider download-
@@ -78,14 +76,14 @@
 // affected users on their next report, bypassing the per-user violation
 // gate. Synthesized activations ride the same guard breakers as organic
 // ones, so a bad synthetic rule self-rolls-back. Flagged providers appear
-// at GET /oak/v1/population and under "population" in /oak/metrics. See
+// at GET /oak/v1/population and under "population" in /oak/v1/metrics. See
 // docs/OPERATIONS.md, "Population detection & rule synthesis".
 //
 // Observability: the server answers GET /oak/v1/metrics (counters + latency
 // histograms), /oak/v1/healthz (liveness), /oak/v1/trace (recent engine
-// decisions) and /oak/v1/audit (operator summary) — each also at its legacy
-// unversioned /oak/... alias; -pprof additionally serves net/http/pprof on
-// a separate admin listener. See docs/OPERATIONS.md.
+// decisions) and /oak/v1/audit (operator summary); -pprof additionally
+// serves net/http/pprof on a separate admin listener. See
+// docs/OPERATIONS.md.
 //
 // On SIGINT/SIGTERM oakd shuts the listener down gracefully and, with
 // -state, persists engine state before exiting.
@@ -125,10 +123,9 @@ func run(args []string) error {
 		saveEvery = fs2.Duration("save-interval", 5*time.Minute, "how often to persist state (with -state)")
 		pprofAddr = fs2.String("pprof", "", "serve net/http/pprof on this separate admin address (e.g. 127.0.0.1:6060); off when empty")
 		shards    = fs2.Int("shards", 0, "lock-striped shards for per-user state (rounded up to a power of two; 0 = four per CPU)")
-		queueLen  = fs2.Int("ingest-queue", 0, "per-worker bounded queue length for batched ingest (0 = synchronous ingest, no pipeline)")
-		workers   = fs2.Int("ingest-workers", 0, "batched-ingest worker count (with -ingest-queue; 0 = one per CPU)")
+		queueLen  = fs2.Int("ingest-queue", 0, "at most this many reports in analysis at once; the rest wait (0 = unbounded)")
 		maxBody   = fs2.Int64("max-body-bytes", 0, "single-report body bound in bytes, any wire format; batch bodies may total 16x this (0 = 4 MB default)")
-		shedWait  = fs2.Duration("shed-wait", -1, "shed reports that cannot enqueue within this wait, 503 + Retry-After (with -ingest-queue; negative = block instead of shedding)")
+		shedWait  = fs2.Duration("shed-wait", -1, "shed reports that get no room within this wait, 503 + Retry-After (needs -ingest-queue; negative = wait instead of shedding)")
 		shedRetry = fs2.Duration("shed-retry-after", 0, "retry horizon advertised on shed responses (with -shed-wait; 0 = 1s default)")
 		rewriteB  = fs2.Duration("rewrite-budget", 0, "serve the unmodified page if the per-user rewrite takes longer than this (0 = 500ms default, negative = unbounded)")
 		rcSize    = fs2.Int("rewrite-cache", 1024, "rewrite-cache capacity in entries (whole rewritten pages keyed by content + activation fingerprint; 0 disables)")
@@ -148,10 +145,13 @@ func run(args []string) error {
 	if err := fs2.Parse(args); err != nil {
 		return err
 	}
+	if *shedWait >= 0 && *queueLen <= 0 {
+		return errors.New("-shed-wait needs -ingest-queue: unbounded ingest has nothing to shed")
+	}
 
 	server, pages, nRules, err := buildServer(oakdConfig{
 		root: *root, ruleFile: *ruleFile, verbose: *verbose,
-		shards: *shards, queueLen: *queueLen, workers: *workers,
+		shards: *shards, queueLen: *queueLen,
 		maxBodyBytes: *maxBody,
 		shedWait:     *shedWait, shedRetry: *shedRetry, rewriteBudget: *rewriteB,
 		rewriteCache: *rcSize,
@@ -181,8 +181,8 @@ func run(args []string) error {
 		stop := persistPeriodically(server.Engine(), *stateFile, *saveEvery)
 		defer stop()
 	}
-	// Deferred after the state defer, so on any exit path the pipeline is
-	// drained into the shards before the final state save runs.
+	// Deferred after the state defer, so on any exit path in-flight reports
+	// finish before the final state save runs.
 	defer server.Engine().Close()
 
 	if *pprofAddr != "" {
@@ -292,10 +292,9 @@ type oakdConfig struct {
 	ruleFile      string
 	verbose       bool
 	shards        int
-	queueLen      int
-	workers       int
+	queueLen      int           // admission bound; <= 0 leaves ingest unbounded
 	maxBodyBytes  int64         // single-report body bound; <= 0 takes the 4 MB default
-	shedWait      time.Duration // negative = no shedding (blocking backpressure)
+	shedWait      time.Duration // with queueLen > 0; negative = no shedding (wait for room)
 	shedRetry     time.Duration
 	rewriteBudget time.Duration // 0 = library default, negative = unbounded
 	rewriteCache  int           // entries; <= 0 disables the rewrite cache
@@ -347,15 +346,10 @@ func buildServer(cfg oakdConfig) (*oak.Server, int, int, error) {
 		opts = append(opts, oak.WithShards(cfg.shards))
 	}
 	if cfg.queueLen > 0 {
-		opts = append(opts, oak.WithIngestPipeline(oak.IngestConfig{
-			Workers:  cfg.workers,
-			QueueLen: cfg.queueLen,
-		}))
-	}
-	if cfg.shedWait >= 0 {
-		opts = append(opts, oak.WithLoadShedding(oak.ShedPolicy{
-			MaxWait:    cfg.shedWait,
-			RetryAfter: cfg.shedRetry,
+		opts = append(opts, oak.WithAdmission(oak.Admission{
+			MaxInFlight: cfg.queueLen,
+			MaxWait:     cfg.shedWait,
+			RetryAfter:  cfg.shedRetry,
 		}))
 	}
 	if cfg.rewriteCache > 0 {

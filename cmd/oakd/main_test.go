@@ -127,6 +127,11 @@ func TestRunFlagErrors(t *testing.T) {
 	if err := run([]string{"-definitely-not-a-flag"}); err == nil {
 		t.Error("bad flag: want error")
 	}
+	// Shedding from unbounded ingest would silently do nothing.
+	err := run([]string{"-root", newSiteDir(t), "-shed-wait", "50ms"})
+	if err == nil || !strings.Contains(err.Error(), "-shed-wait") || !strings.Contains(err.Error(), "-ingest-queue") {
+		t.Errorf("-shed-wait without -ingest-queue: err = %v, want one naming both flags", err)
+	}
 }
 
 func TestStatePersistence(t *testing.T) {

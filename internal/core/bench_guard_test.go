@@ -7,7 +7,7 @@ import (
 	"oak/internal/rules"
 )
 
-// Guard benchmarks: the numbers behind BENCH_guard.json (make bench-guard).
+// Guard micro-benchmarks.
 //
 // Two questions matter for the guardrail design:
 //

@@ -10,7 +10,7 @@ import (
 	"oak/internal/rules"
 )
 
-// Ingest benchmarks: the numbers behind BENCH_ingest.json (make bench).
+// Ingest micro-benchmarks.
 // BenchmarkHandleReportParallel vs BenchmarkHandleReportParallelSingleShard
 // is the sharding payoff — the single-shard engine reproduces the old
 // one-global-lock design, so the ratio of their reports/sec is the
@@ -85,7 +85,7 @@ func benchParallel(b *testing.B, e *Engine) {
 }
 
 // BenchmarkHandleBatch measures the batch entry point end to end (fan-out
-// across inline workers, no pipeline).
+// across the sink's goroutines).
 func BenchmarkHandleBatch(b *testing.B) {
 	e := benchEngine(b)
 	reports := benchReports("batch")
@@ -105,15 +105,9 @@ func BenchmarkHandleBatch(b *testing.B) {
 	}
 }
 
-// BenchmarkHandleReportPipeline drives the batched-ingest pipeline from
-// parallel submitters.
-func BenchmarkHandleReportPipeline(b *testing.B) {
-	benchParallel(b, benchEngine(b, WithIngestPipeline(IngestConfig{})))
-}
-
 // benchWire marshals the bench corpus with the given encoder and measures
 // decode+handle end to end, reporting the mean payload size as wire_bytes so
-// the JSON and OAKRPT1 rows in BENCH_ingest.json compare both CPU and bytes.
+// the JSON and OAKRPT1 rows compare both CPU and bytes.
 func benchWire(b *testing.B, marshal func(*report.Report) ([]byte, error), decode func([]byte) (*report.Report, error)) {
 	e := benchEngine(b)
 	reports := benchReports("wire")

@@ -11,8 +11,7 @@ import (
 
 // Memory-tier benchmarks: the spill→rehydrate round trip, serve latency
 // over a population that is 95% cold (spilled), and the bounded resident
-// footprint under ingest churn. scripts/bench_memory.sh turns these into
-// BENCH_memory.json; the headline numbers are resident bytes per user,
+// footprint under ingest churn. The headline numbers are resident bytes per user,
 // rehydration latency percentiles, and the cold-population serve p99
 // (which must sit far inside origin.DefaultRewriteBudget).
 

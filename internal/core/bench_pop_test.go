@@ -5,8 +5,7 @@ import (
 	"time"
 )
 
-// Population-ingest benchmarks: the numbers behind BENCH_synth.json (make
-// bench-synth). SynthOff is the pre-population baseline; SynthOn adds the
+// Population-ingest micro-benchmarks. SynthOff is the pre-population baseline; SynthOn adds the
 // per-report sketch feed plus the amortised window tick. The acceptance
 // bar for the population layer is SynthOn within 5% of SynthOff.
 

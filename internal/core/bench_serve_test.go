@@ -11,8 +11,7 @@ import (
 
 // Serve-path benchmarks: cold (every request recomputes the rewrite), warm
 // (rewrite cache hit), no-op (user with no activations — must not
-// allocate), and parallel warm serving. scripts/bench_serve.sh turns these
-// into BENCH_serve.json.
+// allocate), and parallel warm serving.
 
 // benchServeRules builds n Type 2/1 rules over distinct third-party blocks.
 func benchServeRules(n int) []*rules.Rule {

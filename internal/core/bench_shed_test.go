@@ -3,81 +3,15 @@ package core
 import (
 	"errors"
 	"testing"
-	"time"
-
-	"oak/internal/rules"
 )
 
-// Shed benchmarks: the numbers behind BENCH_sheds.json (make bench-shed).
-//
-// Two questions matter for the overload-protection design:
-//
-//  1. What does admission control cost when the server is NOT overloaded?
-//     BenchmarkPipelineSheddingOff vs BenchmarkPipelineSheddingOn run the
-//     same parallel ingest load with and without a ShedPolicy; the
-//     reports/sec ratio is the happy-path toll (it should be ~1.0 — the
-//     fast path is a single non-blocking channel send either way).
-//
-//  2. What does overload cost once it happens? BenchmarkShedSaturated
-//     wedges the one pipeline worker and fills the queue, so every
-//     HandleReport is refused. Its ns/op is the full price of saying no —
-//     with shedding, an overloaded submitter is turned away in
-//     microseconds with a truthful Retry-After, where the blocking design
-//     parks it for an unbounded wait.
-
-// BenchmarkPipelineSheddingOff is the baseline: pipeline ingest with
-// blocking backpressure (no ShedPolicy), parallel submitters.
-func BenchmarkPipelineSheddingOff(b *testing.B) {
-	benchParallel(b, benchEngine(b, WithIngestPipeline(IngestConfig{})))
-}
-
-// BenchmarkPipelineSheddingOn is the same load with deadline-aware
-// admission enabled. The queue is sized so nothing sheds; any refusal
-// fails the benchmark, so the number isolates pure policy overhead.
-func BenchmarkPipelineSheddingOn(b *testing.B) {
-	benchParallel(b, benchEngine(b,
-		WithIngestPipeline(IngestConfig{}),
-		WithLoadShedding(ShedPolicy{MaxWait: time.Second}),
-	))
-}
-
-// BenchmarkShedSaturated measures the overload path itself: a wedged
-// worker, a full queue and MaxWait zero mean every HandleReport sheds.
+// BenchmarkShedSaturated measures the overload path itself: one report
+// holds the only in-flight slot and MaxWait is zero, so every HandleReport
+// is shed. Its ns/op is the full price of saying no — an overloaded
+// submitter is turned away in well under a microsecond with a truthful
+// Retry-After, where a waiting design parks it for an unbounded time.
 func BenchmarkShedSaturated(b *testing.B) {
-	entered := make(chan struct{})
-	release := make(chan struct{})
-	fetcher := ScriptFetcherFunc(func(string) (string, error) {
-		close(entered)
-		<-release
-		return "", nil
-	})
-	e, err := NewEngine([]*rules.Rule{loaderRule()},
-		WithScriptFetcher(fetcher),
-		WithIngestPipeline(IngestConfig{Workers: 1, QueueLen: 1}),
-		WithLoadShedding(ShedPolicy{MaxWait: 0}),
-	)
-	if err != nil {
-		b.Fatal(err)
-	}
-	// Wedge the worker inside a tier-3 script fetch, then fill the one
-	// queue slot behind it. Both submissions block until release.
-	go func() { _, _ = e.HandleReport(tier3Report("bench-wedged")) }()
-	<-entered
-	go func() { _, _ = e.HandleReport(tier3Report("bench-filler")) }()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if depth, _ := e.IngestQueue(); depth == 2 {
-			break
-		}
-		if time.Now().After(deadline) {
-			b.Fatal("queue never saturated")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	b.Cleanup(func() {
-		close(release)
-		e.Close()
-	})
+	e, _, _ := wedgedEngine(b, Admission{})
 
 	rep := slowS1Report("bench-shed")
 	b.ReportAllocs()
@@ -90,14 +24,6 @@ func BenchmarkShedSaturated(b *testing.B) {
 	b.StopTimer()
 	if got := e.Metrics().ReportsShed; got < uint64(b.N) {
 		b.Fatalf("ReportsShed = %d, want >= %d", got, b.N)
-	}
-	reportShedRate(b)
-}
-
-// reportShedRate derives sheds/sec from the measured loop.
-func reportShedRate(b *testing.B) {
-	if b.N == 0 || b.Elapsed() == 0 {
-		return
 	}
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "sheds/sec")
 }

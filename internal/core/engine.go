@@ -21,9 +21,9 @@ import (
 //
 // Per-user state lives in lock-striped shards (see shard.go) keyed by user
 // ID, so reports for different users ingest in parallel; the rule set has
-// its own lock. An optional batched-ingest pipeline (WithIngestPipeline)
-// adds a bounded queue and a worker pool in front of the shards; engines
-// with a pipeline should be Closed when no longer needed.
+// its own lock. Every report is analysed on the goroutine that submitted it;
+// WithAdmission optionally bounds how many may be in flight at once. Close
+// stops ingest and releases the spill tier's files.
 type Engine struct {
 	rulesMu sync.RWMutex
 	rules   []*rules.Rule
@@ -45,14 +45,15 @@ type Engine struct {
 	now     func() time.Time
 	logf    func(format string, args ...any)
 
-	// pipeline is the optional batched-ingest queue + worker pool; nil
-	// means HandleReport processes synchronously on the caller's goroutine.
-	pipeline       *pipeline
-	pipelineConfig *IngestConfig
+	// gate, when non-nil (WithAdmission), bounds the reports in flight; nil
+	// admits everything. See ingest.go.
+	gate *gate
 
-	// shedPolicy, when set, turns full-queue blocking into deadline-aware
-	// admission control (WithLoadShedding).
-	shedPolicy *ShedPolicy
+	// closeMu orders Close against ingest: a report holds it shared while it
+	// is being processed and Close takes it exclusively to set closed, so
+	// once Close returns nothing is touching a shard or the spill tier.
+	closeMu sync.RWMutex
+	closed  bool
 
 	// Observability (internal/obs): every decision point emits a structured
 	// trace event; rewrite latency feeds one histogram, ingest latency one
@@ -172,19 +173,17 @@ func NewEngine(ruleSet []*rules.Rule, opts ...Option) (*Engine, error) {
 	if err := e.initSpill(); err != nil {
 		return nil, err
 	}
-	if e.pipelineConfig != nil {
-		e.pipeline = newPipeline(e, *e.pipelineConfig)
-	}
 	return e, nil
 }
 
-// Close stops the batched-ingest pipeline, draining queued reports first.
-// It is a no-op for engines without a pipeline and is safe to call more
-// than once. After Close, HandleReport returns ErrEngineClosed.
+// Close stops ingest: it waits for the reports being processed to finish,
+// makes every later submission fail with ErrShuttingDown, and closes the
+// spill tier's segment files. Pages keep being served from the state the
+// engine holds. It is safe to call more than once.
 func (e *Engine) Close() error {
-	if e.pipeline != nil {
-		e.pipeline.close()
-	}
+	e.closeMu.Lock()
+	e.closed = true
+	e.closeMu.Unlock()
 	if e.spill != nil {
 		e.spill.close()
 	}
@@ -267,8 +266,8 @@ type AnalysisResult struct {
 	Changes    []RuleChange
 }
 
-// HandleReport runs the full performance-analysis pipeline of Section 4.2 on
-// one client report: group objects by server, detect violators with the MAD
+// HandleReport runs the full performance analysis of Section 4.2 on one
+// client report: group objects by server, detect violators with the MAD
 // criterion, reconcile the user's existing activations (rule history), and
 // activate any rules with a connection dependency on a violator.
 //
@@ -277,27 +276,27 @@ func (e *Engine) HandleReport(r *report.Report) (*AnalysisResult, error) {
 	return e.HandleReportCtx(context.Background(), r)
 }
 
-// HandleReportCtx is HandleReport with a context. On an engine with a
-// batched-ingest pipeline the report is queued and the call waits for the
-// result; cancelling ctx abandons the report while it is still queued (a
-// report already being processed completes, but the call returns ctx's
-// error immediately). Without a pipeline the report is processed
-// synchronously and ctx is only checked on entry.
+// HandleReportCtx is HandleReport with a context. The report is validated,
+// admitted (WithAdmission; a no-op by default) and processed on the calling
+// goroutine. ctx is checked on entry and while waiting for admission; a
+// report that has been admitted is processed to completion.
 //
 // Submitting transfers ownership of a pooled report (DecodePooled /
-// DecodeBinaryPooled) to the engine: it is released exactly once on every
-// path out of ingest, and the caller must not touch it after this call.
+// DecodeBinaryPooled) to the engine: it is released before this call
+// returns, on every path, and the caller must not touch it afterwards.
 func (e *Engine) HandleReportCtx(ctx context.Context, r *report.Report) (*AnalysisResult, error) {
+	defer r.Release()
 	if err := r.Validate(); err != nil {
-		r.Release()
 		return nil, err
 	}
 	if err := ctx.Err(); err != nil {
-		r.Release()
 		return nil, err
 	}
-	if e.pipeline != nil {
-		return e.pipeline.submit(ctx, r)
+	if e.gate != nil {
+		if err := e.admit(ctx); err != nil {
+			return nil, err
+		}
+		defer e.gate.leave()
 	}
 	return e.process(r)
 }
@@ -305,11 +304,14 @@ func (e *Engine) HandleReportCtx(ctx context.Context, r *report.Report) (*Analys
 // scriptURLPool recycles the per-report script-URL accumulation buffer.
 var scriptURLPool = sync.Pool{New: func() any { return new([]string) }}
 
-// process runs the analysis pipeline on one pre-validated report against
-// the report's shard. It is the synchronous core both ingest paths share,
-// and the place a pooled report is released once its shard is done with it.
+// process analyses one validated, admitted report against the report's
+// shard, unless the engine has been closed.
 func (e *Engine) process(r *report.Report) (*AnalysisResult, error) {
-	defer r.Release()
+	e.closeMu.RLock()
+	defer e.closeMu.RUnlock()
+	if e.closed {
+		return nil, ErrShuttingDown
+	}
 	sh := e.shardFor(r.UserID)
 	start := time.Now()
 	defer func() { sh.ingest.Observe(time.Since(start)) }()
@@ -774,7 +776,7 @@ func (e *Engine) Snapshot(userID string) (ProfileSnapshot, bool) {
 func (e *Engine) Users() int {
 	// Lock-free by design: healthz calls this, and a liveness probe must
 	// answer even while a shard is wedged mid-ingest (stuck script fetch,
-	// saturated pipeline). Each shard mirrors its profile count in a gauge.
+	// saturated admission). Each shard mirrors its profile count in a gauge.
 	total := int64(0)
 	for _, sh := range e.shards {
 		total += sh.users.Value()

@@ -481,7 +481,7 @@ func (e *Engine) ReleaseRule(ruleID string) {
 }
 
 // GuardStatus is the guard's externally visible state, served under "guard"
-// in /oak/metrics.
+// in /oak/v1/metrics.
 type GuardStatus struct {
 	// Breakers is every tracked provider breaker, sorted by provider.
 	Breakers []guard.ProviderStatus `json:"breakers,omitempty"`

@@ -12,9 +12,10 @@ import (
 	"oak/internal/rules"
 )
 
-func pipelineEngine(t *testing.T, workers, queueLen int, opts ...Option) *Engine {
+// gatedEngine builds an engine whose ingest is bounded by a.
+func gatedEngine(t *testing.T, a Admission, opts ...Option) *Engine {
 	t.Helper()
-	opts = append(opts, WithIngestPipeline(IngestConfig{Workers: workers, QueueLen: queueLen}))
+	opts = append(opts, WithAdmission(a))
 	e, err := NewEngine([]*rules.Rule{jqRule(0)}, opts...)
 	if err != nil {
 		t.Fatal(err)
@@ -23,8 +24,58 @@ func pipelineEngine(t *testing.T, workers, queueLen int, opts ...Option) *Engine
 	return e
 }
 
+// wedgedEngine builds an engine bounded to one report in flight and parks a
+// report inside a tier-3 script fetch, so the bound is saturated until the
+// returned release func runs. wedged yields that report's outcome.
+func wedgedEngine(t testing.TB, a Admission) (e *Engine, release func(), wedged <-chan error) {
+	t.Helper()
+	entered := make(chan struct{})
+	hold := make(chan struct{})
+	fetcher := ScriptFetcherFunc(func(string) (string, error) {
+		close(entered)
+		<-hold
+		return "", nil
+	})
+	a.MaxInFlight = 1
+	e, err := NewEngine([]*rules.Rule{loaderRule()}, WithScriptFetcher(fetcher), WithAdmission(a))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var once sync.Once
+	release = func() { once.Do(func() { close(hold) }) }
+	t.Cleanup(func() {
+		release()
+		e.Close()
+	})
+	done := make(chan error, 1)
+	go func() {
+		_, err := e.HandleReport(tier3Report("u-wedged"))
+		done <- err
+	}()
+	<-entered
+	if depth, capacity := e.IngestQueue(); depth != 1 || capacity != 1 {
+		t.Fatalf("wedged engine depth=%d capacity=%d, want 1/1", depth, capacity)
+	}
+	return e, release, done
+}
+
+// pooledReport decodes a pooled report for user, so a test can check the
+// engine handed it back to the pool.
+func pooledReport(t *testing.T, user string) *report.Report {
+	t.Helper()
+	data, err := slowS1Report(user).Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := report.DecodePooled(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rep
+}
+
 func TestPipelineProcessesReports(t *testing.T) {
-	e := pipelineEngine(t, 2, 16)
+	e := gatedEngine(t, Admission{MaxInFlight: 2})
 	for i := 0; i < 20; i++ {
 		res, err := e.HandleReport(slowS1Report(fmt.Sprintf("u%d", i)))
 		if err != nil {
@@ -37,106 +88,102 @@ func TestPipelineProcessesReports(t *testing.T) {
 	if got := e.Users(); got != 20 {
 		t.Errorf("Users() = %d, want 20", got)
 	}
-	if depth, capacity := e.IngestQueue(); depth != 0 || capacity == 0 {
-		t.Errorf("queue depth=%d capacity=%d, want drained queue with capacity", depth, capacity)
+	if depth, capacity := e.IngestQueue(); depth != 0 || capacity != 2 {
+		t.Errorf("in flight=%d bound=%d, want 0 in flight under a bound of 2", depth, capacity)
 	}
 }
 
 func TestPipelineRejectsInvalidReport(t *testing.T) {
-	e := pipelineEngine(t, 1, 4)
+	e := gatedEngine(t, Admission{MaxInFlight: 1})
 	if _, err := e.HandleReport(&report.Report{UserID: "", Page: "/"}); !errors.Is(err, report.ErrNoUserID) {
 		t.Errorf("err = %v, want ErrNoUserID", err)
 	}
+	if depth, _ := e.IngestQueue(); depth != 0 {
+		t.Errorf("invalid report holds a slot: in flight = %d", depth)
+	}
 }
 
+// TestPipelineClosedEngineRejects pins Close's promise on every kind of
+// engine: plain, bounded, and one with a spill tier (whose segment files
+// Close releases, so a late report must not reach them).
 func TestPipelineClosedEngineRejects(t *testing.T) {
-	e := pipelineEngine(t, 1, 4)
-	if err := e.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Close(); err != nil { // idempotent
-		t.Fatal(err)
-	}
-	if _, err := e.HandleReport(slowS1Report("late")); !errors.Is(err, ErrEngineClosed) {
-		t.Errorf("err = %v, want ErrEngineClosed", err)
+	for name, opts := range map[string][]Option{
+		"plain": nil,
+		"gated": {WithAdmission(Admission{MaxInFlight: 1})},
+		"spill": {WithProfileResidency(ResidencyConfig{Dir: t.TempDir(), MaxProfiles: 1})},
+	} {
+		t.Run(name, func(t *testing.T) {
+			e, err := NewEngine([]*rules.Rule{jqRule(0)}, opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := e.HandleReport(slowS1Report("early")); err != nil {
+				t.Fatal(err)
+			}
+			if err := e.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if err := e.Close(); err != nil { // idempotent
+				t.Fatal(err)
+			}
+			rep := pooledReport(t, "late")
+			if _, err := e.HandleReport(rep); !errors.Is(err, ErrShuttingDown) {
+				t.Errorf("err = %v, want ErrShuttingDown", err)
+			}
+			if rep.Pooled() {
+				t.Error("post-close submission did not release the pooled report")
+			}
+			if res := e.HandleBatch(context.Background(), []*report.Report{slowS1Report("late")}); res.Failed != 1 {
+				t.Errorf("post-close batch = %+v, want the report failed", res)
+			}
+			if _, ok := e.Snapshot("late"); ok {
+				t.Error("report after Close mutated a profile")
+			}
+			if got := e.Metrics().SpillErrors; got != 0 {
+				t.Errorf("SpillErrors = %d: a late report reached the closed spill tier", got)
+			}
+		})
 	}
 }
 
-// TestPipelineCancelWhileQueued wedges the single worker (via a blocking
-// logf sink), fills the one-slot queue behind it, and checks that (a) a
-// submission with no queue space honours ctx cancellation, and (b) a queued
-// report whose ctx is cancelled is dropped un-processed.
+// TestPipelineCancelWhileQueued saturates a never-shedding bound and checks
+// that a report waiting for room honours ctx cancellation without touching
+// a profile, and that its pooled struct goes back to the pool.
 func TestPipelineCancelWhileQueued(t *testing.T) {
-	release := make(chan struct{})
-	var once sync.Once
-	blockingLogf := func(string, ...any) { <-release }
-	unblock := func() { once.Do(func() { close(release) }) }
-	defer unblock()
+	e, release, wedged := wedgedEngine(t, Admission{MaxWait: -1})
 
-	e := pipelineEngine(t, 1, 1, WithLogf(blockingLogf))
-
-	type outcome struct {
-		res *AnalysisResult
-		err error
+	ctx, cancel := context.WithCancel(context.Background())
+	rep := pooledReport(t, "b")
+	errCh := make(chan error, 1)
+	go func() {
+		_, err := e.HandleReportCtx(ctx, rep)
+		errCh <- err
+	}()
+	select {
+	case err := <-errCh:
+		t.Fatalf("waiting report returned %v before room or cancellation", err)
+	case <-time.After(20 * time.Millisecond):
 	}
-	submit := func(ctx context.Context, user string) chan outcome {
-		ch := make(chan outcome, 1)
-		go func() {
-			res, err := e.HandleReportCtx(ctx, slowS1Report(user))
-			ch <- outcome{res, err}
-		}()
-		return ch
+	cancel()
+	if err := <-errCh; !errors.Is(err, context.Canceled) {
+		t.Errorf("cancelled wait err = %v, want context.Canceled", err)
 	}
-
-	// A occupies the worker (blocked in logf under the shard lock).
-	aCh := submit(context.Background(), "a")
-	waitForDepth := func(want int64) {
-		t.Helper()
-		deadline := time.Now().Add(5 * time.Second)
-		for {
-			if d, _ := e.IngestQueue(); d >= want {
-				return
-			}
-			if time.Now().After(deadline) {
-				t.Fatalf("queue depth never reached %d", want)
-			}
-			time.Sleep(time.Millisecond)
-		}
-	}
-	waitForDepth(1)
-
-	// B sits in the queue.
-	bCtx, bCancel := context.WithCancel(context.Background())
-	bCh := submit(bCtx, "b")
-	waitForDepth(2)
-
-	// C cannot even enqueue (queue full): cancelling its ctx must unblock
-	// the submission.
-	cCtx, cCancel := context.WithCancel(context.Background())
-	cCh := submit(cCtx, "c")
-	waitForDepth(3)
-	cCancel()
-	if out := <-cCh; !errors.Is(out.err, context.Canceled) {
-		t.Errorf("c err = %v, want context.Canceled", out.err)
+	if rep.Pooled() {
+		t.Error("cancelled submission did not release the pooled report")
 	}
 
-	// Cancel B while it is queued, then release the worker: B must be
-	// dropped without touching its profile.
-	bCancel()
-	unblock()
-	if out := <-bCh; !errors.Is(out.err, context.Canceled) {
-		t.Errorf("b err = %v, want context.Canceled", out.err)
+	release()
+	if err := <-wedged; err != nil {
+		t.Errorf("wedged report failed: %v", err)
 	}
-	if out := <-aCh; out.err != nil || len(out.res.Changes) != 1 {
-		t.Errorf("a outcome = %+v, %v; want one activation", out.res, out.err)
-	}
-
-	e.Close() // drain before asserting state
 	if _, ok := e.Snapshot("b"); ok {
-		t.Error("cancelled-while-queued report mutated the profile")
+		t.Error("cancelled-while-waiting report mutated the profile")
 	}
-	if _, ok := e.Snapshot("a"); !ok {
+	if _, ok := e.Snapshot("u-wedged"); !ok {
 		t.Error("processed report left no profile")
+	}
+	if got := e.Metrics().ReportsShed; got != 0 {
+		t.Errorf("ReportsShed = %d, a cancelled wait is not a shed", got)
 	}
 }
 
@@ -162,8 +209,10 @@ func TestHandleBatchWithoutPipeline(t *testing.T) {
 	}
 }
 
+// TestHandleBatchThroughPipeline runs a batch wider than the bound through
+// a never-shedding gate: every report waits its turn and none is lost.
 func TestHandleBatchThroughPipeline(t *testing.T) {
-	e := pipelineEngine(t, 4, 8)
+	e := gatedEngine(t, Admission{MaxInFlight: 2, MaxWait: -1})
 	var reports []*report.Report
 	for i := 0; i < 100; i++ {
 		reports = append(reports, slowS1Report(fmt.Sprintf("u%d", i)))
@@ -188,11 +237,11 @@ func TestHandleBatchEmpty(t *testing.T) {
 	}
 }
 
-// TestBatchedIngestRace hammers the pipeline from many goroutines while
+// TestBatchedIngestRace hammers a bounded engine from many goroutines while
 // ExportState, SetRules, Audit and Users run concurrently — the guard for
 // the sharded engine's lock discipline under `go test -race`.
 func TestBatchedIngestRace(t *testing.T) {
-	e := pipelineEngine(t, 4, 32)
+	e := gatedEngine(t, Admission{MaxInFlight: 4, MaxWait: -1})
 
 	const (
 		writers          = 4
@@ -270,8 +319,8 @@ func TestBatchedIngestRace(t *testing.T) {
 
 // tier3Report builds a report whose violator (evil.example) can only be tied
 // to loaderRule through the external-JavaScript tier — processing it makes
-// the engine call the script fetcher, which tests use to block a pipeline
-// worker deterministically.
+// the engine call the script fetcher, which tests use to hold a report in
+// flight deterministically.
 func tier3Report(user string) *report.Report {
 	return &report.Report{UserID: user, Page: "/index.html", Entries: []report.Entry{
 		{URL: "http://lib.example/loader.js", ServerAddr: "ip-lib.example", SizeBytes: 1024, DurationMillis: 95, Kind: report.KindScript},
@@ -292,46 +341,15 @@ func loaderRule() *rules.Rule {
 	}
 }
 
+// TestLoadSheddingShedsWhenSaturated: with the bound saturated, a single
+// report and every report of a batch are shed — typed, counted, carrying
+// the policy's retry hint, released — and nothing is lost or wedged once
+// the bound frees up.
 func TestLoadSheddingShedsWhenSaturated(t *testing.T) {
-	entered := make(chan struct{})
-	release := make(chan struct{})
-	fetcher := ScriptFetcherFunc(func(string) (string, error) {
-		close(entered)
-		<-release
-		return "", nil
-	})
-	e, err := NewEngine([]*rules.Rule{loaderRule()},
-		WithScriptFetcher(fetcher),
-		WithIngestPipeline(IngestConfig{Workers: 1, QueueLen: 1}),
-		WithLoadShedding(ShedPolicy{MaxWait: 5 * time.Millisecond, RetryAfter: 2 * time.Second}),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-	released := false
-	defer func() {
-		if !released {
-			close(release)
-		}
-	}()
+	e, release, wedged := wedgedEngine(t, Admission{MaxWait: 5 * time.Millisecond, RetryAfter: 2 * time.Second})
 
-	done := make(chan error, 2)
-	// Report 1: the worker picks it up and blocks inside the fetcher.
-	go func() {
-		_, err := e.HandleReport(tier3Report("u-block"))
-		done <- err
-	}()
-	<-entered
-	// Report 2: fills the queue (capacity 1) behind the stuck worker.
-	go func() {
-		_, err := e.HandleReport(slowS1Report("u-queued"))
-		done <- err
-	}()
-	waitFor(t, func() bool { depth, _ := e.IngestQueue(); return depth == 2 })
-
-	// Report 3: nowhere to go — must be shed, not block.
-	_, err = e.HandleReport(slowS1Report("u-shed"))
+	rep := pooledReport(t, "u-shed")
+	_, err := e.HandleReport(rep)
 	if !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("saturated submit err = %v, want ErrOverloaded", err)
 	}
@@ -339,57 +357,46 @@ func TestLoadSheddingShedsWhenSaturated(t *testing.T) {
 	if !errors.As(err, &oe) || oe.RetryAfter != 2*time.Second {
 		t.Errorf("overload error = %#v, want RetryAfter 2s", err)
 	}
+	if rep.Pooled() {
+		t.Error("shed submission did not release the pooled report")
+	}
 	if got := e.Metrics().ReportsShed; got != 1 {
 		t.Errorf("ReportsShed = %d, want 1", got)
 	}
 
-	// Unblocking the worker drains the queue; nothing was lost or wedged.
-	released = true
-	close(release)
-	for i := 0; i < 2; i++ {
-		if err := <-done; err != nil {
-			t.Errorf("queued report %d failed: %v", i, err)
-		}
+	// A batch goes through the same bound, report by report.
+	batch := []*report.Report{slowS1Report("b1"), slowS1Report("b2"), slowS1Report("b3")}
+	res := e.HandleBatch(context.Background(), batch)
+	if res.Submitted != 3 || res.Overloaded != 3 || res.Failed != 3 || res.Processed != 0 {
+		t.Errorf("saturated batch = %+v, want all three shed", res)
 	}
-	e.Close()
+	if res.RetryAfter != 2*time.Second {
+		t.Errorf("batch RetryAfter = %v, want 2s", res.RetryAfter)
+	}
+	if got := e.Metrics().ReportsShed; got != 4 {
+		t.Errorf("ReportsShed = %d, want 4", got)
+	}
+
+	release()
+	if err := <-wedged; err != nil {
+		t.Errorf("in-flight report failed: %v", err)
+	}
+	if depth, _ := e.IngestQueue(); depth != 0 {
+		t.Errorf("in flight = %d after drain, want 0", depth)
+	}
+	if _, err := e.HandleReport(slowS1Report("u-after")); err != nil {
+		t.Errorf("report after drain: %v", err)
+	}
 	if e.Users() != 2 {
-		t.Errorf("Users = %d, want 2 (shed report not processed)", e.Users())
+		t.Errorf("Users = %d, want 2 (shed reports not processed)", e.Users())
 	}
 }
 
 func TestLoadSheddingZeroWaitShedsImmediately(t *testing.T) {
-	entered := make(chan struct{})
-	release := make(chan struct{})
-	fetcher := ScriptFetcherFunc(func(string) (string, error) {
-		close(entered)
-		<-release
-		return "", nil
-	})
-	e, err := NewEngine([]*rules.Rule{loaderRule()},
-		WithScriptFetcher(fetcher),
-		WithIngestPipeline(IngestConfig{Workers: 1, QueueLen: 1}),
-		WithLoadShedding(ShedPolicy{}), // MaxWait 0: no grace at all
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-	defer close(release)
-
-	done := make(chan error, 2)
-	go func() {
-		_, err := e.HandleReport(tier3Report("u-block"))
-		done <- err
-	}()
-	<-entered
-	go func() {
-		_, err := e.HandleReport(slowS1Report("u-queued"))
-		done <- err
-	}()
-	waitFor(t, func() bool { depth, _ := e.IngestQueue(); return depth == 2 })
+	e, _, _ := wedgedEngine(t, Admission{}) // MaxWait 0: no grace at all
 
 	start := time.Now()
-	_, err = e.HandleReport(slowS1Report("u-shed"))
+	_, err := e.HandleReport(slowS1Report("u-shed"))
 	if !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("err = %v, want ErrOverloaded", err)
 	}
@@ -402,31 +409,12 @@ func TestLoadSheddingZeroWaitShedsImmediately(t *testing.T) {
 	}
 }
 
+// TestNoSheddingBlocksInsteadOfRefusing: a negative MaxWait never sheds —
+// reports wait for room and succeed once the report ahead of them finishes.
 func TestNoSheddingBlocksInsteadOfRefusing(t *testing.T) {
-	// Without WithLoadShedding a saturated queue applies backpressure: the
-	// submission waits and eventually succeeds once the worker frees up.
-	entered := make(chan struct{})
-	release := make(chan struct{})
-	fetcher := ScriptFetcherFunc(func(string) (string, error) {
-		close(entered)
-		<-release
-		return "", nil
-	})
-	e, err := NewEngine([]*rules.Rule{loaderRule()},
-		WithScriptFetcher(fetcher),
-		WithIngestPipeline(IngestConfig{Workers: 1, QueueLen: 1}),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
+	e, release, wedged := wedgedEngine(t, Admission{MaxWait: -1})
 
-	done := make(chan error, 3)
-	go func() {
-		_, err := e.HandleReport(tier3Report("u-block"))
-		done <- err
-	}()
-	<-entered
+	done := make(chan error, 2)
 	for _, u := range []string{"u2", "u3"} {
 		u := u
 		go func() {
@@ -434,26 +422,21 @@ func TestNoSheddingBlocksInsteadOfRefusing(t *testing.T) {
 			done <- err
 		}()
 	}
-	waitFor(t, func() bool { depth, _ := e.IngestQueue(); return depth >= 2 })
-	close(release)
-	for i := 0; i < 3; i++ {
-		if err := <-done; err != nil {
-			t.Errorf("backpressured report %d failed: %v", i, err)
+	select {
+	case err := <-done:
+		t.Fatalf("report returned %v while the bound was saturated", err)
+	case <-time.After(20 * time.Millisecond):
+	}
+	release()
+	for _, ch := range []<-chan error{wedged, done, done} {
+		if err := <-ch; err != nil {
+			t.Errorf("waiting report failed: %v", err)
 		}
 	}
 	if e.Metrics().ReportsShed != 0 {
-		t.Errorf("ReportsShed = %d without a shed policy", e.Metrics().ReportsShed)
+		t.Errorf("ReportsShed = %d with shedding off", e.Metrics().ReportsShed)
 	}
-}
-
-// waitFor polls cond until it holds or the test times out.
-func waitFor(t *testing.T, cond func() bool) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for !cond() {
-		if time.Now().After(deadline) {
-			t.Fatal("condition not reached within 5s")
-		}
-		time.Sleep(time.Millisecond)
+	if e.Users() != 3 {
+		t.Errorf("Users = %d, want 3", e.Users())
 	}
 }

@@ -27,7 +27,7 @@ type Metrics struct {
 	// PagesUntouched counts ModifyPage calls that returned the page as-is.
 	PagesUntouched uint64
 	// ReportsShed counts report submissions refused with ErrOverloaded by
-	// the load-shedding admission policy (WithLoadShedding).
+	// the admission bound (WithAdmission).
 	ReportsShed uint64
 	// StateRecoveries counts boots (LoadStateFile calls) that restored
 	// state from the rotating backup because the primary snapshot was

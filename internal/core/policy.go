@@ -49,7 +49,7 @@ type Policy struct {
 	// LinearSelector.
 	SelectAlternative AltSelector
 	// MatchLevel caps the evidence tier used to tie rules to violators.
-	// Defaults to MatchExternalJS (the full pipeline).
+	// Defaults to MatchExternalJS (every tier).
 	MatchLevel MatchLevel
 	// MatchDepth is the number of external-script layers followed.
 	// Defaults to 1, per the paper.

@@ -13,7 +13,7 @@ import (
 	"oak/internal/rules"
 )
 
-// syncEngine is a pipeline-less engine for the synchronous-path tests.
+// syncEngine is an engine with unbounded admission.
 func syncEngine(t *testing.T) *Engine {
 	t.Helper()
 	e, err := NewEngine([]*rules.Rule{jqRule(0)})
@@ -27,7 +27,7 @@ func syncEngine(t *testing.T) *Engine {
 // Pooled-report lifecycle tests. A report from report.DecodePooled is owned
 // by the engine from the submit call on, and must be released exactly once
 // on every path out of ingest: processed, validation-failed, cancelled while
-// queued, shed, engine closed. A double release puts the same *Report into
+// waiting for admission, shed, engine closed. A double release puts the same *Report into
 // the pool twice, so two concurrent decoders end up writing the same struct
 // — which is exactly the kind of corruption the race detector flags. The
 // hammer below mixes all the exit paths under -race to pin that discipline.
@@ -47,14 +47,16 @@ func hammerPayloads(t testing.TB, users int) [][]byte {
 	return payloads
 }
 
-// TestPooledReleaseHammer drives pooled reports through a small, easily
-// saturated pipeline from many goroutines while randomly cancelling
+// TestPooledReleaseHammer drives pooled reports through a tight, easily
+// saturated admission bound from many goroutines while randomly cancelling
 // submissions and finally closing the engine mid-flight, so the processed,
-// shed, cancelled-while-queued and closed exit paths all fire concurrently
+// shed, cancelled-while-waiting and closed exit paths all fire concurrently
 // with pool reuse. Run under -race this catches a report released twice
 // (two decoders sharing one struct) or not at all being resurrected dirty.
+// The shed, cancelled and closed exits are also pinned one by one, with a
+// Pooled() check each, in ingest_test.go.
 func TestPooledReleaseHammer(t *testing.T) {
-	e := pipelineEngine(t, 2, 2, WithLoadShedding(ShedPolicy{MaxWait: 50 * time.Microsecond}))
+	e := gatedEngine(t, Admission{MaxInFlight: 2, MaxWait: 50 * time.Microsecond})
 	payloads := hammerPayloads(t, 8)
 
 	const goroutines = 8
@@ -76,8 +78,7 @@ func TestPooledReleaseHammer(t *testing.T) {
 				var cancel context.CancelFunc
 				if rng.Intn(3) == 0 {
 					// A third of the submissions race a cancellation, so some
-					// reports are abandoned while queued and some submissions
-					// give up waiting for queue space.
+					// are refused on entry and some give up waiting for room.
 					ctx, cancel = context.WithCancel(ctx)
 					go cancel()
 				}
@@ -98,9 +99,9 @@ func TestPooledReleaseHammer(t *testing.T) {
 		}(g)
 	}
 
-	// Close the engine while submissions are still in flight: reports queued
-	// at that moment drain through the workers, late submissions take the
-	// closed path — both must still release.
+	// Close the engine while submissions are still in flight: Close waits
+	// for the reports being processed, late submissions take the closed
+	// path — both must still release.
 	time.Sleep(5 * time.Millisecond)
 	if err := e.Close(); err != nil {
 		t.Fatal(err)

@@ -542,7 +542,7 @@ type ProviderPopulation struct {
 }
 
 // PopulationStatus is the population layer's externally visible state,
-// served under "population" in /oak/metrics and at /oak/v1/population.
+// served under "population" in /oak/v1/metrics and at /oak/v1/population.
 type PopulationStatus struct {
 	// Degraded lists currently flagged providers, sorted by provider.
 	Degraded []DegradedProvider `json:"degraded,omitempty"`

@@ -679,8 +679,8 @@ func (st *spillStore) readRecord(ref spillRef) (*persistedProfile, error) {
 // segReadAt reads from the segment's long-lived handle, falling back to a
 // one-shot read-only open when that handle has been closed. Engine.Close
 // releases segment descriptors, but the final SaveStateFile of a graceful
-// shutdown runs after Close (the pipeline must drain into the shards
-// first) and must still export spilled records — the bytes are durable on
+// shutdown runs after Close (in-flight reports must finish before the
+// save) and must still export spilled records — the bytes are durable on
 // disk; only the descriptor is gone.
 func (st *spillStore) segReadAt(seg *spillSegment, buf []byte, off int64) error {
 	if seg.f != nil {

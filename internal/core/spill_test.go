@@ -686,7 +686,7 @@ func TestSpillStatefileAuthoritativeOverOlderSpill(t *testing.T) {
 }
 
 func TestSpillStatefileSaveAfterCloseKeepsSpilled(t *testing.T) {
-	// The graceful-shutdown ordering: oakd drains the pipeline with
+	// The graceful-shutdown ordering: oakd stops ingest with
 	// Engine.Close and only then takes the final SaveStateFile. Close
 	// releases the segment descriptors, but the save must still export
 	// every spilled profile — the record bytes are durable on disk; only

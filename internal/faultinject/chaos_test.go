@@ -70,8 +70,7 @@ func TestChaosEndToEndSurvivesFaultsAndCorruption(t *testing.T) {
 	defer content.Close()
 
 	engine, err := oak.NewEngine([]*oak.Rule{chaosRule(t)},
-		oak.WithIngestPipeline(oak.IngestConfig{Workers: 2, QueueLen: 16}),
-		oak.WithLoadShedding(oak.ShedPolicy{MaxWait: 20 * time.Millisecond}),
+		oak.WithAdmission(oak.Admission{MaxInFlight: 32, MaxWait: 20 * time.Millisecond}),
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -167,8 +166,8 @@ func TestChaosEndToEndSurvivesFaultsAndCorruption(t *testing.T) {
 	}
 }
 
-// TestChaosShedsUnderSaturationWhilePagesServe wedges the single ingest
-// worker and fills the queue, then asserts report ingest sheds with a
+// TestChaosShedsUnderSaturationWhilePagesServe wedges the one report the
+// admission bound lets in flight, then asserts report ingest sheds with a
 // truthful 503 + Retry-After while page delivery — the availability
 // surface — keeps answering, including for the wedged user via the rewrite
 // budget.
@@ -190,8 +189,7 @@ func TestChaosShedsUnderSaturationWhilePagesServe(t *testing.T) {
 	}
 	engine, err := oak.NewEngine(loader,
 		oak.WithScriptFetcher(fetcher),
-		oak.WithIngestPipeline(oak.IngestConfig{Workers: 1, QueueLen: 1}),
-		oak.WithLoadShedding(oak.ShedPolicy{MaxWait: 5 * time.Millisecond, RetryAfter: 3 * time.Second}),
+		oak.WithAdmission(oak.Admission{MaxInFlight: 1, MaxWait: 5 * time.Millisecond, RetryAfter: 3 * time.Second}),
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -204,8 +202,7 @@ func TestChaosShedsUnderSaturationWhilePagesServe(t *testing.T) {
 	origin := httptest.NewServer(server)
 	defer origin.Close()
 
-	// Wedge the worker with a report that requires a script fetch, then fill
-	// the one-slot queue behind it.
+	// Take the one in-flight slot with a report that requires a script fetch.
 	tier3 := `{"userId":"wedged","page":"/index.html","entries":[
 	  {"url":"http://lib.example/loader.js","serverAddr":"ip-lib","sizeBytes":1024,"durationMillis":95,"kind":"script"},
 	  {"url":"http://evil.example/p.png","serverAddr":"ip-evil","sizeBytes":1024,"durationMillis":2000},
@@ -217,26 +214,14 @@ func TestChaosShedsUnderSaturationWhilePagesServe(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fillRep, err := oak.UnmarshalReport([]byte(filler))
-	if err != nil {
-		t.Fatal(err)
-	}
 	go func() { _, _ = engine.HandleReport(blockRep) }()
 	<-entered
-	go func() { _, _ = engine.HandleReport(fillRep) }()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if depth, _ := engine.IngestQueue(); depth == 2 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("queue never saturated")
-		}
-		time.Sleep(time.Millisecond)
+	if depth, capacity := engine.IngestQueue(); depth != 1 || capacity != 1 {
+		t.Fatalf("ingest depth=%d capacity=%d, want the bound saturated at 1/1", depth, capacity)
 	}
 
 	// Ingest sheds with the truth: 503 and the policy's Retry-After.
-	resp, err := http.Post(origin.URL+oak.ReportPath, "application/json", strings.NewReader(filler))
+	resp, err := http.Post(origin.URL+oak.ReportPathV1, "application/json", strings.NewReader(filler))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,7 +269,7 @@ func TestChaosShedsUnderSaturationWhilePagesServe(t *testing.T) {
 	}
 
 	// Healthz reports degraded, not a hang, while saturated.
-	hresp, err := http.Get(origin.URL + oak.HealthzPath)
+	hresp, err := http.Get(origin.URL + oak.HealthzPathV1)
 	if err != nil {
 		t.Fatal(err)
 	}

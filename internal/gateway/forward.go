@@ -8,7 +8,6 @@ import (
 	"io"
 	"net/http"
 	"strconv"
-	"strings"
 	"sync"
 
 	"oak/internal/client"
@@ -130,16 +129,17 @@ func (g *Gateway) handleReport(w http.ResponseWriter, r *http.Request) {
 		contentType = "application/json"
 	}
 	ck := requestCookie(r)
-	isBinaryBatch := strings.Contains(contentType, "x-oak-report-batch")
-	isBatch := isBinaryBatch ||
-		strings.Contains(contentType, "ndjson") || strings.Contains(contentType, "jsonl")
-	if isBatch && ck == nil {
-		if isBinaryBatch {
+	if ck == nil {
+		// A cookie-less batch may mix users; split it exactly when the
+		// backend would read it as a batch.
+		switch report.ClassifyContentType(contentType) {
+		case report.FormatBinaryBatch:
 			g.handleSplitBatchBinary(ctx, w, body, contentType)
-		} else {
+			return
+		case report.FormatNDJSON:
 			g.handleSplitBatch(ctx, w, body, contentType)
+			return
 		}
-		return
 	}
 
 	var userID string

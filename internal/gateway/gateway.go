@@ -352,16 +352,15 @@ func (g *Gateway) route(i int) (primary, fallback *backend) {
 }
 
 // ServeHTTP dispatches cluster endpoints and forwards everything else.
-// Fleet-level endpoints answer under both the versioned and unversioned
-// operator paths, matching the single-node surface; cluster administration
-// is v1-only.
+// Fleet-level endpoints answer under the same /oak/v1 paths as the
+// single-node surface.
 func (g *Gateway) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	switch r.URL.Path {
-	case origin.ReportPath, origin.ReportPathV1:
+	case origin.ReportPathV1:
 		g.handleReport(w, r)
-	case origin.MetricsPath, origin.MetricsPathV1:
+	case origin.MetricsPathV1:
 		g.handleClusterMetrics(w, r)
-	case origin.HealthzPath, origin.HealthzPathV1:
+	case origin.HealthzPathV1:
 		g.handleClusterHealth(w, r)
 	case ClusterPathV1:
 		g.handleCluster(w, r)

@@ -19,10 +19,10 @@
 //     (report ingested, violator flagged, rule activated / advanced / kept /
 //     deactivated / expired, page modified) carrying the user, rule ID,
 //     provider and timestamp. It is the structured source behind the
-//     engine's human-readable decision log and behind GET /oak/trace.
+//     engine's human-readable decision log and behind GET /oak/v1/trace.
 //
 // The engine (internal/core) feeds both; the origin server
-// (internal/origin) serves them at /oak/metrics and /oak/trace; cmd/oakd
+// (internal/origin) serves them at /oak/v1/metrics and /oak/v1/trace; cmd/oakd
 // and cmd/oakreport expose them to operators. docs/OPERATIONS.md documents
 // how to read each counter and histogram.
 package obs

@@ -199,7 +199,7 @@ func (s Snapshot) String() string {
 }
 
 // Summary is the JSON-friendly digest of a Snapshot served by
-// GET /oak/metrics and printed by oakreport -metrics.
+// GET /oak/v1/metrics and printed by oakreport -metrics.
 type Summary struct {
 	Count  uint64  `json:"count"`
 	MeanMs float64 `json:"mean_ms"`

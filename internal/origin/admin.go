@@ -10,13 +10,11 @@ import (
 	"oak/internal/core"
 )
 
-// Cluster administration endpoints. These exist only under the versioned
-// prefix — the unversioned alias surface is frozen — and, like the audit
-// and metrics endpoints, are operator-facing: deployments must restrict
-// access to them. They are the server half of the cluster gateway's
-// control plane: snapshot shipping for node replacement, and the
-// quarantine/degrade verbs the gateway uses to broadcast one node's
-// discovery fleet-wide.
+// Cluster administration endpoints. Like the audit and metrics endpoints
+// they are operator-facing: deployments must restrict access to them. They
+// are the server half of the cluster gateway's control plane: snapshot
+// shipping for node replacement, and the quarantine/degrade verbs the
+// gateway uses to broadcast one node's discovery fleet-wide.
 const (
 	// StatePathV1 exports (GET) and imports (POST) the engine's checksummed
 	// OAKSNAP2 snapshot over HTTP. Optional ?lo=&hi= query parameters (both

@@ -5,70 +5,32 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
-	"mime"
 	"net/http"
 
 	"oak/internal/core"
 	"oak/internal/report"
 )
 
-// Batch ingestion: POST /oak/report with Content-Type application/x-ndjson
-// carries one JSON report per line; application/x-oak-report-batch carries
-// concatenated OAKRPT1 frames (see report/binary.go). Either way the body is
-// streamed — each report is handed to the engine as soon as its bytes are
-// parsed, through a core.BatchSink, so a batch is never materialised as a
-// slice of reports. The batch is fanned out across the engine's shards
-// (through the batched-ingest pipeline when one is configured), and the
-// response summarises how many reports were processed and how many failed —
+// Batch ingestion: POST /oak/v1/report with Content-Type
+// application/x-ndjson carries one JSON report per line;
+// application/x-oak-report-batch carries concatenated OAKRPT1 frames (see
+// report/binary.go). Either way the body is streamed — each report is
+// handed to the engine as soon as its bytes are parsed, through a
+// core.BatchSink, so a batch is never materialised as a slice of reports.
+// The batch is fanned out across the engine's shards, and the response
+// summarises how many reports were processed and how many failed —
 // a batch is not transactional, so one malformed line does not reject the
 // rest.
 
 // BatchContentType is the canonical Content-Type marking a POST body on
-// ReportPath as an NDJSON batch. The aliases application/ndjson and
+// ReportPathV1 as an NDJSON batch. The aliases application/ndjson and
 // application/jsonl are also accepted.
-const BatchContentType = "application/x-ndjson"
+const BatchContentType = report.ContentTypeNDJSON
 
 // batchParseErrorCap bounds how many parse-error samples the response
 // carries; past it, failures are counted but their messages are not even
 // rendered.
 const batchParseErrorCap = 4
-
-// isBatchContentType reports whether the Content-Type header marks an
-// NDJSON batch body.
-func isBatchContentType(ct string) bool {
-	if ct == "" {
-		return false
-	}
-	mt, _, err := mime.ParseMediaType(ct)
-	if err != nil {
-		return false
-	}
-	switch mt {
-	case BatchContentType, "application/ndjson", "application/jsonl":
-		return true
-	}
-	return false
-}
-
-// isBinaryContentType reports whether the Content-Type header marks a
-// single OAKRPT1 report body.
-func isBinaryContentType(ct string) bool {
-	if ct == "" {
-		return false
-	}
-	mt, _, err := mime.ParseMediaType(ct)
-	return err == nil && mt == report.ContentTypeBinary
-}
-
-// isBinaryBatchContentType reports whether the Content-Type header marks a
-// body of concatenated OAKRPT1 batch frames.
-func isBinaryBatchContentType(ct string) bool {
-	if ct == "" {
-		return false
-	}
-	mt, _, err := mime.ParseMediaType(ct)
-	return err == nil && mt == report.ContentTypeBinaryBatch
-}
 
 // batchParseFailures tracks reports that never reached the engine because
 // their bytes would not parse.
@@ -205,7 +167,7 @@ func (s *Server) finishBatch(w http.ResponseWriter, r *http.Request, res core.Ba
 	}
 	if res.Overloaded > 0 {
 		// Some (or all) reports were shed: advertise when to retry them.
-		w.Header().Set("Retry-After", retryAfterSeconds(core.DefaultRetryAfter))
+		w.Header().Set("Retry-After", retryAfterSeconds(res.RetryAfter))
 	}
 	if allShed {
 		// Nothing was admitted — the batch as a whole was refused, which is

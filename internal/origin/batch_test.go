@@ -24,7 +24,7 @@ func batchLine(user string) string {
 
 func postBatch(t *testing.T, tsURL, contentType, body string) (*http.Response, core.BatchResult) {
 	t.Helper()
-	resp, err := http.Post(tsURL+ReportPath, contentType, strings.NewReader(body))
+	resp, err := http.Post(tsURL+ReportPathV1, contentType, strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +138,7 @@ func TestBatchEndpointCookieStampsIdentity(t *testing.T) {
 
 	// Two lines claiming different users, but the cookie owns both.
 	body := batchLine("impostor-1") + "\n" + batchLine("impostor-2") + "\n"
-	req, _ := http.NewRequest(http.MethodPost, ts.URL+ReportPath, strings.NewReader(body))
+	req, _ := http.NewRequest(http.MethodPost, ts.URL+ReportPathV1, strings.NewReader(body))
 	req.Header.Set("Content-Type", BatchContentType)
 	req.AddCookie(&http.Cookie{Name: CookieName, Value: "real-user"})
 	resp, err := http.DefaultClient.Do(req)
@@ -161,12 +161,12 @@ func TestBatchEndpointCookieStampsIdentity(t *testing.T) {
 	}
 }
 
-// TestBatchEndpointWithPipeline exercises the full HTTP → queue → worker →
-// shard path.
+// TestBatchEndpointWithPipeline exercises the full HTTP → admission bound →
+// shard path: a batch wider than the bound waits its turn, none is lost.
 func TestBatchEndpointWithPipeline(t *testing.T) {
 	engine, err := core.NewEngine([]*rules.Rule{swapRule()},
 		core.WithShards(8),
-		core.WithIngestPipeline(core.IngestConfig{Workers: 2, QueueLen: 8}))
+		core.WithAdmission(core.Admission{MaxInFlight: 16, MaxWait: -1}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,9 +188,9 @@ func TestBatchEndpointWithPipeline(t *testing.T) {
 		t.Errorf("engine users = %d, want 60", got)
 	}
 
-	// The metrics endpoint reports the (drained) queue.
+	// The metrics endpoint reports the (idle) bound.
 	var m MetricsResponse
-	getJSON(t, ts.URL+MetricsPath, &m)
+	getJSON(t, ts.URL+MetricsPathV1, &m)
 	if m.IngestQueue == nil || m.IngestQueue.Capacity != 16 {
 		t.Errorf("ingest_queue = %+v, want capacity 16", m.IngestQueue)
 	}

@@ -42,7 +42,7 @@ func TestBinaryEndpointSingleReport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := http.Post(ts.URL+ReportPath, report.ContentTypeBinary, bytes.NewReader(body))
+	resp, err := http.Post(ts.URL+ReportPathV1, report.ContentTypeBinary, bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestBinaryEndpointRejectsGarbage(t *testing.T) {
 		[]byte("OAKRPT1"),                     // magic, then truncation
 		[]byte("OAKRPT1\xff\xff\xff\xff\xff"), // hostile length prefix
 	} {
-		resp, err := http.Post(ts.URL+ReportPath, report.ContentTypeBinary, bytes.NewReader(body))
+		resp, err := http.Post(ts.URL+ReportPathV1, report.ContentTypeBinary, bytes.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -138,7 +138,7 @@ func TestBinaryBatchCookieStampsIdentity(t *testing.T) {
 	var body, scratch []byte
 	body, scratch = report.AppendBinaryFrame(body, scratch, binaryReport("impostor-1"))
 	body, _ = report.AppendBinaryFrame(body, scratch, binaryReport("impostor-2"))
-	req, _ := http.NewRequest(http.MethodPost, ts.URL+ReportPath, bytes.NewReader(body))
+	req, _ := http.NewRequest(http.MethodPost, ts.URL+ReportPathV1, bytes.NewReader(body))
 	req.Header.Set("Content-Type", report.ContentTypeBinaryBatch)
 	req.AddCookie(&http.Cookie{Name: CookieName, Value: "real-user"})
 	resp, err := http.DefaultClient.Do(req)
@@ -193,7 +193,7 @@ func TestWireFormatsYieldIdenticalState(t *testing.T) {
 			{jsonTS, report.ContentTypeJSON, jsonBody},
 			{binTS, report.ContentTypeBinary, binBody},
 		} {
-			resp, err := http.Post(post.ts.URL+ReportPath, post.ct, bytes.NewReader(post.body))
+			resp, err := http.Post(post.ts.URL+ReportPathV1, post.ct, bytes.NewReader(post.body))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -14,7 +14,7 @@ func TestReportTooLargeRejected(t *testing.T) {
 	defer ts.Close()
 
 	huge := strings.Repeat("x", maxReportBytes+10)
-	resp, err := http.Post(ts.URL+ReportPath, "application/json", strings.NewReader(huge))
+	resp, err := http.Post(ts.URL+ReportPathV1, "application/json", strings.NewReader(huge))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestAuditEndpoint(t *testing.T) {
 	ts := httptest.NewServer(s)
 	defer ts.Close()
 
-	resp, err := http.Get(ts.URL + AuditPath)
+	resp, err := http.Get(ts.URL + AuditPathV1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func TestAuditEndpoint(t *testing.T) {
 		t.Errorf("audit body = %q", body)
 	}
 
-	req, _ := http.NewRequest(http.MethodPost, ts.URL+AuditPath, nil)
+	req, _ := http.NewRequest(http.MethodPost, ts.URL+AuditPathV1, nil)
 	resp2, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)

@@ -10,36 +10,28 @@ import (
 	"oak/internal/obs"
 )
 
-// Operator observability endpoints. Like AuditPath, these are
+// Operator observability endpoints. Like AuditPathV1, these are
 // operator-facing: restrict access to them in deployments.
 const (
-	// MetricsPath serves the engine's aggregate counters and latency
+	// MetricsPathV1 serves the engine's aggregate counters and latency
 	// histograms as JSON.
-	MetricsPath = "/oak/metrics"
-	// HealthzPath serves a liveness summary (uptime, rule/user counts).
-	HealthzPath = "/oak/healthz"
-	// TracePath serves the most recent decision-trace events as JSON;
+	MetricsPathV1 = V1Prefix + "/metrics"
+	// HealthzPathV1 serves a liveness summary (uptime, rule/user counts).
+	HealthzPathV1 = V1Prefix + "/healthz"
+	// TracePathV1 serves the most recent decision-trace events as JSON;
 	// ?n=100 bounds the window (default 100).
-	TracePath = "/oak/trace"
-	// PopulationPath serves the population-detection state (degraded
+	TracePathV1 = V1Prefix + "/trace"
+	// PopulationPathV1 serves the population-detection state (degraded
 	// providers, per-provider baselines, synthesis counters); 404 on
 	// engines built without WithSynthesis.
-	PopulationPath = "/oak/population"
-)
-
-// Versioned aliases of the operator endpoints (see V1Prefix in server.go).
-const (
-	MetricsPathV1    = V1Prefix + "/metrics"
-	HealthzPathV1    = V1Prefix + "/healthz"
-	TracePathV1      = V1Prefix + "/trace"
 	PopulationPathV1 = V1Prefix + "/population"
 )
 
-// defaultTraceWindow is how many events GET /oak/trace returns when the
+// defaultTraceWindow is how many events GET /oak/v1/trace returns when the
 // request does not say.
 const defaultTraceWindow = 100
 
-// MetricsResponse is the GET /oak/metrics body.
+// MetricsResponse is the GET /oak/v1/metrics body.
 type MetricsResponse struct {
 	// Counters are the engine's monotone aggregate counters.
 	Counters core.Metrics `json:"counters"`
@@ -57,8 +49,8 @@ type MetricsResponse struct {
 	// shard); shards that have ingested nothing are omitted. A shard whose
 	// latencies stand out indicates a hot user population.
 	IngestShards []ShardSummary `json:"ingest_shards,omitempty"`
-	// IngestQueue describes the batched-ingest queue; absent when the
-	// engine runs without a pipeline.
+	// IngestQueue describes the admission bound on ingest; absent when
+	// the engine runs without one (core.WithAdmission).
 	IngestQueue *QueueStatus `json:"ingest_queue,omitempty"`
 	// PagesDegraded counts page deliveries served unmodified because the
 	// per-user rewrite did not finish within the rewrite budget.
@@ -126,16 +118,16 @@ type ShardSummary struct {
 	Summary obs.Summary `json:"summary"`
 }
 
-// QueueStatus describes the batched-ingest queue.
+// QueueStatus describes the admission bound on ingest.
 type QueueStatus struct {
-	// Depth is how many reports are queued or in flight right now.
+	// Depth is how many reports are in analysis right now.
 	Depth int64 `json:"depth"`
-	// Capacity is the total bound across worker queues; submissions block
-	// (backpressure) when their worker's queue is full.
+	// Capacity is the bound; a report that finds Depth at Capacity waits
+	// or is shed.
 	Capacity int `json:"capacity"`
 }
 
-// HealthzResponse is the GET /oak/healthz body.
+// HealthzResponse is the GET /oak/v1/healthz body.
 type HealthzResponse struct {
 	Status        string  `json:"status"`
 	UptimeSeconds float64 `json:"uptime_seconds"`
@@ -243,7 +235,7 @@ func (s *Server) handlePopulation(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleHealthz serves the liveness summary. The status is "degraded" —
-// still HTTP 200, the process is alive — while the ingest queue is
+// still HTTP 200, the process is alive — while the admission bound is
 // saturated, so load balancers polling healthz see overload before clients
 // start receiving 503s.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {

@@ -55,7 +55,7 @@ func getJSON(t *testing.T, url string, into any) {
 // postReport POSTs one report as the given user.
 func postReport(t *testing.T, tsURL, user string) {
 	t.Helper()
-	req, _ := http.NewRequest(http.MethodPost, tsURL+ReportPath, strings.NewReader(slowReportBody(user)))
+	req, _ := http.NewRequest(http.MethodPost, tsURL+ReportPathV1, strings.NewReader(slowReportBody(user)))
 	req.AddCookie(&http.Cookie{Name: CookieName, Value: user})
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
@@ -67,7 +67,7 @@ func postReport(t *testing.T, tsURL, user string) {
 	}
 }
 
-// TestMetricsEndpointConcurrent round-trips /oak/metrics JSON while many
+// TestMetricsEndpointConcurrent round-trips /oak/v1/metrics JSON while many
 // clients ingest reports and load pages; run with -race.
 func TestMetricsEndpointConcurrent(t *testing.T) {
 	s := newTestServer(t, []*rules.Rule{swapRule()})
@@ -94,14 +94,14 @@ func TestMetricsEndpointConcurrent(t *testing.T) {
 				}
 				resp.Body.Close()
 				var m MetricsResponse
-				getJSON(t, ts.URL+MetricsPath, &m)
+				getJSON(t, ts.URL+MetricsPathV1, &m)
 			}
 		}(u)
 	}
 	wg.Wait()
 
 	var m MetricsResponse
-	getJSON(t, ts.URL+MetricsPath, &m)
+	getJSON(t, ts.URL+MetricsPathV1, &m)
 	if m.Counters.ReportsHandled != users*rounds {
 		t.Errorf("ReportsHandled = %d, want %d", m.Counters.ReportsHandled, users*rounds)
 	}
@@ -132,7 +132,7 @@ func TestTraceEndpointBounds(t *testing.T) {
 	defer ts.Close()
 
 	var evs []obs.Event
-	getJSON(t, ts.URL+TracePath, &evs)
+	getJSON(t, ts.URL+TracePathV1, &evs)
 	if len(evs) != 0 {
 		t.Errorf("fresh trace = %d events, want 0 (and [] not null)", len(evs))
 	}
@@ -140,7 +140,7 @@ func TestTraceEndpointBounds(t *testing.T) {
 	for i := 0; i < 30; i++ {
 		postReport(t, ts.URL, "u1")
 	}
-	getJSON(t, ts.URL+TracePath+"?n=5", &evs)
+	getJSON(t, ts.URL+TracePathV1+"?n=5", &evs)
 	if len(evs) != 5 {
 		t.Fatalf("trace?n=5 = %d events", len(evs))
 	}
@@ -150,18 +150,18 @@ func TestTraceEndpointBounds(t *testing.T) {
 		}
 	}
 	// Asking for more than the ring holds returns the whole ring, no more.
-	getJSON(t, ts.URL+TracePath+"?n=10000", &evs)
+	getJSON(t, ts.URL+TracePathV1+"?n=10000", &evs)
 	if len(evs) != 16 {
 		t.Errorf("trace?n=10000 = %d events, want ring capacity 16", len(evs))
 	}
 	// Default window is 100.
-	getJSON(t, ts.URL+TracePath, &evs)
+	getJSON(t, ts.URL+TracePathV1, &evs)
 	if len(evs) != 16 {
 		t.Errorf("trace default = %d events, want 16", len(evs))
 	}
 
 	for _, bad := range []string{"?n=0", "?n=-3", "?n=x"} {
-		resp, err := http.Get(ts.URL + TracePath + bad)
+		resp, err := http.Get(ts.URL + TracePathV1 + bad)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -179,7 +179,7 @@ func TestHealthzBeforeAfterStateImport(t *testing.T) {
 	defer ts1.Close()
 
 	var h HealthzResponse
-	getJSON(t, ts1.URL+HealthzPath, &h)
+	getJSON(t, ts1.URL+HealthzPathV1, &h)
 	if h.Status != "ok" || h.Users != 0 || h.Rules != 1 || h.Reports != 0 {
 		t.Errorf("fresh healthz = %+v, want ok/0 users/1 rule/0 reports", h)
 	}
@@ -187,7 +187,7 @@ func TestHealthzBeforeAfterStateImport(t *testing.T) {
 		t.Errorf("uptime = %f, want >= 0", h.UptimeSeconds)
 	}
 	postReport(t, ts1.URL, "u1")
-	getJSON(t, ts1.URL+HealthzPath, &h)
+	getJSON(t, ts1.URL+HealthzPathV1, &h)
 	if h.Users != 1 || h.Reports != 1 {
 		t.Errorf("healthz after report = %+v, want 1 user / 1 report", h)
 	}
@@ -200,14 +200,14 @@ func TestHealthzBeforeAfterStateImport(t *testing.T) {
 	s2 := newTestServer(t, []*rules.Rule{swapRule()})
 	ts2 := httptest.NewServer(s2)
 	defer ts2.Close()
-	getJSON(t, ts2.URL+HealthzPath, &h)
+	getJSON(t, ts2.URL+HealthzPathV1, &h)
 	if h.Users != 0 {
 		t.Fatalf("second server healthz before import = %+v", h)
 	}
 	if err := s2.Engine().ImportState(state); err != nil {
 		t.Fatal(err)
 	}
-	getJSON(t, ts2.URL+HealthzPath, &h)
+	getJSON(t, ts2.URL+HealthzPathV1, &h)
 	if h.Users != 1 {
 		t.Errorf("healthz after import = %+v, want 1 user", h)
 	}
@@ -220,7 +220,7 @@ func TestObservabilityEndpointsGetOnly(t *testing.T) {
 	s := newTestServer(t, nil)
 	ts := httptest.NewServer(s)
 	defer ts.Close()
-	for _, path := range []string{MetricsPath, HealthzPath, TracePath} {
+	for _, path := range []string{MetricsPathV1, HealthzPathV1, TracePathV1} {
 		resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader("{}"))
 		if err != nil {
 			t.Fatal(err)

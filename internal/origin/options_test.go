@@ -34,7 +34,7 @@ func TestWithUserIDFunc(t *testing.T) {
 		t.Error("cookie issued despite custom identity")
 	}
 
-	req, _ = http.NewRequest(http.MethodPost, ts.URL+ReportPath, strings.NewReader(slowReportBody("mallory")))
+	req, _ = http.NewRequest(http.MethodPost, ts.URL+ReportPathV1, strings.NewReader(slowReportBody("mallory")))
 	req.Header.Set("X-Session-User", "alice")
 	resp, err = http.DefaultClient.Do(req)
 	if err != nil {
@@ -74,7 +74,7 @@ func TestWithMaxBodyBytes(t *testing.T) {
 	ts := httptest.NewServer(small)
 	defer ts.Close()
 
-	resp, err := http.Post(ts.URL+ReportPath, "application/json",
+	resp, err := http.Post(ts.URL+ReportPathV1, "application/json",
 		strings.NewReader(strings.Repeat("x", 100)))
 	if err != nil {
 		t.Fatal(err)

@@ -72,10 +72,10 @@ func waitFor(t *testing.T, cond func() bool) {
 	}
 }
 
-// saturatedServer builds a server whose single ingest worker is blocked
-// inside the script fetcher and whose one-slot queue is full, so every
-// further submission sheds. The returned release unwedges the worker; the
-// engine is cleaned up by t.Cleanup.
+// saturatedServer builds a server bounded to one report in flight, with
+// that one parked inside the script fetcher, so every further submission
+// sheds. The returned release lets it finish; the engine is cleaned up by
+// t.Cleanup.
 func saturatedServer(t *testing.T) (*Server, func()) {
 	t.Helper()
 	entered := make(chan struct{})
@@ -87,8 +87,7 @@ func saturatedServer(t *testing.T) (*Server, func()) {
 	})
 	engine, err := core.NewEngine([]*rules.Rule{loaderRule()},
 		core.WithScriptFetcher(fetcher),
-		core.WithIngestPipeline(core.IngestConfig{Workers: 1, QueueLen: 1}),
-		core.WithLoadShedding(core.ShedPolicy{MaxWait: 5 * time.Millisecond, RetryAfter: 2 * time.Second}),
+		core.WithAdmission(core.Admission{MaxInFlight: 1, MaxWait: 5 * time.Millisecond, RetryAfter: 2 * time.Second}),
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -109,14 +108,8 @@ func saturatedServer(t *testing.T) (*Server, func()) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	filler, err := report.Unmarshal([]byte(plainReportJSON(t, "u-fill")))
-	if err != nil {
-		t.Fatal(err)
-	}
 	go func() { _, _ = engine.HandleReport(blocker) }()
 	<-entered
-	go func() { _, _ = engine.HandleReport(filler) }()
-	waitFor(t, func() bool { depth, _ := engine.IngestQueue(); return depth == 2 })
 
 	return NewServer(engine), doRelease
 }
@@ -126,7 +119,7 @@ func TestReportOverloadReturns503WithRetryAfter(t *testing.T) {
 	ts := httptest.NewServer(s)
 	defer ts.Close()
 
-	resp, err := http.Post(ts.URL+ReportPath, "application/json",
+	resp, err := http.Post(ts.URL+ReportPathV1, "application/json",
 		strings.NewReader(plainReportJSON(t, "u-new")))
 	if err != nil {
 		t.Fatal(err)
@@ -149,7 +142,7 @@ func TestBatchAllShedReturns503WithRetryAfter(t *testing.T) {
 	defer ts.Close()
 
 	body := plainReportJSON(t, "b1") + "\n" + plainReportJSON(t, "b2") + "\n"
-	resp, err := http.Post(ts.URL+ReportPath, BatchContentType, strings.NewReader(body))
+	resp, err := http.Post(ts.URL+ReportPathV1, BatchContentType, strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,8 +150,8 @@ func TestBatchAllShedReturns503WithRetryAfter(t *testing.T) {
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Errorf("status = %d, want 503", resp.StatusCode)
 	}
-	if got := resp.Header.Get("Retry-After"); got == "" {
-		t.Error("no Retry-After on all-shed batch")
+	if got := resp.Header.Get("Retry-After"); got != "2" {
+		t.Errorf("Retry-After = %q on all-shed batch, want the policy's \"2\"", got)
 	}
 	var res core.BatchResult
 	if err := json.NewDecoder(resp.Body).Decode(&res); err != nil {
@@ -175,7 +168,7 @@ func TestHealthzDegradedWhileSaturated(t *testing.T) {
 	defer ts.Close()
 
 	get := func() string {
-		resp, err := http.Get(ts.URL + HealthzPath)
+		resp, err := http.Get(ts.URL + HealthzPathV1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -197,8 +190,7 @@ func TestHealthzDegradedWhileSaturated(t *testing.T) {
 }
 
 func TestReportShutdownReturns503(t *testing.T) {
-	engine, err := core.NewEngine(nil,
-		core.WithIngestPipeline(core.IngestConfig{Workers: 1, QueueLen: 4}))
+	engine, err := core.NewEngine(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +200,7 @@ func TestReportShutdownReturns503(t *testing.T) {
 	ts := httptest.NewServer(NewServer(engine))
 	defer ts.Close()
 
-	resp, err := http.Post(ts.URL+ReportPath, "application/json",
+	resp, err := http.Post(ts.URL+ReportPathV1, "application/json",
 		strings.NewReader(plainReportJSON(t, "late")))
 	if err != nil {
 		t.Fatal(err)
@@ -228,7 +220,7 @@ func TestReportMalformedReturns400(t *testing.T) {
 	defer ts.Close()
 
 	for _, body := range []string{"{not json", `{"userId":"u","page":"/","entries":[]}`} {
-		resp, err := http.Post(ts.URL+ReportPath, "application/json", strings.NewReader(body))
+		resp, err := http.Post(ts.URL+ReportPathV1, "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -322,7 +314,7 @@ func TestPageServedUnmodifiedWhenRewriteBudgetLapses(t *testing.T) {
 	}
 
 	// The degraded delivery shows up on the metrics endpoint.
-	mresp, err := http.Get(ts.URL + MetricsPath)
+	mresp, err := http.Get(ts.URL + MetricsPathV1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,5 +325,30 @@ func TestPageServedUnmodifiedWhenRewriteBudgetLapses(t *testing.T) {
 	}
 	if m.PagesDegraded != 1 {
 		t.Errorf("metrics pages_degraded = %d, want 1", m.PagesDegraded)
+	}
+}
+
+// TestBatchPartialShedAdvertisesPolicyRetryAfter: a batch in which only
+// some reports were shed is still a 200 with the summary, and carries the
+// admission policy's retry horizon — not a default — for the shed ones.
+func TestBatchPartialShedAdvertisesPolicyRetryAfter(t *testing.T) {
+	s := newTestServer(t, nil)
+	rec := httptest.NewRecorder()
+	req := httptest.NewRequest(http.MethodPost, ReportPathV1, nil)
+	s.finishBatch(rec, req, core.BatchResult{
+		Submitted: 3, Processed: 1, Failed: 2, Overloaded: 2, RetryAfter: 2 * time.Second,
+	}, &batchParseFailures{})
+	if rec.Code != http.StatusOK {
+		t.Errorf("status = %d, want 200", rec.Code)
+	}
+	if got := rec.Header().Get("Retry-After"); got != "2" {
+		t.Errorf("Retry-After = %q, want \"2\"", got)
+	}
+	var res core.BatchResult
+	if err := json.NewDecoder(rec.Body).Decode(&res); err != nil {
+		t.Fatal(err)
+	}
+	if res.Processed != 1 || res.Overloaded != 2 {
+		t.Errorf("summary = %+v, want 1 processed, 2 overloaded", res)
 	}
 }

@@ -29,7 +29,7 @@ func getPageAs(t *testing.T, tsURL, path, user string) (string, *http.Response) 
 }
 
 // TestServeRewriteCacheEndToEnd drives page serving through the cached fast
-// path and checks the /oak/metrics counters and the precomputed
+// path and checks the /oak/v1/metrics counters and the precomputed
 // X-Oak-Alternate header survive caching.
 func TestServeRewriteCacheEndToEnd(t *testing.T) {
 	engine, err := core.NewEngine([]*rules.Rule{swapRule()}, core.WithRewriteCache(64))
@@ -64,7 +64,7 @@ func TestServeRewriteCacheEndToEnd(t *testing.T) {
 	}
 
 	var m MetricsResponse
-	getJSON(t, ts.URL+MetricsPath, &m)
+	getJSON(t, ts.URL+MetricsPathV1, &m)
 	if m.RewriteCacheHits == 0 {
 		t.Errorf("rewrite_cache_hits = 0 after repeat serves; metrics = %+v", m)
 	}
@@ -78,7 +78,7 @@ func TestServeRewriteCacheEndToEnd(t *testing.T) {
 
 	// A registry change flushes the cache.
 	srv.SetPage("/index.html", `<html><p>new content, nothing to rewrite</p></html>`)
-	getJSON(t, ts.URL+MetricsPath, &m)
+	getJSON(t, ts.URL+MetricsPathV1, &m)
 	if m.RewriteCacheEntries != 0 || m.RewriteCacheBytes != 0 {
 		t.Errorf("cache not flushed on SetPage: entries=%d bytes=%d",
 			m.RewriteCacheEntries, m.RewriteCacheBytes)
@@ -122,7 +122,7 @@ func TestServeRewriteCacheDisabledIdentical(t *testing.T) {
 		}
 	}
 	var m MetricsResponse
-	getJSON(t, plain.URL+MetricsPath, &m)
+	getJSON(t, plain.URL+MetricsPathV1, &m)
 	if m.RewriteCacheHits != 0 || m.RewriteCacheMisses != 0 || m.RewriteCacheEntries != 0 {
 		t.Errorf("disabled cache reported activity: %+v", m)
 	}

@@ -30,30 +30,21 @@ import (
 // CookieName is the identifying cookie Oak issues to each client.
 const CookieName = "oak-user"
 
-// ReportPath is the endpoint performance reports are POSTed to. A body with
-// Content-Type application/json (or none) is one report; an NDJSON
-// Content-Type (see BatchContentType) marks a batch of one report per line;
-// application/x-oak-report carries one binary OAKRPT1 report and
-// application/x-oak-report-batch a stream of OAKRPT1 frames (see
-// report.ContentTypeBinary / report.ContentTypeBinaryBatch).
-const ReportPath = "/oak/report"
-
-// AuditPath serves the operator audit summary (the paper's "offline
-// auditing tool"): which components of the site under-perform in the wild,
-// per rule and per server. Deployments should restrict access to it (it is
-// operator-facing, not client-facing).
-const AuditPath = "/oak/audit"
-
-// Versioned API surface: every endpoint is also mounted under /oak/v1/, and
-// new integrations should use the v1 paths. The unversioned paths remain as
-// aliases dispatching to the very same handlers — responses are
-// byte-identical — but are deprecated and will not gain new endpoints.
+// The HTTP API is versioned: every endpoint is mounted under /oak/v1/.
 const (
 	// V1Prefix is the versioned API mount point.
 	V1Prefix = "/oak/v1"
-	// ReportPathV1 is the v1 report-ingestion endpoint (alias: ReportPath).
+	// ReportPathV1 is the endpoint performance reports are POSTed to. A
+	// body with Content-Type application/json (or none) is one report; an
+	// NDJSON Content-Type (see BatchContentType) marks a batch of one report
+	// per line; application/x-oak-report carries one binary OAKRPT1 report
+	// and application/x-oak-report-batch a stream of OAKRPT1 frames (see
+	// report.ClassifyContentType).
 	ReportPathV1 = V1Prefix + "/report"
-	// AuditPathV1 is the v1 audit endpoint (alias: AuditPath).
+	// AuditPathV1 serves the operator audit summary (the paper's "offline
+	// auditing tool"): which components of the site under-perform in the
+	// wild, per rule and per server. Deployments should restrict access to
+	// it (it is operator-facing, not client-facing).
 	AuditPathV1 = V1Prefix + "/audit"
 )
 
@@ -236,26 +227,22 @@ func (s *Server) LoadPages(fsys fs.FS) (int, error) {
 }
 
 // ServeHTTP implements the two server-side interactions of Figure 4/5:
-// page delivery with per-user modification, and report ingestion. Every
-// endpoint answers under both its versioned /oak/v1 path and its legacy
-// unversioned alias; both dispatch to the same handler, so the responses
-// are byte-identical.
+// page delivery with per-user modification, and report ingestion. Any path
+// that is not an /oak/v1 endpoint is a page lookup.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	switch r.URL.Path {
-	case ReportPath, ReportPathV1:
+	case ReportPathV1:
 		s.handleReport(w, r)
-	case AuditPath, AuditPathV1:
+	case AuditPathV1:
 		s.handleAudit(w, r)
-	case MetricsPath, MetricsPathV1:
+	case MetricsPathV1:
 		s.handleMetrics(w, r)
-	case HealthzPath, HealthzPathV1:
+	case HealthzPathV1:
 		s.handleHealthz(w, r)
-	case TracePath, TracePathV1:
+	case TracePathV1:
 		s.handleTrace(w, r)
-	case PopulationPath, PopulationPathV1:
+	case PopulationPathV1:
 		s.handlePopulation(w, r)
-	// Cluster administration endpoints are v1-only: the unversioned alias
-	// surface is frozen. See admin.go.
 	case StatePathV1:
 		s.handleState(w, r)
 	case GuardQuarantinePathV1:
@@ -288,15 +275,15 @@ func (s *Server) handleAudit(w http.ResponseWriter, r *http.Request) {
 // stuck matcher fetch), the page is served unmodified — degraded, but
 // available.
 func (s *Server) handlePage(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet && r.Method != http.MethodHead {
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-		return
-	}
 	s.mu.RLock()
 	html, ok := s.pages[r.URL.Path]
 	s.mu.RUnlock()
 	if !ok {
 		http.NotFound(w, r)
+		return
+	}
+	if r.Method != http.MethodGet && r.Method != http.MethodHead {
+		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 		return
 	}
 
@@ -361,12 +348,12 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 		return
 	}
-	ct := r.Header.Get("Content-Type")
-	switch {
-	case isBinaryBatchContentType(ct):
+	format := report.ClassifyContentType(r.Header.Get("Content-Type"))
+	switch format {
+	case report.FormatBinaryBatch:
 		s.handleReportBatchBinary(w, r)
 		return
-	case isBatchContentType(ct):
+	case report.FormatNDJSON:
 		s.handleReportBatch(w, r)
 		return
 	}
@@ -380,7 +367,7 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var rep *report.Report
-	if isBinaryContentType(ct) {
+	if format == report.FormatBinary {
 		rep, err = report.DecodeBinaryPooled(body)
 	} else {
 		rep, err = report.DecodePooled(body)

@@ -84,7 +84,7 @@ func TestReportEndpointValidation(t *testing.T) {
 	defer ts.Close()
 
 	// GET not allowed.
-	resp, err := http.Get(ts.URL + ReportPath)
+	resp, err := http.Get(ts.URL + ReportPathV1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestReportEndpointValidation(t *testing.T) {
 	}
 
 	// Bad JSON rejected.
-	resp, err = http.Post(ts.URL+ReportPath, "application/json", strings.NewReader("{nope"))
+	resp, err = http.Post(ts.URL+ReportPathV1, "application/json", strings.NewReader("{nope"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestReportEndpointValidation(t *testing.T) {
 		{URL: "http://x.example/a", ServerAddr: "1.2.3.4", SizeBytes: 10, DurationMillis: 5},
 	}}
 	data, _ := rep.Marshal()
-	resp, err = http.Post(ts.URL+ReportPath, "application/json", strings.NewReader(string(data)))
+	resp, err = http.Post(ts.URL+ReportPathV1, "application/json", strings.NewReader(string(data)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +133,7 @@ func TestReportCookieOverridesBodyUserID(t *testing.T) {
 		{URL: "http://x.example/a", ServerAddr: "1.2.3.4", SizeBytes: 10, DurationMillis: 5},
 	}}
 	data, _ := rep.Marshal()
-	req, _ := http.NewRequest(http.MethodPost, ts.URL+ReportPath, strings.NewReader(string(data)))
+	req, _ := http.NewRequest(http.MethodPost, ts.URL+ReportPathV1, strings.NewReader(string(data)))
 	req.AddCookie(&http.Cookie{Name: CookieName, Value: "real-user"})
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {

@@ -1,7 +1,6 @@
 package origin
 
 import (
-	"bytes"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -13,10 +12,6 @@ import (
 	"oak/internal/core"
 	"oak/internal/rules"
 )
-
-// The versioned v1 surface must be an alias, not a fork: every /oak/v1/*
-// path answers with exactly the bytes its legacy twin produces, and the
-// legacy paths keep working so pre-v1 clients are untouched.
 
 // get fetches a path and returns status + body.
 func get(t *testing.T, url string) (int, []byte) {
@@ -31,52 +26,6 @@ func get(t *testing.T, url string) (int, []byte) {
 		t.Fatal(err)
 	}
 	return resp.StatusCode, body
-}
-
-func TestV1PathsAliasLegacyPathsByteIdentical(t *testing.T) {
-	s := newTestServer(t, []*rules.Rule{swapRule()})
-	s.SetPage("/index.html", `<html><img src="http://slow.example/x.png"></html>`)
-	ts := httptest.NewServer(s)
-	defer ts.Close()
-
-	// Quiesce traffic first so paired GETs see identical state.
-	postReport(t, ts.URL, "u1")
-
-	for _, pair := range [][2]string{
-		{MetricsPath, MetricsPathV1},
-		{TracePath, TracePathV1},
-	} {
-		legacyStatus, legacyBody := get(t, ts.URL+pair[0])
-		v1Status, v1Body := get(t, ts.URL+pair[1])
-		if legacyStatus != http.StatusOK || v1Status != http.StatusOK {
-			t.Fatalf("GET %s = %d, GET %s = %d, want 200/200",
-				pair[0], legacyStatus, pair[1], v1Status)
-		}
-		if !bytes.Equal(legacyBody, v1Body) {
-			t.Errorf("%s and %s bodies differ:\n--- legacy\n%s\n--- v1\n%s",
-				pair[0], pair[1], legacyBody, v1Body)
-		}
-	}
-
-	// Healthz carries a wall-clock uptime, so compare it field-wise with
-	// the uptime zeroed instead of byte-wise.
-	var legacy, v1 HealthzResponse
-	if st, body := get(t, ts.URL+HealthzPath); st != http.StatusOK {
-		t.Fatalf("GET %s = %d", HealthzPath, st)
-	} else if err := json.Unmarshal(body, &legacy); err != nil {
-		t.Fatal(err)
-	}
-	if st, body := get(t, ts.URL+HealthzPathV1); st != http.StatusOK {
-		t.Fatalf("GET %s = %d", HealthzPathV1, st)
-	} else if err := json.Unmarshal(body, &v1); err != nil {
-		t.Fatal(err)
-	}
-	legacy.UptimeSeconds, v1.UptimeSeconds = 0, 0
-	lb, _ := json.Marshal(legacy)
-	vb, _ := json.Marshal(v1)
-	if !bytes.Equal(lb, vb) {
-		t.Errorf("healthz differs across versions:\nlegacy %s\nv1     %s", lb, vb)
-	}
 }
 
 func TestV1ReportPathIngests(t *testing.T) {
@@ -109,18 +58,16 @@ func TestPopulationEndpointServesStatus(t *testing.T) {
 	ts := httptest.NewServer(NewServer(engine))
 	defer ts.Close()
 
-	for _, path := range []string{PopulationPath, PopulationPathV1} {
-		st, body := get(t, ts.URL+path)
-		if st != http.StatusOK {
-			t.Fatalf("GET %s = %d, want 200", path, st)
-		}
-		var ps core.PopulationStatus
-		if err := json.Unmarshal(body, &ps); err != nil {
-			t.Fatalf("GET %s: decode: %v", path, err)
-		}
-		if len(ps.Degraded) != 1 || ps.Degraded[0].Provider != "slow.example" || !ps.Degraded[0].Manual {
-			t.Errorf("GET %s degraded = %+v, want one manual slow.example episode", path, ps.Degraded)
-		}
+	st, body := get(t, ts.URL+PopulationPathV1)
+	if st != http.StatusOK {
+		t.Fatalf("GET %s = %d, want 200", PopulationPathV1, st)
+	}
+	var ps core.PopulationStatus
+	if err := json.Unmarshal(body, &ps); err != nil {
+		t.Fatalf("GET %s: decode: %v", PopulationPathV1, err)
+	}
+	if len(ps.Degraded) != 1 || ps.Degraded[0].Provider != "slow.example" || !ps.Degraded[0].Manual {
+		t.Errorf("GET %s degraded = %+v, want one manual slow.example episode", PopulationPathV1, ps.Degraded)
 	}
 
 	// The flag also surfaces on healthz, where load balancers look.
@@ -138,10 +85,7 @@ func TestPopulationEndpoint404WithoutSynthesis(t *testing.T) {
 	ts := httptest.NewServer(s)
 	defer ts.Close()
 
-	for _, path := range []string{PopulationPath, PopulationPathV1} {
-		st, _ := get(t, ts.URL+path)
-		if st != http.StatusNotFound {
-			t.Errorf("GET %s = %d, want 404 on a synthesis-less engine", path, st)
-		}
+	if st, _ := get(t, ts.URL+PopulationPathV1); st != http.StatusNotFound {
+		t.Errorf("GET %s = %d, want 404 on a synthesis-less engine", PopulationPathV1, st)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"math"
+	"mime"
 )
 
 // OAKRPT1: a compact length-prefixed binary report encoding for
@@ -43,6 +44,43 @@ const (
 	ContentTypeBinary      = "application/x-oak-report"
 	ContentTypeBinaryBatch = "application/x-oak-report-batch"
 )
+
+// Format is how a report submission body is encoded.
+type Format int
+
+const (
+	// FormatJSON is one JSON report. It is also what a missing, malformed
+	// or unrecognised Content-Type is taken to mean.
+	FormatJSON Format = iota
+	// FormatNDJSON is a batch of JSON reports, one per line.
+	FormatNDJSON
+	// FormatBinary is one OAKRPT1 payload.
+	FormatBinary
+	// FormatBinaryBatch is a batch of length-prefixed OAKRPT1 frames.
+	FormatBinaryBatch
+)
+
+// ClassifyContentType maps a request's Content-Type header to the body
+// format it declares. Only the media type counts (parameters are ignored,
+// case is folded); application/ndjson and application/jsonl are accepted
+// as aliases of ContentTypeNDJSON. Origin and gateway both decide with this
+// function, so a body is split as a batch at the edge exactly when the
+// backend will read it as one.
+func ClassifyContentType(ct string) Format {
+	mt, _, err := mime.ParseMediaType(ct)
+	if err != nil {
+		return FormatJSON
+	}
+	switch mt {
+	case ContentTypeNDJSON, "application/ndjson", "application/jsonl":
+		return FormatNDJSON
+	case ContentTypeBinary:
+		return FormatBinary
+	case ContentTypeBinaryBatch:
+		return FormatBinaryBatch
+	}
+	return FormatJSON
+}
 
 // binaryMagic identifies an OAKRPT1 payload.
 const binaryMagic = "OAKRPT1"

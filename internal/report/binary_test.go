@@ -170,3 +170,26 @@ func FuzzBinaryRoundTrip(f *testing.F) {
 		pr.Release()
 	})
 }
+
+func TestClassifyContentType(t *testing.T) {
+	for ct, want := range map[string]Format{
+		"":                                    FormatJSON,
+		"application/json":                    FormatJSON,
+		"application/json; charset=utf-8":     FormatJSON,
+		"text/plain; note=jsonl":              FormatJSON,
+		"application/x-oak-report-batch-v2":   FormatJSON,
+		"application/x-ndjson; charset":       FormatJSON, // malformed parameter
+		";;;":                                 FormatJSON,
+		ContentTypeNDJSON:                     FormatNDJSON,
+		"application/ndjson":                  FormatNDJSON,
+		"application/jsonl":                   FormatNDJSON,
+		"Application/X-NDJSON; charset=utf-8": FormatNDJSON,
+		ContentTypeBinary:                     FormatBinary,
+		ContentTypeBinary + "; v=1":           FormatBinary,
+		ContentTypeBinaryBatch:                FormatBinaryBatch,
+	} {
+		if got := ClassifyContentType(ct); got != want {
+			t.Errorf("ClassifyContentType(%q) = %d, want %d", ct, got, want)
+		}
+	}
+}

@@ -15,7 +15,7 @@
 //	engine, _ := oak.NewEngine(rules)
 //	server := oak.NewServer(engine)     // an http.Handler
 //	server.SetPage("/index.html", html)
-//	// clients GET pages and POST reports to /oak/report;
+//	// clients GET pages and POST reports to /oak/v1/report;
 //	// each user's pages adapt to that user's own reported performance.
 //
 // Page registry lifecycle: a Server's pages are live state, safe to mutate
@@ -27,17 +27,18 @@
 // updates take effect on the next request without engine involvement.
 //
 // Scaling: per-user state is sharded (WithShards) so reports for different
-// users ingest in parallel, and WithIngestPipeline adds a bounded queue and
-// worker pool (backpressure instead of unbounded memory). POST /oak/report
-// also accepts an NDJSON batch body (Content-Type application/x-ndjson, one
+// users ingest in parallel, each analysed on the goroutine that submitted
+// it; WithAdmission bounds how many may be in flight and sheds the excess
+// (503 + Retry-After) instead of queueing it. POST /oak/v1/report also
+// accepts an NDJSON batch body (Content-Type application/x-ndjson, one
 // report per line) and the compact OAKRPT1 binary wire format
 // (BinaryContentType for one report, BinaryBatchContentType for a batch of
 // length-prefixed frames — roughly half the wire bytes of JSON; a Client
 // opts in with Wire = WireBinary). Ingest itself is a pooled fast path:
 // reports are decoded with a zero-copy streaming decoder into sync.Pool-
 // recycled structs, so the steady-state JSON path holds at a handful of
-// allocations per report. Engines with a pipeline should be Closed on
-// shutdown.
+// allocations per report. Close an engine on shutdown: it stops ingest
+// and releases the spill tier's files.
 //
 // Package layout: the facade re-exports the pieces a deployment needs —
 // the engine (internal/core), the rule language (internal/rules), the
@@ -118,22 +119,18 @@ type Violation = core.Violation
 
 // AnalysisResult is what handling one report decided. Engine.HandleReport
 // produces one synchronously; Engine.HandleReportCtx is the context-aware
-// form (cancellation abandons a report still queued in the batched-ingest
-// pipeline).
+// form (cancellation abandons a report still waiting for admission).
 type AnalysisResult = core.AnalysisResult
 
-// IngestConfig sizes the optional batched-ingest pipeline (see
-// WithIngestPipeline): worker-pool size and per-worker queue bound.
-type IngestConfig = core.IngestConfig
+// Admission bounds ingest (see WithAdmission): how many reports may be in
+// analysis at once, how long one may wait for room before it is shed, and
+// what retry horizon a shed advertises.
+type Admission = core.Admission
 
 // BatchResult summarises one batch ingest: reports submitted, processed,
 // failed, and a capped sample of failure messages. Engine.HandleBatch
 // returns one; the origin server serves it as the NDJSON batch response.
 type BatchResult = core.BatchResult
-
-// ErrEngineClosed is returned by report submission after Engine.Close.
-// Deprecated alias for ErrShuttingDown (same value; errors.Is matches both).
-var ErrEngineClosed = core.ErrEngineClosed
 
 // Resilience errors. Handlers map ErrOverloaded and ErrShuttingDown to
 // 503 + Retry-After; state errors mark snapshots the engine refused to load
@@ -141,8 +138,8 @@ var ErrEngineClosed = core.ErrEngineClosed
 var (
 	// ErrShuttingDown is returned by report submission after Engine.Close.
 	ErrShuttingDown = core.ErrShuttingDown
-	// ErrOverloaded is returned (wrapped in *OverloadError) when load
-	// shedding rejects a report instead of blocking on a full queue.
+	// ErrOverloaded is returned (wrapped in *OverloadError) when the
+	// admission bound sheds a report instead of making it wait.
 	ErrOverloaded = core.ErrOverloaded
 	// ErrCorruptState marks a snapshot that failed checksum, framing or
 	// structural validation.
@@ -156,12 +153,7 @@ var (
 // turns into a Retry-After header.
 type OverloadError = core.OverloadError
 
-// ShedPolicy tunes load shedding (see WithLoadShedding): how long a
-// submission may wait on a full ingest queue before being shed, and what
-// retry horizon to advertise.
-type ShedPolicy = core.ShedPolicy
-
-// DefaultRetryAfter is the advertised retry horizon when a ShedPolicy does
+// DefaultRetryAfter is the advertised retry horizon when an Admission does
 // not set one.
 const DefaultRetryAfter = core.DefaultRetryAfter
 
@@ -213,7 +205,7 @@ type EngineMetrics = core.Metrics
 // TraceEvent is one recorded engine decision (report ingested, violator
 // flagged, rule activated/advanced/kept/deactivated/expired, page
 // modified). Engine.TraceRecent(n) returns the latest; the origin server
-// serves them at TracePath.
+// serves them at TracePathV1.
 type TraceEvent = obs.Event
 
 // LatencySnapshot is a point-in-time copy of one hot-path latency
@@ -221,7 +213,7 @@ type TraceEvent = obs.Event
 type LatencySnapshot = obs.Snapshot
 
 // EngineLatencies pairs the engine's ingest and rewrite histograms,
-// returned by Engine.Latencies and served at MetricsPath.
+// returned by Engine.Latencies and served at MetricsPathV1.
 type EngineLatencies = core.LatencySnapshots
 
 // AuditReport is the operator-facing summary of what Oak has learned —
@@ -267,10 +259,7 @@ const (
 )
 
 // Wire-level constants of the origin server. The API is versioned: every
-// endpoint answers under /oak/v1/... (the *V1 constants) and new
-// integrations should use those paths. The unversioned paths remain as
-// aliases serving byte-identical responses, but are deprecated — see the
-// "API versioning" note in the README.
+// endpoint answers under /oak/v1/... and nowhere else.
 const (
 	// CookieName is the identifying cookie Oak issues to clients.
 	CookieName = origin.CookieName
@@ -280,8 +269,6 @@ const (
 	// JSON report per request, or — with Content-Type BatchContentType —
 	// an NDJSON batch of one report per line.
 	ReportPathV1 = origin.ReportPathV1
-	// ReportPath is the deprecated unversioned alias of ReportPathV1.
-	ReportPath = origin.ReportPath
 	// BatchContentType marks a report body as an NDJSON batch.
 	BatchContentType = origin.BatchContentType
 	// BinaryContentType marks a report body as a single OAKRPT1 binary
@@ -293,27 +280,17 @@ const (
 	// AuditPathV1 serves the operator audit summary. Restrict access in
 	// deployments: it is operator-facing.
 	AuditPathV1 = origin.AuditPathV1
-	// AuditPath is the deprecated unversioned alias of AuditPathV1.
-	AuditPath = origin.AuditPath
 	// MetricsPathV1 serves engine counters and ingest/rewrite latency
 	// histograms as JSON. Operator-facing.
 	MetricsPathV1 = origin.MetricsPathV1
-	// MetricsPath is the deprecated unversioned alias of MetricsPathV1.
-	MetricsPath = origin.MetricsPath
 	// HealthzPathV1 serves a liveness summary (uptime, rule/user counts).
 	HealthzPathV1 = origin.HealthzPathV1
-	// HealthzPath is the deprecated unversioned alias of HealthzPathV1.
-	HealthzPath = origin.HealthzPath
 	// TracePathV1 serves recent decision-trace events as JSON (?n=100).
 	// Operator-facing.
 	TracePathV1 = origin.TracePathV1
-	// TracePath is the deprecated unversioned alias of TracePathV1.
-	TracePath = origin.TracePath
 	// PopulationPathV1 serves the population-detection state (degraded
 	// providers, baselines, synthesis counters); 404 without WithSynthesis.
 	PopulationPathV1 = origin.PopulationPathV1
-	// PopulationPath is the unversioned alias of PopulationPathV1.
-	PopulationPath = origin.PopulationPath
 )
 
 // NewEngine builds an Oak engine over a compiled rule set.
@@ -338,7 +315,7 @@ func WithClock(now func() time.Time) EngineOption { return core.WithClock(now) }
 func WithLogf(logf func(format string, args ...any)) EngineOption { return core.WithLogf(logf) }
 
 // WithTraceCapacity sizes the engine's decision-trace ring buffer (the
-// window TracePath serves); default 1024 events.
+// window TracePathV1 serves); default 1024 events.
 func WithTraceCapacity(n int) EngineOption { return core.WithTraceCapacity(n) }
 
 // WithShards sets how many lock-striped shards partition per-user state
@@ -346,16 +323,11 @@ func WithTraceCapacity(n int) EngineOption { return core.WithTraceCapacity(n) }
 // users on different shards ingest fully in parallel.
 func WithShards(n int) EngineOption { return core.WithShards(n) }
 
-// WithIngestPipeline enables batched ingest: HandleReport/HandleReportCtx
-// enqueue into a bounded queue drained by a worker pool shard by shard,
-// with backpressure when full. Engines built with it must be Closed.
-func WithIngestPipeline(cfg IngestConfig) EngineOption { return core.WithIngestPipeline(cfg) }
-
-// WithLoadShedding switches a pipelined engine from blocking backpressure
-// to deadline-aware shedding: a submission that cannot enqueue within
-// MaxWait fails fast with an *OverloadError instead of blocking, keeping
-// page serving responsive while ingest is saturated.
-func WithLoadShedding(p ShedPolicy) EngineOption { return core.WithLoadShedding(p) }
+// WithAdmission bounds ingest to a.MaxInFlight reports in analysis at once.
+// A report that finds no room waits up to a.MaxWait (negative: until its
+// context is cancelled) and is otherwise shed with an *OverloadError,
+// keeping page serving responsive while ingest is saturated.
+func WithAdmission(a Admission) EngineOption { return core.WithAdmission(a) }
 
 // WithRewriteCache bounds the engine's rewrite cache to n entries (whole
 // rewritten pages keyed by page content + activation fingerprint); repeat
@@ -366,7 +338,7 @@ func WithLoadShedding(p ShedPolicy) EngineOption { return core.WithLoadShedding(
 func WithRewriteCache(n int) EngineOption { return core.WithRewriteCache(n) }
 
 // RewriteCacheStats is a point-in-time view of the engine rewrite cache's
-// counters (Engine.RewriteCacheStats; also surfaced in /oak/metrics).
+// counters (Engine.RewriteCacheStats; also surfaced in /oak/v1/metrics).
 type RewriteCacheStats = core.RewriteCacheStats
 
 // ResidencyConfig enables and tunes the profile spill tier (see
@@ -405,13 +377,13 @@ type GuardConfig = core.GuardConfig
 // onto its provider and bulk-deactivates existing ones; a half-open breaker
 // admits a bounded number of canary activations and closes only on good
 // observed outcomes. Guard state persists in snapshots (pre-guard snapshots
-// load with empty guard state); breaker states surface in /oak/metrics
-// ("guard") and open breakers in /oak/healthz ("open_breakers").
+// load with empty guard state); breaker states surface in /oak/v1/metrics
+// ("guard") and open breakers in /oak/v1/healthz ("open_breakers").
 func WithGuard(cfg GuardConfig) EngineOption { return core.WithGuard(cfg) }
 
 // GuardStatus is the guard's externally visible state (breakers, quarantined
 // providers and rules, canary counts), returned by Engine.GuardStatus and
-// served under "guard" in /oak/metrics.
+// served under "guard" in /oak/v1/metrics.
 type GuardStatus = core.GuardStatus
 
 // BreakerStatus is one provider breaker's state inside a GuardStatus.

@@ -18,8 +18,8 @@
 # verify by name. The
 # guard chaos smoke re-runs the kill-the-alternate scenario on its own so a
 # breaker regression fails the verify with a named step; one-iteration guard
-# and synthesis benchmark runs keep BENCH_guard.json and BENCH_synth.json
-# producible. Finally, a compact scenario smoke runs four checked-in
+# and synthesis benchmark runs keep those micro-benchmarks compiling and
+# running. Finally, a compact scenario smoke runs four checked-in
 # end-to-end workloads (cellular, blackout, slowloris, popslow) against
 # injected ground truth and gates on the precision/recall/trip floors in
 # each spec's expect block — popslow additionally requires at least one
@@ -33,7 +33,10 @@
 # mid-spill (torn segment tail) and hole-punches a sealed segment under a
 # live engine, requiring recovery with no acknowledged state lost and
 # byte-identical exports across residency layouts; a one-iteration memory
-# benchmark run keeps BENCH_memory.json producible.
+# benchmark run keeps those micro-benchmarks running. The benchmark module
+# step vets and tests bench/ (its own module, which the root go build/test
+# do not descend into) so an internal API change cannot break the serving
+# benchmark of record (bash bench/run.sh) unnoticed.
 set -e
 cd "$(dirname "$0")/.."
 
@@ -53,6 +56,10 @@ go vet ./...
 
 echo "== go test ./... =="
 go test ./...
+
+echo "== benchmark module: go vet + go test in bench/ =="
+go -C bench vet ./...
+go -C bench test ./...
 
 echo "== go test -race ./internal/core ./internal/obs ./internal/origin ./internal/faultinject ./internal/gateway =="
 go test -race ./internal/core ./internal/obs ./internal/origin ./internal/faultinject ./internal/gateway
