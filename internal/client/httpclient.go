@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/url"
@@ -13,6 +14,7 @@ import (
 	"sync"
 	"time"
 
+	"oak/internal/bodybuf"
 	"oak/internal/htmlscan"
 	"oak/internal/report"
 )
@@ -462,6 +464,19 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 // server was never reached" (nil result + error). This is the primitive
 // report submission and gateway forwarding are built on.
 func (c *HTTPClient) SubmitBytes(ctx context.Context, endpoint, contentType string, body []byte, cookies []*http.Cookie) (*SubmitResult, error) {
+	u, err := url.Parse(endpoint)
+	if err != nil {
+		return nil, fmt.Errorf("client: build request: %w", err)
+	}
+	return c.SubmitURL(ctx, u, contentType, body, cookies)
+}
+
+// SubmitURL is SubmitBytes to an endpoint the caller parsed once and does
+// not modify while requests are in flight (the gateway's per-backend report
+// URL). body must stay untouched until the transport is done with it, which
+// can be after SubmitURL has returned — a server may answer before it has
+// drained the request — so it must not be memory the caller recycles.
+func (c *HTTPClient) SubmitURL(ctx context.Context, endpoint *url.URL, contentType string, body []byte, cookies []*http.Cookie) (*SubmitResult, error) {
 	p := c.Retry.normalized()
 	var (
 		lastErr error
@@ -475,9 +490,18 @@ func (c *HTTPClient) SubmitBytes(ctx context.Context, endpoint, contentType stri
 			}
 			hint = 0
 		}
-		req, err := http.NewRequestWithContext(ctx, http.MethodPost, endpoint, bytes.NewReader(body))
-		if err != nil {
-			return last, fmt.Errorf("client: build request: %w", err)
+		// http.NewRequest minus the URL parse. The body is a *bytes.Reader so
+		// that net/http writes it with the headers, not after flushing them.
+		req := (&http.Request{
+			Method:        http.MethodPost,
+			URL:           endpoint,
+			Header:        make(http.Header, 2),
+			Body:          http.NoBody,
+			ContentLength: int64(len(body)),
+		}).WithContext(ctx)
+		if len(body) > 0 {
+			req.Body = io.NopCloser(bytes.NewReader(body))
+			req.GetBody = func() (io.ReadCloser, error) { return io.NopCloser(bytes.NewReader(body)), nil }
 		}
 		req.Header.Set("Content-Type", contentType)
 		for _, ck := range cookies {
@@ -491,8 +515,7 @@ func (c *HTTPClient) SubmitBytes(ctx context.Context, endpoint, contentType stri
 			}
 			continue
 		}
-		respBody, err := io.ReadAll(resp.Body)
-		_ = resp.Body.Close()
+		respBody, err := readResponse(resp)
 		if err != nil {
 			lastErr = fmt.Errorf("client: read response: %w", err)
 			continue
@@ -510,6 +533,23 @@ func (c *HTTPClient) SubmitBytes(ctx context.Context, endpoint, contentType stri
 		return last, nil
 	}
 	return nil, lastErr
+}
+
+// readResponse reads and closes a response body. A declared-empty body —
+// every 204 — is not read at all; anything else is staged once at its
+// declared size and handed back as a copy the caller owns outright, so
+// SubmitResult carries no buffer lifetime.
+func readResponse(resp *http.Response) ([]byte, error) {
+	defer resp.Body.Close()
+	if resp.ContentLength == 0 {
+		return nil, nil
+	}
+	buf, err := bodybuf.Read(resp.Body, resp.ContentLength, math.MaxInt64)
+	if err != nil {
+		return nil, err
+	}
+	defer buf.Release()
+	return bytes.Clone(buf.Bytes()), nil
 }
 
 // SubmitReport POSTs a report to the Oak origin's versioned report

@@ -1,11 +1,13 @@
 package client
 
 import (
+	"context"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -385,5 +387,70 @@ func TestRetryDelayClampsDateHint(t *testing.T) {
 	c := &HTTPClient{Seed: 1}
 	if d := c.retryDelay(0, hint); d > 31*time.Second {
 		t.Errorf("retryDelay = %v, want clamped to <= ~30s", d)
+	}
+}
+
+// TestSubmitThroughARetry drives both submit entry points through a retry:
+// the server refuses the first attempt with a body of its own, then accepts.
+// Every attempt must carry the same request bytes and cookie, and a
+// refusal's body and an empty 204 must both come back as the caller's own
+// bytes.
+func TestSubmitThroughARetry(t *testing.T) {
+	var mu sync.Mutex
+	seen := map[string][]string{} // content type → bodies received, in order
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		body, _ := io.ReadAll(r.Body)
+		ct := r.Header.Get("Content-Type")
+		mu.Lock()
+		seen[ct] = append(seen[ct], string(body))
+		first := len(seen[ct]) == 1
+		mu.Unlock()
+		if ck, err := r.Cookie("oak-user"); err != nil || ck.Value != "u1" {
+			http.Error(w, "cookie lost", http.StatusBadRequest)
+			return
+		}
+		if first {
+			http.Error(w, strings.Repeat("busy ", 2000), http.StatusServiceUnavailable) // ~10 KB, declared
+			return
+		}
+		w.WriteHeader(http.StatusNoContent)
+	}))
+	defer ts.Close()
+	endpoint, err := url.Parse(ts.URL + reportPathV1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	once := &HTTPClient{Retry: RetryPolicy{MaxAttempts: 1}}
+	retrying := &HTTPClient{Retry: RetryPolicy{MaxAttempts: 2, BaseDelay: time.Millisecond}}
+	cookies := []*http.Cookie{{Name: "oak-user", Value: "u1"}}
+	payload := []byte(strings.Repeat("report bytes ", 700)) // ~9 KB
+
+	// One attempt: the refusal itself is the result.
+	res, err := once.SubmitBytes(context.Background(), endpoint.String(), "text/refused", payload, cookies)
+	if err != nil || res.Status != http.StatusServiceUnavailable || string(res.Body) != strings.Repeat("busy ", 2000)+"\n" {
+		t.Fatalf("refusal: err %v, result %+v", err, res)
+	}
+
+	for _, tc := range []struct {
+		contentType string
+		submit      func(contentType string) (*SubmitResult, error)
+	}{
+		{"text/bytes", func(ct string) (*SubmitResult, error) {
+			return retrying.SubmitBytes(context.Background(), endpoint.String(), ct, payload, cookies)
+		}},
+		{"text/url", func(ct string) (*SubmitResult, error) {
+			return retrying.SubmitURL(context.Background(), endpoint, ct, payload, cookies)
+		}},
+	} {
+		res, err := tc.submit(tc.contentType)
+		if err != nil || res.Status != http.StatusNoContent || len(res.Body) != 0 {
+			t.Fatalf("%s: err %v, result %+v", tc.contentType, err, res)
+		}
+		mu.Lock()
+		got := seen[tc.contentType]
+		mu.Unlock()
+		if len(got) != 2 || got[0] != string(payload) || got[1] != string(payload) {
+			t.Errorf("%s: server read %d bodies, want the payload twice", tc.contentType, len(got))
+		}
 	}
 }

@@ -13,16 +13,24 @@ import (
 	"oak/internal/client"
 	"oak/internal/core"
 	"oak/internal/gateway"
+	"oak/internal/rules"
 )
 
 // What the gateway must answer exactly like the node behind it: retired
-// routes, and the retry horizon of a shedding backend.
+// routes, the retry horizon of a shedding backend, and a page's framing.
 
 // frontedNode serves an engine from an origin server behind a one-backend
 // gateway whose forwards are not retried.
 func frontedNode(t *testing.T, engine *oak.Engine) (node, gw *httptest.Server) {
 	t.Helper()
-	node = httptest.NewServer(oak.NewServer(engine))
+	return fronted(t, oak.NewServer(engine))
+}
+
+// fronted serves a node handler directly and behind a one-backend gateway
+// whose forwards are not retried.
+func fronted(t *testing.T, h http.Handler) (node, gw *httptest.Server) {
+	t.Helper()
+	node = httptest.NewServer(h)
 	t.Cleanup(node.Close)
 	g, err := gateway.NewGateway(gateway.Config{
 		Backends: []string{node.URL},
@@ -185,6 +193,66 @@ func TestShedRetryAfterThroughGateway(t *testing.T) {
 				if res.Submitted != 2 || res.Overloaded != 2 || res.Processed != 0 {
 					t.Errorf("%s batch summary = %+v, want 2 submitted, 2 overloaded", tier, res)
 				}
+			}
+		}
+	}
+}
+
+// TestPageFramingThroughGateway: the gateway stages a page whole, so it
+// knows its length — a page fetched through it is framed like the node
+// frames it (Content-Length, not chunked), HEAD carries the length a GET
+// would and no body, and the mirrored headers arrive on both.
+func TestPageFramingThroughGateway(t *testing.T) {
+	engine, err := oak.NewEngine(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer engine.Close()
+	server := oak.NewServer(engine)
+	page := "<html>" + strings.Repeat("x", 128<<10-13) + "</html>"
+	server.SetPage("/big.html", page)
+	// The origin sets Retry-After and the cache hint only in states this test
+	// does not set up; the contract is that whatever the node says, the edge
+	// repeats.
+	node, gw := fronted(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Retry-After", "7")
+		w.Header().Set(rules.CacheHintHeader, "cdn-a.example=cdn-b.example")
+		server.ServeHTTP(w, r)
+	}))
+
+	for _, method := range []string{http.MethodGet, http.MethodHead} {
+		var got [2]*http.Response
+		for i, base := range []string{node.URL, gw.URL} {
+			req, err := http.NewRequest(method, base+"/big.html", nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			req.AddCookie(&http.Cookie{Name: oak.CookieName, Value: "framing-user"})
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			body, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			want := page
+			if method == http.MethodHead {
+				want = ""
+			}
+			if resp.StatusCode != http.StatusOK || string(body) != want {
+				t.Fatalf("%s %s: status %d, %d body bytes, want 200 and %d", method, base, resp.StatusCode, len(body), len(want))
+			}
+			got[i] = resp
+		}
+		direct, via := got[0], got[1]
+		if cl := via.Header.Get("Content-Length"); cl == "" || cl != direct.Header.Get("Content-Length") || via.ContentLength != int64(len(page)) {
+			t.Errorf("%s: Content-Length %q via the gateway, %q direct, page is %d bytes", method, cl, direct.Header.Get("Content-Length"), len(page))
+		}
+		if len(via.TransferEncoding) != 0 {
+			t.Errorf("%s: Transfer-Encoding %v via the gateway, want none", method, via.TransferEncoding)
+		}
+		for _, h := range []string{"Content-Type", "Retry-After", rules.CacheHintHeader} {
+			if v := via.Header.Get(h); v == "" || v != direct.Header.Get(h) {
+				t.Errorf("%s: %s = %q via the gateway, %q direct", method, h, v, direct.Header.Get(h))
 			}
 		}
 	}

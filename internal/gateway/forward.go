@@ -4,12 +4,13 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"strconv"
 	"sync"
 
+	"oak/internal/bodybuf"
 	"oak/internal/client"
 	"oak/internal/core"
 	"oak/internal/origin"
@@ -23,26 +24,35 @@ import (
 // When the primary's forward fails at the transport level, the request
 // fails over — once — to the standby or the next healthy backend, so a
 // freshly dead backend costs a retry schedule, not an error.
+//
+// Every body the gateway relays is staged whole, once, in a pooled buffer
+// (bodybuf): a request body because it is sniffed, split, retried and
+// failed over, a page body so that a backend dying mid-body fails over
+// instead of truncating the client's page. A staged buffer never leaves its
+// handler. What is forwarded is a private copy — the whole body for a
+// request forwarded as it came, the joined sub-batch for a split one —
+// because net/http may still be sending a request body after the forward
+// has returned (a backend that answers 503 before draining it).
 
-// maxForwardBytes bounds a forwarded request body. It matches the origin's
-// worst-case batch bound (16 × 4 MB), so the gateway never accepts a body
-// the backend would reject outright.
+// maxForwardBytes bounds a relayed body in either direction. It matches the
+// origin's worst-case batch bound (16 × 4 MB), so the gateway never accepts
+// a body the backend would reject outright.
 const maxForwardBytes = 64 << 20
 
 // mirrorHeaders are the response headers the gateway relays from backends.
 var mirrorHeaders = []string{"Content-Type", "Retry-After", rules.CacheHintHeader}
 
-// forwardTo POSTs a body to one backend under the gateway's retry
-// machinery.
-func (g *Gateway) forwardTo(ctx context.Context, b *backend, path, contentType string, body []byte, cookies []*http.Cookie) (*client.SubmitResult, error) {
-	return g.fwd.SubmitBytes(ctx, b.addr+path, contentType, body, cookies)
+// forwardTo POSTs a report body to one backend under the gateway's retry
+// machinery. body must not alias a staged buffer (see client.SubmitURL).
+func (g *Gateway) forwardTo(ctx context.Context, b *backend, contentType string, body []byte, cookies []*http.Cookie) (*client.SubmitResult, error) {
+	return g.fwd.SubmitURL(ctx, b.reportURL, contentType, body, cookies)
 }
 
 // forwardWithFailover tries the primary, then the fallback. The returned
 // backend is the one that actually answered.
-func (g *Gateway) forwardWithFailover(ctx context.Context, i int, path, contentType string, body []byte, cookies []*http.Cookie) (*client.SubmitResult, *backend, error) {
+func (g *Gateway) forwardWithFailover(ctx context.Context, i int, contentType string, body []byte, cookies []*http.Cookie) (*client.SubmitResult, *backend, error) {
 	primary, fallback := g.route(i)
-	res, err := g.forwardTo(ctx, primary, path, contentType, body, cookies)
+	res, err := g.forwardTo(ctx, primary, contentType, body, cookies)
 	if err == nil {
 		return res, primary, nil
 	}
@@ -51,7 +61,7 @@ func (g *Gateway) forwardWithFailover(ctx context.Context, i int, path, contentT
 	}
 	g.failovers.Inc()
 	g.logf("gateway: failover %s -> %s: %v", primary.addr, fallback.addr, err)
-	res, ferr := g.forwardTo(ctx, fallback, path, contentType, body, cookies)
+	res, ferr := g.forwardTo(ctx, fallback, contentType, body, cookies)
 	if ferr != nil {
 		return nil, fallback, fmt.Errorf("primary: %v; failover: %w", err, ferr)
 	}
@@ -112,15 +122,17 @@ func (g *Gateway) handleReport(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 		return
 	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxForwardBytes+1))
+	staged, err := bodybuf.Read(r.Body, r.ContentLength, maxForwardBytes)
+	if errors.Is(err, bodybuf.ErrTooLarge) {
+		http.Error(w, "body too large", http.StatusRequestEntityTooLarge)
+		return
+	}
 	if err != nil {
 		http.Error(w, "read body", http.StatusBadRequest)
 		return
 	}
-	if len(body) > maxForwardBytes {
-		http.Error(w, "body too large", http.StatusRequestEntityTooLarge)
-		return
-	}
+	defer staged.Release()
+	body := staged.Bytes()
 	ctx, cancel := context.WithTimeout(r.Context(), g.cfg.ForwardTimeout)
 	defer cancel()
 
@@ -152,7 +164,7 @@ func (g *Gateway) handleReport(w http.ResponseWriter, r *http.Request) {
 	if ck != nil {
 		cookies = append(cookies, ck)
 	}
-	res, _, err := g.forwardWithFailover(ctx, g.ownerIndex(userID), origin.ReportPathV1, contentType, body, cookies)
+	res, _, err := g.forwardWithFailover(ctx, g.ownerIndex(userID), contentType, bytes.Clone(body), cookies)
 	if err != nil {
 		http.Error(w, "no backend reachable: "+err.Error(), http.StatusBadGateway)
 		return
@@ -227,7 +239,9 @@ func (g *Gateway) handleSplitBatchBinary(ctx context.Context, w http.ResponseWri
 // per-backend BatchResults into one response. sep joins a group's pieces
 // back into a body (newline for NDJSON, nothing for binary frames);
 // splitErr, when non-nil, is an unrecoverable framing error counted as one
-// failed report on top of whatever the backends answered.
+// failed report on top of whatever the backends answered. body and the
+// groups alias the staged request; it is released after forwardSplit
+// returns, and every sub-batch forwarded is a copy.
 func (g *Gateway) forwardSplit(ctx context.Context, w http.ResponseWriter, body []byte, contentType string, groups map[int][][]byte, sep []byte, splitErr error) {
 	if len(groups) == 0 {
 		if splitErr == nil {
@@ -254,14 +268,16 @@ func (g *Gateway) forwardSplit(ctx context.Context, w http.ResponseWriter, body 
 		wg.Add(1)
 		go func(i int, lines [][]byte) {
 			defer wg.Done()
-			sub := body // single-owner batch: forward unchanged, no reassembly
+			var sub []byte
 			if len(groups) > 1 || splitErr != nil {
 				// Reassemble when owners mix — and when framing broke, so the
 				// trailing garbage is not forwarded for the backend to count a
 				// second time.
 				sub = bytes.Join(lines, sep)
+			} else {
+				sub = bytes.Clone(body) // single-owner batch: forwarded as it came
 			}
-			res, _, err := g.forwardWithFailover(ctx, i, origin.ReportPathV1, contentType, sub, nil)
+			res, _, err := g.forwardWithFailover(ctx, i, contentType, sub, nil)
 			mu.Lock()
 			parts = append(parts, part{lines: len(lines), res: res, err: err})
 			mu.Unlock()
@@ -370,41 +386,66 @@ func (g *Gateway) handlePage(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	g.forwardedPages.Inc()
-	for _, h := range mirrorHeaders {
-		if v := resp.Header.Get(h); v != "" {
-			w.Header().Set(h, v)
+	mirrorHeader(w, resp.header)
+	if resp.body == nil {
+		// HEAD: the length is the backend's word for what a GET would carry.
+		if cl := resp.header.Get("Content-Length"); cl != "" {
+			w.Header().Set("Content-Length", cl)
 		}
+		w.WriteHeader(resp.status)
+		return
 	}
-	w.WriteHeader(resp.Status)
-	_, _ = w.Write(resp.Body)
+	w.Header().Set("Content-Length", strconv.Itoa(resp.body.Len()))
+	w.WriteHeader(resp.status)
+	_, _ = w.Write(resp.body.Bytes())
+	resp.body.Release()
 }
 
-// proxyPage performs one backend page GET, returning the full response.
-func (g *Gateway) proxyPage(ctx context.Context, b *backend, r *http.Request, ck *http.Cookie) (*client.SubmitResult, error) {
-	req, err := http.NewRequestWithContext(ctx, r.Method, b.addr+r.URL.RequestURI(), nil)
-	if err != nil {
-		return nil, err
-	}
+// pageResponse is one backend's answer to a page request, staged for relay.
+type pageResponse struct {
+	status int
+	header http.Header
+	body   *bodybuf.Buf // nil for HEAD; the caller releases it
+}
+
+// proxyPage performs one backend page GET or HEAD. The body is read to its
+// end before anything is relayed: a backend that dies mid-body, or sends
+// more than maxForwardBytes, is a failed forward the caller can fail over,
+// not a truncated page.
+func (g *Gateway) proxyPage(ctx context.Context, b *backend, r *http.Request, ck *http.Cookie) (*pageResponse, error) {
+	req := (&http.Request{
+		Method: r.Method,
+		URL:    b.urlFor(r.URL),
+		Header: make(http.Header, 1),
+	}).WithContext(ctx)
 	req.AddCookie(ck)
 	resp, err := g.httpc.Do(req)
 	if err != nil {
 		return nil, err
 	}
-	body, err := io.ReadAll(io.LimitReader(resp.Body, maxForwardBytes))
-	_ = resp.Body.Close()
-	if err != nil {
-		return nil, err
+	defer resp.Body.Close()
+	page := &pageResponse{status: resp.StatusCode, header: resp.Header}
+	if r.Method == http.MethodHead {
+		return page, nil
 	}
-	return &client.SubmitResult{Status: resp.StatusCode, Header: resp.Header, Body: body}, nil
+	if page.body, err = bodybuf.Read(resp.Body, resp.ContentLength, maxForwardBytes); err != nil {
+		return nil, fmt.Errorf("read page from %s: %w", b.addr, err)
+	}
+	return page, nil
+}
+
+// mirrorHeader relays the selected backend response headers.
+func mirrorHeader(w http.ResponseWriter, from http.Header) {
+	for _, h := range mirrorHeaders {
+		if v := from.Get(h); v != "" {
+			w.Header().Set(h, v)
+		}
+	}
 }
 
 // mirror relays a backend response: selected headers, status, body.
 func mirror(w http.ResponseWriter, res *client.SubmitResult) {
-	for _, h := range mirrorHeaders {
-		if v := res.Header.Get(h); v != "" {
-			w.Header().Set(h, v)
-		}
-	}
+	mirrorHeader(w, res.Header)
 	w.WriteHeader(res.Status)
 	_, _ = w.Write(res.Body)
 }

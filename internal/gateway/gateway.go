@@ -26,7 +26,9 @@ package gateway
 
 import (
 	"fmt"
+	"net"
 	"net/http"
+	"net/url"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -70,6 +72,20 @@ const (
 	DefaultSnapshotInterval = 2 * time.Second
 )
 
+// idleConnsPerBackend is how many idle keep-alive connections the gateway's
+// own transport keeps per backend. net/http's default of 2 makes a gateway
+// with more concurrent forwards than that close and re-dial connections on
+// every burst; this is well above the forwards a backend sees at once.
+const idleConnsPerBackend = 256
+
+// backendWriteBuffer is the per-connection write buffer of the gateway's
+// own transport. A forwarded body that fits goes out with its request
+// headers in one write; net/http's 4 KB default sends anything larger — a
+// 5.7 KB JSON report, every sub-batch — as a flush plus a copy through a
+// freshly allocated scratch buffer. 64 KB holds a 16-report sub-batch; it
+// is paid per open backend connection.
+const backendWriteBuffer = 64 << 10
+
 // Config configures a Gateway.
 type Config struct {
 	// Backends are the oakd base URLs (host:port or http://host:port), one
@@ -103,8 +119,11 @@ type Config struct {
 	// Retry tunes the forwarding retry schedule (client.RetryPolicy
 	// defaults apply to zero fields).
 	Retry client.RetryPolicy
-	// HTTP is the transport for every gateway request; nil builds a client
-	// with keep-alives shared across all backends.
+	// HTTP is the client for every gateway request. nil builds one with no
+	// client-level timeout (every request already runs under a context
+	// deadline: ForwardTimeout or ProbeTimeout) over a private transport
+	// that keeps idleConnsPerBackend idle connections per backend and
+	// writes through backendWriteBuffer bytes of buffer per connection.
 	HTTP *http.Client
 	// Logf, when set, receives gateway decision logging (state transitions,
 	// failovers, broadcasts, replacements).
@@ -113,8 +132,8 @@ type Config struct {
 
 // backend is one oakd process the gateway fronts.
 type backend struct {
-	mu    sync.Mutex
-	addr  string // base URL, normalised to http://host:port
+	mu sync.Mutex
+	target
 	state BackendState
 	// drained pins the state machine at draining (operator Drain); cleared
 	// by Replace and Undrain.
@@ -129,6 +148,35 @@ type backend struct {
 	// kept for node replacement.
 	snapshot   []byte
 	snapshotAt time.Time
+}
+
+// target is where a backend's process listens: its base URL as configured
+// and as parsed, and the report endpoint under it — built once when the
+// address is set, so that no forward parses a URL.
+type target struct {
+	addr            string // base URL, normalised to http://host:port
+	base, reportURL *url.URL
+}
+
+func parseTarget(addr string) (target, error) {
+	base, err := url.Parse(addr)
+	if err != nil {
+		return target{}, fmt.Errorf("gateway: backend address: %w", err)
+	}
+	t := target{addr: addr, base: base}
+	t.reportURL = t.urlFor(&url.URL{Path: origin.ReportPathV1})
+	return t, nil
+}
+
+// urlFor is the URL under the target for a request URL the gateway received:
+// the base with in's path and query appended.
+func (t *target) urlFor(in *url.URL) *url.URL {
+	u := *t.base
+	u.Path, u.RawPath, u.RawQuery = t.base.Path+in.Path, "", in.RawQuery
+	if in.RawPath != "" {
+		u.RawPath = t.base.EscapedPath() + in.RawPath
+	}
+	return &u
 }
 
 func (b *backend) snapshotState() (state BackendState, fails int, lastErr string, hz *origin.HealthzResponse) {
@@ -218,7 +266,18 @@ func NewGateway(cfg Config) (*Gateway, error) {
 	}
 	httpc := cfg.HTTP
 	if httpc == nil {
-		httpc = &http.Client{Timeout: 30 * time.Second}
+		// net/http's default transport, but for the idle pool and the write
+		// buffer — and no Client.Timeout: it would cap ForwardTimeout and cost a timer per
+		// request that already has a context deadline.
+		httpc = &http.Client{Transport: &http.Transport{
+			Proxy:                 http.ProxyFromEnvironment,
+			DialContext:           (&net.Dialer{Timeout: 30 * time.Second, KeepAlive: 30 * time.Second}).DialContext,
+			MaxIdleConnsPerHost:   idleConnsPerBackend,
+			WriteBufferSize:       backendWriteBuffer,
+			IdleConnTimeout:       90 * time.Second,
+			TLSHandshakeTimeout:   10 * time.Second,
+			ExpectContinueTimeout: time.Second,
+		}}
 	}
 	g := &Gateway{
 		cfg:          cfg,
@@ -239,10 +298,18 @@ func NewGateway(cfg Config) (*Gateway, error) {
 		if a == "" {
 			return nil, fmt.Errorf("gateway: empty backend address")
 		}
-		g.backends = append(g.backends, &backend{addr: a, state: StateHealthy})
+		t, err := parseTarget(a)
+		if err != nil {
+			return nil, err
+		}
+		g.backends = append(g.backends, &backend{target: t, state: StateHealthy})
 	}
 	if s := normalizeAddr(cfg.Standby); s != "" {
-		g.standby = &backend{addr: s, state: StateHealthy}
+		t, err := parseTarget(s)
+		if err != nil {
+			return nil, err
+		}
+		g.standby = &backend{target: t, state: StateHealthy}
 	}
 	return g, nil
 }
@@ -281,11 +348,15 @@ func (g *Gateway) Start() {
 	}()
 }
 
-// Close stops the background loops. Safe to call more than once; safe on a
+// Close stops the background loops and closes the idle backend connections
+// of the gateway's own transport. Safe to call more than once; safe on a
 // gateway that never Started.
 func (g *Gateway) Close() {
 	g.stopOnce.Do(func() { close(g.stop) })
 	g.wg.Wait()
+	if g.cfg.HTTP == nil {
+		g.httpc.CloseIdleConnections()
+	}
 }
 
 // all returns every backend including the standby.

@@ -125,6 +125,10 @@ func (g *Gateway) Replace(ctx context.Context, i int, newAddr string) error {
 	if addr == "" {
 		return fmt.Errorf("gateway: empty replacement address")
 	}
+	to, err := parseTarget(addr)
+	if err != nil {
+		return err
+	}
 	b := g.backends[i]
 	b.mu.Lock()
 	snap := b.snapshot
@@ -152,7 +156,7 @@ func (g *Gateway) Replace(ctx context.Context, i int, newAddr string) error {
 
 	b.mu.Lock()
 	old := b.addr
-	b.addr = addr
+	b.target = to
 	b.state = StateHealthy
 	b.fails = 0
 	b.drained = false

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 
+	"oak/internal/bodybuf"
 	"oak/internal/core"
 	"oak/internal/report"
 )
@@ -66,8 +67,13 @@ func (s *Server) handleReportBatch(w http.ResponseWriter, r *http.Request) {
 	sink := s.engine.StartBatch(r.Context())
 	var parse batchParseFailures
 
+	// The scanner reuses (and overwrites) its buffer line by line, so each
+	// report is already decoded free of it; a line longer than the pooled
+	// buffer moves the scanner to one of its own.
+	scratch := bodybuf.Get(64 * 1024)
+	defer scratch.Release()
 	sc := bufio.NewScanner(body)
-	sc.Buffer(make([]byte, 64*1024), int(s.maxBodyBytes)+1)
+	sc.Buffer(scratch.Bytes(), int(s.maxBodyBytes)+1)
 	for sc.Scan() {
 		line := bytes.TrimSpace(sc.Bytes())
 		if len(line) == 0 {
@@ -109,18 +115,15 @@ func (s *Server) handleReportBatch(w http.ResponseWriter, r *http.Request) {
 // the remainder as one parse failure; a frame whose payload will not decode
 // fails alone, like a malformed NDJSON line.
 func (s *Server) handleReportBatchBinary(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, batchBodyFactor*s.maxBodyBytes+1))
-	if err != nil {
-		http.Error(w, "read body", http.StatusBadRequest)
+	body := stageBody(w, r, batchBodyFactor*s.maxBodyBytes, "batch too large")
+	if body == nil {
 		return
 	}
-	if int64(len(body)) > batchBodyFactor*s.maxBodyBytes {
-		http.Error(w, "batch too large", http.StatusRequestEntityTooLarge)
-		return
-	}
+	// Released on return: every path below waits for the sink first.
+	defer body.Release()
 	sink := s.engine.StartBatch(r.Context())
 	var parse batchParseFailures
-	for rest := body; ; {
+	for rest := body.Bytes(); ; {
 		frame, next, ferr := report.NextBinaryFrame(rest)
 		if ferr != nil {
 			parse.add(ferr)

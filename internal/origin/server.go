@@ -21,6 +21,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"oak/internal/bodybuf"
 	"oak/internal/core"
 	"oak/internal/obs"
 	"oak/internal/report"
@@ -357,20 +358,21 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 		s.handleReportBatch(w, r)
 		return
 	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, s.maxBodyBytes+1))
-	if err != nil {
-		http.Error(w, "read body", http.StatusBadRequest)
+	body := stageBody(w, r, s.maxBodyBytes, "report too large")
+	if body == nil {
 		return
 	}
-	if int64(len(body)) > s.maxBodyBytes {
-		http.Error(w, "report too large", http.StatusRequestEntityTooLarge)
-		return
-	}
-	var rep *report.Report
+	// The decoders copy every string out of the body and ingest is
+	// synchronous, so nothing refers to the buffer once the handler returns.
+	defer body.Release()
+	var (
+		rep *report.Report
+		err error
+	)
 	if format == report.FormatBinary {
-		rep, err = report.DecodeBinaryPooled(body)
+		rep, err = report.DecodeBinaryPooled(body.Bytes())
 	} else {
-		rep, err = report.DecodePooled(body)
+		rep, err = report.DecodePooled(body.Bytes())
 	}
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
@@ -382,6 +384,20 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.WriteHeader(http.StatusNoContent)
+}
+
+// stageBody reads a request body whole into a pooled buffer the caller must
+// release. When it cannot — more than limit bytes (413, with the tooLarge
+// message) or a failed read (400) — it has answered and returns nil.
+func stageBody(w http.ResponseWriter, r *http.Request, limit int64, tooLarge string) *bodybuf.Buf {
+	body, err := bodybuf.Read(r.Body, r.ContentLength, limit)
+	switch {
+	case errors.Is(err, bodybuf.ErrTooLarge):
+		http.Error(w, tooLarge, http.StatusRequestEntityTooLarge)
+	case err != nil:
+		http.Error(w, "read body", http.StatusBadRequest)
+	}
+	return body
 }
 
 // writeIngestError maps an engine ingest error to the HTTP status that

@@ -15,7 +15,13 @@
 # code compiling, and the ingest smoke additionally gates the steady-state
 # JSON ingest path at <= 8 allocs/op (TestHandleReportSteadyStateAllocs),
 # so a scratch buffer or pool silently falling out of reuse fails the
-# verify by name. The
+# verify by name; two more gates do the same for the staged HTTP bodies —
+# bytes and allocations per forwarded report and page at the gateway
+# (TestForwardSteadyStateBytes) and per report through the origin's handler
+# (TestReportHandlerSteadyStateBytes). The race step covers bodybuf and
+# client too: under -race a released body buffer is overwritten at once, so
+# the body-lifetime tests of gateway and origin fail on a stale reference,
+# not only on a reused one. The
 # guard chaos smoke re-runs the kill-the-alternate scenario on its own so a
 # breaker regression fails the verify with a named step; one-iteration guard
 # and synthesis benchmark runs keep those micro-benchmarks compiling and
@@ -61,8 +67,8 @@ echo "== benchmark module: go vet + go test in bench/ =="
 go -C bench vet ./...
 go -C bench test ./...
 
-echo "== go test -race ./internal/core ./internal/obs ./internal/origin ./internal/faultinject ./internal/gateway =="
-go test -race ./internal/core ./internal/obs ./internal/origin ./internal/faultinject ./internal/gateway
+echo "== go test -race ./internal/core ./internal/obs ./internal/bodybuf ./internal/client ./internal/origin ./internal/faultinject ./internal/gateway =="
+go test -race ./internal/core ./internal/obs ./internal/bodybuf ./internal/client ./internal/origin ./internal/faultinject ./internal/gateway
 
 echo "== fuzz smoke: FuzzImportState (5s) =="
 go test -run '^$' -fuzz FuzzImportState -fuzztime 5s ./internal/core
@@ -82,6 +88,10 @@ go test -run '^$' -bench 'BenchmarkModifyPage' -benchtime 1x ./internal/core
 echo "== ingest bench smoke + steady-state alloc gate (JSON path <= 8 allocs/op) =="
 go test -run 'TestHandleReportSteadyStateAllocs' -count=1 ./internal/core
 go test -run '^$' -bench 'BenchmarkHandleReportSerial$|BenchmarkIngest(JSON|Binary)$' -benchtime 1x ./internal/core
+
+echo "== staged-body gates: bytes and allocs per forward (gateway) and per report (origin handler) =="
+go test -run 'TestForwardSteadyStateBytes' -count=1 ./internal/gateway
+go test -run 'TestReportHandlerSteadyStateBytes' -count=1 ./internal/origin
 
 echo "== guard chaos smoke: kill-the-alternate loop under -race =="
 go test -race -run 'TestChaosGuardKillsAlternateMidRun' -count=1 ./internal/faultinject
