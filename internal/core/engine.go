@@ -634,6 +634,12 @@ type Rewrite struct {
 	// CacheHit reports whether the rewrite was served from the rewrite
 	// cache rather than recomputed.
 	CacheHit bool
+	// ETag is ContentTag(HTML) when the rewrite cache holds this result
+	// (a hit, or a miss just stored), so the tag was computed once per cache
+	// fill. It is "" for everything the cache does not hold: a result
+	// computed with the cache disabled or on the panic path, and the
+	// untouched page, whose tag belongs to whoever registered the page.
+	ETag string
 }
 
 // ModifyPage rewrites an outgoing page for the user (Section 4.3): Type 1
@@ -705,7 +711,7 @@ func (e *Engine) rewriteLocked(sh *shard, userID, path, page string, compute boo
 	if e.rewriteCache != nil {
 		key = rewriteKey{page: e.rewriteCache.hash(page), fp: ent.fp}
 		if en, ok := e.rewriteCache.get(key, page); ok {
-			return Rewrite{HTML: en.html, Applied: en.applied, Hint: en.hint, CacheHit: true}, true
+			return Rewrite{HTML: en.html, Applied: en.applied, Hint: en.hint, CacheHit: true, ETag: en.tag}, true
 		}
 	}
 	if !compute {
@@ -717,7 +723,7 @@ func (e *Engine) rewriteLocked(sh *shard, userID, path, page string, compute boo
 		// Panic-path results are never cached: serving them is safe, but
 		// memoizing them would mask the breakage and freeze the panic count
 		// below the rule-quarantine threshold.
-		e.rewriteCache.put(key, page, rw.HTML, rw.Applied, rw.Hint)
+		rw.ETag = e.rewriteCache.put(key, page, rw.HTML, rw.Applied, rw.Hint)
 	}
 	return rw, true
 }

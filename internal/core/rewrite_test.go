@@ -52,7 +52,7 @@ func TestRewritePageMatchesModifyPage(t *testing.T) {
 func TestRewritePageUnknownUserNoOp(t *testing.T) {
 	e, _ := activatedEngine(t, 0)
 	rw := e.RewritePage("nobody", "/index.html", rewriteTestPage)
-	if rw.HTML != rewriteTestPage || rw.Applied != nil || rw.Hint != "" || rw.CacheHit {
+	if rw.HTML != rewriteTestPage || rw.Applied != nil || rw.Hint != "" || rw.CacheHit || rw.ETag != "" {
 		t.Errorf("unknown user rewrite = %+v", rw)
 	}
 }
@@ -113,8 +113,11 @@ func TestRewriteCacheHitMissEviction(t *testing.T) {
 	if rw.CacheHit {
 		t.Fatal("first rewrite cannot be a cache hit")
 	}
+	if rw.ETag != ContentTag(rw.HTML) {
+		t.Fatalf("stored rewrite ETag = %q, want the tag of its output %q", rw.ETag, ContentTag(rw.HTML))
+	}
 	rw2 := e.RewritePage("u1", "/index.html", rewriteTestPage)
-	if !rw2.CacheHit || rw2.HTML != rw.HTML || rw2.Hint != rw.Hint {
+	if !rw2.CacheHit || rw2.HTML != rw.HTML || rw2.Hint != rw.Hint || rw2.ETag != rw.ETag {
 		t.Fatalf("second rewrite = %+v, want cache hit identical to first", rw2)
 	}
 	st := e.RewriteCacheStats()
@@ -157,9 +160,29 @@ func TestRewriteCacheDisabledIdenticalBehavior(t *testing.T) {
 		if b.CacheHit {
 			t.Fatal("disabled cache reported a hit")
 		}
+		if b.ETag != "" {
+			t.Fatalf("a rewrite no cache holds carries ETag %q; nothing may hash per request", b.ETag)
+		}
 	}
 	if st := ePlain.RewriteCacheStats(); st.Enabled || st.Hits != 0 || st.Misses != 0 {
 		t.Errorf("disabled cache stats = %+v, want zero", st)
+	}
+}
+
+// TestContentTagIsAFunctionOfTheBytes pins the tag format and value: a strong
+// validator over 128 bits of SHA-256, the same in every process — backends
+// and restarts must agree on it, so it may never depend on a seed.
+func TestContentTagIsAFunctionOfTheBytes(t *testing.T) {
+	for body, want := range map[string]string{
+		"":    `"e3b0c44298fc1c149afbf4c8996fb924"`,
+		"abc": `"ba7816bf8f01cfea414140de5dae2223"`,
+	} {
+		if got := ContentTag(body); got != want {
+			t.Errorf("ContentTag(%q) = %s, want %s", body, got, want)
+		}
+	}
+	if ContentTag(rewriteTestPage) == ContentTag(rewriteTestPage+" ") {
+		t.Error("different bytes, same tag")
 	}
 }
 

@@ -2,7 +2,10 @@ package core
 
 import (
 	"container/list"
+	"crypto/sha256"
+	"encoding/hex"
 	"hash/maphash"
+	"io"
 	"sync"
 
 	"oak/internal/obs"
@@ -53,6 +56,21 @@ type rewriteEntry struct {
 	html    string
 	applied []rules.Applied
 	hint    string
+	// tag is ContentTag(html), computed once when the entry is stored.
+	tag string
+}
+
+// ContentTag is the entity tag of a page body: a quoted strong validator
+// over the first 128 bits of the body's SHA-256. It depends on the bytes
+// alone — no per-process seed — so every backend, before and after a
+// restart, gives the same bytes the same tag, and a holder of those bytes
+// anywhere in the cluster can be told "you have it" by any of them. It
+// hashes the whole body: callers compute it once per stored body, never per
+// request.
+func ContentTag(body string) string {
+	h := sha256.New()
+	_, _ = io.WriteString(h, body) // a hash.Hash never fails a write
+	return `"` + hex.EncodeToString(h.Sum(nil)[:16]) + `"`
 }
 
 func (en *rewriteEntry) bytes() int64 {
@@ -124,10 +142,10 @@ func (c *rewriteCache) get(key rewriteKey, page string) (*rewriteEntry, bool) {
 	return nil, false
 }
 
-// put stores a computed rewrite, evicting least-recently-used entries past
-// the shard's capacity.
-func (c *rewriteCache) put(key rewriteKey, src string, html string, applied []rules.Applied, hint string) {
-	en := &rewriteEntry{key: key, src: src, html: html, applied: applied, hint: hint}
+// put stores a computed rewrite under its content tag, which it returns,
+// evicting least-recently-used entries past the shard's capacity.
+func (c *rewriteCache) put(key rewriteKey, src string, html string, applied []rules.Applied, hint string) string {
+	en := &rewriteEntry{key: key, src: src, html: html, applied: applied, hint: hint, tag: ContentTag(html)}
 	s := c.shardFor(key)
 	s.mu.Lock()
 	if el, ok := s.entries[key]; ok {
@@ -136,7 +154,7 @@ func (c *rewriteCache) put(key rewriteKey, src string, html string, applied []ru
 		el.Value = en
 		s.order.MoveToFront(el)
 		s.mu.Unlock()
-		return
+		return en.tag
 	}
 	s.entries[key] = s.order.PushFront(en)
 	c.bytes.Add(en.bytes())
@@ -155,6 +173,7 @@ func (c *rewriteCache) put(key rewriteKey, src string, html string, applied []ru
 	if evicted > 0 {
 		c.evictions.Add(uint64(evicted))
 	}
+	return en.tag
 }
 
 // flush drops every entry (page registry changed).

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
+	"strings"
 	"sync"
 
 	"oak/internal/bodybuf"
@@ -40,7 +41,7 @@ import (
 const maxForwardBytes = 64 << 20
 
 // mirrorHeaders are the response headers the gateway relays from backends.
-var mirrorHeaders = []string{"Content-Type", "Retry-After", rules.CacheHintHeader}
+var mirrorHeaders = []string{"Content-Type", "Retry-After", rules.CacheHintHeader, "ETag", "Cache-Control"}
 
 // forwardTo POSTs a report body to one backend under the gateway's retry
 // machinery. body must not alias a staged buffer (see client.SubmitURL).
@@ -367,7 +368,7 @@ func (g *Gateway) handlePage(w http.ResponseWriter, r *http.Request) {
 	}
 	ck := requestCookie(r)
 	if ck == nil {
-		ck = &http.Cookie{Name: origin.CookieName, Value: fmt.Sprintf("oak-gw-%d", g.nextID.Add(1)), Path: "/"}
+		ck = &http.Cookie{Name: origin.CookieName, Value: origin.NewUserID("oak-gw-"), Path: "/"}
 		http.SetCookie(w, ck)
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), g.cfg.ForwardTimeout)
@@ -388,49 +389,106 @@ func (g *Gateway) handlePage(w http.ResponseWriter, r *http.Request) {
 	g.forwardedPages.Inc()
 	mirrorHeader(w, resp.header)
 	if resp.body == nil {
-		// HEAD: the length is the backend's word for what a GET would carry.
+		// HEAD, or a 304 for the client's own copy: the length is the
+		// backend's word for what a GET would carry.
 		if cl := resp.header.Get("Content-Length"); cl != "" {
 			w.Header().Set("Content-Length", cl)
 		}
 		w.WriteHeader(resp.status)
 		return
 	}
-	w.Header().Set("Content-Length", strconv.Itoa(resp.body.Len()))
+	w.Header().Set("Content-Length", strconv.Itoa(len(resp.body)))
 	w.WriteHeader(resp.status)
-	_, _ = w.Write(resp.body.Bytes())
-	resp.body.Release()
+	_, _ = w.Write(resp.body)
+	if resp.staged != nil {
+		resp.staged.Release()
+	}
 }
 
-// pageResponse is one backend's answer to a page request, staged for relay.
+// pageResponse is one backend's answer to a page request, ready for relay.
 type pageResponse struct {
 	status int
 	header http.Header
-	body   *bodybuf.Buf // nil for HEAD; the caller releases it
+	// body is what the client gets: nil when it gets none (HEAD, a relayed
+	// 304), else the bytes of staged or of a held edge variant.
+	body   []byte
+	staged *bodybuf.Buf // the fetched body, if body is its bytes; the caller releases it
 }
 
-// proxyPage performs one backend page GET or HEAD. The body is read to its
+// proxyPage answers one page request from one backend. A GET carries the
+// tags the edge cache holds for the path (and the client's own) in
+// If-None-Match, so a backend that picks a body the edge already has says
+// 304 and names it instead of shipping it. The backend decides every
+// request; a held variant is served only when this exchange named its tag.
+// A 304 that names the client's own copy is relayed, so browsers revalidate
+// end to end. A 304 that names nothing servable — a variant evicted between
+// offer and answer, no ETag at all, a 304 nobody asked for — is fetched
+// again without If-None-Match, never passed on as a blank page; every
+// failure along the way is a failed forward the caller can fail over.
+func (g *Gateway) proxyPage(ctx context.Context, b *backend, r *http.Request, ck *http.Cookie) (*pageResponse, error) {
+	var client []string
+	offer := ""
+	if r.Method == http.MethodGet {
+		client = r.Header.Values("If-None-Match")
+		offer = g.edge.offer(r.URL.Path, client)
+	}
+	page, err := g.fetchPage(ctx, b, r, ck, offer)
+	if err != nil {
+		return nil, err
+	}
+	tag := page.header.Get("ETag")
+	if page.status == http.StatusNotModified && r.Method == http.MethodGet {
+		if tag != "" && origin.TagListed(client, tag) {
+			return page, nil
+		}
+		if v := g.edge.get(r.URL.Path, tag); v != nil {
+			page.status, page.body = http.StatusOK, v.body
+			page.header.Set("Content-Type", v.contentType)
+			return page, nil
+		}
+		g.edge.refetches.Inc()
+		if page, err = g.fetchPage(ctx, b, r, ck, ""); err != nil {
+			return nil, err
+		}
+		if page.status == http.StatusNotModified {
+			return nil, fmt.Errorf("page from %s: 304 to an unconditional GET", b.addr)
+		}
+		tag = page.header.Get("ETag")
+	}
+	// Only a strong tag promises these exact bytes.
+	if page.status == http.StatusOK && page.staged != nil && strings.HasPrefix(tag, `"`) {
+		g.edge.put(r.URL.Path, tag, page.header.Get("Content-Type"), page.body)
+	}
+	return page, nil
+}
+
+// fetchPage performs one backend page GET or HEAD. The body is read to its
 // end before anything is relayed: a backend that dies mid-body, or sends
 // more than maxForwardBytes, is a failed forward the caller can fail over,
 // not a truncated page.
-func (g *Gateway) proxyPage(ctx context.Context, b *backend, r *http.Request, ck *http.Cookie) (*pageResponse, error) {
+func (g *Gateway) fetchPage(ctx context.Context, b *backend, r *http.Request, ck *http.Cookie, ifNoneMatch string) (*pageResponse, error) {
 	req := (&http.Request{
 		Method: r.Method,
 		URL:    b.urlFor(r.URL),
-		Header: make(http.Header, 1),
+		Header: make(http.Header, 2),
 	}).WithContext(ctx)
 	req.AddCookie(ck)
+	if ifNoneMatch != "" {
+		req.Header.Set("If-None-Match", ifNoneMatch)
+	}
 	resp, err := g.httpc.Do(req)
 	if err != nil {
 		return nil, err
 	}
 	defer resp.Body.Close()
 	page := &pageResponse{status: resp.StatusCode, header: resp.Header}
-	if r.Method == http.MethodHead {
-		return page, nil
+	if r.Method == http.MethodHead || resp.StatusCode == http.StatusNotModified {
+		return page, nil // no body on the wire
 	}
-	if page.body, err = bodybuf.Read(resp.Body, resp.ContentLength, maxForwardBytes); err != nil {
+	if page.staged, err = bodybuf.Read(resp.Body, resp.ContentLength, maxForwardBytes); err != nil {
 		return nil, fmt.Errorf("read page from %s: %w", b.addr, err)
 	}
+	page.body = page.staged.Bytes()
 	return page, nil
 }
 

@@ -31,7 +31,6 @@ import (
 	"net/url"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"oak/internal/client"
@@ -196,7 +195,7 @@ type Gateway struct {
 	httpc    *http.Client
 	logf     func(format string, args ...any)
 	started  time.Time
-	nextID   atomic.Uint64
+	edge     *edgeCache
 
 	// Control-channel memory (guarded by ctlMu): providers whose breaker
 	// trip has already been broadcast, and the backends each degraded
@@ -286,6 +285,7 @@ func NewGateway(cfg Config) (*Gateway, error) {
 		fwd:          &client.HTTPClient{HTTP: httpc, Retry: cfg.Retry},
 		logf:         cfg.Logf,
 		started:      time.Now(),
+		edge:         newEdgeCache(),
 		seenBreakers: make(map[string]struct{}),
 		markedOn:     make(map[string]map[*backend]struct{}),
 		stop:         make(chan struct{}),

@@ -64,6 +64,26 @@ type GatewayMetrics struct {
 	BreakerBroadcasts uint64  `json:"breaker_broadcasts"`
 	DegradeBroadcasts uint64  `json:"degrade_broadcasts"`
 	Replacements      uint64  `json:"replacements"`
+	// EdgeCache is the edge variant cache (see edge.go).
+	EdgeCache EdgeCacheMetrics `json:"edge_cache"`
+}
+
+// EdgeCacheMetrics are the edge variant cache's counters and current size.
+// Hits/(Hits+Fills) is the share of page bodies the backends did not have
+// to send; Evictions and Refetches growing together mean the working set
+// of page variants is larger than the cache's fixed bounds.
+type EdgeCacheMetrics struct {
+	// Hits counts pages served from a held variant after a backend's 304.
+	Hits uint64 `json:"hits"`
+	// Fills counts page bodies stored from a backend's tagged 200.
+	Fills uint64 `json:"fills"`
+	// Refetches counts 304s that named no servable variant (evicted since
+	// the offer, no ETag, or unasked) and were fetched again in full.
+	Refetches uint64 `json:"refetches"`
+	Evictions uint64 `json:"evictions"`
+	// Bytes and Variants are what is held right now.
+	Bytes    int64 `json:"bytes"`
+	Variants int64 `json:"variants"`
 }
 
 // BackendMetrics is one backend's row in the cluster metrics view.
@@ -234,6 +254,14 @@ func (g *Gateway) handleClusterMetrics(w http.ResponseWriter, r *http.Request) {
 			BreakerBroadcasts: g.breakerBroadcasts.Value(),
 			DegradeBroadcasts: g.degradeBroadcasts.Value(),
 			Replacements:      g.replacements.Value(),
+			EdgeCache: EdgeCacheMetrics{
+				Hits:      g.edge.hits.Value(),
+				Fills:     g.edge.fills.Value(),
+				Refetches: g.edge.refetches.Value(),
+				Evictions: g.edge.evictions.Value(),
+				Bytes:     g.edge.bytes.Value(),
+				Variants:  g.edge.variants.Value(),
+			},
 		},
 	}
 	for i, b := range g.backends {

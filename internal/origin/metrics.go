@@ -55,6 +55,9 @@ type MetricsResponse struct {
 	// PagesDegraded counts page deliveries served unmodified because the
 	// per-user rewrite did not finish within the rewrite budget.
 	PagesDegraded uint64 `json:"pages_degraded"`
+	// PagesNotModified counts page GETs answered 304: the requester's
+	// If-None-Match listed the entity tag of the body this user was due.
+	PagesNotModified uint64 `json:"pages_not_modified"`
 	// Rewrite-cache counters (all zero when the cache is disabled; see
 	// core.WithRewriteCache). Bytes approximates resident cache memory.
 	RewriteCacheHits      uint64 `json:"rewrite_cache_hits"`
@@ -169,13 +172,14 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 	lat := s.engine.Latencies()
 	resp := MetricsResponse{
-		Counters:       s.engine.Metrics(),
-		Ingest:         lat.Ingest.Summary(),
-		Rewrite:        lat.Rewrite.Summary(),
-		IngestBuckets:  lat.Ingest.Buckets,
-		RewriteBuckets: lat.Rewrite.Buckets,
-		Shards:         s.engine.ShardCount(),
-		PagesDegraded:  s.pagesDegraded.Value(),
+		Counters:         s.engine.Metrics(),
+		Ingest:           lat.Ingest.Summary(),
+		Rewrite:          lat.Rewrite.Summary(),
+		IngestBuckets:    lat.Ingest.Buckets,
+		RewriteBuckets:   lat.Rewrite.Buckets,
+		Shards:           s.engine.ShardCount(),
+		PagesDegraded:    s.pagesDegraded.Value(),
+		PagesNotModified: s.pagesNotModified.Value(),
 	}
 	rc := s.engine.RewriteCacheStats()
 	resp.RewriteCacheHits = rc.Hits

@@ -306,6 +306,9 @@ func TestPageServedUnmodifiedWhenRewriteBudgetLapses(t *testing.T) {
 	if string(body) != page {
 		t.Errorf("body = %q, want the unmodified page", body)
 	}
+	if tag := resp.Header.Get("ETag"); tag != core.ContentTag(page) {
+		t.Errorf("degraded serve ETag = %q, want the page's own %q", tag, core.ContentTag(page))
+	}
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Errorf("page delivery took %v; rewrite budget not applied", elapsed)
 	}

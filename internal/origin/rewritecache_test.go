@@ -1,7 +1,6 @@
 package origin
 
 import (
-	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -14,18 +13,8 @@ import (
 // getPageAs fetches path as the given user and returns body + response.
 func getPageAs(t *testing.T, tsURL, path, user string) (string, *http.Response) {
 	t.Helper()
-	req, _ := http.NewRequest(http.MethodGet, tsURL+path, nil)
-	req.AddCookie(&http.Cookie{Name: CookieName, Value: user})
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return string(body), resp
+	resp, body := fetch(t, http.MethodGet, tsURL+path, user, "")
+	return body, resp
 }
 
 // TestServeRewriteCacheEndToEnd drives page serving through the cached fast

@@ -8,6 +8,8 @@ package origin
 
 import (
 	"context"
+	"crypto/rand"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"io"
@@ -18,7 +20,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"oak/internal/bodybuf"
@@ -88,12 +89,29 @@ type Server struct {
 	rewriteBudget time.Duration
 
 	// pagesDegraded counts page deliveries that hit the rewrite budget and
-	// were served unmodified.
-	pagesDegraded obs.Counter
+	// were served unmodified; pagesNotModified counts those answered 304
+	// because the requester already held the chosen bytes.
+	pagesDegraded    obs.Counter
+	pagesNotModified obs.Counter
 
-	mu     sync.RWMutex
-	pages  map[string]string
-	nextID atomic.Uint64
+	mu    sync.RWMutex
+	pages map[string]*page
+}
+
+// page is one registered page: its untouched markup and, from the first
+// serve on, the entity tag of those bytes. SetPage registers a new page
+// value, so changed bytes can never be served under the old tag.
+type page struct {
+	html    string
+	tagOnce sync.Once
+	tag     string
+}
+
+// etag returns core.ContentTag(p.html), hashing the page on first use and
+// never again — not when pages are loaded, so that a boot hashes nothing.
+func (p *page) etag() string {
+	p.tagOnce.Do(func() { p.tag = core.ContentTag(p.html) })
+	return p.tag
 }
 
 var _ http.Handler = (*Server)(nil)
@@ -151,7 +169,7 @@ func NewServer(engine *core.Engine, opts ...Option) *Server {
 	s := &Server{
 		engine:        engine,
 		started:       time.Now(),
-		pages:         make(map[string]string),
+		pages:         make(map[string]*page),
 		maxBodyBytes:  maxReportBytes,
 		rewriteBudget: DefaultRewriteBudget,
 	}
@@ -169,7 +187,7 @@ func (s *Server) Engine() *core.Engine { return s.engine }
 // unreachable by key anyway, but their memory should be released now.
 func (s *Server) SetPage(path, html string) {
 	s.mu.Lock()
-	s.pages[path] = html
+	s.pages[path] = &page{html: html}
 	s.mu.Unlock()
 	s.engine.FlushRewriteCache()
 }
@@ -275,9 +293,18 @@ func (s *Server) handleAudit(w http.ResponseWriter, r *http.Request) {
 // the rewrite budget (the user's shard is wedged by saturated ingest or a
 // stuck matcher fetch), the page is served unmodified — degraded, but
 // available.
+//
+// Every body is served under its content entity tag when one exists without
+// hashing per request: the page's own for untouched bytes, the rewrite
+// cache entry's for a cached rewrite, none for a rewrite the cache does not
+// hold. A GET whose If-None-Match lists the chosen tag is answered 304 with
+// no body — after the per-user decision and all its accounting have run
+// exactly as for a 200, so the requester learns which bytes this user gets
+// now, not merely that some copy is current. Pages are per-user, hence
+// "private, no-cache": a holder may keep the bytes but must ask every time.
 func (s *Server) handlePage(w http.ResponseWriter, r *http.Request) {
 	s.mu.RLock()
-	html, ok := s.pages[r.URL.Path]
+	p, ok := s.pages[r.URL.Path]
 	s.mu.RUnlock()
 	if !ok {
 		http.NotFound(w, r)
@@ -289,16 +316,50 @@ func (s *Server) handlePage(w http.ResponseWriter, r *http.Request) {
 	}
 
 	userID := s.userID(w, r)
-	rw := s.rewriteBudgeted(userID, r.URL.Path, html)
-	if rw.Hint != "" {
-		w.Header().Set(rules.CacheHintHeader, rw.Hint)
+	rw := s.rewriteBudgeted(userID, r.URL.Path, p.html)
+	tag := rw.ETag
+	if tag == "" && rw.Applied == nil {
+		// No rule replaced anything (or the budget lapsed): these are the
+		// page's own bytes.
+		tag = p.etag()
 	}
-	w.Header().Set("Content-Type", "text/html; charset=utf-8")
-	w.Header().Set("Content-Length", strconv.Itoa(len(rw.HTML)))
+	h := w.Header()
+	if rw.Hint != "" {
+		h.Set(rules.CacheHintHeader, rw.Hint)
+	}
+	h.Set("Cache-Control", "private, no-cache")
+	if tag != "" {
+		h.Set("ETag", tag)
+		if r.Method == http.MethodGet && TagListed(r.Header.Values("If-None-Match"), tag) {
+			s.pagesNotModified.Inc()
+			w.WriteHeader(http.StatusNotModified)
+			return
+		}
+	}
+	h.Set("Content-Type", "text/html; charset=utf-8")
+	h.Set("Content-Length", strconv.Itoa(len(rw.HTML)))
 	if r.Method == http.MethodHead {
 		return
 	}
 	_, _ = io.WriteString(w, rw.HTML)
+}
+
+// TagListed reports whether an If-None-Match header (every line of it)
+// lists tag, by strong comparison: an entry matches only if it is tag
+// itself, so a weak W/"…" form of it does not, and "*" is not honoured — a
+// page is chosen per user, and "any current representation" says nothing
+// about which one the requester holds.
+func TagListed(ifNoneMatch []string, tag string) bool {
+	for _, line := range ifNoneMatch {
+		for line != "" {
+			var entry string
+			entry, line, _ = strings.Cut(line, ",")
+			if strings.TrimSpace(entry) == tag {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // rewriteBudgeted runs the engine rewrite under the rewrite budget,
@@ -463,7 +524,22 @@ func (s *Server) userID(w http.ResponseWriter, r *http.Request) string {
 	if c, err := r.Cookie(CookieName); err == nil && c.Value != "" {
 		return c.Value
 	}
-	id := fmt.Sprintf("oak-%d", s.nextID.Add(1))
+	id := NewUserID("oak-")
 	http.SetCookie(w, &http.Cookie{Name: CookieName, Value: id, Path: "/"})
 	return id
+}
+
+// NewUserID issues an identity for a client that presented none: prefix
+// plus 128 random bits in hex. IDs are unguessable and never repeat across
+// processes or restarts — a counter restarting at 1 would hand a new visitor
+// the ID, and with it the profile and activations, of a user restored from
+// the state file.
+func NewUserID(prefix string) string {
+	var b [16]byte
+	if _, err := rand.Read(b[:]); err != nil {
+		// The kernel's entropy source failing leaves nothing safe to issue;
+		// net/http confines the panic to this request.
+		panic("origin: crypto/rand: " + err.Error())
+	}
+	return prefix + hex.EncodeToString(b[:])
 }

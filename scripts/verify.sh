@@ -17,8 +17,12 @@
 # so a scratch buffer or pool silently falling out of reuse fails the
 # verify by name; two more gates do the same for the staged HTTP bodies —
 # bytes and allocations per forwarded report and page at the gateway
-# (TestForwardSteadyStateBytes) and per report through the origin's handler
-# (TestReportHandlerSteadyStateBytes). The race step covers bodybuf and
+# (TestForwardSteadyStateBytes, a revalidated page included) and per report
+# and per 304 through the origin's handlers (TestReportHandlerSteadyStateBytes,
+# TestPageNotModifiedSteadyStateBytes); the edge variant cache's adversaries
+# (generated churn with a mid-run backend kill against twin engines, and a
+# backend that answers 304 wrongly) run five times under -race as a named
+# step. The race step covers bodybuf and
 # client too: under -race a released body buffer is overwritten at once, so
 # the body-lifetime tests of gateway and origin fail on a stale reference,
 # not only on a reused one. The
@@ -89,9 +93,12 @@ echo "== ingest bench smoke + steady-state alloc gate (JSON path <= 8 allocs/op)
 go test -run 'TestHandleReportSteadyStateAllocs' -count=1 ./internal/core
 go test -run '^$' -bench 'BenchmarkHandleReportSerial$|BenchmarkIngest(JSON|Binary)$' -benchtime 1x ./internal/core
 
-echo "== staged-body gates: bytes and allocs per forward (gateway) and per report (origin handler) =="
+echo "== staged-body gates: bytes and allocs per forward (gateway; report, page, revalidated page) and per report and per 304 (origin handler) =="
 go test -run 'TestForwardSteadyStateBytes' -count=1 ./internal/gateway
-go test -run 'TestReportHandlerSteadyStateBytes' -count=1 ./internal/origin
+go test -run 'TestReportHandlerSteadyStateBytes|TestPageNotModifiedSteadyStateBytes' -count=1 ./internal/origin
+
+echo "== edge cache adversaries under -race, five times: generated churn with a mid-run kill, and the wrong-304 backend =="
+go test -race -run 'TestEdgeCacheUnderChurn|TestWrong304IsNeverABlankPage' -count=5 ./internal/gateway
 
 echo "== guard chaos smoke: kill-the-alternate loop under -race =="
 go test -race -run 'TestChaosGuardKillsAlternateMidRun' -count=1 ./internal/faultinject
