@@ -77,39 +77,17 @@ func requestCookie(r *http.Request) *http.Cookie {
 	return nil
 }
 
-// sniffUserID extracts the self-declared userId from a report body —
-// JSON or OAKRPT1 — without decoding the rest. Binary payloads put the
-// user ID right after the magic for exactly this sniff; JSON bodies are
-// walked top-level key by key, stopping at userId (the first key in every
-// report the oak client emits), so routing costs a few tokens, not a full
-// parse of the entries array. A malformed line yields "" — it still routes
-// deterministically, and the owner backend rejects it properly.
+// sniffUserID returns the userId a report body — JSON or OAKRPT1 — declares,
+// without decoding the entries: the user the owner backend will file the
+// report under, by the report package's own reading of the body, so the
+// gateway never routes a report to a backend that does not own its user. A
+// malformed body yields "" — it still routes deterministically, and the
+// owner backend rejects it properly.
 func sniffUserID(line []byte) string {
 	if report.IsBinary(line) {
 		return report.SniffBinaryUser(line)
 	}
-	dec := json.NewDecoder(bytes.NewReader(line))
-	if t, err := dec.Token(); err != nil || t != json.Delim('{') {
-		return ""
-	}
-	for dec.More() {
-		key, err := dec.Token()
-		if err != nil {
-			return ""
-		}
-		if k, ok := key.(string); ok && k == "userId" {
-			var v string
-			if dec.Decode(&v) != nil {
-				return ""
-			}
-			return v
-		}
-		var skip json.RawMessage
-		if dec.Decode(&skip) != nil {
-			return ""
-		}
-	}
-	return ""
+	return report.SniffJSONUser(line)
 }
 
 // handleReport forwards report submissions. A request with an identity

@@ -175,8 +175,8 @@ func DecodeBinaryPooled(data []byte) (*Report, error) {
 	return r, nil
 }
 
-// decodeBinaryInto decodes data into r, recycling equal strings in place
-// and precomputing entry hosts, exactly like the JSON fast path.
+// decodeBinaryInto decodes data into r, taking strings and entry hosts from
+// the intern table (intern.go), exactly like the JSON fast path.
 func decodeBinaryInto(data []byte, r *Report) error {
 	if !IsBinary(data) {
 		return ErrBinaryMagic
@@ -186,12 +186,12 @@ func decodeBinaryInto(data []byte, r *Report) error {
 	if err != nil {
 		return err
 	}
-	setString(&r.UserID, tok)
+	r.UserID = string(tok)
 	tok, b, err = binString(b)
 	if err != nil {
 		return err
 	}
-	setString(&r.Page, tok)
+	r.Page = internString(tok)
 	gen, b, err := binVarint(b)
 	if err != nil {
 		return err
@@ -219,14 +219,12 @@ func decodeBinaryInto(data []byte, r *Report) error {
 		if tok, b, err = binString(b); err != nil {
 			return err
 		}
-		if e.URL != string(tok) {
-			e.URL = string(tok)
-			e.hostKnown = false
-		}
+		e.URL, e.host = internURL(tok)
+		e.hostKnown = true
 		if tok, b, err = binString(b); err != nil {
 			return err
 		}
-		setString(&e.ServerAddr, tok)
+		e.ServerAddr = internString(tok)
 		if e.SizeBytes, b, err = binVarint(b); err != nil {
 			return err
 		}
@@ -238,13 +236,11 @@ func decodeBinaryInto(data []byte, r *Report) error {
 		if tok, b, err = binString(b); err != nil {
 			return err
 		}
-		setString(&e.InitiatorURL, tok)
+		e.InitiatorURL = internString(tok)
 		if tok, b, err = binString(b); err != nil {
 			return err
 		}
-		if string(e.Kind) != string(tok) {
-			e.Kind = ObjectKind(tok)
-		}
+		e.Kind = ObjectKind(internString(tok))
 		if len(b) < 1 {
 			return ErrBinaryTruncated
 		}
@@ -254,9 +250,6 @@ func decodeBinaryInto(data []byte, r *Report) error {
 			return ErrBinaryCorrupt
 		}
 		e.Failed = flags&1 != 0
-		if !e.hostKnown {
-			e.setHost(hostOf(e.URL))
-		}
 	}
 	if len(b) != 0 {
 		return ErrBinaryCorrupt

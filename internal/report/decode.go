@@ -1,8 +1,11 @@
 package report
 
 import (
+	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"strconv"
 	"sync"
 	"unicode/utf8"
 )
@@ -13,16 +16,20 @@ import (
 // stream, no intermediate maps — and bails out to encoding/json on ANY
 // construct it cannot prove it handles identically: unknown or duplicate
 // keys, case-insensitive key matches, null, non-ASCII string bytes,
-// surrogate escapes, exponents, numeric overflow, trailing garbage. The
-// fallback, not the fast path, produces every error, so error text and
-// acceptance are encoding/json's own. FuzzDecodeEquivalence pins the two
-// paths to byte-identical results.
+// surrogate escapes, numbers strconv.ParseFloat rejects, integer overflow,
+// trailing garbage. The fallback, not the fast path, produces every error,
+// so error text and acceptance are encoding/json's own.
+// FuzzDecodeEquivalence pins the two paths to byte-identical results.
 //
-// Strings are "recycled" when decoding into a pooled report: if the incoming
-// token equals the string already in the target field (common — production
-// traffic repeats the same URLs and hosts endlessly), the existing string is
-// kept and no allocation happens. Strings are immutable, so sharing them
-// across reports is safe.
+// Three things keep the common report cheap. A string is delimited with
+// bytes.IndexByte and proven plain (no escape, control or non-ASCII byte)
+// eight bytes at a time; only a string that is not plain is walked byte by
+// byte. An entry's keys are first tried as the literals `"url":`,
+// `"serverAddr":`, ... at or after the one that matched last — the order
+// every encoder of Entry emits them in — and only a key that is not where
+// that order puts it is scanned as a string. And every string value but the
+// userId comes out of the intern table (intern.go), so a report written in
+// the site's usual vocabulary allocates almost nothing.
 
 // Decode parses a JSON report body, trying the fast path first. It is a
 // drop-in replacement for Unmarshal (identical results and errors).
@@ -75,22 +82,13 @@ func decodeFastInto(data []byte, r *Report) bool {
 }
 
 // Seen-field masks: duplicates punt to the fallback, unseen fields are
-// zeroed afterwards so a recycled report matches a decode into zero memory.
+// zeroed afterwards so a decode into a pooled report's stale contents
+// matches a decode into zero memory.
 const (
 	seenUserID = 1 << iota
 	seenPage
 	seenGenerated
 	seenEntries
-)
-
-const (
-	eSeenURL = 1 << iota
-	eSeenServerAddr
-	eSeenSize
-	eSeenDuration
-	eSeenInitiator
-	eSeenKind
-	eSeenFailed
 )
 
 func (d *fastDecoder) decodeReport(r *Report) bool {
@@ -121,7 +119,7 @@ func (d *fastDecoder) decodeReport(r *Report) bool {
 				if !ok {
 					return false
 				}
-				setString(&r.UserID, tok)
+				r.UserID = string(tok)
 			case "page":
 				if seen&seenPage != 0 {
 					return false
@@ -131,7 +129,7 @@ func (d *fastDecoder) decodeReport(r *Report) bool {
 				if !ok {
 					return false
 				}
-				setString(&r.Page, tok)
+				r.Page = internString(tok)
 			case "generatedAtUnixMs":
 				if seen&seenGenerated != 0 {
 					return false
@@ -187,8 +185,7 @@ func (d *fastDecoder) decodeEntries(r *Report) bool {
 	if !d.consume('[') {
 		return false
 	}
-	// Reuse the backing array; stale elements past the new length keep their
-	// strings so recycling can match against them slot by slot.
+	// Reuse the backing array; decodeEntry overwrites every field.
 	if r.Entries == nil {
 		r.Entries = make([]Entry, 0, 4)
 	} else {
@@ -220,100 +217,97 @@ func (d *fastDecoder) decodeEntries(r *Report) bool {
 	}
 }
 
+// Entry's fields in struct order, which is the order encoding/json, the oak
+// client and every other encoder of Entry writes them in.
+const (
+	fURL = iota
+	fServerAddr
+	fSize
+	fDuration
+	fInitiator
+	fKind
+	fFailed
+	numEntryFields
+)
+
+// entryKeyLits are Entry's keys as a compact encoder spells them, colon
+// included.
+var entryKeyLits = [numEntryFields]string{
+	`"url":`, `"serverAddr":`, `"sizeBytes":`, `"durationMillis":`, `"initiatorUrl":`, `"kind":`, `"failed":`,
+}
+
+// nextEntryKey consumes an entry key, its colon and the whitespace around
+// them, and returns the field the key names. next is the field after the
+// one the previous key named: the literals from there on are tried first.
+func (d *fastDecoder) nextEntryKey(next int) (field int, ok bool) {
+	rest := d.data[d.i:]
+	for f := next; f < numEntryFields; f++ {
+		if lit := entryKeyLits[f]; len(rest) >= len(lit) && string(rest[:len(lit)]) == lit {
+			d.i += len(lit)
+			d.skipWS()
+			return f, true
+		}
+	}
+	key, ok := d.scanString()
+	if !ok {
+		return 0, false
+	}
+	d.skipWS()
+	if !d.consume(':') {
+		return 0, false
+	}
+	d.skipWS()
+	for f, lit := range entryKeyLits {
+		if string(key) == lit[1:len(lit)-2] { // exact case only
+			return f, true
+		}
+	}
+	return 0, false
+}
+
 func (d *fastDecoder) decodeEntry(e *Entry) bool {
 	if !d.consume('{') {
 		return false
 	}
+	// The entry may be a pooled report's stale one: a key the body does not
+	// carry must read as in a decode into zero memory. The host is known
+	// either way: internURL extracts it, and an absent URL has none.
+	*e = Entry{hostKnown: true}
 	seen := 0
 	d.skipWS()
 	if !d.consume('}') {
+		next := 0
 		for {
-			key, ok := d.scanString()
-			if !ok {
-				return false
+			field, ok := d.nextEntryKey(next)
+			if !ok || seen&(1<<field) != 0 {
+				return false // unknown or duplicate key: encoding/json decides
 			}
-			d.skipWS()
-			if !d.consume(':') {
-				return false
-			}
-			d.skipWS()
-			switch string(key) {
-			case "url":
-				if seen&eSeenURL != 0 {
-					return false
-				}
-				seen |= eSeenURL
-				tok, ok := d.scanString()
-				if !ok {
-					return false
-				}
-				if e.URL != string(tok) {
-					e.URL = string(tok)
-					e.hostKnown = false
-				}
-			case "serverAddr":
-				if seen&eSeenServerAddr != 0 {
-					return false
-				}
-				seen |= eSeenServerAddr
-				tok, ok := d.scanString()
-				if !ok {
-					return false
-				}
-				setString(&e.ServerAddr, tok)
-			case "sizeBytes":
-				if seen&eSeenSize != 0 {
-					return false
-				}
-				seen |= eSeenSize
-				v, ok := d.scanInt64()
-				if !ok {
-					return false
-				}
-				e.SizeBytes = v
-			case "durationMillis":
-				if seen&eSeenDuration != 0 {
-					return false
-				}
-				seen |= eSeenDuration
-				v, ok := d.scanFloat64()
-				if !ok {
-					return false
-				}
-				e.DurationMillis = v
-			case "initiatorUrl":
-				if seen&eSeenInitiator != 0 {
-					return false
-				}
-				seen |= eSeenInitiator
-				tok, ok := d.scanString()
-				if !ok {
-					return false
-				}
-				setString(&e.InitiatorURL, tok)
-			case "kind":
-				if seen&eSeenKind != 0 {
-					return false
-				}
-				seen |= eSeenKind
-				tok, ok := d.scanString()
-				if !ok {
-					return false
-				}
-				if string(e.Kind) != string(tok) {
-					e.Kind = ObjectKind(tok)
-				}
-			case "failed":
-				if seen&eSeenFailed != 0 {
-					return false
-				}
-				seen |= eSeenFailed
-				v, ok := d.scanBool()
-				if !ok {
-					return false
-				}
-				e.Failed = v
+			seen |= 1 << field
+			next = field + 1
+			switch field {
+			case fSize:
+				e.SizeBytes, ok = d.scanInt64()
+			case fDuration:
+				e.DurationMillis, ok = d.scanFloat64()
+			case fFailed:
+				e.Failed, ok = d.scanBool()
 			default:
+				var tok []byte
+				if tok, ok = d.scanString(); !ok {
+					break
+				}
+				switch field {
+				case fURL:
+					e.URL, e.host = internURL(tok)
+				case fServerAddr:
+					e.ServerAddr = internString(tok)
+				case fInitiator:
+					e.InitiatorURL = internString(tok)
+				case fKind:
+					e.Kind = ObjectKind(internString(tok))
+				}
+			}
+			if !ok {
 				return false
 			}
 			d.skipWS()
@@ -327,52 +321,16 @@ func (d *fastDecoder) decodeEntry(e *Entry) bool {
 			return false
 		}
 	}
-	if seen&eSeenURL == 0 && e.URL != "" {
-		e.URL = ""
-		e.hostKnown = false
-	}
-	if seen&eSeenServerAddr == 0 {
-		e.ServerAddr = ""
-	}
-	if seen&eSeenSize == 0 {
-		e.SizeBytes = 0
-	}
-	if seen&eSeenDuration == 0 {
-		e.DurationMillis = 0
-	}
-	if seen&eSeenInitiator == 0 {
-		e.InitiatorURL = ""
-	}
-	if seen&eSeenKind == 0 {
-		e.Kind = ""
-	}
-	if seen&eSeenFailed == 0 {
-		e.Failed = false
-	}
-	// Host extraction happens here, once, at decode time; a recycled URL
-	// keeps its cached host.
-	if !e.hostKnown {
-		e.setHost(hostOf(e.URL))
-	}
 	return true
-}
-
-// setString stores tok into *dst, keeping the existing string when equal
-// (the comparison against string(tok) does not allocate).
-func setString(dst *string, tok []byte) {
-	if *dst != string(tok) {
-		*dst = string(tok)
-	}
 }
 
 func (d *fastDecoder) skipWS() {
 	for d.i < len(d.data) {
-		switch d.data[d.i] {
-		case ' ', '\t', '\n', '\r':
-			d.i++
-		default:
+		// One compare settles every byte a compact body has here.
+		if c := d.data[d.i]; c > ' ' || (c != ' ' && c != '\t' && c != '\n' && c != '\r') {
 			return
 		}
+		d.i++
 	}
 }
 
@@ -389,27 +347,63 @@ func (d *fastDecoder) consume(c byte) bool {
 // next scan. Non-ASCII bytes, control characters, surrogate escapes and
 // invalid escapes all punt to the fallback.
 func (d *fastDecoder) scanString() ([]byte, bool) {
+	if tok, ok := d.scanPlainString(); ok {
+		return tok, true
+	}
+	return d.scanEscapedString()
+}
+
+// scanPlainString scans a JSON string that is its own content: from the
+// opening quote to the next one with nothing in between that needs
+// decoding or is not allowed. On false nothing was consumed.
+func (d *fastDecoder) scanPlainString() ([]byte, bool) {
+	if d.i >= len(d.data) || d.data[d.i] != '"' {
+		return nil, false
+	}
+	start := d.i + 1
+	n := bytes.IndexByte(d.data[start:], '"')
+	if n < 0 || !isPlain(d.data[start:start+n]) {
+		return nil, false
+	}
+	d.i = start + n + 1
+	return d.data[start : start+n], true
+}
+
+// isPlain reports whether b holds only bytes a JSON string may carry as they
+// are and that mean themselves: ASCII, no control character, no backslash.
+// Eight bytes at a time: in each byte of a word, bit 7 is set by the byte
+// itself when it is not ASCII, by (w-0x20..)&^w when it is below 0x20, and by
+// the same zero-byte test on w^0x5c.. when it is a backslash. (A borrow can
+// set the bit for a byte above a true hit, never without one.)
+func isPlain(b []byte) bool {
+	const (
+		lo01 = 0x0101010101010101
+		hi80 = 0x8080808080808080
+	)
+	for len(b) >= 8 {
+		w := binary.LittleEndian.Uint64(b)
+		x := w ^ (lo01 * '\\')
+		if (w|(w-lo01*0x20)&^w|(x-lo01)&^x)&hi80 != 0 {
+			return false
+		}
+		b = b[8:]
+	}
+	for _, c := range b {
+		if c == '\\' || c < 0x20 || c >= 0x80 {
+			return false
+		}
+	}
+	return true
+}
+
+// scanEscapedString is scanString for a string that is not plain: the byte
+// loop that decodes escapes into the scratch buffer.
+func (d *fastDecoder) scanEscapedString() ([]byte, bool) {
 	if d.i >= len(d.data) || d.data[d.i] != '"' {
 		return nil, false
 	}
 	d.i++
-	start := d.i
-	for d.i < len(d.data) {
-		c := d.data[d.i]
-		if c == '"' {
-			tok := d.data[start:d.i]
-			d.i++
-			return tok, true
-		}
-		if c == '\\' || c < 0x20 || c >= 0x80 {
-			break
-		}
-		d.i++
-	}
-	if d.i >= len(d.data) || d.data[d.i] != '\\' {
-		return nil, false
-	}
-	d.buf = append(d.buf[:0], d.data[start:d.i]...)
+	d.buf = d.buf[:0]
 	for d.i < len(d.data) {
 		c := d.data[d.i]
 		switch {
@@ -455,8 +449,15 @@ func (d *fastDecoder) scanString() ([]byte, bool) {
 		case c < 0x20 || c >= 0x80:
 			return nil, false
 		default:
-			d.buf = append(d.buf, c)
-			d.i++
+			j := d.i + 1
+			for j < len(d.data) {
+				if c = d.data[j]; c == '"' || c == '\\' || c < 0x20 || c >= 0x80 {
+					break
+				}
+				j++
+			}
+			d.buf = append(d.buf, d.data[d.i:j]...)
+			d.i = j
 		}
 	}
 	return nil, false
@@ -522,62 +523,69 @@ var pow10 = [23]float64{
 	1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22,
 }
 
-// scanFloat64 scans a JSON number whose mantissa fits in 2^53 and whose
-// fractional part has at most 22 digits: for those, float64(m)/10^frac is
-// exactly strconv.ParseFloat's fast path, so results are bit-identical to
-// encoding/json. Exponents and longer mantissas punt to the fallback.
+// scanFloat64 scans a JSON number. A mantissa below 2^53 with at most 22
+// fractional digits and no exponent is float64(m)/10^frac, which is exactly
+// strconv.ParseFloat's own fast path. Anything else that is a well-formed
+// JSON number — the 16- and 17-digit doubles a browser's Resource Timing
+// prints, an exponent — goes to strconv.ParseFloat itself, the call
+// encoding/json makes, so results are bit-identical either way; what
+// ParseFloat rejects (1e999) punts to the fallback for its error.
 func (d *fastDecoder) scanFloat64() (float64, bool) {
+	tokStart := d.i
 	neg := false
 	if d.i < len(d.data) && d.data[d.i] == '-' {
 		neg = true
 		d.i++
 	}
-	start := d.i
+	// m wraps past 19 digits; it is only used when there are fewer.
 	var m uint64
-	digits := 0
+	start := d.i
 	for d.i < len(d.data) {
-		c := d.data[d.i]
-		if c < '0' || c > '9' {
+		c := d.data[d.i] - '0'
+		if c > 9 {
 			break
 		}
-		if digits >= 18 {
-			return 0, false
-		}
-		m = m*10 + uint64(c-'0')
-		digits++
+		m = m*10 + uint64(c)
 		d.i++
 	}
-	intDigits := digits
-	if intDigits == 0 || (intDigits > 1 && d.data[start] == '0') {
+	digits := d.i - start
+	if digits == 0 || (digits > 1 && d.data[start] == '0') {
 		return 0, false
 	}
 	frac := 0
 	if d.i < len(d.data) && d.data[d.i] == '.' {
 		d.i++
+		start = d.i
 		for d.i < len(d.data) {
-			c := d.data[d.i]
-			if c < '0' || c > '9' {
+			c := d.data[d.i] - '0'
+			if c > 9 {
 				break
 			}
-			if digits >= 18 {
-				return 0, false
-			}
-			m = m*10 + uint64(c-'0')
-			digits++
-			frac++
+			m = m*10 + uint64(c)
 			d.i++
 		}
-		if frac == 0 {
+		if frac = d.i - start; frac == 0 {
+			return 0, false
+		}
+		digits += frac
+	}
+	exp := d.i < len(d.data) && (d.data[d.i] == 'e' || d.data[d.i] == 'E')
+	if exp {
+		d.i++
+		if d.i < len(d.data) && (d.data[d.i] == '+' || d.data[d.i] == '-') {
+			d.i++
+		}
+		start = d.i
+		for d.i < len(d.data) && d.data[d.i]-'0' <= 9 {
+			d.i++
+		}
+		if d.i == start {
 			return 0, false
 		}
 	}
-	if d.i < len(d.data) {
-		if c := d.data[d.i]; c == 'e' || c == 'E' {
-			return 0, false
-		}
-	}
-	if m >= 1<<53 || frac > 22 {
-		return 0, false
+	if exp || digits > 19 || m >= 1<<53 || frac > 22 {
+		f, err := strconv.ParseFloat(string(d.data[tokStart:d.i]), 64)
+		return f, err == nil
 	}
 	f := float64(m)
 	if frac > 0 {

@@ -95,6 +95,37 @@ func decodeCorpus() [][]byte {
 		[]byte(`{"entries":[{"url":"http://[::1]:80/x"}]}`),
 		[]byte(`{"entries":[{"url":"not a url"}]}`),
 		[]byte(``),
+		// Appended, never inserted: the fuzz seeds above are named by position.
+		// Floats as browsers print them (Resource Timing doubles) and the
+		// edges of the number grammar.
+		[]byte(`{"entries":[{"durationMillis":95.30000001192093}]}`),
+		[]byte(`{"entries":[{"durationMillis":-0.0},{"durationMillis":-0},{"durationMillis":0.0}]}`),
+		[]byte(`{"entries":[{"durationMillis":1e-7},{"durationMillis":1E+2},{"durationMillis":1.5e3},{"durationMillis":2E-0}]}`),
+		[]byte(`{"entries":[{"durationMillis":12345678901234567},{"durationMillis":1234567890.1234567}]}`),
+		[]byte(`{"entries":[{"durationMillis":12345678901234567890},{"durationMillis":0.00000000000000000001}]}`),
+		[]byte(`{"entries":[{"durationMillis":9007199254740993},{"durationMillis":9007199254740991}]}`),
+		[]byte(`{"entries":[{"durationMillis":1e999}]}`),
+		[]byte(`{"entries":[{"durationMillis":1e}]}`),
+		[]byte(`{"entries":[{"durationMillis":1e+}]}`),
+		[]byte(`{"entries":[{"durationMillis":1.e3}]}`),
+		[]byte(`{"entries":[{"durationMillis":.5}]}`),
+		[]byte(`{"entries":[{"durationMillis":00.5}]}`),
+		[]byte(`{"entries":[{"sizeBytes":1e3}]}`),
+		// Entry keys out of struct order, spaced, repeated, unknown, folded.
+		[]byte(`{"entries":[{"failed":true,"kind":"css","initiatorUrl":"http://a.com/","durationMillis":1.5,"sizeBytes":3,"serverAddr":"ip","url":"http://a.com/x"}]}`),
+		[]byte(`{"entries":[{"url" : "http://a.com/x" , "kind": "css","serverAddr" :"ip"}]}`),
+		[]byte(`{"entries":[{"url":"http://a.com/x","kind":"css","url":"http://b.com/y"}]}`),
+		[]byte(`{"entries":[{"url":"http://a.com/x","kind":"css","serverAddr":"ip","kind":"image"}]}`),
+		[]byte(`{"entries":[{"url":"http://a.com/x","extra":{"url":"http://n.com/"},"kind":"css"}]}`),
+		[]byte(`{"entries":[{"URL":"http://a.com/x","Kind":"css"}]}`),
+		[]byte(`{"entries":[{"\u0075rl":"http://a.com/x"}]}`),
+		[]byte(`{"entries":[{"url":"http://a.com/x"},{"url":"http://a.com/x","kind":"script"},{"initiatorUrl":"http://a.com/x"}]}`),
+		// Strings around the eight-byte stride of the plain-span check.
+		[]byte(`{"userId":"1234567","page":"12345678","entries":[{"url":"123456789","serverAddr":"1234567\t","kind":"12345678\n9"}]}`),
+		[]byte("{\"userId\":\"1234567\x01\",\"page\":\"/p\"}"),
+		[]byte("{\"userId\":\"12345678901\x1f2345\"}"),
+		[]byte("{\"userId\":\"123456789012345\xc3\xa9\"}"),
+		[]byte(`{"userId":"a\"b","page":"c\\","entries":[{"url":"http://a.com/\u0026x=\u003c","kind":"\/"}]}`),
 	}
 	return corpus
 }
@@ -119,11 +150,16 @@ func TestDecodeMatchesEncodingJSON(t *testing.T) {
 }
 
 // FuzzDecodeEquivalence pins the fast JSON path to encoding/json: identical
-// reports on success, identical error text on failure, for both the fresh
-// and the pooled decoder (the pooled one seeded with stale state to exercise
-// string recycling and unseen-field zeroing).
+// reports on success, identical error text on failure. Every input is decoded
+// with the intern table cold and again with the table warmed by the whole
+// corpus (so the input's tokens meet entries other reports made: the same
+// string first seen as another field, a neighbour in its bucket), by the
+// fresh and by the pooled decoder (the pooled report holding stale contents,
+// to exercise unseen-field zeroing), and once more through OAKRPT1, which
+// shares the table.
 func FuzzDecodeEquivalence(f *testing.F) {
-	for _, data := range decodeCorpus() {
+	corpus := decodeCorpus()
+	for _, data := range corpus {
 		f.Add(data)
 	}
 	stale := []byte(`{"userId":"stale-user","page":"/stale","generatedAtUnixMs":99,"entries":[` +
@@ -131,33 +167,48 @@ func FuzzDecodeEquivalence(f *testing.F) {
 		`{"url":"http://stale.com/b.js","kind":"script"},{"url":"http://stale.com/c.js"}]}`)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		want, wantErr := referenceDecode(data)
-		got, gotErr := Decode(data)
-		if (wantErr == nil) != (gotErr == nil) {
-			t.Fatalf("err mismatch: ref=%v fast=%v", wantErr, gotErr)
-		}
-		if wantErr != nil {
-			if wantErr.Error() != gotErr.Error() {
-				t.Fatalf("error text mismatch:\nref:  %v\nfast: %v", wantErr, gotErr)
+		resetInternTable()
+		for _, state := range []string{"cold", "warm"} {
+			got, gotErr := Decode(data)
+			if (wantErr == nil) != (gotErr == nil) {
+				t.Fatalf("%s table: err mismatch: ref=%v fast=%v", state, wantErr, gotErr)
 			}
-			return
+			if wantErr != nil {
+				if wantErr.Error() != gotErr.Error() {
+					t.Fatalf("%s table: error text mismatch:\nref:  %v\nfast: %v", state, wantErr, gotErr)
+				}
+				return
+			}
+			if !equalDecoded(want, got) {
+				t.Fatalf("%s table: decoded mismatch:\nref:  %+v\nfast: %+v", state, want, got)
+			}
+			// Pooled path, with stale prior contents in the pooled report.
+			pre, err := DecodePooled(stale)
+			if err != nil {
+				t.Fatalf("stale seed: %v", err)
+			}
+			pre.Release()
+			pr, perr := DecodePooled(data)
+			if perr != nil {
+				t.Fatalf("%s table: pooled decode diverged: %v", state, perr)
+			}
+			if !equalDecoded(want, pr) {
+				t.Fatalf("%s table: pooled mismatch:\nref:    %+v\npooled: %+v", state, want, pr)
+			}
+			pr.Release()
+			if bin, err := want.MarshalBinary(); err == nil {
+				br, berr := UnmarshalBinary(bin)
+				if berr == nil && len(br.Entries) == 0 {
+					br.Entries = want.Entries // OAKRPT1 has no absent-vs-empty distinction
+				}
+				if berr != nil || !equalDecoded(want, br) {
+					t.Fatalf("%s table: OAKRPT1 mismatch (err %v):\nref:    %+v\nbinary: %+v", state, berr, want, br)
+				}
+			}
+			for _, other := range corpus {
+				_, _ = Decode(other)
+			}
 		}
-		if !equalDecoded(want, got) {
-			t.Fatalf("decoded mismatch:\nref:  %+v\nfast: %+v", want, got)
-		}
-		// Pooled path, with stale prior contents in the pooled report.
-		pre, err := DecodePooled(stale)
-		if err != nil {
-			t.Fatalf("stale seed: %v", err)
-		}
-		pre.Release()
-		pr, perr := DecodePooled(data)
-		if perr != nil {
-			t.Fatalf("pooled decode diverged: %v", perr)
-		}
-		if !equalDecoded(want, pr) {
-			t.Fatalf("pooled mismatch:\nref:    %+v\npooled: %+v", want, pr)
-		}
-		pr.Release()
 	})
 }
 
@@ -213,7 +264,7 @@ func TestPooledDecodeRecyclesStrings(t *testing.T) {
 			t.Fatal(err)
 		}
 		if r.Entries[0].URL != url1 || r.Entries[0].Host() != host1 {
-			t.Fatal("recycled decode mismatch")
+			t.Fatal("repeated decode mismatch")
 		}
 		r.Release()
 	})

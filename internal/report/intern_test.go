@@ -1,0 +1,220 @@
+package report
+
+import (
+	"fmt"
+	"hash/maphash"
+	"math/rand"
+	"runtime"
+	"strings"
+	"sync"
+	"testing"
+)
+
+// resetInternTable empties the process-wide table. Tests that depend on what
+// the table holds call it first; none of them runs in parallel.
+func resetInternTable() {
+	for i := range internTable {
+		for w := range internTable[i] {
+			internTable[i][w].Store(nil)
+		}
+	}
+}
+
+// internRetained walks the table: how many entries it holds and how many
+// string bytes they keep alive (a host counts unless it is a substring of
+// its URL, which is what fastHost returns).
+func internRetained(t *testing.T) (entries, bytes int) {
+	for i := range internTable {
+		for w := range internTable[i] {
+			e := internTable[i][w].Load()
+			if e == nil {
+				continue
+			}
+			entries++
+			kept := len(e.s)
+			if _, sub := fastHost(e.s); e.hostKnown && !sub {
+				kept += len(e.host)
+			}
+			if kept > maxInternLen {
+				t.Errorf("entry %q (host %q) keeps %d bytes, cap %d", e.s, e.host, kept, maxInternLen)
+			}
+			bytes += kept
+		}
+	}
+	return entries, bytes
+}
+
+// floodReport is one report of n entries whose strings are all unique to
+// (round, i): tokens padded to exactly the length cap, which the table takes
+// and which cost it the most; URLs whose host only url.Parse can find
+// (userinfo, so the host is a second string), with and without room for it
+// under the cap; and tokens past the cap that the table must not keep.
+func floodReport(round, n int) *Report {
+	pad := func(s string, n int) string { return s + strings.Repeat("p", n-len(s)) }
+	rep := &Report{UserID: fmt.Sprintf("flood-%d", round), Page: fmt.Sprintf("/flood/%d", round)}
+	for i := 0; i < n; i++ {
+		e := Entry{
+			URL:          pad(fmt.Sprintf("http://h%d-%d.example/o/", round, i), maxInternLen),
+			ServerAddr:   pad(fmt.Sprintf("10.%d.%d.%d:", round%250, i/250, i%250), maxInternLen),
+			InitiatorURL: pad(fmt.Sprintf("http://site.example/r%d/i%d/", round, i), maxInternLen),
+			Kind:         ObjectKind(fmt.Sprintf("kind-%d-%d", round, i)),
+			SizeBytes:    int64(i),
+		}
+		switch i % 4 {
+		case 1:
+			e.URL = fmt.Sprintf("http://user:pw@parsed%d-%d.example/", round, i)
+		case 2:
+			e.URL = pad(fmt.Sprintf("http://long%d-%d.example/", round, i), 4<<10)
+			e.InitiatorURL = e.URL
+		case 3:
+			e.URL = pad(fmt.Sprintf("http://u%d-%d:pw@edge.example/", round, i), maxInternLen-8)
+		}
+		rep.Entries = append(rep.Entries, e)
+	}
+	return rep
+}
+
+// TestInternTableIsBounded is the table as an adversary would use it: a
+// flood of reports made of unique tokens, over-length tokens and one 4 MB
+// URL, in both wire formats. Every decode must equal encoding/json's, and
+// when the flood is over the table holds at most its fixed number of
+// entries, each keeping at most maxInternLen bytes, and the process's live
+// heap has grown by less than the megabyte OPERATIONS.md promises.
+func TestInternTableIsBounded(t *testing.T) {
+	resetInternTable()
+	live := func() uint64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	before := live()
+
+	const rounds, perReport = 400, 50 // 20,000 entries, five times the table
+	for round := 0; round < rounds; round++ {
+		rep := floodReport(round, perReport)
+		if round == rounds/2 {
+			rep.Entries[0].URL = "http://huge.example/" + strings.Repeat("z", 4<<20)
+		}
+		data, err := rep.Marshal()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := referenceDecode(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := DecodePooled(data)
+		if err != nil || !equalDecoded(want, got) {
+			t.Fatalf("round %d: JSON decode differs from encoding/json (err %v)", round, err)
+		}
+		got.Release()
+		if round == rounds/2 {
+			continue // past MaxBinaryStringLen: OAKRPT1 cannot carry it
+		}
+		bin, err := rep.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err = DecodeBinaryPooled(bin); err != nil || !equalDecoded(want, got) {
+			t.Fatalf("round %d: OAKRPT1 decode differs from encoding/json (err %v)", round, err)
+		}
+		got.Release()
+	}
+
+	entries, kept := internRetained(t)
+	if max := internBuckets * internWays; entries > max || entries < max/2 {
+		t.Errorf("table holds %d entries after the flood, want between %d and %d", entries, max/2, max)
+	}
+	if max := internBuckets * internWays * maxInternLen; kept > max {
+		t.Errorf("table keeps %d string bytes alive, bound %d", kept, max)
+	}
+	// Drop the pooled reports (they hold strings of the last decodes), then
+	// what is left of the flood is what the table keeps.
+	grown := int64(live()) - int64(before)
+	t.Logf("%d entries keeping %d string bytes; live heap grew %d bytes", entries, kept, grown)
+	if grown > 1<<20 {
+		t.Errorf("live heap grew %d bytes across the flood, want at most 1 MB", grown)
+	}
+}
+
+// TestInternTableUnderConcurrentDecoders hammers the shared table from JSON
+// and OAKRPT1 decoders at once: a working set larger than the table, so
+// entries are evicted and republished throughout, and six URLs that share one
+// bucket of four ways yet name different hosts — a decoder that ever paired
+// a URL with a neighbour's cached host fails the comparison against
+// encoding/json. Run under -race by scripts/verify.sh.
+func TestInternTableUnderConcurrentDecoders(t *testing.T) {
+	resetInternTable()
+	// URLs that collide: same bucket, different hosts.
+	var colliding []string
+	want := maphash.Bytes(internSeed, []byte("http://collide-0.example/x")) & (internBuckets - 1)
+	for i := 0; len(colliding) < internWays+2; i++ {
+		u := fmt.Sprintf("http://collide-%d.example/x", i)
+		if maphash.Bytes(internSeed, []byte(u))&(internBuckets-1) == want {
+			colliding = append(colliding, u)
+		}
+	}
+
+	type fixture struct {
+		json, bin []byte
+		want      *Report
+	}
+	fixtures := make([]fixture, 160)
+	for k := range fixtures {
+		rep := floodReport(k, 40)
+		for i := range rep.Entries {
+			if i%4 == 2 {
+				rep.Entries[i].URL = colliding[(k+i)%len(colliding)]
+				// The same string as another field: an entry without a host
+				// that a URL lookup must republish.
+				rep.Entries[i].InitiatorURL = colliding[(k+i+1)%len(colliding)]
+			}
+		}
+		var f fixture
+		var err error
+		if f.json, err = rep.Marshal(); err != nil {
+			t.Fatal(err)
+		}
+		if f.bin, err = rep.MarshalBinary(); err != nil {
+			t.Fatal(err)
+		}
+		if f.want, err = referenceDecode(f.json); err != nil {
+			t.Fatal(err)
+		}
+		for i := range f.want.Entries {
+			f.want.Entries[i].Host() // resolve the lazy hosts before sharing
+		}
+		fixtures[k] = f
+	}
+
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(g)))
+			for n := 0; n < 400; n++ {
+				f := &fixtures[rng.Intn(len(fixtures))]
+				var got *Report
+				var err error
+				if (g+n)%2 == 0 {
+					got, err = DecodePooled(f.json)
+				} else {
+					got, err = DecodeBinaryPooled(f.bin)
+				}
+				if err != nil {
+					t.Errorf("decoder %d: %v", g, err)
+					return
+				}
+				if !equalDecoded(f.want, got) {
+					t.Errorf("decoder %d: decode differs from encoding/json:\nref: %+v\ngot: %+v", g, f.want, got)
+					return
+				}
+				got.Release()
+			}
+		}(g)
+	}
+	wg.Wait()
+}

@@ -5,9 +5,10 @@ import "sync"
 // Report pooling. Decoding dominates ingest allocation: every report arrives
 // as bytes, becomes a short-lived *Report, and dies as soon as the engine's
 // shard has folded it into the user's profile. Pooled reports recycle the
-// struct, the Entries backing array, and — via the decoders' string
-// recycling — most of the string data too, since production traffic repeats
-// the same URLs, hosts and kinds report after report.
+// struct and the Entries backing array. The strings are not the pool's
+// business: both decoders take them from the intern table (intern.go),
+// which knows the site's URLs, addresses and kinds whichever pooled report
+// a body happens to land in.
 //
 // Ownership discipline: a pooled report obtained from DecodePooled /
 // DecodeBinaryPooled is handed to the engine with the submit call, and the
@@ -20,7 +21,7 @@ import "sync"
 var reportPool = sync.Pool{New: func() any { return new(Report) }}
 
 // acquireReport returns a pooled report whose contents are unspecified; the
-// decoders overwrite every field (recycling equal strings in place).
+// decoders overwrite every field.
 func acquireReport() *Report {
 	r := reportPool.Get().(*Report)
 	r.pooled = true

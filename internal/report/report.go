@@ -50,8 +50,9 @@ type Entry struct {
 	Failed bool `json:"failed,omitempty"`
 
 	// host caches the hostname of URL; hostKnown distinguishes a computed
-	// empty host from "not computed yet". The decoders fill it once at
-	// decode time; Host() falls back lazily for hand-built entries.
+	// empty host from "not computed yet". The decoders fill it at decode
+	// time, from the intern table; Host() falls back lazily for hand-built
+	// entries.
 	host      string
 	hostKnown bool
 }
@@ -70,12 +71,6 @@ func (e *Entry) Host() string {
 		e.hostKnown = true
 	}
 	return e.host
-}
-
-// setHost primes the host cache (used by decoders and tests).
-func (e *Entry) setHost(h string) {
-	e.host = h
-	e.hostKnown = true
 }
 
 // IsSmall reports whether the entry falls in the small-object regime

@@ -1,0 +1,77 @@
+package report
+
+import (
+	"fmt"
+	"testing"
+)
+
+// rotatingReports builds n distinct reports of 40 entries each, shaped like
+// the traffic a deployed site sees: every page has its own objects, served
+// by 12 of the site's 40 provider hosts (adPerf, PAPERS.md: third-party
+// objects concentrate in a small, repeating set of providers). A decoder that
+// reuses strings only when consecutive reports are the same page gains
+// nothing here; one that knows the site's vocabulary gains almost everything.
+func rotatingReports(n int) []*Report {
+	reps := make([]*Report, n)
+	for p := range reps {
+		rep := &Report{
+			UserID:            fmt.Sprintf("rot-user-%04d", p*37),
+			Page:              fmt.Sprintf("/section-%d/page-%02d.html", p%3, p),
+			GeneratedAtUnixMs: 1700000000000 + int64(p),
+		}
+		for i := 0; i < 40; i++ {
+			h := (p*7 + i%12) % 40 // each page embeds 12 of the site's 40 providers
+			rep.Entries = append(rep.Entries, Entry{
+				URL:            fmt.Sprintf("http://static%02d.provider-%02d.example/p%02d/asset-%04d.js", h%4, h, p, i),
+				ServerAddr:     fmt.Sprintf("10.%d.%d.1:443", h/8, h%8),
+				SizeBytes:      20000 + int64(p*40+i),
+				DurationMillis: 80 + float64((p+i)%23) + 0.125*float64(i%8),
+				Kind:           []ObjectKind{KindScript, KindImage, KindCSS, KindOther}[i%4],
+			})
+		}
+		reps[p] = rep
+	}
+	return reps
+}
+
+// rotatingBodies encodes rotatingReports(n) in both wire formats.
+func rotatingBodies(tb testing.TB, n int) (jsonBodies, binBodies [][]byte) {
+	for _, rep := range rotatingReports(n) {
+		j, err := rep.Marshal()
+		if err != nil {
+			tb.Fatal(err)
+		}
+		b, err := rep.MarshalBinary()
+		if err != nil {
+			tb.Fatal(err)
+		}
+		jsonBodies, binBodies = append(jsonBodies, j), append(binBodies, b)
+	}
+	return jsonBodies, binBodies
+}
+
+// BenchmarkDecodeRotating is the pooled decode of 12 rotating 40-entry
+// reports: the cost the benchmark's report.decode_json_us and
+// report.decode_binary_us read.
+func BenchmarkDecodeRotating(b *testing.B) {
+	jsonBodies, binBodies := rotatingBodies(b, 12)
+	for _, tc := range []struct {
+		name   string
+		bodies [][]byte
+		decode func([]byte) (*Report, error)
+	}{
+		{"JSON", jsonBodies, DecodePooled},
+		{"Binary", binBodies, DecodeBinaryPooled},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				r, err := tc.decode(tc.bodies[i%len(tc.bodies)])
+				if err != nil {
+					b.Fatal(err)
+				}
+				r.Release()
+			}
+		})
+	}
+}

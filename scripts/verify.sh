@@ -9,9 +9,17 @@
 # A short fuzz smoke over the snapshot importer keeps hostile state files
 # from ever aborting a boot; another over the compiled applier keeps the
 # single-pass rewriter provably equivalent to the sequential reference;
-# two more pin the report fast-path decoder to encoding/json and the
-# OAKRPT1 binary codec to round-trip identity with typed rejection of
-# hostile frames. A one-iteration serve benchmark run keeps the benchmark
+# two more pin the report fast-path decoder to encoding/json (intern table
+# cold and warm) and the OAKRPT1 binary codec to round-trip identity with
+# typed rejection of hostile frames, and a fifth pins the gateway's routing
+# key to the backend's filing key (SniffJSONUser == Decode().UserID). The
+# report decode gate
+# (TestDecodeSteadyStateAllocs) holds a pooled decode of 12 rotating reports,
+# in either wire format, to the allocations the intern table leaves, next to
+# a one-iteration BenchmarkDecodeRotating; the table's adversaries (a flood of
+# unique and over-length tokens against its memory bound, and concurrent JSON
+# and OAKRPT1 decoders over colliding URLs under -race) are a named step. A
+# one-iteration serve benchmark run keeps the benchmark
 # code compiling, and the ingest smoke additionally gates the steady-state
 # JSON ingest path at <= 8 allocs/op (TestHandleReportSteadyStateAllocs),
 # so a scratch buffer or pool silently falling out of reuse fails the
@@ -86,6 +94,17 @@ go test -run '^$' -fuzz FuzzDecodeEquivalence -fuzztime 5s ./internal/report
 echo "== fuzz smoke: FuzzBinaryRoundTrip (5s) =="
 go test -run '^$' -fuzz FuzzBinaryRoundTrip -fuzztime 5s ./internal/report
 
+echo "== fuzz smoke: FuzzSniffUserAgreesWithDecode (5s) =="
+go test -run '^$' -fuzz FuzzSniffUserAgreesWithDecode -fuzztime 5s ./internal/report
+
+echo "== report decode gate: allocs per rotating decode (JSON, OAKRPT1) + rotating decode bench smoke =="
+go test -run 'TestDecodeSteadyStateAllocs' -count=1 ./internal/report
+go test -run '^$' -bench 'BenchmarkDecodeRotating' -benchtime 1x ./internal/report
+
+echo "== intern table adversaries: memory bound under a token flood, shared table under -race =="
+go test -run 'TestInternTableIsBounded' -count=1 ./internal/report
+go test -race -run 'TestInternTableUnderConcurrentDecoders' -count=5 ./internal/report
+
 echo "== serve-path benchmark smoke (1 iteration) =="
 go test -run '^$' -bench 'BenchmarkModifyPage' -benchtime 1x ./internal/core
 
@@ -93,7 +112,7 @@ echo "== ingest bench smoke + steady-state alloc gate (JSON path <= 8 allocs/op)
 go test -run 'TestHandleReportSteadyStateAllocs' -count=1 ./internal/core
 go test -run '^$' -bench 'BenchmarkHandleReportSerial$|BenchmarkIngest(JSON|Binary)$' -benchtime 1x ./internal/core
 
-echo "== staged-body gates: bytes and allocs per forward (gateway; report, page, revalidated page) and per report and per 304 (origin handler) =="
+echo "== staged-body gates: bytes and allocs per forward (gateway; report, page, revalidated page) and per report (12 rotating reports, JSON and OAKRPT1) and per 304 (origin handler) =="
 go test -run 'TestForwardSteadyStateBytes' -count=1 ./internal/gateway
 go test -run 'TestReportHandlerSteadyStateBytes|TestPageNotModifiedSteadyStateBytes' -count=1 ./internal/origin
 
