@@ -196,13 +196,15 @@ func run(args []string) error {
 		log.Printf("oakd: pprof admin listener on %s", *pprofAddr)
 	}
 
-	srv := &http.Server{Addr: *addr, Handler: server}
-	errCh := make(chan error, 1)
-	go func() { errCh <- srv.ListenAndServe() }()
-
+	// The handler exists before the port does: a SIGTERM that arrives the
+	// moment the listener answers still ends in the final save.
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	defer signal.Stop(sig)
+
+	srv := &http.Server{Addr: *addr, Handler: server}
+	errCh := make(chan error, 1)
+	go func() { errCh <- srv.ListenAndServe() }()
 
 	log.Printf("oakd: serving %d pages from %s with %d rules on %s", pages, *root, nRules, *addr)
 	select {

@@ -1,10 +1,15 @@
 package main
 
 import (
+	"bufio"
+	"bytes"
+	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"os/exec"
 	"os/signal"
 	"path/filepath"
 	"strings"
@@ -14,6 +19,18 @@ import (
 
 	"oak"
 )
+
+// daemonEnv makes the test binary run oakd's main with its arguments, so a
+// test can start the daemon as a real process and signal it.
+const daemonEnv = "OAKD_TEST_RUN_MAIN"
+
+func TestMain(m *testing.M) {
+	if os.Getenv(daemonEnv) != "" {
+		main()
+		return
+	}
+	os.Exit(m.Run())
+}
 
 // oakUnmarshal aliases the facade helper for test brevity.
 var oakUnmarshal = oak.UnmarshalReport
@@ -318,4 +335,81 @@ func TestRunGracefulShutdownPersistsState(t *testing.T) {
 	if _, err := os.Stat(statePath); err != nil {
 		t.Errorf("graceful shutdown skipped the final state save: %v", err)
 	}
+
+	// The same promise for a real process signalled the instant its port
+	// accepts, before anything else could have run: it exits 0, it saves,
+	// and a report it acknowledged on the way down is in the file.
+	t.Run("signalled as the port opens", func(t *testing.T) {
+		rounds, acked := 50, 0
+		if testing.Short() {
+			rounds = 10
+		}
+		for round := 0; round < rounds; round++ {
+			if signalAsPortOpens(t, dir, round) {
+				acked++
+			}
+		}
+		t.Logf("%d of %d rounds had a report acknowledged during shutdown", acked, rounds)
+	})
+}
+
+// signalAsPortOpens boots oakd as a subprocess, sends it SIGTERM as soon as a
+// connection to its port succeeds, then posts a report on that connection.
+// It reports whether the report was acknowledged.
+func signalAsPortOpens(t *testing.T, dir string, round int) (acked bool) {
+	t.Helper()
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := l.Addr().String()
+	l.Close()
+	statePath := filepath.Join(dir, fmt.Sprintf("signalled-%d.json", round))
+	user := fmt.Sprintf("signalled-user-%d", round)
+
+	var logs bytes.Buffer
+	cmd := exec.Command(os.Args[0], "-root", dir, "-addr", addr, "-state", statePath, "-save-interval", "1h")
+	cmd.Env = append(os.Environ(), daemonEnv+"=1")
+	cmd.Stdout, cmd.Stderr = &logs, &logs
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	var conn net.Conn
+	for deadline := time.Now().Add(10 * time.Second); ; {
+		if conn, err = net.Dial("tcp", addr); err == nil {
+			break
+		}
+		if time.Now().After(deadline) {
+			_ = cmd.Process.Kill()
+			_ = cmd.Wait()
+			t.Fatalf("round %d: oakd never listened: %v\n%s", round, err, logs.String())
+		}
+	}
+	defer conn.Close()
+	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+
+	// The connection predates the shutdown, so a server that accepted it
+	// serves it before it drains; one that had not resets it, and then
+	// nothing was acknowledged.
+	body := fmt.Sprintf(`{"userId":%q,"page":"/index.html","entries":[{"url":"http://a.example/a.png","serverAddr":"1.1.1.1","sizeBytes":1000,"durationMillis":100}]}`, user)
+	_ = conn.SetDeadline(time.Now().Add(10 * time.Second))
+	fmt.Fprintf(conn, "POST /oak/v1/report HTTP/1.1\r\nHost: %s\r\nContent-Type: application/json\r\nContent-Length: %d\r\nConnection: close\r\n\r\n%s", addr, len(body), body)
+	if resp, err := http.ReadResponse(bufio.NewReader(conn), nil); err == nil {
+		resp.Body.Close()
+		acked = resp.StatusCode == http.StatusNoContent
+	}
+
+	if err := cmd.Wait(); err != nil {
+		t.Fatalf("round %d: oakd signalled as its port opened: %v, want exit 0\n%s", round, err, logs.String())
+	}
+	state, err := os.ReadFile(statePath)
+	if err != nil {
+		t.Fatalf("round %d: no final state save: %v\n%s", round, err, logs.String())
+	}
+	if acked && !bytes.Contains(state, []byte(user)) {
+		t.Fatalf("round %d: the acknowledged report of %s is not in the state file", round, user)
+	}
+	return acked
 }

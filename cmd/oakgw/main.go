@@ -130,13 +130,17 @@ func run(args []string) error {
 	gw.Start()
 	defer gw.Close()
 
+	// The handler exists before the port does: a SIGTERM that arrives the
+	// moment the listener answers still drains.
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+	defer signal.Stop(sig)
+
 	srv := &http.Server{Addr: cfg.addr, Handler: gw}
 	errCh := make(chan error, 1)
 	go func() { errCh <- srv.ListenAndServe() }()
 	log.Printf("oakgw listening on %s (%d backends)", cfg.addr, strings.Count(cfg.backends, ",")+1)
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	select {
 	case err := <-errCh:
 		return err

@@ -473,9 +473,11 @@ func (c *HTTPClient) SubmitBytes(ctx context.Context, endpoint, contentType stri
 
 // SubmitURL is SubmitBytes to an endpoint the caller parsed once and does
 // not modify while requests are in flight (the gateway's per-backend report
-// URL). body must stay untouched until the transport is done with it, which
-// can be after SubmitURL has returned — a server may answer before it has
-// drained the request — so it must not be memory the caller recycles.
+// URL). body must stay untouched until the transport is done with it. Over
+// net/http's Transport that can be after SubmitURL has returned — a server
+// may answer before it has drained the request — so there it must not be
+// memory the caller recycles; the gateway's own transport is done with a
+// body when the round trip returns, which is why it may pass a pooled one.
 func (c *HTTPClient) SubmitURL(ctx context.Context, endpoint *url.URL, contentType string, body []byte, cookies []*http.Cookie) (*SubmitResult, error) {
 	p := c.Retry.normalized()
 	var (

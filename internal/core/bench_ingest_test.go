@@ -84,8 +84,8 @@ func benchParallel(b *testing.B, e *Engine) {
 	reportThroughput(b)
 }
 
-// BenchmarkHandleBatch measures the batch entry point end to end (fan-out
-// across the sink's goroutines).
+// BenchmarkHandleBatch measures the batch entry point end to end (every
+// report ingested in order on the calling goroutine).
 func BenchmarkHandleBatch(b *testing.B) {
 	e := benchEngine(b)
 	reports := benchReports("batch")

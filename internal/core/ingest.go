@@ -4,8 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
-	"sync"
 	"time"
 
 	"oak/internal/report"
@@ -13,7 +11,8 @@ import (
 
 // Ingest admission and batch ingest. There is one way in: HandleReportCtx
 // validates, admits, processes and releases a report on the goroutine that
-// submitted it; a batch is the same call fanned out over a few goroutines.
+// submitted it; a batch is the same call once per report, on the goroutine
+// that parses the batch.
 // Admission is unbounded by default. WithAdmission bounds the reports in
 // flight, and a report that finds no room waits at most the configured
 // budget before it is refused with ErrOverloaded — so producers (and their
@@ -154,47 +153,31 @@ type BatchResult struct {
 const batchErrorCap = 8
 
 // BatchSink is a streaming batch ingest: reports are submitted one at a
-// time as a producer parses them off the wire, fanned out across shards
-// concurrently, and summarised on Wait. It replaces the
-// accumulate-the-whole-slice-then-HandleBatch shape — a batch body is never
-// fully materialised as []*report.Report.
+// time as a producer parses them off the wire, each ingested on the
+// submitting goroutine before Submit returns, and summarised on Wait. A
+// batch body is never fully materialised as []*report.Report, and a batch
+// uses one core: a server's parallelism comes from its concurrent requests,
+// not from inside one of them (handing a ~6 µs ingest to a worker cost more
+// than it offloaded, and decode — the larger half of a batch — was always
+// serial).
 //
-// Usage: s := e.StartBatch(ctx); s.Submit(r)...; res := s.Wait(). Submit
-// and Wait must be called from the producer's goroutine (Submit is not safe
-// for concurrent use); Submit after Wait panics on the closed channel.
-// Submitted pooled reports are owned by the sink/engine and released on
-// every path, like HandleReportCtx.
+// Usage: s := e.StartBatch(ctx); s.Submit(r)...; res := s.Wait(). A sink is
+// not safe for concurrent use. Submitted pooled reports are owned by the
+// engine and released on every path, like HandleReportCtx.
 type BatchSink struct {
 	engine *Engine
 	ctx    context.Context
-	next   chan *report.Report
-	wg     sync.WaitGroup
-
-	// workers counts spawned submitters; they are started lazily so a
-	// one-report batch costs one goroutine, not a full pool.
-	workers    int
-	maxWorkers int
-
-	mu  sync.Mutex
-	res BatchResult
+	res    BatchResult
 }
 
-// StartBatch begins a streaming batch ingest governed by ctx. Reports may
-// be processed in any order; cancelling ctx counts not-yet-processed
-// reports as failed.
+// StartBatch begins a streaming batch ingest governed by ctx. Cancelling
+// ctx counts not-yet-processed reports as failed.
 func (e *Engine) StartBatch(ctx context.Context) *BatchSink {
-	return &BatchSink{
-		engine:     e,
-		ctx:        ctx,
-		next:       make(chan *report.Report),
-		maxWorkers: runtime.GOMAXPROCS(0),
-	}
+	return &BatchSink{engine: e, ctx: ctx}
 }
 
 // record folds one report's outcome into the result.
 func (s *BatchSink) record(err error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if err == nil {
 		s.res.Processed++
 		return
@@ -216,51 +199,25 @@ func (s *BatchSink) record(err error) {
 	}
 }
 
-// Submit hands one report to the sink. It blocks only when every worker is
-// busy (backpressure from the engine); after ctx is cancelled it fails the
-// report immediately without processing it.
+// Submit ingests one report on the calling goroutine (HandleReportCtx) and
+// folds the outcome into the summary. After ctx is cancelled the report is
+// released and counted failed without being processed.
 func (s *BatchSink) Submit(r *report.Report) {
-	s.mu.Lock()
 	s.res.Submitted++
-	spawn := s.workers < s.maxWorkers
-	if spawn {
-		s.workers++
-	}
-	s.mu.Unlock()
-	if spawn {
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			for r := range s.next {
-				_, err := s.engine.HandleReportCtx(s.ctx, r)
-				s.record(err)
-			}
-		}()
-	}
-	select {
-	case s.next <- r:
-	case <-s.ctx.Done():
-		// Cancelled before any worker took it: it will never be processed.
-		r.Release()
-		s.record(s.ctx.Err())
-	}
+	_, err := s.engine.HandleReportCtx(s.ctx, r)
+	s.record(err)
 }
 
-// Wait closes the sink, waits for in-flight reports, and returns the batch
-// summary. The sink must not be used afterwards.
+// Wait returns the batch summary. Every submitted report has already been
+// processed or failed by the time Submit returned.
 func (s *BatchSink) Wait() BatchResult {
-	close(s.next)
-	s.wg.Wait()
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	return s.res
 }
 
 // HandleBatch ingests a pre-materialised batch of reports through a
-// BatchSink: fanned out across shards over a bounded pool of goroutines,
-// processed in any order. The call returns when every report has been
-// processed or ctx is cancelled; cancellation counts not-yet-processed
-// reports as failed. Producers that parse reports off the wire should stream into
+// BatchSink: in order, on the calling goroutine. The call returns when every
+// report has been processed; cancelling ctx counts not-yet-processed reports
+// as failed. Producers that parse reports off the wire should stream into
 // StartBatch directly instead of building the slice.
 func (e *Engine) HandleBatch(ctx context.Context, reports []*report.Report) BatchResult {
 	s := e.StartBatch(ctx)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -223,6 +224,56 @@ func TestHandleBatchThroughPipeline(t *testing.T) {
 	}
 	if got := e.Users(); got != 100 {
 		t.Errorf("Users() = %d, want 100", got)
+	}
+}
+
+// TestBatchIngestRunsOnTheCaller: a batch is ingested report by report on the
+// goroutine that submits it — no worker is started however long the batch —
+// and once its context is cancelled the remaining reports are released
+// unprocessed and counted failed.
+func TestBatchIngestRunsOnTheCaller(t *testing.T) {
+	e, err := NewEngine([]*rules.Rule{jqRule(0)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pooled := func(user string) *report.Report {
+		wire, err := slowS1Report(user).Marshal()
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := report.DecodePooled(wire)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	const total, cancelAt = 1000, 900
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	before := runtime.NumGoroutine()
+	sink := e.StartBatch(ctx)
+	for i := 0; i < total; i++ {
+		if i == cancelAt {
+			cancel()
+		}
+		r := pooled(fmt.Sprintf("u%d", i))
+		sink.Submit(r)
+		if r.Pooled() {
+			t.Fatalf("report %d still pooled after Submit: not released", i)
+		}
+		if n := runtime.NumGoroutine(); n > before {
+			t.Fatalf("%d goroutines after report %d, %d before the batch: ingest left the caller", n, i, before)
+		}
+		if got := e.Users(); i < cancelAt && got != i+1 {
+			t.Fatalf("%d users after Submit %d returned, want %d: the report was not ingested yet", got, i, i+1)
+		}
+	}
+	res := sink.Wait()
+	if res.Submitted != total || res.Processed != cancelAt || res.Failed != total-cancelAt {
+		t.Errorf("batch result = %+v, want %d processed and %d failed of %d", res, cancelAt, total-cancelAt, total)
+	}
+	if got := e.Users(); got != cancelAt {
+		t.Errorf("Users() = %d, want %d: a report submitted after the cancel was processed", got, cancelAt)
 	}
 }
 

@@ -36,7 +36,7 @@ func (d *discardResponse) Write(p []byte) (int, error) {
 
 // perOp runs f n times after a warm-up and returns the heap bytes and
 // objects the whole process allocated per run — the gateway's handler, its
-// transport's goroutines and the in-process backend alike.
+// transport and the in-process backend alike.
 func perOp(n int, f func()) (bytesPerOp, allocsPerOp float64) {
 	for i := 0; i < n/4; i++ {
 		f()
@@ -54,7 +54,8 @@ func perOp(n int, f func()) (bytesPerOp, allocsPerOp float64) {
 // once the body buffers and backend connections are warm: a 5.7 KB report,
 // a 128 KB page shipped in full and the same page revalidated (the backend
 // answers 304, the edge serves its copy) against a backend that does
-// nothing. The ceilings sit about 15 % above what the staged path measures;
+// nothing. The ceilings sit about 15 % above what the staged path measures
+// over the gateway's own transport;
 // a buffer falling out of reuse — or a revalidated page being copied —
 // costs at least the body's size again.
 func TestForwardSteadyStateBytes(t *testing.T) {
@@ -110,12 +111,13 @@ func TestForwardSteadyStateBytes(t *testing.T) {
 		run                 func()
 		maxBytes, maxAllocs float64
 	}{
-		// Measured 14.1 KB / 99 allocs (io.ReadAll staging: 35.5 KB / 116).
-		{"report", exchange("POST", origin.ReportPathV1, report, http.StatusNoContent, 0), 16200, 114},
-		// Measured 8.6–9.0 KB / 100 allocs (io.ReadAll staging: 524 KB / 123).
-		{"page", exchange("GET", "/index.html", nil, http.StatusOK, len(page)), 10500, 115},
-		// Measured 8.5 KB / 97 allocs: the 128 KB body is neither read nor copied.
-		{"revalidated page", exchange("GET", "/tagged.html", nil, http.StatusOK, len(page)), 9700, 112},
+		// Measured 5.8 KB / 67 allocs (over net/http's Transport, with the
+		// forwarded body cloned: 14.1 KB / 99).
+		{"report", exchange("POST", origin.ReportPathV1, report, http.StatusNoContent, 0), 6700, 77},
+		// Measured 6.7–6.8 KB / 71 allocs (over net/http's Transport: 8.6–9.0 KB / 100).
+		{"page", exchange("GET", "/index.html", nil, http.StatusOK, len(page)), 7800, 82},
+		// Measured 6.7 KB / 71 allocs: the 128 KB body is neither read nor copied.
+		{"revalidated page", exchange("GET", "/tagged.html", nil, http.StatusOK, len(page)), 7700, 82},
 	} {
 		gotBytes, gotAllocs := perOp(2000, tc.run)
 		t.Logf("%s: %.0f B and %.1f allocs per forward", tc.name, gotBytes, gotAllocs)

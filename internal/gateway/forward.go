@@ -29,11 +29,11 @@ import (
 // Every body the gateway relays is staged whole, once, in a pooled buffer
 // (bodybuf): a request body because it is sniffed, split, retried and
 // failed over, a page body so that a backend dying mid-body fails over
-// instead of truncating the client's page. A staged buffer never leaves its
-// handler. What is forwarded is a private copy — the whole body for a
-// request forwarded as it came, the joined sub-batch for a split one —
-// because net/http may still be sending a request body after the forward
-// has returned (a backend that answers 503 before draining it).
+// instead of truncating the client's page. A staged request body is
+// forwarded as it stands, with no copy, and released when its handler
+// returns: the gateway's transport touches no request body once a forward
+// has returned (transport.go), even for a backend that answers 503 before
+// draining it.
 
 // maxForwardBytes bounds a relayed body in either direction. It matches the
 // origin's worst-case batch bound (16 × 4 MB), so the gateway never accepts
@@ -44,7 +44,7 @@ const maxForwardBytes = 64 << 20
 var mirrorHeaders = []string{"Content-Type", "Retry-After", rules.CacheHintHeader, "ETag", "Cache-Control"}
 
 // forwardTo POSTs a report body to one backend under the gateway's retry
-// machinery. body must not alias a staged buffer (see client.SubmitURL).
+// machinery. body may be a staged buffer: it is not touched after the return.
 func (g *Gateway) forwardTo(ctx context.Context, b *backend, contentType string, body []byte, cookies []*http.Cookie) (*client.SubmitResult, error) {
 	return g.fwd.SubmitURL(ctx, b.reportURL, contentType, body, cookies)
 }
@@ -143,7 +143,7 @@ func (g *Gateway) handleReport(w http.ResponseWriter, r *http.Request) {
 	if ck != nil {
 		cookies = append(cookies, ck)
 	}
-	res, _, err := g.forwardWithFailover(ctx, g.ownerIndex(userID), contentType, bytes.Clone(body), cookies)
+	res, _, err := g.forwardWithFailover(ctx, g.ownerIndex(userID), contentType, body, cookies)
 	if err != nil {
 		http.Error(w, "no backend reachable: "+err.Error(), http.StatusBadGateway)
 		return
@@ -219,8 +219,9 @@ func (g *Gateway) handleSplitBatchBinary(ctx context.Context, w http.ResponseWri
 // back into a body (newline for NDJSON, nothing for binary frames);
 // splitErr, when non-nil, is an unrecoverable framing error counted as one
 // failed report on top of whatever the backends answered. body and the
-// groups alias the staged request; it is released after forwardSplit
-// returns, and every sub-batch forwarded is a copy.
+// groups alias the staged request, which is released after forwardSplit
+// returns. The last group is forwarded on the caller's goroutine: a batch
+// for one owner starts no goroutine at all.
 func (g *Gateway) forwardSplit(ctx context.Context, w http.ResponseWriter, body []byte, contentType string, groups map[int][][]byte, sep []byte, splitErr error) {
 	if len(groups) == 0 {
 		if splitErr == nil {
@@ -242,25 +243,31 @@ func (g *Gateway) forwardSplit(ctx context.Context, w http.ResponseWriter, body 
 	}
 	parts := make([]part, 0, len(groups))
 	var mu sync.Mutex
+	forward := func(i int, lines [][]byte) {
+		sub := body // single-owner batch: forwarded as it came
+		if len(groups) > 1 || splitErr != nil {
+			// Reassemble when owners mix — and when framing broke, so the
+			// trailing garbage is not forwarded for the backend to count a
+			// second time.
+			sub = bytes.Join(lines, sep)
+		}
+		res, _, err := g.forwardWithFailover(ctx, i, contentType, sub, nil)
+		mu.Lock()
+		parts = append(parts, part{lines: len(lines), res: res, err: err})
+		mu.Unlock()
+	}
 	var wg sync.WaitGroup
+	left := len(groups)
 	for i, lines := range groups {
+		if left--; left == 0 {
+			forward(i, lines)
+			break
+		}
 		wg.Add(1)
-		go func(i int, lines [][]byte) {
+		go func() {
 			defer wg.Done()
-			var sub []byte
-			if len(groups) > 1 || splitErr != nil {
-				// Reassemble when owners mix — and when framing broke, so the
-				// trailing garbage is not forwarded for the backend to count a
-				// second time.
-				sub = bytes.Join(lines, sep)
-			} else {
-				sub = bytes.Clone(body) // single-owner batch: forwarded as it came
-			}
-			res, _, err := g.forwardWithFailover(ctx, i, contentType, sub, nil)
-			mu.Lock()
-			parts = append(parts, part{lines: len(lines), res: res, err: err})
-			mu.Unlock()
-		}(i, lines)
+			forward(i, lines)
+		}()
 	}
 	wg.Wait()
 

@@ -26,7 +26,6 @@ package gateway
 
 import (
 	"fmt"
-	"net"
 	"net/http"
 	"net/url"
 	"strings"
@@ -71,20 +70,6 @@ const (
 	DefaultSnapshotInterval = 2 * time.Second
 )
 
-// idleConnsPerBackend is how many idle keep-alive connections the gateway's
-// own transport keeps per backend. net/http's default of 2 makes a gateway
-// with more concurrent forwards than that close and re-dial connections on
-// every burst; this is well above the forwards a backend sees at once.
-const idleConnsPerBackend = 256
-
-// backendWriteBuffer is the per-connection write buffer of the gateway's
-// own transport. A forwarded body that fits goes out with its request
-// headers in one write; net/http's 4 KB default sends anything larger — a
-// 5.7 KB JSON report, every sub-batch — as a flush plus a copy through a
-// freshly allocated scratch buffer. 64 KB holds a 16-report sub-batch; it
-// is paid per open backend connection.
-const backendWriteBuffer = 64 << 10
-
 // Config configures a Gateway.
 type Config struct {
 	// Backends are the oakd base URLs (host:port or http://host:port), one
@@ -118,12 +103,6 @@ type Config struct {
 	// Retry tunes the forwarding retry schedule (client.RetryPolicy
 	// defaults apply to zero fields).
 	Retry client.RetryPolicy
-	// HTTP is the client for every gateway request. nil builds one with no
-	// client-level timeout (every request already runs under a context
-	// deadline: ForwardTimeout or ProbeTimeout) over a private transport
-	// that keeps idleConnsPerBackend idle connections per backend and
-	// writes through backendWriteBuffer bytes of buffer per connection.
-	HTTP *http.Client
 	// Logf, when set, receives gateway decision logging (state transitions,
 	// failovers, broadcasts, replacements).
 	Logf func(format string, args ...any)
@@ -187,15 +166,16 @@ func (b *backend) snapshotState() (state BackendState, fails int, lastErr string
 // Gateway fronts a fleet of oakd backends. Create with NewGateway, start
 // the background loops with Start, and serve it as an http.Handler.
 type Gateway struct {
-	cfg      Config
-	ranges   []core.HashRange
-	backends []*backend
-	standby  *backend // nil without Config.Standby
-	fwd      *client.HTTPClient
-	httpc    *http.Client
-	logf     func(format string, args ...any)
-	started  time.Time
-	edge     *edgeCache
+	cfg       Config
+	ranges    []core.HashRange
+	backends  []*backend
+	standby   *backend           // nil without Config.Standby
+	transport *transport         // under httpc
+	httpc     *http.Client       // probes, scrapes, page fetches, snapshot shipping
+	fwd       *client.HTTPClient // report forwards, over httpc
+	logf      func(format string, args ...any)
+	started   time.Time
+	edge      *edgeCache
 
 	// Control-channel memory (guarded by ctlMu): providers whose breaker
 	// trip has already been broadcast, and the backends each degraded
@@ -263,24 +243,15 @@ func NewGateway(cfg Config) (*Gateway, error) {
 	if cfg.SnapshotInterval <= 0 {
 		cfg.SnapshotInterval = DefaultSnapshotInterval
 	}
-	httpc := cfg.HTTP
-	if httpc == nil {
-		// net/http's default transport, but for the idle pool and the write
-		// buffer — and no Client.Timeout: it would cap ForwardTimeout and cost a timer per
-		// request that already has a context deadline.
-		httpc = &http.Client{Transport: &http.Transport{
-			Proxy:                 http.ProxyFromEnvironment,
-			DialContext:           (&net.Dialer{Timeout: 30 * time.Second, KeepAlive: 30 * time.Second}).DialContext,
-			MaxIdleConnsPerHost:   idleConnsPerBackend,
-			WriteBufferSize:       backendWriteBuffer,
-			IdleConnTimeout:       90 * time.Second,
-			TLSHandshakeTimeout:   10 * time.Second,
-			ExpectContinueTimeout: time.Second,
-		}}
-	}
+	// One transport of the gateway's own under every request it makes
+	// (transport.go), and no Client.Timeout: every request already runs under
+	// a context deadline, ForwardTimeout or ProbeTimeout.
+	tr := newTransport()
+	httpc := &http.Client{Transport: tr}
 	g := &Gateway{
 		cfg:          cfg,
 		ranges:       core.EqualRanges(len(cfg.Backends)),
+		transport:    tr,
 		httpc:        httpc,
 		fwd:          &client.HTTPClient{HTTP: httpc, Retry: cfg.Retry},
 		logf:         cfg.Logf,
@@ -348,15 +319,13 @@ func (g *Gateway) Start() {
 	}()
 }
 
-// Close stops the background loops and closes the idle backend connections
-// of the gateway's own transport. Safe to call more than once; safe on a
-// gateway that never Started.
+// Close stops the background loops and closes the pooled backend
+// connections. Safe to call more than once; safe on a gateway that never
+// Started.
 func (g *Gateway) Close() {
 	g.stopOnce.Do(func() { close(g.stop) })
 	g.wg.Wait()
-	if g.cfg.HTTP == nil {
-		g.httpc.CloseIdleConnections()
-	}
+	g.transport.close()
 }
 
 // all returns every backend including the standby.

@@ -66,6 +66,23 @@ type GatewayMetrics struct {
 	Replacements      uint64  `json:"replacements"`
 	// EdgeCache is the edge variant cache (see edge.go).
 	EdgeCache EdgeCacheMetrics `json:"edge_cache"`
+	// BackendConns is the gateway's transport to its backends (see
+	// transport.go).
+	BackendConns BackendConnMetrics `json:"backend_conns"`
+}
+
+// BackendConnMetrics answer "is the gateway re-dialling its backends?": in
+// steady state Reuses grows with the forwards and Dials does not.
+type BackendConnMetrics struct {
+	// Dials counts connections opened to backends.
+	Dials uint64 `json:"dials"`
+	// Reuses counts requests sent on a pooled keep-alive connection.
+	Reuses uint64 `json:"reuses"`
+	// StaleRetries counts pooled connections found closed by the backend
+	// when next used; the request went out again on another connection.
+	StaleRetries uint64 `json:"stale_retries"`
+	// Idle is how many connections sit pooled right now.
+	Idle int `json:"idle"`
 }
 
 // EdgeCacheMetrics are the edge variant cache's counters and current size.
@@ -261,6 +278,12 @@ func (g *Gateway) handleClusterMetrics(w http.ResponseWriter, r *http.Request) {
 				Evictions: g.edge.evictions.Value(),
 				Bytes:     g.edge.bytes.Value(),
 				Variants:  g.edge.variants.Value(),
+			},
+			BackendConns: BackendConnMetrics{
+				Dials:        g.transport.dials.Value(),
+				Reuses:       g.transport.reuses.Value(),
+				StaleRetries: g.transport.staleRetries.Value(),
+				Idle:         g.transport.idleConns(),
 			},
 		},
 	}

@@ -155,7 +155,7 @@ func (g *Gateway) Replace(ctx context.Context, i int, newAddr string) error {
 	}
 
 	b.mu.Lock()
-	old := b.addr
+	old, retired := b.addr, b.base
 	b.target = to
 	b.state = StateHealthy
 	b.fails = 0
@@ -163,6 +163,7 @@ func (g *Gateway) Replace(ctx context.Context, i int, newAddr string) error {
 	b.lastErr = ""
 	b.healthz = nil
 	b.mu.Unlock()
+	g.transport.closeIdle(retired)
 	g.replacements.Inc()
 	g.logf("gateway: replaced backend %d: %s -> %s", i, old, addr)
 	return nil

@@ -73,6 +73,116 @@ func TestGatewayKeepsBackendConnections(t *testing.T) {
 	}
 }
 
+// backendConns reads the gateway's own account of its backend connections
+// off its metrics endpoint.
+func backendConns(t *testing.T, gw *gateway.Gateway) (conns gateway.BackendConnMetrics, failovers uint64) {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	gw.ServeHTTP(rec, httptest.NewRequest("GET", origin.MetricsPathV1, nil))
+	var m gateway.ClusterMetricsResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &m); err != nil {
+		t.Fatalf("gateway metrics: %v", err)
+	}
+	return m.Gateway.BackendConns, m.Gateway.Failovers
+}
+
+// TestForwardSurvivesBackendRestart: the connections the gateway keeps can
+// die while they sit idle — the backend restarts on its port, or closes
+// keep-alives it considers idle. The transport finds out only when it next
+// uses one; that must cost a counted retry on another connection, never a
+// failed forward or a failover.
+func TestForwardSurvivesBackendRestart(t *testing.T) {
+	forward := func(t *testing.T, gw *gateway.Gateway, user string) {
+		t.Helper()
+		req := httptest.NewRequest("POST", origin.ReportPathV1, strings.NewReader(`{"userId":"`+user+`","page":"/"}`))
+		req.AddCookie(&http.Cookie{Name: origin.CookieName, Value: user})
+		rec := httptest.NewRecorder()
+		gw.ServeHTTP(rec, req)
+		if rec.Code != http.StatusNoContent {
+			t.Errorf("forward for %s: status %d: %s", user, rec.Code, rec.Body)
+		}
+	}
+	accept := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		_, _ = io.Copy(io.Discard, r.Body)
+		w.WriteHeader(http.StatusNoContent)
+	})
+	// The standby would take any failover, so a failed forward shows up as
+	// one rather than as a 502.
+	standby := httptest.NewServer(accept)
+	t.Cleanup(standby.Close)
+
+	t.Run("restarted on the same port", func(t *testing.T) {
+		const rounds, concurrent = 5, 4
+		l, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		addr := l.Addr().String()
+		gw, err := gateway.NewGateway(gateway.Config{Backends: []string{addr}, Standby: standby.URL, Logf: t.Logf})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(gw.Close)
+		for round := 0; round < rounds; round++ {
+			if round > 0 {
+				if l, err = net.Listen("tcp", addr); err != nil {
+					t.Fatal(err)
+				}
+			}
+			backend := &httptest.Server{Listener: l, Config: &http.Server{Handler: accept}}
+			backend.Start()
+			// A concurrent burst, so several connections are pooled when the
+			// backend goes away; then one at a time, through the dead ones.
+			var wg sync.WaitGroup
+			for i := 0; i < concurrent; i++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					forward(t, gw, fmt.Sprintf("restart-u%d", i))
+				}()
+			}
+			wg.Wait()
+			for i := 0; i < concurrent; i++ {
+				forward(t, gw, fmt.Sprintf("restart-u%d", i))
+			}
+			backend.Close() // closes its connections, the pooled ones included
+		}
+		conns, failovers := backendConns(t, gw)
+		t.Logf("backend_conns %+v", conns)
+		if failovers != 0 {
+			t.Errorf("%d failovers, want 0: a dead pooled connection is not a dead backend", failovers)
+		}
+		if conns.StaleRetries < rounds-1 {
+			t.Errorf("stale_retries %d, want at least one per restart (%d)", conns.StaleRetries, rounds-1)
+		}
+	})
+
+	t.Run("backend closes idle keep-alives", func(t *testing.T) {
+		const forwards = 20
+		backend := httptest.NewUnstartedServer(accept)
+		backend.Config.IdleTimeout = 10 * time.Millisecond
+		backend.Start()
+		t.Cleanup(backend.Close)
+		gw, err := gateway.NewGateway(gateway.Config{Backends: []string{backend.URL}, Standby: standby.URL, Logf: t.Logf})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(gw.Close)
+		for i := 0; i < forwards; i++ {
+			forward(t, gw, "idle-u")
+			time.Sleep(25 * time.Millisecond) // past the backend's idle timeout
+		}
+		conns, failovers := backendConns(t, gw)
+		t.Logf("backend_conns %+v", conns)
+		if failovers != 0 {
+			t.Errorf("%d failovers, want 0", failovers)
+		}
+		if conns.StaleRetries == 0 || conns.Dials < 2 {
+			t.Errorf("backend_conns %+v: every forward found its pooled connection closed, want stale retries and re-dials", conns)
+		}
+	})
+}
+
 // endless is a body that never ends.
 type endless struct{}
 

@@ -16,12 +16,12 @@ import (
 // application/x-ndjson carries one JSON report per line;
 // application/x-oak-report-batch carries concatenated OAKRPT1 frames (see
 // report/binary.go). Either way the body is streamed — each report is
-// handed to the engine as soon as its bytes are parsed, through a
-// core.BatchSink, so a batch is never materialised as a slice of reports.
-// The batch is fanned out across the engine's shards, and the response
-// summarises how many reports were processed and how many failed —
-// a batch is not transactional, so one malformed line does not reject the
-// rest.
+// ingested as soon as its bytes are parsed, through a core.BatchSink, on the
+// handler's own goroutine, so a batch is never materialised as a slice of
+// reports and uses one core. The response summarises how many reports were
+// processed and how many failed — a batch is not transactional, so one
+// malformed line does not reject the rest, and reports ingested before a
+// size limit trips stay ingested.
 
 // BatchContentType is the canonical Content-Type marking a POST body on
 // ReportPathV1 as an NDJSON batch. The aliases application/ndjson and
@@ -80,7 +80,6 @@ func (s *Server) handleReportBatch(w http.ResponseWriter, r *http.Request) {
 			continue
 		}
 		if int64(len(line)) > s.maxBodyBytes {
-			sink.Wait()
 			http.Error(w, "batch line exceeds report size limit", http.StatusRequestEntityTooLarge)
 			return
 		}
@@ -93,7 +92,6 @@ func (s *Server) handleReportBatch(w http.ResponseWriter, r *http.Request) {
 		sink.Submit(rep)
 	}
 	if err := sc.Err(); err != nil {
-		sink.Wait()
 		if err == bufio.ErrTooLong {
 			http.Error(w, "batch line exceeds report size limit", http.StatusRequestEntityTooLarge)
 			return
@@ -102,7 +100,6 @@ func (s *Server) handleReportBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if body.n > batchBodyFactor*s.maxBodyBytes {
-		sink.Wait()
 		http.Error(w, "batch too large", http.StatusRequestEntityTooLarge)
 		return
 	}
@@ -119,7 +116,8 @@ func (s *Server) handleReportBatchBinary(w http.ResponseWriter, r *http.Request)
 	if body == nil {
 		return
 	}
-	// Released on return: every path below waits for the sink first.
+	// Released on return: a submitted report is decoded free of the body and
+	// done with before Submit returns.
 	defer body.Release()
 	sink := s.engine.StartBatch(r.Context())
 	var parse batchParseFailures
@@ -134,7 +132,6 @@ func (s *Server) handleReportBatchBinary(w http.ResponseWriter, r *http.Request)
 		}
 		rest = next
 		if int64(len(frame)) > s.maxBodyBytes {
-			sink.Wait()
 			http.Error(w, "batch frame exceeds report size limit", http.StatusRequestEntityTooLarge)
 			return
 		}

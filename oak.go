@@ -129,7 +129,9 @@ type Admission = core.Admission
 
 // BatchResult summarises one batch ingest: reports submitted, processed,
 // failed, and a capped sample of failure messages. Engine.HandleBatch
-// returns one; the origin server serves it as the NDJSON batch response.
+// returns one — it ingests the batch in order on the calling goroutine, so
+// callers wanting parallelism run batches concurrently; the origin server
+// serves it as the NDJSON batch response.
 type BatchResult = core.BatchResult
 
 // Resilience errors. Handlers map ErrOverloaded and ErrShuttingDown to

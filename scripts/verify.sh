@@ -30,7 +30,12 @@
 # TestPageNotModifiedSteadyStateBytes); the edge variant cache's adversaries
 # (generated churn with a mid-run backend kill against twin engines, and a
 # backend that answers 304 wrongly) run five times under -race as a named
-# step. The race step covers bodybuf and
+# step. The gateway's own transport to its backends is a named step too: its
+# conformance suite (a scripted raw-TCP server, net/http's Transport as the
+# oracle), the https case and the backend-restart test run five times under
+# -race, and the two body-lifetime tests that forward staged buffers without
+# a copy (TestStagedBodyAcrossRetryAndFailover,
+# TestSplitBatchesAndSinglesStayApart) ten times. The race step covers bodybuf and
 # client too: under -race a released body buffer is overwritten at once, so
 # the body-lifetime tests of gateway and origin fail on a stale reference,
 # not only on a reused one. The
@@ -118,6 +123,12 @@ go test -run 'TestReportHandlerSteadyStateBytes|TestPageNotModifiedSteadyStateBy
 
 echo "== edge cache adversaries under -race, five times: generated churn with a mid-run kill, and the wrong-304 backend =="
 go test -race -run 'TestEdgeCacheUnderChurn|TestWrong304IsNeverABlankPage' -count=5 ./internal/gateway
+
+echo "== backend transport under -race, five times: conformance against net/http from the socket, https, backend restart and idle close =="
+go test -race -run 'TestTransportAgreesWithNetHTTP|TestTransportOverTLS|TestForwardSurvivesBackendRestart|TestGatewayKeepsBackendConnections' -count=5 ./internal/gateway
+
+echo "== staged bodies forwarded without a copy, under -race, ten times =="
+go test -race -run 'TestStagedBodyAcrossRetryAndFailover|TestSplitBatchesAndSinglesStayApart' -count=10 ./internal/gateway
 
 echo "== guard chaos smoke: kill-the-alternate loop under -race =="
 go test -race -run 'TestChaosGuardKillsAlternateMidRun' -count=1 ./internal/faultinject
