@@ -52,8 +52,8 @@
 // Memory: -profile-cache (profiles) and/or -profile-cache-bytes (estimated
 // heap bytes) cap how much per-user state stays resident; profiles beyond
 // the cap are spilled — coldest first, fsynced before eviction — to compact
-// append-log segments under -spill-dir and rehydrated transparently on the
-// user's next report or page. A spill-path disk fault degrades the engine to
+// append-log segments under -spill-dir, rehydrated on the user's next report
+// and read in place for their pages. A spill-path disk fault degrades the engine to
 // memory-only mode (still serving, healthz "degraded") instead of failing.
 // Residency counters appear under "spill" in /oak/v1/metrics. See
 // docs/OPERATIONS.md, "Memory & the spill tier".

@@ -364,6 +364,7 @@ func liveMemory(out io.Writer, base string) error {
 	}{
 		{"profile spills", sp.Spills},
 		{"rehydrations", sp.Rehydrations},
+		{"record views", sp.RecordViews},
 		{"segment compactions", sp.SegmentCompactions},
 		{"spill errors", sp.SpillErrors},
 	} {

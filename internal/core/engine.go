@@ -89,12 +89,12 @@ type Engine struct {
 	stateSource atomic.Value // StateSource
 
 	// spill, when non-nil (WithProfileResidency), bounds the resident
-	// profile set: cold profiles are evicted to crash-safe segment files and
-	// rehydrated lazily on the next report or page request; residencyCfg
-	// carries the option until construction. rulesByID is the current rule
-	// set indexed by ID, rebuilt by SetRules, so rehydration resolves rule
-	// references without scanning; rehydrateHist times rehydrations. See
-	// spill.go.
+	// profile set: cold profiles are evicted to crash-safe segment files,
+	// rehydrated on the user's next report and read in place by the serve
+	// path; residencyCfg carries the option until construction. rulesByID is
+	// the current rule set indexed by ID, rebuilt by SetRules, so a record
+	// resolves its rule references without scanning; rehydrateHist times
+	// rehydrations. See spill.go.
 	spill         *spillStore
 	residencyCfg  *ResidencyConfig
 	rulesByID     atomic.Pointer[map[string]*rules.Rule]
@@ -352,7 +352,7 @@ func (e *Engine) process(r *report.Report) (*AnalysisResult, error) {
 	e.popTickIfDue(now)
 	// And the residency cap: eviction re-takes the shard lock and may fsync
 	// a spill batch, neither of which belongs inside the critical section.
-	e.enforceResidency(sh, "")
+	e.enforceResidency(sh)
 	return res, nil
 }
 
@@ -584,20 +584,70 @@ func (e *Engine) reconcileActiveRules(sh *shard, prof *Profile, v Violation, now
 	return handled
 }
 
+// noActivations is the activation view of a user with nothing to apply:
+// unknown, or spilled with a record that carries no activation.
+var noActivations = &actCacheEntry{}
+
+// activationViewLocked returns the compiled activation view userID's pages at
+// path are served from: the resident profile's memoized one, the empty one
+// for a user with no profile or a spilled record without activations (two
+// map probes, no disk), or — only when disk allows it — one derived from a
+// spilled record read where it lies (viewRecord; nothing is installed). ok is
+// false when the view needs the disk and disk is false, or the record could
+// not be read. Caller holds sh.mu (read suffices); the returned entry is
+// immutable and stays valid after the lock is released.
+func (e *Engine) activationViewLocked(sh *shard, userID, path string, disk bool) (ent *actCacheEntry, ok bool) {
+	if prof, resident := sh.profiles[userID]; resident {
+		return prof.cachedActivations(path, e.now(), e.rulesGen.Load()), true
+	}
+	ref, spilled := sh.spilled[userID]
+	if !spilled || !ref.active {
+		return noActivations, true
+	}
+	if !disk {
+		return nil, false
+	}
+	// The generation is read before the rule table the record resolves
+	// against: a SetRules in between leaves this view under the old
+	// generation's fingerprint, which dies with it.
+	gen := e.rulesGen.Load()
+	prof := e.viewRecord(ref)
+	if prof == nil {
+		return nil, false
+	}
+	return prof.deriveEntry(path, e.now(), gen, 0), true
+}
+
+// activationView is activationViewLocked for callers holding no lock. It
+// takes the shard's read lock and nothing else, unless a spilled record could
+// not be read: what that means (quarantine the segment, degrade the store,
+// drop the ref) is rehydrateLocked's to decide, under the write lock, and the
+// user is then served from whatever that left — their profile if the read
+// succeeded after all, otherwise nothing, the untouched page.
+func (e *Engine) activationView(userID, path string) *actCacheEntry {
+	sh := e.shardFor(userID)
+	sh.mu.RLock()
+	ent, ok := e.activationViewLocked(sh, userID, path, true)
+	sh.mu.RUnlock()
+	if ok {
+		return ent
+	}
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	e.rehydrateLocked(sh, userID)
+	if prof, ok := sh.profiles[userID]; ok {
+		return prof.cachedActivations(path, e.now(), e.rulesGen.Load())
+	}
+	return noActivations
+}
+
 // ActiveRules returns the rule applications live for the user on the given
 // page path, in deterministic order. The derivation is memoized per
 // (profile, path) against the profile's activation epoch, so repeated calls
 // while the user's state is stable do not rescan the profile; the returned
 // slice is the caller's to keep.
 func (e *Engine) ActiveRules(userID, path string) []rules.Activation {
-	sh := e.shardFor(userID)
-	e.rlockResident(sh, userID)
-	defer sh.mu.RUnlock()
-	prof, ok := sh.profiles[userID]
-	if !ok {
-		return nil
-	}
-	ent := prof.cachedActivations(path, e.now(), e.rulesGen.Load())
+	ent := e.activationView(userID, path)
 	if len(ent.acts) == 0 {
 		return nil
 	}
@@ -610,14 +660,7 @@ func (e *Engine) ActiveRules(userID, path string) []rules.Activation {
 // the page would be served untouched. Equal fingerprints guarantee
 // byte-identical rewrites of the same page.
 func (e *Engine) ActivationFingerprint(userID, path string) uint64 {
-	sh := e.shardFor(userID)
-	e.rlockResident(sh, userID)
-	defer sh.mu.RUnlock()
-	prof, ok := sh.profiles[userID]
-	if !ok {
-		return 0
-	}
-	return prof.cachedActivations(path, e.now(), e.rulesGen.Load()).fp
+	return e.activationView(userID, path).fp
 }
 
 // Rewrite is the outcome of rewriting one outgoing page for one user.
@@ -655,34 +698,36 @@ func (e *Engine) ModifyPage(userID, path, page string) (string, []rules.Applied)
 // records, precomputed header value, and cache provenance. The fast path —
 // a user whose activations have not changed since the last request for this
 // page — costs one content hash and one cache probe; a user with no
-// in-scope activations costs neither and allocates nothing.
+// in-scope activations costs neither and allocates nothing. A spilled user's
+// activations survive eviction transparently: their record is read in place
+// (activationView), and the request moves nothing between memory and disk.
 func (e *Engine) RewritePage(userID, path, page string) Rewrite {
 	start := time.Now()
-	sh := e.shardFor(userID)
-	// Cold user: rlockResident brings the profile back before rewriting, so
-	// a spilled user's activations survive eviction transparently.
-	e.rlockResident(sh, userID)
-	rw, _ := e.rewriteLocked(sh, userID, path, page, true)
-	sh.mu.RUnlock()
+	rw, _ := e.rewriteFrom(e.activationView(userID, path), path, page, true)
 	e.observeRewrite(userID, path, page, start, rw)
 	return rw
 }
 
 // RewriteCached serves a page only if doing so is near-free: the user has
 // no in-scope activations, or the rewrite cache already holds the exact
-// (page, activation set) result. It never computes a rewrite and never
-// blocks — if the user's shard lock is unavailable (ingest in progress) or
-// the result would need computing, it returns ok=false and the caller
-// should take the full RewritePage path. A hit is accounted exactly like a
-// full rewrite (histogram, page counters, trace).
+// (page, activation set) result. It never computes a rewrite, never blocks
+// and never touches the disk — if the user's shard lock is unavailable
+// (ingest in progress), the user's activations are in a spilled record, or
+// the result would need computing, it returns ok=false and the caller should
+// take the full RewritePage path. A hit is accounted exactly like a full
+// rewrite (histogram, page counters, trace).
 func (e *Engine) RewriteCached(userID, path, page string) (Rewrite, bool) {
 	start := time.Now()
 	sh := e.shardFor(userID)
 	if !sh.mu.TryRLock() {
 		return Rewrite{}, false
 	}
-	rw, ok := e.rewriteLocked(sh, userID, path, page, false)
+	ent, ok := e.activationViewLocked(sh, userID, path, false)
 	sh.mu.RUnlock()
+	if !ok {
+		return Rewrite{}, false
+	}
+	rw, ok := e.rewriteFrom(ent, path, page, false)
 	if !ok {
 		return Rewrite{}, false
 	}
@@ -690,20 +735,11 @@ func (e *Engine) RewriteCached(userID, path, page string) (Rewrite, bool) {
 	return rw, true
 }
 
-// rewriteLocked is the serve path under sh.mu (read) with compute
+// rewriteFrom serves page under one activation view, with compute
 // controlling the miss behavior: true computes and caches the rewrite,
-// false reports ok=false so the caller can fall back to the full path.
-func (e *Engine) rewriteLocked(sh *shard, userID, path, page string, compute bool) (Rewrite, bool) {
-	prof, ok := sh.profiles[userID]
-	if !ok {
-		if !compute && e.spillPending(sh, userID) {
-			// The user's state is on disk; only the full path (which
-			// rehydrates first) may serve them.
-			return Rewrite{}, false
-		}
-		return Rewrite{HTML: page}, true
-	}
-	ent := prof.cachedActivations(path, e.now(), e.rulesGen.Load())
+// false reports ok=false so the caller can fall back to the full path. The
+// view is immutable, so no lock is held.
+func (e *Engine) rewriteFrom(ent *actCacheEntry, path, page string, compute bool) (Rewrite, bool) {
 	if ent.fp == 0 {
 		return Rewrite{HTML: page}, true
 	}
@@ -757,12 +793,29 @@ type ProfileSnapshot struct {
 }
 
 // Snapshot returns the profile state for a user, or false if unknown.
+//
+// Like every serve-side read it leaves a spilled user spilled: their record
+// is read in place, and only if it cannot be read does the call take the
+// write lock, for rehydrateLocked to dispose of the ref.
 func (e *Engine) Snapshot(userID string) (ProfileSnapshot, bool) {
 	sh := e.shardFor(userID)
-	e.rlockResident(sh, userID)
-	defer sh.mu.RUnlock()
-	prof, ok := sh.profiles[userID]
-	if !ok {
+	sh.mu.RLock()
+	prof := sh.profiles[userID]
+	unreadable := false
+	if ref, spilled := sh.spilled[userID]; prof == nil && spilled {
+		prof = e.viewRecord(ref)
+		unreadable = prof == nil
+	}
+	if !unreadable {
+		defer sh.mu.RUnlock()
+	} else {
+		sh.mu.RUnlock()
+		sh.mu.Lock()
+		defer sh.mu.Unlock()
+		e.rehydrateLocked(sh, userID)
+		prof = sh.profiles[userID]
+	}
+	if prof == nil {
 		return ProfileSnapshot{}, false
 	}
 	snap := ProfileSnapshot{
@@ -774,7 +827,7 @@ func (e *Engine) Snapshot(userID string) (ProfileSnapshot, bool) {
 	for k, n := range prof.violations {
 		snap.Violations[k] = n
 	}
-	return snap, ok
+	return snap, true
 }
 
 // Users returns the number of profiles the engine holds, summed shard by

@@ -74,7 +74,7 @@ type Metrics struct {
 	// segment files (WithProfileResidency).
 	ProfileSpills uint64
 	// Rehydrations counts spilled profiles brought back into memory by a
-	// report or page request.
+	// report (serve-side reads view a record in place and move nothing).
 	Rehydrations uint64
 	// SegmentCompactions counts spill segments rewritten (or removed) by
 	// the ingest-driven compactor.

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"oak/internal/guard"
-	"oak/internal/rules"
 )
 
 // State persistence: an Oak deployment restarts without losing what it has
@@ -330,7 +329,7 @@ func (e *Engine) importState(data []byte, preserveNewerSpill bool) error {
 	// it (outside the all-locks window — eviction takes one shard at a time).
 	if e.spill != nil {
 		for _, sh := range e.shards {
-			e.enforceResidency(sh, "")
+			e.enforceResidency(sh)
 		}
 	}
 	return nil
@@ -397,22 +396,16 @@ func decodeState(data []byte) (*persistedState, error) {
 // outside the declared range means the file does not match what it claims
 // to contain, which is a form of corruption. Activations of rules absent
 // from the current rule set and activations that expired while in transit
-// are dropped.
+// are dropped (profileFromRecord).
 func (e *Engine) buildImport(st *persistedState, want HashRange) (fresh []map[string]*Profile, freshIdx []map[string]map[string]map[string]struct{}, err error) {
 	now := e.now()
-
-	ruleSet := e.ruleSnapshot()
-	byID := make(map[string]*rules.Rule, len(ruleSet))
-	for _, r := range ruleSet {
-		byID[r.ID] = r
-	}
-
 	fresh = make([]map[string]*Profile, len(e.shards))
 	freshIdx = make([]map[string]map[string]map[string]struct{}, len(e.shards))
 	for i := range fresh {
 		fresh[i] = make(map[string]*Profile)
 	}
-	for _, pp := range st.Profiles {
+	for i := range st.Profiles {
+		pp := &st.Profiles[i]
 		if pp.UserID == "" {
 			return nil, nil, fmt.Errorf("%w: state has profile without user id", ErrCorruptState)
 		}
@@ -421,36 +414,10 @@ func (e *Engine) buildImport(st *persistedState, want HashRange) (fresh []map[st
 				ErrCorruptState, pp.UserID, userHash(pp.UserID), want)
 		}
 		si := e.shardIndex(pp.UserID)
-		prof := newProfile(pp.UserID)
-		prof.lastReport = pp.LastReport
-		for srv, n := range pp.Violations {
-			if n > 0 {
-				prof.violations[srv] = n
-			}
-		}
-		for _, pa := range pp.Active {
-			rule, ok := byID[pa.RuleID]
-			if !ok {
-				continue // rule removed since export
-			}
-			if !pa.ExpiresAt.IsZero() && now.After(pa.ExpiresAt) {
-				continue // lapsed while the engine was down
-			}
-			prof.active[pa.RuleID] = &ActiveRule{
-				Rule:            rule,
-				AltIndex:        pa.AltIndex,
-				ActivatedAt:     pa.ActivatedAt,
-				ExpiresAt:       pa.ExpiresAt,
-				TriggerServer:   pa.TriggerServer,
-				TriggerDistance: pa.TriggerDistance,
-				Activations:     pa.Activations,
-				Synthesized:     pa.Synthesized,
-			}
-			// Arm lazy expiry so an imported TTL'd activation lapses on the
-			// serve path just like a live-activated one.
-			prof.noteExpiry(pa.ExpiresAt)
-			if e.guard != nil {
-				for _, h := range e.altHostsFor(pa.RuleID, pa.AltIndex) {
+		prof, _ := e.profileFromRecord(pp, now, false)
+		if e.guard != nil {
+			for rid, a := range prof.active {
+				for _, h := range e.altHostsFor(rid, a.AltIndex) {
 					idx := freshIdx[si]
 					if idx == nil {
 						idx = make(map[string]map[string]map[string]struct{})
@@ -466,11 +433,10 @@ func (e *Engine) buildImport(st *persistedState, want HashRange) (fresh []map[st
 						set = make(map[string]struct{})
 						users[pp.UserID] = set
 					}
-					set[pa.RuleID] = struct{}{}
+					set[rid] = struct{}{}
 				}
 			}
 		}
-		prof.sizeEst = prof.estimateSize()
 		fresh[si][pp.UserID] = prof
 	}
 	return fresh, freshIdx, nil

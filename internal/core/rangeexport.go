@@ -192,7 +192,7 @@ func (e *Engine) ImportStateRange(r HashRange, data []byte) error {
 	// under it.
 	if e.spill != nil {
 		for _, sh := range e.shards {
-			e.enforceResidency(sh, "")
+			e.enforceResidency(sh)
 		}
 	}
 	return nil

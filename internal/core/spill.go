@@ -18,10 +18,13 @@ import (
 // The spill tier bounds the engine's resident set. Profiles of users who
 // have not reported recently are evicted from their shard's map, encoded as
 // OAKPROF1 records (spillcodec.go) and appended — fsync before forget — to
-// segment files; the next report or page request for a spilled user
-// rehydrates the profile transparently. Everything is ingest-driven: there
-// is no background goroutine, so the tier works identically under virtual
-// clocks and never races a shutdown.
+// segment files. Only ingest changes where a profile lives: a spilled user's
+// next report installs the profile again (rehydrateLocked), while every
+// serve-side read — a page, a fingerprint, a Snapshot — is answered from the
+// record where it lies, under the shard's read lock, and changes nothing
+// (viewRecord). Everything is ingest-driven: there is no background
+// goroutine, so the tier works identically under virtual clocks and never
+// races a shutdown.
 //
 // Durability contract: a profile is only removed from memory after its
 // record is durable (write + fsync). A crash at any instant therefore loses
@@ -74,7 +77,8 @@ func (c ResidencyConfig) withDefaults() ResidencyConfig {
 
 // WithProfileResidency bounds the engine's resident profile set, spilling
 // cold profiles to crash-safe segment files under cfg.Dir and rehydrating
-// them lazily on the next report or page request. An invalid configuration
+// them lazily on the user's next report; pages for a spilled user are served
+// from the record in place. An invalid configuration
 // (no directory, no cap) fails engine construction, as does an unusable
 // directory; damaged segment files do not — they are quarantined.
 func WithProfileResidency(cfg ResidencyConfig) Option {
@@ -83,12 +87,20 @@ func WithProfileResidency(cfg ResidencyConfig) Option {
 
 // spillRef locates one user's durable record: segment, frame offset and
 // length, plus the profile's last-report time for cold-ranking, prune and
-// the newer-wins statefile merge. Guarded by the owning shard's mu.
+// the newer-wins statefile merge. Guarded by the owning shard's mu: refs are
+// written only under its write lock, and a segment's file is closed only
+// after every shard's write lock has been taken and released (compactSegment),
+// so a reader holding the read lock has a valid ref into an open, immutable
+// frame.
 type spillRef struct {
-	seg  *spillSegment
-	off  int64
-	n    int
-	last time.Time
+	seg *spillSegment
+	off int64
+	n   int32 // frame length; frames are bounded by maxSpillRecordLen
+	// active records whether the record carries any activation. A page for a
+	// spilled user whose record carries none is the untouched page, decided
+	// without reading the disk. (Packed beside n: a ref stays 48 bytes.)
+	active bool
+	last   time.Time
 }
 
 // spillSegment is one append-log file. A segment is the append target of at
@@ -146,6 +158,8 @@ type spillStore struct {
 	// file bytes. Lock-free for healthz and the over-cap precheck.
 	spilledUsers obs.Gauge
 	spillBytes   obs.Gauge
+	// recordViews counts serve-side reads of a spilled record done in place.
+	recordViews obs.Counter
 }
 
 // spillFailpoint, when set, is consulted before every spill I/O operation
@@ -313,7 +327,7 @@ func (e *Engine) recoverSpill() error {
 			}
 			recs = append(recs, segRec{
 				uid: pp.UserID,
-				ref: spillRef{seg: seg, off: off, n: frameLen, last: pp.LastReport},
+				ref: spillRef{seg: seg, off: off, n: int32(frameLen), active: len(pp.Active) > 0, last: pp.LastReport},
 			})
 			off += int64(frameLen)
 		}
@@ -414,7 +428,7 @@ func (st *spillStore) quarantineSegment(e *Engine, seg *spillSegment, err error)
 }
 
 // degrade latches memory-only mode after a spill I/O failure: evictions
-// stop, rehydration of already-spilled state is still attempted, serving
+// stop, already-spilled state is still read (viewed and rehydrated), serving
 // continues, healthz reports degraded.
 func (st *spillStore) degrade(e *Engine, op string, err error) {
 	e.metrics.spillErrors.Inc()
@@ -454,18 +468,15 @@ func (st *spillStore) overCap(sh *shard) bool {
 }
 
 // enforceResidency evicts the shard's coldest profiles down to the low
-// watermark when it is over cap. Called after ingest (process) and after a
-// serve-path rehydration — the only two events that grow the resident set.
-// pin names a profile exempt from this pass: the user a serve-path
-// rehydration just brought back, who is often also the shard's coldest and
-// would otherwise be re-evicted before the caller can read them.
-func (e *Engine) enforceResidency(sh *shard, pin string) {
+// watermark when it is over cap. Called after ingest (process) and after an
+// import — the only events that grow the resident set.
+func (e *Engine) enforceResidency(sh *shard) {
 	st := e.spill
 	if st == nil || st.failed.Load() || !st.overCap(sh) {
 		return
 	}
 	sh.mu.Lock()
-	e.evictColdLocked(sh, pin)
+	e.evictColdLocked(sh)
 	sh.mu.Unlock()
 	e.maybeCompact()
 }
@@ -475,7 +486,7 @@ func (e *Engine) enforceResidency(sh *shard, pin string) {
 // watermarks, with a batch floor so each fsync amortises over several
 // profiles. The records are durable — written and fsynced — before any
 // profile is removed from memory. Caller holds sh.mu for writing.
-func (e *Engine) evictColdLocked(sh *shard, pin string) {
+func (e *Engine) evictColdLocked(sh *shard) {
 	st := e.spill
 	if st == nil || st.failed.Load() {
 		return
@@ -507,9 +518,6 @@ func (e *Engine) evictColdLocked(sh *shard, pin string) {
 	}
 	cands := make([]cand, 0, len(sh.profiles))
 	for uid, prof := range sh.profiles {
-		if uid == pin {
-			continue
-		}
 		cands = append(cands, cand{uid: uid, last: prof.lastReport, size: int64(prof.sizeEst)})
 	}
 	sort.Slice(cands, func(i, j int) bool {
@@ -541,10 +549,11 @@ func (e *Engine) spillProfilesLocked(sh *shard, victims []string) {
 	st := e.spill
 	var buf []byte
 	type framePos struct {
-		uid  string
-		off  int64 // relative to the batch start
-		n    int
-		last time.Time
+		uid    string
+		off    int64 // relative to the batch start
+		n      int32
+		active bool
+		last   time.Time
 	}
 	frames := make([]framePos, 0, len(victims))
 	var scratch []byte
@@ -557,7 +566,7 @@ func (e *Engine) spillProfilesLocked(sh *shard, victims []string) {
 		scratch = encodeSpillRecord(scratch[:0], &pp)
 		start := int64(len(buf))
 		buf = appendSpillFrame(buf, scratch)
-		frames = append(frames, framePos{uid: uid, off: start, n: int(int64(len(buf)) - start), last: prof.lastReport})
+		frames = append(frames, framePos{uid: uid, off: start, n: int32(int64(len(buf)) - start), active: len(pp.Active) > 0, last: prof.lastReport})
 	}
 	if len(frames) == 0 {
 		return
@@ -581,7 +590,7 @@ func (e *Engine) spillProfilesLocked(sh *shard, victims []string) {
 		} else {
 			st.spilledUsers.Add(1)
 		}
-		sh.spilled[fr.uid] = spillRef{seg: seg, off: base + fr.off, n: fr.n, last: fr.last}
+		sh.spilled[fr.uid] = spillRef{seg: seg, off: base + fr.off, n: fr.n, active: fr.active, last: fr.last}
 		seg.total.Add(1)
 		e.metrics.profileSpills.Inc()
 	}
@@ -670,7 +679,7 @@ func (st *spillStore) readRecord(ref spillRef) (*persistedProfile, error) {
 	if err != nil {
 		return nil, err
 	}
-	if frameLen != ref.n {
+	if frameLen != int(ref.n) {
 		return nil, fmt.Errorf("%w: frame length drifted: ref %d, parsed %d", ErrSpillCorrupt, ref.n, frameLen)
 	}
 	return decodeSpillRecord(payload)
@@ -698,11 +707,13 @@ func (st *spillStore) segReadAt(seg *spillSegment, buf []byte, off int64) error 
 	return err
 }
 
-// rehydrateLocked brings a spilled user's profile back into memory. It
-// returns nil when the user has no spilled record, or when the record is
-// unreadable — in which case the ref is dropped (the segment is quarantined
-// for damage, the store degraded for I/O failures) and the caller proceeds
-// as if the user were unknown. Caller holds sh.mu for writing.
+// rehydrateLocked brings a spilled user's profile back into memory — the
+// ingest path's half of the tier (profileLocked), and the single owner of
+// what an unreadable record means. It returns nil when the user has no
+// spilled record, or when the record is unreadable — in which case the ref
+// is dropped (the segment is quarantined for damage, the store degraded for
+// I/O failures) and the caller proceeds as if the user were unknown. Caller
+// holds sh.mu for writing.
 func (e *Engine) rehydrateLocked(sh *shard, userID string) *Profile {
 	st := e.spill
 	if st == nil || sh.spilled == nil {
@@ -736,15 +747,34 @@ func (e *Engine) rehydrateLocked(sh *shard, userID string) *Profile {
 	return prof
 }
 
-// installRecordLocked converts a decoded record into a live profile under
-// the current rule set — the same drops an ImportState applies: activations
-// of removed rules, activations that lapsed while spilled, and (new here)
-// activations whose target provider's breaker opened while the user was
-// spilled, which the trip's bulk rollback could not reach. Caller holds
-// sh.mu for writing.
+// installRecordLocked makes a decoded record the user's resident profile:
+// the profile profileFromRecord builds, plus what only a resident profile
+// has — provider-index entries, residency accounting, and the count of the
+// bulk rollbacks that reached it late. Caller holds sh.mu for writing.
 func (e *Engine) installRecordLocked(sh *shard, pp *persistedProfile) *Profile {
-	now := e.now()
-	prof := newProfile(pp.UserID)
+	prof, barred := e.profileFromRecord(pp, e.now(), true)
+	e.metrics.bulkDeactivations.Add(uint64(barred))
+	for rid, a := range prof.active {
+		e.indexActivation(sh, pp.UserID, rid, a.AltIndex)
+	}
+	sh.profiles[pp.UserID] = prof
+	sh.users.Add(1)
+	sh.residentBytes.Add(int64(prof.sizeEst))
+	return prof
+}
+
+// profileFromRecord is the one conversion from the persisted form to a live
+// profile under the current rule set, shared by rehydration, the in-place
+// serve view and state import so they cannot disagree about what a record
+// means. It drops activations of rules removed since the record was written
+// and activations that have lapsed; with guarded set (records coming off the
+// spill tier) it also drops those whose target provider's breaker is not
+// closed or whose rule is quarantined — the trip's bulk rollback could not
+// reach a spilled user — and reports how many as barred. An import passes
+// guarded false: its guard state arrives in the same payload. The profile is
+// not installed anywhere; nothing but the caller refers to it.
+func (e *Engine) profileFromRecord(pp *persistedProfile, now time.Time, guarded bool) (prof *Profile, barred int) {
+	prof = newProfile(pp.UserID)
 	prof.lastReport = pp.LastReport
 	for srv, n := range pp.Violations {
 		if n > 0 {
@@ -758,15 +788,13 @@ func (e *Engine) installRecordLocked(sh *shard, pp *persistedProfile) *Profile {
 		}
 		rule, ok := (*byID)[pa.RuleID]
 		if !ok {
-			continue // rule removed while spilled
+			continue // rule removed since the record was written
 		}
 		if !pa.ExpiresAt.IsZero() && now.After(pa.ExpiresAt) {
-			continue // lapsed while spilled
+			continue // lapsed while spilled, or while the engine was down
 		}
-		if e.spillActivationBarred(pa.RuleID, pa.AltIndex) {
-			// The provider was quarantined while this user was spilled; the
-			// bulk rollback missed the activation, so it is applied now.
-			e.metrics.bulkDeactivations.Inc()
+		if guarded && e.spillActivationBarred(pa.RuleID, pa.AltIndex) {
+			barred++
 			continue
 		}
 		prof.active[pa.RuleID] = &ActiveRule{
@@ -779,18 +807,16 @@ func (e *Engine) installRecordLocked(sh *shard, pp *persistedProfile) *Profile {
 			Activations:     pa.Activations,
 			Synthesized:     pa.Synthesized,
 		}
+		// Arm lazy expiry so a TTL'd activation lapses on the serve path
+		// just like a live-activated one.
 		prof.noteExpiry(pa.ExpiresAt)
-		e.indexActivation(sh, pp.UserID, pa.RuleID, pa.AltIndex)
 	}
 	prof.sizeEst = prof.estimateSize()
-	sh.profiles[pp.UserID] = prof
-	sh.users.Add(1)
-	sh.residentBytes.Add(int64(prof.sizeEst))
-	return prof
+	return prof, barred
 }
 
-// spillActivationBarred reports whether a rehydrating activation must be
-// dropped because the guard no longer admits its target: the rule is
+// spillActivationBarred reports whether a spilled record's activation must
+// be dropped because the guard no longer admits its target: the rule is
 // quarantined, or a target provider's breaker is open/half-open (the trip's
 // bulk rollback would have removed the activation had it been resident).
 func (e *Engine) spillActivationBarred(ruleID string, altIdx int) bool {
@@ -808,51 +834,24 @@ func (e *Engine) spillActivationBarred(ruleID string, altIdx int) bool {
 	return false
 }
 
-// spillPending reports whether the user's profile is currently spilled (not
-// resident, durable record indexed). Caller holds sh.mu (read or write).
-func (e *Engine) spillPending(sh *shard, userID string) bool {
-	if e.spill == nil || sh.spilled == nil {
-		return false
+// viewRecord is the serve path's half of the tier: it reads a spilled
+// user's record where it lies and returns the profile it describes, without
+// installing it — no ref, counter, segment or file changes, so the caller
+// needs only the shard's read lock (see spillRef for why the ref stays
+// valid under it). It returns nil when the record cannot be read; the caller
+// then falls through to rehydrateLocked under the write lock, which decides
+// between quarantine and degrade and drops the ref.
+func (e *Engine) viewRecord(ref spillRef) *Profile {
+	if ref.seg.quarantined.Load() {
+		return nil
 	}
-	if _, ok := sh.profiles[userID]; ok {
-		return false
+	pp, err := e.spill.readRecord(ref)
+	if err != nil {
+		return nil
 	}
-	_, ok := sh.spilled[userID]
-	return ok
-}
-
-// rehydrateUser upgrades to the shard's write lock and rehydrates the user
-// if still needed — the serve-path entry point (read paths hold RLock, drop
-// it, call this, and retake RLock). Rehydration grows the resident set, so
-// the residency cap is re-enforced afterwards.
-func (e *Engine) rehydrateUser(sh *shard, userID string) {
-	sh.mu.Lock()
-	if _, ok := sh.profiles[userID]; !ok {
-		e.rehydrateLocked(sh, userID)
-	}
-	sh.mu.Unlock()
-	e.enforceResidency(sh, userID)
-}
-
-// rehydrateRetries bounds the serve-path rehydrate loop: between dropping
-// the read lock after a rehydrate and retaking it, a concurrent ingest's
-// eviction pass can re-spill the user (the pin only covers rehydrateUser's
-// own residency pass), so readers retry a few times rather than serving a
-// stateful user as empty. The race needs an adversarial interleaving per
-// iteration, so a small bound is ample.
-const rehydrateRetries = 4
-
-// rlockResident takes sh.mu for reading with userID resident if the user
-// has a spilled record, rehydrating (bounded retries, see rehydrateRetries)
-// as needed. The caller must release sh.mu for reading; the profile lookup
-// can still miss for users the engine has never seen.
-func (e *Engine) rlockResident(sh *shard, userID string) {
-	sh.mu.RLock()
-	for i := 0; i < rehydrateRetries && e.spillPending(sh, userID); i++ {
-		sh.mu.RUnlock()
-		e.rehydrateUser(sh, userID)
-		sh.mu.RLock()
-	}
+	e.spill.recordViews.Inc()
+	prof, _ := e.profileFromRecord(pp, e.now(), true)
+	return prof
 }
 
 // profileLocked returns the user's profile, rehydrating a spilled one or
@@ -1030,7 +1029,8 @@ func (e *Engine) compactSegment(victim *spillSegment) {
 		for _, mv := range cands {
 			sh := e.shardFor(mv.uid)
 			if ref, ok := sh.spilled[mv.uid]; ok && ref.seg == victim && ref.off == mv.oldOff {
-				sh.spilled[mv.uid] = spillRef{seg: seg, off: mv.off, n: mv.n, last: ref.last}
+				ref.seg, ref.off = seg, mv.off
+				sh.spilled[mv.uid] = ref
 				live++
 			}
 		}
@@ -1148,9 +1148,13 @@ type SpillStatus struct {
 	Segments            int      `json:"segments"`
 	QuarantinedSegments []string `json:"quarantinedSegments,omitempty"`
 	// Spills / Rehydrations / SegmentCompactions / SpillErrors are the
-	// tier's lifetime event counters.
+	// tier's lifetime event counters. Rehydrations counts profiles installed
+	// again by a report; RecordViews counts serve-side reads of a spilled
+	// record done in place (a page for a spilled user whose record carries no
+	// activation needs neither).
 	Spills             uint64 `json:"spills"`
 	Rehydrations       uint64 `json:"rehydrations"`
+	RecordViews        uint64 `json:"recordViews"`
 	SegmentCompactions uint64 `json:"segmentCompactions"`
 	SpillErrors        uint64 `json:"spillErrors"`
 	// MaxProfiles / MaxBytes echo the configured caps.
@@ -1172,6 +1176,7 @@ func (e *Engine) SpillStatus() (SpillStatus, bool) {
 		SpillBytes:         st.spillBytes.Value(),
 		Spills:             e.metrics.profileSpills.Value(),
 		Rehydrations:       e.metrics.rehydrations.Value(),
+		RecordViews:        st.recordViews.Value(),
 		SegmentCompactions: e.metrics.segmentCompactions.Value(),
 		SpillErrors:        e.metrics.spillErrors.Value(),
 		MaxProfiles:        st.cfg.MaxProfiles,

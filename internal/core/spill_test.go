@@ -105,46 +105,56 @@ func TestSpillEvictsColdAndRehydratesLazily(t *testing.T) {
 	if got := e.Residency("u01"); got != "spilled" {
 		t.Fatalf("Residency(u01) = %q, want spilled", got)
 	}
-	// Snapshot is a serve-side read: it must rehydrate transparently, with
-	// the violation counters and activation intact.
+	// Snapshot is a serve-side read: it sees the violation counters and the
+	// activation through the record where it lies. (Until PR 18 this test
+	// required the user to be resident afterwards; serve-side reads no longer
+	// move a profile — only ingest does.)
 	snap, ok := e.Snapshot("u01")
 	if !ok {
 		t.Fatal("spilled user unknown to Snapshot")
 	}
 	if snap.Violations["ip-s1.com"] != 1 {
-		t.Errorf("violations after rehydration = %v", snap.Violations)
+		t.Errorf("violations read from the record = %v", snap.Violations)
 	}
 	if len(snap.ActiveRules) != 1 || snap.ActiveRules[0] != "jquery" {
-		t.Errorf("activations after rehydration = %+v", snap.ActiveRules)
+		t.Errorf("activations read from the record = %+v", snap.ActiveRules)
+	}
+	// So is a page: the spilled user's activation still rewrites it.
+	page := `<script src="http://s1.com/jquery.js">`
+	out, _ := e.ModifyPage("u01", "/index.html", page)
+	if !strings.Contains(out, "s2.net") {
+		t.Error("spilled user u01 served unrewritten page")
+	}
+	if got := e.Residency("u01"); got != "spilled" {
+		t.Errorf("Residency(u01) after Snapshot and a page = %q, want spilled", got)
+	}
+	after, _ := e.SpillStatus()
+	if m := e.Metrics(); m.Rehydrations != 0 || after.Spills != st.Spills {
+		t.Errorf("serve-side reads moved profiles: Rehydrations = %d, Spills %d -> %d",
+			m.Rehydrations, st.Spills, after.Spills)
+	}
+	if after.RecordViews != 2 {
+		t.Errorf("RecordViews = %d, want 2 (one Snapshot, one page)", after.RecordViews)
+	}
+
+	// Rehydration is ingest's: the user's next report installs the profile,
+	// and Rehydrations counts exactly those installs. (The clock moves so the
+	// report makes u01 the shard's warmest, not its tie-break coldest.)
+	clock.Advance(time.Minute)
+	if _, err := e.HandleReport(slowS1Report("u01")); err != nil {
+		t.Fatal(err)
 	}
 	if got := e.Residency("u01"); got != "resident" {
-		t.Errorf("Residency(u01) after Snapshot = %q, want resident", got)
+		t.Errorf("Residency(u01) after a report = %q, want resident", got)
 	}
-
-	// The page path rehydrates too: a spilled user's activation still
-	// rewrites their page.
-	spilled := ""
-	for i := 1; i <= users; i++ {
-		if uid := fmt.Sprintf("u%02d", i); e.Residency(uid) == "spilled" {
-			spilled = uid
-			break
-		}
+	if snap, _ := e.Snapshot("u01"); snap.Violations["ip-s1.com"] != 2 {
+		t.Errorf("violations after the rehydrating report = %v, want ip-s1.com:2", snap.Violations)
 	}
-	if spilled == "" {
-		t.Fatal("no spilled user left to serve")
+	if m := e.Metrics(); m.Rehydrations != 1 {
+		t.Errorf("Rehydrations = %d, want 1", m.Rehydrations)
 	}
-	page := `<script src="http://s1.com/jquery.js">`
-	out, _ := e.ModifyPage(spilled, "/index.html", page)
-	if !strings.Contains(out, "s2.net") {
-		t.Errorf("spilled user %s served unrewritten page", spilled)
-	}
-
-	m := e.Metrics()
-	if m.Rehydrations != 2 {
-		t.Errorf("Rehydrations = %d, want 2", m.Rehydrations)
-	}
-	if lat := e.Latencies(); lat.Rehydrate.Count != 2 {
-		t.Errorf("rehydrate histogram count = %d, want 2", lat.Rehydrate.Count)
+	if lat := e.Latencies(); lat.Rehydrate.Count != 1 {
+		t.Errorf("rehydrate histogram count = %d, want 1", lat.Rehydrate.Count)
 	}
 }
 
@@ -379,10 +389,11 @@ func TestSpillCompactionReclaimsDeadSegments(t *testing.T) {
 	if before < 2 {
 		t.Fatalf("segment files = %d, want >= 2 (rotation never sealed one)", before)
 	}
-	// Rehydrate everything: every sealed record is now dead.
+	// Rehydrate everything (a report each — reads leave records live): every
+	// sealed record is now dead.
 	for i := 1; i <= 4; i++ {
-		if _, ok := e.Snapshot(fmt.Sprintf("u%d", i)); !ok {
-			t.Fatalf("u%d lost", i)
+		if _, err := e.HandleReport(slowS1Report(fmt.Sprintf("u%d", i))); err != nil {
+			t.Fatal(err)
 		}
 	}
 	// PruneProfiles with an ancient cutoff removes nothing but runs one
@@ -421,8 +432,9 @@ func TestSpillCompactionPreservesLiveRecords(t *testing.T) {
 		t.Fatal(err)
 	}
 	forceSpill(t, e, "sealer") // rotates: the first segment is now sealed
-	if _, ok := e.Snapshot("dead"); !ok {
-		t.Fatal("dead user lost before compaction")
+	// A report rehydrates "dead": its record in the sealed segment dies.
+	if _, err := e.HandleReport(slowS1Report("dead")); err != nil {
+		t.Fatal(err)
 	}
 
 	for i := 0; i < 3; i++ {
@@ -431,13 +443,13 @@ func TestSpillCompactionPreservesLiveRecords(t *testing.T) {
 	if m := e.Metrics(); m.SegmentCompactions == 0 {
 		t.Fatal("compaction never ran")
 	}
-	// The surviving record still rehydrates from the rewritten segment.
+	// The surviving record still reads from the rewritten segment.
 	snap, ok := e.Snapshot("keep")
 	if !ok {
 		t.Fatal("live record lost by compaction")
 	}
 	if snap.Violations["ip-s1.com"] != 1 {
-		t.Errorf("violations after compacted rehydration = %v", snap.Violations)
+		t.Errorf("violations read from the compacted segment = %v", snap.Violations)
 	}
 }
 
@@ -600,19 +612,37 @@ func TestSpillRehydrationDropsBreakerOpenActivations(t *testing.T) {
 			m.BreakerTrips, m.BulkDeactivations)
 	}
 
-	// Rehydration must apply the rollback the trip missed.
+	// A page read through the record applies the rollback the trip missed —
+	// to the page, not to the record: nothing is installed, so nothing is
+	// counted. (Until PR 18 the page rehydrated the user and BulkDeactivations
+	// reached 2 here; it now does when a report installs the record.)
 	page := `<script src="http://s1.com/jquery.js">`
 	out, _ := e.ModifyPage("cold", "/index.html", page)
 	if out != page {
-		t.Error("rehydrated activation on an open breaker still rewrote the page")
+		t.Error("spilled activation on an open breaker still rewrote the page")
+	}
+	if m := e.Metrics(); m.BulkDeactivations != 1 {
+		t.Errorf("BulkDeactivations = %d after a page read, want 1 (a read installs nothing)",
+			m.BulkDeactivations)
+	}
+	if snap, _ := e.Snapshot("cold"); len(snap.ActiveRules) != 0 || snap.Violations["ip-s1.com"] != 1 {
+		t.Errorf("record viewed under an open breaker: active %v violations %v, want none / ip-s1.com:1",
+			snap.ActiveRules, snap.Violations)
+	}
+
+	// The user's next report installs the record, rollback applied and
+	// counted; the violation counters come back with it.
+	if _, err := e.HandleReport(healthyReport("cold")); err != nil {
+		t.Fatal(err)
 	}
 	if m := e.Metrics(); m.BulkDeactivations != 2 {
 		t.Errorf("BulkDeactivations = %d, want 2 (spilled rollback applied at rehydration)",
 			m.BulkDeactivations)
 	}
 	snap, _ := e.Snapshot("cold")
-	if snap.Violations["ip-s1.com"] != 1 {
-		t.Errorf("violation counters lost in guarded rehydration: %v", snap.Violations)
+	if len(snap.ActiveRules) != 0 || snap.Violations["ip-s1.com"] != 1 {
+		t.Errorf("guarded rehydration: active %v violations %v, want none / ip-s1.com:1",
+			snap.ActiveRules, snap.Violations)
 	}
 }
 

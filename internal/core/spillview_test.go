@@ -1,0 +1,520 @@
+package core
+
+import (
+	"bytes"
+	"errors"
+	"fmt"
+	"math/rand"
+	"os"
+	"path/filepath"
+	"reflect"
+	"strings"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"oak/internal/report"
+	"oak/internal/rules"
+)
+
+// The serve path reads the spill tier in place (PR 18): only ingest changes
+// where a profile lives. These tests pin the rule from three sides — a
+// reader racing an eviction storm, the tier's durable state across ten
+// thousand reads, and a capped engine against an uncapped one.
+
+const viewPage = `<html><script src="http://s1.com/jquery.js"></script>` +
+	`<script src="http://ads.example/ad.js"></script></html>`
+
+// serveAsOrigin asks for a page the way origin.rewriteBudgeted does: the
+// near-free cached answer first, the full path when that declines.
+func serveAsOrigin(e *Engine, uid string) Rewrite {
+	if rw, ok := e.RewriteCached(uid, "/index.html", viewPage); ok {
+		return rw
+	}
+	return e.RewritePage(uid, "/index.html", viewPage)
+}
+
+// healthyReport is a report with no violator.
+func healthyReport(user string) *report.Report {
+	return loadReport(user, map[string]float64{
+		"s1.com": 102, "a.example": 100, "b.example": 110, "c.example": 105, "d.example": 95,
+	})
+}
+
+// TestServeSpilledUserUnderEvictionStorm: the old serve path dropped the
+// read lock to rehydrate and retook it, so an eviction pass in between could
+// re-spill the user, and after a bounded number of lost races a user with an
+// active rule was served the untouched page. The in-place view has no such
+// window: whatever ingest does to the shard around it, every answer for the
+// activated user carries their alternative, and no read moves them.
+func TestServeSpilledUserUnderEvictionStorm(t *testing.T) {
+	clock := newTestClock()
+	// Per-shard cap 1: every ingest evicts the whole shard.
+	e := newSpillEngine(t, clock, ResidencyConfig{MaxProfiles: 1}, WithRewriteCache(16))
+	if _, err := e.HandleReport(slowS1Report("hot")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.HandleReport(healthyReport("other-0")); err != nil {
+		t.Fatal(err)
+	}
+	if got := e.Residency("hot"); got != "spilled" {
+		t.Fatalf("Residency(hot) = %q, want spilled before the storm", got)
+	}
+
+	var stop atomic.Bool
+	var ingest, readers sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		ingest.Add(1)
+		go func(g int) {
+			defer ingest.Done()
+			for i := 0; !stop.Load(); i++ {
+				uid := fmt.Sprintf("other-%d", (i*2+g)%8)
+				if _, err := e.HandleReport(slowS1Report(uid)); err != nil {
+					t.Errorf("ingest: %v", err)
+					return
+				}
+			}
+		}(g)
+	}
+	const reads = 400
+	for g := 0; g < 3; g++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for i := 0; i < reads; i++ {
+				if rw := e.RewritePage("hot", "/index.html", viewPage); !strings.Contains(rw.HTML, "s2.net") {
+					t.Errorf("read %d: RewritePage served the activated user an unrewritten page", i)
+					return
+				}
+				if rw, ok := e.RewriteCached("hot", "/index.html", viewPage); ok && !strings.Contains(rw.HTML, "s2.net") {
+					t.Errorf("read %d: RewriteCached answered without the alternative", i)
+					return
+				}
+				if e.ActivationFingerprint("hot", "/index.html") == 0 {
+					t.Errorf("read %d: fingerprint 0 for a user with an active rule", i)
+					return
+				}
+				if got := e.Residency("hot"); got != "spilled" {
+					t.Errorf("read %d: Residency(hot) = %q; a read moved the profile", i, got)
+					return
+				}
+			}
+		}()
+	}
+	readers.Wait()
+	stop.Store(true)
+	ingest.Wait()
+	if st, _ := e.SpillStatus(); st.RecordViews == 0 {
+		t.Error("RecordViews = 0: the activated user's record was never read in place")
+	}
+}
+
+// spillTierState is everything a page read must leave alone.
+type spillTierState struct {
+	Status SpillStatus
+	Dead   map[uint64]int64 // segment seq → dead records
+	Files  map[string]int64 // directory listing: name → size
+	Export []byte
+}
+
+func captureSpillTier(t *testing.T, e *Engine, dir string) spillTierState {
+	t.Helper()
+	st, _ := e.SpillStatus()
+	st.RecordViews = 0 // the one counter reads are meant to move
+	s := spillTierState{Status: st, Dead: map[uint64]int64{}, Files: map[string]int64{}}
+	e.spill.mu.Lock()
+	for seq, seg := range e.spill.segs {
+		s.Dead[seq] = seg.dead.Load()
+	}
+	e.spill.mu.Unlock()
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ent := range ents {
+		info, err := ent.Info()
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Files[ent.Name()] = info.Size()
+	}
+	if s.Export, err = e.ExportState(); err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// TestPageReadsNeverWriteTheSpillTier is the invariant itself: serve-side
+// reads of spilled users — with and without activations, through every
+// entry point — change nothing durable and move no profile. On the parent
+// commit every cold read was a rehydration, and a spill append (with its
+// fsync) within a few reads.
+func TestPageReadsNeverWriteTheSpillTier(t *testing.T) {
+	clock := newTestClock()
+	dir := t.TempDir()
+	e := newSpillEngine(t, clock, ResidencyConfig{Dir: dir, MaxProfiles: 4, SegmentBytes: 2048}, WithRewriteCache(16))
+	const users = 40
+	for i := 0; i < users; i++ {
+		uid := fmt.Sprintf("u%02d", i)
+		r := healthyReport(uid)
+		if i%2 == 0 {
+			r = slowS1Report(uid) // activates jquery
+		}
+		if _, err := e.HandleReport(r); err != nil {
+			t.Fatal(err)
+		}
+		clock.Advance(time.Second)
+	}
+	var spilled []string
+	activated := map[string]bool{}
+	for i := 0; i < users; i++ {
+		if uid := fmt.Sprintf("u%02d", i); e.Residency(uid) == "spilled" {
+			spilled = append(spilled, uid)
+			activated[uid] = i%2 == 0
+		}
+	}
+	if len(spilled) < users-4 {
+		t.Fatalf("only %d of %d users spilled; the cap did not bite", len(spilled), users)
+	}
+
+	before := captureSpillTier(t, e, dir)
+	const reads = 10000
+	for i := 0; i < reads; i++ {
+		uid := spilled[i%len(spilled)]
+		want := activated[uid]
+		switch (i / len(spilled)) % 4 {
+		case 0:
+			if rw := serveAsOrigin(e, uid); strings.Contains(rw.HTML, "s2.net") != want {
+				t.Fatalf("read %d: page for %s rewritten = %v, want %v", i, uid, !want, want)
+			}
+		case 1:
+			if got := len(e.ActiveRules(uid, "/index.html")) == 1; got != want {
+				t.Fatalf("read %d: ActiveRules(%s) non-empty = %v, want %v", i, uid, got, want)
+			}
+		case 2:
+			if got := e.ActivationFingerprint(uid, "/index.html") != 0; got != want {
+				t.Fatalf("read %d: fingerprint(%s) non-zero = %v, want %v", i, uid, got, want)
+			}
+		case 3:
+			snap, ok := e.Snapshot(uid)
+			if !ok || (len(snap.ActiveRules) == 1) != want {
+				t.Fatalf("read %d: Snapshot(%s) = %+v, %v; want activated = %v", i, uid, snap, ok, want)
+			}
+		}
+		// A read that took the shard's write lock could only have been
+		// installing or dropping this user.
+		if got := e.Residency(uid); got != "spilled" {
+			t.Fatalf("read %d moved %s: residency %q", i, uid, got)
+		}
+	}
+	after := captureSpillTier(t, e, dir)
+	if !reflect.DeepEqual(before.Status, after.Status) {
+		t.Errorf("SpillStatus changed across %d reads:\n before %+v\n after  %+v", reads, before.Status, after.Status)
+	}
+	if !reflect.DeepEqual(before.Dead, after.Dead) {
+		t.Errorf("segment dead counts changed: %v -> %v", before.Dead, after.Dead)
+	}
+	if !reflect.DeepEqual(before.Files, after.Files) {
+		t.Errorf("spill directory changed: %v -> %v", before.Files, after.Files)
+	}
+	if !bytes.Equal(before.Export, after.Export) {
+		t.Error("ExportState changed across page reads")
+	}
+	if m := e.Metrics(); m.Rehydrations != 0 {
+		t.Errorf("Rehydrations = %d after reads only", m.Rehydrations)
+	}
+	// Only records that carry an activation are ever read for a page; the
+	// others are answered from the ref. Snapshots read every record.
+	st, _ := e.SpillStatus()
+	if st.RecordViews == 0 || st.RecordViews >= reads {
+		t.Errorf("RecordViews = %d over %d reads, want some but not one per read", st.RecordViews, reads)
+	}
+}
+
+// diffWorld drives one operation stream against an engine capped at four
+// resident profiles and an engine with no cap, on one virtual clock.
+type diffWorld struct {
+	t      *testing.T
+	clock  *testClock
+	capped *Engine
+	plain  *Engine
+	dir    string // capped engine's segment directory
+	state  string // directory holding both state files
+	rules  []*rules.Rule
+	users  []string
+}
+
+func diffRules() []*rules.Rule {
+	return []*rules.Rule{
+		jqRule(10 * time.Minute),
+		{
+			ID: "ads", Type: rules.TypeRemove, TTL: 3 * time.Minute, Scope: "*",
+			Default: `<script src="http://ads.example/ad.js"></script>`,
+		},
+	}
+}
+
+func (w *diffWorld) boot() {
+	w.t.Helper()
+	opts := func() []Option {
+		return []Option{
+			WithClock(w.clock.Now), WithShards(1), WithRewriteCache(64),
+			// The breaker stays open for the rest of the run once tripped; see
+			// the ordering note in TestCappedServesWhatUncappedServes.
+			WithGuard(GuardConfig{TripThreshold: 2, OpenFor: 1000 * time.Hour}),
+		}
+	}
+	var err error
+	w.capped, err = NewEngine(w.rules, append(opts(), WithProfileResidency(ResidencyConfig{
+		Dir: w.dir, MaxProfiles: 4, SegmentBytes: 1, CompactRatio: 0.3,
+	}))...)
+	if err != nil {
+		w.t.Fatal(err)
+	}
+	w.plain, err = NewEngine(w.rules, opts()...)
+	if err != nil {
+		w.t.Fatal(err)
+	}
+	w.t.Cleanup(func() { w.capped.Close() })
+}
+
+// each runs op on both engines.
+func (w *diffWorld) each(op func(e *Engine) error) {
+	w.t.Helper()
+	for _, e := range []*Engine{w.capped, w.plain} {
+		if err := op(e); err != nil {
+			w.t.Fatal(err)
+		}
+	}
+}
+
+// reboot saves both engines, closes them and boots replacements from the
+// state files (the capped one over its segment directory).
+func (w *diffWorld) reboot() {
+	w.t.Helper()
+	cs, ps := filepath.Join(w.state, "capped.json"), filepath.Join(w.state, "plain.json")
+	if err := w.capped.SaveStateFile(cs); err != nil {
+		w.t.Fatal(err)
+	}
+	if err := w.plain.SaveStateFile(ps); err != nil {
+		w.t.Fatal(err)
+	}
+	w.capped.Close()
+	w.plain.Close()
+	w.boot()
+	if _, err := w.capped.LoadStateFile(cs); err != nil {
+		w.t.Fatal(err)
+	}
+	if _, err := w.plain.LoadStateFile(ps); err != nil {
+		w.t.Fatal(err)
+	}
+}
+
+// check compares what the two engines serve every user.
+func (w *diffWorld) check(step string) {
+	w.t.Helper()
+	for _, uid := range w.users {
+		c, p := serveAsOrigin(w.capped, uid), serveAsOrigin(w.plain, uid)
+		if c.HTML != p.HTML || c.ETag != p.ETag || c.Hint != p.Hint {
+			w.t.Fatalf("%s: %s (%s) served differently:\n capped %q tag %q hint %q\n plain  %q tag %q hint %q",
+				step, uid, w.capped.Residency(uid), c.HTML, c.ETag, c.Hint, p.HTML, p.ETag, p.Hint)
+		}
+		if cf, pf := w.capped.ActivationFingerprint(uid, "/index.html"), w.plain.ActivationFingerprint(uid, "/index.html"); cf != pf {
+			w.t.Fatalf("%s: %s (%s) fingerprint %x capped, %x plain", step, uid, w.capped.Residency(uid), cf, pf)
+		}
+	}
+}
+
+// mix runs n seeded operations — reports, page reads, clock steps, forced
+// compaction and, if asked, prune — checking after each.
+func (w *diffWorld) mix(rng *rand.Rand, phase string, n int, prune bool) {
+	w.t.Helper()
+	for i := 0; i < n; i++ {
+		uid := w.users[rng.Intn(len(w.users))]
+		step := fmt.Sprintf("%s step %d", phase, i)
+		switch k := rng.Intn(20); {
+		case k < 5:
+			w.each(func(e *Engine) error { _, err := e.HandleReport(slowS1Report(uid)); return err })
+			step += " slow-s1 report " + uid
+		case k < 8:
+			w.each(func(e *Engine) error {
+				_, err := e.HandleReport(loadReport(uid, map[string]float64{
+					"ads.example": 1900, "a.example": 100, "b.example": 110, "c.example": 105, "d.example": 95,
+				}))
+				return err
+			})
+			step += " slow-ads report " + uid
+		case k < 10:
+			w.each(func(e *Engine) error { _, err := e.HandleReport(healthyReport(uid)); return err })
+			step += " healthy report " + uid
+		case k < 15:
+			serveAsOrigin(w.capped, uid)
+			serveAsOrigin(w.plain, uid)
+			step += " page " + uid
+		case k < 18:
+			w.clock.Advance(time.Duration(20+rng.Intn(70)) * time.Second)
+			step += " clock"
+		case k < 19 && prune:
+			cutoff := w.clock.Now().Add(-8 * time.Minute)
+			if c, p := w.capped.PruneProfiles(cutoff), w.plain.PruneProfiles(cutoff); c != p {
+				w.t.Fatalf("%s: prune removed %d capped, %d plain", step, c, p)
+			}
+			step += " prune"
+		default:
+			w.capped.maybeCompact()
+			step += " compact"
+		}
+		w.check(step)
+	}
+}
+
+// TestCappedServesWhatUncappedServes: where a profile lives must not show in
+// what its user is served. One seeded stream — reports, page reads, TTL
+// expiry, prune, forced compaction, a SetRules that drops a rule, a
+// close-and-reboot, a breaker trip while users are spilled — runs against an
+// engine capped at four resident profiles and one with no cap; after every
+// step every user gets byte-equal pages with equal entity tags and
+// fingerprints, and at the end the exports are equal.
+//
+// Three orderings are left out because the engines already disagree there on
+// the parent commit, in ways this PR neither fixes nor widens (ROADMAP item
+// 3(a) seeds): a resident profile keeps applying a removed rule until it
+// lapses while a spilled record drops it when read, so the rule is dropped
+// only once its activations have lapsed; a spilled record keeps an
+// activation the breaker's bulk rollback could not reach — hidden while the
+// breaker is open, back once it closes — so the breaker stays open to the
+// end; and a record that died in memory (its user pruned) is still in its
+// segment file, so recovery brings the user back — prune runs only after the
+// reboot.
+func TestCappedServesWhatUncappedServes(t *testing.T) {
+	for _, seed := range []int64{1, 2, 3} {
+		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
+			w := &diffWorld{t: t, clock: newTestClock(), dir: t.TempDir(), state: t.TempDir(), rules: diffRules()}
+			for i := 0; i < 16; i++ {
+				w.users = append(w.users, fmt.Sprintf("u%02d", i))
+			}
+			w.boot()
+			rng := rand.New(rand.NewSource(seed))
+
+			w.mix(rng, "warm-up", 150, false)
+			if st, _ := w.capped.SpillStatus(); st.ProfilesSpilled == 0 || st.RecordViews == 0 {
+				t.Fatalf("capped engine never served a spilled user: %+v", st)
+			}
+
+			// Drop the ads rule once every activation of it has lapsed.
+			w.clock.Advance(4 * time.Minute)
+			w.rules = w.rules[:1]
+			w.each(func(e *Engine) error { return e.SetRules(w.rules) })
+			w.check("SetRules dropping ads")
+			w.mix(rng, "after SetRules", 60, false)
+
+			w.reboot()
+			w.check("reboot")
+			w.mix(rng, "after reboot", 60, true)
+
+			// Trip s2.net's breaker while most jquery activations are spilled.
+			w.each(func(e *Engine) error {
+				e.ObserveProviderOutcome("s2.net", false, 500)
+				e.ObserveProviderOutcome("s2.net", false, 500)
+				if e.Metrics().BreakerTrips != 1 {
+					return errors.New("breaker did not trip")
+				}
+				return nil
+			})
+			w.check("breaker trip")
+			w.mix(rng, "breaker open", 60, true)
+
+			// Every user reports once more, so every record the rollback
+			// missed has been installed — rollback applied — and re-spilled.
+			for _, uid := range w.users {
+				w.each(func(e *Engine) error { _, err := e.HandleReport(healthyReport(uid)); return err })
+			}
+			w.check("settled")
+			c, err := w.capped.ExportState()
+			if err != nil {
+				t.Fatal(err)
+			}
+			p, err := w.plain.ExportState()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(c, p) {
+				t.Errorf("exports differ at the end:\n--- capped\n%s\n--- plain\n%s", c, p)
+			}
+			st, _ := w.capped.SpillStatus()
+			if st.SegmentCompactions == 0 || st.MemoryOnly || len(st.QuarantinedSegments) != 0 {
+				t.Errorf("capped engine's tier at the end: %+v (want compactions, no damage)", st)
+			}
+		})
+	}
+
+	// The same comparison with a record that cannot be read: the page is the
+	// untouched one, and the write-locked rehydrate — not the view — decides
+	// what the failure means, exactly as on the parent commit.
+	for _, tc := range []struct {
+		name   string
+		damage func(t *testing.T, seg string)
+		check  func(t *testing.T, st SpillStatus)
+	}{
+		{
+			name: "read fails",
+			damage: func(t *testing.T, seg string) {
+				SetSpillFailpoint(func(op, path string) error {
+					if op == "read" && path == seg {
+						return errors.New("injected read failure")
+					}
+					return nil
+				})
+				t.Cleanup(func() { SetSpillFailpoint(nil) })
+			},
+			check: func(t *testing.T, st SpillStatus) {
+				if !st.MemoryOnly || len(st.QuarantinedSegments) != 0 {
+					t.Errorf("I/O failure: %+v, want memory-only and nothing quarantined", st)
+				}
+			},
+		},
+		{
+			name:   "record damaged",
+			damage: func(t *testing.T, seg string) { flipSegByte(t, seg) },
+			check: func(t *testing.T, st SpillStatus) {
+				if st.MemoryOnly || len(st.QuarantinedSegments) != 1 {
+					t.Errorf("damage: %+v, want one quarantined segment and no memory-only latch", st)
+				}
+			},
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			clock := newTestClock()
+			dir := t.TempDir()
+			e := newSpillEngine(t, clock, ResidencyConfig{Dir: dir, MaxProfiles: 100}, WithRewriteCache(16))
+			for _, uid := range []string{"hit", "bystander"} {
+				if _, err := e.HandleReport(slowS1Report(uid)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			forceSpill(t, e, "hit")
+			segs := segFiles(t, dir)
+			if len(segs) != 1 {
+				t.Fatalf("segment files = %d, want 1", len(segs))
+			}
+			tc.damage(t, segs[0])
+
+			if rw := serveAsOrigin(e, "hit"); rw.HTML != viewPage || rw.ETag != "" {
+				t.Errorf("unreadable record: served %q tag %q, want the untouched page", rw.HTML, rw.ETag)
+			}
+			if got := e.Residency("hit"); got != "none" {
+				t.Errorf("Residency(hit) = %q, want none (ref dropped with its record)", got)
+			}
+			if rw := serveAsOrigin(e, "bystander"); !strings.Contains(rw.HTML, "s2.net") {
+				t.Error("resident bystander stopped being served")
+			}
+			st, _ := e.SpillStatus()
+			if st.SpillErrors != 1 || st.RecordViews != 0 || !e.SpillDegraded() {
+				t.Errorf("SpillErrors = %d, RecordViews = %d, degraded = %v; want 1, 0, true",
+					st.SpillErrors, st.RecordViews, e.SpillDegraded())
+			}
+			tc.check(t, st)
+		})
+	}
+}

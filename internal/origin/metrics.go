@@ -99,10 +99,13 @@ type SpillSection struct {
 	// files set aside after codec-level damage (see docs/OPERATIONS.md).
 	Segments            int      `json:"segments"`
 	QuarantinedSegments []string `json:"quarantined_segments,omitempty"`
-	// Monotone counters: profiles evicted to disk, profiles read back,
+	// Monotone counters: profiles evicted to disk, profiles installed again
+	// by a report, spilled records read in place by the serve path (pages
+	// for spilled users whose record carries no activation need no read),
 	// segment rewrites, and spill-path failures of any kind.
 	Spills             uint64 `json:"spills"`
 	Rehydrations       uint64 `json:"rehydrations"`
+	RecordViews        uint64 `json:"record_views"`
 	SegmentCompactions uint64 `json:"segment_compactions"`
 	SpillErrors        uint64 `json:"spill_errors"`
 	// The configured caps; zero when that cap is not set.
@@ -212,6 +215,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			QuarantinedSegments: ss.QuarantinedSegments,
 			Spills:              ss.Spills,
 			Rehydrations:        ss.Rehydrations,
+			RecordViews:         ss.RecordViews,
 			SegmentCompactions:  ss.SegmentCompactions,
 			SpillErrors:         ss.SpillErrors,
 			MaxProfiles:         ss.MaxProfiles,

@@ -353,7 +353,8 @@ type ResidencyConfig = core.ResidencyConfig
 // memory. Profiles beyond the cap are evicted coldest-first into compact
 // binary append-log segments (written and fsynced before the in-memory copy
 // is dropped, so an acknowledged report is never lost to a crash) and
-// rehydrated transparently on the user's next report or page request.
+// rehydrated on the user's next report; a page request for a spilled user is
+// served from the record in place and moves nothing.
 // Spilled profiles participate fully in ExportState/ExportSnapshot — a
 // snapshot is byte-identical whichever side of the cap each profile is on.
 // Disk faults on the spill path degrade the engine to memory-only mode:

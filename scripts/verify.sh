@@ -56,7 +56,13 @@
 # mid-spill (torn segment tail) and hole-punches a sealed segment under a
 # live engine, requiring recovery with no acknowledged state lost and
 # byte-identical exports across residency layouts; a one-iteration memory
-# benchmark run keeps those micro-benchmarks running. The benchmark module
+# benchmark run keeps those micro-benchmarks running. The spill view step
+# runs, five times under -race, the three tests that pin "only ingest changes
+# where a profile lives": a reader of a spilled, activated user racing an
+# eviction storm, ten thousand serve-side reads that must leave the tier's
+# durable state byte-identical, and a seeded operation stream against a capped
+# and an uncapped engine that must serve the same bytes, tags and fingerprints
+# after every step. The benchmark module
 # step vets and tests bench/ (its own module, which the root go build/test
 # do not descend into) so an internal API change cannot break the serving
 # benchmark of record (bash bench/run.sh) unnoticed.
@@ -138,6 +144,9 @@ go test -race -run 'TestNodeLossChaos' -count=1 ./internal/gateway
 
 echo "== spill chaos smoke: kill-mid-spill + hole-punch under -race =="
 go test -race -run 'TestSpillChaos' -count=1 ./internal/faultinject
+
+echo "== spill view under -race, five times: reads move nothing, an eviction storm cannot blank an activated user, capped serves what uncapped serves =="
+go test -race -run 'TestServeSpilledUserUnderEvictionStorm|TestPageReadsNeverWriteTheSpillTier|TestCappedServesWhatUncappedServes' -count=5 ./internal/core
 
 echo "== memory benchmark smoke (1 iteration) =="
 go test -run '^$' -bench 'BenchmarkSpillRehydrate$|BenchmarkServeCold95$|BenchmarkIngestCapped$' -benchtime 1x ./internal/core
