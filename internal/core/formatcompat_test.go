@@ -1,0 +1,128 @@
+package core
+
+import (
+	"bytes"
+	"flag"
+	"fmt"
+	"os"
+	"path/filepath"
+	"testing"
+	"time"
+
+	"oak/internal/rules"
+)
+
+// The files under testdata/pr18-files were written by the commit before the
+// spill cleaner re-appended survivors (PR 18): a segment directory that has
+// seen rotation, rehydration, a compaction and a torn-free close, and the
+// state file and backup saved part-way through, so the boot import has
+// newer-wins work to do. Booting on them pins the on-disk formats — OAKPROF1
+// segments, OAKSNAP2 state files — across the change of writer.
+//
+// To regenerate at some commit, or to check the other direction (files written
+// by this commit, read by an older one): run this test there with
+// -write-format-fixture=<empty dir>; it writes the files and the export a boot
+// on them gives, and an engine at any other commit must give the same export
+// (copy the directory over that commit's testdata/pr18-files).
+var writeFormatFixtureTo = flag.String("write-format-fixture", "", "write the format-compatibility fixture to this directory and stop")
+
+// formatFixtureEngine boots a two-shard capped engine over dir/spill on a
+// clock at the given offset from the test epoch.
+func formatFixtureEngine(t *testing.T, dir string, at time.Duration) (*Engine, *testClock) {
+	t.Helper()
+	clock := newTestClock()
+	clock.Advance(at)
+	e, err := NewEngine([]*rules.Rule{jqRule(0)}, WithClock(clock.Now), WithShards(2),
+		WithProfileResidency(ResidencyConfig{Dir: filepath.Join(dir, "spill"), MaxProfiles: 100, SegmentBytes: 400, CompactRatio: 0.5}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { e.Close() })
+	return e, clock
+}
+
+// writeFormatFixture drives a small fixed world and leaves its files in dir.
+func writeFormatFixture(t *testing.T, dir string) {
+	t.Helper()
+	e, clock := formatFixtureEngine(t, dir, 0)
+	report := func(uids ...string) {
+		for _, uid := range uids {
+			clock.Advance(time.Second)
+			if _, err := e.HandleReport(slowS1Report(uid)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	var users []string
+	for i := 0; i < 12; i++ {
+		users = append(users, fmt.Sprintf("user-%02d", i))
+	}
+	report(users...)
+	forceSpill(t, e, users[:10]...) // several segments per shard; two users stay resident
+	report(users[0], users[1], users[2], users[3], users[4])
+	for i := 0; i < 4; i++ {
+		e.maybeCompact()
+	}
+	state := filepath.Join(dir, "state.json")
+	for i := 0; i < 2; i++ { // twice: a backup exists
+		if err := e.SaveStateFile(state); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// After the save: records newer than the snapshot's copy and a user only
+	// the segments know; five users only the snapshot knows, as resident. (No
+	// survivor of the compaction is among those spilled again: the writer this
+	// fixture comes from could file such a record out of order.)
+	report(users[1], users[0], "late-user")
+	forceSpill(t, e, users[1], users[0], "late-user")
+	if st, _ := e.SpillStatus(); st.SegmentCompactions == 0 || st.Segments < 3 || st.MemoryOnly {
+		t.Fatalf("fixture world too quiet: %+v", st)
+	}
+	e.Close()
+}
+
+// bootFormatFixture boots on a copy of the files in dir, as a restart would,
+// and returns the export.
+func bootFormatFixture(t *testing.T, dir string) []byte {
+	t.Helper()
+	work := t.TempDir()
+	if err := os.Mkdir(filepath.Join(work, "spill"), 0o700); err != nil {
+		t.Fatal(err)
+	}
+	copyDir(t, filepath.Join(dir, "spill"), filepath.Join(work, "spill"))
+	copyDir(t, dir, work) // state.json and its backup
+	e, _ := formatFixtureEngine(t, work, time.Hour)
+	if src, err := e.LoadStateFile(filepath.Join(work, "state.json")); err != nil || src != StateSnapshot {
+		t.Fatalf("LoadStateFile = %q, %v", src, err)
+	}
+	if st, _ := e.SpillStatus(); len(st.QuarantinedSegments) != 0 || st.SpillErrors != 0 || st.ProfilesSpilled == 0 {
+		t.Fatalf("boot on the fixture: %+v", st)
+	}
+	return mustExport(t, e)
+}
+
+func TestBootsOnFilesWrittenBeforeTheCleanerChanged(t *testing.T) {
+	if out := *writeFormatFixtureTo; out != "" {
+		writeFormatFixture(t, out)
+		if err := os.WriteFile(filepath.Join(out, "export.json"), bootFormatFixture(t, out), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	const fixture = "testdata/pr18-files"
+	want, err := os.ReadFile(filepath.Join(fixture, "export.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := bootFormatFixture(t, fixture); !bytes.Equal(got, want) {
+		t.Errorf("export after booting on PR 18's files:\n--- got\n%s\n--- want\n%s", got, want)
+	}
+
+	// And this commit's own files, the same world: what it writes it reads
+	// back to the same state, byte for byte.
+	own := t.TempDir()
+	writeFormatFixture(t, own)
+	if got := bootFormatFixture(t, own); !bytes.Equal(got, want) {
+		t.Errorf("export after booting on this commit's files:\n--- got\n%s\n--- want\n%s", got, want)
+	}
+}

@@ -175,6 +175,12 @@ func (e *Engine) guardAdmit(ruleID string, altIdx int) (admit, canary bool, bloc
 // alternative points at. Caller holds sh.mu for writing; no-op without a
 // guard.
 func (e *Engine) indexActivation(sh *shard, userID, ruleID string, altIdx int) {
+	e.indexActivationIn(&sh.provIndex, userID, ruleID, altIdx)
+}
+
+// indexActivationIn is indexActivation on an index no shard owns yet — the
+// ones an import builds off-lock (buildImport).
+func (e *Engine) indexActivationIn(idx *map[string]map[string]map[string]struct{}, userID, ruleID string, altIdx int) {
 	if e.guard == nil {
 		return
 	}
@@ -182,14 +188,14 @@ func (e *Engine) indexActivation(sh *shard, userID, ruleID string, altIdx int) {
 	if len(hosts) == 0 {
 		return
 	}
-	if sh.provIndex == nil {
-		sh.provIndex = make(map[string]map[string]map[string]struct{})
+	if *idx == nil {
+		*idx = make(map[string]map[string]map[string]struct{})
 	}
 	for _, h := range hosts {
-		users := sh.provIndex[h]
+		users := (*idx)[h]
 		if users == nil {
 			users = make(map[string]map[string]struct{})
-			sh.provIndex[h] = users
+			(*idx)[h] = users
 		}
 		set := users[userID]
 		if set == nil {

@@ -100,11 +100,7 @@ var snapshotCRC = crc32.MakeTable(crc32.Castagnoli)
 // by the ExportState JSON payload. ImportState verifies the checksum before
 // touching any profile.
 func (e *Engine) ExportSnapshot() ([]byte, error) {
-	payload, err := e.ExportState()
-	if err != nil {
-		return nil, err
-	}
-	return wrapSnapshot(payload), nil
+	return e.ExportSnapshotRange(HashRange{})
 }
 
 // wrapSnapshot prepends the checksummed OAKSNAP2 envelope to a state
@@ -153,15 +149,15 @@ func unwrapSnapshot(data []byte) ([]byte, error) {
 
 // ExportState serialises all per-user state as JSON.
 func (e *Engine) ExportState() ([]byte, error) {
-	return e.exportStateRange(HashRange{})
+	return e.ExportStateRange(HashRange{})
 }
 
-// exportStateRange serialises the per-user state of one arc of the hash
-// ring (the whole ring when r is the whole-space range). Guard and
-// population sections are engine-global, not per-user, so every range
-// export carries them in full; a whole-space export is byte-identical to
-// ExportState.
-func (e *Engine) exportStateRange(r HashRange) ([]byte, error) {
+// ExportStateRange serialises the per-user state of one arc of the hash
+// ring as JSON (the whole ring when r is the whole-space range, byte-identical
+// to ExportState). The guard and population sections are engine-global, not
+// per-user, and are carried in full by every range export — a partial export
+// is still enough to rebuild a node's protective state.
+func (e *Engine) ExportStateRange(r HashRange) ([]byte, error) {
 	st := persistedState{Version: stateVersion, SavedAt: e.now()}
 	if !r.Whole() {
 		st.Range = &persistedRange{Lo: r.Lo, Hi: r.Hi}
@@ -201,7 +197,7 @@ func (e *Engine) exportStateRange(r HashRange) ([]byte, error) {
 					// omitting a user still indexed as spilled. The ref
 					// itself is dropped lazily on next touch (we hold only
 					// the read lock here).
-					e.spill.quarantineSegment(e, ref.seg, err)
+					e.spill.quarantine(e, ref.seg, err)
 					continue
 				}
 				// I/O failure: fail the export rather than install a
@@ -266,26 +262,39 @@ func snapshotProfile(prof *Profile) persistedProfile {
 // any profile is touched — and incompatible format versions with
 // ErrStateVersion.
 func (e *Engine) ImportState(data []byte) error {
-	return e.importState(data, false)
+	return e.importRange(HashRange{}, data, false, false)
 }
 
-// importState is ImportState with the spill-tier merge policy as a knob.
-// Authoritative (preserveNewerSpill false): every existing spill record is
-// dropped — the payload is the complete truth, as a node replacement or an
-// operator restore demands. Newer-wins (true, the LoadStateFile boot path):
-// a spill record with a last-report strictly after the payload's copy of
-// that user survives the import, and spilled users absent from the payload
-// survive too — that is what makes a crash between spill-fsync and the next
-// SaveStateFile lose nothing that was acknowledged.
+// importRange is the one import: ImportState, LoadStateFile's boot import and
+// ImportStateRange are calls of it. It replaces the profiles of the arc r (the
+// whole ring for the first two) with the payload's and leaves every profile
+// outside r untouched. The swap holds every shard lock, so no reader sees a
+// half-imported arc; a payload that is damaged, or carries a profile outside
+// r, fails before anything is touched.
+//
+// newerWins is the spill-tier merge policy. Authoritative (false): every
+// spill record in r is dropped — the payload is the complete truth, as a node
+// replacement, a donated arc or an operator restore demands. Newer-wins
+// (true, the boot path): a spill record with a last-report strictly after the
+// payload's copy of that user survives the import, and spilled users absent
+// from the payload survive too — that is what makes a crash between
+// spill-fsync and the next SaveStateFile lose nothing that was acknowledged.
+//
+// topUp says what a payload *without* a guard or population section does to
+// those engine-global sections: nothing (a stripped range payload tops up
+// profiles without clobbering local protective state), or, without topUp,
+// replace them with empty state, as pre-guard and legacy snapshots always
+// imported. A section the payload carries is installed either way, inside the
+// all-locks window, so profiles and breaker states become visible together.
 //
 // On engines with a residency cap the import ends by re-enforcing the cap,
 // so restoring a huge snapshot immediately evicts back under it.
-func (e *Engine) importState(data []byte, preserveNewerSpill bool) error {
+func (e *Engine) importRange(r HashRange, data []byte, newerWins, topUp bool) error {
 	st, err := decodeState(data)
 	if err != nil {
 		return err
 	}
-	fresh, freshIdx, err := e.buildImport(st, HashRange{})
+	fresh, freshIdx, err := e.buildImport(st, r)
 	if err != nil {
 		return err
 	}
@@ -296,15 +305,20 @@ func (e *Engine) importState(data []byte, preserveNewerSpill bool) error {
 	spilledLive := int64(0)
 	for i, sh := range e.shards {
 		if sh.spilled != nil {
-			e.mergeSpillLocked(sh, fresh[i], freshIdx[i], preserveNewerSpill, HashRange{})
+			e.mergeSpillLocked(sh, fresh[i], freshIdx[i], newerWins, r)
 			spilledLive += int64(len(sh.spilled))
 		}
-		sh.profiles = fresh[i]
-		sh.provIndex = freshIdx[i]
-		sh.users.Set(int64(len(fresh[i])))
+		if r.Whole() {
+			// Nothing of the old population survives: install the maps
+			// wholesale rather than insert a restart's every profile here.
+			sh.profiles, sh.provIndex = fresh[i], freshIdx[i]
+		} else {
+			replaceArcLocked(sh, r, fresh[i], freshIdx[i])
+		}
+		sh.users.Set(int64(len(sh.profiles)))
 		if e.spill != nil {
 			bytes := int64(0)
-			for _, prof := range fresh[i] {
+			for _, prof := range sh.profiles {
 				bytes += int64(prof.sizeEst)
 			}
 			sh.residentBytes.Store(bytes)
@@ -313,19 +327,16 @@ func (e *Engine) importState(data []byte, preserveNewerSpill bool) error {
 	if e.spill != nil {
 		e.spill.spilledUsers.Set(spilledLive)
 	}
-	if e.guard != nil {
-		// Inside the all-locks window, so profiles and breaker states from
-		// the same snapshot become visible together. st.Guard is nil for
-		// pre-guard and legacy snapshots — that imports as empty guard state.
+	if e.guard != nil && (st.Guard != nil || !topUp) {
 		e.guard.Import(st.Guard)
 	}
-	// Same discipline for the population section: nil (pre-synthesis or
-	// legacy snapshots) imports as empty population state.
-	e.importPop(st.Population)
+	if st.Population != nil || !topUp {
+		e.importPop(st.Population)
+	}
 	for _, sh := range e.shards {
 		sh.mu.Unlock()
 	}
-	// A restored population can exceed the residency cap; evict back under
+	// The imported population can exceed the residency cap; evict back under
 	// it (outside the all-locks window — eviction takes one shard at a time).
 	if e.spill != nil {
 		for _, sh := range e.shards {
@@ -333,6 +344,43 @@ func (e *Engine) importState(data []byte, preserveNewerSpill bool) error {
 		}
 	}
 	return nil
+}
+
+// replaceArcLocked swaps one shard's share of the arc r: the resident
+// profiles in r and their provider-index entries go, the payload's (all
+// verified in-range by buildImport) come in. Caller holds sh.mu for writing.
+func replaceArcLocked(sh *shard, r HashRange, fresh map[string]*Profile, freshIdx map[string]map[string]map[string]struct{}) {
+	for uid := range sh.profiles {
+		if r.Contains(userHash(uid)) {
+			delete(sh.profiles, uid)
+		}
+	}
+	for host, users := range sh.provIndex {
+		for uid := range users {
+			if r.Contains(userHash(uid)) {
+				delete(users, uid)
+			}
+		}
+		if len(users) == 0 {
+			delete(sh.provIndex, host)
+		}
+	}
+	for uid, prof := range fresh {
+		sh.profiles[uid] = prof
+	}
+	for host, users := range freshIdx {
+		if sh.provIndex == nil {
+			sh.provIndex = make(map[string]map[string]map[string]struct{})
+		}
+		dst := sh.provIndex[host]
+		if dst == nil {
+			dst = make(map[string]map[string]struct{}, len(users))
+			sh.provIndex[host] = dst
+		}
+		for uid, set := range users {
+			dst[uid] = set
+		}
+	}
 }
 
 // mergeSpillLocked reconciles one shard's spill index with an incoming
@@ -415,27 +463,8 @@ func (e *Engine) buildImport(st *persistedState, want HashRange) (fresh []map[st
 		}
 		si := e.shardIndex(pp.UserID)
 		prof, _ := e.profileFromRecord(pp, now, false)
-		if e.guard != nil {
-			for rid, a := range prof.active {
-				for _, h := range e.altHostsFor(rid, a.AltIndex) {
-					idx := freshIdx[si]
-					if idx == nil {
-						idx = make(map[string]map[string]map[string]struct{})
-						freshIdx[si] = idx
-					}
-					users := idx[h]
-					if users == nil {
-						users = make(map[string]map[string]struct{})
-						idx[h] = users
-					}
-					set := users[pp.UserID]
-					if set == nil {
-						set = make(map[string]struct{})
-						users[pp.UserID] = set
-					}
-					set[rid] = struct{}{}
-				}
-			}
+		for rid, a := range prof.active {
+			e.indexActivationIn(&freshIdx[si], pp.UserID, rid, a.AltIndex)
 		}
 		fresh[si][pp.UserID] = prof
 	}

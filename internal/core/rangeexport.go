@@ -82,19 +82,10 @@ func RangeFor(userID string, ranges []HashRange) int {
 	return -1
 }
 
-// ExportStateRange serialises the per-user state of one arc of the hash
-// ring as JSON. The guard and population sections are engine-global and are
-// carried in full by every range export — a partial export is still enough
-// to rebuild a node's protective state. Exporting the whole-space range is
-// byte-identical to ExportState.
-func (e *Engine) ExportStateRange(r HashRange) ([]byte, error) {
-	return e.exportStateRange(r)
-}
-
 // ExportSnapshotRange is ExportStateRange wrapped in the checksummed
 // OAKSNAP2 envelope, the form shipped between nodes.
 func (e *Engine) ExportSnapshotRange(r HashRange) ([]byte, error) {
-	payload, err := e.exportStateRange(r)
+	payload, err := e.ExportStateRange(r)
 	if err != nil {
 		return nil, err
 	}
@@ -115,85 +106,5 @@ func (e *Engine) ExportSnapshotRange(r HashRange) ([]byte, error) {
 // state. The swap holds every shard lock, so readers never see a
 // half-imported arc.
 func (e *Engine) ImportStateRange(r HashRange, data []byte) error {
-	st, err := decodeState(data)
-	if err != nil {
-		return err
-	}
-	fresh, freshIdx, err := e.buildImport(st, r)
-	if err != nil {
-		return err
-	}
-
-	for _, sh := range e.shards {
-		sh.mu.Lock()
-	}
-	spilledLive := int64(0)
-	for i, sh := range e.shards {
-		// Evict the arc's current population: profiles, their provider-index
-		// entries, and — the payload is authoritative for the arc — any
-		// spilled records of in-range users.
-		for uid, prof := range sh.profiles {
-			if r.Contains(userHash(uid)) {
-				delete(sh.profiles, uid)
-				if e.spill != nil {
-					sh.residentBytes.Add(-int64(prof.sizeEst))
-				}
-			}
-		}
-		if sh.spilled != nil {
-			e.mergeSpillLocked(sh, fresh[i], freshIdx[i], false, r)
-			spilledLive += int64(len(sh.spilled))
-		}
-		for host, users := range sh.provIndex {
-			for uid := range users {
-				if r.Contains(userHash(uid)) {
-					delete(users, uid)
-				}
-			}
-			if len(users) == 0 {
-				delete(sh.provIndex, host)
-			}
-		}
-		// Install the payload's profiles (all verified in-range above).
-		for uid, prof := range fresh[i] {
-			sh.profiles[uid] = prof
-			if e.spill != nil {
-				sh.residentBytes.Add(int64(prof.sizeEst))
-			}
-		}
-		for host, users := range freshIdx[i] {
-			if sh.provIndex == nil {
-				sh.provIndex = make(map[string]map[string]map[string]struct{})
-			}
-			dst := sh.provIndex[host]
-			if dst == nil {
-				dst = make(map[string]map[string]struct{}, len(users))
-				sh.provIndex[host] = dst
-			}
-			for uid, set := range users {
-				dst[uid] = set
-			}
-		}
-		sh.users.Set(int64(len(sh.profiles)))
-	}
-	if st.Guard != nil && e.guard != nil {
-		e.guard.Import(st.Guard)
-	}
-	if st.Population != nil {
-		e.importPop(st.Population)
-	}
-	if e.spill != nil {
-		e.spill.spilledUsers.Set(spilledLive)
-	}
-	for _, sh := range e.shards {
-		sh.mu.Unlock()
-	}
-	// The donated arc can push the node over its residency cap; evict back
-	// under it.
-	if e.spill != nil {
-		for _, sh := range e.shards {
-			e.enforceResidency(sh)
-		}
-	}
-	return nil
+	return e.importRange(r, data, false, true)
 }

@@ -35,6 +35,15 @@ import (
 // truncated away, and a segment that fails its checksums is quarantined and
 // skipped rather than aborting boot.
 //
+// One writer, one order: appendLocked is the only function that writes record
+// frames, always to the tail of the calling shard's active segment, and
+// newSegment the only one that numbers a segment, always above every number
+// in use. A user's records are written by their own shard only — evictions
+// and the cleaner's re-appends alike (compactSegment) — so for any one user
+// (segment seq, offset) order is the order the records were written in, which
+// is the "later" recovery trusts. walkSegment is the only reader of whole
+// segments, for recovery and the cleaner both.
+//
 // Failure contract: any spill I/O failure (create, append, fsync) latches
 // the store into memory-only mode — evictions stop, resident state grows as
 // if the tier were disabled, healthz reports degraded, and serving
@@ -54,7 +63,7 @@ type ResidencyConfig struct {
 	// (default 4 MiB).
 	SegmentBytes int64
 	// CompactRatio is the dead-record fraction at which the ingest-driven
-	// compactor rewrites a sealed segment (default 0.5).
+	// compactor cleans a sealed segment (default 0.5).
 	CompactRatio float64
 }
 
@@ -88,10 +97,11 @@ func WithProfileResidency(cfg ResidencyConfig) Option {
 // spillRef locates one user's durable record: segment, frame offset and
 // length, plus the profile's last-report time for cold-ranking, prune and
 // the newer-wins statefile merge. Guarded by the owning shard's mu: refs are
-// written only under its write lock, and a segment's file is closed only
-// after every shard's write lock has been taken and released (compactSegment),
-// so a reader holding the read lock has a valid ref into an open, immutable
-// frame.
+// written only under its write lock, and a segment's file is closed only once
+// no ref points into it — the cleaner moves each shard's refs out under that
+// shard's write lock first, and a shard with no survivor in the segment holds
+// no ref into it (compactSegment) — so a reader holding the read lock has a
+// valid ref into an open, immutable frame.
 type spillRef struct {
 	seg *spillSegment
 	off int64
@@ -101,6 +111,14 @@ type spillRef struct {
 	// without reading the disk. (Packed beside n: a ref stays 48 bytes.)
 	active bool
 	last   time.Time
+}
+
+// segFrame is one whole record frame and the ref that will point at it:
+// ref.off is relative to the buffer the frame was found or built in and
+// ref.seg unset until the frame has its place in the log.
+type segFrame struct {
+	uid string
+	ref spillRef
 }
 
 // spillSegment is one append-log file. A segment is the append target of at
@@ -222,23 +240,16 @@ func (e *Engine) initSpill() error {
 	}
 	shards := int64(len(e.shards))
 	if cfg.MaxProfiles > 0 {
-		st.perShardProfiles = max64(1, int64(cfg.MaxProfiles)/shards)
+		st.perShardProfiles = max(1, int64(cfg.MaxProfiles)/shards)
 	}
 	if cfg.MaxBytes > 0 {
-		st.perShardBytes = max64(1, cfg.MaxBytes/shards)
+		st.perShardBytes = max(1, cfg.MaxBytes/shards)
 	}
 	for _, sh := range e.shards {
 		sh.spilled = make(map[string]spillRef)
 	}
 	e.spill = st
 	return e.recoverSpill()
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // recoverSpill replays the segment directory into the shards' spill
@@ -266,11 +277,7 @@ func (e *Engine) recoverSpill() error {
 	}
 	sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
 
-	type recovered struct {
-		ref      spillRef
-		shardIdx int
-	}
-	byUser := make(map[string]recovered)
+	byUser := make(map[string]spillRef)
 	for _, seq := range seqs {
 		path := spillSegPath(st.dir, seq)
 		if seq >= st.nextSeq {
@@ -286,11 +293,11 @@ func (e *Engine) recoverSpill() error {
 			os.Remove(path)
 			continue
 		}
+		seg := &spillSegment{seq: seq, path: path}
 		if string(data[:len(spillSegMagic)]) != spillSegMagic {
-			st.quarantineFile(e, path, fmt.Errorf("%w: %s", ErrSpillMagic, filepath.Base(path)))
+			st.quarantine(e, seg, ErrSpillMagic)
 			continue
 		}
-		seg := &spillSegment{seq: seq, path: path}
 		// Two-phase replay: parse and validate the whole segment first,
 		// committing nothing. Only a segment that proved good end-to-end gets
 		// to supersede earlier records and bump their segments' dead counts —
@@ -298,50 +305,25 @@ func (e *Engine) recoverSpill() error {
 		// and counters exactly as they were, or the end-of-recovery GC would
 		// delete a healthy segment holding the newest surviving copy of a
 		// user's profile.
-		type segRec struct {
-			uid string
-			ref spillRef
-		}
-		var recs []segRec
-		off := int64(len(spillSegMagic))
-		damaged := false
-		for off < int64(len(data)) {
-			payload, frameLen, ferr := nextSpillFrame(data[off:])
-			if errors.Is(ferr, ErrSpillTruncated) {
-				// Crash mid-append: drop the torn tail, keep everything
-				// before it.
-				if terr := os.Truncate(path, off); terr != nil {
-					return fmt.Errorf("core: truncate torn spill segment %s: %w", path, terr)
-				}
-				data = data[:off]
-				break
+		frames, end, werr := walkSegment(data)
+		if errors.Is(werr, ErrSpillTruncated) {
+			// Crash mid-append: drop the torn tail, keep everything before it.
+			if terr := os.Truncate(path, end); terr != nil {
+				return fmt.Errorf("core: truncate torn spill segment %s: %w", path, terr)
 			}
-			if ferr != nil {
-				damaged = true
-				break
-			}
-			pp, derr := decodeSpillRecord(payload)
-			if derr != nil {
-				damaged = true
-				break
-			}
-			recs = append(recs, segRec{
-				uid: pp.UserID,
-				ref: spillRef{seg: seg, off: off, n: int32(frameLen), active: len(pp.Active) > 0, last: pp.LastReport},
-			})
-			off += int64(frameLen)
-		}
-		if damaged {
-			st.quarantineFile(e, path, fmt.Errorf("%w: %s", ErrSpillCorrupt, filepath.Base(path)))
+			data = data[:end]
+		} else if werr != nil {
+			st.quarantine(e, seg, werr)
 			continue
 		}
 		// Validated: commit the segment's records in order.
-		for _, rec := range recs {
+		for _, fr := range frames {
 			seg.total.Add(1)
-			if prev, ok := byUser[rec.uid]; ok {
-				prev.ref.seg.dead.Add(1)
+			if prev, ok := byUser[fr.uid]; ok {
+				prev.seg.dead.Add(1)
 			}
-			byUser[rec.uid] = recovered{ref: rec.ref, shardIdx: e.shardIndex(rec.uid)}
+			fr.ref.seg = seg
+			byUser[fr.uid] = fr.ref
 		}
 		seg.size.Store(int64(len(data)))
 		f, err := os.OpenFile(path, os.O_RDWR, 0)
@@ -353,15 +335,10 @@ func (e *Engine) recoverSpill() error {
 		st.spillBytes.Add(seg.size.Load())
 	}
 
-	live := int64(0)
-	for uid, rec := range byUser {
-		if rec.ref.seg.quarantined.Load() {
-			continue
-		}
-		e.shards[rec.shardIdx].spilled[uid] = rec.ref
-		live++
+	for uid, ref := range byUser {
+		e.shardFor(uid).spilled[uid] = ref
 	}
-	st.spilledUsers.Set(live)
+	st.spilledUsers.Set(int64(len(byUser)))
 
 	// Segments with no surviving records are garbage from previous runs;
 	// removing them now keeps restart loops from accreting files.
@@ -390,24 +367,13 @@ func (e *Engine) recoverSpill() error {
 	return nil
 }
 
-// quarantineFile quarantines a segment discovered damaged before it was
-// opened (boot path): renamed aside for the operator, recorded, counted.
-func (st *spillStore) quarantineFile(e *Engine, path string, err error) {
-	st.quarantined = append(st.quarantined, filepath.Base(path))
-	e.metrics.spillErrors.Inc()
-	if os.Rename(path, path+spillQuarantineSuffix) == nil {
-		syncDir(st.dir)
-	}
-	if e.logf != nil {
-		e.logf("core: spill segment quarantined: %v", err)
-	}
-}
-
-// quarantineSegment takes a live segment out of service after its bytes
-// failed validation at runtime. Refs into it are dropped lazily (next
-// touch); the file is renamed aside for the operator. Safe to call with the
-// owning shard's lock held (lock order is shard → store).
-func (st *spillStore) quarantineSegment(e *Engine, seg *spillSegment, err error) {
+// quarantine takes a segment out of service after its bytes failed
+// validation: the file is renamed aside for the operator, recorded and
+// counted. At boot the segment is not yet open, sized or in the table, so only
+// that happens; at runtime it also leaves the table and the byte gauge, and
+// refs into it are dropped lazily (next touch). Safe to call with the owning
+// shard's lock held (lock order is shard → store).
+func (st *spillStore) quarantine(e *Engine, seg *spillSegment, err error) {
 	if seg.quarantined.Swap(true) {
 		return // already quarantined by a concurrent reader
 	}
@@ -495,11 +461,11 @@ func (e *Engine) evictColdLocked(sh *shard) {
 	// immediately re-trigger eviction.
 	targetProfiles := int64(-1)
 	if st.perShardProfiles > 0 {
-		targetProfiles = st.perShardProfiles - max64(st.perShardProfiles/10, 1)
+		targetProfiles = st.perShardProfiles - max(st.perShardProfiles/10, 1)
 	}
 	targetBytes := int64(-1)
 	if st.perShardBytes > 0 {
-		targetBytes = st.perShardBytes - max64(st.perShardBytes/10, 1)
+		targetBytes = st.perShardBytes - max(st.perShardBytes/10, 1)
 	}
 	over := func(profiles, bytes int64) bool {
 		return (targetProfiles >= 0 && profiles > targetProfiles) ||
@@ -547,16 +513,8 @@ func (e *Engine) evictColdLocked(sh *shard) {
 // mode. Caller holds sh.mu for writing.
 func (e *Engine) spillProfilesLocked(sh *shard, victims []string) {
 	st := e.spill
-	var buf []byte
-	type framePos struct {
-		uid    string
-		off    int64 // relative to the batch start
-		n      int32
-		active bool
-		last   time.Time
-	}
-	frames := make([]framePos, 0, len(victims))
-	var scratch []byte
+	var buf, scratch []byte
+	frames := make([]segFrame, 0, len(victims))
 	for _, uid := range victims {
 		prof, ok := sh.profiles[uid]
 		if !ok {
@@ -566,13 +524,12 @@ func (e *Engine) spillProfilesLocked(sh *shard, victims []string) {
 		scratch = encodeSpillRecord(scratch[:0], &pp)
 		start := int64(len(buf))
 		buf = appendSpillFrame(buf, scratch)
-		frames = append(frames, framePos{uid: uid, off: start, n: int32(int64(len(buf)) - start), active: len(pp.Active) > 0, last: prof.lastReport})
+		frames = append(frames, segFrame{uid: uid, ref: spillRef{off: start, n: int32(int64(len(buf)) - start), active: len(pp.Active) > 0, last: prof.lastReport}})
 	}
 	if len(frames) == 0 {
 		return
 	}
-	seg, base, err := st.appendLocked(sh, buf)
-	if err != nil {
+	if err := st.appendLocked(sh, buf, frames); err != nil {
 		st.degrade(e, "append", err)
 		return
 	}
@@ -585,22 +542,18 @@ func (e *Engine) spillProfilesLocked(sh *shard, victims []string) {
 		delete(sh.profiles, fr.uid)
 		sh.users.Add(-1)
 		sh.residentBytes.Add(-int64(prof.sizeEst))
-		if old, ok := sh.spilled[fr.uid]; ok {
-			old.seg.dead.Add(1)
-		} else {
-			st.spilledUsers.Add(1)
-		}
-		sh.spilled[fr.uid] = spillRef{seg: seg, off: base + fr.off, n: fr.n, active: fr.active, last: fr.last}
-		seg.total.Add(1)
 		e.metrics.profileSpills.Inc()
 	}
 }
 
-// appendLocked durably appends buf to the shard's active segment (rotating
-// or creating one as needed) and returns the segment and the offset the
-// batch landed at. Caller holds sh.mu for writing; only the owning shard
-// appends to its active segment, so the offset arithmetic is single-writer.
-func (st *spillStore) appendLocked(sh *shard, buf []byte) (*spillSegment, int64, error) {
+// appendLocked is the one writer of record frames: it durably appends buf —
+// the frames back to back, their offsets relative to buf — to the tail of
+// the shard's active segment (rotating or creating one as needed) and, the
+// bytes fsynced, points the shard's refs at them, in the same critical
+// section. On failure no ref has moved. Caller holds sh.mu for writing; only
+// the owning shard appends to its active segment, so the offset arithmetic is
+// single-writer.
+func (st *spillStore) appendLocked(sh *shard, buf []byte, frames []segFrame) error {
 	seg := sh.spillSeg
 	if seg != nil && (seg.quarantined.Load() ||
 		(seg.size.Load() > int64(len(spillSegMagic)) && seg.size.Load()+int64(len(buf)) > st.cfg.SegmentBytes)) {
@@ -612,26 +565,36 @@ func (st *spillStore) appendLocked(sh *shard, buf []byte) (*spillSegment, int64,
 		var err error
 		seg, err = st.newSegment()
 		if err != nil {
-			return nil, 0, err
+			return err
 		}
 		sh.spillSeg = seg
 	}
 	base := seg.size.Load()
 	if err := spillFail("append", seg.path); err != nil {
-		return nil, 0, err
+		return err
 	}
 	if _, err := seg.f.WriteAt(buf, base); err != nil {
-		return nil, 0, err
+		return err
 	}
 	if err := spillFail("sync", seg.path); err != nil {
-		return nil, 0, err
+		return err
 	}
 	if err := seg.f.Sync(); err != nil {
-		return nil, 0, err
+		return err
 	}
 	seg.size.Add(int64(len(buf)))
 	st.spillBytes.Add(int64(len(buf)))
-	return seg, base, nil
+	for _, fr := range frames {
+		if old, ok := sh.spilled[fr.uid]; ok {
+			old.seg.dead.Add(1)
+		} else {
+			st.spilledUsers.Add(1)
+		}
+		fr.ref.seg, fr.ref.off = seg, base+fr.ref.off
+		sh.spilled[fr.uid] = fr.ref
+		seg.total.Add(1)
+	}
+	return nil
 }
 
 // newSegment creates, registers and makes durable the next segment file.
@@ -735,7 +698,7 @@ func (e *Engine) rehydrateLocked(sh *shard, userID string) *Profile {
 	pp, err := st.readRecord(ref)
 	if err != nil {
 		if isSpillDamage(err) {
-			st.quarantineSegment(e, ref.seg, err)
+			st.quarantine(e, ref.seg, err)
 		} else {
 			st.degrade(e, "read", err)
 		}
@@ -912,19 +875,48 @@ func (st *spillStore) pickCompactionVictim() *spillSegment {
 	return victim
 }
 
-// compactSegment rewrites a sealed segment without its dead records: the
-// surviving frames are copied byte-for-byte into a new segment written with
-// the statefile discipline (tmp → fsync → rename → dir fsync), the refs are
-// swapped under every shard lock, and the victim is deleted. A victim whose
-// records are all dead is simply removed.
+// walkSegment is the one reader of segment bytes (magic included, already
+// checked): it verifies every frame's length and CRC, decodes its record, and
+// returns the frames in log order and where the last whole one ends. err is
+// ErrSpillTruncated when data ends inside the frame at end — a torn append if
+// data is a whole file — and other damage otherwise; the frames before end
+// are good either way.
+func walkSegment(data []byte) (frames []segFrame, end int64, err error) {
+	end = int64(len(spillSegMagic))
+	for end < int64(len(data)) {
+		payload, n, err := nextSpillFrame(data[end:])
+		if err != nil {
+			return frames, end, err
+		}
+		pp, err := decodeSpillRecord(payload)
+		if err != nil {
+			// The frame is whole and its checksum holds, so this is not a tear.
+			return frames, end, fmt.Errorf("%w: frame at offset %d: %v", ErrSpillCorrupt, end, err)
+		}
+		if frames == nil {
+			// Records are much of a size: the first one says how many to expect.
+			frames = make([]segFrame, 0, len(data)/n+1)
+		}
+		frames = append(frames, segFrame{uid: pp.UserID, ref: spillRef{off: end, n: int32(n), active: len(pp.Active) > 0, last: pp.LastReport}})
+		end += int64(n)
+	}
+	return frames, end, nil
+}
+
+// compactSegment cleans a sealed segment: each record some shard still refers
+// to is appended again, byte for byte, through that shard's own append path —
+// appendLocked, under the shard's write lock, with the ref moved in the same
+// critical section — and once no ref points into the victim its file is
+// removed. A survivor thus moves the way an eviction writes it, to the tail
+// of the log, so a user's records stay in (segment seq, offset) order and
+// recovery's "later supersedes earlier" holds without the cleaner being a
+// special case. A crash in between leaves both copies, identical, the later
+// one winning; a failed append leaves every ref not yet moved pointing into
+// the victim, which stays.
 //
-// All disk I/O happens before any shard lock is taken, so ingest and
-// serving never stall behind a slow disk. That order is sound because a
-// sealed segment's bytes are immutable and refs into it only ever die (new
-// spills land in active segments; the CAS in maybeCompact keeps a second
-// compactor away): the candidate set snapshotted below is a superset of
-// whatever is still live at swap time, and a candidate that died in the
-// window simply becomes a dead record in the new segment.
+// One shard is locked at a time, for one append and one fsync — what every
+// eviction batch costs it. A segment holds one shard's records unless an
+// earlier run with another shard count wrote it.
 func (e *Engine) compactSegment(victim *spillSegment) {
 	st := e.spill
 	if err := spillFail("compact", victim.path); err != nil {
@@ -936,138 +928,62 @@ func (e *Engine) compactSegment(victim *spillSegment) {
 		st.degrade(e, "compact", err)
 		return
 	}
-	type frame struct {
-		uid string
-		off int64
-		n   int
+	frames, _, err := walkSegment(data)
+	if err != nil {
+		// The sealed bytes no longer parse: external damage. Quarantine
+		// instead of carrying it to the tail of the log.
+		st.quarantine(e, victim, err)
+		return
 	}
-	var frames []frame
-	off := int64(len(spillSegMagic))
-	for off < int64(len(data)) {
-		payload, frameLen, err := nextSpillFrame(data[off:])
-		if err != nil {
-			// The sealed bytes no longer parse: external damage. Quarantine
-			// instead of propagating it into a fresh segment.
-			st.quarantineSegment(e, victim, err)
-			return
-		}
-		pp, err := decodeSpillRecord(payload)
-		if err != nil {
-			st.quarantineSegment(e, victim, err)
-			return
-		}
-		frames = append(frames, frame{uid: pp.UserID, off: off, n: frameLen})
-		off += int64(frameLen)
-	}
-
-	// Candidate frames: those that are some shard's live ref into the victim
-	// right now (weakly consistent, one shard read lock at a time).
-	type moved struct {
-		uid    string
-		oldOff int64
-		off    int64
-		n      int
-	}
-	var cands []moved
-	newSize := int64(len(spillSegMagic))
+	// Only a shard that owns one of the victim's users can hold a ref into it.
+	owns := make([]bool, len(e.shards))
 	for _, fr := range frames {
-		sh := e.shardFor(fr.uid)
-		sh.mu.RLock()
-		ref, ok := sh.spilled[fr.uid]
-		sh.mu.RUnlock()
-		if ok && ref.seg == victim && ref.off == fr.off {
-			cands = append(cands, moved{uid: fr.uid, oldOff: fr.off, off: newSize, n: fr.n})
-			newSize += int64(fr.n)
-		}
+		owns[e.shardIndex(fr.uid)] = true
 	}
-
-	// Build and durably write the replacement segment — still lock-free.
-	var seg *spillSegment
-	if len(cands) > 0 {
-		st.mu.Lock()
-		seq := st.nextSeq
-		st.nextSeq++
-		st.mu.Unlock()
-		path := spillSegPath(st.dir, seq)
-		out := make([]byte, 0, newSize)
-		out = append(out, spillSegMagic...)
-		for _, mv := range cands {
-			out = append(out, data[mv.oldOff:mv.oldOff+int64(mv.n)]...)
+	for i, sh := range e.shards {
+		if !owns[i] {
+			continue
 		}
-		tmp := path + ".tmp"
-		if err := writeFileSync(tmp, out); err != nil {
-			os.Remove(tmp)
-			st.degrade(e, "compact", err)
-			return
-		}
-		if err := os.Rename(tmp, path); err != nil {
-			os.Remove(tmp)
-			st.degrade(e, "compact", err)
-			return
-		}
-		syncDir(st.dir)
-		f, err := os.OpenFile(path, os.O_RDWR, 0)
-		if err != nil {
-			// The new segment is durable but unopenable — nothing was
-			// swapped yet, so the victim stays authoritative.
-			os.Remove(path)
-			st.degrade(e, "compact", err)
-			return
-		}
-		seg = &spillSegment{seq: seq, path: path, f: f}
-		seg.size.Store(int64(len(out)))
-	}
-
-	// Swap refs under every shard lock: re-filter the candidates (some may
-	// have rehydrated or been pruned since the snapshot) and retire the
-	// victim. No disk I/O in this window.
-	for _, sh := range e.shards {
 		sh.mu.Lock()
-	}
-	live := int64(0)
-	if seg != nil {
-		for _, mv := range cands {
-			sh := e.shardFor(mv.uid)
-			if ref, ok := sh.spilled[mv.uid]; ok && ref.seg == victim && ref.off == mv.oldOff {
-				ref.seg, ref.off = seg, mv.off
-				sh.spilled[mv.uid] = ref
-				live++
-			}
-		}
-		seg.total.Store(int64(len(cands)))
-		seg.dead.Store(int64(len(cands)) - live)
-		if live > 0 {
-			st.mu.Lock()
-			st.segs[seg.seq] = seg
-			st.mu.Unlock()
-			st.spillBytes.Add(seg.size.Load())
-		}
-	}
-	st.dropSegmentLocked(victim)
-	for _, sh := range e.shards {
+		err := st.reappendLocked(sh, victim, data, frames)
 		sh.mu.Unlock()
+		if err != nil {
+			st.degrade(e, "compact", err)
+			return
+		}
 	}
+	// No shard holds a ref into the victim now, and none can take one: refs
+	// are only ever made to a shard's active segment. A reader got its ref
+	// under the shard's read lock and read through it before releasing, so
+	// the write locks above waited the last of them out.
+	st.mu.Lock()
+	delete(st.segs, victim.seq)
+	st.mu.Unlock()
+	st.spillBytes.Add(-victim.size.Load())
 	victim.f.Close()
 	os.Remove(victim.path)
-	if seg != nil && live == 0 {
-		// Every candidate died between the write and the swap: the new
-		// segment holds only dead records and was never registered.
-		seg.f.Close()
-		os.Remove(seg.path)
-	}
 	syncDir(st.dir)
 	e.metrics.segmentCompactions.Inc()
 }
 
-// dropSegmentLocked removes a segment from the table and the byte gauge.
-// Any shard it was the append target of rotates on next spill. Callers hold
-// every shard lock (so no reader holds a ref mid-read).
-func (st *spillStore) dropSegmentLocked(seg *spillSegment) {
-	st.mu.Lock()
-	delete(st.segs, seg.seq)
-	st.mu.Unlock()
-	st.spillBytes.Add(-seg.size.Load())
-	seg.active.Store(false)
+// reappendLocked moves the shard's live records out of victim: the frames —
+// all of the victim's, other shards' included — that this shard still refers
+// to go through appendLocked as one batch, copied from data, the victim's
+// bytes. Caller holds sh.mu for writing.
+func (st *spillStore) reappendLocked(sh *shard, victim *spillSegment, data []byte, frames []segFrame) error {
+	var buf []byte
+	var live []segFrame
+	for _, fr := range frames {
+		if ref, ok := sh.spilled[fr.uid]; ok && ref.seg == victim && ref.off == fr.ref.off {
+			fr.ref.off = int64(len(buf))
+			buf = append(buf, data[ref.off:ref.off+int64(ref.n)]...)
+			live = append(live, fr)
+		}
+	}
+	if len(live) == 0 {
+		return nil
+	}
+	return st.appendLocked(sh, buf, live)
 }
 
 // PruneProfiles removes every profile — resident or spilled — whose last

@@ -4,10 +4,11 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"math"
 	"sort"
 	"time"
+
+	"oak/internal/wire"
 )
 
 // OAKPROF1 is the spill tier's binary profile encoding, in the spirit of the
@@ -51,9 +52,6 @@ const (
 	maxSpillStringLen = 1 << 20
 	// maxSpillRecordLen bounds a whole record frame.
 	maxSpillRecordLen = 1 << 24
-	// spillFrameOverhead is the fixed cost of framing a payload: the worst-
-	// case length prefix plus the checksum.
-	spillFrameOverhead = binary.MaxVarintLen32 + crc32.Size
 )
 
 // Typed spill-codec failures, mirroring the OAKRPT1 error taxonomy.
@@ -76,6 +74,10 @@ func isSpillDamage(err error) bool {
 		errors.Is(err, ErrSpillOversized) || errors.Is(err, ErrSpillMagic)
 }
 
+// spillWire reads the wire primitives under the spill-codec taxonomy. The
+// helpers below bind OAKPROF1's bounds to them; they are the whole dialect.
+var spillWire = wire.Errors{Truncated: ErrSpillTruncated, Oversized: ErrSpillOversized, Corrupt: ErrSpillCorrupt}
+
 // appendSpillUvarint appends v as a uvarint.
 func appendSpillUvarint(b []byte, v uint64) []byte {
 	return binary.AppendUvarint(b, v)
@@ -83,8 +85,7 @@ func appendSpillUvarint(b []byte, v uint64) []byte {
 
 // appendSpillString appends s as uvarint length + bytes.
 func appendSpillString(b []byte, s string) []byte {
-	b = binary.AppendUvarint(b, uint64(len(s)))
-	return append(b, s...)
+	return wire.AppendString(b, s)
 }
 
 // appendSpillTime appends t in the RFC3339Nano form encoding/json uses, as a
@@ -95,46 +96,27 @@ func appendSpillTime(b []byte, t time.Time) []byte {
 }
 
 // spillUvarint decodes a canonical (minimal-length) uvarint from b.
-func spillUvarint(b []byte) (uint64, int, error) {
-	v, n := binary.Uvarint(b)
-	if n == 0 {
-		return 0, 0, fmt.Errorf("%w: uvarint cut short", ErrSpillTruncated)
-	}
-	if n < 0 {
-		return 0, 0, fmt.Errorf("%w: uvarint overflows 64 bits", ErrSpillCorrupt)
-	}
-	if n > 1 && b[n-1] == 0 {
-		return 0, 0, fmt.Errorf("%w: non-minimal uvarint", ErrSpillCorrupt)
-	}
-	return v, n, nil
+func spillUvarint(b []byte) (uint64, []byte, error) {
+	return spillWire.Uvarint(b)
 }
 
 // spillString decodes a length-prefixed string from b.
-func spillString(b []byte) (string, int, error) {
-	l, n, err := spillUvarint(b)
-	if err != nil {
-		return "", 0, err
-	}
-	if l > maxSpillStringLen {
-		return "", 0, fmt.Errorf("%w: string of %d bytes", ErrSpillOversized, l)
-	}
-	if uint64(len(b)-n) < l {
-		return "", 0, fmt.Errorf("%w: string cut short", ErrSpillTruncated)
-	}
-	return string(b[n : n+int(l)]), n + int(l), nil
+func spillString(b []byte) (string, []byte, error) {
+	tok, rest, err := spillWire.String(b, maxSpillStringLen)
+	return string(tok), rest, err
 }
 
 // spillTime decodes a spill time string.
-func spillTime(b []byte) (time.Time, int, error) {
-	s, n, err := spillString(b)
+func spillTime(b []byte) (time.Time, []byte, error) {
+	s, rest, err := spillString(b)
 	if err != nil {
-		return time.Time{}, 0, err
+		return time.Time{}, nil, err
 	}
 	t, err := time.Parse(time.RFC3339Nano, s)
 	if err != nil {
-		return time.Time{}, 0, fmt.Errorf("%w: bad timestamp %q", ErrSpillCorrupt, s)
+		return time.Time{}, nil, fmt.Errorf("%w: bad timestamp %q", ErrSpillCorrupt, s)
 	}
-	return t, n, nil
+	return t, rest, nil
 }
 
 // encodeSpillRecord appends the OAKPROF1 payload for one persisted profile.
@@ -179,49 +161,42 @@ func encodeSpillRecord(b []byte, pp *persistedProfile) []byte {
 func decodeSpillRecord(payload []byte) (*persistedProfile, error) {
 	pp := &persistedProfile{}
 	b := payload
-	var n int
 	var err error
 
-	if pp.UserID, n, err = spillString(b); err != nil {
+	if pp.UserID, b, err = spillString(b); err != nil {
 		return nil, fmt.Errorf("user id: %w", err)
 	}
-	b = b[n:]
 	if pp.UserID == "" {
 		return nil, fmt.Errorf("%w: empty user id", ErrSpillCorrupt)
 	}
-	if pp.LastReport, n, err = spillTime(b); err != nil {
+	if pp.LastReport, b, err = spillTime(b); err != nil {
 		return nil, fmt.Errorf("last report: %w", err)
 	}
-	b = b[n:]
 
-	nv, n, err := spillUvarint(b)
+	nv, b, err := spillUvarint(b)
 	if err != nil {
 		return nil, fmt.Errorf("violation count: %w", err)
 	}
-	b = b[n:]
 	if nv > uint64(len(b)) {
 		return nil, fmt.Errorf("%w: %d violations in %d bytes", ErrSpillCorrupt, nv, len(b))
 	}
 	pp.Violations = make(map[string]int, nv)
 	for i := uint64(0); i < nv; i++ {
-		srv, n, err := spillString(b)
-		if err != nil {
+		var srv string
+		var cnt uint64
+		if srv, b, err = spillString(b); err != nil {
 			return nil, fmt.Errorf("violation server: %w", err)
 		}
-		b = b[n:]
-		cnt, n, err := spillUvarint(b)
-		if err != nil {
+		if cnt, b, err = spillUvarint(b); err != nil {
 			return nil, fmt.Errorf("violation count for %q: %w", srv, err)
 		}
-		b = b[n:]
 		pp.Violations[srv] = int(cnt)
 	}
 
-	na, n, err := spillUvarint(b)
+	na, b, err := spillUvarint(b)
 	if err != nil {
 		return nil, fmt.Errorf("activation count: %w", err)
 	}
-	b = b[n:]
 	if na > uint64(len(b)) {
 		return nil, fmt.Errorf("%w: %d activations in %d bytes", ErrSpillCorrupt, na, len(b))
 	}
@@ -230,38 +205,31 @@ func decodeSpillRecord(payload []byte) (*persistedProfile, error) {
 	}
 	for i := uint64(0); i < na; i++ {
 		var pa persistedActivation
-		if pa.RuleID, n, err = spillString(b); err != nil {
+		var alt, acts uint64
+		if pa.RuleID, b, err = spillString(b); err != nil {
 			return nil, fmt.Errorf("rule id: %w", err)
 		}
-		b = b[n:]
-		alt, n, err := spillUvarint(b)
-		if err != nil {
+		if alt, b, err = spillUvarint(b); err != nil {
 			return nil, fmt.Errorf("alt index: %w", err)
 		}
-		b = b[n:]
 		pa.AltIndex = int(alt)
-		if pa.ActivatedAt, n, err = spillTime(b); err != nil {
+		if pa.ActivatedAt, b, err = spillTime(b); err != nil {
 			return nil, fmt.Errorf("activated at: %w", err)
 		}
-		b = b[n:]
-		if pa.ExpiresAt, n, err = spillTime(b); err != nil {
+		if pa.ExpiresAt, b, err = spillTime(b); err != nil {
 			return nil, fmt.Errorf("expires at: %w", err)
 		}
-		b = b[n:]
-		if pa.TriggerServer, n, err = spillString(b); err != nil {
+		if pa.TriggerServer, b, err = spillString(b); err != nil {
 			return nil, fmt.Errorf("trigger server: %w", err)
 		}
-		b = b[n:]
 		if len(b) < 8 {
 			return nil, fmt.Errorf("%w: trigger distance cut short", ErrSpillTruncated)
 		}
 		pa.TriggerDistance = math.Float64frombits(binary.LittleEndian.Uint64(b))
 		b = b[8:]
-		acts, n, err := spillUvarint(b)
-		if err != nil {
+		if acts, b, err = spillUvarint(b); err != nil {
 			return nil, fmt.Errorf("activation counter: %w", err)
 		}
-		b = b[n:]
 		pa.Activations = int(acts)
 		if len(b) < 1 {
 			return nil, fmt.Errorf("%w: flags cut short", ErrSpillTruncated)
@@ -277,39 +245,16 @@ func decodeSpillRecord(payload []byte) (*persistedProfile, error) {
 }
 
 // appendSpillFrame wraps a record payload in the segment frame: uvarint
-// length, payload, CRC-32C (the snapshot envelope's Castagnoli table).
+// length, payload, CRC-32C.
 func appendSpillFrame(dst, payload []byte) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(payload)))
-	dst = append(dst, payload...)
-	return binary.LittleEndian.AppendUint32(dst, crc32.Checksum(payload, snapshotCRC))
+	return wire.AppendFrame(dst, payload)
 }
 
 // nextSpillFrame parses one frame from the head of b, returning the payload
 // and the total frame length consumed. ErrSpillTruncated means b ends
 // mid-frame (a torn tail when b runs to the segment's end); a checksum
-// mismatch or an impossible length is ErrSpillCorrupt/ErrSpillOversized.
+// mismatch, an empty frame or an impossible length is
+// ErrSpillCorrupt/ErrSpillOversized.
 func nextSpillFrame(b []byte) (payload []byte, frameLen int, err error) {
-	l, n, err := spillUvarint(b)
-	if err != nil {
-		return nil, 0, err
-	}
-	if l == 0 {
-		// No record is empty (a user ID is mandatory); a zero length prefix
-		// is what zero-filled corruption (hole punches) looks like.
-		return nil, 0, fmt.Errorf("%w: empty frame", ErrSpillCorrupt)
-	}
-	if l > maxSpillRecordLen {
-		return nil, 0, fmt.Errorf("%w: frame of %d bytes", ErrSpillOversized, l)
-	}
-	total := n + int(l) + crc32.Size
-	if len(b) < total {
-		return nil, 0, fmt.Errorf("%w: frame needs %d bytes, have %d", ErrSpillTruncated, total, len(b))
-	}
-	payload = b[n : n+int(l)]
-	want := binary.LittleEndian.Uint32(b[n+int(l):])
-	if got := crc32.Checksum(payload, snapshotCRC); got != want {
-		return nil, 0, fmt.Errorf("%w: frame checksum mismatch: stored %08x, payload %08x",
-			ErrSpillCorrupt, want, got)
-	}
-	return payload, total, nil
+	return spillWire.NextFrame(b, maxSpillRecordLen)
 }

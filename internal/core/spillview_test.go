@@ -266,8 +266,10 @@ func (w *diffWorld) boot() {
 		}
 	}
 	var err error
+	// A segment holds a few records, so the shard's append target outlives
+	// compactions of the segments sealed before it.
 	w.capped, err = NewEngine(w.rules, append(opts(), WithProfileResidency(ResidencyConfig{
-		Dir: w.dir, MaxProfiles: 4, SegmentBytes: 1, CompactRatio: 0.3,
+		Dir: w.dir, MaxProfiles: 4, SegmentBytes: 2000, CompactRatio: 0.3,
 	}))...)
 	if err != nil {
 		w.t.Fatal(err)
@@ -289,13 +291,16 @@ func (w *diffWorld) each(op func(e *Engine) error) {
 	}
 }
 
-// reboot saves both engines, closes them and boots replacements from the
-// state files (the capped one over its segment directory).
-func (w *diffWorld) reboot() {
+// reboot closes both engines and boots replacements: the uncapped one from
+// its state file, the capped one over its segment directory — and from its
+// state file too if saved, else on the segments alone.
+func (w *diffWorld) reboot(saved bool) {
 	w.t.Helper()
 	cs, ps := filepath.Join(w.state, "capped.json"), filepath.Join(w.state, "plain.json")
-	if err := w.capped.SaveStateFile(cs); err != nil {
-		w.t.Fatal(err)
+	if saved {
+		if err := w.capped.SaveStateFile(cs); err != nil {
+			w.t.Fatal(err)
+		}
 	}
 	if err := w.plain.SaveStateFile(ps); err != nil {
 		w.t.Fatal(err)
@@ -303,11 +308,38 @@ func (w *diffWorld) reboot() {
 	w.capped.Close()
 	w.plain.Close()
 	w.boot()
-	if _, err := w.capped.LoadStateFile(cs); err != nil {
-		w.t.Fatal(err)
+	if saved {
+		if _, err := w.capped.LoadStateFile(cs); err != nil {
+			w.t.Fatal(err)
+		}
 	}
 	if _, err := w.plain.LoadStateFile(ps); err != nil {
 		w.t.Fatal(err)
+	}
+}
+
+// crash is a kill of the capped engine before its next SaveStateFile:
+// everything acknowledged goes to disk — first's profile first, into whatever
+// segment is the shard's append target — and the replacement has nothing but
+// the segment directory. (The uncapped engine restarts with it, through its
+// state file, only so that both count the same rule-set generations.)
+func (w *diffWorld) crash(first string) {
+	w.t.Helper()
+	for _, uid := range append([]string{first}, w.users...) {
+		if w.capped.Residency(uid) == "resident" {
+			forceSpill(w.t, w.capped, uid)
+		}
+	}
+	w.reboot(false)
+	// Pages do not show a stale record while it carries the same activations;
+	// its counters and last-report time do.
+	for _, uid := range w.users {
+		c, cok := w.capped.Snapshot(uid)
+		p, pok := w.plain.Snapshot(uid)
+		if cok != pok || !reflect.DeepEqual(c.Violations, p.Violations) || !c.LastReport.Equal(p.LastReport) {
+			w.t.Fatalf("crash after a report for %s: %s recovered from the segments as %+v (%v), acknowledged %+v (%v)",
+				first, uid, c, cok, p, pok)
+		}
 	}
 }
 
@@ -327,7 +359,8 @@ func (w *diffWorld) check(step string) {
 }
 
 // mix runs n seeded operations — reports, page reads, clock steps, forced
-// compaction and, if asked, prune — checking after each.
+// compaction and either prune or, until the first prune, a crash of the capped
+// engine straight after a compaction and a report — checking after each.
 func (w *diffWorld) mix(rng *rand.Rand, phase string, n int, prune bool) {
 	w.t.Helper()
 	for i := 0; i < n; i++ {
@@ -361,6 +394,13 @@ func (w *diffWorld) mix(rng *rand.Rand, phase string, n int, prune bool) {
 				w.t.Fatalf("%s: prune removed %d capped, %d plain", step, c, p)
 			}
 			step += " prune"
+		case k < 19:
+			// A survivor the cleaner just moved, a newer record of the same
+			// user behind it in the log, and recovery with nothing but the log.
+			w.capped.maybeCompact()
+			w.each(func(e *Engine) error { _, err := e.HandleReport(slowS1Report(uid)); return err })
+			w.crash(uid)
+			step += " compact, slow-s1 report, crash " + uid
 		default:
 			w.capped.maybeCompact()
 			step += " compact"
@@ -371,7 +411,8 @@ func (w *diffWorld) mix(rng *rand.Rand, phase string, n int, prune bool) {
 
 // TestCappedServesWhatUncappedServes: where a profile lives must not show in
 // what its user is served. One seeded stream — reports, page reads, TTL
-// expiry, prune, forced compaction, a SetRules that drops a rule, a
+// expiry, prune, forced compaction, crashes of the capped engine that leave it
+// nothing but its segment log, a SetRules that drops a rule, a
 // close-and-reboot, a breaker trip while users are spilled — runs against an
 // engine capped at four resident profiles and one with no cap; after every
 // step every user gets byte-equal pages with equal entity tags and
@@ -409,7 +450,7 @@ func TestCappedServesWhatUncappedServes(t *testing.T) {
 			w.check("SetRules dropping ads")
 			w.mix(rng, "after SetRules", 60, false)
 
-			w.reboot()
+			w.reboot(true)
 			w.check("reboot")
 			w.mix(rng, "after reboot", 60, true)
 

@@ -79,50 +79,46 @@ func (e *Engine) SaveStateFile(path string) error {
 // metrics — and only fails if the backup is unusable too. The returned
 // StateSource says which file actually populated the engine.
 func (e *Engine) LoadStateFile(path string) (StateSource, error) {
-	bak := path + BackupSuffix
-	data, err := os.ReadFile(path)
-	if os.IsNotExist(err) {
-		// No primary. Either a fresh deployment, or a crash landed between
-		// SaveStateFile's rotation and install renames — in which case the
-		// backup holds the last good snapshot.
-		bdata, berr := os.ReadFile(bak)
-		if os.IsNotExist(berr) {
-			e.stateSource.Store(StateFresh)
-			return StateFresh, nil
-		}
-		if berr != nil {
-			return "", fmt.Errorf("engine: read state backup: %w", berr)
-		}
-		if ierr := e.importState(bdata, true); ierr != nil {
-			return "", fmt.Errorf("engine: import state backup: %w", ierr)
-		}
-		e.metrics.stateRecoveries.Inc()
-		e.stateSource.Store(StateBackup)
-		return StateBackup, nil
-	}
-	if err != nil {
-		return "", fmt.Errorf("engine: read state: %w", err)
-	}
 	// Boot imports merge newer-wins with recovered spill records: a profile
 	// spilled (and fsynced) after the snapshot was saved survives the
 	// import, so a kill between spill and the next SaveStateFile loses no
-	// acknowledged state. See importState.
-	primaryErr := e.importState(data, true)
-	if primaryErr == nil {
-		e.stateSource.Store(StateSnapshot)
-		return StateSnapshot, nil
+	// acknowledged state. See importRange.
+	boot := func(data []byte) error { return e.importRange(HashRange{}, data, true, false) }
+
+	data, err := os.ReadFile(path)
+	var primaryErr error
+	switch {
+	case err == nil:
+		if primaryErr = boot(data); primaryErr == nil {
+			e.stateSource.Store(StateSnapshot)
+			return StateSnapshot, nil
+		}
+		if !errors.Is(primaryErr, ErrCorruptState) && !errors.Is(primaryErr, ErrStateVersion) {
+			return "", primaryErr
+		}
+	case !os.IsNotExist(err):
+		return "", fmt.Errorf("engine: read state: %w", err)
 	}
-	if !errors.Is(primaryErr, ErrCorruptState) && !errors.Is(primaryErr, ErrStateVersion) {
-		return "", primaryErr
-	}
-	bdata, berr := os.ReadFile(bak)
-	if berr != nil {
+	// Try the backup: the primary is damaged, or it is missing — a fresh
+	// deployment, or a crash landed between SaveStateFile's rotation and
+	// install renames, in which case the backup holds the last good snapshot.
+	bdata, berr := os.ReadFile(path + BackupSuffix)
+	switch {
+	case berr != nil && primaryErr != nil:
 		// No usable backup: surface the original corruption, not the
 		// backup's absence.
 		return "", fmt.Errorf("engine: import state (no backup to recover from): %w", primaryErr)
+	case os.IsNotExist(berr):
+		e.stateSource.Store(StateFresh)
+		return StateFresh, nil
+	case berr != nil:
+		return "", fmt.Errorf("engine: read state backup: %w", berr)
 	}
-	if ierr := e.importState(bdata, true); ierr != nil {
-		return "", fmt.Errorf("engine: snapshot and backup both unusable: %w (backup: %v)", primaryErr, ierr)
+	if ierr := boot(bdata); ierr != nil {
+		if primaryErr != nil {
+			return "", fmt.Errorf("engine: snapshot and backup both unusable: %w (backup: %v)", primaryErr, ierr)
+		}
+		return "", fmt.Errorf("engine: import state backup: %w", ierr)
 	}
 	e.metrics.stateRecoveries.Inc()
 	e.stateSource.Store(StateBackup)

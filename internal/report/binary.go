@@ -5,6 +5,8 @@ import (
 	"errors"
 	"math"
 	"mime"
+
+	"oak/internal/wire"
 )
 
 // OAKRPT1: a compact length-prefixed binary report encoding for
@@ -109,6 +111,11 @@ var (
 	ErrBinaryCorrupt = errors.New("report: corrupt OAKRPT1 payload")
 )
 
+// binWire reads the wire primitives under the OAKRPT1 taxonomy: non-minimal
+// varints are Corrupt, so every decodable payload re-encodes byte-identically
+// — the property FuzzBinaryRoundTrip pins.
+var binWire = wire.Errors{Truncated: ErrBinaryTruncated, Oversized: ErrBinaryOversized, Corrupt: ErrBinaryCorrupt}
+
 // IsBinary reports whether data starts with the OAKRPT1 magic.
 func IsBinary(data []byte) bool {
 	return len(data) >= len(binaryMagic) && string(data[:len(binaryMagic)]) == binaryMagic
@@ -117,18 +124,18 @@ func IsBinary(data []byte) bool {
 // AppendBinary appends the OAKRPT1 encoding of r to dst.
 func (r *Report) AppendBinary(dst []byte) []byte {
 	dst = append(dst, binaryMagic...)
-	dst = appendBinString(dst, r.UserID)
-	dst = appendBinString(dst, r.Page)
+	dst = wire.AppendString(dst, r.UserID)
+	dst = wire.AppendString(dst, r.Page)
 	dst = binary.AppendVarint(dst, r.GeneratedAtUnixMs)
 	dst = binary.AppendUvarint(dst, uint64(len(r.Entries)))
 	for i := range r.Entries {
 		e := &r.Entries[i]
-		dst = appendBinString(dst, e.URL)
-		dst = appendBinString(dst, e.ServerAddr)
+		dst = wire.AppendString(dst, e.URL)
+		dst = wire.AppendString(dst, e.ServerAddr)
 		dst = binary.AppendVarint(dst, e.SizeBytes)
 		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(e.DurationMillis))
-		dst = appendBinString(dst, e.InitiatorURL)
-		dst = appendBinString(dst, string(e.Kind))
+		dst = wire.AppendString(dst, e.InitiatorURL)
+		dst = wire.AppendString(dst, string(e.Kind))
 		var flags byte
 		if e.Failed {
 			flags |= 1
@@ -182,22 +189,22 @@ func decodeBinaryInto(data []byte, r *Report) error {
 		return ErrBinaryMagic
 	}
 	b := data[len(binaryMagic):]
-	tok, b, err := binString(b)
+	tok, b, err := binWire.String(b, MaxBinaryStringLen)
 	if err != nil {
 		return err
 	}
 	r.UserID = string(tok)
-	tok, b, err = binString(b)
+	tok, b, err = binWire.String(b, MaxBinaryStringLen)
 	if err != nil {
 		return err
 	}
 	r.Page = internString(tok)
-	gen, b, err := binVarint(b)
+	gen, b, err := binWire.Varint(b)
 	if err != nil {
 		return err
 	}
 	r.GeneratedAtUnixMs = gen
-	count, b, err := binUvarint(b)
+	count, b, err := binWire.Uvarint(b)
 	if err != nil {
 		return err
 	}
@@ -216,16 +223,16 @@ func decodeBinaryInto(data []byte, r *Report) error {
 			r.Entries = append(r.Entries, Entry{})
 		}
 		e := &r.Entries[n]
-		if tok, b, err = binString(b); err != nil {
+		if tok, b, err = binWire.String(b, MaxBinaryStringLen); err != nil {
 			return err
 		}
 		e.URL, e.host = internURL(tok)
 		e.hostKnown = true
-		if tok, b, err = binString(b); err != nil {
+		if tok, b, err = binWire.String(b, MaxBinaryStringLen); err != nil {
 			return err
 		}
 		e.ServerAddr = internString(tok)
-		if e.SizeBytes, b, err = binVarint(b); err != nil {
+		if e.SizeBytes, b, err = binWire.Varint(b); err != nil {
 			return err
 		}
 		if len(b) < 8 {
@@ -233,11 +240,11 @@ func decodeBinaryInto(data []byte, r *Report) error {
 		}
 		e.DurationMillis = math.Float64frombits(binary.LittleEndian.Uint64(b))
 		b = b[8:]
-		if tok, b, err = binString(b); err != nil {
+		if tok, b, err = binWire.String(b, MaxBinaryStringLen); err != nil {
 			return err
 		}
 		e.InitiatorURL = internString(tok)
-		if tok, b, err = binString(b); err != nil {
+		if tok, b, err = binWire.String(b, MaxBinaryStringLen); err != nil {
 			return err
 		}
 		e.Kind = ObjectKind(internString(tok))
@@ -265,7 +272,7 @@ func SniffBinaryUser(data []byte) string {
 	if !IsBinary(data) {
 		return ""
 	}
-	tok, _, err := binString(data[len(binaryMagic):])
+	tok, _, err := binWire.String(data[len(binaryMagic):], MaxBinaryStringLen)
 	if err != nil {
 		return ""
 	}
@@ -297,48 +304,4 @@ func NextBinaryFrame(body []byte) (frame, rest []byte, err error) {
 		return nil, nil, ErrBinaryTruncated
 	}
 	return body[:n], body[n:], nil
-}
-
-func appendBinString(dst []byte, s string) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(s)))
-	return append(dst, s...)
-}
-
-func binString(b []byte) (tok, rest []byte, err error) {
-	n, rest, err := binUvarint(b)
-	if err != nil {
-		return nil, nil, err
-	}
-	if n > MaxBinaryStringLen {
-		return nil, nil, ErrBinaryOversized
-	}
-	if n > uint64(len(rest)) {
-		return nil, nil, ErrBinaryTruncated
-	}
-	return rest[:n], rest[n:], nil
-}
-
-// binUvarint reads a canonical (minimal-length) uvarint. Non-minimal
-// encodings are rejected so every decodable payload re-encodes
-// byte-identically — the property FuzzBinaryRoundTrip pins.
-func binUvarint(b []byte) (uint64, []byte, error) {
-	v, size := binary.Uvarint(b)
-	if size == 0 {
-		return 0, nil, ErrBinaryTruncated
-	}
-	if size < 0 || (size > 1 && b[size-1] == 0) {
-		return 0, nil, ErrBinaryCorrupt
-	}
-	return v, b[size:], nil
-}
-
-func binVarint(b []byte) (int64, []byte, error) {
-	v, size := binary.Varint(b)
-	if size == 0 {
-		return 0, nil, ErrBinaryTruncated
-	}
-	if size < 0 || (size > 1 && b[size-1] == 0) {
-		return 0, nil, ErrBinaryCorrupt
-	}
-	return v, b[size:], nil
 }

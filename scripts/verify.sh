@@ -62,7 +62,18 @@
 # eviction storm, ten thousand serve-side reads that must leave the tier's
 # durable state byte-identical, and a seeded operation stream against a capped
 # and an uncapped engine that must serve the same bytes, tags and fingerprints
-# after every step. The benchmark module
+# after every step — crashes of the capped engine that leave it nothing but
+# its segment log included. The spill log order step runs, five times under
+# -race, the two tests that pin "one append path, one order": the compactor
+# moving a survivor must never let a stale record outrank a later one after a
+# crash (TestCompactionKeepsLogOrder), and a refused append, a refused fsync or
+# a kill between the re-append and the victim's removal must each leave the
+# pre-compaction state recoverable with nothing quarantined
+# (TestCompactionCrashPoints); a plain-grep structure check then fails by name
+# if a second segment writer creeps back into spill.go (a .tmp file, a second
+# sequence allocation, a frame parser outside walkSegment and readRecord). A
+# fuzz smoke pins the internal/wire primitives both binary dialects are schemas
+# over (round trip, canonical re-encoding, typed rejection). The benchmark module
 # step vets and tests bench/ (its own module, which the root go build/test
 # do not descend into) so an internal API change cannot break the serving
 # benchmark of record (bash bench/run.sh) unnoticed.
@@ -105,6 +116,9 @@ go test -run '^$' -fuzz FuzzDecodeEquivalence -fuzztime 5s ./internal/report
 echo "== fuzz smoke: FuzzBinaryRoundTrip (5s) =="
 go test -run '^$' -fuzz FuzzBinaryRoundTrip -fuzztime 5s ./internal/report
 
+echo "== fuzz smoke: FuzzPrimitivesRoundTrip (10s) =="
+go test -run xxx -fuzz FuzzPrimitivesRoundTrip -fuzztime 10s ./internal/wire
+
 echo "== fuzz smoke: FuzzSniffUserAgreesWithDecode (5s) =="
 go test -run '^$' -fuzz FuzzSniffUserAgreesWithDecode -fuzztime 5s ./internal/report
 
@@ -144,6 +158,22 @@ go test -race -run 'TestNodeLossChaos' -count=1 ./internal/gateway
 
 echo "== spill chaos smoke: kill-mid-spill + hole-punch under -race =="
 go test -race -run 'TestSpillChaos' -count=1 ./internal/faultinject
+
+echo "== spill log order under -race, five times: the compactor keeps (seq, offset) = age, and every crash point of it recovers the pre-compaction state =="
+go test -race -run 'TestCompactionKeepsLogOrder|TestCompactionCrashPoints' -count=5 ./internal/core
+
+echo "== spill structure check: one segment writer, one sequence allocator, one segment walker =="
+fail() { echo "structure check failed: $1" >&2; exit 1; }
+if grep -n '\.tmp' internal/core/spill.go; then
+	fail "no-tmp-files: spill.go mentions .tmp (segments are only ever appended to, never written aside and renamed)"
+fi
+[ "$(grep -c 'nextSeq++' internal/core/spill.go)" = 1 ] ||
+	fail "one-sequence-allocator: nextSeq++ must occur exactly once in spill.go (newSegment)"
+callers=$(ls internal/core/*.go | grep -v '_test\.go$' |
+	xargs awk '/^func /{fn=$0} /nextSpillFrame\(/ && !/^func nextSpillFrame/ && !/^[[:space:]]*\/\//{print fn}' |
+	sed -E 's/^func (\([^)]*\) )?([A-Za-z0-9_]+).*/\2/' | sort -u | tr '\n' ' ')
+[ "$callers" = "readRecord walkSegment " ] ||
+	fail "one-segment-walker: nextSpillFrame( is called from [ $callers], want readRecord and walkSegment only"
 
 echo "== spill view under -race, five times: reads move nothing, an eviction storm cannot blank an activated user, capped serves what uncapped serves =="
 go test -race -run 'TestServeSpilledUserUnderEvictionStorm|TestPageReadsNeverWriteTheSpillTier|TestCappedServesWhatUncappedServes' -count=5 ./internal/core
