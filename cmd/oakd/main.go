@@ -244,11 +244,21 @@ func loadState(engine *oak.Engine, path string) error {
 	}
 	switch src {
 	case oak.StateSnapshot:
-		log.Printf("oakd: restored state for %d users from %s", engine.Users(), path)
+		log.Printf("oakd: restored state for %d users from %s: %s", engine.Users(), path, bootSplit(engine))
 	case oak.StateBackup:
-		log.Printf("oakd: primary state file unusable; recovered %d users from backup %s", engine.Users(), path+".bak")
+		log.Printf("oakd: primary state file unusable; recovered %d users from backup %s: %s", engine.Users(), path+".bak", bootSplit(engine))
 	}
 	return nil
+}
+
+// bootSplit says what the boot did with the state file and the segment log:
+// how many profiles it had to install, how many it left where the log holds
+// them, and what each half cost.
+func bootSplit(engine *oak.Engine) string {
+	bs := engine.BootStatus()
+	return fmt.Sprintf("%d installed resident, %d adopted from the spill log (%d state-file copies superseded), %d segments quarantined; recover %v, load %v",
+		bs.Installed, bs.Adopted, bs.Superseded, bs.QuarantinedSegments,
+		bs.Recover.Round(100*time.Microsecond), bs.Load.Round(100*time.Microsecond))
 }
 
 // saveState persists engine state crash-safely: checksummed snapshot,

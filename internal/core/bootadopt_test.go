@@ -1,0 +1,367 @@
+package core
+
+import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"math/rand"
+	"os"
+	"path/filepath"
+	"reflect"
+	"sort"
+	"testing"
+	"time"
+
+	"oak/internal/rules"
+)
+
+// Boot adopts the log (PR 21): a restart on a state file and a segment
+// directory keeps the spill refs the log proves current and installs only
+// what it does not hold. These tests pin the rule from two sides — the
+// newer-wins predicate and the import around it, one case per row, and a
+// 2,000-user boot that must leave the spill directory as it found it.
+
+// writeSpillSegment writes segment seq of dir holding recs, in order.
+func writeSpillSegment(t *testing.T, dir string, seq uint64, recs ...persistedProfile) string {
+	t.Helper()
+	data := []byte(spillSegMagic)
+	for i := range recs {
+		data = appendSpillFrame(data, encodeSpillRecord(nil, &recs[i]))
+	}
+	path := spillSegPath(dir, seq)
+	if err := os.WriteFile(path, data, 0o600); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// TestNewerWinsMerge is supersedes and the boot import around it, a case a
+// row: which of a user's two durable copies a restart brings back, and
+// whether it costs an install. The log's copy counts one violation, the state
+// file's two.
+func TestNewerWinsMerge(t *testing.T) {
+	at := newTestClock().Now()
+	copyOf := func(violations int, last time.Time, ver uint64) *persistedProfile {
+		return &persistedProfile{UserID: "u", Violations: map[string]int{"ip-s1.com": violations}, LastReport: last, Version: ver}
+	}
+	for _, tc := range []struct {
+		name       string
+		record     *persistedProfile // the log's copy, nil for none
+		damaged    bool              // the record's segment fails its checksum
+		payload    *persistedProfile // the state file's copy, nil for none
+		supersedes bool              // the predicate, when both copies exist
+		residency  string            // where the user lives after the boot
+		violations int               // which copy came back
+		want       ImportCounts
+	}{
+		{
+			name:   "resident at the save, an older record left in the log",
+			record: copyOf(1, at, 1), payload: copyOf(2, at.Add(time.Minute), 2),
+			residency: "resident", violations: 2, want: ImportCounts{Installed: 1},
+		},
+		{
+			name:      "only the log knows the user",
+			record:    copyOf(1, at, 1),
+			residency: "spilled", violations: 1, want: ImportCounts{Adopted: 1},
+		},
+		{
+			name:      "only the state file knows the user",
+			payload:   copyOf(2, at, 1),
+			residency: "resident", violations: 2, want: ImportCounts{Installed: 1},
+		},
+		{
+			name:   "the record is newer than the state file",
+			record: copyOf(1, at.Add(time.Minute), 3), payload: copyOf(2, at, 2), supersedes: true,
+			residency: "spilled", violations: 1, want: ImportCounts{Adopted: 1, Superseded: 1},
+		},
+		{
+			name:   "a newer record outranks a higher version",
+			record: copyOf(1, at.Add(time.Minute), 1), payload: copyOf(2, at, 9), supersedes: true,
+			residency: "spilled", violations: 1, want: ImportCounts{Adopted: 1, Superseded: 1},
+		},
+		{
+			name:   "spilled at the save: same last report, same version",
+			record: copyOf(1, at, 4), payload: copyOf(2, at, 4), supersedes: true,
+			residency: "spilled", violations: 1, want: ImportCounts{Adopted: 1, Superseded: 1},
+		},
+		{
+			name:   "evicted, then reported for again at the same instant",
+			record: copyOf(1, at, 4), payload: copyOf(2, at, 5),
+			residency: "resident", violations: 2, want: ImportCounts{Installed: 1},
+		},
+		{
+			name:   "same instant, the record at the higher version",
+			record: copyOf(1, at, 5), payload: copyOf(2, at, 4), supersedes: true,
+			residency: "spilled", violations: 1, want: ImportCounts{Adopted: 1, Superseded: 1},
+		},
+		{
+			name:   "unversioned tie, as every PR 20 directory holds",
+			record: copyOf(1, at, 0), payload: copyOf(2, at, 0),
+			residency: "resident", violations: 2, want: ImportCounts{Installed: 1},
+		},
+		{
+			name:   "unversioned record against a versioned copy",
+			record: copyOf(1, at, 0), payload: copyOf(2, at, 1),
+			residency: "resident", violations: 2, want: ImportCounts{Installed: 1},
+		},
+		{
+			name:   "the user's only record sits in a quarantined segment",
+			record: copyOf(1, at.Add(time.Minute), 3), damaged: true, payload: copyOf(2, at, 2),
+			residency: "resident", violations: 2, want: ImportCounts{Installed: 1},
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			if tc.record != nil {
+				seg := writeSpillSegment(t, dir, 1, *tc.record)
+				if tc.damaged {
+					flipSegByte(t, seg)
+				}
+			}
+			e := newSpillEngine(t, newTestClock(), ResidencyConfig{Dir: dir, MaxProfiles: 10})
+			ref, indexed := e.shards[0].spilled["u"]
+			if indexed != (tc.record != nil && !tc.damaged) {
+				t.Fatalf("record indexed = %v", indexed)
+			}
+			if indexed && tc.payload != nil {
+				if got := ref.supersedes(tc.payload.LastReport, tc.payload.Version); got != tc.supersedes {
+					t.Errorf("supersedes = %v, want %v", got, tc.supersedes)
+				}
+			}
+			st := persistedState{Version: stateVersion}
+			if tc.payload != nil {
+				st.Profiles = append(st.Profiles, *tc.payload)
+			}
+			data, err := json.Marshal(st)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := e.importRange(HashRange{}, data, true, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != tc.want {
+				t.Errorf("import counts = %+v, want %+v", got, tc.want)
+			}
+			if r := e.Residency("u"); r != tc.residency {
+				t.Errorf("residency = %q, want %q", r, tc.residency)
+			}
+			if snap, ok := e.Snapshot("u"); !ok || snap.Violations["ip-s1.com"] != tc.violations {
+				t.Errorf("came back as %+v (%v), want the copy with %d violations", snap, ok, tc.violations)
+			}
+			if bs := e.BootStatus(); (bs.QuarantinedSegments == 1) != tc.damaged {
+				t.Errorf("BootStatus = %+v with damaged = %v", bs, tc.damaged)
+			}
+			// The authoritative import of the same payload never keeps a ref.
+			if err := e.ImportState(data); err != nil {
+				t.Fatal(err)
+			}
+			want := "none"
+			if tc.payload != nil {
+				want = "resident"
+			}
+			if r := e.Residency("u"); r != want {
+				t.Errorf("after ImportState: residency = %q, want %q", r, want)
+			}
+		})
+	}
+}
+
+// dirBytes reads every file of a directory.
+func dirBytes(t *testing.T, dir string) map[string][]byte {
+	t.Helper()
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make(map[string][]byte, len(ents))
+	for _, ent := range ents {
+		b, err := os.ReadFile(filepath.Join(dir, ent.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[ent.Name()] = b
+	}
+	return out
+}
+
+// TestBootAdoptsTheLog: 2,000 users under a cap of 200. A restart installs
+// the residents of the save and nothing else — no spill, no compaction, not a
+// byte of the segment directory moved — and gives the export the engine gave
+// before it stopped. The parent commit installed all 2,000 and evicted 1,800
+// of them again before it served.
+func TestBootAdoptsTheLog(t *testing.T) {
+	const users, maxResident = 2000, 200
+	type world struct {
+		clock      *testClock
+		dir, state string
+		e          *Engine
+	}
+	boot := func(t *testing.T, w *world) {
+		t.Helper()
+		var err error
+		w.e, err = NewEngine([]*rules.Rule{jqRule(0)}, WithClock(w.clock.Now), WithShards(4),
+			WithProfileResidency(ResidencyConfig{Dir: w.dir, MaxProfiles: maxResident, SegmentBytes: 8 << 10}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { w.e.Close() })
+	}
+	// traffic is n seeded reports, a third of them with a violator.
+	traffic := func(t *testing.T, w *world, rng *rand.Rand, n int) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			uid := fmt.Sprintf("user-%04d", rng.Intn(users))
+			r := healthyReport(uid)
+			if rng.Intn(3) == 0 {
+				r = slowS1Report(uid)
+			}
+			if _, err := w.e.HandleReport(r); err != nil {
+				t.Fatal(err)
+			}
+			w.clock.Advance(time.Second)
+		}
+	}
+	// start builds the world every case begins from: each user has reported
+	// once, and a further 1,500 reports have rehydrated, re-evicted and
+	// compacted on top of that.
+	start := func(t *testing.T) (*world, *rand.Rand) {
+		t.Helper()
+		w := &world{clock: newTestClock(), dir: t.TempDir()}
+		w.state = filepath.Join(t.TempDir(), "state.json")
+		boot(t, w)
+		for i := 0; i < users; i++ {
+			if _, err := w.e.HandleReport(healthyReport(fmt.Sprintf("user-%04d", i))); err != nil {
+				t.Fatal(err)
+			}
+			w.clock.Advance(time.Second)
+		}
+		rng := rand.New(rand.NewSource(21))
+		traffic(t, w, rng, 1500)
+		if st, _ := w.e.SpillStatus(); st.ProfilesSpilled < users-maxResident || st.SegmentCompactions == 0 || st.Segments < 8 {
+			t.Fatalf("world too quiet: %+v", st)
+		}
+		return w, rng
+	}
+	residents := func(e *Engine) []string {
+		var out []string
+		for i := 0; i < users; i++ {
+			if uid := fmt.Sprintf("user-%04d", i); e.Residency(uid) == "resident" {
+				out = append(out, uid)
+			}
+		}
+		sort.Strings(out)
+		return out
+	}
+	// wroteNothing: the boot did not spill, compact or touch a segment file.
+	wroteNothing := func(t *testing.T, w *world, before map[string][]byte) {
+		t.Helper()
+		st, _ := w.e.SpillStatus()
+		if st.Spills != 0 || st.SegmentCompactions != 0 || st.SpillErrors != 0 || st.MemoryOnly {
+			t.Errorf("boot wrote to the spill tier: spills %d, compactions %d, errors %d, memory-only %v",
+				st.Spills, st.SegmentCompactions, st.SpillErrors, st.MemoryOnly)
+		}
+		after := dirBytes(t, w.dir)
+		if len(after) != len(before) {
+			t.Errorf("segment directory holds %d files after the boot, %d before", len(after), len(before))
+		}
+		for name, b := range before {
+			if !bytes.Equal(after[name], b) {
+				t.Errorf("%s changed across the boot (%d bytes before, %d after)", name, len(b), len(after[name]))
+			}
+		}
+	}
+
+	t.Run("clean shutdown", func(t *testing.T) {
+		w, _ := start(t)
+		want := mustExport(t, w.e)
+		wantResident := residents(w.e)
+		// oakd's order: in-flight reports finish and descriptors close, then
+		// the final save.
+		w.e.Close()
+		if err := w.e.SaveStateFile(w.state); err != nil {
+			t.Fatal(err)
+		}
+		before := dirBytes(t, w.dir)
+
+		boot(t, w)
+		if src, err := w.e.LoadStateFile(w.state); err != nil || src != StateSnapshot {
+			t.Fatalf("LoadStateFile = %q, %v", src, err)
+		}
+		wroteNothing(t, w, before)
+		if got := residents(w.e); !reflect.DeepEqual(got, wantResident) {
+			t.Errorf("%d residents after the boot, %d at the save", len(got), len(wantResident))
+		}
+		if got := mustExport(t, w.e); !bytes.Equal(got, want) {
+			t.Error("export after the boot differs from the export before the shutdown")
+		}
+		bs := w.e.BootStatus()
+		if bs.Installed != len(wantResident) || bs.Adopted != users-len(wantResident) || bs.Superseded != bs.Adopted || bs.QuarantinedSegments != 0 {
+			t.Errorf("BootStatus = %+v, want %d installed and the other %d adopted over their copies",
+				bs, len(wantResident), users-len(wantResident))
+		}
+	})
+
+	t.Run("kill before the last save", func(t *testing.T) {
+		w, rng := start(t)
+		if err := w.e.SaveStateFile(w.state); err != nil {
+			t.Fatal(err)
+		}
+		// The log runs ahead of the snapshot, then the process dies: what was
+		// evicted since is on disk, what was only resident is gone.
+		traffic(t, w, rng, 1500)
+		durable := map[string]ProfileSnapshot{}
+		for i := 0; i < users; i++ {
+			if uid := fmt.Sprintf("user-%04d", i); w.e.Residency(uid) == "spilled" {
+				durable[uid], _ = w.e.Snapshot(uid)
+			}
+		}
+		w.e.Close()
+		before := dirBytes(t, w.dir)
+
+		boot(t, w)
+		if _, err := w.e.LoadStateFile(w.state); err != nil {
+			t.Fatal(err)
+		}
+		wroteNothing(t, w, before)
+		if got := w.e.Users(); got != users {
+			t.Errorf("Users = %d after the boot, want %d", got, users)
+		}
+		if got := len(residents(w.e)); got > maxResident {
+			t.Errorf("%d residents after the boot, cap %d", got, maxResident)
+		}
+		for uid, want := range durable {
+			if got, ok := w.e.Snapshot(uid); !ok || !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s was spilled and fsynced as %+v, came back as %+v (%v)", uid, want, got, ok)
+			}
+		}
+	})
+
+	t.Run("one segment damaged", func(t *testing.T) {
+		w, _ := start(t)
+		want := mustExport(t, w.e)
+		w.e.Close()
+		if err := w.e.SaveStateFile(w.state); err != nil {
+			t.Fatal(err)
+		}
+		segs := segFiles(t, w.dir)
+		flipSegByte(t, segs[len(segs)/2])
+
+		boot(t, w)
+		if _, err := w.e.LoadStateFile(w.state); err != nil {
+			t.Fatal(err)
+		}
+		// The segment is quarantined and its users come back from the state
+		// file's copies, as residents, so this boot does evict.
+		st, _ := w.e.SpillStatus()
+		if len(st.QuarantinedSegments) != 1 || !w.e.SpillDegraded() || st.MemoryOnly {
+			t.Errorf("spill tier after the boot: %+v, want one quarantined segment", st)
+		}
+		if bs := w.e.BootStatus(); bs.QuarantinedSegments != 1 || bs.Installed <= maxResident || bs.Installed+bs.Adopted != users {
+			t.Errorf("BootStatus = %+v, want the damaged segment's users installed beside the residents", bs)
+		}
+		if got := mustExport(t, w.e); !bytes.Equal(got, want) {
+			t.Error("export after the boot differs from the export before the shutdown")
+		}
+	})
+}

@@ -87,6 +87,8 @@ type Engine struct {
 	// (fresh/snapshot/backup/shipped) for healthz and the cluster gateway;
 	// set by LoadStateFile and ImportShippedState. Empty reads as StateFresh.
 	stateSource atomic.Value // StateSource
+	// lastLoad is what the last successful LoadStateFile did (BootStatus).
+	lastLoad atomic.Pointer[BootStatus]
 
 	// spill, when non-nil (WithProfileResidency), bounds the resident
 	// profile set: cold profiles are evicted to crash-safe segment files,
@@ -364,6 +366,7 @@ func (e *Engine) process(r *report.Report) (*AnalysisResult, error) {
 func (e *Engine) analyzeLocked(sh *shard, r *report.Report, now time.Time, servers []*report.ServerPerf, violations []Violation, scriptURLs []string, activeRules []*rules.Rule) (*AnalysisResult, []providerOutcome) {
 	prof := e.profileLocked(sh, r.UserID)
 	prof.lastReport = now
+	prof.version++
 	e.ledger.RecordUser(r.UserID)
 	if e.tracing() {
 		e.traceAt(now, obs.Event{
@@ -790,6 +793,8 @@ type ProfileSnapshot struct {
 	ActiveRules []string
 	Violations  map[string]int
 	LastReport  time.Time
+	// Version counts the reports ever applied to the profile.
+	Version uint64
 }
 
 // Snapshot returns the profile state for a user, or false if unknown.
@@ -823,6 +828,7 @@ func (e *Engine) Snapshot(userID string) (ProfileSnapshot, bool) {
 		ActiveRules: prof.ActiveRuleIDs(e.now()),
 		Violations:  make(map[string]int, len(prof.violations)),
 		LastReport:  prof.lastReport,
+		Version:     prof.version,
 	}
 	for k, n := range prof.violations {
 		snap.Violations[k] = n

@@ -119,10 +119,42 @@ func TestBootsOnFilesWrittenBeforeTheCleanerChanged(t *testing.T) {
 	}
 
 	// And this commit's own files, the same world: what it writes it reads
-	// back to the same state, byte for byte.
+	// back to the same state, byte for byte. Its profiles carry versions, so
+	// the golden is its own (the export.json -write-format-fixture leaves).
+	want, err = os.ReadFile("testdata/own-files-export.json")
+	if err != nil {
+		t.Fatal(err)
+	}
 	own := t.TempDir()
 	writeFormatFixture(t, own)
 	if got := bootFormatFixture(t, own); !bytes.Equal(got, want) {
 		t.Errorf("export after booting on this commit's files:\n--- got\n%s\n--- want\n%s", got, want)
+	}
+}
+
+// testdata/pr20-files is the same world written by the last commit whose
+// profiles had no version (PR 20; its writer re-appends compaction survivors,
+// so the segments differ from pr18-files). Every record and every state-file
+// profile in it reads as version 0, a tie between them proves nothing, and the
+// boot is the one that commit did: the state file's copy wins, to the export
+// recorded there, with no version anywhere in it.
+func TestBootsOnFilesWrittenBeforeProfilesHadVersions(t *testing.T) {
+	const fixture = "testdata/pr20-files"
+	want, err := os.ReadFile(filepath.Join(fixture, "export.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := bootFormatFixture(t, fixture)
+	if !bytes.Equal(got, want) {
+		t.Errorf("export after booting on PR 20's files:\n--- got\n%s\n--- want\n%s", got, want)
+	}
+	st, err := decodeState(got)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pp := range st.Profiles {
+		if pp.Version != 0 {
+			t.Errorf("%s came back at version %d from files that carry none", pp.UserID, pp.Version)
+		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"os"
 	"sort"
 	"time"
 
@@ -55,6 +56,9 @@ type persistedProfile struct {
 	Violations map[string]int        `json:"violations,omitempty"`
 	Active     []persistedActivation `json:"active,omitempty"`
 	LastReport time.Time             `json:"lastReport,omitempty"`
+	// Version is Profile.version, the reports ever applied. Omitted at zero,
+	// which is how every profile written before the field existed reads.
+	Version uint64 `json:"version,omitempty"`
 }
 
 type persistedActivation struct {
@@ -167,6 +171,17 @@ func (e *Engine) ExportStateRange(r HashRange) ([]byte, error) {
 	}
 	st.Population = e.exportPop() // nil (omitted) when nothing to persist
 
+	// Segments whose descriptors Engine.Close released (the final save of a
+	// shutdown) are reopened once each for the whole export.
+	var reopened map[*spillSegment]*os.File
+	if e.spill != nil {
+		reopened = make(map[*spillSegment]*os.File)
+		defer func() {
+			for _, f := range reopened {
+				f.Close()
+			}
+		}()
+	}
 	for _, sh := range e.shards {
 		sh.mu.RLock()
 		for uid, prof := range sh.profiles {
@@ -187,7 +202,7 @@ func (e *Engine) ExportStateRange(r HashRange) ([]byte, error) {
 			if ref.seg.quarantined.Load() {
 				continue // record lost with its segment; statefile covers it
 			}
-			pp, err := e.spill.readRecord(ref)
+			pp, err := e.spill.readRecord(ref, reopened)
 			if err != nil {
 				if isSpillDamage(err) {
 					// Damaged record: the segment's bytes are proven bad, so
@@ -226,6 +241,7 @@ func snapshotProfile(prof *Profile) persistedProfile {
 		UserID:     prof.UserID,
 		Violations: make(map[string]int, len(prof.violations)),
 		LastReport: prof.lastReport,
+		Version:    prof.version,
 	}
 	for srv, n := range prof.violations {
 		pp.Violations[srv] = n
@@ -262,7 +278,8 @@ func snapshotProfile(prof *Profile) persistedProfile {
 // any profile is touched — and incompatible format versions with
 // ErrStateVersion.
 func (e *Engine) ImportState(data []byte) error {
-	return e.importRange(HashRange{}, data, false, false)
+	_, err := e.importRange(HashRange{}, data, false, false)
+	return err
 }
 
 // importRange is the one import: ImportState, LoadStateFile's boot import and
@@ -275,10 +292,16 @@ func (e *Engine) ImportState(data []byte) error {
 // newerWins is the spill-tier merge policy. Authoritative (false): every
 // spill record in r is dropped — the payload is the complete truth, as a node
 // replacement, a donated arc or an operator restore demands. Newer-wins
-// (true, the boot path): a spill record with a last-report strictly after the
-// payload's copy of that user survives the import, and spilled users absent
-// from the payload survive too — that is what makes a crash between
-// spill-fsync and the next SaveStateFile lose nothing that was acknowledged.
+// (true, the boot path): a spill record that supersedes the payload's copy of
+// its user (spillRef.supersedes: a later last report, or the same one at a
+// version not lower) keeps its ref, and that copy is dropped before a profile
+// is built from it; spilled users absent from the payload survive too. So a
+// crash between spill-fsync and the next SaveStateFile loses nothing that was
+// acknowledged, and a boot installs only what the log does not hold, holds
+// older, or holds in a quarantined segment: on an undamaged directory it
+// writes nothing to the spill tier. The decision reads the spill index, which
+// holds still only under the locks, so this one import builds its profiles
+// inside the all-locks window; every other import builds them before it.
 //
 // topUp says what a payload *without* a guard or population section does to
 // those engine-global sections: nothing (a stripped range payload tops up
@@ -289,31 +312,45 @@ func (e *Engine) ImportState(data []byte) error {
 //
 // On engines with a residency cap the import ends by re-enforcing the cap,
 // so restoring a huge snapshot immediately evicts back under it.
-func (e *Engine) importRange(r HashRange, data []byte, newerWins, topUp bool) error {
+func (e *Engine) importRange(r HashRange, data []byte, newerWins, topUp bool) (ImportCounts, error) {
 	st, err := decodeState(data)
 	if err != nil {
-		return err
+		return ImportCounts{}, err
 	}
-	fresh, freshIdx, err := e.buildImport(st, r)
-	if err != nil {
-		return err
+	merge := newerWins && e.spill != nil
+	var imp builtImport
+	if !merge {
+		if imp, err = e.buildImport(st, r, false); err != nil {
+			return ImportCounts{}, err
+		}
 	}
-
 	for _, sh := range e.shards {
 		sh.mu.Lock()
 	}
-	spilledLive := int64(0)
+	unlock := func() {
+		for _, sh := range e.shards {
+			sh.mu.Unlock()
+		}
+	}
+	if merge {
+		if imp, err = e.buildImport(st, r, true); err != nil {
+			unlock()
+			return ImportCounts{}, err
+		}
+	}
+	n := ImportCounts{Superseded: imp.superseded}
 	for i, sh := range e.shards {
 		if sh.spilled != nil {
-			e.mergeSpillLocked(sh, fresh[i], freshIdx[i], newerWins, r)
-			spilledLive += int64(len(sh.spilled))
+			mergeSpillLocked(sh, imp.fresh[i], newerWins, r)
+			n.Adopted += len(sh.spilled)
 		}
+		n.Installed += len(imp.fresh[i])
 		if r.Whole() {
 			// Nothing of the old population survives: install the maps
 			// wholesale rather than insert a restart's every profile here.
-			sh.profiles, sh.provIndex = fresh[i], freshIdx[i]
+			sh.profiles, sh.provIndex = imp.fresh[i], imp.freshIdx[i]
 		} else {
-			replaceArcLocked(sh, r, fresh[i], freshIdx[i])
+			replaceArcLocked(sh, r, imp.fresh[i], imp.freshIdx[i])
 		}
 		sh.users.Set(int64(len(sh.profiles)))
 		if e.spill != nil {
@@ -325,7 +362,7 @@ func (e *Engine) importRange(r HashRange, data []byte, newerWins, topUp bool) er
 		}
 	}
 	if e.spill != nil {
-		e.spill.spilledUsers.Set(spilledLive)
+		e.spill.spilledUsers.Set(int64(n.Adopted))
 	}
 	if e.guard != nil && (st.Guard != nil || !topUp) {
 		e.guard.Import(st.Guard)
@@ -333,9 +370,7 @@ func (e *Engine) importRange(r HashRange, data []byte, newerWins, topUp bool) er
 	if st.Population != nil || !topUp {
 		e.importPop(st.Population)
 	}
-	for _, sh := range e.shards {
-		sh.mu.Unlock()
-	}
+	unlock()
 	// The imported population can exceed the residency cap; evict back under
 	// it (outside the all-locks window — eviction takes one shard at a time).
 	if e.spill != nil {
@@ -343,7 +378,18 @@ func (e *Engine) importRange(r HashRange, data []byte, newerWins, topUp bool) er
 			e.enforceResidency(sh)
 		}
 	}
-	return nil
+	return n, nil
+}
+
+// ImportCounts is what one import did with the payload's profiles and the
+// spill index.
+type ImportCounts struct {
+	// Installed counts the payload's profiles installed as resident; Adopted
+	// the spilled profiles left where the segment log holds them; Superseded
+	// the payload's copies dropped, unbuilt, because the log's record of that
+	// user is at least as new (Adopted includes those users, and the users
+	// only the log knows).
+	Installed, Adopted, Superseded int
 }
 
 // replaceArcLocked swaps one shard's share of the arc r: the resident
@@ -385,31 +431,18 @@ func replaceArcLocked(sh *shard, r HashRange, fresh map[string]*Profile, freshId
 
 // mergeSpillLocked reconciles one shard's spill index with an incoming
 // import limited to r (whole ring for full imports). Authoritative mode
-// drops every in-range spill record; newer-wins mode keeps records that are
-// strictly newer than the payload's copy of the same user (removing that
-// user from the incoming maps) and records for in-range users the payload
-// does not carry. Caller holds every shard lock (import's all-locks window).
-func (e *Engine) mergeSpillLocked(sh *shard, fresh map[string]*Profile,
-	freshIdx map[string]map[string]map[string]struct{}, preserveNewer bool, r HashRange) {
+// drops every in-range spill record; newer-wins mode keeps the records no
+// payload profile stands against — buildImport has already dropped the copies
+// a record supersedes, so those are the users the payload does not carry and
+// the users whose record won. Caller holds every shard lock (import's
+// all-locks window).
+func mergeSpillLocked(sh *shard, fresh map[string]*Profile, newerWins bool, r HashRange) {
 	for uid, ref := range sh.spilled {
 		if !r.Contains(userHash(uid)) {
 			continue // outside the imported arc: untouched
 		}
-		if preserveNewer && !ref.seg.quarantined.Load() {
-			np, inPayload := fresh[uid]
-			if !inPayload {
-				continue // spilled-only user: survives a newer-wins import
-			}
-			if ref.last.After(np.lastReport) {
-				// The spill record post-dates the snapshot: the record wins
-				// and the payload's stale copy is discarded.
-				delete(fresh, uid)
-				for host, users := range freshIdx {
-					delete(users, uid)
-					if len(users) == 0 {
-						delete(freshIdx, host)
-					}
-				}
+		if newerWins && !ref.seg.quarantined.Load() {
+			if _, inPayload := fresh[uid]; !inPayload {
 				continue
 			}
 		}
@@ -438,35 +471,51 @@ func decodeState(data []byte) (*persistedState, error) {
 	return &st, nil
 }
 
-// buildImport constructs, off-lock, the per-shard profile maps (and, on
-// guard-enabled engines, the provider→activations indexes) for the
-// payload's profiles. Every profile must hash into want — a payload profile
-// outside the declared range means the file does not match what it claims
-// to contain, which is a form of corruption. Activations of rules absent
-// from the current rule set and activations that expired while in transit
-// are dropped (profileFromRecord).
-func (e *Engine) buildImport(st *persistedState, want HashRange) (fresh []map[string]*Profile, freshIdx []map[string]map[string]map[string]struct{}, err error) {
+// builtImport is a payload's profiles built for installation: per shard, the
+// profile maps and (on guard-enabled engines) the provider→activations
+// indexes, and how many of the payload's copies a spill record superseded.
+type builtImport struct {
+	fresh      []map[string]*Profile
+	freshIdx   []map[string]map[string]map[string]struct{}
+	superseded int
+}
+
+// buildImport constructs the per-shard profile maps for the payload's
+// profiles. Every profile must hash into want — a payload profile outside the
+// declared range means the file does not match what it claims to contain,
+// which is a form of corruption. Activations of rules absent from the current
+// rule set and activations that expired while in transit are dropped
+// (profileFromRecord). With newerWins a profile whose user's spill record
+// supersedes it is counted and skipped — the caller then holds every shard
+// lock; otherwise the spill index is not read and no lock is needed.
+func (e *Engine) buildImport(st *persistedState, want HashRange, newerWins bool) (imp builtImport, err error) {
 	now := e.now()
-	fresh = make([]map[string]*Profile, len(e.shards))
-	freshIdx = make([]map[string]map[string]map[string]struct{}, len(e.shards))
-	for i := range fresh {
-		fresh[i] = make(map[string]*Profile)
+	imp.fresh = make([]map[string]*Profile, len(e.shards))
+	imp.freshIdx = make([]map[string]map[string]map[string]struct{}, len(e.shards))
+	for i := range imp.fresh {
+		imp.fresh[i] = make(map[string]*Profile)
 	}
 	for i := range st.Profiles {
 		pp := &st.Profiles[i]
 		if pp.UserID == "" {
-			return nil, nil, fmt.Errorf("%w: state has profile without user id", ErrCorruptState)
+			return imp, fmt.Errorf("%w: state has profile without user id", ErrCorruptState)
 		}
 		if !want.Contains(userHash(pp.UserID)) {
-			return nil, nil, fmt.Errorf("%w: profile %q hashes to %08x, outside range %v",
+			return imp, fmt.Errorf("%w: profile %q hashes to %08x, outside range %v",
 				ErrCorruptState, pp.UserID, userHash(pp.UserID), want)
 		}
 		si := e.shardIndex(pp.UserID)
+		if newerWins {
+			if ref, ok := e.shards[si].spilled[pp.UserID]; ok && ref.supersedes(pp.LastReport, pp.Version) {
+				imp.superseded++
+				continue
+			}
+		}
 		prof, _ := e.profileFromRecord(pp, now, false)
 		for rid, a := range prof.active {
-			e.indexActivationIn(&freshIdx[si], pp.UserID, rid, a.AltIndex)
+			e.indexActivationIn(&imp.freshIdx[si], pp.UserID, rid, a.AltIndex)
 		}
-		fresh[si][pp.UserID] = prof
+		imp.fresh[si][pp.UserID] = prof
 	}
-	return fresh, freshIdx, nil
+	return imp, nil
 }

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"bytes"
 	"encoding/json"
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -152,5 +154,58 @@ func TestExportDeterministic(t *testing.T) {
 	}
 	if len(st.Profiles) != 3 || st.Profiles[0].UserID != "a" || st.Profiles[2].UserID != "c" {
 		t.Errorf("profiles not sorted: %+v", st.Profiles)
+	}
+}
+
+// TestImportExportByteIdentityAcrossVersions: ImportState(ExportState()) gives
+// the same bytes back whether the profiles carry versions (every export of
+// this engine) or none (every export written before PR 21), and the unversioned
+// one does not grow the field.
+func TestImportExportByteIdentityAcrossVersions(t *testing.T) {
+	clock := newTestClock()
+	src, err := NewEngine([]*rules.Rule{jqRule(0)}, WithClock(clock.Now))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, uid := range []string{"u1", "u2", "u2", "u3", "u3", "u3"} {
+		r := slowS1Report(uid)
+		if i%2 == 1 {
+			r = healthyReport(uid)
+		}
+		if _, err := src.HandleReport(r); err != nil {
+			t.Fatal(err)
+		}
+		clock.Advance(time.Second)
+	}
+	versioned := mustExport(t, src)
+	for uid, want := range map[string]uint64{"u1": 1, "u2": 2, "u3": 3} {
+		if snap, _ := src.Snapshot(uid); snap.Version != want {
+			t.Errorf("%s: version %d after %d reports", uid, snap.Version, want)
+		}
+	}
+	old, err := os.ReadFile("testdata/pr20-files/export.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, data := range map[string][]byte{"versioned": versioned, "unversioned": old} {
+		if has := bytes.Contains(data, []byte(`"version": 3`)); has != (name == "versioned") {
+			t.Fatalf("%s export: carries a profile version = %v", name, has)
+		}
+		st, err := decodeState(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		at := newTestClock()
+		at.Advance(st.SavedAt.Sub(at.Now())) // the export stamps its own clock
+		e, err := NewEngine([]*rules.Rule{jqRule(0)}, WithClock(at.Now), WithShards(2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := e.ImportState(data); err != nil {
+			t.Fatal(err)
+		}
+		if got := mustExport(t, e); !bytes.Equal(got, data) {
+			t.Errorf("%s export changed across ImportState:\n--- got\n%s\n--- want\n%s", name, got, data)
+		}
 	}
 }

@@ -51,6 +51,12 @@ type Profile struct {
 	active map[string]*ActiveRule
 	// lastReport is when the user last submitted a report.
 	lastReport time.Time
+	// version counts the reports ever applied to the profile. It is bumped
+	// where lastReport is set and nowhere else, so it is a function of the
+	// user's report stream alone — the same capped or uncapped, at any shard
+	// count — and orders two durable copies of the profile that share a
+	// last-report time (spillRef.supersedes).
+	version uint64
 
 	// epoch increments on every activation-state change (activate,
 	// deactivate, prune, observed expiry). Readers validate cached

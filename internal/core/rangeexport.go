@@ -106,5 +106,6 @@ func (e *Engine) ExportSnapshotRange(r HashRange) ([]byte, error) {
 // state. The swap holds every shard lock, so readers never see a
 // half-imported arc.
 func (e *Engine) ImportStateRange(r HashRange, data []byte) error {
-	return e.importRange(r, data, false, true)
+	_, err := e.importRange(r, data, false, true)
+	return err
 }

@@ -160,6 +160,52 @@ func TestRangeExportRoundTripsByteStably(t *testing.T) {
 	}
 }
 
+// TestRangeImportCarriesVersions: a donated arc arrives with each profile's
+// version, so the receiving node's next save and its spill records order
+// against the donor's the way the donor's own would have.
+func TestRangeImportCarriesVersions(t *testing.T) {
+	clock := newTestClock()
+	e1, _ := NewEngine([]*rules.Rule{jqRule(0)}, WithClock(clock.Now))
+	users := seedUsers(t, e1, 24)
+	for i, u := range users { // versions 1..4
+		for n := 0; n < i%4; n++ {
+			if _, err := e1.HandleReport(healthyReport(u)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	r := EqualRanges(4)[1]
+	data, err := e1.ExportStateRange(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e2 := newSpillEngine(t, clock, ResidencyConfig{MaxProfiles: 2}) // most of the arc is evicted on arrival
+	if err := e2.ImportStateRange(r, data); err != nil {
+		t.Fatal(err)
+	}
+	checked := 0
+	for i, u := range users {
+		if !r.Contains(UserHash(u)) {
+			continue
+		}
+		snap, ok := e2.Snapshot(u)
+		if want := uint64(1 + i%4); !ok || snap.Version != want {
+			t.Errorf("%s (%s) arrived at version %d (%v), want %d", u, e2.Residency(u), snap.Version, ok, want)
+		}
+		checked++
+	}
+	if st, _ := e2.SpillStatus(); checked < 3 || st.ProfilesSpilled == 0 {
+		t.Fatalf("checked %d users, %d spilled; widen the seed", checked, st.ProfilesSpilled)
+	}
+	again, err := e2.ExportStateRange(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(data, again) {
+		t.Error("range export did not round-trip byte-stably through a capped engine")
+	}
+}
+
 func TestRangeUnionEqualsWholeExport(t *testing.T) {
 	clock := newTestClock()
 	e1, _ := NewEngine([]*rules.Rule{jqRule(0)}, WithClock(clock.Now))

@@ -130,6 +130,17 @@ func FuzzImportState(f *testing.F) {
 	if seed, err := e.ExportSnapshot(); err == nil {
 		f.Add(seed)
 	}
+	// Profiles that carry versions: hand-written, and as this engine exports
+	// them.
+	f.Add([]byte(`{"version":1,"profiles":[{"userId":"u","lastReport":"2026-01-01T00:00:00Z","version":18446744073709551615},{"userId":"v","version":0}]}`))
+	for _, uid := range []string{"u", "u", "v"} {
+		if _, err := e.HandleReport(slowS1Report(uid)); err != nil {
+			f.Fatal(err)
+		}
+	}
+	if seed, err := e.ExportSnapshot(); err == nil {
+		f.Add(seed)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		e, _ := NewEngine([]*rules.Rule{jqRule(0)})
 		if _, err := e.HandleReport(slowS1Report("sentinel")); err != nil {

@@ -35,6 +35,17 @@ import (
 // truncated away, and a segment that fails its checksums is quarantined and
 // skipped rather than aborting boot.
 //
+// A restart adopts the log: recovery leaves every record's ref in place, and
+// the state file's copy of a user is installed only where the log holds none,
+// an older one, or one in a quarantined segment (importRange, newer-wins). What
+// makes the tie safe — a record and a state-file copy with the same last report
+// and the same version — is the rule above: only ingest installs a spilled
+// profile, and ingest bumps the profile's version as it does (the serve path's
+// write-locked fall-through after a failed read installs the record as it is,
+// at the record's own version), so a record at version v post-dates every
+// resident state at v that it was not itself read into, and no resident state
+// at v holds a report the record lacks (spillRef.supersedes).
+//
 // One writer, one order: appendLocked is the only function that writes record
 // frames, always to the tail of the calling shard's active segment, and
 // newSegment the only one that numbers a segment, always above every number
@@ -95,8 +106,9 @@ func WithProfileResidency(cfg ResidencyConfig) Option {
 }
 
 // spillRef locates one user's durable record: segment, frame offset and
-// length, plus the profile's last-report time for cold-ranking, prune and
-// the newer-wins statefile merge. Guarded by the owning shard's mu: refs are
+// length, plus the profile's last-report time for prune and, with its
+// version, the newer-wins statefile merge (supersedes). Guarded by the owning
+// shard's mu: refs are
 // written only under its write lock, and a segment's file is closed only once
 // no ref points into it — the cleaner moves each shard's refs out under that
 // shard's write lock first, and a shard with no survivor in the segment holds
@@ -108,9 +120,39 @@ type spillRef struct {
 	n   int32 // frame length; frames are bounded by maxSpillRecordLen
 	// active records whether the record carries any activation. A page for a
 	// spilled user whose record carries none is the untouched page, decided
-	// without reading the disk. (Packed beside n: a ref stays 48 bytes.)
+	// without reading the disk. (Packed beside n; a ref is 56 bytes.)
 	active bool
 	last   time.Time
+	ver    uint64 // the record's Profile.version; 0 in records older than the field
+}
+
+// supersedes is the newer-wins rule, whole: does the record stand against a
+// copy of the same user's profile — a state file's — with the given last
+// report and version? A later last report wins. On the same last report the
+// copy whose version is not lower wins, the record on a tie: only a report
+// changes what a profile derives from reports, and only ingest makes a spilled
+// profile resident — bumping its version as it does (analyzeLocked) — so a
+// record at version v holds every report a resident copy at v held. Two
+// unversioned copies with one last report prove nothing (two
+// reports can share an instant with an eviction between them), and the other
+// copy wins, as it did before records carried versions. A record in a
+// quarantined segment supersedes nothing.
+//
+// Not versioned, because profileFromRecord re-derives them on every read of
+// either copy: activations lapsed, of rules since removed, or barred by the
+// guard. Bulk rollback and SetRules do not bump the version — they would make
+// a capped and an uncapped engine's exports differ — so a kept record brings
+// back a rolled-back activation exactly when a spilled copy that never saw a
+// restart does (ROADMAP item 1, seeds (i)–(iii)).
+func (r spillRef) supersedes(last time.Time, ver uint64) bool {
+	switch {
+	case r.seg.quarantined.Load():
+		return false
+	case !r.last.Equal(last):
+		return r.last.After(last)
+	default:
+		return r.ver > 0 && r.ver >= ver
+	}
 }
 
 // segFrame is one whole record frame and the ref that will point at it:
@@ -166,6 +208,9 @@ type spillStore struct {
 	nextSeq     uint64
 	quarantined []string // quarantined segment file names, in discovery order
 	closed      bool
+	// recoverTook is how long recoverSpill ran; set once, before the engine
+	// is shared.
+	recoverTook time.Duration
 
 	// failed latches memory-only mode after a spill I/O failure.
 	failed atomic.Bool
@@ -249,7 +294,10 @@ func (e *Engine) initSpill() error {
 		sh.spilled = make(map[string]spillRef)
 	}
 	e.spill = st
-	return e.recoverSpill()
+	start := time.Now()
+	err := e.recoverSpill()
+	st.recoverTook = time.Since(start)
+	return err
 }
 
 // recoverSpill replays the segment directory into the shards' spill
@@ -277,7 +325,7 @@ func (e *Engine) recoverSpill() error {
 	}
 	sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
 
-	byUser := make(map[string]spillRef)
+	live := int64(0) // users with a ref
 	for _, seq := range seqs {
 		path := spillSegPath(st.dir, seq)
 		if seq >= st.nextSeq {
@@ -316,15 +364,19 @@ func (e *Engine) recoverSpill() error {
 			st.quarantine(e, seg, werr)
 			continue
 		}
-		// Validated: commit the segment's records in order.
+		// Validated: commit the segment's records in order, straight into the
+		// owning shards' indexes.
 		for _, fr := range frames {
-			seg.total.Add(1)
-			if prev, ok := byUser[fr.uid]; ok {
+			spilled := e.shardFor(fr.uid).spilled
+			if prev, ok := spilled[fr.uid]; ok {
 				prev.seg.dead.Add(1)
+			} else {
+				live++
 			}
 			fr.ref.seg = seg
-			byUser[fr.uid] = fr.ref
+			spilled[fr.uid] = fr.ref
 		}
+		seg.total.Store(int64(len(frames)))
 		seg.size.Store(int64(len(data)))
 		f, err := os.OpenFile(path, os.O_RDWR, 0)
 		if err != nil {
@@ -334,11 +386,7 @@ func (e *Engine) recoverSpill() error {
 		st.segs[seg.seq] = seg
 		st.spillBytes.Add(seg.size.Load())
 	}
-
-	for uid, ref := range byUser {
-		e.shardFor(uid).spilled[uid] = ref
-	}
-	st.spilledUsers.Set(int64(len(byUser)))
+	st.spilledUsers.Set(live)
 
 	// Segments with no surviving records are garbage from previous runs;
 	// removing them now keeps restart loops from accreting files.
@@ -524,7 +572,7 @@ func (e *Engine) spillProfilesLocked(sh *shard, victims []string) {
 		scratch = encodeSpillRecord(scratch[:0], &pp)
 		start := int64(len(buf))
 		buf = appendSpillFrame(buf, scratch)
-		frames = append(frames, segFrame{uid: uid, ref: spillRef{off: start, n: int32(int64(len(buf)) - start), active: len(pp.Active) > 0, last: prof.lastReport}})
+		frames = append(frames, segFrame{uid: uid, ref: spillRef{off: start, n: int32(int64(len(buf)) - start), active: len(pp.Active) > 0, last: prof.lastReport, ver: prof.version}})
 	}
 	if len(frames) == 0 {
 		return
@@ -629,13 +677,13 @@ func (st *spillStore) newSegment() (*spillSegment, error) {
 	return seg, nil
 }
 
-// readRecord reads and decodes one spilled record.
-func (st *spillStore) readRecord(ref spillRef) (*persistedProfile, error) {
+// readRecord reads and decodes one spilled record. reopened is segReadAt's.
+func (st *spillStore) readRecord(ref spillRef, reopened map[*spillSegment]*os.File) (*persistedProfile, error) {
 	if err := spillFail("read", ref.seg.path); err != nil {
 		return nil, err
 	}
 	buf := make([]byte, ref.n)
-	if err := st.segReadAt(ref.seg, buf, ref.off); err != nil {
+	if err := st.segReadAt(ref.seg, buf, ref.off, reopened); err != nil {
 		return nil, err
 	}
 	payload, frameLen, err := nextSpillFrame(buf)
@@ -649,24 +697,33 @@ func (st *spillStore) readRecord(ref spillRef) (*persistedProfile, error) {
 }
 
 // segReadAt reads from the segment's long-lived handle, falling back to a
-// one-shot read-only open when that handle has been closed. Engine.Close
-// releases segment descriptors, but the final SaveStateFile of a graceful
-// shutdown runs after Close (in-flight reports must finish before the
-// save) and must still export spilled records — the bytes are durable on
-// disk; only the descriptor is gone.
-func (st *spillStore) segReadAt(seg *spillSegment, buf []byte, off int64) error {
+// read-only open when that handle has been closed. Engine.Close releases
+// segment descriptors, but the final SaveStateFile of a graceful shutdown
+// runs after Close (in-flight reports must finish before the save) and must
+// still export spilled records — the bytes are durable on disk; only the
+// descriptor is gone. A caller with many records to read passes a map, which
+// keeps each reopened segment's handle for the caller to close: one open(2)
+// per segment instead of one per record. With a nil map the handle is one-shot.
+func (st *spillStore) segReadAt(seg *spillSegment, buf []byte, off int64, reopened map[*spillSegment]*os.File) error {
 	if seg.f != nil {
 		_, err := seg.f.ReadAt(buf, off)
 		if err == nil || !errors.Is(err, os.ErrClosed) {
 			return err
 		}
 	}
-	f, err := os.Open(seg.path)
-	if err != nil {
-		return err
+	f := reopened[seg]
+	if f == nil {
+		var err error
+		if f, err = os.Open(seg.path); err != nil {
+			return err
+		}
+		if reopened != nil {
+			reopened[seg] = f
+		} else {
+			defer f.Close()
+		}
 	}
-	defer f.Close()
-	_, err = f.ReadAt(buf, off)
+	_, err := f.ReadAt(buf, off)
 	return err
 }
 
@@ -695,7 +752,7 @@ func (e *Engine) rehydrateLocked(sh *shard, userID string) *Profile {
 		// is still covered by the statefile (LoadStateFile merges it back).
 		return nil
 	}
-	pp, err := st.readRecord(ref)
+	pp, err := st.readRecord(ref, nil)
 	if err != nil {
 		if isSpillDamage(err) {
 			st.quarantine(e, ref.seg, err)
@@ -739,6 +796,7 @@ func (e *Engine) installRecordLocked(sh *shard, pp *persistedProfile) *Profile {
 func (e *Engine) profileFromRecord(pp *persistedProfile, now time.Time, guarded bool) (prof *Profile, barred int) {
 	prof = newProfile(pp.UserID)
 	prof.lastReport = pp.LastReport
+	prof.version = pp.Version
 	for srv, n := range pp.Violations {
 		if n > 0 {
 			prof.violations[srv] = n
@@ -808,7 +866,7 @@ func (e *Engine) viewRecord(ref spillRef) *Profile {
 	if ref.seg.quarantined.Load() {
 		return nil
 	}
-	pp, err := e.spill.readRecord(ref)
+	pp, err := e.spill.readRecord(ref, nil)
 	if err != nil {
 		return nil
 	}
@@ -897,7 +955,7 @@ func walkSegment(data []byte) (frames []segFrame, end int64, err error) {
 			// Records are much of a size: the first one says how many to expect.
 			frames = make([]segFrame, 0, len(data)/n+1)
 		}
-		frames = append(frames, segFrame{uid: pp.UserID, ref: spillRef{off: end, n: int32(n), active: len(pp.Active) > 0, last: pp.LastReport}})
+		frames = append(frames, segFrame{uid: pp.UserID, ref: spillRef{off: end, n: int32(n), active: len(pp.Active) > 0, last: pp.LastReport, ver: pp.Version}})
 		end += int64(n)
 	}
 	return frames, end, nil

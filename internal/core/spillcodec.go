@@ -42,6 +42,10 @@ import (
 //	            expiresAt time string, triggerServer string,
 //	            triggerDistance float64 bits LE, activations uvarint,
 //	            flags byte (bit 0 = synthesized)
+//	version     uvarint, present only when non-zero: the reports ever applied
+//	            to the profile. A record that ends after its activations is
+//	            version 0 — every record written before the field existed —
+//	            and an explicit 0 is corrupt, so a profile has one encoding.
 
 // spillSegMagic is the first line of every segment file.
 const spillSegMagic = "OAKPROF1\n"
@@ -151,6 +155,9 @@ func encodeSpillRecord(b []byte, pp *persistedProfile) []byte {
 		}
 		b = append(b, flags)
 	}
+	if pp.Version != 0 {
+		b = appendSpillUvarint(b, pp.Version)
+	}
 	return b
 }
 
@@ -237,6 +244,14 @@ func decodeSpillRecord(payload []byte) (*persistedProfile, error) {
 		pa.Synthesized = b[0]&1 != 0
 		b = b[1:]
 		pp.Active = append(pp.Active, pa)
+	}
+	if len(b) != 0 {
+		if pp.Version, b, err = spillUvarint(b); err != nil {
+			return nil, fmt.Errorf("version: %w", err)
+		}
+		if pp.Version == 0 {
+			return nil, fmt.Errorf("%w: explicit version 0", ErrSpillCorrupt)
+		}
 	}
 	if len(b) != 0 {
 		return nil, fmt.Errorf("%w: %d trailing bytes after record", ErrSpillCorrupt, len(b))

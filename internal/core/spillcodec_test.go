@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -177,6 +178,44 @@ func TestSpillDecodeRejectsHostileRecords(t *testing.T) {
 		}
 		if !isSpillDamage(err) {
 			t.Errorf("%s: %v not classified as spill damage", tc.name, err)
+		}
+	}
+}
+
+// TestSpillRecordVersionEncoding: the version is a trailing canonical uvarint
+// present only when non-zero, so a profile has exactly one encoding and every
+// record written before the field existed is a valid version-0 record.
+func TestSpillRecordVersionEncoding(t *testing.T) {
+	pp := spillTestProfile()
+	unversioned := encodeSpillRecord(nil, &pp)
+	if got, err := decodeSpillRecord(unversioned); err != nil || got.Version != 0 {
+		t.Fatalf("record with no trailing bytes: version %d, %v; want 0", got.Version, err)
+	}
+	with := func(tail ...byte) []byte { return append(append([]byte(nil), unversioned...), tail...) }
+	for _, v := range []uint64{1, 127, 128, 1 << 40, 1<<64 - 1} {
+		pp.Version = v
+		b := encodeSpillRecord(nil, &pp)
+		if want := with(binary.AppendUvarint(nil, v)...); !bytes.Equal(b, want) {
+			t.Errorf("version %d: encoding is not the unversioned record plus one uvarint", v)
+		}
+		got, err := decodeSpillRecord(b)
+		if err != nil || !reflect.DeepEqual(*got, pp) {
+			t.Errorf("version %d: round trip gave %+v, %v", v, got, err)
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		b    []byte
+		want error
+	}{
+		{"explicit zero", with(0x00), ErrSpillCorrupt},
+		{"non-canonical version", with(0x85, 0x00), ErrSpillCorrupt},
+		{"overflowing version", with(0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f), ErrSpillCorrupt},
+		{"garbage after the version", with(0x05, 0x01), ErrSpillCorrupt},
+		{"version cut short", with(0x85), ErrSpillTruncated},
+	} {
+		if rec, err := decodeSpillRecord(tc.b); !errors.Is(err, tc.want) {
+			t.Errorf("%s: decoded %+v, %v; want %v", tc.name, rec, err, tc.want)
 		}
 	}
 }

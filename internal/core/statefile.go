@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"time"
 )
 
 // Crash-safe state files: SaveStateFile writes checksummed snapshots via
@@ -83,7 +84,14 @@ func (e *Engine) LoadStateFile(path string) (StateSource, error) {
 	// spilled (and fsynced) after the snapshot was saved survives the
 	// import, so a kill between spill and the next SaveStateFile loses no
 	// acknowledged state. See importRange.
-	boot := func(data []byte) error { return e.importRange(HashRange{}, data, true, false) }
+	start := time.Now()
+	boot := func(data []byte) error {
+		n, err := e.importRange(HashRange{}, data, true, false)
+		if err == nil {
+			e.lastLoad.Store(&BootStatus{ImportCounts: n, Load: time.Since(start)})
+		}
+		return err
+	}
 
 	data, err := os.ReadFile(path)
 	var primaryErr error
@@ -123,6 +131,34 @@ func (e *Engine) LoadStateFile(path string) (StateSource, error) {
 	e.metrics.stateRecoveries.Inc()
 	e.stateSource.Store(StateBackup)
 	return StateBackup, nil
+}
+
+// BootStatus says what starting the engine did with its durable state: the
+// replay of the segment directory (NewEngine) and the last LoadStateFile.
+type BootStatus struct {
+	// ImportCounts is the state file's profiles against the segment log's.
+	ImportCounts
+	// QuarantinedSegments counts segments out of service for damage, now.
+	QuarantinedSegments int
+	// Recover is how long the segment replay took, Load the LoadStateFile
+	// call: read, checksum, decode, merge and any eviction back under the cap.
+	Recover, Load time.Duration
+}
+
+// BootStatus reports what boot did; the load half is zero until a
+// LoadStateFile has succeeded, the spill half on engines without the tier.
+func (e *Engine) BootStatus() BootStatus {
+	var bs BootStatus
+	if p := e.lastLoad.Load(); p != nil {
+		bs = *p
+	}
+	if st := e.spill; st != nil {
+		bs.Recover = st.recoverTook
+		st.mu.Lock()
+		bs.QuarantinedSegments = len(st.quarantined)
+		st.mu.Unlock()
+	}
+	return bs
 }
 
 // ImportShippedState restores a snapshot shipped from another node — the

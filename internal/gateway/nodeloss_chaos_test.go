@@ -231,6 +231,11 @@ func TestNodeLossChaos(t *testing.T) {
 	// round of pages and reports must see zero 5xx: arc-1 traffic reroutes
 	// to the standby.
 	gw.ShipSnapshots()
+	shippedVersion := map[string]uint64{}
+	for _, u := range arcUsers[1] {
+		snap, _ := nodes[1].engine.Snapshot(u)
+		shippedVersion[u] = snap.Version
+	}
 	killedAt := time.Now()
 	nodes[1].ts.Close()
 	for i := 0; i < gateway.DefaultDeadThreshold; i++ {
@@ -281,6 +286,11 @@ func TestNodeLossChaos(t *testing.T) {
 	for _, u := range arcUsers[1] {
 		if code, body := gwPageAs(t, gwts.URL, u); code != 200 || !strings.Contains(body, "s2.net") {
 			t.Fatalf("phase 3: %s lost activation across replacement (status %d):\n%s", u, code, body)
+		}
+		// The profile's version crossed with it: the replacement's saves and
+		// spill records order against the dead node's.
+		if snap, _ := replacement.engine.Snapshot(u); snap.Version == 0 || snap.Version != shippedVersion[u] {
+			t.Fatalf("phase 3: %s rehydrated at version %d, shipped at %d", u, snap.Version, shippedVersion[u])
 		}
 	}
 

@@ -174,6 +174,12 @@ const (
 	StateShipped  = core.StateShipped
 )
 
+// BootStatus says what starting the engine did with its durable state
+// (Engine.BootStatus): how many of the state file's profiles LoadStateFile
+// installed, how many spilled profiles it left where the segment log holds
+// them, and what the segment replay and the load each cost.
+type BootStatus = core.BootStatus
+
 // HashRange is one half-open arc [Lo, Hi) of the 32-bit user-hash ring —
 // the unit of per-user-range state export (Engine.ExportStateRange,
 // Engine.ImportStateRange) and of cluster partitioning. Lo == Hi means the

@@ -63,7 +63,15 @@
 # durable state byte-identical, and a seeded operation stream against a capped
 # and an uncapped engine that must serve the same bytes, tags and fingerprints
 # after every step — crashes of the capped engine that leave it nothing but
-# its segment log included. The spill log order step runs, five times under
+# its segment log, clean save-and-restarts on state file and segments, and a
+# restart across a record and a newer copy that share a last-report instant
+# included; that stream runs in the boot-adopts-the-log step, beside the two
+# tests that pin what a restart costs: a 2,000-user capped boot that must not
+# spill, compact or change a byte of the segment directory
+# (TestBootAdoptsTheLog) and the newer-wins predicate with the import around
+# it, a case a row (TestNewerWinsMerge). The format step boots on the files the
+# PR 18 and PR 20 commits wrote (testdata/pr18-files, pr20-files). The spill log
+# order step runs, five times under
 # -race, the two tests that pin "one append path, one order": the compactor
 # moving a survivor must never let a stale record outrank a later one after a
 # crash (TestCompactionKeepsLogOrder), and a refused append, a refused fsync or
@@ -71,7 +79,10 @@
 # pre-compaction state recoverable with nothing quarantined
 # (TestCompactionCrashPoints); a plain-grep structure check then fails by name
 # if a second segment writer creeps back into spill.go (a .tmp file, a second
-# sequence allocation, a frame parser outside walkSegment and readRecord). A
+# sequence allocation, a frame parser outside walkSegment and readRecord), if
+# recovery grows back its staging map (byUser), if the boot merge compares times
+# outside its one predicate (ref.last.After( in persist.go), or if a second site
+# bumps a profile's version. A
 # fuzz smoke pins the internal/wire primitives both binary dialects are schemas
 # over (round trip, canonical re-encoding, typed rejection). The benchmark module
 # step vets and tests bench/ (its own module, which the root go build/test
@@ -162,7 +173,7 @@ go test -race -run 'TestSpillChaos' -count=1 ./internal/faultinject
 echo "== spill log order under -race, five times: the compactor keeps (seq, offset) = age, and every crash point of it recovers the pre-compaction state =="
 go test -race -run 'TestCompactionKeepsLogOrder|TestCompactionCrashPoints' -count=5 ./internal/core
 
-echo "== spill structure check: one segment writer, one sequence allocator, one segment walker =="
+echo "== spill structure check: one segment writer, one sequence allocator, one segment walker, one merge predicate, one version bump =="
 fail() { echo "structure check failed: $1" >&2; exit 1; }
 if grep -n '\.tmp' internal/core/spill.go; then
 	fail "no-tmp-files: spill.go mentions .tmp (segments are only ever appended to, never written aside and renamed)"
@@ -174,9 +185,24 @@ callers=$(ls internal/core/*.go | grep -v '_test\.go$' |
 	sed -E 's/^func (\([^)]*\) )?([A-Za-z0-9_]+).*/\2/' | sort -u | tr '\n' ' ')
 [ "$callers" = "readRecord walkSegment " ] ||
 	fail "one-segment-walker: nextSpillFrame( is called from [ $callers], want readRecord and walkSegment only"
+if grep -n 'byUser' internal/core/spill.go; then
+	fail "recovery-commits-in-place: spill.go mentions byUser (recoverSpill commits frames straight into the shards' indexes)"
+fi
+if grep -n 'ref\.last\.After(' internal/core/persist.go; then
+	fail "one-merge-predicate: persist.go compares ref.last itself (newer-wins is spillRef.supersedes, nothing else)"
+fi
+bumps=$(ls internal/core/*.go | grep -v '_test\.go$' | xargs grep -h 'version++' | wc -l)
+[ "$bumps" -eq 1 ] ||
+	fail "one-version-bump: version++ occurs $bumps times in non-test internal/core, want once (analyzeLocked, beside lastReport)"
 
-echo "== spill view under -race, five times: reads move nothing, an eviction storm cannot blank an activated user, capped serves what uncapped serves =="
-go test -race -run 'TestServeSpilledUserUnderEvictionStorm|TestPageReadsNeverWriteTheSpillTier|TestCappedServesWhatUncappedServes' -count=5 ./internal/core
+echo "== spill view under -race, five times: reads move nothing, an eviction storm cannot blank an activated user =="
+go test -race -run 'TestServeSpilledUserUnderEvictionStorm|TestPageReadsNeverWriteTheSpillTier' -count=5 ./internal/core
+
+echo "== boot adopts the log under -race, five times: a capped boot writes nothing, the newer-wins table, capped serves what uncapped serves across restarts =="
+go test -race -run 'TestBootAdoptsTheLog|TestNewerWinsMerge|TestCappedServesWhatUncappedServes' -count=5 ./internal/core
+
+echo "== on-disk formats: boots on the files PR 18 and PR 20 wrote =="
+go test -run 'TestBootsOnFilesWritten' -count=1 ./internal/core
 
 echo "== memory benchmark smoke (1 iteration) =="
 go test -run '^$' -bench 'BenchmarkSpillRehydrate$|BenchmarkServeCold95$|BenchmarkIngestCapped$' -benchtime 1x ./internal/core
