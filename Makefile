@@ -17,9 +17,11 @@ race:
 chaos:
 	go test -race -run Chaos -v ./internal/faultinject
 
-# Short fuzz pass over the snapshot importer (hostile state files).
+# Short fuzz pass over the snapshot importer (hostile state files) and over
+# its two readers (the schema reader against encoding/json).
 fuzz:
 	go test -run '^$$' -fuzz FuzzImportState -fuzztime 10s ./internal/core
+	go test -run '^$$' -fuzz FuzzDecodeStateEquivalence -fuzztime 10s ./internal/core
 
 vet:
 	go vet ./...

@@ -256,9 +256,13 @@ func loadState(engine *oak.Engine, path string) error {
 // them, and what each half cost.
 func bootSplit(engine *oak.Engine) string {
 	bs := engine.BootStatus()
-	return fmt.Sprintf("%d installed resident, %d adopted from the spill log (%d state-file copies superseded), %d segments quarantined; recover %v, load %v",
+	decode := fmt.Sprintf("decode %v", bs.Decode.Round(100*time.Microsecond))
+	if bs.DecodeFallback != "" {
+		decode += ": encoding/json fallback, " + bs.DecodeFallback
+	}
+	return fmt.Sprintf("%d installed resident, %d adopted from the spill log (%d state-file copies superseded), %d segments quarantined; recover %v, load %v (%s)",
 		bs.Installed, bs.Adopted, bs.Superseded, bs.QuarantinedSegments,
-		bs.Recover.Round(100*time.Microsecond), bs.Load.Round(100*time.Microsecond))
+		bs.Recover.Round(100*time.Microsecond), bs.Load.Round(100*time.Microsecond), decode)
 }
 
 // saveState persists engine state crash-safely: checksummed snapshot,

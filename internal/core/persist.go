@@ -43,6 +43,10 @@ type persistedState struct {
 	Profiles   []persistedProfile `json:"profiles"`
 	Guard      *guard.Persisted   `json:"guard,omitempty"`
 	Population *popPersisted      `json:"population,omitempty"`
+
+	// fallback says why encoding/json decoded this state rather than the fast
+	// reader ("" when the fast reader did, and on a state built in memory).
+	fallback string
 }
 
 // persistedRange is the on-disk form of a HashRange.
@@ -283,11 +287,12 @@ func (e *Engine) ImportState(data []byte) error {
 }
 
 // importRange is the one import: ImportState, LoadStateFile's boot import and
-// ImportStateRange are calls of it. It replaces the profiles of the arc r (the
-// whole ring for the first two) with the payload's and leaves every profile
-// outside r untouched. The swap holds every shard lock, so no reader sees a
-// half-imported arc; a payload that is damaged, or carries a profile outside
-// r, fails before anything is touched.
+// ImportStateRange are calls of it (LoadStateFile of its two halves in turn,
+// decodeState and importDecoded, to time the first). It replaces the profiles
+// of the arc r (the whole ring for the first two) with the payload's and
+// leaves every profile outside r untouched. The swap holds every shard lock,
+// so no reader sees a half-imported arc; a payload that is damaged, or carries
+// a profile outside r, fails before anything is touched.
 //
 // newerWins is the spill-tier merge policy. Authoritative (false): every
 // spill record in r is dropped — the payload is the complete truth, as a node
@@ -317,8 +322,14 @@ func (e *Engine) importRange(r HashRange, data []byte, newerWins, topUp bool) (I
 	if err != nil {
 		return ImportCounts{}, err
 	}
+	return e.importDecoded(r, st, newerWins, topUp)
+}
+
+// importDecoded is importRange past the decode.
+func (e *Engine) importDecoded(r HashRange, st *persistedState, newerWins, topUp bool) (ImportCounts, error) {
 	merge := newerWins && e.spill != nil
 	var imp builtImport
+	var err error
 	if !merge {
 		if imp, err = e.buildImport(st, r, false); err != nil {
 			return ImportCounts{}, err
@@ -452,7 +463,40 @@ func mergeSpillLocked(sh *shard, fresh map[string]*Profile, newerWins bool, r Ha
 }
 
 // decodeState unwraps (and, when the envelope is present, verifies) a
-// snapshot and decodes its JSON payload, enforcing the format version.
+// snapshot and decodes its JSON payload, enforcing the format version. Every
+// import — LoadStateFile, ImportState, ImportStateRange, a shipped snapshot —
+// decodes here.
+//
+// The contract: the result is what encoding/json's Unmarshal of the payload
+// into a persistedState produces, value for value (nil against empty slices
+// and maps included), and the errors are its errors. Two readers keep it.
+//
+// The fast reader (decodeStateFast, statedecode.go) takes the payloads the
+// engine's own writers produce. It walks the top-level object with
+// internal/jsonscan, reads the profiles array — all but ~100 bytes of a state
+// file, and O(population) — with a reader written for persistedProfile and
+// persistedActivation, times through time.Time.UnmarshalJSON itself, and
+// leaves version, savedAt, range, guard and population to encoding/json: the
+// same payload with the array's span replaced by null. Those sections are
+// small, their types belong to other packages and grow with them, and
+// encoding/json validating them is what lets the walk merely skip them.
+//
+// The punt rule: whatever the fast reader cannot prove it reads as
+// encoding/json would, it does not read. A key that is unknown, repeated,
+// escaped or spelled in another case (encoding/json folds case and unescapes
+// before matching), a null (but "profiles": null, which an export of an empty
+// arc writes), a surrogate escape, invalid UTF-8, a control character, a
+// number that is not a plain integer where the field is one or that nears
+// overflow, a minus sign before an unsigned field, a time UnmarshalJSON
+// rejects, a payload without a profiles key, bytes after the closing brace,
+// anything malformed: the whole payload goes through json.Unmarshal below, so
+// that call decides what is accepted and words every error, and the reader's
+// subset can only ever be too small, which costs time (state.fallback says
+// why), never too large. FuzzDecodeStateEquivalence pins "accepted by the fast
+// reader" to "accepted by encoding/json, with a DeepEqual result", stateRows
+// holds one hand-written payload per punt reason to its side of the border,
+// and TestStateFilesStayOnTheFastReader pins the engine's own files to the
+// fast reader.
 func decodeState(data []byte) (*persistedState, error) {
 	if len(bytes.TrimSpace(data)) == 0 {
 		return nil, fmt.Errorf("%w: empty state file", ErrCorruptState)
@@ -461,14 +505,17 @@ func decodeState(data []byte) (*persistedState, error) {
 	if err != nil {
 		return nil, err
 	}
-	var st persistedState
-	if err := json.Unmarshal(payload, &st); err != nil {
-		return nil, fmt.Errorf("%w: decode state: %v", ErrCorruptState, err)
+	st, why := decodeStateFast(payload)
+	if st == nil {
+		st = &persistedState{fallback: why}
+		if err := json.Unmarshal(payload, st); err != nil {
+			return nil, fmt.Errorf("%w: decode state: %v", ErrCorruptState, err)
+		}
 	}
 	if st.Version != stateVersion {
 		return nil, fmt.Errorf("%w %d", ErrStateVersion, st.Version)
 	}
-	return &st, nil
+	return st, nil
 }
 
 // builtImport is a payload's profiles built for installation: per shard, the

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -331,18 +332,27 @@ func (e *Engine) recoverSpill() error {
 		if seq >= st.nextSeq {
 			st.nextSeq = seq + 1
 		}
-		data, err := os.ReadFile(path)
+		// One open per segment: the handle the store keeps is the one the
+		// replay reads through.
+		f, err := os.OpenFile(path, os.O_RDWR, 0)
 		if err != nil {
+			return fmt.Errorf("core: open spill segment %s: %w", path, err)
+		}
+		data, err := readWholeFile(f)
+		if err != nil {
+			f.Close()
 			return fmt.Errorf("core: read spill segment %s: %w", path, err)
 		}
 		if len(data) < len(spillSegMagic) {
 			// Crash between segment create and header write: the file holds
 			// no records, so nothing acknowledged is in it. Remove it.
+			f.Close()
 			os.Remove(path)
 			continue
 		}
 		seg := &spillSegment{seq: seq, path: path}
 		if string(data[:len(spillSegMagic)]) != spillSegMagic {
+			f.Close()
 			st.quarantine(e, seg, ErrSpillMagic)
 			continue
 		}
@@ -356,11 +366,13 @@ func (e *Engine) recoverSpill() error {
 		frames, end, werr := walkSegment(data)
 		if errors.Is(werr, ErrSpillTruncated) {
 			// Crash mid-append: drop the torn tail, keep everything before it.
-			if terr := os.Truncate(path, end); terr != nil {
+			if terr := f.Truncate(end); terr != nil {
+				f.Close()
 				return fmt.Errorf("core: truncate torn spill segment %s: %w", path, terr)
 			}
 			data = data[:end]
 		} else if werr != nil {
+			f.Close()
 			st.quarantine(e, seg, werr)
 			continue
 		}
@@ -378,10 +390,6 @@ func (e *Engine) recoverSpill() error {
 		}
 		seg.total.Store(int64(len(frames)))
 		seg.size.Store(int64(len(data)))
-		f, err := os.OpenFile(path, os.O_RDWR, 0)
-		if err != nil {
-			return fmt.Errorf("core: open spill segment %s: %w", path, err)
-		}
 		seg.f = f
 		st.segs[seg.seq] = seg
 		st.spillBytes.Add(seg.size.Load())
@@ -413,6 +421,17 @@ func (e *Engine) recoverSpill() error {
 		}
 	}
 	return nil
+}
+
+// readWholeFile reads an open file from its start to its end.
+func readWholeFile(f *os.File) ([]byte, error) {
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, err
+	}
+	data := make([]byte, fi.Size())
+	_, err = io.ReadFull(f, data)
+	return data, err
 }
 
 // quarantine takes a segment out of service after its bytes failed
@@ -941,13 +960,13 @@ func (st *spillStore) pickCompactionVictim() *spillSegment {
 // are good either way.
 func walkSegment(data []byte) (frames []segFrame, end int64, err error) {
 	end = int64(len(spillSegMagic))
+	var pp persistedProfile // one scratch record: a frame keeps four fields of it
 	for end < int64(len(data)) {
 		payload, n, err := nextSpillFrame(data[end:])
 		if err != nil {
 			return frames, end, err
 		}
-		pp, err := decodeSpillRecord(payload)
-		if err != nil {
+		if err := decodeSpillRecordInto(&pp, payload); err != nil {
 			// The frame is whole and its checksum holds, so this is not a tear.
 			return frames, end, fmt.Errorf("%w: frame at offset %d: %v", ErrSpillCorrupt, end, err)
 		}

@@ -167,96 +167,114 @@ func encodeSpillRecord(b []byte, pp *persistedProfile) []byte {
 // live rule set exactly like an import would.
 func decodeSpillRecord(payload []byte) (*persistedProfile, error) {
 	pp := &persistedProfile{}
+	if err := decodeSpillRecordInto(pp, payload); err != nil {
+		return nil, err
+	}
+	return pp, nil
+}
+
+// decodeSpillRecordInto is decodeSpillRecord into a record the caller owns
+// and may hand back for the next payload: every field is overwritten, the
+// violations map and the activations' backing array are reused. (An empty
+// activation list leaves a reused slice empty, a fresh one nil.) On an error
+// *pp is part old, part new.
+func decodeSpillRecordInto(pp *persistedProfile, payload []byte) error {
 	b := payload
 	var err error
 
 	if pp.UserID, b, err = spillString(b); err != nil {
-		return nil, fmt.Errorf("user id: %w", err)
+		return fmt.Errorf("user id: %w", err)
 	}
 	if pp.UserID == "" {
-		return nil, fmt.Errorf("%w: empty user id", ErrSpillCorrupt)
+		return fmt.Errorf("%w: empty user id", ErrSpillCorrupt)
 	}
 	if pp.LastReport, b, err = spillTime(b); err != nil {
-		return nil, fmt.Errorf("last report: %w", err)
+		return fmt.Errorf("last report: %w", err)
 	}
 
 	nv, b, err := spillUvarint(b)
 	if err != nil {
-		return nil, fmt.Errorf("violation count: %w", err)
+		return fmt.Errorf("violation count: %w", err)
 	}
 	if nv > uint64(len(b)) {
-		return nil, fmt.Errorf("%w: %d violations in %d bytes", ErrSpillCorrupt, nv, len(b))
+		return fmt.Errorf("%w: %d violations in %d bytes", ErrSpillCorrupt, nv, len(b))
 	}
-	pp.Violations = make(map[string]int, nv)
+	if pp.Violations == nil {
+		pp.Violations = make(map[string]int, nv)
+	} else {
+		clear(pp.Violations)
+	}
 	for i := uint64(0); i < nv; i++ {
 		var srv string
 		var cnt uint64
 		if srv, b, err = spillString(b); err != nil {
-			return nil, fmt.Errorf("violation server: %w", err)
+			return fmt.Errorf("violation server: %w", err)
 		}
 		if cnt, b, err = spillUvarint(b); err != nil {
-			return nil, fmt.Errorf("violation count for %q: %w", srv, err)
+			return fmt.Errorf("violation count for %q: %w", srv, err)
 		}
 		pp.Violations[srv] = int(cnt)
 	}
 
 	na, b, err := spillUvarint(b)
 	if err != nil {
-		return nil, fmt.Errorf("activation count: %w", err)
+		return fmt.Errorf("activation count: %w", err)
 	}
 	if na > uint64(len(b)) {
-		return nil, fmt.Errorf("%w: %d activations in %d bytes", ErrSpillCorrupt, na, len(b))
+		return fmt.Errorf("%w: %d activations in %d bytes", ErrSpillCorrupt, na, len(b))
 	}
-	if na > 0 {
+	if na > uint64(cap(pp.Active)) {
 		pp.Active = make([]persistedActivation, 0, na)
 	}
+	pp.Active = pp.Active[:0]
 	for i := uint64(0); i < na; i++ {
 		var pa persistedActivation
 		var alt, acts uint64
 		if pa.RuleID, b, err = spillString(b); err != nil {
-			return nil, fmt.Errorf("rule id: %w", err)
+			return fmt.Errorf("rule id: %w", err)
 		}
 		if alt, b, err = spillUvarint(b); err != nil {
-			return nil, fmt.Errorf("alt index: %w", err)
+			return fmt.Errorf("alt index: %w", err)
 		}
 		pa.AltIndex = int(alt)
 		if pa.ActivatedAt, b, err = spillTime(b); err != nil {
-			return nil, fmt.Errorf("activated at: %w", err)
+			return fmt.Errorf("activated at: %w", err)
 		}
 		if pa.ExpiresAt, b, err = spillTime(b); err != nil {
-			return nil, fmt.Errorf("expires at: %w", err)
+			return fmt.Errorf("expires at: %w", err)
 		}
 		if pa.TriggerServer, b, err = spillString(b); err != nil {
-			return nil, fmt.Errorf("trigger server: %w", err)
+			return fmt.Errorf("trigger server: %w", err)
 		}
 		if len(b) < 8 {
-			return nil, fmt.Errorf("%w: trigger distance cut short", ErrSpillTruncated)
+			return fmt.Errorf("%w: trigger distance cut short", ErrSpillTruncated)
 		}
 		pa.TriggerDistance = math.Float64frombits(binary.LittleEndian.Uint64(b))
 		b = b[8:]
 		if acts, b, err = spillUvarint(b); err != nil {
-			return nil, fmt.Errorf("activation counter: %w", err)
+			return fmt.Errorf("activation counter: %w", err)
 		}
 		pa.Activations = int(acts)
 		if len(b) < 1 {
-			return nil, fmt.Errorf("%w: flags cut short", ErrSpillTruncated)
+			return fmt.Errorf("%w: flags cut short", ErrSpillTruncated)
 		}
 		pa.Synthesized = b[0]&1 != 0
 		b = b[1:]
 		pp.Active = append(pp.Active, pa)
 	}
+	pp.Version = 0
 	if len(b) != 0 {
 		if pp.Version, b, err = spillUvarint(b); err != nil {
-			return nil, fmt.Errorf("version: %w", err)
+			return fmt.Errorf("version: %w", err)
 		}
 		if pp.Version == 0 {
-			return nil, fmt.Errorf("%w: explicit version 0", ErrSpillCorrupt)
+			return fmt.Errorf("%w: explicit version 0", ErrSpillCorrupt)
 		}
 	}
 	if len(b) != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes after record", ErrSpillCorrupt, len(b))
+		return fmt.Errorf("%w: %d trailing bytes after record", ErrSpillCorrupt, len(b))
 	}
-	return pp, nil
+	return nil
 }
 
 // appendSpillFrame wraps a record payload in the segment frame: uvarint

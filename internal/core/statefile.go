@@ -86,9 +86,15 @@ func (e *Engine) LoadStateFile(path string) (StateSource, error) {
 	// acknowledged state. See importRange.
 	start := time.Now()
 	boot := func(data []byte) error {
-		n, err := e.importRange(HashRange{}, data, true, false)
+		decodeStart := time.Now()
+		st, err := decodeState(data)
+		if err != nil {
+			return err
+		}
+		decode := time.Since(decodeStart)
+		n, err := e.importDecoded(HashRange{}, st, true, false)
 		if err == nil {
-			e.lastLoad.Store(&BootStatus{ImportCounts: n, Load: time.Since(start)})
+			e.lastLoad.Store(&BootStatus{ImportCounts: n, Load: time.Since(start), Decode: decode, DecodeFallback: st.fallback})
 		}
 		return err
 	}
@@ -142,7 +148,13 @@ type BootStatus struct {
 	QuarantinedSegments int
 	// Recover is how long the segment replay took, Load the LoadStateFile
 	// call: read, checksum, decode, merge and any eviction back under the cap.
-	Recover, Load time.Duration
+	// Decode is the part of Load spent on the payload's JSON.
+	Recover, Load, Decode time.Duration
+	// DecodeFallback is empty when the payload was read by the state schema's
+	// own reader, as every file the engine writes is. Otherwise encoding/json
+	// decoded it, several times slower, and this names the first construct
+	// the fast reader would not take (decodeState has the rule).
+	DecodeFallback string
 }
 
 // BootStatus reports what boot did; the load half is zero until a

@@ -69,6 +69,30 @@ const (
 // function, so a body is split as a batch at the edge exactly when the
 // backend will read it as one.
 func ClassifyContentType(ct string) Format {
+	if f, ok := classifyExact(ct); ok {
+		return f
+	}
+	return classifyParsed(ct)
+}
+
+// classifyExact answers the spellings this repository's own senders put on
+// the wire, which is nearly every report, by comparison; any other spelling
+// is classifyParsed's, whose answer for these five it returns.
+func classifyExact(ct string) (Format, bool) {
+	switch ct {
+	case "", ContentTypeJSON:
+		return FormatJSON, true
+	case ContentTypeNDJSON:
+		return FormatNDJSON, true
+	case ContentTypeBinary:
+		return FormatBinary, true
+	case ContentTypeBinaryBatch:
+		return FormatBinaryBatch, true
+	}
+	return 0, false
+}
+
+func classifyParsed(ct string) Format {
 	mt, _, err := mime.ParseMediaType(ct)
 	if err != nil {
 		return FormatJSON

@@ -193,3 +193,45 @@ func TestClassifyContentType(t *testing.T) {
 		}
 	}
 }
+
+// TestClassifyContentTypeRoutesAgree pins the comparison route to the parsing
+// one: the senders' own spellings are answered without mime.ParseMediaType,
+// nothing else is, and no header reads differently for the shortcut.
+func TestClassifyContentTypeRoutesAgree(t *testing.T) {
+	for _, tc := range []struct {
+		ct    string
+		exact bool
+	}{
+		{"", true},
+		{ContentTypeJSON, true},
+		{ContentTypeNDJSON, true},
+		{ContentTypeBinary, true},
+		{ContentTypeBinaryBatch, true},
+		{"application/json; charset=utf-8", false},
+		{"Application/JSON", false},
+		{" application/json", false},
+		{"application/json ", false},
+		{"application/ndjson", false},
+		{"application/jsonl", false},
+		{"Application/X-NDJSON; charset=utf-8", false},
+		{"application/x-ndjson; charset", false},
+		{ContentTypeBinary + "; v=1", false},
+		{"APPLICATION/X-OAK-REPORT", false},
+		{ContentTypeBinaryBatch + " ", false},
+		{"application/x-oak-report-batch-v2", false},
+		{"text/plain", false},
+		{";;;", false},
+	} {
+		want := classifyParsed(tc.ct)
+		f, exact := classifyExact(tc.ct)
+		if exact != tc.exact {
+			t.Errorf("classifyExact(%q) answered = %v, want %v", tc.ct, exact, tc.exact)
+		}
+		if exact && f != want {
+			t.Errorf("classifyExact(%q) = %d, mime.ParseMediaType route says %d", tc.ct, f, want)
+		}
+		if got := ClassifyContentType(tc.ct); got != want {
+			t.Errorf("ClassifyContentType(%q) = %d, mime.ParseMediaType route says %d", tc.ct, got, want)
+		}
+	}
+}

@@ -1,13 +1,11 @@
 package report
 
 import (
-	"bytes"
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"strconv"
 	"sync"
-	"unicode/utf8"
+
+	"oak/internal/jsonscan"
 )
 
 // The JSON fast path. Reports have a fixed, tiny schema, yet encoding/json
@@ -24,7 +22,8 @@ import (
 // Three things keep the common report cheap. A string is delimited with
 // bytes.IndexByte and proven plain (no escape, control or non-ASCII byte)
 // eight bytes at a time; only a string that is not plain is walked byte by
-// byte. An entry's keys are first tried as the literals `"url":`,
+// byte (the scanning primitives are internal/jsonscan's, shared with the
+// state-file decoder in internal/core). An entry's keys are first tried as the literals `"url":`,
 // `"serverAddr":`, ... at or after the one that matched last — the order
 // every encoder of Entry emits them in — and only a key that is not where
 // that order puts it is scanned as a string. And every string value but the
@@ -63,10 +62,10 @@ func DecodePooled(data []byte) (*Report, error) {
 
 var fastDecPool = sync.Pool{New: func() any { return new(fastDecoder) }}
 
+// fastDecoder is the report schema over the shared scanner, whose unescape
+// scratch the pool keeps across decodes.
 type fastDecoder struct {
-	data []byte
-	i    int
-	buf  []byte // unescape scratch, reused across strings and decodes
+	jsonscan.Scanner
 }
 
 // decodeFastInto scans data into r. false means "outside the fast-path
@@ -74,9 +73,9 @@ type fastDecoder struct {
 // run the encoding/json fallback.
 func decodeFastInto(data []byte, r *Report) bool {
 	d := fastDecPool.Get().(*fastDecoder)
-	d.data, d.i = data, 0
+	d.Data, d.I = data, 0
 	ok := d.decodeReport(r)
-	d.data = nil
+	d.Data = nil
 	fastDecPool.Put(d)
 	return ok
 }
@@ -92,30 +91,30 @@ const (
 )
 
 func (d *fastDecoder) decodeReport(r *Report) bool {
-	d.skipWS()
-	if !d.consume('{') {
+	d.SkipWS()
+	if !d.Consume('{') {
 		return false
 	}
 	seen := 0
-	d.skipWS()
-	if !d.consume('}') {
+	d.SkipWS()
+	if !d.Consume('}') {
 		for {
-			key, ok := d.scanString()
+			key, ok := d.ScanString()
 			if !ok {
 				return false
 			}
-			d.skipWS()
-			if !d.consume(':') {
+			d.SkipWS()
+			if !d.Consume(':') {
 				return false
 			}
-			d.skipWS()
+			d.SkipWS()
 			switch string(key) {
 			case "userId":
 				if seen&seenUserID != 0 {
 					return false
 				}
 				seen |= seenUserID
-				tok, ok := d.scanString()
+				tok, ok := d.ScanString()
 				if !ok {
 					return false
 				}
@@ -125,7 +124,7 @@ func (d *fastDecoder) decodeReport(r *Report) bool {
 					return false
 				}
 				seen |= seenPage
-				tok, ok := d.scanString()
+				tok, ok := d.ScanString()
 				if !ok {
 					return false
 				}
@@ -135,7 +134,7 @@ func (d *fastDecoder) decodeReport(r *Report) bool {
 					return false
 				}
 				seen |= seenGenerated
-				v, ok := d.scanInt64()
+				v, ok := d.ScanInt64()
 				if !ok {
 					return false
 				}
@@ -151,19 +150,19 @@ func (d *fastDecoder) decodeReport(r *Report) bool {
 			default:
 				return false
 			}
-			d.skipWS()
-			if d.consume(',') {
-				d.skipWS()
+			d.SkipWS()
+			if d.Consume(',') {
+				d.SkipWS()
 				continue
 			}
-			if d.consume('}') {
+			if d.Consume('}') {
 				break
 			}
 			return false
 		}
 	}
-	d.skipWS()
-	if d.i != len(d.data) {
+	d.SkipWS()
+	if d.I != len(d.Data) {
 		return false
 	}
 	if seen&seenUserID == 0 {
@@ -182,7 +181,7 @@ func (d *fastDecoder) decodeReport(r *Report) bool {
 }
 
 func (d *fastDecoder) decodeEntries(r *Report) bool {
-	if !d.consume('[') {
+	if !d.Consume('[') {
 		return false
 	}
 	// Reuse the backing array; decodeEntry overwrites every field.
@@ -191,8 +190,8 @@ func (d *fastDecoder) decodeEntries(r *Report) bool {
 	} else {
 		r.Entries = r.Entries[:0]
 	}
-	d.skipWS()
-	if d.consume(']') {
+	d.SkipWS()
+	if d.Consume(']') {
 		return true
 	}
 	for {
@@ -205,12 +204,12 @@ func (d *fastDecoder) decodeEntries(r *Report) bool {
 		if !d.decodeEntry(&r.Entries[n]) {
 			return false
 		}
-		d.skipWS()
-		if d.consume(',') {
-			d.skipWS()
+		d.SkipWS()
+		if d.Consume(',') {
+			d.SkipWS()
 			continue
 		}
-		if d.consume(']') {
+		if d.Consume(']') {
 			return true
 		}
 		return false
@@ -240,23 +239,23 @@ var entryKeyLits = [numEntryFields]string{
 // them, and returns the field the key names. next is the field after the
 // one the previous key named: the literals from there on are tried first.
 func (d *fastDecoder) nextEntryKey(next int) (field int, ok bool) {
-	rest := d.data[d.i:]
+	rest := d.Data[d.I:]
 	for f := next; f < numEntryFields; f++ {
 		if lit := entryKeyLits[f]; len(rest) >= len(lit) && string(rest[:len(lit)]) == lit {
-			d.i += len(lit)
-			d.skipWS()
+			d.I += len(lit)
+			d.SkipWS()
 			return f, true
 		}
 	}
-	key, ok := d.scanString()
+	key, ok := d.ScanString()
 	if !ok {
 		return 0, false
 	}
-	d.skipWS()
-	if !d.consume(':') {
+	d.SkipWS()
+	if !d.Consume(':') {
 		return 0, false
 	}
-	d.skipWS()
+	d.SkipWS()
 	for f, lit := range entryKeyLits {
 		if string(key) == lit[1:len(lit)-2] { // exact case only
 			return f, true
@@ -266,7 +265,7 @@ func (d *fastDecoder) nextEntryKey(next int) (field int, ok bool) {
 }
 
 func (d *fastDecoder) decodeEntry(e *Entry) bool {
-	if !d.consume('{') {
+	if !d.Consume('{') {
 		return false
 	}
 	// The entry may be a pooled report's stale one: a key the body does not
@@ -274,8 +273,8 @@ func (d *fastDecoder) decodeEntry(e *Entry) bool {
 	// either way: internURL extracts it, and an absent URL has none.
 	*e = Entry{hostKnown: true}
 	seen := 0
-	d.skipWS()
-	if !d.consume('}') {
+	d.SkipWS()
+	if !d.Consume('}') {
 		next := 0
 		for {
 			field, ok := d.nextEntryKey(next)
@@ -286,14 +285,14 @@ func (d *fastDecoder) decodeEntry(e *Entry) bool {
 			next = field + 1
 			switch field {
 			case fSize:
-				e.SizeBytes, ok = d.scanInt64()
+				e.SizeBytes, ok = d.ScanInt64()
 			case fDuration:
-				e.DurationMillis, ok = d.scanFloat64()
+				e.DurationMillis, ok = d.ScanFloat64()
 			case fFailed:
-				e.Failed, ok = d.scanBool()
+				e.Failed, ok = d.ScanBool()
 			default:
 				var tok []byte
-				if tok, ok = d.scanString(); !ok {
+				if tok, ok = d.ScanString(); !ok {
 					break
 				}
 				switch field {
@@ -310,301 +309,16 @@ func (d *fastDecoder) decodeEntry(e *Entry) bool {
 			if !ok {
 				return false
 			}
-			d.skipWS()
-			if d.consume(',') {
-				d.skipWS()
+			d.SkipWS()
+			if d.Consume(',') {
+				d.SkipWS()
 				continue
 			}
-			if d.consume('}') {
+			if d.Consume('}') {
 				break
 			}
 			return false
 		}
 	}
 	return true
-}
-
-func (d *fastDecoder) skipWS() {
-	for d.i < len(d.data) {
-		// One compare settles every byte a compact body has here.
-		if c := d.data[d.i]; c > ' ' || (c != ' ' && c != '\t' && c != '\n' && c != '\r') {
-			return
-		}
-		d.i++
-	}
-}
-
-func (d *fastDecoder) consume(c byte) bool {
-	if d.i < len(d.data) && d.data[d.i] == c {
-		d.i++
-		return true
-	}
-	return false
-}
-
-// scanString scans a JSON string. The returned token aliases either the
-// input or the decoder's scratch buffer — callers must consume it before the
-// next scan. Non-ASCII bytes, control characters, surrogate escapes and
-// invalid escapes all punt to the fallback.
-func (d *fastDecoder) scanString() ([]byte, bool) {
-	if tok, ok := d.scanPlainString(); ok {
-		return tok, true
-	}
-	return d.scanEscapedString()
-}
-
-// scanPlainString scans a JSON string that is its own content: from the
-// opening quote to the next one with nothing in between that needs
-// decoding or is not allowed. On false nothing was consumed.
-func (d *fastDecoder) scanPlainString() ([]byte, bool) {
-	if d.i >= len(d.data) || d.data[d.i] != '"' {
-		return nil, false
-	}
-	start := d.i + 1
-	n := bytes.IndexByte(d.data[start:], '"')
-	if n < 0 || !isPlain(d.data[start:start+n]) {
-		return nil, false
-	}
-	d.i = start + n + 1
-	return d.data[start : start+n], true
-}
-
-// isPlain reports whether b holds only bytes a JSON string may carry as they
-// are and that mean themselves: ASCII, no control character, no backslash.
-// Eight bytes at a time: in each byte of a word, bit 7 is set by the byte
-// itself when it is not ASCII, by (w-0x20..)&^w when it is below 0x20, and by
-// the same zero-byte test on w^0x5c.. when it is a backslash. (A borrow can
-// set the bit for a byte above a true hit, never without one.)
-func isPlain(b []byte) bool {
-	const (
-		lo01 = 0x0101010101010101
-		hi80 = 0x8080808080808080
-	)
-	for len(b) >= 8 {
-		w := binary.LittleEndian.Uint64(b)
-		x := w ^ (lo01 * '\\')
-		if (w|(w-lo01*0x20)&^w|(x-lo01)&^x)&hi80 != 0 {
-			return false
-		}
-		b = b[8:]
-	}
-	for _, c := range b {
-		if c == '\\' || c < 0x20 || c >= 0x80 {
-			return false
-		}
-	}
-	return true
-}
-
-// scanEscapedString is scanString for a string that is not plain: the byte
-// loop that decodes escapes into the scratch buffer.
-func (d *fastDecoder) scanEscapedString() ([]byte, bool) {
-	if d.i >= len(d.data) || d.data[d.i] != '"' {
-		return nil, false
-	}
-	d.i++
-	d.buf = d.buf[:0]
-	for d.i < len(d.data) {
-		c := d.data[d.i]
-		switch {
-		case c == '"':
-			d.i++
-			return d.buf, true
-		case c == '\\':
-			d.i++
-			if d.i >= len(d.data) {
-				return nil, false
-			}
-			e := d.data[d.i]
-			d.i++
-			switch e {
-			case '"', '\\', '/':
-				d.buf = append(d.buf, e)
-			case 'b':
-				d.buf = append(d.buf, '\b')
-			case 'f':
-				d.buf = append(d.buf, '\f')
-			case 'n':
-				d.buf = append(d.buf, '\n')
-			case 'r':
-				d.buf = append(d.buf, '\r')
-			case 't':
-				d.buf = append(d.buf, '\t')
-			case 'u':
-				if d.i+4 > len(d.data) {
-					return nil, false
-				}
-				v, ok := hex4(d.data[d.i : d.i+4])
-				if !ok {
-					return nil, false
-				}
-				d.i += 4
-				if v >= 0xD800 && v <= 0xDFFF {
-					return nil, false // surrogate handling: slow path
-				}
-				d.buf = utf8.AppendRune(d.buf, rune(v))
-			default:
-				return nil, false
-			}
-		case c < 0x20 || c >= 0x80:
-			return nil, false
-		default:
-			j := d.i + 1
-			for j < len(d.data) {
-				if c = d.data[j]; c == '"' || c == '\\' || c < 0x20 || c >= 0x80 {
-					break
-				}
-				j++
-			}
-			d.buf = append(d.buf, d.data[d.i:j]...)
-			d.i = j
-		}
-	}
-	return nil, false
-}
-
-func hex4(b []byte) (uint32, bool) {
-	var v uint32
-	for _, c := range b {
-		v <<= 4
-		switch {
-		case c >= '0' && c <= '9':
-			v |= uint32(c - '0')
-		case c >= 'a' && c <= 'f':
-			v |= uint32(c-'a') + 10
-		case c >= 'A' && c <= 'F':
-			v |= uint32(c-'A') + 10
-		default:
-			return 0, false
-		}
-	}
-	return v, true
-}
-
-// scanInt64 scans a JSON integer. Fractions, exponents, leading zeros and
-// anything near overflow punt to the fallback.
-func (d *fastDecoder) scanInt64() (int64, bool) {
-	neg := false
-	if d.i < len(d.data) && d.data[d.i] == '-' {
-		neg = true
-		d.i++
-	}
-	start := d.i
-	var m uint64
-	for d.i < len(d.data) {
-		c := d.data[d.i]
-		if c < '0' || c > '9' {
-			break
-		}
-		if m > (1<<63-10)/10 {
-			return 0, false
-		}
-		m = m*10 + uint64(c-'0')
-		d.i++
-	}
-	n := d.i - start
-	if n == 0 || (n > 1 && d.data[start] == '0') {
-		return 0, false
-	}
-	if d.i < len(d.data) {
-		if c := d.data[d.i]; c == '.' || c == 'e' || c == 'E' {
-			return 0, false
-		}
-	}
-	if neg {
-		return -int64(m), true
-	}
-	return int64(m), true
-}
-
-// pow10 holds the exactly-representable powers of ten (10^0 .. 10^22).
-var pow10 = [23]float64{
-	1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11,
-	1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22,
-}
-
-// scanFloat64 scans a JSON number. A mantissa below 2^53 with at most 22
-// fractional digits and no exponent is float64(m)/10^frac, which is exactly
-// strconv.ParseFloat's own fast path. Anything else that is a well-formed
-// JSON number — the 16- and 17-digit doubles a browser's Resource Timing
-// prints, an exponent — goes to strconv.ParseFloat itself, the call
-// encoding/json makes, so results are bit-identical either way; what
-// ParseFloat rejects (1e999) punts to the fallback for its error.
-func (d *fastDecoder) scanFloat64() (float64, bool) {
-	tokStart := d.i
-	neg := false
-	if d.i < len(d.data) && d.data[d.i] == '-' {
-		neg = true
-		d.i++
-	}
-	// m wraps past 19 digits; it is only used when there are fewer.
-	var m uint64
-	start := d.i
-	for d.i < len(d.data) {
-		c := d.data[d.i] - '0'
-		if c > 9 {
-			break
-		}
-		m = m*10 + uint64(c)
-		d.i++
-	}
-	digits := d.i - start
-	if digits == 0 || (digits > 1 && d.data[start] == '0') {
-		return 0, false
-	}
-	frac := 0
-	if d.i < len(d.data) && d.data[d.i] == '.' {
-		d.i++
-		start = d.i
-		for d.i < len(d.data) {
-			c := d.data[d.i] - '0'
-			if c > 9 {
-				break
-			}
-			m = m*10 + uint64(c)
-			d.i++
-		}
-		if frac = d.i - start; frac == 0 {
-			return 0, false
-		}
-		digits += frac
-	}
-	exp := d.i < len(d.data) && (d.data[d.i] == 'e' || d.data[d.i] == 'E')
-	if exp {
-		d.i++
-		if d.i < len(d.data) && (d.data[d.i] == '+' || d.data[d.i] == '-') {
-			d.i++
-		}
-		start = d.i
-		for d.i < len(d.data) && d.data[d.i]-'0' <= 9 {
-			d.i++
-		}
-		if d.i == start {
-			return 0, false
-		}
-	}
-	if exp || digits > 19 || m >= 1<<53 || frac > 22 {
-		f, err := strconv.ParseFloat(string(d.data[tokStart:d.i]), 64)
-		return f, err == nil
-	}
-	f := float64(m)
-	if frac > 0 {
-		f /= pow10[frac]
-	}
-	if neg {
-		f = -f
-	}
-	return f, true
-}
-
-func (d *fastDecoder) scanBool() (bool, bool) {
-	if d.i+4 <= len(d.data) && string(d.data[d.i:d.i+4]) == "true" {
-		d.i += 4
-		return true, true
-	}
-	if d.i+5 <= len(d.data) && string(d.data[d.i:d.i+5]) == "false" {
-		d.i += 5
-		return false, true
-	}
-	return false, false
 }

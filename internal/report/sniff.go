@@ -1,6 +1,10 @@
 package report
 
-import "bytes"
+import (
+	"bytes"
+
+	"oak/internal/jsonscan"
+)
 
 // SniffJSONUser returns the userId a JSON report body declares — exactly
 // Decode(line).UserID, or "" when Decode would fail — without decoding the
@@ -30,105 +34,43 @@ var userIDKey = []byte("userId")
 
 // sniffUser is the walk; false means "not proven, ask Decode".
 func sniffUser(line []byte) (user []byte, ok bool) {
-	d := fastDecoder{data: line}
-	d.skipWS()
-	if !d.consume('{') {
+	d := jsonscan.Scanner{Data: line}
+	d.SkipWS()
+	if !d.Consume('{') {
 		return nil, false
 	}
-	d.skipWS()
-	for !d.consume('}') {
-		key, ok := d.scanPlainString()
+	d.SkipWS()
+	for !d.Consume('}') {
+		key, ok := d.ScanPlainString()
 		if !ok {
 			return nil, false
 		}
-		d.skipWS()
-		if !d.consume(':') {
+		d.SkipWS()
+		if !d.Consume(':') {
 			return nil, false
 		}
-		d.skipWS()
+		d.SkipWS()
 		switch {
 		case string(key) == "userId":
-			if user, ok = d.scanPlainString(); !ok {
+			if user, ok = d.ScanPlainString(); !ok {
 				return nil, false
 			}
 		case bytes.EqualFold(key, userIDKey):
 			return nil, false // a case variant: encoding/json matches it too
 		default:
-			if !d.skipValue() {
+			// Exact on well-formed JSON only, which is enough: the sniff
+			// owes an answer only for bodies Decode accepts.
+			if !d.SkipValue() {
 				return nil, false
 			}
 		}
-		d.skipWS()
-		if d.consume(',') {
-			d.skipWS()
-		} else if d.i >= len(d.data) || d.data[d.i] != '}' {
+		d.SkipWS()
+		if d.Consume(',') {
+			d.SkipWS()
+		} else if d.I >= len(d.Data) || d.Data[d.I] != '}' {
 			return nil, false
 		}
 	}
-	d.skipWS()
-	return user, d.i == len(d.data)
-}
-
-// skipValue advances past one JSON value without interpreting it. It is
-// exact on well-formed JSON; on anything else it may stop anywhere or return
-// false, which is enough: SniffJSONUser owes an answer only for bodies
-// Decode accepts.
-func (d *fastDecoder) skipValue() bool {
-	if d.i >= len(d.data) {
-		return false
-	}
-	switch d.data[d.i] {
-	case '"':
-		return d.skipString()
-	case '{', '[':
-		depth := 0
-		for d.i < len(d.data) {
-			switch d.data[d.i] {
-			case '"':
-				if !d.skipString() {
-					return false
-				}
-				continue
-			case '{', '[':
-				depth++
-			case '}', ']':
-				if depth--; depth == 0 {
-					d.i++
-					return true
-				}
-			}
-			d.i++
-		}
-		return false
-	}
-	// A number, true, false or null: up to the next delimiter.
-	for d.i < len(d.data) {
-		switch d.data[d.i] {
-		case ',', '}', ']', ' ', '\t', '\n', '\r':
-			return true
-		}
-		d.i++
-	}
-	return false
-}
-
-// skipString advances past the string that starts at d.i: to the first quote
-// preceded by an even number of backslashes.
-func (d *fastDecoder) skipString() bool {
-	i := d.i + 1
-	for {
-		n := bytes.IndexByte(d.data[i:], '"')
-		if n < 0 {
-			return false
-		}
-		i += n + 1
-		esc := 0
-		for j := i - 2; j > d.i && d.data[j] == '\\'; j-- {
-			esc++
-		}
-		if esc%2 == 0 {
-			d.i = i
-			return true
-		}
-	}
+	d.SkipWS()
+	return user, d.I == len(d.Data)
 }

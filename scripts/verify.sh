@@ -84,7 +84,14 @@
 # outside its one predicate (ref.last.After( in persist.go), or if a second site
 # bumps a profile's version. A
 # fuzz smoke pins the internal/wire primitives both binary dialects are schemas
-# over (round trip, canonical re-encoding, typed rejection). The benchmark module
+# over (round trip, canonical re-encoding, typed rejection). The state file has
+# two readers: a fuzz smoke pins whatever its schema reader accepts to
+# encoding/json's reading (FuzzDecodeStateEquivalence), and a named step holds
+# every file the engine writes to that reader, each hand-written border row to
+# its side of the subset, and the allocations per decoded profile and per
+# walked segment record below the reflective decoder's; the structure check
+# fails by name if persist.go grows a second json.Unmarshal of the payload or a
+# JSON scanning primitive is defined outside internal/jsonscan. The benchmark module
 # step vets and tests bench/ (its own module, which the root go build/test
 # do not descend into) so an internal API change cannot break the serving
 # benchmark of record (bash bench/run.sh) unnoticed.
@@ -117,6 +124,12 @@ go test -race ./internal/core ./internal/obs ./internal/bodybuf ./internal/clien
 
 echo "== fuzz smoke: FuzzImportState (5s) =="
 go test -run '^$' -fuzz FuzzImportState -fuzztime 5s ./internal/core
+
+echo "== fuzz smoke: FuzzDecodeStateEquivalence (5s) =="
+go test -run '^$' -fuzz FuzzDecodeStateEquivalence -fuzztime 5s ./internal/core
+
+echo "== state decode gate: the engine's own files stay on the fast reader, the border rows punt where they must, allocs per decoded profile and per walked segment record =="
+go test -run 'TestStateFilesStayOnTheFastReader|TestStateRowsPuntWhereTheyMust|TestStateDecodeAllocs|TestSegmentWalkAllocs' -count=1 ./internal/core
 
 echo "== fuzz smoke: FuzzApplyEquivalence (5s) =="
 go test -run '^$' -fuzz FuzzApplyEquivalence -fuzztime 5s ./internal/rules
@@ -173,7 +186,7 @@ go test -race -run 'TestSpillChaos' -count=1 ./internal/faultinject
 echo "== spill log order under -race, five times: the compactor keeps (seq, offset) = age, and every crash point of it recovers the pre-compaction state =="
 go test -race -run 'TestCompactionKeepsLogOrder|TestCompactionCrashPoints' -count=5 ./internal/core
 
-echo "== spill structure check: one segment writer, one sequence allocator, one segment walker, one merge predicate, one version bump =="
+echo "== structure check: one segment writer, one sequence allocator, one segment walker, one merge predicate, one version bump, one reference decoder, one JSON scanner =="
 fail() { echo "structure check failed: $1" >&2; exit 1; }
 if grep -n '\.tmp' internal/core/spill.go; then
 	fail "no-tmp-files: spill.go mentions .tmp (segments are only ever appended to, never written aside and renamed)"
@@ -194,6 +207,15 @@ fi
 bumps=$(ls internal/core/*.go | grep -v '_test\.go$' | xargs grep -h 'version++' | wc -l)
 [ "$bumps" -eq 1 ] ||
 	fail "one-version-bump: version++ occurs $bumps times in non-test internal/core, want once (analyzeLocked, beside lastReport)"
+
+unmarshals=$(grep -c 'json\.Unmarshal(payload' internal/core/persist.go)
+[ "$unmarshals" -eq 1 ] ||
+	fail "one-reference-decoder: json.Unmarshal(payload occurs $unmarshals times in persist.go, want once (decodeState's fallback)"
+for prim in ScanString ScanInt64 ScanFloat64 SkipValue; do
+	defs=$(grep -rlEi --include='*.go' "^func \([a-z]+ \*?[A-Za-z]+\) $prim\(" . | tr '\n' ' ')
+	[ "$defs" = "./internal/jsonscan/jsonscan.go " ] ||
+		fail "one-json-scanner: $prim is defined (in any case) in [ $defs], want internal/jsonscan/jsonscan.go only"
+done
 
 echo "== spill view under -race, five times: reads move nothing, an eviction storm cannot blank an activated user =="
 go test -race -run 'TestServeSpilledUserUnderEvictionStorm|TestPageReadsNeverWriteTheSpillTier' -count=5 ./internal/core
