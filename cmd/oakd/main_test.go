@@ -232,7 +232,7 @@ func TestLoadStateCorruptFallsBackToBackup(t *testing.T) {
 	if err := loadState(server2.Engine(), statePath); err != nil {
 		t.Errorf("corrupt primary with good backup must not abort boot: %v", err)
 	}
-	if got := server2.Engine().StateRecoveries(); got != 1 {
+	if _, got := server2.Engine().StateStatus(); got != 1 {
 		t.Errorf("StateRecoveries = %d, want 1", got)
 	}
 }

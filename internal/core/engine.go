@@ -70,11 +70,11 @@ type Engine struct {
 	// breakers and rule-quarantine table; guardConfig carries the WithGuard
 	// request until construction. altHosts caches rule ID → per-alternative
 	// provider hostnames for the current rule set (rebuilt by SetRules), so
-	// activation-time breaker checks never rescan alternative text. See
-	// guardwire.go.
+	// neither an activation-time breaker check nor a trip's rollback rescans
+	// alternative text. See guardwire.go.
 	guard       *guard.Set
 	guardConfig *GuardConfig
-	altHosts    atomic.Pointer[map[string][][]string]
+	altHosts    atomic.Pointer[map[string]ruleAltHosts]
 
 	// pop, when non-nil (WithSynthesis), holds the population-level
 	// detection state: per-provider download-time baselines, the degraded
@@ -391,7 +391,6 @@ func (e *Engine) analyzeLocked(sh *shard, r *report.Report, now time.Time, serve
 	res := &AnalysisResult{UserID: r.UserID, Violations: violations}
 
 	for _, ex := range prof.pruneExpired(now) {
-		e.unindexActivation(sh, r.UserID, ex.ID, ex.AltIndex)
 		e.metrics.ruleExpirations.Add(1)
 		res.Changes = append(res.Changes, RuleChange{RuleID: ex.ID, Action: "expire"})
 		if e.tracing() {
@@ -453,7 +452,6 @@ func (e *Engine) analyzeLocked(sh *shard, r *report.Report, now time.Time, serve
 				continue
 			}
 			prof.activate(rule, altIdx, now, v.Server.Addr, v.Distance)
-			e.indexActivation(sh, r.UserID, rule.ID, altIdx)
 			e.metrics.ruleActivations.Add(1)
 			e.ledger.RecordActivation(rule.ID, r.UserID)
 			res.Changes = append(res.Changes, RuleChange{
@@ -482,7 +480,7 @@ func (e *Engine) analyzeLocked(sh *shard, r *report.Report, now time.Time, serve
 	// Population-level synthesis: if the report touched a provider the
 	// population detector has flagged, activate matching rules for this user
 	// now, without waiting for their personal violation count.
-	e.synthesizeLocked(sh, prof, r, now, servers, activeRules, res)
+	e.synthesizeLocked(prof, r, now, servers, activeRules, res)
 
 	// The report may have grown the profile; keep the shard's resident-bytes
 	// estimate honest for the byte cap.
@@ -530,7 +528,6 @@ func (e *Engine) reconcileActiveRules(sh *shard, prof *Profile, v Violation, now
 				// The next alternative's provider is quarantined: revert to
 				// the default rather than steer the user onto it.
 				e.metrics.activationsBlocked.Inc()
-				e.unindexActivation(sh, prof.UserID, id, a.AltIndex)
 				prof.deactivate(id)
 				e.metrics.ruleDeactivations.Add(1)
 				res.Changes = append(res.Changes, RuleChange{
@@ -553,9 +550,7 @@ func (e *Engine) reconcileActiveRules(sh *shard, prof *Profile, v Violation, now
 					})
 				}
 			}
-			e.unindexActivation(sh, prof.UserID, id, a.AltIndex)
 			prof.activate(a.Rule, next, now, v.Server.Addr, v.Distance)
-			e.indexActivation(sh, prof.UserID, id, next)
 			e.metrics.ruleActivations.Add(1)
 			e.ledger.RecordActivation(id, prof.UserID)
 			res.Changes = append(res.Changes, RuleChange{
@@ -570,7 +565,6 @@ func (e *Engine) reconcileActiveRules(sh *shard, prof *Profile, v Violation, now
 		default:
 			// The alternate is at least as far from the median as the
 			// default was and nothing fresh remains: revert.
-			e.unindexActivation(sh, prof.UserID, id, a.AltIndex)
 			prof.deactivate(id)
 			e.metrics.ruleDeactivations.Add(1)
 			res.Changes = append(res.Changes, RuleChange{

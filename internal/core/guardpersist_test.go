@@ -12,8 +12,8 @@ import (
 // Snapshot compatibility across the guard boundary: pre-guard snapshots (no
 // "guard" key) and legacy plain-JSON state files must load into guard-enabled
 // engines with empty guard state, and re-export byte-identically; snapshots
-// carrying guard state must restore breakers, quarantines and the
-// provider→activations index.
+// carrying guard state must restore breakers and quarantines, and imported
+// activations must stay within a later trip's reach.
 
 // pinnedEngines builds a guardless source engine and a guard-enabled target
 // engine on identically pinned clocks, so exports are byte-comparable.
@@ -138,9 +138,9 @@ func TestGuardStateSurvivesSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
-func TestImportRebuildsProviderIndex(t *testing.T) {
+func TestTripReachesImportedActivations(t *testing.T) {
 	// Activations restored from a snapshot must be reachable by a later
-	// breaker trip: the provider→activations index is rebuilt at import.
+	// breaker trip.
 	clock := newTestClock()
 	mk := func() *Engine {
 		e, err := NewEngine([]*rules.Rule{jqRule(0)}, WithClock(clock.Now), WithShards(4),
@@ -173,7 +173,7 @@ func TestImportRebuildsProviderIndex(t *testing.T) {
 		t.Fatalf("BreakerTrips = %d, want 1", m.BreakerTrips)
 	}
 	if m.BulkDeactivations != users {
-		t.Errorf("BulkDeactivations = %d, want %d (imported index incomplete)",
+		t.Errorf("BulkDeactivations = %d, want %d (imported activations missed)",
 			m.BulkDeactivations, users)
 	}
 	page := `<script src="http://s1.com/jquery.js">`

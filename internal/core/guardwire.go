@@ -22,8 +22,9 @@ import (
 //     provider's breaker first — an open breaker blocks it, a half-open one
 //     admits it as a bounded canary;
 //   - a breaker trip bulk-deactivates all existing activations pointing at
-//     the provider, across every shard, via the provider→activations index
-//     each shard maintains;
+//     the provider: one pass over the resident profiles, shard by shard
+//     (rollbackWhere — the same pass a rule quarantine makes); spilled users
+//     are filtered when their record is read (spillActivationBarred);
 //   - the serve path isolates rewrite panics (compiled applier → sequential
 //     per-rule fallback → unmodified page) and quarantines a rule implicated
 //     in repeated panics.
@@ -55,8 +56,8 @@ type GuardConfig struct {
 }
 
 // WithGuard enables the per-provider circuit breakers and rule quarantine.
-// Without it the engine behaves exactly as before (no index maintenance, no
-// breaker checks); rewrite panic isolation is always on.
+// Without it the engine behaves exactly as before (no breaker checks);
+// rewrite panic isolation is always on.
 func WithGuard(cfg GuardConfig) Option {
 	return func(e *Engine) { e.guardConfig = &cfg }
 }
@@ -77,9 +78,6 @@ func (e *Engine) initGuard() {
 		Now:              func() time.Time { return e.now() },
 	})
 }
-
-// GuardEnabled reports whether the engine was built with WithGuard.
-func (e *Engine) GuardEnabled() bool { return e.guard != nil }
 
 // altHostsOf extracts the provider hostnames an alternative's text points at
 // (src/href attributes plus free-text host mentions — the same surfaces
@@ -105,14 +103,22 @@ func altHostsOf(alt string) []string {
 	return hosts
 }
 
+// ruleAltHosts is one rule's row of the precomputed provider-host table: the
+// rule the hosts were extracted from and, per alternative, the hosts.
+type ruleAltHosts struct {
+	rule *rules.Rule
+	per  [][]string
+}
+
 // rebuildAltHosts precomputes rule ID → per-alternative provider host lists
-// for the current rule set, so activation-time breaker checks never rescan
-// alternative text. Caller holds rulesMu; no-op on guardless engines.
+// for the current rule set, so neither an activation-time breaker check nor a
+// trip's rollback rescans alternative text. Caller holds rulesMu; no-op on
+// guardless engines.
 func (e *Engine) rebuildAltHosts() {
 	if e.guard == nil {
 		return
 	}
-	m := make(map[string][][]string, len(e.rules))
+	m := make(map[string]ruleAltHosts, len(e.rules))
 	for _, r := range e.rules {
 		if r.Type == rules.TypeRemove || len(r.Alternatives) == 0 {
 			continue // removal has no target provider
@@ -121,24 +127,28 @@ func (e *Engine) rebuildAltHosts() {
 		for i, alt := range r.Alternatives {
 			per[i] = altHostsOf(alt)
 		}
-		m[r.ID] = per
+		m[r.ID] = ruleAltHosts{rule: r, per: per}
 	}
 	e.altHosts.Store(&m)
 }
 
 // altHostsFor returns the provider hostnames of one (rule, alternative)
-// activation target, nil when there are none (Type 1 removals, host-less
-// alternatives, guardless engines).
+// activation target under the current rule set, nil when there are none
+// (Type 1 removals, host-less alternatives, guardless engines).
 func (e *Engine) altHostsFor(ruleID string, altIdx int) []string {
 	mp := e.altHosts.Load()
 	if mp == nil {
 		return nil
 	}
-	per, ok := (*mp)[ruleID]
-	if !ok || len(per) == 0 {
+	return clampedAlt((*mp)[ruleID].per, altIdx)
+}
+
+// clampedAlt indexes a per-alternative host table the way Rule.Alternative
+// indexes the alternatives: out-of-range indexes clamp.
+func clampedAlt(per [][]string, altIdx int) []string {
+	if len(per) == 0 {
 		return nil
 	}
-	// Mirror Rule.Alternative's index clamping.
 	if altIdx < 0 {
 		altIdx = 0
 	}
@@ -146,6 +156,21 @@ func (e *Engine) altHostsFor(ruleID string, altIdx int) []string {
 		altIdx = len(per) - 1
 	}
 	return per[altIdx]
+}
+
+// activationOn reports whether the activation rewrites pages onto provider:
+// whether provider is among the hosts of the alternative a holds (a.Rule,
+// a.AltIndex). While a.Rule is the rule table carries under its ID, those
+// hosts are the table's; an activation that outlived a SetRules holds the copy
+// it was made with, and that copy's text is scanned.
+func activationOn(table map[string]ruleAltHosts, a *ActiveRule, provider string) bool {
+	var hosts []string
+	if row := table[a.Rule.ID]; row.rule == a.Rule {
+		hosts = clampedAlt(row.per, a.AltIndex)
+	} else if a.Rule.Type != rules.TypeRemove {
+		hosts = altHostsOf(a.Rule.Alternative(a.AltIndex))
+	}
+	return containsString(hosts, provider)
 }
 
 // guardAdmit consults the guard before activating (rule, altIdx): the rule
@@ -169,64 +194,6 @@ func (e *Engine) guardAdmit(ruleID string, altIdx int) (admit, canary bool, bloc
 		}
 	}
 	return true, canary, ""
-}
-
-// indexActivation records (user, rule@altIdx) under each provider the
-// alternative points at. Caller holds sh.mu for writing; no-op without a
-// guard.
-func (e *Engine) indexActivation(sh *shard, userID, ruleID string, altIdx int) {
-	e.indexActivationIn(&sh.provIndex, userID, ruleID, altIdx)
-}
-
-// indexActivationIn is indexActivation on an index no shard owns yet — the
-// ones an import builds off-lock (buildImport).
-func (e *Engine) indexActivationIn(idx *map[string]map[string]map[string]struct{}, userID, ruleID string, altIdx int) {
-	if e.guard == nil {
-		return
-	}
-	hosts := e.altHostsFor(ruleID, altIdx)
-	if len(hosts) == 0 {
-		return
-	}
-	if *idx == nil {
-		*idx = make(map[string]map[string]map[string]struct{})
-	}
-	for _, h := range hosts {
-		users := (*idx)[h]
-		if users == nil {
-			users = make(map[string]map[string]struct{})
-			(*idx)[h] = users
-		}
-		set := users[userID]
-		if set == nil {
-			set = make(map[string]struct{})
-			users[userID] = set
-		}
-		set[ruleID] = struct{}{}
-	}
-}
-
-// unindexActivation removes (user, rule@altIdx) from the provider index.
-// Caller holds sh.mu for writing; no-op without a guard.
-func (e *Engine) unindexActivation(sh *shard, userID, ruleID string, altIdx int) {
-	if e.guard == nil || sh.provIndex == nil {
-		return
-	}
-	for _, h := range e.altHostsFor(ruleID, altIdx) {
-		users := sh.provIndex[h]
-		if users == nil {
-			continue
-		}
-		if set := users[userID]; set != nil {
-			delete(set, ruleID)
-			if len(set) == 0 {
-				delete(users, userID)
-			}
-		}
-		if len(users) == 0 {
-			delete(sh.provIndex, h)
-		}
-	}
 }
 
 // providerOutcome is one population-level signal extracted from a report
@@ -335,78 +302,40 @@ func (e *Engine) tripProvider(provider, detail string) {
 	}
 }
 
-// rollbackProvider deactivates every activation pointing at the provider,
-// shard by shard, returning how many were removed. Each shard is write-
-// locked only while its own entries are processed.
-func (e *Engine) rollbackProvider(provider string) int {
-	if e.guard == nil {
-		return 0
-	}
-	total := 0
-	for _, sh := range e.shards {
-		sh.mu.Lock()
-		users := sh.provIndex[provider]
-		if len(users) == 0 {
-			sh.mu.Unlock()
-			continue
-		}
-		// Snapshot the entries first: unindexActivation mutates the very
-		// maps being ranged over.
-		type entry struct{ user, rule string }
-		entries := make([]entry, 0, len(users))
-		for uid, set := range users {
-			for rid := range set {
-				entries = append(entries, entry{user: uid, rule: rid})
-			}
-		}
-		for _, en := range entries {
-			prof, ok := sh.profiles[en.user]
-			if !ok {
-				continue
-			}
-			a := prof.activeRule(en.rule)
-			if a == nil {
-				continue
-			}
-			e.unindexActivation(sh, en.user, en.rule, a.AltIndex)
-			prof.deactivate(en.rule)
-			e.metrics.ruleDeactivations.Add(1)
-			e.metrics.bulkDeactivations.Inc()
-			total++
-			if e.tracing() {
-				e.trace(obs.Event{Kind: obs.EventRollback, User: en.user,
-					RuleID: en.rule, Provider: provider, Detail: "breaker trip"})
-			}
-		}
-		// Whatever is left under the provider key is stale (activations the
-		// profiles no longer hold); drop it wholesale.
-		delete(sh.provIndex, provider)
-		sh.mu.Unlock()
-	}
-	return total
-}
-
-// rollbackRule deactivates the rule for every user holding it, across all
-// shards (rule quarantine; there is no per-rule index — quarantines are rare
-// and a full scan is acceptable). Returns how many activations were removed.
-// Caller must not hold shard locks.
-func (e *Engine) rollbackRule(ruleID string) int {
+// rollbackWhere is the one bulk deactivation: it removes every activation of
+// a resident profile that match selects, shard by shard, each shard
+// write-locked only for the pass over its own profiles, and returns how many
+// it removed. ev is the per-user trace event's template (provider, detail);
+// user and rule are filled in. A profile's activations live in the profile
+// and nowhere else, so the pass is a walk of sh.profiles: its shard hold is
+// O(resident in shard), paid once per trip or quarantine. Spilled users are
+// not visited — their activations are filtered when the record is next read
+// (spillActivationBarred). Caller must not hold shard locks.
+func (e *Engine) rollbackWhere(match func(*ActiveRule) bool, ev obs.Event) int {
 	total := 0
 	for _, sh := range e.shards {
 		sh.mu.Lock()
 		for uid, prof := range sh.profiles {
-			a := prof.activeRule(ruleID)
-			if a == nil {
-				continue
+			if len(prof.active) == 0 {
+				continue // most of a population: skip before a map iterator is set up
 			}
-			e.unindexActivation(sh, uid, ruleID, a.AltIndex)
-			prof.deactivate(ruleID)
-			e.metrics.ruleDeactivations.Add(1)
-			e.metrics.bulkDeactivations.Inc()
-			total++
-			if e.tracing() {
-				e.trace(obs.Event{Kind: obs.EventRollback, User: uid,
-					RuleID: ruleID, Detail: "rule quarantine"})
+			removed := 0
+			for rid, a := range prof.active {
+				if !match(a) {
+					continue
+				}
+				prof.deactivate(rid)
+				removed++
+				if e.tracing() {
+					ev.User, ev.RuleID = uid, rid
+					e.trace(ev)
+				}
+			}
+			if removed > 0 {
+				e.metrics.ruleDeactivations.Add(uint64(removed))
+				e.metrics.bulkDeactivations.Add(uint64(removed))
+				e.noteProfileSizeLocked(sh, prof)
+				total += removed
 			}
 		}
 		sh.mu.Unlock()
@@ -414,11 +343,32 @@ func (e *Engine) rollbackRule(ruleID string) int {
 	return total
 }
 
+// rollbackProvider deactivates every resident activation that rewrites onto
+// the provider (breaker trip).
+func (e *Engine) rollbackProvider(provider string) int {
+	if e.guard == nil {
+		return 0
+	}
+	table := *e.altHosts.Load()
+	return e.rollbackWhere(
+		func(a *ActiveRule) bool { return activationOn(table, a, provider) },
+		obs.Event{Kind: obs.EventRollback, Provider: provider, Detail: "breaker trip"})
+}
+
+// rollbackRule deactivates the rule for every resident user holding it (rule
+// quarantine).
+func (e *Engine) rollbackRule(ruleID string) int {
+	return e.rollbackWhere(
+		func(a *ActiveRule) bool { return a.Rule.ID == ruleID },
+		obs.Event{Kind: obs.EventRollback, Detail: "rule quarantine"})
+}
+
 // noteRulePanic attributes one rewrite panic to a rule and, when the panic
 // count crosses the quarantine threshold, quarantines the rule and rolls its
-// activations back asynchronously (the caller sits under a shard read lock,
-// and the rollback needs write locks). No-op on guardless engines — panic
-// isolation still serves the safe page, there is just no quarantine ledger.
+// activations back before returning: the serve path rewrites from an immutable
+// view with no shard lock held (rewriteFrom), so the rollback may take the
+// write locks here. No-op on guardless engines — panic isolation still serves
+// the safe page, there is just no quarantine ledger.
 func (e *Engine) noteRulePanic(ruleID string) {
 	if e.guard == nil || ruleID == "" {
 		return
@@ -431,7 +381,7 @@ func (e *Engine) noteRulePanic(ruleID string) {
 		e.trace(obs.Event{Kind: obs.EventQuarantine, RuleID: ruleID,
 			Detail: "rule quarantined after repeated rewrite panics"})
 	}
-	go e.rollbackRule(ruleID)
+	e.rollbackRule(ruleID)
 }
 
 // QuarantineProvider trips the provider's breaker manually (operator
@@ -575,7 +525,8 @@ func containsString(list []string, s string) bool {
 // is false when any panic occurred; such results must not enter the rewrite
 // cache (a cached safe-but-degraded page would both mask the breakage and
 // stop the panic count from ever reaching the quarantine threshold).
-// Panic isolation is always on, guard or not. Caller holds sh.mu (read).
+// Panic isolation is always on, guard or not. Caller holds no shard lock: a
+// rule crossing the panic threshold is rolled back from here (noteRulePanic).
 func (e *Engine) applySafely(ent *actCacheEntry, path, page string) (out string, applied []rules.Applied, clean bool) {
 	out, clean = page, true
 	func() {

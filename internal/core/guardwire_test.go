@@ -303,9 +303,6 @@ func TestGuardStatusSurface(t *testing.T) {
 	if _, ok := plain.GuardStatus(); ok {
 		t.Error("GuardStatus ok on guardless engine")
 	}
-	if plain.GuardEnabled() {
-		t.Error("GuardEnabled on guardless engine")
-	}
 	if got := plain.OpenBreakers(); got != nil {
 		t.Errorf("OpenBreakers = %v on guardless engine", got)
 	}
@@ -439,18 +436,11 @@ func TestServePanicQuarantinesRule(t *testing.T) {
 		t.Errorf("RuleQuarantines = %d, want 1", m.RuleQuarantines)
 	}
 
-	// The rollback runs asynchronously; once it lands, the page stays
-	// unmodified even with the failpoint removed.
+	// The rollback ran on the serve that crossed the threshold: the page
+	// stays unmodified on the very next call, failpoint removed.
 	rules.SetApplyFailpoint(nil)
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		if out, _ := e.ModifyPage("u1", "/index.html", page); out == page {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("quarantined rule's activation never rolled back")
-		}
-		time.Sleep(5 * time.Millisecond)
+	if out, _ := e.ModifyPage("u1", "/index.html", page); out != page {
+		t.Fatalf("quarantined rule's activation not rolled back: %q", out)
 	}
 	// Fresh activations of the quarantined rule are blocked.
 	res, _ := e.HandleReport(slowS1Report("u2"))

@@ -359,9 +359,9 @@ func (e *Engine) importDecoded(r HashRange, st *persistedState, newerWins, topUp
 		if r.Whole() {
 			// Nothing of the old population survives: install the maps
 			// wholesale rather than insert a restart's every profile here.
-			sh.profiles, sh.provIndex = imp.fresh[i], imp.freshIdx[i]
+			sh.profiles = imp.fresh[i]
 		} else {
-			replaceArcLocked(sh, r, imp.fresh[i], imp.freshIdx[i])
+			replaceArcLocked(sh, r, imp.fresh[i])
 		}
 		sh.users.Set(int64(len(sh.profiles)))
 		if e.spill != nil {
@@ -404,39 +404,16 @@ type ImportCounts struct {
 }
 
 // replaceArcLocked swaps one shard's share of the arc r: the resident
-// profiles in r and their provider-index entries go, the payload's (all
-// verified in-range by buildImport) come in. Caller holds sh.mu for writing.
-func replaceArcLocked(sh *shard, r HashRange, fresh map[string]*Profile, freshIdx map[string]map[string]map[string]struct{}) {
+// profiles in r go, the payload's (all verified in-range by buildImport) come
+// in. Caller holds sh.mu for writing.
+func replaceArcLocked(sh *shard, r HashRange, fresh map[string]*Profile) {
 	for uid := range sh.profiles {
 		if r.Contains(userHash(uid)) {
 			delete(sh.profiles, uid)
 		}
 	}
-	for host, users := range sh.provIndex {
-		for uid := range users {
-			if r.Contains(userHash(uid)) {
-				delete(users, uid)
-			}
-		}
-		if len(users) == 0 {
-			delete(sh.provIndex, host)
-		}
-	}
 	for uid, prof := range fresh {
 		sh.profiles[uid] = prof
-	}
-	for host, users := range freshIdx {
-		if sh.provIndex == nil {
-			sh.provIndex = make(map[string]map[string]map[string]struct{})
-		}
-		dst := sh.provIndex[host]
-		if dst == nil {
-			dst = make(map[string]map[string]struct{}, len(users))
-			sh.provIndex[host] = dst
-		}
-		for uid, set := range users {
-			dst[uid] = set
-		}
 	}
 }
 
@@ -518,12 +495,11 @@ func decodeState(data []byte) (*persistedState, error) {
 	return st, nil
 }
 
-// builtImport is a payload's profiles built for installation: per shard, the
-// profile maps and (on guard-enabled engines) the provider→activations
-// indexes, and how many of the payload's copies a spill record superseded.
+// builtImport is a payload's profiles built for installation: the profile map
+// of each shard, and how many of the payload's copies a spill record
+// superseded.
 type builtImport struct {
 	fresh      []map[string]*Profile
-	freshIdx   []map[string]map[string]map[string]struct{}
 	superseded int
 }
 
@@ -538,7 +514,6 @@ type builtImport struct {
 func (e *Engine) buildImport(st *persistedState, want HashRange, newerWins bool) (imp builtImport, err error) {
 	now := e.now()
 	imp.fresh = make([]map[string]*Profile, len(e.shards))
-	imp.freshIdx = make([]map[string]map[string]map[string]struct{}, len(e.shards))
 	for i := range imp.fresh {
 		imp.fresh[i] = make(map[string]*Profile)
 	}
@@ -558,11 +533,7 @@ func (e *Engine) buildImport(st *persistedState, want HashRange, newerWins bool)
 				continue
 			}
 		}
-		prof, _ := e.profileFromRecord(pp, now, false)
-		for rid, a := range prof.active {
-			e.indexActivationIn(&imp.freshIdx[si], pp.UserID, rid, a.AltIndex)
-		}
-		imp.fresh[si][pp.UserID] = prof
+		imp.fresh[si][pp.UserID], _ = e.profileFromRecord(pp, now, false)
 	}
 	return imp, nil
 }

@@ -152,9 +152,6 @@ func (e *Engine) initPop() {
 	}
 }
 
-// SynthesisEnabled reports whether the engine was built with WithSynthesis.
-func (e *Engine) SynthesisEnabled() bool { return e.pop != nil }
-
 // feedPopLocked feeds one report's per-server download times into the
 // owning shard's provider sketches. One sample per (report, provider
 // hostname): the server's small-object mean time, the same signal the MAD
@@ -369,9 +366,9 @@ func (e *Engine) publishDegradedLocked() {
 // users who haven't individually tripped are mitigated on their next
 // report. Everything else mirrors the organic activation path: scope check,
 // evidence-tier matching, guard admission (with fallback to the next
-// admitted alternative when the preferred one is quarantined), indexing,
-// ledger, metrics, trace. Caller holds sh.mu for writing.
-func (e *Engine) synthesizeLocked(sh *shard, prof *Profile, r *report.Report, now time.Time, servers []*report.ServerPerf, activeRules []*rules.Rule, res *AnalysisResult) {
+// admitted alternative when the preferred one is quarantined), ledger,
+// metrics, trace. Caller holds the profile's shard lock for writing.
+func (e *Engine) synthesizeLocked(prof *Profile, r *report.Report, now time.Time, servers []*report.ServerPerf, activeRules []*rules.Rule, res *AnalysisResult) {
 	if e.pop == nil {
 		return
 	}
@@ -447,7 +444,6 @@ func (e *Engine) synthesizeLocked(sh *shard, prof *Profile, r *report.Report, no
 			}
 			a := prof.activate(rule, altIdx, now, s.Addr, dist)
 			a.Synthesized = true
-			e.indexActivation(sh, r.UserID, rule.ID, altIdx)
 			e.metrics.ruleActivations.Add(1)
 			e.metrics.synthesizedActivations.Inc()
 			e.ledger.RecordActivation(rule.ID, r.UserID)

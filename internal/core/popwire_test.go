@@ -275,9 +275,6 @@ func TestPopulationDisabledWithoutSynthesis(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e.SynthesisEnabled() {
-		t.Error("SynthesisEnabled = true on plain engine")
-	}
 	if _, ok := e.PopulationStatus(); ok {
 		t.Error("PopulationStatus ok on plain engine")
 	}

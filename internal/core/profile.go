@@ -159,12 +159,9 @@ func (p *Profile) deactivate(ruleID string) {
 	p.epoch.Add(1)
 }
 
-// expiredActivation identifies one pruned activation: the rule and the
-// alternative that was in effect, so the engine can unindex it from the
-// guard's provider→activations index.
+// expiredActivation identifies one pruned activation by its rule.
 type expiredActivation struct {
-	ID       string
-	AltIndex int
+	ID string
 }
 
 // pruneExpired drops lapsed activations and returns what was removed (sorted
@@ -174,7 +171,7 @@ func (p *Profile) pruneExpired(now time.Time) []expiredActivation {
 	for id, a := range p.active {
 		if a.Expired(now) {
 			delete(p.active, id)
-			removed = append(removed, expiredActivation{ID: id, AltIndex: a.AltIndex})
+			removed = append(removed, expiredActivation{ID: id})
 		}
 	}
 	if len(removed) > 0 {

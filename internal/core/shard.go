@@ -35,12 +35,6 @@ type shard struct {
 	// merges the shards for the aggregate view and exposes them raw for
 	// per-shard hot-spot diagnosis.
 	ingest obs.Histogram
-	// provIndex, maintained only on guard-enabled engines, maps alternate
-	// provider hostname → user ID → set of rule IDs whose current
-	// activation points at that provider. A breaker trip walks it to bulk-
-	// deactivate every activation on the dead provider without scanning
-	// profiles. Guarded by mu (write lock for every mutation).
-	provIndex map[string]map[string]map[string]struct{}
 	// pop, maintained only on synthesis-enabled engines, holds this shard's
 	// current-window per-provider download-time sketches; the population
 	// tick swaps it out and merges across shards. Created lazily on the

@@ -603,9 +603,6 @@ func (e *Engine) spillProfilesLocked(sh *shard, victims []string) {
 	// Durable: now it is safe to forget.
 	for _, fr := range frames {
 		prof := sh.profiles[fr.uid]
-		for rid, a := range prof.active {
-			e.unindexActivation(sh, fr.uid, rid, a.AltIndex)
-		}
 		delete(sh.profiles, fr.uid)
 		sh.users.Add(-1)
 		sh.residentBytes.Add(-int64(prof.sizeEst))
@@ -788,14 +785,11 @@ func (e *Engine) rehydrateLocked(sh *shard, userID string) *Profile {
 
 // installRecordLocked makes a decoded record the user's resident profile:
 // the profile profileFromRecord builds, plus what only a resident profile
-// has — provider-index entries, residency accounting, and the count of the
-// bulk rollbacks that reached it late. Caller holds sh.mu for writing.
+// has — residency accounting, and the count of the bulk rollbacks that
+// reached it late. Caller holds sh.mu for writing.
 func (e *Engine) installRecordLocked(sh *shard, pp *persistedProfile) *Profile {
 	prof, barred := e.profileFromRecord(pp, e.now(), true)
 	e.metrics.bulkDeactivations.Add(uint64(barred))
-	for rid, a := range prof.active {
-		e.indexActivation(sh, pp.UserID, rid, a.AltIndex)
-	}
 	sh.profiles[pp.UserID] = prof
 	sh.users.Add(1)
 	sh.residentBytes.Add(int64(prof.sizeEst))
@@ -1066,8 +1060,7 @@ func (st *spillStore) reappendLocked(sh *shard, victim *spillSegment, data []byt
 // PruneProfiles removes every profile — resident or spilled — whose last
 // report is before cutoff, and returns how many were removed. Spilled
 // profiles are dropped by marking their records dead (the ingest-driven
-// compactor reclaims the bytes); resident removals unindex their guard
-// entries like any deactivation.
+// compactor reclaims the bytes).
 func (e *Engine) PruneProfiles(cutoff time.Time) int {
 	removed := 0
 	for _, sh := range e.shards {
@@ -1075,9 +1068,6 @@ func (e *Engine) PruneProfiles(cutoff time.Time) int {
 		for uid, prof := range sh.profiles {
 			if !prof.lastReport.Before(cutoff) {
 				continue
-			}
-			for rid, a := range prof.active {
-				e.unindexActivation(sh, uid, rid, a.AltIndex)
 			}
 			delete(sh.profiles, uid)
 			sh.users.Add(-1)

@@ -603,8 +603,7 @@ func TestSpillRehydrationDropsBreakerOpenActivations(t *testing.T) {
 	forceSpill(t, e, "cold")
 
 	// Trip the s2.net breaker while "cold" is on disk: the bulk rollback
-	// reaches the resident "warm" via the provider index, but cannot touch
-	// the spilled activation.
+	// reaches the resident "warm", but cannot touch the spilled activation.
 	e.ObserveProviderOutcome("s2.net", false, 500)
 	e.ObserveProviderOutcome("s2.net", false, 500)
 	if m := e.Metrics(); m.BreakerTrips != 1 || m.BulkDeactivations != 1 {

@@ -187,16 +187,10 @@ func (e *Engine) ImportShippedState(data []byte) error {
 	return nil
 }
 
-// StateRecoveries returns how many times state was restored from somewhere
-// other than the primary snapshot file: the rotating backup (damaged or
-// missing primary) or a shipped snapshot (node replacement).
-func (e *Engine) StateRecoveries() uint64 {
-	return e.metrics.stateRecoveries.Value()
-}
-
 // StateStatus reports where the engine's state last came from and how many
-// recoveries have happened. An engine that never loaded a state file reads
-// as StateFresh.
+// times it was restored from somewhere other than the primary snapshot file:
+// the rotating backup (damaged or missing primary) or a shipped snapshot (node
+// replacement). An engine that never loaded a state file reads as StateFresh.
 func (e *Engine) StateStatus() (StateSource, uint64) {
 	src, _ := e.stateSource.Load().(StateSource)
 	if src == "" {

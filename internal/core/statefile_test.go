@@ -36,8 +36,8 @@ func TestSaveLoadStateFileRoundTrip(t *testing.T) {
 	if e2.Users() != 1 {
 		t.Errorf("Users = %d, want 1", e2.Users())
 	}
-	if e2.StateRecoveries() != 0 {
-		t.Errorf("StateRecoveries = %d, want 0", e2.StateRecoveries())
+	if _, n := e2.StateStatus(); n != 0 {
+		t.Errorf("StateRecoveries = %d, want 0", n)
 	}
 }
 
@@ -94,8 +94,8 @@ func TestLoadStateFileCorruptPrimaryRecoversFromBackup(t *testing.T) {
 	if e2.Users() != 1 {
 		t.Errorf("recovered Users = %d, want 1", e2.Users())
 	}
-	if e2.StateRecoveries() != 1 {
-		t.Errorf("StateRecoveries = %d, want 1", e2.StateRecoveries())
+	if _, n := e2.StateStatus(); n != 1 {
+		t.Errorf("StateRecoveries = %d, want 1", n)
 	}
 	if e2.Metrics().StateRecoveries != 1 {
 		t.Errorf("Metrics().StateRecoveries = %d, want 1", e2.Metrics().StateRecoveries)

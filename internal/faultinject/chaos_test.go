@@ -161,8 +161,8 @@ func TestChaosEndToEndSurvivesFaultsAndCorruption(t *testing.T) {
 	if got := rebooted.Users(); got != usersAtFirstSave {
 		t.Errorf("recovered %d users, want %d (the backup snapshot)", got, usersAtFirstSave)
 	}
-	if rebooted.StateRecoveries() != 1 {
-		t.Errorf("StateRecoveries = %d, want 1", rebooted.StateRecoveries())
+	if _, n := rebooted.StateStatus(); n != 1 {
+		t.Errorf("StateRecoveries = %d, want 1", n)
 	}
 }
 

@@ -40,11 +40,15 @@
 # the body-lifetime tests of gateway and origin fail on a stale reference,
 # not only on a reused one. The
 # guard chaos smoke re-runs the kill-the-alternate scenario on its own so a
-# breaker regression fails the verify with a named step; one-iteration guard
-# and synthesis benchmark runs keep those micro-benchmarks compiling and
-# running. Finally, a compact scenario smoke runs four checked-in
-# end-to-end workloads (cellular, blackout, slowloris, popslow) against
-# injected ground truth and gates on the precision/recall/trip floors in
+# breaker regression fails the verify with a named step; the bulk rollback
+# step runs, five times under -race, the table of every road an activation
+# takes into a resident profile (TestTripReachesEveryRoad) beside the trip
+# tests that race ingest, so a rollback that misses a road or races a report
+# fails by name; one-iteration guard and synthesis benchmark runs (the guard's
+# include the rollback pass's worst case, 100 affected of 20,000 resident)
+# keep those micro-benchmarks compiling and running. Finally, a compact
+# scenario smoke runs four checked-in end-to-end workloads (cellular,
+# blackout, slowloris, popslow) against injected ground truth and gates on the precision/recall/trip floors in
 # each spec's expect block — popslow additionally requires at least one
 # breaker trip and one synthesized activation, so a regression in
 # detection quality, guard response, population-level synthesis, or
@@ -186,7 +190,7 @@ go test -race -run 'TestSpillChaos' -count=1 ./internal/faultinject
 echo "== spill log order under -race, five times: the compactor keeps (seq, offset) = age, and every crash point of it recovers the pre-compaction state =="
 go test -race -run 'TestCompactionKeepsLogOrder|TestCompactionCrashPoints' -count=5 ./internal/core
 
-echo "== structure check: one segment writer, one sequence allocator, one segment walker, one merge predicate, one version bump, one reference decoder, one JSON scanner =="
+echo "== structure check: one segment writer, one sequence allocator, one segment walker, one merge predicate, one version bump, one home for an activation, one reference decoder, one JSON scanner =="
 fail() { echo "structure check failed: $1" >&2; exit 1; }
 if grep -n '\.tmp' internal/core/spill.go; then
 	fail "no-tmp-files: spill.go mentions .tmp (segments are only ever appended to, never written aside and renamed)"
@@ -207,6 +211,10 @@ fi
 bumps=$(ls internal/core/*.go | grep -v '_test\.go$' | xargs grep -h 'version++' | wc -l)
 [ "$bumps" -eq 1 ] ||
 	fail "one-version-bump: version++ occurs $bumps times in non-test internal/core, want once (analyzeLocked, beside lastReport)"
+
+if grep -rn 'provIndex\|indexActivation\|freshIdx' internal/ cmd/ oak.go; then
+	fail "activations-live-in-profiles: the guard's provider index is back (a bulk rollback is rollbackWhere's pass over the resident profiles)"
+fi
 
 unmarshals=$(grep -c 'json\.Unmarshal(payload' internal/core/persist.go)
 [ "$unmarshals" -eq 1 ] ||
@@ -229,8 +237,11 @@ go test -run 'TestBootsOnFilesWritten' -count=1 ./internal/core
 echo "== memory benchmark smoke (1 iteration) =="
 go test -run '^$' -bench 'BenchmarkSpillRehydrate$|BenchmarkServeCold95$|BenchmarkIngestCapped$' -benchtime 1x ./internal/core
 
+echo "== bulk rollback under -race, five times: a trip reaches every road into a resident profile, and races ingest, serving, export and rule quarantines =="
+go test -race -run 'TestTripReachesEveryRoad|TestGuardTripBulkRollsBackAllUsers|TestGuardConcurrentTripAndServe' -count=5 ./internal/core
+
 echo "== guard benchmark smoke (1 iteration) =="
-go test -run '^$' -bench 'BenchmarkActivationGuardOn|BenchmarkGuardRollback100$' -benchtime 1x ./internal/core
+go test -run '^$' -bench 'BenchmarkActivationGuardOn|BenchmarkGuardRollback100$|BenchmarkGuardRollback100of20000$' -benchtime 1x ./internal/core
 
 echo "== synthesis benchmark smoke (1 iteration) =="
 go test -run '^$' -bench 'BenchmarkHandleReportSynth(On|Off)$' -benchtime 1x ./internal/core
