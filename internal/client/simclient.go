@@ -103,7 +103,6 @@ func (c *SimClient) Load(site *webgen.Site, page *webgen.Page, html string) (*Lo
 	}
 
 	// 1. Direct references (src/href attributes), including loader scripts.
-	var scriptURLs []string
 	for _, ref := range htmlscan.ExtractRefs(html) {
 		if htmlscan.HostOf(ref.URL) == "" {
 			continue // relative: part of the origin page itself
@@ -114,7 +113,6 @@ func (c *SimClient) Load(site *webgen.Site, page *webgen.Page, html string) (*Lo
 			return nil, err
 		}
 		if ref.Tag == "script" && ref.Attr == "src" {
-			scriptURLs = append(scriptURLs, ref.URL)
 			// 2. Execute fetched loader scripts: fetch what they reference.
 			if body, ok := c.Assets.Scripts[ref.URL]; ok {
 				for _, u := range htmlscan.URLsInText(body) {

@@ -13,6 +13,8 @@ import (
 	"time"
 
 	"oak/internal/rules"
+	"oak/internal/seglog"
+	"oak/internal/wire"
 )
 
 // Boot adopts the log (PR 21): a restart on a state file and a segment
@@ -24,11 +26,11 @@ import (
 // writeSpillSegment writes segment seq of dir holding recs, in order.
 func writeSpillSegment(t *testing.T, dir string, seq uint64, recs ...persistedProfile) string {
 	t.Helper()
-	data := []byte(spillSegMagic)
+	data := []byte(seglog.Magic)
 	for i := range recs {
-		data = appendSpillFrame(data, encodeSpillRecord(nil, &recs[i]))
+		data = wire.AppendFrame(data, encodeSpillRecord(nil, &recs[i]))
 	}
-	path := spillSegPath(dir, seq)
+	path := filepath.Join(dir, fmt.Sprintf("seg-%016x.seg", seq))
 	if err := os.WriteFile(path, data, 0o600); err != nil {
 		t.Fatal(err)
 	}

@@ -7,14 +7,16 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
 	"oak/internal/rules"
+	"oak/internal/seglog"
 )
 
 // segOf returns the segment a spilled user's record lies in.
-func segOf(t *testing.T, e *Engine, uid string) *spillSegment {
+func segOf(t *testing.T, e *Engine, uid string) *seglog.Segment {
 	t.Helper()
 	sh := e.shardFor(uid)
 	sh.mu.RLock()
@@ -29,11 +31,12 @@ func segOf(t *testing.T, e *Engine, uid string) *spillSegment {
 // compactionWorld spills u1..u5 — one report each, a second apart — into
 // segments of 400 bytes: u1, u2 and u3 fill the first, u4 and u5 sit in the
 // second, which stays the shard's append target with room for one more
-// record. Nothing is evicted unless a test forces it.
-func compactionWorld(t *testing.T, dir string) (*Engine, *testClock, func(uid string)) {
+// record. Nothing is evicted unless a test forces it. The engine's I/O goes
+// through fs.
+func compactionWorld(t *testing.T, dir string, fs *testFS) (*Engine, *testClock, func(uid string)) {
 	t.Helper()
 	clock := newTestClock()
-	e := newSpillEngine(t, clock, ResidencyConfig{Dir: dir, MaxProfiles: 100, SegmentBytes: 400, CompactRatio: 0.5})
+	e := newSpillEngine(t, clock, ResidencyConfig{Dir: dir, MaxProfiles: 100, SegmentBytes: 400, CompactRatio: 0.5}, withFS(fs))
 	report := func(uid string) {
 		t.Helper()
 		clock.Advance(time.Second)
@@ -47,8 +50,8 @@ func compactionWorld(t *testing.T, dir string) (*Engine, *testClock, func(uid st
 	}
 	first, second := segOf(t, e, "u1"), segOf(t, e, "u4")
 	if segOf(t, e, "u2") != first || segOf(t, e, "u3") != first || segOf(t, e, "u5") != second ||
-		first == second || first.active.Load() || !second.active.Load() ||
-		second.size.Load()+(first.size.Load()-int64(len(spillSegMagic)))/3 > 400 {
+		first == second || first.Active.Load() || !second.Active.Load() ||
+		second.Size()+(first.Size()-int64(len(seglog.Magic)))/3 > 400 {
 		t.Fatalf("layout: want u1-u3 in a sealed segment and u4, u5 in the active one with room for a third; segments %v",
 			segFiles(t, dir))
 	}
@@ -78,7 +81,7 @@ func mustExport(t *testing.T, e *Engine) []byte {
 // older-numbered active one, and after a crash the stale copy of u2 won.
 func TestCompactionKeepsLogOrder(t *testing.T) {
 	dir := t.TempDir()
-	e, clock, report := compactionWorld(t, dir)
+	e, clock, report := compactionWorld(t, dir, &testFS{})
 
 	report("u1")
 	report("u3") // two of the first segment's three records are dead
@@ -132,8 +135,8 @@ func copyDir(t *testing.T, src, dst string) {
 
 // TestCompactionCrashPoints stops the cleaner at each point where it can be
 // stopped — its append refused, its fsync refused, and the process dying once
-// the survivor is appended but before the victim is removed — and reboots on
-// what is on disk then. Every time the recovered state is the state before
+// the survivor is appended but before the victim is removed — through the
+// fake file system, and reboots on what is on disk then. Every time the recovered state is the state before
 // the compaction, nothing is quarantined, and a victim whose survivor made it
 // to the tail of the log is garbage-collected by boot. With a refused append
 // or fsync the live engine degrades to memory-only, as after a failed
@@ -141,19 +144,20 @@ func copyDir(t *testing.T, src, dst string) {
 func TestCompactionCrashPoints(t *testing.T) {
 	for _, tc := range []struct {
 		name string
-		op   string // the spill I/O operation the cleaner is stopped at
+		op   string // the segment file operation the cleaner is stopped at
 		fail bool   // refuse it (else: copy the directory there and carry on)
 		// victimSuperseded: the survivor's bytes reached the tail of the log,
 		// so after a reboot the victim holds nothing live.
 		victimSuperseded bool
 	}{
-		{name: "append refused", op: "append", fail: true},
+		{name: "append refused", op: "write", fail: true},
 		{name: "fsync refused", op: "sync", fail: true, victimSuperseded: true},
 		{name: "killed before the victim is removed", op: "sync", victimSuperseded: true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir, crashDir := t.TempDir(), t.TempDir()
-			e, clock, report := compactionWorld(t, dir)
+			fs := &testFS{}
+			e, clock, report := compactionWorld(t, dir, fs)
 			report("u1")
 			report("u3")
 			forceSpill(t, e, "u1", "u3") // all five on disk; u2 alone is live in the first segment
@@ -162,8 +166,8 @@ func TestCompactionCrashPoints(t *testing.T) {
 
 			boom := errors.New("injected " + tc.op + " failure")
 			stops := 0
-			SetSpillFailpoint(func(op, path string) error {
-				if op != tc.op {
+			fs.setRefuse(func(op, path string) error {
+				if op != tc.op || !strings.HasSuffix(path, ".seg") {
 					return nil
 				}
 				stops++
@@ -174,7 +178,7 @@ func TestCompactionCrashPoints(t *testing.T) {
 				return nil
 			})
 			e.maybeCompact()
-			SetSpillFailpoint(nil)
+			fs.setRefuse(nil)
 			if stops != 1 {
 				t.Fatalf("the cleaner reached %q %d times, want once", tc.op, stops)
 			}
@@ -208,7 +212,7 @@ func TestCompactionCrashPoints(t *testing.T) {
 			if st, _ := e2.SpillStatus(); len(st.QuarantinedSegments) != 0 || st.SpillErrors != 0 || st.ProfilesSpilled != 5 {
 				t.Errorf("recovery: %+v; want five spilled profiles and no damage", st)
 			}
-			_, err := os.Stat(filepath.Join(crashDir, filepath.Base(victim.path)))
+			_, err := os.Stat(filepath.Join(crashDir, victim.Name()))
 			if gone := os.IsNotExist(err); gone != tc.victimSuperseded {
 				t.Errorf("victim gone after boot = %v (stat: %v), want %v", gone, err, tc.victimSuperseded)
 			}

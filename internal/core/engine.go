@@ -13,6 +13,7 @@ import (
 	"oak/internal/obs"
 	"oak/internal/report"
 	"oak/internal/rules"
+	"oak/internal/seglog"
 )
 
 // Engine is the Oak server's decision core. It ingests client performance
@@ -98,6 +99,14 @@ type Engine struct {
 	spill         *spillStore
 	residencyCfg  *ResidencyConfig
 	rehydrateHist obs.Histogram
+
+	// fs is the seam every durable byte goes through: segments and state
+	// files (seglog.OS; tests substitute a fake).
+	fs seglog.FS
+	// goodPrimary is the state file path (filepath.Clean'd) whose primary this
+	// engine loaded cleanly or installed itself, the one SaveStateFile may
+	// rotate to .bak.
+	goodPrimary atomic.Value // string
 }
 
 // Option configures an Engine.
@@ -151,6 +160,7 @@ func NewEngine(ruleSet []*rules.Rule, opts ...Option) (*Engine, error) {
 		ledger:   NewLedger(),
 		now:      time.Now,
 		traceBuf: obs.NewTrace(obs.DefaultTraceCapacity),
+		fs:       seglog.OS,
 	}
 	for _, opt := range opts {
 		opt(e)
@@ -194,7 +204,7 @@ func (e *Engine) Close() error {
 	e.closed = true
 	e.closeMu.Unlock()
 	if e.spill != nil {
-		e.spill.close()
+		e.spill.log.Close()
 	}
 	return nil
 }
@@ -779,7 +789,7 @@ func (e *Engine) Snapshot(userID string) (ProfileSnapshot, bool) {
 	}
 	snap := ProfileSnapshot{
 		UserID:      userID,
-		ActiveRules: prof.ActiveRuleIDs(e.now()),
+		ActiveRules: prof.activeRuleIDsInto(e.now(), nil),
 		Violations:  make(map[string]int, len(prof.violations)),
 		LastReport:  prof.lastReport,
 		Version:     prof.version,

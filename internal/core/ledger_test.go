@@ -112,7 +112,7 @@ func TestProfilePruneExpiredSorted(t *testing.T) {
 	if !reflect.DeepEqual(removed, want) {
 		t.Errorf("pruneExpired = %v, want sorted [alpha zeta]", removed)
 	}
-	if len(p.ActiveRuleIDs(now)) != 0 {
+	if len(p.activeRuleIDsInto(now, nil)) != 0 {
 		t.Error("activations survive pruning")
 	}
 }
@@ -128,11 +128,11 @@ func TestProfileActivationsFilterScopeAndExpiry(t *testing.T) {
 	p.activate(forever, 0, now, "s", 1)
 
 	later := now.Add(time.Minute)
-	acts := p.activations("/b/page.html", later)
+	acts := p.deriveEntry("/b/page.html", later, 0).acts
 	if len(acts) != 1 || acts[0].Rule.ID != "forever" {
 		t.Errorf("activations = %+v, want only forever", acts)
 	}
-	acts = p.activations("/a/page.html", later)
+	acts = p.deriveEntry("/a/page.html", later, 0).acts
 	if len(acts) != 2 {
 		t.Errorf("activations = %+v, want scoped+forever", acts)
 	}
@@ -140,7 +140,7 @@ func TestProfileActivationsFilterScopeAndExpiry(t *testing.T) {
 
 func TestProfileViolationCounts(t *testing.T) {
 	p := newProfile("u")
-	if p.violationCount("s") != 0 {
+	if p.violations["s"] != 0 {
 		t.Error("fresh profile has violations")
 	}
 	if got := p.recordViolation("s"); got != 1 {

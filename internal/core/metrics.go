@@ -155,3 +155,75 @@ func (m *metrics) snapshot() Metrics {
 func (e *Engine) Metrics() Metrics {
 	return e.metrics.snapshot()
 }
+
+// SpillStatus is the spill tier's health and occupancy snapshot, served
+// under "spill" in /oak/v1/metrics (origin.SpillSection embeds it) and
+// rendered by oakreport -memory.
+type SpillStatus struct {
+	// MemoryOnly is true after a spill I/O failure latched the store into
+	// memory-only degraded mode: evictions have stopped, serving continues
+	// with unbounded resident growth. Also reflected in healthz.
+	MemoryOnly bool `json:"memory_only"`
+	// ProfilesResident / ProfilesSpilled partition the known users by where
+	// each profile currently lives.
+	ProfilesResident int64 `json:"profiles_resident"`
+	ProfilesSpilled  int64 `json:"profiles_spilled"`
+	// ResidentBytes is the engine's running estimate of resident profile
+	// heap bytes (the quantity MaxBytes caps).
+	ResidentBytes int64 `json:"resident_bytes"`
+	// SpillBytes is the live segment files' on-disk size, dead records
+	// included until compaction.
+	SpillBytes int64 `json:"spill_bytes"`
+	// Segments counts live segment files; QuarantinedSegments names the
+	// segments taken out of service for damage (see docs/OPERATIONS.md).
+	Segments            int      `json:"segments"`
+	QuarantinedSegments []string `json:"quarantined_segments,omitempty"`
+	// Spills / Rehydrations / SegmentCompactions / SpillErrors are the
+	// tier's lifetime event counters. Rehydrations counts profiles installed
+	// again by a report; RecordViews counts serve-side reads of a spilled
+	// record done in place (a page for a spilled user whose record carries no
+	// activation needs neither).
+	Spills             uint64 `json:"spills"`
+	Rehydrations       uint64 `json:"rehydrations"`
+	RecordViews        uint64 `json:"record_views"`
+	SegmentCompactions uint64 `json:"segment_compactions"`
+	SpillErrors        uint64 `json:"spill_errors"`
+	// MaxProfiles / MaxBytes echo the configured caps; zero when unset.
+	MaxProfiles int   `json:"max_profiles,omitempty"`
+	MaxBytes    int64 `json:"max_bytes,omitempty"`
+}
+
+// SpillStatus reports the spill tier's current state; ok is false on
+// engines without one.
+func (e *Engine) SpillStatus() (SpillStatus, bool) {
+	st := e.spill
+	if st == nil {
+		return SpillStatus{}, false
+	}
+	s := SpillStatus{
+		MemoryOnly:          st.failed.Load(),
+		ProfilesSpilled:     st.spilledUsers.Value(),
+		SpillBytes:          st.log.Bytes.Value(),
+		Segments:            len(st.log.Segments()),
+		QuarantinedSegments: st.log.Quarantined(),
+		Spills:              e.metrics.profileSpills.Value(),
+		Rehydrations:        e.metrics.rehydrations.Value(),
+		RecordViews:         st.recordViews.Value(),
+		SegmentCompactions:  e.metrics.segmentCompactions.Value(),
+		SpillErrors:         e.metrics.spillErrors.Value(),
+		MaxProfiles:         st.cfg.MaxProfiles,
+		MaxBytes:            st.cfg.MaxBytes,
+	}
+	for _, sh := range e.shards {
+		s.ProfilesResident += sh.users.Value()
+		s.ResidentBytes += sh.residentBytes.Load()
+	}
+	return s, true
+}
+
+// SpillDegraded reports whether the spill tier is in a degraded state that
+// healthz must surface: memory-only mode or quarantined segments.
+func (e *Engine) SpillDegraded() bool {
+	st := e.spill
+	return st != nil && (st.failed.Load() || len(st.log.Quarantined()) > 0)
+}

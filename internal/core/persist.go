@@ -6,11 +6,11 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"os"
 	"sort"
 	"time"
 
 	"oak/internal/guard"
+	"oak/internal/seglog"
 )
 
 // State persistence: an Oak deployment restarts without losing what it has
@@ -180,9 +180,9 @@ func (e *Engine) ExportStateRange(r HashRange) ([]byte, error) {
 
 	// Segments whose descriptors Engine.Close released (the final save of a
 	// shutdown) are reopened once each for the whole export.
-	var reopened map[*spillSegment]*os.File
+	var reopened map[*seglog.Segment]seglog.File
 	if e.spill != nil {
-		reopened = make(map[*spillSegment]*os.File)
+		reopened = make(map[*seglog.Segment]seglog.File)
 		defer func() {
 			for _, f := range reopened {
 				f.Close()
@@ -206,12 +206,12 @@ func (e *Engine) ExportStateRange(r HashRange) ([]byte, error) {
 			if !r.Contains(userHash(uid)) {
 				continue
 			}
-			if ref.seg.quarantined.Load() {
+			if ref.seg.Quarantined() {
 				continue // record lost with its segment; statefile covers it
 			}
 			pp, err := e.spill.readRecord(ref, reopened)
 			if err != nil {
-				if isSpillDamage(err) {
+				if seglog.IsDamage(err) {
 					// Damaged record: the segment's bytes are proven bad, so
 					// quarantine it exactly as the rehydrate path would —
 					// healthz goes degraded and the loss shows up in the
@@ -219,7 +219,7 @@ func (e *Engine) ExportStateRange(r HashRange) ([]byte, error) {
 					// omitting a user still indexed as spilled. The ref
 					// itself is dropped lazily on next touch (we hold only
 					// the read lock here).
-					e.spill.quarantine(e, ref.seg, err)
+					e.spill.log.Quarantine(ref.seg, err)
 					continue
 				}
 				// I/O failure: fail the export rather than install a
@@ -445,13 +445,13 @@ func mergeSpillLocked(sh *shard, fresh map[string]*Profile, newerWins bool, r Ha
 		if !r.Contains(userHash(uid)) {
 			continue // outside the imported arc: untouched
 		}
-		if newerWins && !ref.seg.quarantined.Load() {
+		if newerWins && !ref.seg.Quarantined() {
 			if _, inPayload := fresh[uid]; !inPayload {
 				continue
 			}
 		}
 		delete(sh.spilled, uid)
-		ref.seg.dead.Add(1)
+		ref.seg.Dead.Add(1)
 	}
 }
 

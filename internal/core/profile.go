@@ -116,12 +116,6 @@ func (p *Profile) recordViolation(serverAddr string) int {
 	return p.violations[serverAddr]
 }
 
-// violationCount returns how many times the server has violated for this
-// user.
-func (p *Profile) violationCount(serverAddr string) int {
-	return p.violations[serverAddr]
-}
-
 // activeRule returns the live activation for the rule ID, nil if none.
 func (p *Profile) activeRule(id string) *ActiveRule {
 	return p.active[id]
@@ -313,42 +307,9 @@ func activationFingerprint(path string, acts []rules.Activation) uint64 {
 	return h
 }
 
-// activations returns the user's live activations for a page path as an
-// ordered rule application list (sorted by rule ID for determinism).
-func (p *Profile) activations(path string, now time.Time) []rules.Activation {
-	ids := make([]string, 0, len(p.active))
-	for id, a := range p.active {
-		if a.Expired(now) || !a.Rule.InScope(path) {
-			continue
-		}
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	acts := make([]rules.Activation, 0, len(ids))
-	for _, id := range ids {
-		a := p.active[id]
-		acts = append(acts, rules.Activation{
-			Rule: a.Rule, AltIndex: a.AltIndex, Synthesized: a.Synthesized,
-		})
-	}
-	return acts
-}
-
-// ActiveRuleIDs lists the user's live activations (sorted), for inspection.
-func (p *Profile) ActiveRuleIDs(now time.Time) []string {
-	var ids []string
-	for id, a := range p.active {
-		if !a.Expired(now) {
-			ids = append(ids, id)
-		}
-	}
-	sort.Strings(ids)
-	return ids
-}
-
-// activeRuleIDsInto is ActiveRuleIDs appending into buf's backing array, so
-// the per-report reconciliation loop reuses one snapshot buffer instead of
-// allocating a fresh slice per violation.
+// activeRuleIDsInto lists the user's live activations (sorted) in buf's
+// backing array, so the per-report reconciliation loop reuses one snapshot
+// buffer; a nil buf makes a fresh list, nil when there is none.
 func (p *Profile) activeRuleIDsInto(now time.Time, buf []string) []string {
 	ids := buf[:0]
 	for id, a := range p.active {
@@ -358,4 +319,39 @@ func (p *Profile) activeRuleIDsInto(now time.Time, buf []string) []string {
 	}
 	sort.Strings(ids)
 	return ids
+}
+
+// Profile size estimation: the byte cap needs a cheap, allocation-free
+// approximation of a profile's heap footprint. The constants cover the map
+// headers, the Profile struct and per-entry overheads; they are estimates,
+// not measurements — the cap is a watermark, not an accounting identity.
+const (
+	profileBaseSize    = 256
+	violationEntrySize = 48
+	activeEntrySize    = 176
+)
+
+// estimateSize approximates the profile's heap footprint in bytes. Caller
+// holds the owning shard's lock.
+func (p *Profile) estimateSize() int {
+	n := profileBaseSize + len(p.UserID)
+	for srv := range p.violations {
+		n += violationEntrySize + len(srv)
+	}
+	for id, a := range p.active {
+		n += activeEntrySize + len(id) + len(a.TriggerServer)
+	}
+	return n
+}
+
+// noteProfileSizeLocked refreshes the reporting profile's size estimate and
+// the shard's resident-bytes gauge after ingest mutated it. Caller holds
+// sh.mu for writing.
+func (e *Engine) noteProfileSizeLocked(sh *shard, prof *Profile) {
+	if e.spill == nil {
+		return
+	}
+	est := prof.estimateSize()
+	sh.residentBytes.Add(int64(est - prof.sizeEst))
+	prof.sizeEst = est
 }

@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 
 	"oak/internal/obs"
+	"oak/internal/seglog"
 	"oak/internal/stats"
 )
 
@@ -50,7 +51,7 @@ type shard struct {
 	spilled map[string]spillRef
 	// spillSeg is this shard's current append-target segment (nil until the
 	// first eviction, and after a rotation). Guarded by mu.
-	spillSeg *spillSegment
+	spillSeg *seglog.Segment
 	// residentBytes estimates the heap bytes of this shard's resident
 	// profiles, maintained on engines with a residency cap; it is the
 	// quantity the byte cap watches. Atomic so the over-cap precheck stays

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"oak/internal/rules"
+	"oak/internal/seglog"
 )
 
 // newSpillEngine builds a single-shard engine with a residency cap over a
@@ -56,7 +57,7 @@ func segFiles(t *testing.T, dir string) []string {
 	}
 	var out []string
 	for _, ent := range ents {
-		if strings.HasSuffix(ent.Name(), spillSegSuffix) {
+		if strings.HasSuffix(ent.Name(), ".seg") {
 			out = append(out, filepath.Join(dir, ent.Name()))
 		}
 	}
@@ -423,15 +424,15 @@ func TestSpillCompactionPreservesLiveRecords(t *testing.T) {
 
 func TestSpillFailureDegradesToMemoryOnly(t *testing.T) {
 	clock := newTestClock()
-	e := newSpillEngine(t, clock, ResidencyConfig{MaxProfiles: 2})
+	fs := &testFS{}
+	e := newSpillEngine(t, clock, ResidencyConfig{MaxProfiles: 2}, withFS(fs))
 	boom := errors.New("disk on fire")
-	SetSpillFailpoint(func(op, path string) error {
-		if op == "append" || op == "create" {
+	fs.setRefuse(func(op, path string) error {
+		if op == "write" || op == "create" {
 			return boom
 		}
 		return nil
 	})
-	defer SetSpillFailpoint(nil)
 
 	const users = 8
 	for i := 1; i <= users; i++ {
@@ -524,7 +525,7 @@ func TestSpillRecoveryQuarantinesCorruptSegment(t *testing.T) {
 		t.Fatal(err)
 	}
 	buf := make([]byte, 1)
-	off := int64(len(spillSegMagic)) + 10
+	off := int64(len(seglog.Magic)) + 10
 	if _, err := f.ReadAt(buf, off); err != nil {
 		t.Fatal(err)
 	}
@@ -546,7 +547,7 @@ func TestSpillRecoveryQuarantinesCorruptSegment(t *testing.T) {
 		t.Error("SpillErrors = 0 after quarantine")
 	}
 	// The damaged file was renamed aside for the operator, not deleted.
-	if _, err := os.Stat(segs[0] + spillQuarantineSuffix); err != nil {
+	if _, err := os.Stat(segs[0] + ".quarantined"); err != nil {
 		t.Errorf("quarantined file missing: %v", err)
 	}
 	if got := e2.Residency("u1"); got != "none" {
@@ -736,18 +737,18 @@ func TestSpillExportFailsLoudOnReadError(t *testing.T) {
 	// silently install a snapshot missing acknowledged profiles — the
 	// previous good snapshot staying in place is strictly safer.
 	clock := newTestClock()
-	e := newSpillEngine(t, clock, ResidencyConfig{MaxProfiles: 100})
+	fs := &testFS{}
+	e := newSpillEngine(t, clock, ResidencyConfig{MaxProfiles: 100}, withFS(fs))
 	if _, err := e.HandleReport(slowS1Report("u1")); err != nil {
 		t.Fatal(err)
 	}
 	forceSpill(t, e, "u1")
-	SetSpillFailpoint(func(op, path string) error {
+	fs.setRefuse(func(op, path string) error {
 		if op == "read" {
 			return errors.New("injected read failure")
 		}
 		return nil
 	})
-	defer SetSpillFailpoint(nil)
 	if _, err := e.ExportState(); err == nil {
 		t.Error("ExportState succeeded with an unreadable spilled record; would silently lose acknowledged state")
 	}
@@ -763,7 +764,7 @@ func flipSegByte(t *testing.T, path string) {
 	}
 	defer f.Close()
 	buf := make([]byte, 1)
-	off := int64(len(spillSegMagic)) + 10
+	off := int64(len(seglog.Magic)) + 10
 	if _, err := f.ReadAt(buf, off); err != nil {
 		t.Fatal(err)
 	}

@@ -2,37 +2,27 @@ package core
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"math"
 	"sort"
 	"time"
 
+	"oak/internal/guard"
+	"oak/internal/seglog"
 	"oak/internal/wire"
 )
 
-// OAKPROF1 is the spill tier's binary profile encoding, in the spirit of the
+// OAKPROF1 is the spill tier's binary profile record, in the spirit of the
 // OAKRPT1 report wire format: length-prefixed strings and counts as uvarints,
-// float64s as raw IEEE-754 bits, and every record carried in a
-// length-prefixed frame closed by a CRC-32C of the payload, so a damaged
-// record is detected before a single field of it is trusted.
+// float64s as raw IEEE-754 bits. Each record is one frame of a segment log
+// (internal/seglog), whose CRC-32C is checked before a field is trusted.
 //
 // Timestamps are encoded as RFC3339Nano strings rather than unix
 // nanoseconds: a profile's persisted JSON form carries the wall clock *and*
 // the UTC offset, and export byte-identity across resident and spilled
 // layouts (the spill tier's core invariant) requires the round trip through
 // a segment file to preserve exactly what encoding/json would have written.
-//
-// A segment file is the magic line followed by frames back to back:
-//
-//	OAKPROF1\n
-//	uvarint(len(payload)) | payload | crc32c(payload) LE
-//	uvarint(len(payload)) | payload | crc32c(payload) LE
-//	...
-//
-// Appends are fsynced before the in-memory profile is forgotten, so the tail
-// of a segment after a crash is at worst torn — recovery truncates it. Each
-// payload is one profile:
+// Each payload is one profile:
 //
 //	userID      string
 //	lastReport  time string
@@ -46,51 +36,12 @@ import (
 //	            to the profile. A record that ends after its activations is
 //	            version 0 — every record written before the field existed —
 //	            and an explicit 0 is corrupt, so a profile has one encoding.
+//
+// A record's damage is the log's (seglog.Wire): it quarantines the segment.
 
-// spillSegMagic is the first line of every segment file.
-const spillSegMagic = "OAKPROF1\n"
-
-const (
-	// maxSpillStringLen bounds any one string field, so a corrupted length
-	// prefix cannot demand a gigabyte allocation.
-	maxSpillStringLen = 1 << 20
-	// maxSpillRecordLen bounds a whole record frame.
-	maxSpillRecordLen = 1 << 24
-)
-
-// Typed spill-codec failures, mirroring the OAKRPT1 error taxonomy.
-// ErrSpillTruncated specifically means "the bytes end mid-frame" — at the
-// tail of a segment that is a torn write and recovery truncates to the last
-// whole frame; anywhere else it is corruption.
-var (
-	ErrSpillMagic     = errors.New("core: spill segment magic mismatch")
-	ErrSpillTruncated = errors.New("core: spill record truncated")
-	ErrSpillOversized = errors.New("core: spill record oversized")
-	ErrSpillCorrupt   = errors.New("core: spill record corrupt")
-)
-
-// isSpillDamage reports whether err is a codec-level rejection (as opposed
-// to an I/O failure): the segment's bytes are wrong, not the disk's
-// plumbing. Damage quarantines the segment; I/O failures degrade the store
-// to memory-only mode.
-func isSpillDamage(err error) bool {
-	return errors.Is(err, ErrSpillCorrupt) || errors.Is(err, ErrSpillTruncated) ||
-		errors.Is(err, ErrSpillOversized) || errors.Is(err, ErrSpillMagic)
-}
-
-// spillWire reads the wire primitives under the spill-codec taxonomy. The
-// helpers below bind OAKPROF1's bounds to them; they are the whole dialect.
-var spillWire = wire.Errors{Truncated: ErrSpillTruncated, Oversized: ErrSpillOversized, Corrupt: ErrSpillCorrupt}
-
-// appendSpillUvarint appends v as a uvarint.
-func appendSpillUvarint(b []byte, v uint64) []byte {
-	return binary.AppendUvarint(b, v)
-}
-
-// appendSpillString appends s as uvarint length + bytes.
-func appendSpillString(b []byte, s string) []byte {
-	return wire.AppendString(b, s)
-}
+// maxSpillStringLen bounds any one string field, so a corrupted length prefix
+// cannot demand a gigabyte allocation.
+const maxSpillStringLen = 1 << 20
 
 // appendSpillTime appends t in the RFC3339Nano form encoding/json uses, as a
 // spill string. The zero time round-trips through "0001-01-01T00:00:00Z".
@@ -99,56 +50,45 @@ func appendSpillTime(b []byte, t time.Time) []byte {
 	return t.AppendFormat(b, time.RFC3339Nano)
 }
 
-// spillUvarint decodes a canonical (minimal-length) uvarint from b.
-func spillUvarint(b []byte) (uint64, []byte, error) {
-	return spillWire.Uvarint(b)
-}
-
-// spillString decodes a length-prefixed string from b.
-func spillString(b []byte) (string, []byte, error) {
-	tok, rest, err := spillWire.String(b, maxSpillStringLen)
-	return string(tok), rest, err
-}
-
 // spillTime decodes a spill time string.
 func spillTime(b []byte) (time.Time, []byte, error) {
-	s, rest, err := spillString(b)
+	s, rest, err := seglog.Wire.String(b, maxSpillStringLen)
 	if err != nil {
 		return time.Time{}, nil, err
 	}
-	t, err := time.Parse(time.RFC3339Nano, s)
+	t, err := time.Parse(time.RFC3339Nano, string(s))
 	if err != nil {
-		return time.Time{}, nil, fmt.Errorf("%w: bad timestamp %q", ErrSpillCorrupt, s)
+		return time.Time{}, nil, fmt.Errorf("%w: bad timestamp %q", seglog.ErrCorrupt, s)
 	}
 	return t, rest, nil
 }
 
 // encodeSpillRecord appends the OAKPROF1 payload for one persisted profile.
 func encodeSpillRecord(b []byte, pp *persistedProfile) []byte {
-	b = appendSpillString(b, pp.UserID)
+	b = wire.AppendString(b, pp.UserID)
 	b = appendSpillTime(b, pp.LastReport)
 
-	b = appendSpillUvarint(b, uint64(len(pp.Violations)))
+	b = binary.AppendUvarint(b, uint64(len(pp.Violations)))
 	srvs := make([]string, 0, len(pp.Violations))
 	for srv := range pp.Violations {
 		srvs = append(srvs, srv)
 	}
 	sort.Strings(srvs)
 	for _, srv := range srvs {
-		b = appendSpillString(b, srv)
-		b = appendSpillUvarint(b, uint64(pp.Violations[srv]))
+		b = wire.AppendString(b, srv)
+		b = binary.AppendUvarint(b, uint64(pp.Violations[srv]))
 	}
 
-	b = appendSpillUvarint(b, uint64(len(pp.Active)))
+	b = binary.AppendUvarint(b, uint64(len(pp.Active)))
 	for i := range pp.Active {
 		pa := &pp.Active[i]
-		b = appendSpillString(b, pa.RuleID)
-		b = appendSpillUvarint(b, uint64(pa.AltIndex))
+		b = wire.AppendString(b, pa.RuleID)
+		b = binary.AppendUvarint(b, uint64(pa.AltIndex))
 		b = appendSpillTime(b, pa.ActivatedAt)
 		b = appendSpillTime(b, pa.ExpiresAt)
-		b = appendSpillString(b, pa.TriggerServer)
+		b = wire.AppendString(b, pa.TriggerServer)
 		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(pa.TriggerDistance))
-		b = appendSpillUvarint(b, uint64(pa.Activations))
+		b = binary.AppendUvarint(b, uint64(pa.Activations))
 		var flags byte
 		if pa.Synthesized {
 			flags |= 1
@@ -156,7 +96,7 @@ func encodeSpillRecord(b []byte, pp *persistedProfile) []byte {
 		b = append(b, flags)
 	}
 	if pp.Version != 0 {
-		b = appendSpillUvarint(b, pp.Version)
+		b = binary.AppendUvarint(b, pp.Version)
 	}
 	return b
 }
@@ -181,23 +121,25 @@ func decodeSpillRecord(payload []byte) (*persistedProfile, error) {
 func decodeSpillRecordInto(pp *persistedProfile, payload []byte) error {
 	b := payload
 	var err error
+	var tok []byte
 
-	if pp.UserID, b, err = spillString(b); err != nil {
+	if tok, b, err = seglog.Wire.String(b, maxSpillStringLen); err != nil {
 		return fmt.Errorf("user id: %w", err)
 	}
+	pp.UserID = string(tok)
 	if pp.UserID == "" {
-		return fmt.Errorf("%w: empty user id", ErrSpillCorrupt)
+		return fmt.Errorf("%w: empty user id", seglog.ErrCorrupt)
 	}
 	if pp.LastReport, b, err = spillTime(b); err != nil {
 		return fmt.Errorf("last report: %w", err)
 	}
 
-	nv, b, err := spillUvarint(b)
+	nv, b, err := seglog.Wire.Uvarint(b)
 	if err != nil {
 		return fmt.Errorf("violation count: %w", err)
 	}
 	if nv > uint64(len(b)) {
-		return fmt.Errorf("%w: %d violations in %d bytes", ErrSpillCorrupt, nv, len(b))
+		return fmt.Errorf("%w: %d violations in %d bytes", seglog.ErrCorrupt, nv, len(b))
 	}
 	if pp.Violations == nil {
 		pp.Violations = make(map[string]int, nv)
@@ -205,23 +147,23 @@ func decodeSpillRecordInto(pp *persistedProfile, payload []byte) error {
 		clear(pp.Violations)
 	}
 	for i := uint64(0); i < nv; i++ {
-		var srv string
 		var cnt uint64
-		if srv, b, err = spillString(b); err != nil {
+		if tok, b, err = seglog.Wire.String(b, maxSpillStringLen); err != nil {
 			return fmt.Errorf("violation server: %w", err)
 		}
-		if cnt, b, err = spillUvarint(b); err != nil {
+		srv := string(tok)
+		if cnt, b, err = seglog.Wire.Uvarint(b); err != nil {
 			return fmt.Errorf("violation count for %q: %w", srv, err)
 		}
 		pp.Violations[srv] = int(cnt)
 	}
 
-	na, b, err := spillUvarint(b)
+	na, b, err := seglog.Wire.Uvarint(b)
 	if err != nil {
 		return fmt.Errorf("activation count: %w", err)
 	}
 	if na > uint64(len(b)) {
-		return fmt.Errorf("%w: %d activations in %d bytes", ErrSpillCorrupt, na, len(b))
+		return fmt.Errorf("%w: %d activations in %d bytes", seglog.ErrCorrupt, na, len(b))
 	}
 	if na > uint64(cap(pp.Active)) {
 		pp.Active = make([]persistedActivation, 0, na)
@@ -230,10 +172,11 @@ func decodeSpillRecordInto(pp *persistedProfile, payload []byte) error {
 	for i := uint64(0); i < na; i++ {
 		var pa persistedActivation
 		var alt, acts uint64
-		if pa.RuleID, b, err = spillString(b); err != nil {
+		if tok, b, err = seglog.Wire.String(b, maxSpillStringLen); err != nil {
 			return fmt.Errorf("rule id: %w", err)
 		}
-		if alt, b, err = spillUvarint(b); err != nil {
+		pa.RuleID = string(tok)
+		if alt, b, err = seglog.Wire.Uvarint(b); err != nil {
 			return fmt.Errorf("alt index: %w", err)
 		}
 		pa.AltIndex = int(alt)
@@ -243,20 +186,21 @@ func decodeSpillRecordInto(pp *persistedProfile, payload []byte) error {
 		if pa.ExpiresAt, b, err = spillTime(b); err != nil {
 			return fmt.Errorf("expires at: %w", err)
 		}
-		if pa.TriggerServer, b, err = spillString(b); err != nil {
+		if tok, b, err = seglog.Wire.String(b, maxSpillStringLen); err != nil {
 			return fmt.Errorf("trigger server: %w", err)
 		}
+		pa.TriggerServer = string(tok)
 		if len(b) < 8 {
-			return fmt.Errorf("%w: trigger distance cut short", ErrSpillTruncated)
+			return fmt.Errorf("%w: trigger distance cut short", seglog.ErrTruncated)
 		}
 		pa.TriggerDistance = math.Float64frombits(binary.LittleEndian.Uint64(b))
 		b = b[8:]
-		if acts, b, err = spillUvarint(b); err != nil {
+		if acts, b, err = seglog.Wire.Uvarint(b); err != nil {
 			return fmt.Errorf("activation counter: %w", err)
 		}
 		pa.Activations = int(acts)
 		if len(b) < 1 {
-			return fmt.Errorf("%w: flags cut short", ErrSpillTruncated)
+			return fmt.Errorf("%w: flags cut short", seglog.ErrTruncated)
 		}
 		pa.Synthesized = b[0]&1 != 0
 		b = b[1:]
@@ -264,30 +208,169 @@ func decodeSpillRecordInto(pp *persistedProfile, payload []byte) error {
 	}
 	pp.Version = 0
 	if len(b) != 0 {
-		if pp.Version, b, err = spillUvarint(b); err != nil {
+		if pp.Version, b, err = seglog.Wire.Uvarint(b); err != nil {
 			return fmt.Errorf("version: %w", err)
 		}
 		if pp.Version == 0 {
-			return fmt.Errorf("%w: explicit version 0", ErrSpillCorrupt)
+			return fmt.Errorf("%w: explicit version 0", seglog.ErrCorrupt)
 		}
 	}
 	if len(b) != 0 {
-		return fmt.Errorf("%w: %d trailing bytes after record", ErrSpillCorrupt, len(b))
+		return fmt.Errorf("%w: %d trailing bytes after record", seglog.ErrCorrupt, len(b))
 	}
 	return nil
 }
 
-// appendSpillFrame wraps a record payload in the segment frame: uvarint
-// length, payload, CRC-32C.
-func appendSpillFrame(dst, payload []byte) []byte {
-	return wire.AppendFrame(dst, payload)
+// spillRef locates one user's durable record: segment, frame offset and
+// length, plus the profile's last-report time and version for the newer-wins
+// statefile merge (supersedes). Guarded by the owning shard's mu: refs are
+// written only under its write lock, and a segment's file is closed only once
+// no ref points into it — the cleaner moves each shard's refs out under that
+// shard's write lock first, and a shard with no survivor in the segment holds
+// no ref into it (compactSegment) — so a reader holding the read lock has a
+// valid ref into an open, immutable frame.
+type spillRef struct {
+	seg *seglog.Segment
+	off int64
+	n   int32 // frame length; frames are bounded by seglog.MaxFrame
+	// active records whether the record carries any activation. A page for a
+	// spilled user whose record carries none is the untouched page, decided
+	// without reading the disk. (Packed beside n; a ref is 56 bytes.)
+	active bool
+	last   time.Time
+	ver    uint64 // the record's Profile.version; 0 in records older than the field
 }
 
-// nextSpillFrame parses one frame from the head of b, returning the payload
-// and the total frame length consumed. ErrSpillTruncated means b ends
-// mid-frame (a torn tail when b runs to the segment's end); a checksum
-// mismatch, an empty frame or an impossible length is
-// ErrSpillCorrupt/ErrSpillOversized.
-func nextSpillFrame(b []byte) (payload []byte, frameLen int, err error) {
-	return spillWire.NextFrame(b, maxSpillRecordLen)
+// supersedes is the newer-wins rule, whole: does the record stand against a
+// copy of the same user's profile — a state file's — with the given last
+// report and version? A later last report wins. On the same last report the
+// copy whose version is not lower wins, the record on a tie: only a report
+// changes what a profile derives from reports, and only ingest makes a spilled
+// profile resident — bumping its version as it does (analyzeLocked) — so a
+// record at version v holds every report a resident copy at v held. Two
+// unversioned copies with one last report prove nothing (two
+// reports can share an instant with an eviction between them), and the other
+// copy wins, as it did before records carried versions. A record in a
+// quarantined segment supersedes nothing.
+//
+// Not versioned, because profileFromRecord re-derives them on every read of
+// either copy: activations lapsed, of rules not in the rule set, or barred by
+// the guard. Bulk rollback does not bump the version — it would make a capped
+// and an uncapped engine's exports differ — so a kept record brings back a
+// rolled-back activation exactly when a spilled copy that never saw a restart
+// does (ROADMAP item 1, seed (i)).
+func (r spillRef) supersedes(last time.Time, ver uint64) bool {
+	switch {
+	case r.seg.Quarantined():
+		return false
+	case !r.last.Equal(last):
+		return r.last.After(last)
+	default:
+		return r.ver > 0 && r.ver >= ver
+	}
+}
+
+// segFrame is one whole record frame and the ref that will point at it:
+// ref.off is relative to the buffer the frame was found or built in and
+// ref.seg unset until the frame has its place in the log.
+type segFrame struct {
+	uid string
+	ref spillRef
+}
+
+// walkSegment is the one reader of whole segments, over seglog.Walk: it
+// decodes every frame's record and returns the frames in log order and where
+// the last whole one ends, with the walk's error — seglog.ErrTruncated for a
+// torn tail, damage otherwise. A record that does not decode is damage too:
+// its frame is whole and its checksum holds, so it is not a tear.
+func walkSegment(data []byte) (frames []segFrame, end int64, err error) {
+	var pp persistedProfile // one scratch record: a frame keeps four fields of it
+	end, err = seglog.Walk(data, func(payload []byte, off int64, n int) error {
+		if err := decodeSpillRecordInto(&pp, payload); err != nil {
+			return fmt.Errorf("%w: frame at offset %d: %v", seglog.ErrCorrupt, off, err)
+		}
+		if frames == nil {
+			// Records are much of a size: the first one says how many to expect.
+			frames = make([]segFrame, 0, len(data)/n+1)
+		}
+		frames = append(frames, segFrame{uid: pp.UserID, ref: spillRef{off: off, n: int32(n), active: len(pp.Active) > 0, last: pp.LastReport, ver: pp.Version}})
+		return nil
+	})
+	return frames, end, err
+}
+
+// deadAt is the one predicate for an activation that means nothing at now:
+// it has lapsed (while spilled, or while the engine was down), or its rule is
+// not in the engine's rule set (the record was written under another one).
+// profileFromRecord drops such activations, and ExportStateRange leaves them
+// out of a resident copy and a spilled record alike, so where a profile lives
+// does not show in what it exports.
+func (e *Engine) deadAt(pa *persistedActivation, now time.Time) bool {
+	_, known := e.rulesByID[pa.RuleID]
+	return !known || (!pa.ExpiresAt.IsZero() && now.After(pa.ExpiresAt))
+}
+
+// profileFromRecord is the one conversion from the persisted form to a live
+// profile under the engine's rule set, shared by rehydration, the in-place
+// serve view and state import so they cannot disagree about what a record
+// means. It drops the activations dead at now (deadAt); with guarded set
+// (records coming off the spill tier) it also drops those whose target
+// provider's breaker is not closed or whose rule is quarantined — the trip's
+// bulk rollback could not reach a spilled user — and reports how many as
+// barred. An import passes guarded false: its guard state arrives in the same
+// payload. The profile is not installed anywhere; nothing but the caller
+// refers to it.
+func (e *Engine) profileFromRecord(pp *persistedProfile, now time.Time, guarded bool) (prof *Profile, barred int) {
+	prof = newProfile(pp.UserID)
+	prof.lastReport = pp.LastReport
+	prof.version = pp.Version
+	for srv, n := range pp.Violations {
+		if n > 0 {
+			prof.violations[srv] = n
+		}
+	}
+	for i := range pp.Active {
+		pa := &pp.Active[i]
+		if e.deadAt(pa, now) {
+			continue
+		}
+		if guarded && e.spillActivationBarred(pa.RuleID, pa.AltIndex) {
+			barred++
+			continue
+		}
+		prof.active[pa.RuleID] = &ActiveRule{
+			Rule:            e.rulesByID[pa.RuleID],
+			AltIndex:        pa.AltIndex,
+			ActivatedAt:     pa.ActivatedAt,
+			ExpiresAt:       pa.ExpiresAt,
+			TriggerServer:   pa.TriggerServer,
+			TriggerDistance: pa.TriggerDistance,
+			Activations:     pa.Activations,
+			Synthesized:     pa.Synthesized,
+		}
+		// Arm lazy expiry so a TTL'd activation lapses on the serve path
+		// just like a live-activated one.
+		prof.noteExpiry(pa.ExpiresAt)
+	}
+	prof.sizeEst = prof.estimateSize()
+	return prof, barred
+}
+
+// spillActivationBarred reports whether a spilled record's activation must
+// be dropped because the guard no longer admits its target: the rule is
+// quarantined, or a target provider's breaker is open/half-open (the trip's
+// bulk rollback would have removed the activation had it been resident).
+func (e *Engine) spillActivationBarred(ruleID string, altIdx int) bool {
+	if e.guard == nil {
+		return false
+	}
+	if e.guard.RuleQuarantined(ruleID) {
+		return true
+	}
+	for _, h := range e.altHostsFor(ruleID, altIdx) {
+		if e.guard.State(h) != guard.Closed {
+			return true
+		}
+	}
+	return false
 }

@@ -9,6 +9,9 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"oak/internal/seglog"
+	"oak/internal/wire"
 )
 
 // spillTestProfile is a persisted profile exercising every field: multiple
@@ -86,8 +89,8 @@ func TestSpillRecordRoundTripPreservesZoneOffset(t *testing.T) {
 func TestSpillFrameRoundTrip(t *testing.T) {
 	pp := spillTestProfile()
 	payload := encodeSpillRecord(nil, &pp)
-	frame := appendSpillFrame(nil, payload)
-	got, n, err := nextSpillFrame(frame)
+	frame := wire.AppendFrame(nil, payload)
+	got, n, err := seglog.Wire.NextFrame(frame, seglog.MaxFrame)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,8 +101,8 @@ func TestSpillFrameRoundTrip(t *testing.T) {
 		t.Error("payload mutated by framing")
 	}
 	// Two frames back to back: the first parse must consume exactly one.
-	double := appendSpillFrame(append([]byte(nil), frame...), payload)
-	if _, n2, err := nextSpillFrame(double); err != nil || n2 != len(frame) {
+	double := wire.AppendFrame(append([]byte(nil), frame...), payload)
+	if _, n2, err := seglog.Wire.NextFrame(double, seglog.MaxFrame); err != nil || n2 != len(frame) {
 		t.Errorf("first of two frames: n=%d err=%v, want n=%d", n2, err, len(frame))
 	}
 }
@@ -107,33 +110,33 @@ func TestSpillFrameRoundTrip(t *testing.T) {
 func TestSpillFrameRejectsDamage(t *testing.T) {
 	pp := spillTestProfile()
 	payload := encodeSpillRecord(nil, &pp)
-	frame := appendSpillFrame(nil, payload)
+	frame := wire.AppendFrame(nil, payload)
 
 	cases := []struct {
 		name string
 		b    []byte
 		want error
 	}{
-		{"empty input", nil, ErrSpillTruncated},
-		{"torn mid-payload", frame[:len(frame)/2], ErrSpillTruncated},
-		{"torn in checksum", frame[:len(frame)-2], ErrSpillTruncated},
-		{"zero-length frame", []byte{0x00, 0x00, 0x00, 0x00, 0x00}, ErrSpillCorrupt},
-		{"oversized length", binary.AppendUvarint(nil, maxSpillRecordLen+1), ErrSpillOversized},
+		{"empty input", nil, seglog.ErrTruncated},
+		{"torn mid-payload", frame[:len(frame)/2], seglog.ErrTruncated},
+		{"torn in checksum", frame[:len(frame)-2], seglog.ErrTruncated},
+		{"zero-length frame", []byte{0x00, 0x00, 0x00, 0x00, 0x00}, seglog.ErrCorrupt},
+		{"oversized length", binary.AppendUvarint(nil, seglog.MaxFrame+1), seglog.ErrOversized},
 		{"flipped payload byte", func() []byte {
 			b := append([]byte(nil), frame...)
 			b[len(b)/2] ^= 0x40
 			return b
-		}(), ErrSpillCorrupt},
+		}(), seglog.ErrCorrupt},
 		{"flipped checksum byte", func() []byte {
 			b := append([]byte(nil), frame...)
 			b[len(b)-1] ^= 0x01
 			return b
-		}(), ErrSpillCorrupt},
+		}(), seglog.ErrCorrupt},
 	}
 	for _, tc := range cases {
-		if _, _, err := nextSpillFrame(tc.b); !errors.Is(err, tc.want) {
+		if _, _, err := seglog.Wire.NextFrame(tc.b, seglog.MaxFrame); !errors.Is(err, tc.want) {
 			t.Errorf("%s: err = %v, want %v", tc.name, err, tc.want)
-		} else if !isSpillDamage(err) {
+		} else if !seglog.IsDamage(err) {
 			t.Errorf("%s: %v not classified as spill damage", tc.name, err)
 		}
 	}
@@ -152,22 +155,22 @@ func TestSpillDecodeRejectsHostileRecords(t *testing.T) {
 		{"trailing bytes", append(append([]byte(nil), good...), 0xFF)},
 		{"truncated record", good[:len(good)-3]},
 		{"violation count beyond payload", func() []byte {
-			b := appendSpillString(nil, "u")
+			b := wire.AppendString(nil, "u")
 			b = appendSpillTime(b, time.Time{})
-			return appendSpillUvarint(b, 1<<40) // claims a trillion violations
+			return binary.AppendUvarint(b, 1<<40) // claims a trillion violations
 		}()},
 		{"activation count beyond payload", func() []byte {
-			b := appendSpillString(nil, "u")
+			b := wire.AppendString(nil, "u")
 			b = appendSpillTime(b, time.Time{})
-			b = appendSpillUvarint(b, 0)
-			return appendSpillUvarint(b, 1<<40)
+			b = binary.AppendUvarint(b, 0)
+			return binary.AppendUvarint(b, 1<<40)
 		}()},
 		{"oversized string", func() []byte {
-			return appendSpillUvarint(nil, maxSpillStringLen+1)
+			return binary.AppendUvarint(nil, maxSpillStringLen+1)
 		}()},
 		{"bad timestamp", func() []byte {
-			b := appendSpillString(nil, "u")
-			return appendSpillString(b, "not-a-time")
+			b := wire.AppendString(nil, "u")
+			return wire.AppendString(b, "not-a-time")
 		}()},
 	}
 	for _, tc := range cases {
@@ -176,7 +179,7 @@ func TestSpillDecodeRejectsHostileRecords(t *testing.T) {
 			t.Errorf("%s: decoded %+v, want error", tc.name, rec)
 			continue
 		}
-		if !isSpillDamage(err) {
+		if !seglog.IsDamage(err) {
 			t.Errorf("%s: %v not classified as spill damage", tc.name, err)
 		}
 	}
@@ -208,11 +211,11 @@ func TestSpillRecordVersionEncoding(t *testing.T) {
 		b    []byte
 		want error
 	}{
-		{"explicit zero", with(0x00), ErrSpillCorrupt},
-		{"non-canonical version", with(0x85, 0x00), ErrSpillCorrupt},
-		{"overflowing version", with(0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f), ErrSpillCorrupt},
-		{"garbage after the version", with(0x05, 0x01), ErrSpillCorrupt},
-		{"version cut short", with(0x85), ErrSpillTruncated},
+		{"explicit zero", with(0x00), seglog.ErrCorrupt},
+		{"non-canonical version", with(0x85, 0x00), seglog.ErrCorrupt},
+		{"overflowing version", with(0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f), seglog.ErrCorrupt},
+		{"garbage after the version", with(0x05, 0x01), seglog.ErrCorrupt},
+		{"version cut short", with(0x85), seglog.ErrTruncated},
 	} {
 		if rec, err := decodeSpillRecord(tc.b); !errors.Is(err, tc.want) {
 			t.Errorf("%s: decoded %+v, %v; want %v", tc.name, rec, err, tc.want)
@@ -223,15 +226,15 @@ func TestSpillRecordVersionEncoding(t *testing.T) {
 func TestSpillUvarintRejectsNonMinimal(t *testing.T) {
 	// 0x80 0x00 encodes zero in two bytes; canonical encoders never emit it,
 	// so it can only appear via corruption.
-	if _, _, err := spillUvarint([]byte{0x80, 0x00}); !errors.Is(err, ErrSpillCorrupt) {
-		t.Errorf("non-minimal uvarint: err = %v, want ErrSpillCorrupt", err)
+	if _, _, err := seglog.Wire.Uvarint([]byte{0x80, 0x00}); !errors.Is(err, seglog.ErrCorrupt) {
+		t.Errorf("non-minimal uvarint: err = %v, want seglog.ErrCorrupt", err)
 	}
 }
 
 func TestSpillSegmentMagicIsOneLine(t *testing.T) {
 	// Recovery scans line-structured headers; the magic must stay a single
 	// newline-terminated token (file(1)-friendly, like OAKSNAP2).
-	if !strings.HasSuffix(spillSegMagic, "\n") || strings.Count(spillSegMagic, "\n") != 1 {
-		t.Errorf("spillSegMagic = %q, want one newline-terminated line", spillSegMagic)
+	if !strings.HasSuffix(seglog.Magic, "\n") || strings.Count(seglog.Magic, "\n") != 1 {
+		t.Errorf("seglog.Magic = %q, want one newline-terminated line", seglog.Magic)
 	}
 }

@@ -123,11 +123,9 @@ func captureSpillTier(t *testing.T, e *Engine, dir string) spillTierState {
 	st, _ := e.SpillStatus()
 	st.RecordViews = 0 // the one counter reads are meant to move
 	s := spillTierState{Status: st, Dead: map[uint64]int64{}, Files: map[string]int64{}}
-	e.spill.mu.Lock()
-	for seq, seg := range e.spill.segs {
-		s.Dead[seq] = seg.dead.Load()
+	for _, seg := range e.spill.log.Segments() {
+		s.Dead[seg.Seq] = seg.Dead.Load()
 	}
-	e.spill.mu.Unlock()
 	ents, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -549,19 +547,18 @@ func TestCappedServesWhatUncappedServes(t *testing.T) {
 	// what the failure means, exactly as on the parent commit.
 	for _, tc := range []struct {
 		name   string
-		damage func(t *testing.T, seg string)
+		damage func(t *testing.T, fs *testFS, seg string)
 		check  func(t *testing.T, st SpillStatus)
 	}{
 		{
 			name: "read fails",
-			damage: func(t *testing.T, seg string) {
-				SetSpillFailpoint(func(op, path string) error {
+			damage: func(t *testing.T, fs *testFS, seg string) {
+				fs.setRefuse(func(op, path string) error {
 					if op == "read" && path == seg {
 						return errors.New("injected read failure")
 					}
 					return nil
 				})
-				t.Cleanup(func() { SetSpillFailpoint(nil) })
 			},
 			check: func(t *testing.T, st SpillStatus) {
 				if !st.MemoryOnly || len(st.QuarantinedSegments) != 0 {
@@ -571,7 +568,7 @@ func TestCappedServesWhatUncappedServes(t *testing.T) {
 		},
 		{
 			name:   "record damaged",
-			damage: func(t *testing.T, seg string) { flipSegByte(t, seg) },
+			damage: func(t *testing.T, _ *testFS, seg string) { flipSegByte(t, seg) },
 			check: func(t *testing.T, st SpillStatus) {
 				if st.MemoryOnly || len(st.QuarantinedSegments) != 1 {
 					t.Errorf("damage: %+v, want one quarantined segment and no memory-only latch", st)
@@ -582,7 +579,8 @@ func TestCappedServesWhatUncappedServes(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			clock := newTestClock()
 			dir := t.TempDir()
-			e := newSpillEngine(t, clock, ResidencyConfig{Dir: dir, MaxProfiles: 100}, WithRewriteCache(16))
+			fs := &testFS{}
+			e := newSpillEngine(t, clock, ResidencyConfig{Dir: dir, MaxProfiles: 100}, WithRewriteCache(16), withFS(fs))
 			for _, uid := range []string{"hit", "bystander"} {
 				if _, err := e.HandleReport(slowS1Report(uid)); err != nil {
 					t.Fatal(err)
@@ -593,7 +591,7 @@ func TestCappedServesWhatUncappedServes(t *testing.T) {
 			if len(segs) != 1 {
 				t.Fatalf("segment files = %d, want 1", len(segs))
 			}
-			tc.damage(t, segs[0])
+			tc.damage(t, fs, segs[0])
 
 			if rw := serveAsOrigin(e, "hit"); rw.HTML != viewPage || rw.ETag != "" {
 				t.Errorf("unreadable record: served %q tag %q, want the untouched page", rw.HTML, rw.ETag)

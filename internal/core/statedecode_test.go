@@ -11,6 +11,8 @@ import (
 	"time"
 
 	"oak/internal/rules"
+	"oak/internal/seglog"
+	"oak/internal/wire"
 )
 
 // The state payload has two readers (decodeState states the contract). These
@@ -393,11 +395,11 @@ func TestSegmentWalkAllocs(t *testing.T) {
 		t.Skip("allocation counts differ under the race detector")
 	}
 	const n = 1000
-	seg := []byte(spillSegMagic)
+	seg := []byte(seglog.Magic)
 	var rec []byte
 	for _, pp := range allocProfiles(n) {
 		rec = encodeSpillRecord(rec[:0], &pp)
-		seg = appendSpillFrame(seg, rec)
+		seg = wire.AppendFrame(seg, rec)
 	}
 	perRecord := testing.AllocsPerRun(10, func() {
 		frames, end, err := walkSegment(seg)

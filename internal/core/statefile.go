@@ -3,9 +3,11 @@ package core
 import (
 	"errors"
 	"fmt"
-	"os"
+	"io/fs"
 	"path/filepath"
 	"time"
+
+	"oak/internal/seglog"
 )
 
 // Crash-safe state files: SaveStateFile writes checksummed snapshots via
@@ -43,7 +45,13 @@ const (
 //
 //  1. the checksummed snapshot is written to path+".tmp" and fsynced, so a
 //     crash mid-write never touches the live file;
-//  2. the current snapshot, if any, is rotated to path+BackupSuffix;
+//  2. the current snapshot is rotated to path+BackupSuffix — if it is known
+//     to be good: this engine loaded it cleanly or installed it itself. After
+//     a boot from the backup the damaged primary is overwritten instead, so
+//     the one good snapshot stays the backup. Paths are compared after
+//     filepath.Clean, so "./state.json" is "state.json", but a relative and
+//     an absolute spelling of one file are two paths: give SaveStateFile the
+//     path given to LoadStateFile, or the first save keeps the old backup;
 //  3. the temp file is renamed over path (atomic on POSIX filesystems).
 //
 // On any failure the temp file is removed rather than leaked. A crash
@@ -55,21 +63,22 @@ func (e *Engine) SaveStateFile(path string) error {
 		return fmt.Errorf("engine: export snapshot: %w", err)
 	}
 	tmp := path + ".tmp"
-	if err := writeFileSync(tmp, data); err != nil {
-		os.Remove(tmp)
+	if err := seglog.WriteFileSync(e.fs, tmp, data); err != nil {
+		e.fs.Remove(tmp)
 		return fmt.Errorf("engine: write snapshot: %w", err)
 	}
-	if _, err := os.Stat(path); err == nil {
-		if err := os.Rename(path, path+BackupSuffix); err != nil {
-			os.Remove(tmp)
+	if good, _ := e.goodPrimary.Load().(string); good == filepath.Clean(path) {
+		if err := e.fs.Rename(path, path+BackupSuffix); err != nil && !errors.Is(err, fs.ErrNotExist) {
+			e.fs.Remove(tmp)
 			return fmt.Errorf("engine: rotate backup: %w", err)
 		}
 	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
+	if err := e.fs.Rename(tmp, path); err != nil {
+		e.fs.Remove(tmp)
 		return fmt.Errorf("engine: install snapshot: %w", err)
 	}
-	syncDir(filepath.Dir(path))
+	e.goodPrimary.Store(filepath.Clean(path))
+	seglog.SyncDir(e.fs, filepath.Dir(path))
 	return nil
 }
 
@@ -99,30 +108,31 @@ func (e *Engine) LoadStateFile(path string) (StateSource, error) {
 		return err
 	}
 
-	data, err := os.ReadFile(path)
+	data, err := seglog.ReadFile(e.fs, path)
 	var primaryErr error
 	switch {
 	case err == nil:
 		if primaryErr = boot(data); primaryErr == nil {
 			e.stateSource.Store(StateSnapshot)
+			e.goodPrimary.Store(filepath.Clean(path))
 			return StateSnapshot, nil
 		}
 		if !errors.Is(primaryErr, ErrCorruptState) && !errors.Is(primaryErr, ErrStateVersion) {
 			return "", primaryErr
 		}
-	case !os.IsNotExist(err):
+	case !errors.Is(err, fs.ErrNotExist):
 		return "", fmt.Errorf("engine: read state: %w", err)
 	}
 	// Try the backup: the primary is damaged, or it is missing — a fresh
 	// deployment, or a crash landed between SaveStateFile's rotation and
 	// install renames, in which case the backup holds the last good snapshot.
-	bdata, berr := os.ReadFile(path + BackupSuffix)
+	bdata, berr := seglog.ReadFile(e.fs, path+BackupSuffix)
 	switch {
 	case berr != nil && primaryErr != nil:
 		// No usable backup: surface the original corruption, not the
 		// backup's absence.
 		return "", fmt.Errorf("engine: import state (no backup to recover from): %w", primaryErr)
-	case os.IsNotExist(berr):
+	case errors.Is(berr, fs.ErrNotExist):
 		e.stateSource.Store(StateFresh)
 		return StateFresh, nil
 	case berr != nil:
@@ -166,9 +176,7 @@ func (e *Engine) BootStatus() BootStatus {
 	}
 	if st := e.spill; st != nil {
 		bs.Recover = st.recoverTook
-		st.mu.Lock()
-		bs.QuarantinedSegments = len(st.quarantined)
-		st.mu.Unlock()
+		bs.QuarantinedSegments = len(st.log.Quarantined())
 	}
 	return bs
 }
@@ -197,34 +205,4 @@ func (e *Engine) StateStatus() (StateSource, uint64) {
 		src = StateFresh
 	}
 	return src, e.metrics.stateRecoveries.Value()
-}
-
-// writeFileSync writes data to path and fsyncs it before closing, so the
-// bytes are durable before any rename makes the file visible.
-func writeFileSync(path string, data []byte) error {
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o600)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// syncDir fsyncs a directory so a just-completed rename survives power
-// loss. Best-effort: some filesystems reject directory fsync, and the data
-// itself is already durable.
-func syncDir(dir string) {
-	d, err := os.Open(dir)
-	if err != nil {
-		return
-	}
-	_ = d.Sync()
-	_ = d.Close()
 }

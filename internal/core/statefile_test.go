@@ -1,6 +1,8 @@
 package core
 
 import (
+	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -193,5 +195,113 @@ func TestSaveStateFileBackupHoldsPreviousState(t *testing.T) {
 	}
 	if fromBak.Users() != 0 {
 		t.Errorf("backup has %d users, want the previous (empty) state", fromBak.Users())
+	}
+}
+
+// corruptPrimaryAfterTwoSaves saves u1 and u2 twice to path, flips a byte of
+// the primary and returns the backup's bytes: the one good snapshot left.
+func corruptPrimaryAfterTwoSaves(t *testing.T, path string) []byte {
+	t.Helper()
+	e, _ := NewEngine([]*rules.Rule{jqRule(0)})
+	for _, uid := range []string{"u1", "u2"} {
+		if _, err := e.HandleReport(slowS1Report(uid)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	saveTwice(t, e, path)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)-2] ^= 0x01
+	if err := os.WriteFile(path, data, 0o600); err != nil {
+		t.Fatal(err)
+	}
+	good, err := os.ReadFile(path + BackupSuffix)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return good
+}
+
+// rebootFromBackup boots a fresh engine on path and requires that it came up
+// from the backup with u1 and u2 as saved before the damage.
+func rebootFromBackup(t *testing.T, path string) {
+	t.Helper()
+	e, _ := NewEngine([]*rules.Rule{jqRule(0)})
+	src, err := e.LoadStateFile(path)
+	if err != nil || src != StateBackup {
+		t.Fatalf("reboot: LoadStateFile = %q, %v; want the backup", src, err)
+	}
+	if snap, ok := e.Snapshot("u1"); !ok || e.Users() != 2 || snap.Violations["ip-s1.com"] != 1 {
+		t.Errorf("reboot: %d users, u1 = %+v (%v); want u1 and u2 as saved", e.Users(), snap, ok)
+	}
+}
+
+// TestSaveAfterBackupBootThenLostPrimary: after a boot from the backup and one
+// completed save, losing the primary must leave a backup that boots — the
+// good one, not the damaged primary rotated over it.
+func TestSaveAfterBackupBootThenLostPrimary(t *testing.T) {
+	path := statePathIn(t)
+	good := corruptPrimaryAfterTwoSaves(t, path)
+	e, _ := NewEngine([]*rules.Rule{jqRule(0)})
+	if src, err := e.LoadStateFile(path); err != nil || src != StateBackup {
+		t.Fatalf("LoadStateFile = %q, %v; want the backup", src, err)
+	}
+	if err := e.SaveStateFile(path); err != nil {
+		t.Fatal(err)
+	}
+	if bak, _ := os.ReadFile(path + BackupSuffix); !bytes.Equal(bak, good) {
+		t.Error("the save after a backup boot replaced the good backup")
+	}
+	if err := os.Remove(path); err != nil {
+		t.Fatal(err)
+	}
+	rebootFromBackup(t, path)
+}
+
+// TestSaveAfterBackupBootKeepsTheBackup: a boot from the backup leaves the
+// damaged primary in place, and the next save must not rotate it over the one
+// good snapshot. The save's install is refused — the files a crash between
+// its rotate and install renames would leave — and the reboot must still find
+// the state from before the damage in the backup.
+func TestSaveAfterBackupBootKeepsTheBackup(t *testing.T) {
+	path := statePathIn(t)
+	good := corruptPrimaryAfterTwoSaves(t, path)
+
+	fs := &testFS{}
+	e2, _ := NewEngine([]*rules.Rule{jqRule(0)}, withFS(fs))
+	if src, err := e2.LoadStateFile(path); err != nil || src != StateBackup {
+		t.Fatalf("LoadStateFile = %q, %v; want the backup", src, err)
+	}
+	if _, err := e2.HandleReport(slowS1Report("u3")); err != nil {
+		t.Fatal(err)
+	}
+	fs.setRefuse(func(op, p string) error {
+		if op == "rename" && strings.HasSuffix(p, ".tmp") {
+			return errors.New("injected crash before the install")
+		}
+		return nil
+	})
+	if err := e2.SaveStateFile(path); err == nil {
+		t.Fatal("SaveStateFile succeeded with its install refused")
+	}
+	if bak, _ := os.ReadFile(path + BackupSuffix); !bytes.Equal(bak, good) {
+		t.Error("the save after a backup boot replaced the good backup")
+	}
+
+	rebootFromBackup(t, path)
+
+	// Installed, the save's primary is known good and the next one rotates it,
+	// whether or not the path is spelled as it was at load.
+	fs.setRefuse(nil)
+	spellings := []string{path, filepath.Dir(path) + "/./" + filepath.Base(path)}
+	for i, p := range spellings {
+		if err := e2.SaveStateFile(p); err != nil {
+			t.Fatal(err)
+		}
+		if bak, _ := os.ReadFile(path + BackupSuffix); bytes.Equal(bak, good) != (i == 0) {
+			t.Errorf("save %d after the backup boot: backup is the old good one = %v, want %v", i+1, i != 0, i == 0)
+		}
 	}
 }

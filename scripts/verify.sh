@@ -82,9 +82,16 @@
 # crash (TestCompactionKeepsLogOrder), and a refused append, a refused fsync or
 # a kill between the re-append and the victim's removal must each leave the
 # pre-compaction state recoverable with nothing quarantined
-# (TestCompactionCrashPoints); a plain-grep structure check then fails by name
-# if a second segment writer creeps back into spill.go (a .tmp file, a second
-# sequence allocation, a frame parser outside walkSegment and readRecord), if
+# (TestCompactionCrashPoints). The crash-prefix step replays every prefix of a
+# seeded workload's file-operation trace, whole and with un-fsynced writes
+# dropped and torn, boots on each and prints how many prefixes it ran
+# (TestCrashPrefixes, under -race). A plain-grep structure check then fails by
+# name if a second segment writer creeps back into the log (a .tmp file, a
+# second sequence allocation, a frame parser outside seglog's Walk and Read), if
+# the process-global spill failpoint returns, if non-test internal/core makes a
+# file call of its own instead of going through the seglog.FS seam, if
+# internal/seglog imports internal/core, if spill.go reaches 600 lines or
+# non-test internal/core plus internal/seglog 6,910, if
 # recovery grows back its staging map (byUser), if the boot merge compares times
 # outside its one predicate (ref.last.After( in persist.go), if a second site
 # bumps a profile's version, or if non-test code grows back a runtime rule swap,
@@ -193,25 +200,44 @@ go test -race -run 'TestSpillChaos' -count=1 ./internal/faultinject
 echo "== spill log order under -race, five times: the compactor keeps (seq, offset) = age, and every crash point of it recovers the pre-compaction state =="
 go test -race -run 'TestCompactionKeepsLogOrder|TestCompactionCrashPoints' -count=5 ./internal/core
 
-echo "== structure check: one segment writer, one sequence allocator, one segment walker, one merge predicate, one version bump, one home for an activation, one rule set per process, one reference decoder, one JSON scanner =="
+echo "== crash prefixes under -race: every prefix of a seeded trace, whole and torn, boots to a durable state =="
+out=$(go test -race -count=1 -run 'TestCrashPrefixes' -v ./internal/core) || { echo "$out" >&2; exit 1; }
+echo "$out" | grep 'prefixes'
+
+echo "== structure check: one segment writer, one sequence allocator, one segment walker, one file seam, one merge predicate, one version bump, one home for an activation, one rule set per process, one reference decoder, one JSON scanner =="
 fail() { echo "structure check failed: $1" >&2; exit 1; }
-if grep -n '\.tmp' internal/core/spill.go; then
-	fail "no-tmp-files: spill.go mentions .tmp (segments are only ever appended to, never written aside and renamed)"
+seglog_go=$(ls internal/seglog/*.go | grep -v '_test\.go$')
+core_go=$(ls internal/core/*.go | grep -v '_test\.go$')
+if grep -n '\.tmp' $seglog_go internal/core/spill.go; then
+	fail "no-tmp-files: the segment log mentions .tmp (segments are only ever appended to, never written aside and renamed)"
 fi
-[ "$(grep -c 'nextSeq++' internal/core/spill.go)" = 1 ] ||
-	fail "one-sequence-allocator: nextSeq++ must occur exactly once in spill.go (newSegment)"
-callers=$(ls internal/core/*.go | grep -v '_test\.go$' |
-	xargs awk '/^func /{fn=$0} /nextSpillFrame\(/ && !/^func nextSpillFrame/ && !/^[[:space:]]*\/\//{print fn}' |
-	sed -E 's/^func (\([^)]*\) )?([A-Za-z0-9_]+).*/\2/' | sort -u | tr '\n' ' ')
-[ "$callers" = "readRecord walkSegment " ] ||
-	fail "one-segment-walker: nextSpillFrame( is called from [ $callers], want readRecord and walkSegment only"
+[ "$(cat $seglog_go $core_go | grep -c 'nextSeq++')" = 1 ] && grep -q 'nextSeq++' internal/seglog/seglog.go ||
+	fail "one-sequence-allocator: nextSeq++ must occur exactly once, in internal/seglog/seglog.go (Create)"
+callers=$(echo $seglog_go $core_go | xargs awk '/^func /{fn=$0} /NextFrame\(/ && !/^[[:space:]]*\/\//{print FILENAME ":" fn}' |
+	sed -E 's/^([^:]*):func (\([^)]*\) )?([A-Za-z0-9_]+).*/\1:\3/' | sort -u | tr '\n' ' ')
+[ "$callers" = "internal/seglog/seglog.go:Read internal/seglog/seglog.go:Walk " ] ||
+	fail "one-segment-walker: NextFrame( is called from [ $callers], want seglog's Read and Walk only"
+if grep -rn --include='*.go' 'SetSpillFailpoint\|spillFailpoint\|spillFail(' internal/ cmd/ oak.go; then
+	fail "no-global-failpoint: the process-global spill failpoint is back (a fault is a fake seglog.FS in the test, not a global)"
+fi
+if grep -nE 'os\.(Open|OpenFile|Create|ReadFile|WriteFile|ReadDir|MkdirAll|Remove|Rename|Stat|Truncate)\(' $core_go; then
+	fail "one-file-seam: non-test internal/core calls the os package's file functions (every durable byte goes through seglog.FS)"
+fi
+if grep -n '"oak/internal/core"' $seglog_go; then
+	fail "seglog-knows-no-profiles: internal/seglog imports oak/internal/core"
+fi
+spill_lines=$(wc -l <internal/core/spill.go)
+log_lines=$(cat $core_go $seglog_go | wc -l)
+echo "spill.go: $spill_lines lines (< 600); non-test internal/core + internal/seglog: $log_lines lines (<= 6910)"
+[ "$spill_lines" -lt 600 ] || fail "line-budget: spill.go has $spill_lines lines, want under 600"
+[ "$log_lines" -le 6910 ] || fail "line-budget: non-test internal/core + internal/seglog has $log_lines lines, want at most 6910"
 if grep -n 'byUser' internal/core/spill.go; then
 	fail "recovery-commits-in-place: spill.go mentions byUser (recoverSpill commits frames straight into the shards' indexes)"
 fi
 if grep -n 'ref\.last\.After(' internal/core/persist.go; then
 	fail "one-merge-predicate: persist.go compares ref.last itself (newer-wins is spillRef.supersedes, nothing else)"
 fi
-bumps=$(ls internal/core/*.go | grep -v '_test\.go$' | xargs grep -h 'version++' | wc -l)
+bumps=$(cat $core_go | grep -c 'version++')
 [ "$bumps" -eq 1 ] ||
 	fail "one-version-bump: version++ occurs $bumps times in non-test internal/core, want once (analyzeLocked, beside lastReport)"
 
