@@ -127,7 +127,11 @@ func run() error {
 		}
 	}
 
-	fmt.Println(engine.Audit().Render())
+	audit, err := engine.Audit()
+	if err != nil {
+		return err
+	}
+	fmt.Println(audit.Render())
 
 	// Restart survival: export, rebuild, import, confirm.
 	state, err := engine.ExportState()

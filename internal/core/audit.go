@@ -12,12 +12,16 @@ import (
 // components of their sites are performing poorly, effectively using the
 // performance reports of Oak as an offline auditing tool". Audit assembles
 // that view: per-rule activation footprints, the worst-offending servers,
-// and the engine's aggregate counters.
+// and the engine's aggregate counters. It keeps no state of its own: every
+// per-user figure is a fold over the profiles, resident and spilled, so an
+// audit survives a restart and reads the same on capped and uncapped engines.
 
 // AuditEntry is one rule's activation footprint.
 type AuditEntry struct {
 	RuleID string
-	// Users / UserFraction / Activations come from the ledger.
+	// Users counts the users with a live activation of the rule, UserFraction
+	// divides it by every user the audit visited, and Activations sums those
+	// activations' (re-)activation counters.
 	Users        int
 	UserFraction float64
 	Activations  int
@@ -49,53 +53,57 @@ type Audit struct {
 // commonThreshold is the paper's individual/common cut (18 % of users).
 const commonThreshold = 0.18
 
-// Audit builds the operator summary.
-func (e *Engine) Audit() *Audit {
-	a := &Audit{
-		GeneratedAt: e.now(),
-		Users:       e.Users(),
-		Metrics:     e.Metrics(),
-	}
-	for _, st := range e.ledger.Stats() {
-		cls := "individual"
-		if st.UserFraction > commonThreshold {
-			cls = "common"
-		}
-		a.Rules = append(a.Rules, AuditEntry{
-			RuleID:         st.RuleID,
-			Users:          st.Users,
-			UserFraction:   st.UserFraction,
-			Activations:    st.Activations,
-			Classification: cls,
-		})
-	}
-
-	type sv struct {
-		users, violations int
-	}
-	// Violation footprints are collected shard by shard (weakly consistent
-	// under concurrent ingest; each user lives in exactly one shard, so
-	// per-server user counts stay exact).
-	servers := make(map[string]*sv)
-	for _, sh := range e.shards {
-		sh.mu.RLock()
-		for _, prof := range sh.profiles {
-			for addr, n := range prof.violations {
-				entry, ok := servers[addr]
-				if !ok {
-					entry = &sv{}
-					servers[addr] = entry
-				}
-				entry.users++
-				entry.violations += n
+// Audit builds the operator summary with one walk over every profile, the
+// export's (eachPersisted), under the export's failure rule: a damaged spilled
+// record is quarantined and left out, an I/O error fails the audit. Users is
+// the number of profiles the walk visited. The walk is weakly consistent under
+// concurrent ingest, like an export; each user lives in exactly one shard, so
+// per-rule and per-server user counts stay exact.
+func (e *Engine) Audit() (*Audit, error) {
+	now := e.now()
+	a := &Audit{GeneratedAt: now, Metrics: e.Metrics()}
+	byRule := make(map[string]*AuditEntry)
+	byServer := make(map[string]*AuditServerEntry)
+	err := e.eachPersisted(HashRange{}, now, func(pp persistedProfile) {
+		a.Users++
+		for _, act := range pp.Active {
+			r, ok := byRule[act.RuleID]
+			if !ok {
+				r = &AuditEntry{RuleID: act.RuleID}
+				byRule[act.RuleID] = r
 			}
+			r.Users++
+			r.Activations += act.Activations
 		}
-		sh.mu.RUnlock()
+		for addr, n := range pp.Violations {
+			s, ok := byServer[addr]
+			if !ok {
+				s = &AuditServerEntry{ServerAddr: addr}
+				byServer[addr] = s
+			}
+			s.Users++
+			s.Violations += n
+		}
+	})
+	if err != nil {
+		return nil, err
 	}
-	for addr, entry := range servers {
-		a.WorstServers = append(a.WorstServers, AuditServerEntry{
-			ServerAddr: addr, Users: entry.users, Violations: entry.violations,
-		})
+	for _, r := range byRule {
+		r.UserFraction = float64(r.Users) / float64(a.Users)
+		r.Classification = "individual"
+		if r.UserFraction > commonThreshold {
+			r.Classification = "common"
+		}
+		a.Rules = append(a.Rules, *r)
+	}
+	sort.Slice(a.Rules, func(i, j int) bool {
+		if a.Rules[i].UserFraction != a.Rules[j].UserFraction {
+			return a.Rules[i].UserFraction > a.Rules[j].UserFraction
+		}
+		return a.Rules[i].RuleID < a.Rules[j].RuleID
+	})
+	for _, s := range byServer {
+		a.WorstServers = append(a.WorstServers, *s)
 	}
 	sort.Slice(a.WorstServers, func(i, j int) bool {
 		if a.WorstServers[i].Violations != a.WorstServers[j].Violations {
@@ -103,7 +111,7 @@ func (e *Engine) Audit() *Audit {
 		}
 		return a.WorstServers[i].ServerAddr < a.WorstServers[j].ServerAddr
 	})
-	return a
+	return a, nil
 }
 
 // Render formats the audit as a text report.

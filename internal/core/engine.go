@@ -41,7 +41,6 @@ type Engine struct {
 
 	policy  Policy
 	matcher *Matcher
-	ledger  *Ledger
 	metrics metrics
 	now     func() time.Time
 	logf    func(format string, args ...any)
@@ -157,7 +156,6 @@ func NewEngine(ruleSet []*rules.Rule, opts ...Option) (*Engine, error) {
 	e := &Engine{
 		policy:   DefaultPolicy(),
 		matcher:  NewMatcher(nil),
-		ledger:   NewLedger(),
 		now:      time.Now,
 		traceBuf: obs.NewTrace(obs.DefaultTraceCapacity),
 		fs:       seglog.OS,
@@ -213,9 +211,6 @@ func (e *Engine) Close() error {
 func (e *Engine) Rules() []*rules.Rule {
 	return append([]*rules.Rule(nil), e.rules...)
 }
-
-// Ledger exposes the activation ledger (auditing, Figure 14 / Table 3).
-func (e *Engine) Ledger() *Ledger { return e.ledger }
 
 // RuleChange describes one activation-state transition made while handling
 // a report.
@@ -341,7 +336,6 @@ func (e *Engine) analyzeLocked(sh *shard, r *report.Report, now time.Time, serve
 	prof := e.profileLocked(sh, r.UserID)
 	prof.lastReport = now
 	prof.version++
-	e.ledger.RecordUser(r.UserID)
 	if e.tracing() {
 		e.traceAt(now, obs.Event{
 			Kind: obs.EventReport, User: r.UserID,
@@ -427,7 +421,6 @@ func (e *Engine) analyzeLocked(sh *shard, r *report.Report, now time.Time, serve
 			}
 			prof.activate(rule, altIdx, now, v.Server.Addr, v.Distance)
 			e.metrics.ruleActivations.Add(1)
-			e.ledger.RecordActivation(rule.ID, r.UserID)
 			res.Changes = append(res.Changes, RuleChange{
 				RuleID: rule.ID, Action: "activate", Server: v.Server.Addr,
 				AltIndex: altIdx, Level: level,
@@ -526,7 +519,6 @@ func (e *Engine) reconcileActiveRules(sh *shard, prof *Profile, v Violation, now
 			}
 			prof.activate(a.Rule, next, now, v.Server.Addr, v.Distance)
 			e.metrics.ruleActivations.Add(1)
-			e.ledger.RecordActivation(id, prof.UserID)
 			res.Changes = append(res.Changes, RuleChange{
 				RuleID: id, Action: "advance", Server: v.Server.Addr, AltIndex: next,
 			})

@@ -354,12 +354,12 @@ func TestEngineLedgerRecordsActivations(t *testing.T) {
 	})); err != nil {
 		t.Fatal(err)
 	}
-	stats := e.Ledger().Stats()
+	stats := mustAudit(t, e).Rules
 	if len(stats) != 1 || stats[0].RuleID != "jquery" {
-		t.Fatalf("ledger stats = %+v", stats)
+		t.Fatalf("audit rules = %+v", stats)
 	}
 	if stats[0].Users != 3 || stats[0].UserFraction != 0.75 {
-		t.Errorf("stat = %+v, want 3 users / 0.75 fraction", stats[0])
+		t.Errorf("rule = %+v, want 3 users / 0.75 fraction", stats[0])
 	}
 }
 
@@ -398,7 +398,10 @@ func TestEngineConcurrentUse(t *testing.T) {
 				}
 				e.ModifyPage(u, "/index.html", `<script src="http://s1.com/jquery.js">`)
 				e.Snapshot(u)
-				e.Ledger().Stats()
+				if _, err := e.Audit(); err != nil {
+					t.Errorf("Audit: %v", err)
+					return
+				}
 			}
 		}(i)
 	}

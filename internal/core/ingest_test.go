@@ -347,7 +347,9 @@ func TestBatchedIngestRace(t *testing.T) {
 		}
 	})
 	churn(func() {
-		e.Audit()
+		if _, err := e.Audit(); err != nil {
+			t.Error(err)
+		}
 		e.Users()
 		e.Latencies()
 		e.IngestQueue()

@@ -157,17 +157,15 @@ func unwrapSnapshot(data []byte) ([]byte, error) {
 
 // ExportState serialises all per-user state as JSON.
 func (e *Engine) ExportState() ([]byte, error) {
-	return e.ExportStateRange(HashRange{})
+	return e.exportStateRange(HashRange{})
 }
 
-// ExportStateRange serialises the per-user state of one arc of the hash
+// exportStateRange serialises the per-user state of one arc of the hash
 // ring as JSON (the whole ring when r is the whole-space range, byte-identical
 // to ExportState). The guard and population sections are engine-global, not
 // per-user, and are carried in full by every range export — a partial export
-// is still enough to rebuild a node's protective state. Activations dead at
-// the export's instant (deadAt) are left out, whether their profile is
-// resident or spilled: an import would drop them anyway.
-func (e *Engine) ExportStateRange(r HashRange) ([]byte, error) {
+// is still enough to rebuild a node's protective state.
+func (e *Engine) exportStateRange(r HashRange) ([]byte, error) {
 	now := e.now()
 	st := persistedState{Version: stateVersion, SavedAt: now}
 	if !r.Whole() {
@@ -177,9 +175,29 @@ func (e *Engine) ExportStateRange(r HashRange) ([]byte, error) {
 		st.Guard = e.guard.Export() // nil (omitted) when nothing to persist
 	}
 	st.Population = e.exportPop() // nil (omitted) when nothing to persist
+	err := e.eachPersisted(r, now, func(pp persistedProfile) {
+		st.Profiles = append(st.Profiles, pp)
+	})
+	if err != nil {
+		return nil, err
+	}
+	// Global ordering by user ID keeps the export deterministic and
+	// independent of the shard layout.
+	sort.Slice(st.Profiles, func(i, j int) bool {
+		return st.Profiles[i].UserID < st.Profiles[j].UserID
+	})
+	return json.MarshalIndent(st, "", "  ")
+}
 
+// eachPersisted is the one walk over every user the engine holds: it calls
+// visit with the persisted form of each profile in the arc r, resident and
+// spilled alike, in no particular order. Activations dead at now (deadAt) are
+// left out, wherever the profile lives: an import would drop them anyway. The
+// export and the audit are folds over it. visit runs under the shard's read
+// lock and must not call back into the engine.
+func (e *Engine) eachPersisted(r HashRange, now time.Time, visit func(persistedProfile)) error {
 	// Segments whose descriptors Engine.Close released (the final save of a
-	// shutdown) are reopened once each for the whole export.
+	// shutdown) are reopened once each for the whole walk.
 	var reopened map[*seglog.Segment]seglog.File
 	if e.spill != nil {
 		reopened = make(map[*seglog.Segment]seglog.File)
@@ -195,7 +213,7 @@ func (e *Engine) ExportStateRange(r HashRange) ([]byte, error) {
 			if !r.Contains(userHash(uid)) {
 				continue
 			}
-			st.Profiles = append(st.Profiles, e.withoutDead(snapshotProfile(prof), now))
+			visit(e.withoutDead(snapshotProfile(prof), now))
 		}
 		// Spilled profiles are part of the engine's state: their records
 		// decode straight to the persisted form, so a mixed resident/spilled
@@ -222,23 +240,18 @@ func (e *Engine) ExportStateRange(r HashRange) ([]byte, error) {
 					e.spill.log.Quarantine(ref.seg, err)
 					continue
 				}
-				// I/O failure: fail the export rather than install a
-				// snapshot silently missing acknowledged profiles — the
-				// previous good snapshot stays in place and the segment
-				// records remain recoverable at next boot.
+				// I/O failure: fail the walk rather than install a snapshot
+				// (or answer an audit) silently missing acknowledged
+				// profiles — the previous good snapshot stays in place and
+				// the segment records remain recoverable at next boot.
 				sh.mu.RUnlock()
-				return nil, fmt.Errorf("engine: export spilled profile %q: %w", uid, err)
+				return fmt.Errorf("engine: read spilled profile %q: %w", uid, err)
 			}
-			st.Profiles = append(st.Profiles, e.withoutDead(*pp, now))
+			visit(e.withoutDead(*pp, now))
 		}
 		sh.mu.RUnlock()
 	}
-	// Global ordering by user ID keeps the export deterministic and
-	// independent of the shard layout.
-	sort.Slice(st.Profiles, func(i, j int) bool {
-		return st.Profiles[i].UserID < st.Profiles[j].UserID
-	})
-	return json.MarshalIndent(st, "", "  ")
+	return nil
 }
 
 // snapshotProfile deep-copies one profile into its persisted form. The

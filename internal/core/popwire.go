@@ -387,8 +387,8 @@ func (e *Engine) publishDegradedLocked() {
 // users who haven't individually tripped are mitigated on their next
 // report. Everything else mirrors the organic activation path: scope check,
 // evidence-tier matching, guard admission (with fallback to the next
-// admitted alternative when the preferred one is quarantined), ledger,
-// metrics, trace. Caller holds the profile's shard lock for writing.
+// admitted alternative when the preferred one is quarantined), metrics,
+// trace. Caller holds the profile's shard lock for writing.
 func (e *Engine) synthesizeLocked(prof *Profile, r *report.Report, now time.Time, servers []*report.ServerPerf, res *AnalysisResult) {
 	if e.pop == nil {
 		return
@@ -467,7 +467,6 @@ func (e *Engine) synthesizeLocked(prof *Profile, r *report.Report, now time.Time
 			a.Synthesized = true
 			e.metrics.ruleActivations.Add(1)
 			e.metrics.synthesizedActivations.Inc()
-			e.ledger.RecordActivation(rule.ID, r.UserID)
 			res.Changes = append(res.Changes, RuleChange{
 				RuleID: rule.ID, Action: "activate", Server: s.Addr,
 				AltIndex: altIdx, Level: level, Synthesized: true,

@@ -11,7 +11,7 @@ import "fmt"
 // ingest it without disturbing users it already holds.
 //
 // A whole-space range (Lo == Hi) degenerates to the whole-engine paths:
-// ExportStateRange of the whole space is byte-identical to ExportState, so
+// exportStateRange of the whole space is byte-identical to ExportState, so
 // the union of a disjoint cover of the ring carries exactly the profiles of
 // a whole-engine export.
 
@@ -82,10 +82,10 @@ func RangeFor(userID string, ranges []HashRange) int {
 	return -1
 }
 
-// ExportSnapshotRange is ExportStateRange wrapped in the checksummed
+// ExportSnapshotRange is exportStateRange wrapped in the checksummed
 // OAKSNAP2 envelope, the form shipped between nodes.
 func (e *Engine) ExportSnapshotRange(r HashRange) ([]byte, error) {
-	payload, err := e.ExportStateRange(r)
+	payload, err := e.exportStateRange(r)
 	if err != nil {
 		return nil, err
 	}

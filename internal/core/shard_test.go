@@ -72,10 +72,7 @@ func TestCrossShardOperations(t *testing.T) {
 	if got := e.Users(); got != users {
 		t.Errorf("Users() = %d, want %d", got, users)
 	}
-	if got := e.Ledger().TotalUsers(); got != users {
-		t.Errorf("ledger TotalUsers = %d, want %d", got, users)
-	}
-	a := e.Audit()
+	a := mustAudit(t, e)
 	if a.Users != users {
 		t.Errorf("audit users = %d, want %d", a.Users, users)
 	}

@@ -236,16 +236,16 @@ func TestSpillExportByteIdentity(t *testing.T) {
 		t.Error("ExportSnapshot differs across residency layouts")
 	}
 	for _, r := range EqualRanges(4) {
-		ar, err := capped.ExportStateRange(r)
+		ar, err := capped.exportStateRange(r)
 		if err != nil {
 			t.Fatal(err)
 		}
-		br, err := ref.ExportStateRange(r)
+		br, err := ref.exportStateRange(r)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(ar, br) {
-			t.Errorf("ExportStateRange(%v) differs across residency layouts", r)
+			t.Errorf("exportStateRange(%v) differs across residency layouts", r)
 		}
 	}
 }
@@ -299,7 +299,7 @@ func TestImportStateRangeEvictsBackUnderCap(t *testing.T) {
 		}
 	}
 	r := EqualRanges(2)[0]
-	arc, err := src.ExportStateRange(r)
+	arc, err := src.exportStateRange(r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -336,7 +336,7 @@ func TestImportStateRangeEvictsBackUnderCap(t *testing.T) {
 	if snap.Violations["ip-s1.com"] != 1 {
 		t.Errorf("stale spilled record survived an authoritative range import: %v", snap.Violations)
 	}
-	got, err := dst.ExportStateRange(r)
+	got, err := dst.exportStateRange(r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -751,6 +751,10 @@ func TestSpillExportFailsLoudOnReadError(t *testing.T) {
 	})
 	if _, err := e.ExportState(); err == nil {
 		t.Error("ExportState succeeded with an unreadable spilled record; would silently lose acknowledged state")
+	}
+	// The audit walks the same records under the same rule.
+	if _, err := e.Audit(); err == nil {
+		t.Error("Audit succeeded with an unreadable spilled record; would silently leave out a user")
 	}
 }
 

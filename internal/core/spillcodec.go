@@ -302,9 +302,9 @@ func walkSegment(data []byte) (frames []segFrame, end int64, err error) {
 // deadAt is the one predicate for an activation that means nothing at now:
 // it has lapsed (while spilled, or while the engine was down), or its rule is
 // not in the engine's rule set (the record was written under another one).
-// profileFromRecord drops such activations, and ExportStateRange leaves them
+// profileFromRecord drops such activations, and eachPersisted leaves them
 // out of a resident copy and a spilled record alike, so where a profile lives
-// does not show in what it exports.
+// does not show in what it exports or what its audit counts.
 func (e *Engine) deadAt(pa *persistedActivation, now time.Time) bool {
 	_, known := e.rulesByID[pa.RuleID]
 	return !known || (!pa.ExpiresAt.IsZero() && now.After(pa.ExpiresAt))

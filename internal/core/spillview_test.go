@@ -362,7 +362,8 @@ func (w *diffWorld) checkProfiles(step string) {
 	}
 }
 
-// sameExport requires the two engines to export the same bytes.
+// sameExport requires the two engines to export the same bytes and to audit
+// the same rule and server footprints.
 func (w *diffWorld) sameExport(step string) {
 	w.t.Helper()
 	c, err := w.capped.ExportState()
@@ -375,6 +376,11 @@ func (w *diffWorld) sameExport(step string) {
 	}
 	if !bytes.Equal(c, p) {
 		w.t.Fatalf("%s: exports differ:\n--- capped\n%s\n--- plain\n%s", step, c, p)
+	}
+	ca, pa := mustAudit(w.t, w.capped), mustAudit(w.t, w.plain)
+	if !reflect.DeepEqual(ca.Rules, pa.Rules) || !reflect.DeepEqual(ca.WorstServers, pa.WorstServers) {
+		w.t.Fatalf("%s: audits differ:\n capped %+v %+v\n plain  %+v %+v",
+			step, ca.Rules, ca.WorstServers, pa.Rules, pa.WorstServers)
 	}
 }
 

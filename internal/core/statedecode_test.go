@@ -327,10 +327,10 @@ func TestStateFilesStayOnTheFastReader(t *testing.T) {
 		t.Fatal(err)
 	}
 	// One half of the ring holds the user; the other exports "profiles": null.
-	if files["non-ASCII user, lower half of the ring"], err = zoe.ExportStateRange(HashRange{Lo: 0, Hi: 1 << 31}); err != nil {
+	if files["non-ASCII user, lower half of the ring"], err = zoe.exportStateRange(HashRange{Lo: 0, Hi: 1 << 31}); err != nil {
 		t.Fatal(err)
 	}
-	if files["non-ASCII user, upper half of the ring"], err = zoe.ExportStateRange(HashRange{Lo: 1 << 31, Hi: 0}); err != nil {
+	if files["non-ASCII user, upper half of the ring"], err = zoe.exportStateRange(HashRange{Lo: 1 << 31, Hi: 0}); err != nil {
 		t.Fatal(err)
 	}
 

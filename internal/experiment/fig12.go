@@ -68,8 +68,8 @@ type h12Data struct {
 	// ruleUserFrac lists, per (site, rule), the fraction of the site's
 	// users that activated the rule (Figure 14 / Table 3).
 	ruleUserFrac []float64
-	// ruleStats keeps the per-rule ledger stats with host names.
-	ruleStats []core.RuleStat
+	// ruleStats keeps the per-rule tallies with host names.
+	ruleStats []ruleStat
 	// ingest/rewrite aggregate engine latency histograms across all
 	// per-site engines, surfaced in benchmark output.
 	ingest, rewrite obs.Snapshot
@@ -79,6 +79,56 @@ var (
 	h12Mu    sync.Mutex
 	h12Cache = map[string]*h12Data{}
 )
+
+// ruleStat is one rule's footprint on one site: the fraction of the site's
+// reporting users it was ever activated for.
+type ruleStat struct {
+	ruleID       string
+	userFraction float64
+}
+
+// ruleTally counts, from the changes each HandleReport returns, the users
+// every rule was ever activated for ("activate" or "advance") and every user
+// that reported — the footprint Figure 14 and Table 3 plot.
+type ruleTally struct {
+	reporters map[string]bool
+	activated map[string]map[string]bool // rule ID → users
+}
+
+func newRuleTally() *ruleTally {
+	return &ruleTally{reporters: make(map[string]bool), activated: make(map[string]map[string]bool)}
+}
+
+func (t *ruleTally) add(res *core.AnalysisResult) {
+	t.reporters[res.UserID] = true
+	for _, c := range res.Changes {
+		if c.Action != "activate" && c.Action != "advance" {
+			continue
+		}
+		users, ok := t.activated[c.RuleID]
+		if !ok {
+			users = make(map[string]bool)
+			t.activated[c.RuleID] = users
+		}
+		users[res.UserID] = true
+	}
+}
+
+// stats returns the per-rule footprints by descending user fraction, then
+// rule ID — the order runTable3's unstable sort starts from.
+func (t *ruleTally) stats() []ruleStat {
+	out := make([]ruleStat, 0, len(t.activated))
+	for id, users := range t.activated {
+		out = append(out, ruleStat{ruleID: id, userFraction: float64(len(users)) / float64(len(t.reporters))})
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].userFraction != out[j].userFraction {
+			return out[i].userFraction > out[j].userFraction
+		}
+		return out[i].ruleID < out[j].ruleID
+	})
+	return out
+}
 
 // h12SelectSites picks the H1/H2 site sets from the catalog: within each
 // class, the five sites with the highest rule-activation match rate.
@@ -254,6 +304,7 @@ func h12RunSite(cfg Config, site *webgen.Site, pool []webgen.Provider, home nets
 		}
 	}
 
+	tally := newRuleTally()
 	start := time.Date(2026, 4, 6, 8, 0, 0, 0, time.UTC)
 	for li := 0; li < h12Loads; li++ {
 		at := start.Add(time.Duration(li) * h12Interval)
@@ -283,9 +334,11 @@ func h12RunSite(cfg Config, site *webgen.Site, pool []webgen.Provider, home nets
 			if err != nil {
 				return err
 			}
-			if _, err := engine.HandleReport(oakRes.Report); err != nil {
+			res, err := engine.HandleReport(oakRes.Report)
+			if err != nil {
 				return err
 			}
+			tally.add(res)
 
 			// Attribute per-host times for each condition.
 			sum := func(rep *client.LoadResult) map[string]float64 {
@@ -370,9 +423,9 @@ func h12RunSite(cfg Config, site *webgen.Site, pool []webgen.Provider, home nets
 		}
 	}
 
-	// Ledger: per-rule user fractions for this site.
-	for _, st := range engine.Ledger().Stats() {
-		data.ruleUserFrac = append(data.ruleUserFrac, st.UserFraction)
+	// Per-rule user fractions for this site.
+	for _, st := range tally.stats() {
+		data.ruleUserFrac = append(data.ruleUserFrac, st.userFraction)
 		data.ruleStats = append(data.ruleStats, st)
 	}
 	lat := engine.Latencies()
@@ -548,23 +601,23 @@ func runTable3(cfg Config) (*FigureResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	var individual, common []core.RuleStat
+	var individual, common []ruleStat
 	for _, st := range data.ruleStats {
-		if st.UserFraction > 0.18 {
+		if st.userFraction > 0.18 {
 			common = append(common, st)
-		} else if st.Users > 0 {
+		} else {
 			individual = append(individual, st)
 		}
 	}
-	sort.Slice(common, func(i, j int) bool { return common[i].UserFraction > common[j].UserFraction })
-	sort.Slice(individual, func(i, j int) bool { return individual[i].UserFraction < individual[j].UserFraction })
+	sort.Slice(common, func(i, j int) bool { return common[i].userFraction > common[j].userFraction })
+	sort.Slice(individual, func(i, j int) bool { return individual[i].userFraction < individual[j].userFraction })
 
 	table := Table{
 		Title:  "individual vs common problem providers",
 		Header: []string{"individual (<18%)", "common (>18%)"},
 	}
-	trim := func(st core.RuleStat) string {
-		return fmt.Sprintf("%s (%.0f%%)", strings.TrimPrefix(st.RuleID, "swap-"), 100*st.UserFraction)
+	trim := func(st ruleStat) string {
+		return fmt.Sprintf("%s (%.0f%%)", strings.TrimPrefix(st.ruleID, "swap-"), 100*st.userFraction)
 	}
 	for i := 0; i < 5; i++ {
 		var left, right string

@@ -64,8 +64,8 @@ func TestBatchEndpointIngestsNDJSON(t *testing.T) {
 		t.Errorf("engine users = %d, want 25", got)
 	}
 	// Every user activated the swap rule.
-	if st := s.Engine().Ledger().Stats(); len(st) != 1 || st[0].Users != 25 {
-		t.Errorf("ledger stats = %+v, want swap across 25 users", st)
+	if a, err := s.Engine().Audit(); err != nil || len(a.Rules) != 1 || a.Rules[0].Users != 25 {
+		t.Errorf("audit = %+v, %v; want swap across 25 users", a, err)
 	}
 }
 

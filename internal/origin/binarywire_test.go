@@ -95,8 +95,8 @@ func TestBinaryBatchEndpoint(t *testing.T) {
 	if got := s.Engine().Users(); got != 25 {
 		t.Errorf("engine users = %d, want 25", got)
 	}
-	if st := s.Engine().Ledger().Stats(); len(st) != 1 || st[0].Users != 25 {
-		t.Errorf("ledger stats = %+v, want swap across 25 users", st)
+	if a, err := s.Engine().Audit(); err != nil || len(a.Rules) != 1 || a.Rules[0].Users != 25 {
+		t.Errorf("audit = %+v, %v; want swap across 25 users", a, err)
 	}
 }
 
@@ -127,6 +127,33 @@ func TestBinaryBatchFramingError(t *testing.T) {
 	}
 	if got := s.Engine().Users(); got != 2 {
 		t.Errorf("engine users = %d, want 2", got)
+	}
+}
+
+// TestBinaryBatchBadLengthPrefix pins what a batch ending in a bad length
+// prefix gets: 200, the frames before it ingested, and the prefix counted as
+// one failed report under its OAKRPT1 error — truncated for a prefix cut
+// short, corrupt for a non-minimal one. The gateway splits with the same
+// framer and folds the error in the same way.
+func TestBinaryBatchBadLengthPrefix(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		prefix []byte
+		want   error
+	}{
+		{"cut short", []byte{0x80}, report.ErrBinaryTruncated},
+		{"non-minimal", []byte{0x81, 0x00, 'x'}, report.ErrBinaryCorrupt},
+	} {
+		s := newTestServer(t, nil)
+		ts := httptest.NewServer(s)
+		body, _ := report.AppendBinaryFrame(nil, nil, binaryReport("frame-good"))
+		resp, res := postBatch(t, ts.URL, report.ContentTypeBinaryBatch, string(append(body, tc.prefix...)))
+		ts.Close()
+		if resp.StatusCode != http.StatusOK || res.Submitted != 2 || res.Processed != 1 || res.Failed != 1 ||
+			len(res.Errors) != 1 || res.Errors[0] != tc.want.Error() {
+			t.Errorf("%s: status %d, result %+v; want 200, 1 processed, 1 failed with %q",
+				tc.name, resp.StatusCode, res, tc.want)
+		}
 	}
 }
 

@@ -4,8 +4,13 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
+
+	"oak/internal/core"
+	"oak/internal/rules"
 )
 
 func TestReportTooLargeRejected(t *testing.T) {
@@ -139,5 +144,45 @@ func TestAuditEndpoint(t *testing.T) {
 	resp2.Body.Close()
 	if resp2.StatusCode != http.StatusMethodNotAllowed {
 		t.Errorf("POST audit status = %d, want 405", resp2.StatusCode)
+	}
+}
+
+// TestAuditEndpointFailsOnUnreadableSpill: the audit reads spilled records as
+// an export does, so a record that cannot be read for an I/O reason is a 500,
+// not an audit that silently leaves its user out.
+func TestAuditEndpointFailsOnUnreadableSpill(t *testing.T) {
+	dir := t.TempDir()
+	engine, err := core.NewEngine([]*rules.Rule{swapRule()}, core.WithShards(1),
+		core.WithProfileResidency(core.ResidencyConfig{Dir: dir, MaxProfiles: 1}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, uid := range []string{"a", "b", "c"} {
+		if _, err := engine.HandleReport(binaryReport(uid)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Close releases the segment files; the audit reopens them, which fails
+	// once they are gone.
+	engine.Close()
+	segs, err := filepath.Glob(filepath.Join(dir, "*.seg"))
+	if err != nil || len(segs) == 0 {
+		t.Fatalf("segments = %v, %v; want some", segs, err)
+	}
+	for _, seg := range segs {
+		if err := os.Remove(seg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ts := httptest.NewServer(NewServer(engine))
+	defer ts.Close()
+	resp, err := http.Get(ts.URL + AuditPathV1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusInternalServerError {
+		t.Errorf("audit status = %d, want 500", resp.StatusCode)
 	}
 }

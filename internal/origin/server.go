@@ -277,14 +277,20 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// handleAudit serves the operator audit summary as plain text.
+// handleAudit serves the operator audit summary as plain text; a spilled
+// record that cannot be read for an I/O reason is a 500, as for an export.
 func (s *Server) handleAudit(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 		return
 	}
+	a, err := s.engine.Audit()
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return
+	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	_, _ = io.WriteString(w, s.engine.Audit().Render())
+	_, _ = io.WriteString(w, a.Render())
 }
 
 // handlePage serves a page, issuing a cookie if the client lacks one and

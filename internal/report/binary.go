@@ -314,16 +314,18 @@ func AppendBinaryFrame(dst, scratch []byte, r *Report) (frame, scratch2 []byte) 
 
 // NextBinaryFrame splits the first frame off a batch body. frame is the
 // payload (decodable by UnmarshalBinary and sniffable by SniffBinaryUser),
-// rest is the remaining batch. An empty body returns (nil, nil, nil).
+// rest is the remaining batch. An empty body returns (nil, nil, nil). The
+// length prefix is read under the OAKRPT1 taxonomy like every other varint:
+// a prefix cut short, or a frame longer than the body, is ErrBinaryTruncated;
+// a non-minimal or overflowing prefix is ErrBinaryCorrupt.
 func NextBinaryFrame(body []byte) (frame, rest []byte, err error) {
 	if len(body) == 0 {
 		return nil, nil, nil
 	}
-	n, size := binary.Uvarint(body)
-	if size <= 0 {
-		return nil, nil, ErrBinaryCorrupt
+	n, body, err := binWire.Uvarint(body)
+	if err != nil {
+		return nil, nil, err
 	}
-	body = body[size:]
 	if n > uint64(len(body)) {
 		return nil, nil, ErrBinaryTruncated
 	}

@@ -2,6 +2,7 @@ package report
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"math"
 	"testing"
@@ -131,22 +132,37 @@ func TestBinaryBatchFraming(t *testing.T) {
 		t.Fatalf("batch end: frame=%v rest=%v err=%v", frame, rest, err)
 	}
 
-	// Hostile: frame length longer than the body.
-	if _, _, err := NextBinaryFrame([]byte{0x7F, 0x01}); !errors.Is(err, ErrBinaryTruncated) {
-		t.Fatalf("truncated frame: %v", err)
+	// Hostile prefixes, read like every other OAKRPT1 varint.
+	for _, tc := range []struct {
+		name string
+		body []byte
+		want error
+	}{
+		{"frame longer than the body", []byte{0x7F, 0x01}, ErrBinaryTruncated},
+		{"length prefix cut short", []byte{0x80}, ErrBinaryTruncated},
+		{"non-minimal length prefix", append([]byte{0x81, 0x00}, 'x'), ErrBinaryCorrupt},
+		{"overflowing length prefix", []byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01}, ErrBinaryCorrupt},
+	} {
+		if _, _, err := NextBinaryFrame(tc.body); !errors.Is(err, tc.want) {
+			t.Errorf("%s: got %v, want %v", tc.name, err, tc.want)
+		}
 	}
 }
 
 // FuzzBinaryRoundTrip pins two properties: decode(encode(r)) is identity for
 // any decodable report, and arbitrary (including hostile) payloads either
 // decode to something that re-encodes byte-identically or fail with one of
-// the typed errors — never a panic, never an untyped error.
+// the typed errors — never a panic, never an untyped error. The same bytes
+// read as a batch body hold the framer to the same rules (checkFrameSplit).
 func FuzzBinaryRoundTrip(f *testing.F) {
 	valid, _ := sampleReport().MarshalBinary()
 	f.Add(valid)
 	f.Add([]byte(binaryMagic))
 	f.Add([]byte{})
+	f.Add([]byte{0x80})            // batch length prefix cut short
+	f.Add([]byte{0x81, 0x00, 'x'}) // non-minimal batch length prefix
 	f.Fuzz(func(t *testing.T, data []byte) {
+		checkFrameSplit(t, data)
 		r, err := UnmarshalBinary(data)
 		if err != nil {
 			if !errors.Is(err, ErrBinaryMagic) && !errors.Is(err, ErrBinaryTruncated) &&
@@ -169,6 +185,30 @@ func FuzzBinaryRoundTrip(f *testing.F) {
 		}
 		pr.Release()
 	})
+}
+
+// checkFrameSplit reads data as a batch body. A frame split off it must
+// re-frame byte-identically (so its length prefix was the canonical one);
+// otherwise the error is typed, and ErrBinaryCorrupt is final — more bytes
+// cannot cure it, which is what sets it apart from ErrBinaryTruncated.
+func checkFrameSplit(t *testing.T, data []byte) {
+	frame, rest, err := NextBinaryFrame(data)
+	switch {
+	case err == nil:
+		if len(data) == 0 {
+			return
+		}
+		reframed := append(binary.AppendUvarint(nil, uint64(len(frame))), frame...)
+		if !bytes.Equal(append(reframed, rest...), data) {
+			t.Fatalf("frame split not identity:\nin:  %x\nout: %x + %x", data, reframed, rest)
+		}
+	case errors.Is(err, ErrBinaryCorrupt):
+		if _, _, err := NextBinaryFrame(append(append([]byte{}, data...), 0x01)); !errors.Is(err, ErrBinaryCorrupt) {
+			t.Fatalf("corrupt batch %x curable by one more byte: %v", data, err)
+		}
+	case !errors.Is(err, ErrBinaryTruncated):
+		t.Fatalf("untyped framing error: %v", err)
+	}
 }
 
 func TestClassifyContentType(t *testing.T) {

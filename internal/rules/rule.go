@@ -69,7 +69,7 @@ type SubRule struct {
 
 // Rule is one operator-specified rule.
 type Rule struct {
-	// ID identifies the rule in logs, policies and the activation ledger.
+	// ID identifies the rule in logs, policies, profiles and the audit.
 	ID string `json:"id"`
 	// Type selects remove/replace-same/replace-alt semantics.
 	Type Type `json:"type"`

@@ -181,7 +181,7 @@ const (
 type BootStatus = core.BootStatus
 
 // HashRange is one half-open arc [Lo, Hi) of the 32-bit user-hash ring —
-// the unit of per-user-range state export (Engine.ExportStateRange,
+// the unit of per-user-range state export (Engine.ExportSnapshotRange,
 // Engine.ImportStateRange) and of cluster partitioning. Lo == Hi means the
 // whole ring; Lo > Hi wraps around zero.
 type HashRange = core.HashRange

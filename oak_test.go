@@ -118,9 +118,9 @@ func TestFacadeEndToEnd(t *testing.T) {
 	if !ok || len(snap.ActiveRules) != 1 || snap.ActiveRules[0] != "swap-primary" {
 		t.Errorf("snapshot = %+v", snap)
 	}
-	ledger := w.oak.Engine().Ledger().Stats()
-	if len(ledger) != 1 || ledger[0].RuleID != "swap-primary" {
-		t.Errorf("ledger = %+v", ledger)
+	audit, err := w.oak.Engine().Audit()
+	if err != nil || len(audit.Rules) != 1 || audit.Rules[0].RuleID != "swap-primary" {
+		t.Errorf("audit = %+v, %v", audit, err)
 	}
 }
 
