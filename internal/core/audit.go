@@ -64,7 +64,7 @@ func (e *Engine) Audit() (*Audit, error) {
 	a := &Audit{GeneratedAt: now, Metrics: e.Metrics()}
 	byRule := make(map[string]*AuditEntry)
 	byServer := make(map[string]*AuditServerEntry)
-	err := e.eachPersisted(HashRange{}, now, func(pp persistedProfile) {
+	err := e.eachPersisted(HashRange{}, now, true, func(pp persistedProfile) {
 		a.Users++
 		for _, act := range pp.Active {
 			r, ok := byRule[act.RuleID]

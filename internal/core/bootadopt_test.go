@@ -8,7 +8,9 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -199,11 +201,11 @@ func TestBootAdoptsTheLog(t *testing.T) {
 		dir, state string
 		e          *Engine
 	}
-	boot := func(t *testing.T, w *world) {
+	boot := func(t *testing.T, w *world, opts ...Option) {
 		t.Helper()
 		var err error
-		w.e, err = NewEngine([]*rules.Rule{jqRule(0)}, WithClock(w.clock.Now), WithShards(4),
-			WithProfileResidency(ResidencyConfig{Dir: w.dir, MaxProfiles: maxResident, SegmentBytes: 8 << 10}))
+		w.e, err = NewEngine([]*rules.Rule{jqRule(0)}, append(opts, WithClock(w.clock.Now), WithShards(4),
+			WithProfileResidency(ResidencyConfig{Dir: w.dir, MaxProfiles: maxResident, SegmentBytes: 8 << 10}))...)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -297,9 +299,11 @@ func TestBootAdoptsTheLog(t *testing.T) {
 		if got := mustExport(t, w.e); !bytes.Equal(got, want) {
 			t.Error("export after the boot differs from the export before the shutdown")
 		}
+		// The state file is a checkpoint of the residents: it carries no copy of
+		// a spilled user for the log to supersede.
 		bs := w.e.BootStatus()
-		if bs.Installed != len(wantResident) || bs.Adopted != users-len(wantResident) || bs.Superseded != bs.Adopted || bs.QuarantinedSegments != 0 {
-			t.Errorf("BootStatus = %+v, want %d installed and the other %d adopted over their copies",
+		if bs.Installed != len(wantResident) || bs.Adopted != users-len(wantResident) || bs.Superseded != 0 || bs.QuarantinedSegments != 0 {
+			t.Errorf("BootStatus = %+v, want %d installed and the other %d adopted from the log alone",
 				bs, len(wantResident), users-len(wantResident))
 		}
 	})
@@ -339,31 +343,109 @@ func TestBootAdoptsTheLog(t *testing.T) {
 		}
 	})
 
+	// Quarantine is damage from outside the crash contract, and the checkpoint
+	// holds no copy of a spilled user to fall back on: a spilled user whose
+	// only record the damaged segment held is gone after the boot, and the
+	// quarantine line says how many users its readable frames name that no
+	// other record does. (While the state file copied every spilled user, they
+	// came back from that copy.)
 	t.Run("one segment damaged", func(t *testing.T) {
 		w, _ := start(t)
-		want := mustExport(t, w.e)
+		before := map[string]ProfileSnapshot{}
+		for i := 0; i < users; i++ {
+			uid := fmt.Sprintf("user-%04d", i)
+			before[uid], _ = w.e.Snapshot(uid)
+		}
+		resident := map[string]bool{}
+		for _, uid := range residents(w.e) {
+			resident[uid] = true
+		}
 		w.e.Close()
 		if err := w.e.SaveStateFile(w.state); err != nil {
 			t.Fatal(err)
 		}
-		segs := segFiles(t, w.dir)
-		flipSegByte(t, segs[len(segs)/2])
+		// The victim is the segment that is the only record of the most users.
+		files := dirBytes(t, w.dir)
+		frames := map[string][]segFrame{}
+		holders := map[string]map[string]bool{} // user → segments with a record of it
+		for name, data := range files {
+			var err error
+			if frames[name], _, err = walkSegment(data); err != nil {
+				t.Fatal(err)
+			}
+			for _, fr := range frames[name] {
+				if holders[fr.uid] == nil {
+					holders[fr.uid] = map[string]bool{}
+				}
+				holders[fr.uid][name] = true
+			}
+		}
+		victim, most := "", -1
+		for name := range files {
+			only := 0
+			for _, fr := range frames[name] {
+				if len(holders[fr.uid]) == 1 {
+					only++
+				}
+			}
+			if only > most {
+				victim, most = name, only
+			}
+		}
+		// Break its last frame's checksum, so every frame before it reads.
+		inVictim, elsewhere, readable := map[string]bool{}, map[string]bool{}, map[string]bool{}
+		for uid, segs := range holders {
+			inVictim[uid] = segs[victim]
+			elsewhere[uid] = len(segs) > 1 || !segs[victim]
+		}
+		for _, fr := range frames[victim][:len(frames[victim])-1] {
+			readable[fr.uid] = true
+		}
+		data := files[victim]
+		data[len(data)-1] ^= 0x40
+		if err := os.WriteFile(filepath.Join(w.dir, victim), data, 0o600); err != nil {
+			t.Fatal(err)
+		}
+		noOther, gone := 0, 0
+		for uid := range readable {
+			if !elsewhere[uid] {
+				noOther++
+				if !resident[uid] {
+					gone++
+				}
+			}
+		}
+		if gone == 0 {
+			t.Fatalf("the damaged segment is no spilled user's only record (%d readable)", len(readable))
+		}
 
-		boot(t, w)
+		var lines []string
+		boot(t, w, WithLogf(func(format string, args ...any) { lines = append(lines, fmt.Sprintf(format, args...)) }))
 		if _, err := w.e.LoadStateFile(w.state); err != nil {
 			t.Fatal(err)
 		}
-		// The segment is quarantined and its users come back from the state
-		// file's copies, as residents, so this boot does evict.
 		st, _ := w.e.SpillStatus()
 		if len(st.QuarantinedSegments) != 1 || !w.e.SpillDegraded() || st.MemoryOnly {
-			t.Errorf("spill tier after the boot: %+v, want one quarantined segment", st)
+			t.Errorf("spill tier after the boot: %+v, want one quarantined segment, degraded", st)
 		}
-		if bs := w.e.BootStatus(); bs.QuarantinedSegments != 1 || bs.Installed <= maxResident || bs.Installed+bs.Adopted != users {
-			t.Errorf("BootStatus = %+v, want the damaged segment's users installed beside the residents", bs)
+		want := fmt.Sprintf("core: spill segment %s quarantined: ", victim)
+		said := fmt.Sprintf("; %d users its readable frames name have no other record", noOther)
+		if n := slices.IndexFunc(lines, func(l string) bool { return strings.HasPrefix(l, want) }); n < 0 || !strings.HasSuffix(lines[n], said) {
+			t.Errorf("no line %q…%q in the boot's log:\n%s", want, said, strings.Join(lines, "\n"))
 		}
-		if got := mustExport(t, w.e); !bytes.Equal(got, want) {
-			t.Error("export after the boot differs from the export before the shutdown")
+		for uid, snap := range before {
+			got, ok := w.e.Snapshot(uid)
+			switch {
+			case readable[uid] && !elsewhere[uid] && !resident[uid]:
+				if ok || w.e.Residency(uid) != "none" {
+					t.Errorf("%s's only record was quarantined, yet it came back as %+v", uid, got)
+				}
+			case resident[uid] || !inVictim[uid]:
+				if !ok || !reflect.DeepEqual(got, snap) {
+					t.Errorf("%s came back as %+v (%v), was %+v", uid, got, ok, snap)
+				}
+			}
 		}
+		t.Logf("%d users gone with %s; %d of its readable frames' users have no other record", gone, victim, noOther)
 	})
 }

@@ -84,7 +84,8 @@ func TestCompactionKeepsLogOrder(t *testing.T) {
 	e, clock, report := compactionWorld(t, dir, &testFS{})
 
 	report("u1")
-	report("u3") // two of the first segment's three records are dead
+	report("u3")
+	saveTwice(t, e, statePathIn(t)) // two of the first segment's three records are dead
 	e.maybeCompact()
 	if got := e.Metrics().SegmentCompactions; got != 1 {
 		t.Fatalf("SegmentCompactions = %d, want 1", got)

@@ -17,10 +17,10 @@ import (
 
 // TestCrashPrefixes enumerates crash points against the file seam, after
 // Pillai et al.'s ALICE (OSDI '14). A seeded workload — 40 users behind a
-// resident cap of 8, segments small enough to rotate and compact, two
-// SaveStateFile calls and a restart in between — runs over a recording
-// testFS. Every prefix k of its trace of mutating file operations is rebuilt
-// in a fresh directory two ways:
+// resident cap of 8, segments small enough to rotate and compact, four
+// SaveStateFile calls and a restart between the second and the third — runs
+// over a recording testFS. Every prefix k of its trace of mutating file
+// operations is rebuilt in a fresh directory two ways:
 //
 //	(a) every operation before k applied as written;
 //	(b) the writes not followed by their file's fsync before k dropped, and
@@ -28,15 +28,23 @@ import (
 //
 // Directory operations (mkdir, create, rename, remove) are applied in order in
 // both: the test assumes a file system that keeps metadata operations in
-// order, as ext4 does, and loses or tears only data that was not fsynced.
+// order, as ext4 does, and loses or tears only data that was not fsynced. A
+// prefix that has a .bak is booted a second time, each way, with its primary
+// state file removed: the boot from the backup.
 //
 // On each directory a fresh engine boots, segment log then state file, and
-// must: boot, quarantining nothing; bring back for every user a
-// profile byte-equal to one of that user's copies written before k, a record
-// or a state file's; and bring back none older than the newest copy durable at
-// k — written by an engine call that had returned before k (the engine's own
-// claim: a spill and a save return only once fsynced), into a file the boot
-// reads (a segment, the state file, its backup) that is still there at k.
+// must: boot, quarantining nothing; bring back for every user a profile
+// byte-equal to one of that user's copies written before k, a record or a
+// state file's; and bring back none older than the newest copy durable at k —
+// written by an engine call that had returned before k (the engine's own
+// claim: a spill and a save return only once fsynced) into a segment, whether
+// or not the cleaner has removed it since, or into the state file the boot
+// reads or one installed before it.
+//
+// The hazard the checkpoint's pins exist for must be in the trace: a user
+// rehydrated after a save that does not hold them, whose record's segment the
+// cleaner removes before the next save while no newer record of the user is
+// written. The record the rehydration read must survive it.
 //
 // Imports are kept out of the workload: an authoritative import's deletes are
 // not durable (ROADMAP item 1, seed (iii)).
@@ -64,19 +72,23 @@ func TestCrashPrefixes(t *testing.T) {
 	e := boot(root, withFS(fs))
 	fs.ack()
 	compactions := uint64(0)
+	var rehydrated []rehydration
 	rng := rand.New(rand.NewSource(1))
-	for i := 0; i < 160; i++ {
+	for i := 0; i < 200; i++ {
 		clock.Advance(time.Duration(1+rng.Intn(20)) * time.Second)
 		uid := fmt.Sprintf("u%02d", rng.Intn(40))
 		r := healthyReport(uid)
 		if rng.Intn(2) == 0 {
 			r = slowS1Report(uid)
 		}
+		if e.Residency(uid) == "spilled" {
+			rehydrated = append(rehydrated, rehydration{uid, len(fs.trace)})
+		}
 		if _, err := e.HandleReport(r); err != nil {
 			t.Fatal(err)
 		}
 		switch i {
-		case 60:
+		case 60, 150, 175:
 			if err := e.SaveStateFile(state); err != nil {
 				t.Fatal(err)
 			}
@@ -97,51 +109,76 @@ func TestCrashPrefixes(t *testing.T) {
 	}
 
 	copies := persistedCopies(t, fs.trace)
+	hazards := copies.hazards(fs.trace, rehydrated, state)
+	if hazards == 0 {
+		t.Fatal("no user was rehydrated after a save that lacked them and had the segment of the record read compacted before the next save")
+	}
 	replay := newReplay()
 	work := t.TempDir()
+	boots := 0
 	for k := 0; k <= len(fs.trace); k++ {
 		if k > 0 {
 			replay.apply(k-1, fs.trace[k-1])
 		}
-		durable := replay.durable(copies, cfg.Dir, state)
 		for _, torn := range []bool{false, true} {
-			at := fmt.Sprintf("prefix %d/%d (torn %v)", k, len(fs.trace), torn)
-			dir := filepath.Join(work, fmt.Sprint(torn))
-			replay.build(t, root, dir, torn)
-			e := boot(dir)
-			st, _ := e.SpillStatus()
-			if len(st.QuarantinedSegments) != 0 {
-				t.Fatalf("%s: quarantined %v", at, st.QuarantinedSegments)
-			}
-			data, err := e.ExportState()
-			if err != nil {
-				t.Fatal(err)
-			}
-			e.Close()
-			var got persistedState
-			if err := json.Unmarshal(data, &got); err != nil {
-				t.Fatal(err)
-			}
-			back := map[string]bool{}
-			for _, pp := range got.Profiles {
-				back[pp.UserID] = true
-				b, _ := json.Marshal(pp)
-				if first, ok := copies.first[pp.UserID+"\x00"+string(b)]; !ok || first >= k {
-					t.Fatalf("%s: %s came back as %s, no copy of it written before the crash", at, pp.UserID, b)
+			for _, lostPrimary := range []bool{false, true} {
+				if lostPrimary && replay.files[state+BackupSuffix] == 0 {
+					continue
 				}
-				if pp.Version < durable[pp.UserID] {
-					t.Fatalf("%s: %s came back at version %d, version %d was durable", at, pp.UserID, pp.Version, durable[pp.UserID])
+				at := fmt.Sprintf("prefix %d/%d (torn %v, primary lost %v)", k, len(fs.trace), torn, lostPrimary)
+				dir := filepath.Join(work, fmt.Sprint(torn))
+				replay.build(t, root, dir, torn)
+				if lostPrimary {
+					os.Remove(filepath.Join(dir, "state.json"))
 				}
-			}
-			for uid, v := range durable {
-				if !back[uid] {
-					t.Fatalf("%s: %s lost, version %d was durable", at, uid, v)
-				}
+				checkCrashBoot(t, at, boot(dir), copies, k, replay.durable(copies, state, lostPrimary))
+				boots++
 			}
 		}
 	}
-	t.Logf("%d prefixes of a %d-operation trace, each booted whole and torn; %d compactions in the run",
-		len(fs.trace)+1, len(fs.trace), compactions)
+	t.Logf("%d prefixes of a %d-operation trace, %d boots (each prefix whole and torn, and from the .bak where there is one); %d compactions in the run; %d hazard cases",
+		len(fs.trace)+1, len(fs.trace), boots, compactions, hazards)
+}
+
+// checkCrashBoot holds one boot to TestCrashPrefixes' invariants.
+func checkCrashBoot(t *testing.T, at string, e *Engine, copies *persisted, k int, durable map[string]uint64) {
+	t.Helper()
+	st, _ := e.SpillStatus()
+	if len(st.QuarantinedSegments) != 0 {
+		t.Fatalf("%s: quarantined %v", at, st.QuarantinedSegments)
+	}
+	data, err := e.ExportState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.Close()
+	var got persistedState
+	if err := json.Unmarshal(data, &got); err != nil {
+		t.Fatal(err)
+	}
+	back := map[string]bool{}
+	for _, pp := range got.Profiles {
+		back[pp.UserID] = true
+		b, _ := json.Marshal(pp)
+		if first, ok := copies.first[pp.UserID+"\x00"+string(b)]; !ok || first >= k {
+			t.Fatalf("%s: %s came back as %s, no copy of it written before the crash", at, pp.UserID, b)
+		}
+		if pp.Version < durable[pp.UserID] {
+			t.Fatalf("%s: %s came back at version %d, version %d was durable", at, pp.UserID, pp.Version, durable[pp.UserID])
+		}
+	}
+	for uid, v := range durable {
+		if !back[uid] {
+			t.Fatalf("%s: %s lost, version %d was durable", at, uid, v)
+		}
+	}
+}
+
+// rehydration is a report for a spilled user: at is the length of the trace
+// when it began.
+type rehydration struct {
+	uid string
+	at  int
 }
 
 // persisted is every copy of a profile the trace wrote: the segment records
@@ -156,17 +193,18 @@ type persistedCopy struct {
 	version uint64
 	op      int // the write's index in the trace
 	file    int
+	state   bool // written into a state file, not a segment
 }
 
 func persistedCopies(t *testing.T, trace []fsOp) *persisted {
 	t.Helper()
 	c := &persisted{first: map[string]int{}}
-	add := func(i int, op fsOp, pp *persistedProfile) {
+	add := func(i int, op fsOp, pp *persistedProfile, state bool) {
 		b, _ := json.Marshal(pp)
 		if _, ok := c.first[pp.UserID+"\x00"+string(b)]; !ok {
 			c.first[pp.UserID+"\x00"+string(b)] = i
 		}
-		c.all = append(c.all, persistedCopy{user: pp.UserID, version: pp.Version, op: i, file: op.file})
+		c.all = append(c.all, persistedCopy{user: pp.UserID, version: pp.Version, op: i, file: op.file, state: state})
 	}
 	pathOf := map[int]string{}
 	for i, op := range trace {
@@ -181,13 +219,13 @@ func persistedCopies(t *testing.T, trace []fsOp) *persisted {
 					t.Fatalf("trace op %d: state file write: %v", i, err)
 				}
 				for j := range st.Profiles {
-					add(i, op, &st.Profiles[j])
+					add(i, op, &st.Profiles[j], true)
 				}
 			case strings.HasPrefix(name, "seg-") && string(op.data) != seglog.Magic:
 				if _, err := seglog.Walk(append([]byte(seglog.Magic), op.data...), func(payload []byte, _ int64, _ int) error {
 					pp, err := decodeSpillRecord(payload)
 					if err == nil {
-						add(i, op, pp)
+						add(i, op, pp, false)
 					}
 					return err
 				}); err != nil {
@@ -197,6 +235,65 @@ func persistedCopies(t *testing.T, trace []fsOp) *persisted {
 		}
 	}
 	return c
+}
+
+// hazards counts the rehydrations a checkpoint without pins would lose to a
+// crash: the last save before the rehydration does not hold the user, and the
+// segment holding the record it read is removed before the next save, with no
+// newer record of the user written in between.
+func (c *persisted) hazards(trace []fsOp, rehydrated []rehydration, state string) int {
+	type install struct{ at, file int } // a rename onto the state file
+	var installs []install
+	removed := map[int]int{} // file id → trace index of its removal
+	fileAt := map[string]int{}
+	for i, op := range trace {
+		switch op.kind {
+		case "create":
+			fileAt[op.path] = op.file
+		case "rename":
+			if op.to == state {
+				installs = append(installs, install{i, fileAt[op.path]})
+			}
+			fileAt[op.to] = fileAt[op.path]
+		case "remove":
+			removed[fileAt[op.path]] = i
+		}
+	}
+	n := 0
+	for _, h := range rehydrated {
+		prev, next := install{at: -1}, len(trace)
+		for _, in := range installs {
+			if in.at < h.at {
+				prev = in
+			} else if next == len(trace) {
+				next = in.at
+			}
+		}
+		if prev.at < 0 {
+			continue
+		}
+		saved, read := false, persistedCopy{op: -1}
+		for _, cp := range c.all {
+			switch {
+			case cp.user != h.uid:
+			case cp.state && cp.file == prev.file:
+				saved = true
+			case !cp.state && cp.op < h.at && cp.op > read.op:
+				read = cp
+			}
+		}
+		gone, ok := removed[read.file]
+		if saved || read.op < 0 || !ok || gone < h.at || gone > next {
+			continue
+		}
+		newer := slices.ContainsFunc(c.all, func(cp persistedCopy) bool {
+			return cp.user == h.uid && !cp.state && cp.op > h.at && cp.op < gone && cp.version > read.version
+		})
+		if !newer {
+			n++
+		}
+	}
+	return n
 }
 
 // replay is the directory as a prefix of the trace left it.
@@ -248,17 +345,19 @@ func (r *replay) apply(i int, op fsOp) {
 	}
 }
 
-// durable is, per user, the newest version durable at this prefix.
-func (r *replay) durable(c *persisted, spillDir, state string) map[string]uint64 {
-	booted := map[int]bool{}
-	for path, id := range r.files {
-		name := filepath.Base(path)
-		booted[id] = path == state || path == state+BackupSuffix ||
-			filepath.Dir(path) == spillDir && strings.HasPrefix(name, "seg-") && strings.HasSuffix(name, ".seg")
+// durable is, per user, the newest version durable at this prefix for a boot
+// that reads the state file — or, with the primary lost or missing, its
+// backup: every acknowledged segment record, removed since or not, and every
+// acknowledged copy in that state file or one installed before it (file ids
+// grow with creation).
+func (r *replay) durable(c *persisted, state string, lostPrimary bool) map[string]uint64 {
+	booted := r.files[state]
+	if lostPrimary || booted == 0 {
+		booted = r.files[state+BackupSuffix]
 	}
 	out := map[string]uint64{}
 	for _, cp := range c.all {
-		if cp.op < r.lastAck && booted[cp.file] && cp.version > out[cp.user] {
+		if cp.op < r.lastAck && (!cp.state || cp.file <= booted) && cp.version > out[cp.user] {
 			out[cp.user] = cp.version
 		}
 	}

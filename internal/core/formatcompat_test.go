@@ -60,14 +60,16 @@ func writeFormatFixture(t *testing.T, dir string) {
 	report(users...)
 	forceSpill(t, e, users[:10]...) // several segments per shard; two users stay resident
 	report(users[0], users[1], users[2], users[3], users[4])
-	for i := 0; i < 4; i++ {
-		e.maybeCompact()
-	}
 	state := filepath.Join(dir, "state.json")
 	for i := 0; i < 2; i++ { // twice: a backup exists
 		if err := e.SaveStateFile(state); err != nil {
 			t.Fatal(err)
 		}
+	}
+	// The two saves hold the five rehydrated users, so their records are dead
+	// (before records were pinned, the reports alone killed them).
+	for i := 0; i < 4; i++ {
+		e.maybeCompact()
 	}
 	// After the save: records newer than the snapshot's copy and a user only
 	// the segments know; five users only the snapshot knows, as resident. (No
@@ -129,6 +131,43 @@ func TestBootsOnFilesWrittenBeforeTheCleanerChanged(t *testing.T) {
 	writeFormatFixture(t, own)
 	if got := bootFormatFixture(t, own); !bytes.Equal(got, want) {
 		t.Errorf("export after booting on this commit's files:\n--- got\n%s\n--- want\n%s", got, want)
+	}
+}
+
+// testdata/pr27-files was written by the last commit whose state file carried
+// a full copy of every spilled user: 64 users on eight shards capped
+// at 16 resident, with rehydrations, compactions, two saves (a state file and
+// its .bak) and forty reports after the last. This commit's boot visits only
+// the payload's users in the merge — all 64 of them here, resident or not —
+// and must give the export that commit's boot recorded.
+func TestBootsOnFilesWrittenBeforeTheCheckpoint(t *testing.T) {
+	const fixture = "testdata/pr27-files"
+	want, err := os.ReadFile(filepath.Join(fixture, "export.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	work := t.TempDir()
+	if err := os.Mkdir(filepath.Join(work, "spill"), 0o700); err != nil {
+		t.Fatal(err)
+	}
+	copyDir(t, filepath.Join(fixture, "spill"), filepath.Join(work, "spill"))
+	copyDir(t, fixture, work)
+	clock := newTestClock()
+	clock.Advance(time.Hour)
+	e, err := NewEngine([]*rules.Rule{jqRule(0)}, WithClock(clock.Now), WithShards(8),
+		WithProfileResidency(ResidencyConfig{Dir: filepath.Join(work, "spill"), MaxProfiles: 16, SegmentBytes: 600, CompactRatio: 0.5}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	if src, err := e.LoadStateFile(filepath.Join(work, "state.json")); err != nil || src != StateSnapshot {
+		t.Fatalf("LoadStateFile = %q, %v", src, err)
+	}
+	if st, _ := e.SpillStatus(); len(st.QuarantinedSegments) != 0 || st.SpillErrors != 0 || st.ProfilesSpilled == 0 || e.Users() != 64 {
+		t.Fatalf("boot on the fixture: %d users, %+v", e.Users(), st)
+	}
+	if got := mustExport(t, e); !bytes.Equal(got, want) {
+		t.Errorf("export after booting on full-copy state files:\n--- got\n%s\n--- want\n%s", got, want)
 	}
 }
 

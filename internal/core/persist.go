@@ -157,15 +157,17 @@ func unwrapSnapshot(data []byte) ([]byte, error) {
 
 // ExportState serialises all per-user state as JSON.
 func (e *Engine) ExportState() ([]byte, error) {
-	return e.exportStateRange(HashRange{})
+	return e.exportStateRange(HashRange{}, true)
 }
 
 // exportStateRange serialises the per-user state of one arc of the hash
 // ring as JSON (the whole ring when r is the whole-space range, byte-identical
 // to ExportState). The guard and population sections are engine-global, not
 // per-user, and are carried in full by every range export — a partial export
-// is still enough to rebuild a node's protective state.
-func (e *Engine) exportStateRange(r HashRange) ([]byte, error) {
+// is still enough to rebuild a node's protective state. Without spilled, the
+// spilled users are left out: the checkpoint SaveStateFile writes, which on an
+// engine without the spill tier is the whole export.
+func (e *Engine) exportStateRange(r HashRange, spilled bool) ([]byte, error) {
 	now := e.now()
 	st := persistedState{Version: stateVersion, SavedAt: now}
 	if !r.Whole() {
@@ -175,7 +177,7 @@ func (e *Engine) exportStateRange(r HashRange) ([]byte, error) {
 		st.Guard = e.guard.Export() // nil (omitted) when nothing to persist
 	}
 	st.Population = e.exportPop() // nil (omitted) when nothing to persist
-	err := e.eachPersisted(r, now, func(pp persistedProfile) {
+	err := e.eachPersisted(r, now, spilled, func(pp persistedProfile) {
 		st.Profiles = append(st.Profiles, pp)
 	})
 	if err != nil {
@@ -190,23 +192,13 @@ func (e *Engine) exportStateRange(r HashRange) ([]byte, error) {
 }
 
 // eachPersisted is the one walk over every user the engine holds: it calls
-// visit with the persisted form of each profile in the arc r, resident and
-// spilled alike, in no particular order. Activations dead at now (deadAt) are
-// left out, wherever the profile lives: an import would drop them anyway. The
-// export and the audit are folds over it. visit runs under the shard's read
-// lock and must not call back into the engine.
-func (e *Engine) eachPersisted(r HashRange, now time.Time, visit func(persistedProfile)) error {
-	// Segments whose descriptors Engine.Close released (the final save of a
-	// shutdown) are reopened once each for the whole walk.
-	var reopened map[*seglog.Segment]seglog.File
-	if e.spill != nil {
-		reopened = make(map[*seglog.Segment]seglog.File)
-		defer func() {
-			for _, f := range reopened {
-				f.Close()
-			}
-		}()
-	}
+// visit with the persisted form of each profile in the arc r, resident and —
+// with spilled — spilled alike, in no particular order. Activations dead at
+// now (deadAt) are left out, wherever the profile lives: an import would drop
+// them anyway. The export, the checkpoint and the audit are folds over it.
+// visit runs under the shard's read lock and must not call back into the
+// engine.
+func (e *Engine) eachPersisted(r HashRange, now time.Time, spilled bool, visit func(persistedProfile)) error {
 	for _, sh := range e.shards {
 		sh.mu.RLock()
 		for uid, prof := range sh.profiles {
@@ -220,14 +212,18 @@ func (e *Engine) eachPersisted(r HashRange, now time.Time, visit func(persistedP
 		// population exports byte-identically to an all-resident one. The
 		// OAKPROF1 time encoding preserves the wall clock and offset exactly
 		// for this reason.
-		for uid, ref := range sh.spilled {
+		refs := sh.spilled
+		if !spilled {
+			refs = nil
+		}
+		for uid, ref := range refs {
 			if !r.Contains(userHash(uid)) {
 				continue
 			}
 			if ref.seg.Quarantined() {
-				continue // record lost with its segment; statefile covers it
+				continue // record lost with its segment
 			}
-			pp, err := e.spill.readRecord(ref, reopened)
+			pp, err := e.spill.readRecord(ref)
 			if err != nil {
 				if seglog.IsDamage(err) {
 					// Damaged record: the segment's bytes are proven bad, so
@@ -329,13 +325,14 @@ func (e *Engine) ImportState(data []byte) error {
 // (true, the boot path): a spill record that supersedes the payload's copy of
 // its user (spillRef.supersedes: a later last report, or the same one at a
 // version not lower) keeps its ref, and that copy is dropped before a profile
-// is built from it; spilled users absent from the payload survive too. So a
-// crash between spill-fsync and the next SaveStateFile loses nothing that was
-// acknowledged, and a boot installs only what the log does not hold, holds
-// older, or holds in a quarantined segment: on an undamaged directory it
-// writes nothing to the spill tier. The decision reads the spill index, which
-// holds still only under the locks, so this one import builds its profiles
-// inside the all-locks window; every other import builds them before it.
+// is built from it; spilled users absent from the payload — every spilled
+// user, when the payload is a checkpoint — survive too. So a crash between
+// spill-fsync and the next SaveStateFile loses nothing that was acknowledged,
+// and a boot installs only what the log does not hold, holds older, or holds
+// in a quarantined segment: on an undamaged directory it writes nothing to
+// the spill tier. The decision reads the spill index, which holds still only
+// under the locks, so this one import builds its profiles inside the
+// all-locks window; every other import builds them before it.
 //
 // topUp says what a payload *without* a guard or population section does to
 // those engine-global sections: nothing (a stripped range payload tops up
@@ -381,7 +378,7 @@ func (e *Engine) importDecoded(r HashRange, st *persistedState, newerWins, topUp
 	n := ImportCounts{Superseded: imp.superseded}
 	for i, sh := range e.shards {
 		if sh.spilled != nil {
-			mergeSpillLocked(sh, imp.fresh[i], newerWins, r)
+			e.spill.mergeLocked(sh, imp.fresh[i], newerWins, r)
 			n.Adopted += len(sh.spilled)
 		}
 		n.Installed += len(imp.fresh[i])
@@ -446,25 +443,35 @@ func replaceArcLocked(sh *shard, r HashRange, fresh map[string]*Profile) {
 	}
 }
 
-// mergeSpillLocked reconciles one shard's spill index with an incoming
-// import limited to r (whole ring for full imports). Authoritative mode
-// drops every in-range spill record; newer-wins mode keeps the records no
-// payload profile stands against — buildImport has already dropped the copies
-// a record supersedes, so those are the users the payload does not carry and
-// the users whose record won. Caller holds every shard lock (import's
+// mergeLocked reconciles one shard's spill index with an incoming import
+// limited to r (whole ring for full imports). The residents in r are
+// replaced, and their pins go with them. Authoritative mode drops every
+// in-range spill record. Newer-wins mode visits only the payload's users:
+// buildImport has already dropped the copies a record supersedes, so each of
+// them is installed over whatever record of it the log holds, and that record
+// is pinned; every other ref stands. Caller holds every shard lock (import's
 // all-locks window).
-func mergeSpillLocked(sh *shard, fresh map[string]*Profile, newerWins bool, r HashRange) {
-	for uid, ref := range sh.spilled {
-		if !r.Contains(userHash(uid)) {
-			continue // outside the imported arc: untouched
+func (st *spillStore) mergeLocked(sh *shard, fresh map[string]*Profile, newerWins bool, r HashRange) {
+	for uid, p := range sh.pinned {
+		if r.Contains(userHash(uid)) {
+			delete(sh.pinned, uid)
+			p.ref.seg.Dead.Add(1)
 		}
-		if newerWins && !ref.seg.Quarantined() {
-			if _, inPayload := fresh[uid]; !inPayload {
-				continue
+	}
+	if newerWins {
+		for uid := range fresh {
+			if ref, ok := sh.spilled[uid]; ok {
+				delete(sh.spilled, uid)
+				st.pinLocked(sh, uid, ref)
 			}
 		}
-		delete(sh.spilled, uid)
-		ref.seg.Dead.Add(1)
+		return
+	}
+	for uid, ref := range sh.spilled {
+		if r.Contains(userHash(uid)) {
+			delete(sh.spilled, uid)
+			ref.seg.Dead.Add(1)
+		}
 	}
 }
 

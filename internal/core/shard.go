@@ -49,6 +49,11 @@ type shard struct {
 	// user is in profiles or spilled, never both. Guarded by mu. See
 	// spill.go.
 	spilled map[string]spillRef
+	// pinned, on the same engines, maps a resident user → the record a
+	// rehydration or a boot replaced, kept live until the checkpoints cover
+	// the user (spill.go's durability contract). Never exported, audited or
+	// counted as a user. Guarded by mu.
+	pinned map[string]pin
 	// spillSeg is this shard's current append-target segment (nil until the
 	// first eviction, and after a rotation). Guarded by mu.
 	spillSeg *seglog.Segment

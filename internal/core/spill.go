@@ -1,8 +1,6 @@
 package core
 
 import (
-	"errors"
-	"fmt"
 	"sort"
 	"sync/atomic"
 	"time"
@@ -24,13 +22,25 @@ import (
 // never races a shutdown.
 //
 // Durability contract: a profile is only removed from memory after its
-// record is durable (write + fsync). A crash at any instant therefore loses
-// at most the purely-resident state since the last SaveStateFile — exactly
+// record is durable (write + fsync), and each user has one durable home: a
+// spilled user's newest record in the log, a resident user's copy in the last
+// checkpoint — the state file SaveStateFile writes, which holds the resident
+// profiles and nothing of the spilled ones. A crash at any instant therefore
+// loses at most the purely-resident state since the last checkpoint — exactly
 // the guarantee the engine gave before the spill tier existed — and never a
-// spilled profile. Boot recovery replays the segment directory: later
-// records supersede earlier ones, a torn tail (crash mid-append) is
-// truncated away, and a segment that fails its checksums is quarantined and
-// skipped rather than aborting boot.
+// spilled profile. The gap between the two homes is a rehydration: the user
+// leaves the log's index before a checkpoint holds them. So the record a
+// rehydration read is pinned, not dead — the cleaner carries it like a live
+// one — until a newer record of the user replaces it, or two checkpoints
+// whose export began after the pin are installed, when the state file and its
+// .bak both hold the user (releasePins); a boot that installs a state file's
+// copy over an older record pins that record the same way. Boot recovery
+// (spillboot.go) replays the segment directory: later records supersede
+// earlier ones, a torn tail (crash mid-append) is truncated away, and a
+// segment that fails its checksums is quarantined and skipped rather than
+// aborting boot. Its users are lost unless another record or the checkpoint
+// holds them: quarantine is damage from outside, not a crash, and a second
+// copy of every record would double each eviction's fsync.
 //
 // A restart adopts the log: recovery leaves every record's ref in place, and
 // the state file's copy of a user is installed only where the log holds none,
@@ -110,6 +120,9 @@ type spillStore struct {
 	// recoverTook is how long recoverSpill ran; set once, before the engine
 	// is shared.
 	recoverTook time.Duration
+	// begun counts the checkpoints whose export has begun (SaveStateFile); a
+	// pin records it when taken.
+	begun atomic.Uint64
 
 	// failed latches memory-only mode after a spill I/O failure.
 	failed atomic.Bool
@@ -120,89 +133,6 @@ type spillStore struct {
 	spilledUsers obs.Gauge
 	// recordViews counts serve-side reads of a spilled record done in place.
 	recordViews obs.Counter
-}
-
-// initSpill builds the spill store from WithProfileResidency's config and
-// replays the segment directory. Called once from NewEngine after the
-// shards exist; a config or directory error fails construction.
-func (e *Engine) initSpill() error {
-	if e.residencyCfg == nil {
-		return nil
-	}
-	cfg := e.residencyCfg.withDefaults()
-	if cfg.Dir == "" {
-		return errors.New("core: profile residency requires a spill directory")
-	}
-	if cfg.MaxProfiles <= 0 && cfg.MaxBytes <= 0 {
-		return errors.New("core: profile residency requires a profile or byte cap")
-	}
-	log, err := seglog.Open(e.fs, cfg.Dir, func(name string, err error) {
-		e.metrics.spillErrors.Inc()
-		if e.logf != nil {
-			e.logf("core: spill segment %s quarantined: %v", name, err)
-		}
-	})
-	if err != nil {
-		return fmt.Errorf("core: create spill directory: %w", err)
-	}
-	st := &spillStore{log: log, cfg: cfg}
-	shards := int64(len(e.shards))
-	if cfg.MaxProfiles > 0 {
-		st.perShardProfiles = max(1, int64(cfg.MaxProfiles)/shards)
-	}
-	if cfg.MaxBytes > 0 {
-		st.perShardBytes = max(1, cfg.MaxBytes/shards)
-	}
-	for _, sh := range e.shards {
-		sh.spilled = make(map[string]spillRef)
-	}
-	e.spill = st
-	start := time.Now()
-	err = e.recoverSpill()
-	st.recoverTook = time.Since(start)
-	return err
-}
-
-// recoverSpill replays the segment log into the shards' spill indexes. Later
-// records (higher segment seq, then higher offset) supersede earlier ones for
-// the same user. A segment is committed only once it has parsed end to end,
-// a torn tail cut away: a quarantined one must leave the earlier, still valid
-// refs and dead counts as they were, or the GC below would delete a healthy
-// segment holding the newest surviving copy of a user's profile.
-func (e *Engine) recoverSpill() error {
-	st := e.spill
-	live := int64(0) // users with a ref
-	err := st.log.Recover(func(seg *seglog.Segment, data []byte) (int64, error) {
-		frames, end, err := walkSegment(data)
-		if err != nil && !errors.Is(err, seglog.ErrTruncated) {
-			return end, err
-		}
-		for _, fr := range frames {
-			spilled := e.shardFor(fr.uid).spilled
-			if prev, ok := spilled[fr.uid]; ok {
-				prev.seg.Dead.Add(1)
-			} else {
-				live++
-			}
-			fr.ref.seg = seg
-			spilled[fr.uid] = fr.ref
-		}
-		seg.Total.Store(int64(len(frames)))
-		return end, err
-	})
-	if err != nil {
-		return fmt.Errorf("core: %w", err)
-	}
-	st.spilledUsers.Set(live)
-	// A segment all of whose records a later one superseded is garbage from a
-	// previous run (at boot the dead counts are exact: no ref points into it);
-	// removing it now keeps restart loops from accreting files.
-	for _, seg := range st.log.Segments() {
-		if seg.Dead.Load() >= seg.Total.Load() {
-			st.log.Remove(seg)
-		}
-	}
-	return nil
 }
 
 // degrade latches memory-only mode after a spill I/O failure: evictions
@@ -367,26 +297,71 @@ func (st *spillStore) appendLocked(sh *shard, buf []byte, frames []segFrame) err
 		return err
 	}
 	for _, fr := range frames {
+		fr.ref.seg, fr.ref.off = seg, base+fr.ref.off
+		seg.Total.Add(1)
+		if p, ok := sh.pinned[fr.uid]; ok {
+			// The cleaner moves a pin; any other record of the user is newer
+			// and releases it, or the pin would outrank it once re-appended.
+			p.ref.seg.Dead.Add(1)
+			if fr.pin {
+				p.ref = fr.ref
+				sh.pinned[fr.uid] = p
+				continue
+			}
+			delete(sh.pinned, fr.uid)
+		}
 		if old, ok := sh.spilled[fr.uid]; ok {
 			old.seg.Dead.Add(1)
 		} else {
 			st.spilledUsers.Add(1)
 		}
-		fr.ref.seg, fr.ref.off = seg, base+fr.ref.off
 		sh.spilled[fr.uid] = fr.ref
-		seg.Total.Add(1)
 	}
 	return nil
 }
 
-// readRecord reads and decodes one spilled record; reopened is
-// seglog.Log.Read's.
-func (st *spillStore) readRecord(ref spillRef, reopened map[*seglog.Segment]seglog.File) (*persistedProfile, error) {
-	payload, err := st.log.Read(ref.seg, ref.off, int(ref.n), reopened)
+// readRecord reads and decodes one spilled record.
+func (st *spillStore) readRecord(ref spillRef) (*persistedProfile, error) {
+	payload, err := st.log.Read(ref.seg, ref.off, int(ref.n))
 	if err != nil {
 		return nil, err
 	}
 	return decodeSpillRecord(payload)
+}
+
+// pin is a record kept live for a user who is resident again: taken is
+// spillStore.begun when the pin was taken.
+type pin struct {
+	ref   spillRef
+	taken uint64
+}
+
+// pinLocked keeps ref's record, which userID's resident profile has just
+// replaced in the index, live until releasePins or a newer record lets it go
+// (see the durability contract). Caller holds sh.mu for writing.
+func (st *spillStore) pinLocked(sh *shard, userID string, ref spillRef) {
+	if ref.seg.Quarantined() {
+		ref.seg.Dead.Add(1)
+		return
+	}
+	sh.pinned[userID] = pin{ref: ref, taken: st.begun.Load()}
+}
+
+// releasePins counts dead the records whose pin a checkpoint installed at
+// the state file and one at its .bak, numbered backup or later, both cover:
+// a pin still taken before backup began is of a user resident through both
+// exports. backup 0 covers nothing.
+func (e *Engine) releasePins(backup uint64) {
+	for _, sh := range e.shards {
+		sh.mu.Lock()
+		for uid, p := range sh.pinned {
+			if p.taken < backup {
+				delete(sh.pinned, uid)
+				p.ref.seg.Dead.Add(1)
+			}
+		}
+		sh.mu.Unlock()
+	}
 }
 
 // rehydrateLocked brings a spilled user's profile back into memory — the
@@ -408,14 +383,15 @@ func (e *Engine) rehydrateLocked(sh *shard, userID string) *Profile {
 	start := time.Now()
 	delete(sh.spilled, userID)
 	st.spilledUsers.Add(-1)
-	ref.seg.Dead.Add(1)
 	if ref.seg.Quarantined() {
-		// The segment's bytes are untrusted; the record is gone. Acked state
-		// is still covered by the statefile (LoadStateFile merges it back).
+		// The segment's bytes are untrusted; the record is gone, and with it
+		// the user (see the durability contract).
+		ref.seg.Dead.Add(1)
 		return nil
 	}
-	pp, err := st.readRecord(ref, nil)
+	pp, err := st.readRecord(ref)
 	if err != nil {
+		ref.seg.Dead.Add(1)
 		if seglog.IsDamage(err) {
 			st.log.Quarantine(ref.seg, err)
 		} else {
@@ -423,6 +399,7 @@ func (e *Engine) rehydrateLocked(sh *shard, userID string) *Profile {
 		}
 		return nil
 	}
+	st.pinLocked(sh, userID, ref)
 	prof := e.installRecordLocked(sh, pp)
 	e.metrics.rehydrations.Inc()
 	e.rehydrateHist.Observe(time.Since(start))
@@ -453,7 +430,7 @@ func (e *Engine) viewRecord(ref spillRef) *Profile {
 	if ref.seg.Quarantined() {
 		return nil
 	}
-	pp, err := e.spill.readRecord(ref, nil)
+	pp, err := e.spill.readRecord(ref)
 	if err != nil {
 		return nil
 	}
@@ -508,10 +485,10 @@ func (e *Engine) maybeCompact() {
 }
 
 // compactSegment cleans a sealed segment: each record some shard still refers
-// to is appended again, byte for byte, through that shard's own append path —
-// appendLocked, under the shard's write lock, with the ref moved in the same
-// critical section — and once no ref points into the victim its file is
-// removed. A survivor thus moves the way an eviction writes it, to the tail
+// to, by a ref or a pin, is appended again, byte for byte, through that
+// shard's own append path — appendLocked, under the shard's write lock, with
+// the ref moved in the same critical section — and once no ref points into
+// the victim its file is removed. A survivor thus moves the way an eviction writes it, to the tail
 // of the log, so a user's records stay in (segment seq, offset) order and
 // recovery's "later supersedes earlier" holds without the cleaner being a
 // special case. A crash in between leaves both copies, identical, the later
@@ -562,13 +539,17 @@ func (e *Engine) compactSegment(victim *seglog.Segment) {
 
 // reappendLocked moves the shard's live records out of victim: the frames —
 // all of the victim's, other shards' included — that this shard still refers
-// to go through appendLocked as one batch, copied from data, the victim's
-// bytes. Caller holds sh.mu for writing.
+// to, by a ref or a pin, go through appendLocked as one batch, copied from
+// data, the victim's bytes. Caller holds sh.mu for writing.
 func (st *spillStore) reappendLocked(sh *shard, victim *seglog.Segment, data []byte, frames []segFrame) error {
 	var buf []byte
 	var live []segFrame
 	for _, fr := range frames {
-		if ref, ok := sh.spilled[fr.uid]; ok && ref.seg == victim && ref.off == fr.ref.off {
+		ref, ok := sh.spilled[fr.uid]
+		if p, pinned := sh.pinned[fr.uid]; pinned {
+			ref, ok, fr.pin = p.ref, true, true
+		}
+		if ok && ref.seg == victim && ref.off == fr.ref.off {
 			fr.ref.off = int64(len(buf))
 			buf = append(buf, data[ref.off:ref.off+int64(ref.n)]...)
 			live = append(live, fr)

@@ -236,11 +236,11 @@ func TestSpillExportByteIdentity(t *testing.T) {
 		t.Error("ExportSnapshot differs across residency layouts")
 	}
 	for _, r := range EqualRanges(4) {
-		ar, err := capped.exportStateRange(r)
+		ar, err := capped.exportStateRange(r, true)
 		if err != nil {
 			t.Fatal(err)
 		}
-		br, err := ref.exportStateRange(r)
+		br, err := ref.exportStateRange(r, true)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -299,7 +299,7 @@ func TestImportStateRangeEvictsBackUnderCap(t *testing.T) {
 		}
 	}
 	r := EqualRanges(2)[0]
-	arc, err := src.exportStateRange(r)
+	arc, err := src.exportStateRange(r, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -336,7 +336,7 @@ func TestImportStateRangeEvictsBackUnderCap(t *testing.T) {
 	if snap.Violations["ip-s1.com"] != 1 {
 		t.Errorf("stale spilled record survived an authoritative range import: %v", snap.Violations)
 	}
-	got, err := dst.exportStateRange(r)
+	got, err := dst.exportStateRange(r, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -362,13 +362,14 @@ func TestSpillCompactionReclaimsDeadSegments(t *testing.T) {
 	if before < 2 {
 		t.Fatalf("segment files = %d, want >= 2 (rotation never sealed one)", before)
 	}
-	// Rehydrate everything (a report each — reads leave records live): every
-	// sealed record is now dead.
+	// Rehydrate everything (a report each — reads leave records live), and
+	// checkpoint the residents twice: every sealed record is now dead.
 	for i := 1; i <= 4; i++ {
 		if _, err := e.HandleReport(slowS1Report(fmt.Sprintf("u%d", i))); err != nil {
 			t.Fatal(err)
 		}
 	}
+	saveTwice(t, e, statePathIn(t))
 	// One compaction round per call, as the next reports would run them.
 	for i := 0; i < before+1; i++ {
 		e.maybeCompact()
@@ -401,10 +402,12 @@ func TestSpillCompactionPreservesLiveRecords(t *testing.T) {
 		t.Fatal(err)
 	}
 	forceSpill(t, e, "sealer") // rotates: the first segment is now sealed
-	// A report rehydrates "dead": its record in the sealed segment dies.
+	// A report rehydrates "dead", and two checkpoints hold it: its record in
+	// the sealed segment dies.
 	if _, err := e.HandleReport(slowS1Report("dead")); err != nil {
 		t.Fatal(err)
 	}
+	saveTwice(t, e, statePathIn(t))
 
 	for i := 0; i < 3; i++ {
 		e.maybeCompact()
@@ -686,9 +689,10 @@ func TestSpillStatefileAuthoritativeOverOlderSpill(t *testing.T) {
 func TestSpillStatefileSaveAfterCloseKeepsSpilled(t *testing.T) {
 	// The graceful-shutdown ordering: oakd stops ingest with
 	// Engine.Close and only then takes the final SaveStateFile. Close
-	// releases the segment descriptors, but the save must still export
-	// every spilled profile — the record bytes are durable on disk; only
-	// the handles are gone.
+	// releases the segment descriptors, but an export must still read every
+	// spilled profile — the record bytes are durable on disk; only the
+	// handles are gone — and the save, a checkpoint of the residents, must
+	// boot back to every user beside the same segment directory.
 	clock := newTestClock()
 	dir := t.TempDir()
 	state := filepath.Join(t.TempDir(), "oak-state.json")
@@ -717,12 +721,12 @@ func TestSpillStatefileSaveAfterCloseKeepsSpilled(t *testing.T) {
 		t.Fatalf("SaveStateFile after Close: %v", err)
 	}
 
-	e2 := newSpillEngine(t, clock, ResidencyConfig{Dir: t.TempDir(), MaxProfiles: 100})
+	e2 := newSpillEngine(t, clock, ResidencyConfig{Dir: dir, MaxProfiles: 100})
 	if _, err := e2.LoadStateFile(state); err != nil {
 		t.Fatal(err)
 	}
 	if got := e2.Users(); got != users {
-		t.Fatalf("rebooted engine has %d users, want %d — shutdown save dropped spilled profiles", got, users)
+		t.Fatalf("rebooted engine has %d users, want %d — the shutdown lost spilled profiles", got, users)
 	}
 	for i := 1; i <= users; i++ {
 		uid := fmt.Sprintf("u%02d", i)

@@ -146,6 +146,7 @@ func checkedInStateFiles(t testing.TB) map[string][]byte {
 		"testdata/pr18-files/state.json", "testdata/pr18-files/state.json.bak", "testdata/pr18-files/export.json",
 		"testdata/pr20-files/state.json", "testdata/pr20-files/state.json.bak", "testdata/pr20-files/export.json",
 		"testdata/own-files-export.json",
+		"testdata/pr27-files/state.json", "testdata/pr27-files/state.json.bak", "testdata/pr27-files/export.json",
 	} {
 		data, err := os.ReadFile(name)
 		if err != nil {
@@ -156,7 +157,7 @@ func checkedInStateFiles(t testing.TB) map[string][]byte {
 	return out
 }
 
-// busyEngineState is the state file of a capped engine that has seen
+// busyEngineState is the snapshot of a capped engine that has seen
 // everything a profile can carry: users with and without violations,
 // activations with and without a TTL, on two alternatives, personal and
 // synthesized, a tripped breaker, a quarantined rule, a population episode,
@@ -202,17 +203,15 @@ func busyEngineState(t testing.TB, users int) []byte {
 	}
 	e.QuarantineProvider("s3.org")
 	e.QuarantineRule("fonts")
-	path := filepath.Join(t.TempDir(), "state.json")
-	if err := e.SaveStateFile(path); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
+	// The whole snapshot, spilled users included: SaveStateFile's checkpoint
+	// is its resident subset, by the same writer.
+	data, err := e.ExportSnapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, want := range []string{`"guard"`, `"population"`, `"synthesized": true`, `"expiresAt": "2026`, `"expiresAt": "0001`, `"Zoë"`, `"ruleId": "fonts"`} {
 		if !strings.Contains(string(data), want) {
-			t.Fatalf("busy engine's state file has no %s", want)
+			t.Fatalf("busy engine's snapshot has no %s", want)
 		}
 	}
 	if st, _ := e.SpillStatus(); st.ProfilesSpilled == 0 {
@@ -314,7 +313,7 @@ func TestStateFilesStayOnTheFastReader(t *testing.T) {
 		}
 		files["own-files/"+name] = data
 	}
-	files["busy 2,000-user capped save"] = busyEngineState(t, 2000)
+	files["busy 2,000-user capped snapshot"] = busyEngineState(t, 2000)
 
 	zoe, err := NewEngine([]*rules.Rule{jqRule(0)})
 	if err != nil {
@@ -327,10 +326,10 @@ func TestStateFilesStayOnTheFastReader(t *testing.T) {
 		t.Fatal(err)
 	}
 	// One half of the ring holds the user; the other exports "profiles": null.
-	if files["non-ASCII user, lower half of the ring"], err = zoe.exportStateRange(HashRange{Lo: 0, Hi: 1 << 31}); err != nil {
+	if files["non-ASCII user, lower half of the ring"], err = zoe.exportStateRange(HashRange{Lo: 0, Hi: 1 << 31}, true); err != nil {
 		t.Fatal(err)
 	}
-	if files["non-ASCII user, upper half of the ring"], err = zoe.exportStateRange(HashRange{Lo: 1 << 31, Hi: 0}); err != nil {
+	if files["non-ASCII user, upper half of the ring"], err = zoe.exportStateRange(HashRange{Lo: 1 << 31, Hi: 0}, true); err != nil {
 		t.Fatal(err)
 	}
 

@@ -17,7 +17,9 @@ import (
 // the backup instead of failing boot. Together they guarantee that a crash
 // at any instant (mid-save, mid-rotation, or external corruption of the
 // primary) costs at most one save interval of learned state, never all of
-// it.
+// it. On an engine with the spill tier the file is a checkpoint of the
+// resident set, which means something only beside its segment directory: the
+// spilled users live in the log alone (spill.go, durability contract).
 
 // BackupSuffix is appended to a state file's path to name the rotating
 // last-good snapshot SaveStateFile keeps.
@@ -43,8 +45,11 @@ const (
 
 // SaveStateFile persists the engine's state to path crash-safely:
 //
-//  1. the checksummed snapshot is written to path+".tmp" and fsynced, so a
-//     crash mid-write never touches the live file;
+//  1. the checkpoint — ExportSnapshot's envelope over the resident profiles,
+//     the guard and the population sections, which without the spill tier is
+//     ExportSnapshot byte for byte — is written to path+".tmp" and fsynced,
+//     so a crash mid-write never touches the live file. It reads no spill
+//     record;
 //  2. the current snapshot is rotated to path+BackupSuffix — if it is known
 //     to be good: this engine loaded it cleanly or installed it itself. After
 //     a boot from the backup the damaged primary is overwritten instead, so
@@ -56,19 +61,32 @@ const (
 //
 // On any failure the temp file is removed rather than leaked. A crash
 // between steps 2 and 3 leaves only the backup; LoadStateFile recovers from
-// it.
+// it. Saves run one at a time.
 func (e *Engine) SaveStateFile(path string) error {
-	data, err := e.ExportSnapshot()
+	e.saveMu.Lock()
+	defer e.saveMu.Unlock()
+	var n uint64 // the checkpoint's number, on engines with the spill tier
+	if e.spill != nil {
+		n = e.spill.begun.Add(1)
+	}
+	payload, err := e.exportStateRange(HashRange{}, false)
 	if err != nil {
 		return fmt.Errorf("engine: export snapshot: %w", err)
 	}
 	tmp := path + ".tmp"
-	if err := seglog.WriteFileSync(e.fs, tmp, data); err != nil {
+	if err := seglog.WriteFileSync(e.fs, tmp, wrapSnapshot(payload)); err != nil {
 		e.fs.Remove(tmp)
 		return fmt.Errorf("engine: write snapshot: %w", err)
 	}
-	if good, _ := e.goodPrimary.Load().(string); good == filepath.Clean(path) {
-		if err := e.fs.Rename(path, path+BackupSuffix); err != nil && !errors.Is(err, fs.ErrNotExist) {
+	// The .bak holds the checkpoint numbered backup: the one installed before
+	// this one if the save rotates it there, otherwise one older than this
+	// engine (0).
+	backup := uint64(0)
+	if good := e.goodPrimary.Load(); good != nil && good.path == filepath.Clean(path) {
+		switch err := e.fs.Rename(path, path+BackupSuffix); {
+		case err == nil:
+			backup = good.checkpoint
+		case !errors.Is(err, fs.ErrNotExist):
 			e.fs.Remove(tmp)
 			return fmt.Errorf("engine: rotate backup: %w", err)
 		}
@@ -77,8 +95,11 @@ func (e *Engine) SaveStateFile(path string) error {
 		e.fs.Remove(tmp)
 		return fmt.Errorf("engine: install snapshot: %w", err)
 	}
-	e.goodPrimary.Store(filepath.Clean(path))
+	e.goodPrimary.Store(&stateFile{filepath.Clean(path), n})
 	seglog.SyncDir(e.fs, filepath.Dir(path))
+	if e.spill != nil {
+		e.releasePins(backup)
+	}
 	return nil
 }
 
@@ -114,7 +135,7 @@ func (e *Engine) LoadStateFile(path string) (StateSource, error) {
 	case err == nil:
 		if primaryErr = boot(data); primaryErr == nil {
 			e.stateSource.Store(StateSnapshot)
-			e.goodPrimary.Store(filepath.Clean(path))
+			e.goodPrimary.Store(&stateFile{path: filepath.Clean(path)})
 			return StateSnapshot, nil
 		}
 		if !errors.Is(primaryErr, ErrCorruptState) && !errors.Is(primaryErr, ErrStateVersion) {

@@ -3,10 +3,15 @@ package core
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"oak/internal/rules"
 )
@@ -303,5 +308,173 @@ func TestSaveAfterBackupBootKeepsTheBackup(t *testing.T) {
 		if bak, _ := os.ReadFile(path + BackupSuffix); bytes.Equal(bak, good) != (i == 0) {
 			t.Errorf("save %d after the backup boot: backup is the old good one = %v, want %v", i+1, i != 0, i == 0)
 		}
+	}
+}
+
+// TestCheckpointHoldsResidentsOnly: a capped engine's SaveStateFile is a
+// checkpoint of its resident set. It reads no spilled record — it succeeds
+// with every segment read refused — and its payload names exactly the
+// residents. (A save used to read every spilled record back into the file.)
+func TestCheckpointHoldsResidentsOnly(t *testing.T) {
+	clock := newTestClock()
+	fs := &testFS{}
+	e, err := NewEngine([]*rules.Rule{jqRule(0)}, WithClock(clock.Now), WithShards(4), withFS(fs),
+		WithProfileResidency(ResidencyConfig{Dir: t.TempDir(), MaxProfiles: 8}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	var residents []string
+	for i := 0; i < 40; i++ {
+		if _, err := e.HandleReport(slowS1Report(fmt.Sprintf("user-%02d", i))); err != nil {
+			t.Fatal(err)
+		}
+		clock.Advance(time.Second)
+	}
+	for i := 0; i < 40; i++ {
+		if uid := fmt.Sprintf("user-%02d", i); e.Residency(uid) == "resident" {
+			residents = append(residents, uid)
+		}
+	}
+	if st, _ := e.SpillStatus(); st.ProfilesSpilled == 0 || len(residents) == 0 {
+		t.Fatalf("want residents and spilled users: %+v", st)
+	}
+	fs.setRefuse(func(op, path string) error {
+		if op == "read" && strings.HasSuffix(path, ".seg") {
+			return errors.New("injected segment read failure")
+		}
+		return nil
+	})
+	path := statePathIn(t)
+	if err := e.SaveStateFile(path); err != nil {
+		t.Fatalf("SaveStateFile read the spill log: %v", err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := decodeState(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, pp := range st.Profiles {
+		got = append(got, pp.UserID)
+	}
+	if !slices.Equal(got, residents) {
+		t.Errorf("checkpoint holds %v, want the residents %v", got, residents)
+	}
+}
+
+// TestUncappedSaveIsTheSnapshot: without the spill tier the checkpoint is the
+// whole state, and SaveStateFile writes ExportSnapshot's bytes, as it always
+// did.
+func TestUncappedSaveIsTheSnapshot(t *testing.T) {
+	clock := newTestClock()
+	e, err := NewEngine([]*rules.Rule{jqRule(time.Hour)}, WithClock(clock.Now),
+		WithGuard(GuardConfig{TripThreshold: 3, OpenFor: time.Hour}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 12; i++ {
+		r := healthyReport(fmt.Sprintf("user-%02d", i))
+		if i%2 == 0 {
+			r = slowS1Report(r.UserID)
+		}
+		if _, err := e.HandleReport(r); err != nil {
+			t.Fatal(err)
+		}
+		clock.Advance(time.Second)
+	}
+	e.QuarantineProvider("s2.net")
+	path := statePathIn(t)
+	if err := e.SaveStateFile(path); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := e.ExportSnapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) || !strings.Contains(string(got), `"guard"`) {
+		t.Errorf("saved state file differs from ExportSnapshot:\n--- file\n%s\n--- snapshot\n%s", got, want)
+	}
+}
+
+// TestCheckpointsUnderIngest: checkpoints race reports on a capped engine —
+// pins taken by rehydrations, dropped by evictions, moved by the cleaner and
+// released by saves, from several goroutines at once — and a restart on the
+// last checkpoint and the segment directory gives back the export the engine
+// had when it stopped.
+func TestCheckpointsUnderIngest(t *testing.T) {
+	clock := newTestClock()
+	dir, state := t.TempDir(), statePathIn(t)
+	boot := func() *Engine {
+		e, err := NewEngine([]*rules.Rule{jqRule(0)}, WithClock(clock.Now), WithShards(4),
+			WithProfileResidency(ResidencyConfig{Dir: dir, MaxProfiles: 16, SegmentBytes: 2048}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return e
+	}
+	e := boot()
+	stop := make(chan struct{})
+	saved := make(chan int)
+	go func() {
+		n := 0
+		defer func() { saved <- n }()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if err := e.SaveStateFile(state); err != nil {
+				t.Error(err)
+				return
+			}
+			n++
+		}
+	}()
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(g)))
+			for i := 0; i < 400; i++ {
+				clock.Advance(time.Millisecond)
+				r := healthyReport(fmt.Sprintf("user-%03d", rng.Intn(120)))
+				if rng.Intn(3) == 0 {
+					r = slowS1Report(r.UserID)
+				}
+				if _, err := e.HandleReport(r); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(stop)
+	saves := <-saved
+	if st, _ := e.SpillStatus(); saves < 2 || st.SegmentCompactions == 0 || st.Rehydrations == 0 {
+		t.Fatalf("%d saves; tier %+v: want saves, rehydrations and compactions", saves, st)
+	}
+	want := mustExport(t, e)
+	e.Close()
+	if err := e.SaveStateFile(state); err != nil {
+		t.Fatal(err)
+	}
+	e2 := boot()
+	defer e2.Close()
+	if _, err := e2.LoadStateFile(state); err != nil {
+		t.Fatal(err)
+	}
+	if got := mustExport(t, e2); !bytes.Equal(got, want) {
+		t.Errorf("export after the restart differs from the one before it (%d saves raced ingest)", saves)
 	}
 }

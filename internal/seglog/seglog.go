@@ -15,6 +15,7 @@
 package seglog
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"os"
@@ -111,11 +112,11 @@ func Open(fsys FS, dir string, onQuarantine func(name string, err error)) (*Log,
 }
 
 // Recover puts the directory's segments in service, oldest first. walk gets
-// each one's bytes (magic checked and included) to parse and commit, and
-// returns where its last whole frame ends: with ErrTruncated the segment is
-// cut back to there and kept, with another error it is quarantined — and walk
-// must have committed nothing of it. A file too short for the magic is a crash
-// between create and header write, and is removed.
+// each one's bytes (magic included, for Walk to check) to parse and commit,
+// and returns where its last whole frame ends: with ErrTruncated the segment
+// is cut back to there and kept, with another error it is quarantined — and
+// walk must have committed nothing of it. A file too short for the magic is a
+// crash between create and header write, and is removed.
 func (l *Log) Recover(walk func(seg *Segment, data []byte) (end int64, err error)) error {
 	ents, err := l.fs.ReadDir(l.dir)
 	if err != nil {
@@ -150,10 +151,7 @@ func (l *Log) Recover(walk func(seg *Segment, data []byte) (end int64, err error
 			l.fs.Remove(seg.path)
 			continue
 		}
-		end, werr := int64(0), ErrMagic
-		if string(data[:len(Magic)]) == Magic {
-			end, werr = walk(seg, data)
-		}
+		end, werr := walk(seg, data)
 		if errors.Is(werr, ErrTruncated) {
 			if err := f.Truncate(end); err != nil {
 				f.Close()
@@ -184,6 +182,9 @@ func (l *Log) path(seq uint64) string {
 // — a torn append, when data is a whole file — or with the damage found, or
 // with fn's error; the frames before end are good either way.
 func Walk(data []byte, fn func(payload []byte, off int64, n int) error) (end int64, err error) {
+	if !bytes.HasPrefix(data, []byte(Magic)) {
+		return 0, ErrMagic
+	}
 	end = int64(len(Magic))
 	for end < int64(len(data)) {
 		payload, n, err := Wire.NextFrame(data[end:], MaxFrame)
@@ -251,12 +252,10 @@ func (l *Log) Append(seg *Segment, buf []byte) (int64, error) {
 
 // Read returns the payload of the n-byte frame at off in seg, its length and
 // checksum verified. Close releases the segments' handles, but their bytes
-// are durable, so a read after it — the final save of a shutdown — opens the
-// file read-only; reopened, when not nil, keeps those handles for the caller
-// to close, one open per segment instead of one per frame.
-func (l *Log) Read(seg *Segment, off int64, n int, reopened map[*Segment]File) ([]byte, error) {
+// are durable, so a read after it opens the file read-only for that read.
+func (l *Log) Read(seg *Segment, off int64, n int) ([]byte, error) {
 	buf := make([]byte, n)
-	if err := l.readAt(seg, buf, off, reopened); err != nil {
+	if err := l.readAt(seg, buf, off); err != nil {
 		return nil, err
 	}
 	payload, got, err := Wire.NextFrame(buf, MaxFrame)
@@ -272,25 +271,19 @@ func (l *Log) Read(seg *Segment, off int64, n int, reopened map[*Segment]File) (
 // Contents reads the whole of a segment.
 func (l *Log) Contents(seg *Segment) ([]byte, error) {
 	data := make([]byte, seg.Size())
-	return data, l.readAt(seg, data, 0, nil)
+	return data, l.readAt(seg, data, 0)
 }
 
-func (l *Log) readAt(seg *Segment, buf []byte, off int64, reopened map[*Segment]File) error {
+func (l *Log) readAt(seg *Segment, buf []byte, off int64) error {
 	_, err := seg.f.ReadAt(buf, off)
 	if !errors.Is(err, os.ErrClosed) {
 		return err
 	}
-	f := reopened[seg]
-	if f == nil {
-		if f, err = l.fs.OpenFile(seg.path, os.O_RDONLY, 0); err != nil {
-			return err
-		}
-		if reopened != nil {
-			reopened[seg] = f
-		} else {
-			defer f.Close()
-		}
+	f, err := l.fs.OpenFile(seg.path, os.O_RDONLY, 0)
+	if err != nil {
+		return err
 	}
+	defer f.Close()
 	_, err = f.ReadAt(buf, off)
 	return err
 }

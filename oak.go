@@ -580,3 +580,7 @@ func ReportFromHAR(data []byte, userID string) (*Report, error) {
 //	engine.SaveStateFile("oak-state.json")
 //	// ... later:
 //	src, err := engine.LoadStateFile("oak-state.json") // src: fresh/snapshot/backup
+//
+// With WithProfileResidency the file is a checkpoint of the resident profiles
+// only, and means something only beside the same spill directory; to move
+// state elsewhere, ship ExportSnapshot, which is complete.
