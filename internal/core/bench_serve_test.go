@@ -79,8 +79,8 @@ func benchServeEngine(b *testing.B, rs []*rules.Rule, opts ...Option) *Engine {
 const benchServeRuleCount = 8
 
 // BenchmarkModifyPageCold measures the per-request rewrite with no rewrite
-// cache: the compiled applier recomputes the page every time (the
-// activation derivation itself is still epoch-cached, as in production).
+// cache: every request derives the activation set, compiles an applier and
+// recomputes the page, as production does with -rewrite-cache 0.
 func BenchmarkModifyPageCold(b *testing.B) {
 	rs := benchServeRules(benchServeRuleCount)
 	page := benchServePage(rs)

@@ -556,34 +556,28 @@ func (e *Engine) reconcileActiveRules(sh *shard, prof *Profile, v Violation, now
 	return handled
 }
 
-// noActivations is the activation view of a user with nothing to apply:
-// unknown, or spilled with a record that carries no activation.
-var noActivations = &actCacheEntry{}
-
-// activationViewLocked returns the compiled activation view userID's pages at
-// path are served from: the resident profile's memoized one, the empty one
-// for a user with no profile or a spilled record without activations (two
-// map probes, no disk), or — only when disk allows it — one derived from a
-// spilled record read where it lies (viewRecord; nothing is installed). ok is
-// false when the view needs the disk and disk is false, or the record could
-// not be read. Caller holds sh.mu (read suffices); the returned entry is
-// immutable and stays valid after the lock is released.
-func (e *Engine) activationViewLocked(sh *shard, userID, path string, disk bool) (ent *actCacheEntry, ok bool) {
-	if prof, resident := sh.profiles[userID]; resident {
-		return prof.cachedActivations(path, e.now()), true
+// activationViewLocked derives, into buf, the activation view userID's pages
+// at path are served from at e.now(): from the resident profile; empty for a
+// user with no profile or a spilled record without activations (two map
+// probes, no disk); or — only when disk allows it — from a spilled record read
+// where it lies (viewRecord; nothing is installed). ok is false, with an empty
+// view, when the view needs the disk and disk is false, or the record could
+// not be read. Caller holds sh.mu (read suffices).
+func (e *Engine) activationViewLocked(sh *shard, userID, path string, disk bool, buf []rules.Activation) (v actView, ok bool) {
+	prof, resident := sh.profiles[userID]
+	if !resident {
+		ref, spilled := sh.spilled[userID]
+		if !spilled || !ref.active {
+			return actView{}, true
+		}
+		if !disk {
+			return actView{}, false
+		}
+		if prof = e.viewRecord(ref); prof == nil {
+			return actView{}, false
+		}
 	}
-	ref, spilled := sh.spilled[userID]
-	if !spilled || !ref.active {
-		return noActivations, true
-	}
-	if !disk {
-		return nil, false
-	}
-	prof := e.viewRecord(ref)
-	if prof == nil {
-		return nil, false
-	}
-	return prof.deriveEntry(path, e.now(), 0), true
+	return prof.viewAt(path, e.now(), buf), true
 }
 
 // activationView is activationViewLocked for callers holding no lock. It
@@ -592,43 +586,37 @@ func (e *Engine) activationViewLocked(sh *shard, userID, path string, disk bool)
 // drop the ref) is rehydrateLocked's to decide, under the write lock, and the
 // user is then served from whatever that left — their profile if the read
 // succeeded after all, otherwise nothing, the untouched page.
-func (e *Engine) activationView(userID, path string) *actCacheEntry {
+func (e *Engine) activationView(userID, path string, buf []rules.Activation) actView {
 	sh := e.shardFor(userID)
 	sh.mu.RLock()
-	ent, ok := e.activationViewLocked(sh, userID, path, true)
+	v, ok := e.activationViewLocked(sh, userID, path, true, buf)
 	sh.mu.RUnlock()
 	if ok {
-		return ent
+		return v
 	}
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	e.rehydrateLocked(sh, userID)
-	if prof, ok := sh.profiles[userID]; ok {
-		return prof.cachedActivations(path, e.now())
-	}
-	return noActivations
+	v, _ = e.activationViewLocked(sh, userID, path, false, buf)
+	return v
 }
 
 // ActiveRules returns the rule applications live for the user on the given
-// page path, in deterministic order. The derivation is memoized per
-// (profile, path) against the profile's activation epoch, so repeated calls
-// while the user's state is stable do not rescan the profile; the returned
-// slice is the caller's to keep.
+// page path at this instant, sorted by rule ID: what a serve of the page now
+// would apply. Each call derives the list afresh from the profile (or the
+// spilled record); the returned slice is the caller's to keep.
 func (e *Engine) ActiveRules(userID, path string) []rules.Activation {
-	ent := e.activationView(userID, path)
-	if len(ent.acts) == 0 {
-		return nil
-	}
-	return append([]rules.Activation(nil), ent.acts...)
+	return e.activationView(userID, path, nil).acts
 }
 
 // ActivationFingerprint returns the fingerprint of the user's activation
-// set for path: a cheap hash over the path and every (rule ID, alternative)
-// pair. Zero means no in-scope activations — the page would be served
-// untouched. Equal fingerprints guarantee byte-identical rewrites of the same
-// page.
+// set for path at this instant: a cheap hash over the path and every (rule
+// ID, alternative) pair, derived afresh on each call. Zero means no in-scope
+// activations — the page would be served untouched. Equal fingerprints
+// guarantee byte-identical rewrites of the same page.
 func (e *Engine) ActivationFingerprint(userID, path string) uint64 {
-	return e.activationView(userID, path).fp
+	var buf [viewBufLen]rules.Activation
+	return e.activationView(userID, path, buf[:0]).fp
 }
 
 // Rewrite is the outcome of rewriting one outgoing page for one user.
@@ -663,15 +651,17 @@ func (e *Engine) ModifyPage(userID, path, page string) (string, []rules.Applied)
 }
 
 // RewritePage is ModifyPage with the full result: rewritten page, Applied
-// records, precomputed header value, and cache provenance. The fast path —
-// a user whose activations have not changed since the last request for this
-// page — costs one content hash and one cache probe; a user with no
+// records, precomputed header value, and cache provenance. Every call derives
+// the user's in-scope activations and their fingerprint under the shard's
+// read lock; the fast path — a (page, activation set) the rewrite cache holds
+// — then costs one content hash and one cache probe, and a user with no
 // in-scope activations costs neither and allocates nothing. A spilled user's
 // activations survive eviction transparently: their record is read in place
 // (activationView), and the request moves nothing between memory and disk.
 func (e *Engine) RewritePage(userID, path, page string) Rewrite {
 	start := time.Now()
-	rw, _ := e.rewriteFrom(e.activationView(userID, path), path, page, true)
+	var buf [viewBufLen]rules.Activation
+	rw, _ := e.rewriteFrom(e.activationView(userID, path, buf[:0]), path, page, true)
 	e.observeRewrite(userID, path, page, start, rw)
 	return rw
 }
@@ -690,12 +680,13 @@ func (e *Engine) RewriteCached(userID, path, page string) (Rewrite, bool) {
 	if !sh.mu.TryRLock() {
 		return Rewrite{}, false
 	}
-	ent, ok := e.activationViewLocked(sh, userID, path, false)
+	var buf [viewBufLen]rules.Activation
+	v, ok := e.activationViewLocked(sh, userID, path, false, buf[:0])
 	sh.mu.RUnlock()
 	if !ok {
 		return Rewrite{}, false
 	}
-	rw, ok := e.rewriteFrom(ent, path, page, false)
+	rw, ok := e.rewriteFrom(v, path, page, false)
 	if !ok {
 		return Rewrite{}, false
 	}
@@ -706,14 +697,14 @@ func (e *Engine) RewriteCached(userID, path, page string) (Rewrite, bool) {
 // rewriteFrom serves page under one activation view, with compute
 // controlling the miss behavior: true computes and caches the rewrite,
 // false reports ok=false so the caller can fall back to the full path. The
-// view is immutable, so no lock is held.
-func (e *Engine) rewriteFrom(ent *actCacheEntry, path, page string, compute bool) (Rewrite, bool) {
-	if ent.fp == 0 {
+// view shares nothing ingest writes, so no lock is held.
+func (e *Engine) rewriteFrom(v actView, path, page string, compute bool) (Rewrite, bool) {
+	if v.fp == 0 {
 		return Rewrite{HTML: page}, true
 	}
 	var key rewriteKey
 	if e.rewriteCache != nil {
-		key = rewriteKey{page: e.rewriteCache.hash(page), fp: ent.fp}
+		key = rewriteKey{page: e.rewriteCache.hash(page), fp: v.fp}
 		if en, ok := e.rewriteCache.get(key, page); ok {
 			return Rewrite{HTML: en.html, Applied: en.applied, Hint: en.hint, CacheHit: true, ETag: en.tag}, true
 		}
@@ -721,7 +712,7 @@ func (e *Engine) rewriteFrom(ent *actCacheEntry, path, page string, compute bool
 	if !compute {
 		return Rewrite{}, false
 	}
-	out, applied, clean := e.applySafely(ent, path, page)
+	out, applied, clean := e.applySafely(v, path, page)
 	rw := Rewrite{HTML: out, Applied: applied, Hint: rules.CacheHintValue(applied)}
 	if clean && e.rewriteCache != nil {
 		// Panic-path results are never cached: serving them is safe, but

@@ -495,8 +495,9 @@ func containsString(list []string, s string) bool {
 	return false
 }
 
-// applySafely is the serve path's panic-isolated rewrite: the compiled
-// applier runs under recover(); if it panics, the activations are re-applied
+// applySafely is the serve path's panic-isolated rewrite, and the one place
+// an applier is compiled: the view's activations are compiled and applied
+// under recover(); if either panics, the activations are re-applied
 // one rule at a time through the sequential reference, each individually
 // recovered (quarantined rules skipped, panicking rules attributed via
 // noteRulePanic); a rule that cannot be applied simply contributes nothing,
@@ -506,7 +507,7 @@ func containsString(list []string, s string) bool {
 // stop the panic count from ever reaching the quarantine threshold).
 // Panic isolation is always on, guard or not. Caller holds no shard lock: a
 // rule crossing the panic threshold is rolled back from here (noteRulePanic).
-func (e *Engine) applySafely(ent *actCacheEntry, path, page string) (out string, applied []rules.Applied, clean bool) {
+func (e *Engine) applySafely(v actView, path, page string) (out string, applied []rules.Applied, clean bool) {
 	out, clean = page, true
 	func() {
 		defer func() {
@@ -518,7 +519,7 @@ func (e *Engine) applySafely(ent *actCacheEntry, path, page string) (out string,
 				}
 			}
 		}()
-		out, applied = ent.applier.Apply(page)
+		out, applied = rules.NewApplier(v.acts, path).Apply(page)
 	}()
 	if clean {
 		return out, applied, true
@@ -526,7 +527,7 @@ func (e *Engine) applySafely(ent *actCacheEntry, path, page string) (out string,
 	// Degraded pass: per-rule sequential application so one poisoned rule
 	// cannot take the others down with it.
 	out, applied = page, nil
-	for _, act := range ent.acts {
+	for _, act := range v.acts {
 		if act.Rule == nil {
 			continue
 		}

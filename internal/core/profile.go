@@ -1,9 +1,9 @@
 package core
 
 import (
+	"slices"
 	"sort"
-	"sync"
-	"sync/atomic"
+	"strings"
 	"time"
 
 	"oak/internal/rules"
@@ -58,24 +58,6 @@ type Profile struct {
 	// last-report time (spillRef.supersedes).
 	version uint64
 
-	// epoch increments on every activation-state change (activate,
-	// deactivate, prune, observed expiry). Readers validate cached
-	// derivations against it instead of rescanning the active map, so the
-	// serve path pays nothing while a user's activations are stable.
-	epoch atomic.Uint64
-	// nextExpiry is the earliest ExpiresAt among live activations in unix
-	// nanoseconds (0 = none). The read path checks it to observe TTL expiry
-	// lazily — a rule lapsing between two reports bumps the epoch on the
-	// first read past the deadline, not on the next ingest.
-	nextExpiry atomic.Int64
-	// cacheMu guards actCache. Mutations of the activation state itself
-	// happen under the owning shard's write lock; the little mutex only
-	// serialises concurrent readers publishing derived entries.
-	cacheMu sync.Mutex
-	// actCache memoizes the per-path derived activation view (activation
-	// slice, fingerprint, compiled applier), keyed by page path.
-	actCache map[string]*actCacheEntry
-
 	// sizeEst is the profile's last heap-footprint estimate in bytes
 	// (estimateSize), the unit the residency byte cap counts in. Maintained
 	// only on engines with a residency cap, under the owning shard's write
@@ -83,22 +65,20 @@ type Profile struct {
 	sizeEst int
 }
 
-// maxActCachePaths bounds the per-profile activation cache; a profile
-// browsing more distinct paths than this resets the map rather than growing
-// without bound.
-const maxActCachePaths = 64
-
-// actCacheEntry is an immutable compiled view of one (profile, path)
-// activation state: the derived in-scope activation list, its fingerprint,
-// and the single-pass applier compiled from it. Published entries are never
-// mutated; validity is (same profile epoch, earliest-expiry not passed).
-type actCacheEntry struct {
-	epoch   uint64 // profile epoch at derivation
-	expires int64  // earliest ExpiresAt (unixnano) among acts; 0 = none
-	acts    []rules.Activation
-	fp      uint64         // activation fingerprint; 0 ⇔ no in-scope activations
-	applier *rules.Applier // nil when fp == 0
+// actView is the activation set one serve of a page works from: the user's
+// live activations in scope for the page's path at the serve's instant,
+// sorted by rule ID, and their fingerprint. Each serve derives its own under
+// the shard lock; it shares nothing ingest writes, so it stays valid after
+// the lock is released, and a TTL lapse needs no invalidation.
+type actView struct {
+	acts []rules.Activation
+	fp   uint64 // activation fingerprint; 0 ⇔ no in-scope activations
 }
+
+// viewBufLen is how many in-scope activations a serve derives into a stack
+// buffer; a user with more costs one allocation, sized to their live
+// activations.
+const viewBufLen = 8
 
 // newProfile creates an empty profile for a user.
 func newProfile(userID string) *Profile {
@@ -139,8 +119,6 @@ func (p *Profile) activate(r *rules.Rule, altIndex int, now time.Time, server st
 	// the returned activation, and any later organic (re-)activation —
 	// meaning the user's own evidence now justifies the rule — clears it.
 	a.Synthesized = false
-	p.noteExpiry(a.ExpiresAt)
-	p.epoch.Add(1)
 	return a
 }
 
@@ -148,7 +126,6 @@ func (p *Profile) activate(r *rules.Rule, altIndex int, now time.Time, server st
 // write lock.
 func (p *Profile) deactivate(ruleID string) {
 	delete(p.active, ruleID)
-	p.epoch.Add(1)
 }
 
 // expiredActivation identifies one pruned activation by its rule.
@@ -166,115 +143,32 @@ func (p *Profile) pruneExpired(now time.Time) []expiredActivation {
 			removed = append(removed, expiredActivation{ID: id})
 		}
 	}
-	if len(removed) > 0 {
-		// nextExpiry may point at a removed activation; re-derive it from
-		// the survivors (safe under the write lock — no reader runs).
-		p.nextExpiry.Store(0)
-		for _, a := range p.active {
-			p.noteExpiry(a.ExpiresAt)
-		}
-		p.epoch.Add(1)
-	}
 	sort.Slice(removed, func(i, j int) bool { return removed[i].ID < removed[j].ID })
 	return removed
 }
 
-// noteExpiry lowers nextExpiry to t if t is an earlier (non-zero) deadline.
-func (p *Profile) noteExpiry(t time.Time) {
-	if t.IsZero() {
-		return
-	}
-	n := t.UnixNano()
-	for {
-		cur := p.nextExpiry.Load()
-		if cur != 0 && cur <= n {
-			return
-		}
-		if p.nextExpiry.CompareAndSwap(cur, n) {
-			return
-		}
-	}
-}
-
-// observeExpiry bumps the epoch once when the earliest activation deadline
-// has passed, so read paths notice TTL expiry without waiting for the next
-// ingest. The CAS makes the bump exactly-once per deadline under concurrent
-// readers; the next derivation re-arms nextExpiry for the survivors.
-// ActiveRule.Expired is strict (now.After), so the bump is too.
-func (p *Profile) observeExpiry(now time.Time) {
-	ne := p.nextExpiry.Load()
-	if ne != 0 && now.UnixNano() > ne {
-		if p.nextExpiry.CompareAndSwap(ne, 0) {
-			p.epoch.Add(1)
-		}
-	}
-}
-
-// cachedActivations returns the memoized compiled activation view for path,
-// deriving (and publishing) it only when the profile epoch or an expiry
-// deadline has invalidated the cached entry. Callers must hold the owning
-// shard's lock (read or write); the returned entry and everything it
-// references are immutable.
-func (p *Profile) cachedActivations(path string, now time.Time) *actCacheEntry {
-	p.observeExpiry(now)
-	ep := p.epoch.Load()
-	p.cacheMu.Lock()
-	if ent, ok := p.actCache[path]; ok && ent.epoch == ep &&
-		(ent.expires == 0 || now.UnixNano() <= ent.expires) {
-		p.cacheMu.Unlock()
-		return ent
-	}
-	p.cacheMu.Unlock()
-
-	ent := p.deriveEntry(path, now, ep)
-
-	p.cacheMu.Lock()
-	if p.actCache == nil || len(p.actCache) >= maxActCachePaths {
-		p.actCache = make(map[string]*actCacheEntry, 8)
-	}
-	p.actCache[path] = ent
-	p.cacheMu.Unlock()
-	return ent
-}
-
-// deriveEntry builds a fresh activation view for path at time now. It also
-// re-arms nextExpiry from the full live activation set, completing the
-// lazy-expiry handshake started by observeExpiry. Caller holds the owning
-// shard's lock.
-func (p *Profile) deriveEntry(path string, now time.Time, ep uint64) *actCacheEntry {
-	ids := make([]string, 0, len(p.active))
-	var scopedExpiry time.Time
-	for id, a := range p.active {
-		if a.Expired(now) {
+// viewAt derives p's activation view for path at time now into buf's backing
+// array, or — when more activations are live than buf holds — into one
+// allocation sized to them all, so the list never grows. Caller holds the
+// owning shard's lock (read suffices).
+func (p *Profile) viewAt(path string, now time.Time, buf []rules.Activation) actView {
+	acts := buf[:0]
+	for _, a := range p.active {
+		if a.Expired(now) || !a.Rule.InScope(path) {
 			continue
 		}
-		p.noteExpiry(a.ExpiresAt)
-		if !a.Rule.InScope(path) {
-			continue
+		if len(acts) == cap(acts) {
+			acts = append(make([]rules.Activation, 0, len(p.active)), acts...)
 		}
-		if !a.ExpiresAt.IsZero() && (scopedExpiry.IsZero() || a.ExpiresAt.Before(scopedExpiry)) {
-			scopedExpiry = a.ExpiresAt
-		}
-		ids = append(ids, id)
+		acts = append(acts, rules.Activation{Rule: a.Rule, AltIndex: a.AltIndex, Synthesized: a.Synthesized})
 	}
-	ent := &actCacheEntry{epoch: ep}
-	if !scopedExpiry.IsZero() {
-		ent.expires = scopedExpiry.UnixNano()
+	if len(acts) == 0 {
+		return actView{}
 	}
-	if len(ids) == 0 {
-		return ent
+	if len(acts) > 1 {
+		slices.SortFunc(acts, func(x, y rules.Activation) int { return strings.Compare(x.Rule.ID, y.Rule.ID) })
 	}
-	sort.Strings(ids)
-	ent.acts = make([]rules.Activation, 0, len(ids))
-	for _, id := range ids {
-		a := p.active[id]
-		ent.acts = append(ent.acts, rules.Activation{
-			Rule: a.Rule, AltIndex: a.AltIndex, Synthesized: a.Synthesized,
-		})
-	}
-	ent.fp = activationFingerprint(path, ent.acts)
-	ent.applier = rules.NewApplier(ent.acts, path)
-	return ent
+	return actView{acts: acts, fp: activationFingerprint(path, acts)}
 }
 
 // activationFingerprint hashes an in-scope activation set — page path and

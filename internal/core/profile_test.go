@@ -37,11 +37,11 @@ func TestProfileActivationsFilterScopeAndExpiry(t *testing.T) {
 	p.activate(forever, 0, now, "s", 1)
 
 	later := now.Add(time.Minute)
-	acts := p.deriveEntry("/b/page.html", later, 0).acts
+	acts := p.viewAt("/b/page.html", later, nil).acts
 	if len(acts) != 1 || acts[0].Rule.ID != "forever" {
 		t.Errorf("activations = %+v, want only forever", acts)
 	}
-	acts = p.deriveEntry("/a/page.html", later, 0).acts
+	acts = p.viewAt("/a/page.html", later, nil).acts
 	if len(acts) != 2 {
 		t.Errorf("activations = %+v, want scoped+forever", acts)
 	}

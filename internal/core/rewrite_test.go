@@ -57,52 +57,57 @@ func TestRewritePageUnknownUserNoOp(t *testing.T) {
 	}
 }
 
-// TestActivationEpochExpiryBoundary is the satellite expiry-boundary test: a
-// rule lapsing exactly between two ActiveRules calls — with no ingest in
-// between — must bump the profile epoch and invalidate both the activation
-// cache and the rewrite cache.
-func TestActivationEpochExpiryBoundary(t *testing.T) {
-	e, clock := activatedEngine(t, time.Minute, WithRewriteCache(16))
-
-	if got := e.ActiveRules("u1", "/index.html"); len(got) != 1 {
-		t.Fatalf("activations before expiry = %+v, want 1", got)
-	}
-	fpBefore := e.ActivationFingerprint("u1", "/index.html")
-	if fpBefore == 0 {
-		t.Fatal("fingerprint zero while a rule is active")
-	}
-	// Warm the rewrite cache.
-	rw := e.RewritePage("u1", "/index.html", rewriteTestPage)
-	if !strings.Contains(rw.HTML, "s2.net") {
-		t.Fatalf("warming rewrite did not apply: %q", rw.HTML)
-	}
-	rw = e.RewritePage("u1", "/index.html", rewriteTestPage)
-	if !rw.CacheHit {
-		t.Fatal("second rewrite should hit the cache")
-	}
-
-	// At exactly ExpiresAt the rule is still active (Expired uses After).
-	clock.Advance(time.Minute)
-	if got := e.ActiveRules("u1", "/index.html"); len(got) != 1 {
-		t.Fatalf("activations at exact expiry instant = %+v, want still 1", got)
-	}
-	rw = e.RewritePage("u1", "/index.html", rewriteTestPage)
-	if !strings.Contains(rw.HTML, "s2.net") {
-		t.Errorf("rewrite at exact expiry instant lost the rule: %q", rw.HTML)
-	}
-
-	// One nanosecond past the deadline the activation is gone — observed on
-	// the read path with no ingest.
-	clock.Advance(time.Nanosecond)
-	if got := e.ActiveRules("u1", "/index.html"); len(got) != 0 {
-		t.Fatalf("activations after expiry = %+v, want none", got)
-	}
-	if fp := e.ActivationFingerprint("u1", "/index.html"); fp != 0 {
-		t.Errorf("fingerprint after expiry = %d, want 0", fp)
-	}
-	rw = e.RewritePage("u1", "/index.html", rewriteTestPage)
-	if rw.HTML != rewriteTestPage || rw.CacheHit {
-		t.Errorf("rewrite after expiry = %+v, want untouched page, no cache hit", rw)
+// TestActivationExpiryBoundary: a rule lapsing exactly between two serves —
+// with no ingest in between — must show on the first serve past the deadline,
+// for a resident and a spilled user, with the rewrite cache on and off. Each
+// serve derives the user's activations at its own instant, so there is
+// nothing to invalidate; a rewrite cache entry for the old activation set
+// simply stops being asked for.
+func TestActivationExpiryBoundary(t *testing.T) {
+	for _, layout := range []string{"resident", "spilled"} {
+		for _, cache := range []int{16, 0} {
+			t.Run(fmt.Sprintf("%s/cache=%d", layout, cache), func(t *testing.T) {
+				opts := []Option{WithRewriteCache(cache)}
+				if layout == "spilled" {
+					opts = append(opts, WithShards(1),
+						WithProfileResidency(ResidencyConfig{Dir: t.TempDir(), MaxProfiles: 1}))
+				}
+				e, clock := activatedEngine(t, time.Minute, opts...)
+				t.Cleanup(func() { e.Close() })
+				if layout == "spilled" {
+					forceSpill(t, e, "u1")
+				}
+				serve := func(when string, wantRule, wantHit bool) {
+					t.Helper()
+					rw := e.RewritePage("u1", "/index.html", rewriteTestPage)
+					if got := strings.Contains(rw.HTML, "s2.net"); got != wantRule {
+						t.Fatalf("%s: rewrite applied the rule = %v, want %v: %q", when, got, wantRule, rw.HTML)
+					}
+					if rw.CacheHit != wantHit {
+						t.Fatalf("%s: CacheHit = %v, want %v", when, rw.CacheHit, wantHit)
+					}
+					if !wantRule && (rw.HTML != rewriteTestPage || rw.Applied != nil || rw.ETag != "") {
+						t.Fatalf("%s: rewrite = %+v, want the untouched page", when, rw)
+					}
+					n, fp := len(e.ActiveRules("u1", "/index.html")), e.ActivationFingerprint("u1", "/index.html")
+					if wantRule != (n == 1) || wantRule != (fp != 0) {
+						t.Fatalf("%s: %d active rules, fingerprint %d; want the rule live = %v", when, n, fp, wantRule)
+					}
+				}
+				serve("before expiry", true, false)
+				serve("warm", true, cache > 0)
+				// At exactly ExpiresAt the rule is still active (Expired uses After).
+				clock.Advance(time.Minute)
+				serve("at the exact expiry instant", true, cache > 0)
+				// One nanosecond past the deadline the activation is gone, on the
+				// first serve, with no ingest.
+				clock.Advance(time.Nanosecond)
+				serve("past the deadline", false, false)
+				if got := e.Residency("u1"); got != layout {
+					t.Errorf("Residency(u1) = %q after serving, want %q", got, layout)
+				}
+			})
+		}
 	}
 }
 
@@ -240,7 +245,8 @@ func TestRewriteNoOpPathZeroAlloc(t *testing.T) {
 
 // TestModifyPageConcurrentWithIngest hammers the serve path against
 // ingest-driven activation changes and TTL expiry; run with -race this
-// checks the epoch/cache machinery publishes entries safely.
+// checks that a view derived under the read lock shares nothing ingest
+// writes, and that the rewrite cache publishes entries safely.
 func TestModifyPageConcurrentWithIngest(t *testing.T) {
 	clock := newTestClock()
 	e, err := NewEngine([]*rules.Rule{jqRule(50 * time.Millisecond)},

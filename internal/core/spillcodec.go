@@ -350,9 +350,6 @@ func (e *Engine) profileFromRecord(pp *persistedProfile, now time.Time, guarded 
 			Activations:     pa.Activations,
 			Synthesized:     pa.Synthesized,
 		}
-		// Arm lazy expiry so a TTL'd activation lapses on the serve path
-		// just like a live-activated one.
-		prof.noteExpiry(pa.ExpiresAt)
 	}
 	prof.sizeEst = prof.estimateSize()
 	return prof, barred

@@ -6,14 +6,15 @@ import (
 	"sync"
 )
 
-// Compiled rule application: an activation set is compiled once per
-// (activation epoch, page path) into an Applier that rewrites pages in a
-// single scan, instead of the reference Apply's one Count + one ReplaceAll
-// pass per rule. The applier collects every occurrence of every rule's
-// default text in one multi-pattern sweep (first-byte dispatch), resolves
-// the occurrences in rule order with the same non-overlapping discipline
-// strings.ReplaceAll uses, and assembles the output through a sync.Pool'd
-// buffer.
+// Compiled rule application: an activation set is compiled, for one page
+// path, into an Applier that rewrites a page in a single scan, instead of the
+// reference Apply's one Count + one ReplaceAll pass per rule. The engine
+// compiles one for each rewrite it computes (a rewrite-cache miss, or every
+// rewrite with the cache off) and keeps none. The applier collects every
+// occurrence of every rule's default text in one multi-pattern sweep
+// (first-byte dispatch), resolves the occurrences in rule order with the same
+// non-overlapping discipline strings.ReplaceAll uses, and assembles the
+// output through a sync.Pool'd buffer.
 //
 // Equivalence: Applier.Apply is byte-identical to the sequential reference
 // Apply for every page (FuzzApplyEquivalence asserts this). Sequential

@@ -20,7 +20,10 @@
 # unique and over-length tokens against its memory bound, and concurrent JSON
 # and OAKRPT1 decoders over colliding URLs under -race) are a named step. A
 # one-iteration serve benchmark run keeps the benchmark
-# code compiling, and the ingest smoke additionally gates the steady-state
+# code compiling; beside it a gate holds the live heap that serving 400
+# activated users on twelve paths adds to what the rewrite cache holds plus
+# 1 MB, and the serve-path concurrency tests run five times under -race; the
+# ingest smoke additionally gates the steady-state
 # JSON ingest path at <= 8 allocs/op (TestHandleReportSteadyStateAllocs),
 # so a scratch buffer or pool silently falling out of reuse fails the
 # verify by name; two more gates do the same for the staged HTTP bodies —
@@ -98,7 +101,9 @@
 # the process-global spill failpoint returns, if non-test internal/core makes a
 # file call of its own instead of going through the seglog.FS seam, if
 # internal/seglog imports internal/core, if spill.go reaches 600 lines or
-# non-test internal/core plus internal/seglog 6,894, if
+# non-test internal/core plus internal/seglog 6,777, if a second serve-side
+# memory comes back beside the rewrite cache (a per-profile activation memo:
+# epoch, nextExpiry, actCache, cacheMu, cachedActivations), if
 # recovery grows back its staging map (byUser), if the boot merge compares times
 # outside its one predicate (ref.last.After( in persist.go), if a second site
 # bumps a profile's version, or if non-test code grows back a runtime rule swap,
@@ -181,6 +186,13 @@ go test -race -run 'TestInternTableUnderConcurrentDecoders' -count=5 ./internal/
 echo "== serve-path benchmark smoke (1 iteration) =="
 go test -run '^$' -bench 'BenchmarkModifyPage' -benchtime 1x ./internal/core
 
+echo "== serve memory gate: serving keeps nothing per user beyond the rewrite cache; deriving a view allocates nothing =="
+out=$(go test -count=1 -run 'TestServingRetainsNoPerUserState|TestActivationViewAllocatesNothing|TestRewriteNoOpPathZeroAlloc' -v ./internal/core) || { echo "$out" >&2; exit 1; }
+echo "$out" | grep -E -e '--- PASS|heap growth|byte cap'
+
+echo "== serve path under -race, five times: views derived under the read lock against ingest, eviction storms and the capped/uncapped differential =="
+go test -race -run 'TestModifyPageConcurrentWithIngest|TestServeSpilledUserUnderEvictionStorm|TestCappedServesWhatUncappedServes' -count=5 ./internal/core
+
 echo "== ingest bench smoke + steady-state alloc gate (JSON path <= 8 allocs/op) =="
 go test -run 'TestHandleReportSteadyStateAllocs' -count=1 ./internal/core
 go test -run '^$' -bench 'BenchmarkHandleReportSerial$|BenchmarkIngest(JSON|Binary)$' -benchtime 1x ./internal/core
@@ -218,7 +230,7 @@ echo "== checkpoint holds residents only: a capped save reads no record, an unca
 out=$(go test -count=1 -run 'TestCheckpointHoldsResidentsOnly|TestUncappedSaveIsTheSnapshot|TestBootAdoptsTheLog/one_segment_damaged' -v ./internal/core) || { echo "$out" >&2; exit 1; }
 echo "$out" | grep -E -e '--- PASS|gone with'
 
-echo "== structure check: one segment writer, one sequence allocator, one segment walker, one file seam, one merge predicate, one version bump, one home for an activation, one rule set per process, one home for a user, one reference decoder, one JSON scanner =="
+echo "== structure check: one segment writer, one sequence allocator, one segment walker, one file seam, one serve cache, one merge predicate, one version bump, one home for an activation, one rule set per process, one home for a user, one reference decoder, one JSON scanner =="
 fail() { echo "structure check failed: $1" >&2; exit 1; }
 seglog_go=$(ls internal/seglog/*.go | grep -v '_test\.go$')
 core_go=$(ls internal/core/*.go | grep -v '_test\.go$')
@@ -242,9 +254,12 @@ if grep -n '"oak/internal/core"' $seglog_go; then
 fi
 spill_lines=$(wc -l <internal/core/spill.go)
 log_lines=$(cat $core_go $seglog_go | wc -l)
-echo "spill.go: $spill_lines lines (< 600); non-test internal/core + internal/seglog: $log_lines lines (<= 6894)"
+echo "spill.go: $spill_lines lines (< 600); non-test internal/core + internal/seglog: $log_lines lines (<= 6777)"
 [ "$spill_lines" -lt 600 ] || fail "line-budget: spill.go has $spill_lines lines, want under 600"
-[ "$log_lines" -le 6894 ] || fail "line-budget: non-test internal/core + internal/seglog has $log_lines lines, want at most 6894"
+[ "$log_lines" -le 6777 ] || fail "line-budget: non-test internal/core + internal/seglog has $log_lines lines, want at most 6777"
+if grep -n 'epoch\|nextExpiry\|actCache\|cacheMu\|cachedActivations' $core_go; then
+	fail "one-serve-cache: non-test internal/core keeps a per-profile activation memo again (each serve derives its view under the shard lock; the rewrite cache is the serve path's only memory)"
+fi
 if grep -n 'byUser' internal/core/spill.go internal/core/spillboot.go; then
 	fail "recovery-commits-in-place: the spill tier mentions byUser (recoverSpill commits each segment's frames into the shards' presized indexes, no per-user staging map)"
 fi
