@@ -247,6 +247,11 @@ func loadState(engine *oak.Engine, path string) error {
 		log.Printf("oakd: restored state for %d users from %s: %s", engine.Users(), path, bootSplit(engine))
 	case oak.StateBackup:
 		log.Printf("oakd: primary state file unusable; recovered %d users from backup %s: %s", engine.Users(), path+".bak", bootSplit(engine))
+	case oak.StateFresh:
+		if bs := engine.BootStatus(); bs.Checksummed > 0 {
+			log.Printf("oakd: no state file at %s; the spill log holds %d users, %d segments quarantined; recover %v; %s",
+				path, engine.Users(), bs.QuarantinedSegments, bs.Recover.Round(100*time.Microsecond), indexOutcome(bs))
+		}
 	}
 	return nil
 }
@@ -260,9 +265,19 @@ func bootSplit(engine *oak.Engine) string {
 	if bs.DecodeFallback != "" {
 		decode += ": encoding/json fallback, " + bs.DecodeFallback
 	}
-	return fmt.Sprintf("%d installed resident, %d adopted from the spill log (%d state-file copies superseded), %d segments quarantined; recover %v, load %v (%s)",
+	return fmt.Sprintf("%d installed resident, %d adopted from the spill log (%d state-file copies superseded), %d segments quarantined; recover %v, load %v (%s); %s",
 		bs.Installed, bs.Adopted, bs.Superseded, bs.QuarantinedSegments,
-		bs.Recover.Round(100*time.Microsecond), bs.Load.Round(100*time.Microsecond), decode)
+		bs.Recover.Round(100*time.Microsecond), bs.Load.Round(100*time.Microsecond), decode, indexOutcome(bs))
+}
+
+// indexOutcome says what the segment replay made of the spill index the last
+// checkpoint wrote, and how many record bytes it checksummed and decoded.
+func indexOutcome(bs oak.BootStatus) string {
+	kb := func(n int64) string { return fmt.Sprintf("%.1f KB", float64(n)/1024) }
+	if bs.IndexFallback != "" {
+		return fmt.Sprintf("spill index not used (%s): %s checksummed and decoded", bs.IndexFallback, kb(bs.Checksummed))
+	}
+	return fmt.Sprintf("spill index: %d entries adopted, %s checksummed, %s decoded", bs.IndexAdopted, kb(bs.Checksummed), kb(bs.Decoded))
 }
 
 // saveState persists engine state crash-safely: checksummed snapshot,

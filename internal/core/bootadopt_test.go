@@ -123,7 +123,7 @@ func TestNewerWinsMerge(t *testing.T) {
 				}
 			}
 			e := newSpillEngine(t, newTestClock(), ResidencyConfig{Dir: dir, MaxProfiles: 10})
-			ref, indexed := e.shards[0].spilled["u"]
+			ref, indexed := e.shards[0].spilled.get("u")
 			if indexed != (tc.record != nil && !tc.damaged) {
 				t.Fatalf("record indexed = %v", indexed)
 			}
@@ -201,15 +201,34 @@ func TestBootAdoptsTheLog(t *testing.T) {
 		dir, state string
 		e          *Engine
 	}
-	boot := func(t *testing.T, w *world, opts ...Option) {
+	engineOn := func(t *testing.T, w *world, dir string, opts ...Option) *Engine {
 		t.Helper()
-		var err error
-		w.e, err = NewEngine([]*rules.Rule{jqRule(0)}, append(opts, WithClock(w.clock.Now), WithShards(4),
-			WithProfileResidency(ResidencyConfig{Dir: w.dir, MaxProfiles: maxResident, SegmentBytes: 8 << 10}))...)
+		e, err := NewEngine([]*rules.Rule{jqRule(0)}, append(opts, WithClock(w.clock.Now), WithShards(4),
+			WithProfileResidency(ResidencyConfig{Dir: dir, MaxProfiles: maxResident, SegmentBytes: 8 << 10}))...)
 		if err != nil {
 			t.Fatal(err)
 		}
+		return e
+	}
+	boot := func(t *testing.T, w *world, opts ...Option) {
+		t.Helper()
+		w.e = engineOn(t, w, w.dir, opts...)
 		t.Cleanup(func() { w.e.Close() })
+	}
+	// bothWays: the files boot the same with the spill index as without it.
+	bothWays := func(t *testing.T, w *world, step string) BootStatus {
+		t.Helper()
+		users := make([]string, users)
+		for i := range users {
+			users[i] = fmt.Sprintf("user-%04d", i)
+		}
+		return bootsAgree(t, step, w.dir, users, func(dir string) *Engine {
+			e := engineOn(t, w, dir)
+			if _, err := e.LoadStateFile(w.state); err != nil {
+				t.Fatal(err)
+			}
+			return e
+		})
 	}
 	// traffic is n seeded reports, a third of them with a violator.
 	traffic := func(t *testing.T, w *world, rng *rand.Rand, n int) {
@@ -287,6 +306,9 @@ func TestBootAdoptsTheLog(t *testing.T) {
 			t.Fatal(err)
 		}
 		before := dirBytes(t, w.dir)
+		if bs := bothWays(t, w, "clean shutdown"); bs.IndexFallback != "" || bs.IndexAdopted < users-len(wantResident) {
+			t.Errorf("the boot after a clean shutdown did not adopt the index: %+v", bs)
+		}
 
 		boot(t, w)
 		if src, err := w.e.LoadStateFile(w.state); err != nil || src != StateSnapshot {
@@ -324,6 +346,7 @@ func TestBootAdoptsTheLog(t *testing.T) {
 		}
 		w.e.Close()
 		before := dirBytes(t, w.dir)
+		bothWays(t, w, "kill before the last save")
 
 		boot(t, w)
 		if _, err := w.e.LoadStateFile(w.state); err != nil {
@@ -366,6 +389,7 @@ func TestBootAdoptsTheLog(t *testing.T) {
 		}
 		// The victim is the segment that is the only record of the most users.
 		files := dirBytes(t, w.dir)
+		delete(files, spillIndexName) // the checkpoint's index of the segments
 		frames := map[string][]segFrame{}
 		holders := map[string]map[string]bool{} // user → segments with a record of it
 		for name, data := range files {

@@ -21,7 +21,7 @@ func segOf(t *testing.T, e *Engine, uid string) *seglog.Segment {
 	sh := e.shardFor(uid)
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	ref, ok := sh.spilled[uid]
+	ref, ok := sh.spilled.get(uid)
 	if !ok {
 		t.Fatalf("%s is not spilled", uid)
 	}

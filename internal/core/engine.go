@@ -566,7 +566,7 @@ func (e *Engine) reconcileActiveRules(sh *shard, prof *Profile, v Violation, now
 func (e *Engine) activationViewLocked(sh *shard, userID, path string, disk bool, buf []rules.Activation) (v actView, ok bool) {
 	prof, resident := sh.profiles[userID]
 	if !resident {
-		ref, spilled := sh.spilled[userID]
+		ref, spilled := sh.spilled.get(userID)
 		if !spilled || !ref.active {
 			return actView{}, true
 		}
@@ -763,9 +763,11 @@ func (e *Engine) Snapshot(userID string) (ProfileSnapshot, bool) {
 	sh.mu.RLock()
 	prof := sh.profiles[userID]
 	unreadable := false
-	if ref, spilled := sh.spilled[userID]; prof == nil && spilled {
-		prof = e.viewRecord(ref)
-		unreadable = prof == nil
+	if prof == nil {
+		if ref, spilled := sh.spilled.get(userID); spilled {
+			prof = e.viewRecord(ref)
+			unreadable = prof == nil
+		}
 	}
 	if !unreadable {
 		defer sh.mu.RUnlock()

@@ -212,20 +212,17 @@ func (e *Engine) eachPersisted(r HashRange, now time.Time, spilled bool, visit f
 		// population exports byte-identically to an all-resident one. The
 		// OAKPROF1 time encoding preserves the wall clock and offset exactly
 		// for this reason.
-		refs := sh.spilled
-		if !spilled {
-			refs = nil
-		}
-		for uid, ref := range refs {
-			if !r.Contains(userHash(uid)) {
-				continue
-			}
-			if ref.seg.Quarantined() {
-				continue // record lost with its segment
-			}
-			pp, err := e.spill.readRecord(ref)
-			if err != nil {
-				if seglog.IsDamage(err) {
+		var err error
+		if spilled {
+			sh.spilled.each(func(uid []byte, ref spillRef) bool {
+				if err != nil || !r.Contains(userHash(uid)) || ref.seg.Quarantined() {
+					return false // a quarantined record is lost with its segment
+				}
+				pp, rerr := e.spill.readRecord(ref)
+				switch {
+				case rerr == nil:
+					visit(e.withoutDead(*pp, now))
+				case seglog.IsDamage(rerr):
 					// Damaged record: the segment's bytes are proven bad, so
 					// quarantine it exactly as the rehydrate path would —
 					// healthz goes degraded and the loss shows up in the
@@ -233,19 +230,22 @@ func (e *Engine) eachPersisted(r HashRange, now time.Time, spilled bool, visit f
 					// omitting a user still indexed as spilled. The ref
 					// itself is dropped lazily on next touch (we hold only
 					// the read lock here).
-					e.spill.log.Quarantine(ref.seg, err)
-					continue
+					e.spill.log.Quarantine(ref.seg, rerr)
+				default:
+					// I/O failure: fail the walk rather than install a
+					// snapshot (or answer an audit) silently missing
+					// acknowledged profiles — the previous good snapshot
+					// stays in place and the segment records remain
+					// recoverable at next boot.
+					err = fmt.Errorf("engine: read spilled profile %q: %w", uid, rerr)
 				}
-				// I/O failure: fail the walk rather than install a snapshot
-				// (or answer an audit) silently missing acknowledged
-				// profiles — the previous good snapshot stays in place and
-				// the segment records remain recoverable at next boot.
-				sh.mu.RUnlock()
-				return fmt.Errorf("engine: read spilled profile %q: %w", uid, err)
-			}
-			visit(e.withoutDead(*pp, now))
+				return false
+			})
 		}
 		sh.mu.RUnlock()
+		if err != nil {
+			return err
+		}
 	}
 	return nil
 }
@@ -377,9 +377,9 @@ func (e *Engine) importDecoded(r HashRange, st *persistedState, newerWins, topUp
 	}
 	n := ImportCounts{Superseded: imp.superseded}
 	for i, sh := range e.shards {
-		if sh.spilled != nil {
-			e.spill.mergeLocked(sh, imp.fresh[i], newerWins, r)
-			n.Adopted += len(sh.spilled)
+		if e.spill != nil {
+			e.spill.mergeLocked(sh, imp.fresh[i], imp.pins[i], newerWins, r)
+			n.Adopted += sh.spilled.len()
 		}
 		n.Installed += len(imp.fresh[i])
 		if r.Whole() {
@@ -449,9 +449,10 @@ func replaceArcLocked(sh *shard, r HashRange, fresh map[string]*Profile) {
 // in-range spill record. Newer-wins mode visits only the payload's users:
 // buildImport has already dropped the copies a record supersedes, so each of
 // them is installed over whatever record of it the log holds, and that record
-// is pinned; every other ref stands. Caller holds every shard lock (import's
+// is pinned (an empty pin map is sized once for the pins buildImport
+// counted); every other ref stands. Caller holds every shard lock (import's
 // all-locks window).
-func (st *spillStore) mergeLocked(sh *shard, fresh map[string]*Profile, newerWins bool, r HashRange) {
+func (st *spillStore) mergeLocked(sh *shard, fresh map[string]*Profile, pins int, newerWins bool, r HashRange) {
 	for uid, p := range sh.pinned {
 		if r.Contains(userHash(uid)) {
 			delete(sh.pinned, uid)
@@ -459,20 +460,23 @@ func (st *spillStore) mergeLocked(sh *shard, fresh map[string]*Profile, newerWin
 		}
 	}
 	if newerWins {
+		if len(sh.pinned) == 0 && pins > 0 {
+			sh.pinned = make(map[string]pin, pins)
+		}
 		for uid := range fresh {
-			if ref, ok := sh.spilled[uid]; ok {
-				delete(sh.spilled, uid)
+			if ref, ok := sh.spilled.del(uid); ok {
 				st.pinLocked(sh, uid, ref)
 			}
 		}
 		return
 	}
-	for uid, ref := range sh.spilled {
-		if r.Contains(userHash(uid)) {
-			delete(sh.spilled, uid)
-			ref.seg.Dead.Add(1)
+	sh.spilled.each(func(uid []byte, ref spillRef) bool {
+		if !r.Contains(userHash(uid)) {
+			return false
 		}
-	}
+		ref.seg.Dead.Add(1)
+		return true
+	})
 }
 
 // decodeState unwraps (and, when the envelope is present, verifies) a
@@ -532,10 +536,12 @@ func decodeState(data []byte) (*persistedState, error) {
 }
 
 // builtImport is a payload's profiles built for installation: the profile map
-// of each shard, and how many of the payload's copies a spill record
+// of each shard, how many of each shard's profiles replace a spill record the
+// merge will pin, and how many of the payload's copies a spill record
 // superseded.
 type builtImport struct {
 	fresh      []map[string]*Profile
+	pins       []int
 	superseded int
 }
 
@@ -549,9 +555,10 @@ type builtImport struct {
 // lock; otherwise the spill index is not read and no lock is needed.
 func (e *Engine) buildImport(st *persistedState, want HashRange, newerWins bool) (imp builtImport, err error) {
 	now := e.now()
-	imp.fresh = make([]map[string]*Profile, len(e.shards))
+	imp.fresh, imp.pins = make([]map[string]*Profile, len(e.shards)), make([]int, len(e.shards))
+	per := len(st.Profiles) / len(e.shards)
 	for i := range imp.fresh {
-		imp.fresh[i] = make(map[string]*Profile)
+		imp.fresh[i] = make(map[string]*Profile, per+per/8+1) // room for a shard above the mean
 	}
 	for i := range st.Profiles {
 		pp := &st.Profiles[i]
@@ -564,9 +571,12 @@ func (e *Engine) buildImport(st *persistedState, want HashRange, newerWins bool)
 		}
 		si := e.shardIndex(pp.UserID)
 		if newerWins {
-			if ref, ok := e.shards[si].spilled[pp.UserID]; ok && ref.supersedes(pp.LastReport, pp.Version) {
-				imp.superseded++
-				continue
+			if ref, ok := e.shards[si].spilled.get(pp.UserID); ok {
+				if ref.supersedes(pp.LastReport, pp.Version) {
+					imp.superseded++
+					continue
+				}
+				imp.pins[si]++
 			}
 		}
 		imp.fresh[si][pp.UserID], _ = e.profileFromRecord(pp, now, false)

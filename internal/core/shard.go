@@ -44,11 +44,10 @@ type shard struct {
 	// ruleIDScratch is reconciliation's reusable active-rule-ID snapshot
 	// buffer; one per shard because it is only touched under mu (write).
 	ruleIDScratch []string
-	// spilled, allocated only on engines with a profile residency cap, maps
-	// user ID → the durable segment record holding the evicted profile. A
-	// user is in profiles or spilled, never both. Guarded by mu. See
-	// spill.go.
-	spilled map[string]spillRef
+	// spilled, used only on engines with a profile residency cap, maps user
+	// ID → the durable segment record holding the evicted profile. A user is
+	// in profiles or spilled, never both. Guarded by mu. See spill.go.
+	spilled spillIndex
 	// pinned, on the same engines, maps a resident user → the record a
 	// rehydration or a boot replaced, kept live until the checkpoints cover
 	// the user (spill.go's durability contract). Never exported, audited or
@@ -144,8 +143,8 @@ const (
 // whole system partitions users by: the shard index is its low bits, and
 // the cluster gateway routes users to backends by contiguous ranges of this
 // hash space (see HashRange), so a node's range export contains exactly the
-// users a gateway sends it.
-func userHash(userID string) uint32 {
+// users a gateway sends it. A spill index hands its keys out as bytes.
+func userHash[K string | []byte](userID K) uint32 {
 	h := uint32(fnvOffset32)
 	for i := 0; i < len(userID); i++ {
 		h ^= uint32(userID[i])

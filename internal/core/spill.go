@@ -117,9 +117,9 @@ type spillStore struct {
 	// eviction never takes more than one shard lock.
 	perShardProfiles int64
 	perShardBytes    int64
-	// recoverTook is how long recoverSpill ran; set once, before the engine
-	// is shared.
-	recoverTook time.Duration
+	// recovered is what recoverSpill did; set once, before the engine is
+	// shared.
+	recovered spillRecovery
 	// begun counts the checkpoints whose export has begun (SaveStateFile); a
 	// pin records it when taken.
 	begun atomic.Uint64
@@ -251,7 +251,7 @@ func (e *Engine) spillProfilesLocked(sh *shard, victims []string) {
 		scratch = encodeSpillRecord(scratch[:0], &pp)
 		start := int64(len(buf))
 		buf = wire.AppendFrame(buf, scratch)
-		frames = append(frames, segFrame{uid: uid, ref: spillRef{off: start, n: int32(int64(len(buf)) - start), active: len(pp.Active) > 0, last: prof.lastReport, ver: prof.version}})
+		frames = append(frames, segFrame{uid: uid, ref: newSpillRef(start, int(int64(len(buf))-start), len(pp.Active) > 0, prof.lastReport, prof.version)})
 	}
 	if len(frames) == 0 {
 		return
@@ -310,12 +310,11 @@ func (st *spillStore) appendLocked(sh *shard, buf []byte, frames []segFrame) err
 			}
 			delete(sh.pinned, fr.uid)
 		}
-		if old, ok := sh.spilled[fr.uid]; ok {
+		if old, ok := sh.spilled.put(fr.uid, fr.ref); ok {
 			old.seg.Dead.Add(1)
 		} else {
 			st.spilledUsers.Add(1)
 		}
-		sh.spilled[fr.uid] = fr.ref
 	}
 	return nil
 }
@@ -373,15 +372,14 @@ func (e *Engine) releasePins(backup uint64) {
 // holds sh.mu for writing.
 func (e *Engine) rehydrateLocked(sh *shard, userID string) *Profile {
 	st := e.spill
-	if st == nil || sh.spilled == nil {
+	if st == nil {
 		return nil
 	}
-	ref, ok := sh.spilled[userID]
+	ref, ok := sh.spilled.del(userID)
 	if !ok {
 		return nil
 	}
 	start := time.Now()
-	delete(sh.spilled, userID)
 	st.spilledUsers.Add(-1)
 	if ref.seg.Quarantined() {
 		// The segment's bytes are untrusted; the record is gone, and with it
@@ -545,7 +543,7 @@ func (st *spillStore) reappendLocked(sh *shard, victim *seglog.Segment, data []b
 	var buf []byte
 	var live []segFrame
 	for _, fr := range frames {
-		ref, ok := sh.spilled[fr.uid]
+		ref, ok := sh.spilled.get(fr.uid)
 		if p, pinned := sh.pinned[fr.uid]; pinned {
 			ref, ok, fr.pin = p.ref, true, true
 		}
@@ -570,7 +568,7 @@ func (e *Engine) Residency(userID string) string {
 	if _, ok := sh.profiles[userID]; ok {
 		return "resident"
 	}
-	if _, ok := sh.spilled[userID]; ok {
+	if _, ok := sh.spilled.get(userID); ok {
 		return "spilled"
 	}
 	return "none"

@@ -232,13 +232,23 @@ func decodeSpillRecordInto(pp *persistedProfile, payload []byte) error {
 type spillRef struct {
 	seg *seglog.Segment
 	off int64
-	n   int32 // frame length; frames are bounded by seglog.MaxFrame
+	ver uint64 // the record's Profile.version; 0 in records older than the field
+	// lastSec and lastNsec are the record's last report as an instant, all
+	// supersedes compares: a time.Time would carry a Location pointer.
+	lastSec  int64
+	lastNsec int32
+	n        int32 // frame length; frames are bounded by seglog.MaxFrame
 	// active records whether the record carries any activation. A page for a
 	// spilled user whose record carries none is the untouched page, decided
-	// without reading the disk. (Packed beside n; a ref is 56 bytes.)
+	// without reading the disk. (A ref is 48 bytes.)
 	active bool
-	last   time.Time
-	ver    uint64 // the record's Profile.version; 0 in records older than the field
+}
+
+// newSpillRef is the ref of the n-byte frame at off holding a record with
+// the given activations, last report and version; seg is set once the frame
+// has its place in the log.
+func newSpillRef(off int64, n int, active bool, last time.Time, ver uint64) spillRef {
+	return spillRef{off: off, n: int32(n), active: active, lastSec: last.Unix(), lastNsec: int32(last.Nanosecond()), ver: ver}
 }
 
 // supersedes is the newer-wins rule, whole: does the record stand against a
@@ -260,11 +270,12 @@ type spillRef struct {
 // rolled-back activation exactly when a spilled copy that never saw a restart
 // does (ROADMAP item 1, seed (i)).
 func (r spillRef) supersedes(last time.Time, ver uint64) bool {
+	sec, nsec := last.Unix(), int32(last.Nanosecond())
 	switch {
 	case r.seg.Quarantined():
 		return false
-	case !r.last.Equal(last):
-		return r.last.After(last)
+	case r.lastSec != sec || r.lastNsec != nsec:
+		return r.lastSec > sec || (r.lastSec == sec && r.lastNsec > nsec)
 	default:
 		return r.ver > 0 && r.ver >= ver
 	}
@@ -295,7 +306,7 @@ func walkSegment(data []byte) (frames []segFrame, end int64, err error) {
 			// Records are much of a size: the first one says how many to expect.
 			frames = make([]segFrame, 0, len(data)/n+1)
 		}
-		frames = append(frames, segFrame{uid: pp.UserID, ref: spillRef{off: off, n: int32(n), active: len(pp.Active) > 0, last: pp.LastReport, ver: pp.Version}})
+		frames = append(frames, segFrame{uid: pp.UserID, ref: newSpillRef(off, n, len(pp.Active) > 0, pp.LastReport, pp.Version)})
 		return nil
 	})
 	return frames, end, err

@@ -253,26 +253,34 @@ func diffRules() []*rules.Rule {
 	}
 }
 
-func (w *diffWorld) boot() {
-	w.t.Helper()
-	opts := func() []Option {
-		return []Option{
-			WithClock(w.clock.Now), WithShards(1), WithRewriteCache(64),
-			// The breaker stays open for the rest of the run once tripped; see
-			// the ordering note in TestCappedServesWhatUncappedServes.
-			WithGuard(GuardConfig{TripThreshold: 2, OpenFor: 1000 * time.Hour}),
-		}
+func (w *diffWorld) opts() []Option {
+	return []Option{
+		WithClock(w.clock.Now), WithShards(1), WithRewriteCache(64),
+		// The breaker stays open for the rest of the run once tripped; see
+		// the ordering note in TestCappedServesWhatUncappedServes.
+		WithGuard(GuardConfig{TripThreshold: 2, OpenFor: 1000 * time.Hour}),
 	}
-	var err error
+}
+
+// cappedOn builds the capped engine over the spill directory dir.
+func (w *diffWorld) cappedOn(dir string) *Engine {
+	w.t.Helper()
 	// A segment holds a few records, so the shard's append target outlives
 	// compactions of the segments sealed before it.
-	w.capped, err = NewEngine(w.rules, append(opts(), WithProfileResidency(ResidencyConfig{
-		Dir: w.dir, MaxProfiles: 4, SegmentBytes: 2000, CompactRatio: 0.3,
+	e, err := NewEngine(w.rules, append(w.opts(), WithProfileResidency(ResidencyConfig{
+		Dir: dir, MaxProfiles: 4, SegmentBytes: 2000, CompactRatio: 0.3,
 	}))...)
 	if err != nil {
 		w.t.Fatal(err)
 	}
-	w.plain, err = NewEngine(w.rules, opts()...)
+	return e
+}
+
+func (w *diffWorld) boot() {
+	w.t.Helper()
+	w.capped = w.cappedOn(w.dir)
+	var err error
+	w.plain, err = NewEngine(w.rules, w.opts()...)
 	if err != nil {
 		w.t.Fatal(err)
 	}
@@ -305,6 +313,20 @@ func (w *diffWorld) reboot(saved bool) {
 	}
 	w.capped.Close()
 	w.plain.Close()
+	// The files boot the same with the spill index as without it — after a
+	// clean save, adopting it.
+	bs := bootsAgree(w.t, "reboot", w.dir, w.users, func(dir string) *Engine {
+		e := w.cappedOn(dir)
+		if saved {
+			if _, err := e.LoadStateFile(cs); err != nil {
+				w.t.Fatal(err)
+			}
+		}
+		return e
+	})
+	if saved && bs.IndexFallback != "" {
+		w.t.Fatalf("a boot on a clean save did not adopt its index: %+v", bs)
+	}
 	w.boot()
 	if saved {
 		if _, err := w.capped.LoadStateFile(cs); err != nil {

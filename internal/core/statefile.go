@@ -99,6 +99,11 @@ func (e *Engine) SaveStateFile(path string) error {
 	seglog.SyncDir(e.fs, filepath.Dir(path))
 	if e.spill != nil {
 		e.releasePins(backup)
+		// The index is a cache of the log: without it the next boot decodes
+		// every record, so a failure to write it fails nothing.
+		if err := e.saveSpillIndex(); err != nil && e.logf != nil {
+			e.logf("core: spill index not written (the next boot decodes the whole log): %v", err)
+		}
 	}
 	return nil
 }
@@ -186,6 +191,14 @@ type BootStatus struct {
 	// decoded it, several times slower, and this names the first construct
 	// the fast reader would not take (decodeState has the rule).
 	DecodeFallback string
+	// IndexAdopted counts the refs the segment replay took from the spill
+	// index the last checkpoint wrote; Checksummed is the record bytes it
+	// read and checksummed, Decoded the part of them it decoded record by
+	// record. IndexFallback says why it adopted no index, and so decoded every
+	// record ("no index", a check the index failed); empty when it adopted one.
+	IndexAdopted         int
+	Checksummed, Decoded int64
+	IndexFallback        string
 }
 
 // BootStatus reports what boot did; the load half is zero until a
@@ -196,8 +209,10 @@ func (e *Engine) BootStatus() BootStatus {
 		bs = *p
 	}
 	if st := e.spill; st != nil {
-		bs.Recover = st.recoverTook
+		r := st.recovered
+		bs.Recover = r.took
 		bs.QuarantinedSegments = len(st.log.Quarantined())
+		bs.IndexAdopted, bs.Checksummed, bs.Decoded, bs.IndexFallback = r.adopted, r.checked, r.decoded, r.fallback
 	}
 	return bs
 }

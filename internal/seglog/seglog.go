@@ -20,7 +20,9 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -100,6 +102,7 @@ type Log struct {
 	segs        map[uint64]*Segment
 	nextSeq     uint64
 	quarantined []string // file names, in discovery order
+	strays      int      // set by Recover
 }
 
 // Open makes dir, if absent, the home of a log; Recover reads what is there.
@@ -111,65 +114,130 @@ func Open(fsys FS, dir string, onQuarantine func(name string, err error)) (*Log,
 	return &Log{fs: fsys, dir: dir, onQuarantine: onQuarantine, segs: make(map[uint64]*Segment)}, nil
 }
 
-// Recover puts the directory's segments in service, oldest first. walk gets
-// each one's bytes (magic included, for Walk to check) to parse and commit,
-// and returns where its last whole frame ends: with ErrTruncated the segment
-// is cut back to there and kept, with another error it is quarantined — and
-// walk must have committed nothing of it. A file too short for the magic is a
-// crash between create and header write, and is removed.
-func (l *Log) Recover(walk func(seg *Segment, data []byte) (end int64, err error)) error {
+// Recover puts the directory's segments in service, oldest first, in two
+// steps. It opens every segment and shows them to plan, in sequence order,
+// each one's Size its file's length. Then it reads each whole and calls walk
+// with the bytes (magic included, for Walk to check) to parse, spreading the
+// segments over up to GOMAXPROCS workers: walk runs concurrently with itself,
+// and data is a worker's buffer, good until walk returns. walk returns where
+// the last whole frame ends: with ErrTruncated the segment is cut back to
+// there and kept, with another error it is quarantined — and its caller must
+// commit nothing of it. A file too short for the magic is a crash between
+// create and header write, and is removed. A file named like a segment but not
+// in the spelling Create gives it is left alone and counted (Strays).
+func (l *Log) Recover(plan func(segs []*Segment) error, walk func(seg *Segment, data []byte) (end int64, err error)) error {
 	ents, err := l.fs.ReadDir(l.dir)
 	if err != nil {
 		return fmt.Errorf("read spill directory: %w", err)
 	}
 	var seqs []uint64
 	for _, ent := range ents {
-		var seq uint64
-		name := ent.Name()
-		if strings.HasPrefix(name, segPrefix) && strings.HasSuffix(name, segSuffix) {
-			if _, err := fmt.Sscanf(name, segPrefix+"%016x"+segSuffix, &seq); err == nil {
-				seqs = append(seqs, seq)
+		if name := ent.Name(); strings.HasPrefix(name, segPrefix) && strings.HasSuffix(name, segSuffix) {
+			seq, err := strconv.ParseUint(name[len(segPrefix):len(name)-len(segSuffix)], 16, 64)
+			if err != nil || filepath.Join(l.dir, name) != l.path(seq) {
+				l.strays++
+				continue
 			}
+			seqs = append(seqs, seq)
 		}
 	}
 	slices.Sort(seqs)
+	segs := make([]*Segment, 0, len(seqs))
+	closeAll := func() {
+		for _, seg := range segs {
+			seg.f.Close()
+		}
+	}
 	for _, seq := range seqs {
-		l.nextSeq = seq + 1
+		l.nextSeq = max(l.nextSeq, seq+1)
 		seg := &Segment{Seq: seq, path: l.path(seq)}
 		// One open per segment: the handle kept is the one the replay reads.
 		f, err := l.fs.OpenFile(seg.path, os.O_RDWR, 0)
 		if err != nil {
+			closeAll()
 			return fmt.Errorf("open spill segment %s: %w", seg.path, err)
 		}
-		data, err := readAll(f)
+		fi, err := f.Stat()
 		if err != nil {
 			f.Close()
-			return fmt.Errorf("read spill segment %s: %w", seg.path, err)
+			closeAll()
+			return fmt.Errorf("stat spill segment %s: %w", seg.path, err)
 		}
-		if len(data) < len(Magic) {
+		if fi.Size() < int64(len(Magic)) {
 			f.Close()
 			l.fs.Remove(seg.path)
 			continue
 		}
-		end, werr := walk(seg, data)
-		if errors.Is(werr, ErrTruncated) {
-			if err := f.Truncate(end); err != nil {
-				f.Close()
+		seg.f = f
+		seg.size.Store(fi.Size())
+		segs = append(segs, seg)
+	}
+	if err := plan(segs); err != nil {
+		closeAll()
+		return err
+	}
+	type outcome struct {
+		end       int64
+		err, read error
+	}
+	out := make([]outcome, len(segs))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for range min(runtime.GOMAXPROCS(0), len(segs)) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var buf []byte
+			for i := int(next.Add(1) - 1); i < len(segs); i = int(next.Add(1) - 1) {
+				seg := segs[i]
+				if n := int(seg.Size()); cap(buf) < n {
+					buf = make([]byte, n)
+				}
+				data := buf[:seg.Size()]
+				if _, err := seg.f.ReadAt(data, 0); err != nil {
+					out[i].read = err
+					continue
+				}
+				out[i].end, out[i].err = walk(seg, data)
+			}
+		}()
+	}
+	wg.Wait()
+	for i, seg := range segs {
+		if err := out[i].read; err != nil {
+			closeAll()
+			return fmt.Errorf("read spill segment %s: %w", seg.path, err)
+		}
+	}
+	for i, seg := range segs {
+		l.segs[seg.Seq] = seg
+		l.Bytes.Add(seg.Size())
+		switch o := out[i]; {
+		case errors.Is(o.err, ErrTruncated):
+			if err := seg.f.Truncate(o.end); err != nil {
 				return fmt.Errorf("truncate torn spill segment %s: %w", seg.path, err)
 			}
-		} else if werr != nil {
-			f.Close()
-			l.Quarantine(seg, werr)
-			continue
-		} else {
-			end = int64(len(data))
+			l.Bytes.Add(o.end - seg.Size())
+			seg.size.Store(o.end)
+		case o.err != nil:
+			l.Quarantine(seg, o.err)
+			seg.f.Close()
 		}
-		seg.f = f
-		seg.size.Store(end)
-		l.segs[seq] = seg
-		l.Bytes.Add(end)
 	}
 	return nil
+}
+
+// Strays counts the files Recover found named like segments but not spelled
+// as Create names them.
+func (l *Log) Strays() int { return l.strays }
+
+// Reserve numbers every segment Create makes from now on next or above, so a
+// number something outside the log still names (an index of it) is never
+// given to another file.
+func (l *Log) Reserve(next uint64) {
+	l.mu.Lock()
+	l.nextSeq = max(l.nextSeq, next)
+	l.mu.Unlock()
 }
 
 func (l *Log) path(seq uint64) string {
