@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"oak"
+	"oak/internal/flagdoc"
 )
 
 // daemonEnv makes the test binary run oakd's main with its arguments, so a
@@ -148,6 +149,32 @@ func TestRunFlagErrors(t *testing.T) {
 	err := run([]string{"-root", newSiteDir(t), "-shed-wait", "50ms"})
 	if err == nil || !strings.Contains(err.Error(), "-shed-wait") || !strings.Contains(err.Error(), "-ingest-queue") {
 		t.Errorf("-shed-wait without -ingest-queue: err = %v, want one naming both flags", err)
+	}
+}
+
+// TestFlagsTableMatchesTheBinary: OPERATIONS.md's Flags table has one row for
+// each flag `oakd -h` lists and no other row, and a default cell that opens
+// with a code span spells the flag's default as -h does.
+func TestFlagsTableMatchesTheBinary(t *testing.T) {
+	cmd := exec.Command(os.Args[0], "-h")
+	cmd.Env = append(os.Environ(), daemonEnv+"=1")
+	var usage bytes.Buffer
+	cmd.Stderr = &usage
+	cmd.Run() // -h exits non-zero
+	flags, err := flagdoc.Parse(usage.String())
+	if err != nil || len(flags) == 0 {
+		t.Fatalf("oakd -h: %d flags, %v, from\n%s", len(flags), err, usage.String())
+	}
+	doc, err := os.ReadFile("../../docs/OPERATIONS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, err := flagdoc.Rows(string(doc), "## Flags")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range flagdoc.Check(flags, rows) {
+		t.Error(p)
 	}
 }
 

@@ -1,11 +1,53 @@
 package main
 
 import (
+	"bytes"
 	"net/http/httptest"
+	"os"
+	"os/exec"
 	"strings"
 	"testing"
 	"time"
+
+	"oak/internal/flagdoc"
 )
+
+// mainEnv makes the test binary run oakgw's main with its arguments.
+const mainEnv = "OAKGW_TEST_RUN_MAIN"
+
+func TestMain(m *testing.M) {
+	if os.Getenv(mainEnv) != "" {
+		main()
+		return
+	}
+	os.Exit(m.Run())
+}
+
+// TestFlagsTableMatchesTheBinary: OPERATIONS.md's gateway flags table has one
+// row for each flag `oakgw -h` lists and no other row, and a default cell that
+// opens with a code span spells the flag's default as -h does.
+func TestFlagsTableMatchesTheBinary(t *testing.T) {
+	cmd := exec.Command(os.Args[0], "-h")
+	cmd.Env = append(os.Environ(), mainEnv+"=1")
+	var usage bytes.Buffer
+	cmd.Stderr = &usage
+	cmd.Run() // -h exits non-zero
+	flags, err := flagdoc.Parse(usage.String())
+	if err != nil || len(flags) == 0 {
+		t.Fatalf("oakgw -h: %d flags, %v, from\n%s", len(flags), err, usage.String())
+	}
+	doc, err := os.ReadFile("../../docs/OPERATIONS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, err := flagdoc.Rows(string(doc), "### Gateway flags")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range flagdoc.Check(flags, rows) {
+		t.Error(p)
+	}
+}
 
 func TestParseFlagsDefaults(t *testing.T) {
 	cfg, err := parseFlags([]string{"-backends", "a:1,b:2"})

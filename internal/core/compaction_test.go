@@ -85,7 +85,7 @@ func TestCompactionKeepsLogOrder(t *testing.T) {
 
 	report("u1")
 	report("u3")
-	saveTwice(t, e, statePathIn(t)) // two of the first segment's three records are dead
+	forceSpill(t, e, "u1", "u3") // two of the first segment's three records are dead
 	e.maybeCompact()
 	if got := e.Metrics().SegmentCompactions; got != 1 {
 		t.Fatalf("SegmentCompactions = %d, want 1", got)

@@ -41,10 +41,11 @@ import (
 // or not the cleaner has removed it since, or into the state file the boot
 // reads or one installed before it.
 //
-// The hazard the checkpoint's pins exist for must be in the trace: a user
+// The hazard a resident user's ref exists for must be in the trace: a user
 // rehydrated after a save that does not hold them, whose record's segment the
 // cleaner removes before the next save while no newer record of the user is
-// written. The record the rehydration read must survive it.
+// written. The record the rehydration read must survive it: every prefix from
+// that removal to the next save brings the user back at its version or later.
 //
 // Imports are kept out of the workload: an authoritative import's deletes are
 // not durable (ROADMAP item 1, seed (iii)).
@@ -110,7 +111,7 @@ func TestCrashPrefixes(t *testing.T) {
 
 	copies := persistedCopies(t, fs.trace)
 	hazards := copies.hazards(fs.trace, rehydrated, state)
-	if hazards == 0 {
+	if len(hazards) == 0 {
 		t.Fatal("no user was rehydrated after a save that lacked them and had the segment of the record read compacted before the next save")
 	}
 	replay := newReplay()
@@ -135,7 +136,13 @@ func TestCrashPrefixes(t *testing.T) {
 				if e.BootStatus().IndexFallback == "" {
 					indexed++
 				}
-				checkCrashBoot(t, at, e, copies, k, replay.durable(copies, state, lostPrimary))
+				back := checkCrashBoot(t, at, e, copies, k, replay.durable(copies, state, lostPrimary))
+				for _, h := range hazards {
+					if k > h.gone && k <= h.next && back[h.uid] < h.version {
+						t.Fatalf("%s: %s came back at version %d, but a report read its version %d record, whose segment the cleaner removed at op %d",
+							at, h.uid, back[h.uid], h.version, h.gone)
+					}
+				}
 				boots++
 			}
 		}
@@ -144,11 +151,12 @@ func TestCrashPrefixes(t *testing.T) {
 		t.Fatal("no boot adopted a spill index")
 	}
 	t.Logf("%d prefixes of a %d-operation trace, %d boots (each prefix whole and torn, and from the .bak where there is one; %d on a spill index); %d compactions in the run; %d hazard cases",
-		len(fs.trace)+1, len(fs.trace), boots, indexed, compactions, hazards)
+		len(fs.trace)+1, len(fs.trace), boots, indexed, compactions, len(hazards))
 }
 
-// checkCrashBoot holds one boot to TestCrashPrefixes' invariants.
-func checkCrashBoot(t *testing.T, at string, e *Engine, copies *persisted, k int, durable map[string]uint64) {
+// checkCrashBoot holds one boot to TestCrashPrefixes' invariants, and returns
+// the version each user came back at.
+func checkCrashBoot(t *testing.T, at string, e *Engine, copies *persisted, k int, durable map[string]uint64) map[string]uint64 {
 	t.Helper()
 	st, _ := e.SpillStatus()
 	if len(st.QuarantinedSegments) != 0 {
@@ -163,9 +171,9 @@ func checkCrashBoot(t *testing.T, at string, e *Engine, copies *persisted, k int
 	if err := json.Unmarshal(data, &got); err != nil {
 		t.Fatal(err)
 	}
-	back := map[string]bool{}
+	back := map[string]uint64{}
 	for _, pp := range got.Profiles {
-		back[pp.UserID] = true
+		back[pp.UserID] = pp.Version
 		b, _ := json.Marshal(pp)
 		if first, ok := copies.first[pp.UserID+"\x00"+string(b)]; !ok || first >= k {
 			t.Fatalf("%s: %s came back as %s, no copy of it written before the crash", at, pp.UserID, b)
@@ -175,10 +183,11 @@ func checkCrashBoot(t *testing.T, at string, e *Engine, copies *persisted, k int
 		}
 	}
 	for uid, v := range durable {
-		if !back[uid] {
+		if _, ok := back[uid]; !ok {
 			t.Fatalf("%s: %s lost, version %d was durable", at, uid, v)
 		}
 	}
+	return back
 }
 
 // rehydration is a report for a spilled user: at is the length of the trace
@@ -246,11 +255,18 @@ func persistedCopies(t *testing.T, trace []fsOp) *persisted {
 	return c
 }
 
-// hazards counts the rehydrations a checkpoint without pins would lose to a
-// crash: the last save before the rehydration does not hold the user, and the
-// segment holding the record it read is removed before the next save, with no
-// newer record of the user written in between.
-func (c *persisted) hazards(trace []fsOp, rehydrated []rehydration, state string) int {
+// hazard is a rehydration a crash would lose if the user's ref went with it:
+// the last save before it does not hold the user, and the segment holding the
+// record it read, at version, is removed at trace index gone, before the next
+// save's install at next, with no newer record of the user written in between.
+type hazard struct {
+	uid        string
+	version    uint64
+	gone, next int
+}
+
+// hazards lists the trace's hazard cases.
+func (c *persisted) hazards(trace []fsOp, rehydrated []rehydration, state string) []hazard {
 	type install struct{ at, file int } // a rename onto the state file
 	var installs []install
 	removed := map[int]int{} // file id → trace index of its removal
@@ -268,7 +284,7 @@ func (c *persisted) hazards(trace []fsOp, rehydrated []rehydration, state string
 			removed[fileAt[op.path]] = i
 		}
 	}
-	n := 0
+	var out []hazard
 	for _, h := range rehydrated {
 		prev, next := install{at: -1}, len(trace)
 		for _, in := range installs {
@@ -299,10 +315,10 @@ func (c *persisted) hazards(trace []fsOp, rehydrated []rehydration, state string
 			return cp.user == h.uid && !cp.state && cp.op > h.at && cp.op < gone && cp.version > read.version
 		})
 		if !newer {
-			n++
+			out = append(out, hazard{h.uid, read.version, gone, next})
 		}
 	}
-	return n
+	return out
 }
 
 // replay is the directory as a prefix of the trace left it.

@@ -105,16 +105,8 @@ type Engine struct {
 	// goodPrimary is the state file whose primary this engine loaded cleanly
 	// or installed itself, the one SaveStateFile may rotate to .bak. saveMu
 	// runs SaveStateFile calls one at a time.
-	goodPrimary atomic.Pointer[stateFile]
+	goodPrimary atomic.Pointer[string]
 	saveMu      sync.Mutex
-}
-
-// stateFile is a state file's path (filepath.Clean'd) and the number of the
-// checkpoint installed there (spillStore.begun; 0 for a file this engine
-// loaded or one without the spill tier).
-type stateFile struct {
-	path       string
-	checkpoint uint64
 }
 
 // Option configures an Engine.

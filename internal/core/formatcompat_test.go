@@ -66,17 +66,14 @@ func writeFormatFixture(t *testing.T, dir string) {
 			t.Fatal(err)
 		}
 	}
-	// The two saves hold the five rehydrated users, so their records are dead
-	// (before records were pinned, the reports alone killed them).
+	// After the save: records newer than the snapshot's copy, a user only the
+	// segments know, and three records that tie with the snapshot's copy. Each
+	// kills the record its user's report read, and the cleaner runs.
+	report(users[1], users[0], "late-user")
+	forceSpill(t, e, users[1], users[0], "late-user", users[2], users[3], users[4])
 	for i := 0; i < 4; i++ {
 		e.maybeCompact()
 	}
-	// After the save: records newer than the snapshot's copy and a user only
-	// the segments know; five users only the snapshot knows, as resident. (No
-	// survivor of the compaction is among those spilled again: the writer this
-	// fixture comes from could file such a record out of order.)
-	report(users[1], users[0], "late-user")
-	forceSpill(t, e, users[1], users[0], "late-user")
 	if st, _ := e.SpillStatus(); st.SegmentCompactions == 0 || st.Segments < 3 || st.MemoryOnly {
 		t.Fatalf("fixture world too quiet: %+v", st)
 	}
@@ -141,7 +138,31 @@ func TestBootsOnFilesWrittenBeforeTheCleanerChanged(t *testing.T) {
 // the payload's users in the merge — all 64 of them here, resident or not —
 // and must give the export that commit's boot recorded.
 func TestBootsOnFilesWrittenBeforeTheCheckpoint(t *testing.T) {
-	const fixture = "testdata/pr27-files"
+	bootEightShardFixture(t, "testdata/pr27-files")
+}
+
+// testdata/pr31-files was written by the last commit that pinned the record a
+// rehydration read until two checkpoints held its user: the same kind of
+// world, and a spill index whose last save wrote eleven pins as refs, then six
+// reports and no save. The boot adopts that index, pins and all, as the refs
+// of users the state file holds as resident, and must give the export and
+// the import counts that commit's boot recorded.
+func TestBootsOnFilesWrittenWithPins(t *testing.T) {
+	e := bootEightShardFixture(t, "testdata/pr31-files")
+	bs := e.BootStatus()
+	if bs.IndexFallback != "" || bs.IndexAdopted != 64 || bs.Decoded == 0 {
+		t.Errorf("boot status %+v, want all 64 index entries adopted and the records after the save decoded", bs)
+	}
+	if want := (ImportCounts{Installed: 10, Adopted: 54, Superseded: 1}); bs.ImportCounts != want {
+		t.Errorf("import counts %+v, want %+v", bs.ImportCounts, want)
+	}
+}
+
+// bootEightShardFixture boots an eight-shard engine, capped at 16 resident
+// profiles, on a copy of the files in fixture, requires all 64 users and no
+// damage, and holds the export to the one recorded beside the files.
+func bootEightShardFixture(t *testing.T, fixture string) *Engine {
+	t.Helper()
 	want, err := os.ReadFile(filepath.Join(fixture, "export.json"))
 	if err != nil {
 		t.Fatal(err)
@@ -159,16 +180,17 @@ func TestBootsOnFilesWrittenBeforeTheCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer e.Close()
+	t.Cleanup(func() { e.Close() })
 	if src, err := e.LoadStateFile(filepath.Join(work, "state.json")); err != nil || src != StateSnapshot {
 		t.Fatalf("LoadStateFile = %q, %v", src, err)
 	}
 	if st, _ := e.SpillStatus(); len(st.QuarantinedSegments) != 0 || st.SpillErrors != 0 || st.ProfilesSpilled == 0 || e.Users() != 64 {
-		t.Fatalf("boot on the fixture: %d users, %+v", e.Users(), st)
+		t.Fatalf("boot on %s: %d users, %+v", fixture, e.Users(), st)
 	}
 	if got := mustExport(t, e); !bytes.Equal(got, want) {
-		t.Errorf("export after booting on full-copy state files:\n--- got\n%s\n--- want\n%s", got, want)
+		t.Errorf("export after booting on %s:\n--- got\n%s\n--- want\n%s", fixture, got, want)
 	}
+	return e
 }
 
 // testdata/pr20-files is the same world written by the last commit whose

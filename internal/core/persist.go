@@ -215,6 +215,9 @@ func (e *Engine) eachPersisted(r HashRange, now time.Time, spilled bool, visit f
 		var err error
 		if spilled {
 			sh.spilled.each(func(uid []byte, ref spillRef) bool {
+				if _, resident := sh.profiles[string(uid)]; resident {
+					return false // visited above: the ref is an older record
+				}
 				if err != nil || !r.Contains(userHash(uid)) || ref.seg.Quarantined() {
 					return false // a quarantined record is lost with its segment
 				}
@@ -319,20 +322,21 @@ func (e *Engine) ImportState(data []byte) error {
 // so no reader sees a half-imported arc; a payload that is damaged, or carries
 // a profile outside r, fails before anything is touched.
 //
-// newerWins is the spill-tier merge policy. Authoritative (false): every
-// spill record in r is dropped — the payload is the complete truth, as a node
-// replacement, a donated arc or an operator restore demands. Newer-wins
-// (true, the boot path): a spill record that supersedes the payload's copy of
-// its user (spillRef.supersedes: a later last report, or the same one at a
-// version not lower) keeps its ref, and that copy is dropped before a profile
-// is built from it; spilled users absent from the payload — every spilled
-// user, when the payload is a checkpoint — survive too. So a crash between
-// spill-fsync and the next SaveStateFile loses nothing that was acknowledged,
-// and a boot installs only what the log does not hold, holds older, or holds
-// in a quarantined segment: on an undamaged directory it writes nothing to
-// the spill tier. The decision reads the spill index, which holds still only
-// under the locks, so this one import builds its profiles inside the
-// all-locks window; every other import builds them before it.
+// newerWins is the spill-tier merge policy. Authoritative (false): every spill
+// record in r is dropped — the payload is the complete truth, as a node
+// replacement, a donated arc or an operator restore demands. Newer-wins (true,
+// the boot path): every ref stands. The payload's copy of a user whose spill
+// record supersedes it (spillRef.supersedes: a later last report, or the same
+// one at a version not lower) is dropped before a profile is built from it,
+// and every other copy is installed over its user's ref; spilled users absent
+// from the payload — every spilled user, when the payload is a checkpoint —
+// survive too. So a crash between spill-fsync and the next SaveStateFile loses
+// nothing that was acknowledged, and a boot installs only what the log does
+// not hold, holds older, or holds in a quarantined segment: on an undamaged
+// directory it writes nothing to the spill tier. The decision reads the spill
+// index, which holds still only under the locks, so this one import builds its
+// profiles inside the all-locks window; every other import builds them before
+// it.
 //
 // topUp says what a payload *without* a guard or population section does to
 // those engine-global sections: nothing (a stripped range payload tops up
@@ -377,9 +381,8 @@ func (e *Engine) importDecoded(r HashRange, st *persistedState, newerWins, topUp
 	}
 	n := ImportCounts{Superseded: imp.superseded}
 	for i, sh := range e.shards {
-		if e.spill != nil {
-			e.spill.mergeLocked(sh, imp.fresh[i], imp.pins[i], newerWins, r)
-			n.Adopted += sh.spilled.len()
+		if e.spill != nil && !newerWins {
+			dropRefsLocked(sh, r)
 		}
 		n.Installed += len(imp.fresh[i])
 		if r.Whole() {
@@ -391,11 +394,15 @@ func (e *Engine) importDecoded(r HashRange, st *persistedState, newerWins, topUp
 		}
 		sh.users.Set(int64(len(sh.profiles)))
 		if e.spill != nil {
-			bytes := int64(0)
-			for _, prof := range sh.profiles {
+			bytes, spilled := int64(0), sh.spilled.len()
+			for uid, prof := range sh.profiles {
 				bytes += int64(prof.sizeEst)
+				if _, ok := sh.spilled.get(uid); ok {
+					spilled-- // resident over their ref
+				}
 			}
 			sh.residentBytes.Store(bytes)
+			n.Adopted += spilled
 		}
 	}
 	if e.spill != nil {
@@ -443,33 +450,13 @@ func replaceArcLocked(sh *shard, r HashRange, fresh map[string]*Profile) {
 	}
 }
 
-// mergeLocked reconciles one shard's spill index with an incoming import
-// limited to r (whole ring for full imports). The residents in r are
-// replaced, and their pins go with them. Authoritative mode drops every
-// in-range spill record. Newer-wins mode visits only the payload's users:
-// buildImport has already dropped the copies a record supersedes, so each of
-// them is installed over whatever record of it the log holds, and that record
-// is pinned (an empty pin map is sized once for the pins buildImport
-// counted); every other ref stands. Caller holds every shard lock (import's
-// all-locks window).
-func (st *spillStore) mergeLocked(sh *shard, fresh map[string]*Profile, pins int, newerWins bool, r HashRange) {
-	for uid, p := range sh.pinned {
-		if r.Contains(userHash(uid)) {
-			delete(sh.pinned, uid)
-			p.ref.seg.Dead.Add(1)
-		}
-	}
-	if newerWins {
-		if len(sh.pinned) == 0 && pins > 0 {
-			sh.pinned = make(map[string]pin, pins)
-		}
-		for uid := range fresh {
-			if ref, ok := sh.spilled.del(uid); ok {
-				st.pinLocked(sh, uid, ref)
-			}
-		}
-		return
-	}
+// dropRefsLocked is an authoritative import's half of the spill index: every
+// ref in r goes, resident users' included, and its record is dead. (A
+// newer-wins import leaves every ref standing: buildImport has already dropped
+// the payload's copies a record supersedes, and the rest are installed over
+// their users' refs.) Caller holds every shard lock (import's all-locks
+// window).
+func dropRefsLocked(sh *shard, r HashRange) {
 	sh.spilled.each(func(uid []byte, ref spillRef) bool {
 		if !r.Contains(userHash(uid)) {
 			return false
@@ -536,12 +523,10 @@ func decodeState(data []byte) (*persistedState, error) {
 }
 
 // builtImport is a payload's profiles built for installation: the profile map
-// of each shard, how many of each shard's profiles replace a spill record the
-// merge will pin, and how many of the payload's copies a spill record
+// of each shard, and how many of the payload's copies a spill record
 // superseded.
 type builtImport struct {
 	fresh      []map[string]*Profile
-	pins       []int
 	superseded int
 }
 
@@ -555,7 +540,7 @@ type builtImport struct {
 // lock; otherwise the spill index is not read and no lock is needed.
 func (e *Engine) buildImport(st *persistedState, want HashRange, newerWins bool) (imp builtImport, err error) {
 	now := e.now()
-	imp.fresh, imp.pins = make([]map[string]*Profile, len(e.shards)), make([]int, len(e.shards))
+	imp.fresh = make([]map[string]*Profile, len(e.shards))
 	per := len(st.Profiles) / len(e.shards)
 	for i := range imp.fresh {
 		imp.fresh[i] = make(map[string]*Profile, per+per/8+1) // room for a shard above the mean
@@ -571,12 +556,9 @@ func (e *Engine) buildImport(st *persistedState, want HashRange, newerWins bool)
 		}
 		si := e.shardIndex(pp.UserID)
 		if newerWins {
-			if ref, ok := e.shards[si].spilled.get(pp.UserID); ok {
-				if ref.supersedes(pp.LastReport, pp.Version) {
-					imp.superseded++
-					continue
-				}
-				imp.pins[si]++
+			if ref, ok := e.shards[si].spilled.get(pp.UserID); ok && ref.supersedes(pp.LastReport, pp.Version) {
+				imp.superseded++
+				continue
 			}
 		}
 		imp.fresh[si][pp.UserID], _ = e.profileFromRecord(pp, now, false)

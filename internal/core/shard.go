@@ -45,14 +45,10 @@ type shard struct {
 	// buffer; one per shard because it is only touched under mu (write).
 	ruleIDScratch []string
 	// spilled, used only on engines with a profile residency cap, maps user
-	// ID → the durable segment record holding the evicted profile. A user is
-	// in profiles or spilled, never both. Guarded by mu. See spill.go.
+	// ID → the user's newest durable segment record. A user in profiles
+	// keeps theirs (spill.go's durability contract), so a user is spilled
+	// when they have a ref and no profile. Guarded by mu.
 	spilled spillIndex
-	// pinned, on the same engines, maps a resident user → the record a
-	// rehydration or a boot replaced, kept live until the checkpoints cover
-	// the user (spill.go's durability contract). Never exported, audited or
-	// counted as a user. Guarded by mu.
-	pinned map[string]pin
 	// spillSeg is this shard's current append-target segment (nil until the
 	// first eviction, and after a rotation). Guarded by mu.
 	spillSeg *seglog.Segment

@@ -22,36 +22,34 @@ import (
 // never races a shutdown.
 //
 // Durability contract: a profile is only removed from memory after its
-// record is durable (write + fsync), and each user has one durable home: a
-// spilled user's newest record in the log, a resident user's copy in the last
-// checkpoint — the state file SaveStateFile writes, which holds the resident
+// record is durable (write + fsync), and each user has one durable home: the
+// newer of their ref's record — the newest record of the user in the log,
+// which a user keeps while resident again — and their copy in the last
+// checkpoint, the state file SaveStateFile writes, which holds the resident
 // profiles and nothing of the spilled ones. A crash at any instant therefore
 // loses at most the purely-resident state since the last checkpoint — exactly
 // the guarantee the engine gave before the spill tier existed — and never a
-// spilled profile. The gap between the two homes is a rehydration: the user
-// leaves the log's index before a checkpoint holds them. So the record a
-// rehydration read is pinned, not dead — the cleaner carries it like a live
-// one — until a newer record of the user replaces it, or two checkpoints
-// whose export began after the pin are installed, when the state file and its
-// .bak both hold the user (releasePins); a boot that installs a state file's
-// copy over an older record pins that record the same way. Boot recovery
-// (spillboot.go) replays the segment directory: later records supersede
-// earlier ones, a torn tail (crash mid-append) is truncated away, and a
-// segment that fails its checksums is quarantined and skipped rather than
-// aborting boot. Its users are lost unless another record or the checkpoint
-// holds them: quarantine is damage from outside, not a crash, and a second
-// copy of every record would double each eviction's fsync.
+// spilled profile. There is no rehydration gap: the record a rehydration read
+// stays live, carried by the cleaner like any other, until the user's next
+// record replaces it, an authoritative import drops it, or it proves
+// unreadable. Boot recovery (spillboot.go) replays the segment directory:
+// later records supersede earlier ones, a torn tail (crash mid-append) is
+// truncated away, and a segment that fails its checksums is quarantined and
+// skipped rather than aborting boot. Its users are lost unless another record
+// or the checkpoint holds them: quarantine is damage from outside, not a
+// crash, and a second copy of every record would double each eviction's fsync.
 //
 // A restart adopts the log: recovery leaves every record's ref in place, and
 // the state file's copy of a user is installed only where the log holds none,
-// an older one, or one in a quarantined segment (importRange, newer-wins). What
-// makes the tie safe — a record and a state-file copy with the same last report
-// and the same version — is the rule above: only ingest installs a spilled
-// profile, and ingest bumps the profile's version as it does (the serve path's
-// write-locked fall-through after a failed read installs the record as it is,
-// at the record's own version), so a record at version v post-dates every
-// resident state at v that it was not itself read into, and no resident state
-// at v holds a report the record lacks (spillRef.supersedes).
+// an older one, or one in a quarantined segment (importRange, newer-wins) —
+// over the ref, which stands. What makes the tie safe — a record and a
+// state-file copy with the same last report and the same version — is the rule
+// above: only ingest installs a spilled profile, and ingest bumps the
+// profile's version as it does (the serve path's write-locked fall-through
+// after a failed read installs the record as it is, at the record's own
+// version), so a record at version v post-dates every resident state at v that
+// it was not itself read into, and no resident state at v holds a report the
+// record lacks (spillRef.supersedes).
 //
 // One writer, one order: appendLocked is the only function that writes record
 // frames, always to the tail of the calling shard's active segment, and the
@@ -120,16 +118,14 @@ type spillStore struct {
 	// recovered is what recoverSpill did; set once, before the engine is
 	// shared.
 	recovered spillRecovery
-	// begun counts the checkpoints whose export has begun (SaveStateFile); a
-	// pin records it when taken.
-	begun atomic.Uint64
 
 	// failed latches memory-only mode after a spill I/O failure.
 	failed atomic.Bool
 	// compacting serialises the ingest-driven compactor (CAS-elected).
 	compacting atomic.Bool
 
-	// spilledUsers counts live spill refs, lock-free for healthz.
+	// spilledUsers counts the spilled users — refs of users not resident —
+	// lock-free for healthz.
 	spilledUsers obs.Gauge
 	// recordViews counts serve-side reads of a spilled record done in place.
 	recordViews obs.Counter
@@ -266,6 +262,7 @@ func (e *Engine) spillProfilesLocked(sh *shard, victims []string) {
 		delete(sh.profiles, fr.uid)
 		sh.users.Add(-1)
 		sh.residentBytes.Add(-int64(prof.sizeEst))
+		st.spilledUsers.Add(1)
 		e.metrics.profileSpills.Inc()
 	}
 }
@@ -299,21 +296,8 @@ func (st *spillStore) appendLocked(sh *shard, buf []byte, frames []segFrame) err
 	for _, fr := range frames {
 		fr.ref.seg, fr.ref.off = seg, base+fr.ref.off
 		seg.Total.Add(1)
-		if p, ok := sh.pinned[fr.uid]; ok {
-			// The cleaner moves a pin; any other record of the user is newer
-			// and releases it, or the pin would outrank it once re-appended.
-			p.ref.seg.Dead.Add(1)
-			if fr.pin {
-				p.ref = fr.ref
-				sh.pinned[fr.uid] = p
-				continue
-			}
-			delete(sh.pinned, fr.uid)
-		}
 		if old, ok := sh.spilled.put(fr.uid, fr.ref); ok {
 			old.seg.Dead.Add(1)
-		} else {
-			st.spilledUsers.Add(1)
 		}
 	}
 	return nil
@@ -328,80 +312,50 @@ func (st *spillStore) readRecord(ref spillRef) (*persistedProfile, error) {
 	return decodeSpillRecord(payload)
 }
 
-// pin is a record kept live for a user who is resident again: taken is
-// spillStore.begun when the pin was taken.
-type pin struct {
-	ref   spillRef
-	taken uint64
-}
-
-// pinLocked keeps ref's record, which userID's resident profile has just
-// replaced in the index, live until releasePins or a newer record lets it go
-// (see the durability contract). Caller holds sh.mu for writing.
-func (st *spillStore) pinLocked(sh *shard, userID string, ref spillRef) {
-	if ref.seg.Quarantined() {
-		ref.seg.Dead.Add(1)
-		return
-	}
-	sh.pinned[userID] = pin{ref: ref, taken: st.begun.Load()}
-}
-
-// releasePins counts dead the records whose pin a checkpoint installed at
-// the state file and one at its .bak, numbered backup or later, both cover:
-// a pin still taken before backup began is of a user resident through both
-// exports. backup 0 covers nothing.
-func (e *Engine) releasePins(backup uint64) {
-	for _, sh := range e.shards {
-		sh.mu.Lock()
-		for uid, p := range sh.pinned {
-			if p.taken < backup {
-				delete(sh.pinned, uid)
-				p.ref.seg.Dead.Add(1)
-			}
-		}
-		sh.mu.Unlock()
-	}
-}
-
-// rehydrateLocked brings a spilled user's profile back into memory — the
-// ingest path's half of the tier (profileLocked), and the single owner of
-// what an unreadable record means. It returns nil when the user has no
-// spilled record, or when the record is unreadable — in which case the ref
-// is dropped (the segment is quarantined for damage, the store degraded for
-// I/O failures) and the caller proceeds as if the user were unknown. Caller
-// holds sh.mu for writing.
+// rehydrateLocked returns the user's resident profile, bringing a spilled
+// one back into memory first — the ingest path's half of the tier
+// (profileLocked), and the single owner of what an unreadable record means.
+// The user keeps their ref: its record is their newest durable one until the
+// next eviction writes another (see the durability contract). It returns nil
+// when the user has no profile, or when the record is unreadable — in which
+// case the ref is dropped (the segment is quarantined for damage, the store
+// degraded for I/O failures) and the caller proceeds as if the user were
+// unknown. A serve that falls through to here under the write lock may find
+// the user resident by then, and changes nothing. Caller holds sh.mu for
+// writing.
 func (e *Engine) rehydrateLocked(sh *shard, userID string) *Profile {
+	if prof, ok := sh.profiles[userID]; ok {
+		return prof
+	}
 	st := e.spill
 	if st == nil {
 		return nil
 	}
-	ref, ok := sh.spilled.del(userID)
+	ref, ok := sh.spilled.get(userID)
 	if !ok {
 		return nil
 	}
 	start := time.Now()
 	st.spilledUsers.Add(-1)
-	if ref.seg.Quarantined() {
-		// The segment's bytes are untrusted; the record is gone, and with it
-		// the user (see the durability contract).
-		ref.seg.Dead.Add(1)
-		return nil
-	}
-	pp, err := st.readRecord(ref)
-	if err != nil {
-		ref.seg.Dead.Add(1)
-		if seglog.IsDamage(err) {
+	// A record in a quarantined segment is untrusted: it is gone, and with it
+	// the user (see the durability contract).
+	if !ref.seg.Quarantined() {
+		pp, err := st.readRecord(ref)
+		switch {
+		case err == nil:
+			prof := e.installRecordLocked(sh, pp)
+			e.metrics.rehydrations.Inc()
+			e.rehydrateHist.Observe(time.Since(start))
+			return prof
+		case seglog.IsDamage(err):
 			st.log.Quarantine(ref.seg, err)
-		} else {
+		default:
 			st.degrade(e, "read", err)
 		}
-		return nil
 	}
-	st.pinLocked(sh, userID, ref)
-	prof := e.installRecordLocked(sh, pp)
-	e.metrics.rehydrations.Inc()
-	e.rehydrateHist.Observe(time.Since(start))
-	return prof
+	sh.spilled.del(userID)
+	ref.seg.Dead.Add(1)
+	return nil
 }
 
 // installRecordLocked makes a decoded record the user's resident profile:
@@ -483,7 +437,7 @@ func (e *Engine) maybeCompact() {
 }
 
 // compactSegment cleans a sealed segment: each record some shard still refers
-// to, by a ref or a pin, is appended again, byte for byte, through that
+// to is appended again, byte for byte, through that
 // shard's own append path — appendLocked, under the shard's write lock, with
 // the ref moved in the same critical section — and once no ref points into
 // the victim its file is removed. A survivor thus moves the way an eviction writes it, to the tail
@@ -536,18 +490,14 @@ func (e *Engine) compactSegment(victim *seglog.Segment) {
 }
 
 // reappendLocked moves the shard's live records out of victim: the frames —
-// all of the victim's, other shards' included — that this shard still refers
-// to, by a ref or a pin, go through appendLocked as one batch, copied from
-// data, the victim's bytes. Caller holds sh.mu for writing.
+// all of the victim's, other shards' included — that this shard's refs still
+// point at, resident users' included, go through appendLocked as one batch,
+// copied from data, the victim's bytes. Caller holds sh.mu for writing.
 func (st *spillStore) reappendLocked(sh *shard, victim *seglog.Segment, data []byte, frames []segFrame) error {
 	var buf []byte
 	var live []segFrame
 	for _, fr := range frames {
-		ref, ok := sh.spilled.get(fr.uid)
-		if p, pinned := sh.pinned[fr.uid]; pinned {
-			ref, ok, fr.pin = p.ref, true, true
-		}
-		if ok && ref.seg == victim && ref.off == fr.ref.off {
+		if ref, ok := sh.spilled.get(fr.uid); ok && ref.seg == victim && ref.off == fr.ref.off {
 			fr.ref.off = int64(len(buf))
 			buf = append(buf, data[ref.off:ref.off+int64(ref.n)]...)
 			live = append(live, fr)

@@ -362,14 +362,17 @@ func TestSpillCompactionReclaimsDeadSegments(t *testing.T) {
 	if before < 2 {
 		t.Fatalf("segment files = %d, want >= 2 (rotation never sealed one)", before)
 	}
-	// Rehydrate everything (a report each — reads leave records live), and
-	// checkpoint the residents twice: every sealed record is now dead.
+	// Rehydrate everything (a report each — reads leave records live) and
+	// evict it again in one batch: every sealed record is now dead.
 	for i := 1; i <= 4; i++ {
 		if _, err := e.HandleReport(slowS1Report(fmt.Sprintf("u%d", i))); err != nil {
 			t.Fatal(err)
 		}
 	}
-	saveTwice(t, e, statePathIn(t))
+	sh := e.shards[0]
+	sh.mu.Lock()
+	e.spillProfilesLocked(sh, []string{"u1", "u2", "u3", "u4"})
+	sh.mu.Unlock()
 	// One compaction round per call, as the next reports would run them.
 	for i := 0; i < before+1; i++ {
 		e.maybeCompact()
@@ -402,12 +405,12 @@ func TestSpillCompactionPreservesLiveRecords(t *testing.T) {
 		t.Fatal(err)
 	}
 	forceSpill(t, e, "sealer") // rotates: the first segment is now sealed
-	// A report rehydrates "dead", and two checkpoints hold it: its record in
-	// the sealed segment dies.
+	// A report rehydrates "dead", and an eviction writes its next record: the
+	// one in the sealed segment dies.
 	if _, err := e.HandleReport(slowS1Report("dead")); err != nil {
 		t.Fatal(err)
 	}
-	saveTwice(t, e, statePathIn(t))
+	forceSpill(t, e, "dead")
 
 	for i := 0; i < 3; i++ {
 		e.maybeCompact()

@@ -26,11 +26,11 @@ import (
 // dead count is its records that are not the last of their user's. Decoding
 // every record gets there. A valid spill index (spillckpt.go) gets there
 // decoding a few: its entries are the refs the shards held at a checkpoint,
-// pins included, each the newest record of its user among the bytes the index
-// covers — each segment up to its size at the capture. So a covered record
-// that is not an entry is either older than its user's entry, and dead, or of
-// a user without one (a released pin's record, an import's leftover), and
-// decoded. A record beyond the covered bytes was written after the capture,
+// each the newest record of its user among the bytes the index covers — each
+// segment up to its size at the capture. So a covered record that is not an
+// entry is either older than its user's entry, and dead, or of a user without
+// one (a record an import dropped, or one an older engine's checkpoint
+// released), and decoded. A record beyond the covered bytes was written after the capture,
 // later than every covered record of its user, and is decoded and replayed
 // over them. Every covered frame is still read and checksummed: damage is
 // found at boot, and quarantined, as it always was.
@@ -223,9 +223,6 @@ func (e *Engine) recoverSpill(st *spillStore) error {
 		for i, sh := range e.shards {
 			sh.spilled.init(owned[i], keys[i])
 		}
-	}
-	for _, sh := range e.shards {
-		sh.pinned = make(map[string]pin)
 	}
 	for _, w := range good {
 		st.recovered.checked += w.checked

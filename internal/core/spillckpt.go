@@ -14,9 +14,8 @@ import (
 )
 
 // The spill index checkpoint: SaveStateFile also writes, beside the segments,
-// what the shards' spill indexes hold — every spilled user's ref and every
-// pinned record, a pin written as a ref — with each segment's size at the
-// capture. A boot that finds it valid adopts those refs instead of decoding
+// what the shards' spill indexes hold — every user's ref, resident users'
+// included — with each segment's size at the capture. A boot that finds it valid adopts those refs instead of decoding
 // the records they point at, and decodes only what the log holds beyond them
 // (spillboot.go). The file is a cache of that decode with a validity rule, not
 // a home for any state: without it, or with one that fails a check, the boot
@@ -148,9 +147,6 @@ func (e *Engine) saveSpillIndex() error {
 	for _, sh := range e.shards {
 		sh.mu.RLock()
 		sh.spilled.each(add)
-		for uid, p := range sh.pinned {
-			add([]byte(uid), p.ref)
-		}
 		sh.mu.RUnlock()
 	}
 	slices.SortFunc(ents, func(a, b entry) int {

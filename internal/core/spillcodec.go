@@ -283,12 +283,10 @@ func (r spillRef) supersedes(last time.Time, ver uint64) bool {
 
 // segFrame is one whole record frame and the ref that will point at it:
 // ref.off is relative to the buffer the frame was found or built in and
-// ref.seg unset until the frame has its place in the log. pin marks a pinned
-// record the cleaner moves.
+// ref.seg unset until the frame has its place in the log.
 type segFrame struct {
 	uid string
 	ref spillRef
-	pin bool
 }
 
 // walkSegment is the one reader of whole segments, over seglog.Walk: it

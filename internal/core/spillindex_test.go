@@ -201,9 +201,9 @@ func bootsAgree(t *testing.T, step, dir string, users []string, boot func(dir st
 		t.Fatalf("%s: with the index %d users, %+v; without %d users, %+v", step, a.Users(), as, b.Users(), bs)
 	}
 	// The cleaner's view too: each segment's record and dead counts, and the
-	// records pinned.
+	// records resident users' refs hold.
 	if ac, bc := segmentCounts(a), segmentCounts(b); !reflect.DeepEqual(ac, bc) {
-		t.Fatalf("%s: segment counts (total, dead, pinned) %v with the index, %v without", step, ac, bc)
+		t.Fatalf("%s: segment counts (total, dead, resident refs) %v with the index, %v without", step, ac, bc)
 	}
 	for _, uid := range users {
 		if pa, pb := serveAsOrigin(a, uid), serveAsOrigin(b, uid); pa.HTML != pb.HTML || pa.ETag != pb.ETag {
@@ -217,7 +217,7 @@ func bootsAgree(t *testing.T, step, dir string, users []string, boot func(dir st
 }
 
 // segmentCounts maps each segment in service to its record count, dead count
-// and the records pinned in it.
+// and the records in it that resident users' refs point at.
 func segmentCounts(e *Engine) map[uint64][3]int64 {
 	out := map[uint64][3]int64{}
 	for _, seg := range e.spill.log.Segments() {
@@ -225,10 +225,12 @@ func segmentCounts(e *Engine) map[uint64][3]int64 {
 	}
 	for _, sh := range e.shards {
 		sh.mu.RLock()
-		for _, p := range sh.pinned {
-			c := out[p.ref.seg.Seq]
-			c[2]++
-			out[p.ref.seg.Seq] = c
+		for uid := range sh.profiles {
+			if ref, ok := sh.spilled.get(uid); ok {
+				c := out[ref.seg.Seq]
+				c[2]++
+				out[ref.seg.Seq] = c
+			}
 		}
 		sh.mu.RUnlock()
 	}
@@ -382,9 +384,9 @@ func TestSpillIndexFallback(t *testing.T) {
 
 // TestIndexedBootDecodesRecordsWithoutAnEntry: a record the index has no
 // entry for, though no later record outdates it, is decoded and replayed as
-// the whole-log decode would — one whose pin two checkpoints released, and
-// one an authoritative import dropped (which the replay brings back: ROADMAP
-// item 2, seed (iii)).
+// the whole-log decode would — the refs an authoritative import dropped, of a
+// user resident over theirs and of one spilled (which the replay brings back:
+// ROADMAP item 2, seed (iii)).
 func TestIndexedBootDecodesRecordsWithoutAnEntry(t *testing.T) {
 	clock := newTestClock()
 	dir := t.TempDir()
@@ -393,17 +395,17 @@ func TestIndexedBootDecodesRecordsWithoutAnEntry(t *testing.T) {
 		return newSpillEngine(t, clock, ResidencyConfig{Dir: dir, MaxProfiles: 100})
 	}
 	e := boot(dir)
-	for _, uid := range []string{"pinned", "dropped", "kept"} {
+	for _, uid := range []string{"rehydrated", "dropped", "kept"} {
 		if _, err := e.HandleReport(slowS1Report(uid)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	forceSpill(t, e, "pinned", "dropped", "kept")
+	forceSpill(t, e, "rehydrated", "dropped", "kept")
 	clock.Advance(time.Second)
-	if _, err := e.HandleReport(healthyReport("pinned")); err != nil { // rehydrated: its record is pinned
+	if _, err := e.HandleReport(healthyReport("rehydrated")); err != nil { // resident over its ref
 		t.Fatal(err)
 	}
-	saveTwice(t, e, state) // both checkpoints hold "pinned": the pin is released
+	saveTwice(t, e, state)
 	payload, err := e.ExportState()
 	if err != nil {
 		t.Fatal(err)
@@ -416,14 +418,14 @@ func TestIndexedBootDecodesRecordsWithoutAnEntry(t *testing.T) {
 	if payload, err = json.Marshal(st); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.ImportState(payload); err != nil { // drops "dropped"'s ref, not its record
+	if err := e.ImportState(payload); err != nil { // drops every ref, not the records
 		t.Fatal(err)
 	}
 	if err := e.SaveStateFile(state); err != nil {
 		t.Fatal(err)
 	}
 	e.Close()
-	bs := bootsAgree(t, "records without an entry", dir, []string{"pinned", "dropped", "kept"}, func(dir string) *Engine {
+	bs := bootsAgree(t, "records without an entry", dir, []string{"rehydrated", "dropped", "kept"}, func(dir string) *Engine {
 		e := boot(dir)
 		if _, err := e.LoadStateFile(state); err != nil {
 			t.Fatal(err)

@@ -406,9 +406,19 @@ func (w *diffWorld) sameExport(step string) {
 	}
 }
 
-// check compares what the two engines serve every user.
+// check compares what the two engines serve every user, and holds the capped
+// engine's user count to its resident and spilled counts and to its export.
 func (w *diffWorld) check(step string) {
 	w.t.Helper()
+	st, _ := w.capped.SpillStatus()
+	exported, err := decodeState(mustExport(w.t, w.capped))
+	if err != nil {
+		w.t.Fatal(err)
+	}
+	if n := w.capped.Users(); int64(n) != st.ProfilesResident+st.ProfilesSpilled || n != len(exported.Profiles) {
+		w.t.Fatalf("%s: capped engine counts %d users, %d resident + %d spilled, %d exported",
+			step, n, st.ProfilesResident, st.ProfilesSpilled, len(exported.Profiles))
+	}
 	for _, uid := range w.users {
 		c, p := serveAsOrigin(w.capped, uid), serveAsOrigin(w.plain, uid)
 		if c.HTML != p.HTML || c.ETag != p.ETag || c.Hint != p.Hint {

@@ -65,10 +65,6 @@ const (
 func (e *Engine) SaveStateFile(path string) error {
 	e.saveMu.Lock()
 	defer e.saveMu.Unlock()
-	var n uint64 // the checkpoint's number, on engines with the spill tier
-	if e.spill != nil {
-		n = e.spill.begun.Add(1)
-	}
 	payload, err := e.exportStateRange(HashRange{}, false)
 	if err != nil {
 		return fmt.Errorf("engine: export snapshot: %w", err)
@@ -78,15 +74,9 @@ func (e *Engine) SaveStateFile(path string) error {
 		e.fs.Remove(tmp)
 		return fmt.Errorf("engine: write snapshot: %w", err)
 	}
-	// The .bak holds the checkpoint numbered backup: the one installed before
-	// this one if the save rotates it there, otherwise one older than this
-	// engine (0).
-	backup := uint64(0)
-	if good := e.goodPrimary.Load(); good != nil && good.path == filepath.Clean(path) {
-		switch err := e.fs.Rename(path, path+BackupSuffix); {
-		case err == nil:
-			backup = good.checkpoint
-		case !errors.Is(err, fs.ErrNotExist):
+	clean := filepath.Clean(path)
+	if good := e.goodPrimary.Load(); good != nil && *good == clean {
+		if err := e.fs.Rename(path, path+BackupSuffix); err != nil && !errors.Is(err, fs.ErrNotExist) {
 			e.fs.Remove(tmp)
 			return fmt.Errorf("engine: rotate backup: %w", err)
 		}
@@ -95,10 +85,9 @@ func (e *Engine) SaveStateFile(path string) error {
 		e.fs.Remove(tmp)
 		return fmt.Errorf("engine: install snapshot: %w", err)
 	}
-	e.goodPrimary.Store(&stateFile{filepath.Clean(path), n})
+	e.goodPrimary.Store(&clean)
 	seglog.SyncDir(e.fs, filepath.Dir(path))
 	if e.spill != nil {
-		e.releasePins(backup)
 		// The index is a cache of the log: without it the next boot decodes
 		// every record, so a failure to write it fails nothing.
 		if err := e.saveSpillIndex(); err != nil && e.logf != nil {
@@ -140,7 +129,8 @@ func (e *Engine) LoadStateFile(path string) (StateSource, error) {
 	case err == nil:
 		if primaryErr = boot(data); primaryErr == nil {
 			e.stateSource.Store(StateSnapshot)
-			e.goodPrimary.Store(&stateFile{path: filepath.Clean(path)})
+			clean := filepath.Clean(path)
+			e.goodPrimary.Store(&clean)
 			return StateSnapshot, nil
 		}
 		if !errors.Is(primaryErr, ErrCorruptState) && !errors.Is(primaryErr, ErrStateVersion) {

@@ -405,10 +405,11 @@ func TestUncappedSaveIsTheSnapshot(t *testing.T) {
 }
 
 // TestCheckpointsUnderIngest: checkpoints race reports on a capped engine —
-// pins taken by rehydrations, dropped by evictions, moved by the cleaner and
-// released by saves, from several goroutines at once — and a restart on the
-// last checkpoint and the segment directory gives back the export the engine
-// had when it stopped.
+// rehydrations that keep their users' refs, evictions that replace them and
+// the cleaner that moves them, from several goroutines at once, while saves
+// capture the refs into the spill index — and a restart on the last
+// checkpoint and the segment directory gives back the export the engine had
+// when it stopped.
 func TestCheckpointsUnderIngest(t *testing.T) {
 	clock := newTestClock()
 	dir, state := t.TempDir(), statePathIn(t)
