@@ -8,7 +8,6 @@
 //	     [-shards N] [-ingest-queue N]
 //	     [-max-body-bytes 4194304]
 //	     [-shed-wait 50ms] [-shed-retry-after 1s] [-rewrite-budget 500ms]
-//	     [-rewrite-cache 1024]
 //	     [-profile-cache 100000] [-profile-cache-bytes 0] [-spill-dir ./spill]
 //	     [-guard-trip-threshold 5] [-guard-halfopen-canaries 3]
 //	     [-probe-interval 30s]
@@ -35,10 +34,9 @@
 // per CPU) so reports for different users ingest in parallel, each on the
 // goroutine of the request that carried it. -ingest-queue N bounds ingest to
 // N reports in flight at once (0 = unbounded); a report that finds no room
-// waits for one to finish. On the serve side, -rewrite-cache bounds a cache
-// of whole rewritten pages keyed by page content + activation fingerprint,
-// so repeat requests from users with stable activations skip the rewrite
-// entirely (0 disables). See docs/OPERATIONS.md for sizing guidance.
+// waits for one to finish. On the serve side each page is indexed once, on
+// its first serve, and every rewrite is spliced from that index; nothing is
+// cached per user. See docs/OPERATIONS.md for sizing guidance.
 //
 // Resilience: -shed-wait (with -ingest-queue) switches that wait to load
 // shedding — a report that gets no room within the wait is refused with
@@ -128,7 +126,6 @@ func run(args []string) error {
 		shedWait  = fs2.Duration("shed-wait", -1, "shed reports that get no room within this wait, 503 + Retry-After (needs -ingest-queue; negative = wait instead of shedding)")
 		shedRetry = fs2.Duration("shed-retry-after", 0, "retry horizon advertised on shed responses (with -shed-wait; 0 = 1s default)")
 		rewriteB  = fs2.Duration("rewrite-budget", 0, "serve the unmodified page if the per-user rewrite takes longer than this (0 = 500ms default, negative = unbounded)")
-		rcSize    = fs2.Int("rewrite-cache", 1024, "rewrite-cache capacity in entries (whole rewritten pages keyed by content + activation fingerprint; 0 disables)")
 		profCache = fs2.Int("profile-cache", 0, "max resident user profiles; colder profiles spill to -spill-dir (0 = unbounded, no spill tier)")
 		profBytes = fs2.Int64("profile-cache-bytes", 0, "max estimated resident profile bytes; colder profiles spill to -spill-dir (0 = unbounded)")
 		spillDir  = fs2.String("spill-dir", "", "directory for spilled-profile segment files (required with -profile-cache or -profile-cache-bytes)")
@@ -154,7 +151,6 @@ func run(args []string) error {
 		shards: *shards, queueLen: *queueLen,
 		maxBodyBytes: *maxBody,
 		shedWait:     *shedWait, shedRetry: *shedRetry, rewriteBudget: *rewriteB,
-		rewriteCache: *rcSize,
 		profileCache: *profCache, profileCacheBytes: *profBytes, spillDir: *spillDir,
 		guardTrip: *guardTrip, guardCanaries: *guardCan,
 		synthWindow: *synthWin, synthDegrade: *synthDeg, synthQuantile: *synthQ,
@@ -328,7 +324,6 @@ type oakdConfig struct {
 	shedWait      time.Duration // with queueLen > 0; negative = no shedding (wait for room)
 	shedRetry     time.Duration
 	rewriteBudget time.Duration // 0 = library default, negative = unbounded
-	rewriteCache  int           // entries; <= 0 disables the rewrite cache
 	guardTrip     int           // breaker trip threshold; <= 0 disables the guard
 	guardCanaries int           // half-open canary budget (with guardTrip > 0)
 
@@ -382,9 +377,6 @@ func buildServer(cfg oakdConfig) (*oak.Server, int, int, error) {
 			MaxWait:     cfg.shedWait,
 			RetryAfter:  cfg.shedRetry,
 		}))
-	}
-	if cfg.rewriteCache > 0 {
-		opts = append(opts, oak.WithRewriteCache(cfg.rewriteCache))
 	}
 	if cfg.profileCache > 0 || cfg.profileCacheBytes > 0 {
 		if cfg.spillDir == "" {

@@ -9,9 +9,10 @@ import (
 	"oak/internal/rules"
 )
 
-// Serve-path benchmarks: cold (every request recomputes the rewrite), warm
-// (rewrite cache hit), no-op (user with no activations — must not
-// allocate), and parallel warm serving.
+// Serve-path benchmarks: cold (a body the engine does not hold, indexed per
+// call), warm (a registered page, spliced from its index), no-op (user with
+// no activations — must not allocate), parallel warm serving, and the warm
+// serve at 8, 32 and 128 KB.
 
 // benchServeRules builds n Type 2/1 rules over distinct third-party blocks.
 func benchServeRules(n int) []*rules.Rule {
@@ -78,9 +79,9 @@ func benchServeEngine(b *testing.B, rs []*rules.Rule, opts ...Option) *Engine {
 
 const benchServeRuleCount = 8
 
-// BenchmarkModifyPageCold measures the per-request rewrite with no rewrite
-// cache: every request derives the activation set, compiles an applier and
-// recomputes the page, as production does with -rewrite-cache 0.
+// BenchmarkModifyPageCold measures rewriting a body the engine does not
+// hold, as a library caller of ModifyPage does: every call indexes the page
+// (one scan over every rule's default) and splices the user's activations.
 func BenchmarkModifyPageCold(b *testing.B) {
 	rs := benchServeRules(benchServeRuleCount)
 	page := benchServePage(rs)
@@ -96,22 +97,21 @@ func BenchmarkModifyPageCold(b *testing.B) {
 	}
 }
 
-// BenchmarkModifyPageWarm measures the same rewrite served from the rewrite
-// cache: one content hash, one probe, zero rule work.
+// BenchmarkModifyPageWarm measures the serve path on a registered page: the
+// page was indexed on its first serve, so a serve derives the view, resolves
+// it on the index and derives the tag — no scan, hash or copy of the page.
 func BenchmarkModifyPageWarm(b *testing.B) {
 	rs := benchServeRules(benchServeRuleCount)
 	page := benchServePage(rs)
-	e := benchServeEngine(b, rs, WithRewriteCache(1024))
-	if rw := e.RewritePage("u1", "/index.html", page); len(rw.Applied) == 0 {
-		b.Fatal("warming rewrite did not apply")
-	}
+	e := benchServeEngine(b, rs)
+	e.SetPage("/index.html", page)
+	p := e.Page("/index.html")
 	b.SetBytes(int64(len(page)))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rw := e.RewritePage("u1", "/index.html", page)
-		if !rw.CacheHit {
-			b.Fatal("expected cache hit")
+		if plan, _ := e.ServePage("u1", p, false); len(plan.Applied) == 0 || plan.ETag == "" {
+			b.Fatal("rewrite did not apply")
 		}
 	}
 }
@@ -121,14 +121,15 @@ func BenchmarkModifyPageWarm(b *testing.B) {
 func BenchmarkModifyPageNoOp(b *testing.B) {
 	rs := benchServeRules(benchServeRuleCount)
 	page := benchServePage(rs)
-	e := benchServeEngine(b, rs, WithRewriteCache(1024))
-	e.ModifyPage("visitor", "/index.html", page) // settle any one-time state
+	e := benchServeEngine(b, rs)
+	e.SetPage("/index.html", page)
+	p := e.Page("/index.html")
+	e.ServePage("visitor", p, true) // index the page
 	b.SetBytes(int64(len(page)))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		out, applied := e.ModifyPage("visitor", "/index.html", page)
-		if applied != nil || out != page {
+		if plan, _ := e.ServePage("visitor", p, false); plan.Applied != nil || plan.Segments[0] != page {
 			b.Fatal("no-op path modified the page")
 		}
 	}
@@ -138,19 +139,53 @@ func BenchmarkModifyPageNoOp(b *testing.B) {
 func BenchmarkModifyPageParallel(b *testing.B) {
 	rs := benchServeRules(benchServeRuleCount)
 	page := benchServePage(rs)
-	e := benchServeEngine(b, rs, WithRewriteCache(1024))
-	e.RewritePage("u1", "/index.html", page)
+	e := benchServeEngine(b, rs)
+	e.SetPage("/index.html", page)
+	p := e.Page("/index.html")
 	b.SetBytes(int64(len(page)))
 	b.ReportAllocs()
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
-			rw := e.RewritePage("u1", "/index.html", page)
-			if rw.HTML == page {
+			if plan, _ := e.ServePage("u1", p, true); len(plan.Applied) == 0 {
 				b.Fatal("rewrite did not apply")
 			}
 		}
 	})
+}
+
+// BenchmarkServePageSizes is the warm serve at the benchmark's three page
+// sizes, 8, 32 and 128 KB, every rule matching once.
+func BenchmarkServePageSizes(b *testing.B) {
+	rs := benchServeRules(benchServeRuleCount)
+	for _, kb := range []int{8, 32, 128} {
+		b.Run(fmt.Sprintf("%dKB", kb), func(b *testing.B) {
+			page := benchServePageSized(rs, kb<<10)
+			e := benchServeEngine(b, rs)
+			e.SetPage("/index.html", page)
+			p := e.Page("/index.html")
+			e.ServePage("u1", p, true) // index the page
+			b.SetBytes(int64(len(page)))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if plan, _ := e.ServePage("u1", p, false); len(plan.Applied) != len(rs) {
+					b.Fatal("rewrite did not apply")
+				}
+			}
+		})
+	}
+}
+
+// benchServePageSized is benchServePage padded with filler paragraphs to
+// size bytes.
+func benchServePageSized(rs []*rules.Rule, size int) string {
+	page := benchServePage(rs)
+	const filler = "<p>filler copy to reach the page size</p>\n"
+	if pad := size - len(page); pad > 0 {
+		page = strings.Replace(page, "</body>", strings.Repeat(filler, pad/len(filler)+1)+"</body>", 1)
+	}
+	return page
 }
 
 // BenchmarkApplySequentialReference is the pre-compilation baseline: the

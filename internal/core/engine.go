@@ -62,9 +62,14 @@ type Engine struct {
 	traceBuf    *obs.Trace
 	rewriteHist obs.Histogram
 
-	// rewriteCache, when non-nil, memoizes whole page rewrites keyed by
-	// (page content hash, activation fingerprint). See rewritecache.go.
-	rewriteCache *rewriteCache
+	// scanner indexes each registered page against the rule set, once, on
+	// the page's first serve; ruleDigest is rules.Digest of the set, one
+	// input of every derived entity tag. pages is the page registry,
+	// guarded by pagesMu. See serve.go.
+	scanner    *rules.Scanner
+	ruleDigest [32]byte
+	pagesMu    sync.RWMutex
+	pages      map[string]*Page
 
 	// guard, when non-nil (WithGuard), holds the per-provider circuit
 	// breakers and rule-quarantine table; guardConfig carries the WithGuard
@@ -151,8 +156,9 @@ func WithTraceCapacity(n int) Option {
 }
 
 // NewEngine builds an engine with the given rule set, which is the engine's
-// for its lifetime. Rules are compiled; an invalid rule or a duplicate rule ID
-// fails construction.
+// for its lifetime. The engine compiles its own copies of the rules, leaving
+// the caller's untouched; an invalid rule or a duplicate rule ID fails
+// construction.
 func NewEngine(ruleSet []*rules.Rule, opts ...Option) (*Engine, error) {
 	e := &Engine{
 		policy:   DefaultPolicy(),
@@ -176,17 +182,24 @@ func NewEngine(ruleSet []*rules.Rule, opts ...Option) (*Engine, error) {
 	}
 	e.matcher.MaxLevel = e.policy.MatchLevel
 	e.matcher.Depth = e.policy.MatchDepth
-	e.rules = append([]*rules.Rule(nil), ruleSet...)
+	// The engine compiles copies: the caller's rules are never written, so
+	// any number of engines may be built at once from one parsed set.
+	e.rules = make([]*rules.Rule, len(ruleSet))
 	e.rulesByID = make(map[string]*rules.Rule, len(e.rules))
-	for _, r := range e.rules {
-		if err := r.Compile(); err != nil {
+	for i, r := range ruleSet {
+		c, err := r.Compiled()
+		if err != nil {
 			return nil, fmt.Errorf("engine: %w", err)
 		}
-		if _, dup := e.rulesByID[r.ID]; dup {
-			return nil, fmt.Errorf("engine: duplicate rule id %q", r.ID)
+		if _, dup := e.rulesByID[c.ID]; dup {
+			return nil, fmt.Errorf("engine: duplicate rule id %q", c.ID)
 		}
-		e.rulesByID[r.ID] = r
+		e.rules[i] = c
+		e.rulesByID[c.ID] = c
 	}
+	e.scanner = rules.NewScanner(e.rules)
+	e.ruleDigest = rules.Digest(e.rules)
+	e.pages = make(map[string]*Page)
 	e.buildAltHosts()
 	if err := e.initSpill(); err != nil {
 		return nil, err
@@ -609,130 +622,6 @@ func (e *Engine) ActiveRules(userID, path string) []rules.Activation {
 func (e *Engine) ActivationFingerprint(userID, path string) uint64 {
 	var buf [viewBufLen]rules.Activation
 	return e.activationView(userID, path, buf[:0]).fp
-}
-
-// Rewrite is the outcome of rewriting one outgoing page for one user.
-type Rewrite struct {
-	// HTML is the page to serve. It is the input string itself (same
-	// backing array, no copy) when no rule changed anything.
-	HTML string
-	// Applied records what each in-scope rule did; nil when no rule
-	// replaced anything (see rules.Apply).
-	Applied []rules.Applied
-	// Hint is the precomputed X-Oak-Alternate header value ("" when no
-	// Type 2 rule contributed hints).
-	Hint string
-	// CacheHit reports whether the rewrite was served from the rewrite
-	// cache rather than recomputed.
-	CacheHit bool
-	// ETag is ContentTag(HTML) when the rewrite cache holds this result
-	// (a hit, or a miss just stored), so the tag was computed once per cache
-	// fill. It is "" for everything the cache does not hold: a result
-	// computed with the cache disabled or on the panic path, and the
-	// untouched page, whose tag belongs to whoever registered the page.
-	ETag string
-}
-
-// ModifyPage rewrites an outgoing page for the user (Section 4.3): Type 1
-// rules remove their text, Types 2/3 replace it, sub-rules of applied rules
-// fire, and Type 2 applications yield cache hints for the X-Oak-Alternate
-// header.
-func (e *Engine) ModifyPage(userID, path, page string) (string, []rules.Applied) {
-	rw := e.RewritePage(userID, path, page)
-	return rw.HTML, rw.Applied
-}
-
-// RewritePage is ModifyPage with the full result: rewritten page, Applied
-// records, precomputed header value, and cache provenance. Every call derives
-// the user's in-scope activations and their fingerprint under the shard's
-// read lock; the fast path — a (page, activation set) the rewrite cache holds
-// — then costs one content hash and one cache probe, and a user with no
-// in-scope activations costs neither and allocates nothing. A spilled user's
-// activations survive eviction transparently: their record is read in place
-// (activationView), and the request moves nothing between memory and disk.
-func (e *Engine) RewritePage(userID, path, page string) Rewrite {
-	start := time.Now()
-	var buf [viewBufLen]rules.Activation
-	rw, _ := e.rewriteFrom(e.activationView(userID, path, buf[:0]), path, page, true)
-	e.observeRewrite(userID, path, page, start, rw)
-	return rw
-}
-
-// RewriteCached serves a page only if doing so is near-free: the user has
-// no in-scope activations, or the rewrite cache already holds the exact
-// (page, activation set) result. It never computes a rewrite, never blocks
-// and never touches the disk — if the user's shard lock is unavailable
-// (ingest in progress), the user's activations are in a spilled record, or
-// the result would need computing, it returns ok=false and the caller should
-// take the full RewritePage path. A hit is accounted exactly like a full
-// rewrite (histogram, page counters, trace).
-func (e *Engine) RewriteCached(userID, path, page string) (Rewrite, bool) {
-	start := time.Now()
-	sh := e.shardFor(userID)
-	if !sh.mu.TryRLock() {
-		return Rewrite{}, false
-	}
-	var buf [viewBufLen]rules.Activation
-	v, ok := e.activationViewLocked(sh, userID, path, false, buf[:0])
-	sh.mu.RUnlock()
-	if !ok {
-		return Rewrite{}, false
-	}
-	rw, ok := e.rewriteFrom(v, path, page, false)
-	if !ok {
-		return Rewrite{}, false
-	}
-	e.observeRewrite(userID, path, page, start, rw)
-	return rw, true
-}
-
-// rewriteFrom serves page under one activation view, with compute
-// controlling the miss behavior: true computes and caches the rewrite,
-// false reports ok=false so the caller can fall back to the full path. The
-// view shares nothing ingest writes, so no lock is held.
-func (e *Engine) rewriteFrom(v actView, path, page string, compute bool) (Rewrite, bool) {
-	if v.fp == 0 {
-		return Rewrite{HTML: page}, true
-	}
-	var key rewriteKey
-	if e.rewriteCache != nil {
-		key = rewriteKey{page: e.rewriteCache.hash(page), fp: v.fp}
-		if en, ok := e.rewriteCache.get(key, page); ok {
-			return Rewrite{HTML: en.html, Applied: en.applied, Hint: en.hint, CacheHit: true, ETag: en.tag}, true
-		}
-	}
-	if !compute {
-		return Rewrite{}, false
-	}
-	out, applied, clean := e.applySafely(v, path, page)
-	rw := Rewrite{HTML: out, Applied: applied, Hint: rules.CacheHintValue(applied)}
-	if clean && e.rewriteCache != nil {
-		// Panic-path results are never cached: serving them is safe, but
-		// memoizing them would mask the breakage and freeze the panic count
-		// below the rule-quarantine threshold.
-		rw.ETag = e.rewriteCache.put(key, page, rw.HTML, rw.Applied, rw.Hint)
-	}
-	return rw, true
-}
-
-// observeRewrite does the per-rewrite accounting: latency histogram, page
-// counters, and (only when tracing is on) the trace event.
-func (e *Engine) observeRewrite(userID, path, page string, start time.Time, rw Rewrite) {
-	e.rewriteHist.Observe(time.Since(start))
-	// Applied is non-nil exactly when at least one rule replaced text; the
-	// HTML comparison only breaks the tie for degenerate identity
-	// replacements, and short-circuits away on the untouched path.
-	if len(rw.Applied) > 0 && rw.HTML != page {
-		e.metrics.pagesModified.Add(1)
-		if e.tracing() {
-			e.trace(obs.Event{
-				Kind: obs.EventRewrite, User: userID,
-				Detail: fmt.Sprintf("page %s: %d rules applied", path, len(rw.Applied)),
-			})
-		}
-	} else {
-		e.metrics.pagesUntouched.Add(1)
-	}
 }
 
 // ProfileSnapshot is a read-only view of a user's profile state.

@@ -494,61 +494,3 @@ func containsString(list []string, s string) bool {
 	}
 	return false
 }
-
-// applySafely is the serve path's panic-isolated rewrite, and the one place
-// an applier is compiled: the view's activations are compiled and applied
-// under recover(); if either panics, the activations are re-applied
-// one rule at a time through the sequential reference, each individually
-// recovered (quarantined rules skipped, panicking rules attributed via
-// noteRulePanic); a rule that cannot be applied simply contributes nothing,
-// so the worst case is the unmodified page — never a failed request. clean
-// is false when any panic occurred; such results must not enter the rewrite
-// cache (a cached safe-but-degraded page would both mask the breakage and
-// stop the panic count from ever reaching the quarantine threshold).
-// Panic isolation is always on, guard or not. Caller holds no shard lock: a
-// rule crossing the panic threshold is rolled back from here (noteRulePanic).
-func (e *Engine) applySafely(v actView, path, page string) (out string, applied []rules.Applied, clean bool) {
-	out, clean = page, true
-	func() {
-		defer func() {
-			if r := recover(); r != nil {
-				clean = false
-				e.metrics.rewritePanics.Inc()
-				if e.logf != nil {
-					e.logf("core: recovered rewrite panic (compiled applier, path %s): %v", path, r)
-				}
-			}
-		}()
-		out, applied = rules.NewApplier(v.acts, path).Apply(page)
-	}()
-	if clean {
-		return out, applied, true
-	}
-	// Degraded pass: per-rule sequential application so one poisoned rule
-	// cannot take the others down with it.
-	out, applied = page, nil
-	for _, act := range v.acts {
-		if act.Rule == nil {
-			continue
-		}
-		id := act.Rule.ID
-		if e.guard != nil && e.guard.RuleQuarantined(id) {
-			continue
-		}
-		func() {
-			defer func() {
-				if r := recover(); r != nil {
-					e.metrics.rewritePanics.Inc()
-					if e.logf != nil {
-						e.logf("core: recovered rewrite panic (rule %s, path %s): %v", id, path, r)
-					}
-					e.noteRulePanic(id)
-				}
-			}()
-			next, ap := rules.Apply(out, path, []rules.Activation{act})
-			out = next
-			applied = append(applied, ap...)
-		}()
-	}
-	return out, applied, false
-}

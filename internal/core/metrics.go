@@ -22,9 +22,10 @@ type Metrics struct {
 	RuleDeactivations uint64
 	// RuleExpirations counts TTL lapses observed at report time.
 	RuleExpirations uint64
-	// PagesModified counts ModifyPage calls that changed the page.
+	// PagesModified counts page serves in which some rule replaced text with
+	// different text.
 	PagesModified uint64
-	// PagesUntouched counts ModifyPage calls that returned the page as-is.
+	// PagesUntouched counts page serves that returned the page as-is.
 	PagesUntouched uint64
 	// ReportsShed counts report submissions refused with ErrOverloaded by
 	// the admission bound (WithAdmission).

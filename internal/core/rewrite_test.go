@@ -59,10 +59,10 @@ func TestRewritePageUnknownUserNoOp(t *testing.T) {
 
 // TestActivationExpiryBoundary: a rule lapsing exactly between two serves —
 // with no ingest in between — must show on the first serve past the deadline,
-// for a resident and a spilled user, with the rewrite cache on and off. Each
-// serve derives the user's activations at its own instant, so there is
-// nothing to invalidate; a rewrite cache entry for the old activation set
-// simply stops being asked for.
+// for a resident and a spilled user, with the deprecated WithRewriteCache
+// option given and not (it must change nothing). Each serve derives the
+// user's activations at its own instant and splices from the page's index,
+// so there is nothing to invalidate.
 func TestActivationExpiryBoundary(t *testing.T) {
 	for _, layout := range []string{"resident", "spilled"} {
 		for _, cache := range []int{16, 0} {
@@ -74,17 +74,25 @@ func TestActivationExpiryBoundary(t *testing.T) {
 				}
 				e, clock := activatedEngine(t, time.Minute, opts...)
 				t.Cleanup(func() { e.Close() })
+				e.SetPage("/index.html", rewriteTestPage)
 				if layout == "spilled" {
 					forceSpill(t, e, "u1")
 				}
-				serve := func(when string, wantRule, wantHit bool) {
+				var tag string
+				serve := func(when string, wantRule bool) {
 					t.Helper()
 					rw := e.RewritePage("u1", "/index.html", rewriteTestPage)
 					if got := strings.Contains(rw.HTML, "s2.net"); got != wantRule {
 						t.Fatalf("%s: rewrite applied the rule = %v, want %v: %q", when, got, wantRule, rw.HTML)
 					}
-					if rw.CacheHit != wantHit {
-						t.Fatalf("%s: CacheHit = %v, want %v", when, rw.CacheHit, wantHit)
+					if rw.CacheHit {
+						t.Fatalf("%s: CacheHit set; there is no rewrite cache", when)
+					}
+					if wantRule && (rw.ETag == "" || tag != "" && rw.ETag != tag) {
+						t.Fatalf("%s: ETag %q, want the rewrite's derived tag (first %q)", when, rw.ETag, tag)
+					}
+					if wantRule {
+						tag = rw.ETag
 					}
 					if !wantRule && (rw.HTML != rewriteTestPage || rw.Applied != nil || rw.ETag != "") {
 						t.Fatalf("%s: rewrite = %+v, want the untouched page", when, rw)
@@ -94,15 +102,15 @@ func TestActivationExpiryBoundary(t *testing.T) {
 						t.Fatalf("%s: %d active rules, fingerprint %d; want the rule live = %v", when, n, fp, wantRule)
 					}
 				}
-				serve("before expiry", true, false)
-				serve("warm", true, cache > 0)
+				serve("before expiry", true)
+				serve("again", true)
 				// At exactly ExpiresAt the rule is still active (Expired uses After).
 				clock.Advance(time.Minute)
-				serve("at the exact expiry instant", true, cache > 0)
+				serve("at the exact expiry instant", true)
 				// One nanosecond past the deadline the activation is gone, on the
 				// first serve, with no ingest.
 				clock.Advance(time.Nanosecond)
-				serve("past the deadline", false, false)
+				serve("past the deadline", false)
 				if got := e.Residency("u1"); got != layout {
 					t.Errorf("Residency(u1) = %q after serving, want %q", got, layout)
 				}
@@ -111,66 +119,60 @@ func TestActivationExpiryBoundary(t *testing.T) {
 	}
 }
 
-func TestRewriteCacheHitMissEviction(t *testing.T) {
-	e, _ := activatedEngine(t, 0, WithRewriteCache(rewriteCacheShards)) // 1 entry per shard
-
+// TestRewriteTagIsDerivedNotHashed: a rewritten registered page carries a tag
+// derived from what decides its bytes, not a hash of them: stable from serve
+// to serve, the same on a second engine built from the same rules, and a new
+// one when the page changes. The deprecated cache counters read zero.
+func TestRewriteTagIsDerivedNotHashed(t *testing.T) {
+	e, _ := activatedEngine(t, 0, WithRewriteCache(16))
+	twin, _ := activatedEngine(t, 0)
+	for _, en := range []*Engine{e, twin} {
+		en.SetPage("/index.html", rewriteTestPage)
+	}
 	rw := e.RewritePage("u1", "/index.html", rewriteTestPage)
-	if rw.CacheHit {
-		t.Fatal("first rewrite cannot be a cache hit")
+	if rw.ETag == "" || rw.ETag == ContentTag(rw.HTML) || rw.CacheHit {
+		t.Fatalf("rewrite = %+v, want a derived tag and no cache hit", rw)
 	}
-	if rw.ETag != ContentTag(rw.HTML) {
-		t.Fatalf("stored rewrite ETag = %q, want the tag of its output %q", rw.ETag, ContentTag(rw.HTML))
+	for i, other := range []Rewrite{
+		e.RewritePage("u1", "/index.html", rewriteTestPage),
+		twin.RewritePage("u1", "/index.html", rewriteTestPage),
+	} {
+		if other.ETag != rw.ETag || other.HTML != rw.HTML || other.Hint != rw.Hint {
+			t.Fatalf("serve %d = %+v, want the first's bytes and tag %s", i, other, rw.ETag)
+		}
 	}
-	rw2 := e.RewritePage("u1", "/index.html", rewriteTestPage)
-	if !rw2.CacheHit || rw2.HTML != rw.HTML || rw2.Hint != rw.Hint || rw2.ETag != rw.ETag {
-		t.Fatalf("second rewrite = %+v, want cache hit identical to first", rw2)
+	changed := rewriteTestPage + "<!-- v2 -->"
+	e.SetPage("/index.html", changed)
+	if rw2 := e.RewritePage("u1", "/index.html", changed); rw2.ETag == "" || rw2.ETag == rw.ETag {
+		t.Fatalf("changed page tag %q, want a new tag (old %q)", rw2.ETag, rw.ETag)
 	}
-	st := e.RewriteCacheStats()
-	if st.Hits != 1 || st.Misses != 1 || !st.Enabled {
-		t.Errorf("stats after hit = %+v", st)
+	// A body the engine does not hold is spliced all the same, untagged.
+	if rw3 := e.RewritePage("u1", "/index.html", rewriteTestPage); rw3.ETag != "" || rw3.HTML != rw.HTML {
+		t.Fatalf("unregistered body: %+v", rw3)
 	}
-	if st.Bytes <= 0 || st.Entries != 1 {
-		t.Errorf("stats accounting = %+v, want positive bytes and 1 entry", st)
-	}
-
-	// Distinct page contents eventually collide on a shard (1 entry each)
-	// and evict.
-	for i := 0; i < 64; i++ {
-		page := fmt.Sprintf("%s<!-- v%d -->", rewriteTestPage, i)
-		e.RewritePage("u1", "/index.html", page)
-	}
-	if st = e.RewriteCacheStats(); st.Evictions == 0 {
-		t.Errorf("no evictions after overfilling: %+v", st)
-	}
-	if st.Entries > rewriteCacheShards {
-		t.Errorf("entries %d exceed capacity %d", st.Entries, rewriteCacheShards)
-	}
-
-	e.FlushRewriteCache()
-	if st = e.RewriteCacheStats(); st.Entries != 0 || st.Bytes != 0 {
-		t.Errorf("stats after flush = %+v, want empty", st)
+	if st := e.RewriteCacheStats(); st != (RewriteCacheStats{}) {
+		t.Errorf("rewrite cache stats = %+v, want zero", st)
 	}
 }
 
 func TestRewriteCacheDisabledIdenticalBehavior(t *testing.T) {
 	eCached, _ := activatedEngine(t, 0, WithRewriteCache(64))
 	ePlain, _ := activatedEngine(t, 0, WithRewriteCache(0))
+	eCached.SetPage("/index.html", rewriteTestPage)
+	ePlain.SetPage("/index.html", rewriteTestPage)
 
 	for i := 0; i < 3; i++ {
 		a := eCached.RewritePage("u1", "/index.html", rewriteTestPage)
 		b := ePlain.RewritePage("u1", "/index.html", rewriteTestPage)
-		if a.HTML != b.HTML || a.Hint != b.Hint || len(a.Applied) != len(b.Applied) {
+		if a.HTML != b.HTML || a.Hint != b.Hint || len(a.Applied) != len(b.Applied) || a.ETag != b.ETag {
 			t.Fatalf("pass %d: cached %+v != plain %+v", i, a, b)
 		}
-		if b.CacheHit {
-			t.Fatal("disabled cache reported a hit")
-		}
-		if b.ETag != "" {
-			t.Fatalf("a rewrite no cache holds carries ETag %q; nothing may hash per request", b.ETag)
+		if a.CacheHit || b.CacheHit {
+			t.Fatal("a rewrite reported a cache hit; there is no rewrite cache")
 		}
 	}
-	if st := ePlain.RewriteCacheStats(); st.Enabled || st.Hits != 0 || st.Misses != 0 {
-		t.Errorf("disabled cache stats = %+v, want zero", st)
+	if st := ePlain.RewriteCacheStats(); st != (RewriteCacheStats{}) {
+		t.Errorf("cache stats = %+v, want zero", st)
 	}
 }
 
@@ -199,22 +201,27 @@ func TestRewriteCachedFastPath(t *testing.T) {
 	if !ok || rw.HTML != rewriteTestPage {
 		t.Fatalf("RewriteCached(nobody) = (%+v, %v), want no-op ok", rw, ok)
 	}
-	// Active user, cold cache: must decline.
-	if _, ok := e.RewriteCached("u1", "/index.html", rewriteTestPage); ok {
-		t.Fatal("RewriteCached served a rewrite it should have declined to compute")
-	}
-	e.RewritePage("u1", "/index.html", rewriteTestPage)
+	// Active user, lock free, resident: spliced on the spot, first time.
+	want := e.RewritePage("u1", "/index.html", rewriteTestPage)
 	rw, ok = e.RewriteCached("u1", "/index.html", rewriteTestPage)
-	if !ok || !rw.CacheHit || !strings.Contains(rw.HTML, "s2.net") {
-		t.Fatalf("RewriteCached after warm = (%+v, %v), want cache hit", rw, ok)
+	if !ok || rw.CacheHit || rw.HTML != want.HTML || !strings.Contains(rw.HTML, "s2.net") {
+		t.Fatalf("RewriteCached(u1) = (%+v, %v), want the rewrite", rw, ok)
+	}
+	// Shard lock held by ingest: declines instead of waiting.
+	sh := e.shardFor("u1")
+	sh.mu.Lock()
+	_, ok = e.RewriteCached("u1", "/index.html", rewriteTestPage)
+	sh.mu.Unlock()
+	if ok {
+		t.Fatal("RewriteCached waited for a held shard lock")
 	}
 }
 
 func TestRewriteCachedNoCacheConfigured(t *testing.T) {
 	e, _ := activatedEngine(t, 0)
-	// No cache: active user always declines, no-activation user still served.
-	if _, ok := e.RewriteCached("u1", "/index.html", rewriteTestPage); ok {
-		t.Fatal("RewriteCached computed a rewrite without a cache")
+	// No cache configured, none needed: both users are served.
+	if rw, ok := e.RewriteCached("u1", "/index.html", rewriteTestPage); !ok || !strings.Contains(rw.HTML, "s2.net") {
+		t.Fatalf("RewriteCached(u1) = (%+v, %v), want the rewrite", rw, ok)
 	}
 	if rw, ok := e.RewriteCached("nobody", "/index.html", rewriteTestPage); !ok || rw.HTML != rewriteTestPage {
 		t.Fatalf("RewriteCached(nobody) = (%+v, %v)", rw, ok)
@@ -240,6 +247,15 @@ func TestRewriteNoOpPathZeroAlloc(t *testing.T) {
 		}
 	}); allocs != 0 {
 		t.Errorf("no-profile RewriteCached allocates %v/call, want 0", allocs)
+	}
+	e.SetPage("/index.html", rewriteTestPage)
+	p := e.Page("/index.html")
+	if allocs := testing.AllocsPerRun(200, func() {
+		if plan, ok := e.ServePage("nobody", p, false); !ok || plan.Length != len(rewriteTestPage) {
+			t.Fatalf("ServePage(nobody) = (%+v, %v)", plan, ok)
+		}
+	}); allocs != 0 {
+		t.Errorf("no-profile ServePage allocates %v/call, want 0", allocs)
 	}
 }
 

@@ -8,19 +8,17 @@ package core
 import (
 	"fmt"
 	"runtime"
-	"strings"
 	"testing"
-
-	"oak/internal/report"
-	"oak/internal/rules"
 )
 
-// TestServingRetainsNoPerUserState: the rewrite cache is the only memory the
-// serve path keeps. 400 users with four activations each, served on twelve
-// paths, may grow the heap by what the rewrite cache holds plus 1 MB of
-// slack — no per-user, per-path state that -profile-cache-bytes cannot see.
-// The byte-capped row serves resident and spilled users alike and holds the
-// growth against what the cap counts (ResidentBytes).
+// TestServingRetainsNoPerUserState: the page index is the only memory the
+// serve path keeps, and it is built on a page's first serve, bounded by pages
+// × rules. 400 users with four activations each, served on twelve registered
+// paths, may grow the heap by 1 MB of slack, the indexes included — no
+// per-user, per-path state that -profile-cache-bytes cannot see, and no
+// rewritten page. The byte-capped row serves resident and
+// spilled users alike and holds the growth against what the cap counts
+// (ResidentBytes).
 func TestServingRetainsNoPerUserState(t *testing.T) {
 	const (
 		users = 400
@@ -55,26 +53,33 @@ func TestServingRetainsNoPerUserState(t *testing.T) {
 					t.Fatalf("%s has %d active rules, want %d", uid, n, len(rs))
 				}
 			}
+			for p := 0; p < paths; p++ {
+				e.SetPage(fmt.Sprintf("/p%d.html", p), page)
+			}
 			serveAll := func() {
 				for u := 0; u < users; u++ {
 					uid := fmt.Sprintf("user-%03d", u)
 					for p := 0; p < paths; p++ {
-						if rw := e.RewritePage(uid, fmt.Sprintf("/p%d.html", p), page); len(rw.Applied) != len(rs) {
-							t.Fatalf("%s: %d rules applied, want %d", uid, len(rw.Applied), len(rs))
+						plan, _ := e.ServePage(uid, e.Page(fmt.Sprintf("/p%d.html", p)), true)
+						if len(plan.Applied) != len(rs) || plan.ETag == "" {
+							t.Fatalf("%s: %d rules applied under %q, want %d under a tag", uid, len(plan.Applied), plan.ETag, len(rs))
 						}
 					}
 				}
 			}
 			before := liveHeap()
-			serveAll()
+			serveAll() // the first pass also indexes the twelve pages
 			serveAll()
 			growth := liveHeap() - before
-			cache := e.RewriteCacheStats().Bytes
-			t.Logf("heap growth %.3f MB after %d users × %d paths; rewrite cache %.3f MB",
-				float64(growth)/(1<<20), users, paths, float64(cache)/(1<<20))
-			if growth > cache+slack {
-				t.Errorf("serving grew the live heap by %d bytes, over the rewrite cache's %d + %d: the serve path keeps per-user state",
-					growth, cache, slack)
+			entries := e.PageIndexEntries()
+			t.Logf("heap growth %.3f MB after %d users × %d paths; page index %d entries",
+				float64(growth)/(1<<20), users, paths, entries)
+			if entries > paths*len(rs) {
+				t.Errorf("page index holds %d entries, over pages × rules = %d", entries, paths*len(rs))
+			}
+			if growth > slack {
+				t.Errorf("serving grew the live heap by %d bytes, over %d: the serve path keeps per-user state",
+					growth, slack)
 			}
 			if row.maxBytes > 0 {
 				st, _ := e.SpillStatus()
@@ -83,9 +88,9 @@ func TestServingRetainsNoPerUserState(t *testing.T) {
 				if st.ProfilesSpilled == 0 {
 					t.Fatal("no user spilled: the row serves no spilled user")
 				}
-				if uncounted := growth - cache; uncounted > st.ResidentBytes+slack {
+				if growth > st.ResidentBytes+slack {
 					t.Errorf("serving kept %d bytes the byte cap cannot see, against %d it counts resident",
-						uncounted, st.ResidentBytes)
+						growth, st.ResidentBytes)
 				}
 			}
 			runtime.KeepAlive(e)
@@ -117,20 +122,6 @@ func TestActivationViewAllocatesNothing(t *testing.T) {
 			t.Errorf("%d activations: deriving the view allocates %v/call, want 0", n, allocs)
 		}
 	}
-}
-
-// activatingReport is a report that activates every rule of rs for uid:
-// each rule's host is slow against twice as many healthy peers.
-func activatingReport(rs []*rules.Rule, uid string) *report.Report {
-	times := map[string]float64{}
-	for i := 0; i < 2*len(rs); i++ {
-		times[fmt.Sprintf("peer%d.example", i)] = 100 + float64(i)
-	}
-	for _, r := range rs {
-		host := strings.SplitN(strings.SplitN(r.Default, "//", 2)[1], "/", 2)[0]
-		times[host] = 2000
-	}
-	return loadReport(uid, times)
 }
 
 // liveHeap returns the bytes of live heap objects after two collections.

@@ -15,9 +15,10 @@ import (
 // decides nothing: every page request still goes to the user's backend,
 // which picks the variant for that user at that instant; the cache only
 // offers the tags it holds and serves the one the backend names in the same
-// exchange. A tag is a hash of the body (core.ContentTag), so a variant is
-// right for as long as anything names it: a page that changed, or a rule
-// that expired, is simply never named again and ages out.
+// exchange. A tag names one body wherever it is served (core.Plan.ETag:
+// equal tags mean equal bytes), so a variant is right for as long as
+// anything names it: a page that changed, or a rule that expired, is simply
+// never named again and ages out.
 //
 // The bounds are fixed: a working set of pages × live activation variants
 // beyond them still works, it just revalidates less (see the evictions and

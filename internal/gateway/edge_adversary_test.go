@@ -29,7 +29,9 @@ import (
 // two-backend gateway whose edge cache holds 2 variants per path and about
 // a dozen of the 24 live variants in all, so variants are evicted between
 // offer and answer all the time. Each backend has a twin engine fed the same reports on the same
-// virtual clock; a page is right when it is byte for byte the twin's render.
+// virtual clock; a page is right when it is byte for byte the twin's render,
+// under the twin's entity tag (a derived tag is the same on every engine
+// built from the same rules, so the backend's must equal its twin's).
 // The clock moves only between rounds, and a client is the only sender for
 // its users, so that render is determinate. Mid-way through one round the
 // backend owning arc 0 is killed: from then on its users are served by the
@@ -56,7 +58,7 @@ func TestEdgeCacheUnderChurn(t *testing.T) {
 	// round has the same expiry on both.
 	clock := newVirtualClock()
 	build := func() *oak.Engine {
-		e, err := oak.NewEngine([]*oak.Rule{variantRule(t)}, oak.WithClock(clock.Now), oak.WithRewriteCache(1024))
+		e, err := oak.NewEngine([]*oak.Rule{variantRule(t)}, oak.WithClock(clock.Now))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -73,6 +75,9 @@ func TestEdgeCacheUnderChurn(t *testing.T) {
 		backends[i] = httptest.NewServer(srv)
 		defer backends[i].Close()
 		twins[i] = build()
+		for path, html := range pages {
+			twins[i].SetPage(path, html)
+		}
 	}
 	gw, err := gateway.NewGateway(gateway.Config{
 		Backends: []string{backends[0].URL, backends[1].URL},
@@ -156,11 +161,15 @@ func TestEdgeCacheUnderChurn(t *testing.T) {
 					right := false
 					for _, i := range serving {
 						want := twins[i].RewritePage(user, path, pages[path])
-						if body == want.HTML && resp.Header.Get(rules.CacheHintHeader) == want.Hint {
+						tag := want.ETag
+						if want.Applied == nil {
+							tag = core.ContentTag(pages[path])
+						}
+						if body == want.HTML && resp.Header.Get(rules.CacheHintHeader) == want.Hint && resp.Header.Get("ETag") == tag {
 							right = true
 						}
 					}
-					if !right || body == "" || resp.Header.Get("ETag") != core.ContentTag(body) {
+					if !right || body == "" {
 						t.Errorf("round %d: %s as %s (arc %d, served by %v): %d bytes, rewritten %v, %s %q, ETag %q — not that user's page",
 							round, path, user, arc, serving, len(body), body != pages[path], rules.CacheHintHeader, resp.Header.Get(rules.CacheHintHeader), resp.Header.Get("ETag"))
 						return

@@ -326,7 +326,7 @@ func newVariantNode(t testing.TB, pages map[string]string) *variantNode {
 	t.Helper()
 	n := &variantNode{clock: newVirtualClock()}
 	var err error
-	n.engine, err = oak.NewEngine([]*oak.Rule{variantRule(t)}, oak.WithClock(n.clock.Now), oak.WithRewriteCache(1024))
+	n.engine, err = oak.NewEngine([]*oak.Rule{variantRule(t)}, oak.WithClock(n.clock.Now))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,7 @@ import (
 	"net/http/httptest"
 	"regexp"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"oak/internal/core"
@@ -62,9 +63,10 @@ func (d decisions) minus(o decisions) decisions {
 	return decisions{d.modified - o.modified, d.untouched - o.untouched, d.rewrites - o.rewrites, d.rewriteEvents - o.rewriteEvents}
 }
 
-// TestPageEntityTag: every page body is served under the content tag of its
-// bytes, and a GET that lists the tag gets a bodyless 304 after the same
-// per-user decision and accounting as a 200.
+// TestPageEntityTag: the untouched page is served under the content tag of
+// its bytes, a rewrite under the tag its plan derives, and a GET that lists
+// the tag gets a bodyless 304 after the same per-user decision and
+// accounting as a 200.
 func TestPageEntityTag(t *testing.T) {
 	engine, err := core.NewEngine([]*rules.Rule{swapRule()}, core.WithRewriteCache(64))
 	if err != nil {
@@ -73,8 +75,8 @@ func TestPageEntityTag(t *testing.T) {
 	defer engine.Close()
 	srv := NewServer(engine)
 	srv.SetPage("/index.html", taggedPage)
-	if srv.pages["/index.html"].tag != "" {
-		t.Fatal("SetPage hashed the page; the tag must wait for the first serve")
+	if engine.PageIndexEntries() != 0 {
+		t.Fatal("SetPage indexed the page; the index and tag must wait for the first serve")
 	}
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
@@ -86,8 +88,15 @@ func TestPageEntityTag(t *testing.T) {
 		full, body := fetch(t, http.MethodGet, url, user, "")
 		perServe := decisionsOf(engine).minus(before)
 		tag := full.Header.Get("ETag")
-		if full.StatusCode != http.StatusOK || tag != core.ContentTag(body) {
-			t.Fatalf("%s: status %d, ETag %q, want 200 and %q", user, full.StatusCode, tag, core.ContentTag(body))
+		want := core.ContentTag(body)
+		if user == "activated" {
+			plan, _ := engine.ServePage(user, engine.Page("/index.html"), true)
+			if want = plan.ETag; want == "" || want == core.ContentTag(body) || want == core.ContentTag(taggedPage) {
+				t.Fatalf("rewrite plan tag %q, want one derived, not the hash of any body", want)
+			}
+		}
+		if full.StatusCode != http.StatusOK || tag != want {
+			t.Fatalf("%s: status %d, ETag %q, want 200 and %q", user, full.StatusCode, tag, want)
 		}
 		if cc := full.Header.Get("Cache-Control"); cc != "private, no-cache" {
 			t.Errorf("%s: Cache-Control = %q", user, cc)
@@ -164,11 +173,12 @@ func TestPageEntityTag(t *testing.T) {
 	}
 }
 
-// TestUncachedRewriteCarriesNoTag: with the rewrite cache off a rewritten
-// body has no stored tag, and none is computed per request — it always
-// answers 200. The untouched page still carries its own.
-func TestUncachedRewriteCarriesNoTag(t *testing.T) {
-	engine, err := core.NewEngine([]*rules.Rule{swapRule()}, core.WithRewriteCache(0))
+// TestPanicPathRewriteCarriesNoTag: a rewrite whose splice panicked is
+// rebuilt one rule at a time and served without an entity tag, so a client
+// cannot pin the degraded bytes by revalidating; it answers 200 even to the
+// tag of the healthy rewrite. The untouched page keeps its own tag.
+func TestPanicPathRewriteCarriesNoTag(t *testing.T) {
+	engine, err := core.NewEngine([]*rules.Rule{swapRule()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,14 +189,23 @@ func TestUncachedRewriteCarriesNoTag(t *testing.T) {
 	defer ts.Close()
 	postReport(t, ts.URL, "activated")
 
-	_, rewritten := fetch(t, http.MethodGet, ts.URL+"/index.html", "activated", "")
-	resp, body := fetch(t, http.MethodGet, ts.URL+"/index.html", "activated", core.ContentTag(rewritten))
-	if resp.StatusCode != http.StatusOK || resp.Header.Get("ETag") != "" || body != rewritten {
-		t.Errorf("uncached rewrite: status %d, ETag %q", resp.StatusCode, resp.Header.Get("ETag"))
+	healthy, rewritten := fetch(t, http.MethodGet, ts.URL+"/index.html", "activated", "")
+	if healthy.Header.Get("ETag") == "" || !strings.Contains(rewritten, "fast.example") {
+		t.Fatalf("healthy rewrite: ETag %q, body %q", healthy.Header.Get("ETag"), rewritten)
+	}
+	var fired atomic.Bool // panic the splice once; the per-rule pass then succeeds
+	rules.SetApplyFailpoint(func(string) bool { return fired.CompareAndSwap(false, true) })
+	defer rules.SetApplyFailpoint(nil)
+	resp, body := fetch(t, http.MethodGet, ts.URL+"/index.html", "activated", healthy.Header.Get("ETag"))
+	if !fired.Load() || resp.StatusCode != http.StatusOK || resp.Header.Get("ETag") != "" || body != rewritten {
+		t.Errorf("panic-path rewrite: fired %v, status %d, ETag %q, body %q", fired.Load(), resp.StatusCode, resp.Header.Get("ETag"), body)
+	}
+	if n := engine.Metrics().RewritePanics; n != 1 {
+		t.Errorf("RewritePanics = %d, want 1", n)
 	}
 	resp, _ = fetch(t, http.MethodGet, ts.URL+"/index.html", "healthy", core.ContentTag(taggedPage))
 	if resp.StatusCode != http.StatusNotModified {
-		t.Errorf("untouched page with the cache off: status %d, want 304", resp.StatusCode)
+		t.Errorf("untouched page: status %d, want 304", resp.StatusCode)
 	}
 }
 

@@ -58,13 +58,15 @@ type MetricsResponse struct {
 	// PagesNotModified counts page GETs answered 304: the requester's
 	// If-None-Match listed the entity tag of the body this user was due.
 	PagesNotModified uint64 `json:"pages_not_modified"`
-	// Rewrite-cache counters (all zero when the cache is disabled; see
-	// core.WithRewriteCache). Bytes approximates resident cache memory.
-	RewriteCacheHits      uint64 `json:"rewrite_cache_hits"`
-	RewriteCacheMisses    uint64 `json:"rewrite_cache_misses"`
-	RewriteCacheEvictions uint64 `json:"rewrite_cache_evictions"`
-	RewriteCacheBytes     int64  `json:"rewrite_cache_bytes"`
-	RewriteCacheEntries   int    `json:"rewrite_cache_entries"`
+	// PageIndexEntries sums, over the pages served so far, how many rules
+	// occur on each (core.Engine.PageIndexEntries): the serve path's only
+	// memory, at most pages × rules, whatever the number of users.
+	PageIndexEntries int `json:"page_index_entries"`
+	// Deprecated: there is no rewrite cache; these read zero. They stay
+	// until the benchmark stops reading them.
+	RewriteCacheHits   uint64 `json:"rewrite_cache_hits"`
+	RewriteCacheMisses uint64 `json:"rewrite_cache_misses"`
+	RewriteCacheBytes  int64  `json:"rewrite_cache_bytes"`
 	// Guard is the circuit-breaker state (breakers, quarantined providers
 	// and rules, canary counts); absent on engines built without WithGuard.
 	Guard *core.GuardStatus `json:"guard,omitempty"`
@@ -155,13 +157,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		Shards:           s.engine.ShardCount(),
 		PagesDegraded:    s.pagesDegraded.Value(),
 		PagesNotModified: s.pagesNotModified.Value(),
+		PageIndexEntries: s.engine.PageIndexEntries(),
 	}
-	rc := s.engine.RewriteCacheStats()
-	resp.RewriteCacheHits = rc.Hits
-	resp.RewriteCacheMisses = rc.Misses
-	resp.RewriteCacheEvictions = rc.Evictions
-	resp.RewriteCacheBytes = rc.Bytes
-	resp.RewriteCacheEntries = rc.Entries
 	for i, snap := range lat.IngestShards {
 		if snap.Count > 0 {
 			resp.IngestShards = append(resp.IngestShards, ShardSummary{Shard: i, Summary: snap.Summary()})

@@ -16,10 +16,8 @@ import (
 	"io/fs"
 	"net/http"
 	"path"
-	"sort"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"oak/internal/bodybuf"
@@ -77,8 +75,8 @@ const DefaultRewriteBudget = 500 * time.Millisecond
 //
 // Construction is NewServer(engine, opts...); the zero-option form wraps an
 // engine with default limits and cookie-based user identification. The page
-// registry (SetPage / RemovePage / Pages) may be mutated at any time,
-// including while the server is serving.
+// registry (SetPage / RemovePage / Pages) is the engine's, and may be
+// mutated at any time, including while the server is serving.
 type Server struct {
 	engine  *core.Engine
 	started time.Time
@@ -93,25 +91,6 @@ type Server struct {
 	// because the requester already held the chosen bytes.
 	pagesDegraded    obs.Counter
 	pagesNotModified obs.Counter
-
-	mu    sync.RWMutex
-	pages map[string]*page
-}
-
-// page is one registered page: its untouched markup and, from the first
-// serve on, the entity tag of those bytes. SetPage registers a new page
-// value, so changed bytes can never be served under the old tag.
-type page struct {
-	html    string
-	tagOnce sync.Once
-	tag     string
-}
-
-// etag returns core.ContentTag(p.html), hashing the page on first use and
-// never again — not when pages are loaded, so that a boot hashes nothing.
-func (p *page) etag() string {
-	p.tagOnce.Do(func() { p.tag = core.ContentTag(p.html) })
-	return p.tag
 }
 
 var _ http.Handler = (*Server)(nil)
@@ -169,7 +148,6 @@ func NewServer(engine *core.Engine, opts ...Option) *Server {
 	s := &Server{
 		engine:        engine,
 		started:       time.Now(),
-		pages:         make(map[string]*page),
 		maxBodyBytes:  maxReportBytes,
 		rewriteBudget: DefaultRewriteBudget,
 	}
@@ -182,37 +160,16 @@ func NewServer(engine *core.Engine, opts ...Option) *Server {
 // Engine returns the underlying Oak engine.
 func (s *Server) Engine() *core.Engine { return s.engine }
 
-// SetPage registers (or replaces) the default markup for a path. The
-// engine's rewrite cache is flushed: entries for the old content are
-// unreachable by key anyway, but their memory should be released now.
-func (s *Server) SetPage(path, html string) {
-	s.mu.Lock()
-	s.pages[path] = &page{html: html}
-	s.mu.Unlock()
-	s.engine.FlushRewriteCache()
-}
+// SetPage registers (or replaces) the default markup for a path with the
+// engine, which indexes it on its first serve.
+func (s *Server) SetPage(path, html string) { s.engine.SetPage(path, html) }
 
 // RemovePage deletes the page registered at path, if any. Subsequent
-// requests for the path get 404; per-user rule state is unaffected. The
-// engine's rewrite cache is flushed (as in SetPage).
-func (s *Server) RemovePage(path string) {
-	s.mu.Lock()
-	delete(s.pages, path)
-	s.mu.Unlock()
-	s.engine.FlushRewriteCache()
-}
+// requests for the path get 404; per-user rule state is unaffected.
+func (s *Server) RemovePage(path string) { s.engine.RemovePage(path) }
 
 // Pages returns the registered page paths, sorted.
-func (s *Server) Pages() []string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out := make([]string, 0, len(s.pages))
-	for p := range s.pages {
-		out = append(out, p)
-	}
-	sort.Strings(out)
-	return out
-}
+func (s *Server) Pages() []string { return s.engine.Pages() }
 
 // LoadPages walks fsys and registers every *.html file at its slash-rooted
 // path ("dir/index.html" serves at "/dir/index.html" and also at "/dir/").
@@ -300,19 +257,20 @@ func (s *Server) handleAudit(w http.ResponseWriter, r *http.Request) {
 // stuck matcher fetch), the page is served unmodified — degraded, but
 // available.
 //
-// Every body is served under its content entity tag when one exists without
-// hashing per request: the page's own for untouched bytes, the rewrite
-// cache entry's for a cached rewrite, none for a rewrite the cache does not
-// hold. A GET whose If-None-Match lists the chosen tag is answered 304 with
-// no body — after the per-user decision and all its accounting have run
-// exactly as for a 200, so the requester learns which bytes this user gets
-// now, not merely that some copy is current. Pages are per-user, hence
-// "private, no-cache": a holder may keep the bytes but must ask every time.
+// Every body is served under the entity tag its plan carries, which no serve
+// computes by hashing the body: the page's own for untouched bytes, one
+// derived from the page tag and the activations for a rewrite, none for a
+// body built on the panic path. A GET whose If-None-Match lists the chosen
+// tag is answered 304 with no body — after the per-user decision and all its
+// accounting have run exactly as for a 200, so the requester learns which
+// bytes this user gets now, not merely that some copy is current. Pages are
+// per-user, hence "private, no-cache": a holder may keep the bytes but must
+// ask every time. The body goes out segment by segment, with
+// io.WriteString: net/http's response buffers coalesce the segments into the
+// same socket writes one whole-body write would make.
 func (s *Server) handlePage(w http.ResponseWriter, r *http.Request) {
-	s.mu.RLock()
-	p, ok := s.pages[r.URL.Path]
-	s.mu.RUnlock()
-	if !ok {
+	p := s.engine.Page(r.URL.Path)
+	if p == nil {
 		http.NotFound(w, r)
 		return
 	}
@@ -322,32 +280,28 @@ func (s *Server) handlePage(w http.ResponseWriter, r *http.Request) {
 	}
 
 	userID := s.userID(w, r)
-	rw := s.rewriteBudgeted(userID, r.URL.Path, p.html)
-	tag := rw.ETag
-	if tag == "" && rw.Applied == nil {
-		// No rule replaced anything (or the budget lapsed): these are the
-		// page's own bytes.
-		tag = p.etag()
-	}
+	plan := s.planBudgeted(userID, p)
 	h := w.Header()
-	if rw.Hint != "" {
-		h.Set(rules.CacheHintHeader, rw.Hint)
+	if plan.Hint != "" {
+		h.Set(rules.CacheHintHeader, plan.Hint)
 	}
 	h.Set("Cache-Control", "private, no-cache")
-	if tag != "" {
-		h.Set("ETag", tag)
-		if r.Method == http.MethodGet && TagListed(r.Header.Values("If-None-Match"), tag) {
+	if plan.ETag != "" {
+		h.Set("ETag", plan.ETag)
+		if r.Method == http.MethodGet && TagListed(r.Header.Values("If-None-Match"), plan.ETag) {
 			s.pagesNotModified.Inc()
 			w.WriteHeader(http.StatusNotModified)
 			return
 		}
 	}
 	h.Set("Content-Type", "text/html; charset=utf-8")
-	h.Set("Content-Length", strconv.Itoa(len(rw.HTML)))
+	h.Set("Content-Length", strconv.Itoa(plan.Length))
 	if r.Method == http.MethodHead {
 		return
 	}
-	_, _ = io.WriteString(w, rw.HTML)
+	for _, seg := range plan.Segments {
+		_, _ = io.WriteString(w, seg)
+	}
 }
 
 // TagListed reports whether an If-None-Match header (every line of it)
@@ -368,36 +322,37 @@ func TagListed(ifNoneMatch []string, tag string) bool {
 	return false
 }
 
-// rewriteBudgeted runs the engine rewrite under the rewrite budget,
-// returning the page unmodified when the budget lapses.
+// planBudgeted plans the page under the rewrite budget, returning the
+// untouched page's plan when the budget lapses.
 //
-// It first asks the engine for a non-blocking cached answer: a user with no
-// in-scope activations, or a rewrite the cache already holds, is served
-// without spawning the watchdog goroutine or its timer — and, because that
-// path never waits on anything, a cache hit can never be degraded no matter
-// how wedged the user's shard is. Only rewrites that must be computed go
-// through the budget machinery; the abandoned rewrite goroutine finishes
-// (harmlessly, against its own copy of the inputs) once the engine
-// unwedges; it can never write to the response.
-func (s *Server) rewriteBudgeted(userID, path, html string) core.Rewrite {
-	if rw, ok := s.engine.RewriteCached(userID, path, html); ok {
-		return rw
+// It first asks the engine for a plan without waiting: unless the user's
+// shard lock is held or their activations are in a spilled record, the plan
+// is made on this goroutine, with no watchdog goroutine or timer — and,
+// because that path never waits on anything, it can never be degraded. Only
+// plans that must wait go through the budget machinery; the abandoned
+// goroutine finishes (harmlessly) once the engine unwedges; it can never
+// write to the response.
+func (s *Server) planBudgeted(userID string, p *core.Page) core.Plan {
+	if plan, ok := s.engine.ServePage(userID, p, false); ok {
+		return plan
 	}
 	if s.rewriteBudget <= 0 {
-		return s.engine.RewritePage(userID, path, html)
+		plan, _ := s.engine.ServePage(userID, p, true)
+		return plan
 	}
-	done := make(chan core.Rewrite, 1)
+	done := make(chan core.Plan, 1)
 	go func() {
-		done <- s.engine.RewritePage(userID, path, html)
+		plan, _ := s.engine.ServePage(userID, p, true)
+		done <- plan
 	}()
 	timer := time.NewTimer(s.rewriteBudget)
 	defer timer.Stop()
 	select {
-	case rw := <-done:
-		return rw
+	case plan := <-done:
+		return plan
 	case <-timer.C:
 		s.pagesDegraded.Inc()
-		return core.Rewrite{HTML: html}
+		return p.Untouched()
 	}
 }
 

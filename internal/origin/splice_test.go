@@ -1,6 +1,7 @@
 package origin
 
 import (
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -17,9 +18,11 @@ func getPageAs(t *testing.T, tsURL, path, user string) (string, *http.Response) 
 	return body, resp
 }
 
-// TestServeRewriteCacheEndToEnd drives page serving through the cached fast
-// path and checks the /oak/v1/metrics counters and the precomputed
-// X-Oak-Alternate header survive caching.
+// TestServeRewriteCacheEndToEnd drives page serving end to end now that the
+// rewrite cache is gone: repeat serves splice identical bytes and headers
+// from the page's index, /oak/v1/metrics counts the index (one rule on one
+// page) while the deprecated cache counters read zero, and a registry
+// change serves the new page at once.
 func TestServeRewriteCacheEndToEnd(t *testing.T) {
 	engine, err := core.NewEngine([]*rules.Rule{swapRule()}, core.WithRewriteCache(64))
 	if err != nil {
@@ -30,6 +33,11 @@ func TestServeRewriteCacheEndToEnd(t *testing.T) {
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
+	var m MetricsResponse
+	getJSON(t, ts.URL+MetricsPathV1, &m)
+	if m.PageIndexEntries != 0 {
+		t.Fatalf("page_index_entries = %d before any serve; registering must index nothing", m.PageIndexEntries)
+	}
 	postReport(t, ts.URL, "u1")
 
 	var first, firstResp = getPageAs(t, ts.URL, "/index.html", "u1")
@@ -41,46 +49,44 @@ func TestServeRewriteCacheEndToEnd(t *testing.T) {
 		t.Fatalf("first %s = %q, want %q", rules.CacheHintHeader, h, wantHint)
 	}
 
-	// Repeat requests must serve identical bytes and headers from cache.
+	// Repeat requests, from this user and others, serve identical bytes
+	// and headers.
 	for i := 0; i < 3; i++ {
 		body, resp := getPageAs(t, ts.URL, "/index.html", "u1")
 		if body != first {
-			t.Fatalf("cached serve diverged: %q vs %q", body, first)
+			t.Fatalf("repeat serve diverged: %q vs %q", body, first)
 		}
-		if h := resp.Header.Get(rules.CacheHintHeader); h != wantHint {
-			t.Fatalf("cached %s = %q, want %q", rules.CacheHintHeader, h, wantHint)
+		for _, h := range []string{rules.CacheHintHeader, "ETag"} {
+			if resp.Header.Get(h) != firstResp.Header.Get(h) {
+				t.Fatalf("repeat %s = %q, want %q", h, resp.Header.Get(h), firstResp.Header.Get(h))
+			}
 		}
+		getPageAs(t, ts.URL, "/index.html", fmt.Sprintf("other-%d", i))
 	}
 
-	var m MetricsResponse
 	getJSON(t, ts.URL+MetricsPathV1, &m)
-	if m.RewriteCacheHits == 0 {
-		t.Errorf("rewrite_cache_hits = 0 after repeat serves; metrics = %+v", m)
+	if m.PageIndexEntries != 1 {
+		t.Errorf("page_index_entries = %d after serving four users, want 1 (one rule on one page)", m.PageIndexEntries)
 	}
-	if m.RewriteCacheMisses == 0 {
-		t.Error("rewrite_cache_misses = 0, want at least the first computation")
-	}
-	if m.RewriteCacheEntries == 0 || m.RewriteCacheBytes <= 0 {
-		t.Errorf("cache occupancy missing from metrics: entries=%d bytes=%d",
-			m.RewriteCacheEntries, m.RewriteCacheBytes)
+	if m.RewriteCacheHits != 0 || m.RewriteCacheMisses != 0 || m.RewriteCacheBytes != 0 {
+		t.Errorf("deprecated rewrite-cache counters moved: %+v", m)
 	}
 
-	// A registry change flushes the cache.
+	// A registry change serves the new page, and drops the old index.
 	srv.SetPage("/index.html", `<html><p>new content, nothing to rewrite</p></html>`)
-	getJSON(t, ts.URL+MetricsPathV1, &m)
-	if m.RewriteCacheEntries != 0 || m.RewriteCacheBytes != 0 {
-		t.Errorf("cache not flushed on SetPage: entries=%d bytes=%d",
-			m.RewriteCacheEntries, m.RewriteCacheBytes)
-	}
 	body, _ := getPageAs(t, ts.URL, "/index.html", "u1")
 	if !strings.Contains(body, "new content") {
 		t.Errorf("stale page served after registry change: %q", body)
 	}
+	getJSON(t, ts.URL+MetricsPathV1, &m)
+	if m.PageIndexEntries != 0 {
+		t.Errorf("page_index_entries = %d for a page no rule occurs on", m.PageIndexEntries)
+	}
 }
 
 // TestServeRewriteCacheDisabledIdentical serves the same traffic with and
-// without the cache and requires identical bytes and headers (acceptance:
-// -rewrite-cache 0 behaves exactly like today).
+// without the deprecated cache option and requires identical bytes and
+// headers, entity tags included: the option changes nothing.
 func TestServeRewriteCacheDisabledIdentical(t *testing.T) {
 	page := `<html><img src="http://slow.example/x.png"></html>`
 	build := func(cacheEntries int) (*httptest.Server, func()) {
@@ -106,13 +112,15 @@ func TestServeRewriteCacheDisabledIdentical(t *testing.T) {
 		if a != b {
 			t.Fatalf("pass %d: cached body %q != plain body %q", i, a, b)
 		}
-		if ha, hb := ra.Header.Get(rules.CacheHintHeader), rb.Header.Get(rules.CacheHintHeader); ha != hb {
-			t.Fatalf("pass %d: hint %q != %q", i, ha, hb)
+		for _, h := range []string{rules.CacheHintHeader, "ETag"} {
+			if ha, hb := ra.Header.Get(h), rb.Header.Get(h); ha != hb || h == "ETag" && ha == "" {
+				t.Fatalf("pass %d: %s %q != %q", i, h, ha, hb)
+			}
 		}
 	}
 	var m MetricsResponse
 	getJSON(t, plain.URL+MetricsPathV1, &m)
-	if m.RewriteCacheHits != 0 || m.RewriteCacheMisses != 0 || m.RewriteCacheEntries != 0 {
-		t.Errorf("disabled cache reported activity: %+v", m)
+	if m.RewriteCacheHits != 0 || m.RewriteCacheMisses != 0 || m.RewriteCacheBytes != 0 {
+		t.Errorf("rewrite-cache counters moved: %+v", m)
 	}
 }

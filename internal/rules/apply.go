@@ -133,9 +133,24 @@ func cacheHints(defaultText, altText string) []string {
 // CacheHintValue joins the hints of several applications into the header
 // value format.
 func CacheHintValue(results []Applied) string {
-	var all []string
+	n := 0
 	for _, res := range results {
-		all = append(all, res.CacheHints...)
+		for _, h := range res.CacheHints {
+			n += len(h) + 1
+		}
 	}
-	return strings.Join(all, ",")
+	if n == 0 {
+		return ""
+	}
+	var b strings.Builder
+	b.Grow(n - 1)
+	sep := ""
+	for _, res := range results {
+		for _, h := range res.CacheHints {
+			b.WriteString(sep)
+			b.WriteString(h)
+			sep = ","
+		}
+	}
+	return b.String()
 }

@@ -148,7 +148,7 @@ func TestApplierManyRulesMixedBytes(t *testing.T) {
 	if !a.Fast() {
 		t.Fatal("expected fast path")
 	}
-	if a.oneByte {
+	if a.s.oneByte {
 		t.Fatal("expected general scan (distinct first bytes)")
 	}
 	equivCheck(t, acts, "/", "some alpha, one beta-block, then gamma gamma alpha")
@@ -191,19 +191,37 @@ func TestApplierConcurrentUse(t *testing.T) {
 
 // FuzzApplyEquivalence asserts the compiled single-pass applier is
 // byte-identical — output and Applied records — to the sequential reference
-// Apply for arbitrary pages and rule sets. The corpus seeds the known-hard
-// shapes: cascades, junction-created matches, rule-order priority, and
-// adjacent replacements.
+// Apply for arbitrary pages and rule sets, and so is the index arm: one
+// Scanner over the whole rule set (plus a rule never activated, whose
+// default overlaps the others), one Index of the page, and a Resolve for
+// every subset of the activations, whose segments must concatenate to
+// Apply's output, sum to the splice's Length and carry Apply's hint. The
+// corpus seeds the shapes compiled.go guards against: cascades (a
+// replacement containing another rule's default), junction-created matches,
+// rule-order priority, adjacent (interacting) replacements, sub-rules,
+// overlapping defaults and candidate overflow.
 func FuzzApplyEquivalence(f *testing.F) {
-	f.Add("aXb", "X", "", "ab", "Q", "b", "R", uint8(0))
-	f.Add("A", "A", "B", "B", "C", "", "", uint8(0))
-	f.Add("ABC", "BC", "x", "AB", "y", "", "", uint8(0))
-	f.Add("aaaa", "aa", "b", "", "", "", "", uint8(0))
+	f.Add("aXb", "X", "", "ab", "Q", "b", "R", uint8(0), uint8(0))
+	f.Add("A", "A", "B", "B", "C", "", "", uint8(0), uint8(0))
+	f.Add("ABC", "BC", "x", "AB", "y", "", "", uint8(0), uint8(0))
+	f.Add("aaaa", "aa", "b", "", "", "", "", uint8(0), uint8(0))
 	f.Add(applyPage, `<img src="http://tracker.example/pixel.gif">`, "",
-		`<script src="http://s1.com/jquery.js">`, `<script src="http://s2.net/jquery.js">`, "", "", uint8(1))
-	f.Add("aXb ab", "X", "", "ab", "", "ba", "Z", uint8(7))
-	f.Add("xyxyxy", "xy", "yx", "yx", "xy", "x", "", uint8(3))
-	f.Fuzz(func(t *testing.T, page, p1, r1, p2, r2, p3, r3 string, bits uint8) {
+		`<script src="http://s1.com/jquery.js">`, `<script src="http://s2.net/jquery.js">`, "", "", uint8(1), uint8(0))
+	f.Add("aXb ab", "X", "", "ab", "", "ba", "Z", uint8(7), uint8(0))
+	f.Add("xyxyxy", "xy", "yx", "yx", "xy", "x", "", uint8(3), uint8(0))
+	// Sub-rules: r1 carries one, so every set holding it falls back.
+	f.Add("xAAAx", "AAA", "BBB", "x", "y", "", "", uint8(0), uint8(1))
+	// A replacement containing another rule's default, which the page lacks.
+	f.Add("<a> <b>", "<a>", "<c><b>", "<c>", "<d>", "<b>", "", uint8(4), uint8(0))
+	// Junction windows: a removal gluing a later rule's default together.
+	f.Add("aXb ab Xab aXb", "X", "", "ab", "Q", "", "", uint8(1), uint8(0))
+	// Interacting replacements closer than the longest default.
+	f.Add("aXbb", "X", "", "ab", "Q", "bb", "R", uint8(1), uint8(0))
+	// Overlapping defaults, and the extra rule spanning two of them.
+	f.Add("<script><img>", "<script>", "<s2>", "<img>", "<i2>", "ript><im", "", uint8(0), uint8(0))
+	// Candidate overflow.
+	f.Add(strings.Repeat("a", maxCandidates+10), "a", "b", "aa", "c", "", "", uint8(0), uint8(0))
+	f.Fuzz(func(t *testing.T, page, p1, r1, p2, r2, p3, r3 string, bits, more uint8) {
 		mkRule := func(id, pat, rep string, typeBit, scopeBit bool) *Rule {
 			if pat == "" {
 				return nil
@@ -225,6 +243,9 @@ func FuzzApplyEquivalence(f *testing.F) {
 		}
 		var acts []Activation
 		if r := mkRule("r1", p1, r1, bits&1 != 0, bits&8 != 0); r != nil {
+			if more&1 != 0 {
+				r.SubRules = []SubRule{{Find: p2, Replace: r3}}
+			}
 			acts = append(acts, Activation{Rule: r})
 		}
 		if r := mkRule("r2", p2, r2, bits&2 != 0, bits&16 != 0); r != nil {
@@ -245,6 +266,39 @@ func FuzzApplyEquivalence(f *testing.F) {
 		}
 		if !reflect.DeepEqual(gotApplied, wantApplied) {
 			t.Fatalf("Applied diverges (fast=%v):\npage %q\n got %+v\nwant %+v", a.Fast(), page, gotApplied, wantApplied)
+		}
+
+		// The index arm: the rule set fixed once, the page indexed once.
+		set := []*Rule{{ID: "r0", Type: TypeRemove, Default: p1 + p2, Scope: "*"}}
+		for _, act := range acts {
+			set = append(set, act.Rule)
+		}
+		x := NewScanner(set).Index(page)
+		for mask := 0; mask < 1<<len(acts); mask++ {
+			var sub []Activation
+			for i, act := range acts {
+				if mask&(1<<i) != 0 {
+					sub = append(sub, act)
+				}
+			}
+			want, wantApplied := Apply(page, path, sub)
+			sp := x.Resolve(sub, path)
+			got := page
+			if sp.Segments != nil {
+				got = strings.Join(sp.Segments, "")
+				if sp.Length != len(got) {
+					t.Fatalf("mask %d: Length %d, segments sum to %d", mask, sp.Length, len(got))
+				}
+			}
+			if got != want {
+				t.Fatalf("mask %d: splice diverges (sequential=%v):\npage %q\n got %q\nwant %q", mask, sp.Sequential, page, got, want)
+			}
+			if !reflect.DeepEqual(sp.Applied, wantApplied) || sp.Hint != CacheHintValue(wantApplied) {
+				t.Fatalf("mask %d: splice Applied diverges:\n got %+v (hint %q)\nwant %+v", mask, sp.Applied, sp.Hint, wantApplied)
+			}
+			if sp.Segments != nil && !sp.Changed && got != page {
+				t.Fatalf("mask %d: Changed = false for %q → %q", mask, page, got)
+			}
 		}
 	})
 }

@@ -33,7 +33,8 @@ func (w LintWarning) String() string {
 }
 
 // Lint inspects a compiled rule set and returns advisory warnings, sorted
-// by rule order.
+// by rule order. It reads the src/href hosts Compile cached rather than
+// rescanning the texts.
 func Lint(rs []*Rule) []LintWarning {
 	var out []LintWarning
 	byDefault := make(map[string]string, len(rs)) // default text -> first rule id
@@ -92,7 +93,7 @@ func Lint(rs []*Rule) []LintWarning {
 			// the per-provider guard breakers and to synthesis outcome
 			// attribution: it can activate but never be judged or tripped.
 			if r.Type != TypeRemove && alt != "" &&
-				len(htmlscan.ExtractSrcHosts(alt)) == 0 && len(htmlscan.HostsInText(alt)) == 0 {
+				len(r.AlternativeSrcHosts(i)) == 0 && len(htmlscan.HostsInText(alt)) == 0 {
 				out = append(out, LintWarning{
 					RuleID: r.ID,
 					Code:   "alt-no-host",

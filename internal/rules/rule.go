@@ -165,6 +165,21 @@ func (r *Rule) Compile() error {
 	return nil
 }
 
+// Compiled returns a compiled copy of r and leaves r itself untouched, so any
+// number of engines may be built at once from one rule set. A rule Compile
+// already prepared lends the copy its caches, which nothing writes after
+// Compile; any other rule is compiled once, on the copy.
+func (r *Rule) Compiled() (*Rule, error) {
+	c := *r
+	if c.srcHostsOK {
+		return &c, c.Validate()
+	}
+	if err := c.Compile(); err != nil {
+		return nil, err
+	}
+	return &c, nil
+}
+
 // SrcHosts returns the hostnames referenced by src/href attributes in the
 // rule's default text. Compiled rules answer from cache; uncompiled rules
 // scan live.
@@ -240,7 +255,7 @@ func (r *Rule) Alternative(i int) string {
 func (r *Rule) DefaultHosts() []string {
 	seen := make(map[string]bool)
 	var hosts []string
-	for _, h := range htmlscan.ExtractSrcHosts(r.Default) {
+	for _, h := range r.SrcHosts() {
 		if !seen[h] {
 			seen[h] = true
 			hosts = append(hosts, h)

@@ -337,18 +337,6 @@ func WithShards(n int) EngineOption { return core.WithShards(n) }
 // keeping page serving responsive while ingest is saturated.
 func WithAdmission(a Admission) EngineOption { return core.WithAdmission(a) }
 
-// WithRewriteCache bounds the engine's rewrite cache to n entries (whole
-// rewritten pages keyed by page content + activation fingerprint); repeat
-// requests from users with stable activations are then served from memory
-// without re-running the rules. n <= 0 disables the cache; serving behavior
-// is identical, every page just recomputes its rewrite. See the README
-// "Performance" section and docs/OPERATIONS.md for sizing.
-func WithRewriteCache(n int) EngineOption { return core.WithRewriteCache(n) }
-
-// RewriteCacheStats is a point-in-time view of the engine rewrite cache's
-// counters (Engine.RewriteCacheStats; also surfaced in /oak/v1/metrics).
-type RewriteCacheStats = core.RewriteCacheStats
-
 // ResidencyConfig enables and tunes the profile spill tier (see
 // WithProfileResidency): the segment directory, the resident caps
 // (MaxProfiles and/or MaxBytes — either alone works, both combine), the

@@ -8,7 +8,8 @@
 # internal/faultinject, which drives the full loop under injected faults).
 # A short fuzz smoke over the snapshot importer keeps hostile state files
 # from ever aborting a boot; another over the compiled applier keeps the
-# single-pass rewriter provably equivalent to the sequential reference;
+# single-pass rewriter, and the page index's splice, provably equivalent to
+# the sequential reference;
 # two more pin the report fast-path decoder to encoding/json (intern table
 # cold and warm) and the OAKRPT1 binary codec to round-trip identity with
 # typed rejection of hostile frames, and a fifth pins the gateway's routing
@@ -21,8 +22,9 @@
 # and OAKRPT1 decoders over colliding URLs under -race) are a named step. A
 # one-iteration serve benchmark run keeps the benchmark
 # code compiling; beside it a gate holds the live heap that serving 400
-# activated users on twelve paths adds to what the rewrite cache holds plus
-# 1 MB, and the serve-path concurrency tests run five times under -race; the
+# activated users on twelve registered paths adds to 1 MB, the page indexes
+# included, and the serve-path concurrency tests — with four engines built at
+# once from one rule set — run five times under -race; the
 # ingest smoke additionally gates the steady-state
 # JSON ingest path at <= 8 allocs/op (TestHandleReportSteadyStateAllocs),
 # so a scratch buffer or pool silently falling out of reuse fails the
@@ -114,8 +116,10 @@
 # internal/seglog imports internal/core, if spill.go reaches 600 lines or
 # non-test internal/core plus internal/seglog its budget, if the spill refs
 # go back into a map (map[string]spillRef) beside the spill index, if a second serve-side
-# memory comes back beside the rewrite cache (a per-profile activation memo:
-# nextExpiry, actCache, cacheMu, cachedActivations, or an epoch in profile.go),
+# memory comes back beside the page index (a per-profile activation memo:
+# nextExpiry, actCache, cacheMu, cachedActivations, or an epoch in profile.go;
+# or a cache of rewritten pages: maphash outside the spill index's user keys,
+# or rewriteCache, in non-test internal/core or internal/origin),
 # if a resident user's record is kept live by anything but their ref (pinned,
 # pinLocked, releasePins, begun, type pin), if
 # recovery grows back its staging map (byUser), if the boot merge compares times
@@ -200,12 +204,12 @@ go test -race -run 'TestInternTableUnderConcurrentDecoders' -count=5 ./internal/
 echo "== serve-path benchmark smoke (1 iteration) =="
 go test -run '^$' -bench 'BenchmarkModifyPage' -benchtime 1x ./internal/core
 
-echo "== serve memory gate: serving keeps nothing per user beyond the rewrite cache; deriving a view allocates nothing =="
+echo "== serve memory gate: serving keeps nothing per user beyond the page index; deriving a view allocates nothing =="
 out=$(go test -count=1 -run 'TestServingRetainsNoPerUserState|TestActivationViewAllocatesNothing|TestRewriteNoOpPathZeroAlloc' -v ./internal/core) || { echo "$out" >&2; exit 1; }
 echo "$out" | grep -E -e '--- PASS|heap growth|byte cap'
 
-echo "== serve path under -race, five times: views derived under the read lock against ingest, eviction storms and the capped/uncapped differential =="
-go test -race -run 'TestModifyPageConcurrentWithIngest|TestServeSpilledUserUnderEvictionStorm|TestCappedServesWhatUncappedServes' -count=5 ./internal/core
+echo "== serve path under -race, five times: views derived under the read lock against ingest, eviction storms, the capped/uncapped differential and engines built at once from one rule set =="
+go test -race -run 'TestModifyPageConcurrentWithIngest|TestServeSpilledUserUnderEvictionStorm|TestCappedServesWhatUncappedServes|TestEnginesBuiltConcurrentlyFromOneRuleSet' -count=5 ./internal/core
 
 echo "== ingest bench smoke + steady-state alloc gate (JSON path <= 8 allocs/op) =="
 go test -run 'TestHandleReportSteadyStateAllocs' -count=1 ./internal/core
@@ -251,7 +255,7 @@ echo "== checkpoint holds residents only: a capped save reads no record, an unca
 out=$(go test -count=1 -run 'TestCheckpointHoldsResidentsOnly|TestUncappedSaveIsTheSnapshot|TestBootAdoptsTheLog/one_segment_damaged' -v ./internal/core) || { echo "$out" >&2; exit 1; }
 echo "$out" | grep -E -e '--- PASS|gone with'
 
-echo "== structure check: one segment writer, one sequence allocator, one segment walker, one file seam, one serve cache, one durable ref, one merge predicate, one version bump, one home for an activation, one rule set per process, one home for a user, one reference decoder, one JSON scanner, one spill index =="
+echo "== structure check: one segment writer, one sequence allocator, one segment walker, one file seam, one serve cache, one durable ref, one page index, one merge predicate, one version bump, one home for an activation, one rule set per process, one home for a user, one reference decoder, one JSON scanner, one spill index =="
 fail() { echo "structure check failed: $1" >&2; exit 1; }
 seglog_go=$(ls internal/seglog/*.go | grep -v '_test\.go$')
 core_go=$(ls internal/core/*.go | grep -v '_test\.go$')
@@ -275,17 +279,24 @@ if grep -n '"oak/internal/core"' $seglog_go; then
 fi
 spill_lines=$(wc -l <internal/core/spill.go)
 log_lines=$(cat $core_go $seglog_go | wc -l)
-# The budget is the measured count once a resident user's ref replaced the
-# pins, 7,611 - 99: spill.go -50, persist.go -18, statefile.go -10, engine.go
-# -8, shard.go -4, spillckpt.go -4, spillboot.go -3, spillcodec.go -2.
-echo "spill.go: $spill_lines lines (< 600); non-test internal/core + internal/seglog: $log_lines lines (<= 7512)"
+# The budget is the measured count once each rewrite was spliced from a
+# once-per-page index, 7,512 - 32: rewritecache.go -239, engine.go -111,
+# guardwire.go -58, metrics.go +1, serve.go +375 (the page registry,
+# plans, derived tags and the shims the benchmark still calls).
+echo "spill.go: $spill_lines lines (< 600); non-test internal/core + internal/seglog: $log_lines lines (<= 7480)"
 [ "$spill_lines" -lt 600 ] || fail "line-budget: spill.go has $spill_lines lines, want under 600"
-[ "$log_lines" -le 7512 ] || fail "line-budget: non-test internal/core + internal/seglog has $log_lines lines, want at most 7512"
+[ "$log_lines" -le 7480 ] || fail "line-budget: non-test internal/core + internal/seglog has $log_lines lines, want at most 7480"
 if grep -n 'map\[string\]spillRef' $core_go; then
 	fail "one-spill-index: non-test internal/core keeps spill refs in a map again (a shard's refs live in its spillIndex: slots and a key blob, no heap object per user)"
 fi
 if grep -n 'nextExpiry\|actCache\|cacheMu\|cachedActivations' $core_go || grep -n 'epoch' internal/core/profile.go; then
-	fail "one-serve-cache: non-test internal/core keeps a per-profile activation memo again (each serve derives its view under the shard lock; the rewrite cache is the serve path's only memory)"
+	fail "one-serve-cache: non-test internal/core keeps a per-profile activation memo again (each serve derives its view under the shard lock; the page index is the serve path's only memory)"
+fi
+origin_go=$(ls internal/origin/*.go | grep -v '_test\.go$')
+# The spill index hashes user IDs with maphash; nothing else in core or
+# origin may (a page body hashed per serve is a cache key).
+if grep -n 'maphash\|rewriteCache' $core_go $origin_go | grep -v '^internal/core/spillindex\.go:'; then
+	fail "one-page-index: non-test internal/core or internal/origin caches rewritten pages again (each serve splices from the page's index; no serve hashes a body)"
 fi
 if grep -n 'pinned\|pinLocked\|releasePins\|begun\|type pin\b' $core_go; then
 	fail "one-durable-ref: non-test internal/core keeps a record live beside the spill refs again (a resident user keeps their ref; its record is live until their next record replaces it)"
