@@ -17,11 +17,11 @@ race:
 chaos:
 	go test -race -run Chaos -v ./internal/faultinject
 
-# Short fuzz pass over the snapshot importer (hostile state files) and over
-# its two readers (the schema reader against encoding/json).
+# Short fuzz pass over the snapshot importer and the checkpoint loader
+# (hostile snapshots, state files and backups).
 fuzz:
 	go test -run '^$$' -fuzz FuzzImportState -fuzztime 10s ./internal/core
-	go test -run '^$$' -fuzz FuzzDecodeStateEquivalence -fuzztime 10s ./internal/core
+	go test -run '^$$' -fuzz FuzzLoadCheckpoint -fuzztime 10s ./internal/core
 
 vet:
 	go vet ./...

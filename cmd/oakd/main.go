@@ -231,8 +231,9 @@ func pprofMux() *http.ServeMux {
 // loadState restores engine state via the crash-safe read path: a missing
 // file is a fresh deployment, a corrupt or version-skewed primary falls
 // back to the rotating .bak (one save interval of learning lost, not all
-// of it), and only a deployment with neither readable is an error-free
-// fresh start. Boot never aborts over a bad state file.
+// of it), and a missing primary with no .bak is a fresh start. Boot aborts
+// when neither the primary nor the .bak is usable: starting empty over
+// them would have the next save overwrite the last good state.
 func loadState(engine *oak.Engine, path string) error {
 	src, err := engine.LoadStateFile(path)
 	if err != nil {
@@ -257,13 +258,13 @@ func loadState(engine *oak.Engine, path string) error {
 // them, and what each half cost.
 func bootSplit(engine *oak.Engine) string {
 	bs := engine.BootStatus()
-	decode := fmt.Sprintf("decode %v", bs.Decode.Round(100*time.Microsecond))
-	if bs.DecodeFallback != "" {
-		decode += ": encoding/json fallback, " + bs.DecodeFallback
+	load := fmt.Sprintf("load %v", bs.Load.Round(100*time.Microsecond))
+	if bs.Migrated {
+		load += " (migrated from a JSON state file; the next save writes a checkpoint)"
 	}
-	return fmt.Sprintf("%d installed resident, %d adopted from the spill log (%d state-file copies superseded), %d segments quarantined; recover %v, load %v (%s); %s",
+	return fmt.Sprintf("%d installed resident, %d adopted from the spill log (%d state-file copies superseded), %d segments quarantined; recover %v, %s; %s",
 		bs.Installed, bs.Adopted, bs.Superseded, bs.QuarantinedSegments,
-		bs.Recover.Round(100*time.Microsecond), bs.Load.Round(100*time.Microsecond), decode, indexOutcome(bs))
+		bs.Recover.Round(100*time.Microsecond), load, indexOutcome(bs))
 }
 
 // indexOutcome says what the segment replay made of the spill index the last
@@ -276,8 +277,8 @@ func indexOutcome(bs oak.BootStatus) string {
 	return fmt.Sprintf("spill index: %d entries adopted, %s checksummed, %s decoded", bs.IndexAdopted, kb(bs.Checksummed), kb(bs.Decoded))
 }
 
-// saveState persists engine state crash-safely: checksummed snapshot,
-// fsync before an atomic rename, previous snapshot rotated to .bak.
+// saveState persists engine state crash-safely: checksummed checkpoint,
+// fsync before an atomic rename, previous one rotated to .bak.
 func saveState(engine *oak.Engine, path string) error {
 	return engine.SaveStateFile(path)
 }

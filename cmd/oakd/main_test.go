@@ -3,6 +3,7 @@ package main
 import (
 	"bufio"
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -261,6 +262,65 @@ func TestLoadStateCorruptFallsBackToBackup(t *testing.T) {
 	}
 	if _, got := server2.Engine().StateStatus(); got != 1 {
 		t.Errorf("StateRecoveries = %d, want 1", got)
+	}
+}
+
+// TestLoadStateBothCorruptAbortsBoot: with neither the state file nor its
+// backup usable, boot stops with the corruption instead of starting empty,
+// and leaves both files as they were for the operator.
+func TestLoadStateBothCorruptAbortsBoot(t *testing.T) {
+	dir := newSiteDir(t)
+	server, _, _, err := buildServer(oakdConfig{root: dir, ruleFile: "", verbose: false})
+	if err != nil {
+		t.Fatal(err)
+	}
+	statePath := filepath.Join(dir, "state.json")
+	files := map[string][]byte{statePath: []byte("OAKPROF1\ntorn"), statePath + ".bak": []byte("garbage{")}
+	for path, data := range files {
+		if err := os.WriteFile(path, data, 0o600); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := loadState(server.Engine(), statePath); !errors.Is(err, oak.ErrCorruptState) {
+		t.Fatalf("loadState with both files corrupt = %v, want ErrCorruptState", err)
+	}
+	for path, want := range files {
+		if got, _ := os.ReadFile(path); !bytes.Equal(got, want) {
+			t.Errorf("%s changed by the aborted boot: %q", path, got)
+		}
+	}
+}
+
+// TestBootLineSaysWhenItMigrated: a boot on a JSON state file says so; the
+// boot on the checkpoint the next save writes does not.
+func TestBootLineSaysWhenItMigrated(t *testing.T) {
+	dir := newSiteDir(t)
+	server, _, _, err := buildServer(oakdConfig{root: dir, ruleFile: "", verbose: false})
+	if err != nil {
+		t.Fatal(err)
+	}
+	snapshot, err := server.Engine().ExportSnapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	statePath := filepath.Join(dir, "state.json")
+	if err := os.WriteFile(statePath, snapshot, 0o600); err != nil {
+		t.Fatal(err)
+	}
+	for _, migrated := range []bool{true, false} {
+		server, _, _, err := buildServer(oakdConfig{root: dir, ruleFile: "", verbose: false})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := loadState(server.Engine(), statePath); err != nil {
+			t.Fatal(err)
+		}
+		if line := bootSplit(server.Engine()); strings.Contains(line, "migrated") != migrated {
+			t.Errorf("boot line %q; want it to say migrated = %v", line, migrated)
+		}
+		if err := saveState(server.Engine(), statePath); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

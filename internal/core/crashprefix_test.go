@@ -232,10 +232,7 @@ func persistedCopies(t *testing.T, trace []fsOp) *persisted {
 			case name == spillIndexName+".tmp":
 				// The spill index holds refs to records, no profile.
 			case strings.HasSuffix(name, ".tmp"):
-				st, err := decodeState(op.data)
-				if err != nil {
-					t.Fatalf("trace op %d: state file write: %v", i, err)
-				}
+				st := readCheckpoint(t, op.data)
 				for j := range st.Profiles {
 					add(i, op, &st.Profiles[j], true)
 				}

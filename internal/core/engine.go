@@ -381,7 +381,10 @@ func (e *Engine) analyzeLocked(sh *shard, r *report.Report, now time.Time, serve
 	}
 
 	for _, v := range violations {
-		count := prof.recordViolation(v.Server.Addr)
+		count, ok := prof.recordViolation(v.Server.Addr)
+		if !ok {
+			continue // the profile is full (maxProfileSize)
+		}
 		if e.tracing() {
 			e.traceAt(now, obs.Event{
 				Kind: obs.EventViolator, User: r.UserID, Provider: v.Server.Addr,
@@ -433,7 +436,9 @@ func (e *Engine) analyzeLocked(sh *shard, r *report.Report, now time.Time, serve
 				}
 				continue
 			}
-			prof.activate(rule, altIdx, now, v.Server.Addr, v.Distance)
+			if prof.activate(rule, altIdx, now, v.Server.Addr, v.Distance) == nil {
+				continue // the profile is full
+			}
 			e.metrics.ruleActivations.Add(1)
 			res.Changes = append(res.Changes, RuleChange{
 				RuleID: rule.ID, Action: "activate", Server: v.Server.Addr,
@@ -531,7 +536,9 @@ func (e *Engine) reconcileActiveRules(sh *shard, prof *Profile, v Violation, now
 					})
 				}
 			}
-			prof.activate(a.Rule, next, now, v.Server.Addr, v.Distance)
+			if prof.activate(a.Rule, next, now, v.Server.Addr, v.Distance) == nil {
+				break // the profile is full: the alternate stays
+			}
 			e.metrics.ruleActivations.Add(1)
 			res.Changes = append(res.Changes, RuleChange{
 				RuleID: id, Action: "advance", Server: v.Server.Addr, AltIndex: next,

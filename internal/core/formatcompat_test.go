@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"oak/internal/rules"
+	"oak/internal/seglog"
 )
 
 // The files under testdata/pr18-files were written by the commit before the
@@ -17,7 +18,7 @@ import (
 // seen rotation, rehydration, a compaction and a torn-free close, and the
 // state file and backup saved part-way through, so the boot import has
 // newer-wins work to do. Booting on them pins the on-disk formats — OAKPROF1
-// segments, OAKSNAP2 state files — across the change of writer.
+// segments and the state files of their day — across the change of writer.
 //
 // To regenerate at some commit, or to check the other direction (files written
 // by this commit, read by an older one): run this test there with
@@ -163,16 +164,22 @@ func TestBootsOnFilesWrittenWithPins(t *testing.T) {
 // damage, and holds the export to the one recorded beside the files.
 func bootEightShardFixture(t *testing.T, fixture string) *Engine {
 	t.Helper()
-	want, err := os.ReadFile(filepath.Join(fixture, "export.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
 	work := t.TempDir()
 	if err := os.Mkdir(filepath.Join(work, "spill"), 0o700); err != nil {
 		t.Fatal(err)
 	}
 	copyDir(t, filepath.Join(fixture, "spill"), filepath.Join(work, "spill"))
 	copyDir(t, fixture, work)
+	return bootEightShard(t, work, filepath.Join(fixture, "export.json"))
+}
+
+// bootEightShard is bootEightShardFixture's boot, on the files in work.
+func bootEightShard(t *testing.T, work, export string) *Engine {
+	t.Helper()
+	want, err := os.ReadFile(export)
+	if err != nil {
+		t.Fatal(err)
+	}
 	clock := newTestClock()
 	clock.Advance(time.Hour)
 	e, err := NewEngine([]*rules.Rule{jqRule(0)}, WithClock(clock.Now), WithShards(8),
@@ -185,12 +192,66 @@ func bootEightShardFixture(t *testing.T, fixture string) *Engine {
 		t.Fatalf("LoadStateFile = %q, %v", src, err)
 	}
 	if st, _ := e.SpillStatus(); len(st.QuarantinedSegments) != 0 || st.SpillErrors != 0 || st.ProfilesSpilled == 0 || e.Users() != 64 {
-		t.Fatalf("boot on %s: %d users, %+v", fixture, e.Users(), st)
+		t.Fatalf("boot on %s: %d users, %+v", work, e.Users(), st)
 	}
 	if got := mustExport(t, e); !bytes.Equal(got, want) {
-		t.Errorf("export after booting on %s:\n--- got\n%s\n--- want\n%s", fixture, got, want)
+		t.Errorf("export after booting on %s:\n--- got\n%s\n--- want\n%s", work, got, want)
 	}
 	return e
+}
+
+// testdata/pr33-files was written by the last commit whose state file was
+// OAKSNAP2 JSON: the eight-shard world, its state file, backup, segments and
+// spill index, with six reports after the last save, and an uncapped engine's
+// state file beside them. Each boots through the migration to the export that
+// commit's boot recorded; one save later the file is a checkpoint, and the
+// boot on it gives the same export.
+func TestBootsOnFilesWrittenAsJSON(t *testing.T) {
+	const fixture = "testdata/pr33-files"
+	work := t.TempDir()
+	if err := os.Mkdir(filepath.Join(work, "spill"), 0o700); err != nil {
+		t.Fatal(err)
+	}
+	copyDir(t, filepath.Join(fixture, "spill"), filepath.Join(work, "spill"))
+	copyDir(t, fixture, work)
+
+	capped := func() *Engine { return bootEightShard(t, work, filepath.Join(fixture, "export.json")) }
+	uncapped := func() *Engine {
+		clock := newTestClock()
+		clock.Advance(time.Hour)
+		e, err := NewEngine([]*rules.Rule{jqRule(0)}, WithClock(clock.Now), WithShards(2),
+			WithGuard(GuardConfig{TripThreshold: 3, OpenFor: time.Hour}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if src, err := e.LoadStateFile(filepath.Join(work, "uncapped.json")); err != nil || src != StateSnapshot {
+			t.Fatalf("LoadStateFile = %q, %v", src, err)
+		}
+		want, err := os.ReadFile(filepath.Join(fixture, "uncapped-export.json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := mustExport(t, e); !bytes.Equal(got, want) {
+			t.Errorf("export after booting on the uncapped file:\n--- got\n%s\n--- want\n%s", got, want)
+		}
+		return e
+	}
+	for name, boot := range map[string]func() *Engine{"state.json": capped, "uncapped.json": uncapped} {
+		e := boot()
+		if !e.BootStatus().Migrated {
+			t.Errorf("%s: boot status %+v, want a migration", name, e.BootStatus())
+		}
+		if err := e.SaveStateFile(filepath.Join(work, name)); err != nil {
+			t.Fatal(err)
+		}
+		e.Close()
+		if data, _ := os.ReadFile(filepath.Join(work, name)); !bytes.HasPrefix(data, []byte(seglog.Magic)) {
+			t.Errorf("%s: the save after the migration wrote %.20q, not a checkpoint", name, data)
+		}
+		if e = boot(); e.BootStatus().Migrated {
+			t.Errorf("%s: the boot on the checkpoint migrated: %+v", name, e.BootStatus())
+		}
+	}
 }
 
 // testdata/pr20-files is the same world written by the last commit whose

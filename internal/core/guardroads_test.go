@@ -268,7 +268,7 @@ func TestTripReachesEveryRoad(t *testing.T) {
 			}
 			donor := w.engine()
 			activate(t, donor, donated...)
-			part, err := donor.exportStateRange(arc, true)
+			part, err := donor.exportStateRange(arc)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"maps"
 	"sort"
 	"time"
 
@@ -44,9 +45,11 @@ type persistedState struct {
 	Guard      *guard.Persisted   `json:"guard,omitempty"`
 	Population *popPersisted      `json:"population,omitempty"`
 
-	// fallback says why encoding/json decoded this state rather than the fast
-	// reader ("" when the fast reader did, and on a state built in memory).
-	fallback string
+	// checkpoint, on a state read from a checkpoint file, is the file: the
+	// records after its header frame are the state's profiles, records of
+	// them (Profiles is nil). eachProfile reads either form.
+	checkpoint []byte
+	records    int
 }
 
 // persistedRange is the on-disk form of a HashRange.
@@ -157,19 +160,29 @@ func unwrapSnapshot(data []byte) ([]byte, error) {
 
 // ExportState serialises all per-user state as JSON.
 func (e *Engine) ExportState() ([]byte, error) {
-	return e.exportStateRange(HashRange{}, true)
+	return e.exportStateRange(HashRange{})
 }
 
 // exportStateRange serialises the per-user state of one arc of the hash
 // ring as JSON (the whole ring when r is the whole-space range, byte-identical
 // to ExportState). The guard and population sections are engine-global, not
 // per-user, and are carried in full by every range export — a partial export
-// is still enough to rebuild a node's protective state. Without spilled, the
-// spilled users are left out: the checkpoint SaveStateFile writes, which on an
-// engine without the spill tier is the whole export.
-func (e *Engine) exportStateRange(r HashRange, spilled bool) ([]byte, error) {
+// is still enough to rebuild a node's protective state.
+func (e *Engine) exportStateRange(r HashRange) ([]byte, error) {
+	st, err := e.collectState(r, true)
+	if err != nil {
+		return nil, err
+	}
+	return json.MarshalIndent(st, "", "  ")
+}
+
+// collectState is the state of the arc r, its profiles sorted by user ID.
+// Without spilled, the spilled users are left out: the checkpoint
+// SaveStateFile writes, which on an engine without the spill tier is the
+// whole state.
+func (e *Engine) collectState(r HashRange, spilled bool) (*persistedState, error) {
 	now := e.now()
-	st := persistedState{Version: stateVersion, SavedAt: now}
+	st := &persistedState{Version: stateVersion, SavedAt: now}
 	if !r.Whole() {
 		st.Range = &persistedRange{Lo: r.Lo, Hi: r.Hi}
 	}
@@ -188,7 +201,7 @@ func (e *Engine) exportStateRange(r HashRange, spilled bool) ([]byte, error) {
 	sort.Slice(st.Profiles, func(i, j int) bool {
 		return st.Profiles[i].UserID < st.Profiles[j].UserID
 	})
-	return json.MarshalIndent(st, "", "  ")
+	return st, nil
 }
 
 // eachPersisted is the one walk over every user the engine holds: it calls
@@ -258,12 +271,9 @@ func (e *Engine) eachPersisted(r HashRange, now time.Time, spilled bool, visit f
 func snapshotProfile(prof *Profile) persistedProfile {
 	pp := persistedProfile{
 		UserID:     prof.UserID,
-		Violations: make(map[string]int, len(prof.violations)),
+		Violations: maps.Clone(prof.violations),
 		LastReport: prof.lastReport,
 		Version:    prof.version,
-	}
-	for srv, n := range prof.violations {
-		pp.Violations[srv] = n
 	}
 	ruleIDs := make([]string, 0, len(prof.active))
 	for rid := range prof.active {
@@ -314,9 +324,9 @@ func (e *Engine) ImportState(data []byte) error {
 	return err
 }
 
-// importRange is the one import: ImportState, LoadStateFile's boot import and
-// ImportStateRange are calls of it (LoadStateFile of its two halves in turn,
-// decodeState and importDecoded, to time the first). It replaces the profiles
+// importRange is the one import of a JSON state: ImportState and
+// ImportStateRange are calls of it, and LoadStateFile calls its second half,
+// importDecoded, on a checkpoint or a migrated JSON file. It replaces the profiles
 // of the arc r (the whole ring for the first two) with the payload's and
 // leaves every profile outside r untouched. The swap holds every shard lock,
 // so no reader sees a half-imported arc; a payload that is damaged, or carries
@@ -467,40 +477,10 @@ func dropRefsLocked(sh *shard, r HashRange) {
 }
 
 // decodeState unwraps (and, when the envelope is present, verifies) a
-// snapshot and decodes its JSON payload, enforcing the format version. Every
-// import — LoadStateFile, ImportState, ImportStateRange, a shipped snapshot —
-// decodes here.
-//
-// The contract: the result is what encoding/json's Unmarshal of the payload
-// into a persistedState produces, value for value (nil against empty slices
-// and maps included), and the errors are its errors. Two readers keep it.
-//
-// The fast reader (decodeStateFast, statedecode.go) takes the payloads the
-// engine's own writers produce. It walks the top-level object with
-// internal/jsonscan, reads the profiles array — all but ~100 bytes of a state
-// file, and O(population) — with a reader written for persistedProfile and
-// persistedActivation, times through time.Time.UnmarshalJSON itself, and
-// leaves version, savedAt, range, guard and population to encoding/json: the
-// same payload with the array's span replaced by null. Those sections are
-// small, their types belong to other packages and grow with them, and
-// encoding/json validating them is what lets the walk merely skip them.
-//
-// The punt rule: whatever the fast reader cannot prove it reads as
-// encoding/json would, it does not read. A key that is unknown, repeated,
-// escaped or spelled in another case (encoding/json folds case and unescapes
-// before matching), a null (but "profiles": null, which an export of an empty
-// arc writes), a surrogate escape, invalid UTF-8, a control character, a
-// number that is not a plain integer where the field is one or that nears
-// overflow, a minus sign before an unsigned field, a time UnmarshalJSON
-// rejects, a payload without a profiles key, bytes after the closing brace,
-// anything malformed: the whole payload goes through json.Unmarshal below, so
-// that call decides what is accepted and words every error, and the reader's
-// subset can only ever be too small, which costs time (state.fallback says
-// why), never too large. FuzzDecodeStateEquivalence pins "accepted by the fast
-// reader" to "accepted by encoding/json, with a DeepEqual result", stateRows
-// holds one hand-written payload per punt reason to its side of the border,
-// and TestStateFilesStayOnTheFastReader pins the engine's own files to the
-// fast reader.
+// snapshot and decodes its JSON payload with encoding/json, enforcing the
+// format version: ImportState, ImportStateRange and a shipped snapshot decode
+// here, and LoadStateFile on a file written before the state file was a
+// checkpoint.
 func decodeState(data []byte) (*persistedState, error) {
 	if len(bytes.TrimSpace(data)) == 0 {
 		return nil, fmt.Errorf("%w: empty state file", ErrCorruptState)
@@ -509,17 +489,47 @@ func decodeState(data []byte) (*persistedState, error) {
 	if err != nil {
 		return nil, err
 	}
-	st, why := decodeStateFast(payload)
-	if st == nil {
-		st = &persistedState{fallback: why}
-		if err := json.Unmarshal(payload, st); err != nil {
-			return nil, fmt.Errorf("%w: decode state: %v", ErrCorruptState, err)
-		}
+	st := &persistedState{}
+	if err := json.Unmarshal(payload, st); err != nil {
+		return nil, fmt.Errorf("%w: decode state: %v", ErrCorruptState, err)
 	}
 	if st.Version != stateVersion {
 		return nil, fmt.Errorf("%w %d", ErrStateVersion, st.Version)
 	}
 	return st, nil
+}
+
+// eachProfile calls visit with each of the state's profiles, stopping at its
+// first error: the decoded JSON's, or a checkpoint's records, each decoded
+// into one scratch record visit must not keep. A record that does not decode,
+// damaged framing and a count of records not the header's are ErrCorruptState.
+func (st *persistedState) eachProfile(visit func(pp *persistedProfile) error) error {
+	if st.checkpoint == nil {
+		for i := range st.Profiles {
+			if err := visit(&st.Profiles[i]); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	var pp persistedProfile
+	records := -1 // the header is the first frame
+	_, err := seglog.Walk(st.checkpoint, func(payload []byte, off int64, _ int) error {
+		if records++; records == 0 {
+			return nil
+		}
+		if err := decodeSpillRecordInto(&pp, payload); err != nil {
+			return fmt.Errorf("%w: checkpoint record at offset %d: %v", ErrCorruptState, off, err)
+		}
+		return visit(&pp)
+	})
+	if seglog.IsDamage(err) {
+		return fmt.Errorf("%w: checkpoint: %v", ErrCorruptState, err)
+	}
+	if err == nil && records != st.records {
+		err = fmt.Errorf("%w: checkpoint header counts %d profiles, the file holds %d", ErrCorruptState, st.records, records)
+	}
+	return err
 }
 
 // builtImport is a payload's profiles built for installation: the profile map
@@ -533,7 +543,8 @@ type builtImport struct {
 // buildImport constructs the per-shard profile maps for the payload's
 // profiles. Every profile must hash into want — a payload profile outside the
 // declared range means the file does not match what it claims to contain,
-// which is a form of corruption. Activations of rules absent from the rule
+// which is a form of corruption, and so is a string too long for a spill
+// record (fitsSpillRecord). Activations of rules absent from the rule
 // set and activations that expired while in transit are dropped
 // (profileFromRecord). With newerWins a profile whose user's spill record
 // supersedes it is counted and skipped — the caller then holds every shard
@@ -541,27 +552,30 @@ type builtImport struct {
 func (e *Engine) buildImport(st *persistedState, want HashRange, newerWins bool) (imp builtImport, err error) {
 	now := e.now()
 	imp.fresh = make([]map[string]*Profile, len(e.shards))
-	per := len(st.Profiles) / len(e.shards)
+	per := (len(st.Profiles) + st.records) / len(e.shards) // one of the two is zero
 	for i := range imp.fresh {
 		imp.fresh[i] = make(map[string]*Profile, per+per/8+1) // room for a shard above the mean
 	}
-	for i := range st.Profiles {
-		pp := &st.Profiles[i]
+	err = st.eachProfile(func(pp *persistedProfile) error {
 		if pp.UserID == "" {
-			return imp, fmt.Errorf("%w: state has profile without user id", ErrCorruptState)
+			return fmt.Errorf("%w: state has profile without user id", ErrCorruptState)
+		}
+		if !fitsSpillRecord(pp) {
+			return fmt.Errorf("%w: profile %.40q… does not fit a spill record (a string over %d bytes, or over %d in all)", ErrCorruptState, pp.UserID, maxSpillStringLen, maxProfileSize)
 		}
 		if !want.Contains(userHash(pp.UserID)) {
-			return imp, fmt.Errorf("%w: profile %q hashes to %08x, outside range %v",
+			return fmt.Errorf("%w: profile %q hashes to %08x, outside range %v",
 				ErrCorruptState, pp.UserID, userHash(pp.UserID), want)
 		}
 		si := e.shardIndex(pp.UserID)
 		if newerWins {
 			if ref, ok := e.shards[si].spilled.get(pp.UserID); ok && ref.supersedes(pp.LastReport, pp.Version) {
 				imp.superseded++
-				continue
+				return nil
 			}
 		}
 		imp.fresh[si][pp.UserID], _ = e.profileFromRecord(pp, now, false)
-	}
-	return imp, nil
+		return nil
+	})
+	return imp, err
 }

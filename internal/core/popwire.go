@@ -464,6 +464,9 @@ func (e *Engine) synthesizeLocked(prof *Profile, r *report.Report, now time.Time
 				dist = 0
 			}
 			a := prof.activate(rule, altIdx, now, s.Addr, dist)
+			if a == nil {
+				continue // the profile is full
+			}
 			a.Synthesized = true
 			e.metrics.ruleActivations.Add(1)
 			e.metrics.synthesizedActivations.Inc()

@@ -90,10 +90,22 @@ func newProfile(userID string) *Profile {
 }
 
 // recordViolation bumps the per-server violation counter and returns the
-// new count.
-func (p *Profile) recordViolation(serverAddr string) int {
-	p.violations[serverAddr]++
-	return p.violations[serverAddr]
+// new count; ok is false, and nothing recorded, when a server new to the
+// profile would take it past maxProfileSize.
+func (p *Profile) recordViolation(serverAddr string) (count int, ok bool) {
+	count, seen := p.violations[serverAddr]
+	if !seen && !p.grow(violationEntrySize+len(serverAddr)) {
+		return 0, false
+	}
+	count++
+	p.violations[serverAddr] = count
+	return count, true
+}
+
+// grow reports whether the profile may grow by n bytes of its size estimate
+// and stay within maxProfileSize. It walks the profile: ask it only to grow.
+func (p *Profile) grow(n int) bool {
+	return n <= 0 || p.estimateSize()+n <= maxProfileSize
 }
 
 // activeRule returns the live activation for the rule ID, nil if none.
@@ -101,13 +113,19 @@ func (p *Profile) activeRule(id string) *ActiveRule {
 	return p.active[id]
 }
 
-// activate records a (re-)activation of rule with the chosen alternative.
-// Caller holds the owning shard's write lock.
+// activate records a (re-)activation of rule with the chosen alternative. It
+// returns nil, and changes nothing, when the activation would take the profile
+// past maxProfileSize. Caller holds the owning shard's write lock.
 func (p *Profile) activate(r *rules.Rule, altIndex int, now time.Time, server string, distance float64) *ActiveRule {
 	a := p.active[r.ID]
 	if a == nil {
+		if !p.grow(activeEntrySize + len(r.ID) + len(server)) {
+			return nil
+		}
 		a = &ActiveRule{Rule: r}
 		p.active[r.ID] = a
+	} else if !p.grow(len(server) - len(a.TriggerServer)) {
+		return nil
 	}
 	a.AltIndex = altIndex
 	a.ActivatedAt = now
@@ -218,7 +236,10 @@ func (p *Profile) activeRuleIDsInto(now time.Time, buf []string) []string {
 // Profile size estimation: the byte cap needs a cheap, allocation-free
 // approximation of a profile's heap footprint. The constants cover the map
 // headers, the Profile struct and per-entry overheads; they are estimates,
-// not measurements — the cap is a watermark, not an accounting identity.
+// not measurements — the cap is a watermark, not an accounting identity. Each
+// is also above what its part of an OAKPROF1 record can take (a record's
+// fixed fields are at most 69 bytes, a violation's 13 and an activation's
+// 107, beside their strings), so the estimate bounds the record from above.
 const (
 	profileBaseSize    = 256
 	violationEntrySize = 48

@@ -52,10 +52,10 @@ func TestProfileViolationCounts(t *testing.T) {
 	if p.violations["s"] != 0 {
 		t.Error("fresh profile has violations")
 	}
-	if got := p.recordViolation("s"); got != 1 {
+	if got, _ := p.recordViolation("s"); got != 1 {
 		t.Errorf("first recordViolation = %d", got)
 	}
-	if got := p.recordViolation("s"); got != 2 {
+	if got, _ := p.recordViolation("s"); got != 2 {
 		t.Errorf("second recordViolation = %d", got)
 	}
 }

@@ -85,7 +85,7 @@ func RangeFor(userID string, ranges []HashRange) int {
 // ExportSnapshotRange is exportStateRange wrapped in the checksummed
 // OAKSNAP2 envelope, the form shipped between nodes.
 func (e *Engine) ExportSnapshotRange(r HashRange) ([]byte, error) {
-	payload, err := e.exportStateRange(r, true)
+	payload, err := e.exportStateRange(r)
 	if err != nil {
 		return nil, err
 	}

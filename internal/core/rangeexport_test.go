@@ -99,7 +99,7 @@ func TestExportStateRangeWholeIsByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ranged, err := e.exportStateRange(HashRange{}, true)
+	ranged, err := e.exportStateRange(HashRange{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +119,7 @@ func TestRangeExportRoundTripsByteStably(t *testing.T) {
 	users := seedUsers(t, e1, 24)
 
 	r := EqualRanges(4)[1]
-	data, err := e1.exportStateRange(r, true)
+	data, err := e1.exportStateRange(r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +140,7 @@ func TestRangeExportRoundTripsByteStably(t *testing.T) {
 	if e2.Users() != inRange {
 		t.Errorf("imported %d users, want %d", e2.Users(), inRange)
 	}
-	again, err := e2.exportStateRange(r, true)
+	again, err := e2.exportStateRange(r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +175,7 @@ func TestRangeImportCarriesVersions(t *testing.T) {
 		}
 	}
 	r := EqualRanges(4)[1]
-	data, err := e1.exportStateRange(r, true)
+	data, err := e1.exportStateRange(r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +197,7 @@ func TestRangeImportCarriesVersions(t *testing.T) {
 	if st, _ := e2.SpillStatus(); checked < 3 || st.ProfilesSpilled == 0 {
 		t.Fatalf("checked %d users, %d spilled; widen the seed", checked, st.ProfilesSpilled)
 	}
-	again, err := e2.exportStateRange(r, true)
+	again, err := e2.exportStateRange(r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +219,7 @@ func TestRangeUnionEqualsWholeExport(t *testing.T) {
 	// must rebuild the donor exactly.
 	e2, _ := NewEngine([]*rules.Rule{jqRule(0)}, WithClock(clock.Now))
 	for _, r := range EqualRanges(5) {
-		data, err := e1.exportStateRange(r, true)
+		data, err := e1.exportStateRange(r)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -256,7 +256,7 @@ func TestImportStateRangeIsAuthoritativeForArc(t *testing.T) {
 	// An empty payload for the arc removes every in-range user and leaves
 	// the rest untouched.
 	donor, _ := NewEngine([]*rules.Rule{jqRule(0)}, WithClock(clock.Now))
-	empty, err := donor.exportStateRange(r, true)
+	empty, err := donor.exportStateRange(r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,7 +321,7 @@ func TestRangeImportHammer(t *testing.T) {
 	donor, _ := NewEngine([]*rules.Rule{jqRule(0)})
 	users := seedUsers(t, donor, 16)
 	r := EqualRanges(2)[0]
-	data, err := donor.exportStateRange(r, true)
+	data, err := donor.exportStateRange(r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -362,7 +362,7 @@ func TestRangeImportHammer(t *testing.T) {
 	if err := e.ImportStateRange(r, data); err != nil {
 		t.Fatal(err)
 	}
-	again, err := e.exportStateRange(r, true)
+	again, err := e.exportStateRange(r)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -236,11 +236,11 @@ func TestSpillExportByteIdentity(t *testing.T) {
 		t.Error("ExportSnapshot differs across residency layouts")
 	}
 	for _, r := range EqualRanges(4) {
-		ar, err := capped.exportStateRange(r, true)
+		ar, err := capped.exportStateRange(r)
 		if err != nil {
 			t.Fatal(err)
 		}
-		br, err := ref.exportStateRange(r, true)
+		br, err := ref.exportStateRange(r)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -299,7 +299,7 @@ func TestImportStateRangeEvictsBackUnderCap(t *testing.T) {
 		}
 	}
 	r := EqualRanges(2)[0]
-	arc, err := src.exportStateRange(r, true)
+	arc, err := src.exportStateRange(r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -336,7 +336,7 @@ func TestImportStateRangeEvictsBackUnderCap(t *testing.T) {
 	if snap.Violations["ip-s1.com"] != 1 {
 		t.Errorf("stale spilled record survived an authoritative range import: %v", snap.Violations)
 	}
-	got, err := dst.exportStateRange(r, true)
+	got, err := dst.exportStateRange(r)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -43,6 +43,37 @@ import (
 // cannot demand a gigabyte allocation.
 const maxSpillStringLen = 1 << 20
 
+// maxProfileSize bounds a profile's size estimate (estimateSize), which bounds
+// its record from above, so every profile's record fits one segment frame.
+// Ingest drops a violation or an activation that would take a profile past it
+// (Profile.grow).
+const maxProfileSize = seglog.MaxFrame
+
+// fitsSpillRecord reports whether pp fits a record: every string within
+// maxSpillStringLen and the whole within maxProfileSize. A profile that could
+// not be read back from its record is refused on the way in (buildImport), so
+// none is ever written.
+func fitsSpillRecord(pp *persistedProfile) bool {
+	if len(pp.UserID) > maxSpillStringLen {
+		return false
+	}
+	size := profileBaseSize + len(pp.UserID)
+	for srv := range pp.Violations {
+		if len(srv) > maxSpillStringLen {
+			return false
+		}
+		size += violationEntrySize + len(srv)
+	}
+	for i := range pp.Active {
+		pa := &pp.Active[i]
+		if len(pa.RuleID) > maxSpillStringLen || len(pa.TriggerServer) > maxSpillStringLen {
+			return false
+		}
+		size += activeEntrySize + len(pa.RuleID) + len(pa.TriggerServer)
+	}
+	return size <= maxProfileSize
+}
+
 // appendSpillTime appends t in the RFC3339Nano form encoding/json uses, as a
 // spill string. The zero time round-trips through "0001-01-01T00:00:00Z".
 func appendSpillTime(b []byte, t time.Time) []byte {

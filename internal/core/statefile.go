@@ -1,6 +1,8 @@
 package core
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io/fs"
@@ -8,11 +10,12 @@ import (
 	"time"
 
 	"oak/internal/seglog"
+	"oak/internal/wire"
 )
 
-// Crash-safe state files: SaveStateFile writes checksummed snapshots via
+// Crash-safe state files: SaveStateFile writes checksummed checkpoints via
 // the classic tmp + fsync + rename dance and keeps the previous good
-// snapshot as a rotating ".bak"; LoadStateFile restores the snapshot and —
+// checkpoint as a rotating ".bak"; LoadStateFile restores the checkpoint and —
 // when the primary file is damaged or missing mid-rotation — falls back to
 // the backup instead of failing boot. Together they guarantee that a crash
 // at any instant (mid-save, mid-rotation, or external corruption of the
@@ -20,19 +23,86 @@ import (
 // it. On an engine with the spill tier the file is a checkpoint of the
 // resident set, which means something only beside its segment directory: the
 // spilled users live in the log alone (spill.go, durability contract).
+//
+// A checkpoint is a segment file (internal/seglog) of the spill tier's own
+// records: the magic line, one header frame — the JSON of the state's
+// envelope, with the count of profiles where the profiles were — and one
+// OAKPROF1 record frame per profile, sorted by user ID. Every frame carries
+// its CRC-32C, so a torn or flipped file is ErrCorruptState, as is one whose
+// count of records is not its header's. No frame is over seglog.MaxFrame: a
+// profile's record is bounded where it grows (maxProfileSize), and a save
+// whose header is over it fails. A file that is not a segment is an
+// OAKSNAP2 or legacy JSON state file, which LoadStateFile reads once, through
+// decodeState, and the next save rewrites as a checkpoint.
+
+// checkpointHeader is a checkpoint's header frame: the state's envelope with
+// the count of its profile records in place of the profiles.
+type checkpointHeader struct {
+	persistedState
+	Profiles int `json:"profiles"`
+}
+
+// encodeCheckpoint is the checkpoint of st, a whole-ring state. A frame over
+// seglog.MaxFrame, which seglog.Walk would refuse, is an error, so no save
+// installs a file no load reads.
+func encodeCheckpoint(st *persistedState) ([]byte, error) {
+	header, err := json.Marshal(checkpointHeader{persistedState: *st, Profiles: len(st.Profiles)})
+	if err != nil {
+		return nil, err
+	}
+	b, biggest := wire.AppendFrame([]byte(seglog.Magic), header), len(header)
+	var rec []byte
+	for i := range st.Profiles {
+		rec = encodeSpillRecord(rec[:0], &st.Profiles[i])
+		b, biggest = wire.AppendFrame(b, rec), max(biggest, len(rec))
+	}
+	if biggest > seglog.MaxFrame {
+		return nil, fmt.Errorf("a checkpoint frame of %d bytes is over a frame's %d", biggest, seglog.MaxFrame)
+	}
+	return b, nil
+}
+
+// errHeaderRead stops decodeCheckpoint's walk after the header frame.
+var errHeaderRead = errors.New("checkpoint header read")
+
+// decodeCheckpoint reads a checkpoint's header frame. The records after it are
+// walked, checked and counted against the header as they are imported
+// (eachProfile).
+func decodeCheckpoint(data []byte) (*persistedState, error) {
+	var hdr checkpointHeader
+	_, err := seglog.Walk(data, func(payload []byte, _ int64, _ int) error {
+		if err := json.Unmarshal(payload, &hdr); err != nil {
+			return err
+		}
+		return errHeaderRead
+	})
+	switch {
+	case err == nil:
+		return nil, fmt.Errorf("%w: checkpoint without a header", ErrCorruptState)
+	case !errors.Is(err, errHeaderRead):
+		return nil, fmt.Errorf("%w: checkpoint header: %v", ErrCorruptState, err)
+	case hdr.Version != stateVersion:
+		return nil, fmt.Errorf("%w %d", ErrStateVersion, hdr.Version)
+	case hdr.Profiles < 0:
+		return nil, fmt.Errorf("%w: checkpoint header counts %d profiles", ErrCorruptState, hdr.Profiles)
+	}
+	st := &hdr.persistedState
+	st.checkpoint, st.records = data, hdr.Profiles
+	return st, nil
+}
 
 // BackupSuffix is appended to a state file's path to name the rotating
-// last-good snapshot SaveStateFile keeps.
+// last-good state file SaveStateFile keeps.
 const BackupSuffix = ".bak"
 
 // StateSource says where LoadStateFile got the engine's state from.
 type StateSource string
 
 const (
-	// StateFresh: neither the snapshot nor its backup existed — a fresh
+	// StateFresh: neither the state file nor its backup existed — a fresh
 	// deployment.
 	StateFresh StateSource = "fresh"
-	// StateSnapshot: the primary snapshot file loaded cleanly.
+	// StateSnapshot: the primary state file loaded cleanly.
 	StateSnapshot StateSource = "snapshot"
 	// StateBackup: the primary was damaged or missing and state was
 	// recovered from the rotating backup.
@@ -45,15 +115,14 @@ const (
 
 // SaveStateFile persists the engine's state to path crash-safely:
 //
-//  1. the checkpoint — ExportSnapshot's envelope over the resident profiles,
-//     the guard and the population sections, which without the spill tier is
-//     ExportSnapshot byte for byte — is written to path+".tmp" and fsynced,
-//     so a crash mid-write never touches the live file. It reads no spill
-//     record;
-//  2. the current snapshot is rotated to path+BackupSuffix — if it is known
+//  1. the checkpoint — the resident profiles, the guard and the population
+//     sections, which without the spill tier is the whole state — is written
+//     to path+".tmp" and fsynced, so a crash mid-write never touches the live
+//     file. It reads no spill record;
+//  2. the current file is rotated to path+BackupSuffix — if it is known
 //     to be good: this engine loaded it cleanly or installed it itself. After
 //     a boot from the backup the damaged primary is overwritten instead, so
-//     the one good snapshot stays the backup. Paths are compared after
+//     the one good checkpoint stays the backup. Paths are compared after
 //     filepath.Clean, so "./state.json" is "state.json", but a relative and
 //     an absolute spelling of one file are two paths: give SaveStateFile the
 //     path given to LoadStateFile, or the first save keeps the old backup;
@@ -65,14 +134,18 @@ const (
 func (e *Engine) SaveStateFile(path string) error {
 	e.saveMu.Lock()
 	defer e.saveMu.Unlock()
-	payload, err := e.exportStateRange(HashRange{}, false)
+	st, err := e.collectState(HashRange{}, false)
+	var data []byte
+	if err == nil {
+		data, err = encodeCheckpoint(st)
+	}
 	if err != nil {
-		return fmt.Errorf("engine: export snapshot: %w", err)
+		return fmt.Errorf("engine: checkpoint: %w", err)
 	}
 	tmp := path + ".tmp"
-	if err := seglog.WriteFileSync(e.fs, tmp, wrapSnapshot(payload)); err != nil {
+	if err := seglog.WriteFileSync(e.fs, tmp, data); err != nil {
 		e.fs.Remove(tmp)
-		return fmt.Errorf("engine: write snapshot: %w", err)
+		return fmt.Errorf("engine: write checkpoint: %w", err)
 	}
 	clean := filepath.Clean(path)
 	if good := e.goodPrimary.Load(); good != nil && *good == clean {
@@ -83,7 +156,7 @@ func (e *Engine) SaveStateFile(path string) error {
 	}
 	if err := e.fs.Rename(tmp, path); err != nil {
 		e.fs.Remove(tmp)
-		return fmt.Errorf("engine: install snapshot: %w", err)
+		return fmt.Errorf("engine: install checkpoint: %w", err)
 	}
 	e.goodPrimary.Store(&clean)
 	seglog.SyncDir(e.fs, filepath.Dir(path))
@@ -98,27 +171,30 @@ func (e *Engine) SaveStateFile(path string) error {
 }
 
 // LoadStateFile restores engine state saved by SaveStateFile. A missing
-// snapshot with no backup is a fresh deployment, not an error. A damaged
-// primary (torn write, checksum mismatch, undecodable payload) falls back
+// file with no backup is a fresh deployment, not an error. A damaged
+// primary (torn write, checksum mismatch, undecodable record) falls back
 // to the rotating backup — counting one state recovery in the engine's
 // metrics — and only fails if the backup is unusable too. The returned
 // StateSource says which file actually populated the engine.
 func (e *Engine) LoadStateFile(path string) (StateSource, error) {
 	// Boot imports merge newer-wins with recovered spill records: a profile
-	// spilled (and fsynced) after the snapshot was saved survives the
+	// spilled (and fsynced) after the checkpoint was saved survives the
 	// import, so a kill between spill and the next SaveStateFile loses no
 	// acknowledged state. See importRange.
 	start := time.Now()
 	boot := func(data []byte) error {
-		decodeStart := time.Now()
-		st, err := decodeState(data)
+		migrated := !bytes.HasPrefix(data, []byte(seglog.Magic))
+		decode := decodeCheckpoint
+		if migrated {
+			decode = decodeState
+		}
+		st, err := decode(data)
 		if err != nil {
 			return err
 		}
-		decode := time.Since(decodeStart)
 		n, err := e.importDecoded(HashRange{}, st, true, false)
 		if err == nil {
-			e.lastLoad.Store(&BootStatus{ImportCounts: n, Load: time.Since(start), Decode: decode, DecodeFallback: st.fallback})
+			e.lastLoad.Store(&BootStatus{ImportCounts: n, Load: time.Since(start), Migrated: migrated})
 		}
 		return err
 	}
@@ -141,7 +217,7 @@ func (e *Engine) LoadStateFile(path string) (StateSource, error) {
 	}
 	// Try the backup: the primary is damaged, or it is missing — a fresh
 	// deployment, or a crash landed between SaveStateFile's rotation and
-	// install renames, in which case the backup holds the last good snapshot.
+	// install renames, in which case the backup holds the last good checkpoint.
 	bdata, berr := seglog.ReadFile(e.fs, path+BackupSuffix)
 	switch {
 	case berr != nil && primaryErr != nil:
@@ -156,7 +232,7 @@ func (e *Engine) LoadStateFile(path string) (StateSource, error) {
 	}
 	if ierr := boot(bdata); ierr != nil {
 		if primaryErr != nil {
-			return "", fmt.Errorf("engine: snapshot and backup both unusable: %w (backup: %v)", primaryErr, ierr)
+			return "", fmt.Errorf("engine: state file and backup both unusable: %w (backup: %v)", primaryErr, ierr)
 		}
 		return "", fmt.Errorf("engine: import state backup: %w", ierr)
 	}
@@ -174,13 +250,10 @@ type BootStatus struct {
 	QuarantinedSegments int
 	// Recover is how long the segment replay took, Load the LoadStateFile
 	// call: read, checksum, decode, merge and any eviction back under the cap.
-	// Decode is the part of Load spent on the payload's JSON.
-	Recover, Load, Decode time.Duration
-	// DecodeFallback is empty when the payload was read by the state schema's
-	// own reader, as every file the engine writes is. Otherwise encoding/json
-	// decoded it, several times slower, and this names the first construct
-	// the fast reader would not take (decodeState has the rule).
-	DecodeFallback string
+	Recover, Load time.Duration
+	// Migrated says the state file was not a checkpoint but an OAKSNAP2 or
+	// legacy JSON file, read through encoding/json; the next save rewrites it.
+	Migrated bool
 	// IndexAdopted counts the refs the segment replay took from the spill
 	// index the last checkpoint wrote; Checksummed is the record bytes it
 	// read and checksummed, Decoded the part of them it decoded record by
@@ -222,7 +295,7 @@ func (e *Engine) ImportShippedState(data []byte) error {
 }
 
 // StateStatus reports where the engine's state last came from and how many
-// times it was restored from somewhere other than the primary snapshot file:
+// times it was restored from somewhere other than the primary state file:
 // the rotating backup (damaged or missing primary) or a shipped snapshot (node
 // replacement). An engine that never loaded a state file reads as StateFresh.
 func (e *Engine) StateStatus() (StateSource, uint64) {

@@ -191,12 +191,8 @@ func TestSaveStateFileBackupHoldsPreviousState(t *testing.T) {
 	}
 
 	fromBak, _ := NewEngine([]*rules.Rule{jqRule(0)})
-	bdata, err := os.ReadFile(path + BackupSuffix)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := fromBak.ImportState(bdata); err != nil {
-		t.Fatal(err)
+	if src, err := fromBak.LoadStateFile(path + BackupSuffix); err != nil || src != StateSnapshot {
+		t.Fatalf("loading the backup: %q, %v", src, err)
 	}
 	if fromBak.Users() != 0 {
 		t.Errorf("backup has %d users, want the previous (empty) state", fromBak.Users())
@@ -353,12 +349,8 @@ func TestCheckpointHoldsResidentsOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := decodeState(data)
-	if err != nil {
-		t.Fatal(err)
-	}
 	var got []string
-	for _, pp := range st.Profiles {
+	for _, pp := range readCheckpoint(t, data).Profiles {
 		got = append(got, pp.UserID)
 	}
 	if !slices.Equal(got, residents) {
@@ -367,8 +359,7 @@ func TestCheckpointHoldsResidentsOnly(t *testing.T) {
 }
 
 // TestUncappedSaveIsTheSnapshot: without the spill tier the checkpoint is the
-// whole state, and SaveStateFile writes ExportSnapshot's bytes, as it always
-// did.
+// whole state: it loads back to ExportSnapshot's bytes.
 func TestUncappedSaveIsTheSnapshot(t *testing.T) {
 	clock := newTestClock()
 	e, err := NewEngine([]*rules.Rule{jqRule(time.Hour)}, WithClock(clock.Now),
@@ -391,16 +382,24 @@ func TestUncappedSaveIsTheSnapshot(t *testing.T) {
 	if err := e.SaveStateFile(path); err != nil {
 		t.Fatal(err)
 	}
-	got, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
 	want, err := e.ExportSnapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
+	loaded, err := NewEngine([]*rules.Rule{jqRule(time.Hour)}, WithClock(clock.Now),
+		WithGuard(GuardConfig{TripThreshold: 3, OpenFor: time.Hour}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := loaded.LoadStateFile(path); err != nil {
+		t.Fatal(err)
+	}
+	got, err := loaded.ExportSnapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !bytes.Equal(got, want) || !strings.Contains(string(got), `"guard"`) {
-		t.Errorf("saved state file differs from ExportSnapshot:\n--- file\n%s\n--- snapshot\n%s", got, want)
+		t.Errorf("the saved state file loads back to other than ExportSnapshot:\n--- loaded\n%s\n--- snapshot\n%s", got, want)
 	}
 }
 

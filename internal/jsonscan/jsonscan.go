@@ -1,28 +1,25 @@
-// Package jsonscan holds the JSON scanning primitives Oak's schema-specific
-// decoders are written over — the report decoder and the gateway's userId
-// sniff (internal/report), and the state file's profile array
-// (internal/core) — as internal/wire holds the primitives of the two binary
-// dialects. A schema reader walks the bytes with these and never builds a
-// token stream, a map or a reflect.Value.
+// Package jsonscan holds the JSON scanning primitives Oak's one hand-written
+// JSON schema is read with: the report, by its decoder and by the gateway's
+// userId sniff (internal/report), as internal/wire holds the primitives of
+// the binary dialects. A schema reader walks the bytes with these and never
+// builds a token stream, a map or a reflect.Value.
 //
-// The promise, and to whom. The value scanners (ScanString and its two
-// variants, ScanInt64, ScanFloat64, ScanBool) answer true only for a token
+// The promise, and to whom. The value scanners (ScanString and its plain
+// variant, ScanInt64, ScanFloat64, ScanBool) answer true only for a token
 // they read exactly as encoding/json would read it into a Go string, int64,
 // float64 or bool, and false — "not proven", never "invalid" — for everything
-// else: a surrogate escape, a byte that is not ASCII (ScanUTF8String takes
-// well-formed UTF-8), a number near overflow, a literal that is not a number
-// at all. A caller treats false as "hand the whole document to
-// encoding/json", so encoding/json stays the reference for what is accepted
-// and produces every error; the differential fuzzers of the callers
-// (report:FuzzDecodeEquivalence, report:FuzzSniffUserAgreesWithDecode,
-// core:FuzzDecodeStateEquivalence) pin the two readings to each other, and
-// FuzzScannersAgreeWithJSON here pins the bare primitives.
+// else: a surrogate escape, a byte that is not ASCII, a number near overflow,
+// a literal that is not a number at all. A caller treats false as "hand the
+// whole document to encoding/json", so encoding/json stays the reference for
+// what is accepted and produces every error; the differential fuzzers of the
+// report schema (report:FuzzDecodeEquivalence,
+// report:FuzzSniffUserAgreesWithDecode) pin the two readings to each other,
+// and FuzzScannersAgreeWithJSON here pins the bare primitives.
 //
-// The skippers (SkipValue, SkipString) are weaker: they are exact on
-// well-formed JSON — they stop where the value stops — and promise nothing
-// else; on malformed input they may stop anywhere or return false. That is
-// enough for a caller that owes an answer only for documents encoding/json
-// accepts, or that has encoding/json validate the skipped bytes afterwards.
+// The skipper (SkipValue) is weaker: it is exact on well-formed JSON — it
+// stops where the value stops — and promises nothing else; on malformed input
+// it may stop anywhere or return false. That is enough for a caller that owes
+// an answer only for documents encoding/json accepts.
 package jsonscan
 
 import (
@@ -87,39 +84,6 @@ func (d *Scanner) ScanPlainString() ([]byte, bool) {
 	}
 	d.I = start + n + 1
 	return d.Data[start : start+n], true
-}
-
-// ScanUTF8String is ScanString for a caller that keeps the bytes as they are
-// (a Go string made from the token): a string with no escape and no control
-// character may also carry non-ASCII bytes once utf8.Valid says they are
-// well-formed, because encoding/json copies valid UTF-8 through unchanged
-// (what it would replace with U+FFFD answers false here). A continuation
-// byte is never a quote, so the first quote still ends such a string.
-func (d *Scanner) ScanUTF8String() ([]byte, bool) {
-	if tok, ok := d.ScanPlainString(); ok {
-		return tok, true
-	}
-	if d.I >= len(d.Data) || d.Data[d.I] != '"' {
-		return nil, false
-	}
-	start := d.I + 1
-	if n := bytes.IndexByte(d.Data[start:], '"'); n >= 0 {
-		tok := d.Data[start : start+n]
-		if bytes.IndexByte(tok, '\\') < 0 && !hasControl(tok) && utf8.Valid(tok) {
-			d.I = start + n + 1
-			return tok, true
-		}
-	}
-	return d.scanEscapedString()
-}
-
-func hasControl(b []byte) bool {
-	for _, c := range b {
-		if c < 0x20 {
-			return true
-		}
-	}
-	return false
 }
 
 // isPlain reports whether b holds only bytes a JSON string may carry as they
@@ -372,13 +336,13 @@ func (d *Scanner) SkipValue() bool {
 	}
 	switch d.Data[d.I] {
 	case '"':
-		return d.SkipString()
+		return d.skipString()
 	case '{', '[':
 		depth := 0
 		for d.I < len(d.Data) {
 			switch d.Data[d.I] {
 			case '"':
-				if !d.SkipString() {
+				if !d.skipString() {
 					return false
 				}
 				continue
@@ -405,9 +369,9 @@ func (d *Scanner) SkipValue() bool {
 	return false
 }
 
-// SkipString advances past the string that starts at d.I: to the first quote
+// skipString advances past the string that starts at d.I: to the first quote
 // preceded by an even number of backslashes.
-func (d *Scanner) SkipString() bool {
+func (d *Scanner) skipString() bool {
 	i := d.I + 1
 	for {
 		n := bytes.IndexByte(d.Data[i:], '"')

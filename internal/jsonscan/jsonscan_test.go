@@ -24,7 +24,7 @@ func FuzzScannersAgreeWithJSON(f *testing.F) {
 		// A token the scanner took, followed by nothing, is one JSON value.
 		whole := func(d *Scanner) bool { return d.I == len(tok) }
 		for name, scan := range map[string]func(*Scanner) ([]byte, bool){
-			"ScanString": (*Scanner).ScanString, "ScanPlainString": (*Scanner).ScanPlainString, "ScanUTF8String": (*Scanner).ScanUTF8String,
+			"ScanString": (*Scanner).ScanString, "ScanPlainString": (*Scanner).ScanPlainString,
 		} {
 			d := Scanner{Data: tok}
 			if got, ok := scan(&d); ok && whole(&d) {

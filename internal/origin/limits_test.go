@@ -1,6 +1,7 @@
 package origin
 
 import (
+	"bytes"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -10,6 +11,7 @@ import (
 	"testing"
 
 	"oak/internal/core"
+	"oak/internal/report"
 	"oak/internal/rules"
 )
 
@@ -185,4 +187,83 @@ func TestAuditEndpointFailsOnUnreadableSpill(t *testing.T) {
 	if resp.StatusCode != http.StatusInternalServerError {
 		t.Errorf("audit status = %d, want 500", resp.StatusCode)
 	}
+}
+
+// TestOverlongUserIDIsRefusedOnBothWires: a user ID one byte longer than
+// report.MaxBinaryStringLen is a 400 on the JSON wire as on OAKRPT1. No spill
+// record holds such a string: one written would take its segment, and every
+// user in it, out of service at the next read. The users reported around it
+// survive an export and a restart.
+func TestOverlongUserIDIsRefusedOnBothWires(t *testing.T) {
+	dir, state := t.TempDir(), filepath.Join(t.TempDir(), "state")
+	boot := func() *core.Engine {
+		e, err := core.NewEngine([]*rules.Rule{swapRule()}, core.WithShards(1),
+			core.WithProfileResidency(core.ResidencyConfig{Dir: dir, MaxProfiles: 2}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return e
+	}
+	engine := boot()
+	ts := httptest.NewServer(NewServer(engine))
+	defer ts.Close()
+	post := func(uid string, binary bool) int {
+		t.Helper()
+		rep := binaryReport(uid)
+		body, ctype := rep.AppendBinary(nil), report.ContentTypeBinary
+		if !binary {
+			var err error
+			if body, err = rep.Marshal(); err != nil {
+				t.Fatal(err)
+			}
+			ctype = "application/json"
+		}
+		resp, err := http.Post(ts.URL+ReportPathV1, ctype, bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	long := strings.Repeat("u", report.MaxBinaryStringLen+1)
+	for i, uid := range []string{"a", "b", long, long, "c", "d", "e"} {
+		want := http.StatusNoContent
+		if uid == long {
+			want = http.StatusBadRequest
+		}
+		if got := post(uid, i%2 == 1); got != want {
+			t.Errorf("report %d (binary %v, a %d-byte user): status %d, want %d", i, i%2 == 1, len(uid), got, want)
+		}
+	}
+	want, err := engine.ExportState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st, _ := engine.SpillStatus(); engine.Users() != 5 || st.ProfilesSpilled == 0 || len(st.QuarantinedSegments) != 0 {
+		t.Fatalf("%d users after the export, %+v; want a..e, some spilled, no segment quarantined", engine.Users(), st)
+	}
+	if err := engine.SaveStateFile(state); err != nil {
+		t.Fatal(err)
+	}
+	engine.Close()
+	rebooted := boot()
+	defer rebooted.Close()
+	if _, err := rebooted.LoadStateFile(state); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := rebooted.ExportState(); err != nil || rebooted.Users() != 5 || !bytes.Equal(stripSavedAt(got), stripSavedAt(want)) {
+		t.Errorf("after the restart: %d users, %v; want the export from before it", rebooted.Users(), err)
+	}
+}
+
+// stripSavedAt drops an export's savedAt line, which stamps the clock.
+func stripSavedAt(export []byte) []byte {
+	var out []byte
+	for _, line := range bytes.SplitAfter(export, []byte("\n")) {
+		if !bytes.Contains(line, []byte(`"savedAt"`)) {
+			out = append(out, line...)
+		}
+	}
+	return out
 }

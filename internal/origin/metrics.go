@@ -125,7 +125,7 @@ type HealthzResponse struct {
 	// "shipped" (rehydrated from a snapshot shipped by another node).
 	StateSource string `json:"state_source"`
 	// StateRecoveries counts restores from somewhere other than the
-	// primary snapshot file — backup fallbacks and shipped rehydrations.
+	// primary state file — backup fallbacks and shipped rehydrations.
 	StateRecoveries uint64 `json:"state_recoveries"`
 	// SpillDegraded is true when the profile spill tier is operating
 	// impaired: a spill I/O failure latched memory-only mode, or a damaged

@@ -173,17 +173,25 @@ func (r *Report) AppendBinary(dst []byte) []byte {
 // string field exceeds MaxBinaryStringLen (such a payload could never be
 // decoded back).
 func (r *Report) MarshalBinary() ([]byte, error) {
-	if len(r.UserID) > MaxBinaryStringLen || len(r.Page) > MaxBinaryStringLen {
+	if !r.fits() {
 		return nil, ErrBinaryOversized
+	}
+	return r.AppendBinary(nil), nil
+}
+
+// fits reports whether every string of r is at most MaxBinaryStringLen bytes.
+func (r *Report) fits() bool {
+	if len(r.UserID) > MaxBinaryStringLen || len(r.Page) > MaxBinaryStringLen {
+		return false
 	}
 	for i := range r.Entries {
 		e := &r.Entries[i]
 		if len(e.URL) > MaxBinaryStringLen || len(e.ServerAddr) > MaxBinaryStringLen ||
 			len(e.InitiatorURL) > MaxBinaryStringLen || len(e.Kind) > MaxBinaryStringLen {
-			return nil, ErrBinaryOversized
+			return false
 		}
 	}
-	return r.AppendBinary(nil), nil
+	return true
 }
 
 // UnmarshalBinary decodes a single OAKRPT1 payload into a fresh report.

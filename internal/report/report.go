@@ -118,6 +118,10 @@ type Report struct {
 var (
 	ErrNoUserID  = errors.New("report: missing user id")
 	ErrNoEntries = errors.New("report: no entries")
+	// ErrOversized: a string is longer than MaxBinaryStringLen, which no
+	// OAKRPT1 payload carries and no durable profile record holds, whichever
+	// wire the report came in on.
+	ErrOversized = errors.New("report: string longer than MaxBinaryStringLen")
 )
 
 // Validate checks structural invariants the Oak server relies on.
@@ -127,6 +131,9 @@ func (r *Report) Validate() error {
 	}
 	if len(r.Entries) == 0 {
 		return ErrNoEntries
+	}
+	if !r.fits() {
+		return ErrOversized
 	}
 	for i, e := range r.Entries {
 		if e.URL == "" {

@@ -35,6 +35,9 @@ func TestValidateErrors(t *testing.T) {
 	}{
 		{"no user", func(r *Report) { r.UserID = "" }, ErrNoUserID},
 		{"no entries", func(r *Report) { r.Entries = nil }, ErrNoEntries},
+		{"overlong user", func(r *Report) { r.UserID = strings.Repeat("u", MaxBinaryStringLen+1) }, ErrOversized},
+		{"overlong page", func(r *Report) { r.Page = strings.Repeat("p", MaxBinaryStringLen+1) }, ErrOversized},
+		{"overlong server", func(r *Report) { r.Entries[2].ServerAddr = strings.Repeat("s", MaxBinaryStringLen+1) }, ErrOversized},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

@@ -143,10 +143,10 @@ var (
 	// ErrOverloaded is returned (wrapped in *OverloadError) when the
 	// admission bound sheds a report instead of making it wait.
 	ErrOverloaded = core.ErrOverloaded
-	// ErrCorruptState marks a snapshot that failed checksum, framing or
-	// structural validation.
+	// ErrCorruptState marks a snapshot or state file that failed checksum,
+	// framing or structural validation.
 	ErrCorruptState = core.ErrCorruptState
-	// ErrStateVersion marks a snapshot from an incompatible format version.
+	// ErrStateVersion marks a snapshot or state file from an incompatible format version.
 	ErrStateVersion = core.ErrStateVersion
 )
 

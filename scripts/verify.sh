@@ -82,8 +82,9 @@
 # (TestBootAdoptsTheLog) and the newer-wins predicate with the import around
 # it, a case a row (TestNewerWinsMerge). The format step boots on the files the
 # PR 18, PR 20 and PR 27 commits wrote (testdata/pr18-files, pr20-files,
-# pr27-files) and those of the last commit that pinned a rehydrated user's
-# record (testdata/pr31-files). The spill log
+# pr27-files), those of the last commit that pinned a rehydrated user's
+# record (testdata/pr31-files) and those of the last commit whose state file
+# was JSON (testdata/pr33-files), through the migration and a save after it. The spill log
 # order step runs, five times under
 # -race, the two tests that pin "one append path, one order": the compactor
 # moving a survivor must never let a stale record outrank a later one after a
@@ -107,8 +108,9 @@
 # under 0.1 allocations a user and the index's probes at none, and runs the
 # boot benchmark at 20,000 and 200,000 users once. The checkpoint step holds the state file
 # to the resident set: a capped save reads no segment and names exactly the
-# residents, an uncapped save is ExportSnapshot's bytes, and a quarantined
-# segment's users are gone after a boot that says how many. A plain-grep structure check then fails by
+# residents, and a quarantined segment's users are gone after a boot that says
+# how many; an uncapped save
+# loads back to ExportSnapshot's bytes. A plain-grep structure check then fails by
 # name if a second segment writer creeps back into the log (a .tmp file, a
 # second sequence allocation, a frame parser outside seglog's Walk and Read), if
 # the process-global spill failpoint returns, if non-test internal/core makes a
@@ -131,14 +133,19 @@
 # core.RuleStat). A named step pins fig14 and table3 to a golden the reference
 # build wrote (TestFig14Table3Golden). A
 # fuzz smoke pins the internal/wire primitives both binary dialects are schemas
-# over (round trip, canonical re-encoding, typed rejection). The state file has
-# two readers: a fuzz smoke pins whatever its schema reader accepts to
-# encoding/json's reading (FuzzDecodeStateEquivalence), and a named step holds
-# every file the engine writes to that reader, each hand-written border row to
-# its side of the subset, and the allocations per decoded profile and per
-# walked segment record below the reflective decoder's; the structure check
-# fails by name if persist.go grows a second json.Unmarshal of the payload or a
-# JSON scanning primitive is defined outside internal/jsonscan. The benchmark module
+# over (round trip, canonical re-encoding, typed rejection). The state file is
+# a checkpoint, a segment of OAKPROF1 records: a fuzz smoke feeds any bytes as
+# the file and its backup and requires a load or a typed error that leaves the
+# engine as it was (FuzzLoadCheckpoint), and a named step holds every file the
+# engine writes to the state it was written from, every damaged one (a record
+# short or extra at a frame boundary among them) to its typed error, and the
+# allocations per loaded profile and per walked segment record under 3.5; the
+# structure check
+# fails by name if persist.go grows a second json.Unmarshal of the payload, if
+# a JSON scanning primitive is defined outside internal/jsonscan, or if a
+# profile gets a second durable codec (one-profile-codec: internal/core reads
+# no JSON with internal/jsonscan, and marshals JSON only in exportStateRange
+# and a checkpoint's header). The benchmark module
 # step vets and tests bench/ (its own module, which the root go build/test
 # do not descend into) so an internal API change cannot break the serving
 # benchmark of record (bash bench/run.sh) unnoticed.
@@ -172,11 +179,13 @@ go test -race ./internal/core ./internal/obs ./internal/bodybuf ./internal/clien
 echo "== fuzz smoke: FuzzImportState (5s) =="
 go test -run '^$' -fuzz FuzzImportState -fuzztime 5s ./internal/core
 
-echo "== fuzz smoke: FuzzDecodeStateEquivalence (5s) =="
-go test -run '^$' -fuzz FuzzDecodeStateEquivalence -fuzztime 5s ./internal/core
+echo "== fuzz smoke: FuzzLoadCheckpoint (5s) =="
+go test -run '^$' -fuzz FuzzLoadCheckpoint -fuzztime 5s ./internal/core
 
-echo "== state decode gate: the engine's own files stay on the fast reader, the border rows punt where they must, allocs per decoded profile and per walked segment record =="
-go test -run 'TestStateFilesStayOnTheFastReader|TestStateRowsPuntWhereTheyMust|TestStateDecodeAllocs|TestSegmentWalkAllocs' -count=1 ./internal/core
+echo "== checkpoint gate: every state file the engine writes holds the state it was written from, every damaged one is refused typed, allocs per loaded profile and per walked segment record =="
+out=$(go test -run 'TestEngineWritesCheckpoints|TestCheckpointDamageIsCorrupt|TestStateDecodeAllocs|TestSegmentWalkAllocs' -count=1 -v ./internal/core) || { echo "$out" >&2; exit 1; }
+echo "$out" | grep -E -e '--- PASS|allocs per'
+
 
 echo "== fuzz smoke: FuzzApplyEquivalence (5s) =="
 go test -run '^$' -fuzz FuzzApplyEquivalence -fuzztime 5s ./internal/rules
@@ -251,11 +260,11 @@ out=$(go test -count=1 -run 'TestIndexedBootAllocs|TestSpillIndexProbeAllocatesN
 echo "$out" | grep -E -e '--- PASS|allocations booting'
 go test -run '^$' -bench 'BenchmarkBootCapped' -benchtime 1x ./internal/core
 
-echo "== checkpoint holds residents only: a capped save reads no record, an uncapped save is the snapshot, a quarantined segment's users are gone =="
+echo "== checkpoint holds residents only: a capped save reads no record, an uncapped save loads back to the snapshot, a quarantined segment's users are gone =="
 out=$(go test -count=1 -run 'TestCheckpointHoldsResidentsOnly|TestUncappedSaveIsTheSnapshot|TestBootAdoptsTheLog/one_segment_damaged' -v ./internal/core) || { echo "$out" >&2; exit 1; }
 echo "$out" | grep -E -e '--- PASS|gone with'
 
-echo "== structure check: one segment writer, one sequence allocator, one segment walker, one file seam, one serve cache, one durable ref, one page index, one merge predicate, one version bump, one home for an activation, one rule set per process, one home for a user, one reference decoder, one JSON scanner, one spill index =="
+echo "== structure check: one segment writer, one sequence allocator, one segment walker, one file seam, one serve cache, one durable ref, one page index, one merge predicate, one version bump, one home for an activation, one rule set per process, one home for a user, one reference decoder, one JSON scanner, one profile codec, one spill index =="
 fail() { echo "structure check failed: $1" >&2; exit 1; }
 seglog_go=$(ls internal/seglog/*.go | grep -v '_test\.go$')
 core_go=$(ls internal/core/*.go | grep -v '_test\.go$')
@@ -279,13 +288,13 @@ if grep -n '"oak/internal/core"' $seglog_go; then
 fi
 spill_lines=$(wc -l <internal/core/spill.go)
 log_lines=$(cat $core_go $seglog_go | wc -l)
-# The budget is the measured count once each rewrite was spliced from a
-# once-per-page index, 7,512 - 32: rewritecache.go -239, engine.go -111,
-# guardwire.go -58, metrics.go +1, serve.go +375 (the page registry,
-# plans, derived tags and the shims the benchmark still calls).
-echo "spill.go: $spill_lines lines (< 600); non-test internal/core + internal/seglog: $log_lines lines (<= 7480)"
+# The budget is the measured count once the state file became a checkpoint,
+# 7,480 - 250: statedecode.go -399, persist.go +14, statefile.go +73,
+# spillcodec.go +31, profile.go +21, engine.go and popwire.go +10 (the
+# checkpoint, and the bound that keeps every profile's record within a frame).
+echo "spill.go: $spill_lines lines (< 600); non-test internal/core + internal/seglog: $log_lines lines (<= 7230)"
 [ "$spill_lines" -lt 600 ] || fail "line-budget: spill.go has $spill_lines lines, want under 600"
-[ "$log_lines" -le 7480 ] || fail "line-budget: non-test internal/core + internal/seglog has $log_lines lines, want at most 7480"
+[ "$log_lines" -le 7230 ] || fail "line-budget: non-test internal/core + internal/seglog has $log_lines lines, want at most 7230"
 if grep -n 'map\[string\]spillRef' $core_go; then
 	fail "one-spill-index: non-test internal/core keeps spill refs in a map again (a shard's refs live in its spillIndex: slots and a key blob, no heap object per user)"
 fi
@@ -326,12 +335,21 @@ fi
 
 unmarshals=$(grep -c 'json\.Unmarshal(payload' internal/core/persist.go)
 [ "$unmarshals" -eq 1 ] ||
-	fail "one-reference-decoder: json.Unmarshal(payload occurs $unmarshals times in persist.go, want once (decodeState's fallback)"
+	fail "one-reference-decoder: json.Unmarshal(payload occurs $unmarshals times in persist.go, want once (decodeState)"
 for prim in ScanString ScanInt64 ScanFloat64 SkipValue; do
 	defs=$(grep -rlEi --include='*.go' "^func \([a-z]+ \*?[A-Za-z]+\) $prim\(" . | tr '\n' ' ')
 	[ "$defs" = "./internal/jsonscan/jsonscan.go " ] ||
 		fail "one-json-scanner: $prim is defined (in any case) in [ $defs], want internal/jsonscan/jsonscan.go only"
 done
+
+if grep -n '"oak/internal/jsonscan"' $core_go; then
+	fail "one-profile-codec: non-test internal/core imports internal/jsonscan (a profile's durable form is its OAKPROF1 record; JSON state is read by encoding/json alone)"
+fi
+marshals=$(echo $core_go | xargs awk '/^func /{fn=$0} /json\.Marshal/ && !/^[[:space:]]*\/\//{print FILENAME ":" fn}' |
+	sed -E 's/^([^:]*):func (\([^)]*\) )?([A-Za-z0-9_]+).*/\1:\3/' | sort -u | tr '\n' ' ')
+[ "$marshals" = "internal/core/persist.go:exportStateRange internal/core/statefile.go:encodeCheckpoint " ] &&
+	grep -q '^	Profiles int `json:"profiles"`$' internal/core/statefile.go ||
+	fail "one-profile-codec: json.Marshal is called from [ $marshals], want exportStateRange and encodeCheckpoint only, the latter over a header whose profiles are a count"
 
 echo "== spill view under -race, five times: reads move nothing, an eviction storm cannot blank an activated user =="
 go test -race -run 'TestServeSpilledUserUnderEvictionStorm|TestPageReadsNeverWriteTheSpillTier' -count=5 ./internal/core
@@ -339,7 +357,7 @@ go test -race -run 'TestServeSpilledUserUnderEvictionStorm|TestPageReadsNeverWri
 echo "== boot adopts the log under -race, five times: a capped boot writes nothing, the newer-wins table, capped serves what uncapped serves across restarts =="
 go test -race -run 'TestBootAdoptsTheLog|TestNewerWinsMerge|TestCappedServesWhatUncappedServes' -count=5 ./internal/core
 
-echo "== on-disk formats: boots on the files PR 18, PR 20 and PR 27 wrote, and a spill index holding pins =="
+echo "== on-disk formats: boots on the checked-in files of earlier writers, a spill index holding pins, and JSON state files migrated to checkpoints =="
 go test -run 'TestBootsOnFilesWritten' -count=1 ./internal/core
 
 echo "== memory benchmark smoke (1 iteration) =="
