@@ -62,18 +62,26 @@ type Violation struct {
 // slow produces a high median and flags nothing, so Oak "need not waste its
 // time with such cases".
 //
-// Detection runs once per report on the ingest hot path, so the subset
-// slices and the sort buffers the MAD needs come from a pooled scratch:
-// the only allocation left is the violations slice itself, and only when
-// there are violations.
+// The subset slices and the sort buffers the MAD needs come from a pooled
+// ingest scratch: the only allocation left is the violations slice itself,
+// and only when there are violations.
 func DetectViolators(servers []*report.ServerPerf, k float64) []Violation {
-	sc := detectPool.Get().(*detectScratch)
-	out := sc.detect(servers, k)
-	detectPool.Put(sc)
+	sc := ingestPool.Get().(*ingestScratch)
+	out := sc.detect.detect(servers, k)
+	ingestPool.Put(sc)
 	return out
 }
 
-var detectPool = sync.Pool{New: func() any { return new(detectScratch) }}
+// ingestScratch is one report's working memory in process: the grouping,
+// the MAD detection buffers and the flattened script-URL list. Nothing in
+// it outlives the call; the violations process returns are copied out.
+type ingestScratch struct {
+	group   report.GroupScratch
+	detect  detectScratch
+	scripts []string
+}
+
+var ingestPool = sync.Pool{New: func() any { return new(ingestScratch) }}
 
 // detectScratch is the reusable working memory of one DetectViolators run:
 // the parallel server/value subsets for the metric under evaluation, and the
@@ -85,60 +93,42 @@ type detectScratch struct {
 }
 
 func (sc *detectScratch) detect(servers []*report.ServerPerf, k float64) []Violation {
-	var out []Violation
+	out := sc.pass(nil, servers, k, MetricSmallTime)
+	// The small pass is complete, so its subsets are recycled for the large
+	// pass; servers already flagged are found in out itself.
+	return sc.pass(out, servers, k, MetricLargeTput)
+}
 
+// pass judges the servers that have the metric's object class against the
+// median and MAD of that class, appending each outlier to out; the large
+// pass skips a server the small pass already flagged.
+func (sc *detectScratch) pass(out []Violation, servers []*report.ServerPerf, k float64, m MetricKind) []Violation {
 	sc.srvs, sc.vals = sc.srvs[:0], sc.vals[:0]
 	for _, s := range servers {
-		if s.SmallCount > 0 {
-			sc.srvs = append(sc.srvs, s)
-			sc.vals = append(sc.vals, s.SmallMeanTimeMs)
+		if m == MetricSmallTime && s.SmallCount > 0 {
+			sc.srvs, sc.vals = append(sc.srvs, s), append(sc.vals, s.SmallMeanTimeMs)
+		} else if m == MetricLargeTput && s.LargeCount > 0 {
+			sc.srvs, sc.vals = append(sc.srvs, s), append(sc.vals, s.LargeMeanTputBps)
 		}
 	}
 	med, mad, buf, err := stats.MedianMADInto(sc.vals, sc.sort)
 	sc.sort = buf
-	if err == nil {
-		th := stats.OutlierThreshold{Median: med, MAD: mad, K: k, Side: stats.UpperOutlier}
-		for i, s := range sc.srvs {
-			if th.IsOutlier(sc.vals[i]) {
-				out = append(out, Violation{
-					Server:   s,
-					Metric:   MetricSmallTime,
-					Value:    sc.vals[i],
-					Median:   th.Median,
-					MAD:      th.MAD,
-					Distance: th.Distance(sc.vals[i]),
-				})
-			}
-		}
+	if err != nil {
+		return out
 	}
-
-	// The small pass is complete, so its subsets can be recycled for the
-	// large pass; servers already flagged are found in out itself.
-	sc.srvs, sc.vals = sc.srvs[:0], sc.vals[:0]
-	for _, s := range servers {
-		if s.LargeCount > 0 {
-			sc.srvs = append(sc.srvs, s)
-			sc.vals = append(sc.vals, s.LargeMeanTputBps)
-		}
+	th := stats.OutlierThreshold{Median: med, MAD: mad, K: k, Side: stats.UpperOutlier}
+	if m == MetricLargeTput {
+		th.Side = stats.LowerOutlier
 	}
-	med, mad, buf, err = stats.MedianMADInto(sc.vals, sc.sort)
-	sc.sort = buf
-	if err == nil {
-		th := stats.OutlierThreshold{Median: med, MAD: mad, K: k, Side: stats.LowerOutlier}
-		for i, s := range sc.srvs {
-			if violatesAlready(out, s.Addr) {
-				continue // already a violator via small objects
-			}
-			if th.IsOutlier(sc.vals[i]) {
-				out = append(out, Violation{
-					Server:   s,
-					Metric:   MetricLargeTput,
-					Value:    sc.vals[i],
-					Median:   th.Median,
-					MAD:      th.MAD,
-					Distance: th.Distance(sc.vals[i]),
-				})
-			}
+	for i, s := range sc.srvs {
+		if m == MetricLargeTput && violatesAlready(out, s.Addr) {
+			continue
+		}
+		if th.IsOutlier(sc.vals[i]) {
+			out = append(out, Violation{
+				Server: s, Metric: m, Value: sc.vals[i],
+				Median: th.Median, MAD: th.MAD, Distance: th.Distance(sc.vals[i]),
+			})
 		}
 	}
 	return out

@@ -288,9 +288,6 @@ func (e *Engine) HandleReportCtx(ctx context.Context, r *report.Report) (*Analys
 	return e.process(r)
 }
 
-// scriptURLPool recycles the per-report script-URL accumulation buffer.
-var scriptURLPool = sync.Pool{New: func() any { return new([]string) }}
-
 // process analyses one validated, admitted report against the report's
 // shard, unless the engine has been closed.
 func (e *Engine) process(r *report.Report) (*AnalysisResult, error) {
@@ -304,27 +301,29 @@ func (e *Engine) process(r *report.Report) (*AnalysisResult, error) {
 	defer func() { sh.ingest.Observe(time.Since(start)) }()
 
 	now := e.now()
-	servers := report.GroupByServer(r)
-	violations := DetectViolators(servers, e.policy.MADMultiplier)
+	sc := ingestPool.Get().(*ingestScratch)
+	servers := sc.group.View(r)
+	violations := sc.detect.detect(servers, e.policy.MADMultiplier)
 	e.metrics.reportsHandled.Add(1)
 	e.metrics.entriesProcessed.Add(uint64(len(r.Entries)))
 	e.metrics.violationsDetected.Add(uint64(len(violations)))
 
-	// Script URLs the client actually loaded, for the external-JS tier. The
-	// matcher reads the slice only during analyzeLocked, so the buffer is
-	// recycled across reports.
-	urlBuf := scriptURLPool.Get().(*[]string)
-	scriptURLs := (*urlBuf)[:0]
+	// Script URLs the client actually loaded, for the external-JS tier.
+	sc.scripts = sc.scripts[:0]
 	for _, s := range servers {
-		scriptURLs = append(scriptURLs, s.ScriptURLs...)
+		sc.scripts = append(sc.scripts, s.ScriptURLs...)
 	}
 
 	sh.mu.Lock()
-	res, outcomes := e.analyzeLocked(sh, r, now, servers, violations, scriptURLs)
+	res, outcomes := e.analyzeLocked(sh, r, now, servers, violations, sc.scripts)
 	sh.mu.Unlock()
 
-	*urlBuf = scriptURLs[:0]
-	scriptURLPool.Put(urlBuf)
+	// The violations are all that outlives the scratch: their servers are
+	// copied out of it before it goes back to the pool.
+	for i := range res.Violations {
+		res.Violations[i].Server = res.Violations[i].Server.Clone()
+	}
+	ingestPool.Put(sc)
 
 	// Population-level guard outcomes are observed only after the shard lock
 	// is released: a transition acts across shards (bulk rollback locks them

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"runtime"
 	"sync"
 	"testing"
@@ -496,5 +497,62 @@ func TestNoSheddingBlocksInsteadOfRefusing(t *testing.T) {
 	}
 	if e.Users() != 3 {
 		t.Errorf("Users = %d, want 3", e.Users())
+	}
+}
+
+// TestIngestResultOutlivesScratch: the violations HandleReport returns own
+// their servers. Grouping and detection run in a pooled scratch that the
+// next report reuses, so a kept result must not alias it: after 1,200 other
+// reports, ingested from four goroutines and each grouping other servers,
+// hosts and scripts into the same pools, the kept violator reads as it did
+// at return.
+func TestIngestResultOutlivesScratch(t *testing.T) {
+	e := syncEngine(t)
+	mk := func(user, tag string, slowMs float64) *report.Report {
+		r := &report.Report{UserID: user, Page: "/index.html"}
+		add := func(host, addr string, i int, ms float64) {
+			r.Entries = append(r.Entries, report.Entry{
+				URL:        fmt.Sprintf("http://%s/%s-%d.js", host, tag, i),
+				ServerAddr: addr, SizeBytes: 1024, DurationMillis: ms, Kind: report.KindScript,
+			})
+		}
+		for i := range 3 {
+			add(tag+"-a.example", "ip-"+tag+"-slow", i, slowMs)
+			add(tag+"-b.example", "ip-"+tag+"-slow", i, slowMs)
+		}
+		for p := range 5 {
+			add(fmt.Sprintf("%s-peer%d.example", tag, p), fmt.Sprintf("ip-%s-peer%d", tag, p), p, 100+float64(p))
+		}
+		return r
+	}
+	res, err := e.HandleReport(mk("kept", "kept", 2000))
+	if err != nil || len(res.Violations) != 1 {
+		t.Fatalf("kept report: %v, violations %+v", err, res)
+	}
+	kept := res.Violations[0].Server
+	want := *kept
+	want.Hosts = append([]string(nil), kept.Hosts...)
+	want.ScriptURLs = append([]string(nil), kept.ScriptURLs...)
+	if len(want.Hosts) != 2 || len(want.ScriptURLs) != 6 {
+		t.Fatalf("kept violator %+v, want 2 hosts and 6 scripts", want)
+	}
+
+	var wg sync.WaitGroup
+	for g := range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range 300 {
+				tag := fmt.Sprintf("g%d-%d", g, i)
+				if _, err := e.HandleReport(mk("u-"+tag, tag, 1500+float64(i))); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if !reflect.DeepEqual(*kept, want) {
+		t.Fatalf("kept violator changed under later ingest:\n got %+v\nwant %+v", *kept, want)
 	}
 }

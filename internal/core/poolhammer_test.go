@@ -145,8 +145,9 @@ func TestPooledReleaseOnValidationFailure(t *testing.T) {
 
 // TestHandleReportSteadyStateAllocs gates the steady-state allocation budget
 // of the synchronous JSON ingest path (the BenchmarkHandleReportSerial
-// shape): grouping slabs, the violations slice, the analysis result and its
-// two detail strings. The ISSUE-9 budget is ≤ 8 allocs/op; a regression here
+// shape): the violations slice, the violator's summary copied out of the
+// ingest scratch, the analysis result and its two detail strings. The budget
+// is ≤ 8 allocs/op; a regression here
 // means a scratch buffer or pool stopped being reused.
 func TestHandleReportSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {

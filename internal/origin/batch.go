@@ -65,6 +65,7 @@ func (p *batchParseFailures) add(err error) {
 func (s *Server) handleReportBatch(w http.ResponseWriter, r *http.Request) {
 	body := &countingReader{r: io.LimitReader(r.Body, batchBodyFactor*s.maxBodyBytes+1)}
 	sink := s.engine.StartBatch(r.Context())
+	id := s.requestIdentity(r)
 	var parse batchParseFailures
 
 	// The scanner reuses (and overwrites) its buffer line by line, so each
@@ -88,7 +89,7 @@ func (s *Server) handleReportBatch(w http.ResponseWriter, r *http.Request) {
 			parse.add(err)
 			continue
 		}
-		s.stampIdentity(rep, r)
+		stampIdentity(rep, id)
 		sink.Submit(rep)
 	}
 	if err := sc.Err(); err != nil {
@@ -120,6 +121,7 @@ func (s *Server) handleReportBatchBinary(w http.ResponseWriter, r *http.Request)
 	// done with before Submit returns.
 	defer body.Release()
 	sink := s.engine.StartBatch(r.Context())
+	id := s.requestIdentity(r)
 	var parse batchParseFailures
 	for rest := body.Bytes(); ; {
 		frame, next, ferr := report.NextBinaryFrame(rest)
@@ -140,7 +142,7 @@ func (s *Server) handleReportBatchBinary(w http.ResponseWriter, r *http.Request)
 			parse.add(derr)
 			continue
 		}
-		s.stampIdentity(rep, r)
+		stampIdentity(rep, id)
 		sink.Submit(rep)
 	}
 	s.finishBatch(w, r, sink.Wait(), &parse)

@@ -184,6 +184,54 @@ func TestBinaryBatchCookieStampsIdentity(t *testing.T) {
 	}
 }
 
+// TestBatchResolvesIdentityOncePerRequest: a batch's reports all belong to
+// the request's one identity, so the user-ID function runs once per batch
+// request, not once per report, in either batch format.
+func TestBatchResolvesIdentityOncePerRequest(t *testing.T) {
+	calls := 0
+	engine, err := core.NewEngine(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer engine.Close()
+	s := NewServer(engine, WithUserIDFunc(func(*http.Request) string { calls++; return "fn-user" }))
+
+	var ndjson, frames, scratch []byte
+	for i := range 16 {
+		line, err := binaryReport(fmt.Sprintf("impostor-%d", i)).Marshal()
+		if err != nil {
+			t.Fatal(err)
+		}
+		ndjson = append(append(ndjson, line...), '\n')
+		frames, scratch = report.AppendBinaryFrame(frames, scratch, binaryReport(fmt.Sprintf("impostor-%d", i)))
+	}
+	for _, tc := range []struct {
+		name, contentType string
+		body              []byte
+	}{
+		{"NDJSON", BatchContentType, ndjson},
+		{"OAKRPT1 batch", report.ContentTypeBinaryBatch, frames},
+	} {
+		calls = 0
+		req, err := http.NewRequest(http.MethodPost, ReportPathV1, bytes.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("Content-Type", tc.contentType)
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, req)
+		if rec.Code != http.StatusOK || !bytes.Contains(rec.Body.Bytes(), []byte(`"processed": 16`)) {
+			t.Fatalf("%s: status %d: %s", tc.name, rec.Code, rec.Body)
+		}
+		if calls != 1 {
+			t.Errorf("%s: the user-ID function ran %d times for a 16-report batch, want once", tc.name, calls)
+		}
+		if got := engine.Users(); got != 1 {
+			t.Errorf("%s: engine users = %d, want 1 (the function's identity is authoritative)", tc.name, got)
+		}
+	}
+}
+
 // TestWireFormatsYieldIdenticalState is the acceptance pin: the same logical
 // report stream, submitted once as JSON and once as OAKRPT1, leaves two
 // engines with byte-identical exported state.

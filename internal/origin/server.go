@@ -400,7 +400,7 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	s.stampIdentity(rep, r)
+	stampIdentity(rep, s.requestIdentity(r))
 	if _, err := s.engine.HandleReportCtx(r.Context(), rep); err != nil {
 		s.writeIngestError(w, err)
 		return
@@ -458,32 +458,35 @@ func retryAfterSeconds(d time.Duration) string {
 	return strconv.FormatInt(secs, 10)
 }
 
-// stampIdentity overrides the report's self-declared user ID with the
-// request's authoritative identity, when one exists: a report must not
-// mutate another user's profile. The configured user-ID function wins over
-// the cookie.
-func (s *Server) stampIdentity(rep *report.Report, r *http.Request) {
-	if s.userIDFn != nil {
-		if id := s.userIDFn(r); id != "" {
-			rep.UserID = id
-			return
-		}
-	}
-	if c, err := r.Cookie(CookieName); err == nil && c.Value != "" {
-		rep.UserID = c.Value
-	}
-}
-
-// userID returns the request's Oak user id: the configured user-ID function
-// first, then the cookie, then a freshly issued cookie.
-func (s *Server) userID(w http.ResponseWriter, r *http.Request) string {
+// requestIdentity is the request's authoritative user ID, or "" when it
+// carries none: the configured user-ID function first, then the cookie. It
+// is resolved once per request, however many reports the body holds.
+func (s *Server) requestIdentity(r *http.Request) string {
 	if s.userIDFn != nil {
 		if id := s.userIDFn(r); id != "" {
 			return id
 		}
 	}
-	if c, err := r.Cookie(CookieName); err == nil && c.Value != "" {
+	if c, err := r.Cookie(CookieName); err == nil {
 		return c.Value
+	}
+	return ""
+}
+
+// stampIdentity overrides the report's self-declared user ID with the
+// request's identity id, when there is one: a report must not mutate
+// another user's profile.
+func stampIdentity(rep *report.Report, id string) {
+	if id != "" {
+		rep.UserID = id
+	}
+}
+
+// userID returns the request's Oak user id: its requestIdentity, else a
+// freshly issued cookie.
+func (s *Server) userID(w http.ResponseWriter, r *http.Request) string {
+	if id := s.requestIdentity(r); id != "" {
+		return id
 	}
 	id := NewUserID("oak-")
 	http.SetCookie(w, &http.Cookie{Name: CookieName, Value: id, Path: "/"})

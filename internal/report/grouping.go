@@ -11,6 +11,9 @@ import (
 // small/large split. "These reports make no decisions on what objects may
 // need to be acted on, but instead store the raw information about the
 // observed performance" — decisions happen later, in core.
+//
+// A ServerPerf from GroupByServer, Group or Clone owns its memory; one from
+// GroupScratch.View lives in the scratch and is valid until its next use.
 type ServerPerf struct {
 	// Addr is the server address (paper: IP) the client connected to.
 	Addr string
@@ -25,10 +28,9 @@ type ServerPerf struct {
 	// threshold: the count and mean achieved throughput (bytes/second).
 	LargeCount       int
 	LargeMeanTputBps float64
-	// URLs are the object URLs fetched from this server, in report order.
-	URLs []string
-	// ScriptURLs are the subset of URLs that are external scripts; the
-	// rule matcher's external-JavaScript pass walks these.
+	// ScriptURLs are the URLs of the external scripts fetched from this
+	// server, in report order; the rule matcher's external-JavaScript pass
+	// walks these.
 	ScriptURLs []string
 }
 
@@ -42,34 +44,33 @@ func (s *ServerPerf) HasHost(host string) bool {
 	return false
 }
 
-// serverAcc accumulates one server's summary inside a GroupScratch. Its
-// slices are scratch — reused across reports — and are copied into
-// exact-size slabs when the grouping materialises its result.
-type serverAcc struct {
-	addr      string
-	hosts     []string
-	urls      []string
-	scripts   []string
-	smallCnt  int
-	smallMean float64
-	largeCnt  int
-	largeMean float64
+// Clone returns a copy of s that shares no memory with it: how a summary
+// from GroupScratch.View outlives the scratch.
+func (s *ServerPerf) Clone() *ServerPerf {
+	c := *s
+	slab := make([]string, 0, len(s.Hosts)+len(s.ScriptURLs))
+	c.Hosts, slab = slabCopy(slab, s.Hosts)
+	c.ScriptURLs, _ = slabCopy(slab, s.ScriptURLs)
+	return &c
 }
 
-// GroupScratch holds the reusable working memory of GroupByServer. Ingest
-// runs grouping once per report; with a scratch the only allocations left
-// are the three exact-size slabs the caller keeps (pointer slice, struct
-// slab, string slab). A GroupScratch is not safe for concurrent use; pool
-// one per worker, or use the package-level GroupByServer which draws from a
-// shared pool.
+// GroupScratch holds the working memory of GroupByServer: the per-server
+// summaries themselves, their host and script lists, and the sorted
+// pointer slice over them, all reused from report to report. View groups
+// into that memory and allocates nothing once it has grown to the largest
+// report seen; Group copies the view out into three exact-size slabs the
+// caller keeps. The zero value is ready to use. A GroupScratch is not safe
+// for concurrent use; pool one per worker, or use the package-level
+// GroupByServer which draws from a shared pool.
 type GroupScratch struct {
-	byAddr map[string]int // addr → index into accs
-	accs   []serverAcc
+	byAddr  map[string]int // addr → index into servers
+	servers []ServerPerf
+	sorted  []*ServerPerf
 }
 
 // NewGroupScratch returns an empty grouping scratch.
 func NewGroupScratch() *GroupScratch {
-	return &GroupScratch{byAddr: make(map[string]int, 8)}
+	return new(GroupScratch)
 }
 
 var groupScratchPool = sync.Pool{New: func() any { return NewGroupScratch() }}
@@ -87,20 +88,44 @@ func GroupByServer(r *Report) []*ServerPerf {
 }
 
 // linearAccLimit is the server count below which the grouping finds an
-// entry's accumulator by scanning instead of hashing: typical reports touch
-// a handful of servers, and comparing a few short strings beats a map
-// lookup plus the hash. Past the limit the scratch migrates every
-// accumulator into its map and stays there for the rest of the report.
+// entry's summary by scanning instead of hashing: typical reports touch a
+// handful of servers, and comparing a few short strings beats a map lookup
+// plus the hash. Past the limit the scratch migrates every summary into its
+// map and stays there for the rest of the report.
 const linearAccLimit = 12
 
-// Group is GroupByServer against this scratch. The returned summaries are
-// freshly allocated and safe to retain; the scratch is immediately reusable.
+// Group is GroupByServer against this scratch: View, copied out. The
+// returned summaries are freshly allocated and safe to retain; the scratch
+// is immediately reusable.
 func (gs *GroupScratch) Group(r *Report) []*ServerPerf {
+	view := gs.View(r)
+	total := 0
+	for _, s := range view {
+		total += len(s.Hosts) + len(s.ScriptURLs)
+	}
+	out := make([]*ServerPerf, len(view))
+	structs := make([]ServerPerf, len(view))
+	slab := make([]string, 0, total)
+	for i, s := range view {
+		sp := &structs[i]
+		*sp = *s
+		sp.Hosts, slab = slabCopy(slab, s.Hosts)
+		sp.ScriptURLs, slab = slabCopy(slab, s.ScriptURLs)
+		out[i] = sp
+	}
+	return out
+}
+
+// View groups r as GroupByServer does, into the scratch's own memory: the
+// summaries, their slices and the returned slice are valid until the
+// scratch's next use, and must not be retained past it (Clone one to keep
+// it).
+func (gs *GroupScratch) View(r *Report) []*ServerPerf {
 	if len(gs.byAddr) != 0 {
 		clear(gs.byAddr)
 	}
 	useMap := false
-	gs.accs = gs.accs[:0]
+	gs.servers = gs.servers[:0]
 	for i := range r.Entries {
 		e := &r.Entries[i]
 		addr := e.ServerAddr
@@ -118,79 +143,61 @@ func (gs *GroupScratch) Group(r *Report) []*ServerPerf {
 				ai = j
 			}
 		} else {
-			for j := range gs.accs {
-				if gs.accs[j].addr == addr {
+			for j := range gs.servers {
+				if gs.servers[j].Addr == addr {
 					ai = j
 					break
 				}
 			}
 		}
 		if ai < 0 {
-			ai = len(gs.accs)
-			if ai < cap(gs.accs) {
-				gs.accs = gs.accs[:ai+1]
-				a := &gs.accs[ai]
-				a.addr = addr
-				a.hosts = a.hosts[:0]
-				a.urls = a.urls[:0]
-				a.scripts = a.scripts[:0]
-				a.smallCnt, a.smallMean = 0, 0
-				a.largeCnt, a.largeMean = 0, 0
+			ai = len(gs.servers)
+			if ai < cap(gs.servers) {
+				// Reuse the summary's host and script arrays.
+				gs.servers = gs.servers[:ai+1]
+				s := &gs.servers[ai]
+				*s = ServerPerf{Addr: addr, Hosts: s.Hosts[:0], ScriptURLs: s.ScriptURLs[:0]}
 			} else {
-				gs.accs = append(gs.accs, serverAcc{addr: addr})
+				gs.servers = append(gs.servers, ServerPerf{Addr: addr})
 			}
 			switch {
 			case useMap:
 				gs.byAddr[addr] = ai
-			case len(gs.accs) > linearAccLimit:
+			case len(gs.servers) > linearAccLimit:
 				useMap = true
-				for j := range gs.accs {
-					gs.byAddr[gs.accs[j].addr] = j
+				if gs.byAddr == nil {
+					gs.byAddr = make(map[string]int, 2*linearAccLimit)
+				}
+				for j := range gs.servers {
+					gs.byAddr[gs.servers[j].Addr] = j
 				}
 			}
 		}
-		a := &gs.accs[ai]
-		if host := e.Host(); host != "" && !slices.Contains(a.hosts, host) {
-			a.hosts = append(a.hosts, host)
+		s := &gs.servers[ai]
+		if host := e.Host(); host != "" && !slices.Contains(s.Hosts, host) {
+			s.Hosts = append(s.Hosts, host)
 		}
-		a.urls = append(a.urls, e.URL)
 		if e.Kind == KindScript {
-			a.scripts = append(a.scripts, e.URL)
+			s.ScriptURLs = append(s.ScriptURLs, e.URL)
 		}
 		if e.IsSmall() {
 			// Incremental mean keeps this single-pass.
-			a.smallCnt++
-			a.smallMean += (e.DurationMillis - a.smallMean) / float64(a.smallCnt)
+			s.SmallCount++
+			s.SmallMeanTimeMs += (e.DurationMillis - s.SmallMeanTimeMs) / float64(s.SmallCount)
 		} else {
-			a.largeCnt++
-			a.largeMean += (e.ThroughputBps() - a.largeMean) / float64(a.largeCnt)
+			s.LargeCount++
+			s.LargeMeanTputBps += (e.ThroughputBps() - s.LargeMeanTputBps) / float64(s.LargeCount)
 		}
 	}
-	total := 0
-	for i := range gs.accs {
-		a := &gs.accs[i]
-		slices.Sort(a.hosts)
-		total += len(a.hosts) + len(a.urls) + len(a.scripts)
+	gs.sorted = gs.sorted[:0]
+	for i := range gs.servers {
+		slices.Sort(gs.servers[i].Hosts)
+		gs.sorted = append(gs.sorted, &gs.servers[i])
 	}
-	out := make([]*ServerPerf, len(gs.accs))
-	structs := make([]ServerPerf, len(gs.accs))
-	slab := make([]string, 0, total)
-	for i := range gs.accs {
-		a := &gs.accs[i]
-		sp := &structs[i]
-		sp.Addr = a.addr
-		sp.Hosts, slab = slabCopy(slab, a.hosts)
-		sp.URLs, slab = slabCopy(slab, a.urls)
-		sp.ScriptURLs, slab = slabCopy(slab, a.scripts)
-		sp.SmallCount, sp.SmallMeanTimeMs = a.smallCnt, a.smallMean
-		sp.LargeCount, sp.LargeMeanTputBps = a.largeCnt, a.largeMean
-		out[i] = sp
-	}
-	// Sort the pointer slice, not the accumulators: serverAcc is an 11-word
-	// struct, and moving those around showed up as pure copy cost in ingest
-	// profiles.
-	slices.SortFunc(out, func(x, y *ServerPerf) int { return strings.Compare(x.Addr, y.Addr) })
-	return out
+	// Sort the pointer slice, not the summaries: moving whole structs
+	// around showed up as pure copy cost in ingest profiles.
+	slices.SortFunc(gs.sorted, func(x, y *ServerPerf) int { return strings.Compare(x.Addr, y.Addr) })
+	return gs.sorted
 }
 
 // slabCopy appends src to the slab and returns the full-capacity-clipped

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -141,14 +142,26 @@ func (entrySet) Generate(r *rand.Rand, size int) reflect.Value {
 	return reflect.ValueOf(es)
 }
 
-// Property: grouping conserves the entry count across servers.
+// Property: grouping conserves the entry count across servers, and each
+// server's ScriptURLs are its script entries' URLs in report order.
 func TestQuickGroupingConservesEntries(t *testing.T) {
 	f := func(es entrySet) bool {
+		for i := range es {
+			if i%3 != 1 {
+				es[i].Kind = KindScript
+			}
+		}
 		r := &Report{UserID: "u", Entries: es}
 		var total int
 		for _, s := range GroupByServer(r) {
 			total += s.SmallCount + s.LargeCount
-			if len(s.URLs) != s.SmallCount+s.LargeCount {
+			var scripts []string
+			for _, e := range es {
+				if e.ServerAddr == s.Addr && e.Kind == KindScript {
+					scripts = append(scripts, e.URL)
+				}
+			}
+			if !reflect.DeepEqual(s.ScriptURLs, scripts) {
 				return false
 			}
 		}
@@ -157,6 +170,56 @@ func TestQuickGroupingConservesEntries(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
 	}
+}
+
+// Property: a view equals the copy Group makes of it, a copy taken earlier
+// survives the scratch's reuse, and a Clone shares no memory with the view.
+func TestQuickViewIsWhatGroupCopies(t *testing.T) {
+	gs := NewGroupScratch()
+	var kept []*ServerPerf
+	var keptWant []ServerPerf
+	f := func(es entrySet) bool {
+		for i := range es {
+			if i%2 == 0 {
+				es[i].Kind = KindScript
+			}
+		}
+		r := &Report{UserID: "u", Entries: es}
+		copied := gs.Group(r)
+		view := gs.View(r)
+		if len(view) != len(copied) {
+			return false
+		}
+		for i, s := range view {
+			if !samePerf(*s, *copied[i]) {
+				return false
+			}
+		}
+		for i, s := range kept {
+			if !samePerf(*s, keptWant[i]) {
+				return false
+			}
+		}
+		kept, keptWant = kept[:0], keptWant[:0]
+		for _, s := range view {
+			want := *s
+			want.Hosts = append([]string(nil), s.Hosts...)
+			want.ScriptURLs = append([]string(nil), s.ScriptURLs...)
+			kept, keptWant = append(kept, s.Clone()), append(keptWant, want)
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Error(err)
+	}
+}
+
+// samePerf compares two summaries field by field, an empty slice equal to
+// a nil one.
+func samePerf(a, b ServerPerf) bool {
+	return a.Addr == b.Addr && slices.Equal(a.Hosts, b.Hosts) && slices.Equal(a.ScriptURLs, b.ScriptURLs) &&
+		a.SmallCount == b.SmallCount && a.SmallMeanTimeMs == b.SmallMeanTimeMs &&
+		a.LargeCount == b.LargeCount && a.LargeMeanTputBps == b.LargeMeanTputBps
 }
 
 // Property: every server's mean small time is within the min/max of its own
