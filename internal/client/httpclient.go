@@ -52,8 +52,8 @@ const (
 	defaultJitter      = 0.2
 )
 
-// normalized fills defaults in.
-func (p RetryPolicy) normalized() RetryPolicy {
+// WithDefaults returns the policy with defaults in its zero fields.
+func (p RetryPolicy) WithDefaults() RetryPolicy {
 	if p.MaxAttempts <= 0 {
 		p.MaxAttempts = defaultMaxAttempts
 	}
@@ -152,13 +152,75 @@ func (c *HTTPClient) httpc() *http.Client {
 	return c.defaultHTTP
 }
 
-// backoff returns the jittered delay before retry number retry (0-based).
-func (c *HTTPClient) backoff(retry int) time.Duration {
-	p := c.Retry.normalized()
+// Delay is the retry schedule HTTPClient and the cluster gateway's report
+// forward share: the wait before retry number retry (0-based) is the
+// policy's exponential backoff, spread across [1-j, 1+j] of itself by u, a
+// uniform sample from [0, 1), so a fleet does not retry in lockstep. A
+// server's Retry-After hint wins when it is longer — the server knows its
+// own recovery horizon — clamped to 30 s so a hostile header cannot park the
+// caller.
+func (p RetryPolicy) Delay(retry int, hint time.Duration, u float64) time.Duration {
+	p = p.WithDefaults()
 	d := p.BaseDelay << retry
 	if d > p.MaxDelay || d <= 0 {
 		d = p.MaxDelay
 	}
+	d = time.Duration(float64(d) * (1 + p.JitterFraction*(2*u-1)))
+	return max(d, min(hint, 30*time.Second))
+}
+
+// RetryableStatus reports whether a response status is worth retrying:
+// timeouts, throttling and server-side failures. 4xx apart from 408/429 is
+// the client's own fault and will not improve.
+func RetryableStatus(code int) bool {
+	return code == http.StatusRequestTimeout ||
+		code == http.StatusTooManyRequests ||
+		code >= 500
+}
+
+// RetryAfter parses a response's Retry-After header, returning 0 when absent
+// or unparseable. Both RFC 9110 forms are accepted: integral delta-seconds
+// and an HTTP-date (http.ParseTime handles the three date layouts), the
+// latter converted to a delay relative to now. A date in the past yields 0 —
+// retry on the normal backoff schedule. Either way Delay clamps the hint, so
+// a far-future date cannot park the caller.
+func RetryAfter(h http.Header, now time.Time) time.Duration {
+	v := h.Get("Retry-After")
+	if v == "" {
+		return 0
+	}
+	if secs, err := strconv.Atoi(v); err == nil {
+		if secs <= 0 {
+			return 0
+		}
+		return time.Duration(secs) * time.Second
+	}
+	when, err := http.ParseTime(v)
+	if err != nil {
+		return 0
+	}
+	return max(when.Sub(now), 0)
+}
+
+// Sleep sleeps for d or until the context is done, whichever comes first,
+// returning the context's error in the latter case.
+func Sleep(ctx context.Context, d time.Duration) error {
+	if d <= 0 {
+		return ctx.Err()
+	}
+	t := time.NewTimer(d)
+	defer t.Stop()
+	select {
+	case <-ctx.Done():
+		return ctx.Err()
+	case <-t.C:
+		return nil
+	}
+}
+
+// retryDelay is the policy's Delay drawn from the client's own jitter
+// source, seeded by Seed.
+func (c *HTTPClient) retryDelay(retry int, hint time.Duration) time.Duration {
 	c.mu.Lock()
 	if c.rng == nil {
 		seed := c.Seed
@@ -167,66 +229,9 @@ func (c *HTTPClient) backoff(retry int) time.Duration {
 		}
 		c.rng = rand.New(rand.NewSource(seed))
 	}
-	// Spread the delay across [1-j, 1+j] so a fleet does not retry in sync.
-	factor := 1 + p.JitterFraction*(2*c.rng.Float64()-1)
+	u := c.rng.Float64()
 	c.mu.Unlock()
-	return time.Duration(float64(d) * factor)
-}
-
-// retryableStatus reports whether a response status is worth retrying:
-// timeouts, throttling and server-side failures. 4xx apart from 408/429 is
-// the client's own fault and will not improve.
-func retryableStatus(code int) bool {
-	return code == http.StatusRequestTimeout ||
-		code == http.StatusTooManyRequests ||
-		code >= 500
-}
-
-// retryAfterHint parses a Retry-After header, returning 0 when absent or
-// unparseable. Both RFC 9110 forms are accepted: integral delta-seconds and
-// an HTTP-date (http.ParseTime handles the three date layouts), the latter
-// converted to a delay relative to now. A date in the past yields 0 — retry
-// on the normal backoff schedule. Either way retryDelay clamps the hint, so
-// a far-future date cannot park the client.
-func retryAfterHint(resp *http.Response, now time.Time) time.Duration {
-	if resp == nil {
-		return 0
-	}
-	h := resp.Header.Get("Retry-After")
-	if h == "" {
-		return 0
-	}
-	if secs, err := strconv.Atoi(h); err == nil {
-		if secs <= 0 {
-			return 0
-		}
-		return time.Duration(secs) * time.Second
-	}
-	when, err := http.ParseTime(h)
-	if err != nil {
-		return 0
-	}
-	d := when.Sub(now)
-	if d <= 0 {
-		return 0
-	}
-	return d
-}
-
-// retryDelay combines the backoff schedule with a server-provided
-// Retry-After hint: the server knows its own recovery horizon better than
-// our schedule does, so the larger of the two wins (bounded to keep a
-// hostile header from parking the client).
-func (c *HTTPClient) retryDelay(retry int, hint time.Duration) time.Duration {
-	d := c.backoff(retry)
-	const maxHint = 30 * time.Second
-	if hint > maxHint {
-		hint = maxHint
-	}
-	if hint > d {
-		return hint
-	}
-	return d
+	return c.Retry.Delay(retry, hint, u)
 }
 
 // fetchAttempt is one bounded GET: the request runs under the per-object
@@ -260,18 +265,18 @@ func (c *HTTPClient) fetchAttempt(rawURL string) ([]byte, int, error) {
 // after the retry schedule is reported as failed (ok=false) together with
 // the total time the client spent trying.
 func (c *HTTPClient) fetchObject(rawURL string) (data []byte, attemptDur, totalDur time.Duration, ok bool) {
-	p := c.Retry.normalized()
+	p := c.Retry.WithDefaults()
 	start := time.Now()
 	for attempt := 0; attempt < p.MaxAttempts; attempt++ {
 		if attempt > 0 {
-			time.Sleep(c.backoff(attempt - 1))
+			time.Sleep(c.retryDelay(attempt-1, 0))
 		}
 		attemptStart := time.Now()
 		body, status, err := c.fetchAttempt(rawURL)
 		if err == nil && status == http.StatusOK {
 			return body, time.Since(attemptStart), time.Since(start), true
 		}
-		if err == nil && !retryableStatus(status) {
+		if err == nil && !RetryableStatus(status) {
 			break // 4xx: trying again will not help
 		}
 	}
@@ -383,11 +388,11 @@ func (c *HTTPClient) LoadPage(originBase, path string) (*LoadResult, string, err
 // nothing to measure, so exhausting the retries is an error.
 func (c *HTTPClient) fetchPage(originBase, path string) (string, error) {
 	pageURL := strings.TrimSuffix(originBase, "/") + path
-	p := c.Retry.normalized()
+	p := c.Retry.WithDefaults()
 	var lastErr error
 	for attempt := 0; attempt < p.MaxAttempts; attempt++ {
 		if attempt > 0 {
-			time.Sleep(c.backoff(attempt - 1))
+			time.Sleep(c.retryDelay(attempt-1, 0))
 		}
 		req, err := http.NewRequest(http.MethodGet, pageURL, nil)
 		if err != nil {
@@ -409,7 +414,7 @@ func (c *HTTPClient) fetchPage(originBase, path string) (string, error) {
 		}
 		if resp.StatusCode != http.StatusOK {
 			lastErr = fmt.Errorf("client: page status %d", resp.StatusCode)
-			if retryableStatus(resp.StatusCode) {
+			if RetryableStatus(resp.StatusCode) {
 				continue
 			}
 			return "", lastErr
@@ -430,28 +435,11 @@ const reportPathV1 = "/oak/v1/report"
 
 // SubmitResult is the terminal response of a SubmitBytes exchange: the
 // status, headers and body of the last response received, whether or not
-// that status is a success. Callers that relay responses (the cluster
-// gateway) mirror all three.
+// that status is a success.
 type SubmitResult struct {
 	Status int
 	Header http.Header
 	Body   []byte
-}
-
-// sleepCtx sleeps for d or until the context is done, whichever comes
-// first, returning the context's error in the latter case.
-func sleepCtx(ctx context.Context, d time.Duration) error {
-	if d <= 0 {
-		return ctx.Err()
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-		return ctx.Err()
-	case <-t.C:
-		return nil
-	}
 }
 
 // SubmitBytes POSTs a pre-serialised body to an endpoint under the
@@ -462,24 +450,16 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 // alike. The last response received is returned even when its status is a
 // failure, so callers can distinguish "the server said no" from "the
 // server was never reached" (nil result + error). This is the primitive
-// report submission and gateway forwarding are built on.
+// report submission is built on. body must stay untouched until the
+// transport is done with it, which over net/http's Transport can be after
+// SubmitBytes has returned: a server may answer before it has drained the
+// request.
 func (c *HTTPClient) SubmitBytes(ctx context.Context, endpoint, contentType string, body []byte, cookies []*http.Cookie) (*SubmitResult, error) {
 	u, err := url.Parse(endpoint)
 	if err != nil {
 		return nil, fmt.Errorf("client: build request: %w", err)
 	}
-	return c.SubmitURL(ctx, u, contentType, body, cookies)
-}
-
-// SubmitURL is SubmitBytes to an endpoint the caller parsed once and does
-// not modify while requests are in flight (the gateway's per-backend report
-// URL). body must stay untouched until the transport is done with it. Over
-// net/http's Transport that can be after SubmitURL has returned — a server
-// may answer before it has drained the request — so there it must not be
-// memory the caller recycles; the gateway's own transport is done with a
-// body when the round trip returns, which is why it may pass a pooled one.
-func (c *HTTPClient) SubmitURL(ctx context.Context, endpoint *url.URL, contentType string, body []byte, cookies []*http.Cookie) (*SubmitResult, error) {
-	p := c.Retry.normalized()
+	p := c.Retry.WithDefaults()
 	var (
 		lastErr error
 		last    *SubmitResult
@@ -487,16 +467,17 @@ func (c *HTTPClient) SubmitURL(ctx context.Context, endpoint *url.URL, contentTy
 	)
 	for attempt := 0; attempt < p.MaxAttempts; attempt++ {
 		if attempt > 0 {
-			if err := sleepCtx(ctx, c.retryDelay(attempt-1, hint)); err != nil {
+			if err := Sleep(ctx, c.retryDelay(attempt-1, hint)); err != nil {
 				return last, fmt.Errorf("client: submit deadline: %w", err)
 			}
 			hint = 0
 		}
-		// http.NewRequest minus the URL parse. The body is a *bytes.Reader so
-		// that net/http writes it with the headers, not after flushing them.
+		// http.NewRequest minus a URL parse per attempt. The body is a
+		// *bytes.Reader so that net/http writes it with the headers, not after
+		// flushing them.
 		req := (&http.Request{
 			Method:        http.MethodPost,
-			URL:           endpoint,
+			URL:           u,
 			Header:        make(http.Header, 2),
 			Body:          http.NoBody,
 			ContentLength: int64(len(body)),
@@ -523,11 +504,11 @@ func (c *HTTPClient) SubmitURL(ctx context.Context, endpoint *url.URL, contentTy
 			continue
 		}
 		last = &SubmitResult{Status: resp.StatusCode, Header: resp.Header, Body: respBody}
-		if !retryableStatus(resp.StatusCode) {
+		if !RetryableStatus(resp.StatusCode) {
 			return last, nil
 		}
 		lastErr = fmt.Errorf("client: status %d", resp.StatusCode)
-		hint = retryAfterHint(resp, time.Now())
+		hint = RetryAfter(resp.Header, time.Now())
 	}
 	if last != nil {
 		// Retries exhausted but the server did answer: hand the caller the

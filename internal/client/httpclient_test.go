@@ -345,19 +345,19 @@ func TestHTTPClientKeepsExplicitUserID(t *testing.T) {
 
 func TestRetryAfterHintForms(t *testing.T) {
 	now := time.Date(2026, 8, 6, 12, 0, 0, 0, time.UTC)
-	mk := func(val string) *http.Response {
+	mk := func(val string) http.Header {
 		h := http.Header{}
 		if val != "" {
 			h.Set("Retry-After", val)
 		}
-		return &http.Response{Header: h}
+		return h
 	}
 	cases := []struct {
-		name string
-		resp *http.Response
-		want time.Duration
+		name   string
+		header http.Header
+		want   time.Duration
 	}{
-		{"nil response", nil, 0},
+		{"nil header", nil, 0},
 		{"absent", mk(""), 0},
 		{"delta seconds", mk("7"), 7 * time.Second},
 		{"zero seconds", mk("0"), 0},
@@ -368,8 +368,8 @@ func TestRetryAfterHintForms(t *testing.T) {
 		{"garbage", mk("soon"), 0},
 	}
 	for _, tc := range cases {
-		if got := retryAfterHint(tc.resp, now); got != tc.want {
-			t.Errorf("%s: retryAfterHint = %v, want %v", tc.name, got, tc.want)
+		if got := RetryAfter(tc.header, now); got != tc.want {
+			t.Errorf("%s: RetryAfter = %v, want %v", tc.name, got, tc.want)
 		}
 	}
 }
@@ -378,9 +378,9 @@ func TestRetryAfterHintForms(t *testing.T) {
 // hint to its 30s bound.
 func TestRetryDelayClampsDateHint(t *testing.T) {
 	now := time.Date(2026, 8, 6, 12, 0, 0, 0, time.UTC)
-	resp := &http.Response{Header: http.Header{}}
-	resp.Header.Set("Retry-After", now.Add(time.Hour).Format(http.TimeFormat))
-	hint := retryAfterHint(resp, now)
+	h := http.Header{}
+	h.Set("Retry-After", now.Add(time.Hour).Format(http.TimeFormat))
+	hint := RetryAfter(h, now)
 	if hint != time.Hour {
 		t.Fatalf("hint = %v, want 1h", hint)
 	}
@@ -390,8 +390,8 @@ func TestRetryDelayClampsDateHint(t *testing.T) {
 	}
 }
 
-// TestSubmitThroughARetry drives both submit entry points through a retry:
-// the server refuses the first attempt with a body of its own, then accepts.
+// TestSubmitThroughARetry drives SubmitBytes through a retry: the server
+// refuses the first attempt with a body of its own, then accepts.
 // Every attempt must carry the same request bytes and cookie, and a
 // refusal's body and an empty 204 must both come back as the caller's own
 // bytes.
@@ -416,41 +416,27 @@ func TestSubmitThroughARetry(t *testing.T) {
 		w.WriteHeader(http.StatusNoContent)
 	}))
 	defer ts.Close()
-	endpoint, err := url.Parse(ts.URL + reportPathV1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	endpoint := ts.URL + reportPathV1
 	once := &HTTPClient{Retry: RetryPolicy{MaxAttempts: 1}}
 	retrying := &HTTPClient{Retry: RetryPolicy{MaxAttempts: 2, BaseDelay: time.Millisecond}}
 	cookies := []*http.Cookie{{Name: "oak-user", Value: "u1"}}
 	payload := []byte(strings.Repeat("report bytes ", 700)) // ~9 KB
 
 	// One attempt: the refusal itself is the result.
-	res, err := once.SubmitBytes(context.Background(), endpoint.String(), "text/refused", payload, cookies)
+	res, err := once.SubmitBytes(context.Background(), endpoint, "text/refused", payload, cookies)
 	if err != nil || res.Status != http.StatusServiceUnavailable || string(res.Body) != strings.Repeat("busy ", 2000)+"\n" {
 		t.Fatalf("refusal: err %v, result %+v", err, res)
 	}
 
-	for _, tc := range []struct {
-		contentType string
-		submit      func(contentType string) (*SubmitResult, error)
-	}{
-		{"text/bytes", func(ct string) (*SubmitResult, error) {
-			return retrying.SubmitBytes(context.Background(), endpoint.String(), ct, payload, cookies)
-		}},
-		{"text/url", func(ct string) (*SubmitResult, error) {
-			return retrying.SubmitURL(context.Background(), endpoint, ct, payload, cookies)
-		}},
-	} {
-		res, err := tc.submit(tc.contentType)
-		if err != nil || res.Status != http.StatusNoContent || len(res.Body) != 0 {
-			t.Fatalf("%s: err %v, result %+v", tc.contentType, err, res)
-		}
-		mu.Lock()
-		got := seen[tc.contentType]
-		mu.Unlock()
-		if len(got) != 2 || got[0] != string(payload) || got[1] != string(payload) {
-			t.Errorf("%s: server read %d bodies, want the payload twice", tc.contentType, len(got))
-		}
+	// Two attempts: the retry replays the same body and cookie.
+	res, err = retrying.SubmitBytes(context.Background(), endpoint, "text/bytes", payload, cookies)
+	if err != nil || res.Status != http.StatusNoContent || len(res.Body) != 0 {
+		t.Fatalf("retry: err %v, result %+v", err, res)
+	}
+	mu.Lock()
+	got := seen["text/bytes"]
+	mu.Unlock()
+	if len(got) != 2 || got[0] != string(payload) || got[1] != string(payload) {
+		t.Errorf("retry: server read %d bodies, want the payload twice", len(got))
 	}
 }

@@ -54,7 +54,7 @@ func perOp(n int, f func()) (bytesPerOp, allocsPerOp float64) {
 // once the body buffers and backend connections are warm: a 5.7 KB report,
 // a 128 KB page shipped in full and the same page revalidated (the backend
 // answers 304, the edge serves its copy) against a backend that does
-// nothing. The ceilings sit about 15 % above what the staged path measures
+// nothing. The ceilings sit about 15 % above what one backend call measures
 // over the gateway's own transport;
 // a buffer falling out of reuse — or a revalidated page being copied —
 // costs at least the body's size again.
@@ -111,13 +111,15 @@ func TestForwardSteadyStateBytes(t *testing.T) {
 		run                 func()
 		maxBytes, maxAllocs float64
 	}{
-		// Measured 5.8 KB / 67 allocs (over net/http's Transport, with the
-		// forwarded body cloned: 14.1 KB / 99).
-		{"report", exchange("POST", origin.ReportPathV1, report, http.StatusNoContent, 0), 6700, 77},
-		// Measured 6.7–6.8 KB / 71 allocs (over net/http's Transport: 8.6–9.0 KB / 100).
-		{"page", exchange("GET", "/index.html", nil, http.StatusOK, len(page)), 7800, 82},
-		// Measured 6.7 KB / 71 allocs: the 128 KB body is neither read nor copied.
-		{"revalidated page", exchange("GET", "/tagged.html", nil, http.StatusOK, len(page)), 7700, 82},
+		// Measured 5.25 KB / 59 allocs (through http.Client and the oak
+		// client's SubmitURL: 5.8 KB / 67; over net/http's Transport, with
+		// the forwarded body cloned: 14.1 KB / 99).
+		{"report", exchange("POST", origin.ReportPathV1, report, http.StatusNoContent, 0), 6050, 68},
+		// Measured 6.2 KB / 64 allocs (through http.Client: 6.7 KB / 71; over
+		// net/http's Transport: 8.6–9.0 KB / 100).
+		{"page", exchange("GET", "/index.html", nil, http.StatusOK, len(page)), 7150, 74},
+		// Measured 6.2 KB / 64 allocs: the 128 KB body is neither read nor copied.
+		{"revalidated page", exchange("GET", "/tagged.html", nil, http.StatusOK, len(page)), 7150, 74},
 	} {
 		gotBytes, gotAllocs := perOp(2000, tc.run)
 		t.Logf("%s: %.0f B and %.1f allocs per forward", tc.name, gotBytes, gotAllocs)

@@ -2,9 +2,7 @@ package gateway
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"net/url"
 
@@ -38,19 +36,14 @@ import (
 func (g *Gateway) postControl(b *backend, path, provider string) error {
 	ctx, cancel := context.WithTimeout(context.Background(), g.cfg.ProbeTimeout)
 	defer cancel()
-	u := b.addr + path + "?provider=" + url.QueryEscape(provider)
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, u, nil)
+	u := b.urlFor(&url.URL{Path: path, RawQuery: "provider=" + url.QueryEscape(provider)})
+	rep, err := g.call(ctx, u, http.MethodPost, nil, nil, maxAckBytes)
 	if err != nil {
 		return err
 	}
-	resp, err := g.httpc.Do(req)
-	if err != nil {
-		return err
-	}
-	_, _ = io.Copy(io.Discard, resp.Body)
-	_ = resp.Body.Close()
-	if resp.StatusCode >= 400 && resp.StatusCode != http.StatusNotFound {
-		return fmt.Errorf("control %s status %d", path, resp.StatusCode)
+	rep.release()
+	if rep.status >= 400 && rep.status != http.StatusNotFound {
+		return fmt.Errorf("control %s status %d", path, rep.status)
 	}
 	return nil
 }
@@ -121,31 +114,6 @@ func (g *Gateway) sweepBreakers(live []*backend) {
 	}
 }
 
-// fetchPopulation GETs one backend's population status; ok is false when
-// the backend lacks the subsystem or cannot be decoded.
-func (g *Gateway) fetchPopulation(b *backend) (core.PopulationStatus, bool) {
-	ctx, cancel := context.WithTimeout(context.Background(), g.cfg.ProbeTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, b.addr+origin.PopulationPathV1, nil)
-	if err != nil {
-		return core.PopulationStatus{}, false
-	}
-	resp, err := g.httpc.Do(req)
-	if err != nil {
-		return core.PopulationStatus{}, false
-	}
-	body, err := io.ReadAll(io.LimitReader(resp.Body, 4<<20))
-	_ = resp.Body.Close()
-	if err != nil || resp.StatusCode != http.StatusOK {
-		return core.PopulationStatus{}, false
-	}
-	var ps core.PopulationStatus
-	if err := json.Unmarshal(body, &ps); err != nil {
-		return core.PopulationStatus{}, false
-	}
-	return ps, true
-}
-
 // sweepDegraded mirrors organic degraded episodes fleet-wide and clears
 // the mirrors it created once the organic episodes recover.
 func (g *Gateway) sweepDegraded(live []*backend) {
@@ -153,9 +121,9 @@ func (g *Gateway) sweepDegraded(live []*backend) {
 	degradedOn := make(map[*backend]map[string]struct{})
 	var popLive []*backend // backends with the population subsystem
 	for _, b := range live {
-		ps, ok := g.fetchPopulation(b)
-		if !ok {
-			continue
+		var ps core.PopulationStatus
+		if g.getStatus(b, origin.PopulationPathV1, &ps) != nil {
+			continue // no population subsystem, or no answer
 		}
 		popLive = append(popLive, b)
 		degradedOn[b] = make(map[string]struct{}, len(ps.Degraded))

@@ -6,10 +6,14 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
+	"math/rand/v2"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
 	"sync"
+	"time"
 
 	"oak/internal/bodybuf"
 	"oak/internal/client"
@@ -20,11 +24,11 @@ import (
 )
 
 // Forwarding: reports and page serves are routed to the backend owning the
-// user's hash-ring arc and carried by the oak client's retry machinery
-// (SubmitBytes: backoff + jitter + Retry-After, bounded by ForwardTimeout).
-// When the primary's forward fails at the transport level, the request
-// fails over — once — to the standby or the next healthy backend, so a
-// freshly dead backend costs a retry schedule, not an error.
+// user's hash-ring arc. A report forward retries on the client package's
+// schedule (backoff + jitter + Retry-After, bounded by ForwardTimeout). When
+// the primary's forward fails at the transport level, the request fails
+// over — once — to the standby or the next healthy backend, so a freshly
+// dead backend costs a retry schedule, not an error.
 //
 // Every body the gateway relays is staged whole, once, in a pooled buffer
 // (bodybuf): a request body because it is sniffed, split, retried and
@@ -35,38 +39,127 @@ import (
 // has returned (transport.go), even for a backend that answers 503 before
 // draining it.
 
-// maxForwardBytes bounds a relayed body in either direction. It matches the
-// origin's worst-case batch bound (16 × 4 MB), so the gateway never accepts
-// a body the backend would reject outright.
-const maxForwardBytes = 64 << 20
+// The read bound of every backend answer. More is an error, never a prefix.
+const (
+	// maxForwardBytes bounds a relayed body in either direction, and a polled
+	// snapshot. It matches the origin's worst-case batch bound (16 × 4 MB), so
+	// the gateway never accepts a body the backend would reject outright.
+	maxForwardBytes = 64 << 20
+	// maxStatusBytes bounds the healthz, metrics and population bodies the
+	// gateway decodes.
+	maxStatusBytes = 8 << 20
+	// maxAckBytes bounds the answer to a control verb or a state import, read
+	// only to be quoted in an error.
+	maxAckBytes = 4 << 10
+)
 
 // mirrorHeaders are the response headers the gateway relays from backends.
 var mirrorHeaders = []string{"Content-Type", "Retry-After", rules.CacheHintHeader, "ETag", "Cache-Control"}
 
-// forwardTo POSTs a report body to one backend under the gateway's retry
-// machinery. body may be a staged buffer: it is not touched after the return.
-func (g *Gateway) forwardTo(ctx context.Context, b *backend, contentType string, body []byte, cookies []*http.Cookie) (*client.SubmitResult, error) {
-	return g.fwd.SubmitURL(ctx, b.reportURL, contentType, body, cookies)
+// reply is a backend's answer: status, header and the whole body, staged.
+type reply struct {
+	status int
+	header http.Header
+	body   []byte       // nil when the answer carried none
+	buf    *bodybuf.Buf // body's buffer, given back by release
 }
 
-// forwardWithFailover tries the primary, then the fallback. The returned
-// backend is the one that actually answered.
-func (g *Gateway) forwardWithFailover(ctx context.Context, i int, contentType string, body []byte, cookies []*http.Cookie) (*client.SubmitResult, *backend, error) {
-	primary, fallback := g.route(i)
-	res, err := g.forwardTo(ctx, primary, contentType, body, cookies)
-	if err == nil {
-		return res, primary, nil
+func (r *reply) release() {
+	if r.buf != nil {
+		r.buf.Release()
 	}
-	if fallback == nil {
-		return nil, primary, err
+}
+
+// call is the gateway's one exchange with a backend: method on u with header
+// h and body, over the gateway's own transport, the answer read whole and
+// closed. A body of more than limit bytes is bodybuf.ErrTooLarge, an error
+// like a failed connection; HEAD, 204, 304 and a declared-empty answer read
+// nothing. Redirects are answers like any other, never followed. body may be
+// a staged buffer: the transport is done with it when call returns.
+func (g *Gateway) call(ctx context.Context, u *url.URL, method string, h http.Header, body []byte, limit int64) (reply, error) {
+	req := (&http.Request{
+		Method:        method,
+		URL:           u,
+		Header:        h,
+		Body:          http.NoBody,
+		ContentLength: int64(len(body)),
+	}).WithContext(ctx)
+	if len(body) > 0 {
+		req.Body = io.NopCloser(bytes.NewReader(body))
+		req.GetBody = func() (io.ReadCloser, error) { return io.NopCloser(bytes.NewReader(body)), nil }
+	}
+	resp, err := g.transport.RoundTrip(req)
+	if err != nil {
+		return reply{}, err
+	}
+	defer resp.Body.Close()
+	rep := reply{status: resp.StatusCode, header: resp.Header}
+	if method == http.MethodHead || resp.StatusCode == http.StatusNoContent ||
+		resp.StatusCode == http.StatusNotModified || resp.ContentLength == 0 {
+		return rep, nil
+	}
+	if rep.buf, err = bodybuf.Read(resp.Body, resp.ContentLength, limit); err != nil {
+		return reply{}, fmt.Errorf("read %s %s from %s: %w", method, u.Path, u.Host, err)
+	}
+	rep.body = rep.buf.Bytes()
+	return rep, nil
+}
+
+// forwardTo POSTs a report body to one backend, retrying a failed exchange
+// and a 408, 429 or 5xx answer on the client package's schedule until the
+// attempts or ctx run out. The last answer is returned even when its status
+// is a failure; an error means no answer was read, or ctx is done.
+func (g *Gateway) forwardTo(ctx context.Context, b *backend, h http.Header, body []byte) (reply, error) {
+	var (
+		last    reply
+		lastErr error
+		hint    time.Duration
+	)
+	for attempt := 0; attempt < g.cfg.Retry.MaxAttempts && ctx.Err() == nil; attempt++ {
+		if attempt > 0 && client.Sleep(ctx, g.cfg.Retry.Delay(attempt-1, hint, rand.Float64())) != nil {
+			break
+		}
+		rep, err := g.call(ctx, b.reportURL, http.MethodPost, h, body, maxForwardBytes)
+		if err != nil {
+			lastErr, hint = err, 0
+			continue
+		}
+		last.release()
+		last = rep
+		if !client.RetryableStatus(rep.status) {
+			return last, nil
+		}
+		hint = client.RetryAfter(rep.header, time.Now())
+	}
+	if err := ctx.Err(); err != nil {
+		last.release()
+		return reply{}, err
+	}
+	if last.status == 0 {
+		return reply{}, lastErr
+	}
+	return last, nil
+}
+
+// forwardWithFailover tries the primary, then the fallback. cookie is the
+// oak identity cookie as name=value, or "".
+func (g *Gateway) forwardWithFailover(ctx context.Context, i int, contentType string, body []byte, cookie string) (reply, error) {
+	h := http.Header{"Content-Type": {contentType}}
+	if cookie != "" {
+		h["Cookie"] = []string{cookie}
+	}
+	primary, fallback := g.route(i)
+	rep, err := g.forwardTo(ctx, primary, h, body)
+	if err == nil || fallback == nil {
+		return rep, err
 	}
 	g.failovers.Inc()
 	g.logf("gateway: failover %s -> %s: %v", primary.addr, fallback.addr, err)
-	res, ferr := g.forwardTo(ctx, fallback, contentType, body, cookies)
+	rep, ferr := g.forwardTo(ctx, fallback, h, body)
 	if ferr != nil {
-		return nil, fallback, fmt.Errorf("primary: %v; failover: %w", err, ferr)
+		return reply{}, fmt.Errorf("primary: %v; failover: %w", err, ferr)
 	}
-	return res, fallback, nil
+	return rep, nil
 }
 
 // requestCookie returns the request's oak identity cookie, if any.
@@ -133,23 +226,26 @@ func (g *Gateway) handleReport(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	var userID string
+	userID, cookie := sniffUserID(body), ""
 	if ck != nil {
-		userID = ck.Value
-	} else {
-		userID = sniffUserID(body)
+		userID, cookie = ck.Value, cookieHeader(ck)
 	}
-	var cookies []*http.Cookie
-	if ck != nil {
-		cookies = append(cookies, ck)
-	}
-	res, _, err := g.forwardWithFailover(ctx, g.ownerIndex(userID), contentType, body, cookies)
+	rep, err := g.forwardWithFailover(ctx, g.ownerIndex(userID), contentType, body, cookie)
 	if err != nil {
 		http.Error(w, "no backend reachable: "+err.Error(), http.StatusBadGateway)
 		return
 	}
 	g.forwardedReports.Inc()
-	mirror(w, res)
+	mirrorHeader(w, rep.header)
+	w.WriteHeader(rep.status)
+	_, _ = w.Write(rep.body)
+	rep.release()
+}
+
+// cookieHeader is the identity cookie as a backend receives it, written as
+// it stands: the value was parsed from the client's own Cookie header.
+func cookieHeader(ck *http.Cookie) string {
+	return origin.CookieName + "=" + ck.Value
 }
 
 // splitLines buckets an NDJSON body's lines by owner backend index. The
@@ -238,7 +334,7 @@ func (g *Gateway) forwardSplit(ctx context.Context, w http.ResponseWriter, body 
 
 	type part struct {
 		lines int
-		res   *client.SubmitResult
+		rep   reply
 		err   error
 	}
 	parts := make([]part, 0, len(groups))
@@ -251,9 +347,9 @@ func (g *Gateway) forwardSplit(ctx context.Context, w http.ResponseWriter, body 
 			// second time.
 			sub = bytes.Join(lines, sep)
 		}
-		res, _, err := g.forwardWithFailover(ctx, i, contentType, sub, nil)
+		rep, err := g.forwardWithFailover(ctx, i, contentType, sub, "")
 		mu.Lock()
-		parts = append(parts, part{lines: len(lines), res: res, err: err})
+		parts = append(parts, part{lines: len(lines), rep: rep, err: err})
 		mu.Unlock()
 	}
 	var wg sync.WaitGroup
@@ -285,11 +381,13 @@ func (g *Gateway) forwardSplit(ctx context.Context, w http.ResponseWriter, body 
 		}
 		reached = true
 		var br core.BatchResult
-		if jerr := json.Unmarshal(p.res.Body, &br); jerr != nil {
+		jerr := json.Unmarshal(p.rep.body, &br)
+		p.rep.release()
+		if jerr != nil {
 			merged.Submitted += p.lines
 			merged.Failed += p.lines
 			if len(merged.Errors) < 8 {
-				merged.Errors = append(merged.Errors, fmt.Sprintf("backend status %d", p.res.Status))
+				merged.Errors = append(merged.Errors, fmt.Sprintf("backend status %d", p.rep.status))
 			}
 			continue
 		}
@@ -302,7 +400,7 @@ func (g *Gateway) forwardSplit(ctx context.Context, w http.ResponseWriter, body 
 				merged.Errors = append(merged.Errors, e)
 			}
 		}
-		if secs, perr := strconv.Atoi(p.res.Header.Get("Retry-After")); perr == nil && secs > retryAfter {
+		if secs, perr := strconv.Atoi(p.rep.header.Get("Retry-After")); perr == nil && secs > retryAfter {
 			retryAfter = secs
 		}
 	}
@@ -361,56 +459,46 @@ func (g *Gateway) handlePage(w http.ResponseWriter, r *http.Request) {
 
 	i := g.ownerIndex(ck.Value)
 	primary, fallback := g.route(i)
-	resp, err := g.proxyPage(ctx, primary, r, ck)
+	page, body, err := g.proxyPage(ctx, primary, r, ck)
 	if err != nil && fallback != nil {
 		g.failovers.Inc()
 		g.logf("gateway: page failover %s -> %s: %v", primary.addr, fallback.addr, err)
-		resp, err = g.proxyPage(ctx, fallback, r, ck)
+		page, body, err = g.proxyPage(ctx, fallback, r, ck)
 	}
 	if err != nil {
 		http.Error(w, "no backend reachable: "+err.Error(), http.StatusBadGateway)
 		return
 	}
+	defer page.release()
 	g.forwardedPages.Inc()
-	mirrorHeader(w, resp.header)
-	if resp.body == nil {
-		// HEAD, or a 304 for the client's own copy: the length is the
-		// backend's word for what a GET would carry.
-		if cl := resp.header.Get("Content-Length"); cl != "" {
+	mirrorHeader(w, page.header)
+	if body == nil {
+		// HEAD, a 304 for the client's own copy or a declared-empty body: the
+		// length is the backend's word for what a GET would carry.
+		if cl := page.header.Get("Content-Length"); cl != "" {
 			w.Header().Set("Content-Length", cl)
 		}
-		w.WriteHeader(resp.status)
+		w.WriteHeader(page.status)
 		return
 	}
-	w.Header().Set("Content-Length", strconv.Itoa(len(resp.body)))
-	w.WriteHeader(resp.status)
-	_, _ = w.Write(resp.body)
-	if resp.staged != nil {
-		resp.staged.Release()
-	}
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+	w.WriteHeader(page.status)
+	_, _ = w.Write(body)
 }
 
-// pageResponse is one backend's answer to a page request, ready for relay.
-type pageResponse struct {
-	status int
-	header http.Header
-	// body is what the client gets: nil when it gets none (HEAD, a relayed
-	// 304), else the bytes of staged or of a held edge variant.
-	body   []byte
-	staged *bodybuf.Buf // the fetched body, if body is its bytes; the caller releases it
-}
-
-// proxyPage answers one page request from one backend. A GET carries the
-// tags the edge cache holds for the path (and the client's own) in
-// If-None-Match, so a backend that picks a body the edge already has says
-// 304 and names it instead of shipping it. The backend decides every
+// proxyPage answers one page request from one backend: the backend's reply,
+// which the caller releases, and the bytes the client gets — nil when it gets
+// none (HEAD, a relayed 304), else the reply's body or a held edge variant.
+// A GET carries the tags the edge cache holds for the path (and the client's
+// own) in If-None-Match, so a backend that picks a body the edge already has
+// says 304 and names it instead of shipping it. The backend decides every
 // request; a held variant is served only when this exchange named its tag.
 // A 304 that names the client's own copy is relayed, so browsers revalidate
 // end to end. A 304 that names nothing servable — a variant evicted between
 // offer and answer, no ETag at all, a 304 nobody asked for — is fetched
 // again without If-None-Match, never passed on as a blank page; every
 // failure along the way is a failed forward the caller can fail over.
-func (g *Gateway) proxyPage(ctx context.Context, b *backend, r *http.Request, ck *http.Cookie) (*pageResponse, error) {
+func (g *Gateway) proxyPage(ctx context.Context, b *backend, r *http.Request, ck *http.Cookie) (reply, []byte, error) {
 	var client []string
 	offer := ""
 	if r.Method == http.MethodGet {
@@ -419,62 +507,45 @@ func (g *Gateway) proxyPage(ctx context.Context, b *backend, r *http.Request, ck
 	}
 	page, err := g.fetchPage(ctx, b, r, ck, offer)
 	if err != nil {
-		return nil, err
+		return reply{}, nil, err
 	}
 	tag := page.header.Get("ETag")
 	if page.status == http.StatusNotModified && r.Method == http.MethodGet {
 		if tag != "" && origin.TagListed(client, tag) {
-			return page, nil
+			return page, nil, nil
 		}
 		if v := g.edge.get(r.URL.Path, tag); v != nil {
-			page.status, page.body = http.StatusOK, v.body
+			page.status = http.StatusOK
 			page.header.Set("Content-Type", v.contentType)
-			return page, nil
+			return page, v.body, nil
 		}
 		g.edge.refetches.Inc()
 		if page, err = g.fetchPage(ctx, b, r, ck, ""); err != nil {
-			return nil, err
+			return reply{}, nil, err
 		}
 		if page.status == http.StatusNotModified {
-			return nil, fmt.Errorf("page from %s: 304 to an unconditional GET", b.addr)
+			return reply{}, nil, fmt.Errorf("page from %s: 304 to an unconditional GET", b.addr)
 		}
 		tag = page.header.Get("ETag")
 	}
 	// Only a strong tag promises these exact bytes.
-	if page.status == http.StatusOK && page.staged != nil && strings.HasPrefix(tag, `"`) {
+	if page.status == http.StatusOK && page.body != nil && strings.HasPrefix(tag, `"`) {
 		g.edge.put(r.URL.Path, tag, page.header.Get("Content-Type"), page.body)
 	}
-	return page, nil
+	return page, page.body, nil
 }
 
 // fetchPage performs one backend page GET or HEAD. The body is read to its
 // end before anything is relayed: a backend that dies mid-body, or sends
 // more than maxForwardBytes, is a failed forward the caller can fail over,
 // not a truncated page.
-func (g *Gateway) fetchPage(ctx context.Context, b *backend, r *http.Request, ck *http.Cookie, ifNoneMatch string) (*pageResponse, error) {
-	req := (&http.Request{
-		Method: r.Method,
-		URL:    b.urlFor(r.URL),
-		Header: make(http.Header, 2),
-	}).WithContext(ctx)
-	req.AddCookie(ck)
+func (g *Gateway) fetchPage(ctx context.Context, b *backend, r *http.Request, ck *http.Cookie, ifNoneMatch string) (reply, error) {
+	h := make(http.Header, 2)
+	h["Cookie"] = []string{cookieHeader(ck)}
 	if ifNoneMatch != "" {
-		req.Header.Set("If-None-Match", ifNoneMatch)
+		h["If-None-Match"] = []string{ifNoneMatch}
 	}
-	resp, err := g.httpc.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	page := &pageResponse{status: resp.StatusCode, header: resp.Header}
-	if r.Method == http.MethodHead || resp.StatusCode == http.StatusNotModified {
-		return page, nil // no body on the wire
-	}
-	if page.staged, err = bodybuf.Read(resp.Body, resp.ContentLength, maxForwardBytes); err != nil {
-		return nil, fmt.Errorf("read page from %s: %w", b.addr, err)
-	}
-	page.body = page.staged.Bytes()
-	return page, nil
+	return g.call(ctx, b.urlFor(r.URL), r.Method, h, nil, maxForwardBytes)
 }
 
 // mirrorHeader relays the selected backend response headers.
@@ -484,11 +555,4 @@ func mirrorHeader(w http.ResponseWriter, from http.Header) {
 			w.Header().Set(h, v)
 		}
 	}
-}
-
-// mirror relays a backend response: selected headers, status, body.
-func mirror(w http.ResponseWriter, res *client.SubmitResult) {
-	mirrorHeader(w, res.Header)
-	w.WriteHeader(res.Status)
-	_, _ = w.Write(res.Body)
 }

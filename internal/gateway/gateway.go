@@ -19,9 +19,11 @@
 //     tops it up with a per-user-range export donated by the standby — the
 //     reports the standby absorbed while the primary was down.
 //
-// Forwarding rides the oak client's existing retry machinery
-// (client.HTTPClient.SubmitBytes): exponential backoff with jitter,
-// Retry-After honoured, the whole exchange bounded by a context deadline.
+// Every exchange with a backend is one call (forward.go) on the gateway's own
+// transport (transport.go), its answer read whole under a named bound. A
+// report forward retries on the oak client's schedule: exponential backoff
+// with jitter, Retry-After honoured, the whole exchange bounded by a
+// context deadline.
 package gateway
 
 import (
@@ -169,10 +171,8 @@ type Gateway struct {
 	cfg       Config
 	ranges    []core.HashRange
 	backends  []*backend
-	standby   *backend           // nil without Config.Standby
-	transport *transport         // under httpc
-	httpc     *http.Client       // probes, scrapes, page fetches, snapshot shipping
-	fwd       *client.HTTPClient // report forwards, over httpc
+	standby   *backend   // nil without Config.Standby
+	transport *transport // every backend exchange, through call
 	logf      func(format string, args ...any)
 	started   time.Time
 	edge      *edgeCache
@@ -243,17 +243,13 @@ func NewGateway(cfg Config) (*Gateway, error) {
 	if cfg.SnapshotInterval <= 0 {
 		cfg.SnapshotInterval = DefaultSnapshotInterval
 	}
-	// One transport of the gateway's own under every request it makes
-	// (transport.go), and no Client.Timeout: every request already runs under
-	// a context deadline, ForwardTimeout or ProbeTimeout.
-	tr := newTransport()
-	httpc := &http.Client{Transport: tr}
+	cfg.Retry = cfg.Retry.WithDefaults()
+	// Every request runs under a context deadline, ForwardTimeout or
+	// ProbeTimeout; the transport has no timeout of its own.
 	g := &Gateway{
 		cfg:          cfg,
 		ranges:       core.EqualRanges(len(cfg.Backends)),
-		transport:    tr,
-		httpc:        httpc,
-		fwd:          &client.HTTPClient{HTTP: httpc, Retry: cfg.Retry},
+		transport:    newTransport(),
 		logf:         cfg.Logf,
 		started:      time.Now(),
 		edge:         newEdgeCache(),

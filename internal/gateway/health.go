@@ -4,8 +4,8 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
+	"net/url"
 	"time"
 
 	"oak/internal/origin"
@@ -18,35 +18,28 @@ import (
 // down: FailThreshold → unhealthy, DrainThreshold → draining,
 // DeadThreshold → dead.
 
-// probeBackend fetches one backend's healthz under the probe timeout.
-func (g *Gateway) probeBackend(b *backend) (*origin.HealthzResponse, error) {
+// getStatus GETs one of a backend's JSON status bodies under the probe
+// timeout and decodes it into v. Any answer but 200 is an error.
+func (g *Gateway) getStatus(b *backend, path string, v any) error {
 	ctx, cancel := context.WithTimeout(context.Background(), g.cfg.ProbeTimeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, b.addr+origin.HealthzPathV1, nil)
+	rep, err := g.call(ctx, b.urlFor(&url.URL{Path: path}), http.MethodGet, nil, nil, maxStatusBytes)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	resp, err := g.httpc.Do(req)
-	if err != nil {
-		return nil, err
+	defer rep.release()
+	if rep.status != http.StatusOK {
+		return fmt.Errorf("%s status %d", path, rep.status)
 	}
-	body, err := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-	_ = resp.Body.Close()
-	if err != nil {
-		return nil, err
+	if err := json.Unmarshal(rep.body, v); err != nil {
+		return fmt.Errorf("decode %s: %w", path, err)
 	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("healthz status %d", resp.StatusCode)
-	}
-	var hz origin.HealthzResponse
-	if err := json.Unmarshal(body, &hz); err != nil {
-		return nil, fmt.Errorf("decode healthz: %w", err)
-	}
-	return &hz, nil
+	return nil
 }
 
 // noteProbe applies one probe outcome to the backend's state machine,
-// returning the transition (old != new) for logging.
+// returning the transition (old != new) for logging. hz is kept only when
+// err is nil.
 func (g *Gateway) noteProbe(b *backend, hz *origin.HealthzResponse, err error) (old, now BackendState) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -81,7 +74,8 @@ func (g *Gateway) noteProbe(b *backend, hz *origin.HealthzResponse, err error) (
 // for deterministic state-machine transitions.
 func (g *Gateway) ProbeOnce() {
 	for _, b := range g.all() {
-		hz, err := g.probeBackend(b)
+		hz := new(origin.HealthzResponse)
+		err := g.getStatus(b, origin.HealthzPathV1, hz)
 		if old, now := g.noteProbe(b, hz, err); old != now {
 			g.logf("gateway: backend %s %s -> %s (%v)", b.addr, old, now, err)
 		}

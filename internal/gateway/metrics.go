@@ -1,9 +1,7 @@
 package gateway
 
 import (
-	"context"
 	"encoding/json"
-	"io"
 	"net/http"
 	"sort"
 	"time"
@@ -194,30 +192,6 @@ func sortedKeys(m map[string]struct{}) []string {
 	return out
 }
 
-// fetchMetrics GETs one backend's metrics body.
-func (g *Gateway) fetchMetrics(b *backend) (*origin.MetricsResponse, error) {
-	ctx, cancel := context.WithTimeout(context.Background(), g.cfg.ProbeTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, b.addr+origin.MetricsPathV1, nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := g.httpc.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	body, err := io.ReadAll(io.LimitReader(resp.Body, 8<<20))
-	_ = resp.Body.Close()
-	if err != nil {
-		return nil, err
-	}
-	var mr origin.MetricsResponse
-	if err := json.Unmarshal(body, &mr); err != nil {
-		return nil, err
-	}
-	return &mr, nil
-}
-
 // backendMetrics renders one backend's metrics row, fetching live.
 func (g *Gateway) backendMetrics(b *backend, rng *core.HashRange) BackendMetrics {
 	st, _, _, _ := b.snapshotState()
@@ -226,12 +200,12 @@ func (g *Gateway) backendMetrics(b *backend, rng *core.HashRange) BackendMetrics
 		bm.Error = "dead"
 		return bm
 	}
-	mr, err := g.fetchMetrics(b)
-	if err != nil {
+	var mr origin.MetricsResponse
+	if err := g.getStatus(b, origin.MetricsPathV1, &mr); err != nil {
 		bm.Error = err.Error()
 		return bm
 	}
-	bm.Metrics = mr
+	bm.Metrics = &mr
 	return bm
 }
 

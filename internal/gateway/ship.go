@@ -3,12 +3,14 @@ package gateway
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
-	"io"
 	"net/http"
+	"net/url"
 	"strconv"
 	"time"
 
+	"oak/internal/bodybuf"
 	"oak/internal/core"
 	"oak/internal/origin"
 )
@@ -34,56 +36,47 @@ const (
 	ClusterDrainPathV1 = origin.V1Prefix + "/cluster/drain"
 )
 
+// stateURL is the state endpoint under t, restricted to one hash-ring arc
+// when rng is set.
+func stateURL(t *target, rng *core.HashRange) *url.URL {
+	u := &url.URL{Path: origin.StatePathV1}
+	if rng != nil {
+		u.RawQuery = fmt.Sprintf("lo=%d&hi=%d", rng.Lo, rng.Hi)
+	}
+	return t.urlFor(u)
+}
+
 // fetchState GETs a backend's snapshot, optionally restricted to one
-// hash-ring arc.
+// hash-ring arc. A snapshot of more than maxForwardBytes is an error, never
+// a prefix. The staged bytes are returned as they stand and never released:
+// a stored snapshot outlives every exchange.
 func (g *Gateway) fetchState(b *backend, rng *core.HashRange) ([]byte, error) {
 	ctx, cancel := context.WithTimeout(context.Background(), g.cfg.ForwardTimeout)
 	defer cancel()
-	u := b.addr + origin.StatePathV1
-	if rng != nil {
-		u += fmt.Sprintf("?lo=%d&hi=%d", rng.Lo, rng.Hi)
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
+	rep, err := g.call(ctx, stateURL(&b.target, rng), http.MethodGet, nil, nil, maxForwardBytes)
 	if err != nil {
 		return nil, err
 	}
-	resp, err := g.httpc.Do(req)
-	if err != nil {
-		return nil, err
+	if rep.status != http.StatusOK {
+		rep.release()
+		return nil, fmt.Errorf("state export status %d", rep.status)
 	}
-	data, err := io.ReadAll(io.LimitReader(resp.Body, maxForwardBytes))
-	_ = resp.Body.Close()
-	if err != nil {
-		return nil, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("state export status %d", resp.StatusCode)
-	}
-	return data, nil
+	return rep.body, nil
 }
 
-// postState POSTs a snapshot to a node (addr is a base URL, not
-// necessarily a tracked backend — the replacement target is not in the
-// fleet yet). A nil range ships the whole snapshot (the receiver marks its
-// state source "shipped"); a range splices one arc in.
-func (g *Gateway) postState(ctx context.Context, addr string, rng *core.HashRange, data []byte) error {
-	u := addr + origin.StatePathV1
-	if rng != nil {
-		u += fmt.Sprintf("?lo=%d&hi=%d", rng.Lo, rng.Hi)
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, u, bytes.NewReader(data))
+// postState POSTs a snapshot to a node (to is not necessarily a tracked
+// backend — the replacement target is not in the fleet yet). A nil range
+// ships the whole snapshot (the receiver marks its state source "shipped");
+// a range splices one arc in.
+func (g *Gateway) postState(ctx context.Context, to *target, rng *core.HashRange, data []byte) error {
+	h := http.Header{"Content-Type": {"application/octet-stream"}}
+	rep, err := g.call(ctx, stateURL(to, rng), http.MethodPost, h, data, maxAckBytes)
 	if err != nil {
 		return err
 	}
-	req.Header.Set("Content-Type", "application/octet-stream")
-	resp, err := g.httpc.Do(req)
-	if err != nil {
-		return err
-	}
-	body, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-	_ = resp.Body.Close()
-	if resp.StatusCode != http.StatusNoContent {
-		return fmt.Errorf("state import status %d: %s", resp.StatusCode, bytes.TrimSpace(body))
+	defer rep.release()
+	if rep.status != http.StatusNoContent {
+		return fmt.Errorf("state import status %d: %s", rep.status, bytes.TrimSpace(rep.body))
 	}
 	return nil
 }
@@ -101,6 +94,9 @@ func (g *Gateway) ShipSnapshots() {
 			continue
 		}
 		data, err := g.fetchState(b, nil)
+		if errors.Is(err, bodybuf.ErrTooLarge) {
+			g.logf("gateway: snapshot from %s refused, the previous one kept: %v", b.addr, err)
+		}
 		if err != nil {
 			continue // the prober owns failure accounting
 		}
@@ -136,7 +132,7 @@ func (g *Gateway) Replace(ctx context.Context, i int, newAddr string) error {
 
 	switch {
 	case len(snap) > 0:
-		if err := g.postState(ctx, addr, nil, snap); err != nil {
+		if err := g.postState(ctx, &to, nil, snap); err != nil {
 			return fmt.Errorf("gateway: ship snapshot to %s: %w", addr, err)
 		}
 	case g.standby != nil && healthyNow(g.standby):
@@ -145,7 +141,7 @@ func (g *Gateway) Replace(ctx context.Context, i int, newAddr string) error {
 		if err != nil {
 			return fmt.Errorf("gateway: no stored snapshot and standby range export failed: %w", err)
 		}
-		if err := g.postState(ctx, addr, &rng, data); err != nil {
+		if err := g.postState(ctx, &to, &rng, data); err != nil {
 			return fmt.Errorf("gateway: ship standby range to %s: %w", addr, err)
 		}
 	default:

@@ -149,7 +149,10 @@
 # a JSON scanning primitive is defined outside internal/jsonscan, or if a
 # profile gets a second durable codec (one-profile-codec: internal/core reads
 # no JSON with internal/jsonscan, and marshals JSON only in exportStateRange
-# and a checkpoint's header). The benchmark module
+# and a checkpoint's header), and if the gateway reaches a backend around its
+# one bounded call (one-backend-call: non-test internal/gateway names no
+# http.Client, NewRequestWithContext, io.LimitReader, io.ReadAll, SubmitURL or
+# client.HTTPClient, and only forward.go's call calls RoundTrip). The benchmark module
 # step vets and tests bench/ (its own module, which the root go build/test
 # do not descend into) so an internal API change cannot break the serving
 # benchmark of record (bash bench/run.sh) unnoticed.
@@ -272,7 +275,7 @@ echo "== checkpoint holds residents only: a capped save reads no record, an unca
 out=$(go test -count=1 -run 'TestCheckpointHoldsResidentsOnly|TestUncappedSaveIsTheSnapshot|TestBootAdoptsTheLog/one_segment_damaged' -v ./internal/core) || { echo "$out" >&2; exit 1; }
 echo "$out" | grep -E -e '--- PASS|gone with'
 
-echo "== structure check: one segment writer, one sequence allocator, one segment walker, one file seam, one serve cache, one durable ref, one page index, one merge predicate, one version bump, one home for an activation, one rule set per process, one home for a user, one reference decoder, one JSON scanner, one profile codec, one spill index =="
+echo "== structure check: one segment writer, one sequence allocator, one segment walker, one file seam, one serve cache, one durable ref, one page index, one merge predicate, one version bump, one home for an activation, one rule set per process, one home for a user, one reference decoder, one JSON scanner, one profile codec, one spill index, one backend call =="
 fail() { echo "structure check failed: $1" >&2; exit 1; }
 seglog_go=$(ls internal/seglog/*.go | grep -v '_test\.go$')
 core_go=$(ls internal/core/*.go | grep -v '_test\.go$')
@@ -360,6 +363,15 @@ marshals=$(echo $core_go | xargs awk '/^func /{fn=$0} /json\.Marshal/ && !/^[[:s
 [ "$marshals" = "internal/core/persist.go:exportStateRange internal/core/statefile.go:encodeCheckpoint " ] &&
 	grep -q '^	Profiles int `json:"profiles"`$' internal/core/statefile.go ||
 	fail "one-profile-codec: json.Marshal is called from [ $marshals], want exportStateRange and encodeCheckpoint only, the latter over a header whose profiles are a count"
+
+gateway_go=$(ls internal/gateway/*.go | grep -v '_test\.go$')
+if grep -nE 'http\.Client|NewRequestWithContext|io\.LimitReader|io\.ReadAll|SubmitURL|client\.HTTPClient' $gateway_go; then
+	fail "one-backend-call: non-test internal/gateway reaches a backend around call (no http.Client, no oak client, no request built or body read but in call)"
+fi
+callers=$(echo $gateway_go | xargs awk '/^func /{fn=$0} /RoundTrip\(/ && !/^func \([^)]*\) RoundTrip\(/ && !/^[[:space:]]*\/\//{print FILENAME ":" fn}' |
+	sed -E 's/^([^:]*):func (\([^)]*\) )?([A-Za-z0-9_]+).*/\1:\3/' | sort -u | tr '\n' ' ')
+[ "$callers" = "internal/gateway/forward.go:call " ] ||
+	fail "one-backend-call: RoundTrip( is called from [ $callers], want forward.go's call only"
 
 echo "== spill view under -race, five times: reads move nothing, an eviction storm cannot blank an activated user =="
 go test -race -run 'TestServeSpilledUserUnderEvictionStorm|TestPageReadsNeverWriteTheSpillTier' -count=5 ./internal/core
