@@ -3,9 +3,9 @@ package client
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"io"
-	"math"
 	"math/rand"
 	"net/http"
 	"net/url"
@@ -235,8 +235,9 @@ func (c *HTTPClient) retryDelay(retry int, hint time.Duration) time.Duration {
 }
 
 // fetchAttempt is one bounded GET: the request runs under the per-object
-// deadline and the full body is read (a truncated body is an error, so
-// torn responses surface instead of producing bogus timings).
+// deadline and the full body is read (a truncated body, or one of more than
+// maxObjectBytes, is an error, so torn and runaway responses surface instead
+// of producing bogus timings).
 func (c *HTTPClient) fetchAttempt(rawURL string) ([]byte, int, error) {
 	timeout := c.ObjectTimeout
 	if timeout <= 0 {
@@ -252,8 +253,7 @@ func (c *HTTPClient) fetchAttempt(rawURL string) ([]byte, int, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	data, err := io.ReadAll(resp.Body)
-	_ = resp.Body.Close()
+	data, err := readBody(resp, maxObjectBytes)
 	if err != nil {
 		return nil, resp.StatusCode, err
 	}
@@ -276,8 +276,8 @@ func (c *HTTPClient) fetchObject(rawURL string) (data []byte, attemptDur, totalD
 		if err == nil && status == http.StatusOK {
 			return body, time.Since(attemptStart), time.Since(start), true
 		}
-		if err == nil && !RetryableStatus(status) {
-			break // 4xx: trying again will not help
+		if (err == nil && !RetryableStatus(status)) || errors.Is(err, bodybuf.ErrTooLarge) {
+			break // 4xx or an oversized object: trying again will not help
 		}
 	}
 	return nil, 0, time.Since(start), false
@@ -406,8 +406,10 @@ func (c *HTTPClient) fetchPage(originBase, path string) (string, error) {
 			lastErr = fmt.Errorf("client: fetch page: %w", err)
 			continue
 		}
-		body, err := io.ReadAll(resp.Body)
-		_ = resp.Body.Close()
+		body, err := readBody(resp, maxObjectBytes)
+		if errors.Is(err, bodybuf.ErrTooLarge) {
+			return "", fmt.Errorf("client: read page: %w", err)
+		}
 		if err != nil {
 			lastErr = fmt.Errorf("client: read page: %w", err)
 			continue
@@ -498,7 +500,10 @@ func (c *HTTPClient) SubmitBytes(ctx context.Context, endpoint, contentType stri
 			}
 			continue
 		}
-		respBody, err := readResponse(resp)
+		respBody, err := readBody(resp, maxAnswerBytes)
+		if errors.Is(err, bodybuf.ErrTooLarge) {
+			return nil, fmt.Errorf("client: read response: %w", err)
+		}
 		if err != nil {
 			lastErr = fmt.Errorf("client: read response: %w", err)
 			continue
@@ -518,16 +523,28 @@ func (c *HTTPClient) SubmitBytes(ctx context.Context, endpoint, contentType stri
 	return nil, lastErr
 }
 
-// readResponse reads and closes a response body. A declared-empty body —
-// every 204 — is not read at all; anything else is staged once at its
-// declared size and handed back as a copy the caller owns outright, so
-// SubmitResult carries no buffer lifetime.
-func readResponse(resp *http.Response) ([]byte, error) {
+// The client's read bounds. A body over its bound is an error, never a
+// prefix: an object becomes a failed entry, a page load fails, a submission
+// fails.
+const (
+	// maxObjectBytes bounds a page or a provider object, as the gateway
+	// bounds a relayed body.
+	maxObjectBytes = 64 << 20
+	// maxAnswerBytes bounds the answer to a submission: a batch summary at
+	// most.
+	maxAnswerBytes = 1 << 20
+)
+
+// readBody reads and closes a response body of at most limit bytes. A
+// declared-empty body — every 204 — is not read at all; anything else is
+// staged once at its declared size and handed back as a copy the caller
+// owns outright, so no result carries a buffer lifetime.
+func readBody(resp *http.Response, limit int64) ([]byte, error) {
 	defer resp.Body.Close()
 	if resp.ContentLength == 0 {
 		return nil, nil
 	}
-	buf, err := bodybuf.Read(resp.Body, resp.ContentLength, math.MaxInt64)
+	buf, err := bodybuf.Read(resp.Body, resp.ContentLength, limit)
 	if err != nil {
 		return nil, err
 	}

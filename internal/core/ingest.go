@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"oak/internal/report"
@@ -152,6 +153,14 @@ type BatchResult struct {
 // batchErrorCap bounds BatchResult.Errors.
 const batchErrorCap = 8
 
+// AddError keeps msg as a sample unless the result holds it already or holds
+// batchErrorCap: the one cap of a batch answer's samples, node or gateway.
+func (r *BatchResult) AddError(msg string) {
+	if len(r.Errors) < batchErrorCap && !slices.Contains(r.Errors, msg) {
+		r.Errors = append(r.Errors, msg)
+	}
+}
+
 // BatchSink is a streaming batch ingest: reports are submitted one at a
 // time as a producer parses them off the wire, each ingested on the
 // submitting goroutine before Submit returns, and summarised on Wait. A
@@ -176,8 +185,12 @@ func (e *Engine) StartBatch(ctx context.Context) *BatchSink {
 	return &BatchSink{engine: e, ctx: ctx}
 }
 
-// record folds one report's outcome into the result.
-func (s *BatchSink) record(err error) {
+// Submit ingests one report on the calling goroutine (HandleReportCtx) and
+// folds the outcome into the summary. After ctx is cancelled the report is
+// released and counted failed without being processed.
+func (s *BatchSink) Submit(r *report.Report) {
+	s.res.Submitted++
+	_, err := s.engine.HandleReportCtx(s.ctx, r)
 	if err == nil {
 		s.res.Processed++
 		return
@@ -188,24 +201,9 @@ func (s *BatchSink) record(err error) {
 		s.res.Overloaded++
 		s.res.RetryAfter = max(s.res.RetryAfter, oe.RetryAfter)
 	}
-	if len(s.res.Errors) < batchErrorCap {
-		msg := err.Error()
-		for _, prev := range s.res.Errors {
-			if prev == msg {
-				return
-			}
-		}
-		s.res.Errors = append(s.res.Errors, msg)
+	if len(s.res.Errors) < batchErrorCap { // a message is rendered only to be kept
+		s.res.AddError(err.Error())
 	}
-}
-
-// Submit ingests one report on the calling goroutine (HandleReportCtx) and
-// folds the outcome into the summary. After ctx is cancelled the report is
-// released and counted failed without being processed.
-func (s *BatchSink) Submit(r *report.Report) {
-	s.res.Submitted++
-	_, err := s.engine.HandleReportCtx(s.ctx, r)
-	s.record(err)
 }
 
 // Wait returns the batch summary. Every submitted report has already been

@@ -39,12 +39,17 @@ import (
 // has returned (transport.go), even for a backend that answers 503 before
 // draining it.
 
-// The read bound of every backend answer. More is an error, never a prefix.
+// The gateway's bounds on what it reads, a batch's items and every backend
+// answer among them. More is an error, never a prefix.
 const (
+	// maxItemBytes bounds one report of a batch the gateway splits. It is the
+	// origin's default report bound, so at that default the gateway stops a
+	// batch's walk where the backend's would stop.
+	maxItemBytes = origin.DefaultMaxBodyBytes
 	// maxForwardBytes bounds a relayed body in either direction, and a polled
-	// snapshot. It matches the origin's worst-case batch bound (16 × 4 MB), so
-	// the gateway never accepts a body the backend would reject outright.
-	maxForwardBytes = 64 << 20
+	// snapshot. It is the origin's default batch bound, so the gateway never
+	// accepts a body a backend at the default would reject outright.
+	maxForwardBytes = origin.BatchBodyFactor * maxItemBytes
 	// maxStatusBytes bounds the healthz, metrics and population bodies the
 	// gateway decodes.
 	maxStatusBytes = 8 << 20
@@ -170,25 +175,12 @@ func requestCookie(r *http.Request) *http.Cookie {
 	return nil
 }
 
-// sniffUserID returns the userId a report body — JSON or OAKRPT1 — declares,
-// without decoding the entries: the user the owner backend will file the
-// report under, by the report package's own reading of the body, so the
-// gateway never routes a report to a backend that does not own its user. A
-// malformed body yields "" — it still routes deterministically, and the
-// owner backend rejects it properly.
-func sniffUserID(line []byte) string {
-	if report.IsBinary(line) {
-		return report.SniffBinaryUser(line)
-	}
-	return report.SniffJSONUser(line)
-}
-
 // handleReport forwards report submissions. A request with an identity
 // cookie belongs wholly to that user and forwards unchanged to the owner
-// backend. A cookie-less batch may mix users, so it is split by each
-// report's self-declared userId — NDJSON line by line, OAKRPT1 batches
-// frame by frame — and the sub-batches forwarded to their owners
-// concurrently, the results merged.
+// backend; so does a single report, to the owner of the user it declares —
+// the user the backend files it under, by the report package's own reading
+// of the body (a malformed body routes by "", deterministically, and its
+// owner rejects it). A cookie-less batch may mix users, so it is split.
 func (g *Gateway) handleReport(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
@@ -212,23 +204,18 @@ func (g *Gateway) handleReport(w http.ResponseWriter, r *http.Request) {
 	if contentType == "" {
 		contentType = "application/json"
 	}
+	format := report.ClassifyContentType(contentType)
 	ck := requestCookie(r)
-	if ck == nil {
-		// A cookie-less batch may mix users; split it exactly when the
-		// backend would read it as a batch.
-		switch report.ClassifyContentType(contentType) {
-		case report.FormatBinaryBatch:
-			g.handleSplitBatchBinary(ctx, w, body, contentType)
-			return
-		case report.FormatNDJSON:
-			g.handleSplitBatch(ctx, w, body, contentType)
-			return
-		}
+	if ck == nil && format.Batch() {
+		g.forwardSplit(ctx, w, body, contentType, format)
+		return
 	}
 
-	userID, cookie := sniffUserID(body), ""
+	userID, cookie := "", ""
 	if ck != nil {
 		userID, cookie = ck.Value, cookieHeader(ck)
+	} else {
+		userID = report.SniffItemUser(format, body)
 	}
 	rep, err := g.forwardWithFailover(ctx, g.ownerIndex(userID), contentType, body, cookie)
 	if err != nil {
@@ -248,135 +235,93 @@ func cookieHeader(ck *http.Cookie) string {
 	return origin.CookieName + "=" + ck.Value
 }
 
-// splitLines buckets an NDJSON body's lines by owner backend index. The
-// returned slices alias body — the caller keeps body alive until every
-// forward completes.
-func (g *Gateway) splitLines(body []byte) map[int][][]byte {
-	groups := make(map[int][][]byte)
-	for len(body) > 0 {
-		nl := bytes.IndexByte(body, '\n')
-		var line []byte
-		if nl < 0 {
-			line, body = body, nil
-		} else {
-			line, body = body[:nl], body[nl+1:]
-		}
-		line = bytes.TrimSpace(line)
-		if len(line) == 0 {
-			continue
-		}
-		i := g.ownerIndex(sniffUserID(line))
-		groups[i] = append(groups[i], line)
-	}
-	return groups
-}
-
-// splitFrames buckets an OAKRPT1 batch body's frames (length prefix
-// included, so sub-batches reassemble by plain concatenation) by owner
-// backend index. The returned slices alias body. A framing error stops the
-// split — the stream cannot resync past it — but the frames already sliced
-// still forward; the error comes back for the caller to fold into the
-// merged summary as one failed report, mirroring how the origin counts an
-// unrecoverable framing error.
-func (g *Gateway) splitFrames(body []byte) (map[int][][]byte, error) {
-	groups := make(map[int][][]byte)
-	rest := body
-	for {
-		frame, next, err := report.NextBinaryFrame(rest)
-		if err != nil {
-			return groups, err
-		}
-		if frame == nil {
-			return groups, nil
-		}
-		i := g.ownerIndex(report.SniffBinaryUser(frame))
-		groups[i] = append(groups[i], rest[:len(rest)-len(next)])
-		rest = next
-	}
-}
-
-// handleSplitBatch forwards one owner's worth of NDJSON lines to each
-// backend concurrently and merges the per-backend BatchResults into one.
-func (g *Gateway) handleSplitBatch(ctx context.Context, w http.ResponseWriter, body []byte, contentType string) {
-	g.forwardSplit(ctx, w, body, contentType, g.splitLines(body), []byte("\n"), nil)
-}
-
-// handleSplitBatchBinary is handleSplitBatch for OAKRPT1 batch bodies:
-// frames are bucketed by their sniffed user, sub-batches reassemble by
-// concatenation (each bucketed slice keeps its length prefix), and a
-// framing error is folded into the merged summary as one failed report.
-func (g *Gateway) handleSplitBatchBinary(ctx context.Context, w http.ResponseWriter, body []byte, contentType string) {
-	groups, ferr := g.splitFrames(body)
-	g.forwardSplit(ctx, w, body, contentType, groups, nil, ferr)
-}
-
-// forwardSplit forwards each owner's sub-batch concurrently and merges the
-// per-backend BatchResults into one response. sep joins a group's pieces
-// back into a body (newline for NDJSON, nothing for binary frames);
-// splitErr, when non-nil, is an unrecoverable framing error counted as one
-// failed report on top of whatever the backends answered. body and the
-// groups alias the staged request, which is released after forwardSplit
-// returns. The last group is forwarded on the caller's goroutine: a batch
+// forwardSplit splits a cookie-less batch of format f by the user each
+// item declares — walking it with report.NextItem, as the backend does —
+// forwards each owner's items concurrently as one sub-batch, and merges the
+// per-backend BatchResults into one answer. The walk stops where the
+// backend's would: a framing error counts as one failed report on top of
+// what the backends answer, and an item over the origin's default report
+// bound answers 413 once the items before it are forwarded. body and the
+// items alias the staged request, which is released after forwardSplit
+// returns. The last owner is forwarded on the caller's goroutine: a batch
 // for one owner starts no goroutine at all.
-func (g *Gateway) forwardSplit(ctx context.Context, w http.ResponseWriter, body []byte, contentType string, groups map[int][][]byte, sep []byte, splitErr error) {
-	if len(groups) == 0 {
+func (g *Gateway) forwardSplit(ctx context.Context, w http.ResponseWriter, body []byte, contentType string, f report.Format) {
+	groups := make(map[int][][]byte)
+	var splitErr error
+	tooLarge := false
+	for rest := body; ; {
+		item, next, err := report.NextItem(f, rest)
+		if err != nil {
+			splitErr = err
+			break
+		}
+		if item == nil {
+			break
+		}
+		if len(item) > maxItemBytes {
+			tooLarge = true
+			break
+		}
+		rest = next
+		i := g.ownerIndex(report.SniffItemUser(f, item))
+		groups[i] = append(groups[i], item)
+	}
+	if len(groups) == 0 && !tooLarge {
 		if splitErr == nil {
 			http.Error(w, "empty batch", http.StatusBadRequest)
 			return
 		}
-		// The body never yielded a single frame: nothing to forward, but the
-		// client still gets a batch summary, like the origin would produce.
-		writeBatchResult(w, http.StatusOK, core.BatchResult{
-			Submitted: 1, Failed: 1, Errors: []string{splitErr.Error()},
-		})
+		// The body never yielded a single item: nothing to forward, but the
+		// client still gets a batch summary, like the origin's.
+		origin.WriteJSON(w, http.StatusOK, core.BatchResult{Submitted: 1, Failed: 1, Errors: []string{splitErr.Error()}})
 		return
 	}
 
 	type part struct {
-		lines int
+		items int
 		rep   reply
 		err   error
 	}
 	parts := make([]part, 0, len(groups))
 	var mu sync.Mutex
-	forward := func(i int, lines [][]byte) {
-		sub := body // single-owner batch: forwarded as it came
-		if len(groups) > 1 || splitErr != nil {
-			// Reassemble when owners mix — and when framing broke, so the
-			// trailing garbage is not forwarded for the backend to count a
-			// second time.
-			sub = bytes.Join(lines, sep)
+	forward := func(i int, items [][]byte) {
+		sub := body // one owner and the whole body walked: forwarded as it came
+		if len(groups) > 1 || splitErr != nil || tooLarge {
+			// Reassemble when owners mix, and when the walk stopped early,
+			// so the rest is not forwarded for a backend to count again.
+			sub = report.JoinItems(f, items)
 		}
 		rep, err := g.forwardWithFailover(ctx, i, contentType, sub, "")
 		mu.Lock()
-		parts = append(parts, part{lines: len(lines), rep: rep, err: err})
+		parts = append(parts, part{items: len(items), rep: rep, err: err})
 		mu.Unlock()
 	}
 	var wg sync.WaitGroup
 	left := len(groups)
-	for i, lines := range groups {
+	for i, items := range groups {
 		if left--; left == 0 {
-			forward(i, lines)
+			forward(i, items)
 			break
 		}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			forward(i, lines)
+			forward(i, items)
 		}()
 	}
 	wg.Wait()
 
 	var merged core.BatchResult
+	fail := func(n int, msg string) {
+		merged.Submitted += n
+		merged.Failed += n
+		merged.AddError(msg)
+	}
 	retryAfter := 0
 	reached := false
 	for _, p := range parts {
 		if p.err != nil {
-			merged.Submitted += p.lines
-			merged.Failed += p.lines
-			if len(merged.Errors) < 8 {
-				merged.Errors = append(merged.Errors, "backend unreachable: "+p.err.Error())
-			}
+			fail(p.items, "backend unreachable: "+p.err.Error())
 			continue
 		}
 		reached = true
@@ -384,11 +329,7 @@ func (g *Gateway) forwardSplit(ctx context.Context, w http.ResponseWriter, body 
 		jerr := json.Unmarshal(p.rep.body, &br)
 		p.rep.release()
 		if jerr != nil {
-			merged.Submitted += p.lines
-			merged.Failed += p.lines
-			if len(merged.Errors) < 8 {
-				merged.Errors = append(merged.Errors, fmt.Sprintf("backend status %d", p.rep.status))
-			}
+			fail(p.items, fmt.Sprintf("backend status %d", p.rep.status))
 			continue
 		}
 		merged.Submitted += br.Submitted
@@ -396,13 +337,15 @@ func (g *Gateway) forwardSplit(ctx context.Context, w http.ResponseWriter, body 
 		merged.Failed += br.Failed
 		merged.Overloaded += br.Overloaded
 		for _, e := range br.Errors {
-			if len(merged.Errors) < 8 {
-				merged.Errors = append(merged.Errors, e)
-			}
+			merged.AddError(e)
 		}
 		if secs, perr := strconv.Atoi(p.rep.header.Get("Retry-After")); perr == nil && secs > retryAfter {
 			retryAfter = secs
 		}
+	}
+	if tooLarge {
+		http.Error(w, "batch item exceeds report size limit", http.StatusRequestEntityTooLarge)
+		return
 	}
 	if !reached {
 		http.Error(w, "no backend reachable", http.StatusBadGateway)
@@ -418,26 +361,12 @@ func (g *Gateway) forwardSplit(ctx context.Context, w http.ResponseWriter, body 
 		status = http.StatusServiceUnavailable
 	}
 	if splitErr != nil {
-		// The unrecoverable framing error is one report that never reached a
-		// backend: counted after the shed decision, like the origin counts
-		// its own parse failures.
-		merged.Submitted++
-		merged.Failed++
-		if len(merged.Errors) < 8 {
-			merged.Errors = append(merged.Errors, splitErr.Error())
-		}
+		// The framing error is one report that never reached a backend:
+		// counted after the shed decision, like the origin counts its own
+		// parse failures.
+		fail(1, splitErr.Error())
 	}
-	writeBatchResult(w, status, merged)
-}
-
-// writeBatchResult writes a merged batch summary as indented JSON, the same
-// shape the origin's batch endpoint produces.
-func writeBatchResult(w http.ResponseWriter, status int, res core.BatchResult) {
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(res)
+	origin.WriteJSON(w, status, merged)
 }
 
 // handlePage proxies a page serve to the user's owner backend. The gateway

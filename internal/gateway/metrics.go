@@ -1,7 +1,6 @@
 package gateway
 
 import (
-	"encoding/json"
 	"net/http"
 	"sort"
 	"time"
@@ -215,7 +214,7 @@ func (g *Gateway) handleClusterHealth(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 		return
 	}
-	writeJSON(w, g.clusterHealth(false))
+	origin.WriteJSON(w, http.StatusOK, g.clusterHealth(false))
 }
 
 // handleCluster serves the detailed fleet view (per-backend healthz bodies
@@ -225,7 +224,7 @@ func (g *Gateway) handleCluster(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 		return
 	}
-	writeJSON(w, g.clusterHealth(true))
+	origin.WriteJSON(w, http.StatusOK, g.clusterHealth(true))
 }
 
 // handleClusterMetrics serves the gateway's counters plus every live
@@ -269,14 +268,5 @@ func (g *Gateway) handleClusterMetrics(w http.ResponseWriter, r *http.Request) {
 		bm := g.backendMetrics(g.standby, nil)
 		resp.Standby = &bm
 	}
-	writeJSON(w, resp)
-}
-
-// writeJSON encodes v as indented JSON (mirrors the origin's encoding, so
-// fleet and node responses render alike).
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	origin.WriteJSON(w, http.StatusOK, resp)
 }

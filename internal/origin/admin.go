@@ -3,7 +3,6 @@ package origin
 import (
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"strconv"
 
@@ -93,20 +92,17 @@ func (s *Server) handleState(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Length", strconv.Itoa(len(data)))
 		_, _ = w.Write(data)
 	case http.MethodPost:
-		body, rerr := io.ReadAll(io.LimitReader(r.Body, maxStateBytes+1))
-		if rerr != nil {
-			http.Error(w, "read body", http.StatusBadRequest)
+		body := stageBody(w, r, maxStateBytes, "snapshot too large")
+		if body == nil {
 			return
 		}
-		if len(body) > maxStateBytes {
-			http.Error(w, "snapshot too large", http.StatusRequestEntityTooLarge)
-			return
-		}
+		// The import decodes the snapshot free of the body before it returns.
+		defer body.Release()
 		var ierr error
 		if ranged {
-			ierr = s.engine.ImportStateRange(rng, body)
+			ierr = s.engine.ImportStateRange(rng, body.Bytes())
 		} else {
-			ierr = s.engine.ImportShippedState(body)
+			ierr = s.engine.ImportShippedState(body.Bytes())
 		}
 		switch {
 		case ierr == nil:

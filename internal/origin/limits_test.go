@@ -20,7 +20,7 @@ func TestReportTooLargeRejected(t *testing.T) {
 	ts := httptest.NewServer(s)
 	defer ts.Close()
 
-	huge := strings.Repeat("x", maxReportBytes+10)
+	huge := strings.Repeat("x", DefaultMaxBodyBytes+10)
 	resp, err := http.Post(ts.URL+ReportPathV1, "application/json", strings.NewReader(huge))
 	if err != nil {
 		t.Fatal(err)

@@ -180,7 +180,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			RehydrateNs: lat.Rehydrate.Buckets,
 		}
 	}
-	writeJSON(w, resp)
+	WriteJSON(w, http.StatusOK, resp)
 }
 
 // handlePopulation serves the population layer's full state. Engines built
@@ -195,7 +195,7 @@ func (s *Server) handlePopulation(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "population detection not enabled", http.StatusNotFound)
 		return
 	}
-	writeJSON(w, ps)
+	WriteJSON(w, http.StatusOK, ps)
 }
 
 // handleHealthz serves the liveness summary. The status is "degraded" —
@@ -230,7 +230,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	resp.Status = status
 	resp.StateSource = string(src)
 	resp.StateRecoveries = recoveries
-	writeJSON(w, resp)
+	WriteJSON(w, http.StatusOK, resp)
 }
 
 // handleTrace serves the last n decision-trace events.
@@ -251,7 +251,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	if evs == nil {
 		evs = []obs.Event{} // serve [] rather than null
 	}
-	writeJSON(w, evs)
+	WriteJSON(w, http.StatusOK, evs)
 }
 
 // getOnly rejects non-GET methods.
@@ -263,9 +263,12 @@ func getOnly(w http.ResponseWriter, r *http.Request) bool {
 	return true
 }
 
-// writeJSON encodes v as indented JSON.
-func writeJSON(w http.ResponseWriter, v any) {
+// WriteJSON answers status with v as indented JSON. It is the one JSON
+// writer of a node and of the gateway in front of it, so fleet and node
+// answers render alike.
+func WriteJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json; charset=utf-8")
+	w.WriteHeader(status)
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	_ = enc.Encode(v)

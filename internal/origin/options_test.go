@@ -87,8 +87,8 @@ func TestWithMaxBodyBytes(t *testing.T) {
 
 	// Non-positive keeps the default.
 	def := NewServer(s.Engine(), WithMaxBodyBytes(0))
-	if def.maxBodyBytes != maxReportBytes {
-		t.Errorf("WithMaxBodyBytes(0) left bound %d, want default %d", def.maxBodyBytes, maxReportBytes)
+	if def.maxBodyBytes != DefaultMaxBodyBytes {
+		t.Errorf("WithMaxBodyBytes(0) left bound %d, want default %d", def.maxBodyBytes, DefaultMaxBodyBytes)
 	}
 }
 

@@ -340,7 +340,7 @@ func TestBatchPartialShedAdvertisesPolicyRetryAfter(t *testing.T) {
 	req := httptest.NewRequest(http.MethodPost, ReportPathV1, nil)
 	s.finishBatch(rec, req, core.BatchResult{
 		Submitted: 3, Processed: 1, Failed: 2, Overloaded: 2, RetryAfter: 2 * time.Second,
-	}, &batchParseFailures{})
+	}, core.BatchResult{})
 	if rec.Code != http.StatusOK {
 		t.Errorf("status = %d, want 200", rec.Code)
 	}

@@ -48,15 +48,15 @@ const (
 	AuditPathV1 = V1Prefix + "/audit"
 )
 
-// maxReportBytes is the default bound on single-report bodies; the paper
-// measures a worst case of ~345 KB on the Alexa 500, so 4 MB is a generous
-// ceiling. WithMaxBodyBytes overrides it.
-const maxReportBytes = 4 << 20
+// DefaultMaxBodyBytes is the default bound on single-report bodies; the
+// paper measures a worst case of ~345 KB on the Alexa 500, so 4 MB is a
+// generous ceiling. WithMaxBodyBytes overrides it.
+const DefaultMaxBodyBytes = 4 << 20
 
-// batchBodyFactor scales the single-report body bound up for NDJSON batch
-// bodies: a batch may carry batchBodyFactor reports' worth of bytes, while
-// each individual line stays under the single-report bound.
-const batchBodyFactor = 16
+// BatchBodyFactor scales the single-report body bound up for batch bodies
+// of either format: a batch may carry BatchBodyFactor reports' worth of
+// bytes, while each report in it stays under the single-report bound.
+const BatchBodyFactor = 16
 
 // StatusClientClosedRequest is the nginx-convention status recorded when
 // the client abandoned the request (context cancelled) before the engine
@@ -109,8 +109,8 @@ func WithUserIDFunc(f func(*http.Request) string) Option {
 }
 
 // WithMaxBodyBytes bounds single-report bodies to n bytes (default 4 MB).
-// NDJSON batch bodies may total 16× the bound, with each line individually
-// under it. Non-positive n keeps the default.
+// Batch bodies, NDJSON or OAKRPT1, may total 16× the bound, with each
+// report in them under it. Non-positive n keeps the default.
 func WithMaxBodyBytes(n int64) Option {
 	return func(s *Server) {
 		if n > 0 {
@@ -148,7 +148,7 @@ func NewServer(engine *core.Engine, opts ...Option) *Server {
 	s := &Server{
 		engine:        engine,
 		started:       time.Now(),
-		maxBodyBytes:  maxReportBytes,
+		maxBodyBytes:  DefaultMaxBodyBytes,
 		rewriteBudget: DefaultRewriteBudget,
 	}
 	for _, opt := range opts {
@@ -372,12 +372,8 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	format := report.ClassifyContentType(r.Header.Get("Content-Type"))
-	switch format {
-	case report.FormatBinaryBatch:
-		s.handleReportBatchBinary(w, r)
-		return
-	case report.FormatNDJSON:
-		s.handleReportBatch(w, r)
+	if format.Batch() {
+		s.handleReportBatch(w, r, format)
 		return
 	}
 	body := stageBody(w, r, s.maxBodyBytes, "report too large")
@@ -387,15 +383,7 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 	// The decoders copy every string out of the body and ingest is
 	// synchronous, so nothing refers to the buffer once the handler returns.
 	defer body.Release()
-	var (
-		rep *report.Report
-		err error
-	)
-	if format == report.FormatBinary {
-		rep, err = report.DecodeBinaryPooled(body.Bytes())
-	} else {
-		rep, err = report.DecodePooled(body.Bytes())
-	}
+	rep, err := report.DecodeItem(format, body.Bytes())
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
@@ -409,8 +397,10 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 }
 
 // stageBody reads a request body whole into a pooled buffer the caller must
-// release. When it cannot — more than limit bytes (413, with the tooLarge
-// message) or a failed read (400) — it has answered and returns nil.
+// release; it is the origin's one read of a request body. When it cannot —
+// more than limit bytes, declared or actual (413, with the tooLarge message,
+// before a byte is read when the declared length is over), or a failed read
+// (400) — it has answered and returns nil.
 func stageBody(w http.ResponseWriter, r *http.Request, limit int64, tooLarge string) *bodybuf.Buf {
 	body, err := bodybuf.Read(r.Body, r.ContentLength, limit)
 	switch {

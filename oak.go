@@ -432,8 +432,9 @@ type ServerOption = origin.Option
 // function returns "", the default cookie mechanism applies.
 func WithUserIDFunc(f func(r *http.Request) string) ServerOption { return origin.WithUserIDFunc(f) }
 
-// WithMaxBodyBytes bounds single-report POST bodies (default 4 MB); NDJSON
-// batch bodies may total 16× the bound.
+// WithMaxBodyBytes bounds single-report POST bodies (default 4 MB). Batch
+// bodies, NDJSON or OAKRPT1, may total 16× the bound, each report in them
+// under it.
 func WithMaxBodyBytes(n int64) ServerOption { return origin.WithMaxBodyBytes(n) }
 
 // WithPagesFrom registers every *.html file in fsys at its slash-rooted

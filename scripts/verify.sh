@@ -152,7 +152,15 @@
 # and a checkpoint's header), and if the gateway reaches a backend around its
 # one bounded call (one-backend-call: non-test internal/gateway names no
 # http.Client, NewRequestWithContext, io.LimitReader, io.ReadAll, SubmitURL or
-# client.HTTPClient, and only forward.go's call calls RoundTrip). The benchmark module
+# client.HTTPClient, and only forward.go's call calls RoundTrip), if a body is
+# read around a staged buffer (one-body-read: non-test internal/origin,
+# internal/gateway and internal/client name no io.ReadAll, io.LimitReader or
+# bufio.Scanner), or if a batch is walked outside internal/report
+# (one-batch-walk: among non-test internal/ packages only internal/report
+# calls NextBinaryFrame). The report sweep step POSTs generated bodies of the
+# four report content types, at and one byte over every bound, to a node and
+# to a gateway over two nodes, and requires the same status, counts, capped
+# samples and state of both (TestReportSweep*, TestBatchSamplesCapOnBothTiers). The benchmark module
 # step vets and tests bench/ (its own module, which the root go build/test
 # do not descend into) so an internal API change cannot break the serving
 # benchmark of record (bash bench/run.sh) unnoticed.
@@ -239,6 +247,10 @@ echo "== staged-body gates: bytes and allocs per forward (gateway; report, page,
 go test -run 'TestForwardSteadyStateBytes' -count=1 ./internal/gateway
 go test -run 'TestReportHandlerSteadyStateBytes|TestPageNotModifiedSteadyStateBytes' -count=1 ./internal/origin
 
+echo "== report sweep: generated report bodies of every content type, at and one byte over every bound, answer and end alike on one node and through a gateway over two =="
+out=$(go test -count=1 -run 'TestReportSweep|TestBatchSamplesCapOnBothTiers' -v ./internal/gateway) || { echo "$out" >&2; exit 1; }
+echo "$out" | grep -E -e '^--- PASS'
+
 echo "== edge cache adversaries under -race, five times: generated churn with a mid-run kill, and the wrong-304 backend =="
 go test -race -run 'TestEdgeCacheUnderChurn|TestWrong304IsNeverABlankPage' -count=5 ./internal/gateway
 
@@ -275,7 +287,7 @@ echo "== checkpoint holds residents only: a capped save reads no record, an unca
 out=$(go test -count=1 -run 'TestCheckpointHoldsResidentsOnly|TestUncappedSaveIsTheSnapshot|TestBootAdoptsTheLog/one_segment_damaged' -v ./internal/core) || { echo "$out" >&2; exit 1; }
 echo "$out" | grep -E -e '--- PASS|gone with'
 
-echo "== structure check: one segment writer, one sequence allocator, one segment walker, one file seam, one serve cache, one durable ref, one page index, one merge predicate, one version bump, one home for an activation, one rule set per process, one home for a user, one reference decoder, one JSON scanner, one profile codec, one spill index, one backend call =="
+echo "== structure check: one segment writer, one sequence allocator, one segment walker, one file seam, one serve cache, one durable ref, one page index, one merge predicate, one version bump, one home for an activation, one rule set per process, one home for a user, one reference decoder, one JSON scanner, one profile codec, one spill index, one backend call, one body read, one batch walk =="
 fail() { echo "structure check failed: $1" >&2; exit 1; }
 seglog_go=$(ls internal/seglog/*.go | grep -v '_test\.go$')
 core_go=$(ls internal/core/*.go | grep -v '_test\.go$')
@@ -372,6 +384,13 @@ callers=$(echo $gateway_go | xargs awk '/^func /{fn=$0} /RoundTrip\(/ && !/^func
 	sed -E 's/^([^:]*):func (\([^)]*\) )?([A-Za-z0-9_]+).*/\1:\3/' | sort -u | tr '\n' ' ')
 [ "$callers" = "internal/gateway/forward.go:call " ] ||
 	fail "one-backend-call: RoundTrip( is called from [ $callers], want forward.go's call only"
+
+if grep -nE 'io\.ReadAll|io\.LimitReader|bufio\.Scanner' $origin_go $gateway_go $(ls internal/client/*.go | grep -v '_test\.go$'); then
+	fail "one-body-read: non-test internal/origin, internal/gateway or internal/client reads a body around bodybuf (every body is staged once, under a named bound)"
+fi
+walkers=$(grep -rlE --include='*.go' --exclude='*_test.go' '(^|[^A-Za-z0-9_])NextBinaryFrame\(' internal/ | xargs -n1 dirname | sort -u | tr '\n' ' ')
+[ "$walkers" = "internal/report " ] ||
+	fail "one-batch-walk: NextBinaryFrame( is called in [ $walkers], want internal/report only (a batch is walked with report.NextItem)"
 
 echo "== spill view under -race, five times: reads move nothing, an eviction storm cannot blank an activated user =="
 go test -race -run 'TestServeSpilledUserUnderEvictionStorm|TestPageReadsNeverWriteTheSpillTier' -count=5 ./internal/core
