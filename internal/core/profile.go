@@ -96,6 +96,8 @@ func (p *Profile) recordViolation(serverAddr string) (count int, ok bool) {
 	count, seen := p.violations[serverAddr]
 	if !seen && !p.grow(violationEntrySize+len(serverAddr)) {
 		return 0, false
+	} else if !seen { // a decoded address may view a longer string: keep the bytes estimateSize counts
+		serverAddr = strings.Clone(serverAddr)
 	}
 	count++
 	p.violations[serverAddr] = count
@@ -130,7 +132,7 @@ func (p *Profile) activate(r *rules.Rule, altIndex int, now time.Time, server st
 	a.AltIndex = altIndex
 	a.ActivatedAt = now
 	a.ExpiresAt = r.Expires(now)
-	a.TriggerServer = server
+	a.TriggerServer = strings.Clone(server) // as in recordViolation
 	a.TriggerDistance = distance
 	a.Activations++
 	// Provenance defaults to organic; synthesizeLocked sets Synthesized on

@@ -2,8 +2,10 @@ package core
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 	"time"
+	"unsafe"
 
 	"oak/internal/rules"
 )
@@ -57,6 +59,30 @@ func TestProfileViolationCounts(t *testing.T) {
 	}
 	if got, _ := p.recordViolation("s"); got != 2 {
 		t.Errorf("second recordViolation = %d", got)
+	}
+}
+
+// TestProfileOwnsTheAddressesItKeeps: a decoded server address may be a
+// view into a longer string (the report decoder hands out substrings of its
+// intern entries), and a profile counts only the address's own bytes
+// against maxProfileSize. So the violation key and the activation's trigger
+// server it keeps must be copies, not the view.
+func TestProfileOwnsTheAddressesItKeeps(t *testing.T) {
+	long := "http://cdn-a.example/app.js" + strings.Repeat("x", 120) + "10.0.0.1:443"
+	addr := long[len(long)-len("10.0.0.1:443"):]
+	p := newProfile("u")
+	if _, ok := p.recordViolation(addr); !ok {
+		t.Fatal("recordViolation refused a first server")
+	}
+	for k := range p.violations {
+		if k != addr || unsafe.StringData(k) == unsafe.StringData(addr) {
+			t.Errorf("violation key %q: want a copy of the address", k)
+		}
+	}
+	r := &rules.Rule{ID: "r", Type: rules.TypeRemove, Default: "x"}
+	a := p.activate(r, 0, time.Now(), addr, 1)
+	if a == nil || a.TriggerServer != addr || unsafe.StringData(a.TriggerServer) == unsafe.StringData(addr) {
+		t.Errorf("activation %+v: want a copy of the address as its trigger server", a)
 	}
 }
 

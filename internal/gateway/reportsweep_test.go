@@ -454,6 +454,35 @@ func TestReportSweepAtTheBounds(t *testing.T) {
 	}
 }
 
+// TestBatchLineReadsAsItsSingle: a cookie-less NDJSON batch, split at the
+// gateway, whose lines carry Unicode spaces around them (U+00A0 after one,
+// U+0085 before another) between valid lines: each such line is refused as
+// the same bytes POSTed alone are, on both tiers, and the valid lines are
+// ingested.
+func TestBatchLineReadsAsItsSingle(t *testing.T) {
+	tr := newTiers(t)
+	line := func(user string) string {
+		b, err := (&report.Report{UserID: user, Page: "/p", Entries: []report.Entry{
+			{URL: "http://cdn.example/a.js", ServerAddr: "10.0.0.1", SizeBytes: 100, DurationMillis: 50},
+		}}).Marshal()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	spaced := []string{line("nbsp-user") + "\u00a0", "\u0085" + line("nel-user")}
+	for _, l := range spaced {
+		if a := tr.agree(t, bodyCase("alone: "+l, report.ContentTypeJSON, "", false, []byte(l))); a.status != http.StatusBadRequest {
+			t.Fatalf("%q alone: %d %q, want 400", l, a.status, a.text)
+		}
+	}
+	body := strings.Join([]string{line("sweep-u1"), spaced[0], line("sweep-u2"), spaced[1], line("sweep-u3")}, "\n")
+	a := tr.agree(t, bodyCase("batch", report.ContentTypeNDJSON, "", false, []byte(body)))
+	if a.res.Submitted != 5 || a.res.Processed != 3 || a.res.Failed != 2 {
+		t.Errorf("batch: %d %+v; want 5 submitted, the 3 plain lines processed, the 2 spaced ones failed", a.status, a.res)
+	}
+}
+
 // TestBatchSamplesCapOnBothTiers: a batch whose reports fail ten distinct
 // ways in the engine and four more in decoding answers at most 8 distinct
 // samples, direct and through the gateway, under the same counts.

@@ -13,10 +13,12 @@ import (
 
 // NextItem splits the next report off a staged batch body of format f,
 // FormatNDJSON or FormatBinaryBatch. For NDJSON the item is the next line
-// that is not blank, with its surrounding white space (a CR included)
-// trimmed; for OAKRPT1 it is the next frame's payload, as NextBinaryFrame
-// slices it. A nil item is the end of the body. A framing error ends the
-// walk: the stream cannot resync past it. item and rest alias body.
+// that is not blank, with the JSON white space around it (a CR included)
+// trimmed, and nothing else, so that a line reads as the same bytes POSTed
+// alone would; for OAKRPT1 it is the next frame's payload, as
+// NextBinaryFrame slices it. A nil item is the end of the body. A framing
+// error ends the walk: the stream cannot resync past it. item and rest alias
+// body.
 func NextItem(f Format, body []byte) (item, rest []byte, err error) {
 	if f == FormatBinaryBatch {
 		return NextBinaryFrame(body)
@@ -28,12 +30,17 @@ func NextItem(f Format, body []byte) (item, rest []byte, err error) {
 		} else {
 			body = nil
 		}
-		if line = bytes.TrimSpace(line); len(line) > 0 {
+		if line = bytes.Trim(line, jsonSpace); len(line) > 0 {
 			return line, body, nil
 		}
 	}
 	return nil, nil, nil
 }
+
+// jsonSpace is JSON's white space (RFC 8259, section 2). bytes.TrimSpace
+// would also strip Unicode spaces, which encoding/json refuses around a
+// report: U+0085 and U+00A0 among them.
+const jsonSpace = " \t\r\n"
 
 // JoinItems reassembles items NextItem walked off batch bodies of format f
 // into one batch body: NDJSON lines joined by newlines, OAKRPT1 payloads

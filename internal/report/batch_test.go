@@ -50,6 +50,38 @@ func TestNextItemNDJSON(t *testing.T) {
 	}
 }
 
+// TestBatchItemReadsAsItsSingle: a line with a Unicode space around it is
+// an item with that space still on it, so it gets the verdict the same bytes
+// get POSTed alone — refused — while JSON white space around a line is
+// trimmed and accepted on both roads alike.
+func TestBatchItemReadsAsItsSingle(t *testing.T) {
+	js, err := (&Report{UserID: "u", Page: "/p"}).Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name       string
+		line       string
+		wantDecode bool
+	}{
+		{"JSON white space", " \t" + string(js) + "\r", true},
+		{"trailing U+00A0", string(js) + "\u00a0", false},
+		{"leading U+0085", "\u0085" + string(js), false},
+		{"trailing U+2028", string(js) + "\u2028", false},
+	} {
+		_, singleErr := Decode([]byte(tc.line))
+		items, err := walk(FormatNDJSON, []byte("\n"+tc.line+"\n"))
+		if err != nil || len(items) != 1 {
+			t.Fatalf("%s: walked %q, err %v; want one item", tc.name, items, err)
+		}
+		r, itemErr := DecodeItem(FormatNDJSON, items[0])
+		r.Release()
+		if (singleErr == nil) != tc.wantDecode || (itemErr == nil) != tc.wantDecode {
+			t.Errorf("%s: alone %v, as a batch item %v; want both to decode: %v", tc.name, singleErr, itemErr, tc.wantDecode)
+		}
+	}
+}
+
 func TestNextItemBinaryBatch(t *testing.T) {
 	var body, scratch []byte
 	for _, u := range []string{"u1", "u2"} {

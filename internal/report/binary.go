@@ -258,7 +258,7 @@ func decodeBinaryInto(data []byte, r *Report) error {
 		if tok, b, err = binWire.String(b, MaxBinaryStringLen); err != nil {
 			return err
 		}
-		e.URL, e.host = internURL(tok)
+		e.URL, e.host, _ = internURL(tok)
 		e.hostKnown = true
 		if tok, b, err = binWire.String(b, MaxBinaryStringLen); err != nil {
 			return err
@@ -279,7 +279,7 @@ func decodeBinaryInto(data []byte, r *Report) error {
 		if tok, b, err = binWire.String(b, MaxBinaryStringLen); err != nil {
 			return err
 		}
-		e.Kind = ObjectKind(internString(tok))
+		e.Kind = internKind(tok)
 		if len(b) < 1 {
 			return ErrBinaryTruncated
 		}

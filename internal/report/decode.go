@@ -19,16 +19,19 @@ import (
 // so error text and acceptance are encoding/json's own.
 // FuzzDecodeEquivalence pins the two paths to byte-identical results.
 //
-// Three things keep the common report cheap. A string is delimited with
+// Four things keep the common report cheap. A string is delimited with
 // bytes.IndexByte and proven plain (no escape, control or non-ASCII byte)
 // eight bytes at a time; only a string that is not plain is walked byte by
 // byte (the scanning primitives are internal/jsonscan's, shared with the
-// state-file decoder in internal/core). An entry's keys are first tried as the literals `"url":`,
-// `"serverAddr":`, ... at or after the one that matched last — the order
-// every encoder of Entry emits them in — and only a key that is not where
-// that order puts it is scanned as a string. And every string value but the
-// userId comes out of the intern table (intern.go), so a report written in
-// the site's usual vocabulary allocates almost nothing.
+// gateway's userId sniff). An entry's keys are first tried as the literals
+// `"url":`, `"serverAddr":`, ... at or after the one that matched last — the
+// order every encoder of Entry emits them in — and only a key that is not
+// where that order puts it is scanned as a string. Every string value but
+// the userId comes out of the intern table (intern.go), so a report written
+// in the site's usual vocabulary allocates almost nothing. And an entry that
+// repeats, byte for byte, the last one recorded for its URL but for its
+// durationMillis is decoded by two compares and one float parse: see
+// continuation.
 
 // Decode parses a JSON report body, trying the fast path first. It is a
 // drop-in replacement for Unmarshal (identical results and errors).
@@ -63,9 +66,13 @@ func DecodePooled(data []byte) (*Report, error) {
 var fastDecPool = sync.Pool{New: func() any { return new(fastDecoder) }}
 
 // fastDecoder is the report schema over the shared scanner, whose unescape
-// scratch the pool keeps across decodes.
+// scratch the pool keeps across decodes, with the marks of the entry being
+// decoded and the scratch a continuation is assembled in.
 type fastDecoder struct {
 	jsonscan.Scanner
+	m      entryMarks
+	rec    []byte
+	misses uint16 // entries of known URLs this decoder scanned
 }
 
 // decodeFastInto scans data into r. false means "outside the fast-path
@@ -75,7 +82,7 @@ func decodeFastInto(data []byte, r *Report) bool {
 	d := fastDecPool.Get().(*fastDecoder)
 	d.Data, d.I = data, 0
 	ok := d.decodeReport(r)
-	d.Data = nil
+	d.Data, d.m.known = nil, nil
 	fastDecPool.Put(d)
 	return ok
 }
@@ -264,6 +271,42 @@ func (d *fastDecoder) nextEntryKey(next int) (field int, ok bool) {
 	return 0, false
 }
 
+// A continuation is what a URL's intern entry remembers of the last entry
+// recorded after it, when the URL was that entry's first key: the raw bytes
+// from the URL's closing quote to the durationMillis number (the head), the
+// raw bytes from after the number through the entry's '}' (the tail), and
+// what they decoded to. An entry whose head and tail both match is decoded
+// by the two compares and a float parse; its sizeBytes, failed and strings
+// are the recorded ones, the strings read out of the intern entry's own
+// string. Any other entry is scanned from its URL on, and a scan of an entry
+// whose URL the table already knew records its continuation. A URL met once
+// costs nothing more than it did, and equal bytes in equal decoder state
+// decode equally, so encoding/json stays the reference
+// (FuzzDecodeEquivalence, with every continuation matching and with every
+// one mismatching). Only an entry whose strings are plain is recorded — a
+// recorded string's value is its bytes — and only when the URL, its built
+// host and both runs fit in maxInternLen, so the table's bound holds.
+type continuation struct {
+	seen             uint8 // the entry's keys
+	head             span  // in the entry's s; the tail is the rest of s
+	addr, init, kind span
+	failed           bool
+}
+
+// replaceEvery is how many mismatched continuations a decoder meets per one
+// it replaces.
+const replaceEvery = 1024
+
+// entryMarks locate, in the body, what a continuation is recorded from: the
+// URL's intern entry, set only while the entry is to be recorded, the two
+// runs and the string values.
+type entryMarks struct {
+	known                    *internEntry
+	urlEnd, numStart, numEnd int
+	str                      [numEntryFields]struct{ off, len int }
+	plain                    bool
+}
+
 func (d *fastDecoder) decodeEntry(e *Entry) bool {
 	if !d.Consume('{') {
 		return false
@@ -272,6 +315,7 @@ func (d *fastDecoder) decodeEntry(e *Entry) bool {
 	// carry must read as in a decode into zero memory. The host is known
 	// either way: internURL extracts it, and an absent URL has none.
 	*e = Entry{hostKnown: true}
+	d.m.known = nil
 	seen := 0
 	d.SkipWS()
 	if !d.Consume('}') {
@@ -287,23 +331,51 @@ func (d *fastDecoder) decodeEntry(e *Entry) bool {
 			case fSize:
 				e.SizeBytes, ok = d.ScanInt64()
 			case fDuration:
+				start := d.I
 				e.DurationMillis, ok = d.ScanFloat64()
+				if d.m.known != nil {
+					d.m.numStart, d.m.numEnd = start, d.I
+				}
 			case fFailed:
 				e.Failed, ok = d.ScanBool()
 			default:
+				start := d.I + 1
 				var tok []byte
 				if tok, ok = d.ScanString(); !ok {
 					break
 				}
+				if field == fURL {
+					var known *internEntry
+					e.URL, e.host, known = internURL(tok)
+					if known == nil || seen != 1<<fURL {
+						break
+					}
+					// The URL is the first key and the table knew it: its
+					// continuation decodes the entry if both runs match. A
+					// head that mismatches costs the compare and no call.
+					if c := &known.cont; c.seen != 0 && d.hasPrefix(c.head.of(known.s)) && d.continues(e, known) {
+						return true
+					}
+					// Replacing a continuation costs two allocations: a URL
+					// whose entries changed for good learns the new ones
+					// within about replaceEvery mismatches, and one whose
+					// entries never repeat does not pay that on every report.
+					if d.misses++; known.cont.seen == 0 || d.misses%replaceEvery == 0 {
+						d.m.known, d.m.urlEnd, d.m.plain = known, d.I, true
+					}
+					break
+				}
+				if m := &d.m; m.known != nil {
+					m.str[field].off, m.str[field].len = start, len(tok)
+					m.plain = m.plain && d.I-1-start == len(tok) // an escape makes the bytes longer
+				}
 				switch field {
-				case fURL:
-					e.URL, e.host = internURL(tok)
 				case fServerAddr:
 					e.ServerAddr = internString(tok)
 				case fInitiator:
 					e.InitiatorURL = internString(tok)
 				case fKind:
-					e.Kind = ObjectKind(internString(tok))
+					e.Kind = internKind(tok)
 				}
 			}
 			if !ok {
@@ -320,5 +392,69 @@ func (d *fastDecoder) decodeEntry(e *Entry) bool {
 			return false
 		}
 	}
+	if d.m.known != nil {
+		d.remember(e, seen)
+	}
 	return true
+}
+
+// continues decodes the rest of an entry whose head matched known's
+// continuation, d.I at the head: the number, then the tail, which must match
+// too. false leaves d.I where it was.
+func (d *fastDecoder) continues(e *Entry, known *internEntry) bool {
+	c, start := &known.cont, d.I
+	d.I += int(c.head.len)
+	dur, ok := d.ScanFloat64()
+	if tail := known.s[c.head.end():]; ok && d.hasPrefix(tail) {
+		d.I += len(tail)
+		e.DurationMillis, e.SizeBytes, e.Failed = dur, known.size, c.failed
+		e.ServerAddr, e.InitiatorURL = c.addr.of(known.s), c.init.of(known.s)
+		e.Kind = ObjectKind(c.kind.of(known.s))
+		return true
+	}
+	d.I = start
+	return false
+}
+
+// hasPrefix reports whether the body at d.I starts with run.
+func (d *fastDecoder) hasPrefix(run string) bool {
+	rest := d.Data[d.I:]
+	return len(rest) >= len(run) && string(rest[:len(run)]) == run
+}
+
+// remember publishes the entry just decoded, d.I past its '}', as its URL's
+// continuation: a copy of the URL's intern entry with the new runs in its
+// string, replacing it in its way.
+func (d *fastDecoder) remember(e *Entry, seen int) {
+	m, known := &d.m, d.m.known
+	if seen&(1<<fDuration) == 0 || !m.plain {
+		return
+	}
+	head, tail := d.Data[m.urlEnd:m.numStart], d.Data[m.numEnd:d.I]
+	pre := known.prefix()
+	if pre+len(head)+len(tail) > maxInternLen {
+		return
+	}
+	// at is where a value's body bytes sit in the new string.
+	at := func(field int) span {
+		if seen&(1<<field) == 0 {
+			return span{}
+		}
+		off := pre + m.str[field].off - m.urlEnd
+		if m.str[field].off >= m.numEnd {
+			off = pre + len(head) + m.str[field].off - m.numEnd
+		}
+		return span{uint8(off), uint8(m.str[field].len)}
+	}
+	d.rec = append(append(append(d.rec[:0], known.s[:pre]...), head...), tail...)
+	known.replace(&internEntry{
+		hash: known.hash, s: string(d.rec), size: e.SizeBytes,
+		n: known.n, host: known.host, hostKnown: true,
+		cont: continuation{
+			seen: uint8(seen),
+			head: span{uint8(pre), uint8(len(head))},
+			addr: at(fServerAddr), init: at(fInitiator), kind: at(fKind),
+			failed: e.Failed,
+		},
+	})
 }

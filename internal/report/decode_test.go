@@ -126,8 +126,61 @@ func decodeCorpus() [][]byte {
 		[]byte("{\"userId\":\"12345678901\x1f2345\"}"),
 		[]byte("{\"userId\":\"123456789012345\xc3\xa9\"}"),
 		[]byte(`{"userId":"a\"b","page":"c\\","entries":[{"url":"http://a.com/\u0026x=\u003c","kind":"\/"}]}`),
+		// Continuations: an entry whose URL an earlier entry of the same
+		// body carried meets the continuation that entry recorded.
+		[]byte(`{"entries":[{"url":"http://a.com/t","durationMillis":1,"kind":"css"},{"url":"http://a.com/t","durationMillis":2,"kind":"css"},{"url":"http://a.com/t","durationMillis":3,"kind":"css",}]}`),
+		[]byte(`{"entries":[{"url":"http://a.com/t","durationMillis":1},{"url":"http://a.com/t","durationMillis":2},{"url":"http://a.com/t",}]}`),
+		[]byte(`{"entries":[{"url":"http://a.com/w", "serverAddr" : "ip", "durationMillis": 1},{"url":"http://a.com/w", "serverAddr" : "ip", "durationMillis": 2},{"url":"http://a.com/w", "serverAddr" : "ip", "durationMillis":  3},{"url":"http://a.com/w","serverAddr":"ip","durationMillis":4 }]}`),
+		[]byte(`{"entries":[{"serverAddr":"ip","url":"http://a.com/n","durationMillis":1},{"url":"http://a.com/n","serverAddr":"ip","durationMillis":2},{"url":"http://a.com/n","serverAddr":"ip","durationMillis":3},{"serverAddr":"ip2","url":"http://a.com/n","durationMillis":4}]}`),
+		[]byte(`{"entries":[{"url":"http://a.com/f","serverAddr":"ip","sizeBytes":5,"durationMillis":1,"initiatorUrl":"http://a.com/","kind":"script","failed":true},{"url":"http://a.com/f","serverAddr":"ip","sizeBytes":5,"durationMillis":2,"initiatorUrl":"http://a.com/","kind":"script","failed":true},{"url":"http://a.com/f","serverAddr":"ip","sizeBytes":5,"durationMillis":3,"initiatorUrl":"http://a.com/","kind":"script","failed":true},{"url":"http://a.com/f","serverAddr":"ip","sizeBytes":5,"durationMillis":4,"kind":"script"}]}`),
+		[]byte(`{"entries":[{"url":"http://a.com/o"},{"url":"http://a.com/o"},{"url":"http://a.com/o","durationMillis":1},{"url":"http://a.com/o","durationMillis":2},{"url":"http://a.com/o"},{"url":"http://a.com/o","durationMillis":3}]}`),
+		[]byte(`{"entries":[{"url":"http://a.com/s","serverAddr":"a","durationMillis":1},{"url":"http://a.com/s","serverAddr":"a","durationMillis":2},{"url":"http://a.com/s","serverAddr":"a","durationMillis":3,"serverAddr":"b"}]}`),
 	}
 	return corpus
+}
+
+// siblingOf is want, marshalled, with every entry changed in one value
+// after its URL: in the head (sizeBytes, serverAddr) or in the tail (kind,
+// failed), entry i in the (i+k)%4th of those. A table warmed with it holds,
+// for every URL of want, a continuation that want's entry mismatches. A
+// string changes in its last byte, so that the runs keep their lengths: a
+// decoder that skipped a compare would then land where want's entry ends
+// and decode it wrong, not fail its way back to encoding/json. nil when want
+// has no entry.
+func siblingOf(want *Report, k int) []byte {
+	if len(want.Entries) == 0 {
+		return nil
+	}
+	sib := *want
+	sib.Entries = append([]Entry(nil), want.Entries...)
+	for i := range sib.Entries {
+		switch e := &sib.Entries[i]; (i + k) % 4 {
+		case 0:
+			e.SizeBytes++
+		case 1:
+			e.ServerAddr = lastByteChanged(e.ServerAddr)
+		case 2:
+			e.Kind = ObjectKind(lastByteChanged(string(e.Kind)))
+		case 3:
+			e.Failed = !e.Failed
+		}
+	}
+	data, err := sib.Marshal()
+	if err != nil {
+		return nil
+	}
+	return data
+}
+
+// lastByteChanged is s with a different last byte, "~" for "".
+func lastByteChanged(s string) string {
+	if s == "" {
+		return "~"
+	}
+	if s[len(s)-1] == '~' {
+		return s[:len(s)-1] + "!"
+	}
+	return s[:len(s)-1] + "~"
 }
 
 func TestDecodeMatchesEncodingJSON(t *testing.T) {
@@ -151,11 +204,15 @@ func TestDecodeMatchesEncodingJSON(t *testing.T) {
 
 // FuzzDecodeEquivalence pins the fast JSON path to encoding/json: identical
 // reports on success, identical error text on failure. Every input is decoded
-// with the intern table cold and again with the table warmed by the whole
+// with the intern table cold; again with the table warmed by the whole
 // corpus (so the input's tokens meet entries other reports made: the same
-// string first seen as another field, a neighbour in its bucket), by the
-// fresh and by the pooled decoder (the pooled report holding stale contents,
-// to exercise unseen-field zeroing), and once more through OAKRPT1, which
+// string first seen as another field, a neighbour in its bucket) and by the
+// input itself, whose second decode records continuations its later ones
+// match; and four times more with the table warmed by one of the input's
+// siblings (siblingOf), so every continuation the input meets mismatches, in
+// its head or in its tail. Each time by the fresh
+// and by the pooled decoder (the pooled report holding stale contents, to
+// exercise unseen-field zeroing), and once more through OAKRPT1, which
 // shares the table.
 func FuzzDecodeEquivalence(f *testing.F) {
 	corpus := decodeCorpus()
@@ -168,7 +225,16 @@ func FuzzDecodeEquivalence(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		want, wantErr := referenceDecode(data)
 		resetInternTable()
-		for _, state := range []string{"cold", "warm"} {
+		for n, state := range []string{"cold", "warm", "sibling", "sibling", "sibling", "sibling"} {
+			if state == "sibling" {
+				sib := siblingOf(want, n)
+				if sib == nil {
+					return
+				}
+				resetInternTable()
+				_, _ = Decode(sib) // the URLs are met
+				_, _ = Decode(sib) // and known: continuations are recorded
+			}
 			got, gotErr := Decode(data)
 			if (wantErr == nil) != (gotErr == nil) {
 				t.Fatalf("%s table: err mismatch: ref=%v fast=%v", state, wantErr, gotErr)

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"unsafe"
 )
 
 // resetInternTable empties the process-wide table. Tests that depend on what
@@ -20,10 +21,11 @@ func resetInternTable() {
 	}
 }
 
-// internRetained walks the table: how many entries it holds and how many
-// string bytes they keep alive (a host counts unless it is a substring of
-// its URL, which is what fastHost returns).
-func internRetained(t *testing.T) (entries, bytes int) {
+// internRetained walks the table: how many entries it holds, how many of
+// them carry a continuation, and how many string bytes they keep alive — the
+// token, a host url.Parse had to build and a continuation's runs, all of
+// them in the entry's one string.
+func internRetained(t *testing.T) (entries, conts, bytes int) {
 	for i := range internTable {
 		for w := range internTable[i] {
 			e := internTable[i][w].Load()
@@ -31,24 +33,25 @@ func internRetained(t *testing.T) (entries, bytes int) {
 				continue
 			}
 			entries++
-			kept := len(e.s)
-			if _, sub := fastHost(e.s); e.hostKnown && !sub {
-				kept += len(e.host)
+			if e.cont.seen != 0 {
+				conts++
 			}
-			if kept > maxInternLen {
-				t.Errorf("entry %q (host %q) keeps %d bytes, cap %d", e.s, e.host, kept, maxInternLen)
+			if len(e.s) > maxInternLen {
+				t.Errorf("entry %q (host %q) keeps %d bytes, cap %d", e.token(), e.hostname(), len(e.s), maxInternLen)
 			}
-			bytes += kept
+			bytes += len(e.s)
 		}
 	}
-	return entries, bytes
+	return entries, conts, bytes
 }
 
 // floodReport is one report of n entries whose strings are all unique to
 // (round, i): tokens padded to exactly the length cap, which the table takes
 // and which cost it the most; URLs whose host only url.Parse can find
 // (userinfo, so the host is a second string), with and without room for it
-// under the cap; and tokens past the cap that the table must not keep.
+// under the cap; tokens past the cap that the table must not keep; and short
+// URLs whose entries, decoded a second time, leave a continuation that fills
+// the cap to the byte.
 func floodReport(round, n int) *Report {
 	pad := func(s string, n int) string { return s + strings.Repeat("p", n-len(s)) }
 	rep := &Report{UserID: fmt.Sprintf("flood-%d", round), Page: fmt.Sprintf("/flood/%d", round)}
@@ -60,7 +63,7 @@ func floodReport(round, n int) *Report {
 			Kind:         ObjectKind(fmt.Sprintf("kind-%d-%d", round, i)),
 			SizeBytes:    int64(i),
 		}
-		switch i % 4 {
+		switch i % 5 {
 		case 1:
 			e.URL = fmt.Sprintf("http://user:pw@parsed%d-%d.example/", round, i)
 		case 2:
@@ -68,6 +71,11 @@ func floodReport(round, n int) *Report {
 			e.InitiatorURL = e.URL
 		case 3:
 			e.URL = pad(fmt.Sprintf("http://u%d-%d:pw@edge.example/", round, i), maxInternLen-8)
+		case 4:
+			e.ServerAddr, e.InitiatorURL = fmt.Sprintf("10.%d.%d", round, i), ""
+			head := len(`,"serverAddr":"","sizeBytes":,"durationMillis":`) + len(e.ServerAddr) + len(fmt.Sprint(e.SizeBytes))
+			tail := len(`,"kind":""}`) + len(e.Kind)
+			e.URL = pad(fmt.Sprintf("http://c%d-%d.example/", round, i), maxInternLen-head-tail)
 		}
 		rep.Entries = append(rep.Entries, e)
 	}
@@ -76,11 +84,16 @@ func floodReport(round, n int) *Report {
 
 // TestInternTableIsBounded is the table as an adversary would use it: a
 // flood of reports made of unique tokens, over-length tokens and one 4 MB
-// URL, in both wire formats. Every decode must equal encoding/json's, and
-// when the flood is over the table holds at most its fixed number of
-// entries, each keeping at most maxInternLen bytes, and the process's live
-// heap has grown by less than the megabyte OPERATIONS.md promises.
+// URL, in both wire formats, each JSON body decoded twice so that the
+// entries with room for one record a continuation. Every decode must equal
+// encoding/json's, and when the flood is over the table holds at most its
+// fixed number of entries, each a 48-byte struct keeping at most
+// maxInternLen bytes, continuations included, and the process's live heap
+// has grown by less than the megabyte OPERATIONS.md promises.
 func TestInternTableIsBounded(t *testing.T) {
+	if size := unsafe.Sizeof(internEntry{}); size != 48 {
+		t.Fatalf("an intern entry is %d bytes; the table's bound counts 48", size)
+	}
 	resetInternTable()
 	live := func() uint64 {
 		runtime.GC()
@@ -105,11 +118,13 @@ func TestInternTableIsBounded(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := DecodePooled(data)
-		if err != nil || !equalDecoded(want, got) {
-			t.Fatalf("round %d: JSON decode differs from encoding/json (err %v)", round, err)
+		for range 2 {
+			got, err := DecodePooled(data)
+			if err != nil || !equalDecoded(want, got) {
+				t.Fatalf("round %d: JSON decode differs from encoding/json (err %v)", round, err)
+			}
+			got.Release()
 		}
-		got.Release()
 		if round == rounds/2 {
 			continue // past MaxBinaryStringLen: OAKRPT1 cannot carry it
 		}
@@ -117,15 +132,19 @@ func TestInternTableIsBounded(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got, err = DecodeBinaryPooled(bin); err != nil || !equalDecoded(want, got) {
+		got, err := DecodeBinaryPooled(bin)
+		if err != nil || !equalDecoded(want, got) {
 			t.Fatalf("round %d: OAKRPT1 decode differs from encoding/json (err %v)", round, err)
 		}
 		got.Release()
 	}
 
-	entries, kept := internRetained(t)
+	entries, conts, kept := internRetained(t)
 	if max := internBuckets * internWays; entries > max || entries < max/2 {
 		t.Errorf("table holds %d entries after the flood, want between %d and %d", entries, max/2, max)
+	}
+	if conts == 0 {
+		t.Error("no entry holds a continuation after the flood")
 	}
 	if max := internBuckets * internWays * maxInternLen; kept > max {
 		t.Errorf("table keeps %d string bytes alive, bound %d", kept, max)
@@ -133,7 +152,7 @@ func TestInternTableIsBounded(t *testing.T) {
 	// Drop the pooled reports (they hold strings of the last decodes), then
 	// what is left of the flood is what the table keeps.
 	grown := int64(live()) - int64(before)
-	t.Logf("%d entries keeping %d string bytes; live heap grew %d bytes", entries, kept, grown)
+	t.Logf("%d entries (%d with a continuation) keeping %d string bytes; live heap grew %d bytes", entries, conts, kept, grown)
 	if grown > 1<<20 {
 		t.Errorf("live heap grew %d bytes across the flood, want at most 1 MB", grown)
 	}

@@ -50,9 +50,31 @@ func rotatingBodies(tb testing.TB, n int) (jsonBodies, binBodies [][]byte) {
 	return jsonBodies, binBodies
 }
 
+// churnBodies is the JSON rotation in 32 variants, each with every entry's
+// sizeBytes moved by its variant's number, variant after variant: an entry
+// meets the continuation some other variant of it recorded, and mismatches
+// it, in all but one decode in 32.
+func churnBodies(tb testing.TB, n int) [][]byte {
+	var bodies [][]byte
+	for v := range 32 {
+		for _, rep := range rotatingReports(n) {
+			for i := range rep.Entries {
+				rep.Entries[i].SizeBytes += int64(v)
+			}
+			j, err := rep.Marshal()
+			if err != nil {
+				tb.Fatal(err)
+			}
+			bodies = append(bodies, j)
+		}
+	}
+	return bodies
+}
+
 // BenchmarkDecodeRotating is the pooled decode of 12 rotating 40-entry
 // reports: the cost the benchmark's report.decode_json_us and
-// report.decode_binary_us read.
+// report.decode_binary_us read. JSON-churn is the JSON decoder's worst
+// case: every entry mismatches its continuation and records a new one.
 func BenchmarkDecodeRotating(b *testing.B) {
 	jsonBodies, binBodies := rotatingBodies(b, 12)
 	for _, tc := range []struct {
@@ -61,6 +83,7 @@ func BenchmarkDecodeRotating(b *testing.B) {
 		decode func([]byte) (*Report, error)
 	}{
 		{"JSON", jsonBodies, DecodePooled},
+		{"JSON-churn", churnBodies(b, 12), DecodePooled},
 		{"Binary", binBodies, DecodeBinaryPooled},
 	} {
 		b.Run(tc.name, func(b *testing.B) {

@@ -11,15 +11,20 @@
 # single-pass rewriter, and the page index's splice, provably equivalent to
 # the sequential reference;
 # two more pin the report fast-path decoder to encoding/json (intern table
-# cold and warm) and the OAKRPT1 binary codec to round-trip identity with
+# cold, warm, and warmed by siblings whose continuations every entry
+# mismatches) and the OAKRPT1 binary codec to round-trip identity with
 # typed rejection of hostile frames, and a fifth pins the gateway's routing
 # key to the backend's filing key (SniffJSONUser == Decode().UserID). The
 # report decode gate
 # (TestDecodeSteadyStateAllocs) holds a pooled decode of 12 rotating reports,
 # in either wire format, to the allocations the intern table leaves, next to
-# a one-iteration BenchmarkDecodeRotating; the table's adversaries (a flood of
-# unique and over-length tokens against its memory bound, and concurrent JSON
-# and OAKRPT1 decoders over colliding URLs under -race) are a named step. A
+# a one-iteration BenchmarkDecodeRotating; the churn gate (churngate.sh) holds
+# a JSON rotation whose every entry mismatches its URL's continuation to +5 %
+# of the decoder before continuations, on the same bodies; the table's
+# adversaries (a flood of unique and over-length tokens, continuations
+# filling entries to the byte, against its memory bound; one URL with a new
+# entry every time, against bytes and allocations per entry; and concurrent
+# JSON and OAKRPT1 decoders over colliding URLs under -race) are a named step. A
 # one-iteration serve benchmark run keeps the benchmark
 # code compiling; beside it a gate holds the live heap that serving 400
 # activated users on twelve registered paths adds to 1 MB, the page indexes
@@ -218,11 +223,16 @@ echo "== fuzz smoke: FuzzSniffUserAgreesWithDecode (5s) =="
 go test -run '^$' -fuzz FuzzSniffUserAgreesWithDecode -fuzztime 5s ./internal/report
 
 echo "== report decode gate: allocs per rotating decode (JSON, OAKRPT1) + rotating decode bench smoke =="
-go test -run 'TestDecodeSteadyStateAllocs' -count=1 ./internal/report
+out=$(go test -run 'TestDecodeSteadyStateAllocs' -count=1 -v ./internal/report) || { echo "$out" >&2; exit 1; }
+echo "$out" | grep -E -e '--- PASS|allocs per decode'
 go test -run '^$' -bench 'BenchmarkDecodeRotating' -benchtime 1x ./internal/report
 
-echo "== intern table adversaries: memory bound under a token flood, shared table under -race =="
-go test -run 'TestInternTableIsBounded' -count=1 ./internal/report
+echo "== churn gate: a JSON rotation whose every entry mismatches its continuation, against the decoder before continuations =="
+sh scripts/churngate.sh
+
+echo "== intern table adversaries: memory bound under a token flood with continuations, one URL's continuation flood, shared table under -race =="
+out=$(go test -run 'TestInternTableIsBounded|TestContinuationFloodIsBounded' -count=1 -v ./internal/report) || { echo "$out" >&2; exit 1; }
+echo "$out" | grep -E -e '--- PASS|string bytes|per entry'
 go test -race -run 'TestInternTableUnderConcurrentDecoders' -count=5 ./internal/report
 
 echo "== serve-path benchmark smoke (1 iteration) =="
