@@ -238,15 +238,18 @@ func cookieHeader(ck *http.Cookie) string {
 // forwardSplit splits a cookie-less batch of format f by the user each
 // item declares — walking it with report.NextItem, as the backend does —
 // forwards each owner's items concurrently as one sub-batch, and merges the
-// per-backend BatchResults into one answer. The walk stops where the
-// backend's would: a framing error counts as one failed report on top of
-// what the backends answer, and an item over the origin's default report
-// bound answers 413 once the items before it are forwarded. body and the
+// per-backend BatchResults into one answer, in the order the owners' first
+// items appear in the body, so a batch's samples do not depend on which
+// backend answered first. The walk stops where the backend's would: a
+// framing error counts as one failed report on top of what the backends
+// answer, and an item over the origin's default report bound answers 413
+// once the items before it are forwarded. body and the
 // items alias the staged request, which is released after forwardSplit
 // returns. The last owner is forwarded on the caller's goroutine: a batch
 // for one owner starts no goroutine at all.
 func (g *Gateway) forwardSplit(ctx context.Context, w http.ResponseWriter, body []byte, contentType string, f report.Format) {
 	groups := make(map[int][][]byte)
+	var owners []int // in the order of their first item
 	var splitErr error
 	tooLarge := false
 	for rest := body; ; {
@@ -264,6 +267,9 @@ func (g *Gateway) forwardSplit(ctx context.Context, w http.ResponseWriter, body 
 		}
 		rest = next
 		i := g.ownerIndex(report.SniffItemUser(f, item))
+		if groups[i] == nil {
+			owners = append(owners, i)
+		}
 		groups[i] = append(groups[i], item)
 	}
 	if len(groups) == 0 && !tooLarge {
@@ -282,31 +288,28 @@ func (g *Gateway) forwardSplit(ctx context.Context, w http.ResponseWriter, body 
 		rep   reply
 		err   error
 	}
-	parts := make([]part, 0, len(groups))
-	var mu sync.Mutex
-	forward := func(i int, items [][]byte) {
+	parts := make([]part, len(owners))
+	forward := func(p *part, i int) {
+		items := groups[i]
 		sub := body // one owner and the whole body walked: forwarded as it came
 		if len(groups) > 1 || splitErr != nil || tooLarge {
 			// Reassemble when owners mix, and when the walk stopped early,
 			// so the rest is not forwarded for a backend to count again.
 			sub = report.JoinItems(f, items)
 		}
-		rep, err := g.forwardWithFailover(ctx, i, contentType, sub, "")
-		mu.Lock()
-		parts = append(parts, part{items: len(items), rep: rep, err: err})
-		mu.Unlock()
+		p.items = len(items)
+		p.rep, p.err = g.forwardWithFailover(ctx, i, contentType, sub, "")
 	}
 	var wg sync.WaitGroup
-	left := len(groups)
-	for i, items := range groups {
-		if left--; left == 0 {
-			forward(i, items)
+	for k, i := range owners {
+		if k == len(owners)-1 {
+			forward(&parts[k], i)
 			break
 		}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			forward(i, items)
+			forward(&parts[k], i)
 		}()
 	}
 	wg.Wait()

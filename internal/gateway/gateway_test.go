@@ -12,13 +12,16 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"oak/internal/core"
 	"oak/internal/gateway"
 	"oak/internal/origin"
+	"oak/internal/report"
 )
 
 // fakeBackend is a recording stand-in for one oakd process.
@@ -36,6 +39,9 @@ type fakeBackend struct {
 	stateGot    []byte // body received on POST /oak/v1/state
 	stateServe  []byte // body served on GET /oak/v1/state
 	batchReply  *core.BatchResult
+	// after, when set, holds a report's answer until it is closed;
+	// answered, when set, is closed once a report is answered.
+	after, answered chan struct{}
 }
 
 func newFakeBackend(t *testing.T) *fakeBackend {
@@ -54,6 +60,12 @@ func newFakeBackend(t *testing.T) *fakeBackend {
 		case origin.ReportPathV1:
 			body, _ := io.ReadAll(r.Body)
 			f.reports = append(f.reports, body)
+			if f.after != nil {
+				<-f.after
+			}
+			if f.answered != nil {
+				defer close(f.answered)
+			}
 			if f.batchReply != nil {
 				_ = json.NewEncoder(w).Encode(f.batchReply)
 				return
@@ -221,6 +233,41 @@ func TestBatchSplitsByUserAndMerges(t *testing.T) {
 	}
 	if wantSubmitted := reached * 2; merged.Submitted != wantSubmitted {
 		t.Errorf("merged.Submitted = %d, want %d", merged.Submitted, wantSubmitted)
+	}
+}
+
+// TestSplitBatchMergesInBodyOrder: a split batch's answer lists the
+// backends' samples in the order their owners' first items appear in the
+// body, whichever backend answers first. Here the owner of the first item
+// answers last.
+func TestSplitBatchMergesInBodyOrder(t *testing.T) {
+	fakes := []*fakeBackend{newFakeBackend(t), newFakeBackend(t)}
+	for i, f := range fakes {
+		f.batchReply = &core.BatchResult{Submitted: 1, Failed: 1, Errors: []string{fmt.Sprintf("sample from backend %d", i)}}
+	}
+	second := make(chan struct{})
+	fakes[1].answered = second
+	fakes[0].after = make(chan struct{})
+	go func() {
+		<-second
+		time.Sleep(50 * time.Millisecond) // the gateway has backend 1's answer
+		close(fakes[0].after)
+	}()
+	gw := newTestGateway(t, fakes, nil)
+
+	body := fmt.Sprintf(`{"userId":%q,"page":"/p","entries":[]}`+"\n"+`{"userId":%q,"page":"/p","entries":[]}`,
+		userFor(t, 0, 2), userFor(t, 1, 2))
+	req := httptest.NewRequest("POST", origin.ReportPathV1, strings.NewReader(body))
+	req.Header.Set("Content-Type", report.ContentTypeNDJSON)
+	rec := httptest.NewRecorder()
+	gw.ServeHTTP(rec, req)
+	var merged core.BatchResult
+	if err := json.Unmarshal(rec.Body.Bytes(), &merged); err != nil {
+		t.Fatalf("status %d: %v: %s", rec.Code, err, rec.Body.String())
+	}
+	want := []string{"sample from backend 0", "sample from backend 1"}
+	if !slices.Equal(merged.Errors, want) {
+		t.Errorf("merged samples %q, want %q: the first item's owner first", merged.Errors, want)
 	}
 }
 

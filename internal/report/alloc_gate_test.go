@@ -115,3 +115,67 @@ func TestContinuationFloodIsBounded(t *testing.T) {
 		t.Errorf("live heap grew %d bytes across the flood, want at most 64 KB", grown)
 	}
 }
+
+// TestTemplateFloodIsBounded is the template table's adversary in
+// allocations: the rotation's reports, each under a page no report named
+// before (newPageBodies). Every decode must equal encoding/json's. A report
+// costs its userId and its new page's intern entry (two allocations), and
+// looks up and records no template: a page met for the first time has none.
+// A new page also drops the oldest entry of its intern bucket, and a URL
+// dropped that way costs four allocations when it is met again and records
+// its continuation anew. Measured 3.46–3.57 per report, and 4.28 in one
+// process of eight, whose seeded hash put five of the rotation's strings in
+// one bucket (see TestDecodeSteadyStateAllocs): hence the ceiling of 5,
+// which a decoder recording a template for every new page (+2) exceeds. The
+// live heap grows by what the intern table keeps, under its megabyte.
+func TestTemplateFloodIsBounded(t *testing.T) {
+	const reports = 6000
+	jsonBodies, _ := rotatingBodies(t, 12)
+	pages := newPageBodies(t, 12)
+	resetInternTable()
+	for k := 0; k < 3*len(jsonBodies); k++ {
+		r, err := DecodePooled(jsonBodies[k%len(jsonBodies)])
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.Release() // the rotation's vocabulary and continuations
+	}
+	live := func() uint64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	before := live()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	mallocs := ms.Mallocs
+	for k := 0; k < reports; k++ {
+		got, err := DecodePooled(pages.body(k))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got.Release()
+	}
+	runtime.ReadMemStats(&ms)
+	allocs := float64(ms.Mallocs-mallocs) / reports
+	grown := int64(live()) - int64(before)
+	for k := 0; k < 3; k++ {
+		data := pages.body(k)
+		want, err := referenceDecode(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := Decode(data); err != nil || !equalDecoded(want, got) {
+			t.Fatalf("decode differs from encoding/json (err %v)", err)
+		}
+	}
+	t.Logf("%.2f allocations per new-page report; live heap grew %d bytes", allocs, grown)
+	if allocs > 5 {
+		t.Errorf("%.2f allocations per report, want at most 5", allocs)
+	}
+	if grown > 1<<20 {
+		t.Errorf("live heap grew %d bytes across the flood, want at most 1 MB", grown)
+	}
+}

@@ -19,7 +19,7 @@ import (
 // so error text and acceptance are encoding/json's own.
 // FuzzDecodeEquivalence pins the two paths to byte-identical results.
 //
-// Four things keep the common report cheap. A string is delimited with
+// Five things keep the common report cheap. A string is delimited with
 // bytes.IndexByte and proven plain (no escape, control or non-ASCII byte)
 // eight bytes at a time; only a string that is not plain is walked byte by
 // byte (the scanning primitives are internal/jsonscan's, shared with the
@@ -28,10 +28,12 @@ import (
 // order every encoder of Entry emits them in — and only a key that is not
 // where that order puts it is scanned as a string. Every string value but
 // the userId comes out of the intern table (intern.go), so a report written
-// in the site's usual vocabulary allocates almost nothing. And an entry that
+// in the site's usual vocabulary allocates almost nothing. An entry that
 // repeats, byte for byte, the last one recorded for its URL but for its
 // durationMillis is decoded by two compares and one float parse: see
-// continuation.
+// continuation. And a report whose page names its entries' URLs in the order
+// the page's last recorded report did finds each URL by one compare against
+// that report's, not by a scan, a hash and a probe: see template.go.
 
 // Decode parses a JSON report body, trying the fast path first. It is a
 // drop-in replacement for Unmarshal (identical results and errors).
@@ -67,12 +69,14 @@ var fastDecPool = sync.Pool{New: func() any { return new(fastDecoder) }}
 
 // fastDecoder is the report schema over the shared scanner, whose unescape
 // scratch the pool keeps across decodes, with the marks of the entry being
-// decoded and the scratch a continuation is assembled in.
+// decoded, the scratch a continuation is assembled in, and the report's
+// entries followed against its page's template.
 type fastDecoder struct {
 	jsonscan.Scanner
 	m      entryMarks
 	rec    []byte
 	misses uint16 // entries of known URLs this decoder scanned
+	tm     templateMarks
 }
 
 // decodeFastInto scans data into r. false means "outside the fast-path
@@ -83,6 +87,7 @@ func decodeFastInto(data []byte, r *Report) bool {
 	d.Data, d.I = data, 0
 	ok := d.decodeReport(r)
 	d.Data, d.m.known = nil, nil
+	d.tm.reset()
 	fastDecPool.Put(d)
 	return ok
 }
@@ -135,7 +140,14 @@ func (d *fastDecoder) decodeReport(r *Report) bool {
 				if !ok {
 					return false
 				}
-				r.Page = internString(tok)
+				// A page met for the first time has no template, and
+				// records none: a report under a page name never sent
+				// again costs what it did before templates.
+				tm, met := &d.tm, false
+				if r.Page, tm.h, met = internToken(tok); met && seen&seenEntries == 0 {
+					tm.page = r.Page
+					tm.b, tm.t = findTemplate(r.Page, tm.h)
+				}
 			case "generatedAtUnixMs":
 				if seen&seenGenerated != 0 {
 					return false
@@ -184,7 +196,40 @@ func (d *fastDecoder) decodeReport(r *Report) bool {
 	if seen&seenEntries == 0 {
 		r.Entries = nil
 	}
+	// A report its page's template did not cover is a candidate to record
+	// one: the first of every templateEvery candidates does, if fit.
+	if tm := &d.tm; tm.b != nil && tm.hits < min(len(r.Entries), maxTemplateLen) {
+		if tm.fit {
+			tm.b.publish(tm.h, tm.page, tm.urls)
+		}
+		tm.cands++
+	}
 	return true
+}
+
+// templateMarks follow a report's entries against its page's template and
+// collect the URL intern entries a new one would hold.
+type templateMarks struct {
+	b    *templateBucket // the page's bucket: set when "page" came before "entries" and was met before
+	h    uint64
+	page string
+	t    *template // the page's template, until an entry mismatches it
+	hits int       // entries decoded from t
+	// urls are the entries' URL intern entries, the first maxTemplateLen,
+	// collected while fit: while the report could record a template and
+	// every entry so far could be a template's (decodeEntry). An entry
+	// decoded from t is added only when t is dropped.
+	urls  []*internEntry
+	fit   bool
+	cands uint16 // reports this decoder met that could record a template
+}
+
+// reset drops what the marks hold of the last report, so a pooled decoder
+// keeps no intern entry alive.
+func (tm *templateMarks) reset() {
+	clear(tm.urls)
+	tm.urls = tm.urls[:0]
+	tm.b, tm.t, tm.page, tm.fit = nil, nil, "", false
 }
 
 func (d *fastDecoder) decodeEntries(r *Report) bool {
@@ -197,6 +242,8 @@ func (d *fastDecoder) decodeEntries(r *Report) bool {
 	} else {
 		r.Entries = r.Entries[:0]
 	}
+	tm := &d.tm
+	tm.fit, tm.hits = tm.b != nil && tm.cands%templateEvery == 0, 0
 	d.SkipWS()
 	if d.Consume(']') {
 		return true
@@ -208,8 +255,21 @@ func (d *fastDecoder) decodeEntries(r *Report) bool {
 		} else {
 			r.Entries = append(r.Entries, Entry{})
 		}
-		if !d.decodeEntry(&r.Entries[n]) {
+		e := &r.Entries[n]
+		if tm.t != nil && !d.fromTemplate(e, n) {
+			if tm.fit {
+				tm.urls = append(tm.urls, tm.t.urls[:n]...)
+			}
+			tm.t = nil
+		}
+		if tm.t != nil {
+			tm.hits++
+		} else if known, ok := d.decodeEntry(e); !ok {
 			return false
+		} else if tm.fit && n < maxTemplateLen {
+			if tm.fit = known != nil; tm.fit {
+				tm.urls = append(tm.urls, known)
+			}
 		}
 		d.SkipWS()
 		if d.Consume(',') {
@@ -305,11 +365,17 @@ type entryMarks struct {
 	urlEnd, numStart, numEnd int
 	str                      [numEntryFields]struct{ off, len int }
 	plain                    bool
+	exact                    bool // the entry starts as a template entry is matched
 }
 
-func (d *fastDecoder) decodeEntry(e *Entry) bool {
+// decodeEntry decodes one entry. tpl is the URL's intern entry when a
+// template can hold it for this entry: the entry starts with urlLit, its URL
+// and the closing quote, and the continuation tpl holds is one the entry
+// matched or recorded. It is nil otherwise.
+func (d *fastDecoder) decodeEntry(e *Entry) (tpl *internEntry, ok bool) {
+	begin := d.I
 	if !d.Consume('{') {
-		return false
+		return nil, false
 	}
 	// The entry may be a pooled report's stale one: a key the body does not
 	// carry must read as in a decode into zero memory. The host is known
@@ -323,7 +389,7 @@ func (d *fastDecoder) decodeEntry(e *Entry) bool {
 		for {
 			field, ok := d.nextEntryKey(next)
 			if !ok || seen&(1<<field) != 0 {
-				return false // unknown or duplicate key: encoding/json decides
+				return nil, false // unknown or duplicate key: encoding/json decides
 			}
 			seen |= 1 << field
 			next = field + 1
@@ -353,15 +419,20 @@ func (d *fastDecoder) decodeEntry(e *Entry) bool {
 					// The URL is the first key and the table knew it: its
 					// continuation decodes the entry if both runs match. A
 					// head that mismatches costs the compare and no call.
+					// exact: the entry starts as fromTemplate matches one.
+					exact := start-begin == len(urlLit) && d.I-1-start == len(tok)
 					if c := &known.cont; c.seen != 0 && d.hasPrefix(c.head.of(known.s)) && d.continues(e, known) {
-						return true
+						if exact {
+							return known, true
+						}
+						return nil, true
 					}
 					// Replacing a continuation costs two allocations: a URL
 					// whose entries changed for good learns the new ones
 					// within about replaceEvery mismatches, and one whose
 					// entries never repeat does not pay that on every report.
 					if d.misses++; known.cont.seen == 0 || d.misses%replaceEvery == 0 {
-						d.m.known, d.m.urlEnd, d.m.plain = known, d.I, true
+						d.m.known, d.m.urlEnd, d.m.plain, d.m.exact = known, d.I, true, exact
 					}
 					break
 				}
@@ -379,7 +450,7 @@ func (d *fastDecoder) decodeEntry(e *Entry) bool {
 				}
 			}
 			if !ok {
-				return false
+				return nil, false
 			}
 			d.SkipWS()
 			if d.Consume(',') {
@@ -389,13 +460,15 @@ func (d *fastDecoder) decodeEntry(e *Entry) bool {
 			if d.Consume('}') {
 				break
 			}
-			return false
+			return nil, false
 		}
 	}
 	if d.m.known != nil {
-		d.remember(e, seen)
+		if ne := d.remember(e, seen); d.m.exact {
+			return ne, true
+		}
 	}
-	return true
+	return nil, true
 }
 
 // continues decodes the rest of an entry whose head matched known's
@@ -424,16 +497,17 @@ func (d *fastDecoder) hasPrefix(run string) bool {
 
 // remember publishes the entry just decoded, d.I past its '}', as its URL's
 // continuation: a copy of the URL's intern entry with the new runs in its
-// string, replacing it in its way.
-func (d *fastDecoder) remember(e *Entry, seen int) {
+// string, replacing it in its way. It returns the copy, nil when the entry
+// cannot be recorded.
+func (d *fastDecoder) remember(e *Entry, seen int) *internEntry {
 	m, known := &d.m, d.m.known
 	if seen&(1<<fDuration) == 0 || !m.plain {
-		return
+		return nil
 	}
 	head, tail := d.Data[m.urlEnd:m.numStart], d.Data[m.numEnd:d.I]
 	pre := known.prefix()
 	if pre+len(head)+len(tail) > maxInternLen {
-		return
+		return nil
 	}
 	// at is where a value's body bytes sit in the new string.
 	at := func(field int) span {
@@ -447,7 +521,7 @@ func (d *fastDecoder) remember(e *Entry, seen int) {
 		return span{uint8(off), uint8(m.str[field].len)}
 	}
 	d.rec = append(append(append(d.rec[:0], known.s[:pre]...), head...), tail...)
-	known.replace(&internEntry{
+	ne := &internEntry{
 		hash: known.hash, s: string(d.rec), size: e.SizeBytes,
 		n: known.n, host: known.host, hostKnown: true,
 		cont: continuation{
@@ -456,5 +530,34 @@ func (d *fastDecoder) remember(e *Entry, seen int) {
 			addr: at(fServerAddr), init: at(fInitiator), kind: at(fKind),
 			failed: e.Failed,
 		},
-	})
+	}
+	known.replace(ne)
+	return ne
+}
+
+// urlLit is how an entry a template can match starts, before its URL.
+const urlLit = `{"url":"`
+
+// fromTemplate decodes entry i from the page's template when the body at d.I
+// is urlLit, the template's i-th URL and its closing quote, and then that
+// URL's continuation: three compares and the float parse. false leaves d.I
+// where it was.
+func (d *fastDecoder) fromTemplate(e *Entry, i int) bool {
+	t := d.tm.t
+	if i >= len(t.urls) {
+		return false
+	}
+	known, start := t.urls[i], d.I
+	url, rest := known.token(), d.Data[start:]
+	n := len(urlLit) + len(url)
+	if len(rest) <= n || rest[n] != '"' || string(rest[len(urlLit):n]) != url || string(rest[:len(urlLit)]) != urlLit {
+		return false
+	}
+	d.I += n + 1
+	if !d.hasPrefix(known.cont.head.of(known.s)) || !d.continues(e, known) {
+		d.I = start
+		return false
+	}
+	e.URL, e.host, e.hostKnown = url, known.hostname(), true
+	return true
 }

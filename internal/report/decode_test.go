@@ -135,8 +135,26 @@ func decodeCorpus() [][]byte {
 		[]byte(`{"entries":[{"url":"http://a.com/f","serverAddr":"ip","sizeBytes":5,"durationMillis":1,"initiatorUrl":"http://a.com/","kind":"script","failed":true},{"url":"http://a.com/f","serverAddr":"ip","sizeBytes":5,"durationMillis":2,"initiatorUrl":"http://a.com/","kind":"script","failed":true},{"url":"http://a.com/f","serverAddr":"ip","sizeBytes":5,"durationMillis":3,"initiatorUrl":"http://a.com/","kind":"script","failed":true},{"url":"http://a.com/f","serverAddr":"ip","sizeBytes":5,"durationMillis":4,"kind":"script"}]}`),
 		[]byte(`{"entries":[{"url":"http://a.com/o"},{"url":"http://a.com/o"},{"url":"http://a.com/o","durationMillis":1},{"url":"http://a.com/o","durationMillis":2},{"url":"http://a.com/o"},{"url":"http://a.com/o","durationMillis":3}]}`),
 		[]byte(`{"entries":[{"url":"http://a.com/s","serverAddr":"a","durationMillis":1},{"url":"http://a.com/s","serverAddr":"a","durationMillis":2},{"url":"http://a.com/s","serverAddr":"a","durationMillis":3,"serverAddr":"b"}]}`),
+		// Templates: the page after its entries, white space between
+		// entries, a URL escaped where its template holds it plain, and a
+		// page longer than a template.
+		[]byte(`{"userId":"u","entries":[{"url":"http://a.com/pa1","serverAddr":"ip","sizeBytes":1,"durationMillis":1,"kind":"css"},{"url":"http://a.com/pa2","serverAddr":"ip","sizeBytes":2,"durationMillis":2}],"page":"/pa"}`),
+		[]byte("{\"page\":\"/ws\",\"entries\":[{\"url\":\"http://a.com/w1\",\"serverAddr\":\"ip\",\"sizeBytes\":1,\"durationMillis\":1} , {\"url\":\"http://a.com/w2\",\"serverAddr\":\"ip\",\"sizeBytes\":2,\"durationMillis\":2}\n\t,{\"url\":\"http://a.com/w3\",\"serverAddr\":\"ip\",\"sizeBytes\":3,\"durationMillis\":3}]}"),
+		[]byte(`{"page":"/esc","entries":[{"url":"http:\/\/a.com\/e1","serverAddr":"ip","sizeBytes":1,"durationMillis":1},{"url":"http://a.com/e2","serverAddr":"ip","sizeBytes":2,"durationMillis":2,"kind":"image"}]}`),
+		longPageReport(),
 	}
 	return corpus
+}
+
+// longPageReport is a page of maxTemplateLen+6 entries, canonically encoded.
+func longPageReport() []byte {
+	rep := &Report{UserID: "u", Page: "/long"}
+	for i := 0; i < maxTemplateLen+6; i++ {
+		rep.Entries = append(rep.Entries, Entry{URL: fmt.Sprintf("http://l%d.example/o%d.js", i%5, i),
+			ServerAddr: "10.0.0.1", SizeBytes: int64(i), DurationMillis: float64(i) + 0.5, Kind: KindScript})
+	}
+	data, _ := rep.Marshal()
+	return data
 }
 
 // siblingOf is want, marshalled, with every entry changed in one value
@@ -170,6 +188,62 @@ func siblingOf(want *Report, k int) []byte {
 		return nil
 	}
 	return data
+}
+
+// Template sibling shapes: want with one entry changed, one more, or one
+// fewer.
+const (
+	tplFirst = iota
+	tplMiddle
+	tplLast
+	tplMore
+	tplFewer
+)
+
+// templateSiblingOf is want, marshalled, in a shape: its first entry's URL
+// changed, its middle entry's sizeBytes or its last entry's kind changed
+// (each keeping its length, see siblingOf), an entry appended, or its last
+// entry dropped. A page warmed with it holds a template that want matches up
+// to that entry, or to its end, and mismatches from there. nil when want has
+// no entry.
+func templateSiblingOf(want *Report, shape int) []byte {
+	n := len(want.Entries)
+	if n == 0 {
+		return nil
+	}
+	sib := *want
+	sib.Entries = append([]Entry(nil), want.Entries...)
+	switch shape {
+	case tplFirst:
+		sib.Entries[0].URL = lastByteChanged(sib.Entries[0].URL)
+	case tplMiddle:
+		sib.Entries[n/2].SizeBytes++
+	case tplLast:
+		sib.Entries[n-1].Kind = ObjectKind(lastByteChanged(string(sib.Entries[n-1].Kind)))
+	case tplMore:
+		sib.Entries = append(sib.Entries, Entry{URL: "http://more.example/x.js", ServerAddr: "ip", DurationMillis: 1})
+	case tplFewer:
+		sib.Entries = sib.Entries[:n-1]
+	}
+	data, err := sib.Marshal()
+	if err != nil {
+		return nil
+	}
+	return data
+}
+
+// warmTemplate decodes data until its page holds a template, or until every
+// decoder would have recorded one if data's entries could make one.
+func warmTemplate(data []byte) {
+	for range 2 + 2*templateEvery {
+		r, err := Decode(data)
+		if err != nil || r.Page == "" || len(r.Page) > maxInternLen {
+			return
+		}
+		if pageTemplate(r.Page) != nil {
+			return
+		}
+	}
 }
 
 // lastByteChanged is s with a different last byte, "~" for "".
@@ -210,10 +284,14 @@ func TestDecodeMatchesEncodingJSON(t *testing.T) {
 // input itself, whose second decode records continuations its later ones
 // match; and four times more with the table warmed by one of the input's
 // siblings (siblingOf), so every continuation the input meets mismatches, in
-// its head or in its tail. Each time by the fresh
-// and by the pooled decoder (the pooled report holding stale contents, to
-// exercise unseen-field zeroing), and once more through OAKRPT1, which
-// shares the table.
+// its head or in its tail; and five times more with the input's page holding
+// the template of a sibling whose first, middle or last entry differs, or
+// that has one entry more or fewer (templateSiblingOf), so the input's
+// entries are decoded from the template up to there and by the scan after.
+// Each time the fast path must take the input if and only if it took it
+// cold, and the input is decoded by the fresh and by the pooled decoder (the
+// pooled report holding stale contents, to exercise unseen-field zeroing),
+// and once more through OAKRPT1, which shares the table.
 func FuzzDecodeEquivalence(f *testing.F) {
 	corpus := decodeCorpus()
 	for _, data := range corpus {
@@ -225,8 +303,11 @@ func FuzzDecodeEquivalence(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		want, wantErr := referenceDecode(data)
 		resetInternTable()
-		for n, state := range []string{"cold", "warm", "sibling", "sibling", "sibling", "sibling"} {
-			if state == "sibling" {
+		coldFast := false
+		for n, state := range []string{"cold", "warm", "sibling", "sibling", "sibling", "sibling",
+			"template first", "template middle", "template last", "template more", "template fewer"} {
+			switch state {
+			case "sibling":
 				sib := siblingOf(want, n)
 				if sib == nil {
 					return
@@ -234,6 +315,24 @@ func FuzzDecodeEquivalence(f *testing.F) {
 				resetInternTable()
 				_, _ = Decode(sib) // the URLs are met
 				_, _ = Decode(sib) // and known: continuations are recorded
+			case "template first", "template middle", "template last", "template more", "template fewer":
+				sib := templateSiblingOf(want, n-6)
+				if sib == nil {
+					return
+				}
+				resetInternTable()
+				warmTemplate(sib)
+			}
+			// Whether the fast path takes the input is the input's own
+			// property: a continuation or template that mismatches must
+			// resume the scan, not fall back to encoding/json.
+			var fr Report
+			if fast := decodeFastInto(data, &fr); n == 0 {
+				coldFast = fast
+			} else if fast != coldFast {
+				t.Fatalf("%s table: fast path took the input %v, cold %v", state, fast, coldFast)
+			} else if fast && !equalDecoded(want, &fr) {
+				t.Fatalf("%s table: fast path mismatch:\nref:  %+v\nfast: %+v", state, want, &fr)
 			}
 			got, gotErr := Decode(data)
 			if (wantErr == nil) != (gotErr == nil) {

@@ -115,18 +115,27 @@ func (old *internEntry) replace(ne *internEntry) {
 
 // internString returns the canonical string equal to tok.
 func internString(tok []byte) string {
+	s, _, _ := internToken(tok)
+	return s
+}
+
+// internToken returns the canonical string equal to tok, the hash it is
+// kept under and whether the table already held it; h is 0 and met false
+// for a token the table does not keep.
+func internToken(tok []byte) (s string, h uint64, met bool) {
 	if len(tok) == 0 {
-		return ""
+		return "", 0, false
 	}
 	if len(tok) > maxInternLen {
-		return string(tok)
+		return string(tok), 0, false
 	}
 	b, e, h := internFind(tok)
-	if e == nil {
-		e = &internEntry{hash: h, s: string(tok), n: uint8(len(tok))}
-		b.insert(e)
+	if e != nil {
+		return e.token(), h, true
 	}
-	return e.token()
+	e = &internEntry{hash: h, s: string(tok), n: uint8(len(tok))}
+	b.insert(e)
+	return e.token(), h, false
 }
 
 // internKind returns the ObjectKind tok spells: one of the Kind constants

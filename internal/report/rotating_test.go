@@ -1,6 +1,7 @@
 package report
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 )
@@ -71,25 +72,91 @@ func churnBodies(tb testing.TB, n int) [][]byte {
 	return bodies
 }
 
+// reorderBodies is the JSON rotation in 40 variants, each with every
+// report's entries rotated by its variant's number, variant after variant:
+// a report meets a template its page recorded from another variant, and
+// mismatches it in the first entry, while each entry repeats its URL's
+// continuation.
+func reorderBodies(tb testing.TB, n int) [][]byte {
+	var bodies [][]byte
+	for v := range 40 {
+		for _, rep := range rotatingReports(n) {
+			k := v % len(rep.Entries)
+			rep.Entries = append(rep.Entries[k:], rep.Entries[:k]...)
+			j, err := rep.Marshal()
+			if err != nil {
+				tb.Fatal(err)
+			}
+			bodies = append(bodies, j)
+		}
+	}
+	return bodies
+}
+
+// newPages is the JSON rotation with every report's page renamed, before
+// each decode, to a page no report named before, so no report meets a
+// template: the worst case of a decoder that looks templates up, and could
+// record one, for every page it is sent.
+type newPages struct {
+	bodies [][]byte
+	at     []int // where each body's page number sits
+	next   uint64
+}
+
+const newPagePrefix = "/new/page-"
+
+func newPageBodies(tb testing.TB, n int) *newPages {
+	p := &newPages{}
+	for _, rep := range rotatingReports(n) {
+		rep.Page = newPagePrefix + "0000000000"
+		j, err := rep.Marshal()
+		if err != nil {
+			tb.Fatal(err)
+		}
+		p.bodies = append(p.bodies, j)
+		p.at = append(p.at, bytes.Index(j, []byte(newPagePrefix))+len(newPagePrefix))
+	}
+	return p
+}
+
+// body returns the i-th body, named for the next new page.
+func (p *newPages) body(i int) []byte {
+	k := i % len(p.bodies)
+	b, v := p.bodies[k], p.next
+	p.next++
+	for d := p.at[k] + 9; d >= p.at[k]; d-- {
+		b[d], v = byte('0'+v%10), v/10
+	}
+	return b
+}
+
 // BenchmarkDecodeRotating is the pooled decode of 12 rotating 40-entry
 // reports: the cost the benchmark's report.decode_json_us and
 // report.decode_binary_us read. JSON-churn is the JSON decoder's worst
-// case: every entry mismatches its continuation and records a new one.
+// case for continuations: every entry mismatches its continuation and
+// records a new one. JSON-reorder and JSON-newpage are its worst cases for
+// templates: every report mismatches its page's template in the first
+// entry, or names a page never sent before.
 func BenchmarkDecodeRotating(b *testing.B) {
 	jsonBodies, binBodies := rotatingBodies(b, 12)
+	from := func(bodies [][]byte) func(int) []byte {
+		return func(i int) []byte { return bodies[i%len(bodies)] }
+	}
 	for _, tc := range []struct {
 		name   string
-		bodies [][]byte
+		body   func(int) []byte
 		decode func([]byte) (*Report, error)
 	}{
-		{"JSON", jsonBodies, DecodePooled},
-		{"JSON-churn", churnBodies(b, 12), DecodePooled},
-		{"Binary", binBodies, DecodeBinaryPooled},
+		{"JSON", from(jsonBodies), DecodePooled},
+		{"JSON-churn", from(churnBodies(b, 12)), DecodePooled},
+		{"JSON-reorder", from(reorderBodies(b, 12)), DecodePooled},
+		{"JSON-newpage", newPageBodies(b, 12).body, DecodePooled},
+		{"Binary", from(binBodies), DecodeBinaryPooled},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				r, err := tc.decode(tc.bodies[i%len(tc.bodies)])
+				r, err := tc.decode(tc.body(i))
 				if err != nil {
 					b.Fatal(err)
 				}

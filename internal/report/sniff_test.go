@@ -76,3 +76,15 @@ func FuzzSniffUserAgreesWithDecode(f *testing.F) {
 		}
 	})
 }
+
+// BenchmarkSniffRotating is the gateway's routing read of a cookie-less
+// JSON report, over the bodies BenchmarkDecodeRotating decodes whole.
+func BenchmarkSniffRotating(b *testing.B) {
+	bodies, _ := rotatingBodies(b, 12)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if SniffJSONUser(bodies[i%len(bodies)]) == "" {
+			b.Fatal("no userId sniffed")
+		}
+	}
+}

@@ -1,60 +1,87 @@
 #!/bin/sh
-# churngate.sh — holds the JSON decoder's worst case to the decoder before
-# continuations existed.
+# churngate.sh — holds the JSON decoder's worst cases to the decoder before
+# the mechanism they defeat existed.
 #
 # BenchmarkDecodeRotating/JSON-churn decodes 12 rotating reports in 32
 # variants, every entry's sizeBytes moved by its variant's number, so an entry
-# mismatches the continuation its URL holds in all but one decode in 32. The
-# gate builds internal/report's test binary twice: from this tree, and from
-# the commit before the one that added continuations (the parent of the first
-# commit whose internal/report/decode.go has "type continuation struct"; HEAD
-# while that commit is not made yet; CHURN_BASE=<rev> overrides it), with this
-# tree's rotating_test.go copied in, so both decode the same bodies. It then
-# runs the two binaries alternately, PAIRS times each, and fails when this
-# tree's fastest run is more than 1.05 of the old one's fastest. Other load
-# on the machine only ever slows a run, and alternating gives both binaries
-# the same quiet moments, so the fastest runs are the closest to each cost.
+# mismatches the continuation its URL holds in all but one decode in 32. It is
+# held to the commit before continuations: the parent of the first commit
+# whose internal/report/decode.go has "type continuation struct" (HEAD while
+# that commit is not made yet; CHURN_BASE=<rev> overrides it).
+#
+# JSON-reorder rotates each report's entries by its variant's number, so a
+# report mismatches its page's template in the first entry; JSON-newpage
+# names a page never seen in every report, so no report has a template and
+# every one could record one. Both are held to the commit before templates:
+# the parent of the first commit whose internal/report/template.go has "type
+# template struct" (HEAD while that commit is not made yet; TEMPLATE_BASE=<rev>
+# overrides it).
+#
+# For each base the gate builds internal/report's test binary from it, with
+# this tree's rotating_test.go copied in so both decode the same bodies, and
+# from this tree. It then runs the two binaries alternately, PAIRS times each
+# per case, and fails when this tree's fastest run is more than 1.05 of the
+# old one's fastest. Other load on the machine only ever slows a run, and
+# alternating gives both binaries the same quiet moments, so the fastest runs
+# are the closest to each cost.
 #
 # Run from anywhere: sh scripts/churngate.sh (needs the git history).
 set -e
 cd "$(dirname "$0")/.."
 pairs=${PAIRS:-41}
 
-base=${CHURN_BASE:-}
-if [ -z "$base" ]; then
-	intro=$(git log --reverse --format=%H -S 'type continuation struct' -- internal/report/decode.go | head -n 1)
-	base=${intro:+$intro^}
-	base=${base:-HEAD}
-fi
-base=$(git rev-parse --verify "$base^{commit}")
+# baseof <override> <string> <file>: the commit before the one that added
+# <string> to <file>.
+baseof() {
+	base=$1
+	if [ -z "$base" ]; then
+		intro=$(git log --reverse --format=%H -S "$2" -- "$3" | head -n 1)
+		base=${intro:+$intro^}
+		base=${base:-HEAD}
+	fi
+	git rev-parse --verify "$base^{commit}"
+}
+churnbase=$(baseof "${CHURN_BASE:-}" 'type continuation struct' internal/report/decode.go)
+tmplbase=$(baseof "${TEMPLATE_BASE:-}" 'type template struct' internal/report/template.go)
 
 dir=$(mktemp -d)
 trap 'rm -rf "$dir"' EXIT INT TERM
-mkdir "$dir/src"
-git archive "$base" | tar -x -C "$dir/src"
-cp internal/report/rotating_test.go "$dir/src/internal/report/"
-go -C "$dir/src" test -c -o "$dir/before.test" ./internal/report
+# build <rev>: $dir/<rev>.test, the old decoder with this tree's benchmark.
+build() {
+	mkdir "$dir/$1"
+	git archive "$1" | tar -x -C "$dir/$1"
+	cp internal/report/rotating_test.go "$dir/$1/internal/report/"
+	go -C "$dir/$1" test -c -o "$dir/$1.test" ./internal/report
+}
+build "$churnbase"
+[ -x "$dir/$tmplbase.test" ] || build "$tmplbase"
 go test -c -o "$dir/tree.test" ./internal/report
 
-nsop() {
-	"$1" -test.run '^$' -test.bench 'DecodeRotating/JSON-churn$' -test.benchtime 3840x -test.cpu 1 |
-		awk '/JSON-churn/ { print $3 }'
-}
-i=0
-while [ "$i" -lt "$pairs" ]; do
-	b=$(nsop "$dir/before.test")
-	t=$(nsop "$dir/tree.test")
-	echo "$t $b"
-	i=$((i + 1))
-done | awk -v base="$base" -v want="$pairs" '
-	NF == 2 && $1 > 0 && $2 > 0 {
-		n++
-		if (n == 1 || $1 < t) t = $1
-		if (n == 1 || $2 < b) b = $2
+# gate <case> <rev> <what the rev is before>
+gate() {
+	nsop() {
+		"$1" -test.run '^$' -test.bench "DecodeRotating/$2\$" -test.benchtime 3840x -test.cpu 1 |
+			awk -v c="$2" '$1 ~ c { print $3 }'
 	}
-	END {
-		r = n ? t / b : 0
-		printf "JSON-churn, fastest of %d runs each: this tree %d ns/op, before continuations (%.12s) %d ns/op, ratio %.3f, gate 1.05\n",
-			n, t, base, b, r
-		exit !(n == want && r <= 1.05) # a run that printed no figure fails the gate
-	}' || { echo "churn gate failed: a churned JSON decode costs more than 1.05 of the decoder before continuations" >&2; exit 1; }
+	i=0
+	while [ "$i" -lt "$pairs" ]; do
+		b=$(nsop "$dir/$2.test" "$1")
+		t=$(nsop "$dir/tree.test" "$1")
+		echo "$t $b"
+		i=$((i + 1))
+	done | awk -v c="$1" -v base="$2" -v what="$3" -v want="$pairs" '
+		NF == 2 && $1 > 0 && $2 > 0 {
+			n++
+			if (n == 1 || $1 < t) t = $1
+			if (n == 1 || $2 < b) b = $2
+		}
+		END {
+			r = n ? t / b : 0
+			printf "%s, fastest of %d runs each: this tree %d ns/op, before %s (%.12s) %d ns/op, ratio %.3f, gate 1.05\n",
+				c, n, t, what, base, b, r
+			exit !(n == want && r <= 1.05) # a run that printed no figure fails the gate
+		}' || { echo "churn gate failed: $1 costs more than 1.05 of the decoder before $3" >&2; exit 1; }
+}
+gate JSON-churn "$churnbase" continuations
+gate JSON-reorder "$tmplbase" templates
+gate JSON-newpage "$tmplbase" templates

@@ -11,8 +11,9 @@
 # single-pass rewriter, and the page index's splice, provably equivalent to
 # the sequential reference;
 # two more pin the report fast-path decoder to encoding/json (intern table
-# cold, warm, and warmed by siblings whose continuations every entry
-# mismatches) and the OAKRPT1 binary codec to round-trip identity with
+# cold, warm, warmed by siblings whose continuations every entry
+# mismatches, and with the page's template from a sibling that differs in
+# one entry or in length) and the OAKRPT1 binary codec to round-trip identity with
 # typed rejection of hostile frames, and a fifth pins the gateway's routing
 # key to the backend's filing key (SniffJSONUser == Decode().UserID). The
 # report decode gate
@@ -20,11 +21,16 @@
 # in either wire format, to the allocations the intern table leaves, next to
 # a one-iteration BenchmarkDecodeRotating; the churn gate (churngate.sh) holds
 # a JSON rotation whose every entry mismatches its URL's continuation to +5 %
-# of the decoder before continuations, on the same bodies; the table's
+# of the decoder before continuations, and rotations whose every report
+# mismatches its page's template in the first entry or names a new page to
+# +5 % of the decoder before templates, on the same bodies; the tables'
 # adversaries (a flood of unique and over-length tokens, continuations
-# filling entries to the byte, against its memory bound; one URL with a new
-# entry every time, against bytes and allocations per entry; and concurrent
-# JSON and OAKRPT1 decoders over colliding URLs under -race) are a named step. A
+# filling entries to the byte, against the intern table's memory bound; a
+# flood of pages whose templates keep replaced entries alive, against the
+# template table's; one URL with a new entry every time, against bytes and
+# allocations per entry; a new page in every report, against bytes and
+# allocations per report; and concurrent JSON and OAKRPT1 decoders over
+# colliding URLs, publishing templates, under -race) are a named step. A
 # one-iteration serve benchmark run keeps the benchmark
 # code compiling; beside it a gate holds the live heap that serving 400
 # activated users on twelve registered paths adds to 1 MB, the page indexes
@@ -227,12 +233,12 @@ out=$(go test -run 'TestDecodeSteadyStateAllocs' -count=1 -v ./internal/report) 
 echo "$out" | grep -E -e '--- PASS|allocs per decode'
 go test -run '^$' -bench 'BenchmarkDecodeRotating' -benchtime 1x ./internal/report
 
-echo "== churn gate: a JSON rotation whose every entry mismatches its continuation, against the decoder before continuations =="
+echo "== churn gate: a JSON rotation whose every entry mismatches its continuation, against the decoder before continuations; reordered and new-page rotations, against the decoder before templates =="
 sh scripts/churngate.sh
 
-echo "== intern table adversaries: memory bound under a token flood with continuations, one URL's continuation flood, shared table under -race =="
-out=$(go test -run 'TestInternTableIsBounded|TestContinuationFloodIsBounded' -count=1 -v ./internal/report) || { echo "$out" >&2; exit 1; }
-echo "$out" | grep -E -e '--- PASS|string bytes|per entry'
+echo "== intern and template table adversaries: memory bounds under token and page floods with continuations and stale template entries, one URL's continuation flood, a new-page flood, shared tables under -race =="
+out=$(go test -run 'TestInternTableIsBounded|TestContinuationFloodIsBounded|TestTemplateTableIsBounded|TestTemplateFloodIsBounded' -count=1 -v ./internal/report) || { echo "$out" >&2; exit 1; }
+echo "$out" | grep -E -e '--- PASS|string bytes|per entry|templates,|new-page report'
 go test -race -run 'TestInternTableUnderConcurrentDecoders' -count=5 ./internal/report
 
 echo "== serve-path benchmark smoke (1 iteration) =="
