@@ -112,7 +112,7 @@ func run(args []string, out io.Writer) error {
 		if *har || strings.HasSuffix(f, ".har") {
 			rep, err = report.FromHAR(data, "har-session")
 		} else {
-			rep, err = report.Unmarshal(data)
+			rep, err = report.Decode(data)
 		}
 		if err != nil {
 			return fmt.Errorf("%s: %w", f, err)

@@ -243,7 +243,7 @@ func TestHTTPClientSubmitReportRetriesHonoringRetryAfter(t *testing.T) {
 }
 
 // TestHTTPClientWireFormats pins what each wire setting puts on the wire:
-// WireJSON posts application/json that report.Unmarshal accepts, WireBinary
+// WireJSON posts application/json that report.Decode accepts, WireBinary
 // posts an OAKRPT1 body under its content type that decodes to the same
 // report — and the binary body is the smaller of the two.
 func TestHTTPClientWireFormats(t *testing.T) {
@@ -272,7 +272,7 @@ func TestHTTPClientWireFormats(t *testing.T) {
 	if jsonCap.contentType != report.ContentTypeJSON {
 		t.Errorf("default Content-Type = %q, want %q", jsonCap.contentType, report.ContentTypeJSON)
 	}
-	if _, err := report.Unmarshal(jsonCap.body); err != nil {
+	if _, err := report.Decode(jsonCap.body); err != nil {
 		t.Errorf("default body is not a JSON report: %v", err)
 	}
 

@@ -414,8 +414,8 @@ func (e *Engine) analyzeLocked(sh *shard, r *report.Report, now time.Time, serve
 				continue // already active
 			}
 			level := e.matcher.Match(rule, v.Server, scriptURLs)
-			if level == MatchNone {
-				continue
+			if level == MatchNone || !prof.roomFor(rule, v.Server.Addr) {
+				continue // no dependency, or a full profile: no breaker is asked for a slot
 			}
 			altIdx := 0
 			if rule.Type != rules.TypeRemove {
@@ -435,9 +435,7 @@ func (e *Engine) analyzeLocked(sh *shard, r *report.Report, now time.Time, serve
 				}
 				continue
 			}
-			if prof.activate(rule, altIdx, now, v.Server.Addr, v.Distance) == nil {
-				continue // the profile is full
-			}
+			prof.activate(rule, altIdx, now, v.Server.Addr, v.Distance) // roomFor: it fits
 			e.metrics.ruleActivations.Add(1)
 			res.Changes = append(res.Changes, RuleChange{
 				RuleID: rule.ID, Action: "activate", Server: v.Server.Addr,
@@ -503,6 +501,8 @@ func (e *Engine) reconcileActiveRules(sh *shard, prof *Profile, v Violation, now
 					Detail: fmt.Sprintf("alt dist %.1f < default dist %.1f", v.Distance, a.TriggerDistance),
 				})
 			}
+		case a.AltIndex+1 < len(a.Rule.Alternatives) && !prof.roomFor(a.Rule, v.Server.Addr):
+			// A full profile: the alternate stays, and no breaker is asked for a slot.
 		case a.AltIndex+1 < len(a.Rule.Alternatives):
 			// A fresh alternative remains: progress linearly.
 			next := e.policy.SelectAlternative(a.Rule, a.AltIndex, prof.UserID)
@@ -535,9 +535,7 @@ func (e *Engine) reconcileActiveRules(sh *shard, prof *Profile, v Violation, now
 					})
 				}
 			}
-			if prof.activate(a.Rule, next, now, v.Server.Addr, v.Distance) == nil {
-				break // the profile is full: the alternate stays
-			}
+			prof.activate(a.Rule, next, now, v.Server.Addr, v.Distance) // roomFor: it fits
 			e.metrics.ruleActivations.Add(1)
 			res.Changes = append(res.Changes, RuleChange{
 				RuleID: id, Action: "advance", Server: v.Server.Addr, AltIndex: next,

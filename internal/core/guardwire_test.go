@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"oak/internal/obs"
+	"oak/internal/report"
 	"oak/internal/rules"
 )
 
@@ -477,4 +478,119 @@ func TestGuardRuleQuarantineViaManualOverride(t *testing.T) {
 	if len(res.Changes) != 1 {
 		t.Errorf("released rule did not activate: %+v", res.Changes)
 	}
+}
+
+// TestFullProfileSpendsNoCanarySlot: a half-open breaker admits
+// HalfOpenCanaries activations, and each is spent by asking it. A user whose
+// profile has no room for the activation must not ask, or the slot goes to
+// an activation that is never made and a user with room is turned away —
+// on a fresh activation and on an advance to the breaker's alternative.
+func TestFullProfileSpendsNoCanarySlot(t *testing.T) {
+	canariesUsed := func(e *Engine, provider string) int {
+		st, _ := e.GuardStatus()
+		for _, b := range st.Breakers {
+			if b.Provider == provider {
+				return b.CanariesUsed
+			}
+		}
+		t.Fatalf("no breaker for %s", provider)
+		return 0
+	}
+	healthy := map[string]float64{"a.example": 100, "b.example": 110, "c.example": 105, "d.example": 95}
+	// fill takes user's profile to maxProfileSize, to the byte, with
+	// violating servers no rule depends on, the way
+	// TestProfileRecordStaysWithinAFrame fills one.
+	fill := func(t *testing.T, e *Engine, clock *testClock, user string) {
+		for i := 0; ; i++ {
+			size := e.shardFor(user).profiles[user].estimateSize()
+			n := min(maxProfileSize-size-violationEntrySize, maxSpillStringLen)
+			if n < 3 {
+				return
+			}
+			r := loadReport(user, healthy)
+			r.Entries = append(r.Entries, report.Entry{
+				URL: "http://filler.example/obj.js", ServerAddr: fmt.Sprintf("%02d", i) + strings.Repeat("x", n-2),
+				SizeBytes: 1024, DurationMillis: 2000, Kind: report.KindScript,
+			})
+			if _, err := e.HandleReport(r); err != nil {
+				t.Fatal(err)
+			}
+			if e.shardFor(user).profiles[user].estimateSize() == size {
+				t.Fatalf("filler %d recorded no violation", i)
+			}
+			clock.Advance(time.Second)
+		}
+	}
+	handle := func(t *testing.T, e *Engine, r *report.Report) []RuleChange {
+		t.Helper()
+		res, err := e.HandleReport(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Changes
+	}
+	wantCanaries := func(t *testing.T, e *Engine, provider string, n int) {
+		t.Helper()
+		if got := canariesUsed(e, provider); got != n {
+			t.Errorf("%s: %d canary slots used, want %d", provider, got, n)
+		}
+		if got := e.Metrics().CanaryActivations; got != uint64(n) {
+			t.Errorf("CanaryActivations = %d, want %d", got, n)
+		}
+	}
+
+	t.Run("activation", func(t *testing.T) {
+		e, clock := guardEngine(t, []*rules.Rule{jqRule(0)})
+		e.QuarantineProvider("s2.net")
+		// The open breaker blocks the activation; the violator is recorded.
+		if ch := handle(t, e, slowS1Report("full")); len(ch) != 0 {
+			t.Fatalf("changes %+v while s2.net is open", ch)
+		}
+		fill(t, e, clock, "full")
+		clock.Advance(2 * time.Minute) // half-open: one canary slot
+		if ch := handle(t, e, slowS1Report("full")); len(ch) != 0 {
+			t.Fatalf("a full profile took an activation: %+v", ch)
+		}
+		wantCanaries(t, e, "s2.net", 0)
+		if ch := handle(t, e, slowS1Report("roomy")); len(ch) != 1 || ch[0].Action != "activate" {
+			t.Fatalf("a user with room was not admitted as the canary: %+v", ch)
+		}
+		wantCanaries(t, e, "s2.net", 1)
+	})
+
+	t.Run("advance", func(t *testing.T) {
+		e, clock := guardEngine(t, []*rules.Rule{jqRule(0,
+			`<script src="http://s2.net/jquery.js">`,
+			`<script src="http://s3.org/jquery.js">`,
+		)})
+		// The alternate violates under an address longer than the
+		// activation's trigger, so an advance grows the profile.
+		slowAlt := func(user string) *report.Report {
+			r := loadReport(user, healthy)
+			r.Entries = append(r.Entries, report.Entry{
+				URL: "http://s2.net/jquery.js", ServerAddr: "ip-s2.net-behind-a-longer-name",
+				SizeBytes: 1024, DurationMillis: 5000, Kind: report.KindScript,
+			})
+			return r
+		}
+		for _, user := range []string{"full", "roomy"} {
+			if ch := handle(t, e, slowAlt(user)); len(ch) != 0 {
+				t.Fatalf("%s: changes %+v before any activation", user, ch)
+			}
+			if ch := handle(t, e, slowS1Report(user)); len(ch) != 1 || ch[0].Action != "activate" {
+				t.Fatalf("%s: changes %+v, want the activation onto s2.net", user, ch)
+			}
+		}
+		e.QuarantineProvider("s3.org")
+		fill(t, e, clock, "full")
+		clock.Advance(2 * time.Minute) // half-open: one canary slot
+		if ch := handle(t, e, slowAlt("full")); len(ch) != 0 {
+			t.Fatalf("a full profile advanced: %+v", ch)
+		}
+		wantCanaries(t, e, "s3.org", 0)
+		if ch := handle(t, e, slowAlt("roomy")); len(ch) != 1 || ch[0].Action != "advance" {
+			t.Fatalf("a user with room was not admitted as the canary: %+v", ch)
+		}
+		wantCanaries(t, e, "s3.org", 1)
+	})
 }

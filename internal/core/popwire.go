@@ -422,8 +422,8 @@ func (e *Engine) synthesizeLocked(prof *Profile, r *report.Report, now time.Time
 			// expansion is corroborated by per-user violations, which a
 			// synthesized activation deliberately skips.
 			level := e.matcher.MatchOwnSurface(rule, s)
-			if level == MatchNone {
-				continue
+			if level == MatchNone || !prof.roomFor(rule, s.Addr) {
+				continue // no match, or a full profile: no breaker is asked for a slot
 			}
 			altIdx := 0
 			if rule.Type != rules.TypeRemove {
@@ -463,11 +463,7 @@ func (e *Engine) synthesizeLocked(prof *Profile, r *report.Report, now time.Time
 			if dist < 0 {
 				dist = 0
 			}
-			a := prof.activate(rule, altIdx, now, s.Addr, dist)
-			if a == nil {
-				continue // the profile is full
-			}
-			a.Synthesized = true
+			prof.activate(rule, altIdx, now, s.Addr, dist).Synthesized = true // roomFor: it fits
 			e.metrics.ruleActivations.Add(1)
 			e.metrics.synthesizedActivations.Inc()
 			res.Changes = append(res.Changes, RuleChange{

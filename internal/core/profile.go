@@ -115,19 +115,25 @@ func (p *Profile) activeRule(id string) *ActiveRule {
 	return p.active[id]
 }
 
+// roomFor reports whether an activation of r triggered by server fits within
+// maxProfileSize; ingest asks it before spending a breaker's canary slot.
+func (p *Profile) roomFor(r *rules.Rule, server string) bool {
+	if a := p.active[r.ID]; a != nil {
+		return p.grow(len(server) - len(a.TriggerServer))
+	}
+	return p.grow(activeEntrySize + len(r.ID) + len(server))
+}
+
 // activate records a (re-)activation of rule with the chosen alternative. It
 // returns nil, and changes nothing, when the activation would take the profile
-// past maxProfileSize. Caller holds the owning shard's write lock.
+// past maxProfileSize (roomFor). Caller holds the owning shard's write lock.
 func (p *Profile) activate(r *rules.Rule, altIndex int, now time.Time, server string, distance float64) *ActiveRule {
 	a := p.active[r.ID]
-	if a == nil {
-		if !p.grow(activeEntrySize + len(r.ID) + len(server)) {
-			return nil
-		}
+	if !p.roomFor(r, server) {
+		return nil
+	} else if a == nil {
 		a = &ActiveRule{Rule: r}
 		p.active[r.ID] = a
-	} else if !p.grow(len(server) - len(a.TriggerServer)) {
-		return nil
 	}
 	a.AltIndex = altIndex
 	a.ActivatedAt = now

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -16,11 +17,12 @@ import (
 
 // TestReportRoutesByTheUserTheBackendFilesItUnder drives cookie-less reports
 // whose userId a reader can get wrong — a duplicate key (the last wins), a
-// key in another case, an escaped key — through a gateway in front of two
-// real backends, as singles and as lines of one NDJSON batch. "Gateway-union
-// ≡ single node" needs each report's user to exist on the backend that owns
-// its arc and nowhere else; a gateway that routes by the first exactly-cased
-// userId creates it on the other one.
+// key in another case, an escaped key, a later null (the earlier value
+// stands), a userId nested in an entry, an escaped value — through a
+// gateway in front of two real backends, as singles and as lines of one
+// NDJSON batch. "Gateway-union ≡ single node" needs each report's user to
+// exist on the backend that owns its arc and nowhere else; a gateway that
+// routes by another reading creates it on the other one.
 func TestReportRoutesByTheUserTheBackendFilesItUnder(t *testing.T) {
 	var engines [2]*oak.Engine
 	var urls []string
@@ -50,22 +52,53 @@ func TestReportRoutesByTheUserTheBackendFilesItUnder(t *testing.T) {
 	}
 	// Each body names a decoy the wrong reading routes by, on the arc the
 	// real user is not on ("" is the decoy when the wrong reading finds none).
-	const entries = `"page":"/p","entries":[{"url":"http://cdn.example/a.js","serverAddr":"10.0.0.1","sizeBytes":100,"durationMillis":50}]`
+	const entry = `{"url":"http://cdn.example/a.js","serverAddr":"10.0.0.1","sizeBytes":100,"durationMillis":50}`
+	const entries = `"page":"/p","entries":[` + entry + `]`
 	emptyArc := core.RangeFor("", arcs)
-	type shape struct{ name, format string }
+	// A shape's format takes the decoy as %[1]q and the user as %[2]s,
+	// spelled as JSON by spell (strconv.Quote when nil). decoy, when set,
+	// is the wrong reading's user for a given user, and the user is drawn
+	// so that the two land on different arcs.
+	type shape struct {
+		name, format string
+		spell, decoy func(user string) string
+	}
+	noUser := func(string) string { return "" }
+	// The last byte escaped: the wrong reading keeps the escape.
+	escapeLast := func(user string) string {
+		return fmt.Sprintf(`"%s\u%04x"`, user[:len(user)-1], user[len(user)-1])
+	}
+	rawEscaped := func(user string) string { s := escapeLast(user); return s[1 : len(s)-1] }
 	shapes := []shape{
-		{"duplicate", `{"userId":%q,` + entries + `,"userId":%q}`},
-		{"duplicate-adjacent", `{"userId":%q,"userId":%q,` + entries + `}`},
-		{"escaped-last", `{"userId":%q,` + entries + `,"\u0075serId":%q}`},
+		{"duplicate", `{"userId":%[1]q,` + entries + `,"userId":%[2]s}`, nil, nil},
+		{"duplicate-adjacent", `{"userId":%[1]q,"userId":%[2]s,` + entries + `}`, nil, nil},
+		{"escaped-last", `{"userId":%[1]q,` + entries + `,"\u0075serId":%[2]s}`, nil, nil},
+		{"case-variant", `{"userId":%[1]q,` + entries + `,"UserID":%[2]s}`, nil, nil},
+		{"later-null", `{"userId":%[2]s,` + entries + `,"userId":null}`, nil, noUser},
+		{"nested", `{"page":"/p","entries":[{"userId":%[1]q,"url":"http://cdn.example/b.js"},` + entry + `],"userId":%[2]s}`, nil, nil},
+		{"escaped-value", `{"userId":%[2]s,` + entries + `}`, escapeLast, rawEscaped},
 	}
 	var bodies []string
 	users := map[string]int{} // user the backend files the report under → its arc
 	for _, via := range []string{"single", "line"} {
 		for i, sh := range shapes {
-			arc := i % 2
-			user := owned(arc, via+"-"+sh.name)
+			arc, user, decoy := i%2, "", ""
+			if sh.decoy == nil {
+				user, decoy = owned(arc, via+"-"+sh.name), owned(1-arc, "decoy")
+			} else {
+				for s := 0; ; s++ {
+					user = fmt.Sprintf("%s-%s-%d", via, sh.name, s)
+					if arc = core.RangeFor(user, arcs); core.RangeFor(sh.decoy(user), arcs) != arc {
+						break
+					}
+				}
+			}
+			spelled := strconv.Quote(user)
+			if sh.spell != nil {
+				spelled = sh.spell(user)
+			}
 			users[user] = arc
-			bodies = append(bodies, fmt.Sprintf(sh.format, owned(1-arc, "decoy"), user))
+			bodies = append(bodies, fmt.Sprintf(sh.format, decoy, spelled))
 		}
 		user := owned(1-emptyArc, via+"-folded")
 		users[user] = 1 - emptyArc

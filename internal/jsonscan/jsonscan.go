@@ -1,25 +1,19 @@
 // Package jsonscan holds the JSON scanning primitives Oak's one hand-written
-// JSON schema is read with: the report, by its decoder and by the gateway's
-// userId sniff (internal/report), as internal/wire holds the primitives of
-// the binary dialects. A schema reader walks the bytes with these and never
-// builds a token stream, a map or a reflect.Value.
+// JSON schema, the report, is read with (internal/report's decoder), as
+// internal/wire holds the primitives of the binary dialects. A schema reader
+// walks the bytes with these and never builds a token stream, a map or a
+// reflect.Value.
 //
-// The promise, and to whom. The value scanners (ScanString and its plain
-// variant, ScanInt64, ScanFloat64, ScanBool) answer true only for a token
-// they read exactly as encoding/json would read it into a Go string, int64,
-// float64 or bool, and false — "not proven", never "invalid" — for everything
-// else: a surrogate escape, a byte that is not ASCII, a number near overflow,
-// a literal that is not a number at all. A caller treats false as "hand the
-// whole document to encoding/json", so encoding/json stays the reference for
-// what is accepted and produces every error; the differential fuzzers of the
-// report schema (report:FuzzDecodeEquivalence,
-// report:FuzzSniffUserAgreesWithDecode) pin the two readings to each other,
-// and FuzzScannersAgreeWithJSON here pins the bare primitives.
-//
-// The skipper (SkipValue) is weaker: it is exact on well-formed JSON — it
-// stops where the value stops — and promises nothing else; on malformed input
-// it may stop anywhere or return false. That is enough for a caller that owes
-// an answer only for documents encoding/json accepts.
+// The promise, and to whom. The value scanners (ScanString, ScanInt64,
+// ScanFloat64, ScanBool) answer true only for a token they read exactly as
+// encoding/json would read it into a Go string, int64, float64 or bool, and
+// false — "not proven", never "invalid" — for everything else: a surrogate
+// escape, a byte that is not ASCII, a number near overflow, a literal that is
+// not a number at all. A caller treats false as "hand the whole document to
+// encoding/json", so encoding/json stays the reference for what is accepted
+// and produces every error; the report schema's differential fuzzer
+// (report:FuzzDecodeEquivalence) pins the two readings to each other, and
+// FuzzScannersAgreeWithJSON here pins the bare primitives.
 package jsonscan
 
 import (
@@ -64,16 +58,16 @@ func (d *Scanner) Consume(c byte) bool {
 // next scan. Non-ASCII bytes, control characters, surrogate escapes and
 // invalid escapes all answer false.
 func (d *Scanner) ScanString() ([]byte, bool) {
-	if tok, ok := d.ScanPlainString(); ok {
+	if tok, ok := d.scanPlainString(); ok {
 		return tok, true
 	}
 	return d.scanEscapedString()
 }
 
-// ScanPlainString scans a JSON string that is its own content: from the
+// scanPlainString scans a JSON string that is its own content: from the
 // opening quote to the next one with nothing in between that needs
 // decoding or is not allowed. On false nothing was consumed.
-func (d *Scanner) ScanPlainString() ([]byte, bool) {
+func (d *Scanner) scanPlainString() ([]byte, bool) {
 	if d.I >= len(d.Data) || d.Data[d.I] != '"' {
 		return nil, false
 	}
@@ -325,67 +319,4 @@ func (d *Scanner) ScanBool() (bool, bool) {
 		return false, true
 	}
 	return false, false
-}
-
-// SkipValue advances past one JSON value without interpreting it. It is
-// exact on well-formed JSON; on anything else it may stop anywhere or return
-// false (see the package comment).
-func (d *Scanner) SkipValue() bool {
-	if d.I >= len(d.Data) {
-		return false
-	}
-	switch d.Data[d.I] {
-	case '"':
-		return d.skipString()
-	case '{', '[':
-		depth := 0
-		for d.I < len(d.Data) {
-			switch d.Data[d.I] {
-			case '"':
-				if !d.skipString() {
-					return false
-				}
-				continue
-			case '{', '[':
-				depth++
-			case '}', ']':
-				if depth--; depth == 0 {
-					d.I++
-					return true
-				}
-			}
-			d.I++
-		}
-		return false
-	}
-	// A number, true, false or null: up to the next delimiter.
-	for d.I < len(d.Data) {
-		switch d.Data[d.I] {
-		case ',', '}', ']', ' ', '\t', '\n', '\r':
-			return true
-		}
-		d.I++
-	}
-	return false
-}
-
-// skipString advances past the string that starts at d.I: to the first quote
-// preceded by an even number of backslashes.
-func (d *Scanner) skipString() bool {
-	i := d.I + 1
-	for {
-		n := bytes.IndexByte(d.Data[i:], '"')
-		if n < 0 {
-			return false
-		}
-		i += n + 1
-		esc := 0
-		for j := i - 2; j > d.I && d.Data[j] == '\\'; j-- {
-			esc++
-		}
-		if esc%2 == 0 {
-			d.I = i
-			return true
-		}
-	}
 }

@@ -104,7 +104,7 @@ func saturatedServer(t *testing.T) (*Server, func()) {
 		engine.Close()
 	})
 
-	blocker, err := report.Unmarshal([]byte(tier3ReportJSON(t, "u-block")))
+	blocker, err := report.Decode([]byte(tier3ReportJSON(t, "u-block")))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,7 +284,7 @@ func TestPageServedUnmodifiedWhenRewriteBudgetLapses(t *testing.T) {
 	ts := httptest.NewServer(s)
 	defer ts.Close()
 
-	blocker, err := report.Unmarshal([]byte(tier3ReportJSON(t, "wedged-user")))
+	blocker, err := report.Decode([]byte(tier3ReportJSON(t, "wedged-user")))
 	if err != nil {
 		t.Fatal(err)
 	}

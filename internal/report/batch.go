@@ -79,12 +79,22 @@ func DecodeItem(f Format, item []byte) (*Report, error) {
 	return DecodePooled(item)
 }
 
-// SniffItemUser returns the userId one report of format f declares, read
-// as DecodeItem would read it (SniffBinaryUser or SniffJSONUser), so the
-// gateway routes every report to the backend that files it.
+// SniffItemUser returns the userId one report of format f declares, so the
+// gateway routes every report to the backend that files it. An OAKRPT1
+// report names its user first, so SniffBinaryUser reads only that prefix; a
+// JSON report is read by the very decode the backend files it by, so the two
+// cannot disagree about which userId key wins. A report that does not decode
+// yields "": it still routes deterministically, and the owner backend
+// rejects it.
 func SniffItemUser(f Format, item []byte) string {
 	if f.binaryItems() {
 		return SniffBinaryUser(item)
 	}
-	return SniffJSONUser(item)
+	r, err := DecodePooled(item)
+	if err != nil {
+		return ""
+	}
+	user := r.UserID
+	r.Release()
+	return user
 }

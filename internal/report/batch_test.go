@@ -143,6 +143,49 @@ func TestItemDecodeAndSniffFollowTheFormat(t *testing.T) {
 	}
 }
 
+// TestSniffItemUserReadsJSONAsDecode: a cookie-less JSON report is routed by
+// the user encoding/json files it under — the last userId key, in any case,
+// escaped or not; a null leaves the earlier value; a key nested in an entry
+// is no user — and a body that does not decode names nobody.
+func TestSniffItemUserReadsJSONAsDecode(t *testing.T) {
+	for _, tc := range []struct{ body, want string }{
+		{`{"userId":"a","page":"/p","userId":"b"}`, "b"},
+		{`{"USERID":"x"}`, "x"},
+		{`{"userId":"a","UserID":"b"}`, "b"},
+		{`{"userId":"a","userId":null}`, "a"},
+		{`{"userId":"a","\u0075serId":"b"}`, "b"},
+		{`{"userId":"a\u0062"}`, "ab"},
+		{`{"entries":[{"userId":"nested"}],"userId":"top"}`, "top"},
+		{`{"entries":[{"userId":"nested"}]}`, ""},
+		{`{"userId":"u"`, ""},
+		{`not json`, ""},
+	} {
+		for _, f := range []Format{FormatJSON, FormatNDJSON} {
+			if got := SniffItemUser(f, []byte(tc.body)); got != tc.want {
+				t.Errorf("format %d: SniffItemUser(%s) = %q, want %q", f, tc.body, got, tc.want)
+			}
+		}
+	}
+}
+
+// FuzzSniffUserAgreesWithDecode pins the gateway's routing key to the
+// backend's filing key: whenever Decode accepts a JSON body, SniffItemUser
+// names the user Decode names, and "" otherwise.
+func FuzzSniffUserAgreesWithDecode(f *testing.F) {
+	for _, data := range decodeCorpus() {
+		f.Add(data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		want := ""
+		if r, err := Decode(data); err == nil {
+			want = r.UserID
+		}
+		if got := SniffItemUser(FormatJSON, data); got != want {
+			t.Fatalf("SniffItemUser = %q, Decode().UserID = %q\nbody: %s", got, want, data)
+		}
+	})
+}
+
 // FuzzItemWalkRoundTrip: whatever the body, the items walked off it and
 // joined back into a batch walk back to the same items, so a sub-batch the
 // gateway reassembles reads at the backend exactly as its items read at the

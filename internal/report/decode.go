@@ -22,21 +22,22 @@ import (
 // Five things keep the common report cheap. A string is delimited with
 // bytes.IndexByte and proven plain (no escape, control or non-ASCII byte)
 // eight bytes at a time; only a string that is not plain is walked byte by
-// byte (the scanning primitives are internal/jsonscan's, shared with the
-// gateway's userId sniff). An entry's keys are first tried as the literals
-// `"url":`, `"serverAddr":`, ... at or after the one that matched last — the
-// order every encoder of Entry emits them in — and only a key that is not
-// where that order puts it is scanned as a string. Every string value but
-// the userId comes out of the intern table (intern.go), so a report written
-// in the site's usual vocabulary allocates almost nothing. An entry that
+// byte (the scanning primitives are internal/jsonscan's). An entry's keys are
+// first tried as the literals `"url":`, `"serverAddr":`, ... at or after the
+// one that matched last — the order every encoder of Entry emits them in —
+// and only a key that is not where that order puts it is scanned as a
+// string. Every string value but the userId comes out of the intern table
+// (intern.go), so a report written in the site's usual vocabulary allocates
+// almost nothing. An entry that
 // repeats, byte for byte, the last one recorded for its URL but for its
 // durationMillis is decoded by two compares and one float parse: see
 // continuation. And a report whose page names its entries' URLs in the order
 // the page's last recorded report did finds each URL by one compare against
 // that report's, not by a scan, a hash and a probe: see template.go.
 
-// Decode parses a JSON report body, trying the fast path first. It is a
-// drop-in replacement for Unmarshal (identical results and errors).
+// Decode parses a JSON report body, trying the fast path first. Its results
+// and errors are encoding/json's own: json.Unmarshal into a Report, an error
+// wrapped as "report: decode: ...".
 func Decode(data []byte) (*Report, error) {
 	r := &Report{}
 	if decodeFastInto(data, r) {

@@ -142,6 +142,32 @@ func decodeCorpus() [][]byte {
 		[]byte("{\"page\":\"/ws\",\"entries\":[{\"url\":\"http://a.com/w1\",\"serverAddr\":\"ip\",\"sizeBytes\":1,\"durationMillis\":1} , {\"url\":\"http://a.com/w2\",\"serverAddr\":\"ip\",\"sizeBytes\":2,\"durationMillis\":2}\n\t,{\"url\":\"http://a.com/w3\",\"serverAddr\":\"ip\",\"sizeBytes\":3,\"durationMillis\":3}]}"),
 		[]byte(`{"page":"/esc","entries":[{"url":"http:\/\/a.com\/e1","serverAddr":"ip","sizeBytes":1,"durationMillis":1},{"url":"http://a.com/e2","serverAddr":"ip","sizeBytes":2,"durationMillis":2,"kind":"image"}]}`),
 		longPageReport(),
+		// The userId readings the gateway routes a cookie-less report by:
+		// the last key wins, keys fold case, an escaped key or value counts,
+		// null leaves the earlier value, nothing nested is the user, and a
+		// body encoding/json refuses names nobody.
+		[]byte(`{"userId":"a","page":"/p","userId":"b"}`),
+		[]byte(`{"userId":"a","entries":[{"url":"http://x.com/"}],"userId":"b"}`),
+		[]byte(`{"USERID":"x"}`),
+		[]byte(`{"userId":"a","UserID":"b"}`),
+		[]byte(`{"userId":"a","\u0075serId":"escaped key"}`),
+		[]byte("{\"userId\":\"a\",\"uſerId\":\"b\"}"), // ſ folds to s
+		[]byte(`{"userId":"a","userId":null}`),
+		[]byte(`{"userId":null,"userId":"b"}`),
+		[]byte(`{"userId":"a\u0062"}`),
+		[]byte(`{"userId":7}`),
+		[]byte(`{"page":"/p","entries":[{"url":"http://x.com/?q=\"userId\":\"n\""}],"generatedAtUnixMs":5,"userId":"last"}`),
+		[]byte(`{"entries":[{"userId":"nested"}],"userId":"top"}`),
+		[]byte(`{"entries":[{"url":"a\\"},{"url":"}]"}],"userId":"after-escapes"}`),
+		[]byte(`{"page":"\\\"","userId":"after-quote"}`),
+		[]byte(`{"other":{"userId":"deep","x":[1,{"userId":"deeper"}]},"n":-1.5e3,"t":true,"z":null,"userId":"u"}`),
+		[]byte(` { "userId" : "spaced" , "page" : "/p" } `),
+		[]byte(`{"userId":"u","page":"/p"}{"userId":"second"}`),
+		[]byte(`{"userId":"u",}`),
+		[]byte(`{"userId":"u"`),
+		[]byte(`{"userId":"u","entries":[}`),
+		[]byte(`{"userid":"lower"}`),
+		[]byte(`{"userIds":"longer","userI":"shorter","userId":"exact"}`),
 	}
 	return corpus
 }

@@ -257,11 +257,11 @@ func TestQuickReportRoundTrip(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		got, err := Unmarshal(data)
+		got, err := Decode(data)
 		if err != nil {
 			return false
 		}
-		return reflect.DeepEqual(*got, *r)
+		return equalDecoded(got, r)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)

@@ -170,15 +170,6 @@ func (r *Report) Marshal() ([]byte, error) {
 	return json.Marshal(r)
 }
 
-// Unmarshal decodes a JSON report body.
-func Unmarshal(data []byte) (*Report, error) {
-	var r Report
-	if err := json.Unmarshal(data, &r); err != nil {
-		return nil, fmt.Errorf("report: decode: %w", err)
-	}
-	return &r, nil
-}
-
 // WireSize returns the JSON-encoded size of the report in bytes. Figure 15
 // of the paper studies this distribution (median < 10 KB).
 func (r *Report) WireSize() (int, error) {

@@ -76,7 +76,7 @@ func TestMarshalRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Unmarshal(data)
+	got, err := Decode(data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,8 +89,8 @@ func TestMarshalRoundTrip(t *testing.T) {
 }
 
 func TestUnmarshalBadJSON(t *testing.T) {
-	if _, err := Unmarshal([]byte("{not json")); err == nil {
-		t.Error("Unmarshal(bad) = nil error, want error")
+	if _, err := Decode([]byte("{not json")); err == nil {
+		t.Error("Decode(bad) = nil error, want error")
 	}
 }
 

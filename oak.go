@@ -542,7 +542,7 @@ type LintWarning = rules.LintWarning
 func LintRules(rs []*Rule) []LintWarning { return rules.Lint(rs) }
 
 // UnmarshalReport decodes a JSON report body.
-func UnmarshalReport(data []byte) (*Report, error) { return report.Unmarshal(data) }
+func UnmarshalReport(data []byte) (*Report, error) { return report.Decode(data) }
 
 // ReportFromHAR converts a browser-devtools HTTP Archive export into an Oak
 // report for the given user, so captured real sessions can be fed through

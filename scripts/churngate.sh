@@ -21,9 +21,13 @@
 # this tree's rotating_test.go copied in so both decode the same bodies, and
 # from this tree. It then runs the two binaries alternately, PAIRS times each
 # per case, and fails when this tree's fastest run is more than 1.05 of the
-# old one's fastest. Other load on the machine only ever slows a run, and
-# alternating gives both binaries the same quiet moments, so the fastest runs
-# are the closest to each cost.
+# old one's fastest. A run is timed by the CPU time the process spent on it
+# (the benchmark's cpu-ns/op, from getrusage), not by the wall clock: other
+# load on the machine delays a run far more than it costs it CPU. Each run
+# decodes enough reports to spend at least 100 ms of CPU, or the gate fails
+# naming the case to lengthen. What load still costs a run (caches, a
+# shared core) only ever slows it, and alternating gives both binaries the
+# same quiet moments, so the fastest runs are the closest to each cost.
 #
 # Run from anywhere: sh scripts/churngate.sh (needs the git history).
 set -e
@@ -57,31 +61,37 @@ build "$churnbase"
 [ -x "$dir/$tmplbase.test" ] || build "$tmplbase"
 go test -c -o "$dir/tree.test" ./internal/report
 
-# gate <case> <rev> <what the rev is before>
+# gate <case> <decodes per run> <rev> <what the rev is before>
 gate() {
-	nsop() {
-		"$1" -test.run '^$' -test.bench "DecodeRotating/$2\$" -test.benchtime 3840x -test.cpu 1 |
-			awk -v c="$2" '$1 ~ c { print $3 }'
+	cpunsop() {
+		"$1" -test.run '^$' -test.bench "DecodeRotating/$2\$" -test.benchtime "$3x" -test.cpu 1 |
+			awk -v c="$2" '$1 ~ c { for (i = 2; i <= NF; i++) if ($i == "cpu-ns/op") print $(i - 1) }'
 	}
 	i=0
 	while [ "$i" -lt "$pairs" ]; do
-		b=$(nsop "$dir/$2.test" "$1")
-		t=$(nsop "$dir/tree.test" "$1")
+		b=$(cpunsop "$dir/$3.test" "$1" "$2")
+		t=$(cpunsop "$dir/tree.test" "$1" "$2")
 		echo "$t $b"
 		i=$((i + 1))
-	done | awk -v c="$1" -v base="$2" -v what="$3" -v want="$pairs" '
+	done | awk -v c="$1" -v n="$2" -v base="$3" -v what="$4" -v want="$pairs" '
 		NF == 2 && $1 > 0 && $2 > 0 {
-			n++
-			if (n == 1 || $1 < t) t = $1
-			if (n == 1 || $2 < b) b = $2
+			k++
+			if (k == 1 || $1 < t) t = $1
+			if (k == 1 || $2 < b) b = $2
 		}
 		END {
-			r = n ? t / b : 0
-			printf "%s, fastest of %d runs each: this tree %d ns/op, before %s (%.12s) %d ns/op, ratio %.3f, gate 1.05\n",
-				c, n, t, what, base, b, r
-			exit !(n == want && r <= 1.05) # a run that printed no figure fails the gate
-		}' || { echo "churn gate failed: $1 costs more than 1.05 of the decoder before $3" >&2; exit 1; }
+			r = k ? t / b : 0
+			printf "%s, fastest of %d runs of %d decodes each, by CPU time: this tree %d ns/op, before %s (%.12s) %d ns/op, ratio %.3f, gate 1.05\n",
+				c, k, n, t, what, base, b, r
+			if (k == want && (t < b ? t : b) * n < 1e8) {
+				printf "churn gate: a %s run spent under 100 ms of CPU; raise its decodes per run\n", c
+				exit 1
+			}
+			exit !(k == want && r <= 1.05) # a run that printed no figure fails the gate
+		}' || { echo "churn gate failed: $1 costs more than 1.05 of the decoder before $4, or its runs are too short to time" >&2; exit 1; }
 }
-gate JSON-churn "$churnbase" continuations
-gate JSON-reorder "$tmplbase" templates
-gate JSON-newpage "$tmplbase" templates
+# Decodes per run: multiples of the case's rotation (384 churn bodies, 480
+# reordered), each run ≥ 100 ms of CPU on a 2-vCPU Xeon.
+gate JSON-churn 19200 "$churnbase" continuations
+gate JSON-reorder 38400 "$tmplbase" templates
+gate JSON-newpage 38400 "$tmplbase" templates

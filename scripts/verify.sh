@@ -14,8 +14,9 @@
 # cold, warm, warmed by siblings whose continuations every entry
 # mismatches, and with the page's template from a sibling that differs in
 # one entry or in length) and the OAKRPT1 binary codec to round-trip identity with
-# typed rejection of hostile frames, and a fifth pins the gateway's routing
-# key to the backend's filing key (SniffJSONUser == Decode().UserID). The
+# typed rejection of hostile frames. The gateway routes a cookie-less JSON
+# report by the very decode the backend files it by (report.SniffItemUser),
+# so no fuzzer has to pin a second reader to it. The
 # report decode gate
 # (TestDecodeSteadyStateAllocs) holds a pooled decode of 12 rotating reports,
 # in either wire format, to the allocations the intern table leaves, next to
@@ -23,7 +24,8 @@
 # a JSON rotation whose every entry mismatches its URL's continuation to +5 %
 # of the decoder before continuations, and rotations whose every report
 # mismatches its page's template in the first entry or names a new page to
-# +5 % of the decoder before templates, on the same bodies; the tables'
+# +5 % of the decoder before templates, on the same bodies, by the CPU time
+# of runs of at least 100 ms; the tables'
 # adversaries (a flood of unique and over-length tokens, continuations
 # filling entries to the byte, against the intern table's memory bound; a
 # flood of pages whose templates keep replaced entries alive, against the
@@ -157,7 +159,10 @@
 # allocations per loaded profile and per walked segment record under 3.5; the
 # structure check
 # fails by name if persist.go grows a second json.Unmarshal of the payload, if
-# a JSON scanning primitive is defined outside internal/jsonscan, or if a
+# a JSON scanning primitive is defined outside internal/jsonscan, if a second
+# JSON reader of the report comes back (one-json-reader: no SniffJSONUser or
+# sniffUser in non-test code, and only internal/report imports
+# internal/jsonscan), or if a
 # profile gets a second durable codec (one-profile-codec: internal/core reads
 # no JSON with internal/jsonscan, and marshals JSON only in exportStateRange
 # and a checkpoint's header), and if the gateway reaches a backend around its
@@ -225,15 +230,12 @@ go test -run '^$' -fuzz FuzzBinaryRoundTrip -fuzztime 5s ./internal/report
 echo "== fuzz smoke: FuzzPrimitivesRoundTrip (10s) =="
 go test -run xxx -fuzz FuzzPrimitivesRoundTrip -fuzztime 10s ./internal/wire
 
-echo "== fuzz smoke: FuzzSniffUserAgreesWithDecode (5s) =="
-go test -run '^$' -fuzz FuzzSniffUserAgreesWithDecode -fuzztime 5s ./internal/report
-
 echo "== report decode gate: allocs per rotating decode (JSON, OAKRPT1) + rotating decode bench smoke =="
 out=$(go test -run 'TestDecodeSteadyStateAllocs' -count=1 -v ./internal/report) || { echo "$out" >&2; exit 1; }
 echo "$out" | grep -E -e '--- PASS|allocs per decode'
 go test -run '^$' -bench 'BenchmarkDecodeRotating' -benchtime 1x ./internal/report
 
-echo "== churn gate: a JSON rotation whose every entry mismatches its continuation, against the decoder before continuations; reordered and new-page rotations, against the decoder before templates =="
+echo "== churn gate: a JSON rotation whose every entry mismatches its continuation, against the decoder before continuations; reordered and new-page rotations, against the decoder before templates; by CPU time =="
 sh scripts/churngate.sh
 
 echo "== intern and template table adversaries: memory bounds under token and page floods with continuations and stale template entries, one URL's continuation flood, a new-page flood, shared tables under -race =="
@@ -303,7 +305,7 @@ echo "== checkpoint holds residents only: a capped save reads no record, an unca
 out=$(go test -count=1 -run 'TestCheckpointHoldsResidentsOnly|TestUncappedSaveIsTheSnapshot|TestBootAdoptsTheLog/one_segment_damaged' -v ./internal/core) || { echo "$out" >&2; exit 1; }
 echo "$out" | grep -E -e '--- PASS|gone with'
 
-echo "== structure check: one segment writer, one sequence allocator, one segment walker, one file seam, one serve cache, one durable ref, one page index, one merge predicate, one version bump, one home for an activation, one rule set per process, one home for a user, one reference decoder, one JSON scanner, one profile codec, one spill index, one backend call, one body read, one batch walk =="
+echo "== structure check: one segment writer, one sequence allocator, one segment walker, one file seam, one serve cache, one durable ref, one page index, one merge predicate, one version bump, one home for an activation, one rule set per process, one home for a user, one reference decoder, one JSON scanner, one JSON reader, one profile codec, one spill index, one backend call, one body read, one batch walk =="
 fail() { echo "structure check failed: $1" >&2; exit 1; }
 seglog_go=$(ls internal/seglog/*.go | grep -v '_test\.go$')
 core_go=$(ls internal/core/*.go | grep -v '_test\.go$')
@@ -377,11 +379,18 @@ fi
 unmarshals=$(grep -c 'json\.Unmarshal(payload' internal/core/persist.go)
 [ "$unmarshals" -eq 1 ] ||
 	fail "one-reference-decoder: json.Unmarshal(payload occurs $unmarshals times in persist.go, want once (decodeState)"
-for prim in ScanString ScanInt64 ScanFloat64 SkipValue; do
+for prim in ScanString ScanInt64 ScanFloat64; do
 	defs=$(grep -rlEi --include='*.go' "^func \([a-z]+ \*?[A-Za-z]+\) $prim\(" . | tr '\n' ' ')
 	[ "$defs" = "./internal/jsonscan/jsonscan.go " ] ||
 		fail "one-json-scanner: $prim is defined (in any case) in [ $defs], want internal/jsonscan/jsonscan.go only"
 done
+
+if grep -rnE --include='*.go' --exclude='*_test.go' '^func (\([^)]*\) )?(SniffJSONUser|sniffUser)\(' internal/ cmd/ examples/ *.go; then
+	fail "one-json-reader: a second JSON reader of the report is back (the gateway routes a cookie-less report by the decode its backend files it by: report.SniffItemUser)"
+fi
+readers=$(grep -rl --include='*.go' --exclude='*_test.go' '"oak/internal/jsonscan"' internal/ cmd/ examples/ *.go | xargs -n1 dirname | sort -u | tr '\n' ' ')
+[ "$readers" = "internal/report " ] ||
+	fail "one-json-reader: internal/jsonscan is imported by non-test code in [ $readers], want internal/report only (the report's decoder is its one reader)"
 
 if grep -n '"oak/internal/jsonscan"' $core_go; then
 	fail "one-profile-codec: non-test internal/core imports internal/jsonscan (a profile's durable form is its OAKPROF1 record; JSON state is read by encoding/json alone)"
