@@ -14,7 +14,7 @@ import (
 //  1. What does the breaker check cost on the activation path?
 //     BenchmarkActivationGuardOff vs BenchmarkActivationGuardOn run the
 //     identical activating-ingest load without and with WithGuard; the
-//     reports/sec ratio is the per-activation toll of the breaker Allow
+//     reports/sec ratio is the per-activation toll of the guard's Admit
 //     call (target: <= 5%). The guard keeps nothing per activation, so the
 //     two allocate the same.
 //

@@ -414,15 +414,15 @@ func (e *Engine) analyzeLocked(sh *shard, r *report.Report, now time.Time, serve
 				continue // already active
 			}
 			level := e.matcher.Match(rule, v.Server, scriptURLs)
-			if level == MatchNone || !prof.roomFor(rule, v.Server.Addr) {
-				continue // no dependency, or a full profile: no breaker is asked for a slot
+			if level == MatchNone {
+				continue
 			}
-			altIdx := 0
+			pref := 0
 			if rule.Type != rules.TypeRemove {
-				altIdx = e.policy.SelectAlternative(rule, -1, r.UserID)
+				pref = e.policy.SelectAlternative(rule, -1, r.UserID)
 			}
-			admit, canary, blockedBy := e.guardAdmit(rule.ID, altIdx)
-			if !admit {
+			altIdx, blockedBy := e.admitLocked(prof, rule, v.Server.Addr, now, "activation", pref)
+			if blockedBy != "" {
 				// The target provider (or the rule itself) is quarantined:
 				// this user is never steered onto a known-bad alternate.
 				e.metrics.activationsBlocked.Inc()
@@ -430,26 +430,19 @@ func (e *Engine) analyzeLocked(sh *shard, r *report.Report, now time.Time, serve
 					e.traceAt(now, obs.Event{
 						Kind: obs.EventQuarantine, User: r.UserID, RuleID: rule.ID,
 						Provider: blockedBy,
-						Detail:   fmt.Sprintf("activation blocked, alt %d", altIdx),
+						Detail:   fmt.Sprintf("activation blocked, alt %d", pref),
 					})
 				}
-				continue
 			}
-			prof.activate(rule, altIdx, now, v.Server.Addr, v.Distance) // roomFor: it fits
+			if altIdx < 0 {
+				continue // blocked, or a full profile (skipped, not blocked)
+			}
+			prof.activate(rule, altIdx, now, v.Server.Addr, v.Distance) // admitted: it fits
 			e.metrics.ruleActivations.Add(1)
 			res.Changes = append(res.Changes, RuleChange{
 				RuleID: rule.ID, Action: "activate", Server: v.Server.Addr,
 				AltIndex: altIdx, Level: level,
 			})
-			if canary {
-				e.metrics.canaryActivations.Inc()
-				if e.tracing() {
-					e.traceAt(now, obs.Event{
-						Kind: obs.EventCanary, User: r.UserID, RuleID: rule.ID,
-						Detail: fmt.Sprintf("canary activation through half-open breaker, alt %d", altIdx),
-					})
-				}
-			}
 			if e.tracing() {
 				e.traceAt(now, obs.Event{
 					Kind: obs.EventActivate, User: r.UserID, RuleID: rule.ID,
@@ -501,15 +494,14 @@ func (e *Engine) reconcileActiveRules(sh *shard, prof *Profile, v Violation, now
 					Detail: fmt.Sprintf("alt dist %.1f < default dist %.1f", v.Distance, a.TriggerDistance),
 				})
 			}
-		case a.AltIndex+1 < len(a.Rule.Alternatives) && !prof.roomFor(a.Rule, v.Server.Addr):
-			// A full profile: the alternate stays, and no breaker is asked for a slot.
 		case a.AltIndex+1 < len(a.Rule.Alternatives):
 			// A fresh alternative remains: progress linearly.
 			next := e.policy.SelectAlternative(a.Rule, a.AltIndex, prof.UserID)
 			if next == a.AltIndex {
 				next = a.AltIndex + 1 // selector refused to move; force progression
 			}
-			if admit, canary, blockedBy := e.guardAdmit(id, next); !admit {
+			alt, blockedBy := e.admitLocked(prof, a.Rule, v.Server.Addr, now, "advance", next)
+			if blockedBy != "" {
 				// The next alternative's provider is quarantined: revert to
 				// the default rather than steer the user onto it.
 				e.metrics.activationsBlocked.Inc()
@@ -526,16 +518,11 @@ func (e *Engine) reconcileActiveRules(sh *shard, prof *Profile, v Violation, now
 					})
 				}
 				break
-			} else if canary {
-				e.metrics.canaryActivations.Inc()
-				if e.tracing() {
-					e.traceAt(now, obs.Event{
-						Kind: obs.EventCanary, User: prof.UserID, RuleID: id,
-						Detail: fmt.Sprintf("canary advance through half-open breaker, alt %d", next),
-					})
-				}
 			}
-			prof.activate(a.Rule, next, now, v.Server.Addr, v.Distance) // roomFor: it fits
+			if alt < 0 {
+				break // a full profile: the alternate stays
+			}
+			prof.activate(a.Rule, next, now, v.Server.Addr, v.Distance) // admitted: it fits
 			e.metrics.ruleActivations.Add(1)
 			res.Changes = append(res.Changes, RuleChange{
 				RuleID: id, Action: "advance", Server: v.Server.Addr, AltIndex: next,

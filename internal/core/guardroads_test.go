@@ -85,13 +85,6 @@ func activate(t *testing.T, e *Engine, users ...string) {
 	}
 }
 
-func handle(t *testing.T, e *Engine, r *report.Report) {
-	t.Helper()
-	if _, err := e.HandleReport(r); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func rollbackEvents(e *Engine) (perUser map[string]int, summaries int) {
 	perUser = make(map[string]int)
 	for _, ev := range e.TraceRecent(1024) {

@@ -18,9 +18,12 @@ import (
 // across every report (plus an optional active prober) into per-provider
 // circuit breakers (internal/guard) and acts engine-wide:
 //
-//   - every activation (and alternative advance) consults the target
-//     provider's breaker first — an open breaker blocks it, a half-open one
-//     admits it as a bounded canary;
+//   - every activation, advance and synthesis is one admission decision
+//     (admitLocked): a full profile is skipped before any breaker is asked,
+//     then the alternative is admitted only if the rule is not quarantined
+//     and every provider it points at admits — an open breaker blocks it, a
+//     half-open one admits it as a bounded canary, and its slot is spent
+//     only when the whole alternative is admitted;
 //   - a breaker trip bulk-deactivates all existing activations pointing at
 //     the provider: one pass over the resident profiles, shard by shard
 //     (rollbackWhere — the same pass a rule quarantine makes); spilled users
@@ -29,7 +32,7 @@ import (
 //     per-rule fallback → unmodified page) and quarantines a rule implicated
 //     in repeated panics.
 //
-// Lock discipline: the guard's own mutex is a leaf — Allow/observe calls are
+// Lock discipline: the guard's own mutex is a leaf — Admit/Observe calls are
 // safe under a shard lock — but acting on a trip locks shards one at a time,
 // so ObserveProviderOutcome must only ever be called with NO shard lock
 // held. process() therefore collects outcomes under the shard lock and
@@ -153,27 +156,42 @@ func (e *Engine) activationOn(a *ActiveRule, provider string) bool {
 	return containsString(e.altHostsFor(a.Rule.ID, a.AltIndex), provider)
 }
 
-// guardAdmit consults the guard before activating (rule, altIdx): the rule
-// must not be quarantined and every provider the alternative points at must
-// admit. canary marks an admission that consumed a half-open canary slot (of
-// any provider). Safe under a shard lock (the guard mutex is a leaf).
-func (e *Engine) guardAdmit(ruleID string, altIdx int) (admit, canary bool, blockedBy string) {
+// admitLocked is the one admission decision: may the user whose profile is
+// prof take an activation of rule, triggered by server, onto the first of
+// alts that the guard admits whole (guard.Set.Admit)? A full profile is
+// refused first and silently: roomFor has no side effect, so no breaker is
+// asked and no slot is spent. An admitted canary is counted and traced here,
+// as the canary of site. It returns the admitted alternative, or -1 with
+// blockedBy naming what refused the first alternative ("" for a full
+// profile, which is not counted as blocked). Caller holds prof's shard lock
+// for writing (the guard mutex is a leaf).
+func (e *Engine) admitLocked(prof *Profile, rule *rules.Rule, server string, now time.Time, site string, alts ...int) (alt int, blockedBy string) {
+	if !prof.roomFor(rule, server) {
+		return -1, ""
+	}
 	if e.guard == nil {
-		return true, false, ""
+		return alts[0], ""
 	}
-	if e.guard.RuleQuarantined(ruleID) {
-		return false, false, "rule:" + ruleID
-	}
-	for _, h := range e.altHostsFor(ruleID, altIdx) {
-		d := e.guard.Allow(h)
-		if !d.Admit {
-			return false, canary, h
+	for _, alt := range alts {
+		canary, by := e.guard.Admit(rule.ID, e.altHostsFor(rule.ID, alt))
+		if by != "" {
+			if blockedBy == "" {
+				blockedBy = by
+			}
+			continue
 		}
-		if d.Canary {
-			canary = true
+		if canary {
+			e.metrics.canaryActivations.Inc()
+			if e.tracing() {
+				e.traceAt(now, obs.Event{
+					Kind: obs.EventCanary, User: prof.UserID, RuleID: rule.ID,
+					Detail: fmt.Sprintf("canary %s through half-open breaker, alt %d", site, alt),
+				})
+			}
 		}
+		return alt, ""
 	}
-	return true, canary, ""
+	return -1, blockedBy
 }
 
 // providerOutcome is one population-level signal extracted from a report

@@ -480,65 +480,78 @@ func TestGuardRuleQuarantineViaManualOverride(t *testing.T) {
 	}
 }
 
-// TestFullProfileSpendsNoCanarySlot: a half-open breaker admits
-// HalfOpenCanaries activations, and each is spent by asking it. A user whose
-// profile has no room for the activation must not ask, or the slot goes to
-// an activation that is never made and a user with room is turned away —
-// on a fresh activation and on an advance to the breaker's alternative.
-func TestFullProfileSpendsNoCanarySlot(t *testing.T) {
-	canariesUsed := func(e *Engine, provider string) int {
-		st, _ := e.GuardStatus()
-		for _, b := range st.Breakers {
-			if b.Provider == provider {
-				return b.CanariesUsed
-			}
+// healthyPeers are the four well-behaved servers a report's violator is
+// judged against.
+var healthyPeers = map[string]float64{"a.example": 100, "b.example": 110, "c.example": 105, "d.example": 95}
+
+// fill takes user's profile to maxProfileSize, to the byte, with violating
+// servers no rule depends on, the way TestProfileRecordStaysWithinAFrame
+// fills one. The user must have reported before.
+func fill(t *testing.T, e *Engine, clock *testClock, user string) {
+	t.Helper()
+	for i := 0; ; i++ {
+		size := e.shardFor(user).profiles[user].estimateSize()
+		n := min(maxProfileSize-size-violationEntrySize, maxSpillStringLen)
+		if n < 3 {
+			return
 		}
-		t.Fatalf("no breaker for %s", provider)
-		return 0
-	}
-	healthy := map[string]float64{"a.example": 100, "b.example": 110, "c.example": 105, "d.example": 95}
-	// fill takes user's profile to maxProfileSize, to the byte, with
-	// violating servers no rule depends on, the way
-	// TestProfileRecordStaysWithinAFrame fills one.
-	fill := func(t *testing.T, e *Engine, clock *testClock, user string) {
-		for i := 0; ; i++ {
-			size := e.shardFor(user).profiles[user].estimateSize()
-			n := min(maxProfileSize-size-violationEntrySize, maxSpillStringLen)
-			if n < 3 {
-				return
-			}
-			r := loadReport(user, healthy)
-			r.Entries = append(r.Entries, report.Entry{
-				URL: "http://filler.example/obj.js", ServerAddr: fmt.Sprintf("%02d", i) + strings.Repeat("x", n-2),
-				SizeBytes: 1024, DurationMillis: 2000, Kind: report.KindScript,
-			})
-			if _, err := e.HandleReport(r); err != nil {
-				t.Fatal(err)
-			}
-			if e.shardFor(user).profiles[user].estimateSize() == size {
-				t.Fatalf("filler %d recorded no violation", i)
-			}
-			clock.Advance(time.Second)
-		}
-	}
-	handle := func(t *testing.T, e *Engine, r *report.Report) []RuleChange {
-		t.Helper()
-		res, err := e.HandleReport(r)
-		if err != nil {
+		r := loadReport(user, healthyPeers)
+		r.Entries = append(r.Entries, report.Entry{
+			URL: "http://filler.example/obj.js", ServerAddr: fmt.Sprintf("%02d", i) + strings.Repeat("x", n-2),
+			SizeBytes: 1024, DurationMillis: 2000, Kind: report.KindScript,
+		})
+		if _, err := e.HandleReport(r); err != nil {
 			t.Fatal(err)
 		}
-		return res.Changes
-	}
-	wantCanaries := func(t *testing.T, e *Engine, provider string, n int) {
-		t.Helper()
-		if got := canariesUsed(e, provider); got != n {
-			t.Errorf("%s: %d canary slots used, want %d", provider, got, n)
+		if e.shardFor(user).profiles[user].estimateSize() == size {
+			t.Fatalf("filler %d recorded no violation", i)
 		}
-		if got := e.Metrics().CanaryActivations; got != uint64(n) {
-			t.Errorf("CanaryActivations = %d, want %d", got, n)
-		}
+		clock.Advance(time.Second)
 	}
+}
 
+// handle ingests r and returns its rule changes.
+func handle(t *testing.T, e *Engine, r *report.Report) []RuleChange {
+	t.Helper()
+	res, err := e.HandleReport(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res.Changes
+}
+
+// wantCanaries checks that provider's breaker has spent n canary slots and
+// that n canary activations were counted.
+func wantCanaries(t *testing.T, e *Engine, provider string, n int) {
+	t.Helper()
+	st, _ := e.GuardStatus()
+	used := -1
+	for _, b := range st.Breakers {
+		if b.Provider == provider {
+			used = b.CanariesUsed
+		}
+	}
+	if used != n {
+		t.Errorf("%s: %d canary slots used, want %d", provider, used, n)
+	}
+	if got := st.CanaryActivations; got != uint64(n) {
+		t.Errorf("CanaryActivations = %d, want %d", got, n)
+	}
+}
+
+// synthesisOn is a synthesis config for hand-fed traffic: providers are
+// flagged by MarkDegraded only.
+var synthesisOn = WithSynthesis(SynthesisConfig{
+	Window: time.Minute, MinSamples: 1 << 30, MinBaselineSamples: 1 << 30, MaxProviders: 8,
+})
+
+// TestFullProfileSpendsNoCanarySlot: a half-open breaker admits
+// HalfOpenCanaries activations, and each is spent by admitting one. A user
+// whose profile has no room for the activation must not be admitted, or the
+// slot goes to an activation that is never made and a user with room is
+// turned away — on a fresh activation, on an advance to the breaker's
+// alternative, and on a synthesized activation.
+func TestFullProfileSpendsNoCanarySlot(t *testing.T) {
 	t.Run("activation", func(t *testing.T) {
 		e, clock := guardEngine(t, []*rules.Rule{jqRule(0)})
 		e.QuarantineProvider("s2.net")
@@ -566,7 +579,7 @@ func TestFullProfileSpendsNoCanarySlot(t *testing.T) {
 		// The alternate violates under an address longer than the
 		// activation's trigger, so an advance grows the profile.
 		slowAlt := func(user string) *report.Report {
-			r := loadReport(user, healthy)
+			r := loadReport(user, healthyPeers)
 			r.Entries = append(r.Entries, report.Entry{
 				URL: "http://s2.net/jquery.js", ServerAddr: "ip-s2.net-behind-a-longer-name",
 				SizeBytes: 1024, DurationMillis: 5000, Kind: report.KindScript,
@@ -592,5 +605,78 @@ func TestFullProfileSpendsNoCanarySlot(t *testing.T) {
 			t.Fatalf("a user with room was not admitted as the canary: %+v", ch)
 		}
 		wantCanaries(t, e, "s3.org", 1)
+	})
+	t.Run("synthesis", func(t *testing.T) {
+		e, clock := guardEngine(t, []*rules.Rule{jqRule(0)}, synthesisOn)
+		e.QuarantineProvider("s2.net")
+		e.MarkDegraded("s1.com")
+		degraded := func(user string) *report.Report { return loadReport(user, map[string]float64{"s1.com": 900}) }
+		// The open breaker blocks the synthesized activation.
+		if ch := handle(t, e, degraded("full")); len(ch) != 0 {
+			t.Fatalf("changes %+v while s2.net is open", ch)
+		}
+		fill(t, e, clock, "full")
+		clock.Advance(2 * time.Minute) // half-open: one canary slot
+		if ch := handle(t, e, degraded("full")); len(ch) != 0 {
+			t.Fatalf("a full profile took a synthesized activation: %+v", ch)
+		}
+		wantCanaries(t, e, "s2.net", 0)
+		if ch := handle(t, e, degraded("roomy")); len(ch) != 1 || !ch[0].Synthesized {
+			t.Fatalf("a user with room was not admitted as the canary: %+v", ch)
+		}
+		wantCanaries(t, e, "s2.net", 1)
+		if got := e.Metrics().SynthesisBlocked; got != 1 {
+			t.Errorf("SynthesisBlocked = %d, want 1 (the full profile is skipped, not blocked)", got)
+		}
+	})
+}
+
+// TestRefusedAlternativeSpendsNoCanarySlot: an alternative on two providers
+// is admitted whole or not at all. With s2.net half-open (one canary slot)
+// and s3.org open, the activation is refused and s2.net's slot stays unspent,
+// so once s3.org is released the next user is admitted as s2.net's canary.
+// Synthesis, which falls back to the rule's other alternatives, must not
+// spend the slot of the preferred alternative it could not take either.
+func TestRefusedAlternativeSpendsNoCanarySlot(t *testing.T) {
+	both := `<script src="http://s2.net/jquery.js"><script src="http://s3.org/jquery.js">`
+	halfOpenAndOpen := func(e *Engine, clock *testClock) {
+		e.QuarantineProvider("s2.net")
+		clock.Advance(2 * time.Minute) // s2.net half-open: one canary slot
+		e.QuarantineProvider("s3.org")
+	}
+
+	t.Run("activation", func(t *testing.T) {
+		e, clock := guardEngine(t, []*rules.Rule{jqRule(0, both)})
+		halfOpenAndOpen(e, clock)
+		if ch := handle(t, e, slowS1Report("u1")); len(ch) != 0 {
+			t.Fatalf("activated onto open s3.org: %+v", ch)
+		}
+		wantCanaries(t, e, "s2.net", 0)
+		if got := e.Metrics().ActivationsBlocked; got != 1 {
+			t.Errorf("ActivationsBlocked = %d, want 1", got)
+		}
+		e.ReleaseProvider("s3.org")
+		if ch := handle(t, e, slowS1Report("u2")); len(ch) != 1 || ch[0].Action != "activate" {
+			t.Fatalf("the second user was not admitted as the canary: %+v", ch)
+		}
+		wantCanaries(t, e, "s2.net", 1)
+	})
+
+	t.Run("synthesis", func(t *testing.T) {
+		rule := jqRule(0, both, `<script src="http://s4.example/jquery.js">`)
+		e, clock := guardEngine(t, []*rules.Rule{rule}, synthesisOn)
+		halfOpenAndOpen(e, clock)
+		e.MarkDegraded("s1.com")
+		ch := handle(t, e, loadReport("u1", map[string]float64{"s1.com": 900}))
+		if len(ch) != 1 || !ch[0].Synthesized || ch[0].AltIndex != 1 {
+			t.Fatalf("changes %+v, want a synthesized activation on alt 1", ch)
+		}
+		wantCanaries(t, e, "s2.net", 0)
+		e.ReleaseProvider("s3.org")
+		ch = handle(t, e, loadReport("u2", map[string]float64{"s1.com": 900}))
+		if len(ch) != 1 || !ch[0].Synthesized || ch[0].AltIndex != 0 {
+			t.Fatalf("changes %+v, want the canary on alt 0", ch)
+		}
+		wantCanaries(t, e, "s2.net", 1)
 	})
 }

@@ -422,30 +422,22 @@ func (e *Engine) synthesizeLocked(prof *Profile, r *report.Report, now time.Time
 			// expansion is corroborated by per-user violations, which a
 			// synthesized activation deliberately skips.
 			level := e.matcher.MatchOwnSurface(rule, s)
-			if level == MatchNone || !prof.roomFor(rule, s.Addr) {
-				continue // no match, or a full profile: no breaker is asked for a slot
+			if level == MatchNone {
+				continue
 			}
-			altIdx := 0
+			// A synthesized activation has no per-user history to respect:
+			// the preferred alternative goes first, then the others.
+			alts := []int{0}
 			if rule.Type != rules.TypeRemove {
-				altIdx = e.policy.SelectAlternative(rule, -1, r.UserID)
-			}
-			admit, canary, blockedBy := e.guardAdmit(rule.ID, altIdx)
-			if !admit && rule.Type != rules.TypeRemove && !e.guard.RuleQuarantined(rule.ID) {
-				// The preferred alternative's provider is quarantined; a
-				// synthesized activation has no per-user history to respect,
-				// so try the remaining alternatives before giving up.
-				for next := 0; next < len(rule.Alternatives); next++ {
-					if next == altIdx {
-						continue
-					}
-					if a2, c2, _ := e.guardAdmit(rule.ID, next); a2 {
-						admit, canary, blockedBy = true, c2, ""
-						altIdx = next
-						break
+				alts[0] = e.policy.SelectAlternative(rule, -1, r.UserID)
+				for i := range rule.Alternatives {
+					if i != alts[0] {
+						alts = append(alts, i)
 					}
 				}
 			}
-			if !admit {
+			altIdx, blockedBy := e.admitLocked(prof, rule, s.Addr, now, "synthesis", alts...)
+			if blockedBy != "" {
 				e.metrics.synthesisBlocked.Inc()
 				if e.tracing() {
 					e.trace(obs.Event{
@@ -454,7 +446,9 @@ func (e *Engine) synthesizeLocked(prof *Profile, r *report.Report, now time.Time
 						Detail:   "synthesized activation blocked; no admitted alternative",
 					})
 				}
-				continue
+			}
+			if altIdx < 0 {
+				continue // blocked, or a full profile (skipped, not blocked)
 			}
 			// The population delta stands in for the per-user violation
 			// distance: reconciliation later compares the alternate's own
@@ -463,22 +457,13 @@ func (e *Engine) synthesizeLocked(prof *Profile, r *report.Report, now time.Time
 			if dist < 0 {
 				dist = 0
 			}
-			prof.activate(rule, altIdx, now, s.Addr, dist).Synthesized = true // roomFor: it fits
+			prof.activate(rule, altIdx, now, s.Addr, dist).Synthesized = true // admitted: it fits
 			e.metrics.ruleActivations.Add(1)
 			e.metrics.synthesizedActivations.Inc()
 			res.Changes = append(res.Changes, RuleChange{
 				RuleID: rule.ID, Action: "activate", Server: s.Addr,
 				AltIndex: altIdx, Level: level, Synthesized: true,
 			})
-			if canary {
-				e.metrics.canaryActivations.Inc()
-				if e.tracing() {
-					e.trace(obs.Event{
-						Kind: obs.EventCanary, User: r.UserID, RuleID: rule.ID,
-						Detail: fmt.Sprintf("canary synthesis through half-open breaker, alt %d", altIdx),
-					})
-				}
-			}
 			if e.tracing() {
 				e.trace(obs.Event{
 					Kind: obs.EventSynthesize, User: r.UserID, RuleID: rule.ID,

@@ -185,41 +185,42 @@ func New(cfg Config) *Set {
 	}
 }
 
-// Decision is the verdict of consulting a breaker before an activation.
-type Decision struct {
-	// Admit says whether the activation may proceed.
-	Admit bool
-	// Canary marks an admission that consumed a half-open canary slot;
-	// its outcome decides whether the breaker closes or reopens.
-	Canary bool
-	// State is the breaker's state at decision time.
-	State State
-}
-
-// Allow consults the provider's breaker before an activation. A closed (or
-// unknown) provider admits freely; an open one admits nothing until its
-// cool-down elapses, at which point the breaker moves to half-open and
-// admits up to HalfOpenCanaries canary activations.
-func (s *Set) Allow(provider string) Decision {
+// Admit is the one admission decision for an activation of ruleID onto an
+// alternative whose providers are providers. The rule must not be
+// quarantined and every provider's breaker must admit: closed (or unknown)
+// admits freely, open admits nothing until its cool-down elapses, half-open
+// admits while it has canary slots left. The decision is all or nothing: a
+// canary slot is spent on each half-open provider only when every provider
+// admits, so a refused activation spends nothing. canary marks an admission
+// that spent a slot; blockedBy names the refusal ("rule:<id>" or the first
+// provider that refused) and is "" exactly when the activation is admitted.
+func (s *Set) Admit(ruleID string, providers []string) (canary bool, blockedBy string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	b := s.breakers[provider]
-	if b == nil {
-		return Decision{Admit: true, State: Closed}
+	if rh := s.rules[ruleID]; rh != nil && rh.quarantined {
+		return false, "rule:" + ruleID
 	}
-	s.advanceLocked(b)
-	switch b.state {
-	case Open:
-		return Decision{State: Open}
-	case HalfOpen:
-		if b.canariesUsed < s.cfg.HalfOpenCanaries {
-			b.canariesUsed++
-			return Decision{Admit: true, Canary: true, State: HalfOpen}
+	for _, p := range providers {
+		b := s.breakers[p]
+		if b == nil {
+			continue
 		}
-		return Decision{State: HalfOpen}
-	default:
-		return Decision{Admit: true, State: Closed}
+		s.advanceLocked(b)
+		switch {
+		case b.state == Open, b.state == HalfOpen && b.canariesUsed >= s.cfg.HalfOpenCanaries:
+			return false, p
+		case b.state == HalfOpen:
+			canary = true
+		}
 	}
+	if canary {
+		for _, p := range providers {
+			if b := s.breakers[p]; b != nil && b.state == HalfOpen {
+				b.canariesUsed++
+			}
+		}
+	}
+	return canary, ""
 }
 
 // Observe feeds one population-level outcome for a provider: good reports a
@@ -301,6 +302,7 @@ func (s *Set) ForceOpen(provider string) bool {
 		b = &breaker{}
 		s.breakers[provider] = b
 	}
+	s.advanceLocked(b) // an elapsed cool-down is half-open: reopen it
 	if b.state == Open {
 		return false
 	}

@@ -40,13 +40,19 @@ func newTestSet(clk *testClock) *Set {
 	})
 }
 
+// admit asks for one activation onto provider alone.
+func admit(s *Set, provider string) (ok, canary bool) {
+	canary, blockedBy := s.Admit("rule", []string{provider})
+	return blockedBy == "", canary
+}
+
 func TestBreakerLifecycle(t *testing.T) {
 	clk := newTestClock()
 	s := newTestSet(clk)
 
 	// Unknown provider: closed, admits, good outcomes are no-ops.
-	if d := s.Allow("cdn.example"); !d.Admit || d.Canary || d.State != Closed {
-		t.Fatalf("unknown provider decision = %+v", d)
+	if ok, canary := admit(s, "cdn.example"); !ok || canary || s.State("cdn.example") != Closed {
+		t.Fatalf("unknown provider: admit %v canary %v", ok, canary)
 	}
 	if tr := s.Observe("cdn.example", true, 1); tr != TransitionNone {
 		t.Fatalf("good outcome on unknown provider: transition %v", tr)
@@ -61,7 +67,7 @@ func TestBreakerLifecycle(t *testing.T) {
 	if st := s.State("cdn.example"); st != Closed {
 		t.Fatalf("state after 2 bad = %v, want Closed", st)
 	}
-	if d := s.Allow("cdn.example"); !d.Admit {
+	if ok, _ := admit(s, "cdn.example"); !ok {
 		t.Fatal("closed breaker must admit")
 	}
 
@@ -77,8 +83,8 @@ func TestBreakerLifecycle(t *testing.T) {
 	if tr := s.Observe("cdn.example", false, 42); tr != TransitionTrip {
 		t.Fatalf("3rd consecutive bad: transition %v, want Trip", tr)
 	}
-	if d := s.Allow("cdn.example"); d.Admit || d.State != Open {
-		t.Fatalf("open breaker decision = %+v", d)
+	if ok, _ := admit(s, "cdn.example"); ok || s.State("cdn.example") != Open {
+		t.Fatalf("open breaker admitted (state %v)", s.State("cdn.example"))
 	}
 	if open := s.OpenProviders(); len(open) != 1 || open[0] != "cdn.example" {
 		t.Fatalf("OpenProviders = %v", open)
@@ -90,23 +96,22 @@ func TestBreakerLifecycle(t *testing.T) {
 
 	// Cool-down not elapsed: still denied.
 	clk.Advance(30 * time.Second)
-	if d := s.Allow("cdn.example"); d.Admit {
+	if ok, _ := admit(s, "cdn.example"); ok {
 		t.Fatal("admitted before cool-down elapsed")
 	}
 
 	// Cool-down elapsed: half-open, two canaries then denial.
 	clk.Advance(31 * time.Second)
-	d1 := s.Allow("cdn.example")
-	d2 := s.Allow("cdn.example")
-	d3 := s.Allow("cdn.example")
-	if !d1.Admit || !d1.Canary || !d2.Admit || !d2.Canary {
-		t.Fatalf("canary decisions = %+v, %+v", d1, d2)
+	ok1, c1 := admit(s, "cdn.example")
+	ok2, c2 := admit(s, "cdn.example")
+	if !ok1 || !c1 || !ok2 || !c2 {
+		t.Fatalf("canary decisions = %v/%v, %v/%v", ok1, c1, ok2, c2)
 	}
-	if d3.Admit {
-		t.Fatalf("third activation admitted past canary budget: %+v", d3)
+	if ok, _ := admit(s, "cdn.example"); ok {
+		t.Fatal("third activation admitted past canary budget")
 	}
-	if d3.State != HalfOpen {
-		t.Fatalf("budget-exhausted state = %v, want HalfOpen", d3.State)
+	if st := s.State("cdn.example"); st != HalfOpen {
+		t.Fatalf("budget-exhausted state = %v, want HalfOpen", st)
 	}
 
 	// One good canary outcome: not enough to close.
@@ -120,8 +125,8 @@ func TestBreakerLifecycle(t *testing.T) {
 	if st := s.State("cdn.example"); st != Closed {
 		t.Fatalf("state after close = %v", st)
 	}
-	if d := s.Allow("cdn.example"); !d.Admit || d.Canary {
-		t.Fatalf("closed-after-recovery decision = %+v", d)
+	if ok, canary := admit(s, "cdn.example"); !ok || canary {
+		t.Fatalf("closed-after-recovery: admit %v canary %v", ok, canary)
 	}
 }
 
@@ -132,19 +137,77 @@ func TestHalfOpenBadReopens(t *testing.T) {
 		s.Observe("cdn.example", false, 50)
 	}
 	clk.Advance(2 * time.Minute)
-	if d := s.Allow("cdn.example"); !d.Canary {
-		t.Fatalf("want canary admission, got %+v", d)
+	if _, canary := admit(s, "cdn.example"); !canary {
+		t.Fatal("want canary admission")
 	}
 	if tr := s.Observe("cdn.example", false, 60); tr != TransitionReopen {
 		t.Fatalf("bad canary transition %v, want Reopen", tr)
 	}
-	if d := s.Allow("cdn.example"); d.Admit {
+	if ok, _ := admit(s, "cdn.example"); ok {
 		t.Fatal("reopened breaker admitted")
 	}
 	// The reopen starts a fresh cool-down.
 	clk.Advance(2 * time.Minute)
-	if d := s.Allow("cdn.example"); !d.Admit || !d.Canary {
-		t.Fatalf("post-reopen cool-down decision = %+v", d)
+	if ok, canary := admit(s, "cdn.example"); !ok || !canary {
+		t.Fatalf("post-reopen cool-down: admit %v canary %v", ok, canary)
+	}
+}
+
+// canariesUsed reads provider's spent canary slots from the snapshot.
+func canariesUsed(s *Set, provider string) int {
+	for _, ps := range s.Snapshot() {
+		if ps.Provider == provider {
+			return ps.CanariesUsed
+		}
+	}
+	return -1
+}
+
+func TestAdmitIsAllOrNothing(t *testing.T) {
+	clk := newTestClock()
+	s := newTestSet(clk)
+	s.ForceOpen("half.example")
+	clk.Advance(2 * time.Minute) // half-open: two canary slots
+	s.ForceOpen("open.example")
+	alt := []string{"closed.example", "half.example", "open.example"}
+
+	// One provider refuses: nothing is admitted and no slot is spent.
+	if canary, by := s.Admit("r", alt); canary || by != "open.example" {
+		t.Fatalf("Admit = canary %v blockedBy %q, want refused by open.example", canary, by)
+	}
+	if n := canariesUsed(s, "half.example"); n != 0 {
+		t.Fatalf("refused admission spent %d canary slots", n)
+	}
+	// A quarantined rule refuses before any breaker is asked.
+	s.QuarantineRule("r")
+	if _, by := s.Admit("r", []string{"half.example"}); by != "rule:r" {
+		t.Fatalf("quarantined rule: blockedBy %q, want rule:r", by)
+	}
+	if n := canariesUsed(s, "half.example"); n != 0 {
+		t.Fatalf("quarantined rule spent %d canary slots", n)
+	}
+	s.ReleaseRule("r")
+
+	// Every provider admits: the half-open one spends one slot.
+	s.ForceClose("open.example")
+	if canary, by := s.Admit("r", alt); !canary || by != "" {
+		t.Fatalf("Admit = canary %v blockedBy %q, want a canary admission", canary, by)
+	}
+	if n := canariesUsed(s, "half.example"); n != 1 {
+		t.Fatalf("admitted canary spent %d slots, want 1", n)
+	}
+}
+
+func TestForceOpenReopensAnElapsedCoolDown(t *testing.T) {
+	clk := newTestClock()
+	s := newTestSet(clk)
+	s.ForceOpen("cdn.example")
+	clk.Advance(2 * time.Minute) // half-open, though nothing has asked yet
+	if !s.ForceOpen("cdn.example") {
+		t.Fatal("ForceOpen after the cool-down should reopen the breaker")
+	}
+	if ok, _ := admit(s, "cdn.example"); ok {
+		t.Fatal("a re-quarantined provider admitted a canary")
 	}
 }
 
@@ -157,7 +220,7 @@ func TestForceOpenForceClose(t *testing.T) {
 	if s.ForceOpen("cdn.example") {
 		t.Fatal("ForceOpen on already-open provider should report false")
 	}
-	if d := s.Allow("cdn.example"); d.Admit {
+	if ok, _ := admit(s, "cdn.example"); ok {
 		t.Fatal("force-opened breaker admitted")
 	}
 	if !s.ForceClose("cdn.example") {
@@ -166,7 +229,7 @@ func TestForceOpenForceClose(t *testing.T) {
 	if s.ForceClose("cdn.example") {
 		t.Fatal("ForceClose on closed provider should report false")
 	}
-	if d := s.Allow("cdn.example"); !d.Admit {
+	if ok, _ := admit(s, "cdn.example"); !ok {
 		t.Fatal("force-closed breaker denied")
 	}
 	// ForceClose also clears a pending bad streak.
@@ -262,7 +325,7 @@ func TestExportImportRoundTrip(t *testing.T) {
 	}
 	s2 := newTestSet(clk)
 	s2.Import(&decoded)
-	if d := s2.Allow("dead.example"); d.Admit {
+	if ok, _ := admit(s2, "dead.example"); ok {
 		t.Fatal("imported open breaker admitted")
 	}
 	if !s2.RuleQuarantined("r1") {
@@ -275,8 +338,8 @@ func TestExportImportRoundTrip(t *testing.T) {
 	}
 	// The imported openedAt honours the cool-down.
 	clk.Advance(2 * time.Minute)
-	if d := s2.Allow("dead.example"); !d.Admit || !d.Canary {
-		t.Fatalf("imported breaker after cool-down: %+v", d)
+	if ok, canary := admit(s2, "dead.example"); !ok || !canary {
+		t.Fatalf("imported breaker after cool-down: admit %v canary %v", ok, canary)
 	}
 
 	// Import(nil) clears everything.
@@ -284,7 +347,7 @@ func TestExportImportRoundTrip(t *testing.T) {
 	if p := s2.Export(); p != nil {
 		t.Fatalf("cleared export = %+v, want nil", p)
 	}
-	if d := s2.Allow("dead.example"); !d.Admit {
+	if ok, _ := admit(s2, "dead.example"); !ok {
 		t.Fatal("cleared set denied")
 	}
 }
@@ -324,7 +387,7 @@ func TestConcurrentAccess(t *testing.T) {
 			providers := []string{"x.example", "y.example", "z.example"}
 			for i := 0; i < 500; i++ {
 				p := providers[(g+i)%len(providers)]
-				s.Allow(p)
+				s.Admit("r", []string{p, providers[(g+i+1)%len(providers)]})
 				s.Observe(p, i%3 == 0, float64(i%50))
 				if i%17 == 0 {
 					s.Snapshot()

@@ -305,7 +305,7 @@ echo "== checkpoint holds residents only: a capped save reads no record, an unca
 out=$(go test -count=1 -run 'TestCheckpointHoldsResidentsOnly|TestUncappedSaveIsTheSnapshot|TestBootAdoptsTheLog/one_segment_damaged' -v ./internal/core) || { echo "$out" >&2; exit 1; }
 echo "$out" | grep -E -e '--- PASS|gone with'
 
-echo "== structure check: one segment writer, one sequence allocator, one segment walker, one file seam, one serve cache, one durable ref, one page index, one merge predicate, one version bump, one home for an activation, one rule set per process, one home for a user, one reference decoder, one JSON scanner, one JSON reader, one profile codec, one spill index, one backend call, one body read, one batch walk =="
+echo "== structure check: one segment writer, one sequence allocator, one segment walker, one file seam, one serve cache, one durable ref, one page index, one merge predicate, one version bump, one home for an activation, one rule set per process, one home for a user, one reference decoder, one JSON scanner, one JSON reader, one profile codec, one spill index, one backend call, one body read, one batch walk, one admission =="
 fail() { echo "structure check failed: $1" >&2; exit 1; }
 seglog_go=$(ls internal/seglog/*.go | grep -v '_test\.go$')
 core_go=$(ls internal/core/*.go | grep -v '_test\.go$')
@@ -334,10 +334,12 @@ log_lines=$(cat $core_go $seglog_go | wc -l)
 # spillcodec.go +31, profile.go +21, engine.go and popwire.go +10 (the
 # checkpoint, and the bound that keeps every profile's record within a frame),
 # then 7,230 - 11 once ingest grouped into pooled scratch: analyzer.go -10
-# (one detection pass per metric, the ingest scratch beside it), engine.go -1.
-echo "spill.go: $spill_lines lines (< 600); non-test internal/core + internal/seglog: $log_lines lines (<= 7219)"
+# (one detection pass per metric, the ingest scratch beside it), engine.go -1,
+# then 7,219 - 10 once admission became one decision: guardwire.go's
+# admitLocked replaced guardAdmit and the three sites' canary bookkeeping.
+echo "spill.go: $spill_lines lines (< 600); non-test internal/core + internal/seglog: $log_lines lines (<= 7209)"
 [ "$spill_lines" -lt 600 ] || fail "line-budget: spill.go has $spill_lines lines, want under 600"
-[ "$log_lines" -le 7219 ] || fail "line-budget: non-test internal/core + internal/seglog has $log_lines lines, want at most 7219"
+[ "$log_lines" -le 7209 ] || fail "line-budget: non-test internal/core + internal/seglog has $log_lines lines, want at most 7209"
 if grep -n 'map\[string\]spillRef' $core_go; then
 	fail "one-spill-index: non-test internal/core keeps spill refs in a map again (a shard's refs live in its spillIndex: slots and a key blob, no heap object per user)"
 fi
@@ -362,6 +364,14 @@ fi
 bumps=$(cat $core_go | grep -c 'version++')
 [ "$bumps" -eq 1 ] ||
 	fail "one-version-bump: version++ occurs $bumps times in non-test internal/core, want once (analyzeLocked, beside lastReport)"
+
+if grep -nE '^func \(s \*Set\) Allow\(' internal/guard/*.go; then
+	fail "one-admission: guard.Set has an Allow again (an activation is admitted whole by Set.Admit, which spends canary slots only when every provider admits)"
+fi
+admitters=$(echo $core_go | xargs awk '/^func /{fn=$0} /guard\.Admit\(/ && !/^[[:space:]]*\/\//{print FILENAME ":" fn}' |
+	sed -E 's/^([^:]*):func (\([^)]*\) )?([A-Za-z0-9_]+).*/\1:\3/' | sort -u | tr '\n' ' ')
+[ "$admitters" = "internal/core/guardwire.go:admitLocked " ] ||
+	fail "one-admission: guard.Admit( is called from [ $admitters], want guardwire.go's admitLocked only (activation, advance and synthesis each ask it once)"
 
 if grep -rn 'provIndex\|indexActivation\|freshIdx' internal/ cmd/ oak.go; then
 	fail "activations-live-in-profiles: the guard's provider index is back (a bulk rollback is rollbackWhere's pass over the resident profiles)"
