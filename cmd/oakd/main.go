@@ -59,7 +59,7 @@
 // Guardrails: -guard-trip-threshold (0 disables) arms per-provider circuit
 // breakers over the alternates the rules steer users to — a provider that
 // keeps violating across the whole population is quarantined (new
-// activations blocked, existing ones bulk-deactivated) until it proves
+// activations blocked, existing ones rolled back) until it proves
 // itself through a bounded number of canary activations
 // (-guard-halfopen-canaries). -probe-interval additionally probes each
 // alternate actively so a dead provider is caught even between user

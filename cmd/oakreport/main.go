@@ -230,7 +230,7 @@ func liveGuard(out io.Writer, base string) error {
 		{"breaker trips", c.BreakerTrips},
 		{"breaker closes", c.BreakerCloses},
 		{"activations blocked", c.ActivationsBlocked},
-		{"bulk deactivations", c.BulkDeactivations},
+		{"rolled back (counted at report)", c.BulkDeactivations},
 		{"rule quarantines", c.RuleQuarantines},
 	} {
 		fmt.Fprintf(out, "  %-22s %d\n", row.name, row.v)

@@ -71,7 +71,7 @@ func benchServeEngine(b *testing.B, rs []*rules.Rule, opts ...Option) *Engine {
 	sh.mu.Lock()
 	prof := e.profileLocked(sh, "u1")
 	for _, r := range e.rules {
-		prof.activate(r, 0, now, "bench-server", 10)
+		prof.activate(r, 0, 0, now, "bench-server", 10)
 	}
 	sh.mu.Unlock()
 	return e
@@ -102,8 +102,32 @@ func BenchmarkModifyPageCold(b *testing.B) {
 // it on the index and derives the tag — no scan, hash or copy of the page.
 func BenchmarkModifyPageWarm(b *testing.B) {
 	rs := benchServeRules(benchServeRuleCount)
-	page := benchServePage(rs)
-	e := benchServeEngine(b, rs)
+	benchModifyPageWarm(b, benchServeEngine(b, rs), benchServePage(rs))
+}
+
+// BenchmarkModifyPageWarmAfterTrip is BenchmarkModifyPageWarm once rollbacks
+// have happened: every rule was quarantined and released, so the epoch table
+// is published and each served activation, admitted after the release, pays
+// one lookup in it.
+func BenchmarkModifyPageWarmAfterTrip(b *testing.B) {
+	rs := benchServeRules(benchServeRuleCount)
+	e := benchServeEngine(b, rs, WithGuard(GuardConfig{}))
+	sh := e.shardFor("u1")
+	sh.mu.Lock()
+	prof := e.profileLocked(sh, "u1")
+	for _, r := range e.rules {
+		e.QuarantineRule(r.ID)
+		e.ReleaseRule(r.ID)
+		prof.activate(r, 0, e.epochs.Load().at(r.ID, 0), time.Now(), "bench-server", 10)
+	}
+	sh.mu.Unlock()
+	if e.epochs.Load() == nil {
+		b.Fatal("no epoch table published")
+	}
+	benchModifyPageWarm(b, e, benchServePage(rs))
+}
+
+func benchModifyPageWarm(b *testing.B, e *Engine, page string) {
 	e.SetPage("/index.html", page)
 	p := e.Page("/index.html")
 	b.SetBytes(int64(len(page)))

@@ -257,6 +257,10 @@ func busyEngine(t testing.TB, users int) *Engine {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { e.Close() })
+	// A quarantine and its release before any report: the fonts activations
+	// carry epoch 1, and the guard section the count.
+	e.QuarantineRule("fonts")
+	e.ReleaseRule("fonts")
 	for i := 0; i < users; i++ {
 		uid := fmt.Sprintf("user-%04d", i)
 		if i == users/2 {
@@ -280,7 +284,6 @@ func busyEngine(t testing.TB, users int) *Engine {
 		clock.Advance(time.Second)
 	}
 	e.QuarantineProvider("s3.org")
-	e.QuarantineRule("fonts")
 	if st, _ := e.SpillStatus(); st.ProfilesSpilled == 0 {
 		t.Fatalf("busy engine spilled nobody: %+v", st)
 	}
@@ -294,7 +297,7 @@ func busyEngineState(t testing.TB, users int) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{`"guard"`, `"population"`, `"synthesized": true`, `"expiresAt": "2026`, `"expiresAt": "0001`, `"Zoë"`, `"ruleId": "fonts"`} {
+	for _, want := range []string{`"guard"`, `"population"`, `"synthesized": true`, `"expiresAt": "2026`, `"expiresAt": "0001`, `"Zoë"`, `"ruleId": "fonts"`, `"epoch": 1`} {
 		if !strings.Contains(string(data), want) {
 			t.Fatalf("busy engine's snapshot has no %s", want)
 		}
@@ -673,10 +676,10 @@ func TestNoRecordOverAFrameIsWritten(t *testing.T) {
 			t.Fatalf("the profile is full at %d servers", len(full.violations))
 		}
 	}
-	if a := full.activate(jqRule(0), 0, time.Now(), long[15], 1); a != nil || len(full.active) != 0 {
+	if a := full.activate(jqRule(0), 0, 0, time.Now(), long[15], 1); a != nil || len(full.active) != 0 {
 		t.Errorf("an activation with a 1 MiB trigger server took the profile to %d bytes", full.estimateSize())
 	}
-	if a := full.activate(jqRule(0), 0, time.Now(), "s", 1); a == nil {
+	if a := full.activate(jqRule(0), 0, 0, time.Now(), "s", 1); a == nil {
 		t.Errorf("an activation the profile has room for was refused")
 	}
 

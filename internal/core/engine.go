@@ -74,12 +74,14 @@ type Engine struct {
 	// guard, when non-nil (WithGuard), holds the per-provider circuit
 	// breakers and rule-quarantine table; guardConfig carries the WithGuard
 	// request until construction. altHosts maps rule ID → per-alternative
-	// provider hostnames, built once with the rule set, so neither an
-	// activation-time breaker check nor a trip's rollback rescans alternative
-	// text. See guardwire.go.
+	// provider hostnames, built once with the rule set; epochs is every
+	// pair's current epoch, republished under epochMu after each trip or
+	// quarantine, nil until the first. See guardwire.go.
 	guard       *guard.Set
 	guardConfig *GuardConfig
 	altHosts    map[string][][]string
+	epochs      atomic.Pointer[epochTable]
+	epochMu     sync.Mutex
 
 	// pop, when non-nil (WithSynthesis), holds the population-level
 	// detection state: per-provider download-time baselines, the degraded
@@ -326,13 +328,13 @@ func (e *Engine) process(r *report.Report) (*AnalysisResult, error) {
 	ingestPool.Put(sc)
 
 	// Population-level guard outcomes are observed only after the shard lock
-	// is released: a transition acts across shards (bulk rollback locks them
-	// one at a time), which would deadlock from under sh.mu.
+	// is released: a trip rebuilds the epoch table, work no shard should wait
+	// on.
 	for _, oc := range outcomes {
 		e.ObserveProviderOutcome(oc.provider, oc.good, oc.deltaMs)
 	}
-	// Likewise the population window tick: it locks shards one at a time to
-	// swap their sketches out.
+	// The population window tick locks shards one at a time to swap their
+	// sketches out, which would deadlock from under sh.mu.
 	e.popTickIfDue(now)
 	// And the residency cap: eviction re-takes the shard lock and may fsync
 	// a spill batch, neither of which belongs inside the critical section.
@@ -341,8 +343,8 @@ func (e *Engine) process(r *report.Report) (*AnalysisResult, error) {
 }
 
 // analyzeLocked is process's per-shard critical section: profile
-// bookkeeping, expiry pruning, violation handling and rule activation. It
-// additionally derives the report's population-level provider outcomes for
+// bookkeeping, dead-activation pruning, violation handling and activation.
+// It additionally derives the report's population-level provider outcomes for
 // the guard (from the pre-reconciliation activation state) and hands them
 // back for the caller to observe lock-free. Caller holds sh.mu for writing.
 func (e *Engine) analyzeLocked(sh *shard, r *report.Report, now time.Time, servers []*report.ServerPerf, violations []Violation, scriptURLs []string) (*AnalysisResult, []providerOutcome) {
@@ -358,26 +360,29 @@ func (e *Engine) analyzeLocked(sh *shard, r *report.Report, now time.Time, serve
 
 	e.feedPopLocked(sh, servers)
 
-	var outcomes []providerOutcome
-	if e.guard != nil {
-		violated := make(map[string]float64, len(violations))
-		for _, v := range violations {
-			if d, ok := violated[v.Server.Addr]; !ok || v.Distance > d {
-				violated[v.Server.Addr] = v.Distance
-			}
-		}
-		outcomes = e.collectOutcomes(prof, now, servers, violated)
-	}
-
 	res := &AnalysisResult{UserID: r.UserID, Violations: violations}
 
-	for _, ex := range prof.pruneExpired(now) {
-		e.metrics.ruleExpirations.Add(1)
-		res.Changes = append(res.Changes, RuleChange{RuleID: ex.ID, Action: "expire"})
+	// Dead activations go before anything reads the profile: a lapsed one is
+	// an expiry, a rolled-back one counted by the report that finds it.
+	for _, a := range prof.pruneDead(now, e.epochs.Load()) {
+		ev := obs.Event{Kind: obs.EventExpire, User: r.UserID, RuleID: a.Rule.ID}
+		if a.Expired(now) {
+			e.metrics.ruleExpirations.Add(1)
+			res.Changes = append(res.Changes, RuleChange{RuleID: a.Rule.ID, Action: "expire"})
+		} else {
+			e.metrics.bulkDeactivations.Inc()
+			ev.Kind = obs.EventRollback
+		}
 		if e.tracing() {
-			e.traceAt(now, obs.Event{Kind: obs.EventExpire, User: r.UserID, RuleID: ex.ID})
+			if ev.Kind == obs.EventRollback {
+				ev.Provider = strings.Join(e.altHostsFor(a.Rule.ID, a.AltIndex), ",")
+				ev.Detail = fmt.Sprintf("alt %d rolled back: epoch %d", a.AltIndex, a.Epoch)
+			}
+			e.traceAt(now, ev)
 		}
 	}
+
+	outcomes := e.collectOutcomes(prof, servers, violations)
 
 	for _, v := range violations {
 		count, ok := prof.recordViolation(v.Server.Addr)
@@ -410,7 +415,7 @@ func (e *Engine) analyzeLocked(sh *shard, r *report.Report, now time.Time, serve
 			if !rule.InScope(r.Page) {
 				continue
 			}
-			if existing := prof.activeRule(rule.ID); existing != nil && !existing.Expired(now) {
+			if a := prof.activeRule(rule.ID); a != nil && !a.deadAt(now, e.epochs.Load()) {
 				continue // already active
 			}
 			level := e.matcher.Match(rule, v.Server, scriptURLs)
@@ -421,7 +426,7 @@ func (e *Engine) analyzeLocked(sh *shard, r *report.Report, now time.Time, serve
 			if rule.Type != rules.TypeRemove {
 				pref = e.policy.SelectAlternative(rule, -1, r.UserID)
 			}
-			altIdx, blockedBy := e.admitLocked(prof, rule, v.Server.Addr, now, "activation", pref)
+			altIdx, epoch, blockedBy := e.admitLocked(prof, rule, v.Server.Addr, now, "activation", pref)
 			if blockedBy != "" {
 				// The target provider (or the rule itself) is quarantined:
 				// this user is never steered onto a known-bad alternate.
@@ -437,7 +442,7 @@ func (e *Engine) analyzeLocked(sh *shard, r *report.Report, now time.Time, serve
 			if altIdx < 0 {
 				continue // blocked, or a full profile (skipped, not blocked)
 			}
-			prof.activate(rule, altIdx, now, v.Server.Addr, v.Distance) // admitted: it fits
+			prof.activate(rule, altIdx, epoch, now, v.Server.Addr, v.Distance) // admitted: it fits
 			e.metrics.ruleActivations.Add(1)
 			res.Changes = append(res.Changes, RuleChange{
 				RuleID: rule.ID, Action: "activate", Server: v.Server.Addr,
@@ -471,7 +476,7 @@ func (e *Engine) analyzeLocked(sh *shard, r *report.Report, now time.Time, serve
 // this violator). Caller holds sh.mu for writing.
 func (e *Engine) reconcileActiveRules(sh *shard, prof *Profile, v Violation, now time.Time, res *AnalysisResult) bool {
 	handled := false
-	ids := prof.activeRuleIDsInto(now, sh.ruleIDScratch)
+	ids := prof.activeRuleIDsInto(now, e.epochs.Load(), sh.ruleIDScratch)
 	sh.ruleIDScratch = ids // keep the (possibly grown) buffer for reuse
 	for _, id := range ids {
 		a := prof.activeRule(id)
@@ -500,7 +505,7 @@ func (e *Engine) reconcileActiveRules(sh *shard, prof *Profile, v Violation, now
 			if next == a.AltIndex {
 				next = a.AltIndex + 1 // selector refused to move; force progression
 			}
-			alt, blockedBy := e.admitLocked(prof, a.Rule, v.Server.Addr, now, "advance", next)
+			alt, epoch, blockedBy := e.admitLocked(prof, a.Rule, v.Server.Addr, now, "advance", next)
 			if blockedBy != "" {
 				// The next alternative's provider is quarantined: revert to
 				// the default rather than steer the user onto it.
@@ -522,7 +527,7 @@ func (e *Engine) reconcileActiveRules(sh *shard, prof *Profile, v Violation, now
 			if alt < 0 {
 				break // a full profile: the alternate stays
 			}
-			prof.activate(a.Rule, next, now, v.Server.Addr, v.Distance) // admitted: it fits
+			prof.activate(a.Rule, next, epoch, now, v.Server.Addr, v.Distance) // admitted: it fits
 			e.metrics.ruleActivations.Add(1)
 			res.Changes = append(res.Changes, RuleChange{
 				RuleID: id, Action: "advance", Server: v.Server.Addr, AltIndex: next,
@@ -573,7 +578,7 @@ func (e *Engine) activationViewLocked(sh *shard, userID, path string, disk bool,
 			return actView{}, false
 		}
 	}
-	return prof.viewAt(path, e.now(), buf), true
+	return prof.viewAt(path, e.now(), e.epochs.Load(), buf), true
 }
 
 // activationView is activationViewLocked for callers holding no lock. It
@@ -655,7 +660,7 @@ func (e *Engine) Snapshot(userID string) (ProfileSnapshot, bool) {
 	}
 	snap := ProfileSnapshot{
 		UserID:      userID,
-		ActiveRules: prof.activeRuleIDsInto(e.now(), nil),
+		ActiveRules: prof.activeRuleIDsInto(e.now(), e.epochs.Load(), nil),
 		Violations:  make(map[string]int, len(prof.violations)),
 		LastReport:  prof.lastReport,
 		Version:     prof.version,

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"maps"
 	"math/rand/v2"
+	"os"
 	"slices"
 	"strings"
 	"testing"
@@ -16,14 +17,16 @@ import (
 
 // TestGuardAgreesWithModel drives an engine with a guard and a reference
 // model of the guard with one seeded stream of operations, and compares the
-// two after every step: each breaker's state, bad and good counts and spent
-// canary slots, the canary and blocked counters, and every user's
-// activations.
+// two after every step: each breaker's state, bad and good counts, spent
+// canary slots and trips, the canary and blocked counters, and every user's
+// live activations with the epochs they were admitted under — resident and
+// spilled users alike.
 //
 // The stream mixes slow reports from fresh users, returning users and one
 // user whose profile is full; degraded-provider reports that only synthesis
 // acts on; clock ticks across the cool-down; good and bad provider outcomes;
-// and operator quarantines and releases of providers and rules. Its rules
+// operator quarantines and releases of providers and rules; and evictions of
+// resident users to the spill tier. Its rules
 // have one to three alternatives, each on one to three providers drawn from
 // a pool the rules share, so one alternative can name a half-open provider
 // next to an open one.
@@ -32,7 +35,9 @@ import (
 // form: an open breaker admits nothing until its cool-down elapses, a
 // half-open one admits HalfOpenCanaries canaries, an alternative is admitted
 // whole or not at all, and a full profile is skipped before any breaker is
-// asked.
+// asked. An activation records its pair's epoch — the rule's quarantines plus
+// its providers' trips, counts no close or release resets — and is live while
+// the epoch has not moved.
 
 // guardModelSeeds is how many seeds TestGuardAgreesWithModel runs,
 // 1..guardModelSeeds; raise it locally to hunt for failing ones.
@@ -66,6 +71,13 @@ type modelBreaker struct {
 	openedAt time.Time // when it last opened
 	good     int       // good outcomes while half-open
 	canaries int       // canary slots spent while half-open
+	trips    uint64    // times it opened, ever
+}
+
+// modelAct is one activation in the model: its alternative and epoch.
+type modelAct struct {
+	alt   int
+	epoch uint64
 }
 
 // guardModel is the guard, and the activations it lets through, as a spec.
@@ -76,10 +88,11 @@ type guardModel struct {
 	home        map[string]string     // rule → the host its default loads from
 	hosts       map[string][][]string // rule → alternative → providers
 	breakers    map[string]*modelBreaker
-	quarantined map[string]bool           // rule IDs
-	degraded    map[string]bool           // hosts marked degraded
-	full        map[string]bool           // users whose profile is full
-	active      map[string]map[string]int // user → rule → alternative
+	quarantined map[string]bool                // rule IDs
+	quarantines map[string]uint64              // rule ID → times quarantined, ever
+	degraded    map[string]bool                // hosts marked degraded
+	full        map[string]bool                // users whose profile is full
+	active      map[string]map[string]modelAct // user → rule → activation, live or dead
 
 	canaries, activationsBlocked, synthesisBlocked uint64
 }
@@ -88,21 +101,36 @@ type guardModel struct {
 func (m *guardModel) breaker(p string) *modelBreaker {
 	b := m.breakers[p]
 	if b != nil && b.state == guard.Open && m.now.Sub(b.openedAt) >= m.cfg.OpenFor {
-		*b = modelBreaker{state: guard.HalfOpen}
+		*b = modelBreaker{state: guard.HalfOpen, trips: b.trips}
 	}
 	return b
 }
 
-// open (re)opens p's breaker and rolls back every activation onto p.
+// open (re)opens p's breaker, which kills every activation onto p.
 func (m *guardModel) open(p string) {
-	m.breakers[p] = &modelBreaker{state: guard.Open, openedAt: m.now}
-	for _, acts := range m.active {
-		for id, alt := range acts {
-			if slices.Contains(m.hosts[id][alt], p) {
-				delete(acts, id)
-			}
+	var trips uint64
+	if b := m.breakers[p]; b != nil {
+		trips = b.trips
+	}
+	m.breakers[p] = &modelBreaker{state: guard.Open, openedAt: m.now, trips: trips + 1}
+}
+
+// epoch is the current epoch of rule id's alternative alt.
+func (m *guardModel) epoch(id string, alt int) uint64 {
+	n := m.quarantines[id]
+	for _, p := range m.hosts[id][alt] {
+		if b := m.breakers[p]; b != nil {
+			n += b.trips
 		}
 	}
+	return n
+}
+
+// live is the user's activation of rule id if it has one whose epoch has not
+// moved.
+func (m *guardModel) live(user, id string) (modelAct, bool) {
+	a, held := m.active[user][id]
+	return a, held && a.epoch == m.epoch(id, a.alt)
 }
 
 func (m *guardModel) observe(p string, good bool) {
@@ -127,7 +155,7 @@ func (m *guardModel) observe(p string, good bool) {
 		if !good {
 			m.open(p)
 		} else if b.good++; b.good >= m.cfg.CloseAfter {
-			*b = modelBreaker{}
+			*b = modelBreaker{trips: b.trips}
 		}
 	}
 }
@@ -140,7 +168,7 @@ func (m *guardModel) forceOpen(p string) {
 
 func (m *guardModel) forceClose(p string) {
 	if b := m.breakers[p]; b != nil {
-		*b = modelBreaker{}
+		*b = modelBreaker{trips: b.trips}
 	}
 }
 
@@ -149,9 +177,7 @@ func (m *guardModel) quarantineRule(id string) {
 		return
 	}
 	m.quarantined[id] = true
-	for _, acts := range m.active {
-		delete(acts, id)
-	}
+	m.quarantines[id]++
 }
 
 // admit returns the first of alts the user may take for r, or -1 and whether
@@ -189,25 +215,28 @@ func (m *guardModel) admit(user string, r *rules.Rule, alts []int) (int, bool) {
 	return -1, true
 }
 
+// activate records an admitted activation under its pair's epoch.
+func (m *guardModel) activate(user, id string, alt int) {
+	m.active[user][id] = modelAct{alt: alt, epoch: m.epoch(id, alt)}
+}
+
 // report is a report by user touching host: when slow, every rule on host
 // the user does not hold is admitted onto its first alternative; then, when
 // host is degraded, synthesis tries every rule still not held, preferred
 // (first) alternative first.
 func (m *guardModel) report(user, host string, slow bool) {
-	acts := m.active[user]
-	if acts == nil {
-		acts = make(map[string]int)
-		m.active[user] = acts
+	if m.active[user] == nil {
+		m.active[user] = make(map[string]modelAct)
 	}
 	for _, r := range m.rules {
 		if !slow || m.home[r.ID] != host {
 			continue
 		}
-		if _, held := acts[r.ID]; held {
+		if _, live := m.live(user, r.ID); live {
 			continue
 		}
 		if alt, blocked := m.admit(user, r, []int{0}); alt >= 0 {
-			acts[r.ID] = alt
+			m.activate(user, r.ID, alt)
 		} else if blocked {
 			m.activationsBlocked++
 		}
@@ -216,7 +245,7 @@ func (m *guardModel) report(user, host string, slow bool) {
 		if !m.degraded[host] || m.home[r.ID] != host {
 			continue
 		}
-		if _, held := acts[r.ID]; held {
+		if _, live := m.live(user, r.ID); live {
 			continue
 		}
 		alts := make([]int, len(r.Alternatives))
@@ -224,7 +253,7 @@ func (m *guardModel) report(user, host string, slow bool) {
 			alts[i] = i
 		}
 		if alt, blocked := m.admit(user, r, alts); alt >= 0 {
-			acts[r.ID] = alt
+			m.activate(user, r.ID, alt)
 		} else if blocked {
 			m.synthesisBlocked++
 		}
@@ -236,12 +265,12 @@ func (m *guardModel) diff(e *Engine) string {
 	st, _ := e.GuardStatus()
 	got := make(map[string]string)
 	for _, b := range st.Breakers {
-		got[b.Provider] = fmt.Sprintf("%s bad=%d good=%d canaries=%d", b.State, b.ConsecutiveBad, b.HalfOpenGood, b.CanariesUsed)
+		got[b.Provider] = fmt.Sprintf("%s bad=%d good=%d canaries=%d trips=%d", b.State, b.ConsecutiveBad, b.HalfOpenGood, b.CanariesUsed, b.Trips)
 	}
 	want := make(map[string]string)
 	for p := range m.breakers {
 		b := m.breaker(p)
-		want[p] = fmt.Sprintf("%s bad=%d good=%d canaries=%d", b.state, b.bad, b.good, b.canaries)
+		want[p] = fmt.Sprintf("%s bad=%d good=%d canaries=%d trips=%d", b.state, b.bad, b.good, b.canaries, b.trips)
 	}
 	if !maps.Equal(got, want) {
 		return fmt.Sprintf("breakers %v, model %v", got, want)
@@ -252,16 +281,56 @@ func (m *guardModel) diff(e *Engine) string {
 			mt.CanaryActivations, mt.ActivationsBlocked, mt.SynthesisBlocked,
 			m.canaries, m.activationsBlocked, m.synthesisBlocked)
 	}
+	// Every user the engine holds, resident or spilled, as deadAt leaves
+	// them.
+	got2 := make(map[string]map[string]modelAct)
+	put := func(user, id string, a modelAct) {
+		if got2[user] == nil {
+			got2[user] = make(map[string]modelAct)
+		}
+		got2[user][id] = a
+	}
+	now, ep := e.now(), e.epochs.Load()
 	for _, sh := range e.shards {
 		for user, prof := range sh.profiles {
-			acts := make(map[string]int)
 			for id, a := range prof.active {
-				acts[id] = a.AltIndex
-			}
-			if !maps.Equal(acts, m.active[user]) && len(acts)+len(m.active[user]) > 0 {
-				return fmt.Sprintf("%s holds %v, model %v", user, acts, m.active[user])
+				if !a.deadAt(now, ep) {
+					put(user, id, modelAct{alt: a.AltIndex, epoch: a.Epoch})
+				}
 			}
 		}
+		var err error
+		sh.spilled.each(func(uid []byte, ref spillRef) bool {
+			if _, resident := sh.profiles[string(uid)]; resident || err != nil {
+				return false
+			}
+			var pp *persistedProfile
+			if pp, err = e.spill.readRecord(ref); err == nil {
+				for _, pa := range pp.Active {
+					if !e.deadAt(&pa, now) {
+						put(pp.UserID, pa.RuleID, modelAct{alt: pa.AltIndex, epoch: pa.Epoch})
+					}
+				}
+			}
+			return false
+		})
+		if err != nil {
+			return err.Error()
+		}
+	}
+	want2 := make(map[string]map[string]modelAct)
+	for user, acts := range m.active {
+		for id := range acts {
+			if a, live := m.live(user, id); live {
+				if want2[user] == nil {
+					want2[user] = make(map[string]modelAct)
+				}
+				want2[user][id] = a
+			}
+		}
+	}
+	if !maps.EqualFunc(got2, want2, maps.Equal) {
+		return fmt.Sprintf("live activations %v, model %v", got2, want2)
 	}
 	return ""
 }
@@ -289,9 +358,10 @@ func runGuardModel(t *testing.T, seed uint64) {
 		hosts:       make(map[string][][]string),
 		breakers:    make(map[string]*modelBreaker),
 		quarantined: make(map[string]bool),
+		quarantines: make(map[string]uint64),
 		degraded:    make(map[string]bool),
 		full:        make(map[string]bool),
-		active:      make(map[string]map[string]int),
+		active:      make(map[string]map[string]modelAct),
 	}
 	for i := range 2 + rng.IntN(3) {
 		home := homes[rng.IntN(len(homes))]
@@ -314,10 +384,18 @@ func runGuardModel(t *testing.T, seed uint64) {
 		m.home[r.ID] = home
 	}
 	clock := newTestClock()
-	e, err := NewEngine(m.rules, WithClock(clock.Now), WithGuard(m.cfg), synthesisOn)
+	// Each seed's engine and spill directory go when the seed ends.
+	dir, err := os.MkdirTemp("", "guardmodel")
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer os.RemoveAll(dir)
+	e, err := NewEngine(m.rules, WithClock(clock.Now), WithGuard(m.cfg), synthesisOn,
+		WithProfileResidency(ResidencyConfig{Dir: dir, MaxProfiles: 1 << 12}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
 	if !maps.EqualFunc(e.altHosts, m.hosts, func(a, b [][]string) bool { return slices.EqualFunc(a, b, slices.Equal) }) {
 		t.Fatalf("seed %d: engine reads alternatives' providers as %v, model %v", seed, e.altHosts, m.hosts)
 	}
@@ -365,7 +443,7 @@ func runGuardModel(t *testing.T, seed uint64) {
 	for step := range 150 {
 		p := providers[rng.IntN(len(providers))]
 		var op string
-		switch k := rng.IntN(16); {
+		switch k := rng.IntN(18); {
 		case k < 6:
 			u, h := user(), homes[rng.IntN(len(homes))]
 			op = fmt.Sprintf("slow report %s on %s", u, h)
@@ -394,6 +472,14 @@ func runGuardModel(t *testing.T, seed uint64) {
 			op = "release " + p
 			e.ReleaseProvider(p)
 			m.forceClose(p)
+		case k < 17 && len(roomy) > 0:
+			// Not the full user: its record is most of a megabyte, read back
+			// on every step it stays spilled.
+			u := roomy[rng.IntN(len(roomy))]
+			op = "spill " + u
+			if e.Residency(u) == "resident" {
+				forceSpill(t, e, u)
+			}
 		default:
 			r := m.rules[rng.IntN(len(m.rules))].ID
 			if rng.IntN(2) == 0 {

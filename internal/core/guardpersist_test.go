@@ -172,16 +172,17 @@ func TestTripReachesImportedActivations(t *testing.T) {
 	if m.BreakerTrips != 1 {
 		t.Fatalf("BreakerTrips = %d, want 1", m.BreakerTrips)
 	}
-	if m.BulkDeactivations != users {
-		t.Errorf("BulkDeactivations = %d, want %d (imported activations missed)",
-			m.BulkDeactivations, users)
-	}
 	page := `<script src="http://s1.com/jquery.js">`
 	for i := 0; i < users; i++ {
 		u := fmt.Sprintf("user-%d", i)
 		if out, _ := e2.ModifyPage(u, "/index.html", page); out != page {
 			t.Errorf("imported user %s not rolled back", u)
 		}
+		handle(t, e2, healthyReport(u))
+	}
+	if m := e2.Metrics(); m.BulkDeactivations != users {
+		t.Errorf("BulkDeactivations = %d after every user reported, want %d (imported activations missed)",
+			m.BulkDeactivations, users)
 	}
 }
 

@@ -12,10 +12,11 @@ import (
 	"oak/internal/rules"
 )
 
-// A bulk rollback finds activations where they live — in the resident
-// profiles — so whichever road brought an activation into a profile, a trip of
-// the provider it rewrites onto must reach it. TestTripReachesEveryRoad walks
-// each road on a plain and a residency-capped engine side by side.
+// A rollback is an epoch every activation records, so whichever road brought
+// an activation into a profile, a trip of the provider it rewrites onto must
+// kill it, and the user's next report must drop and count it.
+// TestTripReachesEveryRoad walks each road on a plain and a residency-capped
+// engine side by side.
 
 const roadPage = `<html><script src="http://s1.com/jquery.js"></script></html>`
 
@@ -85,72 +86,75 @@ func activate(t *testing.T, e *Engine, users ...string) {
 	}
 }
 
-func rollbackEvents(e *Engine) (perUser map[string]int, summaries int) {
-	perUser = make(map[string]int)
+// rollbackEvents counts the per-user rollback traces by user.
+func rollbackEvents(e *Engine) map[string]int {
+	perUser := make(map[string]int)
 	for _, ev := range e.TraceRecent(1024) {
-		if ev.Kind != obs.EventRollback {
-			continue
-		}
-		if ev.User == "" {
-			summaries++
-		} else {
-			perUser[ev.Provider+" "+ev.User]++
+		if ev.Kind == obs.EventRollback {
+			perUser[ev.User]++
 		}
 	}
-	return perUser, summaries
+	return perUser
 }
 
-// trip feeds provider's breaker the bad outcomes that open it and holds the
-// rollback to exactly the users in reverted: the counters' deltas, one
-// rollback trace per user plus the summary, and the pages served afterwards —
-// the untouched page for the reverted, still the alternative on their host for
-// every user in kept (user → host).
+// trip feeds provider's breaker the bad outcomes that open it. The trip walks
+// no profile — it counts and traces no rollback — yet at once every user in
+// reverted is served the untouched page and every user in kept (user → host)
+// still the alternative on their host. Then each of them reports, and the
+// report drops and counts exactly the reverted users' activations: the
+// counter's delta and one rollback trace per reverted user.
 func (w *roadWorld) trip(provider string, reverted []string, kept map[string]string) {
 	w.t.Helper()
 	w.each(func(e *Engine) {
 		before := e.Metrics()
-		_, sumBefore := rollbackEvents(e)
+		tracedBefore := rollbackEvents(e)
 		for i := 0; i < 3; i++ {
 			e.ObserveProviderOutcome(provider, false, 500)
 		}
-		after := e.Metrics()
-		if got := after.BreakerTrips - before.BreakerTrips; got != 1 {
+		atTrip := e.Metrics()
+		if got := atTrip.BreakerTrips - before.BreakerTrips; got != 1 {
 			w.t.Fatalf("trip %s: BreakerTrips grew by %d, want 1", provider, got)
 		}
-		if got := after.BulkDeactivations - before.BulkDeactivations; got != uint64(len(reverted)) {
-			w.t.Errorf("trip %s: BulkDeactivations grew by %d, want %d", provider, got, len(reverted))
-		}
-		if got := after.RuleDeactivations - before.RuleDeactivations; got != uint64(len(reverted)) {
-			w.t.Errorf("trip %s: RuleDeactivations grew by %d, want %d", provider, got, len(reverted))
-		}
-		perUser, sumAfter := rollbackEvents(e)
-		traced := 0
-		for key, n := range perUser {
-			if strings.HasPrefix(key, provider+" ") {
-				traced += n
-			}
-		}
-		if traced != len(reverted) {
-			w.t.Errorf("trip %s: %d per-user rollback traces, want %d: %v", provider, traced, len(reverted), perUser)
+		if atTrip.BulkDeactivations != before.BulkDeactivations || len(rollbackEvents(e)) != len(tracedBefore) {
+			w.t.Errorf("trip %s: the trip itself counted or traced a rollback", provider)
 		}
 		for _, u := range reverted {
-			if perUser[provider+" "+u] != 1 {
-				w.t.Errorf("trip %s: user %s has %d rollback traces, want 1", provider, u, perUser[provider+" "+u])
-			}
 			if rw := e.RewritePage(u, "/index.html", roadPage); rw.HTML != roadPage {
 				w.t.Errorf("trip %s: user %s still rewritten: %q", provider, u, rw.HTML)
 			}
 		}
-		wantSummaries := 0
-		if len(reverted) > 0 {
-			wantSummaries = 1
-		}
-		if got := sumAfter - sumBefore; got != wantSummaries {
-			w.t.Errorf("trip %s: %d summary rollback traces, want %d", provider, got, wantSummaries)
-		}
 		for u, host := range kept {
 			if rw := e.RewritePage(u, "/index.html", roadPage); !strings.Contains(rw.HTML, host) {
 				w.t.Errorf("trip %s: user %s lost their alternative on %s: %q", provider, u, host, rw.HTML)
+			}
+		}
+		for _, u := range reverted {
+			handle(w.t, e, healthyReport(u))
+		}
+		for u := range kept {
+			handle(w.t, e, healthyReport(u))
+		}
+		after := e.Metrics()
+		if got := after.BulkDeactivations - atTrip.BulkDeactivations; got != uint64(len(reverted)) {
+			w.t.Errorf("trip %s: BulkDeactivations grew by %d over the reports, want %d", provider, got, len(reverted))
+		}
+		if got := after.RuleDeactivations - before.RuleDeactivations; got != 0 {
+			w.t.Errorf("trip %s: RuleDeactivations grew by %d, want 0 (a rollback is not a history revert)", provider, got)
+		}
+		traced := rollbackEvents(e)
+		for _, u := range reverted {
+			if got := traced[u] - tracedBefore[u]; got != 1 {
+				w.t.Errorf("trip %s: user %s has %d new rollback traces, want 1", provider, u, got)
+			}
+		}
+		for u := range kept {
+			if got := traced[u] - tracedBefore[u]; got != 0 {
+				w.t.Errorf("trip %s: kept user %s has %d new rollback traces, want 0", provider, u, got)
+			}
+		}
+		for u, host := range kept {
+			if rw := e.RewritePage(u, "/index.html", roadPage); !strings.Contains(rw.HTML, host) {
+				w.t.Errorf("trip %s: user %s lost their alternative on %s after reporting: %q", provider, u, host, rw.HTML)
 			}
 		}
 	})
@@ -307,9 +311,9 @@ func TestTripReachesEveryRoad(t *testing.T) {
 	}
 }
 
-// TestBulkRollbackKeepsByteCapAccounting: a rollback shrinks the profiles it
-// changes, and the byte cap's gauge must shrink with them — it used to stay
-// at the pre-trip figure until each user's next report, so eviction ran early.
+// TestBulkRollbackKeepsByteCapAccounting: the report that drops a rolled-back
+// activation shrinks the profile, and the byte cap's gauge must shrink with
+// it.
 func TestBulkRollbackKeepsByteCapAccounting(t *testing.T) {
 	clock := newTestClock()
 	e := newSpillEngine(t, clock, ResidencyConfig{MaxBytes: 1 << 20},
@@ -335,20 +339,28 @@ func TestBulkRollbackKeepsByteCapAccounting(t *testing.T) {
 			t.Errorf("%s: ResidentBytes = %d, fresh estimates sum to %d", when, st.ResidentBytes, want)
 		}
 	}
+	reportAll := func() {
+		for i := 0; i < 40; i++ {
+			handle(t, e, healthyReport(fmt.Sprintf("user-%d", i)))
+		}
+	}
 	check("before the trip")
 	e.ObserveProviderOutcome("s2.net", false, 500)
+	check("after the trip")
+	reportAll()
 	if got := e.Metrics().BulkDeactivations; got != 40 {
 		t.Fatalf("BulkDeactivations = %d, want 40", got)
 	}
-	check("after the trip")
+	check("after the reports")
 
-	// The rule quarantine is the same pass.
+	// A rule quarantine is the same epoch.
 	e.ReleaseProvider("s2.net")
 	for i := 0; i < 40; i++ {
 		activate(t, e, fmt.Sprintf("user-%d", i))
 	}
 	check("after re-activation")
 	e.QuarantineRule("jquery")
+	reportAll()
 	if got := e.Metrics().BulkDeactivations; got != 80 {
 		t.Fatalf("BulkDeactivations = %d, want 80", got)
 	}

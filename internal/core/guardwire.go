@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -23,20 +24,18 @@ import (
 //     then the alternative is admitted only if the rule is not quarantined
 //     and every provider it points at admits — an open breaker blocks it, a
 //     half-open one admits it as a bounded canary, and its slot is spent
-//     only when the whole alternative is admitted;
-//   - a breaker trip bulk-deactivates all existing activations pointing at
-//     the provider: one pass over the resident profiles, shard by shard
-//     (rollbackWhere — the same pass a rule quarantine makes); spilled users
-//     are filtered when their record is read (spillActivationBarred);
+//     only when the whole alternative is admitted — and the activation
+//     records the epoch it was admitted under;
+//   - a rollback is an epoch, not a walk: a trip or a rule quarantine moves
+//     the epoch of every (rule, alternative) pair it touches, and an
+//     activation recorded under an older one is dead wherever it lives
+//     (deadAt); its user's next report drops and counts it (pruneDead);
 //   - the serve path isolates rewrite panics (compiled applier → sequential
 //     per-rule fallback → unmodified page) and quarantines a rule implicated
 //     in repeated panics.
 //
 // Lock discipline: the guard's own mutex is a leaf — Admit/Observe calls are
-// safe under a shard lock — but acting on a trip locks shards one at a time,
-// so ObserveProviderOutcome must only ever be called with NO shard lock
-// held. process() therefore collects outcomes under the shard lock and
-// observes them after unlocking.
+// safe under a shard lock — and no serve takes it (publishEpochs).
 
 // GuardConfig enables and tunes the engine's guardrails (WithGuard). Zero
 // fields take the guard package defaults.
@@ -107,9 +106,8 @@ func altHostsOf(alt string) []string {
 }
 
 // buildAltHosts precomputes rule ID → per-alternative provider host lists
-// for the rule set, so neither an activation-time breaker check nor a trip's
-// rollback rescans alternative text. Called once, by NewEngine; no-op on
-// guardless engines.
+// for the rule set, so neither an admission nor an epoch rescans alternative
+// text. Called once, by NewEngine; no-op on guardless engines.
 func (e *Engine) buildAltHosts() {
 	if e.guard == nil {
 		return
@@ -134,11 +132,13 @@ func (e *Engine) altHostsFor(ruleID string, altIdx int) []string {
 	return clampedAlt(e.altHosts[ruleID], altIdx)
 }
 
-// clampedAlt indexes a per-alternative host table the way Rule.Alternative
-// indexes the alternatives: out-of-range indexes clamp.
-func clampedAlt(per [][]string, altIdx int) []string {
+// clampedAlt indexes a per-alternative table the way Rule.Alternative
+// indexes the alternatives: out-of-range indexes clamp, and an empty table
+// reads as the zero value.
+func clampedAlt[T any](per []T, altIdx int) T {
 	if len(per) == 0 {
-		return nil
+		var zero T
+		return zero
 	}
 	if altIdx < 0 {
 		altIdx = 0
@@ -149,11 +149,82 @@ func clampedAlt(per [][]string, altIdx int) []string {
 	return per[altIdx]
 }
 
-// activationOn reports whether the activation rewrites pages onto provider:
-// whether provider is among the hosts of the alternative a holds. Every
-// activation is of a rule in the engine's one rule set, so the table has them.
-func (e *Engine) activationOn(a *ActiveRule, provider string) bool {
-	return containsString(e.altHostsFor(a.Rule.ID, a.AltIndex), provider)
+// epochTable is every (rule, alternative) pair's current epoch: rule ID →
+// per-alternative epoch, indexed as altHosts is (one entry for a rule without
+// alternatives). A published table is never written.
+type epochTable map[string][]uint64
+
+// at is the current epoch of ruleID's alternative alt; a nil table (no trip
+// or quarantine yet) reads 0 everywhere.
+func (t *epochTable) at(ruleID string, alt int) uint64 {
+	if t == nil {
+		return 0
+	}
+	return clampedAlt((*t)[ruleID], alt)
+}
+
+// publishEpochs rebuilds the epoch table from the guard's counts and
+// publishes it, nil while every epoch is 0. It runs after every trip and
+// quarantine and after an import installs guard state; epochMu keeps a
+// table built from older counts from replacing a newer one.
+func (e *Engine) publishEpochs() {
+	e.epochMu.Lock()
+	defer e.epochMu.Unlock()
+	t := make(epochTable, len(e.rules))
+	moved := false
+	for _, r := range e.rules {
+		per := e.altHosts[r.ID]
+		eps := make([]uint64, max(len(per), 1))
+		for i := range eps {
+			eps[i] = e.guard.Epoch(r.ID, clampedAlt(per, i))
+			moved = moved || eps[i] > 0
+		}
+		t[r.ID] = eps
+	}
+	if !moved {
+		e.epochs.Store(nil)
+		return
+	}
+	e.epochs.Store(&t)
+}
+
+// squareImport holds what an import installs, and on a boot the segment log,
+// to the guard's counts: no activation may sit above its pair's epoch, where
+// the next trip would move the epoch only up to it. On a boot the records are
+// the engine's own, one above was admitted under counts a crash lost after the
+// last save, and the guard is lifted to it (guard.Set.Lift); any other payload
+// contradicts its own guard section with one, and it is dropped. Caller holds
+// every shard lock, or is NewEngine.
+func (e *Engine) squareImport(fresh []map[string]*Profile, boot bool) {
+	lift := func(ruleID string, alt int, epoch uint64) {
+		if _, known := e.rulesByID[ruleID]; known {
+			e.guard.Lift(ruleID, e.altHostsFor(ruleID, alt), epoch)
+		}
+	}
+	for i := 0; boot && e.spill != nil && i < len(e.shards); i++ {
+		e.shards[i].spilled.eachActive(func(ref spillRef) {
+			if pp, err := e.spill.readRecord(ref); err == nil { // unreadable: served to no one
+				for _, pa := range pp.Active {
+					lift(pa.RuleID, pa.AltIndex, pa.Epoch)
+				}
+			}
+		})
+	}
+	e.publishEpochs()
+	ep := e.epochs.Load()
+	for _, profs := range fresh {
+		for _, prof := range profs {
+			for id, a := range prof.active {
+				if boot {
+					lift(id, a.AltIndex, a.Epoch)
+				} else if a.Epoch > ep.at(id, a.AltIndex) {
+					delete(prof.active, id)
+					prof.sizeEst = prof.estimateSize()
+				}
+			}
+		}
+	}
+	e.publishEpochs()
 }
 
 // admitLocked is the one admission decision: may the user whose profile is
@@ -161,19 +232,19 @@ func (e *Engine) activationOn(a *ActiveRule, provider string) bool {
 // alts that the guard admits whole (guard.Set.Admit)? A full profile is
 // refused first and silently: roomFor has no side effect, so no breaker is
 // asked and no slot is spent. An admitted canary is counted and traced here,
-// as the canary of site. It returns the admitted alternative, or -1 with
-// blockedBy naming what refused the first alternative ("" for a full
-// profile, which is not counted as blocked). Caller holds prof's shard lock
-// for writing (the guard mutex is a leaf).
-func (e *Engine) admitLocked(prof *Profile, rule *rules.Rule, server string, now time.Time, site string, alts ...int) (alt int, blockedBy string) {
+// as the canary of site. It returns the admitted alternative and the epoch
+// it was admitted under, or -1 with blockedBy naming what refused the first
+// alternative ("" for a full profile, which is not counted as blocked).
+// Caller holds prof's shard lock for writing (the guard mutex is a leaf).
+func (e *Engine) admitLocked(prof *Profile, rule *rules.Rule, server string, now time.Time, site string, alts ...int) (alt int, epoch uint64, blockedBy string) {
 	if !prof.roomFor(rule, server) {
-		return -1, ""
+		return -1, 0, ""
 	}
 	if e.guard == nil {
-		return alts[0], ""
+		return alts[0], 0, ""
 	}
 	for _, alt := range alts {
-		canary, by := e.guard.Admit(rule.ID, e.altHostsFor(rule.ID, alt))
+		epoch, canary, by := e.guard.Admit(rule.ID, e.altHostsFor(rule.ID, alt))
 		if by != "" {
 			if blockedBy == "" {
 				blockedBy = by
@@ -189,9 +260,9 @@ func (e *Engine) admitLocked(prof *Profile, rule *rules.Rule, server string, now
 				})
 			}
 		}
-		return alt, ""
+		return alt, epoch, ""
 	}
-	return -1, blockedBy
+	return -1, 0, blockedBy
 }
 
 // providerOutcome is one population-level signal extracted from a report
@@ -203,14 +274,20 @@ type providerOutcome struct {
 }
 
 // collectOutcomes derives per-provider outcomes from one report for the
-// user's live activations: a provider an active alternative points at was
-// either flagged as a violator in this report (bad, with the violation
-// distance) or served its objects unremarkably (good). Providers the report
-// never touched yield nothing. Must run before reconciliation mutates the
-// profile; caller holds sh.mu.
-func (e *Engine) collectOutcomes(prof *Profile, now time.Time, servers []*report.ServerPerf, violated map[string]float64) []providerOutcome {
+// user's activations, which pruneDead has left live: a provider an active
+// alternative points at was either flagged as a violator in this report
+// (bad, with the violation distance) or served its objects unremarkably
+// (good). Providers the report never touched yield nothing. Must run before
+// reconciliation mutates the profile; caller holds sh.mu.
+func (e *Engine) collectOutcomes(prof *Profile, servers []*report.ServerPerf, violations []Violation) []providerOutcome {
 	if e.guard == nil || len(prof.active) == 0 {
 		return nil
+	}
+	violated := make(map[string]float64, len(violations))
+	for _, v := range violations {
+		if d, ok := violated[v.Server.Addr]; !ok || v.Distance > d {
+			violated[v.Server.Addr] = v.Distance
+		}
 	}
 	type agg struct {
 		good    bool
@@ -219,9 +296,6 @@ func (e *Engine) collectOutcomes(prof *Profile, now time.Time, servers []*report
 	}
 	byProv := make(map[string]*agg)
 	for _, a := range prof.active {
-		if a.Expired(now) {
-			continue
-		}
 		for _, h := range e.altHostsFor(a.Rule.ID, a.AltIndex) {
 			for _, s := range servers {
 				if !s.HasHost(h) {
@@ -263,13 +337,10 @@ func (e *Engine) collectOutcomes(prof *Profile, now time.Time, servers []*report
 
 // ObserveProviderOutcome feeds one population-level outcome for an alternate
 // provider into its breaker and acts on the resulting transition: a trip
-// (or half-open reopen) bulk-deactivates every activation pointing at the
-// provider across all shards; a close re-admits it. This is also the sink
+// (or half-open reopen) rolls back every activation pointing at the
+// provider by moving its epochs; a close re-admits it. This is also the sink
 // the active prober reports through, so probe results and user reports drive
-// the same machinery.
-//
-// Callers must not hold any shard lock: the rollback locks shards itself.
-// No-op on guardless engines.
+// the same machinery. No-op on guardless engines.
 func (e *Engine) ObserveProviderOutcome(provider string, good bool, deltaMs float64) {
 	if e.guard == nil || provider == "" {
 		return
@@ -287,85 +358,20 @@ func (e *Engine) ObserveProviderOutcome(provider string, good bool, deltaMs floa
 }
 
 // tripProvider does the engine-side bookkeeping of a breaker trip: metrics,
-// trace, and the cross-shard bulk rollback. Caller must not hold shard locks.
+// trace, and the epochs that roll back every activation onto the provider.
 func (e *Engine) tripProvider(provider, detail string) {
 	e.metrics.breakerTrips.Inc()
 	if e.tracing() {
 		e.trace(obs.Event{Kind: obs.EventQuarantine, Provider: provider, Detail: detail})
 	}
-	n := e.rollbackProvider(provider)
-	if n > 0 && e.tracing() {
-		e.trace(obs.Event{Kind: obs.EventRollback, Provider: provider,
-			Detail: fmt.Sprintf("%d activations rolled back", n)})
-	}
-}
-
-// rollbackWhere is the one bulk deactivation: it removes every activation of
-// a resident profile that match selects, shard by shard, each shard
-// write-locked only for the pass over its own profiles, and returns how many
-// it removed. ev is the per-user trace event's template (provider, detail);
-// user and rule are filled in. A profile's activations live in the profile
-// and nowhere else, so the pass is a walk of sh.profiles: its shard hold is
-// O(resident in shard), paid once per trip or quarantine. Spilled users are
-// not visited — their activations are filtered when the record is next read
-// (spillActivationBarred). Caller must not hold shard locks.
-func (e *Engine) rollbackWhere(match func(*ActiveRule) bool, ev obs.Event) int {
-	total := 0
-	for _, sh := range e.shards {
-		sh.mu.Lock()
-		for uid, prof := range sh.profiles {
-			if len(prof.active) == 0 {
-				continue // most of a population: skip before a map iterator is set up
-			}
-			removed := 0
-			for rid, a := range prof.active {
-				if !match(a) {
-					continue
-				}
-				prof.deactivate(rid)
-				removed++
-				if e.tracing() {
-					ev.User, ev.RuleID = uid, rid
-					e.trace(ev)
-				}
-			}
-			if removed > 0 {
-				e.metrics.ruleDeactivations.Add(uint64(removed))
-				e.metrics.bulkDeactivations.Add(uint64(removed))
-				e.noteProfileSizeLocked(sh, prof)
-				total += removed
-			}
-		}
-		sh.mu.Unlock()
-	}
-	return total
-}
-
-// rollbackProvider deactivates every resident activation that rewrites onto
-// the provider (breaker trip).
-func (e *Engine) rollbackProvider(provider string) int {
-	if e.guard == nil {
-		return 0
-	}
-	return e.rollbackWhere(
-		func(a *ActiveRule) bool { return e.activationOn(a, provider) },
-		obs.Event{Kind: obs.EventRollback, Provider: provider, Detail: "breaker trip"})
-}
-
-// rollbackRule deactivates the rule for every resident user holding it (rule
-// quarantine).
-func (e *Engine) rollbackRule(ruleID string) int {
-	return e.rollbackWhere(
-		func(a *ActiveRule) bool { return a.Rule.ID == ruleID },
-		obs.Event{Kind: obs.EventRollback, Detail: "rule quarantine"})
+	e.publishEpochs()
 }
 
 // noteRulePanic attributes one rewrite panic to a rule and, when the panic
 // count crosses the quarantine threshold, quarantines the rule and rolls its
-// activations back before returning: the serve path rewrites from an immutable
-// view with no shard lock held (rewriteFrom), so the rollback may take the
-// write locks here. No-op on guardless engines — panic isolation still serves
-// the safe page, there is just no quarantine ledger.
+// activations back — moves its epochs — before returning. No-op on guardless
+// engines — panic isolation still serves the safe page, there is just no
+// quarantine ledger.
 func (e *Engine) noteRulePanic(ruleID string) {
 	if e.guard == nil || ruleID == "" {
 		return
@@ -378,7 +384,7 @@ func (e *Engine) noteRulePanic(ruleID string) {
 		e.trace(obs.Event{Kind: obs.EventQuarantine, RuleID: ruleID,
 			Detail: "rule quarantined after repeated rewrite panics"})
 	}
-	e.rollbackRule(ruleID)
+	e.publishEpochs()
 }
 
 // QuarantineProvider trips the provider's breaker manually (operator
@@ -393,8 +399,8 @@ func (e *Engine) QuarantineProvider(provider string) {
 	}
 }
 
-// ReleaseProvider force-closes the provider's breaker (operator override).
-// No-op on guardless engines.
+// ReleaseProvider force-closes the provider's breaker (operator override);
+// what its trips rolled back stays rolled back. No-op on guardless engines.
 func (e *Engine) ReleaseProvider(provider string) {
 	if e.guard == nil || provider == "" {
 		return
@@ -422,10 +428,10 @@ func (e *Engine) QuarantineRule(ruleID string) {
 		e.trace(obs.Event{Kind: obs.EventQuarantine, RuleID: ruleID,
 			Detail: "manual rule quarantine"})
 	}
-	e.rollbackRule(ruleID)
+	e.publishEpochs()
 }
 
-// ReleaseRule lifts a rule's quarantine. No-op on guardless engines.
+// ReleaseRule lifts a rule's quarantine, not its rollbacks. No-op without a guard.
 func (e *Engine) ReleaseRule(ruleID string) {
 	if e.guard == nil {
 		return
@@ -490,7 +496,7 @@ func (e *Engine) AlternateProviders() map[string][]string {
 				if h == "" {
 					continue
 				}
-				if !containsString(out[h], u) {
+				if !slices.Contains(out[h], u) {
 					out[h] = append(out[h], u)
 				}
 			}
@@ -502,13 +508,4 @@ func (e *Engine) AlternateProviders() map[string][]string {
 		}
 	}
 	return out
-}
-
-func containsString(list []string, s string) bool {
-	for _, v := range list {
-		if v == s {
-			return true
-		}
-	}
-	return false
 }

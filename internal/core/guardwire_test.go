@@ -87,9 +87,6 @@ func TestGuardTripBulkRollsBackAllUsers(t *testing.T) {
 	if m.BreakerTrips != 1 {
 		t.Errorf("BreakerTrips = %d, want 1", m.BreakerTrips)
 	}
-	if m.BulkDeactivations != users {
-		t.Errorf("BulkDeactivations = %d, want %d", m.BulkDeactivations, users)
-	}
 	// Every user — including ones that never reported the bad provider —
 	// is rolled back to the default page.
 	for i := 0; i < users; i++ {
@@ -97,6 +94,17 @@ func TestGuardTripBulkRollsBackAllUsers(t *testing.T) {
 		if out, _ := e.ModifyPage(u, "/index.html", page); out != page {
 			t.Errorf("user %s still rewritten after trip: %q", u, out)
 		}
+	}
+	// The trip touched no profile: each user's next report drops and counts
+	// their rolled-back activation.
+	if m.BulkDeactivations != 0 {
+		t.Errorf("BulkDeactivations = %d at the trip, want 0", m.BulkDeactivations)
+	}
+	for i := 0; i < users; i++ {
+		handle(t, e, healthyReport(fmt.Sprintf("user-%d", i)))
+	}
+	if got := e.Metrics().BulkDeactivations; got != users {
+		t.Errorf("BulkDeactivations = %d after every user reported, want %d", got, users)
 	}
 	// No new user is activated onto the dead provider while the breaker is
 	// open.

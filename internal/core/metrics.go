@@ -45,7 +45,8 @@ type Metrics struct {
 	// refused because the target provider's breaker was not admitting.
 	ActivationsBlocked uint64
 	// BulkDeactivations counts activations rolled back by breaker trips
-	// and rule quarantines (one per activation removed, across all users).
+	// and rule quarantines, one per activation, when its user's next report
+	// drops it (a user who never reports again is never counted).
 	BulkDeactivations uint64
 	// CanaryActivations counts activations admitted through a half-open
 	// breaker's canary budget.

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"maps"
+	"slices"
 	"sort"
 	"time"
 
@@ -77,6 +78,7 @@ type persistedActivation struct {
 	TriggerDistance float64   `json:"triggerDistance,omitempty"`
 	Activations     int       `json:"activations"`
 	Synthesized     bool      `json:"synthesized,omitempty"`
+	Epoch           uint64    `json:"epoch,omitempty"` // absent before epochs existed: 0
 }
 
 // stateVersion is the current persistence format version.
@@ -291,6 +293,7 @@ func snapshotProfile(prof *Profile) persistedProfile {
 			TriggerDistance: a.TriggerDistance,
 			Activations:     a.Activations,
 			Synthesized:     a.Synthesized,
+			Epoch:           a.Epoch,
 		})
 	}
 	return pp
@@ -299,13 +302,7 @@ func snapshotProfile(prof *Profile) persistedProfile {
 // withoutDead returns pp without the activations dead at now, filtered in
 // place: pp's Active must be the caller's own copy.
 func (e *Engine) withoutDead(pp persistedProfile, now time.Time) persistedProfile {
-	live := pp.Active[:0]
-	for i := range pp.Active {
-		if !e.deadAt(&pp.Active[i], now) {
-			live = append(live, pp.Active[i])
-		}
-	}
-	pp.Active = live
+	pp.Active = slices.DeleteFunc(pp.Active, func(pa persistedActivation) bool { return e.deadAt(&pa, now) })
 	return pp
 }
 
@@ -354,6 +351,9 @@ func (e *Engine) ImportState(data []byte) error {
 // replace them with empty state, as pre-guard and legacy snapshots always
 // imported. A section the payload carries is installed either way, inside the
 // all-locks window, so profiles and breaker states become visible together.
+// An arc's import keeps the larger of each trip and quarantine count, so no
+// trip on either side is undone; a whole import replaces them, as it does
+// every profile. Then what it installs is squared with them (squareImport).
 //
 // On engines with a residency cap the import ends by re-enforcing the cap,
 // so restoring a huge snapshot immediately evicts back under it.
@@ -389,6 +389,12 @@ func (e *Engine) importDecoded(r HashRange, st *persistedState, newerWins, topUp
 			return ImportCounts{}, err
 		}
 	}
+	if e.guard != nil {
+		if st.Guard != nil || !topUp {
+			e.guard.Import(st.Guard, !r.Whole())
+		}
+		e.squareImport(imp.fresh, newerWins)
+	}
 	n := ImportCounts{Superseded: imp.superseded}
 	for i, sh := range e.shards {
 		if e.spill != nil && !newerWins {
@@ -417,9 +423,6 @@ func (e *Engine) importDecoded(r HashRange, st *persistedState, newerWins, topUp
 	}
 	if e.spill != nil {
 		e.spill.spilledUsers.Set(int64(n.Adopted))
-	}
-	if e.guard != nil && (st.Guard != nil || !topUp) {
-		e.guard.Import(st.Guard)
 	}
 	if st.Population != nil || !topUp {
 		e.importPop(st.Population)
@@ -574,7 +577,7 @@ func (e *Engine) buildImport(st *persistedState, want HashRange, newerWins bool)
 				return nil
 			}
 		}
-		imp.fresh[si][pp.UserID], _ = e.profileFromRecord(pp, now, false)
+		imp.fresh[si][pp.UserID] = e.profileFromRecord(pp, now)
 		return nil
 	})
 	return imp, err

@@ -413,7 +413,7 @@ func (e *Engine) synthesizeLocked(prof *Profile, r *report.Report, now time.Time
 			if !rule.InScope(r.Page) {
 				continue
 			}
-			if existing := prof.activeRule(rule.ID); existing != nil && !existing.Expired(now) {
+			if a := prof.activeRule(rule.ID); a != nil && !a.deadAt(now, e.epochs.Load()) {
 				continue // already active (organically or synthesized)
 			}
 			// The same evidence tiers as the organic path tie the rule to
@@ -436,7 +436,7 @@ func (e *Engine) synthesizeLocked(prof *Profile, r *report.Report, now time.Time
 					}
 				}
 			}
-			altIdx, blockedBy := e.admitLocked(prof, rule, s.Addr, now, "synthesis", alts...)
+			altIdx, epoch, blockedBy := e.admitLocked(prof, rule, s.Addr, now, "synthesis", alts...)
 			if blockedBy != "" {
 				e.metrics.synthesisBlocked.Inc()
 				if e.tracing() {
@@ -457,7 +457,7 @@ func (e *Engine) synthesizeLocked(prof *Profile, r *report.Report, now time.Time
 			if dist < 0 {
 				dist = 0
 			}
-			prof.activate(rule, altIdx, now, s.Addr, dist).Synthesized = true // admitted: it fits
+			prof.activate(rule, altIdx, epoch, now, s.Addr, dist).Synthesized = true // admitted: it fits
 			e.metrics.ruleActivations.Add(1)
 			e.metrics.synthesizedActivations.Inc()
 			res.Changes = append(res.Changes, RuleChange{

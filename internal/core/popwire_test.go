@@ -169,23 +169,23 @@ func TestSynthesizedActivationsRollBackViaGuard(t *testing.T) {
 	}
 
 	// The alternate goes bad: population-level outcomes trip its breaker,
-	// and the bulk rollback takes the synthesized activations with it — no
-	// operator action.
+	// and the rollback takes the synthesized activations with it — no
+	// operator action. Each is counted when its user next reports.
 	for i := 0; i < 3; i++ {
 		e.ObserveProviderOutcome("s2.net", false, 500)
 	}
-	m := e.Metrics()
-	if m.BreakerTrips != 1 {
+	if m := e.Metrics(); m.BreakerTrips != 1 {
 		t.Fatalf("BreakerTrips = %d, want 1", m.BreakerTrips)
-	}
-	if m.BulkDeactivations != users {
-		t.Errorf("BulkDeactivations = %d, want %d", m.BulkDeactivations, users)
 	}
 	for i := 0; i < users; i++ {
 		u := fmt.Sprintf("synth-%d", i)
 		if out, _ := e.ModifyPage(u, "/index.html", page); out != page {
 			t.Errorf("user %s still rewritten after rollback: %q", u, out)
 		}
+		handle(t, e, healthyReport(u))
+	}
+	if m := e.Metrics(); m.BulkDeactivations != users {
+		t.Errorf("BulkDeactivations = %d, want %d", m.BulkDeactivations, users)
 	}
 
 	// While the breaker is open and the rule has no other alternative, new

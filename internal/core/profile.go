@@ -32,11 +32,18 @@ type ActiveRule struct {
 	// population-level rule synthesis rather than this user's own
 	// violation history. A later organic (re-)activation clears it.
 	Synthesized bool
+	// Epoch is the pair's epoch it was admitted under (guard.Set.Admit).
+	Epoch uint64
 }
 
 // Expired reports whether the activation has lapsed at time now.
 func (a *ActiveRule) Expired(now time.Time) bool {
 	return !a.ExpiresAt.IsZero() && now.After(a.ExpiresAt)
+}
+
+// deadAt is Engine.deadAt for a resident activation, whose rule is known.
+func (a *ActiveRule) deadAt(now time.Time, ep *epochTable) bool {
+	return a.Expired(now) || ep.at(a.Rule.ID, a.AltIndex) > a.Epoch
 }
 
 // Profile is Oak's per-user state: every decision Oak makes is grounded in
@@ -110,7 +117,7 @@ func (p *Profile) grow(n int) bool {
 	return n <= 0 || p.estimateSize()+n <= maxProfileSize
 }
 
-// activeRule returns the live activation for the rule ID, nil if none.
+// activeRule returns the activation for the rule ID, nil if none.
 func (p *Profile) activeRule(id string) *ActiveRule {
 	return p.active[id]
 }
@@ -124,10 +131,10 @@ func (p *Profile) roomFor(r *rules.Rule, server string) bool {
 	return p.grow(activeEntrySize + len(r.ID) + len(server))
 }
 
-// activate records a (re-)activation of rule with the chosen alternative. It
-// returns nil, and changes nothing, when the activation would take the profile
-// past maxProfileSize (roomFor). Caller holds the owning shard's write lock.
-func (p *Profile) activate(r *rules.Rule, altIndex int, now time.Time, server string, distance float64) *ActiveRule {
+// activate records a (re-)activation of rule with the chosen alternative
+// under epoch. It returns nil, and changes nothing, when the activation would
+// take the profile past maxProfileSize (roomFor). Caller holds the shard lock.
+func (p *Profile) activate(r *rules.Rule, altIndex int, epoch uint64, now time.Time, server string, distance float64) *ActiveRule {
 	a := p.active[r.ID]
 	if !p.roomFor(r, server) {
 		return nil
@@ -136,6 +143,7 @@ func (p *Profile) activate(r *rules.Rule, altIndex int, now time.Time, server st
 		p.active[r.ID] = a
 	}
 	a.AltIndex = altIndex
+	a.Epoch = epoch
 	a.ActivatedAt = now
 	a.ExpiresAt = r.Expires(now)
 	a.TriggerServer = strings.Clone(server) // as in recordViolation
@@ -154,33 +162,28 @@ func (p *Profile) deactivate(ruleID string) {
 	delete(p.active, ruleID)
 }
 
-// expiredActivation identifies one pruned activation by its rule.
-type expiredActivation struct {
-	ID string
-}
-
-// pruneExpired drops lapsed activations and returns what was removed (sorted
-// by rule ID). Caller holds the owning shard's write lock.
-func (p *Profile) pruneExpired(now time.Time) []expiredActivation {
-	var removed []expiredActivation
+// pruneDead drops and returns (sorted by rule ID) the activations dead at now
+// in the epochs ep. Caller holds the owning shard's write lock.
+func (p *Profile) pruneDead(now time.Time, ep *epochTable) []*ActiveRule {
+	var removed []*ActiveRule
 	for id, a := range p.active {
-		if a.Expired(now) {
+		if a.deadAt(now, ep) {
 			delete(p.active, id)
-			removed = append(removed, expiredActivation{ID: id})
+			removed = append(removed, a)
 		}
 	}
-	sort.Slice(removed, func(i, j int) bool { return removed[i].ID < removed[j].ID })
+	sort.Slice(removed, func(i, j int) bool { return removed[i].Rule.ID < removed[j].Rule.ID })
 	return removed
 }
 
-// viewAt derives p's activation view for path at time now into buf's backing
-// array, or — when more activations are live than buf holds — into one
-// allocation sized to them all, so the list never grows. Caller holds the
-// owning shard's lock (read suffices).
-func (p *Profile) viewAt(path string, now time.Time, buf []rules.Activation) actView {
+// viewAt derives p's activation view for path at time now, in the epochs
+// ep, into buf's backing array, or — when more activations are live than buf
+// holds — into one allocation sized to them all, so the list never grows.
+// Caller holds the owning shard's lock (read suffices).
+func (p *Profile) viewAt(path string, now time.Time, ep *epochTable, buf []rules.Activation) actView {
 	acts := buf[:0]
 	for _, a := range p.active {
-		if a.Expired(now) || !a.Rule.InScope(path) {
+		if a.deadAt(now, ep) || !a.Rule.InScope(path) {
 			continue
 		}
 		if len(acts) == cap(acts) {
@@ -227,13 +230,13 @@ func activationFingerprint(path string, acts []rules.Activation) uint64 {
 	return h
 }
 
-// activeRuleIDsInto lists the user's live activations (sorted) in buf's
-// backing array, so the per-report reconciliation loop reuses one snapshot
+// activeRuleIDsInto lists the user's activations live in the epochs ep
+// (sorted) in buf's backing array, so the reconciliation loop reuses one
 // buffer; a nil buf makes a fresh list, nil when there is none.
-func (p *Profile) activeRuleIDsInto(now time.Time, buf []string) []string {
+func (p *Profile) activeRuleIDsInto(now time.Time, ep *epochTable, buf []string) []string {
 	ids := buf[:0]
 	for id, a := range p.active {
-		if !a.Expired(now) {
+		if !a.deadAt(now, ep) {
 			ids = append(ids, id)
 		}
 	}
@@ -247,7 +250,7 @@ func (p *Profile) activeRuleIDsInto(now time.Time, buf []string) []string {
 // not measurements — the cap is a watermark, not an accounting identity. Each
 // is also above what its part of an OAKPROF1 record can take (a record's
 // fixed fields are at most 69 bytes, a violation's 13 and an activation's
-// 107, beside their strings), so the estimate bounds the record from above.
+// 117, beside their strings), so the estimate bounds the record from above.
 const (
 	profileBaseSize    = 256
 	violationEntrySize = 48

@@ -16,14 +16,16 @@ func TestProfilePruneExpiredSorted(t *testing.T) {
 	mk := func(id string) *rules.Rule {
 		return &rules.Rule{ID: id, Type: rules.TypeRemove, Default: "x", TTL: time.Minute}
 	}
-	p.activate(mk("zeta"), 0, now, "s", 1)
-	p.activate(mk("alpha"), 0, now, "s", 1)
-	removed := p.pruneExpired(now.Add(2 * time.Minute))
-	want := []expiredActivation{{ID: "alpha"}, {ID: "zeta"}}
-	if !reflect.DeepEqual(removed, want) {
-		t.Errorf("pruneExpired = %v, want sorted [alpha zeta]", removed)
+	p.activate(mk("zeta"), 0, 0, now, "s", 1)
+	p.activate(mk("alpha"), 0, 0, now, "s", 1)
+	var removed []string
+	for _, a := range p.pruneDead(now.Add(2*time.Minute), nil) {
+		removed = append(removed, a.Rule.ID)
 	}
-	if len(p.activeRuleIDsInto(now, nil)) != 0 {
+	if want := []string{"alpha", "zeta"}; !reflect.DeepEqual(removed, want) {
+		t.Errorf("pruneDead = %v, want sorted %v", removed, want)
+	}
+	if len(p.activeRuleIDsInto(now, nil, nil)) != 0 {
 		t.Error("activations survive pruning")
 	}
 }
@@ -34,16 +36,16 @@ func TestProfileActivationsFilterScopeAndExpiry(t *testing.T) {
 	scoped := &rules.Rule{ID: "scoped", Type: rules.TypeRemove, Default: "x", Scope: "/a/*"}
 	expired := &rules.Rule{ID: "expired", Type: rules.TypeRemove, Default: "y", TTL: time.Second}
 	forever := &rules.Rule{ID: "forever", Type: rules.TypeRemove, Default: "z", Scope: "*"}
-	p.activate(scoped, 0, now, "s", 1)
-	p.activate(expired, 0, now, "s", 1)
-	p.activate(forever, 0, now, "s", 1)
+	p.activate(scoped, 0, 0, now, "s", 1)
+	p.activate(expired, 0, 0, now, "s", 1)
+	p.activate(forever, 0, 0, now, "s", 1)
 
 	later := now.Add(time.Minute)
-	acts := p.viewAt("/b/page.html", later, nil).acts
+	acts := p.viewAt("/b/page.html", later, nil, nil).acts
 	if len(acts) != 1 || acts[0].Rule.ID != "forever" {
 		t.Errorf("activations = %+v, want only forever", acts)
 	}
-	acts = p.viewAt("/a/page.html", later, nil).acts
+	acts = p.viewAt("/a/page.html", later, nil, nil).acts
 	if len(acts) != 2 {
 		t.Errorf("activations = %+v, want scoped+forever", acts)
 	}
@@ -80,7 +82,7 @@ func TestProfileOwnsTheAddressesItKeeps(t *testing.T) {
 		}
 	}
 	r := &rules.Rule{ID: "r", Type: rules.TypeRemove, Default: "x"}
-	a := p.activate(r, 0, time.Now(), addr, 1)
+	a := p.activate(r, 0, 0, time.Now(), addr, 1)
 	if a == nil || a.TriggerServer != addr || unsafe.StringData(a.TriggerServer) == unsafe.StringData(addr) {
 		t.Errorf("activation %+v: want a copy of the address as its trigger server", a)
 	}

@@ -343,7 +343,10 @@ func (e *Engine) rehydrateLocked(sh *shard, userID string) *Profile {
 		pp, err := st.readRecord(ref)
 		switch {
 		case err == nil:
-			prof := e.installRecordLocked(sh, pp)
+			prof := e.profileFromRecord(pp, e.now())
+			sh.profiles[userID] = prof
+			sh.users.Add(1)
+			sh.residentBytes.Add(int64(prof.sizeEst))
 			e.metrics.rehydrations.Inc()
 			e.rehydrateHist.Observe(time.Since(start))
 			return prof
@@ -356,19 +359,6 @@ func (e *Engine) rehydrateLocked(sh *shard, userID string) *Profile {
 	sh.spilled.del(userID)
 	ref.seg.Dead.Add(1)
 	return nil
-}
-
-// installRecordLocked makes a decoded record the user's resident profile:
-// the profile profileFromRecord builds, plus what only a resident profile
-// has — residency accounting, and the count of the bulk rollbacks that
-// reached it late. Caller holds sh.mu for writing.
-func (e *Engine) installRecordLocked(sh *shard, pp *persistedProfile) *Profile {
-	prof, barred := e.profileFromRecord(pp, e.now(), true)
-	e.metrics.bulkDeactivations.Add(uint64(barred))
-	sh.profiles[pp.UserID] = prof
-	sh.users.Add(1)
-	sh.residentBytes.Add(int64(prof.sizeEst))
-	return prof
 }
 
 // viewRecord is the serve path's half of the tier: it reads a spilled
@@ -387,8 +377,7 @@ func (e *Engine) viewRecord(ref spillRef) *Profile {
 		return nil
 	}
 	e.spill.recordViews.Inc()
-	prof, _ := e.profileFromRecord(pp, e.now(), true)
-	return prof
+	return e.profileFromRecord(pp, e.now())
 }
 
 // profileLocked returns the user's profile, rehydrating a spilled one or

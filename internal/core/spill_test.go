@@ -577,26 +577,24 @@ func TestSpillRehydrationDropsBreakerOpenActivations(t *testing.T) {
 	}
 	forceSpill(t, e, "cold")
 
-	// Trip the s2.net breaker while "cold" is on disk: the bulk rollback
-	// reaches the resident "warm", but cannot touch the spilled activation.
+	// Trip the s2.net breaker while "cold" is on disk: the trip moves the
+	// epoch and touches neither profile, so nothing is counted yet.
 	e.ObserveProviderOutcome("s2.net", false, 500)
 	e.ObserveProviderOutcome("s2.net", false, 500)
-	if m := e.Metrics(); m.BreakerTrips != 1 || m.BulkDeactivations != 1 {
-		t.Fatalf("trips=%d bulk=%d, want 1/1 (only the resident user rolled back)",
+	if m := e.Metrics(); m.BreakerTrips != 1 || m.BulkDeactivations != 0 {
+		t.Fatalf("trips=%d bulk=%d, want 1/0 (a trip walks no profile)",
 			m.BreakerTrips, m.BulkDeactivations)
 	}
 
-	// A page read through the record applies the rollback the trip missed —
-	// to the page, not to the record: nothing is installed, so nothing is
-	// counted. (Until PR 18 the page rehydrated the user and BulkDeactivations
-	// reached 2 here; it now does when a report installs the record.)
+	// A page read through the record reads the activation as dead — on the
+	// page, not in the record: nothing is installed, so nothing is counted.
 	page := `<script src="http://s1.com/jquery.js">`
 	out, _ := e.ModifyPage("cold", "/index.html", page)
 	if out != page {
 		t.Error("spilled activation on an open breaker still rewrote the page")
 	}
-	if m := e.Metrics(); m.BulkDeactivations != 1 {
-		t.Errorf("BulkDeactivations = %d after a page read, want 1 (a read installs nothing)",
+	if m := e.Metrics(); m.BulkDeactivations != 0 {
+		t.Errorf("BulkDeactivations = %d after a page read, want 0 (a read installs nothing)",
 			m.BulkDeactivations)
 	}
 	if snap, _ := e.Snapshot("cold"); len(snap.ActiveRules) != 0 || snap.Violations["ip-s1.com"] != 1 {
@@ -604,13 +602,21 @@ func TestSpillRehydrationDropsBreakerOpenActivations(t *testing.T) {
 			snap.ActiveRules, snap.Violations)
 	}
 
-	// The user's next report installs the record, rollback applied and
-	// counted; the violation counters come back with it.
+	// The user's next report installs the record and drops the dead
+	// activation, counted; the violation counters come back with it. The
+	// resident user's report counts theirs the same way.
 	if _, err := e.HandleReport(healthyReport("cold")); err != nil {
 		t.Fatal(err)
 	}
+	if m := e.Metrics(); m.BulkDeactivations != 1 {
+		t.Errorf("BulkDeactivations = %d, want 1 (the spilled rollback counted at ingest)",
+			m.BulkDeactivations)
+	}
+	if _, err := e.HandleReport(healthyReport("warm")); err != nil {
+		t.Fatal(err)
+	}
 	if m := e.Metrics(); m.BulkDeactivations != 2 {
-		t.Errorf("BulkDeactivations = %d, want 2 (spilled rollback applied at rehydration)",
+		t.Errorf("BulkDeactivations = %d, want 2 (the resident rollback counted at ingest)",
 			m.BulkDeactivations)
 	}
 	snap, _ := e.Snapshot("cold")

@@ -79,6 +79,9 @@ func (e *Engine) initSpill() error {
 	err = e.recoverSpill(st)
 	st.recovered.took = time.Since(start)
 	e.spill = st
+	if err == nil && e.guard != nil {
+		e.squareImport(nil, true)
+	}
 	if n := log.Strays(); n > 0 && e.logf != nil {
 		e.logf("core: spill directory %s: left alone %d files named like segments but not spelled as one", cfg.Dir, n)
 	}

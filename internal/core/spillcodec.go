@@ -7,7 +7,6 @@ import (
 	"sort"
 	"time"
 
-	"oak/internal/guard"
 	"oak/internal/seglog"
 	"oak/internal/wire"
 )
@@ -31,7 +30,8 @@ import (
 //	            ruleID string, altIndex uvarint, activatedAt time string,
 //	            expiresAt time string, triggerServer string,
 //	            triggerDistance float64 bits LE, activations uvarint,
-//	            flags byte (bit 0 = synthesized)
+//	            flags byte (bit 0 = synthesized, bit 1 = an epoch follows),
+//	            epoch uvarint, non-zero, only with bit 1 (absent = epoch 0)
 //	version     uvarint, present only when non-zero: the reports ever applied
 //	            to the profile. A record that ends after its activations is
 //	            version 0 — every record written before the field existed —
@@ -124,7 +124,13 @@ func encodeSpillRecord(b []byte, pp *persistedProfile) []byte {
 		if pa.Synthesized {
 			flags |= 1
 		}
+		if pa.Epoch != 0 {
+			flags |= 2
+		}
 		b = append(b, flags)
+		if pa.Epoch != 0 {
+			b = binary.AppendUvarint(b, pa.Epoch)
+		}
 	}
 	if pp.Version != 0 {
 		b = binary.AppendUvarint(b, pp.Version)
@@ -233,8 +239,16 @@ func decodeSpillRecordInto(pp *persistedProfile, payload []byte) error {
 		if len(b) < 1 {
 			return fmt.Errorf("%w: flags cut short", seglog.ErrTruncated)
 		}
-		pa.Synthesized = b[0]&1 != 0
+		flags := b[0]
 		b = b[1:]
+		pa.Synthesized = flags&1 != 0
+		if flags&2 != 0 {
+			if pa.Epoch, b, err = seglog.Wire.Uvarint(b); err != nil {
+				return fmt.Errorf("epoch: %w", err)
+			} else if pa.Epoch == 0 {
+				return fmt.Errorf("%w: explicit epoch 0", seglog.ErrCorrupt)
+			}
+		}
 		pp.Active = append(pp.Active, pa)
 	}
 	pp.Version = 0
@@ -294,12 +308,10 @@ func newSpillRef(off int64, n int, active bool, last time.Time, ver uint64) spil
 // copy wins, as it did before records carried versions. A record in a
 // quarantined segment supersedes nothing.
 //
-// Not versioned, because profileFromRecord re-derives them on every read of
-// either copy: activations lapsed, of rules not in the rule set, or barred by
-// the guard. Bulk rollback does not bump the version — it would make a capped
-// and an uncapped engine's exports differ — so a kept record brings back a
-// rolled-back activation exactly when a spilled copy that never saw a restart
-// does (ROADMAP item 1, seed (i)).
+// Not versioned, because every read of either copy re-derives them (deadAt):
+// activations lapsed, of rules not in the rule set, or rolled back by a trip
+// or quarantine. A rollback changes no copy — it moves an epoch — so either
+// copy kept reads the same.
 func (r spillRef) supersedes(last time.Time, ver uint64) bool {
 	sec, nsec := last.Unix(), int32(last.Nanosecond())
 	switch {
@@ -342,28 +354,26 @@ func walkSegment(data []byte) (frames []segFrame, end int64, err error) {
 }
 
 // deadAt is the one predicate for an activation that means nothing at now:
-// it has lapsed (while spilled, or while the engine was down), or its rule is
-// not in the engine's rule set (the record was written under another one).
-// profileFromRecord drops such activations, and eachPersisted leaves them
-// out of a resident copy and a spilled record alike, so where a profile lives
-// does not show in what it exports or what its audit counts.
+// it has lapsed, its rule is not in the engine's rule set, or a trip or
+// quarantine has moved its pair's epoch past the one it was admitted under.
+// Every reader skips it (ActiveRule.deadAt is its resident form) and ingest
+// drops it (pruneDead), so where a profile lives does not show in what it
+// serves, exports or counts.
 func (e *Engine) deadAt(pa *persistedActivation, now time.Time) bool {
 	_, known := e.rulesByID[pa.RuleID]
-	return !known || (!pa.ExpiresAt.IsZero() && now.After(pa.ExpiresAt))
+	return !known || (!pa.ExpiresAt.IsZero() && now.After(pa.ExpiresAt)) ||
+		e.epochs.Load().at(pa.RuleID, pa.AltIndex) > pa.Epoch
 }
 
 // profileFromRecord is the one conversion from the persisted form to a live
 // profile under the engine's rule set, shared by rehydration, the in-place
 // serve view and state import so they cannot disagree about what a record
-// means. It drops the activations dead at now (deadAt); with guarded set
-// (records coming off the spill tier) it also drops those whose target
-// provider's breaker is not closed or whose rule is quarantined — the trip's
-// bulk rollback could not reach a spilled user — and reports how many as
-// barred. An import passes guarded false: its guard state arrives in the same
-// payload. The profile is not installed anywhere; nothing but the caller
+// means. It drops activations lapsed at now or of a rule not in the rule set,
+// and keeps a rolled-back one for the user's next report to drop and count
+// (pruneDead). The profile is not installed anywhere; nothing but the caller
 // refers to it.
-func (e *Engine) profileFromRecord(pp *persistedProfile, now time.Time, guarded bool) (prof *Profile, barred int) {
-	prof = newProfile(pp.UserID)
+func (e *Engine) profileFromRecord(pp *persistedProfile, now time.Time) *Profile {
+	prof := newProfile(pp.UserID)
 	prof.lastReport = pp.LastReport
 	prof.version = pp.Version
 	for srv, n := range pp.Violations {
@@ -373,15 +383,12 @@ func (e *Engine) profileFromRecord(pp *persistedProfile, now time.Time, guarded 
 	}
 	for i := range pp.Active {
 		pa := &pp.Active[i]
-		if e.deadAt(pa, now) {
-			continue
-		}
-		if guarded && e.spillActivationBarred(pa.RuleID, pa.AltIndex) {
-			barred++
+		rule := e.rulesByID[pa.RuleID]
+		if rule == nil || (!pa.ExpiresAt.IsZero() && now.After(pa.ExpiresAt)) {
 			continue
 		}
 		prof.active[pa.RuleID] = &ActiveRule{
-			Rule:            e.rulesByID[pa.RuleID],
+			Rule:            rule,
 			AltIndex:        pa.AltIndex,
 			ActivatedAt:     pa.ActivatedAt,
 			ExpiresAt:       pa.ExpiresAt,
@@ -389,27 +396,9 @@ func (e *Engine) profileFromRecord(pp *persistedProfile, now time.Time, guarded 
 			TriggerDistance: pa.TriggerDistance,
 			Activations:     pa.Activations,
 			Synthesized:     pa.Synthesized,
+			Epoch:           pa.Epoch,
 		}
 	}
 	prof.sizeEst = prof.estimateSize()
-	return prof, barred
-}
-
-// spillActivationBarred reports whether a spilled record's activation must
-// be dropped because the guard no longer admits its target: the rule is
-// quarantined, or a target provider's breaker is open/half-open (the trip's
-// bulk rollback would have removed the activation had it been resident).
-func (e *Engine) spillActivationBarred(ruleID string, altIdx int) bool {
-	if e.guard == nil {
-		return false
-	}
-	if e.guard.RuleQuarantined(ruleID) {
-		return true
-	}
-	for _, h := range e.altHostsFor(ruleID, altIdx) {
-		if e.guard.State(h) != guard.Closed {
-			return true
-		}
-	}
-	return false
+	return prof
 }

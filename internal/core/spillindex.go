@@ -74,6 +74,15 @@ func (x *spillIndex) init(n, keyBytes int) {
 
 func (x *spillIndex) len() int { return x.live }
 
+// eachActive calls fn with each ref whose record holds an activation.
+func (x *spillIndex) eachActive(fn func(spillRef)) {
+	for i := range x.ents {
+		if e := &x.ents[i]; e.keyLen != goneKey && e.n&entryActive != 0 {
+			fn(e.ref())
+		}
+	}
+}
+
 func (x *spillIndex) key(e *indexEntry) []byte {
 	end := e.keyOff + e.keyLen
 	return x.keys[e.keyOff:end:end]

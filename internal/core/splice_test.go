@@ -157,7 +157,7 @@ func TestDerivedTagsAreSound(t *testing.T) {
 					for _, e := range []*Engine{primary, twin} {
 						sh := e.shardFor(uid)
 						sh.mu.Lock()
-						e.profileLocked(sh, uid).activate(e.rulesByID[r.ID], alt, now, "s", 1)
+						e.profileLocked(sh, uid).activate(e.rulesByID[r.ID], alt, 0, now, "s", 1)
 						sh.mu.Unlock()
 					}
 				}

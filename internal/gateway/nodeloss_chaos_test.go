@@ -336,14 +336,19 @@ func TestNodeLossChaos(t *testing.T) {
 	if recall != 1.0 {
 		t.Fatalf("phase 4: recall = %.2f, want 1.0", recall)
 	}
-	// The broadcast bulk-deactivates the provider everywhere: arc-2 users —
-	// whose own backend never saw a bad report — are already off s2.net.
+	// The broadcast rolls the provider back everywhere: arc-2 users — whose
+	// own backend never saw a bad report — are already off s2.net, and each
+	// one's next report drops and counts the dead activation.
 	for _, u := range arcUsers[2] {
 		if code, body := gwPageAs(t, gwts.URL, u); code != 200 || strings.Contains(body, "s2.net") {
 			t.Errorf("phase 4: %s still on dead s2.net after broadcast (status %d)", u, code)
 		}
 	}
+	for _, u := range arcUsers[2] {
+		load(u, seed)
+		seed++
+	}
 	if m := nodes[2].engine.Metrics(); m.BulkDeactivations == 0 {
-		t.Error("phase 4: broadcast did not bulk-deactivate on backend 2")
+		t.Error("phase 4: broadcast did not roll back an activation on backend 2")
 	}
 }

@@ -15,10 +15,10 @@
 //
 //	closed:    activations flow freely. Consecutive bad outcomes count
 //	           toward TripThreshold; any good outcome resets the count.
-//	open:      tripped. No activations are admitted; the engine bulk-
-//	           deactivates existing activations on the provider. After
-//	           OpenFor elapses the breaker moves to half-open on its next
-//	           consultation.
+//	open:      tripped. No activations are admitted, and the trip count
+//	           moves: every activation admitted onto the provider before it
+//	           is dead (see Epoch). After OpenFor elapses the breaker moves
+//	           to half-open on its next consultation.
 //	half-open: at most HalfOpenCanaries activations are admitted as
 //	           canaries. CloseAfter good observed outcomes close the
 //	           breaker; a single bad outcome reopens it (fresh cool-down).
@@ -27,9 +27,17 @@
 // whose application panics PanicThreshold times is quarantined — skipped on
 // the serve path and refused new activations — until released.
 //
+// A rollback is an epoch, not a walk: a breaker counts its trips and a rule
+// its quarantines for its whole life — a close or a release keeps the count —
+// so the epoch of a (rule, alternative) pair, the rule's quarantines plus the
+// trips of every provider the alternative names, only grows. Admit returns
+// the epoch it admitted under; an activation recorded under an older epoch
+// than its pair's current one is dead, wherever the caller keeps it.
+//
 // A Set only aggregates and decides; it never touches engine state itself.
-// Callers act on the returned Transition (trip ⇒ bulk rollback), which keeps
-// the Set's mutex a leaf lock — safe to consult from under any engine lock.
+// Callers act on the returned Transition (trip ⇒ publish the new epochs),
+// which keeps the Set's mutex a leaf lock — safe to consult from under any
+// engine lock.
 package guard
 
 import (
@@ -79,7 +87,7 @@ func parseState(s string) State {
 }
 
 // Transition is what an observed outcome did to a breaker. The caller acts
-// on it: a trip or reopen must bulk-deactivate the provider's activations.
+// on it: a trip or reopen moves the epoch of every pair on the provider.
 type Transition int
 
 const (
@@ -156,7 +164,7 @@ type breaker struct {
 	openedAt       time.Time
 	halfOpenGood   int
 	canariesUsed   int
-	trips          uint64 // lifetime trip count (incl. reopens)
+	trips          uint64 // lifetime trip count (incl. reopens); never reset
 	lastDeltaMs    float64
 }
 
@@ -164,6 +172,7 @@ type breaker struct {
 type ruleHealth struct {
 	panics      int
 	quarantined bool
+	quarantines uint64 // lifetime quarantine count, plus Lift's raises; never reset
 }
 
 // Set is a collection of per-provider breakers plus the rule-quarantine
@@ -193,12 +202,13 @@ func New(cfg Config) *Set {
 // canary slot is spent on each half-open provider only when every provider
 // admits, so a refused activation spends nothing. canary marks an admission
 // that spent a slot; blockedBy names the refusal ("rule:<id>" or the first
-// provider that refused) and is "" exactly when the activation is admitted.
-func (s *Set) Admit(ruleID string, providers []string) (canary bool, blockedBy string) {
+// provider that refused) and is "" exactly when the activation is admitted;
+// epoch is the pair's epoch the admission was decided under.
+func (s *Set) Admit(ruleID string, providers []string) (epoch uint64, canary bool, blockedBy string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if rh := s.rules[ruleID]; rh != nil && rh.quarantined {
-		return false, "rule:" + ruleID
+		return 0, false, "rule:" + ruleID
 	}
 	for _, p := range providers {
 		b := s.breakers[p]
@@ -208,7 +218,7 @@ func (s *Set) Admit(ruleID string, providers []string) (canary bool, blockedBy s
 		s.advanceLocked(b)
 		switch {
 		case b.state == Open, b.state == HalfOpen && b.canariesUsed >= s.cfg.HalfOpenCanaries:
-			return false, p
+			return 0, false, p
 		case b.state == HalfOpen:
 			canary = true
 		}
@@ -220,14 +230,59 @@ func (s *Set) Admit(ruleID string, providers []string) (canary bool, blockedBy s
 			}
 		}
 	}
-	return canary, ""
+	return s.epochLocked(ruleID, providers), canary, ""
+}
+
+// Epoch is the current epoch of an activation of ruleID onto an alternative
+// whose providers are providers: the rule's lifetime quarantines plus each
+// provider's lifetime trips. It only grows, and it moves exactly when a trip
+// or a quarantine must roll such an activation back.
+func (s *Set) Epoch(ruleID string, providers []string) uint64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.epochLocked(ruleID, providers)
+}
+
+// Lift raises ruleID's quarantine count so that the epoch of ruleID onto
+// providers is at least epoch, reporting whether it moved. It squares the
+// counts with an activation recorded under counts the Set never saw — ones a
+// crash lost after the last export — so that the next trip or quarantine
+// moves the pair's epoch past it. The rule is not quarantined by it, and the
+// rule's other alternatives' epochs move with it.
+func (s *Set) Lift(ruleID string, providers []string, epoch uint64) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	cur := s.epochLocked(ruleID, providers)
+	if cur >= epoch {
+		return false
+	}
+	rh := s.rules[ruleID]
+	if rh == nil {
+		rh = &ruleHealth{}
+		s.rules[ruleID] = rh
+	}
+	rh.quarantines += epoch - cur
+	return true
+}
+
+func (s *Set) epochLocked(ruleID string, providers []string) uint64 {
+	var n uint64
+	if rh := s.rules[ruleID]; rh != nil {
+		n = rh.quarantines
+	}
+	for _, p := range providers {
+		if b := s.breakers[p]; b != nil {
+			n += b.trips
+		}
+	}
+	return n
 }
 
 // Observe feeds one population-level outcome for a provider: good reports a
 // load (or probe) that went fine, bad one where the provider violated;
 // deltaMs is the latency distance that judged it (informational). The
-// returned Transition tells the caller what to do — a trip or reopen means
-// the provider's existing activations must be bulk-deactivated.
+// returned Transition tells the caller what to do — a trip or reopen moves
+// the epoch of every pair on the provider.
 func (s *Set) Observe(provider string, good bool, deltaMs float64) Transition {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -255,7 +310,7 @@ func (s *Set) Observe(provider string, good bool, deltaMs float64) Transition {
 		return TransitionNone
 	case Open:
 		// Outcomes while open are stale: they describe loads begun before
-		// the rollback finished. The cool-down decides what happens next.
+		// the trip. The cool-down decides what happens next.
 		return TransitionNone
 	default: // HalfOpen: every outcome is canary evidence
 		if good {
@@ -292,8 +347,7 @@ func (s *Set) openLocked(b *breaker) {
 
 // ForceOpen trips the provider's breaker unconditionally (manual quarantine
 // override). It reports whether the breaker was not already open — when
-// true, the caller must bulk-deactivate the provider's activations, exactly
-// as after TransitionTrip.
+// true, the trip count moved, exactly as after TransitionTrip.
 func (s *Set) ForceOpen(provider string) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -311,7 +365,8 @@ func (s *Set) ForceOpen(provider string) bool {
 }
 
 // ForceClose resets the provider's breaker to closed (manual re-admission
-// override), reporting whether there was a non-closed breaker to reset.
+// override), reporting whether there was a non-closed breaker to reset. The
+// trip count stays: what the trips rolled back stays rolled back.
 func (s *Set) ForceClose(provider string) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -394,7 +449,7 @@ func (s *Set) Snapshot() []ProviderStatus {
 
 // ObserveRulePanic records one rewrite panic attributed to a rule. It
 // reports true exactly when this panic crosses PanicThreshold and
-// quarantines the rule — the caller then bulk-deactivates it.
+// quarantines the rule — its quarantine count, and so its epochs, moved.
 func (s *Set) ObserveRulePanic(ruleID string) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -408,6 +463,7 @@ func (s *Set) ObserveRulePanic(ruleID string) bool {
 		return false
 	}
 	rh.quarantined = true
+	rh.quarantines++
 	return true
 }
 
@@ -425,14 +481,20 @@ func (s *Set) QuarantineRule(ruleID string) bool {
 		return false
 	}
 	rh.quarantined = true
+	rh.quarantines++
 	return true
 }
 
-// ReleaseRule lifts a rule's quarantine and resets its panic count.
+// ReleaseRule lifts a rule's quarantine and resets its panic count. The
+// quarantine count stays: what the quarantines rolled back stays rolled back.
 func (s *Set) ReleaseRule(ruleID string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	delete(s.rules, ruleID)
+	if rh := s.rules[ruleID]; rh != nil && rh.quarantines > 0 {
+		*rh = ruleHealth{quarantines: rh.quarantines}
+	} else {
+		delete(s.rules, ruleID)
+	}
 }
 
 // RuleQuarantined reports whether the rule is quarantined.
@@ -458,9 +520,10 @@ func (s *Set) QuarantinedRules() []string {
 }
 
 // Persisted is the guard state as stored inside an engine snapshot. Only
-// breakers that deviate from the healthy steady state and rules with panic
-// history are included, so a guard with nothing to say exports nil and the
-// snapshot is byte-identical to one from an engine without a guard.
+// breakers that deviate from the healthy steady state or have ever tripped,
+// and rules with panic or quarantine history, are included, so a guard with
+// nothing to say exports nil and the snapshot is byte-identical to one from
+// an engine without a guard.
 type Persisted struct {
 	Breakers []PersistedBreaker `json:"breakers,omitempty"`
 	Rules    []PersistedRule    `json:"rules,omitempty"`
@@ -474,6 +537,10 @@ type PersistedBreaker struct {
 	OpenedAt       time.Time `json:"openedAt"`
 	HalfOpenGood   int       `json:"halfOpenGood,omitempty"`
 	CanariesUsed   int       `json:"canariesUsed,omitempty"`
+	// Trips is the lifetime trip count, omitted at its least (see least):
+	// a breaker persisted open or half-open before the count existed reads
+	// as tripped once, so an activation written then onto it reads as dead.
+	Trips uint64 `json:"trips,omitempty"`
 }
 
 // PersistedRule is one rule's durable panic-quarantine state.
@@ -481,32 +548,55 @@ type PersistedRule struct {
 	RuleID      string `json:"ruleId"`
 	Panics      int    `json:"panics,omitempty"`
 	Quarantined bool   `json:"quarantined,omitempty"`
+	// Quarantines is the lifetime quarantine count, plus what Lift raised
+	// it by; omitted at its least, as PersistedBreaker.Trips is.
+	Quarantines uint64 `json:"quarantines,omitempty"`
+}
+
+// least is the least lifetime count of a breaker that is not closed, or of
+// a quarantined rule, held: one gets there only by a trip or a quarantine.
+// Export omits a count at its least, and Import reads one below it — written
+// before counts were persisted — as it.
+func least(held bool) uint64 {
+	if held {
+		return 1
+	}
+	return 0
 }
 
 // Export captures the durable guard state, or nil when there is none (every
-// breaker closed and quiet, no rule panic history).
+// breaker closed, quiet and never tripped; no rule panic or quarantine
+// history).
 func (s *Set) Export() *Persisted {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var p Persisted
 	for name, b := range s.breakers {
-		if b.state == Closed && b.consecutiveBad == 0 {
+		if b.state == Closed && b.consecutiveBad == 0 && b.trips == 0 {
 			continue
 		}
-		p.Breakers = append(p.Breakers, PersistedBreaker{
+		pb := PersistedBreaker{
 			Provider:       name,
 			State:          b.state.String(),
 			ConsecutiveBad: b.consecutiveBad,
 			OpenedAt:       b.openedAt,
 			HalfOpenGood:   b.halfOpenGood,
 			CanariesUsed:   b.canariesUsed,
-		})
+		}
+		if b.trips != least(b.state != Closed) {
+			pb.Trips = b.trips
+		}
+		p.Breakers = append(p.Breakers, pb)
 	}
 	for id, rh := range s.rules {
-		if rh.panics == 0 && !rh.quarantined {
+		if rh.panics == 0 && !rh.quarantined && rh.quarantines == 0 {
 			continue
 		}
-		p.Rules = append(p.Rules, PersistedRule{RuleID: id, Panics: rh.panics, Quarantined: rh.quarantined})
+		pr := PersistedRule{RuleID: id, Panics: rh.panics, Quarantined: rh.quarantined}
+		if rh.quarantines != least(rh.quarantined) {
+			pr.Quarantines = rh.quarantines
+		}
+		p.Rules = append(p.Rules, pr)
 	}
 	if len(p.Breakers) == 0 && len(p.Rules) == 0 {
 		return nil
@@ -516,32 +606,56 @@ func (s *Set) Export() *Persisted {
 	return &p
 }
 
-// Import replaces the Set's state with a previously exported one. nil (the
-// empty export, and what legacy snapshots decode to) clears everything.
-func (s *Set) Import(p *Persisted) {
+// Import replaces the Set's state with a previously exported one; nil (the
+// empty export, and what legacy snapshots decode to) clears it. With
+// keepCounts each trip and quarantine count becomes the larger of the two
+// sides' instead: the caller keeps activations admitted under this Set's
+// counts, and no import may bring back one a trip or quarantine of either
+// side rolled back.
+func (s *Set) Import(p *Persisted, keepCounts bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	oldBreakers, oldRules := s.breakers, s.rules
+	if !keepCounts {
+		oldBreakers, oldRules = nil, nil
+	}
 	s.breakers = make(map[string]*breaker)
 	s.rules = make(map[string]*ruleHealth)
-	if p == nil {
-		return
+	if p != nil {
+		for _, pb := range p.Breakers {
+			if pb.Provider == "" {
+				continue
+			}
+			st := parseState(pb.State)
+			s.breakers[pb.Provider] = &breaker{
+				state:          st,
+				consecutiveBad: pb.ConsecutiveBad,
+				openedAt:       pb.OpenedAt,
+				halfOpenGood:   pb.HalfOpenGood,
+				canariesUsed:   pb.CanariesUsed,
+				trips:          max(pb.Trips, least(st != Closed)),
+			}
+		}
+		for _, pr := range p.Rules {
+			if pr.RuleID == "" {
+				continue
+			}
+			s.rules[pr.RuleID] = &ruleHealth{panics: pr.Panics, quarantined: pr.Quarantined,
+				quarantines: max(pr.Quarantines, least(pr.Quarantined))}
+		}
 	}
-	for _, pb := range p.Breakers {
-		if pb.Provider == "" {
-			continue
-		}
-		s.breakers[pb.Provider] = &breaker{
-			state:          parseState(pb.State),
-			consecutiveBad: pb.ConsecutiveBad,
-			openedAt:       pb.OpenedAt,
-			halfOpenGood:   pb.HalfOpenGood,
-			canariesUsed:   pb.CanariesUsed,
+	for name, old := range oldBreakers {
+		if b := s.breakers[name]; b != nil {
+			b.trips = max(b.trips, old.trips)
+		} else if old.trips > 0 {
+			s.breakers[name] = &breaker{trips: old.trips}
 		}
 	}
-	for _, pr := range p.Rules {
-		if pr.RuleID == "" {
-			continue
+	for id, old := range oldRules {
+		if rh := s.rules[id]; rh != nil {
+			rh.quarantines = max(rh.quarantines, old.quarantines)
+		} else if old.quarantines > 0 {
+			s.rules[id] = &ruleHealth{quarantines: old.quarantines}
 		}
-		s.rules[pr.RuleID] = &ruleHealth{panics: pr.Panics, quarantined: pr.Quarantined}
 	}
 }

@@ -42,7 +42,7 @@ func newTestSet(clk *testClock) *Set {
 
 // admit asks for one activation onto provider alone.
 func admit(s *Set, provider string) (ok, canary bool) {
-	canary, blockedBy := s.Admit("rule", []string{provider})
+	_, canary, blockedBy := s.Admit("rule", []string{provider})
 	return blockedBy == "", canary
 }
 
@@ -172,7 +172,7 @@ func TestAdmitIsAllOrNothing(t *testing.T) {
 	alt := []string{"closed.example", "half.example", "open.example"}
 
 	// One provider refuses: nothing is admitted and no slot is spent.
-	if canary, by := s.Admit("r", alt); canary || by != "open.example" {
+	if _, canary, by := s.Admit("r", alt); canary || by != "open.example" {
 		t.Fatalf("Admit = canary %v blockedBy %q, want refused by open.example", canary, by)
 	}
 	if n := canariesUsed(s, "half.example"); n != 0 {
@@ -180,7 +180,7 @@ func TestAdmitIsAllOrNothing(t *testing.T) {
 	}
 	// A quarantined rule refuses before any breaker is asked.
 	s.QuarantineRule("r")
-	if _, by := s.Admit("r", []string{"half.example"}); by != "rule:r" {
+	if _, _, by := s.Admit("r", []string{"half.example"}); by != "rule:r" {
 		t.Fatalf("quarantined rule: blockedBy %q, want rule:r", by)
 	}
 	if n := canariesUsed(s, "half.example"); n != 0 {
@@ -190,7 +190,7 @@ func TestAdmitIsAllOrNothing(t *testing.T) {
 
 	// Every provider admits: the half-open one spends one slot.
 	s.ForceClose("open.example")
-	if canary, by := s.Admit("r", alt); !canary || by != "" {
+	if _, canary, by := s.Admit("r", alt); !canary || by != "" {
 		t.Fatalf("Admit = canary %v blockedBy %q, want a canary admission", canary, by)
 	}
 	if n := canariesUsed(s, "half.example"); n != 1 {
@@ -324,7 +324,7 @@ func TestExportImportRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	s2 := newTestSet(clk)
-	s2.Import(&decoded)
+	s2.Import(&decoded, false)
 	if ok, _ := admit(s2, "dead.example"); ok {
 		t.Fatal("imported open breaker admitted")
 	}
@@ -342,10 +342,20 @@ func TestExportImportRoundTrip(t *testing.T) {
 		t.Fatalf("imported breaker after cool-down: admit %v canary %v", ok, canary)
 	}
 
-	// Import(nil) clears everything.
-	s2.Import(nil)
-	if p := s2.Export(); p != nil {
-		t.Fatalf("cleared export = %+v, want nil", p)
+	// Import(nil) clears every state and keeps the counts: the breakers read
+	// closed and the rule released, each with the trip or quarantine it had.
+	s2.Import(nil, true)
+	p = s2.Export()
+	if p == nil || len(p.Breakers) != 2 || len(p.Rules) != 1 {
+		t.Fatalf("cleared export = %+v, want the two breakers and the rule with their counts", p)
+	}
+	for _, pb := range p.Breakers {
+		if pb.State != "closed" || pb.ConsecutiveBad != 0 || pb.Trips != 1 {
+			t.Fatalf("cleared breaker = %+v, want closed with one trip", pb)
+		}
+	}
+	if pr := p.Rules[0]; pr.Quarantined || pr.Panics != 0 || pr.Quarantines != 1 {
+		t.Fatalf("cleared rule = %+v, want released with one quarantine", pr)
 	}
 	if ok, _ := admit(s2, "dead.example"); !ok {
 		t.Fatal("cleared set denied")
@@ -405,4 +415,107 @@ func TestConcurrentAccess(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+}
+
+// TestEpochOnlyGrows: a pair's epoch is its rule's quarantines plus its
+// providers' trips; a close, a release and an Export/Import round trip keep
+// every count, and a breaker or rule persisted without one reads as the
+// least its state allows.
+func TestEpochOnlyGrows(t *testing.T) {
+	clk := newTestClock()
+	s := newTestSet(clk)
+	alt := []string{"a.example", "b.example"}
+	epoch := func(s *Set) uint64 { return s.Epoch("r", alt) }
+	if e, _, by := s.Admit("r", alt); e != 0 || by != "" {
+		t.Fatalf("fresh set: epoch %d, blocked by %q", e, by)
+	}
+	s.ForceOpen("a.example")
+	s.ForceClose("a.example")
+	s.ForceOpen("b.example")
+	clk.Advance(2 * time.Minute)
+	if tr := s.Observe("b.example", false, 9); tr != TransitionReopen {
+		t.Fatalf("bad canary outcome: %v, want a reopen", tr)
+	}
+	s.ForceClose("b.example")
+	s.QuarantineRule("r")
+	s.ReleaseRule("r")
+	if got := epoch(s); got != 4 {
+		t.Fatalf("epoch after 3 trips, 1 quarantine, closes and a release = %d, want 4", got)
+	}
+	if e, _, by := s.Admit("r", alt); e != 4 || by != "" {
+		t.Fatalf("admit after the release: epoch %d, blocked by %q", e, by)
+	}
+
+	raw, err := json.Marshal(s.Export())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var p Persisted
+	if err := json.Unmarshal(raw, &p); err != nil {
+		t.Fatal(err)
+	}
+	s2 := newTestSet(clk)
+	s2.Import(&p, false)
+	if got := epoch(s2); got != 4 {
+		t.Fatalf("epoch after a round trip through %s = %d, want 4", raw, got)
+	}
+
+	// Persisted before the counts existed: open and half-open breakers and a
+	// quarantined rule read as tripped and quarantined once; closed ones as
+	// never. An open breaker at its floor exports without a count.
+	s3 := newTestSet(clk)
+	s3.Import(&Persisted{
+		Breakers: []PersistedBreaker{
+			{Provider: "a.example", State: "open", OpenedAt: clk.Now()},
+			{Provider: "b.example", State: "half-open"},
+			{Provider: "c.example", State: "closed", ConsecutiveBad: 1},
+		},
+		Rules: []PersistedRule{{RuleID: "r", Quarantined: true}},
+	}, false)
+	if got := s3.Epoch("r", []string{"a.example", "b.example", "c.example"}); got != 3 {
+		t.Fatalf("legacy epoch = %d, want 3", got)
+	}
+	for _, pb := range s3.Export().Breakers {
+		if pb.Trips != 0 {
+			t.Fatalf("breaker at its floor exported a count: %+v", pb)
+		}
+	}
+}
+
+// TestLiftAndKeepCounts: Lift raises a pair's epoch to a recorded one through
+// the rule's count — the rule stays admitted, its other pairs move with it,
+// and a lower epoch moves nothing — and a trip after it moves past it. Import
+// replaces the counts unless asked to keep the larger of each.
+func TestLiftAndKeepCounts(t *testing.T) {
+	clk := newTestClock()
+	s := newTestSet(clk)
+	alt := []string{"a.example"}
+	if !s.Lift("r", alt, 2) || s.Lift("r", alt, 2) || s.Lift("r", nil, 1) {
+		t.Fatal("Lift moved what it must not, or not what it must")
+	}
+	if got := s.Epoch("r", alt); got != 2 {
+		t.Fatalf("lifted epoch = %d, want 2", got)
+	}
+	if got := s.Epoch("r", []string{"b.example"}); got != 2 {
+		t.Fatalf("the rule's other pair reads %d, want 2", got)
+	}
+	if e, _, by := s.Admit("r", alt); e != 2 || by != "" {
+		t.Fatalf("admit after a lift: epoch %d, blocked by %q", e, by)
+	}
+	s.ForceOpen("a.example")
+	if got := s.Epoch("r", alt); got != 3 {
+		t.Fatalf("epoch after a lift and a trip = %d, want 3", got)
+	}
+
+	fewer := &Persisted{Breakers: []PersistedBreaker{{Provider: "a.example", State: "closed", Trips: 0, ConsecutiveBad: 1}}}
+	kept := newTestSet(clk)
+	kept.Import(s.Export(), false)
+	kept.Import(fewer, true)
+	if got := kept.Epoch("r", alt); got != 3 {
+		t.Fatalf("epoch after an import keeping counts = %d, want 3", got)
+	}
+	kept.Import(fewer, false)
+	if got := kept.Epoch("r", alt); got != 0 {
+		t.Fatalf("epoch after an import replacing counts = %d, want 0", got)
+	}
 }

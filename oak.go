@@ -371,7 +371,7 @@ type SpillStatus = core.SpillStatus
 type GuardConfig = core.GuardConfig
 
 // WithGuard enables the guardrails. An open breaker blocks new activations
-// onto its provider and bulk-deactivates existing ones; a half-open breaker
+// onto its provider and rolls existing ones back; a half-open breaker
 // admits a bounded number of canary activations and closes only on good
 // observed outcomes. Guard state persists in snapshots (pre-guard snapshots
 // load with empty guard state); breaker states surface in /oak/v1/metrics

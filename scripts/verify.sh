@@ -62,13 +62,14 @@
 # the body-lifetime tests of gateway and origin fail on a stale reference,
 # not only on a reused one. The
 # guard chaos smoke re-runs the kill-the-alternate scenario on its own so a
-# breaker regression fails the verify with a named step; the bulk rollback
-# step runs, five times under -race, the table of every road an activation
-# takes into a resident profile (TestTripReachesEveryRoad) beside the trip
-# tests that race ingest, so a rollback that misses a road or races a report
-# fails by name; one-iteration guard and synthesis benchmark runs (the guard's
-# include the rollback pass's worst case, 100 affected of 20,000 resident)
-# keep those micro-benchmarks compiling and running. Finally, a compact
+# breaker regression fails the verify with a named step; the rollback step
+# runs, five times under -race, the table of every road an activation takes
+# into a profile (TestTripReachesEveryRoad) beside the trip tests that race
+# ingest, so a rollback epoch that misses a road or races a report fails by
+# name; the guard's toll is a count — on an activating load the guard
+# allocates nothing the guardless engine does not (TestGuardAddsNoAllocations)
+# — and one-iteration guard and synthesis benchmark runs keep those
+# micro-benchmarks compiling and running. Finally, a compact
 # scenario smoke runs four checked-in end-to-end workloads (cellular,
 # blackout, slowloris, popslow) against injected ground truth and gates on the precision/recall/trip floors in
 # each spec's expect block — popslow additionally requires at least one
@@ -101,7 +102,10 @@
 # PR 18, PR 20 and PR 27 commits wrote (testdata/pr18-files, pr20-files,
 # pr27-files), those of the last commit that pinned a rehydrated user's
 # record (testdata/pr31-files) and those of the last commit whose state file
-# was JSON (testdata/pr33-files), through the migration and a save after it. The spill log
+# was JSON (testdata/pr33-files), through the migration and a save after it,
+# and those of the last commit before activations recorded epochs
+# (testdata/pr41-files), whose breaker is open over a spilled activation that
+# must read as dead at boot and after the breaker closes. The spill log
 # order step runs, five times under
 # -race, the two tests that pin "one append path, one order": the compactor
 # moving a survivor must never let a stale record outrank a later one after a
@@ -136,10 +140,14 @@
 # non-test internal/core plus internal/seglog its budget, if the spill refs
 # go back into a map (map[string]spillRef) beside the spill index, if a second serve-side
 # memory comes back beside the page index (a per-profile activation memo:
-# nextExpiry, actCache, cacheMu, cachedActivations, or an epoch in profile.go;
+# nextExpiry, actCache, cacheMu, cachedActivations, observeExpiry, or an
+# atomic epoch in profile.go;
 # or a cache of rewritten pages: maphash outside the spill index's user keys,
 # or rewriteCache, in non-test internal/core or internal/origin),
-# if a resident user's record is kept live by anything but their ref (pinned,
+# if a rollback takes a second road beside the epoch (one-rollback:
+# rollbackWhere, spillActivationBarred or a guarded bool in non-test
+# internal/core), if a resident user's record is kept live by anything but
+# their ref (pinned,
 # pinLocked, releasePins, begun, type pin), if
 # recovery grows back its staging map (byUser), if the boot merge compares times
 # outside its one predicate (ref.last.After( in persist.go), if a second site
@@ -305,7 +313,7 @@ echo "== checkpoint holds residents only: a capped save reads no record, an unca
 out=$(go test -count=1 -run 'TestCheckpointHoldsResidentsOnly|TestUncappedSaveIsTheSnapshot|TestBootAdoptsTheLog/one_segment_damaged' -v ./internal/core) || { echo "$out" >&2; exit 1; }
 echo "$out" | grep -E -e '--- PASS|gone with'
 
-echo "== structure check: one segment writer, one sequence allocator, one segment walker, one file seam, one serve cache, one durable ref, one page index, one merge predicate, one version bump, one home for an activation, one rule set per process, one home for a user, one reference decoder, one JSON scanner, one JSON reader, one profile codec, one spill index, one backend call, one body read, one batch walk, one admission =="
+echo "== structure check: one segment writer, one sequence allocator, one segment walker, one file seam, one serve cache, one durable ref, one page index, one merge predicate, one version bump, one home for an activation, one rollback, one rule set per process, one home for a user, one reference decoder, one JSON scanner, one JSON reader, one profile codec, one spill index, one backend call, one body read, one batch walk, one admission =="
 fail() { echo "structure check failed: $1" >&2; exit 1; }
 seglog_go=$(ls internal/seglog/*.go | grep -v '_test\.go$')
 core_go=$(ls internal/core/*.go | grep -v '_test\.go$')
@@ -336,14 +344,18 @@ log_lines=$(cat $core_go $seglog_go | wc -l)
 # then 7,230 - 11 once ingest grouped into pooled scratch: analyzer.go -10
 # (one detection pass per metric, the ingest scratch beside it), engine.go -1,
 # then 7,219 - 10 once admission became one decision: guardwire.go's
-# admitLocked replaced guardAdmit and the three sites' canary bookkeeping.
-echo "spill.go: $spill_lines lines (< 600); non-test internal/core + internal/seglog: $log_lines lines (<= 7209)"
+# admitLocked replaced guardAdmit and the three sites' canary bookkeeping,
+# then 7,209 - 1 once a rollback became an epoch: the trip walk, the
+# spilled-record filter and installRecordLocked went, the epoch table, the
+# ingest prune, the record's epoch field and the import's squaring with the
+# guard's counts came.
+echo "spill.go: $spill_lines lines (< 600); non-test internal/core + internal/seglog: $log_lines lines (<= 7208)"
 [ "$spill_lines" -lt 600 ] || fail "line-budget: spill.go has $spill_lines lines, want under 600"
-[ "$log_lines" -le 7209 ] || fail "line-budget: non-test internal/core + internal/seglog has $log_lines lines, want at most 7209"
+[ "$log_lines" -le 7208 ] || fail "line-budget: non-test internal/core + internal/seglog has $log_lines lines, want at most 7208"
 if grep -n 'map\[string\]spillRef' $core_go; then
 	fail "one-spill-index: non-test internal/core keeps spill refs in a map again (a shard's refs live in its spillIndex: slots and a key blob, no heap object per user)"
 fi
-if grep -n 'nextExpiry\|actCache\|cacheMu\|cachedActivations' $core_go || grep -n 'epoch' internal/core/profile.go; then
+if grep -n 'nextExpiry\|actCache\|cacheMu\|cachedActivations\|observeExpiry' $core_go || grep -nE 'epoch[[:space:]]+atomic|p\.epoch\b' internal/core/profile.go; then
 	fail "one-serve-cache: non-test internal/core keeps a per-profile activation memo again (each serve derives its view under the shard lock; the page index is the serve path's only memory)"
 fi
 origin_go=$(ls internal/origin/*.go | grep -v '_test\.go$')
@@ -374,7 +386,10 @@ admitters=$(echo $core_go | xargs awk '/^func /{fn=$0} /guard\.Admit\(/ && !/^[[
 	fail "one-admission: guard.Admit( is called from [ $admitters], want guardwire.go's admitLocked only (activation, advance and synthesis each ask it once)"
 
 if grep -rn 'provIndex\|indexActivation\|freshIdx' internal/ cmd/ oak.go; then
-	fail "activations-live-in-profiles: the guard's provider index is back (a bulk rollback is rollbackWhere's pass over the resident profiles)"
+	fail "activations-live-in-profiles: the guard's provider index is back (a rollback is an epoch every activation records; deadAt reads it wherever the activation lives)"
+fi
+if grep -n 'rollbackWhere\|spillActivationBarred\|guarded bool' $core_go; then
+	fail "one-rollback: a trip walks profiles or filters spilled records again (a trip or quarantine moves an epoch, and deadAt is the one predicate for resident, spilled, exported and imported activations)"
 fi
 # Non-test code only: a test can call only what non-test code defines, and the
 # batch tests and BenchmarkHandleBatch keep their names, now driving StartBatch.
@@ -439,11 +454,13 @@ go test -run 'TestBootsOnFilesWritten' -count=1 ./internal/core
 echo "== memory benchmark smoke (1 iteration) =="
 go test -run '^$' -bench 'BenchmarkSpillRehydrate$|BenchmarkServeCold95$|BenchmarkIngestCapped$' -benchtime 1x ./internal/core
 
-echo "== bulk rollback under -race, five times: a trip reaches every road into a resident profile, and races ingest, serving, export and rule quarantines =="
+echo "== rollback epoch under -race, five times: a trip reaches every road into a profile, and races ingest, serving, export and rule quarantines =="
 go test -race -run 'TestTripReachesEveryRoad|TestGuardTripBulkRollsBackAllUsers|TestGuardConcurrentTripAndServe' -count=5 ./internal/core
 
-echo "== guard benchmark smoke (1 iteration) =="
-go test -run '^$' -bench 'BenchmarkActivationGuardOn|BenchmarkGuardRollback100$|BenchmarkGuardRollback100of20000$' -benchtime 1x ./internal/core
+echo "== guard toll: the guard adds no allocation to an activating report; guard benchmark smoke (1 iteration) =="
+out=$(go test -count=1 -run 'TestGuardAddsNoAllocations' -v ./internal/core) || { echo "$out" >&2; exit 1; }
+echo "$out" | grep -E -e '--- PASS|allocs per activating report'
+go test -run '^$' -bench 'BenchmarkActivationGuard(On|Off)$' -benchtime 1x ./internal/core
 
 echo "== synthesis benchmark smoke (1 iteration) =="
 go test -run '^$' -bench 'BenchmarkHandleReportSynth(On|Off)$' -benchtime 1x ./internal/core
