@@ -51,7 +51,11 @@
 // heap bytes) cap how much per-user state stays resident; profiles beyond
 // the cap are spilled — coldest first, fsynced before eviction — to compact
 // append-log segments under -spill-dir, rehydrated on the user's next report
-// and read in place for their pages. A spill-path disk fault degrades the engine to
+// and read in place for their pages. Under a cap the segments are every
+// profile's one durable home: with -state, each save appends the residents and
+// writes the checkpoint — the log's index, the guard and the population — into
+// -spill-dir, and the -state file is read only to migrate one written before.
+// A spill-path disk fault degrades the engine to
 // memory-only mode (still serving, healthz "degraded") instead of failing.
 // Residency counters appear under "spill" in /oak/v1/metrics. See
 // docs/OPERATIONS.md, "Memory & the spill tier".
@@ -97,6 +101,7 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
+	"strings"
 	"syscall"
 	"time"
 
@@ -117,7 +122,7 @@ func run(args []string) error {
 		ruleFile  = fs2.String("rules", "", "rule file (DSL, or JSON if *.json)")
 		addr      = fs2.String("addr", ":8080", "listen address")
 		verbose   = fs2.Bool("v", false, "log engine decisions")
-		stateFile = fs2.String("state", "", "persist per-user state to this file (loaded at boot, saved periodically and on shutdown)")
+		stateFile = fs2.String("state", "", "persist per-user state to this file (loaded at boot, saved periodically and on shutdown); with a profile cap the checkpoint lives in -spill-dir and this file is read only to migrate one written before")
 		saveEvery = fs2.Duration("save-interval", 5*time.Minute, "how often to persist state (with -state)")
 		pprofAddr = fs2.String("pprof", "", "serve net/http/pprof on this separate admin address (e.g. 127.0.0.1:6060); off when empty")
 		shards    = fs2.Int("shards", 0, "lock-striped shards for per-user state (rounded up to a power of two; 0 = four per CPU)")
@@ -233,48 +238,59 @@ func pprofMux() *http.ServeMux {
 // back to the rotating .bak (one save interval of learning lost, not all
 // of it), and a missing primary with no .bak is a fresh start. Boot aborts
 // when neither the primary nor the .bak is usable: starting empty over
-// them would have the next save overwrite the last good state.
+// them would have the next save overwrite the last good state. Under a
+// profile cap the engine has booted from its spill directory's checkpoint
+// already, and path is read only when that directory holds none.
 func loadState(engine *oak.Engine, path string) error {
 	src, err := engine.LoadStateFile(path)
 	if err != nil {
 		return fmt.Errorf("load state: %w", err)
 	}
-	switch src {
-	case oak.StateSnapshot:
-		log.Printf("oakd: restored state for %d users from %s: %s", engine.Users(), path, bootSplit(engine))
-	case oak.StateBackup:
-		log.Printf("oakd: primary state file unusable; recovered %d users from backup %s: %s", engine.Users(), path+".bak", bootSplit(engine))
-	case oak.StateFresh:
-		if bs := engine.BootStatus(); bs.Checksummed > 0 {
-			log.Printf("oakd: no state file at %s; the spill log holds %d users, %d segments quarantined; recover %v; %s",
-				path, engine.Users(), bs.QuarantinedSegments, bs.Recover.Round(100*time.Microsecond), indexOutcome(bs))
-		}
+	switch _, capped := engine.SpillStatus(); {
+	case capped:
+		log.Printf("oakd: %d users: %s", engine.Users(), bootSplit(engine, path))
+	case src == oak.StateSnapshot:
+		log.Printf("oakd: restored state for %d users from %s: %s", engine.Users(), path, bootSplit(engine, path))
+	case src == oak.StateBackup:
+		log.Printf("oakd: primary state file unusable; recovered %d users from backup %s: %s", engine.Users(), path+".bak", bootSplit(engine, path))
 	}
 	return nil
 }
 
-// bootSplit says what the boot did with the state file and the segment log:
-// how many profiles it had to install, how many it left where the log holds
-// them, and what each half cost.
-func bootSplit(engine *oak.Engine) string {
+// bootSplit says what the boot did with its durable state and what each half
+// cost: under a profile cap, which checkpoint it adopted — the spill
+// directory's, its backup, the state file at path from before the checkpoint
+// moved there, or none — and what it made of the index.
+func bootSplit(engine *oak.Engine, path string) string {
 	bs := engine.BootStatus()
 	load := fmt.Sprintf("load %v", bs.Load.Round(100*time.Microsecond))
 	if bs.Migrated {
 		load += " (migrated from a JSON state file; the next save writes a checkpoint)"
 	}
-	return fmt.Sprintf("%d installed resident, %d adopted from the spill log (%d state-file copies superseded), %d segments quarantined; recover %v, %s; %s",
-		bs.Installed, bs.Adopted, bs.Superseded, bs.QuarantinedSegments,
-		bs.Recover.Round(100*time.Microsecond), load, indexOutcome(bs))
+	if _, capped := engine.SpillStatus(); !capped {
+		return load
+	}
+	adopted := "no checkpoint"
+	switch {
+	case strings.HasSuffix(bs.Checkpoint, ".bak"):
+		adopted = "checkpoint unusable, its backup " + bs.Checkpoint + " adopted"
+	case bs.Checkpoint != "":
+		adopted = "checkpoint " + bs.Checkpoint + " adopted"
+	case bs.Load > 0:
+		adopted = "legacy state file " + path + " read newer-wins (the next save moves the checkpoint into the spill directory), " + load
+	}
+	return fmt.Sprintf("%s; recover %v, %d segments quarantined; %s",
+		adopted, bs.Recover.Round(100*time.Microsecond), bs.QuarantinedSegments, indexOutcome(bs))
 }
 
-// indexOutcome says what the segment replay made of the spill index the last
-// checkpoint wrote, and how many record bytes it checksummed and decoded.
+// indexOutcome says what the segment replay made of the checkpoint's index,
+// and how many record bytes it checksummed and decoded.
 func indexOutcome(bs oak.BootStatus) string {
 	kb := func(n int64) string { return fmt.Sprintf("%.1f KB", float64(n)/1024) }
 	if bs.IndexFallback != "" {
-		return fmt.Sprintf("spill index not used (%s): %s checksummed and decoded", bs.IndexFallback, kb(bs.Checksummed))
+		return fmt.Sprintf("whole log decoded (%s): %s checksummed and decoded", bs.IndexFallback, kb(bs.Checksummed))
 	}
-	return fmt.Sprintf("spill index: %d entries adopted, %s checksummed, %s decoded", bs.IndexAdopted, kb(bs.Checksummed), kb(bs.Decoded))
+	return fmt.Sprintf("index: %d entries adopted, %s checksummed, %s decoded", bs.IndexAdopted, kb(bs.Checksummed), kb(bs.Decoded))
 }
 
 // saveState persists engine state crash-safely: checksummed checkpoint,

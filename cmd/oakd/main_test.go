@@ -315,13 +315,60 @@ func TestBootLineSaysWhenItMigrated(t *testing.T) {
 		if err := loadState(server.Engine(), statePath); err != nil {
 			t.Fatal(err)
 		}
-		if line := bootSplit(server.Engine()); strings.Contains(line, "migrated") != migrated {
+		if line := bootSplit(server.Engine(), statePath); strings.Contains(line, "migrated") != migrated {
 			t.Errorf("boot line %q; want it to say migrated = %v", line, migrated)
 		}
 		if err := saveState(server.Engine(), statePath); err != nil {
 			t.Fatal(err)
 		}
 	}
+}
+
+// TestBootLineSaysWhichCheckpoint: under a profile cap the boot line names
+// what the boot adopted — nothing, the spill directory's checkpoint, its
+// backup when the checkpoint is damaged, or a state file from before the
+// checkpoint moved into the spill directory.
+func TestBootLineSaysWhichCheckpoint(t *testing.T) {
+	dir := newSiteDir(t)
+	spill, statePath := filepath.Join(dir, "spill"), filepath.Join(dir, "state.json")
+	boot := func(want string) *oak.Engine {
+		t.Helper()
+		server, _, _, err := buildServer(oakdConfig{root: dir, profileCache: 2, spillDir: spill})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := loadState(server.Engine(), statePath); err != nil {
+			t.Fatal(err)
+		}
+		if line := bootSplit(server.Engine(), statePath); !strings.Contains(line, want) {
+			t.Errorf("boot line %q; want it to say %q", line, want)
+		}
+		return server.Engine()
+	}
+	e := boot("no checkpoint")
+	for i := 0; i < 2; i++ { // twice: the checkpoint has a backup
+		if err := saveState(e, statePath); err != nil {
+			t.Fatal(err)
+		}
+	}
+	e.Close()
+	ckpt := filepath.Join(spill, "checkpoint")
+	boot("checkpoint " + ckpt + " adopted").Close()
+	data, err := os.ReadFile(ckpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)-1] ^= 0x40
+	writeFile(t, ckpt, string(data))
+	boot("its backup " + ckpt + ".bak adopted").Close()
+
+	snapshot, err := e.ExportSnapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	os.RemoveAll(spill)
+	writeFile(t, statePath, string(snapshot))
+	boot("legacy state file " + statePath + " read").Close()
 }
 
 func TestSaveStateLeavesNoTempFile(t *testing.T) {

@@ -42,7 +42,7 @@ func BenchmarkSpillRehydrate(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sh.mu.Lock()
-		e.spillProfilesLocked(sh, []string{"u1"})
+		e.spillProfilesLocked(sh, []string{"u1"}, true)
 		sh.mu.Unlock()
 		if _, err := e.HandleReport(healthyReport("u1")); err != nil {
 			b.Fatal(err)

@@ -19,11 +19,12 @@ import (
 	"oak/internal/wire"
 )
 
-// Boot adopts the log (PR 21): a restart on a state file and a segment
-// directory keeps the spill refs the log proves current and installs only
-// what it does not hold. These tests pin the rule from two sides — the
-// newer-wins predicate and the import around it, one case per row, and a
-// 2,000-user boot that must leave the spill directory as it found it.
+// Boot adopts the log (PR 21): a restart keeps the spill refs the log proves
+// current. Since the checkpoint moved into the spill directory (PR 43) it
+// installs no resident at all, and the newer-wins merge is left to the one
+// read of a state file written before. These tests pin the merge, one case per
+// row, and a 2,000-user boot that must leave the spill directory as it found
+// it.
 
 // writeSpillSegment writes segment seq of dir holding recs, in order.
 func writeSpillSegment(t *testing.T, dir string, seq uint64, recs ...persistedProfile) string {
@@ -39,10 +40,11 @@ func writeSpillSegment(t *testing.T, dir string, seq uint64, recs ...persistedPr
 	return path
 }
 
-// TestNewerWinsMerge is supersedes and the boot import around it, a case a
-// row: which of a user's two durable copies a restart brings back, and
-// whether it costs an install. The log's copy counts one violation, the state
-// file's two.
+// TestNewerWinsMerge is supersedes and the legacy read around it — the one
+// read of a state file written before the checkpoint moved into the spill
+// directory — a case a row: which of a user's two durable copies it brings
+// back, and whether it costs an install. The log's copy counts one violation,
+// the state file's two.
 func TestNewerWinsMerge(t *testing.T) {
 	at := newTestClock().Now()
 	copyOf := func(violations int, last time.Time, ver uint64) *persistedProfile {
@@ -56,62 +58,61 @@ func TestNewerWinsMerge(t *testing.T) {
 		supersedes bool              // the predicate, when both copies exist
 		residency  string            // where the user lives after the boot
 		violations int               // which copy came back
-		want       ImportCounts
 	}{
 		{
 			name:   "resident at the save, an older record left in the log",
 			record: copyOf(1, at, 1), payload: copyOf(2, at.Add(time.Minute), 2),
-			residency: "resident", violations: 2, want: ImportCounts{Installed: 1},
+			residency: "resident", violations: 2,
 		},
 		{
 			name:      "only the log knows the user",
 			record:    copyOf(1, at, 1),
-			residency: "spilled", violations: 1, want: ImportCounts{Adopted: 1},
+			residency: "spilled", violations: 1,
 		},
 		{
 			name:      "only the state file knows the user",
 			payload:   copyOf(2, at, 1),
-			residency: "resident", violations: 2, want: ImportCounts{Installed: 1},
+			residency: "resident", violations: 2,
 		},
 		{
 			name:   "the record is newer than the state file",
 			record: copyOf(1, at.Add(time.Minute), 3), payload: copyOf(2, at, 2), supersedes: true,
-			residency: "spilled", violations: 1, want: ImportCounts{Adopted: 1, Superseded: 1},
+			residency: "spilled", violations: 1,
 		},
 		{
 			name:   "a newer record outranks a higher version",
 			record: copyOf(1, at.Add(time.Minute), 1), payload: copyOf(2, at, 9), supersedes: true,
-			residency: "spilled", violations: 1, want: ImportCounts{Adopted: 1, Superseded: 1},
+			residency: "spilled", violations: 1,
 		},
 		{
 			name:   "spilled at the save: same last report, same version",
 			record: copyOf(1, at, 4), payload: copyOf(2, at, 4), supersedes: true,
-			residency: "spilled", violations: 1, want: ImportCounts{Adopted: 1, Superseded: 1},
+			residency: "spilled", violations: 1,
 		},
 		{
 			name:   "evicted, then reported for again at the same instant",
 			record: copyOf(1, at, 4), payload: copyOf(2, at, 5),
-			residency: "resident", violations: 2, want: ImportCounts{Installed: 1},
+			residency: "resident", violations: 2,
 		},
 		{
 			name:   "same instant, the record at the higher version",
 			record: copyOf(1, at, 5), payload: copyOf(2, at, 4), supersedes: true,
-			residency: "spilled", violations: 1, want: ImportCounts{Adopted: 1, Superseded: 1},
+			residency: "spilled", violations: 1,
 		},
 		{
 			name:   "unversioned tie, as every PR 20 directory holds",
 			record: copyOf(1, at, 0), payload: copyOf(2, at, 0),
-			residency: "resident", violations: 2, want: ImportCounts{Installed: 1},
+			residency: "resident", violations: 2,
 		},
 		{
 			name:   "unversioned record against a versioned copy",
 			record: copyOf(1, at, 0), payload: copyOf(2, at, 1),
-			residency: "resident", violations: 2, want: ImportCounts{Installed: 1},
+			residency: "resident", violations: 2,
 		},
 		{
 			name:   "the user's only record sits in a quarantined segment",
 			record: copyOf(1, at.Add(time.Minute), 3), damaged: true, payload: copyOf(2, at, 2),
-			residency: "resident", violations: 2, want: ImportCounts{Installed: 1},
+			residency: "resident", violations: 2,
 		},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -140,12 +141,8 @@ func TestNewerWinsMerge(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := e.importRange(HashRange{}, data, true, false)
-			if err != nil {
+			if err := e.importRange(HashRange{}, data, true, false); err != nil {
 				t.Fatal(err)
-			}
-			if got != tc.want {
-				t.Errorf("import counts = %+v, want %+v", got, tc.want)
 			}
 			if r := e.Residency("u"); r != tc.residency {
 				t.Errorf("residency = %q, want %q", r, tc.residency)
@@ -190,10 +187,11 @@ func dirBytes(t *testing.T, dir string) map[string][]byte {
 }
 
 // TestBootAdoptsTheLog: 2,000 users under a cap of 200. A restart installs
-// the residents of the save and nothing else — no spill, no compaction, not a
-// byte of the segment directory moved — and gives the export the engine gave
-// before it stopped. The parent commit installed all 2,000 and evicted 1,800
-// of them again before it served.
+// no resident — the save appended the residents and its checkpoint indexes
+// every user's record — and writes nothing: no spill, no compaction, not a
+// byte of the segment directory moved. It gives the export the engine gave
+// before it stopped. PR 20 installed all 2,000 and evicted 1,800 of them
+// again before it served; PRs 21–42 installed the residents of the save.
 func TestBootAdoptsTheLog(t *testing.T) {
 	const users, maxResident = 2000, 200
 	type world struct {
@@ -215,7 +213,7 @@ func TestBootAdoptsTheLog(t *testing.T) {
 		w.e = engineOn(t, w, w.dir, opts...)
 		t.Cleanup(func() { w.e.Close() })
 	}
-	// bothWays: the files boot the same with the spill index as without it.
+	// bothWays: the files boot the same with the checkpoint's index as without it.
 	bothWays := func(t *testing.T, w *world, step string) BootStatus {
 		t.Helper()
 		users := make([]string, users)
@@ -306,7 +304,7 @@ func TestBootAdoptsTheLog(t *testing.T) {
 			t.Fatal(err)
 		}
 		before := dirBytes(t, w.dir)
-		if bs := bothWays(t, w, "clean shutdown"); bs.IndexFallback != "" || bs.IndexAdopted < users-len(wantResident) {
+		if bs := bothWays(t, w, "clean shutdown"); bs.IndexFallback != "" || bs.IndexAdopted != users || bs.Decoded != 0 {
 			t.Errorf("the boot after a clean shutdown did not adopt the index: %+v", bs)
 		}
 
@@ -315,18 +313,15 @@ func TestBootAdoptsTheLog(t *testing.T) {
 			t.Fatalf("LoadStateFile = %q, %v", src, err)
 		}
 		wroteNothing(t, w, before)
-		if got := residents(w.e); !reflect.DeepEqual(got, wantResident) {
-			t.Errorf("%d residents after the boot, %d at the save", len(got), len(wantResident))
+		if got := residents(w.e); len(got) != 0 || len(wantResident) == 0 {
+			t.Errorf("%d residents after the boot, %d at the save; want none after it", len(got), len(wantResident))
 		}
 		if got := mustExport(t, w.e); !bytes.Equal(got, want) {
 			t.Error("export after the boot differs from the export before the shutdown")
 		}
-		// The state file is a checkpoint of the residents: it carries no copy of
-		// a spilled user for the log to supersede.
 		bs := w.e.BootStatus()
-		if bs.Installed != len(wantResident) || bs.Adopted != users-len(wantResident) || bs.Superseded != 0 || bs.QuarantinedSegments != 0 {
-			t.Errorf("BootStatus = %+v, want %d installed and the other %d adopted from the log alone",
-				bs, len(wantResident), users-len(wantResident))
+		if residents(w.e) != nil || bs.IndexAdopted != users || bs.QuarantinedSegments != 0 || filepath.Base(bs.Checkpoint) != checkpointName {
+			t.Errorf("BootStatus = %+v, want nothing installed and all %d adopted from the checkpoint", bs, users)
 		}
 	})
 
@@ -366,12 +361,12 @@ func TestBootAdoptsTheLog(t *testing.T) {
 		}
 	})
 
-	// Quarantine is damage from outside the crash contract, and the checkpoint
-	// holds no copy of a spilled user to fall back on: a spilled user whose
-	// only record the damaged segment held is gone after the boot, and the
-	// quarantine line says how many users its readable frames name that no
-	// other record does. (While the state file copied every spilled user, they
-	// came back from that copy.)
+	// Quarantine is damage from outside the crash contract, and the log is the
+	// one durable home: a user whose only record the damaged segment held is
+	// gone after the boot, resident at the save or not, and the quarantine line
+	// says how many users its readable frames name that no other record does.
+	// (While the state file copied every spilled user, they came back from that
+	// copy; while it copied the residents, those did.)
 	t.Run("one segment damaged", func(t *testing.T) {
 		w, _ := start(t)
 		before := map[string]ProfileSnapshot{}
@@ -379,17 +374,14 @@ func TestBootAdoptsTheLog(t *testing.T) {
 			uid := fmt.Sprintf("user-%04d", i)
 			before[uid], _ = w.e.Snapshot(uid)
 		}
-		resident := map[string]bool{}
-		for _, uid := range residents(w.e) {
-			resident[uid] = true
-		}
 		w.e.Close()
 		if err := w.e.SaveStateFile(w.state); err != nil {
 			t.Fatal(err)
 		}
 		// The victim is the segment that is the only record of the most users.
 		files := dirBytes(t, w.dir)
-		delete(files, spillIndexName) // the checkpoint's index of the segments
+		delete(files, checkpointName) // the checkpoint indexes the segments
+		delete(files, checkpointName+BackupSuffix)
 		frames := map[string][]segFrame{}
 		holders := map[string]map[string]bool{} // user → segments with a record of it
 		for name, data := range files {
@@ -430,17 +422,14 @@ func TestBootAdoptsTheLog(t *testing.T) {
 		if err := os.WriteFile(filepath.Join(w.dir, victim), data, 0o600); err != nil {
 			t.Fatal(err)
 		}
-		noOther, gone := 0, 0
+		noOther := 0
 		for uid := range readable {
 			if !elsewhere[uid] {
 				noOther++
-				if !resident[uid] {
-					gone++
-				}
 			}
 		}
-		if gone == 0 {
-			t.Fatalf("the damaged segment is no spilled user's only record (%d readable)", len(readable))
+		if noOther == 0 {
+			t.Fatalf("the damaged segment is no user's only record (%d readable)", len(readable))
 		}
 
 		var lines []string
@@ -460,16 +449,16 @@ func TestBootAdoptsTheLog(t *testing.T) {
 		for uid, snap := range before {
 			got, ok := w.e.Snapshot(uid)
 			switch {
-			case readable[uid] && !elsewhere[uid] && !resident[uid]:
+			case readable[uid] && !elsewhere[uid]:
 				if ok || w.e.Residency(uid) != "none" {
 					t.Errorf("%s's only record was quarantined, yet it came back as %+v", uid, got)
 				}
-			case resident[uid] || !inVictim[uid]:
+			case !inVictim[uid]:
 				if !ok || !reflect.DeepEqual(got, snap) {
 					t.Errorf("%s came back as %+v (%v), was %+v", uid, got, ok, snap)
 				}
 			}
 		}
-		t.Logf("%d users gone with %s; %d of its readable frames' users have no other record", gone, victim, noOther)
+		t.Logf("%d users gone with %s: its readable frames' users with no other record", noOther, victim)
 	})
 }

@@ -29,7 +29,8 @@ import (
 // bytes (FuzzDecodeStateEquivalence, TestStateRowsPuntWhereTheyMust).
 
 // readCheckpoint is a checkpoint as the JSON state it holds: its header and
-// every profile record, each decoded into its own copy.
+// every profile record, each decoded into its own copy — or, for a capped
+// checkpoint, its header, its index frames left for indexFrames.
 func readCheckpoint(t testing.TB, data []byte) *persistedState {
 	t.Helper()
 	st, err := decodeCheckpoint(data)
@@ -37,6 +38,9 @@ func readCheckpoint(t testing.TB, data []byte) *persistedState {
 		t.Fatal(err)
 	}
 	var profiles []persistedProfile
+	if st.index > 0 {
+		return st // a capped checkpoint: its frames are the index
+	}
 	err = st.eachProfile(func(pp *persistedProfile) error {
 		c := *pp
 		c.Violations, c.Active = maps.Clone(pp.Violations), slices.Clone(pp.Active)
@@ -46,7 +50,7 @@ func readCheckpoint(t testing.TB, data []byte) *persistedState {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st.Profiles, st.checkpoint, st.records = profiles, nil, 0
+	st.Profiles, st.records = profiles, 0
 	return st
 }
 
@@ -305,22 +309,26 @@ func busyEngineState(t testing.TB, users int) []byte {
 	return data
 }
 
-// TestEngineWritesCheckpoints: every state file an engine writes is a
-// checkpoint, and holds the state it was written from — the resident
-// profiles, the guard and the population sections — to the byte of their
-// JSON: the own-files world's file and its backup, a busy capped engine's,
-// and an uncapped one's.
+// TestEngineWritesCheckpoints: every checkpoint an engine writes holds the
+// state it was written from, to the byte of its JSON. An uncapped engine's
+// holds its profiles, the guard and the population sections. A capped
+// engine's — the own-files world's and its backup, a busy engine's — lies in
+// its spill directory and holds the guard and population sections and an
+// index entry for every user, and no profile record.
 func TestEngineWritesCheckpoints(t *testing.T) {
 	own := t.TempDir()
 	writeFormatFixture(t, own)
-	for _, name := range []string{"state.json", "state.json.bak"} {
-		data, err := os.ReadFile(filepath.Join(own, name))
+	for _, name := range []string{checkpointName, checkpointName + BackupSuffix} {
+		data, err := os.ReadFile(filepath.Join(own, "spill", name))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if st := readCheckpoint(t, data); len(st.Profiles) == 0 {
-			t.Errorf("own-files/%s: a checkpoint without profiles", name)
+		if st := readCheckpoint(t, data); len(st.Profiles) != 0 || st.index == 0 {
+			t.Errorf("own-files/%s: %d profiles, %d index frames; want none and some", name, len(st.Profiles), st.index)
 		}
+	}
+	if _, err := os.Stat(filepath.Join(own, "state.json")); !os.IsNotExist(err) {
+		t.Errorf("the capped world's state file is still there: %v", err)
 	}
 
 	busy := busyEngine(t, 2000)
@@ -337,17 +345,32 @@ func TestEngineWritesCheckpoints(t *testing.T) {
 		if err := e.SaveStateFile(path); err != nil {
 			t.Fatal(err)
 		}
-		data, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
 		want, err := e.collectState(HashRange{}, false)
 		if err != nil {
 			t.Fatal(err)
 		}
+		if e.spill != nil {
+			path, want.Profiles = filepath.Join(e.spill.cfg.Dir, checkpointName), nil
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
 		got := readCheckpoint(t, data)
+		got.SavedAt = want.SavedAt
 		if !bytes.Equal(mustJSON(t, got), mustJSON(t, want)) || want.Guard == nil {
 			t.Errorf("%s: the checkpoint holds\n%s\nwant\n%s", name, mustJSON(t, got), mustJSON(t, want))
+		}
+		if e.spill == nil {
+			continue
+		}
+		frames, err := got.indexFrames()
+		entries := 0
+		for _, f := range frames {
+			entries += f.nents()
+		}
+		if err != nil || entries != e.Users() {
+			t.Errorf("%s: %d index entries (%v), %d users", name, entries, err, e.Users())
 		}
 	}
 }
@@ -386,7 +409,7 @@ func TestStateDecodeAllocs(t *testing.T) {
 		t.Skip("allocation counts differ under the race detector")
 	}
 	const n = 1000
-	data, err := encodeCheckpoint(&persistedState{Version: stateVersion, Profiles: allocProfiles(n)})
+	data, err := encodeCheckpoint(&persistedState{Version: stateVersion, Profiles: allocProfiles(n)}, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -475,8 +498,8 @@ func TestBootStatusSaysWhatTheDecodeDid(t *testing.T) {
 		if _, err := e.LoadStateFile(path); err != nil {
 			t.Fatal(err)
 		}
-		if bs := e.BootStatus(); e.Users() != 1 || bs.Installed != 1 || bs.Load <= 0 || bs.Migrated != migrated {
-			t.Errorf("%s: %d users, %+v; want one installed, migrated = %v", path, e.Users(), bs, migrated)
+		if bs := e.BootStatus(); e.Users() != 1 || bs.Load <= 0 || bs.Migrated != migrated {
+			t.Errorf("%s: %d users, %+v; want one, migrated = %v", path, e.Users(), bs, migrated)
 		}
 		return e
 	}
@@ -499,17 +522,26 @@ func TestBootStatusSaysWhatTheDecodeDid(t *testing.T) {
 func FuzzLoadCheckpoint(f *testing.F) {
 	var files [][]byte
 	for _, e := range []*Engine{busyEngine(f, 40), fuzzLoadEngine(f)} {
-		path := filepath.Join(f.TempDir(), "state.json")
-		if err := e.SaveStateFile(path); err != nil {
-			f.Fatal(err)
-		}
-		data, err := os.ReadFile(path)
+		// The state file of a directory written before the checkpoint moved
+		// into the spill directory, and the checkpoint there.
+		st, err := e.collectState(HashRange{}, true)
 		if err != nil {
 			f.Fatal(err)
 		}
-		files = append(files, data)
+		legacy, err := encodeCheckpoint(st, nil, 0)
+		if err != nil {
+			f.Fatal(err)
+		}
+		if err := e.SaveStateFile(filepath.Join(f.TempDir(), "state.json")); err != nil {
+			f.Fatal(err)
+		}
+		data, err := os.ReadFile(filepath.Join(e.spill.cfg.Dir, checkpointName))
+		if err != nil {
+			f.Fatal(err)
+		}
+		files = append(files, legacy, data)
 	}
-	empty, err := encodeCheckpoint(&persistedState{Version: stateVersion})
+	empty, err := encodeCheckpoint(&persistedState{Version: stateVersion}, nil, 0)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -687,7 +719,7 @@ func TestNoRecordOverAFrameIsWritten(t *testing.T) {
 	for _, srv := range long {
 		pp.Violations[srv] = 1
 	}
-	if _, err := encodeCheckpoint(&persistedState{Version: stateVersion, Profiles: []persistedProfile{pp}}); err == nil {
+	if _, err := encodeCheckpoint(&persistedState{Version: stateVersion, Profiles: []persistedProfile{pp}}, nil, 0); err == nil {
 		t.Error("encodeCheckpoint wrote a record over a frame")
 	}
 }
@@ -722,7 +754,7 @@ func TestCheckpointDamageIsCorrupt(t *testing.T) {
 	}); err != nil || len(ends) < 3 {
 		t.Fatalf("%d frames: %v", len(ends), err)
 	}
-	future, err := encodeCheckpoint(&persistedState{Version: stateVersion + 1})
+	future, err := encodeCheckpoint(&persistedState{Version: stateVersion + 1}, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

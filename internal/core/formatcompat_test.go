@@ -144,18 +144,15 @@ func TestBootsOnFilesWrittenBeforeTheCheckpoint(t *testing.T) {
 
 // testdata/pr31-files was written by the last commit that pinned the record a
 // rehydration read until two checkpoints held its user: the same kind of
-// world, and a spill index whose last save wrote eleven pins as refs, then six
-// reports and no save. The boot adopts that index, pins and all, as the refs
-// of users the state file holds as resident, and must give the export and
-// the import counts that commit's boot recorded.
+// world, and a spill.idx whose last save wrote eleven pins as refs, then six
+// reports and no save. The spill directory holds no checkpoint, so the boot
+// reads no spill.idx: it decodes the whole log, reads the state file
+// newer-wins once, and must give the export that commit's boot recorded.
 func TestBootsOnFilesWrittenWithPins(t *testing.T) {
 	e := bootEightShardFixture(t, "testdata/pr31-files")
 	bs := e.BootStatus()
-	if bs.IndexFallback != "" || bs.IndexAdopted != 64 || bs.Decoded == 0 {
-		t.Errorf("boot status %+v, want all 64 index entries adopted and the records after the save decoded", bs)
-	}
-	if want := (ImportCounts{Installed: 10, Adopted: 54, Superseded: 1}); bs.ImportCounts != want {
-		t.Errorf("import counts %+v, want %+v", bs.ImportCounts, want)
+	if bs.IndexFallback != "no checkpoint" || bs.Checkpoint != "" || bs.IndexAdopted != 0 || bs.Decoded != bs.Checksummed {
+		t.Errorf("boot status %+v, want no checkpoint and every record decoded", bs)
 	}
 }
 
@@ -204,8 +201,9 @@ func bootEightShard(t *testing.T, work, export string) *Engine {
 // OAKSNAP2 JSON: the eight-shard world, its state file, backup, segments and
 // spill index, with six reports after the last save, and an uncapped engine's
 // state file beside them. Each boots through the migration to the export that
-// commit's boot recorded; one save later the file is a checkpoint, and the
-// boot on it gives the same export.
+// commit's boot recorded; one save later the uncapped file is a checkpoint,
+// the capped one and its backup are gone for the spill directory's
+// checkpoint, and the boot on it gives the same export.
 func TestBootsOnFilesWrittenAsJSON(t *testing.T) {
 	const fixture = "testdata/pr33-files"
 	work := t.TempDir()
@@ -245,7 +243,16 @@ func TestBootsOnFilesWrittenAsJSON(t *testing.T) {
 			t.Fatal(err)
 		}
 		e.Close()
-		if data, _ := os.ReadFile(filepath.Join(work, name)); !bytes.HasPrefix(data, []byte(seglog.Magic)) {
+		saved := filepath.Join(work, name)
+		if e.spill != nil {
+			for _, gone := range []string{saved, saved + BackupSuffix} {
+				if _, err := os.Stat(gone); !os.IsNotExist(err) {
+					t.Errorf("%s: the save after the migration left %s (%v)", name, gone, err)
+				}
+			}
+			saved = filepath.Join(work, "spill", checkpointName)
+		}
+		if data, _ := os.ReadFile(saved); !bytes.HasPrefix(data, []byte(seglog.Magic)) {
 			t.Errorf("%s: the save after the migration wrote %.20q, not a checkpoint", name, data)
 		}
 		if e = boot(); e.BootStatus().Migrated {
@@ -278,5 +285,75 @@ func TestBootsOnFilesWrittenBeforeProfilesHadVersions(t *testing.T) {
 		if pp.Version != 0 {
 			t.Errorf("%s came back at version %d from files that carry none", pp.UserID, pp.Version)
 		}
+	}
+}
+
+// testdata/pr42-files was written by the last commit whose capped checkpoint
+// was the state file: state.json and its .bak beside a spill directory that
+// holds spill.idx, with a resident user over an older record, a spilled one, a
+// user only the log knows, s2.net's breaker open and s3.org degraded. The
+// spill directory holds no checkpoint, so the boot decodes the whole log and
+// reads the state file newer-wins, to the export that commit's boot recorded.
+// One save later state.json and its .bak are gone, spill.idx lies unread, and
+// the boot on the spill directory alone gives the same export.
+func TestBootsOnFilesWrittenBeforeTheCheckpointMoved(t *testing.T) {
+	const fixture = "testdata/pr42-files"
+	want, err := os.ReadFile(filepath.Join(fixture, "export.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	work := t.TempDir()
+	spill, state := filepath.Join(work, "spill"), filepath.Join(work, "state.json")
+	if err := os.Mkdir(spill, 0o700); err != nil {
+		t.Fatal(err)
+	}
+	copyDir(t, filepath.Join(fixture, "spill"), spill)
+	copyDir(t, fixture, work)
+	index, err := os.ReadFile(filepath.Join(spill, "spill.idx"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	boot := func(want StateSource) *Engine {
+		t.Helper()
+		clock := newTestClock()
+		clock.Advance(time.Minute)
+		e, err := NewEngine([]*rules.Rule{jqRule(0)}, WithClock(clock.Now), WithShards(2),
+			WithGuard(GuardConfig{TripThreshold: 2, OpenFor: time.Hour}),
+			WithSynthesis(SynthesisConfig{Window: time.Minute}),
+			WithProfileResidency(ResidencyConfig{Dir: spill, MaxProfiles: 100}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { e.Close() })
+		if src, err := e.LoadStateFile(state); err != nil || src != want {
+			t.Fatalf("LoadStateFile = %q, %v; want %q", src, err, want)
+		}
+		return e
+	}
+	e := boot(StateSnapshot)
+	if got := mustExport(t, e); !bytes.Equal(got, want) {
+		t.Errorf("export after booting on PR 42's files:\n--- got\n%s\n--- want\n%s", got, want)
+	}
+	if bs := e.BootStatus(); bs.Checkpoint != "" || bs.IndexFallback != "no checkpoint" || bs.Load == 0 {
+		t.Errorf("boot status %+v, want no checkpoint and the state file read", bs)
+	}
+	if err := e.SaveStateFile(state); err != nil {
+		t.Fatal(err)
+	}
+	e.Close()
+	for _, gone := range []string{state, state + BackupSuffix} {
+		if _, err := os.Stat(gone); !os.IsNotExist(err) {
+			t.Errorf("the save left %s (%v)", filepath.Base(gone), err)
+		}
+	}
+	if left, err := os.ReadFile(filepath.Join(spill, "spill.idx")); err != nil || !bytes.Equal(left, index) {
+		t.Errorf("spill.idx changed by the save (%v)", err)
+	}
+	e = boot(StateSnapshot)
+	if got := mustExport(t, e); !bytes.Equal(got, want) {
+		t.Errorf("export after the save's reboot:\n--- got\n%s\n--- want\n%s", got, want)
+	}
+	if bs := e.BootStatus(); filepath.Base(bs.Checkpoint) != checkpointName || bs.IndexFallback != "" || bs.Load != 0 || bs.IndexAdopted != 4 {
+		t.Errorf("boot status %+v, want the checkpoint and its 4 entries adopted, no state file read", bs)
 	}
 }

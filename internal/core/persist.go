@@ -48,9 +48,10 @@ type persistedState struct {
 
 	// checkpoint, on a state read from a checkpoint file, is the file: the
 	// records after its header frame are the state's profiles, records of
-	// them (Profiles is nil). eachProfile reads either form.
-	checkpoint []byte
-	records    int
+	// them (Profiles is nil) — eachProfile reads either form — or, under a
+	// cap, index is the count of its index frames (indexFrames).
+	checkpoint     []byte
+	records, index int
 }
 
 // persistedRange is the on-disk form of a HashRange.
@@ -178,11 +179,10 @@ func (e *Engine) exportStateRange(r HashRange) ([]byte, error) {
 	return json.MarshalIndent(st, "", "  ")
 }
 
-// collectState is the state of the arc r, its profiles sorted by user ID.
-// Without spilled, the spilled users are left out: the checkpoint
-// SaveStateFile writes, which on an engine without the spill tier is the
-// whole state.
-func (e *Engine) collectState(r HashRange, spilled bool) (*persistedState, error) {
+// collectState is the state of the arc r, its profiles sorted by user ID:
+// with export, what ExportState ships; without, the checkpoint an uncapped
+// SaveStateFile writes (eachPersisted).
+func (e *Engine) collectState(r HashRange, export bool) (*persistedState, error) {
 	now := e.now()
 	st := &persistedState{Version: stateVersion, SavedAt: now}
 	if !r.Whole() {
@@ -192,7 +192,7 @@ func (e *Engine) collectState(r HashRange, spilled bool) (*persistedState, error
 		st.Guard = e.guard.Export() // nil (omitted) when nothing to persist
 	}
 	st.Population = e.exportPop() // nil (omitted) when nothing to persist
-	err := e.eachPersisted(r, now, spilled, func(pp persistedProfile) {
+	err := e.eachPersisted(r, now, export, func(pp persistedProfile) {
 		st.Profiles = append(st.Profiles, pp)
 	})
 	if err != nil {
@@ -207,20 +207,26 @@ func (e *Engine) collectState(r HashRange, spilled bool) (*persistedState, error
 }
 
 // eachPersisted is the one walk over every user the engine holds: it calls
-// visit with the persisted form of each profile in the arc r, resident and —
-// with spilled — spilled alike, in no particular order. Activations dead at
-// now (deadAt) are left out, wherever the profile lives: an import would drop
-// them anyway. The export, the checkpoint and the audit are folds over it.
-// visit runs under the shard's read lock and must not call back into the
-// engine.
-func (e *Engine) eachPersisted(r HashRange, now time.Time, spilled bool, visit func(persistedProfile)) error {
+// visit with the persisted form of each profile in the arc r, in no
+// particular order. With export it visits spilled users too and leaves out the
+// activations dead at now (deadAt), wherever the profile lives, as an import
+// would drop them. Without, it is the uncapped checkpoint: the resident
+// profiles as they are, dead activations kept for the user's next report to
+// drop and count (pruneDead), as a spilled record keeps them. The export, the
+// checkpoint and the audit are folds over it. visit runs under the shard's
+// read lock and must not call back into the engine.
+func (e *Engine) eachPersisted(r HashRange, now time.Time, export bool, visit func(persistedProfile)) error {
 	for _, sh := range e.shards {
 		sh.mu.RLock()
 		for uid, prof := range sh.profiles {
 			if !r.Contains(userHash(uid)) {
 				continue
 			}
-			visit(e.withoutDead(snapshotProfile(prof), now))
+			if pp := snapshotProfile(prof); export {
+				visit(e.withoutDead(pp, now))
+			} else {
+				visit(pp)
+			}
 		}
 		// Spilled profiles are part of the engine's state: their records
 		// decode straight to the persisted form, so a mixed resident/spilled
@@ -228,7 +234,7 @@ func (e *Engine) eachPersisted(r HashRange, now time.Time, spilled bool, visit f
 		// OAKPROF1 time encoding preserves the wall clock and offset exactly
 		// for this reason.
 		var err error
-		if spilled {
+		if export {
 			sh.spilled.each(func(uid []byte, ref spillRef) bool {
 				if _, resident := sh.profiles[string(uid)]; resident {
 					return false // visited above: the ref is an older record
@@ -317,33 +323,27 @@ func (e *Engine) withoutDead(pp persistedProfile, now time.Time) persistedProfil
 // any profile is touched — and incompatible format versions with
 // ErrStateVersion.
 func (e *Engine) ImportState(data []byte) error {
-	_, err := e.importRange(HashRange{}, data, false, false)
-	return err
+	return e.importRange(HashRange{}, data, false, false)
 }
 
 // importRange is the one import of a JSON state: ImportState and
 // ImportStateRange are calls of it, and LoadStateFile calls its second half,
-// importDecoded, on a checkpoint or a migrated JSON file. It replaces the profiles
-// of the arc r (the whole ring for the first two) with the payload's and
-// leaves every profile outside r untouched. The swap holds every shard lock,
-// so no reader sees a half-imported arc; a payload that is damaged, or carries
-// a profile outside r, fails before anything is touched.
+// importDecoded, on a checkpoint or a migrated JSON file. It replaces the
+// profiles of the arc r (the whole ring for the first two) with the payload's
+// and leaves every profile outside r untouched. The swap holds every shard
+// lock, so no reader sees a half-imported arc; a payload that is damaged, or
+// carries a profile outside r, fails before anything is touched.
 //
-// newerWins is the spill-tier merge policy. Authoritative (false): every spill
-// record in r is dropped — the payload is the complete truth, as a node
-// replacement, a donated arc or an operator restore demands. Newer-wins (true,
-// the boot path): every ref stands. The payload's copy of a user whose spill
-// record supersedes it (spillRef.supersedes: a later last report, or the same
-// one at a version not lower) is dropped before a profile is built from it,
-// and every other copy is installed over its user's ref; spilled users absent
-// from the payload — every spilled user, when the payload is a checkpoint —
-// survive too. So a crash between spill-fsync and the next SaveStateFile loses
-// nothing that was acknowledged, and a boot installs only what the log does
-// not hold, holds older, or holds in a quarantined segment: on an undamaged
-// directory it writes nothing to the spill tier. The decision reads the spill
-// index, which holds still only under the locks, so this one import builds its
-// profiles inside the all-locks window; every other import builds them before
-// it.
+// An authoritative import (newerWins false) drops every spill ref in r: the
+// payload is the complete truth, as a node replacement, a donated arc or an
+// operator restore demands. Under a cap it returns only once a checkpoint has
+// made that durable (checkpointLocked); if that fails, the import stays
+// installed, its error is returned, and a restart may bring back what it
+// dropped. newerWins is LoadStateFile's one read of a state file written
+// before the checkpoint moved into the spill directory: every ref stands, and
+// only a copy no record supersedes (spillRef.supersedes) is built and
+// installed over its user's ref — a decision that reads the spill index, so
+// this one import builds its profiles inside the all-locks window.
 //
 // topUp says what a payload *without* a guard or population section does to
 // those engine-global sections: nothing (a stripped range payload tops up
@@ -357,22 +357,22 @@ func (e *Engine) ImportState(data []byte) error {
 //
 // On engines with a residency cap the import ends by re-enforcing the cap,
 // so restoring a huge snapshot immediately evicts back under it.
-func (e *Engine) importRange(r HashRange, data []byte, newerWins, topUp bool) (ImportCounts, error) {
+func (e *Engine) importRange(r HashRange, data []byte, newerWins, topUp bool) error {
 	st, err := decodeState(data)
 	if err != nil {
-		return ImportCounts{}, err
+		return err
 	}
 	return e.importDecoded(r, st, newerWins, topUp)
 }
 
 // importDecoded is importRange past the decode.
-func (e *Engine) importDecoded(r HashRange, st *persistedState, newerWins, topUp bool) (ImportCounts, error) {
+func (e *Engine) importDecoded(r HashRange, st *persistedState, newerWins, topUp bool) error {
 	merge := newerWins && e.spill != nil
-	var imp builtImport
+	var fresh []map[string]*Profile
 	var err error
 	if !merge {
-		if imp, err = e.buildImport(st, r, false); err != nil {
-			return ImportCounts{}, err
+		if fresh, err = e.buildImport(st, r, false); err != nil {
+			return err
 		}
 	}
 	for _, sh := range e.shards {
@@ -384,32 +384,46 @@ func (e *Engine) importDecoded(r HashRange, st *persistedState, newerWins, topUp
 		}
 	}
 	if merge {
-		if imp, err = e.buildImport(st, r, true); err != nil {
+		if fresh, err = e.buildImport(st, r, true); err != nil {
 			unlock()
-			return ImportCounts{}, err
+			return err
 		}
 	}
 	if e.guard != nil {
 		if st.Guard != nil || !topUp {
 			e.guard.Import(st.Guard, !r.Whole())
 		}
-		e.squareImport(imp.fresh, newerWins)
+		e.squareImport(fresh, newerWins)
 	}
-	n := ImportCounts{Superseded: imp.superseded}
+	adopted := 0 // spilled users, resident ones over their refs left out
 	for i, sh := range e.shards {
 		if e.spill != nil && !newerWins {
-			dropRefsLocked(sh, r)
+			// Every ref in r goes, resident users' included, and its record
+			// is dead.
+			sh.spilled.each(func(uid []byte, ref spillRef) bool {
+				if r.Contains(userHash(uid)) {
+					ref.seg.Dead.Add(1)
+					return true
+				}
+				return false
+			})
 		}
-		n.Installed += len(imp.fresh[i])
 		if r.Whole() {
 			// Nothing of the old population survives: install the maps
 			// wholesale rather than insert a restart's every profile here.
-			sh.profiles = imp.fresh[i]
+			sh.profiles = fresh[i]
 		} else {
-			replaceArcLocked(sh, r, imp.fresh[i])
+			replaceArcLocked(sh, r, fresh[i])
 		}
 		sh.users.Set(int64(len(sh.profiles)))
 		if e.spill != nil {
+			if !newerWins {
+				// The payload's users are durable before the cleaner, which
+				// needs a shard lock, can remove a record the last checkpoint
+				// names for them. A failure degrades the store and fails the
+				// checkpoint below.
+				_ = e.spillProfilesLocked(sh, sh.residentsLocked(), false)
+			}
 			bytes, spilled := int64(0), sh.spilled.len()
 			for uid, prof := range sh.profiles {
 				bytes += int64(prof.sizeEst)
@@ -418,11 +432,11 @@ func (e *Engine) importDecoded(r HashRange, st *persistedState, newerWins, topUp
 				}
 			}
 			sh.residentBytes.Store(bytes)
-			n.Adopted += spilled
+			adopted += spilled
 		}
 	}
 	if e.spill != nil {
-		e.spill.spilledUsers.Set(int64(n.Adopted))
+		e.spill.spilledUsers.Set(int64(adopted))
 	}
 	if st.Population != nil || !topUp {
 		e.importPop(st.Population)
@@ -434,19 +448,13 @@ func (e *Engine) importDecoded(r HashRange, st *persistedState, newerWins, topUp
 		for _, sh := range e.shards {
 			e.enforceResidency(sh)
 		}
+		if !newerWins {
+			e.saveMu.Lock()
+			defer e.saveMu.Unlock()
+			return e.checkpointLocked()
+		}
 	}
-	return n, nil
-}
-
-// ImportCounts is what one import did with the payload's profiles and the
-// spill index.
-type ImportCounts struct {
-	// Installed counts the payload's profiles installed as resident; Adopted
-	// the spilled profiles left where the segment log holds them; Superseded
-	// the payload's copies dropped, unbuilt, because the log's record of that
-	// user is at least as new (Adopted includes those users, and the users
-	// only the log knows).
-	Installed, Adopted, Superseded int
+	return nil
 }
 
 // replaceArcLocked swaps one shard's share of the arc r: the resident
@@ -458,25 +466,7 @@ func replaceArcLocked(sh *shard, r HashRange, fresh map[string]*Profile) {
 			delete(sh.profiles, uid)
 		}
 	}
-	for uid, prof := range fresh {
-		sh.profiles[uid] = prof
-	}
-}
-
-// dropRefsLocked is an authoritative import's half of the spill index: every
-// ref in r goes, resident users' included, and its record is dead. (A
-// newer-wins import leaves every ref standing: buildImport has already dropped
-// the payload's copies a record supersedes, and the rest are installed over
-// their users' refs.) Caller holds every shard lock (import's all-locks
-// window).
-func dropRefsLocked(sh *shard, r HashRange) {
-	sh.spilled.each(func(uid []byte, ref spillRef) bool {
-		if !r.Contains(userHash(uid)) {
-			return false
-		}
-		ref.seg.Dead.Add(1)
-		return true
-	})
+	maps.Copy(sh.profiles, fresh)
 }
 
 // decodeState unwraps (and, when the envelope is present, verifies) a
@@ -504,8 +494,8 @@ func decodeState(data []byte) (*persistedState, error) {
 
 // eachProfile calls visit with each of the state's profiles, stopping at its
 // first error: the decoded JSON's, or a checkpoint's records, each decoded
-// into one scratch record visit must not keep. A record that does not decode,
-// damaged framing and a count of records not the header's are ErrCorruptState.
+// into one scratch record visit must not keep. A record that does not decode
+// is ErrCorruptState, as eachFrame's damage is.
 func (st *persistedState) eachProfile(visit func(pp *persistedProfile) error) error {
 	if st.checkpoint == nil {
 		for i := range st.Profiles {
@@ -516,31 +506,32 @@ func (st *persistedState) eachProfile(visit func(pp *persistedProfile) error) er
 		return nil
 	}
 	var pp persistedProfile
-	records := -1 // the header is the first frame
-	_, err := seglog.Walk(st.checkpoint, func(payload []byte, off int64, _ int) error {
-		if records++; records == 0 {
-			return nil
-		}
+	return st.eachFrame(st.records, func(payload []byte, off int64) error {
 		if err := decodeSpillRecordInto(&pp, payload); err != nil {
 			return fmt.Errorf("%w: checkpoint record at offset %d: %v", ErrCorruptState, off, err)
 		}
 		return visit(&pp)
 	})
+}
+
+// eachFrame calls visit with each frame of a checkpoint after its header,
+// stopping at its first error. Damaged framing, and a count of frames not
+// want, the header's count of them, are ErrCorruptState.
+func (st *persistedState) eachFrame(want int, visit func(payload []byte, off int64) error) error {
+	n := -1 // the header is the first frame
+	_, err := seglog.Walk(st.checkpoint, func(payload []byte, off int64, _ int) error {
+		if n++; n == 0 {
+			return nil
+		}
+		return visit(payload, off)
+	})
 	if seglog.IsDamage(err) {
 		return fmt.Errorf("%w: checkpoint: %v", ErrCorruptState, err)
 	}
-	if err == nil && records != st.records {
-		err = fmt.Errorf("%w: checkpoint header counts %d profiles, the file holds %d", ErrCorruptState, st.records, records)
+	if err == nil && n != want {
+		err = fmt.Errorf("%w: checkpoint header counts %d frames after it, the file holds %d", ErrCorruptState, want, n)
 	}
 	return err
-}
-
-// builtImport is a payload's profiles built for installation: the profile map
-// of each shard, and how many of the payload's copies a spill record
-// superseded.
-type builtImport struct {
-	fresh      []map[string]*Profile
-	superseded int
 }
 
 // buildImport constructs the per-shard profile maps for the payload's
@@ -550,16 +541,16 @@ type builtImport struct {
 // record (fitsSpillRecord). Activations of rules absent from the rule
 // set and activations that expired while in transit are dropped
 // (profileFromRecord). With newerWins a profile whose user's spill record
-// supersedes it is counted and skipped — the caller then holds every shard
-// lock; otherwise the spill index is not read and no lock is needed.
-func (e *Engine) buildImport(st *persistedState, want HashRange, newerWins bool) (imp builtImport, err error) {
+// supersedes it is skipped — the caller then holds every shard lock;
+// otherwise the spill index is not read and no lock is needed.
+func (e *Engine) buildImport(st *persistedState, want HashRange, newerWins bool) ([]map[string]*Profile, error) {
 	now := e.now()
-	imp.fresh = make([]map[string]*Profile, len(e.shards))
+	fresh := make([]map[string]*Profile, len(e.shards))
 	per := (len(st.Profiles) + st.records) / len(e.shards) // one of the two is zero
-	for i := range imp.fresh {
-		imp.fresh[i] = make(map[string]*Profile, per+per/8+1) // room for a shard above the mean
+	for i := range fresh {
+		fresh[i] = make(map[string]*Profile, per+per/8+1) // room for a shard above the mean
 	}
-	err = st.eachProfile(func(pp *persistedProfile) error {
+	err := st.eachProfile(func(pp *persistedProfile) error {
 		if pp.UserID == "" {
 			return fmt.Errorf("%w: state has profile without user id", ErrCorruptState)
 		}
@@ -573,12 +564,11 @@ func (e *Engine) buildImport(st *persistedState, want HashRange, newerWins bool)
 		si := e.shardIndex(pp.UserID)
 		if newerWins {
 			if ref, ok := e.shards[si].spilled.get(pp.UserID); ok && ref.supersedes(pp.LastReport, pp.Version) {
-				imp.superseded++
 				return nil
 			}
 		}
-		imp.fresh[si][pp.UserID] = e.profileFromRecord(pp, now)
+		fresh[si][pp.UserID] = e.profileFromRecord(pp, now)
 		return nil
 	})
-	return imp, err
+	return fresh, err
 }

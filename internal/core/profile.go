@@ -61,8 +61,8 @@ type Profile struct {
 	// version counts the reports ever applied to the profile. It is bumped
 	// where lastReport is set and nowhere else, so it is a function of the
 	// user's report stream alone — the same capped or uncapped, at any shard
-	// count — and orders two durable copies of the profile that share a
-	// last-report time (spillRef.supersedes).
+	// count — and says whether the user's record holds the profile as it is
+	// (spillRef.holds).
 	version uint64
 
 	// sizeEst is the profile's last heap-footprint estimate in bytes

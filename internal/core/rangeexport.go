@@ -106,6 +106,5 @@ func (e *Engine) ExportSnapshotRange(r HashRange) ([]byte, error) {
 // state. The swap holds every shard lock, so readers never see a
 // half-imported arc.
 func (e *Engine) ImportStateRange(r HashRange, data []byte) error {
-	_, err := e.importRange(r, data, false, true)
-	return err
+	return e.importRange(r, data, false, true)
 }

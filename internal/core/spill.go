@@ -21,35 +21,20 @@ import (
 // background goroutine, so the tier works identically under virtual clocks and
 // never races a shutdown.
 //
-// Durability contract: a profile is only removed from memory after its
-// record is durable (write + fsync), and each user has one durable home: the
-// newer of their ref's record — the newest record of the user in the log,
-// which a user keeps while resident again — and their copy in the last
-// checkpoint, the state file SaveStateFile writes, which holds the resident
-// profiles and nothing of the spilled ones. A crash at any instant therefore
-// loses at most the purely-resident state since the last checkpoint — exactly
-// the guarantee the engine gave before the spill tier existed — and never a
-// spilled profile. There is no rehydration gap: the record a rehydration read
-// stays live, carried by the cleaner like any other, until the user's next
-// record replaces it, an authoritative import drops it, or it proves
-// unreadable. Boot recovery (spillboot.go) replays the segment directory:
-// later records supersede earlier ones, a torn tail (crash mid-append) is
-// truncated away, and a segment that fails its checksums is quarantined and
-// skipped rather than aborting boot. Its users are lost unless another record
-// or the checkpoint holds them: quarantine is damage from outside, not a
-// crash, and a second copy of every record would double each eviction's fsync.
-//
-// A restart adopts the log: recovery leaves every record's ref in place, and
-// the state file's copy of a user is installed only where the log holds none,
-// an older one, or one in a quarantined segment (importRange, newer-wins) —
-// over the ref, which stands. What makes the tie safe — a record and a
-// state-file copy with the same last report and the same version — is the rule
-// above: only ingest installs a spilled profile, and ingest bumps the
-// profile's version as it does (the serve path's write-locked fall-through
-// after a failed read installs the record as it is, at the record's own
-// version), so a record at version v post-dates every resident state at v that
-// it was not itself read into, and no resident state at v holds a report the
-// record lacks (spillRef.supersedes).
+// Durability contract: a profile's one durable home is the log. A profile is
+// removed from memory only after its record is durable (write + fsync), and a
+// save appends each resident whose ref does not hold its state before it
+// writes the checkpoint that indexes the log (spillckpt.go). A crash at any
+// instant therefore loses at most the purely-resident state since the last
+// append — the guarantee the engine gave before the spill tier existed — and
+// never a spilled profile. The record a rehydration read stays live, carried
+// by the cleaner like any other, until the user's next record replaces it, an
+// authoritative import drops it — durably once that import's checkpoint is
+// written — or it proves unreadable. A torn tail (crash mid-append) is
+// truncated away at boot; a segment that fails its checksums is quarantined
+// rather than aborting it, and its users are lost unless another record holds
+// them: quarantine is damage from outside, not a crash, and a second copy of
+// every record would double each eviction's fsync.
 //
 // One writer, one order: appendLocked is the only function that writes record
 // frames, always to the tail of the calling shard's active segment, and the
@@ -57,8 +42,7 @@ import (
 // are written by their own shard only — evictions and the cleaner's re-appends
 // alike (compactSegment) — so for any one user (segment seq, offset) order is
 // the order the records were written in, which is the "later" recovery
-// trusts. walkSegment is the only reader of whole segments, for recovery and
-// the cleaner both.
+// trusts.
 //
 // Failure contract: any spill I/O failure (create, append, fsync) latches
 // the store into memory-only mode — evictions stop, resident state grows as
@@ -227,20 +211,22 @@ func (e *Engine) evictColdLocked(sh *shard) {
 	if len(victims) == 0 {
 		return
 	}
-	e.spillProfilesLocked(sh, victims)
+	e.spillProfilesLocked(sh, victims, true)
 }
 
-// spillProfilesLocked encodes and durably appends the named resident
-// profiles, then — only after the fsync — forgets them from memory. On any
-// I/O failure nothing is forgotten and the store degrades to memory-only
-// mode. Caller holds sh.mu for writing.
-func (e *Engine) spillProfilesLocked(sh *shard, victims []string) {
+// spillProfilesLocked durably appends, as one batch, the records of the named
+// resident profiles whose refs do not hold their current state
+// (spillRef.holds), their refs moved to them, and then — only after the
+// fsync, and only with forget — forgets all of them from memory: an
+// eviction. On an I/O failure nothing is forgotten, and the store degrades to
+// memory-only mode. Caller holds sh.mu for writing.
+func (e *Engine) spillProfilesLocked(sh *shard, uids []string, forget bool) error {
 	st := e.spill
 	var buf, scratch []byte
-	frames := make([]segFrame, 0, len(victims))
-	for _, uid := range victims {
+	frames := make([]segFrame, 0, len(uids))
+	for _, uid := range uids {
 		prof, ok := sh.profiles[uid]
-		if !ok {
+		if ref, held := sh.spilled.get(uid); !ok || held && ref.holds(prof.lastReport, prof.version) {
 			continue
 		}
 		pp := snapshotProfile(prof)
@@ -249,22 +235,31 @@ func (e *Engine) spillProfilesLocked(sh *shard, victims []string) {
 		buf = wire.AppendFrame(buf, scratch)
 		frames = append(frames, segFrame{uid: uid, ref: newSpillRef(start, int(int64(len(buf))-start), len(pp.Active) > 0, prof.lastReport, prof.version)})
 	}
-	if len(frames) == 0 {
-		return
+	if len(frames) > 0 {
+		if err := st.appendLocked(sh, buf, frames); err != nil {
+			st.degrade(e, "append", err)
+			return err
+		}
 	}
-	if err := st.appendLocked(sh, buf, frames); err != nil {
-		st.degrade(e, "append", err)
-		return
+	for _, uid := range uids {
+		if prof, ok := sh.profiles[uid]; forget && ok {
+			delete(sh.profiles, uid)
+			sh.users.Add(-1)
+			sh.residentBytes.Add(-int64(prof.sizeEst))
+			st.spilledUsers.Add(1)
+			e.metrics.profileSpills.Inc()
+		}
 	}
-	// Durable: now it is safe to forget.
-	for _, fr := range frames {
-		prof := sh.profiles[fr.uid]
-		delete(sh.profiles, fr.uid)
-		sh.users.Add(-1)
-		sh.residentBytes.Add(-int64(prof.sizeEst))
-		st.spilledUsers.Add(1)
-		e.metrics.profileSpills.Inc()
+	return nil
+}
+
+// residentsLocked lists the shard's resident users. Caller holds sh.mu.
+func (sh *shard) residentsLocked() []string {
+	uids := make([]string, 0, len(sh.profiles))
+	for uid := range sh.profiles {
+		uids = append(uids, uid)
 	}
+	return uids
 }
 
 // appendLocked is the one writer of record frames: it durably appends buf —

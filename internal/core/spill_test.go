@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -39,7 +40,7 @@ func forceSpill(t *testing.T, e *Engine, uids ...string) {
 		sh := e.shardFor(uid)
 		sh.mu.Lock()
 		if _, ok := sh.profiles[uid]; ok {
-			e.spillProfilesLocked(sh, []string{uid})
+			e.spillProfilesLocked(sh, []string{uid}, true)
 		}
 		sh.mu.Unlock()
 		if got := e.Residency(uid); got != "spilled" {
@@ -371,7 +372,7 @@ func TestSpillCompactionReclaimsDeadSegments(t *testing.T) {
 	}
 	sh := e.shards[0]
 	sh.mu.Lock()
-	e.spillProfilesLocked(sh, []string{"u1", "u2", "u3", "u4"})
+	e.spillProfilesLocked(sh, []string{"u1", "u2", "u3", "u4"}, true)
 	sh.mu.Unlock()
 	// One compaction round per call, as the next reports would run them.
 	for i := 0; i < before+1; i++ {
@@ -399,7 +400,7 @@ func TestSpillCompactionPreservesLiveRecords(t *testing.T) {
 	}
 	sh := e.shardFor("keep")
 	sh.mu.Lock()
-	e.spillProfilesLocked(sh, []string{"keep", "dead"}) // one batch, one segment
+	e.spillProfilesLocked(sh, []string{"keep", "dead"}, true) // one batch, one segment
 	sh.mu.Unlock()
 	if _, err := e.HandleReport(slowS1Report("sealer")); err != nil {
 		t.Fatal(err)
@@ -877,5 +878,34 @@ func TestSpillExportQuarantinesDamagedSegment(t *testing.T) {
 	}
 	if st.SpillErrors == 0 {
 		t.Error("SpillErrors = 0 after export-path quarantine")
+	}
+}
+
+// TestEvictionRewritesARecordInAQuarantinedSegment: a resident whose ref holds
+// its state is evicted without a write — unless that record's segment has
+// been quarantined since, when the eviction writes it again, so the user
+// outlives the damaged segment.
+func TestEvictionRewritesARecordInAQuarantinedSegment(t *testing.T) {
+	clock := newTestClock()
+	e := newSpillEngine(t, clock, ResidencyConfig{MaxProfiles: 100})
+	for _, uid := range []string{"held", "damaged"} {
+		if _, err := e.HandleReport(slowS1Report(uid)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := e.SaveStateFile(filepath.Join(t.TempDir(), "state.json")); err != nil { // both records hold their state
+		t.Fatal(err)
+	}
+	ref, _ := e.shardFor("damaged").spilled.get("damaged")
+	want, _ := e.Snapshot("damaged")
+	bytes := e.spill.log.Bytes.Value()
+	forceSpill(t, e, "held")
+	if got := e.spill.log.Bytes.Value(); got != bytes {
+		t.Errorf("evicting a resident whose record holds its state wrote %d bytes", got-bytes)
+	}
+	e.spill.log.Quarantine(ref.seg, errors.New("injected damage"))
+	forceSpill(t, e, "damaged")
+	if got, ok := e.Snapshot("damaged"); !ok || !reflect.DeepEqual(got, want) {
+		t.Errorf("damaged came back as %+v (%v), was %+v", got, ok, want)
 	}
 }

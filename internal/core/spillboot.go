@@ -18,29 +18,26 @@ import (
 
 // Booting the spill tier: NewEngine builds the store from the configuration
 // and replays the segment directory into the shards' spill indexes, before
-// the engine is shared. The durability contract the replay serves is
+// the engine is shared, from the directory's checkpoint (spillckpt.go) — or
+// its backup when the checkpoint is missing or does not read — whose guard and
+// population sections it installs. The durability contract it serves is
 // spill.go's.
 //
-// What the replay yields is fixed by the log alone: each user's ref points at
-// the last of their records in (segment seq, offset) order, and a segment's
-// dead count is its records that are not the last of their user's. Decoding
-// every record gets there. A valid spill index (spillckpt.go) gets there
-// decoding a few: its entries are the refs the shards held at a checkpoint,
-// each the newest record of its user among the bytes the index covers — each
-// segment up to its size at the capture. So a covered record that is not an
-// entry is either older than its user's entry, and dead, or of a user without
-// one (a record an import dropped, or one an older engine's checkpoint
-// released), and decoded. A record beyond the covered bytes was written after the capture,
-// later than every covered record of its user, and is decoded and replayed
-// over them. Every covered frame is still read and checksummed: damage is
-// found at boot, and quarantined, as it always was.
+// The index is authoritative over the bytes it covers, each segment up to its
+// size at the capture: an entry's record is its user's, adopted undecoded, and
+// a covered record that is no entry's is dead, outdated or dropped by an
+// import; so is an entry in a segment gone since, which the cleaner removes
+// only once it has written each record a ref points at again. A record beyond
+// the covered bytes is later than every covered one of its user, and is
+// decoded and replayed over them. Every covered frame is still checksummed:
+// damage is found at boot, and quarantined, as it always was.
 //
-// The index is adopted whole or not at all. Whatever fails a check — no file,
-// a torn or foreign one, a covered segment gone or shorter than at the
+// The index is adopted whole or not at all. Whatever fails a check — no
+// checkpoint, a torn or foreign one, a covered segment shorter than at the
 // capture, an entry that does not land on a frame of its segment naming its
-// user, a covered record newer than its user's entry, a quarantined segment —
-// makes the covered bytes none, and the replay decodes the whole log, as
-// before the index existed.
+// user, a quarantined segment — makes the covered bytes none, and the replay
+// decodes the whole log: each user's last record wins, and a user an import
+// dropped comes back.
 
 // initSpill builds the spill store from WithProfileResidency's config and
 // replays the segment directory. Called once from NewEngine after the
@@ -91,15 +88,15 @@ func (e *Engine) initSpill() error {
 // spillRecovery is what recoverSpill did, for BootStatus.
 type spillRecovery struct {
 	took             time.Duration
+	checkpoint       string
 	adopted          int
 	checked, decoded int64
 	fallback         string
 }
 
-// walked is one segment's replay: the records decoded, in log order — all of
-// them, or (skimmed) those the index does not account for — how many frames it
-// holds, how many of them an index entry outdates, their bytes checksummed and
-// decoded, and the damage that quarantines it.
+// walked is one segment's replay: the records decoded in log order (skimmed:
+// those beyond the covered bytes), its frames, those the index makes dead, the
+// bytes checksummed and decoded, and the damage that quarantines it.
 type walked struct {
 	seg              *seglog.Segment
 	frames           []segFrame
@@ -110,45 +107,67 @@ type walked struct {
 }
 
 // segPlan is what the index says of one segment: the bytes it covers, and its
-// entries [first, end) in the index's order, whose keys start at keyOff.
+// index frames [first, end).
 type segPlan struct {
-	covered            int64
-	first, end, keyOff int
+	covered    int64
+	first, end int
 }
 
-// recoverSpill replays the segment log into the shards' spill indexes, with
-// the spill index where it is valid (see above). A segment is committed only
-// if it parsed end to end, a torn tail cut away: a quarantined one must leave
-// the other segments' refs and dead counts as they are, or the GC below would
-// delete a healthy segment holding the newest surviving copy of a user's
-// profile. Its readable frames only count the users it loses.
+// recoverSpill installs the checkpoint's guard and population sections and
+// replays the segment log into the shards' spill indexes, with the
+// checkpoint's index where it is valid (see above). A segment is committed
+// only if it parsed end to end, a torn tail cut away: a quarantined one must
+// leave the other segments' refs and dead counts as they are, or the GC below
+// would delete a healthy segment holding the newest surviving copy of a
+// user's profile. Its readable frames only count the users it loses.
 func (e *Engine) recoverSpill(st *spillStore) error {
 	var (
-		idx   *indexFile
-		plans map[*seglog.Segment]*segPlan
-		why   atomic.Pointer[string] // the first reason the index is not adopted
-		mu    sync.Mutex
-		all   []walked
+		ckpt   *persistedState
+		frames []indexFrame
+		plans  map[*seglog.Segment]*segPlan
+		why    atomic.Pointer[string] // the first reason the index is not adopted
+		mu     sync.Mutex
+		all    []walked
 	)
 	fail := func(reason string) { why.CompareAndSwap(nil, &reason) }
-	switch data, err := seglog.ReadFile(e.fs, filepath.Join(st.cfg.Dir, spillIndexName)); {
-	case errors.Is(err, fs.ErrNotExist):
-		fail("no index")
-	case err != nil:
-		fail(fmt.Sprintf("index unreadable: %v", err))
-	default:
-		if idx, err = parseSpillIndex(data); err != nil {
-			fail("index " + err.Error())
-		} else if n := idx.nsegs(); n > 0 {
-			// A number the index names must not name another file.
-			last, _ := idx.seg(n - 1)
-			st.log.Reserve(last + 1)
+	reason := "no checkpoint"
+	for _, name := range []string{checkpointName, checkpointName + BackupSuffix} {
+		path := filepath.Join(st.cfg.Dir, name)
+		data, err := seglog.ReadFile(e.fs, path)
+		if err == nil {
+			if ckpt, err = decodeCheckpoint(data); err == nil {
+				frames, err = ckpt.indexFrames()
+			}
 		}
+		if err != nil {
+			if ckpt = nil; !errors.Is(err, fs.ErrNotExist) {
+				reason = fmt.Sprintf("%s unusable: %v", name, err)
+			}
+			continue
+		}
+		st.recovered.checkpoint = path
+		if name == checkpointName {
+			e.stateSource.Store(StateSnapshot)
+			e.goodPrimary.Store(&path)
+		} else {
+			e.stateSource.Store(StateBackup)
+			e.metrics.stateRecoveries.Inc()
+		}
+		if e.guard != nil {
+			e.guard.Import(ckpt.Guard, false)
+		}
+		e.importPop(ckpt.Population)
+		for _, f := range frames {
+			st.log.Reserve(f.seq + 1) // a number the index names must not name another file
+		}
+		break
+	}
+	if ckpt == nil {
+		fail(reason)
 	}
 	plan := func(segs []*seglog.Segment) error {
-		if idx != nil {
-			var reason string
-			if plans, reason = e.planIndex(idx, segs); plans == nil {
+		if ckpt != nil {
+			if plans, reason = e.planIndex(frames, segs); plans == nil {
 				fail(reason)
 			}
 		}
@@ -159,7 +178,7 @@ func (e *Engine) recoverSpill(st *spillStore) error {
 		var end int64
 		if p := plans[seg]; p != nil && why.Load() == nil {
 			w.skimmed = true
-			end, w.err = e.skimSegment(idx, p, &w, data, fail)
+			end, w.err = e.skimSegment(frames, p, &w, data, fail)
 			if w.err != nil && !errors.Is(w.err, seglog.ErrTruncated) {
 				fail(seg.Name() + " quarantined")
 				w.frames, end, w.err = walkSegment(data) // its readable records, as the log's walk sees them
@@ -188,13 +207,15 @@ func (e *Engine) recoverSpill(st *spillStore) error {
 			damaged = append(damaged, w)
 		}
 	}
-	if len(damaged) > 0 && idx != nil {
+	if len(damaged) > 0 && ckpt != nil {
 		fail(damaged[0].seg.Name() + " quarantined")
 	}
 
 	live := 0 // users with a ref
 	if why.Load() == nil {
-		live = idx.nents()
+		for _, sh := range e.shards {
+			live += sh.spilled.len()
+		}
 		st.recovered.adopted = live
 	} else {
 		st.recovered.fallback = *why.Load()
@@ -254,9 +275,9 @@ func (e *Engine) recoverSpill(st *spillStore) error {
 				w.seg.Name(), w.err, len(lost))
 		}
 	}
-	// A segment all of whose records a later one superseded is garbage from a
-	// previous run (at boot the dead counts are exact: no ref points into it);
-	// removing it now keeps restart loops from accreting files.
+	// A segment all of whose records are dead is garbage from a previous run
+	// (at boot the dead counts are exact: no ref points into it); removing it
+	// now keeps restart loops from accreting files.
 	for _, seg := range st.log.Segments() {
 		if seg.Dead.Load() >= seg.Total.Load() {
 			st.log.Remove(seg)
@@ -265,54 +286,59 @@ func (e *Engine) recoverSpill(st *spillStore) error {
 	return nil
 }
 
-// planIndex matches the index's segments with the directory's and fills each
-// shard's spill index with its entries, sized for them up front. It returns
-// nil and why when the index does not fit the directory.
-func (e *Engine) planIndex(idx *indexFile, segs []*seglog.Segment) (map[*seglog.Segment]*segPlan, string) {
-	plans := make(map[*seglog.Segment]*segPlan, idx.nsegs())
-	bySeg := make([]*seglog.Segment, idx.nsegs())
-	j := 0
-	for i := range idx.nsegs() {
-		seq, size := idx.seg(i)
-		for j < len(segs) && segs[j].Seq < seq {
+// planIndex matches the index's frames with the directory's segments, checks
+// each entry and finds its shard, then fills the shards' spill indexes in
+// parallel, each sized for its share up front, leaving out the entries in a
+// segment gone since the capture. It returns nil and why when the index does
+// not fit the directory.
+func (e *Engine) planIndex(frames []indexFrame, segs []*seglog.Segment) (map[*seglog.Segment]*segPlan, string) {
+	const gone = ^uint16(0) // the shard of an entry in a segment gone since
+	plans := make(map[*seglog.Segment]*segPlan, len(frames))
+	bySeg := make([]*seglog.Segment, len(frames)) // nil: gone
+	mask := uint32(len(e.shards) - 1)
+	var owner []uint16
+	var keyOff []uint32
+	count, keys := make([]int, len(e.shards)), make([]int, len(e.shards))
+	j, prevEnd := 0, int64(0)
+	for i := range frames {
+		f, off := &frames[i], 0
+		if i > 0 && (f.seq < frames[i-1].seq || f.seq == frames[i-1].seq && f.size != frames[i-1].size) {
+			return nil, fmt.Sprintf("index malformed: frame %d", i)
+		}
+		if i == 0 || f.seq != frames[i-1].seq {
+			prevEnd = 0
+		}
+		for j < len(segs) && segs[j].Seq < f.seq {
 			j++
 		}
-		if j == len(segs) || segs[j].Seq != seq {
-			return nil, fmt.Sprintf("segment %016x is gone", seq)
+		if j < len(segs) && segs[j].Seq == f.seq {
+			if segs[j].Size() < f.size {
+				return nil, fmt.Sprintf("%s is shorter than at the checkpoint", segs[j].Name())
+			}
+			if plans[segs[j]] == nil {
+				plans[segs[j]] = &segPlan{covered: f.size, first: i}
+			}
+			bySeg[i], plans[segs[j]].end = segs[j], i+1
 		}
-		if segs[j].Size() < size {
-			return nil, fmt.Sprintf("%s is shorter than at the checkpoint", segs[j].Name())
+		for k := range f.nents() {
+			ref, n := f.entry(k)
+			if ref.off < max(prevEnd, int64(len(seglog.Magic))) || ref.n <= 0 || ref.off > f.size-int64(ref.n) ||
+				ref.lastNsec < 0 || ref.lastNsec >= 1e9 || n <= 0 || off+n > len(f.keys) {
+				return nil, fmt.Sprintf("index malformed: entry %d of segment %016x", k, f.seq)
+			}
+			s := uint32(gone)
+			if bySeg[i] != nil {
+				s = userHash(f.keys[off:off+n]) & mask
+				count[s], keys[s] = count[s]+1, keys[s]+n
+			}
+			owner, keyOff = append(owner, uint16(s)), append(keyOff, uint32(off))
+			prevEnd, off = ref.off+int64(ref.n), off+n
 		}
-		bySeg[i] = segs[j]
-		plans[segs[j]] = &segPlan{covered: size}
+		if off != len(f.keys) {
+			return nil, fmt.Sprintf("index malformed: segment %016x's entries name %d key bytes, %d follow them", f.seq, off, len(f.keys))
+		}
 	}
-	// Check each entry and find its shard, then fill the shards' indexes in
-	// parallel, each sized for its share up front.
-	nents, mask := idx.nents(), uint32(len(e.shards)-1)
-	keyOff, owner := make([]uint32, nents), make([]uint16, nents)
-	count, keys := make([]int, len(e.shards)), make([]int, len(e.shards))
-	var p *segPlan
-	off, prev, prevEnd := 0, -1, int64(0)
-	for i := range nents {
-		if !idx.entryFits(i, off, prev, prevEnd) {
-			return nil, fmt.Sprintf("index malformed: entry %d", i)
-		}
-		seg, ref, n := idx.entry(i)
-		if seg != prev {
-			p, prev = plans[bySeg[seg]], seg
-			p.first, p.keyOff = i, off
-		}
-		p.end, prevEnd = i+1, ref.off+int64(ref.n)
-		s := userHash(idx.keys[off:off+n]) & mask
-		keyOff[i], owner[i] = uint32(off), uint16(s)
-		count[s]++
-		keys[s] += n
-		off += n
-	}
-	if off != len(idx.keys) {
-		return nil, fmt.Sprintf("index malformed: its entries name %d key bytes, %d follow them", off, len(idx.keys))
-	}
-	var dup atomic.Pointer[string]
+	var dup atomic.Bool
 	var wg sync.WaitGroup
 	var shard atomic.Int64
 	for range min(runtime.GOMAXPROCS(0), len(e.shards)) {
@@ -322,37 +348,43 @@ func (e *Engine) planIndex(idx *indexFile, segs []*seglog.Segment) (map[*seglog.
 			for s := int(shard.Add(1) - 1); s < len(e.shards); s = int(shard.Add(1) - 1) {
 				x := &e.shards[s].spilled
 				x.init(count[s], keys[s])
-				for i, o := range owner {
-					if int(o) != s {
-						continue
-					}
-					seg, ref, n := idx.entry(i)
-					key := idx.keys[keyOff[i] : int(keyOff[i])+n]
-					ref.seg = bySeg[seg]
-					if _, twice := x.putKey(key, ref); twice {
-						why := fmt.Sprintf("user %q has two entries", key)
-						dup.CompareAndSwap(nil, &why)
+				i := 0
+				for fi := range frames {
+					for k := range frames[fi].nents() {
+						if int(owner[i]) == s {
+							ref, n := frames[fi].entry(k)
+							key := frames[fi].keys[keyOff[i] : int(keyOff[i])+n]
+							ref.seg = bySeg[fi]
+							if _, twice := x.putKey(key, ref); twice {
+								dup.Store(true)
+							}
+						}
+						i++
 					}
 				}
 			}
 		}()
 	}
 	wg.Wait()
-	if why := dup.Load(); why != nil {
-		return nil, *why
+	if dup.Load() {
+		return nil, "index malformed: a user has two entries"
 	}
 	return plans, ""
 }
 
 // skimSegment replays one segment the index covers: every frame is
 // checksummed (seglog.Walk); a covered frame that is an entry's is checked to
-// name its user and is otherwise left alone, one that is not is dead when its
-// user has an entry and decoded when not, and a frame beyond the covered bytes
-// is decoded. What the index gets wrong goes to fail, and the skim carries on
-// for the segment's damage and end.
-func (e *Engine) skimSegment(idx *indexFile, p *segPlan, w *walked, data []byte, fail func(string)) (int64, error) {
-	mask := uint32(len(e.shards) - 1)
-	j, koff, ok := p.first, p.keyOff, true
+// name its user and is otherwise left alone, one that is not is dead, and a
+// frame beyond the covered bytes is decoded. What the index gets wrong goes
+// to fail, and the skim carries on for the segment's damage and end.
+func (e *Engine) skimSegment(frames []indexFrame, p *segPlan, w *walked, data []byte, fail func(string)) (int64, error) {
+	fi, k, koff, ok := p.first, 0, 0, true
+	next := func() bool { // is there an entry left? It is entry k of frame fi.
+		for fi < p.end && k == frames[fi].nents() {
+			fi, k, koff = fi+1, 0, 0
+		}
+		return fi < p.end
+	}
 	wrong := func(format string, args ...any) {
 		if ok {
 			ok = false
@@ -371,44 +403,37 @@ func (e *Engine) skimSegment(idx *indexFile, p *segPlan, w *walked, data []byte,
 	end, err := seglog.Walk(data, func(payload []byte, off int64, n int) error {
 		w.total++
 		w.checked += int64(n)
-		if off >= p.covered {
-			return decode(payload, off, n)
-		}
-		uid, _, err := seglog.Wire.String(payload, maxSpillStringLen)
 		switch {
-		case err != nil || len(uid) == 0:
-			return decode(payload, off, n) // the decode words the damage
+		case off >= p.covered:
+			return decode(payload, off, n)
 		case !ok:
 			return nil
 		case off+int64(n) > p.covered:
 			wrong("its size at the checkpoint cuts the frame at offset %d", off)
 			return nil
 		}
-		if j < p.end {
-			_, ref, kl := idx.entry(j)
+		if next() {
+			ref, kl := frames[fi].entry(k)
 			if ref.off < off {
-				wrong("entry %d does not land on a frame", j)
+				wrong("entry %d does not land on a frame", k)
 				return nil
 			}
 			if ref.off == off {
-				if int(ref.n) != n || !bytes.Equal(idx.keys[koff:koff+kl], uid) {
-					wrong("entry %d does not name the user of its frame", j)
+				uid, _, err := seglog.Wire.String(payload, maxSpillStringLen)
+				if err != nil || len(uid) == 0 {
+					return decode(payload, off, n) // the decode words the damage
 				}
-				j, koff = j+1, koff+kl
+				if int(ref.n) != n || !bytes.Equal(frames[fi].keys[koff:koff+kl], uid) {
+					wrong("entry %d does not name the user of its frame", k)
+				}
+				k, koff = k+1, koff+kl
 				return nil
 			}
 		}
-		switch ref, has := e.shards[userHash(uid)&mask].spilled.getKey(uid); {
-		case !has:
-			return decode(payload, off, n)
-		case ref.seg.Seq < w.seg.Seq || ref.seg == w.seg && ref.off < off:
-			wrong("the record of %q at offset %d is newer than its entry", uid, off)
-		default:
-			w.dead++
-		}
+		w.dead++
 		return nil
 	})
-	if (err == nil || errors.Is(err, seglog.ErrTruncated)) && (end < p.covered || j < p.end) {
+	if (err == nil || errors.Is(err, seglog.ErrTruncated)) && (end < p.covered || next()) {
 		wrong("its records end before its size at the checkpoint")
 	}
 	return end, err

@@ -267,8 +267,9 @@ func decodeSpillRecordInto(pp *persistedProfile, payload []byte) error {
 }
 
 // spillRef locates one user's durable record: segment, frame offset and
-// length, plus the profile's last-report time and version for the newer-wins
-// statefile merge (supersedes). Guarded by the owning shard's mu: refs are
+// length, plus the profile's last-report time and version, which say whether
+// the record holds a resident profile's current state (holds). Guarded by the
+// owning shard's mu: refs are
 // written only under its write lock, and a segment's file is closed only once
 // no ref points into it — the cleaner moves each shard's refs out under that
 // shard's write lock first, and a shard with no survivor in the segment holds
@@ -278,8 +279,8 @@ type spillRef struct {
 	seg *seglog.Segment
 	off int64
 	ver uint64 // the record's Profile.version; 0 in records older than the field
-	// lastSec and lastNsec are the record's last report as an instant, all
-	// supersedes compares: a time.Time would carry a Location pointer.
+	// lastSec and lastNsec are the record's last report as an instant: a
+	// time.Time would carry a Location pointer.
 	lastSec  int64
 	lastNsec int32
 	n        int32 // frame length; frames are bounded by seglog.MaxFrame
@@ -296,22 +297,22 @@ func newSpillRef(off int64, n int, active bool, last time.Time, ver uint64) spil
 	return spillRef{off: off, n: int32(n), active: active, lastSec: last.Unix(), lastNsec: int32(last.Nanosecond()), ver: ver}
 }
 
-// supersedes is the newer-wins rule, whole: does the record stand against a
-// copy of the same user's profile — a state file's — with the given last
-// report and version? A later last report wins. On the same last report the
-// copy whose version is not lower wins, the record on a tie: only a report
-// changes what a profile derives from reports, and only ingest makes a spilled
-// profile resident — bumping its version as it does (analyzeLocked) — so a
-// record at version v holds every report a resident copy at v held. Two
-// unversioned copies with one last report prove nothing (two
-// reports can share an instant with an eviction between them), and the other
-// copy wins, as it did before records carried versions. A record in a
+// holds reports whether the record is a profile's state at the given last
+// report and version: only a report changes what a profile derives from
+// reports, and it bumps the version (analyzeLocked). An unversioned record
+// proves nothing, and a record in a quarantined segment holds nothing.
+func (r spillRef) holds(last time.Time, ver uint64) bool {
+	return r.ver != 0 && r.ver == ver && r.lastSec == last.Unix() && r.lastNsec == int32(last.Nanosecond()) && !r.seg.Quarantined()
+}
+
+// supersedes is the newer-wins rule of LoadStateFile's one read of a state
+// file written before the checkpoint moved into the spill directory: does the
+// record stand against that file's copy of the user's profile, with the given
+// last report and version? A later last report wins; on the same one, the
+// copy whose version is not lower, the record on a tie (ingest bumps the
+// version as it makes a spilled profile resident). Two unversioned copies with
+// one last report prove nothing, and the file's wins. A record in a
 // quarantined segment supersedes nothing.
-//
-// Not versioned, because every read of either copy re-derives them (deadAt):
-// activations lapsed, of rules not in the rule set, or rolled back by a trip
-// or quarantine. A rollback changes no copy — it moves an epoch — so either
-// copy kept reads the same.
 func (r spillRef) supersedes(last time.Time, ver uint64) bool {
 	sec, nsec := last.Unix(), int32(last.Nanosecond())
 	switch {

@@ -113,17 +113,6 @@ func (x *spillIndex) get(uid string) (spillRef, bool) {
 	return spillRef{}, false
 }
 
-// getKey is get with the user ID as bytes.
-func (x *spillIndex) getKey(uid []byte) (spillRef, bool) {
-	if x.live == 0 {
-		return spillRef{}, false
-	}
-	if i, ok := find(x, uid, maphash.Bytes(x.seed, uid)); ok {
-		return x.ents[uint32(x.slots[i])-1].ref(), true
-	}
-	return spillRef{}, false
-}
-
 // put points uid at ref, returning the ref it replaces, if any.
 func (x *spillIndex) put(uid string, ref spillRef) (old spillRef, replaced bool) {
 	if x.slots == nil {

@@ -2,10 +2,9 @@ package core
 
 import (
 	"bytes"
-	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
-	"hash/crc32"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -16,6 +15,7 @@ import (
 	"time"
 
 	"oak/internal/seglog"
+	"oak/internal/wire"
 )
 
 // TestSpillIndexAgreesWithAMap drives the spill index and a map through one
@@ -42,9 +42,6 @@ func TestSpillIndexAgreesWithAMap(t *testing.T) {
 			got, ok := x.get(uid)
 			if prev, had := want[uid]; ok != had || got != prev {
 				t.Fatalf("op %d: get(%s) = %+v, %v; the map has %+v, %v", i, uid, got, ok, prev, had)
-			}
-			if kgot, kok := x.getKey([]byte(uid)); kok != ok || kgot != got {
-				t.Fatalf("op %d: getKey(%s) disagrees with get", i, uid)
 			}
 		case op < 9:
 			got, ok := x.del(uid)
@@ -96,15 +93,14 @@ func TestSpillIndexProbeAllocatesNothing(t *testing.T) {
 	}
 	i := 0
 	allocs := testing.AllocsPerRun(1000, func() {
-		uid := uids[i%len(uids)]
+		uid, key := uids[i%len(uids)], keys[i%len(keys)]
 		i++
 		ref, _ := x.get(uid)
-		x.getKey(keys[i%len(keys)])
 		x.del(uid)
-		x.put(uid, ref)
+		x.putKey(key, ref)
 	})
 	if allocs != 0 {
-		t.Errorf("%.1f allocs per get, getKey, del and put, want 0", allocs)
+		t.Errorf("%.1f allocs per get, del and putKey, want 0", allocs)
 	}
 }
 
@@ -164,7 +160,8 @@ func BenchmarkSpillIndex(b *testing.B) {
 }
 
 // copyBothWays copies the files of the spill directory dir into two fresh
-// directories, the second without the spill index.
+// directories, the second with its checkpoint's index taken out
+// (withoutIndex).
 func copyBothWays(t *testing.T, dir string) (with, without string) {
 	t.Helper()
 	root := t.TempDir()
@@ -175,14 +172,38 @@ func copyBothWays(t *testing.T, dir string) (with, without string) {
 		}
 		copyDir(t, dir, d)
 	}
-	if err := os.Remove(filepath.Join(without, spillIndexName)); err != nil && !os.IsNotExist(err) {
-		t.Fatal(err)
-	}
+	withoutIndex(t, without)
 	return with, without
 }
 
+// withoutIndex rewrites the checkpoint of the spill directory dir with its
+// header alone, and removes its backup: a boot then takes the guard and the
+// population from it and decodes every record, last record winning.
+func withoutIndex(t *testing.T, dir string) {
+	t.Helper()
+	path := filepath.Join(dir, checkpointName)
+	os.Remove(path + BackupSuffix)
+	data, err := os.ReadFile(path)
+	if os.IsNotExist(err) {
+		return
+	}
+	st, err := decodeCheckpoint(data)
+	if err != nil {
+		os.Remove(path) // a damaged checkpoint is no help either way
+		return
+	}
+	header, err := json.Marshal(checkpointHeader{persistedState: *st})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, wire.AppendFrame([]byte(seglog.Magic), header), 0o600); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // bootsAgree boots boot on two copies of the spill directory dir — one with
-// the spill index, one without — and requires the two engines to be one:
+// the checkpoint's index, one without — and requires the two engines to be
+// one, as they are wherever no authoritative import dropped a user:
 // equal exports, user counts and spill status, and byte-equal pages with equal
 // tags for every user. It returns the indexed boot's status.
 func bootsAgree(t *testing.T, step, dir string, users []string, boot func(dir string) *Engine) BootStatus {
@@ -239,7 +260,7 @@ func segmentCounts(e *Engine) map[uint64][3]int64 {
 
 // indexWorld is a capped two-shard engine after 60 users' worth of reports,
 // evictions, rehydrations and a compaction, over small segments, with its
-// checkpoint just saved: state file and spill index.
+// checkpoint just saved.
 func indexWorld(t *testing.T, opts ...Option) (e *Engine, dir, state string, users []string) {
 	t.Helper()
 	root := t.TempDir()
@@ -285,10 +306,11 @@ func indexWorldEngine(t *testing.T, dir string, opts ...Option) *Engine {
 	return e
 }
 
-// TestSpillIndexFallback: an index that does not fit the directory is not
-// used, and the boot decodes the whole log — one row per way it can fail to
-// fit — to the export and status the boot without any index gives. The first
-// row is a fit: the boot adopts every entry and decodes no record.
+// TestSpillIndexFallback: a checkpoint whose index does not fit the directory
+// is not adopted, and the boot decodes the whole log — one row per way it can
+// fail to fit — to the export and status the boot without any index gives.
+// The first rows fit: the boot adopts every entry, from the checkpoint or,
+// when it is damaged, from its backup.
 func TestSpillIndexFallback(t *testing.T) {
 	sealed := func(t *testing.T, e *Engine) *seglog.Segment {
 		t.Helper()
@@ -303,7 +325,7 @@ func TestSpillIndexFallback(t *testing.T) {
 		}
 		return victim
 	}
-	index := func(dir string) string { return filepath.Join(dir, spillIndexName) }
+	ckpt := func(dir string) string { return filepath.Join(dir, checkpointName) }
 	rewrite := func(t *testing.T, path string, edit func([]byte) []byte) {
 		t.Helper()
 		data, err := os.ReadFile(path)
@@ -314,30 +336,36 @@ func TestSpillIndexFallback(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	damaged := func(edit func([]byte) []byte) func(t *testing.T, _ *Engine, dir string) {
+		return func(t *testing.T, _ *Engine, dir string) {
+			os.Remove(ckpt(dir) + BackupSuffix)
+			rewrite(t, ckpt(dir), edit)
+		}
+	}
 	for _, tc := range []struct {
 		name   string
 		damage func(t *testing.T, e *Engine, dir string) // e is still running
 		why    string                                    // in IndexFallback; "" for a fit
+		backup bool                                      // the fit is the backup's
 	}{
 		{name: "fits", damage: func(*testing.T, *Engine, string) {}},
-		{name: "missing", why: "no index", damage: func(t *testing.T, _ *Engine, dir string) {
-			os.Remove(index(dir))
+		{name: "the backup", backup: true, damage: func(t *testing.T, e *Engine, dir string) {
+			if err := e.SaveStateFile(filepath.Join(t.TempDir(), "state.json")); err != nil { // the last save is the backup
+				t.Fatal(err)
+			}
+			rewrite(t, ckpt(dir), func(b []byte) []byte { b[len(b)/2] ^= 1; return b })
 		}},
-		{name: "empty", why: "torn", damage: func(t *testing.T, _ *Engine, dir string) {
-			rewrite(t, index(dir), func([]byte) []byte { return nil })
-		}},
-		{name: "torn", why: "checksum mismatch", damage: func(t *testing.T, _ *Engine, dir string) {
-			rewrite(t, index(dir), func(b []byte) []byte { return b[:len(b)/2] })
-		}},
-		{name: "one flipped byte", why: "checksum mismatch", damage: func(t *testing.T, _ *Engine, dir string) {
-			rewrite(t, index(dir), func(b []byte) []byte { b[len(b)/2] ^= 1; return b })
-		}},
-		{name: "wrong magic", why: "magic", damage: func(t *testing.T, _ *Engine, dir string) {
-			rewrite(t, index(dir), func(b []byte) []byte { b[0] = 'X'; return b })
-		}},
-		{name: "a covered segment compacted away after the checkpoint", why: "is gone", damage: func(t *testing.T, e *Engine, _ string) {
+		{name: "a covered segment compacted away after the checkpoint", damage: func(t *testing.T, e *Engine, _ string) {
 			e.compactSegment(sealed(t, e))
 		}},
+		{name: "missing", why: "no checkpoint", damage: func(t *testing.T, _ *Engine, dir string) {
+			os.Remove(ckpt(dir))
+			os.Remove(ckpt(dir) + BackupSuffix)
+		}},
+		{name: "empty", why: "checkpoint unusable", damage: damaged(func([]byte) []byte { return nil })},
+		{name: "torn", why: "checkpoint unusable", damage: damaged(func(b []byte) []byte { return b[:len(b)/2] })},
+		{name: "one flipped byte", why: "checkpoint unusable", damage: damaged(func(b []byte) []byte { b[len(b)/2] ^= 1; return b })},
+		{name: "wrong magic", why: "magic", damage: damaged(func(b []byte) []byte { b[0] = 'X'; return b })},
 		{name: "a covered segment truncated", why: "shorter than at the checkpoint", damage: func(t *testing.T, e *Engine, _ string) {
 			seg := sealed(t, e)
 			if err := os.Truncate(filepath.Join(e.spill.cfg.Dir, seg.Name()), seg.Size()/2); err != nil {
@@ -368,6 +396,8 @@ func TestSpillIndexFallback(t *testing.T) {
 			switch {
 			case tc.why == "" && (bs.IndexFallback != "" || bs.IndexAdopted == 0 || bs.Decoded >= bs.Checksummed):
 				t.Errorf("a fitting index was not adopted: %+v", bs)
+			case tc.why == "" && strings.HasSuffix(bs.Checkpoint, BackupSuffix) != tc.backup:
+				t.Errorf("adopted %q, want the backup: %v", bs.Checkpoint, tc.backup)
 			case tc.why != "" && (bs.IndexAdopted != 0 || !strings.Contains(bs.IndexFallback, tc.why) || bs.Decoded != bs.Checksummed):
 				t.Errorf("boot status %+v, want no entry adopted, every record decoded and a fallback naming %q", bs, tc.why)
 			}
@@ -376,18 +406,19 @@ func TestSpillIndexFallback(t *testing.T) {
 					t.Errorf("the punched segment was not quarantined at boot with its lost users counted: %+v\n%s", bs, strings.Join(lines, "\n"))
 				}
 			}
-			t.Logf("%s: %d entries adopted, %d bytes checksummed, %d decoded; fallback %q",
-				tc.name, bs.IndexAdopted, bs.Checksummed, bs.Decoded, bs.IndexFallback)
+			t.Logf("%s: %d entries adopted from %q, %d bytes checksummed, %d decoded; fallback %q",
+				tc.name, bs.IndexAdopted, filepath.Base(bs.Checkpoint), bs.Checksummed, bs.Decoded, bs.IndexFallback)
 		})
 	}
 }
 
-// TestIndexedBootDecodesRecordsWithoutAnEntry: a record the index has no
-// entry for, though no later record outdates it, is decoded and replayed as
-// the whole-log decode would — the refs an authoritative import dropped, of a
-// user resident over theirs and of one spilled (which the replay brings back:
-// ROADMAP item 2, seed (iii)).
-func TestIndexedBootDecodesRecordsWithoutAnEntry(t *testing.T) {
+// TestIndexedBootDropsRecordsWithoutAnEntry: a record the checkpoint's index
+// covers but has no entry for is dead, though no later record outdates it —
+// the records of the users an authoritative import dropped, one resident over
+// an older record and one spilled. So the dropped users stay dropped across a
+// restart; the whole-log decode, all a boot had before the index was
+// authoritative, brings them back.
+func TestIndexedBootDropsRecordsWithoutAnEntry(t *testing.T) {
 	clock := newTestClock()
 	dir := t.TempDir()
 	state := filepath.Join(t.TempDir(), "state.json")
@@ -395,17 +426,22 @@ func TestIndexedBootDecodesRecordsWithoutAnEntry(t *testing.T) {
 		return newSpillEngine(t, clock, ResidencyConfig{Dir: dir, MaxProfiles: 100})
 	}
 	e := boot(dir)
-	for _, uid := range []string{"rehydrated", "dropped", "kept"} {
+	users := []string{"rehydrated", "dropped", "resident-dropped", "kept"}
+	for _, uid := range users {
 		if _, err := e.HandleReport(slowS1Report(uid)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	forceSpill(t, e, "rehydrated", "dropped", "kept")
+	forceSpill(t, e, users...)
 	clock.Advance(time.Second)
-	if _, err := e.HandleReport(healthyReport("rehydrated")); err != nil { // resident over its ref
+	for _, uid := range []string{"rehydrated", "resident-dropped"} { // resident over their refs
+		if _, err := e.HandleReport(healthyReport(uid)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := e.SaveStateFile(state); err != nil {
 		t.Fatal(err)
 	}
-	saveTwice(t, e, state)
 	payload, err := e.ExportState()
 	if err != nil {
 		t.Fatal(err)
@@ -414,26 +450,75 @@ func TestIndexedBootDecodesRecordsWithoutAnEntry(t *testing.T) {
 	if err := json.Unmarshal(payload, &st); err != nil {
 		t.Fatal(err)
 	}
-	st.Profiles = slices.DeleteFunc(st.Profiles, func(pp persistedProfile) bool { return pp.UserID == "dropped" })
+	st.Profiles = slices.DeleteFunc(st.Profiles, func(pp persistedProfile) bool { return strings.HasSuffix(pp.UserID, "dropped") })
 	if payload, err = json.Marshal(st); err != nil {
 		t.Fatal(err)
 	}
 	if err := e.ImportState(payload); err != nil { // drops every ref, not the records
 		t.Fatal(err)
 	}
-	if err := e.SaveStateFile(state); err != nil {
-		t.Fatal(err)
+	want := mustExport(t, e)
+	e.Close()
+	with, without := copyBothWays(t, dir)
+	a := boot(with)
+	if got := mustExport(t, a); !bytes.Equal(got, want) {
+		t.Errorf("the boot brought back what the import dropped:\n--- got\n%s\n--- want\n%s", got, want)
+	}
+	if bs := a.BootStatus(); bs.IndexFallback != "" || bs.IndexAdopted != 2 || a.Users() != 2 {
+		t.Errorf("boot status %+v, %d users; want the index adopted, 2 entries, 2 users", bs, a.Users())
+	}
+	b := boot(without)
+	for _, uid := range []string{"dropped", "resident-dropped"} {
+		if a.Residency(uid) != "none" || b.Residency(uid) != "spilled" {
+			t.Errorf("%s is %q with the index, %q decoding the whole log; want none and spilled", uid, a.Residency(uid), b.Residency(uid))
+		}
+	}
+}
+
+// TestEntriesInAGoneSegmentAreDead: a covered segment gone since the
+// checkpoint — removed from outside here, so none of the records refs point
+// at in it was written again, as the cleaner would have — takes the users of
+// its entries with it, as it takes their records. The index is still adopted,
+// and every other user comes back as the whole-log decode brings them back.
+func TestEntriesInAGoneSegmentAreDead(t *testing.T) {
+	e, dir, _, users := indexWorld(t)
+	refs := map[*seglog.Segment][]string{}
+	for _, sh := range e.shards {
+		sh.spilled.each(func(uid []byte, ref spillRef) bool {
+			refs[ref.seg] = append(refs[ref.seg], string(uid))
+			return false
+		})
+	}
+	var victim *seglog.Segment
+	for seg, uids := range refs {
+		if !seg.Active.Load() && (victim == nil || len(uids) > len(refs[victim])) {
+			victim = seg
+		}
+	}
+	if victim == nil {
+		t.Fatal("no sealed segment holds a ref")
 	}
 	e.Close()
-	bs := bootsAgree(t, "records without an entry", dir, []string{"rehydrated", "dropped", "kept"}, func(dir string) *Engine {
-		e := boot(dir)
-		if _, err := e.LoadStateFile(state); err != nil {
-			t.Fatal(err)
+	if err := os.Remove(filepath.Join(dir, victim.Name())); err != nil {
+		t.Fatal(err)
+	}
+	with, without := copyBothWays(t, dir)
+	a := indexWorldEngine(t, with, WithClock(newTestClock().Now))
+	b := indexWorldEngine(t, without, WithClock(newTestClock().Now))
+	if bs := a.BootStatus(); bs.IndexFallback != "" || bs.IndexAdopted != len(users)-len(refs[victim]) {
+		t.Errorf("boot status %+v; want the index adopted, all but the %d entries in %s", bs, len(refs[victim]), victim.Name())
+	}
+	for _, uid := range users {
+		got, ok := a.Snapshot(uid)
+		if slices.Contains(refs[victim], uid) {
+			if ok {
+				t.Errorf("%s came back, its entry's record gone with %s", uid, victim.Name())
+			}
+			continue
 		}
-		return e
-	})
-	if bs.IndexFallback != "" || bs.Decoded == 0 {
-		t.Errorf("boot status %+v, want the index adopted and the two records without an entry decoded", bs)
+		if want, wok := b.Snapshot(uid); ok != wok || !reflect.DeepEqual(got, want) {
+			t.Errorf("%s came back as %+v (%v); the whole-log decode brings back %+v (%v)", uid, got, ok, want, wok)
+		}
 	}
 }
 
@@ -455,9 +540,52 @@ func TestIndexedBootAllocs(t *testing.T) {
 	per := allocs / users
 	t.Logf("%.0f allocations booting %d users (%.3f a user); %d entries adopted, %d of %d record bytes decoded",
 		allocs, users, per, bs.IndexAdopted, bs.Decoded, bs.Checksummed)
-	if spilled := users - bootedWorldResident; bs.IndexAdopted != spilled || per >= 0.1 {
-		t.Errorf("%.3f allocations a user, %d entries adopted; want under 0.1 and all %d", per, bs.IndexAdopted, spilled)
+	if bs.IndexAdopted != users || bs.Decoded != 0 || per >= 0.1 {
+		t.Errorf("%.3f allocations a user, %d entries adopted, %d bytes decoded; want under 0.1, all %d and none", per, bs.IndexAdopted, bs.Decoded, users)
 	}
+}
+
+// TestIndexFramesSplit: an index whose entries would take one frame over
+// seglog.MaxFrame — 330,000 users with 16-byte IDs in one segment, about
+// 17 MiB of entries — is written as frames that each fit, and reads back
+// entry for entry.
+func TestIndexFramesSplit(t *testing.T) {
+	const users = 330000
+	ents := make([]capturedRef, users)
+	keys := make([]byte, 0, 16*users)
+	for i := range ents {
+		keys = fmt.Appendf(keys, "user-%011d", i)
+		ents[i] = capturedRef{key: keys[16*i : 16*(i+1)], ref: spillRef{off: int64(9 + 100*i), n: 100, ver: uint64(i + 1), lastSec: int64(i), active: i%3 == 0}}
+	}
+	size := int64(9 + 100*users)
+	data, n := appendIndexFrames(nil, []uint64{7}, []int64{size}, ents, seglog.MaxFrame)
+	if n < 2 {
+		t.Fatalf("%d frames for %d users", n, users)
+	}
+	i := 0
+	if _, err := seglog.Walk(append([]byte(seglog.Magic), data...), func(payload []byte, _ int64, _ int) error {
+		if len(payload) > seglog.MaxFrame {
+			t.Fatalf("an index frame of %d bytes", len(payload))
+		}
+		f, err := parseIndexFrame(payload)
+		if err != nil || f.seq != 7 || f.size != size {
+			t.Fatalf("frame %+v: %v", f.seq, err)
+		}
+		for k, off := 0, 0; k < f.nents(); k++ {
+			ref, kl := f.entry(k)
+			if ref != ents[i].ref || string(f.keys[off:off+kl]) != string(ents[i].key) {
+				t.Fatalf("entry %d reads back as %+v %q, was %+v %q", i, ref, f.keys[off:off+kl], ents[i].ref, ents[i].key)
+			}
+			off, i = off+kl, i+1
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if i != users {
+		t.Fatalf("%d entries read back, %d written", i, users)
+	}
+	t.Logf("%d users in %d frames, %d bytes", users, n, len(data))
 }
 
 // TestRecoverLeavesStraysAlone: files named like segments but not spelled as
@@ -469,7 +597,8 @@ func TestIndexedBootAllocs(t *testing.T) {
 func TestRecoverLeavesStraysAlone(t *testing.T) {
 	e, dir, _, _ := indexWorld(t)
 	e.Close()
-	os.Remove(filepath.Join(dir, spillIndexName))
+	os.Remove(filepath.Join(dir, checkpointName))
+	os.Remove(filepath.Join(dir, checkpointName+BackupSuffix))
 	boot := func(dir string) (*Engine, []string) {
 		var lines []string
 		e := indexWorldEngine(t, dir, WithClock(newTestClock().Now),
@@ -501,16 +630,22 @@ func TestRecoverLeavesStraysAlone(t *testing.T) {
 	}
 }
 
-// FuzzSpillIndexLoad: whatever bytes lie where the index should, a boot does
-// not panic or fail, gives the export a boot without an index gives, and
-// adopts the index only if every entry lands on a frame of its segment that
-// names its user. Each input is tried as it is and with a correct checksum.
+// FuzzSpillIndexLoad: whatever bytes lie where the checkpoint's index frames
+// should, a boot does not panic or fail. It adopts the index only if every
+// entry lands on a frame of its segment that names its user, and then brings
+// back each user at the record of its entry or, later in the log, beyond the
+// bytes the index covers; otherwise it gives the export the whole-log decode
+// gives. Each input is tried as the bytes after the header and as one
+// checksummed index frame.
 func FuzzSpillIndexLoad(f *testing.F) {
 	root := f.TempDir()
 	dir := filepath.Join(root, "spill")
 	clock := newTestClock()
-	e, err := NewEngine(diffRules()[:1], WithClock(clock.Now), WithShards(2),
-		WithProfileResidency(ResidencyConfig{Dir: dir, MaxProfiles: 4, SegmentBytes: 600}))
+	boot := func(dir string) (*Engine, error) {
+		return NewEngine(diffRules()[:1], WithClock(clock.Now), WithShards(2),
+			WithProfileResidency(ResidencyConfig{Dir: dir, MaxProfiles: 4, SegmentBytes: 600}))
+	}
+	e, err := boot(dir)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -524,69 +659,244 @@ func FuzzSpillIndexLoad(f *testing.F) {
 	if err := e.SaveStateFile(filepath.Join(root, "state.json")); err != nil {
 		f.Fatal(err)
 	}
-	valid, err := os.ReadFile(filepath.Join(dir, spillIndexName))
+	valid, err := os.ReadFile(filepath.Join(dir, checkpointName))
 	if err != nil {
 		f.Fatal(err)
 	}
-	os.Remove(filepath.Join(dir, spillIndexName))
-	boot := func(dir string) (*Engine, error) {
-		return NewEngine(diffRules()[:1], WithClock(clock.Now), WithShards(2),
-			WithProfileResidency(ResidencyConfig{Dir: dir, MaxProfiles: 4, SegmentBytes: 600}))
+	st, err := decodeCheckpoint(valid)
+	if err != nil {
+		f.Fatal(err)
 	}
+	_, headerEnd, _ := seglog.Wire.NextFrame(valid[len(seglog.Magic):], seglog.MaxFrame)
+	headerEnd += len(seglog.Magic)
+	oneFrame, err := json.Marshal(checkpointHeader{persistedState: *st, Index: 1})
+	if err != nil {
+		f.Fatal(err)
+	}
+	os.Remove(filepath.Join(dir, checkpointName))
+	os.Remove(filepath.Join(dir, checkpointName+BackupSuffix))
 	plain, err := boot(dir)
 	if err != nil {
 		f.Fatal(err)
 	}
 	want, _ := plain.ExportState()
 	plain.Close()
-	f.Add(valid)
-	f.Add(valid[:len(valid)/2])
+	f.Add(valid[headerEnd:])
+	f.Add(valid[headerEnd : headerEnd+(len(valid)-headerEnd)/2])
 	f.Add([]byte{})
-	f.Add([]byte(spillIndexMagic))
+	if frames, err := st.indexFrames(); err == nil && len(frames) > 0 {
+		b, _ := appendIndexFrames(nil, []uint64{frames[0].seq}, []int64{frames[0].size}, nil, seglog.MaxFrame)
+		f.Add(b)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		fixed := bytes.Clone(data)
-		if n := len(fixed) - crc32.Size; n >= 0 {
-			binary.LittleEndian.PutUint32(fixed[n:], crc32.Checksum(fixed[:n], snapshotCRC))
-		}
-		for _, idx := range [][]byte{data, fixed} {
+		asFrame := wire.AppendFrame(wire.AppendFrame([]byte(seglog.Magic), oneFrame), data)
+		for _, ckpt := range [][]byte{append(slices.Clone(valid[:headerEnd]), data...), asFrame} {
 			work := t.TempDir()
 			copyDir(t, dir, work)
-			if err := os.WriteFile(filepath.Join(work, spillIndexName), idx, 0o600); err != nil {
+			if err := os.WriteFile(filepath.Join(work, checkpointName), ckpt, 0o600); err != nil {
 				t.Fatal(err)
 			}
 			e, err := boot(work)
 			if err != nil {
-				t.Fatalf("boot with index %x: %v", idx, err)
+				t.Fatalf("boot with checkpoint %x: %v", ckpt, err)
 			}
 			got, err := e.ExportState()
 			bs := e.BootStatus()
 			e.Close()
-			if err != nil || !bytes.Equal(got, want) {
-				t.Fatalf("export with index %x: %v\n%s", idx, err, got)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if bs.IndexAdopted == 0 {
+			if bs.Checkpoint == "" || bs.IndexFallback != "" {
+				if !bytes.Equal(got, want) {
+					t.Fatalf("export with checkpoint %x not adopted:\n%s", ckpt, got)
+				}
 				continue
 			}
-			x, err := parseSpillIndex(idx)
+			st, err := decodeCheckpoint(ckpt)
 			if err != nil {
-				t.Fatalf("adopted an index that does not parse: %v", err)
+				t.Fatalf("adopted a checkpoint that does not read: %v", err)
 			}
-			for i, off := 0, 0; i < x.nents(); i++ {
-				seg, ref, n := x.entry(i)
-				seq, _ := x.seg(seg)
-				file, err := os.ReadFile(filepath.Join(dir, fmt.Sprintf("seg-%016x.seg", seq)))
+			frames, err := st.indexFrames()
+			if err != nil {
+				t.Fatalf("adopted a checkpoint whose index does not read: %v", err)
+			}
+			back := map[string]uint64{} // user → version, as the rule says
+			covered := map[string]int64{}
+			for _, fr := range frames {
+				name := fmt.Sprintf("seg-%016x.seg", fr.seq)
+				covered[name] = fr.size
+				file, err := os.ReadFile(filepath.Join(dir, name))
 				if err != nil {
-					t.Fatalf("entry %d names a segment that is not there: %v", i, err)
+					continue // gone: a later record must stand in (below)
 				}
-				payload, got, err := seglog.Wire.NextFrame(file[ref.off:], seglog.MaxFrame)
-				if err != nil || got != int(ref.n) {
-					t.Fatalf("entry %d lands on no frame (%v)", i, err)
+				for k, off := 0, 0; k < fr.nents(); k++ {
+					ref, n := fr.entry(k)
+					payload, got, err := seglog.Wire.NextFrame(file[ref.off:], seglog.MaxFrame)
+					if err != nil || got != int(ref.n) {
+						t.Fatalf("entry %d lands on no frame (%v)", k, err)
+					}
+					pp, err := decodeSpillRecord(payload)
+					if err != nil || pp.UserID != string(fr.keys[off:off+n]) {
+						t.Fatalf("entry %d's frame names another user", k)
+					}
+					back[pp.UserID] = pp.Version
+					off += n
 				}
-				if pp, err := decodeSpillRecord(payload); err != nil || pp.UserID != string(x.keys[off:off+n]) {
-					t.Fatalf("entry %d's frame names another user", i)
+			}
+			for _, path := range segFiles(t, dir) {
+				data, _ := os.ReadFile(path)
+				seglog.Walk(data, func(payload []byte, off int64, _ int) error {
+					if pp, err := decodeSpillRecord(payload); err == nil && off >= covered[filepath.Base(path)] {
+						back[pp.UserID] = pp.Version
+					}
+					return nil
+				})
+			}
+			var exported persistedState
+			if err := json.Unmarshal(got, &exported); err != nil {
+				t.Fatal(err)
+			}
+			for _, pp := range exported.Profiles {
+				if v, ok := back[pp.UserID]; !ok || v != pp.Version {
+					t.Fatalf("%s came back at version %d; its entry or later record is at %d (%v)", pp.UserID, pp.Version, v, ok)
 				}
-				off += n
+				delete(back, pp.UserID)
+			}
+			if len(back) != 0 {
+				t.Fatalf("users with an entry or a later record did not come back: %v", back)
 			}
 		}
 	})
+}
+
+// TestImportDeletesSurviveARestart: ImportState and ImportStateRange on a
+// capped engine drop a resident user and a spilled one, each with a record in
+// the log, and both a crash the moment the import returns and a clean
+// restart boot without them. (Before the checkpoint's index was
+// authoritative, the boot decoded their records and brought them back.)
+func TestImportDeletesSurviveARestart(t *testing.T) {
+	for _, whole := range []bool{true, false} {
+		for _, clean := range []bool{false, true} {
+			t.Run(fmt.Sprintf("whole=%v,clean=%v", whole, clean), func(t *testing.T) {
+				clock := newTestClock()
+				dir := t.TempDir()
+				boot := func() *Engine { return newSpillEngine(t, clock, ResidencyConfig{Dir: dir, MaxProfiles: 100}) }
+				e := boot()
+				users := make([]string, 12)
+				for i := range users {
+					users[i] = fmt.Sprintf("u%02d", i)
+					if _, err := e.HandleReport(slowS1Report(users[i])); err != nil {
+						t.Fatal(err)
+					}
+				}
+				forceSpill(t, e, users...)
+				arc := HashRange{}
+				if !whole {
+					arc = EqualRanges(2)[RangeFor(users[0], EqualRanges(2))]
+				}
+				var inArc []string
+				for _, uid := range users {
+					if arc.Contains(userHash(uid)) {
+						inArc = append(inArc, uid)
+					}
+				}
+				resident, spilled := inArc[0], inArc[1]
+				clock.Advance(time.Second)
+				if _, err := e.HandleReport(healthyReport(resident)); err != nil { // resident over its record
+					t.Fatal(err)
+				}
+				data, err := e.ExportSnapshotRange(arc)
+				if err != nil {
+					t.Fatal(err)
+				}
+				st, err := decodeState(data)
+				if err != nil {
+					t.Fatal(err)
+				}
+				st.Profiles = slices.DeleteFunc(st.Profiles, func(pp persistedProfile) bool { return pp.UserID == resident || pp.UserID == spilled })
+				if data, err = json.Marshal(st); err != nil {
+					t.Fatal(err)
+				}
+				if whole {
+					err = e.ImportState(data)
+				} else {
+					err = e.ImportStateRange(arc, data)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := mustExport(t, e)
+				e.Close()
+				if clean {
+					if err := e.SaveStateFile(filepath.Join(t.TempDir(), "state.json")); err != nil {
+						t.Fatal(err)
+					}
+				}
+				e = boot()
+				for _, uid := range []string{resident, spilled} {
+					if r := e.Residency(uid); r != "none" {
+						t.Errorf("%s, dropped by the import, came back %s", uid, r)
+					}
+				}
+				if got := mustExport(t, e); !bytes.Equal(got, want) {
+					t.Errorf("export after the restart differs from the one after the import:\n--- got\n%s\n--- want\n%s", got, want)
+				}
+			})
+		}
+	}
+}
+
+// TestImportWhoseCheckpointFails: when the checkpoint a capped import writes
+// cannot be installed, the import returns the error and stays installed, and
+// a restart boots from the previous checkpoint, rotated to the backup, which
+// still holds the dropped user.
+func TestImportWhoseCheckpointFails(t *testing.T) {
+	clock := newTestClock()
+	fs := &testFS{}
+	dir := t.TempDir()
+	e := newSpillEngine(t, clock, ResidencyConfig{Dir: dir, MaxProfiles: 100}, withFS(fs))
+	for _, uid := range []string{"kept", "dropped"} {
+		if _, err := e.HandleReport(slowS1Report(uid)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := e.SaveStateFile(filepath.Join(t.TempDir(), "state.json")); err != nil {
+		t.Fatal(err)
+	}
+	before, err := os.ReadFile(filepath.Join(dir, checkpointName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := e.ExportState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := decodeState(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.Profiles = slices.DeleteFunc(st.Profiles, func(pp persistedProfile) bool { return pp.UserID == "dropped" })
+	if data, err = json.Marshal(st); err != nil {
+		t.Fatal(err)
+	}
+	fs.setRefuse(func(op, path string) error {
+		if op == "rename" && filepath.Base(path) == checkpointName+".tmp" {
+			return errors.New("injected rename failure")
+		}
+		return nil
+	})
+	if err := e.ImportState(data); err == nil || !strings.Contains(err.Error(), "injected rename failure") {
+		t.Fatalf("ImportState = %v, want the checkpoint's failure", err)
+	}
+	if e.Residency("dropped") != "none" || e.Residency("kept") != "resident" {
+		t.Errorf("after the failed checkpoint: dropped %s, kept %s; want the import installed", e.Residency("dropped"), e.Residency("kept"))
+	}
+	if bak, err := os.ReadFile(filepath.Join(dir, checkpointName+BackupSuffix)); err != nil || !bytes.Equal(bak, before) {
+		t.Errorf("the backup is not the previous checkpoint (%v)", err)
+	}
+	e.Close()
+	e = newSpillEngine(t, clock, ResidencyConfig{Dir: dir, MaxProfiles: 100})
+	if bs := e.BootStatus(); !strings.HasSuffix(bs.Checkpoint, BackupSuffix) || e.Residency("dropped") != "spilled" {
+		t.Errorf("boot status %+v, dropped %s; want the backup adopted and the user back", bs, e.Residency("dropped"))
+	}
 }

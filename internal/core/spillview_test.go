@@ -245,10 +245,16 @@ type diffWorld struct {
 	users  []string
 	// guarded lets the stream trip, cool down and close s2.net's breaker;
 	// closes counts the closes. saved is the capped engine's guard state as
-	// its state file holds it (guardState), nil before any save.
+	// its checkpoint holds it (guardState), nil before any save.
 	guarded bool
 	closes  uint64
 	saved   []byte
+	// imported says a range import dropped a user, whose records only the
+	// checkpoint's index holds dead (bootsAgree no longer applies). bulk is
+	// each engine's BulkDeactivations summed over the processes before it,
+	// capped first.
+	imported bool
+	bulk     [2]uint64
 }
 
 // guardState is e's guard state as a state file carries it, nil when there
@@ -321,9 +327,10 @@ func (w *diffWorld) each(op func(e *Engine) error) {
 }
 
 // reboot closes both engines and boots replacements: the uncapped one from
-// its state file, the capped one over its segment directory — and from its
-// state file too if load, else on the segments alone. With save the capped
-// engine saves first; without, a load reads what its last save left.
+// its state file, the capped one over its segment directory and the
+// checkpoint its last save left there (load also calls LoadStateFile, which
+// reads nothing once a checkpoint is adopted). With save the capped engine
+// saves first.
 func (w *diffWorld) reboot(save, load bool) {
 	w.t.Helper()
 	cs, ps := filepath.Join(w.state, "capped.json"), filepath.Join(w.state, "plain.json")
@@ -338,19 +345,23 @@ func (w *diffWorld) reboot(save, load bool) {
 	}
 	w.capped.Close()
 	w.plain.Close()
-	// The files boot the same with the spill index as without it — after a
-	// clean save, adopting it.
-	bs := bootsAgree(w.t, "reboot", w.dir, w.users, func(dir string) *Engine {
-		e := w.cappedOn(dir)
-		if load {
-			if _, err := e.LoadStateFile(cs); err != nil {
-				w.t.Fatal(err)
+	w.bulk[0] += w.capped.Metrics().BulkDeactivations
+	w.bulk[1] += w.plain.Metrics().BulkDeactivations
+	// Until an import drops a user, the files boot the same with the
+	// checkpoint's index as without it — after a clean save, adopting it.
+	if !w.imported {
+		bs := bootsAgree(w.t, "reboot", w.dir, w.users, func(dir string) *Engine {
+			e := w.cappedOn(dir)
+			if load {
+				if _, err := e.LoadStateFile(cs); err != nil {
+					w.t.Fatal(err)
+				}
 			}
+			return e
+		})
+		if save && bs.IndexFallback != "" {
+			w.t.Fatalf("a boot on a clean save did not adopt its index: %+v", bs)
 		}
-		return e
-	})
-	if save && bs.IndexFallback != "" {
-		w.t.Fatalf("a boot on a clean save did not adopt its index: %+v", bs)
 	}
 	w.boot()
 	if load {
@@ -366,11 +377,11 @@ func (w *diffWorld) reboot(save, load bool) {
 // crash is a kill of the capped engine before its next SaveStateFile:
 // everything acknowledged goes to disk — first's profile first, into whatever
 // segment is the shard's append target — and the replacement has nothing but
-// the segment directory, and the state file its last save left once the guard
-// holds state. (The uncapped engine restarts with it, through its state file,
-// so the pair is always built by one boot, on one rule set.) The guard's
-// state is durable in the state file only, so a crash is a step of the stream
-// only while the guard's state is the one the last save wrote: crashable.
+// the segment directory with the checkpoint its last save (or import) left.
+// (The uncapped engine restarts with it, through its state file, so the pair
+// is always built by one boot, on one rule set.) The guard's state is durable
+// in the checkpoint only, so a crash is a step of the stream only while the
+// guard's state is the one the last checkpoint wrote: crashable.
 func (w *diffWorld) crash(first string) {
 	w.t.Helper()
 	for _, uid := range append([]string{first}, w.users...) {
@@ -383,7 +394,7 @@ func (w *diffWorld) crash(first string) {
 }
 
 // restart is a clean stop and start: both engines save, and the capped one
-// boots on its state file and its segment directory together — the merge.
+// boots on its segment directory and the checkpoint there.
 func (w *diffWorld) restart(step string) {
 	w.t.Helper()
 	w.reboot(true, true)
@@ -392,10 +403,14 @@ func (w *diffWorld) restart(step string) {
 
 // checkProfiles compares what a restart must bring back beyond the pages
 // check compares — pages do not show a stale copy while it carries the same
-// activations; its counters, last-report time and version do — and then the
-// two engines' whole exports, byte for byte, the guard's state included.
+// activations; its counters, last-report time and version do — then the
+// rollbacks each engine has counted over its processes, and the two engines'
+// whole exports, byte for byte, the guard's state included.
 func (w *diffWorld) checkProfiles(step string) {
 	w.t.Helper()
+	if c, p := w.bulk[0]+w.capped.Metrics().BulkDeactivations, w.bulk[1]+w.plain.Metrics().BulkDeactivations; c != p {
+		w.t.Fatalf("%s: capped engine counted %d rollbacks, plain %d", step, c, p)
+	}
 	for _, uid := range w.users {
 		c, cok := w.capped.Snapshot(uid)
 		p, pok := w.plain.Snapshot(uid)
@@ -456,10 +471,10 @@ func (w *diffWorld) check(step string) {
 
 // mix runs n seeded operations — reports, page reads, clock steps, forced
 // compaction and the restarts: a crash of the capped engine straight after a
-// compaction and a report, a clean save-and-restart on state file and
-// segments, and one across a record and a newer resident copy that share a
-// last-report instant; once guarded, s2.net's breaker trips and sees good
-// outcomes too — checking after each.
+// compaction and a report, a clean save-and-restart, one across a record and
+// a newer resident copy that share a last-report instant, and a range import
+// that drops a user, half the time followed by a crash; once guarded,
+// s2.net's breaker trips and sees good outcomes too — checking after each.
 func (w *diffWorld) mix(rng *rand.Rand, phase string, n int) {
 	w.t.Helper()
 	for i := 0; i < n; i++ {
@@ -468,9 +483,9 @@ func (w *diffWorld) mix(rng *rand.Rand, phase string, n int) {
 		slowS1 := func() {
 			w.each(func(e *Engine) error { _, err := e.HandleReport(slowS1Report(uid)); return err })
 		}
-		ops := 22
+		ops := 23
 		if w.guarded {
-			ops = 27
+			ops = 28
 		}
 		switch k := rng.Intn(ops); {
 		case k < 5:
@@ -497,9 +512,9 @@ func (w *diffWorld) mix(rng *rand.Rand, phase string, n int) {
 		case k < 19:
 			// A survivor the cleaner just moved, a newer record of the same
 			// user behind it in the log, and recovery with nothing but the log
-			// (and the last state file once the guard holds state). Not once
-			// the guard's state moved since the last save — a trip, a close, a
-			// canary: it lives in the state file only, so the crashed engine
+			// and its last checkpoint. Not once the guard's state moved since
+			// the last save — a trip, a close, a canary: it lives in the
+			// checkpoint only, so the crashed engine
 			// would boot without the move, reading a record's activation a
 			// lost trip rolled back as live (TestCrashKeepsCanaryBelowTheNextTrip
 			// pins what the boot does keep), and the uncapped one, restarting
@@ -526,13 +541,37 @@ func (w *diffWorld) mix(rng *rand.Rand, phase string, n int) {
 		case k < 22:
 			// The tie the version exists for: evicted, then reported for again
 			// at the same instant, so the record left in the log and the newer
-			// copy the state file saves share a last-report time.
+			// copy the save appends share a last-report time.
 			slowS1()
 			forceSpill(w.t, w.capped, uid)
 			slowS1()
 			step += " report, evict, report at one instant, save, restart " + uid
 			w.restart(step)
 		case k < 23:
+			// An operator restores an arc holding uid from the uncapped engine's
+			// export without uid: both engines drop it, the capped one durably,
+			// through the checkpoint the import writes before it returns.
+			arc := EqualRanges(4)[RangeFor(uid, EqualRanges(4))]
+			data, err := w.plain.ExportSnapshotRange(arc)
+			if err != nil {
+				w.t.Fatal(err)
+			}
+			st, err := decodeState(data)
+			if err != nil {
+				w.t.Fatal(err)
+			}
+			st.Profiles = slices.DeleteFunc(st.Profiles, func(pp persistedProfile) bool { return pp.UserID == uid })
+			if data, err = json.Marshal(st); err != nil {
+				w.t.Fatal(err)
+			}
+			w.each(func(e *Engine) error { return e.ImportStateRange(arc, data) })
+			w.saved, w.imported = guardState(w.t, w.capped), true
+			step += " range import without " + uid
+			if rng.Intn(2) == 0 {
+				w.crash(w.users[0])
+				step += ", crash"
+			}
+		case k < 24:
 			// Trips a closed breaker, reopens a half-open one; an open one
 			// ignores it.
 			w.each(func(e *Engine) error {
@@ -560,25 +599,24 @@ const cappedSeeds = 3
 // TestCappedServesWhatUncappedServes: where a profile lives must not show in
 // what its user is served. One seeded stream — reports, page reads, TTL
 // expiry, forced compaction, crashes of the capped engine that leave it
-// nothing but its segment log (and, once the guard holds state, the state
-// file its last save wrote), clean restarts on its state file and its
-// segments together (one across a record and a newer copy that share a
-// last-report instant), a rule change — a restart of both engines on a
+// nothing but its segment log and the checkpoint there, clean restarts (one
+// across a record and a newer copy that share a last-report instant), range
+// imports that drop a user, a rule change — a restart of both engines on a
 // smaller rule set while activations of the dropped rule are live — and then
 // trips, reopens, cool-downs and closes of s2.net's breaker while users are
 // spilled — runs against an engine capped at four resident profiles and one
 // with no cap; after every step every user gets byte-equal pages with equal
 // entity tags and fingerprints, after every restart and crash, breaker open
-// or not, equal counters, last-report times, versions and exports too, and at
-// the end the exports are equal.
+// or not, equal counters, last-report times, versions, rollback counts and
+// exports too, and at the end the exports are equal.
 //
 // One ordering is left out: a crash after the guard's state moved since the
-// capped engine's last save. The segment log holds no guard state — the state
-// file does — so the crashed engine would boot without the move: without a
+// capped engine's last save. The segment log holds no guard state — the
+// checkpoint does — so the crashed engine would boot without the move: without a
 // trip, it reads a spilled activation the trip rolled back as live; without
 // a close, it reads a breaker open the uncapped engine has closed (see mix).
 // A crash while a breaker is open is one of these unless the last save saw it
-// open, and a crash once the guard holds state boots on that state file too.
+// open.
 func TestCappedServesWhatUncappedServes(t *testing.T) {
 	for seed := int64(1); seed <= cappedSeeds; seed++ {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
@@ -642,7 +680,7 @@ func TestCappedServesWhatUncappedServes(t *testing.T) {
 			w.check("breaker closed")
 			w.restart("restart, breaker closed")
 			w.check("restart, breaker closed")
-			w.crash(w.users[0]) // on the state file that holds the trip
+			w.crash(w.users[0]) // on the checkpoint that holds the trip
 			w.check("crash, breaker closed")
 			w.each(func(e *Engine) error {
 				e.ObserveProviderOutcome("s2.net", false, 500)

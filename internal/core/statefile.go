@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -15,38 +16,36 @@ import (
 
 // Crash-safe state files: SaveStateFile writes checksummed checkpoints via
 // the classic tmp + fsync + rename dance and keeps the previous good
-// checkpoint as a rotating ".bak"; LoadStateFile restores the checkpoint and —
-// when the primary file is damaged or missing mid-rotation — falls back to
-// the backup instead of failing boot. Together they guarantee that a crash
-// at any instant (mid-save, mid-rotation, or external corruption of the
-// primary) costs at most one save interval of learned state, never all of
-// it. On an engine with the spill tier the file is a checkpoint of the
-// resident set, which means something only beside its segment directory: the
-// spilled users live in the log alone (spill.go, durability contract).
+// checkpoint as a rotating ".bak"; a boot restores the checkpoint and — when
+// the primary file is damaged or missing mid-rotation — falls back to the
+// backup instead of failing. A crash at any instant (mid-save, mid-rotation,
+// or external corruption of the primary) costs at most one save interval of
+// learned state, never all of it. Under a residency cap the checkpoint lives
+// in the spill directory and indexes the log (spillckpt.go).
 //
-// A checkpoint is a segment file (internal/seglog) of the spill tier's own
-// records: the magic line, one header frame — the JSON of the state's
-// envelope, with the count of profiles where the profiles were — and one
-// OAKPROF1 record frame per profile, sorted by user ID. Every frame carries
-// its CRC-32C, so a torn or flipped file is ErrCorruptState, as is one whose
-// count of records is not its header's. No frame is over seglog.MaxFrame: a
-// profile's record is bounded where it grows (maxProfileSize), and a save
-// whose header is over it fails. A file that is not a segment is an
-// OAKSNAP2 or legacy JSON state file, which LoadStateFile reads once, through
-// decodeState, and the next save rewrites as a checkpoint.
+// A checkpoint is a segment file (internal/seglog): the magic line, one header
+// frame — the JSON of the state's envelope, with the count of profiles where
+// the profiles were — and one OAKPROF1 record frame per profile, sorted by
+// user ID, or under a cap the index frames. Every frame carries its CRC-32C,
+// so a torn or flipped file is ErrCorruptState, as is one whose count of
+// frames is not its header's. No frame is over seglog.MaxFrame. A file that
+// is not a segment is an OAKSNAP2 or legacy JSON state file, which
+// LoadStateFile reads once, through decodeState, and the next save rewrites.
 
 // checkpointHeader is a checkpoint's header frame: the state's envelope with
 // the count of its profile records in place of the profiles.
 type checkpointHeader struct {
 	persistedState
 	Profiles int `json:"profiles"`
+	Index    int `json:"index,omitempty"` // index frames, under a cap
 }
 
-// encodeCheckpoint is the checkpoint of st, a whole-ring state. A frame over
+// encodeCheckpoint is the checkpoint of st, a whole-ring state: its profiles
+// as records, then the index frames of a capped engine. A frame over
 // seglog.MaxFrame, which seglog.Walk would refuse, is an error, so no save
 // installs a file no load reads.
-func encodeCheckpoint(st *persistedState) ([]byte, error) {
-	header, err := json.Marshal(checkpointHeader{persistedState: *st, Profiles: len(st.Profiles)})
+func encodeCheckpoint(st *persistedState, index []byte, frames int) ([]byte, error) {
+	header, err := json.Marshal(checkpointHeader{persistedState: *st, Profiles: len(st.Profiles), Index: frames})
 	if err != nil {
 		return nil, err
 	}
@@ -59,35 +58,29 @@ func encodeCheckpoint(st *persistedState) ([]byte, error) {
 	if biggest > seglog.MaxFrame {
 		return nil, fmt.Errorf("a checkpoint frame of %d bytes is over a frame's %d", biggest, seglog.MaxFrame)
 	}
-	return b, nil
+	return append(b, index...), nil
 }
 
-// errHeaderRead stops decodeCheckpoint's walk after the header frame.
-var errHeaderRead = errors.New("checkpoint header read")
-
-// decodeCheckpoint reads a checkpoint's header frame. The records after it are
-// walked, checked and counted against the header as they are imported
-// (eachProfile).
+// decodeCheckpoint reads a checkpoint's header frame. The frames after it are
+// read, checked and counted against the header as they are used (eachFrame).
 func decodeCheckpoint(data []byte) (*persistedState, error) {
 	var hdr checkpointHeader
+	read := errors.New("checkpoint header read") // stops the walk after the header
 	_, err := seglog.Walk(data, func(payload []byte, _ int64, _ int) error {
-		if err := json.Unmarshal(payload, &hdr); err != nil {
-			return err
-		}
-		return errHeaderRead
+		return cmp.Or(json.Unmarshal(payload, &hdr), read)
 	})
 	switch {
 	case err == nil:
 		return nil, fmt.Errorf("%w: checkpoint without a header", ErrCorruptState)
-	case !errors.Is(err, errHeaderRead):
+	case !errors.Is(err, read):
 		return nil, fmt.Errorf("%w: checkpoint header: %v", ErrCorruptState, err)
 	case hdr.Version != stateVersion:
 		return nil, fmt.Errorf("%w %d", ErrStateVersion, hdr.Version)
-	case hdr.Profiles < 0:
-		return nil, fmt.Errorf("%w: checkpoint header counts %d profiles", ErrCorruptState, hdr.Profiles)
+	case hdr.Profiles < 0 || hdr.Index < 0:
+		return nil, fmt.Errorf("%w: checkpoint header counts %d profiles, %d index frames", ErrCorruptState, hdr.Profiles, hdr.Index)
 	}
 	st := &hdr.persistedState
-	st.checkpoint, st.records = data, hdr.Profiles
+	st.checkpoint, st.records, st.index = data, hdr.Profiles, hdr.Index
 	return st, nil
 }
 
@@ -113,35 +106,44 @@ const (
 	StateShipped StateSource = "shipped"
 )
 
-// SaveStateFile persists the engine's state to path crash-safely:
-//
-//  1. the checkpoint — the resident profiles, the guard and the population
-//     sections, which without the spill tier is the whole state — is written
-//     to path+".tmp" and fsynced, so a crash mid-write never touches the live
-//     file. It reads no spill record;
-//  2. the current file is rotated to path+BackupSuffix — if it is known
-//     to be good: this engine loaded it cleanly or installed it itself. After
-//     a boot from the backup the damaged primary is overwritten instead, so
-//     the one good checkpoint stays the backup. Paths are compared after
-//     filepath.Clean, so "./state.json" is "state.json", but a relative and
-//     an absolute spelling of one file are two paths: give SaveStateFile the
-//     path given to LoadStateFile, or the first save keeps the old backup;
-//  3. the temp file is renamed over path (atomic on POSIX filesystems).
-//
-// On any failure the temp file is removed rather than leaked. A crash
-// between steps 2 and 3 leaves only the backup; LoadStateFile recovers from
-// it. Saves run one at a time.
+// SaveStateFile persists the engine's state crash-safely. Without a residency
+// cap the checkpoint — every profile, the guard and the population sections —
+// goes to path. Under a cap it goes to the spill directory (checkpointLocked),
+// and path and its backup, which hold state only in a directory written
+// before the checkpoint moved there, are removed once it is durable. Saves run
+// one at a time.
 func (e *Engine) SaveStateFile(path string) error {
 	e.saveMu.Lock()
 	defer e.saveMu.Unlock()
+	if e.spill != nil {
+		err := e.checkpointLocked()
+		if err == nil && filepath.Clean(path) != filepath.Join(e.spill.cfg.Dir, checkpointName) {
+			e.fs.Remove(path)
+			e.fs.Remove(path + BackupSuffix)
+		}
+		return err
+	}
 	st, err := e.collectState(HashRange{}, false)
 	var data []byte
 	if err == nil {
-		data, err = encodeCheckpoint(st)
+		data, err = encodeCheckpoint(st, nil, 0)
 	}
 	if err != nil {
 		return fmt.Errorf("engine: checkpoint: %w", err)
 	}
+	return e.installCheckpoint(path, data)
+}
+
+// installCheckpoint is the one writer of checkpoints: data goes to
+// path+".tmp" and is fsynced, so a crash mid-write never touches the live
+// file; the current file is rotated to path+BackupSuffix if this engine loaded
+// it cleanly or installed it itself (after a boot from the backup the damaged
+// primary is overwritten instead); then the temp file is renamed over path
+// and the directory fsynced. Paths are compared after filepath.Clean: give
+// SaveStateFile the path given to LoadStateFile, or the first save keeps the
+// old backup. On any failure the temp file is removed. A crash between the
+// renames leaves only the backup, which a boot recovers from.
+func (e *Engine) installCheckpoint(path string, data []byte) error {
 	tmp := path + ".tmp"
 	if err := seglog.WriteFileSync(e.fs, tmp, data); err != nil {
 		e.fs.Remove(tmp)
@@ -160,13 +162,6 @@ func (e *Engine) SaveStateFile(path string) error {
 	}
 	e.goodPrimary.Store(&clean)
 	seglog.SyncDir(e.fs, filepath.Dir(path))
-	if e.spill != nil {
-		// The index is a cache of the log: without it the next boot decodes
-		// every record, so a failure to write it fails nothing.
-		if err := e.saveSpillIndex(); err != nil && e.logf != nil {
-			e.logf("core: spill index not written (the next boot decodes the whole log): %v", err)
-		}
-	}
 	return nil
 }
 
@@ -176,11 +171,16 @@ func (e *Engine) SaveStateFile(path string) error {
 // to the rotating backup — counting one state recovery in the engine's
 // metrics — and only fails if the backup is unusable too. The returned
 // StateSource says which file actually populated the engine.
+//
+// Under a cap NewEngine has booted from the spill directory's checkpoint or
+// its backup, if either was usable, and LoadStateFile reads nothing and says
+// which. Otherwise path is a state file from before the checkpoint moved into
+// the spill directory, read once: a profile is installed only where the log
+// holds no newer record of its user (spillRef.supersedes).
 func (e *Engine) LoadStateFile(path string) (StateSource, error) {
-	// Boot imports merge newer-wins with recovered spill records: a profile
-	// spilled (and fsynced) after the checkpoint was saved survives the
-	// import, so a kill between spill and the next SaveStateFile loses no
-	// acknowledged state. See importRange.
+	if st := e.spill; st != nil && st.recovered.checkpoint != "" {
+		return e.stateSource.Load().(StateSource), nil
+	}
 	start := time.Now()
 	boot := func(data []byte) error {
 		migrated := !bytes.HasPrefix(data, []byte(seglog.Magic))
@@ -192,9 +192,9 @@ func (e *Engine) LoadStateFile(path string) (StateSource, error) {
 		if err != nil {
 			return err
 		}
-		n, err := e.importDecoded(HashRange{}, st, true, false)
+		err = e.importDecoded(HashRange{}, st, true, false)
 		if err == nil {
-			e.lastLoad.Store(&BootStatus{ImportCounts: n, Load: time.Since(start), Migrated: migrated})
+			e.lastLoad.Store(&BootStatus{Load: time.Since(start), Migrated: migrated})
 		}
 		return err
 	}
@@ -244,8 +244,6 @@ func (e *Engine) LoadStateFile(path string) (StateSource, error) {
 // BootStatus says what starting the engine did with its durable state: the
 // replay of the segment directory (NewEngine) and the last LoadStateFile.
 type BootStatus struct {
-	// ImportCounts is the state file's profiles against the segment log's.
-	ImportCounts
 	// QuarantinedSegments counts segments out of service for damage, now.
 	QuarantinedSegments int
 	// Recover is how long the segment replay took, Load the LoadStateFile
@@ -254,11 +252,13 @@ type BootStatus struct {
 	// Migrated says the state file was not a checkpoint but an OAKSNAP2 or
 	// legacy JSON file, read through encoding/json; the next save rewrites it.
 	Migrated bool
-	// IndexAdopted counts the refs the segment replay took from the spill
-	// index the last checkpoint wrote; Checksummed is the record bytes it
-	// read and checksummed, Decoded the part of them it decoded record by
-	// record. IndexFallback says why it adopted no index, and so decoded every
-	// record ("no index", a check the index failed); empty when it adopted one.
+	// Checkpoint is the spill directory's checkpoint, or its backup, that the
+	// replay took the guard, the population and the index from; empty if none.
+	// IndexAdopted counts the refs it took from the index; Checksummed is the
+	// record bytes it read and checksummed, Decoded the part of them it decoded
+	// record by record. IndexFallback says why it adopted no index, and so
+	// decoded every record ("no checkpoint", a check the index failed).
+	Checkpoint           string
 	IndexAdopted         int
 	Checksummed, Decoded int64
 	IndexFallback        string
@@ -273,7 +273,7 @@ func (e *Engine) BootStatus() BootStatus {
 	}
 	if st := e.spill; st != nil {
 		r := st.recovered
-		bs.Recover = r.took
+		bs.Recover, bs.Checkpoint = r.took, r.checkpoint
 		bs.QuarantinedSegments = len(st.log.Quarantined())
 		bs.IndexAdopted, bs.Checksummed, bs.Decoded, bs.IndexFallback = r.adopted, r.checked, r.decoded, r.fallback
 	}

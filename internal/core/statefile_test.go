@@ -7,7 +7,6 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
-	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -307,15 +306,19 @@ func TestSaveAfterBackupBootKeepsTheBackup(t *testing.T) {
 	}
 }
 
-// TestCheckpointHoldsResidentsOnly: a capped engine's SaveStateFile is a
-// checkpoint of its resident set. It reads no spilled record — it succeeds
-// with every segment read refused — and its payload names exactly the
-// residents. (A save used to read every spilled record back into the file.)
-func TestCheckpointHoldsResidentsOnly(t *testing.T) {
+// TestCappedCheckpointHoldsNoProfile: a capped engine's SaveStateFile appends
+// the residents whose records are not their state and writes a checkpoint of
+// the log into the spill directory, which holds no profile record. It reads
+// no spilled record — it succeeds with every segment read refused — writes
+// nothing at the state file's path, and leaves every resident resident, its
+// ref at its current state. (The state file once held the residents, and
+// before that every spilled user too.)
+func TestCappedCheckpointHoldsNoProfile(t *testing.T) {
 	clock := newTestClock()
 	fs := &testFS{}
+	dir := t.TempDir()
 	e, err := NewEngine([]*rules.Rule{jqRule(0)}, WithClock(clock.Now), WithShards(4), withFS(fs),
-		WithProfileResidency(ResidencyConfig{Dir: t.TempDir(), MaxProfiles: 8}))
+		WithProfileResidency(ResidencyConfig{Dir: dir, MaxProfiles: 8}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -345,16 +348,26 @@ func TestCheckpointHoldsResidentsOnly(t *testing.T) {
 	if err := e.SaveStateFile(path); err != nil {
 		t.Fatalf("SaveStateFile read the spill log: %v", err)
 	}
-	data, err := os.ReadFile(path)
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Errorf("the save wrote the state file's path: %v", err)
+	}
+	data, err := os.ReadFile(filepath.Join(dir, checkpointName))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var got []string
-	for _, pp := range readCheckpoint(t, data).Profiles {
-		got = append(got, pp.UserID)
+	if st := readCheckpoint(t, data); st.records != 0 || st.index == 0 {
+		t.Errorf("checkpoint holds %d profile records and %d index frames, want none and some", st.records, st.index)
 	}
-	if !slices.Equal(got, residents) {
-		t.Errorf("checkpoint holds %v, want the residents %v", got, residents)
+	for _, uid := range residents {
+		sh := e.shardFor(uid)
+		sh.mu.RLock()
+		prof, resident := sh.profiles[uid]
+		ref, ok := sh.spilled.get(uid)
+		held := resident && ok && ref.holds(prof.lastReport, prof.version)
+		sh.mu.RUnlock()
+		if !held {
+			t.Errorf("%s after the save: resident %v, a ref at its state %v", uid, resident, ok)
+		}
 	}
 }
 
@@ -406,9 +419,9 @@ func TestUncappedSaveIsTheSnapshot(t *testing.T) {
 // TestCheckpointsUnderIngest: checkpoints race reports on a capped engine —
 // rehydrations that keep their users' refs, evictions that replace them and
 // the cleaner that moves them, from several goroutines at once, while saves
-// capture the refs into the spill index — and a restart on the last
-// checkpoint and the segment directory gives back the export the engine had
-// when it stopped.
+// append residents and capture the refs into the checkpoint's index — and a
+// restart on the last checkpoint and the segment directory gives back the
+// export the engine had when it stopped.
 func TestCheckpointsUnderIngest(t *testing.T) {
 	clock := newTestClock()
 	dir, state := t.TempDir(), statePathIn(t)

@@ -307,10 +307,12 @@ func (l *Log) Create() (*Segment, error) {
 // writer at a time.
 func (l *Log) Append(seg *Segment, buf []byte) (int64, error) {
 	base := seg.size.Load()
-	if _, err := seg.f.WriteAt(buf, base); err != nil {
-		return 0, err
-	}
-	if err := seg.f.Sync(); err != nil {
+	if err := l.use(seg, func(f File) error {
+		if _, err := f.WriteAt(buf, base); err != nil {
+			return err
+		}
+		return f.Sync()
+	}); err != nil {
 		return 0, err
 	}
 	seg.size.Add(int64(len(buf)))
@@ -319,11 +321,10 @@ func (l *Log) Append(seg *Segment, buf []byte) (int64, error) {
 }
 
 // Read returns the payload of the n-byte frame at off in seg, its length and
-// checksum verified. Close releases the segments' handles, but their bytes
-// are durable, so a read after it opens the file read-only for that read.
+// checksum verified.
 func (l *Log) Read(seg *Segment, off int64, n int) ([]byte, error) {
 	buf := make([]byte, n)
-	if err := l.readAt(seg, buf, off); err != nil {
+	if err := l.use(seg, func(f File) error { _, err := f.ReadAt(buf, off); return err }); err != nil {
 		return nil, err
 	}
 	payload, got, err := Wire.NextFrame(buf, MaxFrame)
@@ -339,21 +340,22 @@ func (l *Log) Read(seg *Segment, off int64, n int) ([]byte, error) {
 // Contents reads the whole of a segment.
 func (l *Log) Contents(seg *Segment) ([]byte, error) {
 	data := make([]byte, seg.Size())
-	return data, l.readAt(seg, data, 0)
+	return data, l.use(seg, func(f File) error { _, err := f.ReadAt(data, 0); return err })
 }
 
-func (l *Log) readAt(seg *Segment, buf []byte, off int64) error {
-	_, err := seg.f.ReadAt(buf, off)
+// use runs op on the segment's file: its handle, or after Close — whose
+// segments' bytes are durable — a fresh one opened for op.
+func (l *Log) use(seg *Segment, op func(File) error) error {
+	err := op(seg.f)
 	if !errors.Is(err, os.ErrClosed) {
 		return err
 	}
-	f, err := l.fs.OpenFile(seg.path, os.O_RDONLY, 0)
+	f, err := l.fs.OpenFile(seg.path, os.O_RDWR, 0)
 	if err != nil {
 		return err
 	}
 	defer f.Close()
-	_, err = f.ReadAt(buf, off)
-	return err
+	return op(f)
 }
 
 // Quarantine takes a segment whose bytes failed validation out of service:
@@ -405,7 +407,8 @@ func (l *Log) Quarantined() []string {
 	return slices.Clone(l.quarantined)
 }
 
-// Close closes the segments' handles; Read goes on through fresh opens.
+// Close closes the segments' handles; Read and Append go on through fresh
+// opens.
 func (l *Log) Close() {
 	l.mu.Lock()
 	defer l.mu.Unlock()

@@ -175,9 +175,9 @@ const (
 )
 
 // BootStatus says what starting the engine did with its durable state
-// (Engine.BootStatus): how many of the state file's profiles LoadStateFile
-// installed, how many spilled profiles it left where the segment log holds
-// them, and what the segment replay and the load each cost.
+// (Engine.BootStatus): which checkpoint the segment replay adopted under a
+// residency cap, what it made of the checkpoint's index, and what the replay
+// and the load each cost.
 type BootStatus = core.BootStatus
 
 // HashRange is one half-open arc [Lo, Hi) of the 32-bit user-hash ring —

@@ -118,25 +118,32 @@
 # removed, where there is one — and prints how many prefixes it ran and how
 # many rehydrations a crash would have lost had the ref gone with them, each of
 # which every prefix must bring back at an acknowledged state
-# (TestCrashPrefixes, under -race). The spill index step boots the capped
-# differential's and TestBootAdoptsTheLog's directories with the index and
-# without it after every restart, and requires the same exports, counts and
-# pages; boots each way an index can fail to fit (missing, empty, torn, a
-# flipped byte, a foreign magic, a covered segment compacted, truncated or
-# hole-punched) to the whole-log decode's state; re-runs the crash prefixes,
-# whose trace now holds the index's writes — all three times under -race —
-# then fuzzes the index loader for 5 s, gates a 20,000-user indexed boot at
-# under 0.1 allocations a user and the index's probes at none, and runs the
-# boot benchmark at 20,000 and 200,000 users once. The checkpoint step holds the state file
-# to the resident set: a capped save reads no segment and names exactly the
-# residents, and a quarantined segment's users are gone after a boot that says
-# how many; an uncapped save
-# loads back to ExportSnapshot's bytes. A plain-grep structure check then fails by
+# (TestCrashPrefixes, under -race; its workload holds authoritative imports,
+# whose deletes must hold at every later prefix). The checkpoint index step
+# boots the capped differential's and TestBootAdoptsTheLog's directories with
+# the checkpoint's index and without it after every restart until an import
+# drops a user, and requires the same exports, counts and pages; boots a
+# damaged checkpoint from its backup, and each way an index can fail to fit
+# (missing, empty, torn, a flipped byte, a covered segment truncated or
+# hole-punched) to the whole-log decode's state; holds a record without an
+# entry, and an entry in a segment gone since, dead; boots after imports
+# without the users they dropped, crashed or clean; re-runs the crash prefixes
+# — all three times under -race — then fuzzes the index frames for 5 s, gates
+# a 20,000-user indexed boot at under 0.1 allocations a user and the index's
+# probes at none, splits an index too big for one frame, and runs the boot
+# benchmark at 20,000 and 200,000 users once. The checkpoint step holds a
+# capped checkpoint to the index: a capped save reads no segment, writes
+# nothing at the state file's path and holds no profile record, and a
+# quarantined segment's users are gone after a boot that says how many; an
+# uncapped save loads back to ExportSnapshot's bytes. A plain-grep structure check then fails by
 # name if a second segment writer creeps back into the log (a .tmp file, a
 # second sequence allocation, a frame parser outside seglog's Walk and Read), if
 # the process-global spill failpoint returns, if non-test internal/core makes a
 # file call of its own instead of going through the seglog.FS seam, if
-# internal/seglog imports internal/core, if spill.go reaches 600 lines or
+# internal/seglog imports internal/core, if the spill tier keeps a second
+# durable file beside the log and its checkpoint (one-durable-home: spill.idx
+# or spillIndexName in non-test internal/core, or spillRef.supersedes called
+# beyond the one read of a legacy state file), if spill.go reaches 600 lines or
 # non-test internal/core plus internal/seglog its budget, if the spill refs
 # go back into a map (map[string]spillRef) beside the spill index, if a second serve-side
 # memory comes back beside the page index (a per-profile activation memo:
@@ -302,18 +309,18 @@ echo "== crash prefixes under -race: every prefix of a seeded trace, whole, torn
 out=$(go test -race -count=1 -run 'TestCrashPrefixes' -v ./internal/core) || { echo "$out" >&2; exit 1; }
 echo "$out" | grep 'prefixes'
 
-echo "== spill index under -race, three times: a boot with the index serves what a boot without it serves, every way an index can fail to fit falls back to the whole-log decode, crash prefixes through the index's writes; a 5s FuzzSpillIndexLoad smoke; the boot and probe allocation gates; one BenchmarkBootCapped run =="
-go test -race -count=3 -run 'TestCappedServesWhatUncappedServes|TestBootAdoptsTheLog|TestSpillIndexFallback|TestIndexedBootDecodesRecordsWithoutAnEntry|TestSpillIndexAgreesWithAMap|TestRecoverLeavesStraysAlone|TestCrashPrefixes' ./internal/core
+echo "== checkpoint index under -race, three times: a boot on the checkpoint's index serves what the whole-log decode serves until an import drops a user, a damaged checkpoint boots from its backup, an index that does not fit falls back to the whole-log decode, a record without an entry and an entry in a gone segment are dead, import deletes survive a crash and a restart, crash prefixes through the checkpoint's writes and imports; a 5s FuzzSpillIndexLoad smoke; the boot and probe allocation gates and the index-frame split; one BenchmarkBootCapped run =="
+go test -race -count=3 -run 'TestCappedServesWhatUncappedServes|TestBootAdoptsTheLog|TestSpillIndexFallback|TestIndexedBootDropsRecordsWithoutAnEntry|TestEntriesInAGoneSegmentAreDead|TestImportDeletesSurviveARestart|TestImportWhoseCheckpointFails|TestEvictionRewritesARecordInAQuarantinedSegment|TestSpillIndexAgreesWithAMap|TestRecoverLeavesStraysAlone|TestCrashPrefixes' ./internal/core
 go test -run '^$' -fuzz FuzzSpillIndexLoad -fuzztime 5s ./internal/core
-out=$(go test -count=1 -run 'TestIndexedBootAllocs|TestSpillIndexProbeAllocatesNothing' -v ./internal/core) || { echo "$out" >&2; exit 1; }
-echo "$out" | grep -E -e '--- PASS|allocations booting'
+out=$(go test -count=1 -run 'TestIndexedBootAllocs|TestSpillIndexProbeAllocatesNothing|TestIndexFramesSplit' -v ./internal/core) || { echo "$out" >&2; exit 1; }
+echo "$out" | grep -E -e '--- PASS|allocations booting|users in'
 go test -run '^$' -bench 'BenchmarkBootCapped' -benchtime 1x ./internal/core
 
-echo "== checkpoint holds residents only: a capped save reads no record, an uncapped save loads back to the snapshot, a quarantined segment's users are gone =="
-out=$(go test -count=1 -run 'TestCheckpointHoldsResidentsOnly|TestUncappedSaveIsTheSnapshot|TestBootAdoptsTheLog/one_segment_damaged' -v ./internal/core) || { echo "$out" >&2; exit 1; }
+echo "== a capped checkpoint holds no profile: a capped save reads no record and writes nothing at the state file's path, an uncapped save loads back to the snapshot, a quarantined segment's users are gone =="
+out=$(go test -count=1 -run 'TestCappedCheckpointHoldsNoProfile|TestUncappedSaveIsTheSnapshot|TestBootAdoptsTheLog/one_segment_damaged' -v ./internal/core) || { echo "$out" >&2; exit 1; }
 echo "$out" | grep -E -e '--- PASS|gone with'
 
-echo "== structure check: one segment writer, one sequence allocator, one segment walker, one file seam, one serve cache, one durable ref, one page index, one merge predicate, one version bump, one home for an activation, one rollback, one rule set per process, one home for a user, one reference decoder, one JSON scanner, one JSON reader, one profile codec, one spill index, one backend call, one body read, one batch walk, one admission =="
+echo "== structure check: one segment writer, one sequence allocator, one segment walker, one file seam, one serve cache, one durable ref, one page index, one merge predicate, one version bump, one home for an activation, one rollback, one rule set per process, one home for a user, one durable home for a profile, one reference decoder, one JSON scanner, one JSON reader, one profile codec, one spill index, one backend call, one body read, one batch walk, one admission =="
 fail() { echo "structure check failed: $1" >&2; exit 1; }
 seglog_go=$(ls internal/seglog/*.go | grep -v '_test\.go$')
 core_go=$(ls internal/core/*.go | grep -v '_test\.go$')
@@ -335,6 +342,13 @@ fi
 if grep -n '"oak/internal/core"' $seglog_go; then
 	fail "seglog-knows-no-profiles: internal/seglog imports oak/internal/core"
 fi
+if grep -n 'spill\.idx\|spillIndexName' $core_go; then
+	fail "one-durable-home: non-test internal/core names spill.idx again (under a cap the log is every profile's home and the spill directory's checkpoint is its index)"
+fi
+mergers=$(echo $core_go | xargs awk '/^func /{fn=$0} /\.supersedes\(/ && !/^[[:space:]]*\/\//{print FILENAME ":" fn}' |
+	sed -E 's/^([^:]*):func (\([^)]*\) )?([A-Za-z0-9_]+).*/\1:\3/' | sort -u | tr '\n' ' ')
+[ "$mergers" = "internal/core/persist.go:buildImport " ] ||
+	fail "one-durable-home: spillRef.supersedes is called from [ $mergers], want persist.go's buildImport only (the one read of a state file written before the checkpoint moved into the spill directory)"
 spill_lines=$(wc -l <internal/core/spill.go)
 log_lines=$(cat $core_go $seglog_go | wc -l)
 # The budget is the measured count once the state file became a checkpoint,
@@ -348,10 +362,13 @@ log_lines=$(cat $core_go $seglog_go | wc -l)
 # then 7,209 - 1 once a rollback became an epoch: the trip walk, the
 # spilled-record filter and installRecordLocked went, the epoch table, the
 # ingest prune, the record's epoch field and the import's squaring with the
-# guard's counts came.
-echo "spill.go: $spill_lines lines (< 600); non-test internal/core + internal/seglog: $log_lines lines (<= 7208)"
+# guard's counts came, then 7,208 - 2 once the log became every capped
+# profile's one home: spill.idx's file, ImportCounts and the boot merge went,
+# the checkpoint's index frames, its backup at boot and the resident appends
+# of a capped save and import came.
+echo "spill.go: $spill_lines lines (< 600); non-test internal/core + internal/seglog: $log_lines lines (<= 7206)"
 [ "$spill_lines" -lt 600 ] || fail "line-budget: spill.go has $spill_lines lines, want under 600"
-[ "$log_lines" -le 7208 ] || fail "line-budget: non-test internal/core + internal/seglog has $log_lines lines, want at most 7208"
+[ "$log_lines" -le 7206 ] || fail "line-budget: non-test internal/core + internal/seglog has $log_lines lines, want at most 7206"
 if grep -n 'map\[string\]spillRef' $core_go; then
 	fail "one-spill-index: non-test internal/core keeps spill refs in a map again (a shard's refs live in its spillIndex: slots and a key blob, no heap object per user)"
 fi
@@ -445,10 +462,10 @@ walkers=$(grep -rlE --include='*.go' --exclude='*_test.go' '(^|[^A-Za-z0-9_])Nex
 echo "== spill view under -race, five times: reads move nothing, an eviction storm cannot blank an activated user =="
 go test -race -run 'TestServeSpilledUserUnderEvictionStorm|TestPageReadsNeverWriteTheSpillTier' -count=5 ./internal/core
 
-echo "== boot adopts the log under -race, five times: a capped boot writes nothing, the newer-wins table, capped serves what uncapped serves across restarts =="
+echo "== boot adopts the log under -race, five times: a capped boot installs and writes nothing, the legacy read's newer-wins table, capped serves what uncapped serves across restarts =="
 go test -race -run 'TestBootAdoptsTheLog|TestNewerWinsMerge|TestCappedServesWhatUncappedServes' -count=5 ./internal/core
 
-echo "== on-disk formats: boots on the checked-in files of earlier writers, a spill index holding pins, and JSON state files migrated to checkpoints =="
+echo "== on-disk formats: boots on the checked-in files of earlier writers (a spill.idx holding pins, JSON state files, the state file beside the spill directory), migrated to the spill directory's checkpoint by the next save =="
 go test -run 'TestBootsOnFilesWritten' -count=1 ./internal/core
 
 echo "== memory benchmark smoke (1 iteration) =="
