@@ -58,8 +58,9 @@ const (
 	maxAckBytes = 4 << 10
 )
 
-// mirrorHeaders are the response headers the gateway relays from backends.
-var mirrorHeaders = []string{"Content-Type", "Retry-After", rules.CacheHintHeader, "ETag", "Cache-Control"}
+// mirrorHeaders are the response headers the gateway relays from backends,
+// under the keys http.Header files them by: "ETag" is "Etag" there.
+var mirrorHeaders = []string{"Content-Type", "Retry-After", http.CanonicalHeaderKey(rules.CacheHintHeader), "Etag", "Cache-Control"}
 
 // reply is a backend's answer: status, header and the whole body, staged.
 type reply struct {
@@ -480,11 +481,12 @@ func (g *Gateway) fetchPage(ctx context.Context, b *backend, r *http.Request, ck
 	return g.call(ctx, b.urlFor(r.URL), r.Method, h, nil, maxForwardBytes)
 }
 
-// mirrorHeader relays the selected backend response headers.
+// mirrorHeader relays the selected backend response headers: the backend's
+// values themselves, which a Set would copy into a new slice each.
 func mirrorHeader(w http.ResponseWriter, from http.Header) {
 	for _, h := range mirrorHeaders {
-		if v := from.Get(h); v != "" {
-			w.Header().Set(h, v)
+		if v := from[h]; len(v) > 0 && v[0] != "" {
+			w.Header()[h] = v
 		}
 	}
 }

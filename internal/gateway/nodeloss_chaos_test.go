@@ -1,9 +1,10 @@
 package gateway_test
 
 // Node-loss chaos: a real three-backend fleet (full engine + origin stacks)
-// plus standby behind the gateway, with real instrumented clients browsing
-// through it. One backend is killed mid-traffic; the scenario asserts the
-// whole robustness story against injected ground truth:
+// plus standby behind the gateway. Users are activated by reports of fixed
+// timings posted through it, then real instrumented clients browse through
+// it. One backend is killed mid-traffic; the scenario asserts the whole
+// robustness story against injected ground truth:
 //
 //   - traffic reroutes within the health-probe budget with zero 5xx,
 //   - the dead node's replacement rehydrates from the gateway's shipped
@@ -199,9 +200,26 @@ func TestNodeLossChaos(t *testing.T) {
 		}
 	}
 
-	// Phase 1 — activate through the gateway: each arc's users browse, their
+	// activate posts through the gateway, under user's cookie, the report of
+	// a load that found s1.com slow and the page's other hosts fast. Its
+	// timings are fixed, so an activation does not rest on how fast a loaded
+	// host serves the sleeping providers.
+	activate := func(user string) {
+		t.Helper()
+		body := fmt.Sprintf(`{"userId":%q,"page":"/index.html","entries":[
+		  {"url":"http://s1.com/jquery.js","serverAddr":%q,"sizeBytes":512,"durationMillis":3000,"kind":"script"},
+		  {"url":"http://a.example/a.png","serverAddr":%q,"sizeBytes":512,"durationMillis":100,"kind":"image"},
+		  {"url":"http://b.example/b.png","serverAddr":%q,"sizeBytes":512,"durationMillis":110,"kind":"image"},
+		  {"url":"http://c.example/c.png","serverAddr":%q,"sizeBytes":512,"durationMillis":95,"kind":"image"}
+		]}`, user, hosts["s1.com"], hosts["a.example"], hosts["b.example"], hosts["c.example"])
+		if resp, _ := exchange(t, http.MethodPost, gwts.URL+oak.ReportPathV1, user, "", body); resp.StatusCode != http.StatusNoContent {
+			t.Fatalf("report as %s: status %d", user, resp.StatusCode)
+		}
+	}
+
+	// Phase 1 — activate through the gateway: each arc's users report, their
 	// reports land on their owner backend, and everyone migrates onto the
-	// s2.net alternate.
+	// s2.net alternate. Phases 2–4 load the page through real clients.
 	arcUsers := [3][]string{}
 	for i := range arcUsers {
 		arcUsers[i] = usersForArc(t, i, 3)
@@ -209,8 +227,7 @@ func TestNodeLossChaos(t *testing.T) {
 	seed := int64(1)
 	for i, users := range arcUsers {
 		for _, u := range users {
-			load(u, seed)
-			seed++
+			activate(u)
 			if code, body := gwPageAs(t, gwts.URL, u); code != 200 || !strings.Contains(body, "s2.net") {
 				t.Fatalf("phase 1: %s (arc %d) not activated via gateway (status %d):\n%s", u, i, code, body)
 			}

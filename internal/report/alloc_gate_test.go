@@ -102,7 +102,7 @@ func TestContinuationFloodIsBounded(t *testing.T) {
 			t.Fatalf("decode differs from encoding/json (err %v)", err)
 		}
 	}
-	_, e, _ := internFind([]byte(url))
+	_, e, _ := internFind(nil, []byte(url))
 	if e == nil || e.cont.seen == 0 || len(e.s) > maxInternLen {
 		t.Fatalf("the URL's entry %+v: want one holding a continuation within %d bytes", e, maxInternLen)
 	}

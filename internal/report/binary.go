@@ -230,7 +230,7 @@ func decodeBinaryInto(data []byte, r *Report) error {
 	if err != nil {
 		return err
 	}
-	r.Page = internString(tok)
+	r.Page = internString(nil, tok)
 	gen, b, err := binWire.Varint(b)
 	if err != nil {
 		return err
@@ -258,12 +258,12 @@ func decodeBinaryInto(data []byte, r *Report) error {
 		if tok, b, err = binWire.String(b, MaxBinaryStringLen); err != nil {
 			return err
 		}
-		e.URL, e.host, _ = internURL(tok)
+		e.URL, e.host, _ = internURL(nil, tok)
 		e.hostKnown = true
 		if tok, b, err = binWire.String(b, MaxBinaryStringLen); err != nil {
 			return err
 		}
-		e.ServerAddr = internString(tok)
+		e.ServerAddr = internString(nil, tok)
 		if e.SizeBytes, b, err = binWire.Varint(b); err != nil {
 			return err
 		}
@@ -275,11 +275,11 @@ func decodeBinaryInto(data []byte, r *Report) error {
 		if tok, b, err = binWire.String(b, MaxBinaryStringLen); err != nil {
 			return err
 		}
-		e.InitiatorURL = internString(tok)
+		e.InitiatorURL = internString(nil, tok)
 		if tok, b, err = binWire.String(b, MaxBinaryStringLen); err != nil {
 			return err
 		}
-		e.Kind = internKind(tok)
+		e.Kind = internKind(nil, tok)
 		if len(b) < 1 {
 			return ErrBinaryTruncated
 		}

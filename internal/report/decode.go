@@ -78,6 +78,17 @@ type fastDecoder struct {
 	rec    []byte
 	misses uint16 // entries of known URLs this decoder scanned
 	tm     templateMarks
+	w      work
+}
+
+// work is what a decoder's decodes cost, in bytes and table probes, summed
+// over its decodes. Only the package's count gates (counts_test.go) read it.
+type work struct {
+	scanned int // bytes of entries' keys and values a scan walked
+	probes  int // intern probes, and template lookups
+	hashed  int // bytes hashed for the intern probes
+	held    int // bytes compared by continuation and template matches that held
+	failed  int // bytes compared by matches that then failed
 }
 
 // decodeFastInto scans data into r. false means "outside the fast-path
@@ -85,11 +96,18 @@ type fastDecoder struct {
 // run the encoding/json fallback.
 func decodeFastInto(data []byte, r *Report) bool {
 	d := fastDecPool.Get().(*fastDecoder)
+	ok := d.decode(data, r)
+	fastDecPool.Put(d)
+	return ok
+}
+
+// decode is decodeFastInto with d, which keeps no reference to data or to
+// an intern entry afterwards.
+func (d *fastDecoder) decode(data []byte, r *Report) bool {
 	d.Data, d.I = data, 0
 	ok := d.decodeReport(r)
 	d.Data, d.m.known = nil, nil
 	d.tm.reset()
-	fastDecPool.Put(d)
 	return ok
 }
 
@@ -145,9 +163,10 @@ func (d *fastDecoder) decodeReport(r *Report) bool {
 				// records none: a report under a page name never sent
 				// again costs what it did before templates.
 				tm, met := &d.tm, false
-				if r.Page, tm.h, met = internToken(tok); met && seen&seenEntries == 0 {
+				if r.Page, tm.h, met = internToken(&d.w, tok); met && seen&seenEntries == 0 {
 					tm.page = r.Page
 					tm.b, tm.t = findTemplate(r.Page, tm.h)
+					d.w.probes++
 				}
 			case "generatedAtUnixMs":
 				if seen&seenGenerated != 0 {
@@ -388,6 +407,7 @@ func (d *fastDecoder) decodeEntry(e *Entry) (tpl *internEntry, ok bool) {
 	if !d.Consume('}') {
 		next := 0
 		for {
+			at := d.I // where this key's bytes start, for the scan count
 			field, ok := d.nextEntryKey(next)
 			if !ok || seen&(1<<field) != 0 {
 				return nil, false // unknown or duplicate key: encoding/json decides
@@ -413,16 +433,19 @@ func (d *fastDecoder) decodeEntry(e *Entry) (tpl *internEntry, ok bool) {
 				}
 				if field == fURL {
 					var known *internEntry
-					e.URL, e.host, known = internURL(tok)
+					e.URL, e.host, known = internURL(&d.w, tok)
 					if known == nil || seen != 1<<fURL {
 						break
 					}
 					// The URL is the first key and the table knew it: its
 					// continuation decodes the entry if both runs match. A
-					// head that mismatches costs the compare and no call.
+					// head that mismatches costs its compare. The URL's
+					// bytes are counted scanned before the runs are tried.
 					// exact: the entry starts as fromTemplate matches one.
+					d.w.scanned += d.I - at
+					at = d.I
 					exact := start-begin == len(urlLit) && d.I-1-start == len(tok)
-					if c := &known.cont; c.seen != 0 && d.hasPrefix(c.head.of(known.s)) && d.continues(e, known) {
+					if known.cont.seen != 0 && d.continues(e, known) {
 						if exact {
 							return known, true
 						}
@@ -443,16 +466,17 @@ func (d *fastDecoder) decodeEntry(e *Entry) (tpl *internEntry, ok bool) {
 				}
 				switch field {
 				case fServerAddr:
-					e.ServerAddr = internString(tok)
+					e.ServerAddr = internString(&d.w, tok)
 				case fInitiator:
-					e.InitiatorURL = internString(tok)
+					e.InitiatorURL = internString(&d.w, tok)
 				case fKind:
-					e.Kind = internKind(tok)
+					e.Kind = internKind(&d.w, tok)
 				}
 			}
 			if !ok {
 				return nil, false
 			}
+			d.w.scanned += d.I - at
 			d.SkipWS()
 			if d.Consume(',') {
 				d.SkipWS()
@@ -472,22 +496,30 @@ func (d *fastDecoder) decodeEntry(e *Entry) (tpl *internEntry, ok bool) {
 	return nil, true
 }
 
-// continues decodes the rest of an entry whose head matched known's
-// continuation, d.I at the head: the number, then the tail, which must match
-// too. false leaves d.I where it was.
+// continues decodes the rest of an entry by known's continuation, d.I at
+// the head: the head must match, then the number is scanned, then the tail
+// must match. false leaves d.I where it was.
 func (d *fastDecoder) continues(e *Entry, known *internEntry) bool {
 	c, start := &known.cont, d.I
-	d.I += int(c.head.len)
-	dur, ok := d.ScanFloat64()
-	if tail := known.s[c.head.end():]; ok && d.hasPrefix(tail) {
-		d.I += len(tail)
-		e.DurationMillis, e.SizeBytes, e.Failed = dur, known.size, c.failed
-		e.ServerAddr, e.InitiatorURL = c.addr.of(known.s), c.init.of(known.s)
-		e.Kind = ObjectKind(c.kind.of(known.s))
-		return true
+	head, tail := c.head.of(known.s), known.s[c.head.end():]
+	if !d.hasPrefix(head) {
+		d.w.failed += len(head)
+		return false
 	}
-	d.I = start
-	return false
+	d.I += len(head)
+	dur, ok := d.ScanFloat64()
+	d.w.scanned += d.I - start - len(head)
+	if !ok || !d.hasPrefix(tail) {
+		d.w.failed += len(head) + len(tail)
+		d.I = start
+		return false
+	}
+	d.I += len(tail)
+	d.w.held += len(head) + len(tail)
+	e.DurationMillis, e.SizeBytes, e.Failed = dur, known.size, c.failed
+	e.ServerAddr, e.InitiatorURL = c.addr.of(known.s), c.init.of(known.s)
+	e.Kind = ObjectKind(c.kind.of(known.s))
+	return true
 }
 
 // hasPrefix reports whether the body at d.I starts with run.
@@ -550,15 +582,18 @@ func (d *fastDecoder) fromTemplate(e *Entry, i int) bool {
 	}
 	known, start := t.urls[i], d.I
 	url, rest := known.token(), d.Data[start:]
-	n := len(urlLit) + len(url)
-	if len(rest) <= n || rest[n] != '"' || string(rest[len(urlLit):n]) != url || string(rest[:len(urlLit)]) != urlLit {
+	n := len(urlLit) + len(url) + 1 // through the URL's closing quote
+	if len(rest) < n || rest[n-1] != '"' || string(rest[len(urlLit):n-1]) != url || string(rest[:len(urlLit)]) != urlLit {
+		d.w.failed += n
 		return false
 	}
-	d.I += n + 1
-	if !d.hasPrefix(known.cont.head.of(known.s)) || !d.continues(e, known) {
+	d.I += n
+	if !d.continues(e, known) {
+		d.w.failed += n
 		d.I = start
 		return false
 	}
+	d.w.held += n
 	e.URL, e.host, e.hostKnown = url, known.hostname(), true
 	return true
 }

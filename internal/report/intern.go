@@ -82,9 +82,13 @@ var (
 )
 
 // internFind returns the bucket tok hashes to and, when the table holds tok,
-// its entry.
-func internFind(tok []byte) (b *internBucket, e *internEntry, h uint64) {
+// its entry. w, when not nil, counts the probe.
+func internFind(w *work, tok []byte) (b *internBucket, e *internEntry, h uint64) {
 	h = maphash.Bytes(internSeed, tok)
+	if w != nil {
+		w.probes++
+		w.hashed += len(tok)
+	}
 	b = &internTable[h&(internBuckets-1)]
 	for way := range b {
 		if e = b[way].Load(); e != nil && e.hash == h && e.token() == string(tok) {
@@ -114,22 +118,22 @@ func (old *internEntry) replace(ne *internEntry) {
 }
 
 // internString returns the canonical string equal to tok.
-func internString(tok []byte) string {
-	s, _, _ := internToken(tok)
+func internString(w *work, tok []byte) string {
+	s, _, _ := internToken(w, tok)
 	return s
 }
 
 // internToken returns the canonical string equal to tok, the hash it is
 // kept under and whether the table already held it; h is 0 and met false
 // for a token the table does not keep.
-func internToken(tok []byte) (s string, h uint64, met bool) {
+func internToken(w *work, tok []byte) (s string, h uint64, met bool) {
 	if len(tok) == 0 {
 		return "", 0, false
 	}
 	if len(tok) > maxInternLen {
 		return string(tok), 0, false
 	}
-	b, e, h := internFind(tok)
+	b, e, h := internFind(w, tok)
 	if e != nil {
 		return e.token(), h, true
 	}
@@ -140,7 +144,7 @@ func internToken(tok []byte) (s string, h uint64, met bool) {
 
 // internKind returns the ObjectKind tok spells: one of the Kind constants
 // without a table probe, any other kind from the table.
-func internKind(tok []byte) ObjectKind {
+func internKind(w *work, tok []byte) ObjectKind {
 	switch string(tok) {
 	case "script":
 		return KindScript
@@ -153,13 +157,13 @@ func internKind(tok []byte) ObjectKind {
 	case "other":
 		return KindOther
 	}
-	return ObjectKind(internString(tok))
+	return ObjectKind(internString(w, tok))
 }
 
 // internURL returns the canonical string equal to tok and the host of that
 // URL, with url.Parse(...).Hostname() semantics. known is the table's entry
 // when it already held tok as a URL, nil when this call met it first.
-func internURL(tok []byte) (url, host string, known *internEntry) {
+func internURL(w *work, tok []byte) (url, host string, known *internEntry) {
 	if len(tok) == 0 {
 		return "", "", nil
 	}
@@ -167,7 +171,7 @@ func internURL(tok []byte) (url, host string, known *internEntry) {
 		url = string(tok)
 		return url, hostOf(url), nil
 	}
-	b, e, h := internFind(tok)
+	b, e, h := internFind(w, tok)
 	if e != nil && e.hostKnown {
 		return e.token(), e.hostname(), e
 	}

@@ -397,7 +397,7 @@ func TestTemplateTableIsBounded(t *testing.T) {
 				if e.cont.seen == 0 || len(e.s) > maxInternLen {
 					t.Errorf("template entry %q: continuation %v, %d bytes", e.token(), e.cont.seen != 0, len(e.s))
 				}
-				if _, now, _ := internFind([]byte(e.token())); now != e {
+				if _, now, _ := internFind(nil, []byte(e.token())); now != e {
 					stale++
 					kept += int(unsafe.Sizeof(*e)) + len(e.s)
 				}

@@ -3,7 +3,6 @@ package report
 import (
 	"bytes"
 	"fmt"
-	"syscall"
 	"testing"
 )
 
@@ -131,25 +130,15 @@ func (p *newPages) body(i int) []byte {
 	return b
 }
 
-// cpuNanos is the CPU time, user and system, this process has used so far.
-func cpuNanos() int64 {
-	var ru syscall.Rusage
-	if syscall.Getrusage(syscall.RUSAGE_SELF, &ru) != nil {
-		return 0
-	}
-	return ru.Utime.Nano() + ru.Stime.Nano()
-}
-
 // BenchmarkDecodeRotating is the pooled decode of 12 rotating 40-entry
 // reports: the cost the benchmark's report.decode_json_us and
 // report.decode_binary_us read. JSON-churn is the JSON decoder's worst
 // case for continuations: every entry mismatches its continuation and
 // records a new one. JSON-reorder and JSON-newpage are its worst cases for
 // templates: every report mismatches its page's template in the first
-// entry, or names a page never sent before. Beside ns/op each case reports
-// cpu-ns/op, the process's CPU time per decode: other load on the machine
-// stretches the wall clock of a run far more than its CPU time, which is
-// what scripts/churngate.sh compares.
+// entry, or names a page never sent before. The count gates
+// (counts_test.go) hold what these worst cases cost; the benchmark only
+// times them.
 func BenchmarkDecodeRotating(b *testing.B) {
 	jsonBodies, binBodies := rotatingBodies(b, 12)
 	from := func(bodies [][]byte) func(int) []byte {
@@ -168,7 +157,6 @@ func BenchmarkDecodeRotating(b *testing.B) {
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			b.ReportAllocs()
-			cpu := cpuNanos()
 			for i := 0; i < b.N; i++ {
 				r, err := tc.decode(tc.body(i))
 				if err != nil {
@@ -176,7 +164,6 @@ func BenchmarkDecodeRotating(b *testing.B) {
 				}
 				r.Release()
 			}
-			b.ReportMetric(float64(cpuNanos()-cpu)/float64(b.N), "cpu-ns/op")
 		})
 	}
 }
