@@ -2,7 +2,6 @@ package core
 
 import (
 	"bytes"
-	"fmt"
 	"testing"
 	"time"
 
@@ -135,54 +134,6 @@ func TestGuardStateSurvivesSnapshotRoundTrip(t *testing.T) {
 	res, _ := e2.HandleReport(slowS1Report("u1"))
 	if len(res.Changes) != 0 {
 		t.Errorf("activation admitted despite imported quarantine: %+v", res.Changes)
-	}
-}
-
-func TestTripReachesImportedActivations(t *testing.T) {
-	// Activations restored from a snapshot must be reachable by a later
-	// breaker trip.
-	clock := newTestClock()
-	mk := func() *Engine {
-		e, err := NewEngine([]*rules.Rule{jqRule(0)}, WithClock(clock.Now), WithShards(4),
-			WithGuard(GuardConfig{TripThreshold: 2}))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return e
-	}
-	e1 := mk()
-	const users = 6
-	for i := 0; i < users; i++ {
-		if _, err := e1.HandleReport(slowS1Report(fmt.Sprintf("user-%d", i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	snap, err := e1.ExportSnapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	e2 := mk()
-	if err := e2.ImportState(snap); err != nil {
-		t.Fatal(err)
-	}
-	e2.ObserveProviderOutcome("s2.net", false, 500)
-	e2.ObserveProviderOutcome("s2.net", false, 500)
-	m := e2.Metrics()
-	if m.BreakerTrips != 1 {
-		t.Fatalf("BreakerTrips = %d, want 1", m.BreakerTrips)
-	}
-	page := `<script src="http://s1.com/jquery.js">`
-	for i := 0; i < users; i++ {
-		u := fmt.Sprintf("user-%d", i)
-		if out, _ := e2.ModifyPage(u, "/index.html", page); out != page {
-			t.Errorf("imported user %s not rolled back", u)
-		}
-		handle(t, e2, healthyReport(u))
-	}
-	if m := e2.Metrics(); m.BulkDeactivations != users {
-		t.Errorf("BulkDeactivations = %d after every user reported, want %d (imported activations missed)",
-			m.BulkDeactivations, users)
 	}
 }
 

@@ -317,7 +317,8 @@ func (e *Engine) withoutDead(pp persistedProfile, now time.Time) persistedProfil
 // headerless input is treated as the legacy plain-JSON format), replacing
 // any existing profiles. Activations referring to rules absent from the
 // engine's rule set are dropped silently (the state was written under another
-// configuration); expired activations are dropped too. The restore is
+// configuration); one that lapsed in transit is served to no one and counted
+// as an expiry by its user's next report, as a resident one is. The restore is
 // atomic: every shard is locked for the swap, so no concurrent reader sees
 // a half-imported state. Damaged input fails with ErrCorruptState — before
 // any profile is touched — and incompatible format versions with
@@ -539,12 +540,10 @@ func (st *persistedState) eachFrame(want int, visit func(payload []byte, off int
 // declared range means the file does not match what it claims to contain,
 // which is a form of corruption, and so is a string too long for a spill
 // record (fitsSpillRecord). Activations of rules absent from the rule
-// set and activations that expired while in transit are dropped
-// (profileFromRecord). With newerWins a profile whose user's spill record
-// supersedes it is skipped — the caller then holds every shard lock;
-// otherwise the spill index is not read and no lock is needed.
+// set are dropped (profileFromRecord). With newerWins a profile whose user's
+// spill record supersedes it is skipped — the caller then holds every shard
+// lock; otherwise the spill index is not read and no lock is needed.
 func (e *Engine) buildImport(st *persistedState, want HashRange, newerWins bool) ([]map[string]*Profile, error) {
-	now := e.now()
 	fresh := make([]map[string]*Profile, len(e.shards))
 	per := (len(st.Profiles) + st.records) / len(e.shards) // one of the two is zero
 	for i := range fresh {
@@ -567,7 +566,7 @@ func (e *Engine) buildImport(st *persistedState, want HashRange, newerWins bool)
 				return nil
 			}
 		}
-		fresh[si][pp.UserID] = e.profileFromRecord(pp, now)
+		fresh[si][pp.UserID] = e.profileFromRecord(pp)
 		return nil
 	})
 	return fresh, err

@@ -78,6 +78,9 @@ func TestImportDropsUnknownRules(t *testing.T) {
 	}
 }
 
+// TestImportDropsExpiredActivations: an activation that lapsed in transit is
+// not live after the import, and the user's next report counts its expiry,
+// as it would have had the profile never left the engine.
 func TestImportDropsExpiredActivations(t *testing.T) {
 	clock := newTestClock()
 	e1, _ := NewEngine([]*rules.Rule{jqRule(time.Hour)}, WithClock(clock.Now))
@@ -97,6 +100,12 @@ func TestImportDropsExpiredActivations(t *testing.T) {
 	snap, _ := e2.Snapshot("u1")
 	if len(snap.ActiveRules) != 0 {
 		t.Errorf("expired activation resurrected: %v", snap.ActiveRules)
+	}
+	if _, err := e2.HandleReport(healthyReport("u1")); err != nil {
+		t.Fatal(err)
+	}
+	if got := e2.Metrics().RuleExpirations; got != 1 {
+		t.Errorf("RuleExpirations = %d after the user's next report, want 1", got)
 	}
 }
 

@@ -239,35 +239,6 @@ func TestRangeUnionEqualsWholeExport(t *testing.T) {
 	}
 }
 
-func TestImportStateRangeIsAuthoritativeForArc(t *testing.T) {
-	clock := newTestClock()
-	e, _ := NewEngine([]*rules.Rule{jqRule(0)}, WithClock(clock.Now))
-	users := seedUsers(t, e, 16)
-	r := EqualRanges(2)[0]
-	var inRange, outRange int
-	for _, u := range users {
-		if r.Contains(UserHash(u)) {
-			inRange++
-		} else {
-			outRange++
-		}
-	}
-
-	// An empty payload for the arc removes every in-range user and leaves
-	// the rest untouched.
-	donor, _ := NewEngine([]*rules.Rule{jqRule(0)}, WithClock(clock.Now))
-	empty, err := donor.exportStateRange(r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := e.ImportStateRange(r, empty); err != nil {
-		t.Fatal(err)
-	}
-	if e.Users() != outRange {
-		t.Errorf("after authoritative empty import: %d users, want %d", e.Users(), outRange)
-	}
-}
-
 func TestImportStateRangeRejectsOutOfRangeProfiles(t *testing.T) {
 	e1, _ := NewEngine([]*rules.Rule{jqRule(0)})
 	seedUsers(t, e1, 8)

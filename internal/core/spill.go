@@ -338,7 +338,7 @@ func (e *Engine) rehydrateLocked(sh *shard, userID string) *Profile {
 		pp, err := st.readRecord(ref)
 		switch {
 		case err == nil:
-			prof := e.profileFromRecord(pp, e.now())
+			prof := e.profileFromRecord(pp)
 			sh.profiles[userID] = prof
 			sh.users.Add(1)
 			sh.residentBytes.Add(int64(prof.sizeEst))
@@ -372,7 +372,7 @@ func (e *Engine) viewRecord(ref spillRef) *Profile {
 		return nil
 	}
 	e.spill.recordViews.Inc()
-	return e.profileFromRecord(pp, e.now())
+	return e.profileFromRecord(pp)
 }
 
 // profileLocked returns the user's profile, rehydrating a spilled one or

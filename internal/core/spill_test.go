@@ -387,48 +387,6 @@ func TestSpillCompactionReclaimsDeadSegments(t *testing.T) {
 	}
 }
 
-func TestSpillCompactionPreservesLiveRecords(t *testing.T) {
-	clock := newTestClock()
-	dir := t.TempDir()
-	e := newSpillEngine(t, clock, ResidencyConfig{Dir: dir, MaxProfiles: 100, SegmentBytes: 1, CompactRatio: 0.4})
-	// One sealed segment holding two records: kill one (rehydrate), keep one.
-	if _, err := e.HandleReport(slowS1Report("keep")); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.HandleReport(slowS1Report("dead")); err != nil {
-		t.Fatal(err)
-	}
-	sh := e.shardFor("keep")
-	sh.mu.Lock()
-	e.spillProfilesLocked(sh, []string{"keep", "dead"}, true) // one batch, one segment
-	sh.mu.Unlock()
-	if _, err := e.HandleReport(slowS1Report("sealer")); err != nil {
-		t.Fatal(err)
-	}
-	forceSpill(t, e, "sealer") // rotates: the first segment is now sealed
-	// A report rehydrates "dead", and an eviction writes its next record: the
-	// one in the sealed segment dies.
-	if _, err := e.HandleReport(slowS1Report("dead")); err != nil {
-		t.Fatal(err)
-	}
-	forceSpill(t, e, "dead")
-
-	for i := 0; i < 3; i++ {
-		e.maybeCompact()
-	}
-	if m := e.Metrics(); m.SegmentCompactions == 0 {
-		t.Fatal("compaction never ran")
-	}
-	// The surviving record still reads from the rewritten segment.
-	snap, ok := e.Snapshot("keep")
-	if !ok {
-		t.Fatal("live record lost by compaction")
-	}
-	if snap.Violations["ip-s1.com"] != 1 {
-		t.Errorf("violations read from the compacted segment = %v", snap.Violations)
-	}
-}
-
 func TestSpillFailureDegradesToMemoryOnly(t *testing.T) {
 	clock := newTestClock()
 	fs := &testFS{}
@@ -563,67 +521,6 @@ func TestSpillRecoveryQuarantinesCorruptSegment(t *testing.T) {
 	// Boot survived and the engine still serves.
 	if _, err := e2.HandleReport(slowS1Report("u2")); err != nil {
 		t.Errorf("ingest after quarantined boot: %v", err)
-	}
-}
-
-func TestSpillRehydrationDropsBreakerOpenActivations(t *testing.T) {
-	clock := newTestClock()
-	e := newSpillEngine(t, clock, ResidencyConfig{MaxProfiles: 100},
-		WithGuard(GuardConfig{TripThreshold: 2}))
-	if _, err := e.HandleReport(slowS1Report("cold")); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.HandleReport(slowS1Report("warm")); err != nil {
-		t.Fatal(err)
-	}
-	forceSpill(t, e, "cold")
-
-	// Trip the s2.net breaker while "cold" is on disk: the trip moves the
-	// epoch and touches neither profile, so nothing is counted yet.
-	e.ObserveProviderOutcome("s2.net", false, 500)
-	e.ObserveProviderOutcome("s2.net", false, 500)
-	if m := e.Metrics(); m.BreakerTrips != 1 || m.BulkDeactivations != 0 {
-		t.Fatalf("trips=%d bulk=%d, want 1/0 (a trip walks no profile)",
-			m.BreakerTrips, m.BulkDeactivations)
-	}
-
-	// A page read through the record reads the activation as dead — on the
-	// page, not in the record: nothing is installed, so nothing is counted.
-	page := `<script src="http://s1.com/jquery.js">`
-	out, _ := e.ModifyPage("cold", "/index.html", page)
-	if out != page {
-		t.Error("spilled activation on an open breaker still rewrote the page")
-	}
-	if m := e.Metrics(); m.BulkDeactivations != 0 {
-		t.Errorf("BulkDeactivations = %d after a page read, want 0 (a read installs nothing)",
-			m.BulkDeactivations)
-	}
-	if snap, _ := e.Snapshot("cold"); len(snap.ActiveRules) != 0 || snap.Violations["ip-s1.com"] != 1 {
-		t.Errorf("record viewed under an open breaker: active %v violations %v, want none / ip-s1.com:1",
-			snap.ActiveRules, snap.Violations)
-	}
-
-	// The user's next report installs the record and drops the dead
-	// activation, counted; the violation counters come back with it. The
-	// resident user's report counts theirs the same way.
-	if _, err := e.HandleReport(healthyReport("cold")); err != nil {
-		t.Fatal(err)
-	}
-	if m := e.Metrics(); m.BulkDeactivations != 1 {
-		t.Errorf("BulkDeactivations = %d, want 1 (the spilled rollback counted at ingest)",
-			m.BulkDeactivations)
-	}
-	if _, err := e.HandleReport(healthyReport("warm")); err != nil {
-		t.Fatal(err)
-	}
-	if m := e.Metrics(); m.BulkDeactivations != 2 {
-		t.Errorf("BulkDeactivations = %d, want 2 (the resident rollback counted at ingest)",
-			m.BulkDeactivations)
-	}
-	snap, _ := e.Snapshot("cold")
-	if len(snap.ActiveRules) != 0 || snap.Violations["ip-s1.com"] != 1 {
-		t.Errorf("guarded rehydration: active %v violations %v, want none / ip-s1.com:1",
-			snap.ActiveRules, snap.Violations)
 	}
 }
 

@@ -369,11 +369,11 @@ func (e *Engine) deadAt(pa *persistedActivation, now time.Time) bool {
 // profileFromRecord is the one conversion from the persisted form to a live
 // profile under the engine's rule set, shared by rehydration, the in-place
 // serve view and state import so they cannot disagree about what a record
-// means. It drops activations lapsed at now or of a rule not in the rule set,
-// and keeps a rolled-back one for the user's next report to drop and count
-// (pruneDead). The profile is not installed anywhere; nothing but the caller
-// refers to it.
-func (e *Engine) profileFromRecord(pp *persistedProfile, now time.Time) *Profile {
+// means. It drops activations of a rule not in the rule set, and keeps a
+// lapsed or rolled-back one for the user's next report to drop and count
+// (pruneDead), as it would have counted it had the profile stayed resident.
+// The profile is not installed anywhere; nothing but the caller refers to it.
+func (e *Engine) profileFromRecord(pp *persistedProfile) *Profile {
 	prof := newProfile(pp.UserID)
 	prof.lastReport = pp.LastReport
 	prof.version = pp.Version
@@ -385,7 +385,7 @@ func (e *Engine) profileFromRecord(pp *persistedProfile, now time.Time) *Profile
 	for i := range pp.Active {
 		pa := &pp.Active[i]
 		rule := e.rulesByID[pa.RuleID]
-		if rule == nil || (!pa.ExpiresAt.IsZero() && now.After(pa.ExpiresAt)) {
+		if rule == nil {
 			continue
 		}
 		prof.active[pa.RuleID] = &ActiveRule{

@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"oak/internal/rules"
 	"oak/internal/seglog"
 	"oak/internal/wire"
 )
@@ -297,7 +298,7 @@ func indexWorld(t *testing.T, opts ...Option) (e *Engine, dir, state string, use
 
 func indexWorldEngine(t *testing.T, dir string, opts ...Option) *Engine {
 	t.Helper()
-	e, err := NewEngine(diffRules()[:1], append([]Option{WithShards(2), WithRewriteCache(16),
+	e, err := NewEngine([]*rules.Rule{jqRule(10 * time.Minute)}, append([]Option{WithShards(2), WithRewriteCache(16),
 		WithProfileResidency(ResidencyConfig{Dir: dir, MaxProfiles: 12, SegmentBytes: 1200, CompactRatio: 0.4})}, opts...)...)
 	if err != nil {
 		t.Fatal(err)
@@ -642,7 +643,7 @@ func FuzzSpillIndexLoad(f *testing.F) {
 	dir := filepath.Join(root, "spill")
 	clock := newTestClock()
 	boot := func(dir string) (*Engine, error) {
-		return NewEngine(diffRules()[:1], WithClock(clock.Now), WithShards(2),
+		return NewEngine([]*rules.Rule{jqRule(10 * time.Minute)}, WithClock(clock.Now), WithShards(2),
 			WithProfileResidency(ResidencyConfig{Dir: dir, MaxProfiles: 4, SegmentBytes: 600}))
 	}
 	e, err := boot(dir)

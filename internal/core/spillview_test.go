@@ -2,14 +2,10 @@ package core
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"math/rand"
 	"os"
-	"path/filepath"
 	"reflect"
-	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -17,13 +13,13 @@ import (
 	"time"
 
 	"oak/internal/report"
-	"oak/internal/rules"
 )
 
 // The serve path reads the spill tier in place (PR 18): only ingest changes
-// where a profile lives. These tests pin the rule from three sides — a
-// reader racing an eviction storm, the tier's durable state across ten
-// thousand reads, and a capped engine against an uncapped one.
+// where a profile lives. These tests pin the rule with a reader racing an
+// eviction storm, the tier's durable state across ten thousand reads, and a
+// record that cannot be read; TestEngineAgreesWithModel holds capped engines
+// to the same pages as uncapped ones.
 
 const viewPage = `<html><script src="http://s1.com/jquery.js"></script>` +
 	`<script src="http://ads.example/ad.js"></script></html>`
@@ -232,484 +228,10 @@ func TestPageReadsNeverWriteTheSpillTier(t *testing.T) {
 	}
 }
 
-// diffWorld drives one operation stream against an engine capped at four
-// resident profiles and an engine with no cap, on one virtual clock.
-type diffWorld struct {
-	t      *testing.T
-	clock  *testClock
-	capped *Engine
-	plain  *Engine
-	dir    string // capped engine's segment directory
-	state  string // directory holding both state files
-	rules  []*rules.Rule
-	users  []string
-	// guarded lets the stream trip, cool down and close s2.net's breaker;
-	// closes counts the closes. saved is the capped engine's guard state as
-	// its checkpoint holds it (guardState), nil before any save.
-	guarded bool
-	closes  uint64
-	saved   []byte
-	// imported says a range import dropped a user, whose records only the
-	// checkpoint's index holds dead (bootsAgree no longer applies). bulk is
-	// each engine's BulkDeactivations summed over the processes before it,
-	// capped first.
-	imported bool
-	bulk     [2]uint64
-}
-
-// guardState is e's guard state as a state file carries it, nil when there
-// is none.
-func guardState(t *testing.T, e *Engine) []byte {
-	t.Helper()
-	p := e.guard.Export()
-	if p == nil {
-		return nil
-	}
-	b, err := json.Marshal(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return b
-}
-
-func diffRules() []*rules.Rule {
-	return []*rules.Rule{
-		jqRule(10 * time.Minute),
-		{
-			ID: "ads", Type: rules.TypeRemove, TTL: 3 * time.Minute, Scope: "*",
-			Default: `<script src="http://ads.example/ad.js"></script>`,
-		},
-	}
-}
-
-func (w *diffWorld) opts() []Option {
-	return []Option{
-		WithClock(w.clock.Now), WithShards(1), WithRewriteCache(64),
-		// A cool-down of a few clock steps: the stream trips, reopens and
-		// closes the breaker.
-		WithGuard(GuardConfig{TripThreshold: 2, OpenFor: 2 * time.Minute}),
-	}
-}
-
-// cappedOn builds the capped engine over the spill directory dir.
-func (w *diffWorld) cappedOn(dir string) *Engine {
-	w.t.Helper()
-	// A segment holds a few records, so the shard's append target outlives
-	// compactions of the segments sealed before it.
-	e, err := NewEngine(w.rules, append(w.opts(), WithProfileResidency(ResidencyConfig{
-		Dir: dir, MaxProfiles: 4, SegmentBytes: 2000, CompactRatio: 0.3,
-	}))...)
-	if err != nil {
-		w.t.Fatal(err)
-	}
-	return e
-}
-
-func (w *diffWorld) boot() {
-	w.t.Helper()
-	w.capped = w.cappedOn(w.dir)
-	var err error
-	w.plain, err = NewEngine(w.rules, w.opts()...)
-	if err != nil {
-		w.t.Fatal(err)
-	}
-	w.t.Cleanup(func() { w.capped.Close() })
-}
-
-// each runs op on both engines.
-func (w *diffWorld) each(op func(e *Engine) error) {
-	w.t.Helper()
-	for _, e := range []*Engine{w.capped, w.plain} {
-		if err := op(e); err != nil {
-			w.t.Fatal(err)
-		}
-	}
-}
-
-// reboot closes both engines and boots replacements: the uncapped one from
-// its state file, the capped one over its segment directory and the
-// checkpoint its last save left there (load also calls LoadStateFile, which
-// reads nothing once a checkpoint is adopted). With save the capped engine
-// saves first.
-func (w *diffWorld) reboot(save, load bool) {
-	w.t.Helper()
-	cs, ps := filepath.Join(w.state, "capped.json"), filepath.Join(w.state, "plain.json")
-	if save {
-		if err := w.capped.SaveStateFile(cs); err != nil {
-			w.t.Fatal(err)
-		}
-		w.saved = guardState(w.t, w.capped)
-	}
-	if err := w.plain.SaveStateFile(ps); err != nil {
-		w.t.Fatal(err)
-	}
-	w.capped.Close()
-	w.plain.Close()
-	w.bulk[0] += w.capped.Metrics().BulkDeactivations
-	w.bulk[1] += w.plain.Metrics().BulkDeactivations
-	// Until an import drops a user, the files boot the same with the
-	// checkpoint's index as without it — after a clean save, adopting it.
-	if !w.imported {
-		bs := bootsAgree(w.t, "reboot", w.dir, w.users, func(dir string) *Engine {
-			e := w.cappedOn(dir)
-			if load {
-				if _, err := e.LoadStateFile(cs); err != nil {
-					w.t.Fatal(err)
-				}
-			}
-			return e
-		})
-		if save && bs.IndexFallback != "" {
-			w.t.Fatalf("a boot on a clean save did not adopt its index: %+v", bs)
-		}
-	}
-	w.boot()
-	if load {
-		if _, err := w.capped.LoadStateFile(cs); err != nil {
-			w.t.Fatal(err)
-		}
-	}
-	if _, err := w.plain.LoadStateFile(ps); err != nil {
-		w.t.Fatal(err)
-	}
-}
-
-// crash is a kill of the capped engine before its next SaveStateFile:
-// everything acknowledged goes to disk — first's profile first, into whatever
-// segment is the shard's append target — and the replacement has nothing but
-// the segment directory with the checkpoint its last save (or import) left.
-// (The uncapped engine restarts with it, through its state file, so the pair
-// is always built by one boot, on one rule set.) The guard's state is durable
-// in the checkpoint only, so a crash is a step of the stream only while the
-// guard's state is the one the last checkpoint wrote: crashable.
-func (w *diffWorld) crash(first string) {
-	w.t.Helper()
-	for _, uid := range append([]string{first}, w.users...) {
-		if w.capped.Residency(uid) == "resident" {
-			forceSpill(w.t, w.capped, uid)
-		}
-	}
-	w.reboot(false, w.saved != nil)
-	w.checkProfiles("crash after a report for " + first)
-}
-
-// restart is a clean stop and start: both engines save, and the capped one
-// boots on its segment directory and the checkpoint there.
-func (w *diffWorld) restart(step string) {
-	w.t.Helper()
-	w.reboot(true, true)
-	w.checkProfiles(step)
-}
-
-// checkProfiles compares what a restart must bring back beyond the pages
-// check compares — pages do not show a stale copy while it carries the same
-// activations; its counters, last-report time and version do — then the
-// rollbacks each engine has counted over its processes, and the two engines'
-// whole exports, byte for byte, the guard's state included.
-func (w *diffWorld) checkProfiles(step string) {
-	w.t.Helper()
-	if c, p := w.bulk[0]+w.capped.Metrics().BulkDeactivations, w.bulk[1]+w.plain.Metrics().BulkDeactivations; c != p {
-		w.t.Fatalf("%s: capped engine counted %d rollbacks, plain %d", step, c, p)
-	}
-	for _, uid := range w.users {
-		c, cok := w.capped.Snapshot(uid)
-		p, pok := w.plain.Snapshot(uid)
-		if cok != pok || !reflect.DeepEqual(c.Violations, p.Violations) || !c.LastReport.Equal(p.LastReport) || c.Version != p.Version {
-			w.t.Fatalf("%s: %s (%s) came back as %+v (%v), acknowledged %+v (%v)",
-				step, uid, w.capped.Residency(uid), c, cok, p, pok)
-		}
-	}
-	w.sameExport(step)
-}
-
-// sameExport requires the two engines to export the same bytes and to audit
-// the same rule and server footprints.
-func (w *diffWorld) sameExport(step string) {
-	w.t.Helper()
-	c, err := w.capped.ExportState()
-	if err != nil {
-		w.t.Fatal(err)
-	}
-	p, err := w.plain.ExportState()
-	if err != nil {
-		w.t.Fatal(err)
-	}
-	if !bytes.Equal(c, p) {
-		w.t.Fatalf("%s: exports differ:\n--- capped\n%s\n--- plain\n%s", step, c, p)
-	}
-	ca, pa := mustAudit(w.t, w.capped), mustAudit(w.t, w.plain)
-	if !reflect.DeepEqual(ca.Rules, pa.Rules) || !reflect.DeepEqual(ca.WorstServers, pa.WorstServers) {
-		w.t.Fatalf("%s: audits differ:\n capped %+v %+v\n plain  %+v %+v",
-			step, ca.Rules, ca.WorstServers, pa.Rules, pa.WorstServers)
-	}
-}
-
-// check compares what the two engines serve every user, and holds the capped
-// engine's user count to its resident and spilled counts and to its export.
-func (w *diffWorld) check(step string) {
-	w.t.Helper()
-	st, _ := w.capped.SpillStatus()
-	exported, err := decodeState(mustExport(w.t, w.capped))
-	if err != nil {
-		w.t.Fatal(err)
-	}
-	if n := w.capped.Users(); int64(n) != st.ProfilesResident+st.ProfilesSpilled || n != len(exported.Profiles) {
-		w.t.Fatalf("%s: capped engine counts %d users, %d resident + %d spilled, %d exported",
-			step, n, st.ProfilesResident, st.ProfilesSpilled, len(exported.Profiles))
-	}
-	for _, uid := range w.users {
-		c, p := serveAsOrigin(w.capped, uid), serveAsOrigin(w.plain, uid)
-		if c.HTML != p.HTML || c.ETag != p.ETag || c.Hint != p.Hint {
-			w.t.Fatalf("%s: %s (%s) served differently:\n capped %q tag %q hint %q\n plain  %q tag %q hint %q",
-				step, uid, w.capped.Residency(uid), c.HTML, c.ETag, c.Hint, p.HTML, p.ETag, p.Hint)
-		}
-		if cf, pf := w.capped.ActivationFingerprint(uid, "/index.html"), w.plain.ActivationFingerprint(uid, "/index.html"); cf != pf {
-			w.t.Fatalf("%s: %s (%s) fingerprint %x capped, %x plain", step, uid, w.capped.Residency(uid), cf, pf)
-		}
-	}
-}
-
-// mix runs n seeded operations — reports, page reads, clock steps, forced
-// compaction and the restarts: a crash of the capped engine straight after a
-// compaction and a report, a clean save-and-restart, one across a record and
-// a newer resident copy that share a last-report instant, and a range import
-// that drops a user, half the time followed by a crash; once guarded,
-// s2.net's breaker trips and sees good outcomes too — checking after each.
-func (w *diffWorld) mix(rng *rand.Rand, phase string, n int) {
-	w.t.Helper()
-	for i := 0; i < n; i++ {
-		uid := w.users[rng.Intn(len(w.users))]
-		step := fmt.Sprintf("%s step %d", phase, i)
-		slowS1 := func() {
-			w.each(func(e *Engine) error { _, err := e.HandleReport(slowS1Report(uid)); return err })
-		}
-		ops := 23
-		if w.guarded {
-			ops = 28
-		}
-		switch k := rng.Intn(ops); {
-		case k < 5:
-			slowS1()
-			step += " slow-s1 report " + uid
-		case k < 8:
-			w.each(func(e *Engine) error {
-				_, err := e.HandleReport(loadReport(uid, map[string]float64{
-					"ads.example": 1900, "a.example": 100, "b.example": 110, "c.example": 105, "d.example": 95,
-				}))
-				return err
-			})
-			step += " slow-ads report " + uid
-		case k < 10:
-			w.each(func(e *Engine) error { _, err := e.HandleReport(healthyReport(uid)); return err })
-			step += " healthy report " + uid
-		case k < 15:
-			serveAsOrigin(w.capped, uid)
-			serveAsOrigin(w.plain, uid)
-			step += " page " + uid
-		case k < 18:
-			w.clock.Advance(time.Duration(20+rng.Intn(70)) * time.Second)
-			step += " clock"
-		case k < 19:
-			// A survivor the cleaner just moved, a newer record of the same
-			// user behind it in the log, and recovery with nothing but the log
-			// and its last checkpoint. Not once the guard's state moved since
-			// the last save — a trip, a close, a canary: it lives in the
-			// checkpoint only, so the crashed engine
-			// would boot without the move, reading a record's activation a
-			// lost trip rolled back as live (TestCrashKeepsCanaryBelowTheNextTrip
-			// pins what the boot does keep), and the uncapped one, restarting
-			// through its file, with it.
-			w.capped.maybeCompact()
-			slowS1()
-			step += " compact, slow-s1 report"
-			if g := guardState(w.t, w.capped); g == nil || bytes.Equal(g, w.saved) {
-				w.crash(uid)
-				step += ", crash " + uid
-			}
-		case k < 20:
-			w.capped.maybeCompact()
-			step += " compact"
-		case k < 21:
-			// The boot merge wherever the stream happens to be, half the time
-			// with the cleaner's re-appended survivors fresh at the log's tail.
-			if rng.Intn(2) == 0 {
-				w.capped.maybeCompact()
-				step += " compact,"
-			}
-			step += " save, restart"
-			w.restart(step)
-		case k < 22:
-			// The tie the version exists for: evicted, then reported for again
-			// at the same instant, so the record left in the log and the newer
-			// copy the save appends share a last-report time.
-			slowS1()
-			forceSpill(w.t, w.capped, uid)
-			slowS1()
-			step += " report, evict, report at one instant, save, restart " + uid
-			w.restart(step)
-		case k < 23:
-			// An operator restores an arc holding uid from the uncapped engine's
-			// export without uid: both engines drop it, the capped one durably,
-			// through the checkpoint the import writes before it returns.
-			arc := EqualRanges(4)[RangeFor(uid, EqualRanges(4))]
-			data, err := w.plain.ExportSnapshotRange(arc)
-			if err != nil {
-				w.t.Fatal(err)
-			}
-			st, err := decodeState(data)
-			if err != nil {
-				w.t.Fatal(err)
-			}
-			st.Profiles = slices.DeleteFunc(st.Profiles, func(pp persistedProfile) bool { return pp.UserID == uid })
-			if data, err = json.Marshal(st); err != nil {
-				w.t.Fatal(err)
-			}
-			w.each(func(e *Engine) error { return e.ImportStateRange(arc, data) })
-			w.saved, w.imported = guardState(w.t, w.capped), true
-			step += " range import without " + uid
-			if rng.Intn(2) == 0 {
-				w.crash(w.users[0])
-				step += ", crash"
-			}
-		case k < 24:
-			// Trips a closed breaker, reopens a half-open one; an open one
-			// ignores it.
-			w.each(func(e *Engine) error {
-				e.ObserveProviderOutcome("s2.net", false, 500)
-				e.ObserveProviderOutcome("s2.net", false, 500)
-				return nil
-			})
-			step += " s2.net bad twice"
-		default:
-			// Two close a half-open breaker; a canary activated through it
-			// stays.
-			before := w.plain.Metrics().BreakerCloses
-			w.each(func(e *Engine) error { e.ObserveProviderOutcome("s2.net", true, 0); return nil })
-			w.closes += w.plain.Metrics().BreakerCloses - before
-			step += " s2.net good"
-		}
-		w.check(step)
-	}
-}
-
-// cappedSeeds is how many seeds TestCappedServesWhatUncappedServes runs,
-// 1..cappedSeeds; raise it locally to hunt for failing ones.
-const cappedSeeds = 3
-
-// TestCappedServesWhatUncappedServes: where a profile lives must not show in
-// what its user is served. One seeded stream — reports, page reads, TTL
-// expiry, forced compaction, crashes of the capped engine that leave it
-// nothing but its segment log and the checkpoint there, clean restarts (one
-// across a record and a newer copy that share a last-report instant), range
-// imports that drop a user, a rule change — a restart of both engines on a
-// smaller rule set while activations of the dropped rule are live — and then
-// trips, reopens, cool-downs and closes of s2.net's breaker while users are
-// spilled — runs against an engine capped at four resident profiles and one
-// with no cap; after every step every user gets byte-equal pages with equal
-// entity tags and fingerprints, after every restart and crash, breaker open
-// or not, equal counters, last-report times, versions, rollback counts and
-// exports too, and at the end the exports are equal.
-//
-// One ordering is left out: a crash after the guard's state moved since the
-// capped engine's last save. The segment log holds no guard state — the
-// checkpoint does — so the crashed engine would boot without the move: without a
-// trip, it reads a spilled activation the trip rolled back as live; without
-// a close, it reads a breaker open the uncapped engine has closed (see mix).
-// A crash while a breaker is open is one of these unless the last save saw it
-// open.
-func TestCappedServesWhatUncappedServes(t *testing.T) {
-	for seed := int64(1); seed <= cappedSeeds; seed++ {
-		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			w := &diffWorld{t: t, clock: newTestClock(), dir: t.TempDir(), state: t.TempDir(), rules: diffRules()}
-			for i := 0; i < 16; i++ {
-				w.users = append(w.users, fmt.Sprintf("u%02d", i))
-			}
-			w.boot()
-			rng := rand.New(rand.NewSource(seed))
-
-			w.mix(rng, "warm-up", 150)
-			if st, _ := w.capped.SpillStatus(); st.ProfilesSpilled == 0 || st.RecordViews == 0 {
-				t.Fatalf("capped engine never served a spilled user: %+v", st)
-			}
-
-			// Drop the ads rule the way an operator does: restart on the
-			// smaller rule set, with its activations live.
-			live := 0
-			for _, uid := range w.users {
-				if snap, ok := w.plain.Snapshot(uid); ok && slices.Contains(snap.ActiveRules, "ads") {
-					live++
-				}
-			}
-			t.Logf("%d ads activations live at the rule change", live)
-			w.rules = w.rules[:1]
-			w.restart("restart dropping ads")
-			w.check("restart dropping ads")
-			w.mix(rng, "after the rule change", 60)
-
-			w.restart("restart")
-			w.check("restart")
-			w.mix(rng, "after restart", 60)
-
-			// Trip s2.net's breaker while most jquery activations are
-			// spilled, then let the stream cool it down, close and trip it.
-			w.each(func(e *Engine) error {
-				e.ObserveProviderOutcome("s2.net", false, 500)
-				e.ObserveProviderOutcome("s2.net", false, 500)
-				if e.Metrics().BreakerTrips != 1 {
-					return errors.New("breaker did not trip")
-				}
-				return nil
-			})
-			w.check("breaker trip")
-			w.guarded = true
-			w.mix(rng, "guarded", 80)
-
-			// Whatever the stream left, the breaker cools down and closes,
-			// trips again, and the stream goes on.
-			w.clock.Advance(3 * time.Minute)
-			before := w.plain.Metrics().BreakerCloses
-			w.each(func(e *Engine) error {
-				e.ObserveProviderOutcome("s2.net", true, 0)
-				e.ObserveProviderOutcome("s2.net", true, 0)
-				if len(e.OpenBreakers()) != 0 {
-					return errors.New("breaker did not close")
-				}
-				return nil
-			})
-			w.closes += w.plain.Metrics().BreakerCloses - before
-			w.check("breaker closed")
-			w.restart("restart, breaker closed")
-			w.check("restart, breaker closed")
-			w.crash(w.users[0]) // on the checkpoint that holds the trip
-			w.check("crash, breaker closed")
-			w.each(func(e *Engine) error {
-				e.ObserveProviderOutcome("s2.net", false, 500)
-				e.ObserveProviderOutcome("s2.net", false, 500)
-				return nil
-			})
-			w.check("breaker tripped again")
-			w.mix(rng, "guarded, tripped again", 60)
-
-			// Every user reports once more, so every dead activation has been
-			// dropped and every record re-spilled.
-			for _, uid := range w.users {
-				w.each(func(e *Engine) error { _, err := e.HandleReport(healthyReport(uid)); return err })
-			}
-			w.check("settled")
-			w.sameExport("settled")
-			if st, _ := w.plain.GuardStatus(); len(st.Breakers) != 1 || st.Breakers[0].Trips < 2 || w.closes == 0 {
-				t.Errorf("the stream never tripped the breaker again or closed it: %+v, %d closes", st.Breakers, w.closes)
-			}
-			st, _ := w.capped.SpillStatus()
-			if st.SegmentCompactions == 0 || st.MemoryOnly || len(st.QuarantinedSegments) != 0 {
-				t.Errorf("capped engine's tier at the end: %+v (want compactions, no damage)", st)
-			}
-		})
-	}
-
-	// The same comparison with a record that cannot be read: the page is the
-	// untouched one, and the write-locked rehydrate — not the view — decides
-	// what the failure means, exactly as on the parent commit.
+// TestUnreadableRecordServesTheUntouchedPage: a spilled record that cannot be
+// read serves its user the untouched page, and the write-locked rehydrate —
+// not the view — decides what the failure means.
+func TestUnreadableRecordServesTheUntouchedPage(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
 		damage func(t *testing.T, fs *testFS, seg string)

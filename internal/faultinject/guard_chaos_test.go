@@ -142,10 +142,38 @@ func TestChaosGuardKillsAlternateMidRun(t *testing.T) {
 		}
 	}
 
-	// Phase 1 — activate: every user suffers the slow default and is moved
-	// onto the s2.net alternate.
-	for i, u := range users {
-		load(u, int64(i+1))
+	// activate posts, under user's cookie, the report of a load that found
+	// s1.com slow and the page's other hosts fast. Its timings are fixed, so
+	// an activation does not rest on how fast a loaded host serves the
+	// sleeping providers.
+	activate := func(user string) {
+		t.Helper()
+		body := fmt.Sprintf(`{"userId":%q,"page":"/index.html","entries":[
+		  {"url":"http://s1.com/jquery.js","serverAddr":%q,"sizeBytes":512,"durationMillis":3000,"kind":"script"},
+		  {"url":"http://a.example/a.png","serverAddr":%q,"sizeBytes":512,"durationMillis":100,"kind":"image"},
+		  {"url":"http://b.example/b.png","serverAddr":%q,"sizeBytes":512,"durationMillis":110,"kind":"image"},
+		  {"url":"http://c.example/c.png","serverAddr":%q,"sizeBytes":512,"durationMillis":95,"kind":"image"}
+		]}`, user, hosts["s1.com"], hosts["a.example"], hosts["b.example"], hosts["c.example"])
+		req, err := http.NewRequest(http.MethodPost, origin.URL+oak.ReportPathV1, strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.AddCookie(&http.Cookie{Name: oak.CookieName, Value: user})
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNoContent {
+			t.Fatalf("report as %s: status %d", user, resp.StatusCode)
+		}
+	}
+
+	// Phase 1 — activate: every user reports the slow default and is moved
+	// onto the s2.net alternate. Phases 2–4 load the page through real
+	// clients.
+	for _, u := range users {
+		activate(u)
 		if body := pageAs(t, origin.URL, u); !strings.Contains(body, "s2.net") {
 			t.Fatalf("phase 1: %s not activated onto s2.net:\n%s", u, body)
 		}

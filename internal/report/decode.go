@@ -28,12 +28,12 @@ import (
 // and only a key that is not where that order puts it is scanned as a
 // string. Every string value but the userId comes out of the intern table
 // (intern.go), so a report written in the site's usual vocabulary allocates
-// almost nothing. An entry that
-// repeats, byte for byte, the last one recorded for its URL but for its
-// durationMillis is decoded by two compares and one float parse: see
-// continuation. And a report whose page names its entries' URLs in the order
-// the page's last recorded report did finds each URL by one compare against
-// that report's, not by a scan, a hash and a probe: see template.go.
+// almost nothing. An entry that repeats, byte for byte, the last one
+// recorded for its URL but for its durationMillis is decoded by two compares
+// and one float parse: see continuation. And a report whose page names its
+// entries' URLs in the order the page's last recorded report did finds each
+// URL by one compare against that report's, not by a scan, a hash and a
+// probe, even when the entry's continuation then misses: see template.go.
 
 // Decode parses a JSON report body, trying the fast path first. Its results
 // and errors are encoding/json's own: json.Unmarshal into a Report, an error
@@ -276,15 +276,16 @@ func (d *fastDecoder) decodeEntries(r *Report) bool {
 			r.Entries = append(r.Entries, Entry{})
 		}
 		e := &r.Entries[n]
-		if tm.t != nil && !d.fromTemplate(e, n) {
+		held, from := d.fromTemplate(e, n)
+		if !held && tm.t != nil {
 			if tm.fit {
 				tm.urls = append(tm.urls, tm.t.urls[:n]...)
 			}
 			tm.t = nil
 		}
-		if tm.t != nil {
+		if held {
 			tm.hits++
-		} else if known, ok := d.decodeEntry(e); !ok {
+		} else if known, ok := d.decodeEntry(e, from); !ok {
 			return false
 		} else if tm.fit && n < maxTemplateLen {
 			if tm.fit = known != nil; tm.fit {
@@ -388,13 +389,13 @@ type entryMarks struct {
 	exact                    bool // the entry starts as a template entry is matched
 }
 
-// decodeEntry decodes one entry. tpl is the URL's intern entry when a
-// template can hold it for this entry: the entry starts with urlLit, its URL
-// and the closing quote, and the continuation tpl holds is one the entry
-// matched or recorded. It is nil otherwise.
-func (d *fastDecoder) decodeEntry(e *Entry) (tpl *internEntry, ok bool) {
+// decodeEntry decodes one entry, or resumes one past the URL fromTemplate
+// matched to from. tpl is the URL's intern entry when a template can hold it:
+// the entry starts with urlLit, its URL and the closing quote, and tpl's
+// continuation is one the entry matched or recorded; nil otherwise.
+func (d *fastDecoder) decodeEntry(e *Entry, from *internEntry) (tpl *internEntry, ok bool) {
 	begin := d.I
-	if !d.Consume('{') {
+	if from == nil && !d.Consume('{') {
 		return nil, false
 	}
 	// The entry may be a pooled report's stale one: a key the body does not
@@ -402,91 +403,79 @@ func (d *fastDecoder) decodeEntry(e *Entry) (tpl *internEntry, ok bool) {
 	// either way: internURL extracts it, and an absent URL has none.
 	*e = Entry{hostKnown: true}
 	d.m.known = nil
-	seen := 0
-	d.SkipWS()
-	if !d.Consume('}') {
-		next := 0
-		for {
-			at := d.I // where this key's bytes start, for the scan count
-			field, ok := d.nextEntryKey(next)
-			if !ok || seen&(1<<field) != 0 {
-				return nil, false // unknown or duplicate key: encoding/json decides
-			}
-			seen |= 1 << field
-			next = field + 1
-			switch field {
-			case fSize:
-				e.SizeBytes, ok = d.ScanInt64()
-			case fDuration:
-				start := d.I
-				e.DurationMillis, ok = d.ScanFloat64()
-				if d.m.known != nil {
-					d.m.numStart, d.m.numEnd = start, d.I
-				}
-			case fFailed:
-				e.Failed, ok = d.ScanBool()
-			default:
-				start := d.I + 1
-				var tok []byte
-				if tok, ok = d.ScanString(); !ok {
-					break
-				}
-				if field == fURL {
-					var known *internEntry
-					e.URL, e.host, known = internURL(&d.w, tok)
-					if known == nil || seen != 1<<fURL {
-						break
-					}
-					// The URL is the first key and the table knew it: its
-					// continuation decodes the entry if both runs match. A
-					// head that mismatches costs its compare. The URL's
-					// bytes are counted scanned before the runs are tried.
-					// exact: the entry starts as fromTemplate matches one.
-					d.w.scanned += d.I - at
-					at = d.I
-					exact := start-begin == len(urlLit) && d.I-1-start == len(tok)
-					if known.cont.seen != 0 && d.continues(e, known) {
-						if exact {
-							return known, true
-						}
-						return nil, true
-					}
-					// Replacing a continuation costs two allocations: a URL
-					// whose entries changed for good learns the new ones
-					// within about replaceEvery mismatches, and one whose
-					// entries never repeat does not pay that on every report.
-					if d.misses++; known.cont.seen == 0 || d.misses%replaceEvery == 0 {
-						d.m.known, d.m.urlEnd, d.m.plain, d.m.exact = known, d.I, true, exact
-					}
-					break
-				}
-				if m := &d.m; m.known != nil {
-					m.str[field].off, m.str[field].len = start, len(tok)
-					m.plain = m.plain && d.I-1-start == len(tok) // an escape makes the bytes longer
-				}
-				switch field {
-				case fServerAddr:
-					e.ServerAddr = internString(&d.w, tok)
-				case fInitiator:
-					e.InitiatorURL = internString(&d.w, tok)
-				case fKind:
-					e.Kind = internKind(&d.w, tok)
-				}
-			}
-			if !ok {
-				return nil, false
-			}
-			d.w.scanned += d.I - at
-			d.SkipWS()
-			if d.Consume(',') {
-				d.SkipWS()
-				continue
-			}
-			if d.Consume('}') {
-				break
-			}
+	seen, next := 0, 0
+	if from != nil {
+		e.URL, e.host, seen, next = from.token(), from.hostname(), 1<<fURL, fURL+1
+		d.missed(from, true)
+	}
+	for d.SkipWS(); !d.Consume('}'); d.SkipWS() {
+		if seen != 0 && !d.Consume(',') { // a key after the first follows a comma
 			return nil, false
 		}
+		d.SkipWS()
+		at := d.I // where this key's bytes start, for the scan count
+		field, ok := d.nextEntryKey(next)
+		if !ok || seen&(1<<field) != 0 {
+			return nil, false // unknown or duplicate key: encoding/json decides
+		}
+		seen |= 1 << field
+		next = field + 1
+		switch field {
+		case fSize:
+			e.SizeBytes, ok = d.ScanInt64()
+		case fDuration:
+			start := d.I
+			e.DurationMillis, ok = d.ScanFloat64()
+			if d.m.known != nil {
+				d.m.numStart, d.m.numEnd = start, d.I
+			}
+		case fFailed:
+			e.Failed, ok = d.ScanBool()
+		default:
+			start := d.I + 1
+			var tok []byte
+			if tok, ok = d.ScanString(); !ok {
+				break
+			}
+			if field == fURL {
+				var known *internEntry
+				e.URL, e.host, known = internURL(&d.w, tok)
+				if known == nil || seen != 1<<fURL {
+					break
+				}
+				// The URL is the first key and the table knew it: its
+				// continuation decodes the entry if both runs match (the
+				// URL counted scanned first). exact: the entry starts as
+				// fromTemplate matches one.
+				d.w.scanned += d.I - at
+				at = d.I
+				exact := start-begin == len(urlLit) && d.I-1-start == len(tok)
+				if known.cont.seen != 0 && d.continues(e, known) {
+					if exact {
+						return known, true
+					}
+					return nil, true
+				}
+				d.missed(known, exact)
+				break
+			}
+			if m := &d.m; m.known != nil {
+				m.str[field].off, m.str[field].len = start, len(tok)
+				m.plain = m.plain && d.I-1-start == len(tok) // an escape makes the bytes longer
+			}
+			switch field {
+			case fServerAddr:
+				e.ServerAddr = internString(&d.w, tok)
+			case fInitiator:
+				e.InitiatorURL = internString(&d.w, tok)
+			case fKind:
+				e.Kind = internKind(&d.w, tok)
+			}
+		}
+		if !ok {
+			return nil, false
+		}
+		d.w.scanned += d.I - at
 	}
 	if d.m.known != nil {
 		if ne := d.remember(e, seen); d.m.exact {
@@ -494,6 +483,16 @@ func (d *fastDecoder) decodeEntry(e *Entry) (tpl *internEntry, ok bool) {
 		}
 	}
 	return nil, true
+}
+
+// missed marks the entry, d.I past its URL, to replace known's continuation
+// that missed it, on one miss in replaceEvery (two allocations): a URL whose
+// entries changed for good learns them, one whose entries never repeat does
+// not pay that on every report.
+func (d *fastDecoder) missed(known *internEntry, exact bool) {
+	if d.misses++; known.cont.seen == 0 || d.misses%replaceEvery == 0 {
+		d.m.known, d.m.urlEnd, d.m.plain, d.m.exact = known, d.I, true, exact
+	}
 }
 
 // continues decodes the rest of an entry by known's continuation, d.I at
@@ -573,27 +572,27 @@ const urlLit = `{"url":"`
 
 // fromTemplate decodes entry i from the page's template when the body at d.I
 // is urlLit, the template's i-th URL and its closing quote, and then that
-// URL's continuation: three compares and the float parse. false leaves d.I
-// where it was.
-func (d *fastDecoder) fromTemplate(e *Entry, i int) bool {
+// URL's continuation: three compares and the float parse. A miss leaves d.I
+// where it was, or past the URL if only the continuation failed, with from
+// the URL's intern entry for decodeEntry to resume from.
+func (d *fastDecoder) fromTemplate(e *Entry, i int) (held bool, from *internEntry) {
 	t := d.tm.t
-	if i >= len(t.urls) {
-		return false
+	if t == nil || i >= len(t.urls) {
+		return false, nil
 	}
 	known, start := t.urls[i], d.I
 	url, rest := known.token(), d.Data[start:]
 	n := len(urlLit) + len(url) + 1 // through the URL's closing quote
 	if len(rest) < n || rest[n-1] != '"' || string(rest[len(urlLit):n-1]) != url || string(rest[:len(urlLit)]) != urlLit {
 		d.w.failed += n
-		return false
+		return false, nil
 	}
 	d.I += n
 	if !d.continues(e, known) {
-		d.w.failed += n
-		d.I = start
-		return false
+		d.w.scanned += n // the resumed decode's URL
+		return false, known
 	}
 	d.w.held += n
 	e.URL, e.host, e.hostKnown = url, known.hostname(), true
-	return true
+	return true, nil
 }
