@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -14,6 +15,7 @@ import (
 	"os/signal"
 	"path/filepath"
 	"strings"
+	"sync"
 	"syscall"
 	"testing"
 	"time"
@@ -412,11 +414,17 @@ func TestPersistPeriodicallyStops(t *testing.T) {
 	}
 	statePath := filepath.Join(dir, "state.json")
 	stop := persistPeriodically(server.Engine(), statePath, 10*time.Millisecond)
-	time.Sleep(35 * time.Millisecond)
-	stop()
-	if _, err := os.Stat(statePath); err != nil {
-		t.Errorf("periodic save never wrote %s: %v", statePath, err)
+	// The file must appear before stop, whose own final save would write it.
+	tick := time.NewTicker(time.Millisecond)
+	defer tick.Stop()
+	for deadline := time.Now().Add(5 * time.Second); ; <-tick.C {
+		if _, err := os.Stat(statePath); err == nil {
+			break
+		} else if time.Now().After(deadline) {
+			t.Fatalf("periodic save never wrote %s: %v", statePath, err)
+		}
 	}
+	stop()
 }
 
 func TestPersistStopTakesFinalSave(t *testing.T) {
@@ -438,6 +446,21 @@ func TestPersistStopTakesFinalSave(t *testing.T) {
 	}
 }
 
+// lineWatcher is a log output that closes seen at the first write holding
+// want.
+type lineWatcher struct {
+	want string
+	seen chan struct{}
+	once *sync.Once
+}
+
+func (w lineWatcher) Write(p []byte) (int, error) {
+	if bytes.Contains(p, []byte(w.want)) {
+		w.once.Do(func() { close(w.seen) })
+	}
+	return len(p), nil
+}
+
 func TestRunGracefulShutdownPersistsState(t *testing.T) {
 	// Keep the test process alive across the self-signal even if run has
 	// not yet installed its handler.
@@ -447,6 +470,10 @@ func TestRunGracefulShutdownPersistsState(t *testing.T) {
 
 	dir := newSiteDir(t)
 	statePath := filepath.Join(dir, "state.json")
+	// run logs that it is serving once its signal handler is installed.
+	serving := make(chan struct{})
+	log.SetOutput(lineWatcher{"oakd: serving", serving, new(sync.Once)})
+	defer log.SetOutput(os.Stderr)
 	errCh := make(chan error, 1)
 	go func() {
 		errCh <- run([]string{
@@ -454,7 +481,11 @@ func TestRunGracefulShutdownPersistsState(t *testing.T) {
 			"-state", statePath, "-save-interval", "1h",
 		})
 	}()
-	time.Sleep(200 * time.Millisecond) // let the listener and handler come up
+	select {
+	case <-serving:
+	case err := <-errCh:
+		t.Fatalf("run returned %v before serving", err)
+	}
 	if err := syscall.Kill(os.Getpid(), syscall.SIGTERM); err != nil {
 		t.Fatal(err)
 	}

@@ -54,9 +54,11 @@ import (
 	"io"
 	"net/http"
 	"os"
+	"reflect"
 	"sort"
 	"strings"
 	"time"
+	"unicode"
 
 	"oak/internal/core"
 	"oak/internal/gateway"
@@ -147,23 +149,8 @@ func liveMetrics(out io.Writer, base string) error {
 		health.Status, (time.Duration(health.UptimeSeconds * float64(time.Second))).Round(time.Second),
 		health.Rules, health.Users)
 
-	c := m.Counters
 	fmt.Fprintf(out, "counters\n")
-	for _, row := range []struct {
-		name string
-		v    uint64
-	}{
-		{"reports handled", c.ReportsHandled},
-		{"entries processed", c.EntriesProcessed},
-		{"violations detected", c.ViolationsDetected},
-		{"rule activations", c.RuleActivations},
-		{"rule deactivations", c.RuleDeactivations},
-		{"rule expirations", c.RuleExpirations},
-		{"pages modified", c.PagesModified},
-		{"pages untouched", c.PagesUntouched},
-	} {
-		fmt.Fprintf(out, "  %-22s %d\n", row.name, row.v)
-	}
+	printCounters(out, m.Counters)
 
 	fmt.Fprintf(out, "\nlatency                  count      p50ms      p90ms      p99ms      maxms\n")
 	printSummary := func(name string, count uint64, p50, p90, p99, max float64) {
@@ -219,22 +206,8 @@ func liveGuard(out io.Writer, base string) error {
 		fmt.Fprintln(out, "quarantined rules:     none")
 	}
 
-	c := m.Counters
 	fmt.Fprintf(out, "\ncounters\n")
-	for _, row := range []struct {
-		name string
-		v    uint64
-	}{
-		{"canary activations", g.CanaryActivations},
-		{"rewrite panics", g.RewritePanics},
-		{"breaker trips", c.BreakerTrips},
-		{"breaker closes", c.BreakerCloses},
-		{"activations blocked", c.ActivationsBlocked},
-		{"rolled back (counted at report)", c.BulkDeactivations},
-		{"rule quarantines", c.RuleQuarantines},
-	} {
-		fmt.Fprintf(out, "  %-22s %d\n", row.name, row.v)
-	}
+	printCounters(out, *g)
 	return nil
 }
 
@@ -299,18 +272,7 @@ func livePopulation(out io.Writer, base string) error {
 	}
 
 	fmt.Fprintf(out, "\ncounters\n")
-	for _, row := range []struct {
-		name string
-		v    uint64
-	}{
-		{"population trips", ps.PopulationTrips},
-		{"population recoveries", ps.PopulationRecoveries},
-		{"synthesized activations", ps.SynthesizedActivations},
-		{"synthesis blocked", ps.SynthesisBlocked},
-		{"samples dropped", ps.SamplesDropped},
-	} {
-		fmt.Fprintf(out, "  %-24s %d\n", row.name, row.v)
-	}
+	printCounters(out, ps)
 	fmt.Fprintf(out, "tracked providers: %d, sketch memory: %s\n",
 		ps.TrackedProviders, byteSize(int64(ps.SketchMemoryBytes)))
 	return nil
@@ -358,18 +320,7 @@ func liveMemory(out io.Writer, base string) error {
 	}
 
 	fmt.Fprintf(out, "\ncounters\n")
-	for _, row := range []struct {
-		name string
-		v    uint64
-	}{
-		{"profile spills", sp.Spills},
-		{"rehydrations", sp.Rehydrations},
-		{"record views", sp.RecordViews},
-		{"segment compactions", sp.SegmentCompactions},
-		{"spill errors", sp.SpillErrors},
-	} {
-		fmt.Fprintf(out, "  %-22s %d\n", row.name, row.v)
-	}
+	printCounters(out, sp.SpillStatus)
 
 	r := sp.Rehydrate
 	fmt.Fprintf(out, "\nrehydration latency      count      p50ms      p90ms      p99ms      maxms\n")
@@ -436,23 +387,28 @@ func liveCluster(out io.Writer, base string) error {
 		fmt.Fprintln(out, "degraded providers (fleet union): none")
 	}
 
-	g := cm.Gateway
 	fmt.Fprintf(out, "\ngateway counters\n")
-	for _, r := range []struct {
-		name string
-		v    uint64
-	}{
-		{"forwarded reports", g.ForwardedReports},
-		{"forwarded pages", g.ForwardedPages},
-		{"failovers", g.Failovers},
-		{"probe cycles", g.ProbeCycles},
-		{"breaker broadcasts", g.BreakerBroadcasts},
-		{"degrade broadcasts", g.DegradeBroadcasts},
-		{"replacements", g.Replacements},
-	} {
-		fmt.Fprintf(out, "  %-22s %d\n", r.name, r.v)
-	}
+	printCounters(out, cm.Gateway)
 	return nil
+}
+
+// printCounters prints the counters of a metric group or status body, its
+// uint64 fields, each labelled from its name (BreakerTrips: "breaker trips").
+func printCounters(out io.Writer, group any) {
+	v := reflect.ValueOf(group)
+	for _, f := range reflect.VisibleFields(v.Type()) {
+		if f.Type.Kind() != reflect.Uint64 {
+			continue
+		}
+		var label []rune
+		for i, r := range f.Name {
+			if unicode.IsUpper(r) && i > 0 {
+				label = append(label, ' ')
+			}
+			label = append(label, unicode.ToLower(r))
+		}
+		fmt.Fprintf(out, "  %-26s %d\n", string(label), v.FieldByIndex(f.Index).Uint())
+	}
 }
 
 // fetchJSON GETs url and decodes the JSON body.

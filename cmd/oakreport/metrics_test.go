@@ -31,7 +31,7 @@ func TestRunLiveMetrics(t *testing.T) {
 	got := out.String()
 	for _, want := range []string{
 		"status ok", "1 users",
-		"reports handled", "3",
+		"reports handled", "3", "breaker trips",
 		"report ingest", "page rewrite", "p99ms",
 	} {
 		if !strings.Contains(got, want) {
@@ -58,7 +58,7 @@ func TestRunLiveGuard(t *testing.T) {
 		"cdn.example.com", "open",
 		"quarantined providers: cdn.example.com",
 		"quarantined rules:     none",
-		"canary activations", "rewrite panics", "breaker trips",
+		"canary activations", "rewrite panics",
 	} {
 		if !strings.Contains(got, want) {
 			t.Errorf("output missing %q:\n%s", want, got)

@@ -41,7 +41,7 @@ type Engine struct {
 
 	policy  Policy
 	matcher *Matcher
-	metrics metrics
+	metrics counters[obs.Counter]
 	now     func() time.Time
 	logf    func(format string, args ...any)
 
@@ -306,9 +306,9 @@ func (e *Engine) process(r *report.Report) (*AnalysisResult, error) {
 	sc := ingestPool.Get().(*ingestScratch)
 	servers := sc.group.View(r)
 	violations := sc.detect.detect(servers, e.policy.MADMultiplier)
-	e.metrics.reportsHandled.Add(1)
-	e.metrics.entriesProcessed.Add(uint64(len(r.Entries)))
-	e.metrics.violationsDetected.Add(uint64(len(violations)))
+	e.metrics.ReportsHandled.Inc()
+	e.metrics.EntriesProcessed.Add(uint64(len(r.Entries)))
+	e.metrics.ViolationsDetected.Add(uint64(len(violations)))
 
 	// Script URLs the client actually loaded, for the external-JS tier.
 	sc.scripts = sc.scripts[:0]
@@ -367,10 +367,10 @@ func (e *Engine) analyzeLocked(sh *shard, r *report.Report, now time.Time, serve
 	for _, a := range prof.pruneDead(now, e.epochs.Load()) {
 		ev := obs.Event{Kind: obs.EventExpire, User: r.UserID, RuleID: a.Rule.ID}
 		if a.Expired(now) {
-			e.metrics.ruleExpirations.Add(1)
+			e.metrics.RuleExpirations.Inc()
 			res.Changes = append(res.Changes, RuleChange{RuleID: a.Rule.ID, Action: "expire"})
 		} else {
-			e.metrics.bulkDeactivations.Inc()
+			e.metrics.BulkDeactivations.Inc()
 			ev.Kind = obs.EventRollback
 		}
 		if e.tracing() {
@@ -430,7 +430,7 @@ func (e *Engine) analyzeLocked(sh *shard, r *report.Report, now time.Time, serve
 			if blockedBy != "" {
 				// The target provider (or the rule itself) is quarantined:
 				// this user is never steered onto a known-bad alternate.
-				e.metrics.activationsBlocked.Inc()
+				e.metrics.ActivationsBlocked.Inc()
 				if e.tracing() {
 					e.traceAt(now, obs.Event{
 						Kind: obs.EventQuarantine, User: r.UserID, RuleID: rule.ID,
@@ -443,7 +443,7 @@ func (e *Engine) analyzeLocked(sh *shard, r *report.Report, now time.Time, serve
 				continue // blocked, or a full profile (skipped, not blocked)
 			}
 			prof.activate(rule, altIdx, epoch, now, v.Server.Addr, v.Distance) // admitted: it fits
-			e.metrics.ruleActivations.Add(1)
+			e.metrics.RuleActivations.Inc()
 			res.Changes = append(res.Changes, RuleChange{
 				RuleID: rule.ID, Action: "activate", Server: v.Server.Addr,
 				AltIndex: altIdx, Level: level,
@@ -509,9 +509,9 @@ func (e *Engine) reconcileActiveRules(sh *shard, prof *Profile, v Violation, now
 			if blockedBy != "" {
 				// The next alternative's provider is quarantined: revert to
 				// the default rather than steer the user onto it.
-				e.metrics.activationsBlocked.Inc()
+				e.metrics.ActivationsBlocked.Inc()
 				prof.deactivate(id)
-				e.metrics.ruleDeactivations.Add(1)
+				e.metrics.RuleDeactivations.Inc()
 				res.Changes = append(res.Changes, RuleChange{
 					RuleID: id, Action: "deactivate", Server: v.Server.Addr,
 				})
@@ -528,7 +528,7 @@ func (e *Engine) reconcileActiveRules(sh *shard, prof *Profile, v Violation, now
 				break // a full profile: the alternate stays
 			}
 			prof.activate(a.Rule, next, epoch, now, v.Server.Addr, v.Distance) // admitted: it fits
-			e.metrics.ruleActivations.Add(1)
+			e.metrics.RuleActivations.Inc()
 			res.Changes = append(res.Changes, RuleChange{
 				RuleID: id, Action: "advance", Server: v.Server.Addr, AltIndex: next,
 			})
@@ -542,7 +542,7 @@ func (e *Engine) reconcileActiveRules(sh *shard, prof *Profile, v Violation, now
 			// The alternate is at least as far from the median as the
 			// default was and nothing fresh remains: revert.
 			prof.deactivate(id)
-			e.metrics.ruleDeactivations.Add(1)
+			e.metrics.RuleDeactivations.Inc()
 			res.Changes = append(res.Changes, RuleChange{
 				RuleID: id, Action: "deactivate", Server: v.Server.Addr,
 			})

@@ -271,34 +271,6 @@ func TestEngineRuleHistoryAdvance(t *testing.T) {
 	}
 }
 
-func TestEngineScopeRestrictsActivationAndApplication(t *testing.T) {
-	r := jqRule(0)
-	r.Scope = "/shop/*"
-	e, _ := NewEngine([]*rules.Rule{r})
-	// Violation reported from an out-of-scope page: no activation.
-	rep := slowS1Report("u1")
-	rep.Page = "/index.html"
-	res, _ := e.HandleReport(rep)
-	if len(res.Changes) != 0 {
-		t.Fatalf("out-of-scope activation: %+v", res.Changes)
-	}
-	// Violation from an in-scope page activates, and application honours
-	// scope per page.
-	rep2 := slowS1Report("u1")
-	rep2.Page = "/shop/cart.html"
-	res, _ = e.HandleReport(rep2)
-	if len(res.Changes) != 1 {
-		t.Fatalf("in-scope changes = %+v", res.Changes)
-	}
-	page := `<script src="http://s1.com/jquery.js">`
-	if out, _ := e.ModifyPage("u1", "/shop/cart.html", page); !strings.Contains(out, "s2.net") {
-		t.Error("in-scope page not rewritten")
-	}
-	if out, _ := e.ModifyPage("u1", "/index.html", page); out != page {
-		t.Error("out-of-scope page rewritten")
-	}
-}
-
 func TestEngineInvalidReportRejected(t *testing.T) {
 	e, _ := NewEngine(nil)
 	if _, err := e.HandleReport(&report.Report{}); err == nil {

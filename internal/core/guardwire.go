@@ -252,7 +252,7 @@ func (e *Engine) admitLocked(prof *Profile, rule *rules.Rule, server string, now
 			continue
 		}
 		if canary {
-			e.metrics.canaryActivations.Inc()
+			e.metrics.CanaryActivations.Inc()
 			if e.tracing() {
 				e.traceAt(now, obs.Event{
 					Kind: obs.EventCanary, User: prof.UserID, RuleID: rule.ID,
@@ -349,7 +349,7 @@ func (e *Engine) ObserveProviderOutcome(provider string, good bool, deltaMs floa
 	case guard.TransitionTrip, guard.TransitionReopen:
 		e.tripProvider(provider, fmt.Sprintf("breaker tripped (delta %.1fms)", deltaMs))
 	case guard.TransitionClose:
-		e.metrics.breakerCloses.Inc()
+		e.metrics.BreakerCloses.Inc()
 		if e.tracing() {
 			e.trace(obs.Event{Kind: obs.EventReadmit, Provider: provider,
 				Detail: "breaker closed after good canary outcomes"})
@@ -360,7 +360,7 @@ func (e *Engine) ObserveProviderOutcome(provider string, good bool, deltaMs floa
 // tripProvider does the engine-side bookkeeping of a breaker trip: metrics,
 // trace, and the epochs that roll back every activation onto the provider.
 func (e *Engine) tripProvider(provider, detail string) {
-	e.metrics.breakerTrips.Inc()
+	e.metrics.BreakerTrips.Inc()
 	if e.tracing() {
 		e.trace(obs.Event{Kind: obs.EventQuarantine, Provider: provider, Detail: detail})
 	}
@@ -379,7 +379,7 @@ func (e *Engine) noteRulePanic(ruleID string) {
 	if !e.guard.ObserveRulePanic(ruleID) {
 		return
 	}
-	e.metrics.ruleQuarantines.Inc()
+	e.metrics.RuleQuarantines.Inc()
 	if e.tracing() {
 		e.trace(obs.Event{Kind: obs.EventQuarantine, RuleID: ruleID,
 			Detail: "rule quarantined after repeated rewrite panics"})
@@ -406,7 +406,7 @@ func (e *Engine) ReleaseProvider(provider string) {
 		return
 	}
 	if e.guard.ForceClose(provider) {
-		e.metrics.breakerCloses.Inc()
+		e.metrics.BreakerCloses.Inc()
 		if e.tracing() {
 			e.trace(obs.Event{Kind: obs.EventReadmit, Provider: provider,
 				Detail: "manual release"})
@@ -423,7 +423,7 @@ func (e *Engine) QuarantineRule(ruleID string) {
 	if !e.guard.QuarantineRule(ruleID) {
 		return
 	}
-	e.metrics.ruleQuarantines.Inc()
+	e.metrics.RuleQuarantines.Inc()
 	if e.tracing() {
 		e.trace(obs.Event{Kind: obs.EventQuarantine, RuleID: ruleID,
 			Detail: "manual rule quarantine"})
@@ -465,8 +465,8 @@ func (e *Engine) GuardStatus() (GuardStatus, bool) {
 		Breakers:          e.guard.Snapshot(),
 		Quarantines:       e.guard.OpenProviders(),
 		QuarantinedRules:  e.guard.QuarantinedRules(),
-		CanaryActivations: e.metrics.canaryActivations.Value(),
-		RewritePanics:     e.metrics.rewritePanics.Value(),
+		CanaryActivations: e.metrics.CanaryActivations.Value(),
+		RewritePanics:     e.metrics.RewritePanics.Value(),
 	}, true
 }
 

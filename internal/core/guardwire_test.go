@@ -638,53 +638,3 @@ func TestFullProfileSpendsNoCanarySlot(t *testing.T) {
 		}
 	})
 }
-
-// TestRefusedAlternativeSpendsNoCanarySlot: an alternative on two providers
-// is admitted whole or not at all. With s2.net half-open (one canary slot)
-// and s3.org open, the activation is refused and s2.net's slot stays unspent,
-// so once s3.org is released the next user is admitted as s2.net's canary.
-// Synthesis, which falls back to the rule's other alternatives, must not
-// spend the slot of the preferred alternative it could not take either.
-func TestRefusedAlternativeSpendsNoCanarySlot(t *testing.T) {
-	both := `<script src="http://s2.net/jquery.js"><script src="http://s3.org/jquery.js">`
-	halfOpenAndOpen := func(e *Engine, clock *testClock) {
-		e.QuarantineProvider("s2.net")
-		clock.Advance(2 * time.Minute) // s2.net half-open: one canary slot
-		e.QuarantineProvider("s3.org")
-	}
-
-	t.Run("activation", func(t *testing.T) {
-		e, clock := guardEngine(t, []*rules.Rule{jqRule(0, both)})
-		halfOpenAndOpen(e, clock)
-		if ch := handle(t, e, slowS1Report("u1")); len(ch) != 0 {
-			t.Fatalf("activated onto open s3.org: %+v", ch)
-		}
-		wantCanaries(t, e, "s2.net", 0)
-		if got := e.Metrics().ActivationsBlocked; got != 1 {
-			t.Errorf("ActivationsBlocked = %d, want 1", got)
-		}
-		e.ReleaseProvider("s3.org")
-		if ch := handle(t, e, slowS1Report("u2")); len(ch) != 1 || ch[0].Action != "activate" {
-			t.Fatalf("the second user was not admitted as the canary: %+v", ch)
-		}
-		wantCanaries(t, e, "s2.net", 1)
-	})
-
-	t.Run("synthesis", func(t *testing.T) {
-		rule := jqRule(0, both, `<script src="http://s4.example/jquery.js">`)
-		e, clock := guardEngine(t, []*rules.Rule{rule}, synthesisOn)
-		halfOpenAndOpen(e, clock)
-		e.MarkDegraded("s1.com")
-		ch := handle(t, e, loadReport("u1", map[string]float64{"s1.com": 900}))
-		if len(ch) != 1 || !ch[0].Synthesized || ch[0].AltIndex != 1 {
-			t.Fatalf("changes %+v, want a synthesized activation on alt 1", ch)
-		}
-		wantCanaries(t, e, "s2.net", 0)
-		e.ReleaseProvider("s3.org")
-		ch = handle(t, e, loadReport("u2", map[string]float64{"s1.com": 900}))
-		if len(ch) != 1 || !ch[0].Synthesized || ch[0].AltIndex != 0 {
-			t.Fatalf("changes %+v, want the canary on alt 0", ch)
-		}
-		wantCanaries(t, e, "s2.net", 1)
-	})
-}

@@ -117,7 +117,7 @@ func (e *Engine) admit(ctx context.Context) error {
 		case <-expired:
 		}
 	}
-	e.metrics.reportsShed.Inc()
+	e.metrics.ReportsShed.Inc()
 	return &OverloadError{RetryAfter: g.RetryAfter}
 }
 

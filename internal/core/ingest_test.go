@@ -309,13 +309,13 @@ func TestBatchedIngestRace(t *testing.T) {
 		writers          = 4
 		reportsPerWriter = 50
 	)
-	var wg sync.WaitGroup
+	var wg, writing sync.WaitGroup
 	stop := make(chan struct{})
 
 	for w := 0; w < writers; w++ {
-		wg.Add(1)
+		writing.Add(1)
 		go func(w int) {
-			defer wg.Done()
+			defer writing.Done()
 			var batch []*report.Report
 			for i := 0; i < reportsPerWriter; i++ {
 				batch = append(batch, slowS1Report(fmt.Sprintf("w%d-u%d", w, i)))
@@ -356,18 +356,7 @@ func TestBatchedIngestRace(t *testing.T) {
 		e.IngestQueue()
 	})
 
-	done := make(chan struct{})
-	go func() {
-		// Wait for the writers only, then stop the churners.
-		defer close(done)
-		for {
-			if e.Metrics().ReportsHandled >= writers*reportsPerWriter {
-				return
-			}
-			time.Sleep(time.Millisecond)
-		}
-	}()
-	<-done
+	writing.Wait()
 	close(stop)
 	wg.Wait()
 

@@ -1,162 +1,95 @@
 package core
 
-import (
-	"sync/atomic"
-
-	"oak/internal/obs"
-)
+import "oak/internal/obs"
 
 // Metrics are the engine's aggregate counters — the "aggregate site
 // performance" bookkeeping the paper's server maintains alongside per-user
 // state. All counters are monotone and safe to read concurrently.
-type Metrics struct {
+type Metrics = counters[uint64]
+
+// counters declares the engine's counters once, over the cell type: the
+// engine increments a counters[obs.Counter], and Metrics, the snapshot, is
+// read from it field by field (obs.Read).
+type counters[C any] struct {
 	// ReportsHandled counts successfully processed performance reports.
-	ReportsHandled uint64
+	ReportsHandled C
 	// EntriesProcessed counts object timings across all reports.
-	EntriesProcessed uint64
+	EntriesProcessed C
 	// ViolationsDetected counts violator flags across all reports.
-	ViolationsDetected uint64
+	ViolationsDetected C
 	// RuleActivations counts activate + advance transitions.
-	RuleActivations uint64
+	RuleActivations C
 	// RuleDeactivations counts deactivate transitions (history reverts).
-	RuleDeactivations uint64
+	RuleDeactivations C
 	// RuleExpirations counts TTL lapses observed at report time.
-	RuleExpirations uint64
+	RuleExpirations C
 	// PagesModified counts page serves in which some rule replaced text with
 	// different text.
-	PagesModified uint64
+	PagesModified C
 	// PagesUntouched counts page serves that returned the page as-is.
-	PagesUntouched uint64
+	PagesUntouched C
 	// ReportsShed counts report submissions refused with ErrOverloaded by
 	// the admission bound (WithAdmission).
-	ReportsShed uint64
+	ReportsShed C
 	// StateRecoveries counts restores from somewhere other than the primary
 	// snapshot: boots (LoadStateFile calls) that fell back to the rotating
 	// backup because the primary was damaged or missing, and shipped imports
 	// (ImportShippedState) of another node's snapshot.
-	StateRecoveries uint64
+	StateRecoveries C
 	// BreakerTrips counts guard breaker trips (including half-open
 	// reopens): a provider crossing into quarantine.
-	BreakerTrips uint64
+	BreakerTrips C
 	// BreakerCloses counts breakers closing after successful half-open
 	// canaries: a provider re-admitted.
-	BreakerCloses uint64
+	BreakerCloses C
 	// ActivationsBlocked counts activations (and advances) the guard
 	// refused because the target provider's breaker was not admitting.
-	ActivationsBlocked uint64
+	ActivationsBlocked C
 	// BulkDeactivations counts activations rolled back by breaker trips
 	// and rule quarantines, one per activation, when its user's next report
 	// drops it (a user who never reports again is never counted).
-	BulkDeactivations uint64
+	BulkDeactivations C
 	// CanaryActivations counts activations admitted through a half-open
 	// breaker's canary budget.
-	CanaryActivations uint64
+	CanaryActivations C
 	// RewritePanics counts panics recovered on the serve path (compiled
 	// applier or per-rule fallback); each one served a safe page instead
 	// of failing the request.
-	RewritePanics uint64
+	RewritePanics C
 	// RuleQuarantines counts rules auto-quarantined after repeated
 	// rewrite panics.
-	RuleQuarantines uint64
+	RuleQuarantines C
 	// PopulationTrips counts providers flagged as population-degraded
 	// (window quantile vs trailing baseline, plus manual MarkDegraded).
-	PopulationTrips uint64
+	PopulationTrips C
 	// PopulationRecoveries counts degraded providers returning to baseline
 	// (plus manual ClearDegraded).
-	PopulationRecoveries uint64
+	PopulationRecoveries C
 	// SynthesizedActivations counts rule activations created by
 	// population-level synthesis (also included in RuleActivations).
-	SynthesizedActivations uint64
+	SynthesizedActivations C
 	// SynthesisBlocked counts synthesis attempts refused by the guard with
 	// no admissible alternative.
-	SynthesisBlocked uint64
+	SynthesisBlocked C
 	// PopulationSamplesDropped counts population samples discarded by the
 	// per-shard MaxProviders cap.
-	PopulationSamplesDropped uint64
+	PopulationSamplesDropped C
 	// ProfileSpills counts profiles evicted from memory to the spill tier's
 	// segment files (WithProfileResidency).
-	ProfileSpills uint64
+	ProfileSpills C
 	// Rehydrations counts spilled profiles brought back into memory by a
 	// report (serve-side reads view a record in place and move nothing).
-	Rehydrations uint64
+	Rehydrations C
 	// SegmentCompactions counts spill segments rewritten (or removed) by
 	// the ingest-driven compactor.
-	SegmentCompactions uint64
+	SegmentCompactions C
 	// SpillErrors counts spill-tier failures: I/O errors that degraded the
 	// store to memory-only mode and segments quarantined for damage.
-	SpillErrors uint64
-}
-
-// metrics is the engine-internal atomic representation.
-type metrics struct {
-	reportsHandled     atomic.Uint64
-	entriesProcessed   atomic.Uint64
-	violationsDetected atomic.Uint64
-	ruleActivations    atomic.Uint64
-	ruleDeactivations  atomic.Uint64
-	ruleExpirations    atomic.Uint64
-	pagesModified      atomic.Uint64
-	pagesUntouched     atomic.Uint64
-	reportsShed        obs.Counter
-	stateRecoveries    obs.Counter
-	breakerTrips       obs.Counter
-	breakerCloses      obs.Counter
-	activationsBlocked obs.Counter
-	bulkDeactivations  obs.Counter
-	canaryActivations  obs.Counter
-	rewritePanics      obs.Counter
-	ruleQuarantines    obs.Counter
-
-	popTrips               obs.Counter
-	popRecoveries          obs.Counter
-	synthesizedActivations obs.Counter
-	synthesisBlocked       obs.Counter
-	popSamplesDropped      obs.Counter
-
-	profileSpills      obs.Counter
-	rehydrations       obs.Counter
-	segmentCompactions obs.Counter
-	spillErrors        obs.Counter
-}
-
-// snapshot copies the counters.
-func (m *metrics) snapshot() Metrics {
-	return Metrics{
-		ReportsHandled:     m.reportsHandled.Load(),
-		EntriesProcessed:   m.entriesProcessed.Load(),
-		ViolationsDetected: m.violationsDetected.Load(),
-		RuleActivations:    m.ruleActivations.Load(),
-		RuleDeactivations:  m.ruleDeactivations.Load(),
-		RuleExpirations:    m.ruleExpirations.Load(),
-		PagesModified:      m.pagesModified.Load(),
-		PagesUntouched:     m.pagesUntouched.Load(),
-		ReportsShed:        m.reportsShed.Value(),
-		StateRecoveries:    m.stateRecoveries.Value(),
-		BreakerTrips:       m.breakerTrips.Value(),
-		BreakerCloses:      m.breakerCloses.Value(),
-		ActivationsBlocked: m.activationsBlocked.Value(),
-		BulkDeactivations:  m.bulkDeactivations.Value(),
-		CanaryActivations:  m.canaryActivations.Value(),
-		RewritePanics:      m.rewritePanics.Value(),
-		RuleQuarantines:    m.ruleQuarantines.Value(),
-
-		PopulationTrips:          m.popTrips.Value(),
-		PopulationRecoveries:     m.popRecoveries.Value(),
-		SynthesizedActivations:   m.synthesizedActivations.Value(),
-		SynthesisBlocked:         m.synthesisBlocked.Value(),
-		PopulationSamplesDropped: m.popSamplesDropped.Value(),
-
-		ProfileSpills:      m.profileSpills.Value(),
-		Rehydrations:       m.rehydrations.Value(),
-		SegmentCompactions: m.segmentCompactions.Value(),
-		SpillErrors:        m.spillErrors.Value(),
-	}
+	SpillErrors C
 }
 
 // Metrics returns a snapshot of the engine's aggregate counters.
-func (e *Engine) Metrics() Metrics {
-	return e.metrics.snapshot()
-}
+func (e *Engine) Metrics() Metrics { return obs.Read[Metrics](&e.metrics) }
 
 // SpillStatus is the spill tier's health and occupancy snapshot, served
 // under "spill" in /oak/v1/metrics (origin.SpillSection embeds it) and
@@ -208,11 +141,11 @@ func (e *Engine) SpillStatus() (SpillStatus, bool) {
 		SpillBytes:          st.log.Bytes.Value(),
 		Segments:            len(st.log.Segments()),
 		QuarantinedSegments: st.log.Quarantined(),
-		Spills:              e.metrics.profileSpills.Value(),
-		Rehydrations:        e.metrics.rehydrations.Value(),
+		Spills:              e.metrics.ProfileSpills.Value(),
+		Rehydrations:        e.metrics.Rehydrations.Value(),
 		RecordViews:         st.recordViews.Value(),
-		SegmentCompactions:  e.metrics.segmentCompactions.Value(),
-		SpillErrors:         e.metrics.spillErrors.Value(),
+		SegmentCompactions:  e.metrics.SegmentCompactions.Value(),
+		SpillErrors:         e.metrics.SpillErrors.Value(),
 		MaxProfiles:         st.cfg.MaxProfiles,
 		MaxBytes:            st.cfg.MaxBytes,
 	}

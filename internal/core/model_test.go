@@ -464,9 +464,13 @@ func (m *model) state(r HashRange) *persistedState {
 	return st
 }
 
-// export is ExportState.
-func (m *model) export() []byte {
-	b, _ := json.MarshalIndent(m.state(HashRange{}), "", "  ")
+// export is exportStateRange(r), ExportState for the whole ring.
+func (m *model) export(r HashRange) []byte {
+	st := m.state(r)
+	if !r.Whole() {
+		st.Range = &persistedRange{Lo: r.Lo, Hi: r.Hi}
+	}
+	b, _ := json.MarshalIndent(st, "", "  ")
 	return b
 }
 
@@ -691,7 +695,7 @@ func (w *modelWorld) importAll(r HashRange, st *persistedState) {
 
 // check holds every engine to the model.
 func (w *modelWorld) check(wait bool) {
-	want := w.m.export()
+	want, arc := w.m.export(HashRange{}), EqualRanges(4)[len(w.ops)%4]
 	for _, a := range w.arms {
 		a.e.GuardStatus() // a breaker's cool-down lapses when it is read, the model's at once
 		got, err := a.e.ExportState()
@@ -703,6 +707,9 @@ func (w *modelWorld) check(wait bool) {
 				i++
 			}
 			w.fatalf("%s: export differs from the model's at line %d:\n engine %q\n model  %q\n%s", a.name, i+1, g[i], m[i], want)
+		}
+		if got, err := a.e.exportStateRange(arc); err != nil || !bytes.Equal(got, w.m.export(arc)) {
+			w.fatalf("%s: export of %v differs from the model's (%v):\n%s\nmodel:\n%s", a.name, arc, err, got, w.m.export(arc))
 		}
 		mt := a.e.Metrics()
 		if got, want := (modelCounts{mt.ReportsHandled, mt.RuleActivations, mt.RuleDeactivations, mt.RuleExpirations,

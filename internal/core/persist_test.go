@@ -78,37 +78,6 @@ func TestImportDropsUnknownRules(t *testing.T) {
 	}
 }
 
-// TestImportDropsExpiredActivations: an activation that lapsed in transit is
-// not live after the import, and the user's next report counts its expiry,
-// as it would have had the profile never left the engine.
-func TestImportDropsExpiredActivations(t *testing.T) {
-	clock := newTestClock()
-	e1, _ := NewEngine([]*rules.Rule{jqRule(time.Hour)}, WithClock(clock.Now))
-	if _, err := e1.HandleReport(slowS1Report("u1")); err != nil {
-		t.Fatal(err)
-	}
-	data, err := e1.ExportState()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Restart happens two hours later.
-	clock.Advance(2 * time.Hour)
-	e2, _ := NewEngine([]*rules.Rule{jqRule(time.Hour)}, WithClock(clock.Now))
-	if err := e2.ImportState(data); err != nil {
-		t.Fatal(err)
-	}
-	snap, _ := e2.Snapshot("u1")
-	if len(snap.ActiveRules) != 0 {
-		t.Errorf("expired activation resurrected: %v", snap.ActiveRules)
-	}
-	if _, err := e2.HandleReport(healthyReport("u1")); err != nil {
-		t.Fatal(err)
-	}
-	if got := e2.Metrics().RuleExpirations; got != 1 {
-		t.Errorf("RuleExpirations = %d after the user's next report, want 1", got)
-	}
-}
-
 func TestImportRejectsGarbage(t *testing.T) {
 	e, _ := NewEngine(nil)
 	if err := e.ImportState([]byte("{")); err == nil {

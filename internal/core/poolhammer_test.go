@@ -63,6 +63,7 @@ func TestPooledReleaseHammer(t *testing.T) {
 	const perGoroutine = 400
 	var wg sync.WaitGroup
 	errCh := make(chan error, goroutines)
+	submitted, once := make(chan struct{}), sync.Once{}
 	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
 		go func(g int) {
@@ -83,6 +84,7 @@ func TestPooledReleaseHammer(t *testing.T) {
 					go cancel()
 				}
 				_, err = e.HandleReportCtx(ctx, rep)
+				once.Do(func() { close(submitted) })
 				if cancel != nil {
 					cancel()
 				}
@@ -99,10 +101,11 @@ func TestPooledReleaseHammer(t *testing.T) {
 		}(g)
 	}
 
-	// Close the engine while submissions are still in flight: Close waits
-	// for the reports being processed, late submissions take the closed
-	// path — both must still release.
-	time.Sleep(5 * time.Millisecond)
+	// Close the engine while submissions are still in flight (one has
+	// returned, thousands follow): Close waits for the reports being
+	// processed, late submissions take the closed path — both must still
+	// release.
+	<-submitted
 	if err := e.Close(); err != nil {
 		t.Fatal(err)
 	}

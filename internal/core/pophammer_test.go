@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -16,7 +17,9 @@ import (
 // traffic. The assertions are loose on purpose; the test exists for the
 // race detector.
 func TestPopulationConcurrentHammer(t *testing.T) {
+	var skew atomic.Int64 // the real clock, moved past a window instead of waiting one out
 	e, err := NewEngine([]*rules.Rule{jqRule(0)},
+		WithClock(func() time.Time { return time.Now().Add(time.Duration(skew.Load())) }),
 		WithSynthesis(SynthesisConfig{
 			Window:             5 * time.Millisecond,
 			MinSamples:         2,
@@ -94,9 +97,9 @@ func TestPopulationConcurrentHammer(t *testing.T) {
 
 	// Baselines (and so TrackedProviders) only fill when a tick closes a
 	// window; on a fast machine the whole hammer can finish inside the
-	// first 5ms window with zero ticks. Sleep past the window and send one
-	// more report to force a fold before asserting.
-	time.Sleep(10 * time.Millisecond)
+	// first 5ms window with zero ticks. Move the clock past the window and
+	// send one more report to force a fold before asserting.
+	skew.Add(int64(10 * time.Millisecond))
 	if _, err := e.HandleReport(loadReport("u-final", map[string]float64{"s1.com": 100})); err != nil {
 		t.Fatal(err)
 	}

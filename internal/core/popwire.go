@@ -198,7 +198,7 @@ func (e *Engine) feedPopLocked(sh *shard, servers []*report.ServerPerf) {
 			sk := sp.provs[h]
 			if sk == nil {
 				if len(sp.provs) >= e.pop.cfg.MaxProviders {
-					e.metrics.popSamplesDropped.Inc()
+					e.metrics.PopulationSamplesDropped.Inc()
 					continue
 				}
 				sk = &stats.QuantileSketch{}
@@ -285,7 +285,7 @@ func (e *Engine) runPopTick(now time.Time) {
 			case ep == nil && bq > 0 && wq >= p.cfg.DegradeFactor*bq:
 				ep = &DegradedProvider{Provider: h, Since: now, Ratio: wq / bq, BaselineMs: bq, WindowMs: wq}
 				p.degraded[h] = ep
-				e.metrics.popTrips.Inc()
+				e.metrics.PopulationTrips.Inc()
 				if e.tracing() {
 					e.trace(obs.Event{Kind: obs.EventPopDegrade, Provider: h,
 						Detail: fmt.Sprintf("p%.0f %.1fms vs baseline %.1fms (%.2fx)",
@@ -294,7 +294,7 @@ func (e *Engine) runPopTick(now time.Time) {
 			case ep != nil && !ep.Manual && bq > 0 && wq <= popRecoverFactor*bq:
 				delete(p.degraded, h)
 				ep = nil
-				e.metrics.popRecoveries.Inc()
+				e.metrics.PopulationRecoveries.Inc()
 				if e.tracing() {
 					e.trace(obs.Event{Kind: obs.EventPopRecover, Provider: h,
 						Detail: fmt.Sprintf("p%.0f %.1fms back to baseline %.1fms",
@@ -438,7 +438,7 @@ func (e *Engine) synthesizeLocked(prof *Profile, r *report.Report, now time.Time
 			}
 			altIdx, epoch, blockedBy := e.admitLocked(prof, rule, s.Addr, now, "synthesis", alts...)
 			if blockedBy != "" {
-				e.metrics.synthesisBlocked.Inc()
+				e.metrics.SynthesisBlocked.Inc()
 				if e.tracing() {
 					e.trace(obs.Event{
 						Kind: obs.EventQuarantine, User: r.UserID, RuleID: rule.ID,
@@ -458,8 +458,8 @@ func (e *Engine) synthesizeLocked(prof *Profile, r *report.Report, now time.Time
 				dist = 0
 			}
 			prof.activate(rule, altIdx, epoch, now, s.Addr, dist).Synthesized = true // admitted: it fits
-			e.metrics.ruleActivations.Add(1)
-			e.metrics.synthesizedActivations.Inc()
+			e.metrics.RuleActivations.Inc()
+			e.metrics.SynthesizedActivations.Inc()
 			res.Changes = append(res.Changes, RuleChange{
 				RuleID: rule.ID, Action: "activate", Server: s.Addr,
 				AltIndex: altIdx, Level: level, Synthesized: true,
@@ -487,7 +487,7 @@ func (e *Engine) MarkDegraded(provider string) {
 	p.mu.Lock()
 	if _, ok := p.degraded[provider]; !ok {
 		p.degraded[provider] = &DegradedProvider{Provider: provider, Since: e.now(), Manual: true}
-		e.metrics.popTrips.Inc()
+		e.metrics.PopulationTrips.Inc()
 		if e.tracing() {
 			e.trace(obs.Event{Kind: obs.EventPopDegrade, Provider: provider,
 				Detail: "manually marked degraded"})
@@ -507,7 +507,7 @@ func (e *Engine) ClearDegraded(provider string) {
 	p.mu.Lock()
 	if _, ok := p.degraded[provider]; ok {
 		delete(p.degraded, provider)
-		e.metrics.popRecoveries.Inc()
+		e.metrics.PopulationRecoveries.Inc()
 		if e.tracing() {
 			e.trace(obs.Event{Kind: obs.EventPopRecover, Provider: provider,
 				Detail: "manually cleared"})
@@ -569,11 +569,11 @@ func (e *Engine) PopulationStatus() (PopulationStatus, bool) {
 
 	st := PopulationStatus{
 		TrackedProviders:       len(p.baseline),
-		PopulationTrips:        e.metrics.popTrips.Value(),
-		PopulationRecoveries:   e.metrics.popRecoveries.Value(),
-		SynthesizedActivations: e.metrics.synthesizedActivations.Value(),
-		SynthesisBlocked:       e.metrics.synthesisBlocked.Value(),
-		SamplesDropped:         e.metrics.popSamplesDropped.Value(),
+		PopulationTrips:        e.metrics.PopulationTrips.Value(),
+		PopulationRecoveries:   e.metrics.PopulationRecoveries.Value(),
+		SynthesizedActivations: e.metrics.SynthesizedActivations.Value(),
+		SynthesisBlocked:       e.metrics.SynthesisBlocked.Value(),
+		SamplesDropped:         e.metrics.PopulationSamplesDropped.Value(),
 		Degraded:               p.episodesLocked(),
 	}
 

@@ -150,58 +150,6 @@ func TestSynthesisActivatesUserBelowPerUserGate(t *testing.T) {
 	}
 }
 
-func TestSynthesizedActivationsRollBackViaGuard(t *testing.T) {
-	e, clock := popEngine(t, WithGuard(GuardConfig{TripThreshold: 3, OpenFor: time.Minute}))
-	feedWindow(t, e, clock, "warm", 8, 100)
-	feedWindow(t, e, clock, "bad", 4, 1000)
-
-	// Synthesize activations for several users onto the s2.net alternate.
-	const users = 4
-	page := `<script src="http://s1.com/jquery.js">`
-	for i := 0; i < users; i++ {
-		u := fmt.Sprintf("synth-%d", i)
-		if _, err := e.HandleReport(loadReport(u, map[string]float64{"s1.com": 900})); err != nil {
-			t.Fatal(err)
-		}
-		if out, _ := e.ModifyPage(u, "/index.html", page); !strings.Contains(out, "s2.net") {
-			t.Fatalf("user %s not synthesized onto s2.net", u)
-		}
-	}
-
-	// The alternate goes bad: population-level outcomes trip its breaker,
-	// and the rollback takes the synthesized activations with it — no
-	// operator action. Each is counted when its user next reports.
-	for i := 0; i < 3; i++ {
-		e.ObserveProviderOutcome("s2.net", false, 500)
-	}
-	if m := e.Metrics(); m.BreakerTrips != 1 {
-		t.Fatalf("BreakerTrips = %d, want 1", m.BreakerTrips)
-	}
-	for i := 0; i < users; i++ {
-		u := fmt.Sprintf("synth-%d", i)
-		if out, _ := e.ModifyPage(u, "/index.html", page); out != page {
-			t.Errorf("user %s still rewritten after rollback: %q", u, out)
-		}
-		handle(t, e, healthyReport(u))
-	}
-	if m := e.Metrics(); m.BulkDeactivations != users {
-		t.Errorf("BulkDeactivations = %d, want %d", m.BulkDeactivations, users)
-	}
-
-	// While the breaker is open and the rule has no other alternative, new
-	// synthesis attempts are refused and counted.
-	res, err := e.HandleReport(loadReport("late", map[string]float64{"s1.com": 900}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Changes) != 0 {
-		t.Errorf("late changes = %+v, want none while breaker open", res.Changes)
-	}
-	if m := e.Metrics(); m.SynthesisBlocked == 0 {
-		t.Error("SynthesisBlocked = 0, want > 0")
-	}
-}
-
 func TestSynthesisFallsBackToAdmittedAlternative(t *testing.T) {
 	// Two alternatives; the preferred one's provider is quarantined, so the
 	// synthesized activation advances to the admitted one instead of giving

@@ -238,7 +238,7 @@ func (e *Engine) resolveSafely(v actView, path, page string, idx *rules.Index) (
 		defer func() {
 			if r := recover(); r != nil {
 				clean = false
-				e.metrics.rewritePanics.Inc()
+				e.metrics.RewritePanics.Inc()
 				if e.logf != nil {
 					e.logf("core: recovered rewrite panic (splice, path %s): %v", path, r)
 				}
@@ -264,7 +264,7 @@ func (e *Engine) resolveSafely(v actView, path, page string, idx *rules.Index) (
 		func() {
 			defer func() {
 				if r := recover(); r != nil {
-					e.metrics.rewritePanics.Inc()
+					e.metrics.RewritePanics.Inc()
 					if e.logf != nil {
 						e.logf("core: recovered rewrite panic (rule %s, path %s): %v", id, path, r)
 					}
@@ -287,7 +287,7 @@ func (e *Engine) resolveSafely(v actView, path, page string, idx *rules.Index) (
 func (e *Engine) observeRewrite(userID, path string, start time.Time, plan Plan) {
 	e.rewriteHist.Observe(time.Since(start))
 	if plan.changed {
-		e.metrics.pagesModified.Add(1)
+		e.metrics.PagesModified.Inc()
 		if e.tracing() {
 			e.trace(obs.Event{
 				Kind: obs.EventRewrite, User: userID,
@@ -295,7 +295,7 @@ func (e *Engine) observeRewrite(userID, path string, start time.Time, plan Plan)
 			})
 		}
 	} else {
-		e.metrics.pagesUntouched.Add(1)
+		e.metrics.PagesUntouched.Inc()
 	}
 }
 

@@ -119,7 +119,7 @@ type spillStore struct {
 // stop, already-spilled state is still read (viewed and rehydrated), serving
 // continues, healthz reports degraded.
 func (st *spillStore) degrade(e *Engine, op string, err error) {
-	e.metrics.spillErrors.Inc()
+	e.metrics.SpillErrors.Inc()
 	if st.failed.Swap(true) {
 		return
 	}
@@ -247,7 +247,7 @@ func (e *Engine) spillProfilesLocked(sh *shard, uids []string, forget bool) erro
 			sh.users.Add(-1)
 			sh.residentBytes.Add(-int64(prof.sizeEst))
 			st.spilledUsers.Add(1)
-			e.metrics.profileSpills.Inc()
+			e.metrics.ProfileSpills.Inc()
 		}
 	}
 	return nil
@@ -342,7 +342,7 @@ func (e *Engine) rehydrateLocked(sh *shard, userID string) *Profile {
 			sh.profiles[userID] = prof
 			sh.users.Add(1)
 			sh.residentBytes.Add(int64(prof.sizeEst))
-			e.metrics.rehydrations.Inc()
+			e.metrics.Rehydrations.Inc()
 			e.rehydrateHist.Observe(time.Since(start))
 			return prof
 		case seglog.IsDamage(err):
@@ -470,7 +470,7 @@ func (e *Engine) compactSegment(victim *seglog.Segment) {
 	// under the shard's read lock and read through it before releasing, so
 	// the write locks above waited the last of them out.
 	st.log.Remove(victim)
-	e.metrics.segmentCompactions.Inc()
+	e.metrics.SegmentCompactions.Inc()
 }
 
 // reappendLocked moves the shard's live records out of victim: the frames —

@@ -197,60 +197,6 @@ func TestSpillIngestRehydratesAndMerges(t *testing.T) {
 	}
 }
 
-// TestSpillExportByteIdentity is the tier's core invariant: an engine whose
-// population straddles the residency cap exports exactly the bytes an
-// all-resident engine with the same logical state does — whole-engine and
-// per-arc, plain and enveloped.
-func TestSpillExportByteIdentity(t *testing.T) {
-	capped := newSpillEngine(t, newTestClock(), ResidencyConfig{MaxProfiles: 3})
-	ref, err := NewEngine([]*rules.Rule{jqRule(0)}, WithClock(newTestClock().Now), WithShards(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 1; i <= 12; i++ {
-		r := fmt.Sprintf("u%02d", i)
-		if _, err := capped.HandleReport(slowS1Report(r)); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := ref.HandleReport(slowS1Report(r)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if st, _ := capped.SpillStatus(); st.ProfilesSpilled == 0 {
-		t.Fatal("population never straddled the cap; test is vacuous")
-	}
-
-	a, err := capped.ExportState()
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := ref.ExportState()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a, b) {
-		t.Errorf("ExportState differs across residency layouts:\n--- capped\n%s\n--- all-resident\n%s", a, b)
-	}
-	as, _ := capped.ExportSnapshot()
-	bs, _ := ref.ExportSnapshot()
-	if !bytes.Equal(as, bs) {
-		t.Error("ExportSnapshot differs across residency layouts")
-	}
-	for _, r := range EqualRanges(4) {
-		ar, err := capped.exportStateRange(r)
-		if err != nil {
-			t.Fatal(err)
-		}
-		br, err := ref.exportStateRange(r)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(ar, br) {
-			t.Errorf("exportStateRange(%v) differs across residency layouts", r)
-		}
-	}
-}
-
 func TestImportStateEvictsBackUnderCap(t *testing.T) {
 	src, err := NewEngine([]*rules.Rule{jqRule(0)}, WithClock(newTestClock().Now), WithShards(1))
 	if err != nil {

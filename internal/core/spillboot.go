@@ -54,7 +54,7 @@ func (e *Engine) initSpill() error {
 		return errors.New("core: profile residency requires a profile or byte cap")
 	}
 	log, err := seglog.Open(e.fs, cfg.Dir, func(name string, err error) {
-		e.metrics.spillErrors.Inc()
+		e.metrics.SpillErrors.Inc()
 		// Until recovery is done e.spill is nil: recoverSpill reports the
 		// segments it quarantines itself, with the users they lose.
 		if e.logf != nil && e.spill != nil {
@@ -151,7 +151,7 @@ func (e *Engine) recoverSpill(st *spillStore) error {
 			e.goodPrimary.Store(&path)
 		} else {
 			e.stateSource.Store(StateBackup)
-			e.metrics.stateRecoveries.Inc()
+			e.metrics.StateRecoveries.Inc()
 		}
 		if e.guard != nil {
 			e.guard.Import(ckpt.Guard, false)

@@ -236,7 +236,7 @@ func (e *Engine) LoadStateFile(path string) (StateSource, error) {
 		}
 		return "", fmt.Errorf("engine: import state backup: %w", ierr)
 	}
-	e.metrics.stateRecoveries.Inc()
+	e.metrics.StateRecoveries.Inc()
 	e.stateSource.Store(StateBackup)
 	return StateBackup, nil
 }
@@ -289,7 +289,7 @@ func (e *Engine) ImportShippedState(data []byte) error {
 	if err := e.ImportState(data); err != nil {
 		return err
 	}
-	e.metrics.stateRecoveries.Inc()
+	e.metrics.StateRecoveries.Inc()
 	e.stateSource.Store(StateShipped)
 	return nil
 }
@@ -303,5 +303,5 @@ func (e *Engine) StateStatus() (StateSource, uint64) {
 	if src == "" {
 		src = StateFresh
 	}
-	return src, e.metrics.stateRecoveries.Value()
+	return src, e.metrics.StateRecoveries.Value()
 }

@@ -15,6 +15,7 @@ import (
 	"net/http/httptest"
 	"net/url"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -36,7 +37,7 @@ func newChaosHost(t *testing.T, delay time.Duration) *chaosHost {
 	h := &chaosHost{}
 	h.delayMs.Store(int64(delay / time.Millisecond))
 	h.ts = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		time.Sleep(time.Duration(h.delayMs.Load()) * time.Millisecond)
+		time.Sleep(time.Duration(h.delayMs.Load()) * time.Millisecond) // a slow host is slow in real time
 		if h.dead.Load() {
 			http.Error(w, "provider down", http.StatusInternalServerError)
 			return
@@ -115,7 +116,9 @@ func TestChaosGuardKillsAlternateMidRun(t *testing.T) {
 		"c.example": bystC.addr(t),
 	}
 
+	var skew atomic.Int64 // the clock jumps past the cool-down instead of waiting it out
 	engine, err := oak.NewEngine([]*oak.Rule{chaosRule(t)},
+		oak.WithClock(func() time.Time { return time.Now().Add(time.Duration(skew.Load())) }),
 		oak.WithGuard(oak.GuardConfig{
 			TripThreshold:    3,
 			OpenFor:          150 * time.Millisecond,
@@ -224,7 +227,7 @@ func TestChaosGuardKillsAlternateMidRun(t *testing.T) {
 	// freely again.
 	s2.dead.Store(false)
 	s2.delayMs.Store(5)
-	time.Sleep(200 * time.Millisecond) // past OpenFor
+	skew.Add(int64(200 * time.Millisecond)) // past OpenFor
 
 	load("canary-user", 888)
 	if engine.Metrics().CanaryActivations == 0 {
@@ -281,15 +284,8 @@ func TestChaosGuardKillsAlternateMidRun(t *testing.T) {
 	// With the rule quarantined the failpoint no longer fires (the rule is
 	// skipped entirely once its activations roll back).
 	rules.SetApplyFailpoint(nil)
-	deadline = time.Now().Add(2 * time.Second)
-	for {
-		if body := pageAs(t, origin.URL, "canary-user"); !strings.Contains(body, "s2.net") {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("phase 4: quarantined rule's activations never rolled back")
-		}
-		time.Sleep(5 * time.Millisecond)
+	if body := pageAs(t, origin.URL, "canary-user"); strings.Contains(body, "s2.net") {
+		t.Fatal("phase 4: quarantined rule's activations were not rolled back")
 	}
 }
 
@@ -309,9 +305,15 @@ func TestChaosProberTripsDeadProvider(t *testing.T) {
 	defer engine.Close()
 
 	addr := s2.addr(t)
+	tripped, once := make(chan struct{}), sync.Once{}
 	prober := &oak.Prober{
-		Targets:  engine.AlternateProviders,
-		Report:   engine.ObserveProviderOutcome,
+		Targets: engine.AlternateProviders,
+		Report: func(provider string, good bool, deltaMs float64) {
+			engine.ObserveProviderOutcome(provider, good, deltaMs)
+			if breakers := engine.OpenBreakers(); len(breakers) == 1 && breakers[0] == "s2.net" {
+				once.Do(func() { close(tripped) })
+			}
+		},
 		Interval: 10 * time.Millisecond,
 		Resolve: func(host string) (string, bool) {
 			if host == "s2.net" {
@@ -323,16 +325,11 @@ func TestChaosProberTripsDeadProvider(t *testing.T) {
 	prober.Start()
 	defer prober.Stop()
 
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if breakers := engine.OpenBreakers(); len(breakers) == 1 && breakers[0] == "s2.net" {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("prober never tripped the dead provider; breakers = %v, metrics = %+v",
-				engine.OpenBreakers(), engine.Metrics())
-		}
-		time.Sleep(5 * time.Millisecond)
+	select {
+	case <-tripped:
+	case <-time.After(5 * time.Second):
+		t.Fatalf("prober never tripped the dead provider; breakers = %v, metrics = %+v",
+			engine.OpenBreakers(), engine.Metrics())
 	}
 	if engine.Metrics().BreakerTrips == 0 {
 		t.Error("BreakerTrips = 0 after prober trip")

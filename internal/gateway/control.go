@@ -100,7 +100,7 @@ func (g *Gateway) sweepBreakers(live []*backend) {
 	g.ctlMu.Unlock()
 
 	for _, p := range broadcast {
-		g.breakerBroadcasts.Inc()
+		g.metrics.BreakerBroadcasts.Inc()
 		for _, b := range live {
 			if _, has := openOn[p][b]; has {
 				continue // this backend's own trip started the broadcast
@@ -150,7 +150,7 @@ func (g *Gateway) sweepDegraded(live []*backend) {
 				g.logf("gateway: degrade broadcast %s to %s: %v", p, b.addr, err)
 				continue
 			}
-			g.degradeBroadcasts.Inc()
+			g.metrics.DegradeBroadcasts.Inc()
 			g.ctlMu.Lock()
 			if g.markedOn[p] == nil {
 				g.markedOn[p] = make(map[*backend]struct{})

@@ -49,12 +49,7 @@ type edgeCache struct {
 	paths map[string][]*edgeVariant
 	lru   *list.List
 
-	hits      obs.Counter // pages served from a held variant
-	fills     obs.Counter // bodies stored
-	refetches obs.Counter // 304s that named nothing servable: fetched again in full
-	evictions obs.Counter
-	bytes     obs.Gauge
-	variants  obs.Gauge
+	metrics edgeCells[obs.Counter, obs.Gauge]
 }
 
 func newEdgeCache() *edgeCache {
@@ -98,7 +93,7 @@ func (c *edgeCache) get(path, tag string) *edgeVariant {
 			copy(vs[1:i+1], vs[:i])
 			vs[0] = v
 			c.lru.MoveToFront(v.el)
-			c.hits.Inc()
+			c.metrics.Hits.Inc()
 			return v
 		}
 	}
@@ -121,13 +116,13 @@ func (c *edgeCache) put(path, tag, contentType string, body []byte) {
 	v := &edgeVariant{path: path, tag: tag, contentType: contentType, body: bytes.Clone(body)}
 	v.el = c.lru.PushFront(v)
 	c.paths[path] = append([]*edgeVariant{v}, c.paths[path]...)
-	c.fills.Inc()
-	c.bytes.Add(int64(len(v.body)))
-	c.variants.Add(1)
+	c.metrics.Fills.Inc()
+	c.metrics.Bytes.Add(int64(len(v.body)))
+	c.metrics.Variants.Add(1)
 	if vs := c.paths[path]; len(vs) > c.maxVariants {
 		c.evict(vs[len(vs)-1])
 	}
-	for c.bytes.Value() > c.maxBytes {
+	for c.metrics.Bytes.Value() > c.maxBytes {
 		c.evict(c.lru.Back().Value.(*edgeVariant))
 	}
 }
@@ -147,7 +142,7 @@ func (c *edgeCache) evict(v *edgeVariant) {
 		c.paths[v.path] = vs
 	}
 	c.lru.Remove(v.el)
-	c.evictions.Inc()
-	c.bytes.Add(-int64(len(v.body)))
-	c.variants.Add(-1)
+	c.metrics.Evictions.Inc()
+	c.metrics.Bytes.Add(-int64(len(v.body)))
+	c.metrics.Variants.Add(-1)
 }

@@ -159,7 +159,7 @@ func (g *Gateway) forwardWithFailover(ctx context.Context, i int, contentType st
 	if err == nil || fallback == nil {
 		return rep, err
 	}
-	g.failovers.Inc()
+	g.metrics.Failovers.Inc()
 	g.logf("gateway: failover %s -> %s: %v", primary.addr, fallback.addr, err)
 	rep, ferr := g.forwardTo(ctx, fallback, h, body)
 	if ferr != nil {
@@ -223,7 +223,7 @@ func (g *Gateway) handleReport(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "no backend reachable: "+err.Error(), http.StatusBadGateway)
 		return
 	}
-	g.forwardedReports.Inc()
+	g.metrics.ForwardedReports.Inc()
 	mirrorHeader(w, rep.header)
 	w.WriteHeader(rep.status)
 	_, _ = w.Write(rep.body)
@@ -355,7 +355,7 @@ func (g *Gateway) forwardSplit(ctx context.Context, w http.ResponseWriter, body 
 		http.Error(w, "no backend reachable", http.StatusBadGateway)
 		return
 	}
-	g.forwardedReports.Inc()
+	g.metrics.ForwardedReports.Inc()
 	if retryAfter > 0 {
 		w.Header().Set("Retry-After", strconv.Itoa(retryAfter))
 	}
@@ -394,7 +394,7 @@ func (g *Gateway) handlePage(w http.ResponseWriter, r *http.Request) {
 	primary, fallback := g.route(i)
 	page, body, err := g.proxyPage(ctx, primary, r, ck)
 	if err != nil && fallback != nil {
-		g.failovers.Inc()
+		g.metrics.Failovers.Inc()
 		g.logf("gateway: page failover %s -> %s: %v", primary.addr, fallback.addr, err)
 		page, body, err = g.proxyPage(ctx, fallback, r, ck)
 	}
@@ -403,7 +403,7 @@ func (g *Gateway) handlePage(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer page.release()
-	g.forwardedPages.Inc()
+	g.metrics.ForwardedPages.Inc()
 	mirrorHeader(w, page.header)
 	if body == nil {
 		// HEAD, a 304 for the client's own copy or a declared-empty body: the
@@ -452,7 +452,7 @@ func (g *Gateway) proxyPage(ctx context.Context, b *backend, r *http.Request, ck
 			page.header.Set("Content-Type", v.contentType)
 			return page, v.body, nil
 		}
-		g.edge.refetches.Inc()
+		g.edge.metrics.Refetches.Inc()
 		if page, err = g.fetchPage(ctx, b, r, ck, ""); err != nil {
 			return reply{}, nil, err
 		}

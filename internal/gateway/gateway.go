@@ -185,14 +185,8 @@ type Gateway struct {
 	seenBreakers map[string]struct{}
 	markedOn     map[string]map[*backend]struct{}
 
-	// Counters for the cluster metrics endpoint.
-	forwardedReports  obs.Counter
-	forwardedPages    obs.Counter
-	failovers         obs.Counter
-	probeCycles       obs.Counter
-	breakerBroadcasts obs.Counter
-	degradeBroadcasts obs.Counter
-	replacements      obs.Counter
+	// metrics are the counters of the cluster metrics endpoint.
+	metrics gatewayCounters[obs.Counter]
 
 	stopOnce sync.Once
 	stop     chan struct{}

@@ -16,7 +16,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"oak/internal/core"
 	"oak/internal/gateway"
@@ -247,12 +246,7 @@ func TestSplitBatchMergesInBodyOrder(t *testing.T) {
 	}
 	second := make(chan struct{})
 	fakes[1].answered = second
-	fakes[0].after = make(chan struct{})
-	go func() {
-		<-second
-		time.Sleep(50 * time.Millisecond) // the gateway has backend 1's answer
-		close(fakes[0].after)
-	}()
+	fakes[0].after = second // backend 0 answers once backend 1 has
 	gw := newTestGateway(t, fakes, nil)
 
 	body := fmt.Sprintf(`{"userId":%q,"page":"/p","entries":[]}`+"\n"+`{"userId":%q,"page":"/p","entries":[]}`,

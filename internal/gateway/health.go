@@ -80,7 +80,7 @@ func (g *Gateway) ProbeOnce() {
 			g.logf("gateway: backend %s %s -> %s (%v)", b.addr, old, now, err)
 		}
 	}
-	g.probeCycles.Inc()
+	g.metrics.ProbeCycles.Inc()
 }
 
 // Drain pins backend i at draining: it stops taking traffic but keeps

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"oak/internal/core"
+	"oak/internal/obs"
 	"oak/internal/origin"
 )
 
@@ -53,14 +54,8 @@ type ClusterHealthResponse struct {
 
 // GatewayMetrics are the gateway's own counters.
 type GatewayMetrics struct {
-	UptimeSeconds     float64 `json:"uptime_seconds"`
-	ForwardedReports  uint64  `json:"forwarded_reports"`
-	ForwardedPages    uint64  `json:"forwarded_pages"`
-	Failovers         uint64  `json:"failovers"`
-	ProbeCycles       uint64  `json:"probe_cycles"`
-	BreakerBroadcasts uint64  `json:"breaker_broadcasts"`
-	DegradeBroadcasts uint64  `json:"degrade_broadcasts"`
-	Replacements      uint64  `json:"replacements"`
+	UptimeSeconds float64 `json:"uptime_seconds"`
+	gatewayCounters[uint64]
 	// EdgeCache is the edge variant cache (see edge.go).
 	EdgeCache EdgeCacheMetrics `json:"edge_cache"`
 	// BackendConns is the gateway's transport to its backends (see
@@ -68,36 +63,57 @@ type GatewayMetrics struct {
 	BackendConns BackendConnMetrics `json:"backend_conns"`
 }
 
+// gatewayCounters declares the gateway's own counters once, over the cell
+// type: the Gateway increments the obs.Counter form, GatewayMetrics embeds
+// the uint64 one (obs.Read).
+type gatewayCounters[C any] struct {
+	ForwardedReports  C `json:"forwarded_reports"`
+	ForwardedPages    C `json:"forwarded_pages"`
+	Failovers         C `json:"failovers"`
+	ProbeCycles       C `json:"probe_cycles"`
+	BreakerBroadcasts C `json:"breaker_broadcasts"`
+	DegradeBroadcasts C `json:"degrade_broadcasts"`
+	Replacements      C `json:"replacements"`
+}
+
 // BackendConnMetrics answer "is the gateway re-dialling its backends?": in
 // steady state Reuses grows with the forwards and Dials does not.
 type BackendConnMetrics struct {
-	// Dials counts connections opened to backends.
-	Dials uint64 `json:"dials"`
-	// Reuses counts requests sent on a pooled keep-alive connection.
-	Reuses uint64 `json:"reuses"`
-	// StaleRetries counts pooled connections found closed by the backend
-	// when next used; the request went out again on another connection.
-	StaleRetries uint64 `json:"stale_retries"`
+	connCounters[uint64]
 	// Idle is how many connections sit pooled right now.
 	Idle int `json:"idle"`
+}
+
+// connCounters declares the transport's counters once, over the cell type.
+type connCounters[C any] struct {
+	// Dials counts connections opened to backends.
+	Dials C `json:"dials"`
+	// Reuses counts requests sent on a pooled keep-alive connection.
+	Reuses C `json:"reuses"`
+	// StaleRetries counts pooled connections found closed by the backend
+	// when next used; the request went out again on another connection.
+	StaleRetries C `json:"stale_retries"`
 }
 
 // EdgeCacheMetrics are the edge variant cache's counters and current size.
 // Hits/(Hits+Fills) is the share of page bodies the backends did not have
 // to send; Evictions and Refetches growing together mean the working set
 // of page variants is larger than the cache's fixed bounds.
-type EdgeCacheMetrics struct {
+type EdgeCacheMetrics = edgeCells[uint64, int64]
+
+// edgeCells declares the edge cache's counters (C) and gauges (G) once.
+type edgeCells[C, G any] struct {
 	// Hits counts pages served from a held variant after a backend's 304.
-	Hits uint64 `json:"hits"`
+	Hits C `json:"hits"`
 	// Fills counts page bodies stored from a backend's tagged 200.
-	Fills uint64 `json:"fills"`
+	Fills C `json:"fills"`
 	// Refetches counts 304s that named no servable variant (evicted since
 	// the offer, no ETag, or unasked) and were fetched again in full.
-	Refetches uint64 `json:"refetches"`
-	Evictions uint64 `json:"evictions"`
+	Refetches C `json:"refetches"`
+	Evictions C `json:"evictions"`
 	// Bytes and Variants are what is held right now.
-	Bytes    int64 `json:"bytes"`
-	Variants int64 `json:"variants"`
+	Bytes    G `json:"bytes"`
+	Variants G `json:"variants"`
 }
 
 // BackendMetrics is one backend's row in the cluster metrics view.
@@ -234,32 +250,14 @@ func (g *Gateway) handleClusterMetrics(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 		return
 	}
-	resp := ClusterMetricsResponse{
-		Gateway: GatewayMetrics{
-			UptimeSeconds:     time.Since(g.started).Seconds(),
-			ForwardedReports:  g.forwardedReports.Value(),
-			ForwardedPages:    g.forwardedPages.Value(),
-			Failovers:         g.failovers.Value(),
-			ProbeCycles:       g.probeCycles.Value(),
-			BreakerBroadcasts: g.breakerBroadcasts.Value(),
-			DegradeBroadcasts: g.degradeBroadcasts.Value(),
-			Replacements:      g.replacements.Value(),
-			EdgeCache: EdgeCacheMetrics{
-				Hits:      g.edge.hits.Value(),
-				Fills:     g.edge.fills.Value(),
-				Refetches: g.edge.refetches.Value(),
-				Evictions: g.edge.evictions.Value(),
-				Bytes:     g.edge.bytes.Value(),
-				Variants:  g.edge.variants.Value(),
-			},
-			BackendConns: BackendConnMetrics{
-				Dials:        g.transport.dials.Value(),
-				Reuses:       g.transport.reuses.Value(),
-				StaleRetries: g.transport.staleRetries.Value(),
-				Idle:         g.transport.idleConns(),
-			},
+	resp := ClusterMetricsResponse{Gateway: GatewayMetrics{
+		UptimeSeconds:   time.Since(g.started).Seconds(),
+		gatewayCounters: obs.Read[gatewayCounters[uint64]](&g.metrics),
+		EdgeCache:       obs.Read[EdgeCacheMetrics](&g.edge.metrics),
+		BackendConns: BackendConnMetrics{
+			obs.Read[connCounters[uint64]](&g.transport.metrics), g.transport.idleConns(),
 		},
-	}
+	}}
 	for i, b := range g.backends {
 		rng := g.ranges[i]
 		resp.Backends = append(resp.Backends, g.backendMetrics(b, &rng))

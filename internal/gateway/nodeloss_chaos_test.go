@@ -47,7 +47,7 @@ func newNodeChaosHost(t *testing.T, delay time.Duration) *nodeChaosHost {
 	h := &nodeChaosHost{}
 	h.delayMs.Store(int64(delay / time.Millisecond))
 	h.ts = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		time.Sleep(time.Duration(h.delayMs.Load()) * time.Millisecond)
+		time.Sleep(time.Duration(h.delayMs.Load()) * time.Millisecond) // a slow host is slow in real time
 		if h.dead.Load() {
 			http.Error(w, "provider down", http.StatusInternalServerError)
 			return

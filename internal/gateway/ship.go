@@ -160,7 +160,7 @@ func (g *Gateway) Replace(ctx context.Context, i int, newAddr string) error {
 	b.healthz = nil
 	b.mu.Unlock()
 	g.transport.closeIdle(retired)
-	g.replacements.Inc()
+	g.metrics.Replacements.Inc()
 	g.logf("gateway: replaced backend %d: %s -> %s", i, old, addr)
 	return nil
 }

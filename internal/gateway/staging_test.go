@@ -170,7 +170,7 @@ func TestForwardSurvivesBackendRestart(t *testing.T) {
 		t.Cleanup(gw.Close)
 		for i := 0; i < forwards; i++ {
 			forward(t, gw, "idle-u")
-			time.Sleep(25 * time.Millisecond) // past the backend's idle timeout
+			time.Sleep(25 * time.Millisecond) // real time past the backend's idle timeout, which closes the pooled connection
 		}
 		conns, failovers := backendConns(t, gw)
 		t.Logf("backend_conns %+v", conns)

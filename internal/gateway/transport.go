@@ -69,9 +69,7 @@ type transport struct {
 	idle   map[poolKey][]*backendConn // per backend, least recently used first
 	closed bool
 
-	dials        obs.Counter // connections opened
-	reuses       obs.Counter // requests sent on a pooled connection
-	staleRetries obs.Counter // pooled connections found dead, request sent again
+	metrics connCounters[obs.Counter]
 }
 
 func newTransport() *transport {
@@ -126,7 +124,7 @@ func (t *transport) conn(ctx context.Context, u *url.URL) (*backendConn, error) 
 	closeAll(expired)
 	if c != nil {
 		c.reused = true
-		t.reuses.Inc()
+		t.metrics.Reuses.Inc()
 		return c, nil
 	}
 
@@ -134,7 +132,7 @@ func (t *transport) conn(ctx context.Context, u *url.URL) (*backendConn, error) 
 	if err != nil {
 		return nil, err
 	}
-	t.dials.Inc()
+	t.metrics.Dials.Inc()
 	c = &backendConn{t: t, key: key, nc: nc}
 	c.br = bufio.NewReader(c)
 	c.expire = func() { _ = nc.SetDeadline(time.Unix(1, 0)) }
@@ -260,7 +258,7 @@ func (t *transport) RoundTrip(req *http.Request) (*http.Response, error) {
 				return nil, err
 			}
 		}
-		t.staleRetries.Inc()
+		t.metrics.StaleRetries.Inc()
 	}
 }
 

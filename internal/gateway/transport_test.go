@@ -247,7 +247,7 @@ func runCase(t *testing.T, tc conformanceCase, rt http.RoundTripper) ([2]outcome
 	var out [2]outcome
 	for i := range out {
 		if i > 0 {
-			time.Sleep(tc.settle)
+			time.Sleep(tc.settle) // real time for net/http's background read loop to see what came after the answer
 		}
 		out[i] = exchangeOnce(t, tc, hc, "http://"+srv.l.Addr().String()+"/page", payload)
 	}

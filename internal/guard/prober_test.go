@@ -114,8 +114,11 @@ func TestProbeFaultInjection(t *testing.T) {
 
 func TestProberStartStop(t *testing.T) {
 	var hits atomic.Int64
+	second := make(chan struct{})
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		hits.Add(1)
+		if hits.Add(1) == 2 {
+			close(second)
+		}
 		w.Write([]byte("ok"))
 	}))
 	defer srv.Close()
@@ -130,17 +133,15 @@ func TestProberStartStop(t *testing.T) {
 	}
 	p.Start()
 	p.Start() // idempotent
-	deadline := time.Now().Add(2 * time.Second)
-	for hits.Load() < 2 && time.Now().Before(deadline) {
-		time.Sleep(2 * time.Millisecond)
+	select {
+	case <-second:
+	case <-time.After(2 * time.Second):
+		t.Fatalf("prober hit the target %d times, want >= 2", hits.Load())
 	}
 	p.Stop()
 	p.Stop() // idempotent
-	if hits.Load() < 2 {
-		t.Fatalf("prober hit the target %d times, want >= 2", hits.Load())
-	}
 	settled := hits.Load()
-	time.Sleep(25 * time.Millisecond)
+	time.Sleep(25 * time.Millisecond) // five intervals of real time, in which a prober still running would probe
 	if hits.Load() != settled {
 		t.Fatal("prober kept probing after Stop")
 	}

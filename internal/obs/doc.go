@@ -1,5 +1,6 @@
 // Package obs is the observability substrate of the Oak server: lock-free
-// latency histograms and a bounded decision-trace ring buffer.
+// counters, gauges and latency histograms, and a bounded decision-trace ring
+// buffer.
 //
 // Paper mapping: Section 4.2 of "Oak: User-Targeted Web Performance"
 // describes a server that continuously maintains "aggregate site
@@ -14,6 +15,12 @@
 //     goroutines, so it sits directly on the engine's report-ingest and
 //     page-rewrite hot paths. Snapshots extract p50/p90/p99 with bounded
 //     relative error (each octave is split into 8 sub-buckets, ≤ 12.5 %).
+//
+//   - Counter and Gauge are the cells of a metric group. A group is declared
+//     once, as a struct generic over its cell types: over Counter and Gauge
+//     it is the live group a server increments, one atomic add on a named
+//     field; over uint64 and int64 it is the snapshot a metrics endpoint
+//     serves. Read copies the one into the other by walking the fields.
 //
 //   - Trace is a bounded ring buffer of Events — one per engine decision
 //     (report ingested, violator flagged, rule activated / advanced / kept /

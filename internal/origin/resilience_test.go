@@ -61,21 +61,10 @@ func plainReportJSON(t *testing.T, user string) string {
 	return string(data)
 }
 
-func waitFor(t *testing.T, cond func() bool) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for !cond() {
-		if time.Now().After(deadline) {
-			t.Fatal("condition not reached within 5s")
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
-
 // saturatedServer builds a server bounded to one report in flight, with
 // that one parked inside the script fetcher, so every further submission
-// sheds. The returned release lets it finish; the engine is cleaned up by
-// t.Cleanup.
+// sheds. The returned release lets it finish and returns once it has; the
+// engine is cleaned up by t.Cleanup.
 func saturatedServer(t *testing.T) (*Server, func()) {
 	t.Helper()
 	entered := make(chan struct{})
@@ -92,11 +81,12 @@ func saturatedServer(t *testing.T) (*Server, func()) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	released := false
+	released, finished := false, make(chan struct{})
 	doRelease := func() {
 		if !released {
 			released = true
 			close(release)
+			<-finished
 		}
 	}
 	t.Cleanup(func() {
@@ -108,7 +98,10 @@ func saturatedServer(t *testing.T) (*Server, func()) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	go func() { _, _ = engine.HandleReport(blocker) }()
+	go func() {
+		defer close(finished)
+		_, _ = engine.HandleReport(blocker)
+	}()
 	<-entered
 
 	return NewServer(engine), doRelease
@@ -183,7 +176,9 @@ func TestHealthzDegradedWhileSaturated(t *testing.T) {
 		t.Errorf("healthz while saturated = %q, want degraded", got)
 	}
 	release()
-	waitFor(t, func() bool { depth, _ := s.Engine().IngestQueue(); return depth == 0 })
+	if depth, _ := s.Engine().IngestQueue(); depth != 0 {
+		t.Errorf("ingest queue depth %d once the parked report returned, want 0", depth)
+	}
 	if got := get(); got != "ok" {
 		t.Errorf("healthz after drain = %q, want ok", got)
 	}
