@@ -151,7 +151,7 @@ func run(args []string) error {
 		return errors.New("-shed-wait needs -ingest-queue: unbounded ingest has nothing to shed")
 	}
 
-	server, pages, nRules, err := buildServer(oakdConfig{
+	server, boot, err := buildServer(oakdConfig{
 		root: *root, ruleFile: *ruleFile, verbose: *verbose,
 		shards: *shards, queueLen: *queueLen,
 		maxBodyBytes: *maxBody,
@@ -207,7 +207,8 @@ func run(args []string) error {
 	errCh := make(chan error, 1)
 	go func() { errCh <- srv.ListenAndServe() }()
 
-	log.Printf("oakd: serving %d pages from %s with %d rules on %s", pages, *root, nRules, *addr)
+	log.Printf("oakd: serving %d pages from %s with %d rules on %s; boot: %s",
+		boot.pages, *root, boot.rules, *addr, boot.stages(server.Engine().BootStatus()))
 	select {
 	case err := <-errCh:
 		return err
@@ -360,19 +361,37 @@ type oakdConfig struct {
 	synthMaxProviders int
 }
 
+// booted is what buildServer loaded and what each of its stages took: the
+// rules (parse and lint), the engine and the pages.
+type booted struct {
+	pages, rules                     int
+	rulesTime, engineTime, pagesTime time.Duration
+}
+
+// stages names each stage of the boot with its time, the durable state's last
+// (bs.Load, and under a profile cap the segment replay, bs.Recover, which
+// NewEngine runs and the engine's stage leaves out), for the boot line.
+func (b booted) stages(bs oak.BootStatus) string {
+	r := func(d time.Duration) time.Duration { return d.Round(10 * time.Microsecond) }
+	return fmt.Sprintf("rules %v, engine %v, pages %v, state %v",
+		r(b.rulesTime), r(b.engineTime-bs.Recover), r(b.pagesTime), r(bs.Load+bs.Recover))
+}
+
 // buildServer assembles the Oak server from a page directory and a rule
 // file. Split from run so it is testable without binding a listener.
-func buildServer(cfg oakdConfig) (*oak.Server, int, int, error) {
+func buildServer(cfg oakdConfig) (*oak.Server, booted, error) {
+	var b booted
+	start := time.Now()
 	var ruleSet []*oak.Rule
 	if cfg.ruleFile != "" {
 		f, err := os.Open(cfg.ruleFile)
 		if err != nil {
-			return nil, 0, 0, fmt.Errorf("read rules: %w", err)
+			return nil, b, fmt.Errorf("read rules: %w", err)
 		}
 		set, err := oak.LoadRules(f)
 		f.Close()
 		if err != nil {
-			return nil, 0, 0, fmt.Errorf("%s: %w", cfg.ruleFile, err)
+			return nil, b, fmt.Errorf("%s: %w", cfg.ruleFile, err)
 		}
 		ruleSet = set.Rules
 	}
@@ -380,6 +399,7 @@ func buildServer(cfg oakdConfig) (*oak.Server, int, int, error) {
 	for _, w := range oak.LintRules(ruleSet) {
 		log.Printf("oakd: lint: %s", w)
 	}
+	b.rules, b.rulesTime = len(ruleSet), time.Since(start)
 
 	var opts []oak.EngineOption
 	if cfg.verbose {
@@ -397,7 +417,7 @@ func buildServer(cfg oakdConfig) (*oak.Server, int, int, error) {
 	}
 	if cfg.profileCache > 0 || cfg.profileCacheBytes > 0 {
 		if cfg.spillDir == "" {
-			return nil, 0, 0, fmt.Errorf("-profile-cache/-profile-cache-bytes need -spill-dir")
+			return nil, b, fmt.Errorf("-profile-cache/-profile-cache-bytes need -spill-dir")
 		}
 		opts = append(opts, oak.WithProfileResidency(oak.ResidencyConfig{
 			Dir:         cfg.spillDir,
@@ -421,10 +441,12 @@ func buildServer(cfg oakdConfig) (*oak.Server, int, int, error) {
 			MaxProviders:       cfg.synthMaxProviders,
 		}))
 	}
+	start = time.Now()
 	engine, err := oak.NewEngine(ruleSet, opts...)
 	if err != nil {
-		return nil, 0, 0, err
+		return nil, b, err
 	}
+	b.engineTime = time.Since(start)
 	var srvOpts []oak.ServerOption
 	if cfg.rewriteBudget != 0 {
 		srvOpts = append(srvOpts, oak.WithRewriteBudget(cfg.rewriteBudget))
@@ -433,12 +455,14 @@ func buildServer(cfg oakdConfig) (*oak.Server, int, int, error) {
 		srvOpts = append(srvOpts, oak.WithMaxBodyBytes(cfg.maxBodyBytes))
 	}
 	server := oak.NewServer(engine, srvOpts...)
-	pages, err := server.LoadPages(os.DirFS(cfg.root))
+	start = time.Now()
+	b.pages, err = server.LoadPages(os.DirFS(cfg.root))
 	if err != nil {
-		return nil, 0, 0, err
+		return nil, b, err
 	}
-	if pages == 0 {
-		return nil, 0, 0, fmt.Errorf("no *.html pages under %s", cfg.root)
+	if b.pages == 0 {
+		return nil, b, fmt.Errorf("no *.html pages under %s", cfg.root)
 	}
-	return server, pages, len(ruleSet), nil
+	b.pagesTime = time.Since(start)
+	return server, b, nil
 }

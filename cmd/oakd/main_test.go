@@ -60,12 +60,12 @@ func newSiteDir(t *testing.T) string {
 
 func TestBuildServerServesPages(t *testing.T) {
 	dir := newSiteDir(t)
-	server, pages, nRules, err := buildServer(oakdConfig{root: dir, ruleFile: "", verbose: false})
+	server, boot, err := buildServer(oakdConfig{root: dir, ruleFile: "", verbose: false})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pages != 2 || nRules != 0 {
-		t.Errorf("pages=%d rules=%d, want 2/0", pages, nRules)
+	if boot.pages != 2 || boot.rules != 0 {
+		t.Errorf("pages=%d rules=%d, want 2/0", boot.pages, boot.rules)
 	}
 	ts := httptest.NewServer(server)
 	defer ts.Close()
@@ -106,12 +106,12 @@ rule r1 {
   scope *
 }
 `)
-	_, _, nRules, err := buildServer(oakdConfig{root: dir, ruleFile: ruleFile, verbose: true})
+	_, boot, err := buildServer(oakdConfig{root: dir, ruleFile: ruleFile, verbose: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if nRules != 1 {
-		t.Errorf("rules = %d, want 1", nRules)
+	if boot.rules != 1 {
+		t.Errorf("rules = %d, want 1", boot.rules)
 	}
 }
 
@@ -119,27 +119,27 @@ func TestBuildServerWithJSONRules(t *testing.T) {
 	dir := newSiteDir(t)
 	ruleFile := filepath.Join(dir, "rules.json")
 	writeFile(t, ruleFile, `[{"id":"r1","type":1,"default":"<div>ad</div>","scope":"*","ttlMillis":0}]`)
-	_, _, nRules, err := buildServer(oakdConfig{root: dir, ruleFile: ruleFile, verbose: false})
+	_, boot, err := buildServer(oakdConfig{root: dir, ruleFile: ruleFile, verbose: false})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if nRules != 1 {
-		t.Errorf("rules = %d, want 1", nRules)
+	if boot.rules != 1 {
+		t.Errorf("rules = %d, want 1", boot.rules)
 	}
 }
 
 func TestBuildServerErrors(t *testing.T) {
 	dir := newSiteDir(t)
-	if _, _, _, err := buildServer(oakdConfig{root: dir, ruleFile: filepath.Join(dir, "missing.oak"), verbose: false}); err == nil {
+	if _, _, err := buildServer(oakdConfig{root: dir, ruleFile: filepath.Join(dir, "missing.oak"), verbose: false}); err == nil {
 		t.Error("missing rule file: want error")
 	}
 	bad := filepath.Join(dir, "bad.oak")
 	writeFile(t, bad, "rule broken {")
-	if _, _, _, err := buildServer(oakdConfig{root: dir, ruleFile: bad, verbose: false}); err == nil {
+	if _, _, err := buildServer(oakdConfig{root: dir, ruleFile: bad, verbose: false}); err == nil {
 		t.Error("bad rule file: want error")
 	}
 	empty := t.TempDir()
-	if _, _, _, err := buildServer(oakdConfig{root: empty, ruleFile: "", verbose: false}); err == nil {
+	if _, _, err := buildServer(oakdConfig{root: empty, ruleFile: "", verbose: false}); err == nil {
 		t.Error("empty page dir: want error")
 	}
 }
@@ -193,7 +193,7 @@ rule swap {
   scope *
 }
 `)
-	server, _, _, err := buildServer(oakdConfig{root: dir, ruleFile: ruleFile, verbose: false})
+	server, _, err := buildServer(oakdConfig{root: dir, ruleFile: ruleFile, verbose: false})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +218,7 @@ rule swap {
 	}
 
 	// A restarted server restores the activation.
-	server2, _, _, err := buildServer(oakdConfig{root: dir, ruleFile: ruleFile, verbose: false})
+	server2, _, err := buildServer(oakdConfig{root: dir, ruleFile: ruleFile, verbose: false})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +233,7 @@ rule swap {
 
 func TestLoadStateCorruptFallsBackToBackup(t *testing.T) {
 	dir := newSiteDir(t)
-	server, _, _, err := buildServer(oakdConfig{root: dir, ruleFile: "", verbose: false})
+	server, _, err := buildServer(oakdConfig{root: dir, ruleFile: "", verbose: false})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +255,7 @@ func TestLoadStateCorruptFallsBackToBackup(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	server2, _, _, err := buildServer(oakdConfig{root: dir, ruleFile: "", verbose: false})
+	server2, _, err := buildServer(oakdConfig{root: dir, ruleFile: "", verbose: false})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +272,7 @@ func TestLoadStateCorruptFallsBackToBackup(t *testing.T) {
 // and leaves both files as they were for the operator.
 func TestLoadStateBothCorruptAbortsBoot(t *testing.T) {
 	dir := newSiteDir(t)
-	server, _, _, err := buildServer(oakdConfig{root: dir, ruleFile: "", verbose: false})
+	server, _, err := buildServer(oakdConfig{root: dir, ruleFile: "", verbose: false})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,7 +297,7 @@ func TestLoadStateBothCorruptAbortsBoot(t *testing.T) {
 // boot on the checkpoint the next save writes does not.
 func TestBootLineSaysWhenItMigrated(t *testing.T) {
 	dir := newSiteDir(t)
-	server, _, _, err := buildServer(oakdConfig{root: dir, ruleFile: "", verbose: false})
+	server, _, err := buildServer(oakdConfig{root: dir, ruleFile: "", verbose: false})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,7 +310,7 @@ func TestBootLineSaysWhenItMigrated(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, migrated := range []bool{true, false} {
-		server, _, _, err := buildServer(oakdConfig{root: dir, ruleFile: "", verbose: false})
+		server, _, err := buildServer(oakdConfig{root: dir, ruleFile: "", verbose: false})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -335,7 +335,7 @@ func TestBootLineSaysWhichCheckpoint(t *testing.T) {
 	spill, statePath := filepath.Join(dir, "spill"), filepath.Join(dir, "state.json")
 	boot := func(want string) *oak.Engine {
 		t.Helper()
-		server, _, _, err := buildServer(oakdConfig{root: dir, profileCache: 2, spillDir: spill})
+		server, _, err := buildServer(oakdConfig{root: dir, profileCache: 2, spillDir: spill})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -373,9 +373,43 @@ func TestBootLineSaysWhichCheckpoint(t *testing.T) {
 	boot("legacy state file " + statePath + " read").Close()
 }
 
+// TestBootLineNamesEveryStage: the boot line gives the time of each stage —
+// the rules, the engine, the pages and the durable state — with and without
+// a profile cap, so a slower restart names the stage that moved.
+func TestBootLineNamesEveryStage(t *testing.T) {
+	dir := newSiteDir(t)
+	ruleFile := filepath.Join(dir, "rules.oak")
+	writeFile(t, ruleFile, "rule r1 {\n  type 1\n  default \"<div>ad</div>\"\n  ttl 0\n  scope *\n}\n")
+	for _, cfg := range []oakdConfig{
+		{root: dir, ruleFile: ruleFile},
+		{root: dir, ruleFile: ruleFile, profileCache: 2, spillDir: filepath.Join(dir, "spill")},
+	} {
+		server, boot, err := buildServer(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := loadState(server.Engine(), filepath.Join(dir, "state")); err != nil {
+			t.Fatal(err)
+		}
+		line := boot.stages(server.Engine().BootStatus())
+		for _, stage := range []string{"rules", "engine", "pages", "state"} {
+			var d time.Duration
+			i := strings.Index(line, stage+" ")
+			if i < 0 {
+				t.Errorf("boot line %q names no %s stage", line, stage)
+				continue
+			}
+			if d, err = time.ParseDuration(strings.TrimSuffix(strings.Fields(line[i+len(stage)+1:])[0], ",")); err != nil || d < 0 {
+				t.Errorf("boot line %q: the %s stage reads %v, %v", line, stage, d, err)
+			}
+		}
+		server.Engine().Close()
+	}
+}
+
 func TestSaveStateLeavesNoTempFile(t *testing.T) {
 	dir := newSiteDir(t)
-	server, _, _, err := buildServer(oakdConfig{root: dir, ruleFile: "", verbose: false})
+	server, _, err := buildServer(oakdConfig{root: dir, ruleFile: "", verbose: false})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -397,7 +431,7 @@ func TestSaveStateLeavesNoTempFile(t *testing.T) {
 
 func TestLoadStateMissingFileOK(t *testing.T) {
 	dir := newSiteDir(t)
-	server, _, _, err := buildServer(oakdConfig{root: dir, ruleFile: "", verbose: false})
+	server, _, err := buildServer(oakdConfig{root: dir, ruleFile: "", verbose: false})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -408,7 +442,7 @@ func TestLoadStateMissingFileOK(t *testing.T) {
 
 func TestPersistPeriodicallyStops(t *testing.T) {
 	dir := newSiteDir(t)
-	server, _, _, err := buildServer(oakdConfig{root: dir, ruleFile: "", verbose: false})
+	server, _, err := buildServer(oakdConfig{root: dir, ruleFile: "", verbose: false})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -431,7 +465,7 @@ func TestPersistStopTakesFinalSave(t *testing.T) {
 	// Even when the interval never fires, stopping the loop persists once —
 	// this is the graceful-shutdown save path.
 	dir := newSiteDir(t)
-	server, _, _, err := buildServer(oakdConfig{root: dir, ruleFile: "", verbose: false})
+	server, _, err := buildServer(oakdConfig{root: dir, ruleFile: "", verbose: false})
 	if err != nil {
 		t.Fatal(err)
 	}

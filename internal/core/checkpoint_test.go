@@ -401,9 +401,9 @@ func allocProfiles(n int) []persistedProfile {
 }
 
 // TestStateDecodeAllocs gates what reading one profile of a checkpoint
-// allocates before the profile is built: what a segment walk's record costs
-// (TestSegmentWalkAllocs). encoding/json's reading of the same profile from a
-// JSON state file made 6.
+// allocates before the profile is built: one copy of the record for its
+// strings. encoding/json's reading of the same profile from a JSON state file
+// made 6.
 func TestStateDecodeAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts differ under the race detector")
@@ -429,9 +429,63 @@ func TestStateDecodeAllocs(t *testing.T) {
 	}
 }
 
+// TestCheckpointLoadAllocs gates what a boot allocates per profile it loads
+// from a checkpoint of 2,000 one-report users, every other one activated:
+// engine, file read, decode and install. Each record becomes its profile in
+// one pass — one copy of the record for its strings, and the profile takes
+// the violations map its record was decoded into — for 5.54 allocations; the
+// bound is that and 15 %. A profile built beside its record, its maps made
+// empty and then filled and each string copied on its own, cost 8.05.
+func TestCheckpointLoadAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under the race detector")
+	}
+	const n = 2000
+	at := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
+	st := &persistedState{Version: stateVersion, Profiles: make([]persistedProfile, n)}
+	for i := range st.Profiles {
+		pp := &st.Profiles[i]
+		*pp = persistedProfile{
+			UserID:     fmt.Sprintf("user-%06d", i),
+			Violations: map[string]int{"ip-s1.com": 1},
+			LastReport: at.Add(time.Duration(i) * time.Millisecond),
+			Version:    1,
+		}
+		if i%2 == 0 {
+			pp.Active = []persistedActivation{{RuleID: "jquery", ActivatedAt: pp.LastReport, TriggerServer: "ip-s1.com", TriggerDistance: 4.5, Activations: 1}}
+		}
+	}
+	data, err := encodeCheckpoint(st, nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "state")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	rs := []*rules.Rule{jqRule(0)}
+	if err := rs[0].Compile(); err != nil {
+		t.Fatal(err)
+	}
+	perProfile := testing.AllocsPerRun(5, func() {
+		e, err := NewEngine(rs, WithShards(8))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if src, err := e.LoadStateFile(path); err != nil || src != StateSnapshot || e.Users() != n {
+			t.Fatalf("load: %v, %v, %d users", src, err, e.Users())
+		}
+	}) / n
+	t.Logf("%.2f allocations per loaded profile", perProfile)
+	if perProfile > 6.4 {
+		t.Errorf("checkpoint load allocates %.2f per profile, want at most 6.4", perProfile)
+	}
+}
+
 // TestSegmentWalkAllocs gates what walking one record of a segment allocates
-// now that every frame decodes into one scratch record: the strings of the
-// user, the time and the server. A record of its own per frame made it 6.
+// now that every frame decodes into one scratch record: one copy of the
+// record for its strings, and the user's ID the frame keeps. A record of its
+// own per frame made it 6.
 func TestSegmentWalkAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts differ under the race detector")

@@ -81,30 +81,6 @@ func (e *Engine) initGuard() {
 	})
 }
 
-// altHostsOf extracts the provider hostnames an alternative's text points at
-// (src/href attributes plus free-text host mentions — the same surfaces
-// MatchesAlternate recognises).
-func altHostsOf(alt string) []string {
-	if alt == "" {
-		return nil
-	}
-	seen := make(map[string]bool)
-	var hosts []string
-	for _, h := range htmlscan.ExtractSrcHosts(alt) {
-		if !seen[h] {
-			seen[h] = true
-			hosts = append(hosts, h)
-		}
-	}
-	for _, h := range htmlscan.HostsInText(alt) {
-		if !seen[h] {
-			seen[h] = true
-			hosts = append(hosts, h)
-		}
-	}
-	return hosts
-}
-
 // buildAltHosts precomputes rule ID → per-alternative provider host lists
 // for the rule set, so neither an admission nor an epoch rescans alternative
 // text. Called once, by NewEngine; no-op on guardless engines.
@@ -118,8 +94,8 @@ func (e *Engine) buildAltHosts() {
 			continue // removal has no target provider
 		}
 		per := make([][]string, len(r.Alternatives))
-		for i, alt := range r.Alternatives {
-			per[i] = altHostsOf(alt)
+		for i := range per {
+			per[i] = r.AlternativeHosts(i)
 		}
 		e.altHosts[r.ID] = per
 	}
@@ -129,24 +105,7 @@ func (e *Engine) buildAltHosts() {
 // activation target, nil when there are none (Type 1 removals, host-less
 // alternatives, guardless engines).
 func (e *Engine) altHostsFor(ruleID string, altIdx int) []string {
-	return clampedAlt(e.altHosts[ruleID], altIdx)
-}
-
-// clampedAlt indexes a per-alternative table the way Rule.Alternative
-// indexes the alternatives: out-of-range indexes clamp, and an empty table
-// reads as the zero value.
-func clampedAlt[T any](per []T, altIdx int) T {
-	if len(per) == 0 {
-		var zero T
-		return zero
-	}
-	if altIdx < 0 {
-		altIdx = 0
-	}
-	if altIdx >= len(per) {
-		altIdx = len(per) - 1
-	}
-	return per[altIdx]
+	return rules.Clamp(e.altHosts[ruleID], altIdx)
 }
 
 // epochTable is every (rule, alternative) pair's current epoch: rule ID →
@@ -160,7 +119,7 @@ func (t *epochTable) at(ruleID string, alt int) uint64 {
 	if t == nil {
 		return 0
 	}
-	return clampedAlt((*t)[ruleID], alt)
+	return rules.Clamp((*t)[ruleID], alt)
 }
 
 // publishEpochs rebuilds the epoch table from the guard's counts and
@@ -176,7 +135,7 @@ func (e *Engine) publishEpochs() {
 		per := e.altHosts[r.ID]
 		eps := make([]uint64, max(len(per), 1))
 		for i := range eps {
-			eps[i] = e.guard.Epoch(r.ID, clampedAlt(per, i))
+			eps[i] = e.guard.Epoch(r.ID, rules.Clamp(per, i))
 			moved = moved || eps[i] > 0
 		}
 		t[r.ID] = eps
@@ -490,7 +449,7 @@ func (e *Engine) AlternateProviders() map[string][]string {
 		if r.Type == rules.TypeRemove {
 			continue
 		}
-		for _, alt := range r.Alternatives {
+		for i, alt := range r.Alternatives {
 			for _, u := range htmlscan.URLsInText(alt) {
 				h := htmlscan.HostOf(u)
 				if h == "" {
@@ -500,7 +459,7 @@ func (e *Engine) AlternateProviders() map[string][]string {
 					out[h] = append(out[h], u)
 				}
 			}
-			for _, h := range altHostsOf(alt) {
+			for _, h := range r.AlternativeHosts(i) {
 				if len(out[h]) == 0 {
 					out[h] = append(out[h], "http://"+h+"/")
 				}

@@ -86,32 +86,8 @@ func NewMatcher(fetcher ScriptFetcher) *Matcher {
 // server, considering the scripts the client actually loaded during the
 // reported page load (scriptURLs, from the report's entry list).
 func (m *Matcher) Match(rule *rules.Rule, violator *report.ServerPerf, scriptURLs []string) MatchLevel {
-	if rule == nil || violator == nil || len(violator.Hosts) == 0 {
-		return MatchNone
-	}
-
-	// Tier 1 — direct inclusion: src/href attributes in the rule point at a
-	// domain that resolved to the violating server. Compiled rules answer
-	// from their host cache.
-	ruleHosts := rule.SrcHosts()
-	for _, rh := range ruleHosts {
-		if violator.HasHost(rh) {
-			return MatchDirect
-		}
-	}
-	if m.MaxLevel < MatchText {
-		return MatchNone
-	}
-
-	// Tier 2 — text match: any violator domain appears in the rule's text
-	// (e.g. inline scripts that build URLs programmatically).
-	for _, vh := range violator.Hosts {
-		if htmlscan.ContainsHost(rule.Default, vh) {
-			return MatchText
-		}
-	}
-	if m.MaxLevel < MatchExternalJS || m.Fetcher == nil || m.Depth < 1 {
-		return MatchNone
+	if level, done := m.matchText(rule, violator); done {
+		return level
 	}
 
 	// Tier 3 — external JavaScript: scripts the client loaded whose source
@@ -150,6 +126,32 @@ func (m *Matcher) Match(rule *rules.Rule, violator *report.ServerPerf, scriptURL
 	return MatchNone
 }
 
+// matchText is the two tiers Match and MatchOwnSurface share, on the rule's
+// default text; done is false when the external-JavaScript tier is left.
+func (m *Matcher) matchText(rule *rules.Rule, violator *report.ServerPerf) (level MatchLevel, done bool) {
+	if rule == nil || violator == nil || len(violator.Hosts) == 0 {
+		return MatchNone, true
+	}
+	// Tier 1 — direct inclusion: src/href attributes in the rule point at a
+	// domain that resolved to the violating server.
+	for _, rh := range rule.SrcHosts() {
+		if violator.HasHost(rh) {
+			return MatchDirect, true
+		}
+	}
+	if m.MaxLevel < MatchText {
+		return MatchNone, true
+	}
+	// Tier 2 — text match: any violator domain appears in the rule's text
+	// (e.g. inline scripts that build URLs programmatically).
+	for _, vh := range violator.Hosts {
+		if htmlscan.ContainsHost(rule.Default, vh) {
+			return MatchText, true
+		}
+	}
+	return MatchNone, m.MaxLevel < MatchExternalJS || m.Fetcher == nil || m.Depth < 1
+}
+
 // MatchOwnSurface reports the strongest evidence tier tying rule to the
 // violating server considering only the rule's own dependency surface: its
 // default text plus the bodies of scripts the rule itself references
@@ -160,26 +162,10 @@ func (m *Matcher) Match(rule *rules.Rule, violator *report.ServerPerf, scriptURL
 // neighbouring fragment on a shared script host — depends on the degraded
 // provider.
 func (m *Matcher) MatchOwnSurface(rule *rules.Rule, violator *report.ServerPerf) MatchLevel {
-	if rule == nil || violator == nil || len(violator.Hosts) == 0 {
-		return MatchNone
+	if level, done := m.matchText(rule, violator); done {
+		return level
 	}
-	for _, rh := range rule.SrcHosts() {
-		if violator.HasHost(rh) {
-			return MatchDirect
-		}
-	}
-	if m.MaxLevel < MatchText {
-		return MatchNone
-	}
-	for _, vh := range violator.Hosts {
-		if htmlscan.ContainsHost(rule.Default, vh) {
-			return MatchText
-		}
-	}
-	if m.MaxLevel < MatchExternalJS || m.Fetcher == nil || m.Depth < 1 {
-		return MatchNone
-	}
-	pending := htmlscan.ScriptSrcs(rule.Default)
+	pending := rule.ScriptSrcs()
 	for depth := 0; depth < m.Depth && len(pending) > 0; depth++ {
 		var next []string
 		var bodies []string

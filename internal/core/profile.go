@@ -87,14 +87,9 @@ type actView struct {
 // activations.
 const viewBufLen = 8
 
-// newProfile creates an empty profile for a user.
-func newProfile(userID string) *Profile {
-	return &Profile{
-		UserID:     userID,
-		violations: make(map[string]int),
-		active:     make(map[string]*ActiveRule),
-	}
-}
+// newProfile creates an empty profile for a user; its maps are made on their
+// first write (recordViolation, activate).
+func newProfile(userID string) *Profile { return &Profile{UserID: userID} }
 
 // recordViolation bumps the per-server violation counter and returns the
 // new count; ok is false, and nothing recorded, when a server new to the
@@ -107,6 +102,9 @@ func (p *Profile) recordViolation(serverAddr string) (count int, ok bool) {
 		serverAddr = strings.Clone(serverAddr)
 	}
 	count++
+	if p.violations == nil {
+		p.violations = make(map[string]int, 1)
+	}
 	p.violations[serverAddr] = count
 	return count, true
 }
@@ -140,6 +138,9 @@ func (p *Profile) activate(r *rules.Rule, altIndex int, epoch uint64, now time.T
 		return nil
 	} else if a == nil {
 		a = &ActiveRule{Rule: r}
+		if p.active == nil {
+			p.active = make(map[string]*ActiveRule, 1)
+		}
 		p.active[r.ID] = a
 	}
 	a.AltIndex = altIndex

@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -396,7 +397,7 @@ func (e *Engine) skimSegment(frames []indexFrame, p *segPlan, w *walked, data []
 		if err := decodeSpillRecordInto(&pp, payload); err != nil {
 			return fmt.Errorf("%w: frame at offset %d: %v", seglog.ErrCorrupt, off, err)
 		}
-		w.frames = append(w.frames, segFrame{uid: pp.UserID, ref: newSpillRef(off, n, len(pp.Active) > 0, pp.LastReport, pp.Version)})
+		w.frames = append(w.frames, segFrame{uid: strings.Clone(pp.UserID), ref: newSpillRef(off, n, len(pp.Active) > 0, pp.LastReport, pp.Version)})
 		w.decoded += int64(n)
 		return nil
 	}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strings"
 	"time"
 
 	"oak/internal/seglog"
@@ -81,17 +82,53 @@ func appendSpillTime(b []byte, t time.Time) []byte {
 	return t.AppendFormat(b, time.RFC3339Nano)
 }
 
-// spillTime decodes a spill time string.
+// spillTime decodes a spill time string: the form appendSpillTime writes for
+// a UTC time is read where it lies (utcTime), any other through time.Parse.
 func spillTime(b []byte) (time.Time, []byte, error) {
 	s, rest, err := seglog.Wire.String(b, maxSpillStringLen)
 	if err != nil {
 		return time.Time{}, nil, err
+	}
+	if t, ok := utcTime(s); ok {
+		return t, rest, nil
 	}
 	t, err := time.Parse(time.RFC3339Nano, string(s))
 	if err != nil {
 		return time.Time{}, nil, fmt.Errorf("%w: bad timestamp %q", seglog.ErrCorrupt, s)
 	}
 	return t, rest, nil
+}
+
+// utcTime reads s as time.Parse reads a UTC time in the RFC3339Nano layout,
+// "2006-01-02T15:04:05.999999999Z", without making s a string. ok is false
+// for any other text, a valid one among them, which time.Parse then reads.
+func utcTime(s []byte) (t time.Time, ok bool) {
+	const layout = "0000-00-00T00:00:00.000000000" // 0 is a digit; a short fraction's missing ones read 0
+	n := len(s) - 1
+	if n < 0 || s[n] != 'Z' || n > len(layout) || n != 19 && n < 21 {
+		return time.Time{}, false
+	}
+	var f [7]int // year, month, day, hour, minute, second, nanosecond
+	for i, k := 0, 0; i < len(layout); i++ {
+		c := byte('0')
+		if i < n {
+			c = s[i]
+		}
+		if layout[i] != '0' {
+			if k++; i < n && c != layout[i] {
+				return time.Time{}, false
+			}
+		} else if c < '0' || c > '9' {
+			return time.Time{}, false
+		} else {
+			f[k] = f[k]*10 + int(c-'0')
+		}
+	}
+	if f[1] < 1 || f[1] > 12 || f[2] < 1 || f[3] > 23 || f[4] > 59 || f[5] > 59 {
+		return time.Time{}, false
+	}
+	t = time.Date(f[0], time.Month(f[1]), f[2], f[3], f[4], f[5], f[6], time.UTC)
+	return t, t.Day() == f[2] // a day past its month's end normalizes
 }
 
 // encodeSpillRecord appends the OAKPROF1 payload for one persisted profile.
@@ -152,18 +189,25 @@ func decodeSpillRecord(payload []byte) (*persistedProfile, error) {
 
 // decodeSpillRecordInto is decodeSpillRecord into a record the caller owns
 // and may hand back for the next payload: every field is overwritten, the
-// violations map and the activations' backing array are reused. (An empty
-// activation list leaves a reused slice empty, a fresh one nil.) On an error
-// *pp is part old, part new.
+// violations map (made when nil, unless the record has none) and the
+// activations' backing array are reused. (An empty activation list leaves a
+// reused slice empty, a fresh one nil.) On an error *pp is part old, part new.
+// The strings are views of one copy of the payload: a caller keeping one alone
+// clones it.
 func decodeSpillRecordInto(pp *persistedProfile, payload []byte) error {
 	b := payload
 	var err error
 	var tok []byte
+	copied := string(payload)
+	str := func(tok []byte) string { // tok lies in payload: its cap says where
+		off := cap(payload) - cap(tok)
+		return copied[off : off+len(tok)]
+	}
 
 	if tok, b, err = seglog.Wire.String(b, maxSpillStringLen); err != nil {
 		return fmt.Errorf("user id: %w", err)
 	}
-	pp.UserID = string(tok)
+	pp.UserID = str(tok)
 	if pp.UserID == "" {
 		return fmt.Errorf("%w: empty user id", seglog.ErrCorrupt)
 	}
@@ -178,7 +222,7 @@ func decodeSpillRecordInto(pp *persistedProfile, payload []byte) error {
 	if nv > uint64(len(b)) {
 		return fmt.Errorf("%w: %d violations in %d bytes", seglog.ErrCorrupt, nv, len(b))
 	}
-	if pp.Violations == nil {
+	if pp.Violations == nil && nv > 0 {
 		pp.Violations = make(map[string]int, nv)
 	} else {
 		clear(pp.Violations)
@@ -188,7 +232,7 @@ func decodeSpillRecordInto(pp *persistedProfile, payload []byte) error {
 		if tok, b, err = seglog.Wire.String(b, maxSpillStringLen); err != nil {
 			return fmt.Errorf("violation server: %w", err)
 		}
-		srv := string(tok)
+		srv := str(tok)
 		if cnt, b, err = seglog.Wire.Uvarint(b); err != nil {
 			return fmt.Errorf("violation count for %q: %w", srv, err)
 		}
@@ -212,7 +256,7 @@ func decodeSpillRecordInto(pp *persistedProfile, payload []byte) error {
 		if tok, b, err = seglog.Wire.String(b, maxSpillStringLen); err != nil {
 			return fmt.Errorf("rule id: %w", err)
 		}
-		pa.RuleID = string(tok)
+		pa.RuleID = str(tok)
 		if alt, b, err = seglog.Wire.Uvarint(b); err != nil {
 			return fmt.Errorf("alt index: %w", err)
 		}
@@ -226,7 +270,7 @@ func decodeSpillRecordInto(pp *persistedProfile, payload []byte) error {
 		if tok, b, err = seglog.Wire.String(b, maxSpillStringLen); err != nil {
 			return fmt.Errorf("trigger server: %w", err)
 		}
-		pa.TriggerServer = string(tok)
+		pa.TriggerServer = str(tok)
 		if len(b) < 8 {
 			return fmt.Errorf("%w: trigger distance cut short", seglog.ErrTruncated)
 		}
@@ -348,7 +392,7 @@ func walkSegment(data []byte) (frames []segFrame, end int64, err error) {
 			// Records are much of a size: the first one says how many to expect.
 			frames = make([]segFrame, 0, len(data)/n+1)
 		}
-		frames = append(frames, segFrame{uid: pp.UserID, ref: newSpillRef(off, n, len(pp.Active) > 0, pp.LastReport, pp.Version)})
+		frames = append(frames, segFrame{uid: strings.Clone(pp.UserID), ref: newSpillRef(off, n, len(pp.Active) > 0, pp.LastReport, pp.Version)})
 		return nil
 	})
 	return frames, end, err
@@ -373,14 +417,17 @@ func (e *Engine) deadAt(pa *persistedActivation, now time.Time) bool {
 // lapsed or rolled-back one for the user's next report to drop and count
 // (pruneDead), as it would have counted it had the profile stayed resident.
 // The profile is not installed anywhere; nothing but the caller refers to it.
+// It takes pp's violations map, and leaves pp without one.
 func (e *Engine) profileFromRecord(pp *persistedProfile) *Profile {
-	prof := newProfile(pp.UserID)
-	prof.lastReport = pp.LastReport
-	prof.version = pp.Version
-	for srv, n := range pp.Violations {
-		if n > 0 {
-			prof.violations[srv] = n
+	prof := &Profile{UserID: pp.UserID, violations: pp.Violations, lastReport: pp.LastReport, version: pp.Version}
+	pp.Violations = nil
+	for srv, n := range prof.violations {
+		if n <= 0 {
+			delete(prof.violations, srv)
 		}
+	}
+	if len(pp.Active) > 0 {
+		prof.active = make(map[string]*ActiveRule, len(pp.Active))
 	}
 	for i := range pp.Active {
 		pa := &pp.Active[i]

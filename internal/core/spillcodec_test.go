@@ -238,3 +238,35 @@ func TestSpillSegmentMagicIsOneLine(t *testing.T) {
 		t.Errorf("seglog.Magic = %q, want one newline-terminated line", seglog.Magic)
 	}
 }
+
+// TestUTCTimeReadsWhatParseReads: the spill decoder's reading of a UTC time
+// is time.Parse's, for every form appendSpillTime writes and for text near
+// it, which utcTime leaves to time.Parse.
+func TestUTCTimeReadsWhatParseReads(t *testing.T) {
+	var texts []string
+	for _, at := range []time.Time{
+		{}, time.Unix(0, 0).UTC(), time.Date(2026, 2, 28, 23, 59, 59, 999999999, time.UTC),
+		time.Date(2024, 2, 29, 1, 2, 3, 500000000, time.UTC), time.Date(9999, 12, 31, 0, 0, 0, 10, time.UTC),
+	} {
+		texts = append(texts, at.Format(time.RFC3339Nano))
+		if _, ok := utcTime([]byte(texts[len(texts)-1])); !ok {
+			t.Errorf("utcTime leaves %q, a UTC time appendSpillTime writes, to time.Parse", texts[len(texts)-1])
+		}
+	}
+	texts = append(texts, "2026-01-01T00:00:00+01:00",
+		"2026-02-29T00:00:00Z", "2026-13-01T00:00:00Z", "2026-00-10T00:00:00Z", "2026-01-00T00:00:00Z",
+		"2026-01-01T24:00:00Z", "2026-01-01T00:60:00Z", "2026-01-01T00:00:60Z", "2026-01-01T00:00:00.Z",
+		"2026-01-01T00:00:00.1234567891Z", "2026-01-01T00:00:00.120Z", "2026-01-01T00:00:00,5Z",
+		"2026-01-01t00:00:00Z", "2026-01-01T00:00:00z", "+026-01-01T00:00:00Z", "2026-1-01T00:00:00Z", "Z", "")
+	for _, s := range texts {
+		want, werr := time.Parse(time.RFC3339Nano, s)
+		got, ok := utcTime([]byte(s))
+		if ok && (werr != nil || got != want) {
+			t.Errorf("utcTime(%q) = %v, time.Parse: %v, %v", s, got, want, werr)
+		}
+		got, _, err := spillTime(wire.AppendString(nil, s))
+		if (err == nil) != (werr == nil) || got != want {
+			t.Errorf("spillTime(%q) = %v, %v; time.Parse: %v, %v", s, got, err, want, werr)
+		}
+	}
+}

@@ -2,6 +2,8 @@ package htmlscan
 
 import (
 	"reflect"
+	"regexp"
+	"strings"
 	"testing"
 )
 
@@ -245,4 +247,133 @@ func TestContainsHostUnicodePage(t *testing.T) {
 	if !ContainsHost(text, "jp.example") {
 		t.Error("host not found amid unicode text")
 	}
+}
+
+// The regular expressions the scanners replaced: the oracle they are fuzzed
+// against.
+var (
+	oracleTag    = regexp.MustCompile(`(?is)<([a-z][a-z0-9]*)\b([^>]*)>`)
+	oracleAttr   = regexp.MustCompile(`(?is)\b(src|href)\s*=\s*(?:"([^"]*)"|'([^']*)'|([^\s>]+))`)
+	oracleScript = regexp.MustCompile(`(?is)<script\b([^>]*)>(.*?)</script>`)
+	oracleHost   = regexp.MustCompile(`(?i)\b(?:[a-z0-9](?:[a-z0-9-]{0,61}[a-z0-9])?\.)+[a-z]{2,}\b`)
+)
+
+func oracleExtractRefs(html string) []TagRef {
+	var refs []TagRef
+	for _, m := range oracleTag.FindAllStringSubmatch(html, -1) {
+		for _, am := range oracleAttr.FindAllStringSubmatch(m[2], -1) {
+			if val := am[2] + am[3] + am[4]; val != "" { // at most one is set
+				refs = append(refs, TagRef{Tag: strings.ToLower(m[1]), Attr: strings.ToLower(am[1]), URL: val})
+			}
+		}
+	}
+	return refs
+}
+
+func oracleExtractSrcHosts(html string) []string {
+	seen := make(map[string]bool)
+	var hosts []string
+	for _, ref := range oracleExtractRefs(html) {
+		if h := ref.Host(); h != "" && !seen[h] {
+			seen[h] = true
+			hosts = append(hosts, h)
+		}
+	}
+	return hosts
+}
+
+func oracleInlineScripts(html string) []string {
+	var bodies []string
+	for _, m := range oracleScript.FindAllStringSubmatch(html, -1) {
+		if oracleAttr.MatchString(m[1]) {
+			continue
+		}
+		if body := strings.TrimSpace(m[2]); body != "" {
+			bodies = append(bodies, body)
+		}
+	}
+	return bodies
+}
+
+func oracleScriptSrcs(html string) []string {
+	var srcs []string
+	for _, ref := range oracleExtractRefs(html) {
+		if ref.Tag == "script" && ref.Attr == "src" {
+			srcs = append(srcs, ref.URL)
+		}
+	}
+	return srcs
+}
+
+func oracleHostsInText(text string) []string {
+	seen := make(map[string]bool)
+	var hosts []string
+	for _, loc := range oracleHost.FindAllStringIndex(text, -1) {
+		start, end := loc[0], loc[1]
+		if start >= 1 && text[start-1] == '/' && (start < 2 || text[start-2] != '/') {
+			continue
+		}
+		if h := strings.ToLower(text[start:end]); !seen[h] {
+			seen[h] = true
+			hosts = append(hosts, h)
+		}
+	}
+	return hosts
+}
+
+// agreeWithOracle fails t when any of the five extractors reads s otherwise
+// than the regular expressions did.
+func agreeWithOracle(t *testing.T, s string) {
+	t.Helper()
+	if got, want := ExtractRefs(s), oracleExtractRefs(s); !reflect.DeepEqual(got, want) {
+		t.Errorf("ExtractRefs(%q) = %q, regexp %q", s, got, want)
+	}
+	if got, want := ExtractSrcHosts(s), oracleExtractSrcHosts(s); !reflect.DeepEqual(got, want) {
+		t.Errorf("ExtractSrcHosts(%q) = %q, regexp %q", s, got, want)
+	}
+	if got, want := InlineScripts(s), oracleInlineScripts(s); !reflect.DeepEqual(got, want) {
+		t.Errorf("InlineScripts(%q) = %q, regexp %q", s, got, want)
+	}
+	if got, want := ScriptSrcs(s), oracleScriptSrcs(s); !reflect.DeepEqual(got, want) {
+		t.Errorf("ScriptSrcs(%q) = %q, regexp %q", s, got, want)
+	}
+	if got, want := HostsInText(s), oracleHostsInText(s); !reflect.DeepEqual(got, want) {
+		t.Errorf("HostsInText(%q) = %q, regexp %q", s, got, want)
+	}
+}
+
+// scannerSeeds are texts at the edges of the regular expressions: folded
+// letters (ſ and K match s and k but are not word characters), boundaries,
+// quotes that do not close, labels of 63 and 64 runes, chains whose TLD
+// fails after the last label.
+var scannerSeeds = []string{
+	samplePage,
+	`<script src="http://s1.com/jquery.js"></script>`,
+	`<ſcript ſrc="http://a.example/x.js"></ſcript><script>var u = "b.example"</SCRİPT></script>`,
+	`<a_b href=x><aſ href=y><aK src='z'><img data-src=q.png xsrc=r>`,
+	`<img src= "unterminated src=next>`, `<img src='a' href="" src=>`, "<img src=\v\"x\">",
+	"<p\nsrc\t=\n'multi\nline'>", `<script>a</script ><script src=x>b</script>`,
+	`<script-x>c("d.example")</script>`, `<scripts>e</script>`, `<script`,
+	"a.b.c.1 3.14 x.y.zz foo.bar_ baz.qux- a-.b.cc -a.bb a.-b.cc",
+	"xn--bcher-kva.example ſub.example Kelvin.Kom aſ.cc a.ccſ a.ccK_ _a.cc",
+	strings.Repeat("a", 63) + ".com " + strings.Repeat("b", 64) + ".com " + strings.Repeat("c-", 31) + "c.org",
+	"http://x.example/path/y.js //z.example/w /v.example",
+	strings.Repeat("a.", 40) + "1 " + strings.Repeat("q-", 40) + "r.st",
+	"日本語 <img src=\"http://jp.example/画像.png\"> \xff\xfe.example \xe2\x84 .cc",
+}
+
+func TestScannersAgreeWithRegexps(t *testing.T) {
+	for _, s := range scannerSeeds {
+		agreeWithOracle(t, s)
+	}
+}
+
+// FuzzScannersAgreeWithRegexps holds ExtractRefs, ExtractSrcHosts,
+// InlineScripts, ScriptSrcs and HostsInText to the regular expressions they
+// replaced, on any text.
+func FuzzScannersAgreeWithRegexps(f *testing.F) {
+	for _, s := range scannerSeeds {
+		f.Add(s)
+	}
+	f.Fuzz(agreeWithOracle)
 }

@@ -19,6 +19,7 @@ import (
 	"strconv"
 	"strings"
 	"time"
+	"unsafe"
 
 	"oak/internal/bodybuf"
 	"oak/internal/core"
@@ -188,10 +189,13 @@ func (s *Server) LoadPages(fsys fs.FS) (int, error) {
 		if err != nil {
 			return err
 		}
+		// The file is read once, into the string both of its paths serve:
+		// nothing else refers to data, so it is never written again.
+		html := unsafe.String(unsafe.SliceData(data), len(data))
 		urlPath := "/" + path.Clean(p)
-		s.SetPage(urlPath, string(data))
+		s.SetPage(urlPath, html)
 		if strings.HasSuffix(urlPath, "/index.html") {
-			s.SetPage(strings.TrimSuffix(urlPath, "index.html"), string(data))
+			s.SetPage(strings.TrimSuffix(urlPath, "index.html"), html)
 		}
 		count++
 		return nil

@@ -15,6 +15,7 @@ import (
 	"errors"
 	"fmt"
 	"regexp"
+	"slices"
 	"strings"
 	"time"
 
@@ -96,13 +97,12 @@ type Rule struct {
 
 	scopeRe *regexp.Regexp // compiled lazily by Compile for "re:" scopes
 
-	// srcHosts / altSrcHosts cache the src/href hostnames of Default and of
-	// each alternative, filled by Compile. Reconciliation consults the
-	// alternative hosts on every report that touches an active rule, far
-	// too often to re-run the attribute regexp each time.
-	srcHosts    []string
-	altSrcHosts [][]string
-	srcHostsOK  bool
+	// def and alts cache what scanText derives from Default and from each
+	// alternative, filled by Compile: each text is scanned once, there, and
+	// the linter, the engine's guard table and the matcher read the caches.
+	def     textHosts
+	alts    []textHosts
+	scanned bool
 }
 
 // Validation errors.
@@ -143,8 +143,8 @@ func (r *Rule) Validate() error {
 	return nil
 }
 
-// Compile validates the rule, pre-compiles its scope pattern and caches the
-// src/href hosts of the default text and every alternative.
+// Compile validates the rule, pre-compiles its scope pattern and scans the
+// default text and every alternative once for their hosts (scanText).
 func (r *Rule) Compile() error {
 	if err := r.Validate(); err != nil {
 		return err
@@ -156,13 +156,32 @@ func (r *Rule) Compile() error {
 		}
 		r.scopeRe = re
 	}
-	r.srcHosts = htmlscan.ExtractSrcHosts(r.Default)
-	r.altSrcHosts = nil
-	for _, alt := range r.Alternatives {
-		r.altSrcHosts = append(r.altSrcHosts, htmlscan.ExtractSrcHosts(alt))
+	r.def = scanText(r.Default)
+	r.alts = make([]textHosts, len(r.Alternatives))
+	for i, alt := range r.Alternatives {
+		r.alts[i] = scanText(alt)
 	}
-	r.srcHostsOK = true
+	r.scanned = true
 	return nil
+}
+
+// textHosts is what one scan of a rule text derives: the hosts of its
+// src/href attributes (src), those and then the hosts it mentions in free
+// text (all: the paper's direct-inclusion and text-match surfaces), and the
+// URLs of its external scripts (scripts).
+type textHosts struct{ src, all, scripts []string }
+
+// scanText scans a rule text once for its hosts and script srcs.
+func scanText(text string) textHosts {
+	refs := htmlscan.ExtractRefs(text)
+	t := textHosts{src: htmlscan.SrcHosts(refs), scripts: htmlscan.ScriptRefs(refs)}
+	t.all = slices.Clip(t.src)
+	for _, h := range htmlscan.HostsInText(text) {
+		if !slices.Contains(t.all, h) {
+			t.all = append(t.all, h)
+		}
+	}
+	return t
 }
 
 // Compiled returns a compiled copy of r and leaves r itself untouched, so any
@@ -171,7 +190,7 @@ func (r *Rule) Compile() error {
 // Compile; any other rule is compiled once, on the copy.
 func (r *Rule) Compiled() (*Rule, error) {
 	c := *r
-	if c.srcHostsOK {
+	if c.scanned {
 		return &c, c.Validate()
 	}
 	if err := c.Compile(); err != nil {
@@ -180,33 +199,48 @@ func (r *Rule) Compiled() (*Rule, error) {
 	return &c, nil
 }
 
-// SrcHosts returns the hostnames referenced by src/href attributes in the
-// rule's default text. Compiled rules answer from cache; uncompiled rules
-// scan live.
-func (r *Rule) SrcHosts() []string {
-	if r.srcHostsOK {
-		return r.srcHosts
+// defaultScan is the default text's scan: Compile's, or a live one on an
+// uncompiled rule.
+func (r *Rule) defaultScan() textHosts {
+	if r.scanned {
+		return r.def
 	}
-	return htmlscan.ExtractSrcHosts(r.Default)
+	return scanText(r.Default)
 }
+
+// altScan is the i-th alternative's scan, with Alternative's clamping
+// semantics (past-the-end indexes read the last).
+func (r *Rule) altScan(i int) textHosts {
+	if !r.scanned {
+		return scanText(r.Alternative(i))
+	}
+	return Clamp(r.alts, i)
+}
+
+// Clamp indexes a per-alternative table the way Alternative indexes the
+// alternatives: out-of-range indexes clamp, and an empty table reads as the
+// zero value.
+func Clamp[T any](per []T, i int) T {
+	if len(per) == 0 {
+		var zero T
+		return zero
+	}
+	return per[max(0, min(i, len(per)-1))]
+}
+
+// SrcHosts returns the hostnames referenced by src/href attributes in the
+// rule's default text. Compiled rules answer from cache, as every host
+// accessor does; uncompiled rules scan live.
+func (r *Rule) SrcHosts() []string { return r.defaultScan().src }
 
 // AlternativeSrcHosts is SrcHosts for the i-th alternative, with
 // Alternative's clamping semantics (past-the-end indexes return the last).
-func (r *Rule) AlternativeSrcHosts(i int) []string {
-	if !r.srcHostsOK {
-		return htmlscan.ExtractSrcHosts(r.Alternative(i))
-	}
-	if len(r.altSrcHosts) == 0 {
-		return nil
-	}
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(r.altSrcHosts) {
-		i = len(r.altSrcHosts) - 1
-	}
-	return r.altSrcHosts[i]
-}
+func (r *Rule) AlternativeSrcHosts(i int) []string { return r.altScan(i).src }
+
+// AlternativeHosts returns the provider hostnames the i-th alternative points
+// at, clamped as Alternative is: its src/href hosts, then the hosts it
+// mentions in free text — the surfaces MatchesAlternate recognises.
+func (r *Rule) AlternativeHosts(i int) []string { return r.altScan(i).all }
 
 // InScope reports whether the rule applies to the given site-relative page
 // path. Scope "" and "*" are site-wide; "re:<expr>" matches the path against
@@ -236,46 +270,17 @@ func (r *Rule) InScope(path string) bool {
 // indexes past the end return the last alternative (the engine has run out
 // of fresh providers and stays on the final one). It returns "" for Type 1
 // rules, whose activation removes the default text.
-func (r *Rule) Alternative(i int) string {
-	if len(r.Alternatives) == 0 {
-		return ""
-	}
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(r.Alternatives) {
-		i = len(r.Alternatives) - 1
-	}
-	return r.Alternatives[i]
-}
+func (r *Rule) Alternative(i int) string { return Clamp(r.Alternatives, i) }
 
 // DefaultHosts returns the hostnames referenced by the rule's default object
 // text — from src/href attributes and from free-text mentions (the paper's
 // direct-inclusion and text-match surfaces).
-func (r *Rule) DefaultHosts() []string {
-	seen := make(map[string]bool)
-	var hosts []string
-	for _, h := range r.SrcHosts() {
-		if !seen[h] {
-			seen[h] = true
-			hosts = append(hosts, h)
-		}
-	}
-	for _, h := range htmlscan.HostsInText(r.Default) {
-		if !seen[h] {
-			seen[h] = true
-			hosts = append(hosts, h)
-		}
-	}
-	return hosts
-}
+func (r *Rule) DefaultHosts() []string { return r.defaultScan().all }
 
 // ScriptSrcs returns the external script URLs referenced by the rule's
 // default text; the matcher fetches these during the external-JavaScript
 // expansion pass (Section 4.2.2).
-func (r *Rule) ScriptSrcs() []string {
-	return htmlscan.ScriptSrcs(r.Default)
-}
+func (r *Rule) ScriptSrcs() []string { return r.defaultScan().scripts }
 
 // Expires computes the expiry instant for an activation made at now. The
 // zero time means the activation never expires (TTL 0).
