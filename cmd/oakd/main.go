@@ -261,7 +261,8 @@ func loadState(engine *oak.Engine, path string) error {
 // bootSplit says what the boot did with its durable state and what each half
 // cost: under a profile cap, which checkpoint it adopted — the spill
 // directory's, its backup, the state file at path from before the checkpoint
-// moved there, or none — and what it made of the index.
+// moved there, or none — what the segment replay's parts took, and what it
+// made of the index.
 func bootSplit(engine *oak.Engine, path string) string {
 	bs := engine.BootStatus()
 	load := fmt.Sprintf("load %v", bs.Load.Round(100*time.Microsecond))
@@ -280,8 +281,10 @@ func bootSplit(engine *oak.Engine, path string) string {
 	case bs.Load > 0:
 		adopted = "legacy state file " + path + " read newer-wins (the next save moves the checkpoint into the spill directory), " + load
 	}
-	return fmt.Sprintf("%s; recover %v, %d segments quarantined; %s",
-		adopted, bs.Recover.Round(100*time.Microsecond), bs.QuarantinedSegments, indexOutcome(bs))
+	r := func(d time.Duration) time.Duration { return d.Round(10 * time.Microsecond) }
+	return fmt.Sprintf("%s; recover %v (checkpoint %v, index %v, walk %v, lift %v), %d segments quarantined; %s",
+		adopted, r(bs.Recover), r(bs.RecoverCheckpoint), r(bs.RecoverIndex), r(bs.RecoverWalk), r(bs.RecoverLift),
+		bs.QuarantinedSegments, indexOutcome(bs))
 }
 
 // indexOutcome says what the segment replay made of the checkpoint's index,

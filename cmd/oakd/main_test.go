@@ -407,6 +407,51 @@ func TestBootLineNamesEveryStage(t *testing.T) {
 	}
 }
 
+// TestCappedBootLineSplitsTheRecovery: under a profile cap the state line
+// gives the segment replay's time and its parts — reading the checkpoint,
+// installing its index, walking the segments, lifting the guard — and none
+// of them is more than the whole.
+func TestCappedBootLineSplitsTheRecovery(t *testing.T) {
+	dir := newSiteDir(t)
+	cfg := oakdConfig{root: dir, profileCache: 2, spillDir: filepath.Join(dir, "spill"), guardTrip: 5}
+	statePath := filepath.Join(dir, "state.json")
+	for boot := 0; boot < 2; boot++ { // the second boot adopts the first one's checkpoint
+		server, _, err := buildServer(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e := server.Engine()
+		if err := loadState(e, statePath); err != nil {
+			t.Fatal(err)
+		}
+		line := bootSplit(e, statePath)
+		parse := func(part string) time.Duration {
+			i := strings.Index(line, part+" ")
+			if i < 0 {
+				t.Fatalf("boot line %q names no %s", line, part)
+			}
+			d, err := time.ParseDuration(strings.TrimRight(strings.Fields(line[i+len(part)+1:])[0], ",()"))
+			if err != nil || d < 0 {
+				t.Fatalf("boot line %q: %s reads %v, %v", line, part, d, err)
+			}
+			return d
+		}
+		whole := parse("recover")
+		for _, part := range []string{"(checkpoint", "index", "walk", "lift"} {
+			if d := parse(part); d > whole {
+				t.Errorf("boot line %q: %s %v is more than the whole recovery", line, part, d)
+			}
+		}
+		if boot == 1 && !strings.Contains(line, "checkpoint "+filepath.Join(cfg.spillDir, "checkpoint")+" adopted") {
+			t.Errorf("boot line %q; want the checkpoint adopted", line)
+		}
+		if err := saveState(e, statePath); err != nil {
+			t.Fatal(err)
+		}
+		e.Close()
+	}
+}
+
 func TestSaveStateLeavesNoTempFile(t *testing.T) {
 	dir := newSiteDir(t)
 	server, _, err := buildServer(oakdConfig{root: dir, ruleFile: "", verbose: false})

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -18,12 +20,12 @@ import (
 const bootedWorldResident = 1500
 
 // bootedWorldEngine boots the capped engine writeSpilledWorld's files are
-// for: eight shards, 2,000 resident profiles.
+// for: eight shards, 2,000 resident profiles, and a guard, as oakd has.
 func bootedWorldEngine(tb testing.TB, dir string, opts ...Option) *Engine {
 	tb.Helper()
 	e, err := NewEngine([]*rules.Rule{jqRule(0)}, append([]Option{WithShards(8),
 		WithClock(func() time.Time { return time.Date(2026, 1, 1, 12, 0, 0, 0, time.UTC) }),
-		WithProfileResidency(ResidencyConfig{Dir: dir, MaxProfiles: 2000})}, opts...)...)
+		WithGuard(GuardConfig{}), WithProfileResidency(ResidencyConfig{Dir: dir, MaxProfiles: 2000})}, opts...)...)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -31,11 +33,12 @@ func bootedWorldEngine(tb testing.TB, dir string, opts ...Option) *Engine {
 }
 
 // writeSpilledWorld is the directory a capped oakd leaves after each of users
-// users reported once: it writes one record for each but the last
-// bootedWorldResident straight into eight segment files, a shard's records to
-// a segment; boots on them; has the last users report, which makes them
-// resident; and saves a checkpoint. It returns the spill directory and the
-// state file.
+// users reported once, a fifth of them with an activation, as the benchmark's
+// spill_churn world holds after a run: it writes one record for each but the
+// last bootedWorldResident straight into eight segment files, a shard's
+// records to a segment; boots on them; has the last users report, which makes
+// them resident; and saves a checkpoint. It returns the spill directory and
+// the state file.
 func writeSpilledWorld(tb testing.TB, users int) (dir, state string) {
 	tb.Helper()
 	root := tb.TempDir()
@@ -48,6 +51,9 @@ func writeSpilledWorld(tb testing.TB, users int) (dir, state string) {
 	for i := 0; i < users-bootedWorldResident; i++ {
 		pp := persistedProfile{UserID: fmt.Sprintf("user-%07d", i), Violations: map[string]int{"ip-s1.com": 1},
 			LastReport: at.Add(time.Duration(i) * time.Millisecond), Version: 1}
+		if i%5 == 0 {
+			pp.Active = []persistedActivation{{RuleID: "jquery", ActivatedAt: pp.LastReport, TriggerServer: "ip-s1.com", TriggerDistance: 1900, Activations: 1}}
+		}
 		s := userHash(pp.UserID) & 7
 		if segs[s] == nil {
 			segs[s] = []byte(seglog.Magic)
@@ -75,15 +81,17 @@ func writeSpilledWorld(tb testing.TB, users int) (dir, state string) {
 // BenchmarkBootCapped is a restart of a capped engine — NewEngine over the
 // segment directory, then LoadStateFile — at 20,000 and 200,000 users under
 // one resident cap. Boots write nothing, so every iteration reads the same
-// files. recover_ms and load_ms are BootStatus's halves of the last boot.
+// files. recover_ms and load_ms are BootStatus's halves of the last boot,
+// records_read the reads of one record each boots make (recordReads).
 func BenchmarkBootCapped(b *testing.B) {
 	for _, users := range []int{20000, 200000} {
 		b.Run(fmt.Sprintf("users=%d", users), func(b *testing.B) {
 			dir, state := writeSpilledWorld(b, users)
+			fs, reads := recordReads(b, dir)
 			b.ResetTimer()
 			var bs BootStatus
 			for i := 0; i < b.N; i++ {
-				e := bootedWorldEngine(b, dir)
+				e := bootedWorldEngine(b, dir, withFS(fs))
 				if _, err := e.LoadStateFile(state); err != nil {
 					b.Fatal(err)
 				}
@@ -92,6 +100,26 @@ func BenchmarkBootCapped(b *testing.B) {
 			}
 			b.ReportMetric(float64(bs.Recover.Microseconds())/1000, "recover_ms")
 			b.ReportMetric(float64(bs.Load.Microseconds())/1000, "load_ms")
+			b.ReportMetric(reads(b.N), "records_read/boot")
 		})
 	}
+}
+
+// recordReads is a file seam that counts the reads of dir's segment files,
+// and the count a boot makes beyond its one read of each whole segment — one
+// for each record it reads alone — given how many boots there were.
+func recordReads(tb testing.TB, dir string) (*testFS, func(boots int) float64) {
+	segs, err := filepath.Glob(filepath.Join(dir, "*.seg"))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var reads atomic.Int64
+	fs := &testFS{}
+	fs.setRefuse(func(op, path string) error {
+		if op == "read" && strings.HasSuffix(path, ".seg") {
+			reads.Add(1)
+		}
+		return nil
+	})
+	return fs, func(boots int) float64 { return float64(reads.Load())/float64(boots) - float64(len(segs)) }
 }

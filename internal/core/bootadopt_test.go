@@ -386,9 +386,11 @@ func TestBootAdoptsTheLog(t *testing.T) {
 		holders := map[string]map[string]bool{} // user → segments with a record of it
 		for name, data := range files {
 			var err error
-			if frames[name], _, err = walkSegment(data); err != nil {
+			w, _, err := walkSegment(data, nil)
+			if err != nil {
 				t.Fatal(err)
 			}
+			frames[name] = w.frames
 			for _, fr := range frames[name] {
 				if holders[fr.uid] == nil {
 					holders[fr.uid] = map[string]bool{}

@@ -498,8 +498,8 @@ func TestSegmentWalkAllocs(t *testing.T) {
 		seg = wire.AppendFrame(seg, rec)
 	}
 	perRecord := testing.AllocsPerRun(10, func() {
-		frames, end, err := walkSegment(seg)
-		if err != nil || len(frames) != n || end != int64(len(seg)) {
+		w, end, err := walkSegment(seg, nil)
+		if frames := w.frames; err != nil || len(frames) != n || end != int64(len(seg)) {
 			t.Fatalf("walkSegment: %d frames to offset %d of %d, %v", len(frames), end, len(seg), err)
 		}
 	}) / n

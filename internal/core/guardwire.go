@@ -152,22 +152,20 @@ func (e *Engine) publishEpochs() {
 // the next trip would move the epoch only up to it. On a boot the records are
 // the engine's own, one above was admitted under counts a crash lost after the
 // last save, and the guard is lifted to it (guard.Set.Lift); any other payload
-// contradicts its own guard section with one, and it is dropped. Caller holds
-// every shard lock, or is NewEngine.
+// contradicts its own guard section with one, and it is dropped. A boot reads
+// no record here: recovery kept the epochs of the records that hold a ref as
+// it walked them (spillStore.lifts). Caller holds every shard lock, or is
+// NewEngine.
 func (e *Engine) squareImport(fresh []map[string]*Profile, boot bool) {
 	lift := func(ruleID string, alt int, epoch uint64) {
 		if _, known := e.rulesByID[ruleID]; known {
 			e.guard.Lift(ruleID, e.altHostsFor(ruleID, alt), epoch)
 		}
 	}
-	for i := 0; boot && e.spill != nil && i < len(e.shards); i++ {
-		e.shards[i].spilled.eachActive(func(ref spillRef) {
-			if pp, err := e.spill.readRecord(ref); err == nil { // unreadable: served to no one
-				for _, pa := range pp.Active {
-					lift(pa.RuleID, pa.AltIndex, pa.Epoch)
-				}
-			}
-		})
+	if boot && e.spill != nil {
+		for p, epoch := range e.spill.lifts {
+			lift(p.rule, p.alt, epoch)
+		}
 	}
 	e.publishEpochs()
 	ep := e.epochs.Load()

@@ -99,9 +99,11 @@ type spillStore struct {
 	// eviction never takes more than one shard lock.
 	perShardProfiles int64
 	perShardBytes    int64
-	// recovered is what recoverSpill did; set once, before the engine is
-	// shared.
-	recovered spillRecovery
+	// recovered is what recoverSpill did, lifts each pair's highest epoch in
+	// the records that hold their user's ref, until a boot has lifted the
+	// guard to them (squareImport); both set at boot.
+	recovered BootStatus
+	lifts     map[liftPair]uint64
 
 	// failed latches memory-only mode after a spill I/O failure.
 	failed atomic.Bool
@@ -441,7 +443,7 @@ func (e *Engine) compactSegment(victim *seglog.Segment) {
 		st.degrade(e, "compact", err)
 		return
 	}
-	frames, _, err := walkSegment(data)
+	w, _, err := walkSegment(data, nil)
 	if err != nil {
 		// The sealed bytes no longer parse: external damage. Quarantine
 		// instead of carrying it to the tail of the log.
@@ -450,7 +452,7 @@ func (e *Engine) compactSegment(victim *seglog.Segment) {
 	}
 	// Only a shard that owns one of the victim's users can hold a ref into it.
 	owns := make([]bool, len(e.shards))
-	for _, fr := range frames {
+	for _, fr := range w.frames {
 		owns[e.shardIndex(fr.uid)] = true
 	}
 	for i, sh := range e.shards {
@@ -458,7 +460,7 @@ func (e *Engine) compactSegment(victim *seglog.Segment) {
 			continue
 		}
 		sh.mu.Lock()
-		err := st.reappendLocked(sh, victim, data, frames)
+		err := st.reappendLocked(sh, victim, data, w.frames)
 		sh.mu.Unlock()
 		if err != nil {
 			st.degrade(e, "compact", err)

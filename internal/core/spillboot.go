@@ -2,18 +2,15 @@ package core
 
 import (
 	"bytes"
-	"cmp"
 	"errors"
 	"fmt"
 	"io/fs"
 	"path/filepath"
-	"runtime"
 	"slices"
-	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
+	"oak/internal/rules"
 	"oak/internal/seglog"
 )
 
@@ -32,6 +29,13 @@ import (
 // the covered bytes is later than every covered one of its user, and is
 // decoded and replayed over them. Every covered frame is still checksummed:
 // damage is found at boot, and quarantined, as it always was.
+//
+// The walk also gathers the guard's lifts (spillStore.lifts) from every
+// record that may hold a ref, so no record is read again alone: a decoded one
+// gives its epochs as it is decoded, and a covered one whose entry says it
+// holds an activation is read for its epochs in place (recordEpochs). The
+// checkpoint's guard section does not bound a covered one's epoch: an edited
+// rules file can give its alternative other providers.
 //
 // The index is adopted whole or not at all. Whatever fails a check — no
 // checkpoint, a torn or foreign one, a covered segment shorter than at the
@@ -75,36 +79,30 @@ func (e *Engine) initSpill() error {
 	}
 	start := time.Now()
 	err = e.recoverSpill(st)
-	st.recovered.took = time.Since(start)
 	e.spill = st
-	if err == nil && e.guard != nil {
+	if lift := time.Now(); err == nil && e.guard != nil {
 		e.squareImport(nil, true)
+		st.recovered.RecoverLift += time.Since(lift)
 	}
+	if st.recovered.Checkpoint != "" {
+		st.lifts = nil // LoadStateFile reads no state file, so nothing lifts again
+	}
+	st.recovered.Recover = time.Since(start)
 	if n := log.Strays(); n > 0 && e.logf != nil {
 		e.logf("core: spill directory %s: left alone %d files named like segments but not spelled as one", cfg.Dir, n)
 	}
 	return err
 }
 
-// spillRecovery is what recoverSpill did, for BootStatus.
-type spillRecovery struct {
-	took             time.Duration
-	checkpoint       string
-	adopted          int
-	checked, decoded int64
-	fallback         string
-}
-
 // walked is one segment's replay: the records decoded in log order (skimmed:
-// those beyond the covered bytes), its frames, those the index makes dead, the
-// bytes checksummed and decoded, and the damage that quarantines it.
+// those beyond the covered bytes), with their frames and lifts, those the
+// index makes dead, the bytes checksummed, and the damage that quarantines it.
 type walked struct {
-	seg              *seglog.Segment
-	frames           []segFrame
-	total, dead      int64
-	checked, decoded int64
-	skimmed          bool
-	err              error
+	seg *seglog.Segment
+	recordWalk
+	total, dead, checked int64
+	skimmed              bool
+	err                  error
 }
 
 // segPlan is what the index says of one segment: the bytes it covers, and its
@@ -127,15 +125,19 @@ func (e *Engine) recoverSpill(st *spillStore) error {
 		frames []indexFrame
 		plans  map[*seglog.Segment]*segPlan
 		why    atomic.Pointer[string] // the first reason the index is not adopted
-		mu     sync.Mutex
-		all    []walked
+		all    []walked               // the segments, in sequence order
 	)
 	fail := func(reason string) { why.CompareAndSwap(nil, &reason) }
-	reason := "no checkpoint"
+	var ruleSet map[string]*rules.Rule // set when recovery keeps lifts
+	if e.guard != nil {
+		ruleSet = e.rulesByID
+	}
+	reason, start, r := "no checkpoint", time.Now(), &st.recovered
 	for _, name := range []string{checkpointName, checkpointName + BackupSuffix} {
 		path := filepath.Join(st.cfg.Dir, name)
-		data, err := seglog.ReadFile(e.fs, path)
+		data, release, err := seglog.MapFile(e.fs, path)
 		if err == nil {
+			defer release() // the index frames are views of it until the replay ends
 			if ckpt, err = decodeCheckpoint(data); err == nil {
 				frames, err = ckpt.indexFrames()
 			}
@@ -146,7 +148,7 @@ func (e *Engine) recoverSpill(st *spillStore) error {
 			}
 			continue
 		}
-		st.recovered.checkpoint = path
+		r.Checkpoint = path
 		if name == checkpointName {
 			e.stateSource.Store(StateSnapshot)
 			e.goodPrimary.Store(&path)
@@ -163,43 +165,38 @@ func (e *Engine) recoverSpill(st *spillStore) error {
 		}
 		break
 	}
-	if ckpt == nil {
+	if r.RecoverCheckpoint = time.Since(start); ckpt == nil {
 		fail(reason)
 	}
 	plan := func(segs []*seglog.Segment) error {
-		if ckpt != nil {
+		all = make([]walked, len(segs))
+		if at := time.Now(); ckpt != nil {
 			if plans, reason = e.planIndex(frames, segs); plans == nil {
 				fail(reason)
 			}
+			r.RecoverIndex = time.Since(at)
 		}
 		return nil
 	}
-	err := st.log.Recover(plan, func(seg *seglog.Segment, data []byte) (int64, error) {
-		w := walked{seg: seg}
-		var end int64
+	err := st.log.Recover(plan, func(i int, seg *seglog.Segment, data []byte) (int64, error) {
+		w, end := &all[i], int64(0)
+		w.seg, w.size, w.live = seg, len(data), ruleSet
 		if p := plans[seg]; p != nil && why.Load() == nil {
 			w.skimmed = true
-			end, w.err = e.skimSegment(frames, p, &w, data, fail)
+			end, w.err = e.skimSegment(frames, p, w, data, fail)
 			if w.err != nil && !errors.Is(w.err, seglog.ErrTruncated) {
 				fail(seg.Name() + " quarantined")
-				w.frames, end, w.err = walkSegment(data) // its readable records, as the log's walk sees them
+				w.recordWalk, end, w.err = walkSegment(data, ruleSet) // its readable records, as the log's walk sees them
 			}
 		} else {
-			w.frames, end, w.err = walkSegment(data)
-			for _, fr := range w.frames {
-				w.checked += int64(fr.ref.n)
-			}
-			w.total, w.decoded = int64(len(w.frames)), w.checked
+			w.recordWalk, end, w.err = walkSegment(data, ruleSet)
+			w.total, w.checked = int64(len(w.frames)), w.decoded
 		}
-		mu.Lock()
-		all = append(all, w)
-		mu.Unlock()
 		return end, w.err
 	})
 	if err != nil {
 		return fmt.Errorf("core: %w", err)
 	}
-	slices.SortFunc(all, func(a, b walked) int { return cmp.Compare(a.seg.Seq, b.seg.Seq) })
 	var good, damaged []*walked
 	for i := range all {
 		if w := &all[i]; w.err == nil || errors.Is(w.err, seglog.ErrTruncated) {
@@ -211,15 +208,14 @@ func (e *Engine) recoverSpill(st *spillStore) error {
 	if len(damaged) > 0 && ckpt != nil {
 		fail(damaged[0].seg.Name() + " quarantined")
 	}
-
 	live := 0 // users with a ref
 	if why.Load() == nil {
 		for _, sh := range e.shards {
 			live += sh.spilled.len()
 		}
-		st.recovered.adopted = live
+		r.IndexAdopted = live
 	} else {
-		st.recovered.fallback = *why.Load()
+		r.IndexFallback = *why.Load()
 		// Decode what the skim left: the whole of every segment, then size
 		// each shard's index once, for the frames it owns.
 		for _, w := range good {
@@ -228,12 +224,12 @@ func (e *Engine) recoverSpill(st *spillStore) error {
 				if err != nil {
 					return fmt.Errorf("core: read spill segment %s: %w", w.seg.Name(), err)
 				}
-				if w.frames, _, w.err = walkSegment(data); w.err != nil {
+				if w.recordWalk, _, w.err = walkSegment(data, ruleSet); w.err != nil {
 					st.log.Quarantine(w.seg, w.err)
 					damaged = append(damaged, w)
 					continue
 				}
-				w.dead, w.decoded = 0, w.checked
+				w.dead = 0
 			}
 		}
 		good = slices.DeleteFunc(good, func(w *walked) bool { return w.seg.Quarantined() })
@@ -250,8 +246,8 @@ func (e *Engine) recoverSpill(st *spillStore) error {
 		}
 	}
 	for _, w := range good {
-		st.recovered.checked += w.checked
-		st.recovered.decoded += w.decoded
+		r.Checksummed += w.checked
+		r.Decoded += w.decoded
 		w.seg.Dead.Add(w.dead)
 		for _, fr := range w.frames {
 			fr.ref.seg = w.seg
@@ -264,6 +260,17 @@ func (e *Engine) recoverSpill(st *spillStore) error {
 		w.seg.Total.Store(w.total)
 	}
 	st.spilledUsers.Set(int64(live))
+	if at := time.Now(); ruleSet != nil {
+		st.lifts = map[liftPair]uint64{}
+		for _, w := range good {
+			for _, l := range w.lifts {
+				if ref, _ := e.shardFor(l.uid).spilled.get(l.uid); ref.seg == w.seg && ref.off == l.off {
+					st.lifts[l.liftPair] = max(st.lifts[l.liftPair], l.epoch)
+				}
+			}
+		}
+		r.RecoverLift = time.Since(at)
+	}
 	for _, w := range damaged {
 		lost := map[string]bool{}
 		for _, fr := range w.frames {
@@ -284,30 +291,26 @@ func (e *Engine) recoverSpill(st *spillStore) error {
 			st.log.Remove(seg)
 		}
 	}
+	r.RecoverWalk = time.Since(start) - r.RecoverCheckpoint - r.RecoverIndex - r.RecoverLift
 	return nil
 }
 
-// planIndex matches the index's frames with the directory's segments, checks
-// each entry and finds its shard, then fills the shards' spill indexes in
-// parallel, each sized for its share up front, leaving out the entries in a
-// segment gone since the capture. It returns nil and why when the index does
-// not fit the directory.
+// planIndex matches the index's frames with the directory's segments, then
+// places each entry once: one pass, parallel by frame, checks the entries and
+// buckets them by shard (a counting sort in the frame's own range), and each
+// shard's index, sized up front, is filled from its buckets alone, in
+// parallel. An entry in a segment gone since the capture is left out. It
+// returns nil and why when the index does not fit the directory.
 func (e *Engine) planIndex(frames []indexFrame, segs []*seglog.Segment) (map[*seglog.Segment]*segPlan, string) {
-	const gone = ^uint16(0) // the shard of an entry in a segment gone since
 	plans := make(map[*seglog.Segment]*segPlan, len(frames))
 	bySeg := make([]*seglog.Segment, len(frames)) // nil: gone
-	mask := uint32(len(e.shards) - 1)
-	var owner []uint16
-	var keyOff []uint32
-	count, keys := make([]int, len(e.shards)), make([]int, len(e.shards))
-	j, prevEnd := 0, int64(0)
-	for i := range frames {
-		f, off := &frames[i], 0
-		if i > 0 && (f.seq < frames[i-1].seq || f.seq == frames[i-1].seq && f.size != frames[i-1].size) {
+	base := make([]int, len(frames)+1)            // frame i's entries are numbered [base[i], base[i+1])
+	why := make([]string, len(frames))            // the first thing wrong with frame i's entries
+	for i, j := 0, 0; i < len(frames); i++ {
+		f := &frames[i]
+		// A segment's frames agree on its size, and only its last may be empty.
+		if i > 0 && (f.seq < frames[i-1].seq || f.seq == frames[i-1].seq && (f.size != frames[i-1].size || frames[i-1].nents() == 0)) {
 			return nil, fmt.Sprintf("index malformed: frame %d", i)
-		}
-		if i == 0 || f.seq != frames[i-1].seq {
-			prevEnd = 0
 		}
 		for j < len(segs) && segs[j].Seq < f.seq {
 			j++
@@ -321,52 +324,67 @@ func (e *Engine) planIndex(frames []indexFrame, segs []*seglog.Segment) (map[*se
 			}
 			bySeg[i], plans[segs[j]].end = segs[j], i+1
 		}
+		base[i+1] = base[i] + f.nents()
+	}
+	// Each frame's entries, bucketed by shard in the frame's own range of
+	// bucket: shard s's are bucket[base[i]+at[i][s] : base[i]+at[i][s+1]],
+	// each entry by its number in the frame; their keys take keyBytes[i][s].
+	S, mask := len(e.shards), uint32(len(e.shards)-1)
+	owner, keyEnd, bucket := make([]uint16, base[len(frames)]), make([]uint32, base[len(frames)]), make([]uint32, base[len(frames)])
+	at, keyBytes := make([]int, len(frames)*(S+1)), make([]int, len(frames)*S)
+	seglog.Parallel(len(frames), func(i int) {
+		f, off, prevEnd := &frames[i], 0, int64(len(seglog.Magic))
+		if i > 0 && frames[i-1].seq == f.seq { // where its segment's entries before it end
+			ref, _ := frames[i-1].entry(frames[i-1].nents() - 1)
+			prevEnd = ref.off + int64(ref.n)
+		}
+		first, kb := at[i*(S+1):(i+1)*(S+1)], keyBytes[i*S:(i+1)*S]
 		for k := range f.nents() {
 			ref, n := f.entry(k)
-			if ref.off < max(prevEnd, int64(len(seglog.Magic))) || ref.n <= 0 || ref.off > f.size-int64(ref.n) ||
+			if ref.off < prevEnd || ref.n <= 0 || ref.off > f.size-int64(ref.n) ||
 				ref.lastNsec < 0 || ref.lastNsec >= 1e9 || n <= 0 || off+n > len(f.keys) {
-				return nil, fmt.Sprintf("index malformed: entry %d of segment %016x", k, f.seq)
+				why[i] = fmt.Sprintf("index malformed: entry %d of segment %016x", k, f.seq)
+				return
 			}
-			s := uint32(gone)
-			if bySeg[i] != nil {
-				s = userHash(f.keys[off:off+n]) & mask
-				count[s], keys[s] = count[s]+1, keys[s]+n
+			if bySeg[i] != nil { // an entry in a segment gone since is left out
+				s := userHash(f.keys[off:off+n]) & mask
+				owner[base[i]+k], first[s+1], kb[s] = uint16(s), first[s+1]+1, kb[s]+n
 			}
-			owner, keyOff = append(owner, uint16(s)), append(keyOff, uint32(off))
-			prevEnd, off = ref.off+int64(ref.n), off+n
+			keyEnd[base[i]+k], prevEnd, off = uint32(off+n), ref.off+int64(ref.n), off+n
 		}
 		if off != len(f.keys) {
-			return nil, fmt.Sprintf("index malformed: segment %016x's entries name %d key bytes, %d follow them", f.seq, off, len(f.keys))
+			why[i] = fmt.Sprintf("index malformed: segment %016x's entries name %d key bytes, %d follow them", f.seq, off, len(f.keys))
 		}
+		for s := range S {
+			first[s+1] += first[s]
+		}
+		next := slices.Clone(first[:S])
+		for k := 0; bySeg[i] != nil && k < f.nents(); k++ {
+			s := owner[base[i]+k]
+			bucket[base[i]+next[s]], next[s] = uint32(k), next[s]+1
+		}
+	})
+	if i := slices.IndexFunc(why, func(w string) bool { return w != "" }); i >= 0 {
+		return nil, why[i]
 	}
 	var dup atomic.Bool
-	var wg sync.WaitGroup
-	var shard atomic.Int64
-	for range min(runtime.GOMAXPROCS(0), len(e.shards)) {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for s := int(shard.Add(1) - 1); s < len(e.shards); s = int(shard.Add(1) - 1) {
-				x := &e.shards[s].spilled
-				x.init(count[s], keys[s])
-				i := 0
-				for fi := range frames {
-					for k := range frames[fi].nents() {
-						if int(owner[i]) == s {
-							ref, n := frames[fi].entry(k)
-							key := frames[fi].keys[keyOff[i] : int(keyOff[i])+n]
-							ref.seg = bySeg[fi]
-							if _, twice := x.putKey(key, ref); twice {
-								dup.Store(true)
-							}
-						}
-						i++
-					}
+	seglog.Parallel(S, func(s int) {
+		x, n, kb := &e.shards[s].spilled, 0, 0
+		for i := range frames {
+			n, kb = n+at[i*(S+1)+s+1]-at[i*(S+1)+s], kb+keyBytes[i*S+s]
+		}
+		x.init(n, kb)
+		for i := range frames {
+			for _, k := range bucket[base[i]+at[i*(S+1)+s] : base[i]+at[i*(S+1)+s+1]] {
+				ref, n := frames[i].entry(int(k))
+				end := keyEnd[base[i]+int(k)]
+				ref.seg = bySeg[i]
+				if _, twice := x.putKey(frames[i].keys[int(end)-n:end], ref); twice {
+					dup.Store(true)
 				}
 			}
-		}()
-	}
-	wg.Wait()
+		}
+	})
 	if dup.Load() {
 		return nil, "index malformed: a user has two entries"
 	}
@@ -375,8 +393,9 @@ func (e *Engine) planIndex(frames []indexFrame, segs []*seglog.Segment) (map[*se
 
 // skimSegment replays one segment the index covers: every frame is
 // checksummed (seglog.Walk); a covered frame that is an entry's is checked to
-// name its user and is otherwise left alone, one that is not is dead, and a
-// frame beyond the covered bytes is decoded. What the index gets wrong goes
+// name its user, and read only for its epochs if the entry says it holds an
+// activation (liftCovered); one that is not is dead; and a frame beyond the
+// covered bytes is decoded. What the index gets wrong goes
 // to fail, and the skim carries on for the segment's damage and end.
 func (e *Engine) skimSegment(frames []indexFrame, p *segPlan, w *walked, data []byte, fail func(string)) (int64, error) {
 	fi, k, koff, ok := p.first, 0, 0, true
@@ -392,21 +411,12 @@ func (e *Engine) skimSegment(frames []indexFrame, p *segPlan, w *walked, data []
 			fail(w.seg.Name() + ": " + fmt.Sprintf(format, args...))
 		}
 	}
-	var pp persistedProfile
-	decode := func(payload []byte, off int64, n int) error {
-		if err := decodeSpillRecordInto(&pp, payload); err != nil {
-			return fmt.Errorf("%w: frame at offset %d: %v", seglog.ErrCorrupt, off, err)
-		}
-		w.frames = append(w.frames, segFrame{uid: strings.Clone(pp.UserID), ref: newSpillRef(off, n, len(pp.Active) > 0, pp.LastReport, pp.Version)})
-		w.decoded += int64(n)
-		return nil
-	}
 	end, err := seglog.Walk(data, func(payload []byte, off int64, n int) error {
 		w.total++
 		w.checked += int64(n)
 		switch {
 		case off >= p.covered:
-			return decode(payload, off, n)
+			return w.add(payload, off, n)
 		case !ok:
 			return nil
 		case off+int64(n) > p.covered:
@@ -422,10 +432,12 @@ func (e *Engine) skimSegment(frames []indexFrame, p *segPlan, w *walked, data []
 			if ref.off == off {
 				uid, _, err := seglog.Wire.String(payload, maxSpillStringLen)
 				if err != nil || len(uid) == 0 {
-					return decode(payload, off, n) // the decode words the damage
+					return w.add(payload, off, n) // the decode words the damage
 				}
 				if int(ref.n) != n || !bytes.Equal(frames[fi].keys[koff:koff+kl], uid) {
 					wrong("entry %d does not name the user of its frame", k)
+				} else if ref.active && w.live != nil {
+					w.liftCovered(payload, off, uid)
 				}
 				k, koff = k+1, koff+kl
 				return nil

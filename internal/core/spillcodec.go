@@ -8,6 +8,7 @@ import (
 	"strings"
 	"time"
 
+	"oak/internal/rules"
 	"oak/internal/seglog"
 	"oak/internal/wire"
 )
@@ -378,24 +379,137 @@ type segFrame struct {
 }
 
 // walkSegment is the one reader of whole segments, over seglog.Walk: it
-// decodes every frame's record and returns the frames in log order and where
-// the last whole one ends, with the walk's error — seglog.ErrTruncated for a
-// torn tail, damage otherwise. A record that does not decode is damage too:
-// its frame is whole and its checksum holds, so it is not a tear.
-func walkSegment(data []byte) (frames []segFrame, end int64, err error) {
-	var pp persistedProfile // one scratch record: a frame keeps four fields of it
-	end, err = seglog.Walk(data, func(payload []byte, off int64, n int) error {
-		if err := decodeSpillRecordInto(&pp, payload); err != nil {
-			return fmt.Errorf("%w: frame at offset %d: %v", seglog.ErrCorrupt, off, err)
+// decodes every frame's record (recordWalk) and says where the last whole
+// frame ends, with the walk's error — seglog.ErrTruncated for a torn tail,
+// damage otherwise. A record that does not decode is damage too: its frame
+// is whole and its checksum holds, so it is not a tear. With live, the rule
+// set, it keeps each record's lifts.
+func walkSegment(data []byte, live map[string]*rules.Rule) (w recordWalk, end int64, err error) {
+	w.size, w.live = len(data), live
+	end, err = seglog.Walk(data, w.add)
+	return w, end, err
+}
+
+// recordWalk is what reading a segment's records found: each decoded frame
+// and its ref in log order, and, when live is set, each activation of a live
+// rule admitted under a nonzero epoch in a record decoded or read for its
+// epochs (liftCovered), which a boot lifts the guard to if that record holds
+// its user's ref.
+type recordWalk struct {
+	size    int              // the bytes walked
+	decoded int64            // the bytes of the records decoded
+	pp      persistedProfile // one scratch record: a frame keeps four fields of it
+	frames  []segFrame
+	live    map[string]*rules.Rule
+	lifts   []frameLift
+}
+
+// frameLift is an activation in the record of uid's frame at off: its pair,
+// named by the live rule's own ID, and its epoch.
+type frameLift struct {
+	uid string
+	off int64
+	liftPair
+	epoch uint64
+}
+
+type liftPair struct {
+	rule string
+	alt  int
+}
+
+// add decodes the record of the n-byte frame at off (seglog.Walk's callback).
+func (w *recordWalk) add(payload []byte, off int64, n int) error {
+	if err := decodeSpillRecordInto(&w.pp, payload); err != nil {
+		return fmt.Errorf("%w: frame at offset %d: %v", seglog.ErrCorrupt, off, err)
+	}
+	if w.frames == nil {
+		// Records are much of a size: the first one says how many to expect.
+		w.frames = make([]segFrame, 0, (w.size-int(off))/n+1)
+	}
+	uid := strings.Clone(w.pp.UserID)
+	for _, pa := range w.pp.Active {
+		if r := w.live[pa.RuleID]; r != nil && pa.Epoch > 0 {
+			w.lifts = append(w.lifts, frameLift{uid, off, liftPair{r.ID, pa.AltIndex}, pa.Epoch})
 		}
-		if frames == nil {
-			// Records are much of a size: the first one says how many to expect.
-			frames = make([]segFrame, 0, len(data)/n+1)
+	}
+	w.frames = append(w.frames, segFrame{uid: uid, ref: newSpillRef(off, n, len(w.pp.Active) > 0, w.pp.LastReport, w.pp.Version)})
+	w.decoded += int64(n)
+	return nil
+}
+
+// liftCovered keeps the lifts of the record at off, uid's, which is not
+// decoded: recordEpochs reads its epochs, copying nothing unless one is kept.
+// A record that does not read keeps none, as it is served to no one.
+func (w *recordWalk) liftCovered(payload []byte, off int64, uid []byte) {
+	n, id := len(w.lifts), ""
+	if recordEpochs(payload, func(rule []byte, alt int, epoch uint64) {
+		if r := w.live[string(rule)]; r != nil {
+			if id == "" {
+				id = string(uid)
+			}
+			w.lifts = append(w.lifts, frameLift{id, off, liftPair{r.ID, alt}, epoch})
 		}
-		frames = append(frames, segFrame{uid: strings.Clone(pp.UserID), ref: newSpillRef(off, n, len(pp.Active) > 0, pp.LastReport, pp.Version)})
-		return nil
-	})
-	return frames, end, err
+	}) != nil {
+		w.lifts = w.lifts[:n]
+	}
+}
+
+// recordEpochs calls fn with the rule ID (a view of payload), alternative and
+// epoch of each activation of an OAKPROF1 payload admitted under a nonzero
+// epoch, stepping over every other field. Its error is the first field that
+// does not read, as decodeSpillRecordInto words it; it reads no timestamp,
+// which that decode alone checks.
+func recordEpochs(b []byte, fn func(rule []byte, alt int, epoch uint64)) error {
+	var err error
+	str := func() (tok []byte) {
+		if err == nil {
+			tok, b, err = seglog.Wire.String(b, maxSpillStringLen)
+		}
+		return tok
+	}
+	uvarint := func() (v uint64) {
+		if err == nil {
+			v, b, err = seglog.Wire.Uvarint(b)
+		}
+		return v
+	}
+	skip := func(n int) (tok []byte) {
+		if err == nil && len(b) < n {
+			err = fmt.Errorf("%w: activation cut short", seglog.ErrTruncated)
+		}
+		if err == nil {
+			tok, b = b[:n], b[n:]
+		}
+		return tok
+	}
+	str() // user ID
+	str() // last report
+	for nv := uvarint(); err == nil && nv > 0; nv-- {
+		str()     // server
+		uvarint() // its violations
+	}
+	for na := uvarint(); err == nil && na > 0; na-- {
+		rule, alt := str(), uvarint()
+		str()     // activated at
+		str()     // expires at
+		str()     // trigger server
+		skip(8)   // trigger distance
+		uvarint() // activations
+		if flags := skip(1); err == nil && flags[0]&2 != 0 {
+			if epoch := uvarint(); err == nil && epoch == 0 {
+				err = fmt.Errorf("%w: explicit epoch 0", seglog.ErrCorrupt)
+			} else if err == nil {
+				fn(rule, int(alt), epoch)
+			}
+		}
+	}
+	if err == nil && len(b) != 0 {
+		if ver := uvarint(); err == nil && (ver == 0 || len(b) != 0) {
+			err = fmt.Errorf("%w: explicit version 0 or bytes after the record", seglog.ErrCorrupt)
+		}
+	}
+	return err
 }
 
 // deadAt is the one predicate for an activation that means nothing at now:

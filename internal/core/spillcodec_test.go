@@ -185,6 +185,43 @@ func TestSpillDecodeRejectsHostileRecords(t *testing.T) {
 	}
 }
 
+// TestRecordEpochsReadsWhatTheDecodeReads: recordEpochs gives the rule,
+// alternative and epoch of each activation with a nonzero epoch that
+// decodeSpillRecord decodes, and errs on every cut of a record on which the
+// decode errs.
+func TestRecordEpochsReadsWhatTheDecodeReads(t *testing.T) {
+	type epoch struct {
+		rule  string
+		alt   int
+		epoch uint64
+	}
+	pp := spillTestProfile()
+	pp.Active[0].Epoch, pp.Version = 3, 9
+	versioned := encodeSpillRecord(nil, &pp)
+	pp.Active[0].Epoch, pp.Active[1].Epoch, pp.Version = 0, 1<<40, 0
+	for _, rec := range [][]byte{versioned, encodeSpillRecord(nil, &pp)} {
+		for n := range len(rec) + 1 {
+			var got, want []epoch
+			err := recordEpochs(rec[:n], func(rule []byte, alt int, e uint64) { got = append(got, epoch{string(rule), alt, e}) })
+			dec, derr := decodeSpillRecord(rec[:n])
+			if (err == nil) != (derr == nil) {
+				t.Fatalf("the first %d of %d bytes: recordEpochs says %v, the decode %v", n, len(rec), err, derr)
+			}
+			if derr != nil {
+				continue
+			}
+			for _, pa := range dec.Active {
+				if pa.Epoch > 0 {
+					want = append(want, epoch{pa.RuleID, pa.AltIndex, pa.Epoch})
+				}
+			}
+			if !reflect.DeepEqual(got, want) || len(want) == 0 {
+				t.Errorf("the first %d of %d bytes: epochs %v, the decode's %v", n, len(rec), got, want)
+			}
+		}
+	}
+}
+
 // TestSpillRecordVersionEncoding: the version is a trailing canonical uvarint
 // present only when non-zero, so a profile has exactly one encoding and every
 // record written before the field existed is a valid version-0 record.

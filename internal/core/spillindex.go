@@ -74,15 +74,6 @@ func (x *spillIndex) init(n, keyBytes int) {
 
 func (x *spillIndex) len() int { return x.live }
 
-// eachActive calls fn with each ref whose record holds an activation.
-func (x *spillIndex) eachActive(fn func(spillRef)) {
-	for i := range x.ents {
-		if e := &x.ents[i]; e.keyLen != goneKey && e.n&entryActive != 0 {
-			fn(e.ref())
-		}
-	}
-}
-
 func (x *spillIndex) key(e *indexEntry) []byte {
 	end := e.keyOff + e.keyLen
 	return x.keys[e.keyOff:end:end]
@@ -123,9 +114,6 @@ func (x *spillIndex) put(uid string, ref spillRef) (old spillRef, replaced bool)
 
 // putKey is put with the user ID as bytes, which it copies.
 func (x *spillIndex) putKey(uid []byte, ref spillRef) (old spillRef, replaced bool) {
-	if x.slots == nil {
-		x.init(0, 0)
-	}
 	return put(x, uid, maphash.Bytes(x.seed, uid), ref)
 }
 

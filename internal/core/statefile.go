@@ -178,8 +178,11 @@ func (e *Engine) installCheckpoint(path string, data []byte) error {
 // the spill directory, read once: a profile is installed only where the log
 // holds no newer record of its user (spillRef.supersedes).
 func (e *Engine) LoadStateFile(path string) (StateSource, error) {
-	if st := e.spill; st != nil && st.recovered.checkpoint != "" {
+	if st := e.spill; st != nil && st.recovered.Checkpoint != "" {
 		return e.stateSource.Load().(StateSource), nil
+	}
+	if st := e.spill; st != nil {
+		defer func() { st.lifts = nil }() // the import below re-applies them, or nothing does
 	}
 	start := time.Now()
 	boot := func(data []byte) error {
@@ -249,6 +252,10 @@ type BootStatus struct {
 	// Recover is how long the segment replay took, Load the LoadStateFile
 	// call: read, checksum, decode, merge and any eviction back under the cap.
 	Recover, Load time.Duration
+	// RecoverCheckpoint, …Index, …Walk and …Lift split Recover: reading the
+	// checkpoint, installing its index, walking the segments (checksums, the
+	// decodes, a covered record's epochs), lifting the guard to the epochs.
+	RecoverCheckpoint, RecoverIndex, RecoverWalk, RecoverLift time.Duration
 	// Migrated says the state file was not a checkpoint but an OAKSNAP2 or
 	// legacy JSON file, read through encoding/json; the next save rewrites it.
 	Migrated bool
@@ -273,9 +280,8 @@ func (e *Engine) BootStatus() BootStatus {
 	}
 	if st := e.spill; st != nil {
 		r := st.recovered
-		bs.Recover, bs.Checkpoint = r.took, r.checkpoint
-		bs.QuarantinedSegments = len(st.log.Quarantined())
-		bs.IndexAdopted, bs.Checksummed, bs.Decoded, bs.IndexFallback = r.adopted, r.checked, r.decoded, r.fallback
+		r.Load, r.Migrated, r.QuarantinedSegments = bs.Load, bs.Migrated, len(st.log.Quarantined())
+		bs = r
 	}
 	return bs
 }

@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"unsafe"
 )
@@ -220,24 +221,49 @@ func TestInternTableUnderConcurrentDecoders(t *testing.T) {
 		fixtures[k] = f
 	}
 
+	// Each goroutine decodes JSON with a decoder of its own, DecodePooled's
+	// but for the pool, so that it can count the entries it decoded from a
+	// page's template, and after each decode of a template page looks up the
+	// page's template: the decoders publish them while the flood runs, and
+	// the flood may have evicted every one by the end. A decoder records a
+	// template from the first of every templateEvery reports that could, so
+	// each goroutine starts on the template pages, while the others flood:
+	// first its own page three times, which records and then matches a
+	// template unless the flood evicts the page or its URLs in between.
 	var wg sync.WaitGroup
+	var templated, held atomic.Int64
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(int64(g)))
+			d := new(fastDecoder)
 			for n := 0; n < 400; n++ {
 				f := &fixtures[rng.Intn(len(fixtures))]
+				switch {
+				case n < 3: // the decoder's own page, as JSON: met, recorded, matched
+					f = &fixtures[160+g]
+				case n < templateEvery:
+					f = &fixtures[160+rng.Intn(32)]
+				}
 				var got *Report
 				var err error
-				if (g+n)%2 == 0 {
-					got, err = DecodePooled(f.json)
+				if n < 3 || (g+n)%2 == 0 {
+					if got = acquireReport(); d.decode(f.json, got) {
+						templated.Add(int64(d.tm.hits))
+					} else {
+						got.Release()
+						got, err = DecodePooled(f.json)
+					}
 				} else {
 					got, err = DecodeBinaryPooled(f.bin)
 				}
 				if err != nil {
 					t.Errorf("decoder %d: %v", g, err)
 					return
+				}
+				if strings.HasPrefix(f.want.Page, "/tpl-") && pageTemplate(f.want.Page) != nil {
+					held.Add(1)
 				}
 				if !equalDecoded(f.want, got) {
 					t.Errorf("decoder %d: decode differs from encoding/json:\nref: %+v\ngot: %+v", g, f.want, got)
@@ -248,14 +274,8 @@ func TestInternTableUnderConcurrentDecoders(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	templates := 0
-	for p := 0; p < 8; p++ {
-		if pageTemplate(fmt.Sprintf("/tpl-%d.html", p)) != nil {
-			templates++
-		}
-	}
-	if templates == 0 {
-		t.Error("no page holds a template: the decoders never published one")
+	if templated.Load()+held.Load() == 0 {
+		t.Error("no entry was decoded from a page's template and no template page held one after a decode: the decoders never published one")
 	}
 }
 

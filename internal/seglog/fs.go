@@ -55,6 +55,16 @@ func ReadFile(fsys FS, name string) ([]byte, error) {
 	return readAll(f)
 }
 
+// MapFile is ReadFile through mapAll, for a file of the spill directory.
+func MapFile(fsys FS, name string) (data []byte, release func(), err error) {
+	f, err := fsys.OpenFile(name, os.O_RDONLY, 0)
+	if err != nil {
+		return nil, nil, err
+	}
+	defer f.Close()
+	return mapAll(f)
+}
+
 // readAll reads an open file from its start to its end.
 func readAll(f File) ([]byte, error) {
 	fi, err := f.Stat()
@@ -65,6 +75,26 @@ func readAll(f File) ([]byte, error) {
 	_, err = f.ReadAt(data, 0)
 	return data, err
 }
+
+// mapAll is readAll for bytes read once and dropped: an *os.File is mapped
+// where the system can, not copied (no heap to fault in, no garbage for the
+// GC), and release unmaps it; any other File is read. A read of a mapped file
+// that something else cuts short faults the process (SIGBUS), so only the
+// files of a spill directory, which one engine owns, are mapped.
+func mapAll(f File) (data []byte, release func(), err error) {
+	if of, ok := f.(*os.File); ok && mapFile != nil {
+		if fi, err := f.Stat(); err == nil && fi.Size() > 0 {
+			if data, release = mapFile(of, int(fi.Size())); data != nil {
+				return data, release, nil
+			}
+		}
+	}
+	data, err = readAll(f)
+	return data, func() {}, err
+}
+
+// mapFile maps f's first size bytes read-only, or returns nil (fs_unix.go).
+var mapFile func(f *os.File, size int) (data []byte, unmap func())
 
 // WriteFileSync writes data as the whole of the named file and fsyncs it
 // before closing, so the bytes are durable before a rename makes them visible.

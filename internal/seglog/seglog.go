@@ -114,18 +114,36 @@ func Open(fsys FS, dir string, onQuarantine func(name string, err error)) (*Log,
 	return &Log{fs: fsys, dir: dir, onQuarantine: onQuarantine, segs: make(map[uint64]*Segment)}, nil
 }
 
+// Parallel calls fn with each of 0 … n-1 on up to GOMAXPROCS goroutines, and
+// returns once every call has.
+func Parallel(n int, fn func(i int)) {
+	var wg sync.WaitGroup
+	var next atomic.Int64
+	for range min(runtime.GOMAXPROCS(0), n) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
+				fn(i)
+			}
+		}()
+	}
+	wg.Wait()
+}
+
 // Recover puts the directory's segments in service, oldest first, in two
 // steps. It opens every segment and shows them to plan, in sequence order,
 // each one's Size its file's length. Then it reads each whole and calls walk
-// with the bytes (magic included, for Walk to check) to parse, spreading the
-// segments over up to GOMAXPROCS workers: walk runs concurrently with itself,
-// and data is a worker's buffer, good until walk returns. walk returns where
-// the last whole frame ends: with ErrTruncated the segment is cut back to
-// there and kept, with another error it is quarantined — and its caller must
-// commit nothing of it. A file too short for the magic is a crash between
-// create and header write, and is removed. A file named like a segment but not
-// in the spelling Create gives it is left alone and counted (Strays).
-func (l *Log) Recover(plan func(segs []*Segment) error, walk func(seg *Segment, data []byte) (end int64, err error)) error {
+// with its place in segs and its bytes (magic included, for Walk to check) to
+// parse, spreading the segments over Parallel's workers: walk runs
+// concurrently with itself, and data — mapped where the system can (mapAll) —
+// is good until walk returns. walk returns where the last whole frame ends:
+// with ErrTruncated the segment is cut back to there and kept, with another
+// error it is quarantined — and its caller must commit nothing of it. A file
+// too short for the magic is a crash between create and header write, and is
+// removed. A file named like a segment but not in the spelling Create gives
+// it is left alone and counted (Strays).
+func (l *Log) Recover(plan func(segs []*Segment) error, walk func(i int, seg *Segment, data []byte) (end int64, err error)) error {
 	ents, err := l.fs.ReadDir(l.dir)
 	if err != nil {
 		return fmt.Errorf("read spill directory: %w", err)
@@ -181,28 +199,13 @@ func (l *Log) Recover(plan func(segs []*Segment) error, walk func(seg *Segment, 
 		err, read error
 	}
 	out := make([]outcome, len(segs))
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for range min(runtime.GOMAXPROCS(0), len(segs)) {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var buf []byte
-			for i := int(next.Add(1) - 1); i < len(segs); i = int(next.Add(1) - 1) {
-				seg := segs[i]
-				if n := int(seg.Size()); cap(buf) < n {
-					buf = make([]byte, n)
-				}
-				data := buf[:seg.Size()]
-				if _, err := seg.f.ReadAt(data, 0); err != nil {
-					out[i].read = err
-					continue
-				}
-				out[i].end, out[i].err = walk(seg, data)
-			}
-		}()
-	}
-	wg.Wait()
+	Parallel(len(segs), func(i int) {
+		data, release, err := mapAll(segs[i].f)
+		if out[i].read = err; err == nil {
+			out[i].end, out[i].err = walk(i, segs[i], data)
+			release()
+		}
+	})
 	for i, seg := range segs {
 		if err := out[i].read; err != nil {
 			closeAll()

@@ -5,6 +5,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"oak/internal/wire"
@@ -141,5 +143,42 @@ func TestWalkFrameOverMaxFrame(t *testing.T) {
 		if !errors.Is(err, tc.want) || end != good || fmt.Sprint(got) != fmt.Sprint(frames) {
 			t.Errorf("length %d: %v, end %d, %v; want %v, end %d, %v", tc.length, got, end, err, frames, good, tc.want)
 		}
+	}
+}
+
+// copyFS is the operating system's FS behind a File that is not an *os.File,
+// as a test's fake is: MapFile reads it instead of mapping it.
+type copyFS struct{ FS }
+
+type copyFile struct{ File }
+
+func (c copyFS) OpenFile(name string, flag int, perm os.FileMode) (File, error) {
+	f, err := c.FS.OpenFile(name, flag, perm)
+	if err != nil {
+		return nil, err
+	}
+	return copyFile{f}, nil
+}
+
+func TestMapFileMapsOrReads(t *testing.T) {
+	dir := t.TempDir()
+	seg, _ := segmentOf(testPayloads...)
+	for name, want := range map[string][]byte{"seg": seg, "empty": nil} {
+		path := filepath.Join(dir, name)
+		if err := WriteFileSync(OS, path, want); err != nil {
+			t.Fatal(err)
+		}
+		for fsName, fsys := range map[string]FS{"OS": OS, "copy": copyFS{OS}} {
+			data, release, err := MapFile(fsys, path)
+			if err != nil || !bytes.Equal(data, want) {
+				t.Errorf("%s file through %s: %d bytes, %v; want the %d written", name, fsName, len(data), err, len(want))
+			}
+			if err == nil {
+				release()
+			}
+		}
+	}
+	if _, _, err := MapFile(OS, filepath.Join(dir, "missing")); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("a missing file maps with %v, want ErrNotExist", err)
 	}
 }

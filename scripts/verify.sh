@@ -151,7 +151,8 @@
 # atomic epoch in profile.go;
 # or a cache of rewritten pages: maphash outside the spill index's user keys,
 # or rewriteCache, in non-test internal/core or internal/origin),
-# if a rollback takes a second road beside the epoch (one-rollback:
+# if a boot reads a record back to lift the guard (one-boot-lift: readRecord
+# in squareImport), if a rollback takes a second road beside the epoch (one-rollback:
 # rollbackWhere, spillActivationBarred or a guarded bool in non-test
 # internal/core), if a resident user's record is kept live by anything but
 # their ref (pinned,
@@ -361,11 +362,11 @@ echo "== crash prefixes under -race: every prefix of a seeded trace, whole, torn
 out=$(go test -race -count=1 -run 'TestCrashPrefixes' -v ./internal/core) || { echo "$out" >&2; exit 1; }
 echo "$out" | grep 'prefixes'
 
-echo "== checkpoint index under -race, three times (the reference model's seeds 4-6 once): a boot on the checkpoint's index serves what the whole-log decode serves until an import drops a user, a damaged checkpoint boots from its backup, an index that does not fit falls back to the whole-log decode, a record without an entry and an entry in a gone segment are dead, import deletes survive a crash and a restart, crash prefixes through the checkpoint's writes and imports; a 5s FuzzSpillIndexLoad smoke; the boot and probe allocation gates and the index-frame split; one BenchmarkBootCapped run =="
+echo "== checkpoint index under -race, three times (the reference model's seeds 4-6 once): a boot on the checkpoint's index serves what the whole-log decode serves until an import drops a user, a damaged checkpoint boots from its backup, an index that does not fit falls back to the whole-log decode, a record without an entry and an entry in a gone segment are dead, import deletes survive a crash and a restart, crash prefixes through the checkpoint's writes and imports; a 5s FuzzSpillIndexLoad smoke; the boot and probe allocation gates, the index-frame split, the boot's record-read count gate, its guard lift from decoded records and from covered ones under an edited alternative, and the epoch reader against the decoder; one BenchmarkBootCapped run =="
 go test -race -count=1 -run 'TestEngineAgreesWithModel/seed[4-6]$' ./internal/core
 go test -race -count=3 -run 'TestBootAdoptsTheLog|TestSpillIndexFallback|TestIndexedBootDropsRecordsWithoutAnEntry|TestEntriesInAGoneSegmentAreDead|TestImportDeletesSurviveARestart|TestImportWhoseCheckpointFails|TestEvictionRewritesARecordInAQuarantinedSegment|TestSpillIndexAgreesWithAMap|TestRecoverLeavesStraysAlone|TestCrashPrefixes' ./internal/core
 go test -run '^$' -fuzz FuzzSpillIndexLoad -fuzztime 5s ./internal/core
-out=$(go test -count=1 -run 'TestIndexedBootAllocs|TestSpillIndexProbeAllocatesNothing|TestIndexFramesSplit' -v ./internal/core) || { echo "$out" >&2; exit 1; }
+out=$(go test -count=1 -run 'TestIndexedBootAllocs|TestSpillIndexProbeAllocatesNothing|TestIndexFramesSplit|TestCappedBootReadsNoRecord|TestBootLiftsTheGuard|TestRecordEpochsReadsWhatTheDecodeReads' -v ./internal/core) || { echo "$out" >&2; exit 1; }
 echo "$out" | grep -E -e '--- PASS|allocations booting|users in'
 go test -run '^$' -bench 'BenchmarkBootCapped' -benchtime 1x ./internal/core
 
@@ -373,7 +374,7 @@ echo "== a capped checkpoint holds no profile: a capped save reads no record and
 out=$(go test -count=1 -run 'TestCappedCheckpointHoldsNoProfile|TestUncappedSaveIsTheSnapshot|TestBootAdoptsTheLog/one_segment_damaged' -v ./internal/core) || { echo "$out" >&2; exit 1; }
 echo "$out" | grep -E -e '--- PASS|gone with'
 
-echo "== structure check: one segment writer, one sequence allocator, one segment walker, one file seam, one serve cache, one durable ref, one page index, one merge predicate, one version bump, one home for an activation, one rollback, one rule set per process, one home for a user, one durable home for a profile, one reference decoder, one JSON scanner, one JSON reader, one profile codec, one spill index, one backend call, one body read, one batch walk, one admission, one counter declaration, one host scan, the line and byte budgets =="
+echo "== structure check: one segment writer, one sequence allocator, one segment walker, one file seam, one serve cache, one durable ref, one page index, one merge predicate, one version bump, one home for an activation, one rollback, one rule set per process, one home for a user, one durable home for a profile, one reference decoder, one JSON scanner, one JSON reader, one profile codec, one spill index, one backend call, one body read, one batch walk, one admission, one counter declaration, one host scan, one boot lift, the line and byte budgets =="
 fail() { echo "structure check failed: $1" >&2; exit 1; }
 seglog_go=$(ls internal/seglog/*.go | grep -v '_test\.go$')
 core_go=$(ls internal/core/*.go | grep -v '_test\.go$')
@@ -407,11 +408,13 @@ mergers=$(echo $core_go | xargs awk '/^func /{fn=$0} /\.supersedes\(/ && !/^[[:s
 [ "$mergers" = "internal/core/persist.go:buildImport " ] ||
 	fail "one-durable-home: spillRef.supersedes is called from [ $mergers], want persist.go's buildImport only (the one read of a state file written before the checkpoint moved into the spill directory)"
 # The budget is the five files' size once CHANGES.md's older entries
-# took the short form; a change that shrinks them lowers it.
+# took the short form; a change that shrinks them lowers it. It was raised
+# to the measured size once a capped boot placed each index entry once (the
+# change's entries, its boot line and lift in DESIGN.md and OPERATIONS.md).
 process_bytes=$(cat CHANGES.md .claude/skills/verify/SKILL.md scripts/verify.sh docs/OPERATIONS.md DESIGN.md | wc -c)
-echo "process files: $process_bytes bytes (<= 329759)"
-[ "$process_bytes" -le 329759 ] ||
-	fail "byte-budget: CHANGES.md, the verify skill, verify.sh, docs/OPERATIONS.md and DESIGN.md hold $process_bytes bytes, want at most 329759"
+echo "process files: $process_bytes bytes (<= 336616)"
+[ "$process_bytes" -le 336616 ] ||
+	fail "byte-budget: CHANGES.md, the verify skill, verify.sh, docs/OPERATIONS.md and DESIGN.md hold $process_bytes bytes, want at most 336616"
 spill_lines=$(wc -l <internal/core/spill.go)
 log_lines=$(cat $core_go $seglog_go | wc -l)
 # The budget is the measured count once the state file became a checkpoint,
@@ -433,10 +436,14 @@ log_lines=$(cat $core_go $seglog_go | wc -l)
 # read went, then 7,205 - 67 once each metric group became one generic
 # declaration: the metrics atomics and snapshot() went, then 7,138 - 6 once
 # each rule text was scanned once: altHostsOf, clampedAlt and the matcher's
-# second copy of its first two tiers went, the checkpoint's UTC time reader came.
-echo "spill.go: $spill_lines lines (< 600); non-test internal/core + internal/seglog: $log_lines lines (<= 7132)"
+# second copy of its first two tiers went, the checkpoint's UTC time reader came,
+# then raised to the measured count once a capped boot placed each index entry
+# once and lifted the guard from the records its walk holds: planIndex's
+# counting sort, seglog.Parallel, mapAll, the walk's lift table and
+# recordEpochs came, eachActive and the boot's record reads went.
+echo "spill.go: $spill_lines lines (< 600); non-test internal/core + internal/seglog: $log_lines lines (<= 7301)"
 [ "$spill_lines" -lt 600 ] || fail "line-budget: spill.go has $spill_lines lines, want under 600"
-[ "$log_lines" -le 7132 ] || fail "line-budget: non-test internal/core + internal/seglog has $log_lines lines, want at most 7132"
+[ "$log_lines" -le 7301 ] || fail "line-budget: non-test internal/core + internal/seglog has $log_lines lines, want at most 7301"
 if grep -n 'map\[string\]spillRef' $core_go; then
 	fail "one-spill-index: non-test internal/core keeps spill refs in a map again (a shard's refs live in its spillIndex: slots and a key blob, no heap object per user)"
 fi
@@ -452,6 +459,9 @@ fi
 if grep -n 'pinned\|pinLocked\|releasePins\|begun\|type pin\b' $core_go; then
 	fail "one-durable-ref: non-test internal/core keeps a record live beside the spill refs again (a resident user keeps their ref; its record is live until their next record replaces it)"
 fi
+readers=$(echo $core_go | xargs awk '/^func /{fn=$0} /readRecord\(/ && !/^[[:space:]]*\/\// && fn ~ /\) squareImport\(/{print FILENAME ":" FNR}')
+[ -z "$readers" ] ||
+	fail "one-boot-lift: squareImport calls readRecord again (a boot lifts the guard to the epochs recovery's walk kept, spillStore.lifts, from the records it decoded or read in place)"
 if grep -n 'byUser' internal/core/spill.go internal/core/spillboot.go; then
 	fail "recovery-commits-in-place: the spill tier mentions byUser (recoverSpill commits each segment's frames into the shards' presized indexes, no per-user staging map)"
 fi
