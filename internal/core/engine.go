@@ -399,75 +399,113 @@ func (e *Engine) analyzeLocked(sh *shard, r *report.Report, now time.Time, serve
 		// Rule history (Section 4.2.3): if the violator is the alternate of
 		// an already-active rule, decide between keeping the alternate,
 		// advancing to the next one, and reverting to the default by
-		// minimising distance from the median.
-		handled := e.reconcileActiveRules(sh, prof, v, now, res)
-		if handled {
-			continue
-		}
-
-		if count < e.policy.MinViolations {
-			continue // policy says not yet
-		}
-
-		// Activation (Section 4.2.2): find rules with a connection
-		// dependency on the violator and activate them for this user.
-		for _, rule := range e.rules {
-			if !rule.InScope(r.Page) {
-				continue
-			}
-			if a := prof.activeRule(rule.ID); a != nil && !a.deadAt(now, e.epochs.Load()) {
-				continue // already active
-			}
-			level := e.matcher.Match(rule, v.Server, scriptURLs)
-			if level == MatchNone {
-				continue
-			}
-			pref := 0
-			if rule.Type != rules.TypeRemove {
-				pref = e.policy.SelectAlternative(rule, -1, r.UserID)
-			}
-			altIdx, epoch, blockedBy := e.admitLocked(prof, rule, v.Server.Addr, now, "activation", pref)
-			if blockedBy != "" {
-				// The target provider (or the rule itself) is quarantined:
-				// this user is never steered onto a known-bad alternate.
-				e.metrics.ActivationsBlocked.Inc()
-				if e.tracing() {
-					e.traceAt(now, obs.Event{
-						Kind: obs.EventQuarantine, User: r.UserID, RuleID: rule.ID,
-						Provider: blockedBy,
-						Detail:   fmt.Sprintf("activation blocked, alt %d", pref),
-					})
-				}
-			}
-			if altIdx < 0 {
-				continue // blocked, or a full profile (skipped, not blocked)
-			}
-			prof.activate(rule, altIdx, epoch, now, v.Server.Addr, v.Distance) // admitted: it fits
-			e.metrics.RuleActivations.Inc()
-			res.Changes = append(res.Changes, RuleChange{
-				RuleID: rule.ID, Action: "activate", Server: v.Server.Addr,
-				AltIndex: altIdx, Level: level,
-			})
-			if e.tracing() {
-				e.traceAt(now, obs.Event{
-					Kind: obs.EventActivate, User: r.UserID, RuleID: rule.ID,
-					Provider: v.Server.Addr,
-					Detail:   fmt.Sprintf("%s match, alt %d", level, altIdx),
-				})
-			}
+		// minimising distance from the median. Otherwise, once policy allows
+		// (Section 4.2.2), rules with a connection dependency on the violator
+		// activate for this user.
+		if !e.reconcileActiveRules(sh, prof, v, now, res) && count >= e.policy.MinViolations {
+			e.activateMatching(prof, r, now, v.Server, scriptURLs, v.Distance, nil, res)
 		}
 	}
 
-	// Population-level synthesis: if the report touched a provider the
-	// population detector has flagged, activate matching rules for this user
-	// now, without waiting for their personal violation count.
-	e.synthesizeLocked(prof, r, now, servers, res)
+	// Population-level synthesis: a server on a provider the population
+	// detector has flagged activates matching rules for this user now,
+	// without waiting for their personal violation count. The population
+	// delta stands in for the violation distance: reconciliation later
+	// compares the alternate's own violations against how bad the default
+	// was population-wide.
+	deg := e.degraded()
+	for _, s := range servers {
+		for _, h := range s.Hosts {
+			if ep := deg[h]; ep != nil {
+				e.activateMatching(prof, r, now, s, nil, max(ep.WindowMs-ep.BaselineMs, 0), ep, res)
+				break
+			}
+		}
+	}
 
 	// The report may have grown the profile; keep the shard's resident-bytes
 	// estimate honest for the byte cap.
 	e.noteProfileSizeLocked(sh, prof)
 
 	return res, outcomes
+}
+
+// activateMatching is the one activation step: every rule in scope for the
+// report's page, not live for the user already and tied to server activates
+// onto the first alternative the guard admits, with dist as its trigger
+// distance. A nil ep is an organic activation, triggered by the user's own
+// violation: the evidence tiers may expand through the report's scripts, and
+// only the preferred alternative is tried. A non-nil ep is a synthesized one,
+// for a server on the degraded provider ep: the evidence is restricted to the
+// rule's own dependency surface — the report-wide script expansion is
+// corroborated by per-user violations, which a synthesized activation
+// skips — and, with no per-user history to respect, every alternative after
+// the preferred one is tried too. Caller holds prof's shard lock for writing.
+func (e *Engine) activateMatching(prof *Profile, r *report.Report, now time.Time, server *report.ServerPerf, scriptURLs []string, dist float64, ep *DegradedProvider, res *AnalysisResult) {
+	synth := ep != nil
+	site, kind, blocked := "activation", obs.EventActivate, &e.metrics.ActivationsBlocked
+	if synth {
+		site, kind, blocked = "synthesis", obs.EventSynthesize, &e.metrics.SynthesisBlocked
+	}
+	for _, rule := range e.rules {
+		if !rule.InScope(r.Page) {
+			continue
+		}
+		if a := prof.activeRule(rule.ID); a != nil && !a.deadAt(now, e.epochs.Load()) {
+			continue // already active (organically or synthesized)
+		}
+		level := MatchNone
+		if synth {
+			level = e.matcher.MatchOwnSurface(rule, server)
+		} else {
+			level = e.matcher.Match(rule, server, scriptURLs)
+		}
+		if level == MatchNone {
+			continue
+		}
+		pref := 0
+		if rule.Type != rules.TypeRemove {
+			pref = e.policy.SelectAlternative(rule, -1, r.UserID)
+		}
+		altIdx, epoch, blockedBy := e.admitLocked(prof, rule, server.Addr, now, site, pref, synth)
+		if blockedBy != "" {
+			// The target provider (or the rule itself) is quarantined: this
+			// user is never steered onto a known-bad alternate.
+			blocked.Inc()
+			if e.tracing() {
+				detail := "synthesized activation blocked; no admitted alternative"
+				if !synth {
+					detail = fmt.Sprintf("activation blocked, alt %d", pref)
+				}
+				e.traceAt(now, obs.Event{
+					Kind: obs.EventQuarantine, User: r.UserID, RuleID: rule.ID,
+					Provider: blockedBy, Detail: detail,
+				})
+			}
+		}
+		if altIdx < 0 {
+			continue // blocked, or a full profile (skipped, not blocked)
+		}
+		prof.activate(rule, altIdx, epoch, now, server.Addr, dist).Synthesized = synth // admitted: it fits
+		e.metrics.RuleActivations.Inc()
+		if synth {
+			e.metrics.SynthesizedActivations.Inc()
+		}
+		res.Changes = append(res.Changes, RuleChange{
+			RuleID: rule.ID, Action: "activate", Server: server.Addr,
+			AltIndex: altIdx, Level: level, Synthesized: synth,
+		})
+		if e.tracing() {
+			detail := fmt.Sprintf("%s match, alt %d", level, altIdx)
+			if synth {
+				detail += fmt.Sprintf(", population %.2fx baseline", ep.Ratio)
+			}
+			e.traceAt(now, obs.Event{
+				Kind: kind, User: r.UserID, RuleID: rule.ID,
+				Provider: server.Addr, Detail: detail,
+			})
+		}
+	}
 }
 
 // reconcileActiveRules implements the rule-history decision for one
@@ -505,7 +543,7 @@ func (e *Engine) reconcileActiveRules(sh *shard, prof *Profile, v Violation, now
 			if next == a.AltIndex {
 				next = a.AltIndex + 1 // selector refused to move; force progression
 			}
-			alt, epoch, blockedBy := e.admitLocked(prof, a.Rule, v.Server.Addr, now, "advance", next)
+			alt, epoch, blockedBy := e.admitLocked(prof, a.Rule, v.Server.Addr, now, "advance", next, false)
 			if blockedBy != "" {
 				// The next alternative's provider is quarantined: revert to
 				// the default rather than steer the user onto it.

@@ -138,35 +138,6 @@ func TestEngineNoViolationNoActivation(t *testing.T) {
 	}
 }
 
-func TestEngineTTLExpiry(t *testing.T) {
-	clock := newTestClock()
-	e, _ := NewEngine([]*rules.Rule{jqRule(time.Hour)}, WithClock(clock.Now))
-	if _, err := e.HandleReport(slowS1Report("u1")); err != nil {
-		t.Fatal(err)
-	}
-	page := `<script src="http://s1.com/jquery.js">`
-	if out, _ := e.ModifyPage("u1", "/", page); !strings.Contains(out, "s2.net") {
-		t.Fatal("rule not active after activation")
-	}
-	clock.Advance(2 * time.Hour)
-	if out, _ := e.ModifyPage("u1", "/", page); out != page {
-		t.Error("rule still applied after TTL expiry")
-	}
-	// The next report prunes and logs the expiry.
-	res, _ := e.HandleReport(loadReport("u1", map[string]float64{
-		"a.example": 100, "b.example": 100, "c.example": 100,
-	}))
-	var expired bool
-	for _, ch := range res.Changes {
-		if ch.Action == "expire" && ch.RuleID == "jquery" {
-			expired = true
-		}
-	}
-	if !expired {
-		t.Errorf("changes = %+v, want expire record", res.Changes)
-	}
-}
-
 func TestEngineMinViolationsPolicy(t *testing.T) {
 	e, _ := NewEngine(
 		[]*rules.Rule{jqRule(0)},
@@ -181,93 +152,6 @@ func TestEngineMinViolationsPolicy(t *testing.T) {
 	res, _ := e.HandleReport(slowS1Report("u1"))
 	if len(res.Changes) != 1 || res.Changes[0].Action != "activate" {
 		t.Fatalf("3rd violation: changes = %+v, want activation", res.Changes)
-	}
-}
-
-func TestEngineRuleHistoryRevert(t *testing.T) {
-	// Single alternative; after switching, the alternate performs even
-	// worse than the default did -> revert (deactivate).
-	e, _ := NewEngine([]*rules.Rule{jqRule(0)})
-	if _, err := e.HandleReport(slowS1Report("u1")); err != nil {
-		t.Fatal(err)
-	}
-	// Now s2.net (the alternate) violates with a larger distance (default
-	// s1 was 2000 vs median ~102; distance ~1900; s2 now 5000).
-	res, _ := e.HandleReport(loadReport("u1", map[string]float64{
-		"s2.net":    5000,
-		"a.example": 100, "b.example": 110, "c.example": 105, "d.example": 95,
-	}))
-	var deactivated bool
-	for _, ch := range res.Changes {
-		if ch.Action == "deactivate" && ch.RuleID == "jquery" {
-			deactivated = true
-		}
-	}
-	if !deactivated {
-		t.Fatalf("changes = %+v, want deactivate", res.Changes)
-	}
-	page := `<script src="http://s1.com/jquery.js">`
-	if out, _ := e.ModifyPage("u1", "/", page); out != page {
-		t.Error("page still rewritten after revert")
-	}
-}
-
-func TestEngineRuleHistoryKeep(t *testing.T) {
-	// The alternate violates, but by less than the default did -> keep it.
-	e, _ := NewEngine([]*rules.Rule{jqRule(0)})
-	if _, err := e.HandleReport(slowS1Report("u1")); err != nil { // s1 distance ~1895
-		t.Fatal(err)
-	}
-	res, _ := e.HandleReport(loadReport("u1", map[string]float64{
-		"s2.net":    200, // violates (median ~100, MAD ~5) but distance only ~98
-		"a.example": 100, "b.example": 110, "c.example": 105, "d.example": 95,
-	}))
-	var kept bool
-	for _, ch := range res.Changes {
-		if ch.Action == "keep" && ch.RuleID == "jquery" {
-			kept = true
-		}
-		if ch.Action == "deactivate" {
-			t.Fatalf("rule deactivated though alternate beats default: %+v", res.Changes)
-		}
-	}
-	if !kept {
-		t.Fatalf("changes = %+v, want keep", res.Changes)
-	}
-	page := `<script src="http://s1.com/jquery.js">`
-	if out, _ := e.ModifyPage("u1", "/", page); !strings.Contains(out, "s2.net") {
-		t.Error("kept rule no longer applied")
-	}
-}
-
-func TestEngineRuleHistoryAdvance(t *testing.T) {
-	// Two alternatives; when the first alternate turns bad, progress to the
-	// second instead of reverting.
-	r := jqRule(0,
-		`<script src="http://s2.net/jquery.js">`,
-		`<script src="http://s3.org/jquery.js">`,
-	)
-	e, _ := NewEngine([]*rules.Rule{r})
-	if _, err := e.HandleReport(slowS1Report("u1")); err != nil {
-		t.Fatal(err)
-	}
-	res, _ := e.HandleReport(loadReport("u1", map[string]float64{
-		"s2.net":    5000,
-		"a.example": 100, "b.example": 110, "c.example": 105, "d.example": 95,
-	}))
-	var advanced bool
-	for _, ch := range res.Changes {
-		if ch.Action == "advance" && ch.AltIndex == 1 {
-			advanced = true
-		}
-	}
-	if !advanced {
-		t.Fatalf("changes = %+v, want advance to alt 1", res.Changes)
-	}
-	page := `<script src="http://s1.com/jquery.js">`
-	out, _ := e.ModifyPage("u1", "/", page)
-	if !strings.Contains(out, "s3.org") {
-		t.Errorf("page = %q, want s3.org (second alternative)", out)
 	}
 }
 

@@ -1,9 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 	"time"
 
 	"oak/internal/guard"
@@ -185,22 +185,30 @@ func (e *Engine) squareImport(fresh []map[string]*Profile, boot bool) {
 }
 
 // admitLocked is the one admission decision: may the user whose profile is
-// prof take an activation of rule, triggered by server, onto the first of
-// alts that the guard admits whole (guard.Set.Admit)? A full profile is
-// refused first and silently: roomFor has no side effect, so no breaker is
-// asked and no slot is spent. An admitted canary is counted and traced here,
-// as the canary of site. It returns the admitted alternative and the epoch
-// it was admitted under, or -1 with blockedBy naming what refused the first
-// alternative ("" for a full profile, which is not counted as blocked).
-// Caller holds prof's shard lock for writing (the guard mutex is a leaf).
-func (e *Engine) admitLocked(prof *Profile, rule *rules.Rule, server string, now time.Time, site string, alts ...int) (alt int, epoch uint64, blockedBy string) {
+// prof take an activation of rule, triggered by server, onto alternative pref
+// or — when fallback is set — the first of the rule's others, in order, that
+// the guard admits whole (guard.Set.Admit)? A full profile is refused first
+// and silently: roomFor has no side effect, so no breaker is asked and no
+// slot is spent. An admitted canary is counted and traced here, as the canary
+// of site. It returns the admitted alternative and the epoch it was admitted
+// under, or -1 with blockedBy naming what refused pref ("" for a full
+// profile, which is not counted as blocked). Caller holds prof's shard lock
+// for writing (the guard mutex is a leaf).
+func (e *Engine) admitLocked(prof *Profile, rule *rules.Rule, server string, now time.Time, site string, pref int, fallback bool) (alt int, epoch uint64, blockedBy string) {
 	if !prof.roomFor(rule, server) {
 		return -1, 0, ""
 	}
 	if e.guard == nil {
-		return alts[0], 0, ""
+		return pref, 0, ""
 	}
-	for _, alt := range alts {
+	// i = -1 asks for pref; with fallback, the others follow in order.
+	for i := -1; i < len(rule.Alternatives) && (i < 0 || fallback); i++ {
+		alt := i
+		if i < 0 {
+			alt = pref
+		} else if i == pref {
+			continue
+		}
 		epoch, canary, by := e.guard.Admit(rule.ID, e.altHostsFor(rule.ID, alt))
 		if by != "" {
 			if blockedBy == "" {
@@ -231,63 +239,38 @@ type providerOutcome struct {
 }
 
 // collectOutcomes derives per-provider outcomes from one report for the
-// user's activations, which pruneDead has left live: a provider an active
-// alternative points at was either flagged as a violator in this report
-// (bad, with the violation distance) or served its objects unremarkably
-// (good). Providers the report never touched yield nothing. Must run before
-// reconciliation mutates the profile; caller holds sh.mu.
+// user's activations, which pruneDead has left live, sorted by provider: a
+// provider an active alternative points at is bad, with its largest violation
+// distance, when a server of it was flagged as a violator in this report —
+// partial failure is failure for the user hit by it — and good when every
+// server of it answered unremarkably. Providers the report never touched
+// yield nothing. Must run before reconciliation mutates the profile; caller
+// holds sh.mu.
 func (e *Engine) collectOutcomes(prof *Profile, servers []*report.ServerPerf, violations []Violation) []providerOutcome {
 	if e.guard == nil || len(prof.active) == 0 {
 		return nil
 	}
-	violated := make(map[string]float64, len(violations))
-	for _, v := range violations {
-		if d, ok := violated[v.Server.Addr]; !ok || v.Distance > d {
-			violated[v.Server.Addr] = v.Distance
-		}
-	}
-	type agg struct {
-		good    bool
-		bad     bool
-		deltaMs float64
-	}
-	byProv := make(map[string]*agg)
+	var out []providerOutcome
 	for _, a := range prof.active {
 		for _, h := range e.altHostsFor(a.Rule.ID, a.AltIndex) {
 			for _, s := range servers {
 				if !s.HasHost(h) {
 					continue
 				}
-				g := byProv[h]
-				if g == nil {
-					g = &agg{}
-					byProv[h] = g
+				i, found := slices.BinarySearchFunc(out, h, func(o providerOutcome, h string) int {
+					return cmp.Compare(o.provider, h)
+				})
+				if !found {
+					out = slices.Insert(out, i, providerOutcome{provider: h, good: true})
 				}
-				if d, bad := violated[s.Addr]; bad {
-					g.bad = true
-					if d > g.deltaMs {
-						g.deltaMs = d
+				for _, v := range violations {
+					if v.Server.Addr == s.Addr {
+						out[i].good = false
+						out[i].deltaMs = max(out[i].deltaMs, v.Distance)
 					}
-				} else {
-					g.good = true
 				}
 			}
 		}
-	}
-	if len(byProv) == 0 {
-		return nil
-	}
-	provs := make([]string, 0, len(byProv))
-	for p := range byProv {
-		provs = append(provs, p)
-	}
-	sort.Strings(provs)
-	out := make([]providerOutcome, 0, len(provs))
-	for _, p := range provs {
-		g := byProv[p]
-		// Bad wins: one violating server on the provider outweighs another
-		// answering fine (partial failure is failure for the user hit by it).
-		out = append(out, providerOutcome{provider: p, good: !g.bad, deltaMs: g.deltaMs})
 	}
 	return out
 }

@@ -265,45 +265,6 @@ func TestGuardBadCanaryReopens(t *testing.T) {
 	}
 }
 
-func TestGuardBlockedAdvanceRevertsToDefault(t *testing.T) {
-	// Two alternatives; the second's provider is quarantined, so when the
-	// first turns bad the advance is blocked and the rule reverts to the
-	// default instead.
-	r := jqRule(0,
-		`<script src="http://s2.net/jquery.js">`,
-		`<script src="http://s3.org/jquery.js">`,
-	)
-	e, _ := guardEngine(t, []*rules.Rule{r})
-	e.QuarantineProvider("s3.org")
-
-	if _, err := e.HandleReport(slowS1Report("u1")); err != nil {
-		t.Fatal(err)
-	}
-	res, _ := e.HandleReport(loadReport("u1", map[string]float64{
-		"s2.net":    5000,
-		"a.example": 100, "b.example": 110, "c.example": 105, "d.example": 95,
-	}))
-	var deactivated, advanced bool
-	for _, ch := range res.Changes {
-		switch ch.Action {
-		case "deactivate":
-			deactivated = true
-		case "advance":
-			advanced = true
-		}
-	}
-	if advanced {
-		t.Fatalf("advanced onto quarantined s3.org: %+v", res.Changes)
-	}
-	if !deactivated {
-		t.Fatalf("changes = %+v, want deactivate when advance blocked", res.Changes)
-	}
-	page := `<script src="http://s1.com/jquery.js">`
-	if out, _ := e.ModifyPage("u1", "/", page); out != page {
-		t.Error("page still rewritten after blocked advance")
-	}
-}
-
 func TestGuardStatusSurface(t *testing.T) {
 	plain, err := NewEngine([]*rules.Rule{jqRule(0)})
 	if err != nil {

@@ -105,6 +105,7 @@ type model struct {
 	quar     map[string]modelQuarantine
 	degraded map[string]time.Time // provider → marked since
 	c        modelCounts          // this process's counters
+	changes  []RuleChange         // the report being handled's, in order
 }
 
 // breaker is p's breaker with an elapsed cool-down applied, nil if untracked.
@@ -261,9 +262,9 @@ func (m *model) activate(p *modelProfile, r *rules.Rule, alt int, epoch uint64, 
 	return a
 }
 
-// admitNew activates rule for p, triggered by server, onto its preferred
+// admitNew activates rule for p, tied to server at level, onto its preferred
 // alternative; a synthesized activation tries the others after it.
-func (m *model) admitNew(p *modelProfile, rule *rules.Rule, uid, server string, dist float64, synth bool) {
+func (m *model) admitNew(p *modelProfile, rule *rules.Rule, uid, server string, level MatchLevel, dist float64, synth bool) {
 	alts := []int{0}
 	if rule.Type != rules.TypeRemove {
 		alts[0] = m.policy.SelectAlternative(rule, -1, uid)
@@ -273,7 +274,8 @@ func (m *model) admitNew(p *modelProfile, rule *rules.Rule, uid, server string, 
 			}
 		}
 	}
-	switch alt, epoch, blocked := m.admit(rule, alts...); {
+	alt, epoch, blocked := m.admit(rule, alts...)
+	switch {
 	case blocked && synth:
 		m.c.SynthBlocked++
 	case blocked:
@@ -284,16 +286,22 @@ func (m *model) admitNew(p *modelProfile, rule *rules.Rule, uid, server string, 
 	default:
 		m.activate(p, rule, alt, epoch, server, dist)
 	}
+	if !blocked {
+		m.changes = append(m.changes, RuleChange{RuleID: rule.ID, Action: "activate", Server: server,
+			AltIndex: alt, Level: level, Synthesized: synth})
+	}
 }
 
-// report is HandleReport: false when the report is refused.
-func (m *model) report(r *report.Report) bool {
+// report is HandleReport: the report's rule changes, and false when the
+// report is refused.
+func (m *model) report(r *report.Report) ([]RuleChange, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if r.Validate() != nil {
-		return false
+		return nil, false
 	}
 	m.c.Reports++
+	m.changes = nil
 	servers := report.GroupByServer(r)
 	viols := DetectViolators(servers, m.policy.MADMultiplier)
 	p := m.profiles[r.UserID]
@@ -308,6 +316,7 @@ func (m *model) report(r *report.Report) bool {
 			delete(p.active, id)
 			if m.lapsed(a) {
 				m.c.Expirations++
+				m.changes = append(m.changes, RuleChange{RuleID: id, Action: "expire"})
 			} else {
 				m.c.Bulk++
 			}
@@ -330,10 +339,11 @@ func (m *model) report(r *report.Report) bool {
 			continue
 		}
 		for _, rule := range m.rules {
-			if !rule.InScope(r.Page) || m.live(p, rule.ID) || m.matcher.Match(rule, v.Server, nil) == MatchNone {
+			level := m.matcher.Match(rule, v.Server, nil)
+			if !rule.InScope(r.Page) || m.live(p, rule.ID) || level == MatchNone {
 				continue
 			}
-			m.admitNew(p, rule, r.UserID, v.Server.Addr, v.Distance, false)
+			m.admitNew(p, rule, r.UserID, v.Server.Addr, level, v.Distance, false)
 		}
 	}
 	// Synthesis: a server on a degraded provider activates what its own
@@ -343,16 +353,17 @@ func (m *model) report(r *report.Report) bool {
 			continue
 		}
 		for _, rule := range m.rules {
-			if !rule.InScope(r.Page) || m.live(p, rule.ID) || m.matcher.MatchOwnSurface(rule, s) == MatchNone {
+			level := m.matcher.MatchOwnSurface(rule, s)
+			if !rule.InScope(r.Page) || m.live(p, rule.ID) || level == MatchNone {
 				continue
 			}
-			m.admitNew(p, rule, r.UserID, s.Addr, 0, true)
+			m.admitNew(p, rule, r.UserID, s.Addr, level, 0, true)
 		}
 	}
 	for _, h := range sortedKeys(bad) {
 		m.observe(h, !bad[h])
 	}
-	return true
+	return m.changes, true
 }
 
 // reconcile is rule history (§4.2.3): a violator that is the alternate of a
@@ -365,8 +376,10 @@ func (m *model) reconcile(uid string, p *modelProfile, v Violation) bool {
 			continue
 		}
 		handled = true
+		change := RuleChange{RuleID: id, Action: "deactivate", Server: v.Server.Addr}
 		switch {
 		case v.Distance < a.TriggerDistance:
+			change.Action, change.AltIndex = "keep", a.AltIndex
 		case a.AltIndex+1 < len(rule.Alternatives):
 			next := m.policy.SelectAlternative(rule, a.AltIndex, uid)
 			if next == a.AltIndex {
@@ -374,6 +387,7 @@ func (m *model) reconcile(uid string, p *modelProfile, v Violation) bool {
 			}
 			if _, epoch, blocked := m.admit(rule, next); !blocked {
 				m.activate(p, rule, next, epoch, v.Server.Addr, v.Distance)
+				change.Action, change.AltIndex = "advance", next
 				break
 			}
 			m.c.Blocked++
@@ -382,6 +396,7 @@ func (m *model) reconcile(uid string, p *modelProfile, v Violation) bool {
 			delete(p.active, id)
 			m.c.Deactivations++
 		}
+		m.changes = append(m.changes, change)
 	}
 	return handled
 }
@@ -557,6 +572,7 @@ type modelWorld struct {
 	past    []*persistedState // earlier states of the model, ImportState payloads
 	ops     []string
 	crashes int
+	actions map[string]int // the rule changes compared, by action
 }
 
 func (w *modelWorld) fatalf(format string, args ...any) {
@@ -646,16 +662,20 @@ func (w *modelWorld) genBody(uid string, hosts []string) (body []byte, note stri
 }
 
 // ingest sends a report (HandleReport) or a batch (StartBatch) to every
-// engine, each through its wire, and to the model.
+// engine, each through its wire, and to the model; a report's rule changes
+// are the model's, in its order (a batch returns none to compare).
 func (w *modelWorld) ingest(bodies [][]byte) {
 	var want BatchResult
+	var changes []RuleChange
 	bins := make([][]byte, len(bodies))
 	for i, body := range bodies {
 		var r report.Report
 		w.must("encoding/json", json.Unmarshal(body, &r))
-		if bins[i] = r.AppendBinary(nil); w.m.report(&r) {
+		var ok bool
+		if changes, ok = w.m.report(&r); ok {
 			want.Processed++
 		}
+		bins[i] = r.AppendBinary(nil)
 	}
 	for _, a := range w.arms {
 		s := a.e.StartBatch(context.Background())
@@ -667,13 +687,18 @@ func (w *modelWorld) ingest(bodies [][]byte) {
 			w.must(a.name+": decode "+string(bodies[i]), err)
 			if len(bodies) > 1 {
 				s.Submit(r)
-			} else if _, err := a.e.HandleReport(r); (err == nil) != (want.Processed == 1) {
+			} else if res, err := a.e.HandleReport(r); (err == nil) != (want.Processed == 1) {
 				w.fatalf("%s: HandleReport: %v, the model processed %d", a.name, err, want.Processed)
+			} else if err == nil && !slices.Equal(res.Changes, changes) {
+				w.fatalf("%s: changes %+v, model %+v", a.name, res.Changes, changes)
 			}
 		}
 		if got := s.Wait(); len(bodies) > 1 && got.Processed != want.Processed {
 			w.fatalf("%s: batch processed %d, model %d: %v", a.name, got.Processed, want.Processed, got.Errors)
 		}
+	}
+	for i := 0; len(bodies) == 1 && i < len(changes); i++ {
+		w.actions[changes[i].Action]++
 	}
 }
 
@@ -788,7 +813,7 @@ func runModel(t *testing.T, seed uint64, steps int) {
 	homes := []string{"h0.example", "h1.example", "h2.example"}
 	providers := []string{"p0.example", "p1.example", "p2.example", "p3.example"}
 	rs, hosts := modelRules(rng, homes, providers)
-	w := &modelWorld{t: t, seed: seed, rng: rng, clock: newTestClock(), pages: map[string]string{}}
+	w := &modelWorld{t: t, seed: seed, rng: rng, clock: newTestClock(), pages: map[string]string{}, actions: map[string]int{}}
 	w.m = &model{
 		cfg: GuardConfig{
 			TripThreshold: 1 + rng.IntN(3), OpenFor: time.Minute,
@@ -903,5 +928,5 @@ func runModel(t *testing.T, seed uint64, steps int) {
 		}
 		w.check(rng.IntN(2) == 0)
 	}
-	t.Logf("seed %d: %d steps, %d of them crashes", seed, steps, w.crashes)
+	t.Logf("seed %d: %d steps, %d of them crashes; rule changes compared: %v", seed, steps, w.crashes, w.actions)
 }

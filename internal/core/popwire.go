@@ -9,7 +9,6 @@ import (
 
 	"oak/internal/obs"
 	"oak/internal/report"
-	"oak/internal/rules"
 	"oak/internal/stats"
 )
 
@@ -381,99 +380,17 @@ func (e *Engine) publishDegradedLocked() {
 	p.degradedSet.Store(&m)
 }
 
-// synthesizeLocked is the synthesis arm of analyzeLocked: when the report
-// touched a population-degraded provider, activate the catalog's matching
-// rules for this user now — bypassing the per-user MinViolations gate — so
-// users who haven't individually tripped are mitigated on their next
-// report. Everything else mirrors the organic activation path: scope check,
-// evidence-tier matching, guard admission (with fallback to the next
-// admitted alternative when the preferred one is quarantined), metrics,
-// trace. Caller holds the profile's shard lock for writing.
-func (e *Engine) synthesizeLocked(prof *Profile, r *report.Report, now time.Time, servers []*report.ServerPerf, res *AnalysisResult) {
+// degraded is the published degraded-provider set, by provider: nil on
+// engines without synthesis and while nothing is degraded (one pointer load),
+// and never written.
+func (e *Engine) degraded() map[string]*DegradedProvider {
 	if e.pop == nil {
-		return
+		return nil
 	}
-	degp := e.pop.degradedSet.Load()
-	if degp == nil {
-		return
+	if degp := e.pop.degradedSet.Load(); degp != nil {
+		return *degp
 	}
-	deg := *degp
-	for _, s := range servers {
-		var ep *DegradedProvider
-		for _, h := range s.Hosts {
-			if got, ok := deg[h]; ok {
-				ep = got
-				break
-			}
-		}
-		if ep == nil {
-			continue
-		}
-		for _, rule := range e.rules {
-			if !rule.InScope(r.Page) {
-				continue
-			}
-			if a := prof.activeRule(rule.ID); a != nil && !a.deadAt(now, e.epochs.Load()) {
-				continue // already active (organically or synthesized)
-			}
-			// The same evidence tiers as the organic path tie the rule to
-			// the degraded server, but restricted to the rule's own
-			// dependency surface: the organic path's report-wide script
-			// expansion is corroborated by per-user violations, which a
-			// synthesized activation deliberately skips.
-			level := e.matcher.MatchOwnSurface(rule, s)
-			if level == MatchNone {
-				continue
-			}
-			// A synthesized activation has no per-user history to respect:
-			// the preferred alternative goes first, then the others.
-			alts := []int{0}
-			if rule.Type != rules.TypeRemove {
-				alts[0] = e.policy.SelectAlternative(rule, -1, r.UserID)
-				for i := range rule.Alternatives {
-					if i != alts[0] {
-						alts = append(alts, i)
-					}
-				}
-			}
-			altIdx, epoch, blockedBy := e.admitLocked(prof, rule, s.Addr, now, "synthesis", alts...)
-			if blockedBy != "" {
-				e.metrics.SynthesisBlocked.Inc()
-				if e.tracing() {
-					e.trace(obs.Event{
-						Kind: obs.EventQuarantine, User: r.UserID, RuleID: rule.ID,
-						Provider: blockedBy,
-						Detail:   "synthesized activation blocked; no admitted alternative",
-					})
-				}
-			}
-			if altIdx < 0 {
-				continue // blocked, or a full profile (skipped, not blocked)
-			}
-			// The population delta stands in for the per-user violation
-			// distance: reconciliation later compares the alternate's own
-			// violations against how bad the default was population-wide.
-			dist := ep.WindowMs - ep.BaselineMs
-			if dist < 0 {
-				dist = 0
-			}
-			prof.activate(rule, altIdx, epoch, now, s.Addr, dist).Synthesized = true // admitted: it fits
-			e.metrics.RuleActivations.Inc()
-			e.metrics.SynthesizedActivations.Inc()
-			res.Changes = append(res.Changes, RuleChange{
-				RuleID: rule.ID, Action: "activate", Server: s.Addr,
-				AltIndex: altIdx, Level: level, Synthesized: true,
-			})
-			if e.tracing() {
-				e.trace(obs.Event{
-					Kind: obs.EventSynthesize, User: r.UserID, RuleID: rule.ID,
-					Provider: s.Addr,
-					Detail: fmt.Sprintf("%s match, alt %d, population %.2fx baseline",
-						level, altIdx, ep.Ratio),
-				})
-			}
-		}
-	}
+	return nil
 }
 
 // MarkDegraded manually flags a provider as population-degraded: synthesis
@@ -601,15 +518,12 @@ func (e *Engine) PopulationStatus() (PopulationStatus, bool) {
 // DegradedProviders lists currently flagged providers (nil on engines
 // without synthesis). Healthz surfaces this next to open breakers.
 func (e *Engine) DegradedProviders() []string {
-	if e.pop == nil {
+	deg := e.degraded()
+	if deg == nil {
 		return nil
 	}
-	degp := e.pop.degradedSet.Load()
-	if degp == nil {
-		return nil
-	}
-	out := make([]string, 0, len(*degp))
-	for h := range *degp {
+	out := make([]string, 0, len(deg))
+	for h := range deg {
 		out = append(out, h)
 	}
 	sort.Strings(out)

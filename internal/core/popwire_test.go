@@ -150,39 +150,6 @@ func TestSynthesisActivatesUserBelowPerUserGate(t *testing.T) {
 	}
 }
 
-func TestSynthesisFallsBackToAdmittedAlternative(t *testing.T) {
-	// Two alternatives; the preferred one's provider is quarantined, so the
-	// synthesized activation advances to the admitted one instead of giving
-	// up (it has no per-user history to respect).
-	rule := jqRule(0,
-		`<script src="http://s2.net/jquery.js">`,
-		`<script src="http://s3.net/jquery.js">`)
-	clock := newTestClock()
-	e, err := NewEngine([]*rules.Rule{rule},
-		WithClock(clock.Now),
-		WithGuard(GuardConfig{TripThreshold: 3, OpenFor: time.Minute}),
-		WithSynthesis(SynthesisConfig{
-			Window: time.Minute, MinSamples: 3, MinBaselineSamples: 3, MaxProviders: 8,
-		}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	e.QuarantineProvider("s2.net")
-	e.MarkDegraded("s1.com")
-
-	res, err := e.HandleReport(loadReport("u1", map[string]float64{"s1.com": 900}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Changes) != 1 || !res.Changes[0].Synthesized || res.Changes[0].AltIndex != 1 {
-		t.Fatalf("changes = %+v, want synthesized activate on alt 1", res.Changes)
-	}
-	page := `<script src="http://s1.com/jquery.js">`
-	if out, _ := e.ModifyPage("u1", "/index.html", page); !strings.Contains(out, "s3.net") {
-		t.Errorf("page = %q, want rewrite onto admitted s3.net", out)
-	}
-}
-
 func TestMarkAndClearDegraded(t *testing.T) {
 	e, _ := popEngine(t)
 

@@ -150,9 +150,10 @@ func (p *Profile) activate(r *rules.Rule, altIndex int, epoch uint64, now time.T
 	a.TriggerServer = strings.Clone(server) // as in recordViolation
 	a.TriggerDistance = distance
 	a.Activations++
-	// Provenance defaults to organic; synthesizeLocked sets Synthesized on
-	// the returned activation, and any later organic (re-)activation —
-	// meaning the user's own evidence now justifies the rule — clears it.
+	// Provenance defaults to organic; a synthesized activation
+	// (activateMatching) sets Synthesized on the returned one, and any later
+	// organic (re-)activation — meaning the user's own evidence now
+	// justifies the rule — clears it.
 	a.Synthesized = false
 	return a
 }

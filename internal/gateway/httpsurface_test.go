@@ -5,6 +5,8 @@ import (
 	"go/parser"
 	"go/token"
 	"os"
+	"reflect"
+	"regexp"
 	"strconv"
 	"strings"
 	"testing"
@@ -106,4 +108,51 @@ func pathConstants(t *testing.T, dir string) map[string]string {
 		}
 	}
 	return out
+}
+
+// TestCounterGlossaryIsTheGatewayMetrics holds OPERATIONS.md's gateway
+// counter glossary to the gateway's counter declarations both ways: each
+// row names only fields of gatewayCounters, connCounters (under
+// backend_conns) and edgeCells (under edge_cache), by the JSON name
+// GET /oak/v1/metrics shows, and each field has exactly one row.
+func TestCounterGlossaryIsTheGatewayMetrics(t *testing.T) {
+	doc, err := os.ReadFile("../../docs/OPERATIONS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, err := flagdoc.Rows(string(doc), "How to read each gateway counter (per-process; under `gateway` in `GET /oak/v1/metrics`):")
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := map[string]int{} // JSON name, its block's prefixed → rows
+	for _, group := range []struct {
+		prefix string
+		typ    reflect.Type
+	}{
+		{"", reflect.TypeOf(gatewayCounters[uint64]{})},
+		{"backend_conns.", reflect.TypeOf(connCounters[uint64]{})},
+		{"edge_cache.", reflect.TypeOf(edgeCells[uint64, int64]{})},
+	} {
+		for i := 0; i < group.typ.NumField(); i++ {
+			seen[group.prefix+group.typ.Field(i).Tag.Get("json")] = 0
+		}
+	}
+	for _, r := range rows {
+		names := regexp.MustCompile("`([^`]*)`").FindAllStringSubmatch(r.Flag, -1)
+		if len(names) == 0 {
+			t.Errorf("glossary row %q names no counter", r.Flag)
+		}
+		for _, m := range names {
+			if _, ok := seen[m[1]]; !ok {
+				t.Errorf("glossary row %q names %s, which is no gateway counter", r.Flag, m[1])
+				continue
+			}
+			seen[m[1]]++
+		}
+	}
+	for name, n := range seen {
+		if n != 1 {
+			t.Errorf("gateway counter %s has %d glossary rows, want 1", name, n)
+		}
+	}
 }

@@ -374,7 +374,7 @@ echo "== a capped checkpoint holds no profile: a capped save reads no record and
 out=$(go test -count=1 -run 'TestCappedCheckpointHoldsNoProfile|TestUncappedSaveIsTheSnapshot|TestBootAdoptsTheLog/one_segment_damaged' -v ./internal/core) || { echo "$out" >&2; exit 1; }
 echo "$out" | grep -E -e '--- PASS|gone with'
 
-echo "== structure check: one segment writer, one sequence allocator, one segment walker, one file seam, one serve cache, one durable ref, one page index, one merge predicate, one version bump, one home for an activation, one rollback, one rule set per process, one home for a user, one durable home for a profile, one reference decoder, one JSON scanner, one JSON reader, one profile codec, one spill index, one backend call, one body read, one batch walk, one admission, one counter declaration, one host scan, one boot lift, the line and byte budgets =="
+echo "== structure check: one segment writer, one sequence allocator, one segment walker, one file seam, one serve cache, one durable ref, one page index, one merge predicate, one version bump, one home for an activation, one rollback, one rule set per process, one home for a user, one durable home for a profile, one reference decoder, one JSON scanner, one JSON reader, one profile codec, one spill index, one backend call, one body read, one batch walk, one admission, one activation step, one counter declaration, one host scan, one boot lift, the line and byte budgets =="
 fail() { echo "structure check failed: $1" >&2; exit 1; }
 seglog_go=$(ls internal/seglog/*.go | grep -v '_test\.go$')
 core_go=$(ls internal/core/*.go | grep -v '_test\.go$')
@@ -410,11 +410,13 @@ mergers=$(echo $core_go | xargs awk '/^func /{fn=$0} /\.supersedes\(/ && !/^[[:s
 # The budget is the five files' size once CHANGES.md's older entries
 # took the short form; a change that shrinks them lowers it. It was raised
 # to the measured size once a capped boot placed each index entry once (the
-# change's entries, its boot line and lift in DESIGN.md and OPERATIONS.md).
+# change's entries, its boot line and lift in DESIGN.md and OPERATIONS.md),
+# and again once an activation was made in one place (the change's entries,
+# its drill in the skill, decision 32 and the gateway counter glossary).
 process_bytes=$(cat CHANGES.md .claude/skills/verify/SKILL.md scripts/verify.sh docs/OPERATIONS.md DESIGN.md | wc -c)
-echo "process files: $process_bytes bytes (<= 336616)"
-[ "$process_bytes" -le 336616 ] ||
-	fail "byte-budget: CHANGES.md, the verify skill, verify.sh, docs/OPERATIONS.md and DESIGN.md hold $process_bytes bytes, want at most 336616"
+echo "process files: $process_bytes bytes (<= 343145)"
+[ "$process_bytes" -le 343145 ] ||
+	fail "byte-budget: CHANGES.md, the verify skill, verify.sh, docs/OPERATIONS.md and DESIGN.md hold $process_bytes bytes, want at most 343145"
 spill_lines=$(wc -l <internal/core/spill.go)
 log_lines=$(cat $core_go $seglog_go | wc -l)
 # The budget is the measured count once the state file became a checkpoint,
@@ -440,10 +442,12 @@ log_lines=$(cat $core_go $seglog_go | wc -l)
 # then raised to the measured count once a capped boot placed each index entry
 # once and lifted the guard from the records its walk holds: planIndex's
 # counting sort, seglog.Parallel, mapAll, the walk's lift table and
-# recordEpochs came, eachActive and the boot's record reads went.
-echo "spill.go: $spill_lines lines (< 600); non-test internal/core + internal/seglog: $log_lines lines (<= 7301)"
+# recordEpochs came, eachActive and the boot's record reads went, then
+# 7,301 - 64 once an activation was made in one place: synthesizeLocked, the
+# organic loop's copy of the step and collectOutcomes' maps went.
+echo "spill.go: $spill_lines lines (< 600); non-test internal/core + internal/seglog: $log_lines lines (<= 7237)"
 [ "$spill_lines" -lt 600 ] || fail "line-budget: spill.go has $spill_lines lines, want under 600"
-[ "$log_lines" -le 7301 ] || fail "line-budget: non-test internal/core + internal/seglog has $log_lines lines, want at most 7301"
+[ "$log_lines" -le 7237 ] || fail "line-budget: non-test internal/core + internal/seglog has $log_lines lines, want at most 7237"
 if grep -n 'map\[string\]spillRef' $core_go; then
 	fail "one-spill-index: non-test internal/core keeps spill refs in a map again (a shard's refs live in its spillIndex: slots and a key blob, no heap object per user)"
 fi
@@ -479,6 +483,13 @@ admitters=$(echo $core_go | xargs awk '/^func /{fn=$0} /guard\.Admit\(/ && !/^[[
 	sed -E 's/^([^:]*):func (\([^)]*\) )?([A-Za-z0-9_]+).*/\1:\3/' | sort -u | tr '\n' ' ')
 [ "$admitters" = "internal/core/guardwire.go:admitLocked " ] ||
 	fail "one-admission: guard.Admit( is called from [ $admitters], want guardwire.go's admitLocked only (activation, advance and synthesis each ask it once)"
+activators=$(echo $core_go | xargs awk '/^func /{fn=$0} /prof\.activate\(/ && !/^[[:space:]]*\/\//{print FILENAME ":" fn}' |
+	sed -E 's/^([^:]*):func (\([^)]*\) )?([A-Za-z0-9_]+).*/\1:\3/' | sort -u | tr '\n' ' ')
+[ "$activators" = "internal/core/engine.go:activateMatching internal/core/engine.go:reconcileActiveRules " ] ||
+	fail "one-activation-step: prof.activate( is called from [ $activators], want engine.go's activateMatching and reconcileActiveRules only (organic and synthesized activations are one step; rule history advances)"
+if grep -n 'synthesizeLocked' $core_go; then
+	fail "one-activation-step: non-test internal/core names synthesizeLocked again (a synthesized activation is activateMatching with the degraded provider's episode)"
+fi
 
 if grep -rn 'provIndex\|indexActivation\|freshIdx' internal/ cmd/ oak.go; then
 	fail "activations-live-in-profiles: the guard's provider index is back (a rollback is an epoch every activation records; deadAt reads it wherever the activation lives)"
